@@ -100,8 +100,9 @@ pub use simdize_reorg::{
 pub use simdize_engine::{
     program_fingerprint, run_sweep, run_sweep_collect, run_sweep_shared, run_sweep_with, CacheMode,
     CacheStats, CompiledKernel, FusionEvent, FusionEventKind, FusionStats, IsaLevel,
-    KernelBackend, KernelCache, KernelOptions, NativeEngine, PredecodedKernel, SimdEngine,
-    SimdKernel, SweepBackend, SweepJob, SweepOptions, SweepOutcome, SweepStats,
+    KernelBackend, KernelCache, KernelOptions, NativeEngine, PredecodedKernel, Schedule,
+    SectionSchedule, SimdEngine, SimdKernel, SweepBackend, SweepJob, SweepOptions, SweepOutcome,
+    SweepStats,
 };
 pub use simdize_telemetry::{RequestTrace, TelemetryReport, TraceId, TELEMETRY_SCHEMA, TRACE_SCHEMA};
 pub use simdize_verify::{

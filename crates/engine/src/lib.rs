@@ -43,7 +43,8 @@
 //! baked (and trace-fused) plan to real `std::arch` intrinsics —
 //! SSE2 always on x86_64, AVX2 by runtime feature detection, NEON on
 //! aarch64, and a portable scalar tier everywhere — selected once per
-//! kernel by [`IsaLevel::detect`] and replayed as straight-line SIMD.
+//! kernel by [`IsaLevel::detect`] and replayed through one strip-mined
+//! section driver ([`Schedule`]).
 //!
 //! The [`batch`] module scales this to sweeps: many (program, seed)
 //! jobs distributed over scoped worker threads, each job compiled,
@@ -101,5 +102,5 @@ pub use cache::{
     program_fingerprint, CacheKey, CacheStats, KernelBackend, KernelCache, LayoutSig, Lookup,
 };
 pub use kernel::{CompiledKernel, KernelOptions, NativeEngine, PredecodedKernel};
-pub use native::{IsaLevel, SimdEngine, SimdKernel};
+pub use native::{IsaLevel, Schedule, SectionSchedule, SimdEngine, SimdKernel};
 pub use trace::{FusionEvent, FusionEventKind, FusionStats};

@@ -1,11 +1,12 @@
 //! The real-intrinsics backend: lowering baked plans to `std::arch`.
 //!
 //! [`SimdKernel::lower`] translates a baked (and trace-fused)
-//! [`CompiledKernel`] into a flat `NOp` program whose every operand
-//! is ready for a 128-bit register file — splice points expanded to
-//! byte-select masks, permutation patterns split into the two
-//! `pshufb`-style half-tables — then replays it through one of four
-//! instruction tiers picked by [`IsaLevel`]:
+//! [`CompiledKernel`] into sections of `NOp`s whose every operand is
+//! ready for a 128-bit register file — registers renamed onto dense
+//! columns, splice points expanded to byte-select masks, permutation
+//! patterns split into the two `pshufb`-style half-tables — then
+//! replays it through the one strip-mined driver (`strip`), on one of
+//! four instruction tiers picked by [`IsaLevel`]:
 //!
 //! | VIR form        | SSE2                               | AVX2 tier                | NEON            |
 //! |-----------------|------------------------------------|--------------------------|-----------------|
@@ -30,15 +31,34 @@
 //! so interpreter, fused engine and intrinsics backend agree on
 //! [`RunStats`] by construction too.
 
-use crate::kernel::{CompiledKernel, Op};
+use crate::kernel::CompiledKernel;
 use crate::lanes::Reg;
 use simdize_codegen::SimdProgram;
-use simdize_ir::{BinOp, ScalarType, UnOp};
+use simdize_ir::{BinOp, UnOp};
 use simdize_telemetry as telemetry;
 use simdize_vm::{ExecError, Executor, MemoryImage, RunInput, RunStats};
+use strip::Program;
+
+/// Dispatches on a `vshiftpair` amount with the amount a literal in
+/// each arm — `$a` for 0, `$arm!(n)` for 1..=15, `$b` for 16 — because
+/// the byte-shift intrinsics take it as a const.
+macro_rules! by_amount {
+    ($amt:expr, $a:expr, $b:expr, $arm:ident) => {
+        by_amount!(@ $amt, $a, $b, $arm, 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15)
+    };
+    (@ $amt:expr, $a:expr, $b:expr, $arm:ident, $($n:literal)+) => {
+        match $amt {
+            0 => $a,
+            $($n => $arm!($n),)+
+            _ => $b,
+        }
+    };
+}
 
 mod isa;
+mod lower;
 mod portable;
+mod strip;
 
 #[cfg(target_arch = "aarch64")]
 #[allow(unsafe_code)]
@@ -50,9 +70,11 @@ mod x86;
 pub use isa::IsaLevel;
 
 /// One lowered native instruction. Compared to the interpreter's
-/// [`Op`], everything an intrinsic wants precomputed is precomputed at
-/// lowering time: splices carry their byte-select mask, permutations
-/// carry the two half-register shuffle tables.
+/// [`Op`](crate::kernel::Op), everything an intrinsic wants
+/// precomputed is precomputed at lowering time: splices carry their
+/// byte-select mask, permutations carry the two half-register shuffle
+/// tables, and register operands are offsets into the run's register
+/// block, not the baked kernel's sparse register ids.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum NOp {
     Load {
@@ -84,7 +106,7 @@ pub(crate) enum NOp {
         dst: u32,
         a: u32,
         b: u32,
-        /// The original 0..32 selector, for the scalar tiers.
+        /// The original 0..32 selector, for the tiers without `pshufb`.
         pattern: [u8; 16],
         /// `pshufb` table over `a`: selector when < 16, else `0x80`
         /// (shuffle-to-zero).
@@ -120,178 +142,25 @@ pub(crate) enum NOp {
     },
 }
 
-/// A borrowed view of one lowered kernel, handed to the per-tier
-/// executors so each tier is a single monomorphic function.
-pub(crate) struct Plan<'a> {
-    pub(crate) prologue: &'a [NOp],
-    pub(crate) pair_header: &'a [NOp],
-    pub(crate) pair: &'a [NOp],
-    pub(crate) pair_iters: i64,
-    pub(crate) body_header: &'a [NOp],
-    pub(crate) body: &'a [NOp],
-    pub(crate) body_iters: i64,
-    pub(crate) epilogue: &'a [NOp],
-    pub(crate) nregs: usize,
-    pub(crate) elem: ScalarType,
-    /// Whether the unrolled pair loop may run [`BANK`] iterations per
-    /// op dispatch (see [`body_is_bankable`]).
-    pub(crate) pair_banked: bool,
-    /// Same, for the steady-state body loop.
-    pub(crate) body_banked: bool,
+/// How [`SimdKernel::run`] executes one loop section.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SectionSchedule {
+    /// Strip-mined: each op is dispatched once per strip of
+    /// iterations and runs down a register column.
+    Strip,
+    /// One iteration per dispatch, in program order — what a loop that
+    /// carries a register or a close memory dependence between
+    /// iterations needs.
+    Sequential,
 }
 
-/// How many body iterations a banked executor runs per op dispatch.
-///
-/// Banking is the backend's answer to dispatch overhead: an
-/// interpreter loop pays the match-and-branch cost once per op per
-/// iteration, which on a four-op body is most of the cycle budget.
-/// When [`body_is_bankable`] proves the body free of loop-carried
-/// register and memory dependences, the executors keep `BANK`
-/// independent register files and dispatch each op once per `BANK`
-/// iterations — amortizing the dispatch 4× and handing the CPU four
-/// independent dependency chains to overlap.
-pub(crate) const BANK: usize = 4;
-
-/// The registers an op reads (before it writes its destination).
-fn op_sources(op: &NOp) -> [Option<u32>; 2] {
-    match *op {
-        NOp::Load { .. } | NOp::Splat { .. } => [None, None],
-        NOp::Store { src, .. } | NOp::Copy { src, .. } => [Some(src), None],
-        NOp::Shift { a, b, .. }
-        | NOp::Splice { a, b, .. }
-        | NOp::Perm { a, b, .. }
-        | NOp::Bin { a, b, .. } => [Some(a), Some(b)],
-        NOp::BinImm { a, .. } | NOp::Un { a, .. } => [Some(a), None],
-    }
-}
-
-/// The register an op writes, if any.
-fn op_dst(op: &NOp) -> Option<u32> {
-    match *op {
-        NOp::Load { dst, .. }
-        | NOp::Shift { dst, .. }
-        | NOp::Splice { dst, .. }
-        | NOp::Perm { dst, .. }
-        | NOp::Splat { dst, .. }
-        | NOp::Bin { dst, .. }
-        | NOp::BinImm { dst, .. }
-        | NOp::Un { dst, .. }
-        | NOp::Copy { dst, .. } => Some(dst),
-        NOp::Store { .. } => None,
-    }
-}
-
-/// Whether a loop section (the unrolled pair loop or the steady-state
-/// body) can legally run [`BANK`] iterations per op dispatch with
-/// per-iteration register files.
-///
-/// Banking reorders execution: op `i` runs for iterations `k..k+BANK`
-/// before op `i+1` runs for any of them. That is observationally
-/// equivalent to the sequential schedule exactly when
-///
-/// 1. no register carries a value between body iterations — every
-///    register the body reads is either written earlier *in the same
-///    iteration* or never written by the body at all (a loop
-///    invariant, replicated identically into every bank), and
-/// 2. no two memory accesses from *different* iterations inside one
-///    bank window overlap, unless both are loads. All accesses must
-///    share one step for the window algebra below to close the check.
-///
-/// Software-pipelined bodies (a register reused from the previous
-/// iteration) fail condition 1 and run on the sequential schedule;
-/// loops with a dependence distance under `BANK` vectors fail
-/// condition 2.
-fn body_is_bankable(body: &[NOp]) -> bool {
-    let mut written: Vec<u32> = Vec::new();
-    let mut live_in: Vec<u32> = Vec::new();
-    for op in body {
-        for src in op_sources(op).into_iter().flatten() {
-            if !written.contains(&src) && !live_in.contains(&src) {
-                live_in.push(src);
-            }
-        }
-        if let Some(dst) = op_dst(op) {
-            written.push(dst);
-        }
-    }
-    if live_in.iter().any(|r| written.contains(r)) {
-        return false;
-    }
-    let mut accesses: Vec<(i64, i64, bool)> = Vec::new();
-    for op in body {
-        match *op {
-            NOp::Load { start, step, .. } => accesses.push((start, step, false)),
-            NOp::Store { src: _, start, step } => accesses.push((start, step, true)),
-            _ => {}
-        }
-    }
-    let Some(&(_, step, _)) = accesses.first() else {
-        return true;
-    };
-    if accesses.iter().any(|&(_, s, _)| s != step) {
-        return false;
-    }
-    for &(s1, _, store1) in &accesses {
-        for &(s2, _, store2) in &accesses {
-            if !store1 && !store2 {
-                continue;
-            }
-            // `s1` at iteration `k + delta` against `s2` at `k`; the
-            // ordered double loop covers negative deltas by symmetry.
-            for delta in 1..BANK as i64 {
-                if (s1 + delta * step - s2).abs() < 16 {
-                    return false;
-                }
-            }
-        }
-    }
-    true
-}
-
-fn lower_op(op: &Op) -> NOp {
-    match *op {
-        // Fused shifted loads are already single loads; the backend
-        // keeps them as one movdqu/vld1q each.
-        Op::Load { dst, start, step, .. } | Op::LoadFused { dst, start, step, .. } => {
-            NOp::Load { dst, start, step }
-        }
-        Op::Store { src, start, step, .. } => NOp::Store { src, start, step },
-        Op::Shift { dst, a, b, amt } => NOp::Shift { dst, a, b, amt },
-        Op::Splice { dst, a, b, point } => {
-            let mut mask = [0u8; 16];
-            for byte in mask.iter_mut().take(point as usize) {
-                *byte = 0xFF;
-            }
-            NOp::Splice { dst, a, b, mask }
-        }
-        Op::Perm { dst, a, b, ref pattern } => {
-            let mut lo = [0x80u8; 16];
-            let mut hi = [0x80u8; 16];
-            for (t, &sel) in pattern.iter().enumerate() {
-                if sel < 16 {
-                    lo[t] = sel;
-                } else {
-                    hi[t] = sel - 16;
-                }
-            }
-            NOp::Perm { dst, a, b, pattern: *pattern, lo, hi }
-        }
-        Op::Splat { dst, bytes } => NOp::Splat { dst, bytes },
-        Op::Bin { dst, op, a, b } => NOp::Bin { dst, op, a, b },
-        Op::BinSplat { dst, op, a, ref imm, imm_left } => NOp::BinImm {
-            dst,
-            op,
-            a,
-            imm: *imm,
-            imm_left,
-        },
-        Op::Un { dst, op, a } => NOp::Un { dst, op, a },
-        Op::Copy { dst, src } => NOp::Copy { dst, src },
-    }
-}
-
-fn lower_section(ops: &[Op]) -> Vec<NOp> {
-    ops.iter().map(lower_op).collect()
+/// The schedule [`SimdKernel::lower`] chose for the two loop sections.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Schedule {
+    /// The unrolled pair loop.
+    pub pair: SectionSchedule,
+    /// The steady-state body loop.
+    pub body: SectionSchedule,
 }
 
 /// A baked kernel lowered to real SIMD, pinned to one [`IsaLevel`].
@@ -305,14 +174,8 @@ fn lower_section(ops: &[Op]) -> Vec<NOp> {
 pub struct SimdKernel {
     base: CompiledKernel,
     isa: IsaLevel,
-    prologue: Vec<NOp>,
-    pair_header: Vec<NOp>,
-    pair: Vec<NOp>,
-    body_header: Vec<NOp>,
-    body: Vec<NOp>,
-    epilogue: Vec<NOp>,
-    pair_banked: bool,
-    body_banked: bool,
+    schedule: Schedule,
+    program: Program,
 }
 
 impl SimdKernel {
@@ -324,21 +187,12 @@ impl SimdKernel {
         let _span = telemetry::span("lower");
         let isa = if isa.available() { isa } else { IsaLevel::Scalar };
         telemetry::tag("isa", isa);
-        let pair = lower_section(&kernel.pair);
-        let body = lower_section(&kernel.body);
-        let pair_banked = body_is_bankable(&pair);
-        let body_banked = body_is_bankable(&body);
+        let (program, schedule) = lower::lower(kernel);
         SimdKernel {
-            prologue: lower_section(&kernel.prologue),
-            pair_header: lower_section(&kernel.pair_header),
-            pair,
-            body_header: lower_section(&kernel.body_header),
-            body,
-            epilogue: lower_section(&kernel.epilogue),
             base: kernel.clone(),
             isa,
-            pair_banked,
-            body_banked,
+            schedule,
+            program,
         }
     }
 
@@ -367,6 +221,13 @@ impl SimdKernel {
     /// The instruction tier `run` dispatches to.
     pub fn isa(&self) -> IsaLevel {
         self.isa
+    }
+
+    /// How `run` executes the two loop sections: in strips where
+    /// lowering proved that equivalent to program order, else
+    /// sequentially. The same on every tier.
+    pub fn schedule(&self) -> Schedule {
+        self.schedule
     }
 
     /// The baked kernel this lowering came from.
@@ -407,33 +268,16 @@ impl SimdKernel {
                 what: "a memory image with a different layout than compiled for",
             });
         }
-        let plan = Plan {
-            prologue: &self.prologue,
-            pair_header: &self.pair_header,
-            pair: &self.pair,
-            pair_iters: self.base.pair_iters,
-            body_header: &self.body_header,
-            body: &self.body,
-            body_iters: self.base.body_iters,
-            epilogue: &self.epilogue,
-            nregs: self.base.nregs,
-            elem: self.base.elem,
-            pair_banked: self.pair_banked,
-            body_banked: self.body_banked,
-        };
         let mem = image.bytes_mut();
         match self.isa {
-            IsaLevel::Scalar => portable::exec(&plan, mem),
             #[cfg(target_arch = "x86_64")]
-            IsaLevel::Sse2 => x86::exec(&plan, mem, false),
+            IsaLevel::Sse2 => x86::exec(&self.program, mem, false),
             #[cfg(target_arch = "x86_64")]
-            IsaLevel::Avx2 => x86::exec(&plan, mem, true),
+            IsaLevel::Avx2 => x86::exec(&self.program, mem, true),
             #[cfg(target_arch = "aarch64")]
-            IsaLevel::Neon => neon::exec(&plan, mem),
-            // `lower` clamps foreign-architecture tiers to Scalar, so
-            // this arm is only a totality backstop.
-            #[allow(unreachable_patterns)]
-            _ => portable::exec(&plan, mem),
+            IsaLevel::Neon => neon::exec(&self.program, mem),
+            // `lower` clamps foreign-architecture tiers to Scalar.
+            _ => strip::run(portable::portable(), &self.program, mem),
         }
         Ok(self.base.stats())
     }
@@ -470,16 +314,21 @@ mod tests {
                         for i in 0..100 { a[i+3] = b[i+1] + c[i+2]; }";
 
     fn compile_at(src: &str, policy: Policy, ub: u64) -> (CompiledKernel, MemoryImage) {
+        compile_reusing(src, policy, ReuseMode::SoftwarePipeline, ub)
+    }
+
+    fn compile_reusing(
+        src: &str,
+        policy: Policy,
+        reuse: ReuseMode,
+        ub: u64,
+    ) -> (CompiledKernel, MemoryImage) {
         let p = parse_program(src).unwrap();
         let g = ReorgGraph::build(&p, VectorShape::V16)
             .unwrap()
             .with_policy(policy)
             .unwrap();
-        let prog = generate(
-            &g,
-            &CodegenOptions::default().reuse(ReuseMode::SoftwarePipeline),
-        )
-        .unwrap();
+        let prog = generate(&g, &CodegenOptions::default().reuse(reuse)).unwrap();
         let image = MemoryImage::with_seed(&p, VectorShape::V16, 0xC0FFEE);
         let kernel = CompiledKernel::compile(&prog, &image, &RunInput::with_ub(ub)).unwrap();
         (kernel, image)
@@ -554,105 +403,14 @@ mod tests {
     }
 
     #[test]
-    fn bankability_analysis_separates_independent_bodies_from_carried_ones() {
-        // A misaligned-copy body: load, store, disjoint streams.
-        let copy = [
-            NOp::Load { dst: 0, start: 1024, step: 16 },
-            NOp::Store { src: 0, start: 65536, step: 16 },
-        ];
-        assert!(body_is_bankable(&copy));
-
-        // Software-pipelined shift: r1 is read before the body rewrites
-        // it — a value carried across iterations.
-        let pipelined = [
-            NOp::Load { dst: 0, start: 1024, step: 16 },
-            NOp::Shift { dst: 2, a: 1, b: 0, amt: 4 },
-            NOp::Copy { dst: 1, src: 0 },
-            NOp::Store { src: 2, start: 65536, step: 16 },
-        ];
-        assert!(!body_is_bankable(&pipelined));
-
-        // A loop-invariant register (written by the header, only read
-        // here) does not block banking.
-        let invariant = [
-            NOp::Load { dst: 0, start: 1024, step: 16 },
-            NOp::Bin { dst: 2, op: BinOp::Add, a: 0, b: 7 },
-            NOp::Store { src: 2, start: 65536, step: 16 },
-        ];
-        assert!(body_is_bankable(&invariant));
-
-        // Store feeding a load one vector later: a dependence distance
-        // inside the bank window.
-        let close_dep = [
-            NOp::Load { dst: 0, start: 1040, step: 16 },
-            NOp::Store { src: 0, start: 1024, step: 16 },
-        ];
-        assert!(!body_is_bankable(&close_dep));
-
-        // Same shape but BANK vectors apart — outside the window.
-        let far_dep = [
-            NOp::Load { dst: 0, start: 1024 + 16 * BANK as i64, step: 16 },
-            NOp::Store { src: 0, start: 1024, step: 16 },
-        ];
-        assert!(body_is_bankable(&far_dep));
-
-        // Mixed steps defeat the window algebra: conservatively refuse.
-        let mixed_steps = [
-            NOp::Load { dst: 0, start: 1024, step: 16 },
-            NOp::Store { src: 0, start: 65536, step: 32 },
-        ];
-        assert!(!body_is_bankable(&mixed_steps));
-    }
-
-    #[test]
-    fn banked_and_sequential_schedules_agree_on_long_trips() {
-        // Long enough for banked windows plus a non-empty remainder on
-        // every policy's body count.
-        for policy in [Policy::Zero, Policy::Eager, Policy::Lazy, Policy::Dominant, Policy::Optimal] {
-            let (kernel, image) = compile_at(FIG1, policy, 100);
-            let mut reference = image.clone();
-            kernel.run(&mut reference).unwrap();
-            let lowered = SimdKernel::lower(&kernel, IsaLevel::Scalar);
-            let mut got = image.clone();
-            lowered.run(&mut got).unwrap();
-            assert_eq!(
-                got.bytes(),
-                reference.bytes(),
-                "{policy:?} banked={}/{}",
-                lowered.pair_banked,
-                lowered.body_banked
-            );
-        }
-    }
-
-    #[test]
-    fn splice_masks_and_perm_tables_are_consistent() {
-        let op = Op::Splice { dst: 0, a: 1, b: 2, point: 5 };
-        match lower_op(&op) {
-            NOp::Splice { mask, .. } => {
-                for (i, byte) in mask.iter().enumerate() {
-                    assert_eq!(*byte, if i < 5 { 0xFF } else { 0x00 });
-                }
-            }
-            other => panic!("unexpected lowering: {other:?}"),
-        }
-        let mut pattern = [0u8; 16];
-        for (i, sel) in pattern.iter_mut().enumerate() {
-            *sel = (31 - i) as u8; // alternating halves, reversed
-        }
-        let op = Op::Perm { dst: 0, a: 1, b: 2, pattern };
-        match lower_op(&op) {
-            NOp::Perm { lo, hi, .. } => {
-                for i in 0..16 {
-                    let sel = pattern[i];
-                    if sel < 16 {
-                        assert_eq!((lo[i], hi[i]), (sel, 0x80));
-                    } else {
-                        assert_eq!((lo[i], hi[i]), (0x80, sel - 16));
-                    }
-                }
-            }
-            other => panic!("unexpected lowering: {other:?}"),
-        }
+    fn register_block_is_sized_by_live_values() {
+        let (kernel, _) = compile_reusing(FIG1, Policy::Zero, ReuseMode::None, 100);
+        let lowered = SimdKernel::lower(&kernel, IsaLevel::Scalar);
+        assert_eq!(lowered.schedule().body, SectionSchedule::Strip);
+        // Two loads, two shifts, an add and the store's source, some
+        // of them sharing a column: far fewer than one per baked id.
+        let columns = lowered.program.nregs / strip::STRIP;
+        assert!((1..=6).contains(&columns), "{columns} columns");
+        assert!(kernel.nregs > 2 * columns, "{} baked registers", kernel.nregs);
     }
 }

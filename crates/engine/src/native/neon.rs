@@ -1,40 +1,61 @@
 //! aarch64 NEON tier. ASIMD is architecturally guaranteed on
 //! aarch64, so like SSE2 on x86_64 this is a baseline, not a probed
 //! tier: `vextq_u8` for `vshiftpair`, `vbslq_u8` for `vsplice`,
-//! `vqtbl2q_u8` (out-of-range lanes read zero, our half-tables never
-//! are) for `vperm`, `vld1q`/`vst1q` for the chunk-aligned streams and
-//! the `vaddq`/`vsubq`/`vmulq`/`vminq`/`vmaxq`/`vabsq` families per
+//! `vqtbl2q_u8` over the raw 0..32 selector for `vperm`,
+//! `vld1q`/`vst1q` for the chunk-aligned streams and the
+//! `vaddq`/`vsubq`/`vmulq`/`vminq`/`vmaxq`/`vabsq` families per
 //! element width. 64-bit multiply/min/max fall back to the
 //! [`lanes`] reference loops on register copies.
 //!
 //! This module and `x86` are the only two places in the crate allowed
 //! to use `unsafe`; every block is a load/store intrinsic on an
-//! exactly-16-byte slice or the baseline-feature tier entry.
+//! exactly-16-byte array or the baseline-feature tier entry.
 
-use super::{NOp, Plan, BANK};
+use super::strip::{self, Lanes, Program, Tier};
 use crate::lanes::{self, Reg};
 use core::arch::aarch64::*;
 use simdize_ir::{BinOp, ScalarType, UnOp};
 
 /// Safe dispatch into the NEON tier.
-pub(super) fn exec(plan: &Plan<'_>, mem: &mut [u8]) {
+pub(super) fn exec(program: &Program, mem: &mut [u8]) {
     // SAFETY: NEON (ASIMD) is architecturally guaranteed on aarch64.
-    unsafe { run_neon(plan, mem) }
+    unsafe { run_neon(program, mem) }
+}
+
+#[target_feature(enable = "neon")]
+fn run_neon(program: &Program, mem: &mut [u8]) {
+    strip::run(neon(), program, mem)
+}
+
+/// The NEON tier's operations. The closures inherit this function's
+/// feature set, so they call the helpers below safely.
+#[inline]
+#[target_feature(enable = "neon")]
+fn neon() -> impl Lanes<V = uint8x16_t> {
+    Tier {
+        load: from_bytes,
+        store: |v, out: &mut Reg| *out = to_bytes(v),
+        shift: |a, b, amt| shift(a, b, amt),
+        splice: |a, b, mask| vbslq_u8(mask, a, b),
+        perm: |a, b, pattern: &[u8; 16], _: &Reg, _: &Reg| perm(a, b, pattern),
+        bin: |op, elem, a, b| bin(op, elem, a, b),
+        un: |op, elem, a| un(op, elem, a),
+    }
 }
 
 #[inline]
-#[target_feature(enable = "neon")]
 fn to_bytes(v: uint8x16_t) -> Reg {
     let mut out = [0u8; 16];
-    // SAFETY: `out` is exactly 16 writable bytes.
+    // SAFETY: NEON is architecturally guaranteed on aarch64; `out` is
+    // exactly 16 writable bytes.
     unsafe { vst1q_u8(out.as_mut_ptr(), v) };
     out
 }
 
 #[inline]
-#[target_feature(enable = "neon")]
 fn from_bytes(r: &Reg) -> uint8x16_t {
-    // SAFETY: `r` is exactly 16 readable bytes.
+    // SAFETY: NEON is architecturally guaranteed on aarch64; `r` is
+    // exactly 16 readable bytes.
     unsafe { vld1q_u8(r.as_ptr()) }
 }
 
@@ -60,32 +81,7 @@ fn shift(a: uint8x16_t, b: uint8x16_t, amt: u8) -> uint8x16_t {
             vextq_u8::<$n>(a, b)
         };
     }
-    match amt {
-        0 => a,
-        1 => arm!(1),
-        2 => arm!(2),
-        3 => arm!(3),
-        4 => arm!(4),
-        5 => arm!(5),
-        6 => arm!(6),
-        7 => arm!(7),
-        8 => arm!(8),
-        9 => arm!(9),
-        10 => arm!(10),
-        11 => arm!(11),
-        12 => arm!(12),
-        13 => arm!(13),
-        14 => arm!(14),
-        15 => arm!(15),
-        _ => b,
-    }
-}
-
-/// `vsplice` as a bit select: mask bit 1 takes `a`, 0 takes `b`.
-#[inline]
-#[target_feature(enable = "neon")]
-fn splice(a: uint8x16_t, b: uint8x16_t, mask: &Reg) -> uint8x16_t {
-    vbslq_u8(from_bytes(mask), a, b)
+    by_amount!(amt, a, b, arm)
 }
 
 /// `vperm` as a two-register table lookup over the raw 0..32 pattern.
@@ -160,144 +156,4 @@ fn un(op: UnOp, elem: ScalarType, a: uint8x16_t) -> uint8x16_t {
         (UnOp::Abs, 4) => vreinterpretq_u8_s32(vabsq_s32(vreinterpretq_s32_u8(a))),
         _ => emul_un(op, elem, a),
     }
-}
-
-/// One straight-line section for `LANES` consecutive iterations; see
-/// the tier macro in the `x86` module for the banked-schedule
-/// contract. `regs` holds `LANES * nregs` registers, bank-major.
-#[target_feature(enable = "neon")]
-fn sect<const LANES: usize>(
-    ops: &[NOp],
-    k0: i64,
-    elem: ScalarType,
-    nregs: usize,
-    regs: &mut [uint8x16_t],
-    mem: &mut [u8],
-) {
-    for op in ops {
-        match *op {
-            NOp::Load { dst, start, step } => {
-                for u in 0..LANES {
-                    let at = (start + (k0 + u as i64) * step) as usize;
-                    let src = &mem[at..at + 16];
-                    // SAFETY: the slice is exactly 16 readable bytes.
-                    regs[u * nregs + dst as usize] = unsafe { vld1q_u8(src.as_ptr()) };
-                }
-            }
-            NOp::Store { src, start, step } => {
-                for u in 0..LANES {
-                    let at = (start + (k0 + u as i64) * step) as usize;
-                    let v = regs[u * nregs + src as usize];
-                    let out = &mut mem[at..at + 16];
-                    // SAFETY: the slice is exactly 16 writable bytes.
-                    unsafe { vst1q_u8(out.as_mut_ptr(), v) };
-                }
-            }
-            NOp::Shift { dst, a, b, amt } => {
-                for u in 0..LANES {
-                    let o = u * nregs;
-                    regs[o + dst as usize] = shift(regs[o + a as usize], regs[o + b as usize], amt);
-                }
-            }
-            NOp::Splice { dst, a, b, ref mask } => {
-                for u in 0..LANES {
-                    let o = u * nregs;
-                    regs[o + dst as usize] =
-                        splice(regs[o + a as usize], regs[o + b as usize], mask);
-                }
-            }
-            NOp::Perm { dst, a, b, ref pattern, .. } => {
-                for u in 0..LANES {
-                    let o = u * nregs;
-                    regs[o + dst as usize] = perm(regs[o + a as usize], regs[o + b as usize], pattern);
-                }
-            }
-            NOp::Splat { dst, ref bytes } => {
-                let v = from_bytes(bytes);
-                for u in 0..LANES {
-                    regs[u * nregs + dst as usize] = v;
-                }
-            }
-            NOp::Bin { dst, op, a, b } => {
-                for u in 0..LANES {
-                    let o = u * nregs;
-                    regs[o + dst as usize] =
-                        bin(op, elem, regs[o + a as usize], regs[o + b as usize]);
-                }
-            }
-            NOp::BinImm { dst, op, a, ref imm, imm_left } => {
-                let iv = from_bytes(imm);
-                for u in 0..LANES {
-                    let o = u * nregs;
-                    let av = regs[o + a as usize];
-                    regs[o + dst as usize] = if imm_left {
-                        bin(op, elem, iv, av)
-                    } else {
-                        bin(op, elem, av, iv)
-                    };
-                }
-            }
-            NOp::Un { dst, op, a } => {
-                for u in 0..LANES {
-                    let o = u * nregs;
-                    regs[o + dst as usize] = un(op, elem, regs[o + a as usize]);
-                }
-            }
-            NOp::Copy { dst, src } => {
-                for u in 0..LANES {
-                    let o = u * nregs;
-                    regs[o + dst as usize] = regs[o + src as usize];
-                }
-            }
-        }
-    }
-}
-
-/// One loop section, banked when the lowering proved it legal and the
-/// trip is long enough to fill a window.
-#[target_feature(enable = "neon")]
-fn looped(
-    ops: &[NOp],
-    iters: i64,
-    banked: bool,
-    elem: ScalarType,
-    nregs: usize,
-    regs: &mut [uint8x16_t],
-    mem: &mut [u8],
-) {
-    let mut k = 0;
-    if banked && iters >= BANK as i64 {
-        // Bank `BANK - 1` runs the last iteration of each window, so
-        // its file is the sequential state the remainder and later
-        // sections expect.
-        let mut banks = vec![vdupq_n_u8(0); BANK * nregs];
-        for u in 0..BANK {
-            banks[u * nregs..(u + 1) * nregs].copy_from_slice(regs);
-        }
-        while k + BANK as i64 <= iters {
-            sect::<BANK>(ops, k, elem, nregs, &mut banks, mem);
-            k += BANK as i64;
-        }
-        regs.copy_from_slice(&banks[(BANK - 1) * nregs..]);
-    }
-    for kk in k..iters {
-        sect::<1>(ops, kk, elem, nregs, regs, mem);
-    }
-}
-
-#[target_feature(enable = "neon")]
-fn run_neon(plan: &Plan<'_>, mem: &mut [u8]) {
-    let nregs = plan.nregs;
-    let mut regs = vec![vdupq_n_u8(0); nregs];
-    let elem = plan.elem;
-    sect::<1>(plan.prologue, 0, elem, nregs, &mut regs, mem);
-    if plan.pair_iters > 0 {
-        sect::<1>(plan.pair_header, 0, elem, nregs, &mut regs, mem);
-        looped(plan.pair, plan.pair_iters, plan.pair_banked, elem, nregs, &mut regs, mem);
-    }
-    if plan.body_iters > 0 {
-        sect::<1>(plan.body_header, 0, elem, nregs, &mut regs, mem);
-        looped(plan.body, plan.body_iters, plan.body_banked, elem, nregs, &mut regs, mem);
-    }
-    sect::<1>(plan.epilogue, 0, elem, nregs, &mut regs, mem);
 }

@@ -1,162 +1,36 @@
-//! Portable scalar-emulation tier: executes the lowered [`NOp`]
-//! program on `[u8; 16]` registers with no `unsafe` and no
-//! architecture assumptions. This is the tier every host can run, the
-//! clamp target for unavailable ISAs, and the differential reference
-//! the intrinsic tiers are tested against.
+//! Portable scalar-emulation tier: the [`Lanes`] operations on
+//! `[u8; 16]` registers with no `unsafe` and no architecture
+//! assumptions. This is the tier every host can run, the clamp target
+//! for unavailable ISAs, and the differential reference the intrinsic
+//! tiers are tested against.
 //!
 //! Unlike the interpreter it consumes the *lowered* operands — splice
-//! byte masks, split permutation tables — and it honors the banked
-//! body schedule, so both the lowering pass and the bank scheduling
-//! logic are under test even on hosts without SIMD.
+//! byte masks, renumbered columns — through the same strip driver as
+//! the intrinsic tiers, so the lowering pass and the strip schedule
+//! are under test even on hosts without SIMD.
 
-use super::{NOp, Plan, BANK};
+use super::strip::{Lanes, Tier};
 use crate::lanes::{self, Reg};
-use simdize_ir::ScalarType;
 
-/// One straight-line section for `LANES` consecutive iterations; see
-/// the tier macro in the `x86` module for the banked-schedule
-/// contract. `regs` holds `LANES * nregs` registers, bank-major.
-fn exec_ops<const LANES: usize>(
-    ops: &[NOp],
-    k0: i64,
-    elem: ScalarType,
-    nregs: usize,
-    regs: &mut [Reg],
-    mem: &mut [u8],
-) {
-    for op in ops {
-        match *op {
-            NOp::Load { dst, start, step } => {
-                for u in 0..LANES {
-                    let at = (start + (k0 + u as i64) * step) as usize;
-                    regs[u * nregs + dst as usize].copy_from_slice(&mem[at..at + 16]);
-                }
-            }
-            NOp::Store { src, start, step } => {
-                for u in 0..LANES {
-                    let at = (start + (k0 + u as i64) * step) as usize;
-                    mem[at..at + 16].copy_from_slice(&regs[u * nregs + src as usize]);
-                }
-            }
-            NOp::Shift { dst, a, b, amt } => {
-                for u in 0..LANES {
-                    let o = u * nregs;
-                    let av = regs[o + a as usize];
-                    let bv = regs[o + b as usize];
-                    let amt = amt as usize;
-                    let out = &mut regs[o + dst as usize];
-                    out[..16 - amt].copy_from_slice(&av[amt..]);
-                    out[16 - amt..].copy_from_slice(&bv[..amt]);
-                }
-            }
-            NOp::Splice { dst, a, b, ref mask } => {
-                // Drive the select off the lowered mask (not the splice
-                // point) so the mask itself is differentially tested.
-                for u in 0..LANES {
-                    let o = u * nregs;
-                    let av = regs[o + a as usize];
-                    let bv = regs[o + b as usize];
-                    let out = &mut regs[o + dst as usize];
-                    for i in 0..16 {
-                        out[i] = (av[i] & mask[i]) | (bv[i] & !mask[i]);
-                    }
-                }
-            }
-            NOp::Perm { dst, a, b, ref pattern, .. } => {
-                for u in 0..LANES {
-                    let o = u * nregs;
-                    let mut pair = [0u8; 32];
-                    pair[..16].copy_from_slice(&regs[o + a as usize]);
-                    pair[16..].copy_from_slice(&regs[o + b as usize]);
-                    let out = &mut regs[o + dst as usize];
-                    for (t, &sel) in pattern.iter().enumerate() {
-                        out[t] = pair[sel as usize];
-                    }
-                }
-            }
-            NOp::Splat { dst, bytes } => {
-                for u in 0..LANES {
-                    regs[u * nregs + dst as usize] = bytes;
-                }
-            }
-            NOp::Bin { dst, op, a, b } => {
-                for u in 0..LANES {
-                    let o = u * nregs;
-                    regs[o + dst as usize] =
-                        lanes::bin(op, elem, &regs[o + a as usize], &regs[o + b as usize]);
-                }
-            }
-            NOp::BinImm { dst, op, a, ref imm, imm_left } => {
-                for u in 0..LANES {
-                    let o = u * nregs;
-                    let av = regs[o + a as usize];
-                    regs[o + dst as usize] = if imm_left {
-                        lanes::bin(op, elem, imm, &av)
-                    } else {
-                        lanes::bin(op, elem, &av, imm)
-                    };
-                }
-            }
-            NOp::Un { dst, op, a } => {
-                for u in 0..LANES {
-                    let o = u * nregs;
-                    regs[o + dst as usize] = lanes::un(op, elem, &regs[o + a as usize]);
-                }
-            }
-            NOp::Copy { dst, src } => {
-                for u in 0..LANES {
-                    let o = u * nregs;
-                    regs[o + dst as usize] = regs[o + src as usize];
-                }
-            }
-        }
+pub(super) fn portable() -> impl Lanes<V = Reg> {
+    Tier {
+        load: |src: &Reg| *src,
+        store: |v, out: &mut Reg| *out = v,
+        shift: |a: Reg, b: Reg, amt| {
+            let mut pair = [0u8; 32];
+            pair[..16].copy_from_slice(&a);
+            pair[16..].copy_from_slice(&b);
+            std::array::from_fn(|i| pair[i + amt as usize])
+        },
+        // Driven off the lowered mask (not the splice point) so the
+        // mask itself is differentially tested.
+        splice: |a: Reg, b: Reg, mask: Reg| {
+            std::array::from_fn(|i| (a[i] & mask[i]) | (b[i] & !mask[i]))
+        },
+        perm: |a: Reg, b: Reg, pattern: &[u8; 16], _: &Reg, _: &Reg| {
+            pattern.map(|sel| if sel < 16 { a[sel as usize] } else { b[sel as usize - 16] })
+        },
+        bin: |op, elem, a: Reg, b: Reg| lanes::bin(op, elem, &a, &b),
+        un: |op, elem, a: Reg| lanes::un(op, elem, &a),
     }
-}
-
-/// One loop section, banked when the lowering proved it legal and the
-/// trip is long enough to fill a window.
-fn looped(
-    ops: &[NOp],
-    iters: i64,
-    banked: bool,
-    elem: ScalarType,
-    nregs: usize,
-    regs: &mut [Reg],
-    mem: &mut [u8],
-) {
-    let mut k = 0;
-    if banked && iters >= BANK as i64 {
-        // Bank `BANK - 1` runs the last iteration of each window, so
-        // its file is the sequential state the remainder and later
-        // sections expect.
-        let mut banks = vec![[0u8; 16]; BANK * nregs];
-        for u in 0..BANK {
-            banks[u * nregs..(u + 1) * nregs].copy_from_slice(regs);
-        }
-        while k + BANK as i64 <= iters {
-            exec_ops::<BANK>(ops, k, elem, nregs, &mut banks, mem);
-            k += BANK as i64;
-        }
-        regs.copy_from_slice(&banks[(BANK - 1) * nregs..]);
-    }
-    for kk in k..iters {
-        exec_ops::<1>(ops, kk, elem, nregs, regs, mem);
-    }
-}
-
-/// Runs the whole lowered plan on the portable tier.
-pub(super) fn exec(plan: &Plan<'_>, mem: &mut [u8]) {
-    let nregs = plan.nregs;
-    let mut regs = vec![[0u8; 16]; nregs];
-    let elem = plan.elem;
-    exec_ops::<1>(plan.prologue, 0, elem, nregs, &mut regs, mem);
-    if plan.pair_iters > 0 {
-        exec_ops::<1>(plan.pair_header, 0, elem, nregs, &mut regs, mem);
-        looped(plan.pair, plan.pair_iters, plan.pair_banked, elem, nregs, &mut regs, mem);
-    }
-    if plan.body_iters > 0 {
-        exec_ops::<1>(plan.body_header, 0, elem, nregs, &mut regs, mem);
-        looped(plan.body, plan.body_iters, plan.body_banked, elem, nregs, &mut regs, mem);
-    }
-    exec_ops::<1>(plan.epilogue, 0, elem, nregs, &mut regs, mem);
 }

@@ -1,10 +1,12 @@
 //! x86_64 intrinsic tiers: SSE2 baseline and the AVX2 tier.
 //!
-//! Each tier is one `#[target_feature]` function pair (section
-//! executor + plan driver) stamped from a macro, plus per-operation
-//! helpers carrying the same feature set so every call between them is
-//! a safe same-context call (rustc's implied-feature rules make the
-//! SSE2-attributed helpers callable from the AVX2 tier).
+//! A tier is a set of per-operation helpers carrying its feature set,
+//! bundled into a [`Lanes`] value ([`sse2`], [`avx2`]) and one
+//! `#[target_feature]` entry that instantiates the generic strip
+//! driver. Every call between them is a safe same-context call:
+//! rustc's implied-feature rules make the SSE2-attributed helpers
+//! callable from the AVX2 tier, and the closures in a bundle inherit
+//! the features of the function that builds it.
 //!
 //! The AVX2 tier works on 128-bit registers — the engine's vector
 //! shape is V16 — but the runtime `avx2` probe is what guarantees the
@@ -23,9 +25,12 @@
 //!
 //! This module and `neon` are the only two places in the crate allowed
 //! to use `unsafe`; every block is a load/store intrinsic on an
-//! exactly-16-byte slice or a feature-checked tier entry.
+//! exactly-16-byte array or a feature-checked tier entry. The strip
+//! driver hands those arrays out of bounds-checked slices of the
+//! image, so no access here can leave it.
 
-use super::{IsaLevel, NOp, Plan, BANK};
+use super::strip::{self, Lanes, Program, Tier};
+use super::IsaLevel;
 use crate::lanes::{self, Reg};
 use core::arch::x86_64::*;
 use simdize_ir::{BinOp, ScalarType, UnOp};
@@ -33,32 +38,72 @@ use simdize_ir::{BinOp, ScalarType, UnOp};
 /// Safe dispatch into the x86 tiers. `wide` asks for the AVX2 tier;
 /// the runtime probe is re-checked here so this safe function cannot
 /// reach unsupported instructions even if called with a stale flag.
-pub(super) fn exec(plan: &Plan<'_>, mem: &mut [u8], wide: bool) {
+pub(super) fn exec(program: &Program, mem: &mut [u8], wide: bool) {
     if wide && IsaLevel::Avx2.available() {
         // SAFETY: the `avx2` branch of `available` just confirmed
         // ssse3, sse4.1 and avx2 via `is_x86_feature_detected!`.
-        unsafe { run_avx2(plan, mem) }
+        unsafe { run_avx2(program, mem) }
     } else {
         // SAFETY: SSE2 is architecturally guaranteed on x86_64.
-        unsafe { run_sse2(plan, mem) }
+        unsafe { run_sse2(program, mem) }
+    }
+}
+
+#[target_feature(enable = "sse2")]
+fn run_sse2(program: &Program, mem: &mut [u8]) {
+    strip::run(sse2(), program, mem)
+}
+
+#[target_feature(enable = "ssse3,sse4.1,avx2")]
+fn run_avx2(program: &Program, mem: &mut [u8]) {
+    strip::run(avx2(), program, mem)
+}
+
+/// The SSE2 tier's operations.
+#[inline]
+#[target_feature(enable = "sse2")]
+fn sse2() -> impl Lanes<V = __m128i> {
+    Tier {
+        load: from_bytes,
+        store: |v, out: &mut Reg| *out = to_bytes(v),
+        shift: |a, b, amt| shift_sse2(a, b, amt),
+        splice: |a, b, mask| splice_sse2(a, b, mask),
+        perm: |a, b, pattern: &[u8; 16], _: &Reg, _: &Reg| perm_sse2(a, b, pattern),
+        bin: |op, elem, a, b| bin_sse2(op, elem, a, b),
+        un: |op, elem, a| un_sse2(op, elem, a),
+    }
+}
+
+/// The AVX2 tier's operations.
+#[inline]
+#[target_feature(enable = "ssse3,sse4.1,avx2")]
+fn avx2() -> impl Lanes<V = __m128i> {
+    Tier {
+        load: from_bytes,
+        store: |v, out: &mut Reg| *out = to_bytes(v),
+        shift: |a, b, amt| shift_avx2(a, b, amt),
+        splice: |a, b, mask| splice_avx2(a, b, mask),
+        perm: |a, b, _: &[u8; 16], lo: &Reg, hi: &Reg| perm_avx2(a, b, lo, hi),
+        bin: |op, elem, a, b| bin_avx2(op, elem, a, b),
+        un: |op, elem, a| un_avx2(op, elem, a),
     }
 }
 
 #[inline]
-#[target_feature(enable = "sse2")]
 fn to_bytes(v: __m128i) -> Reg {
     let mut out = [0u8; 16];
-    // SAFETY: `out` is exactly 16 writable bytes; movdqu has no
-    // alignment requirement.
+    // SAFETY: SSE2 is architecturally guaranteed on x86_64; `out` is
+    // exactly 16 writable bytes and movdqu has no alignment
+    // requirement.
     unsafe { _mm_storeu_si128(out.as_mut_ptr().cast(), v) };
     out
 }
 
 #[inline]
-#[target_feature(enable = "sse2")]
 fn from_bytes(r: &Reg) -> __m128i {
-    // SAFETY: `r` is exactly 16 readable bytes; movdqu has no
-    // alignment requirement.
+    // SAFETY: SSE2 is architecturally guaranteed on x86_64; `r` is
+    // exactly 16 readable bytes and movdqu has no alignment
+    // requirement.
     unsafe { _mm_loadu_si128(r.as_ptr().cast()) }
 }
 
@@ -88,25 +133,7 @@ fn shift_sse2(a: __m128i, b: __m128i, amt: u8) -> __m128i {
             _mm_or_si128(_mm_srli_si128::<$n>(a), _mm_slli_si128::<{ 16 - $n }>(b))
         };
     }
-    match amt {
-        0 => a,
-        1 => arm!(1),
-        2 => arm!(2),
-        3 => arm!(3),
-        4 => arm!(4),
-        5 => arm!(5),
-        6 => arm!(6),
-        7 => arm!(7),
-        8 => arm!(8),
-        9 => arm!(9),
-        10 => arm!(10),
-        11 => arm!(11),
-        12 => arm!(12),
-        13 => arm!(13),
-        14 => arm!(14),
-        15 => arm!(15),
-        _ => b,
-    }
+    by_amount!(amt, a, b, arm)
 }
 
 /// `vshiftpair` as the paper lowers it: one `palignr` per amount.
@@ -120,47 +147,28 @@ fn shift_avx2(a: __m128i, b: __m128i, amt: u8) -> __m128i {
             _mm_alignr_epi8::<$n>(b, a)
         };
     }
-    match amt {
-        0 => a,
-        1 => arm!(1),
-        2 => arm!(2),
-        3 => arm!(3),
-        4 => arm!(4),
-        5 => arm!(5),
-        6 => arm!(6),
-        7 => arm!(7),
-        8 => arm!(8),
-        9 => arm!(9),
-        10 => arm!(10),
-        11 => arm!(11),
-        12 => arm!(12),
-        13 => arm!(13),
-        14 => arm!(14),
-        15 => arm!(15),
-        _ => b,
-    }
+    by_amount!(amt, a, b, arm)
 }
 
 /// `vsplice` select: mask byte `0xFF` takes `a`, `0x00` takes `b`.
 #[inline]
 #[target_feature(enable = "sse2")]
-fn splice_sse2(a: __m128i, b: __m128i, mask: &Reg) -> __m128i {
-    let m = from_bytes(mask);
-    _mm_or_si128(_mm_and_si128(m, a), _mm_andnot_si128(m, b))
+fn splice_sse2(a: __m128i, b: __m128i, mask: __m128i) -> __m128i {
+    _mm_or_si128(_mm_and_si128(mask, a), _mm_andnot_si128(mask, b))
 }
 
 #[inline]
 #[target_feature(enable = "ssse3,sse4.1,avx2")]
-fn splice_avx2(a: __m128i, b: __m128i, mask: &Reg) -> __m128i {
+fn splice_avx2(a: __m128i, b: __m128i, mask: __m128i) -> __m128i {
     // blendv picks its *second* source where the mask byte's high bit
     // is set; our mask is 0xFF-on-`a`.
-    _mm_blendv_epi8(b, a, from_bytes(mask))
+    _mm_blendv_epi8(b, a, mask)
 }
 
 /// `vperm` without `pshufb`: scalar byte gather over the 32-byte pair.
 #[inline]
 #[target_feature(enable = "sse2")]
-fn perm_sse2(a: __m128i, b: __m128i, pattern: &[u8; 16], _lo: &Reg, _hi: &Reg) -> __m128i {
+fn perm_sse2(a: __m128i, b: __m128i, pattern: &[u8; 16]) -> __m128i {
     let mut pair = [0u8; 32];
     pair[..16].copy_from_slice(&to_bytes(a));
     pair[16..].copy_from_slice(&to_bytes(b));
@@ -175,7 +183,7 @@ fn perm_sse2(a: __m128i, b: __m128i, pattern: &[u8; 16], _lo: &Reg, _hi: &Reg) -
 /// register (0x80 lanes shuffle to zero), OR merges the halves.
 #[inline]
 #[target_feature(enable = "ssse3,sse4.1,avx2")]
-fn perm_avx2(a: __m128i, b: __m128i, _pattern: &[u8; 16], lo: &Reg, hi: &Reg) -> __m128i {
+fn perm_avx2(a: __m128i, b: __m128i, lo: &Reg, hi: &Reg) -> __m128i {
     _mm_or_si128(
         _mm_shuffle_epi8(a, from_bytes(lo)),
         _mm_shuffle_epi8(b, from_bytes(hi)),
@@ -256,182 +264,6 @@ fn un_avx2(op: UnOp, elem: ScalarType, a: __m128i) -> __m128i {
     }
 }
 
-macro_rules! tier {
-    ($run:ident, $sect:ident, $looped:ident, $features:literal, $shift:ident, $splice:ident,
-     $perm:ident, $bin:ident, $un:ident) => {
-        /// One straight-line section for `LANES` consecutive
-        /// iterations: each op is dispatched once and executed against
-        /// `LANES` independent register files (`regs` holds
-        /// `LANES * nregs` registers, bank-major). `LANES == 1` is the
-        /// plain sequential schedule; [`BANK`] is the banked one,
-        /// legal only when the lowering proved the body bankable.
-        #[target_feature(enable = $features)]
-        fn $sect<const LANES: usize>(
-            ops: &[NOp],
-            k0: i64,
-            elem: ScalarType,
-            nregs: usize,
-            regs: &mut [__m128i],
-            mem: &mut [u8],
-        ) {
-            for op in ops {
-                match *op {
-                    NOp::Load { dst, start, step } => {
-                        for u in 0..LANES {
-                            let at = (start + (k0 + u as i64) * step) as usize;
-                            let src = &mem[at..at + 16];
-                            // SAFETY: the slice is exactly 16 readable bytes.
-                            regs[u * nregs + dst as usize] =
-                                unsafe { _mm_loadu_si128(src.as_ptr().cast()) };
-                        }
-                    }
-                    NOp::Store { src, start, step } => {
-                        for u in 0..LANES {
-                            let at = (start + (k0 + u as i64) * step) as usize;
-                            let v = regs[u * nregs + src as usize];
-                            let out = &mut mem[at..at + 16];
-                            // SAFETY: the slice is exactly 16 writable bytes.
-                            unsafe { _mm_storeu_si128(out.as_mut_ptr().cast(), v) };
-                        }
-                    }
-                    NOp::Shift { dst, a, b, amt } => {
-                        for u in 0..LANES {
-                            let o = u * nregs;
-                            regs[o + dst as usize] =
-                                $shift(regs[o + a as usize], regs[o + b as usize], amt);
-                        }
-                    }
-                    NOp::Splice { dst, a, b, ref mask } => {
-                        for u in 0..LANES {
-                            let o = u * nregs;
-                            regs[o + dst as usize] =
-                                $splice(regs[o + a as usize], regs[o + b as usize], mask);
-                        }
-                    }
-                    NOp::Perm { dst, a, b, ref pattern, ref lo, ref hi } => {
-                        for u in 0..LANES {
-                            let o = u * nregs;
-                            regs[o + dst as usize] =
-                                $perm(regs[o + a as usize], regs[o + b as usize], pattern, lo, hi);
-                        }
-                    }
-                    NOp::Splat { dst, ref bytes } => {
-                        let v = from_bytes(bytes);
-                        for u in 0..LANES {
-                            regs[u * nregs + dst as usize] = v;
-                        }
-                    }
-                    NOp::Bin { dst, op, a, b } => {
-                        for u in 0..LANES {
-                            let o = u * nregs;
-                            regs[o + dst as usize] =
-                                $bin(op, elem, regs[o + a as usize], regs[o + b as usize]);
-                        }
-                    }
-                    NOp::BinImm { dst, op, a, ref imm, imm_left } => {
-                        let iv = from_bytes(imm);
-                        for u in 0..LANES {
-                            let o = u * nregs;
-                            let av = regs[o + a as usize];
-                            regs[o + dst as usize] = if imm_left {
-                                $bin(op, elem, iv, av)
-                            } else {
-                                $bin(op, elem, av, iv)
-                            };
-                        }
-                    }
-                    NOp::Un { dst, op, a } => {
-                        for u in 0..LANES {
-                            let o = u * nregs;
-                            regs[o + dst as usize] = $un(op, elem, regs[o + a as usize]);
-                        }
-                    }
-                    NOp::Copy { dst, src } => {
-                        for u in 0..LANES {
-                            let o = u * nregs;
-                            regs[o + dst as usize] = regs[o + src as usize];
-                        }
-                    }
-                }
-            }
-        }
-
-        /// One loop section, banked when the lowering proved it legal
-        /// and the trip is long enough to fill a window.
-        #[target_feature(enable = $features)]
-        fn $looped(
-            ops: &[NOp],
-            iters: i64,
-            banked: bool,
-            elem: ScalarType,
-            nregs: usize,
-            regs: &mut [__m128i],
-            mem: &mut [u8],
-        ) {
-            let mut k = 0;
-            if banked && iters >= BANK as i64 {
-                // Every bank starts from the sequential register state
-                // (loop invariants included); bank `BANK-1` runs the
-                // last iteration of each window, so its file is the
-                // sequential state the remainder and later sections
-                // expect.
-                let mut banks = vec![_mm_setzero_si128(); BANK * nregs];
-                for u in 0..BANK {
-                    banks[u * nregs..(u + 1) * nregs].copy_from_slice(regs);
-                }
-                while k + BANK as i64 <= iters {
-                    $sect::<BANK>(ops, k, elem, nregs, &mut banks, mem);
-                    k += BANK as i64;
-                }
-                regs.copy_from_slice(&banks[(BANK - 1) * nregs..]);
-            }
-            for kk in k..iters {
-                $sect::<1>(ops, kk, elem, nregs, regs, mem);
-            }
-        }
-
-        #[target_feature(enable = $features)]
-        fn $run(plan: &Plan<'_>, mem: &mut [u8]) {
-            let nregs = plan.nregs;
-            let mut regs = vec![_mm_setzero_si128(); nregs];
-            let elem = plan.elem;
-            $sect::<1>(plan.prologue, 0, elem, nregs, &mut regs, mem);
-            if plan.pair_iters > 0 {
-                $sect::<1>(plan.pair_header, 0, elem, nregs, &mut regs, mem);
-                $looped(plan.pair, plan.pair_iters, plan.pair_banked, elem, nregs, &mut regs, mem);
-            }
-            if plan.body_iters > 0 {
-                $sect::<1>(plan.body_header, 0, elem, nregs, &mut regs, mem);
-                $looped(plan.body, plan.body_iters, plan.body_banked, elem, nregs, &mut regs, mem);
-            }
-            $sect::<1>(plan.epilogue, 0, elem, nregs, &mut regs, mem);
-        }
-    };
-}
-
-tier!(
-    run_sse2,
-    sect_sse2,
-    looped_sse2,
-    "sse2",
-    shift_sse2,
-    splice_sse2,
-    perm_sse2,
-    bin_sse2,
-    un_sse2
-);
-tier!(
-    run_avx2,
-    sect_avx2,
-    looped_avx2,
-    "ssse3,sse4.1,avx2",
-    shift_avx2,
-    splice_avx2,
-    perm_avx2,
-    bin_avx2,
-    un_avx2
-);
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -445,42 +277,38 @@ mod tests {
         r
     }
 
-    /// Every per-op helper against its scalar reference, on both tiers,
+    /// Every operation of one tier against its scalar reference,
     /// across all shift amounts, splice points, ops and element types.
-    #[test]
-    fn tier_helpers_match_scalar_reference() {
+    fn check<L: Lanes<V = __m128i>>(l: L, tier: &str) {
         let mut rng = SplitMix64::seed_from_u64(0x51D);
-        let wide = IsaLevel::Avx2.available();
         for _ in 0..64 {
             let ar = random_reg(&mut rng);
             let br = random_reg(&mut rng);
-            // SAFETY: SSE2 is architecturally guaranteed on x86_64.
-            let (a, b) = unsafe { (from_bytes(&ar), from_bytes(&br)) };
-            for amt in 0..=16u8 {
-                let mut want = [0u8; 16];
-                want[..16 - amt as usize].copy_from_slice(&ar[amt as usize..]);
-                want[16 - amt as usize..].copy_from_slice(&br[..amt as usize]);
-                // SAFETY: as above; avx2 side gated on the runtime probe.
-                unsafe {
-                    assert_eq!(to_bytes(shift_sse2(a, b, amt)), want, "sse2 shift {amt}");
-                    if wide {
-                        assert_eq!(to_bytes(shift_avx2(a, b, amt)), want, "avx2 shift {amt}");
-                    }
-                }
+            let (a, b) = (l.load(&ar), l.load(&br));
+            let bytes = |v| {
+                let mut out = [0u8; 16];
+                l.store(v, &mut out);
+                out
+            };
+            let mut pair = [0u8; 32];
+            pair[..16].copy_from_slice(&ar);
+            pair[16..].copy_from_slice(&br);
+            for amt in 0..=16usize {
+                let want = &pair[amt..amt + 16];
+                assert_eq!(bytes(l.shift(a, b, amt as u8)), want, "{tier} shift {amt}");
             }
             for point in 0..=16usize {
                 let mut mask = [0u8; 16];
                 mask[..point].fill(0xFF);
                 let mut want = br;
                 want[..point].copy_from_slice(&ar[..point]);
-                // SAFETY: as above.
-                unsafe {
-                    assert_eq!(to_bytes(splice_sse2(a, b, &mask)), want, "sse2 splice");
-                    if wide {
-                        assert_eq!(to_bytes(splice_avx2(a, b, &mask)), want, "avx2 splice");
-                    }
-                }
+                assert_eq!(bytes(l.splice(a, b, l.load(&mask))), want, "{tier} splice");
             }
+            let pattern: [u8; 16] = std::array::from_fn(|_| (rng.next_u64() % 32) as u8);
+            let lo = pattern.map(|sel| if sel < 16 { sel } else { 0x80 });
+            let hi = pattern.map(|sel| if sel < 16 { 0x80 } else { sel - 16 });
+            let want = pattern.map(|sel| pair[sel as usize]);
+            assert_eq!(bytes(l.perm(a, b, &pattern, &lo, &hi)), want, "{tier} perm");
             for ty in simdize_ir::ScalarType::ALL {
                 for op in [
                     BinOp::Add,
@@ -493,59 +321,23 @@ mod tests {
                     BinOp::Xor,
                 ] {
                     let want = lanes::bin(op, ty, &ar, &br);
-                    // SAFETY: as above.
-                    unsafe {
-                        assert_eq!(to_bytes(bin_sse2(op, ty, a, b)), want, "sse2 {op:?} {ty}");
-                        if wide {
-                            assert_eq!(to_bytes(bin_avx2(op, ty, a, b)), want, "avx2 {op:?} {ty}");
-                        }
-                    }
+                    assert_eq!(bytes(l.bin(op, ty, a, b)), want, "{tier} {op:?} {ty}");
                 }
                 for op in [UnOp::Neg, UnOp::Not, UnOp::Abs] {
                     let want = lanes::un(op, ty, &ar);
-                    // SAFETY: as above.
-                    unsafe {
-                        assert_eq!(to_bytes(un_sse2(op, ty, a)), want, "sse2 {op:?} {ty}");
-                        if wide {
-                            assert_eq!(to_bytes(un_avx2(op, ty, a)), want, "avx2 {op:?} {ty}");
-                        }
-                    }
+                    assert_eq!(bytes(l.un(op, ty, a)), want, "{tier} {op:?} {ty}");
                 }
             }
         }
     }
 
     #[test]
-    fn perm_gathers_from_both_halves() {
-        let mut rng = SplitMix64::seed_from_u64(0x9E47);
-        let ar = random_reg(&mut rng);
-        let br = random_reg(&mut rng);
-        let mut pattern = [0u8; 16];
-        let mut lo = [0x80u8; 16];
-        let mut hi = [0x80u8; 16];
-        for t in 0..16 {
-            let sel = ((t * 7 + 3) % 32) as u8;
-            pattern[t] = sel;
-            if sel < 16 {
-                lo[t] = sel;
-            } else {
-                hi[t] = sel - 16;
-            }
-        }
-        let mut pair = [0u8; 32];
-        pair[..16].copy_from_slice(&ar);
-        pair[16..].copy_from_slice(&br);
-        let mut want = [0u8; 16];
-        for t in 0..16 {
-            want[t] = pair[pattern[t] as usize];
-        }
-        // SAFETY: SSE2 statically guaranteed; avx2 behind the probe.
-        unsafe {
-            let (a, b) = (from_bytes(&ar), from_bytes(&br));
-            assert_eq!(to_bytes(perm_sse2(a, b, &pattern, &lo, &hi)), want);
-            if IsaLevel::Avx2.available() {
-                assert_eq!(to_bytes(perm_avx2(a, b, &pattern, &lo, &hi)), want);
-            }
+    fn tier_operations_match_scalar_reference() {
+        // SAFETY: SSE2 is architecturally guaranteed on x86_64.
+        check(unsafe { sse2() }, "sse2");
+        if IsaLevel::Avx2.available() {
+            // SAFETY: `available` just confirmed ssse3, sse4.1 and avx2.
+            check(unsafe { avx2() }, "avx2");
         }
     }
 }

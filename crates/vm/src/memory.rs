@@ -269,6 +269,11 @@ impl MemoryImage {
 
     /// First byte position at which two images differ, if any.
     pub fn first_difference(&self, other: &MemoryImage) -> Option<usize> {
+        // Every verified run compares equal images: clear those at
+        // `memcmp` speed and walk bytes only to locate a difference.
+        if self.bytes == other.bytes {
+            return None;
+        }
         self.bytes
             .iter()
             .zip(other.bytes.iter())
@@ -414,6 +419,13 @@ mod tests {
         img2.set(ArrayId::from_index(0), 0, Value::from_i64(img2.elem(), 1))
             .unwrap();
         assert!(img1.first_difference(&img2).is_some());
+        // The position reported is the first differing byte.
+        let mut img3 = img1.clone();
+        let last = img3.bytes().len() - 1;
+        img3.bytes_mut()[last] ^= 1;
+        assert_eq!(img1.first_difference(&img3), Some(last));
+        img3.bytes_mut()[7] ^= 0x80;
+        assert_eq!(img1.first_difference(&img3), Some(7));
     }
 
     #[test]

@@ -8,8 +8,8 @@
 # root package's dependency graph), lints with clippy at -D warnings,
 # builds rustdoc with warnings denied (every crate warns on
 # missing_docs), re-runs the simd-backend differential matrix forced to
-# the SSE2 tier, runs the doctests, builds the examples, checks that
-# the generated worked-example docs are current,
+# the SSE2 and scalar tiers, runs the doctests, builds the examples,
+# checks that the generated worked-example docs are current,
 # and finishes with an end-to-end smoke sweep through the CLI binary:
 # eight seeds of Figure 1 compiled by the native engine and verified
 # against the scalar oracle on four worker threads (with telemetry
@@ -19,7 +19,8 @@
 # checks trace-id echoing, the flight recorder's dump verb and the
 # Prometheus /metrics endpoint, the engine
 # bench harness in quick mode (floors: engine >= 5x the interpreter,
-# fused >= 1.3x unfused on reorg-dominated kernels), a
+# fused >= 1.3x unfused on reorg-dominated kernels), a build and a
+# checked 1 s run of the BENCHMARK.json package, a
 # `simdize bench diff` of that quick run against the checked-in
 # bench-history baseline at a deliberately generous threshold, and the
 # bounded-equivalence prover: a quick proof of every sample loop plus
@@ -43,13 +44,17 @@ cargo test -q --offline
 echo "== test (release, workspace) =="
 cargo test -q --release --offline --workspace
 
-echo "== simd backend differential matrix, forced to the SSE2 tier =="
+echo "== simd backend differential matrix, forced to the SSE2 and scalar tiers =="
 # The host probably dispatches AVX2, so the plain test runs above cover
 # that tier; forcing SIMDIZE_ISA=sse2 re-runs the full policy x
 # alignment x trip matrix through the baseline tier's synthesized
-# shift/splice/perm sequences. (The override can only lower the tier,
-# so this is safe on any x86_64 host.)
+# shift/splice/perm sequences, and SIMDIZE_ISA=scalar re-runs it with
+# the portable tier as the *dispatched* one — every tier shares the one
+# generic strip driver, so each forced run is that driver at another
+# instantiation. (The override can only lower the tier, so this is
+# safe on any host.)
 SIMDIZE_ISA=sse2 cargo test -q --release --offline --test simd_native
+SIMDIZE_ISA=scalar cargo test -q --release --offline --test simd_native
 
 echo "== clippy (-D warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
@@ -123,6 +128,17 @@ echo "== bench smoke (engine telemetry, quick mode) =="
 # entry gets its own subdir so other smoke artifacts (e.g. the chrome
 # trace) can't shadow it.
 target/release/engine --quick --floor 5 --out "$BENCH_TMP/BENCH_engine.json" --history-dir "$BENCH_TMP/engine_hist"
+
+echo "== regression benchmark builds and checks out (kernel-steady, 1 s) =="
+# BENCHMARK.json's package is outside the workspace, so nothing above
+# compiles it. One short untraced run of the workload that lives in the
+# intrinsics backend: the last line is the contract's JSON, and it must
+# say every op matched the scalar oracle. (The timings of a 1 s run
+# mean nothing; the gate is "builds, runs, correct".)
+cargo build -q --release --offline --manifest-path benchmark/Cargo.toml
+benchmark/target/release/simdize-benchmark --workload kernel-steady --seed 1 --seconds 1 --trace 0 \
+    | tail -n 1 | grep -q '"correct":true' \
+    || { echo "benchmark: kernel-steady did not check out" >&2; exit 1; }
 
 echo "== bench history diff (fresh quick run vs checked-in baseline) =="
 # Generous threshold: quick-mode numbers on a loaded CI machine wobble;

@@ -6,9 +6,10 @@
 //! sample loop — including the 16-bit `halfword.loop`.
 
 use simdize::{
-    run_simd, CompiledKernel, IsaLevel, MemoryImage, Policy, ReuseMode, RunInput, SimdKernel,
-    SimdizeError, Simdizer, VectorShape,
+    run_simd, ArrayId, CompiledKernel, IsaLevel, MemoryImage, Policy, ReuseMode, RunInput,
+    RunStats, Schedule, SectionSchedule, SimdKernel, SimdizeError, Simdizer, VInst, VectorShape,
 };
+use std::collections::BTreeSet;
 
 /// Every ISA tier the host can actually execute. On x86_64 this always
 /// contains at least `Scalar` and `Sse2` (the baseline is unconditional),
@@ -35,13 +36,16 @@ const MISALIGNED: &str = "arrays { a: i32[256] @ 12; b: i32[256] @ 4; c: i32[256
 const RUNTIME: &str = "arrays { a: i32[256] @ ?; b: i32[256] @ ?; c: i32[256] @ ?; }
                        for i in 0..ub { a[i+1] = b[i+3] + c[i+2]; }";
 
+/// Runs every host tier against the interpreter and the fused engine;
+/// returns the lowering's schedule (the same on every tier) and the
+/// stats all of them agreed on.
 fn check_all_tiers(
     program: &simdize::LoopProgram,
     compiled: &simdize::SimdProgram,
     ub: u64,
     seed: u64,
     label: &str,
-) {
+) -> (Schedule, RunStats) {
     let input = RunInput::with_ub(ub);
     let mut interp_img = MemoryImage::with_seed(program, VectorShape::V16, seed);
     let mut fused_img = interp_img.clone();
@@ -50,9 +54,11 @@ fn check_all_tiers(
     let fused = kernel.run(&mut fused_img).unwrap();
     assert_eq!(fused, want, "{label}: fused engine diverged from interpreter");
     assert_eq!(fused_img.first_difference(&interp_img), None, "{label}");
+    let schedule = SimdKernel::lower(&kernel, IsaLevel::Scalar).schedule();
     for tier in host_tiers() {
         let lowered = SimdKernel::lower(&kernel, tier);
         assert_eq!(lowered.isa(), tier);
+        assert_eq!(lowered.schedule(), schedule, "{label}/{tier}: schedule depends on the tier");
         let mut simd_img = MemoryImage::with_seed(program, VectorShape::V16, seed);
         let got = lowered.run(&mut simd_img).unwrap();
         assert_eq!(got, want, "{label}/{tier}: stats diverged");
@@ -62,6 +68,7 @@ fn check_all_tiers(
             "{label}/{tier}: memory diverged"
         );
     }
+    (schedule, want)
 }
 
 #[test]
@@ -139,4 +146,185 @@ fn halfword_sample_covers_the_i16_offset_domain() {
         13,
         "halfword",
     );
+}
+
+/// The strip driver's width (`STRIP` in `crates/engine/src/native/strip.rs`,
+/// private on purpose). The tests below only use it to aim trip counts
+/// and dependence distances at its boundaries; the coverage assertion
+/// in the matrix fails if it drifts.
+const STRIP: u64 = 32;
+
+const SEQUENTIAL: Schedule = Schedule {
+    pair: SectionSchedule::Sequential,
+    body: SectionSchedule::Sequential,
+};
+
+/// Strip transitions: the loop sections run `STRIP−1`, `STRIP`,
+/// `STRIP+1` and `2·STRIP+1` iterations — a short only strip, an exact
+/// one, a full strip plus a one-lane remainder, two plus one — under
+/// every policy, reuse mode and host tier. The bounded prover never
+/// leaves the first strip (64 elements, 16 in `--quick`), so this
+/// matrix is the coverage for everything past it.
+#[test]
+fn strip_boundaries_match_interpreter_across_policy_reuse_tier_matrix() {
+    let program = simdize::parse_program(
+        "arrays { a: i32[600] @ 12; b: i32[600] @ 4; c: i32[600] @ 8; }
+         for i in 0..ub { a[i+1] = b[i+3] + c[i+2]; }",
+    )
+    .unwrap();
+    let targets = [STRIP - 1, STRIP, STRIP + 1, 2 * STRIP + 1];
+    // B = 4 lanes: a body-only steady loop runs about ub/4 iterations,
+    // a two-way unrolled pair loop about ub/8.
+    let ubs: BTreeSet<u64> = targets
+        .iter()
+        .flat_map(|n| (4 * n - 4..=4 * n + 8).chain(8 * n - 8..=8 * n + 16))
+        .collect();
+    let mut stripped = BTreeSet::new();
+    for policy in Policy::ALL {
+        for reuse in REUSES {
+            let compiled = match Simdizer::new().policy(policy).reuse(reuse).compile(&program) {
+                Ok(c) => c,
+                Err(SimdizeError::Policy(_)) => continue,
+                Err(e) => panic!("{policy}/{reuse:?}: {e}"),
+            };
+            for &ub in &ubs {
+                let label = format!("{policy}/{reuse:?}/ub={ub}");
+                let (schedule, stats) = check_all_tiers(&program, &compiled, ub, 31, &label);
+                // A pair loop leaves the body at most one iteration,
+                // so a strip-scheduled body is the whole steady loop.
+                if schedule.pair == SectionSchedule::Strip {
+                    stripped.insert(stats.steady_iterations / 2);
+                }
+                if schedule.body == SectionSchedule::Strip {
+                    stripped.insert(stats.steady_iterations);
+                }
+            }
+        }
+    }
+    for n in targets {
+        assert!(stripped.contains(&n), "no strip-scheduled loop ran {n} iterations");
+    }
+}
+
+/// Compiles `src` without reuse (so no register is carried and only
+/// memory decides the schedule), redirects every access on array
+/// `from` to array `to`, and checks all tiers. The front end refuses
+/// loops that load an array they store, so aliased streams — which the
+/// backend must still get right for any `SimdProgram` it is handed —
+/// are built by retargeting a legal loop's VIR; the interpreter
+/// running the same VIR stays the reference.
+fn aliased_schedule(src: &str, (from, to): (usize, usize), label: &str) -> Schedule {
+    fn retarget(insts: &mut [VInst], from: ArrayId, to: ArrayId) {
+        for inst in insts {
+            match inst {
+                VInst::LoadA { addr, .. }
+                | VInst::LoadU { addr, .. }
+                | VInst::StoreA { addr, .. }
+                | VInst::StoreU { addr, .. }
+                    if addr.array == from =>
+                {
+                    addr.array = to;
+                }
+                VInst::Guarded { body, .. } => retarget(body, from, to),
+                _ => {}
+            }
+        }
+    }
+    let program = simdize::parse_program(src).unwrap();
+    let mut compiled = Simdizer::new().reuse(ReuseMode::None).compile(&program).unwrap();
+    let (from, to) = (ArrayId::from_index(from), ArrayId::from_index(to));
+    retarget(compiled.prologue_mut(), from, to);
+    retarget(compiled.body_mut(), from, to);
+    if let Some(pair) = compiled.body_pair_mut() {
+        retarget(pair, from, to);
+    }
+    retarget(compiled.epilogue_mut(), from, to);
+    let ub = program.trip().known().unwrap();
+    check_all_tiers(&program, &compiled, ub, 5, label).0
+}
+
+fn strips(schedule: Schedule) -> bool {
+    schedule.pair == SectionSchedule::Strip || schedule.body == SectionSchedule::Strip
+}
+
+/// An in-place loop strips only once its dependence distance leaves
+/// the strip window, whichever way the dependence points; either way
+/// every tier matches the interpreter.
+#[test]
+fn in_place_loops_strip_only_past_the_dependence_window() {
+    // `a[i] = a[i+d] + b[i]` and `a[i+d] = a[i] + b[i]`, with `c`
+    // standing in for the loaded `a` until the VIR is retargeted.
+    let ahead = |d: u64| {
+        format!(
+            "arrays {{ a: i32[1200] @ 0; c: i32[1200] @ 0; b: i32[1200] @ 0; }}
+             for i in 0..1000 {{ a[i] = c[i+{d}] + b[i]; }}"
+        )
+    };
+    let behind = |d: u64| {
+        format!(
+            "arrays {{ a: i32[1200] @ 0; c: i32[1200] @ 0; b: i32[1200] @ 0; }}
+             for i in 0..1000 {{ a[i+{d}] = c[i] + b[i]; }}"
+        )
+    };
+    // One vector apart, one short of a strip of vectors, a whole strip.
+    for (d, legal) in [(4, false), (4 * (STRIP - 1), false), (4 * STRIP, true)] {
+        for (way, src) in [("ahead", ahead(d)), ("behind", behind(d))] {
+            let label = format!("in place, {d} {way}");
+            let schedule = aliased_schedule(&src, (1, 0), &label);
+            assert_eq!(strips(schedule), legal, "{label}: {schedule:?}");
+        }
+    }
+}
+
+/// Mixed steps strip on disjoint whole-trip extents only: the strided
+/// `deinterleave` computation does, and stops once its output is
+/// folded onto its own input.
+#[test]
+fn mixed_step_loops_strip_only_on_disjoint_extents() {
+    let src = "arrays { out: i32[1040] @ 0; inter: i32[1040] @ 8; }
+               for i in 0..500 { out[i] = inter[2*i] * inter[2*i] + inter[2*i+1] * inter[2*i+1]; }";
+    assert!(strips(aliased_schedule(src, (0, 0), "deinterleave")));
+    assert_eq!(aliased_schedule(src, (0, 1), "deinterleave, folded"), SEQUENTIAL);
+}
+
+/// A register carried between iterations keeps a loop sequential: the
+/// software-pipelined `vshiftpair` operand of the runtime-aligned
+/// sample, and the accumulator of the reduction.
+#[test]
+fn carried_registers_keep_a_loop_sequential() {
+    for (name, ub) in [("runtime.loop", 777u64), ("dot_product.loop", 1000)] {
+        let path = format!("{}/loops/{name}", env!("CARGO_MANIFEST_DIR"));
+        let src = std::fs::read_to_string(path).unwrap();
+        let program = simdize::parse_program(&src).unwrap();
+        let compiled = Simdizer::new().compile(&program).unwrap();
+        let (schedule, _) = check_all_tiers(&program, &compiled, ub, 5, name);
+        assert_eq!(schedule, SEQUENTIAL, "{name}");
+    }
+}
+
+/// Column allocation under pressure: the §5.3 generator's
+/// multi-statement loops (up to 4 statements × 6 loads, so dozens of
+/// baked registers whose ids the pair loop and the remainder body
+/// share) with and without reuse, every tier against the interpreter.
+#[test]
+fn synthesized_multi_statement_loops_match_interpreter() {
+    let mut rng = simdize_prng::SplitMix64::seed_from_u64(0x5712);
+    let (mut strip_scheduled, mut sequential) = (0, 0);
+    for k in 0..48 {
+        let (statements, loads) = (1 + k % 4, 1 + (k / 4) % 6);
+        let spec = simdize::WorkloadSpec::new(statements, loads)
+            .trip(simdize::TripSpec::KnownInRange(397, 400));
+        let program = simdize::synthesize(&spec, &mut rng);
+        let ub = program.trip().known().unwrap();
+        for reuse in [ReuseMode::None, ReuseMode::SoftwarePipeline] {
+            let compiled = Simdizer::new().reuse(reuse).compile(&program).unwrap();
+            let label = format!("synth {statements}x{loads} #{k} {reuse:?}");
+            let (schedule, _) = check_all_tiers(&program, &compiled, ub, k as u64, &label);
+            match strips(schedule) {
+                true => strip_scheduled += 1,
+                false => sequential += 1,
+            }
+        }
+    }
+    assert!(strip_scheduled >= 24 && sequential >= 8, "{strip_scheduled} strip, {sequential} not");
 }
