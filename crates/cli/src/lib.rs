@@ -54,10 +54,13 @@
 //!   --seed N                            memory image seed (default 2004)
 //!   --ub N                              trip count for runtime-`ub` loops
 //!   --param N (repeatable)              loop parameter values, in order
-//!   --engine interp|native|simd         executor for `run` (default
-//!                                       interp); `simd` lowers the baked
-//!                                       plan to std::arch intrinsics and
-//!                                       also selects the sweep backend
+//!   --engine interp|simd                executor for `run` (default
+//!                                       interp, the reference VIR
+//!                                       interpreter); `simd` bakes the
+//!                                       plan and runs it on the host's
+//!                                       std::arch tier, as `sweep` always
+//!                                       does (SIMDIZE_ISA=sse2|scalar
+//!                                       forces a lower tier)
 //!   --lint NAME=allow|warn|deny         override a lint level (repeatable)
 //!   --json                              JSON output for `analyze`/`explain`
 //!   --markdown                          Markdown output for `explain`
@@ -104,9 +107,9 @@
 
 use simdize::{
     analyze_program, lower_altivec, run_scalar, run_sweep_collect, to_dot, AnalyzeOptions,
-    CompiledKernel, DiffConfig, IsaLevel, Level, Lint, MemoryImage, MutationKind, Policy,
-    ReorgGraph, ReuseMode, RunInput, Scheme, SimdKernel, SimdizeError, Simdizer, SweepBackend,
-    SweepJob, SweepOptions, Target, VectorShape, VerifyOptions,
+    DiffConfig, IsaLevel, Level, Lint, MemoryImage, MutationKind, Policy,
+    ReorgGraph, ReuseMode, RunInput, Scheme, SimdKernel, SimdizeError, Simdizer, SweepJob,
+    SweepOptions, Target, VectorShape, VerifyOptions,
 };
 use simdize_explain::{render_json, render_markdown, render_text, Explainer};
 use simdize_telemetry as telemetry;
@@ -307,11 +310,10 @@ pub fn parse_args(
             "--param" => opts.params.push(value("--param")?.parse()?),
             "--engine" => {
                 let name = value("--engine")?;
-                if !matches!(name.as_str(), "interp" | "native" | "simd") {
-                    return Err(format!(
-                        "unknown engine `{name}` (expected `interp`, `native` or `simd`)"
-                    )
-                    .into());
+                if !matches!(name.as_str(), "interp" | "simd") {
+                    return Err(
+                        format!("unknown engine `{name}` (expected `interp` or `simd`)").into(),
+                    );
                 }
                 opts.engine = name;
             }
@@ -541,8 +543,7 @@ pub fn run(opts: &Options) -> Result<String, Box<dyn Error>> {
             };
             let mut image = MemoryImage::with_seed(&source, opts.shape, opts.seed);
             let mut oracle = image.clone();
-            let kernel = CompiledKernel::compile(&compiled, &image, &input)?;
-            let lowered = SimdKernel::lower_detected(&kernel);
+            let lowered = SimdKernel::compile(&compiled, &image, &input)?;
             let stats = lowered.run(&mut image)?;
             let ideal = run_scalar(&source, &mut oracle, ub, &opts.params)?;
             let verified = image.first_difference(&oracle).is_none();
@@ -558,7 +559,7 @@ pub fn run(opts: &Options) -> Result<String, Box<dyn Error>> {
                 }
             )?;
             writeln!(out, "backend: simd/{}", lowered.isa())?;
-            let fusion = kernel.fusion_stats();
+            let fusion = lowered.base().fusion_stats();
             writeln!(
                 out,
                 "trace: {} fused load(s), {} splat op(s), {} hoisted, {} eliminated",
@@ -573,48 +574,6 @@ pub fn run(opts: &Options) -> Result<String, Box<dyn Error>> {
             writeln!(out, "stats: {stats}")?;
             if !verified {
                 return Err("simd engine diverged from the scalar oracle".into());
-            }
-        }
-        "run" if opts.engine == "native" => {
-            let compiled = driver.compile(&program)?;
-            let source = compiled.source().clone();
-            let ub = source.trip().known().unwrap_or(opts.ub);
-            let input = RunInput {
-                ub,
-                params: opts.params.clone(),
-            };
-            let mut image = MemoryImage::with_seed(&source, opts.shape, opts.seed);
-            let mut oracle = image.clone();
-            let kernel = CompiledKernel::compile(&compiled, &image, &input)?;
-            let stats = kernel.run(&mut image)?;
-            let ideal = run_scalar(&source, &mut oracle, ub, &opts.params)?;
-            let verified = image.first_difference(&oracle).is_none();
-            let data = source.stmts().len() as u64 * ub;
-            writeln!(out, "verified: {verified}")?;
-            writeln!(
-                out,
-                "engine: native ({})",
-                if kernel.is_fallback() {
-                    "scalar fallback"
-                } else {
-                    "compiled kernel"
-                }
-            )?;
-            let fusion = kernel.fusion_stats();
-            writeln!(
-                out,
-                "trace: {} fused load(s), {} splat op(s), {} hoisted, {} eliminated",
-                fusion.fused_loads, fusion.splat_ops, fusion.hoisted, fusion.eliminated
-            )?;
-            writeln!(
-                out,
-                "opd: {:.3}  speedup: {:.2}x over idealistic scalar",
-                stats.opd(data),
-                ideal as f64 / stats.total() as f64
-            )?;
-            writeln!(out, "stats: {stats}")?;
-            if !verified {
-                return Err("native engine diverged from the scalar oracle".into());
             }
         }
         "run" => {
@@ -750,21 +709,10 @@ pub fn run(opts: &Options) -> Result<String, Box<dyn Error>> {
             let jobs: Vec<SweepJob> = (0..count as u64)
                 .map(|k| SweepJob::new(compiled.clone(), opts.seed.wrapping_add(k), opts.ub))
                 .collect();
-            let backend = if opts.engine == "simd" {
-                SweepBackend::Simd
-            } else {
-                SweepBackend::Baked
-            };
             let started = std::time::Instant::now();
-            let (outcomes, stats) =
-                run_sweep_collect(&jobs, SweepOptions::new(opts.threads).backend(backend));
+            let (outcomes, stats) = run_sweep_collect(&jobs, SweepOptions::new(opts.threads));
             let elapsed = started.elapsed();
-            match backend {
-                SweepBackend::Simd => {
-                    writeln!(out, "backend: simd/{}", IsaLevel::detect())?
-                }
-                SweepBackend::Baked => writeln!(out, "backend: fused interpreter")?,
-            }
+            writeln!(out, "backend: simd/{}", IsaLevel::detect())?;
             writeln!(
                 out,
                 "{:>6} {:>9} {:>9} {:>9}",
@@ -1103,14 +1051,6 @@ mod tests {
     }
 
     #[test]
-    fn run_native_engine_verifies() {
-        let out = run(&opts(&["run", "x.loop", "--engine", "native", "--seed", "7"])).unwrap();
-        assert!(out.contains("verified: true"));
-        assert!(out.contains("engine: native (compiled kernel)"));
-        assert!(out.contains("speedup"));
-    }
-
-    #[test]
     fn run_simd_engine_verifies_and_reports_isa() {
         let out = run(&opts(&["run", "x.loop", "--engine", "simd", "--seed", "7"])).unwrap();
         assert!(out.contains("verified: true"), "{out}");
@@ -1120,28 +1060,20 @@ mod tests {
             "{out}"
         );
         assert!(out.contains("speedup"), "{out}");
+        assert!(out.contains("trace:"), "{out}");
+        assert!(out.contains("fused load(s)"), "{out}");
     }
 
     #[test]
-    fn sweep_smoke_reports_all_seeds() {
+    fn sweep_smoke_reports_all_seeds_and_the_isa() {
         let out = run(&opts(&["sweep", "x.loop", "--smoke", "--jobs", "2"])).unwrap();
-        assert!(out.contains("backend: fused interpreter"), "{out}");
-        assert!(out.contains("8/8 verified"));
-        assert!(out.contains("jobs/sec"));
-        assert!(out.lines().count() >= 10); // header + 8 rows + summary
-    }
-
-    #[test]
-    fn sweep_simd_backend_reports_isa_and_verifies() {
-        let out = run(&opts(&[
-            "sweep", "x.loop", "--smoke", "--jobs", "2", "--engine", "simd",
-        ]))
-        .unwrap();
         assert!(
             out.contains(&format!("backend: simd/{}", IsaLevel::detect())),
             "{out}"
         );
         assert!(out.contains("8/8 verified"), "{out}");
+        assert!(out.contains("jobs/sec"));
+        assert!(out.lines().count() >= 10); // header + 8 rows + summary
     }
 
     #[test]
@@ -1154,13 +1086,6 @@ mod tests {
     }
 
     #[test]
-    fn run_native_reports_fusion_trace() {
-        let out = run(&opts(&["run", "x.loop", "--engine", "native"])).unwrap();
-        assert!(out.contains("trace:"), "{out}");
-        assert!(out.contains("fused load(s)"), "{out}");
-    }
-
-    #[test]
     fn option_parsing_errors() {
         let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         let read = |_: &str| -> Result<String, Box<dyn Error>> { Ok(LOOP.into()) };
@@ -1170,8 +1095,41 @@ mod tests {
         assert!(parse_args(&args(&["run", "x", "--shape", "12"]), &read).is_err());
         assert!(parse_args(&args(&["run", "x", "--whatever"]), &read).is_err());
         assert!(parse_args(&args(&["run", "x", "--engine", "jit"]), &read).is_err());
+        assert!(parse_args(&args(&["run", "x", "--engine", "native"]), &read).is_err());
         assert!(parse_args(&args(&["sweep", "x", "--jobs", "0"]), &read).is_err());
         assert!(parse_args(&args(&["sweep", "x", "--threads", "0"]), &read).is_err());
+    }
+
+    /// The prover prints its counterexamples as `simdize run` command
+    /// lines; this crate is the one that has to accept them. A
+    /// mutated quick proof yields one shrunk replay per harness — the
+    /// flags of each must parse, and the engine ones must name `simd`.
+    #[test]
+    fn shrunk_replays_parse_as_run_commands() {
+        let mut vopts = VerifyOptions::quick();
+        vopts.mutation = Some(MutationKind::SpliceOffByOne);
+        let source = "arrays { a: i32[64] @ 0; b: i32[64] @ 4; c: i32[64] @ 8; }
+                      for i in 0..40 { a[i+1] = b[i] + c[i+2]; }";
+        let report = simdize::prove_source("replay", source, &vopts).unwrap();
+        assert!(report.violations.len() >= 2, "{}", report.render_text());
+        for ce in &report.violations {
+            let (echo, command) = ce.replay.split_once(" | ").expect("a pipeline");
+            let piped = echo.strip_prefix("echo '").and_then(|s| s.strip_suffix('\''));
+            let piped = piped.expect("the loop source, quoted").to_string();
+            let command = command.split("  #").next().unwrap();
+            let words: Vec<&str> = command.split_whitespace().collect();
+            let at = words.iter().position(|w| *w == "simdize").expect("the binary");
+            assert!(words[..at].iter().all(|w| *w == "SIMDIZE_ISA=scalar"), "{command}");
+            let args: Vec<String> = words[at + 1..].iter().map(|w| w.to_string()).collect();
+            let read = move |path: &str| -> Result<String, Box<dyn Error>> {
+                assert_eq!(path, "-");
+                Ok(piped.clone())
+            };
+            let opts = parse_args(&args, &read).unwrap_or_else(|e| panic!("{command}: {e}"));
+            assert_eq!(opts.command, "run", "{command}");
+            let engine = if ce.harness == "harness_codegen_equiv" { "interp" } else { "simd" };
+            assert_eq!(opts.engine, engine, "{command}");
+        }
     }
 
     #[test]

@@ -25,10 +25,11 @@
 //!    against a memory image with controlled misalignment, verify it
 //!    byte-for-byte against a scalar oracle, and report the paper's
 //!    operations-per-datum and speedup metrics (§5).
-//! 4. **Compiled engine** ([`simdize_engine`]): a pre-lowered native
-//!    execution tier ([`CompiledKernel`]) that folds all runtime
-//!    scalars and addresses at compile time and runs the steady state
-//!    as a tight dispatch loop — byte- and stat-identical to the
+//! 4. **Compiled engine** ([`simdize_engine`]): a baked execution plan
+//!    ([`CompiledKernel`]) that folds all runtime scalars and addresses
+//!    at compile time and runs the steady state through one strip-mined
+//!    driver, on a portable tier or pinned to the host's `std::arch`
+//!    tier ([`SimdKernel`]) — byte- and stat-identical to the
 //!    interpreter, orders of magnitude faster — plus parallel batch
 //!    sweeps ([`run_sweep`]) over many memory seeds.
 //! 5. **Bounded verification** ([`simdize_verify`], re-exported here):
@@ -98,11 +99,10 @@ pub use simdize_reorg::{
     ReorgGraph, ValidateGraphError,
 };
 pub use simdize_engine::{
-    program_fingerprint, run_sweep, run_sweep_collect, run_sweep_shared, run_sweep_with, CacheMode,
-    CacheStats, CompiledKernel, FusionEvent, FusionEventKind, FusionStats, IsaLevel,
-    KernelBackend, KernelCache, KernelOptions, NativeEngine, PredecodedKernel, Schedule,
-    SectionSchedule, SimdEngine, SimdKernel, SweepBackend, SweepJob, SweepOptions, SweepOutcome,
-    SweepStats,
+    program_fingerprint, run_sweep, run_sweep_collect, run_sweep_shared, CacheStats,
+    CompiledKernel, FusionEvent, FusionEventKind, FusionStats, IsaLevel, KernelBackend,
+    KernelCache, KernelOptions, PredecodedKernel, Schedule, SectionSchedule, SimdEngine,
+    SimdKernel, SweepBackend, SweepJob, SweepOptions, SweepOutcome, SweepStats,
 };
 pub use simdize_telemetry::{RequestTrace, TelemetryReport, TraceId, TELEMETRY_SCHEMA, TRACE_SCHEMA};
 pub use simdize_verify::{

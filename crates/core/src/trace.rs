@@ -98,9 +98,8 @@ pub fn trace_source_with(src: &str, id: TraceId) -> Result<TraceOutcome, Simdize
     let opd_bound = lower_bound_opd(&program, VectorShape::V16, policy);
 
     // Attribute the run's headline numbers. Policy, fusion rewrites
-    // and cache hit/miss are tagged inside the pipeline; the dispatch
-    // tier is tagged here too so the attribute is present even when
-    // the run never lowers through the native backend.
+    // and cache hit/miss are tagged inside the pipeline; the tier the
+    // sweep below dispatches to is tagged here.
     telemetry::tag("isa", IsaLevel::detect());
     telemetry::tag("opd", format!("{opd:.3}"));
     telemetry::tag("opd.bound", format!("{opd_bound:.3}"));

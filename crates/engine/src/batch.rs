@@ -7,31 +7,27 @@
 //! long jobs (large trip counts) don't stall a statically partitioned
 //! worker.
 //!
-//! Sweeps repeat the same handful of programs over many seeds, so the
-//! default path ([`SweepOptions::new`]) shares compilation work:
+//! Sweeps repeat the same handful of programs over many seeds, so
+//! compilation work is shared:
 //!
 //! * each *distinct* program (by structural equality) is pre-decoded
 //!   exactly once into a [`PredecodedKernel`] before the workers start;
 //! * each worker keeps one scratch engine image and one scratch oracle
 //!   image, re-seeded in place per job ([`MemoryImage::reseed`])
 //!   instead of allocating fresh images;
-//! * baked [`CompiledKernel`]s live in a sharded, LRU-bounded
-//!   [`KernelCache`] keyed by *(program fingerprint, runtime input,
-//!   memory layout)* and shared by **every** worker — the first worker
-//!   to bake a kernel makes it a hit for all of them, so mixed-program
-//!   sweeps no longer thrash the way the old per-worker single-slot
-//!   cache did. [`run_sweep_shared`] accepts an external cache so a
-//!   long-running caller (the `simdize serve` server) can reuse baked
-//!   kernels *across* sweeps too.
+//! * baked kernels live in a sharded, LRU-bounded [`KernelCache`]
+//!   keyed by *(program fingerprint, runtime input, memory layout, ISA
+//!   tier)* and shared by **every** worker — the first worker to bake a
+//!   kernel makes it a hit for all of them. [`run_sweep_shared`]
+//!   accepts an external cache so a long-running caller (the `simdize
+//!   serve` server) can reuse baked kernels *across* sweeps too.
 //!
-//! [`CacheMode::SlotPerWorker`] restores the legacy single-slot
-//! per-worker cache — kept as the bench baseline the sharded cache is
-//! measured against — and [`SweepOptions::uncached`] turns all sharing
-//! off (full per-job compilation, fresh allocations).
+//! Every job runs on the tier [`IsaLevel::detect`] reports when the
+//! sweep starts.
 
 use crate::cache::{program_fingerprint, KernelCache};
-use crate::kernel::{CompiledKernel, KernelOptions, PredecodedKernel};
-use crate::native::{IsaLevel, SimdKernel};
+use crate::kernel::{KernelOptions, PredecodedKernel};
+use crate::native::IsaLevel;
 use simdize_codegen::SimdProgram;
 use simdize_ir::VectorShape;
 use simdize_telemetry as telemetry;
@@ -90,115 +86,44 @@ impl SweepOutcome {
     }
 }
 
-/// Which baked-kernel cache a sweep's workers consult.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CacheMode {
-    /// The sharded concurrent [`KernelCache`], shared by every worker
-    /// (and, via [`run_sweep_shared`], across sweeps).
-    #[default]
-    Shared,
-    /// The legacy cache: each worker remembers only its own last baked
-    /// kernel. Kept as the baseline the sharded cache is benchmarked
-    /// against.
-    SlotPerWorker,
-}
-
-/// Which execution tier a sweep's jobs run on.
+/// The tier a sweep's jobs run on: the one [`IsaLevel::detect`]
+/// reports when the sweep starts.
+// One variant, kept (with [`SweepOptions::backend`]) because the
+// benchmark package (`benchmark/`, frozen between benchmark PRs) spells
+// `SweepOptions::new(n).backend(SweepBackend::Simd)`.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SweepBackend {
-    /// The trace-fused interpreter tier ([`CompiledKernel`]).
+    /// The detected `std::arch` tier.
     #[default]
-    Baked,
-    /// The `std::arch` intrinsics tier ([`SimdKernel`]) at the ISA
-    /// level [`IsaLevel::detect`] reports when the sweep starts.
     Simd,
 }
 
-/// How [`run_sweep_with`] schedules and caches.
+/// How a sweep schedules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepOptions {
     /// Worker thread count (clamped to `[1, jobs.len()]`).
     pub threads: usize,
-    /// Pre-decode each distinct program once before the workers start
-    /// and cache baked kernels (per `cache`).
-    pub share_predecode: bool,
-    /// Reuse one scratch engine image and one scratch oracle image per
-    /// worker, re-seeded in place per job. Only effective together with
-    /// `share_predecode`.
-    pub reuse_scratch: bool,
-    /// Which baked-kernel cache to use. Only effective together with
-    /// `share_predecode`.
-    pub cache: CacheMode,
-    /// Which execution tier runs the jobs.
-    pub backend: SweepBackend,
 }
 
 impl SweepOptions {
-    /// The default sweep configuration: every cache on, baked kernels
-    /// in the sharded shared cache, fused-interpreter backend.
+    /// A sweep over `threads` worker threads.
     pub fn new(threads: usize) -> SweepOptions {
-        SweepOptions {
-            threads,
-            share_predecode: true,
-            reuse_scratch: true,
-            cache: CacheMode::Shared,
-            backend: SweepBackend::Baked,
-        }
+        SweepOptions { threads }
     }
 
-    /// Full per-job compilation with fresh allocations — the baseline
-    /// the compilation cache is measured against.
-    pub fn uncached(threads: usize) -> SweepOptions {
-        SweepOptions {
-            share_predecode: false,
-            reuse_scratch: false,
-            ..SweepOptions::new(threads)
-        }
-    }
-
-    /// Selects the baked-kernel cache mode.
-    pub fn cache_mode(mut self, cache: CacheMode) -> SweepOptions {
-        self.cache = cache;
-        self
-    }
-
-    /// Selects the execution tier.
-    pub fn backend(mut self, backend: SweepBackend) -> SweepOptions {
-        self.backend = backend;
+    /// Does nothing: there is one backend. See [`SweepBackend`].
+    #[doc(hidden)]
+    pub fn backend(self, _backend: SweepBackend) -> SweepOptions {
         self
     }
 }
 
-/// The legacy single-slot cached artifact, one per worker.
-enum SlotKernel {
-    Baked(CompiledKernel),
-    Simd(SimdKernel),
-}
-
-impl SlotKernel {
-    fn layout_matches(&self, image: &MemoryImage) -> bool {
-        match self {
-            SlotKernel::Baked(k) => k.layout_matches(image),
-            SlotKernel::Simd(k) => k.layout_matches(image),
-        }
-    }
-
-    fn run(&self, image: &mut MemoryImage) -> Result<RunStats, ExecError> {
-        match self {
-            SlotKernel::Baked(k) => k.run(image),
-            SlotKernel::Simd(k) => k.run(image),
-        }
-    }
-}
-
-/// Per-worker reusable state.
+/// Per-worker scratch images, re-seeded in place per job.
 #[derive(Default)]
 struct Scratch {
     engine: Option<MemoryImage>,
     oracle: Option<MemoryImage>,
-    /// Legacy single-slot cache, used only in
-    /// [`CacheMode::SlotPerWorker`].
-    baked: Option<(usize, RunInput, SlotKernel)>,
 }
 
 /// One worker's job results (tagged with their original indices) plus
@@ -225,13 +150,11 @@ pub struct SweepStats {
     pub workers: usize,
     /// Jobs whose baked kernel came out of the cache.
     pub cache_hits: u64,
-    /// Jobs that had to bake (or, uncached, fully compile) a kernel.
+    /// Jobs that had to bake a kernel.
     pub cache_misses: u64,
-    /// Kernels displaced by LRU eviction during this sweep (always 0
-    /// for the legacy single-slot and uncached modes).
+    /// Kernels displaced by LRU eviction during this sweep.
     pub cache_evictions: u64,
-    /// Kernels resident per cache shard when the sweep finished (empty
-    /// unless the sharded cache was used).
+    /// Kernels resident per cache shard when the sweep finished.
     pub cache_occupancy: Vec<usize>,
     /// Jobs that re-seeded an existing scratch image instead of
     /// allocating a fresh one.
@@ -270,42 +193,27 @@ impl SweepStats {
     }
 }
 
-/// Runs every job with the default caches on, distributing them over
-/// `threads` scoped worker threads, and returns per-job outcomes in job
-/// order. Shorthand for [`run_sweep_with`] with [`SweepOptions::new`].
-pub fn run_sweep(jobs: &[SweepJob], threads: usize) -> Vec<Result<SweepOutcome, ExecError>> {
-    run_sweep_with(jobs, SweepOptions::new(threads))
-}
-
-/// Runs every job per `opts` and returns per-job outcomes in job order.
-/// Each job executes its program on the image seeded by its seed and
+/// Runs every job, distributing them over `threads` scoped worker
+/// threads, and returns per-job outcomes in job order. Each job
+/// executes its program on the image seeded by its seed and
 /// differentially verifies the result against [`run_scalar`] on an
 /// identical image.
-pub fn run_sweep_with(
-    jobs: &[SweepJob],
-    opts: SweepOptions,
-) -> Vec<Result<SweepOutcome, ExecError>> {
-    run_sweep_collect(jobs, opts).0
+pub fn run_sweep(jobs: &[SweepJob], threads: usize) -> Vec<Result<SweepOutcome, ExecError>> {
+    run_sweep_collect(jobs, SweepOptions::new(threads)).0
 }
 
-/// Like [`run_sweep_with`], but also reports what the sweep's caches
-/// and workers did ([`SweepStats`]) — kernel-cache hits, misses and
+/// Like [`run_sweep`], but also reports what the sweep's cache and
+/// workers did ([`SweepStats`]) — kernel-cache hits, misses and
 /// evictions, shard occupancy, scratch-image reseeds and the
 /// per-worker job distribution.
 ///
-/// In [`CacheMode::Shared`] (the default) a fresh sweep-local
-/// [`KernelCache`] is built; use [`run_sweep_shared`] to reuse kernels
-/// across sweeps.
+/// A fresh sweep-local [`KernelCache`] is built; use
+/// [`run_sweep_shared`] to reuse kernels across sweeps.
 pub fn run_sweep_collect(
     jobs: &[SweepJob],
     opts: SweepOptions,
 ) -> (Vec<Result<SweepOutcome, ExecError>>, SweepStats) {
-    if opts.share_predecode && opts.cache == CacheMode::Shared {
-        let cache = KernelCache::new(opts.threads.clamp(1, 16), 32);
-        sweep_inner(jobs, opts, Some(&cache))
-    } else {
-        sweep_inner(jobs, opts, None)
-    }
+    run_sweep_shared(jobs, opts, &KernelCache::new(opts.threads.clamp(1, 16), 32))
 }
 
 /// Like [`run_sweep_collect`], but baked kernels go through `cache`,
@@ -319,14 +227,6 @@ pub fn run_sweep_shared(
     opts: SweepOptions,
     cache: &KernelCache,
 ) -> (Vec<Result<SweepOutcome, ExecError>>, SweepStats) {
-    sweep_inner(jobs, opts, Some(cache))
-}
-
-fn sweep_inner(
-    jobs: &[SweepJob],
-    opts: SweepOptions,
-    cache: Option<&KernelCache>,
-) -> (Vec<Result<SweepOutcome, ExecError>>, SweepStats) {
     if jobs.is_empty() {
         return (Vec::new(), SweepStats::empty());
     }
@@ -335,23 +235,21 @@ fn sweep_inner(
 
     // One pre-decode (and one fingerprint) per distinct program, shared
     // by every worker.
-    let mut templates: Vec<(&SimdProgram, u64, Result<PredecodedKernel, ExecError>)> = Vec::new();
+    let mut templates: Vec<Template> = Vec::new();
     let mut job_template: Vec<usize> = Vec::with_capacity(jobs.len());
-    if opts.share_predecode {
-        for job in jobs {
-            let idx = match templates.iter().position(|(p, _, _)| *p == &job.program) {
-                Some(idx) => idx,
-                None => {
-                    templates.push((
-                        &job.program,
-                        program_fingerprint(&job.program),
-                        PredecodedKernel::new(&job.program),
-                    ));
-                    templates.len() - 1
-                }
-            };
-            job_template.push(idx);
-        }
+    for job in jobs {
+        let idx = match templates.iter().position(|(p, _, _)| *p == &job.program) {
+            Some(idx) => idx,
+            None => {
+                templates.push((
+                    &job.program,
+                    program_fingerprint(&job.program),
+                    PredecodedKernel::new(&job.program),
+                ));
+                templates.len() - 1
+            }
+        };
+        job_template.push(idx);
     }
     let templates = &templates;
     let job_template = &job_template;
@@ -365,52 +263,41 @@ fn sweep_inner(
     // worker threads' spans to that request, not the global collector.
     let trace_ctx = telemetry::current_context();
     let partials: Vec<WorkerPartial> = thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let trace_ctx = trace_ctx.clone();
-                    s.spawn(move || {
-                        let _adopted = trace_ctx.map(telemetry::adopt_context);
-                        let mut scratch = Scratch::default();
-                        let mut tally = WorkerTally::default();
-                        let mut mine = Vec::new();
-                        loop {
-                            let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                            if idx >= jobs.len() {
-                                break;
-                            }
-                            let _span = telemetry::span("sweep.job");
-                            tally.jobs += 1;
-                            let res = if opts.share_predecode {
-                                run_one_cached(
-                                    &jobs[idx],
-                                    job_template[idx],
-                                    templates,
-                                    &opts,
-                                    cache,
-                                    isa,
-                                    &mut scratch,
-                                    &mut tally,
-                                )
-                            } else {
-                                tally.cache_misses += 1;
-                                run_one(&jobs[idx], opts.backend, isa)
-                            };
-                            mine.push((idx, res));
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                let trace_ctx = trace_ctx.clone();
+                s.spawn(move || {
+                    let _adopted = trace_ctx.map(telemetry::adopt_context);
+                    let mut scratch = Scratch::default();
+                    let mut tally = WorkerTally::default();
+                    let mut mine = Vec::new();
+                    loop {
+                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
+                        if idx >= jobs.len() {
+                            break;
                         }
-                        (mine, tally)
-                    })
+                        let _span = telemetry::span("sweep.job");
+                        tally.jobs += 1;
+                        let template = &templates[job_template[idx]];
+                        let res =
+                            run_job(&jobs[idx], template, cache, isa, &mut scratch, &mut tally);
+                        mine.push((idx, res));
+                    }
+                    (mine, tally)
                 })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("sweep worker panicked"))
-                .collect()
-        });
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("sweep worker panicked"))
+            .collect()
+    });
     let mut results: Vec<Option<Result<SweepOutcome, ExecError>>> =
         (0..jobs.len()).map(|_| None).collect();
     let mut stats = SweepStats {
         workers: threads,
         jobs_per_worker: Vec::with_capacity(threads),
+        cache_occupancy: cache.stats().occupancy,
         ..SweepStats::empty()
     };
     for (outcomes, tally) in partials {
@@ -422,9 +309,6 @@ fn sweep_inner(
         stats.cache_evictions += tally.cache_evictions;
         stats.scratch_reseeds += tally.scratch_reseeds;
         stats.jobs_per_worker.push(tally.jobs);
-    }
-    if let Some(cache) = cache {
-        stats.cache_occupancy = cache.stats().occupancy;
     }
     if telemetry::enabled() {
         telemetry::counter("sweep.kernel_cache.hit").add(stats.cache_hits);
@@ -447,55 +331,29 @@ fn sweep_inner(
     (results, stats)
 }
 
-/// The uncached path: fresh images, full compile, per job.
-fn run_one(
-    job: &SweepJob,
-    backend: SweepBackend,
-    isa: IsaLevel,
-) -> Result<SweepOutcome, ExecError> {
-    let source = job.program.source();
-    let mut engine_img = MemoryImage::with_seed(source, VectorShape::V16, job.seed);
-    let mut oracle_img = engine_img.clone();
-    let ub = source.trip().known().unwrap_or(job.input.ub);
-    let kernel = CompiledKernel::compile(&job.program, &engine_img, &job.input)?;
-    let stats = match backend {
-        SweepBackend::Baked => kernel.run(&mut engine_img)?,
-        SweepBackend::Simd => SimdKernel::lower(&kernel, isa).run(&mut engine_img)?,
-    };
-    let scalar_ideal = run_scalar(source, &mut oracle_img, ub, &job.input.params)?;
-    Ok(SweepOutcome {
-        seed: job.seed,
-        stats,
-        verified: engine_img.first_difference(&oracle_img).is_none(),
-        data_produced: source.stmts().len() as u64 * ub,
-        scalar_ideal,
-    })
-}
+/// One distinct program of a sweep: the program, its fingerprint and
+/// its pre-decode.
+type Template<'a> = (&'a SimdProgram, u64, Result<PredecodedKernel, ExecError>);
 
-/// The cached path: shared pre-decode, per-worker scratch images and a
-/// baked-kernel cache (sharded-shared or legacy per-worker slot).
-/// Produces outcomes identical to [`run_one`] — `MemoryImage::reseed`
-/// rebuilds exactly the image `with_seed` would, and a cached kernel is
-/// only reused when the program, the runtime input and the memory
-/// layout all match.
-#[allow(clippy::too_many_arguments)]
-fn run_one_cached(
+/// Runs one job: scratch images re-seeded in place
+/// ([`MemoryImage::reseed`] rebuilds exactly the image `with_seed`
+/// would), the kernel out of `cache` — reused only when the program,
+/// the runtime input, the memory layout and the tier all match — and
+/// the result diffed against the scalar oracle.
+fn run_job(
     job: &SweepJob,
-    tidx: usize,
-    templates: &[(&SimdProgram, u64, Result<PredecodedKernel, ExecError>)],
-    opts: &SweepOptions,
-    cache: Option<&KernelCache>,
+    (_, fingerprint, pre): &Template,
+    cache: &KernelCache,
     isa: IsaLevel,
     scratch: &mut Scratch,
     tally: &mut WorkerTally,
 ) -> Result<SweepOutcome, ExecError> {
-    let (_, fingerprint, pre) = &templates[tidx];
     let pre = pre.as_ref().map_err(|e| e.clone())?;
     let source = job.program.source();
     let shape = VectorShape::V16;
 
     let engine_img = match &mut scratch.engine {
-        Some(img) if opts.reuse_scratch => {
+        Some(img) => {
             img.reseed(source, shape, job.seed);
             tally.scratch_reseeds += 1;
             img
@@ -503,7 +361,7 @@ fn run_one_cached(
         slot => slot.insert(MemoryImage::with_seed(source, shape, job.seed)),
     };
     let oracle_img = match &mut scratch.oracle {
-        Some(img) if opts.reuse_scratch => {
+        Some(img) => {
             // Copy the freshly seeded engine image instead of reseeding
             // independently: a memcpy is far cheaper than a second
             // element-by-element random fill.
@@ -514,54 +372,15 @@ fn run_one_cached(
     };
 
     let bake_opts = KernelOptions::new().disassembly(false);
-    let stats = match cache {
-        Some(cache) => {
-            let (stats, lookup) = match opts.backend {
-                SweepBackend::Baked => {
-                    let (kernel, lookup) =
-                        cache.get_or_bake(*fingerprint, pre, engine_img, &job.input, &bake_opts)?;
-                    (kernel.run(engine_img)?, lookup)
-                }
-                SweepBackend::Simd => {
-                    let (kernel, lookup) = cache.get_or_bake_simd(
-                        *fingerprint,
-                        pre,
-                        engine_img,
-                        &job.input,
-                        &bake_opts,
-                        isa,
-                    )?;
-                    (kernel.run(engine_img)?, lookup)
-                }
-            };
-            if lookup.hit {
-                tally.cache_hits += 1;
-            } else {
-                tally.cache_misses += 1;
-            }
-            tally.cache_evictions += u64::from(lookup.evicted);
-            stats
-        }
-        None => {
-            let cache_hit = matches!(
-                &scratch.baked,
-                Some((t, input, k)) if *t == tidx && input == &job.input && k.layout_matches(engine_img)
-            );
-            if cache_hit {
-                tally.cache_hits += 1;
-            } else {
-                tally.cache_misses += 1;
-                let kernel = pre.bake(engine_img, &job.input, &bake_opts)?;
-                let slot = match opts.backend {
-                    SweepBackend::Baked => SlotKernel::Baked(kernel),
-                    SweepBackend::Simd => SlotKernel::Simd(SimdKernel::lower(&kernel, isa)),
-                };
-                scratch.baked = Some((tidx, job.input.clone(), slot));
-            }
-            let kernel = &scratch.baked.as_ref().expect("just populated").2;
-            kernel.run(engine_img)?
-        }
-    };
+    let (kernel, lookup) =
+        cache.get_or_bake_simd(*fingerprint, pre, engine_img, &job.input, &bake_opts, isa)?;
+    if lookup.hit {
+        tally.cache_hits += 1;
+    } else {
+        tally.cache_misses += 1;
+    }
+    tally.cache_evictions += u64::from(lookup.evicted);
+    let stats = kernel.run(engine_img)?;
 
     let ub = source.trip().known().unwrap_or(job.input.ub);
     let scalar_ideal = run_scalar(source, oracle_img, ub, &job.input.params)?;
@@ -630,101 +449,32 @@ mod tests {
     }
 
     #[test]
-    fn all_cache_modes_agree() {
-        // KNOWN alignments: every seed shares one layout, so baked
-        // kernels are reused across jobs. RUNTIME alignments: layouts
-        // differ per seed, exercising re-bake over reseeded scratch.
+    fn reseeded_scratch_and_cached_kernels_match_fresh_runs() {
+        // KNOWN alignments: every seed shares one layout, so one baked
+        // kernel serves every job. RUNTIME alignments: layouts differ
+        // per seed, exercising re-bake over reseeded scratch. Either
+        // way each outcome must equal a from-scratch compile and run
+        // on freshly allocated images.
         for src in [KNOWN, RUNTIME] {
             let prog = program(src);
             let jobs: Vec<SweepJob> = (0..16)
                 .map(|seed| SweepJob::new(prog.clone(), seed * 3 + 1, 300))
                 .collect();
-            let shared = run_sweep_with(&jobs, SweepOptions::new(3));
-            let slot = run_sweep_with(
-                &jobs,
-                SweepOptions::new(3).cache_mode(CacheMode::SlotPerWorker),
-            );
-            let uncached = run_sweep_with(&jobs, SweepOptions::uncached(3));
-            assert_eq!(shared, uncached);
-            assert_eq!(slot, uncached);
-            for o in shared {
-                assert!(o.unwrap().verified);
+            for (job, outcome) in jobs.iter().zip(run_sweep(&jobs, 3)) {
+                let outcome = outcome.unwrap();
+                assert!(outcome.verified);
+                let mut image = MemoryImage::with_seed(prog.source(), VectorShape::V16, job.seed);
+                let kernel = crate::SimdKernel::compile(&prog, &image, &job.input).unwrap();
+                assert_eq!(kernel.run(&mut image).unwrap(), outcome.stats, "seed {}", job.seed);
             }
         }
-    }
-
-    #[test]
-    fn simd_backend_agrees_with_baked_across_modes() {
-        // The intrinsics backend must produce exactly the outcomes of
-        // the fused interpreter — stats included, since they are fixed
-        // analytically — in every cache configuration.
-        for src in [KNOWN, RUNTIME] {
-            let prog = program(src);
-            let jobs: Vec<SweepJob> = (0..12)
-                .map(|seed| SweepJob::new(prog.clone(), seed * 5 + 2, 300))
-                .collect();
-            let baked = run_sweep_with(&jobs, SweepOptions::new(3));
-            for opts in [
-                SweepOptions::new(3).backend(SweepBackend::Simd),
-                SweepOptions::new(3)
-                    .backend(SweepBackend::Simd)
-                    .cache_mode(CacheMode::SlotPerWorker),
-                SweepOptions::uncached(3).backend(SweepBackend::Simd),
-            ] {
-                assert_eq!(run_sweep_with(&jobs, opts), baked, "{opts:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn simd_backend_caches_lowered_kernels() {
-        // A shared-cache simd sweep bakes+lowers once per (program,
-        // layout) and hits afterwards, exactly like the baked backend —
-        // and a subsequent *baked* sweep over the same external cache
-        // does not collide with the simd entries.
-        let prog = program(KNOWN);
-        let jobs: Vec<SweepJob> = (0..8)
-            .map(|seed| SweepJob::new(prog.clone(), seed, 300))
-            .collect();
-        let cache = KernelCache::new(2, 16);
-        let opts = SweepOptions::new(2).backend(SweepBackend::Simd);
-        let (outcomes, stats) = run_sweep_shared(&jobs, opts, &cache);
-        assert!(outcomes.into_iter().all(|o| o.unwrap().verified));
-        assert_eq!(stats.cache_misses, 1, "one lowering per program");
-        assert_eq!(stats.cache_hits, 7);
-        // Same cache, baked backend: distinct key space, so it misses
-        // once more instead of picking up the simd entry.
-        let (_, baked) = run_sweep_shared(&jobs, SweepOptions::new(2), &cache);
-        assert_eq!(baked.cache_misses, 1);
-        assert_eq!(cache.stats().occupied(), 2);
     }
 
     #[test]
     fn mixed_program_sweep_interleaves_templates() {
         // Alternating templates on one worker force the scratch images
-        // to be re-laid-out between jobs; the legacy slot cache misses
-        // every job while the sharded cache holds both kernels.
-        let a = program(KNOWN);
-        let b = program(RUNTIME);
-        let jobs: Vec<SweepJob> = (0..10)
-            .map(|k| {
-                let prog = if k % 2 == 0 { a.clone() } else { b.clone() };
-                SweepJob::new(prog, k as u64, 250)
-            })
-            .collect();
-        let shared = run_sweep_with(&jobs, SweepOptions::new(1));
-        let uncached = run_sweep_with(&jobs, SweepOptions::uncached(1));
-        assert_eq!(shared, uncached);
-        for o in shared {
-            assert!(o.unwrap().verified);
-        }
-    }
-
-    #[test]
-    fn shared_cache_beats_slot_on_mixed_programs() {
-        // Two interleaved KNOWN-layout programs on one worker: the slot
-        // cache misses every program switch; the sharded cache bakes
-        // each (program, layout) once and hits everything after.
+        // to be re-laid-out between jobs; the cache holds one kernel
+        // per (program, layout) throughout.
         let a = program(KNOWN);
         let b = program("arrays { a: i32[512] @ 0; c: i32[512] @ 8; }
                          for i in 0..ub { a[i] = c[i+2]; }");
@@ -734,16 +484,11 @@ mod tests {
                 SweepJob::new(prog, k as u64, 250)
             })
             .collect();
-        let (_, slot) = run_sweep_collect(
-            &jobs,
-            SweepOptions::new(1).cache_mode(CacheMode::SlotPerWorker),
-        );
-        assert_eq!(slot.cache_misses, 12, "slot cache thrashes");
-        let (_, shared) = run_sweep_collect(&jobs, SweepOptions::new(1));
-        assert_eq!(shared.cache_misses, 2, "one bake per program");
-        assert_eq!(shared.cache_hits, 10);
-        assert_eq!(shared.cache_occupied(), 2);
-        assert!(shared.cache_hit_rate() > slot.cache_hit_rate());
+        let (outcomes, stats) = run_sweep_collect(&jobs, SweepOptions::new(1));
+        assert!(outcomes.into_iter().all(|o| o.unwrap().verified));
+        assert_eq!(stats.cache_misses, 2, "one bake per program");
+        assert_eq!(stats.cache_hits, 10);
+        assert_eq!(stats.cache_occupied(), 2);
     }
 
     #[test]
@@ -753,7 +498,8 @@ mod tests {
             .map(|seed| SweepJob::new(prog.clone(), seed, 300))
             .collect();
         let cache = KernelCache::new(4, 16);
-        let (_, first) = run_sweep_shared(&jobs, SweepOptions::new(2), &cache);
+        // One worker: two could both miss the first touch and bake twice.
+        let (_, first) = run_sweep_shared(&jobs, SweepOptions::new(1), &cache);
         assert_eq!(first.cache_misses, 1);
         // The second sweep over the same program misses nothing: the
         // kernel survived in the shared cache.
@@ -794,12 +540,5 @@ mod tests {
         assert_eq!(stats.scratch_reseeds, 11);
         assert_eq!(stats.jobs_per_worker, vec![12]);
         assert!((stats.cache_hit_rate() - 11.0 / 12.0).abs() < 1e-12);
-
-        // The uncached baseline misses every job by definition.
-        let (_, uncached) = run_sweep_collect(&jobs, SweepOptions::uncached(3));
-        assert_eq!(uncached.cache_hits, 0);
-        assert_eq!(uncached.cache_misses, 12);
-        assert!(uncached.cache_occupancy.is_empty());
-        assert_eq!(uncached.jobs_per_worker.iter().sum::<u64>(), 12);
     }
 }

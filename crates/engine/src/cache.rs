@@ -1,25 +1,23 @@
-//! A sharded, lock-striped, LRU-bounded cache of baked
-//! [`CompiledKernel`]s, shared across sweep workers and server threads.
+//! A sharded, lock-striped, LRU-bounded cache of baked kernels, each
+//! pinned to its ISA tier ([`SimdKernel`]), shared across sweep
+//! workers and server threads.
 //!
 //! The paper's pipeline front-loads all alignment reasoning into
 //! compile time, which makes the baked kernel the natural unit to
 //! cache: it depends only on *(program, runtime input, memory layout)*
 //! and never on the image contents, so any job with the same key can
-//! reuse it byte-for-byte. Earlier revisions kept one slot per sweep
-//! worker; this module replaces that with a process-wide concurrent
-//! cache so hits cross worker — and, in `simdize serve`, request —
-//! boundaries:
+//! reuse it byte-for-byte, across workers and — in `simdize serve` —
+//! across requests:
 //!
 //! * **Keying.** A [`CacheKey`] is a 64-bit program fingerprint (FNV-1a
 //!   over the structural [`SimdProgram`] listing, which embeds the
 //!   placement policy and codegen scheme), the [`RunInput`], a
 //!   [`LayoutSig`] (shape, element type, image length, every array
-//!   base), and the execution [`KernelBackend`] — for the intrinsics
-//!   backend that includes the dispatched [`IsaLevel`], so an AVX2
-//!   lowering and an SSE2 lowering of the same program never collide,
-//!   within a sweep or across server requests. Equality is checked on
-//!   the full key, so fingerprint collisions degrade to misses of
-//!   correctness-irrelevant cost.
+//!   base), and the dispatched [`IsaLevel`], so an AVX2 kernel and an
+//!   SSE2 kernel of the same program never collide, within a sweep or
+//!   across server requests. Equality is checked on the full key, so
+//!   fingerprint collisions degrade to misses of correctness-irrelevant
+//!   cost.
 //! * **Sharding.** Entries are striped over `shards` independent
 //!   mutexes selected by key hash; concurrent workers only contend
 //!   when they touch the same stripe.
@@ -36,7 +34,7 @@
 //! key concurrently both bake and the second insert wins, trading a
 //! rare duplicated compile for never blocking a stripe on compilation.
 
-use crate::kernel::{CompiledKernel, KernelOptions, PredecodedKernel};
+use crate::kernel::{KernelOptions, PredecodedKernel};
 use crate::native::{IsaLevel, SimdKernel};
 use simdize_codegen::SimdProgram;
 use simdize_ir::{ArrayId, ScalarType};
@@ -66,7 +64,7 @@ pub fn program_fingerprint(program: &SimdProgram) -> u64 {
 }
 
 /// The layout half of a cache key: everything
-/// [`CompiledKernel::layout_matches`] checks, captured by value.
+/// [`SimdKernel::layout_matches`] checks, captured by value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayoutSig {
     shape_bytes: u32,
@@ -89,34 +87,16 @@ impl LayoutSig {
     }
 }
 
-/// Which execution backend a cached kernel was lowered for. The
-/// intrinsics backend carries its dispatched [`IsaLevel`]: the same
-/// program lowered at two tiers is two different artifacts and must
-/// occupy two cache entries.
+/// The tier half of a cache key: the same program at two ISA tiers
+/// is two artifacts and must occupy two cache entries.
+// One variant, spelled this way because the benchmark package
+// (`benchmark/`, frozen between benchmark PRs) builds its keys as
+// `CacheKey::for_backend(.., KernelBackend::Simd(isa))`.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelBackend {
-    /// The trace-fused interpreter tier ([`CompiledKernel`]).
-    Baked,
-    /// The `std::arch` intrinsics tier ([`SimdKernel`]) at one ISA.
+    /// A kernel pinned to one ISA tier.
     Simd(IsaLevel),
-}
-
-impl KernelBackend {
-    /// Stable bytes for the shard-selection hash.
-    fn tag(self) -> [u8; 2] {
-        match self {
-            KernelBackend::Baked => [0xB0, 0x00],
-            KernelBackend::Simd(isa) => {
-                let level = match isa {
-                    IsaLevel::Scalar => 0,
-                    IsaLevel::Sse2 => 1,
-                    IsaLevel::Avx2 => 2,
-                    IsaLevel::Neon => 3,
-                };
-                [0x51, level]
-            }
-        }
-    }
 }
 
 /// What one baked kernel was compiled for. Two jobs with equal keys
@@ -127,29 +107,13 @@ pub struct CacheKey {
     program: u64,
     input: RunInput,
     layout: LayoutSig,
-    backend: KernelBackend,
+    isa: IsaLevel,
 }
 
 impl CacheKey {
     /// A key for `program_fingerprint` baked against `input` on the
-    /// layout of `image` (first `narrays` arrays), for the trace-fused
-    /// interpreter backend.
-    pub fn new(
-        program_fingerprint: u64,
-        input: &RunInput,
-        image: &MemoryImage,
-        narrays: usize,
-    ) -> CacheKey {
-        CacheKey::for_backend(
-            program_fingerprint,
-            input,
-            image,
-            narrays,
-            KernelBackend::Baked,
-        )
-    }
-
-    /// [`new`](CacheKey::new) with an explicit [`KernelBackend`].
+    /// layout of `image` (first `narrays` arrays), pinned to the tier
+    /// `backend` names.
     pub fn for_backend(
         program_fingerprint: u64,
         input: &RunInput,
@@ -157,11 +121,12 @@ impl CacheKey {
         narrays: usize,
         backend: KernelBackend,
     ) -> CacheKey {
+        let KernelBackend::Simd(isa) = backend;
         CacheKey {
             program: program_fingerprint,
             input: input.clone(),
             layout: LayoutSig::of(image, narrays),
-            backend,
+            isa,
         }
     }
 
@@ -177,11 +142,11 @@ impl CacheKey {
         for b in &self.layout.bases {
             h = fnv1a(&b.to_le_bytes(), h);
         }
-        fnv1a(&self.backend.tag(), h)
+        fnv1a(self.isa.name().as_bytes(), h)
     }
 }
 
-/// What a [`KernelCache::get_or_bake`] call did.
+/// What a [`KernelCache::get_or_bake_simd`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Lookup {
     /// The kernel came out of the cache.
@@ -190,17 +155,9 @@ pub struct Lookup {
     pub evicted: bool,
 }
 
-/// The cached artifact: which one is resident always agrees with the
-/// key's [`KernelBackend`] (the insert paths pair them up).
-#[derive(Clone)]
-enum Payload {
-    Baked(Arc<CompiledKernel>),
-    Simd(Arc<SimdKernel>),
-}
-
 struct Entry {
     key: CacheKey,
-    kernel: Payload,
+    kernel: Arc<SimdKernel>,
     last_used: u64,
 }
 
@@ -283,7 +240,8 @@ impl KernelCache {
         &self.shards[(key.mix() % self.shards.len() as u64) as usize]
     }
 
-    fn get_payload(&self, key: &CacheKey) -> Option<Payload> {
+    /// Looks `key` up, bumping its LRU stamp on a hit.
+    pub fn get_simd(&self, key: &CacheKey) -> Option<Arc<SimdKernel>> {
         let mut shard = self.shard(key).lock().unwrap_or_else(|e| e.into_inner());
         shard.tick += 1;
         let tick = shard.tick;
@@ -291,7 +249,7 @@ impl KernelCache {
             Some(entry) => {
                 entry.last_used = tick;
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry.kernel.clone())
+                Some(Arc::clone(&entry.kernel))
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -300,38 +258,9 @@ impl KernelCache {
         }
     }
 
-    /// Looks a trace-fused-backend `key` up, bumping its LRU stamp on
-    /// a hit.
-    pub fn get(&self, key: &CacheKey) -> Option<Arc<CompiledKernel>> {
-        match self.get_payload(key)? {
-            Payload::Baked(kernel) => Some(kernel),
-            // Key backends and payloads are paired by the insert
-            // paths; a Simd payload under a Baked key cannot happen.
-            Payload::Simd(_) => None,
-        }
-    }
-
-    /// Looks an intrinsics-backend `key` up, bumping its LRU stamp on
-    /// a hit.
-    pub fn get_simd(&self, key: &CacheKey) -> Option<Arc<SimdKernel>> {
-        match self.get_payload(key)? {
-            Payload::Simd(kernel) => Some(kernel),
-            Payload::Baked(_) => None,
-        }
-    }
-
     /// Inserts (or replaces) `key`, evicting the shard's LRU entry when
     /// full. Returns whether an eviction happened.
-    pub fn insert(&self, key: CacheKey, kernel: Arc<CompiledKernel>) -> bool {
-        self.insert_payload(key, Payload::Baked(kernel))
-    }
-
-    /// [`insert`](KernelCache::insert) for an intrinsics-tier kernel.
     pub fn insert_simd(&self, key: CacheKey, kernel: Arc<SimdKernel>) -> bool {
-        self.insert_payload(key, Payload::Simd(kernel))
-    }
-
-    fn insert_payload(&self, key: CacheKey, kernel: Payload) -> bool {
         let mut shard = self.shard(&key).lock().unwrap_or_else(|e| e.into_inner());
         shard.tick += 1;
         let tick = shard.tick;
@@ -362,40 +291,11 @@ impl KernelCache {
         evicted
     }
 
-    /// The cached kernel for *(program, input, layout)*, baking and
-    /// inserting on a miss. The bake runs outside the shard lock.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PredecodedKernel::bake`] failures; nothing is
-    /// inserted on error.
-    pub fn get_or_bake(
-        &self,
-        program_fingerprint: u64,
-        pre: &PredecodedKernel,
-        image: &MemoryImage,
-        input: &RunInput,
-        opts: &KernelOptions,
-    ) -> Result<(Arc<CompiledKernel>, Lookup), ExecError> {
-        let key = CacheKey::new(program_fingerprint, input, image, pre.narrays());
-        if let Some(kernel) = self.get(&key) {
-            return Ok((
-                kernel,
-                Lookup {
-                    hit: true,
-                    evicted: false,
-                },
-            ));
-        }
-        let kernel = Arc::new(pre.bake(image, input, opts)?);
-        let evicted = self.insert(key, Arc::clone(&kernel));
-        Ok((kernel, Lookup { hit: false, evicted }))
-    }
-
-    /// The cached *intrinsics-lowered* kernel for *(program, input,
-    /// layout, ISA)*, baking, lowering for `isa` and inserting on a
-    /// miss. Distinct ISA tiers occupy distinct entries — a request
-    /// dispatched at AVX2 never reuses an SSE2 lowering or vice versa.
+    /// The cached kernel for *(program, input, layout, ISA)*, baking,
+    /// pinning to `isa` and inserting on a miss; the bake runs outside
+    /// the shard lock. Distinct ISA tiers occupy distinct entries — a
+    /// request dispatched at AVX2 never reuses an SSE2 kernel or vice
+    /// versa.
     ///
     /// # Errors
     ///
@@ -456,347 +356,5 @@ impl KernelCache {
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
         self.evictions.store(0, Ordering::Relaxed);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use simdize_codegen::{generate, CodegenOptions, ReuseMode};
-    use simdize_ir::{parse_program, VectorShape};
-    use simdize_reorg::{Policy, ReorgGraph};
-
-    fn program(src: &str, policy: Policy) -> SimdProgram {
-        let p = parse_program(src).unwrap();
-        let g = ReorgGraph::build(&p, VectorShape::V16)
-            .unwrap()
-            .with_policy(policy)
-            .unwrap();
-        generate(
-            &g,
-            &CodegenOptions::default().reuse(ReuseMode::SoftwarePipeline),
-        )
-        .unwrap()
-    }
-
-    const SRC: &str = "arrays { a: i32[256] @ 0; b: i32[256] @ 4; }
-                       for i in 0..ub { a[i] = b[i+1]; }";
-
-    fn setup(seed: u64) -> (SimdProgram, PredecodedKernel, MemoryImage, RunInput) {
-        let prog = program(SRC, Policy::Zero);
-        let pre = PredecodedKernel::new(&prog).unwrap();
-        let image = MemoryImage::with_seed(prog.source(), VectorShape::V16, seed);
-        (prog, pre, image, RunInput::with_ub(100))
-    }
-
-    #[test]
-    fn fingerprints_distinguish_policies_not_clones() {
-        // Distinct known misalignments: Zero normalizes every stream to
-        // offset 0 while Eager shifts straight to the store alignment,
-        // so the generated programs (and fingerprints) must differ.
-        let src = "arrays { a: i32[256] @ 8; b: i32[256] @ 4; c: i32[256] @ 12; }
-                   for i in 0..ub { a[i] = b[i+1] + c[i+3]; }";
-        let a = program(src, Policy::Zero);
-        let b = a.clone();
-        assert_eq!(program_fingerprint(&a), program_fingerprint(&b));
-        let eager = program(src, Policy::Eager);
-        assert_ne!(
-            program_fingerprint(&a),
-            program_fingerprint(&eager),
-            "policies generate different programs and must key separately"
-        );
-    }
-
-    #[test]
-    fn hit_after_miss_returns_same_kernel() {
-        let (prog, pre, image, input) = setup(1);
-        let fp = program_fingerprint(&prog);
-        let cache = KernelCache::new(4, 8);
-        let opts = KernelOptions::new().disassembly(false);
-        let (k1, l1) = cache.get_or_bake(fp, &pre, &image, &input, &opts).unwrap();
-        assert!(!l1.hit);
-        let (k2, l2) = cache.get_or_bake(fp, &pre, &image, &input, &opts).unwrap();
-        assert!(l2.hit);
-        assert!(Arc::ptr_eq(&k1, &k2), "hit must share the baked kernel");
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.evictions), (1, 1, 0));
-        assert_eq!(stats.occupied(), 1);
-        assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn distinct_inputs_and_layouts_key_separately() {
-        let (prog, pre, image, input) = setup(1);
-        let fp = program_fingerprint(&prog);
-        let cache = KernelCache::new(4, 8);
-        let opts = KernelOptions::new().disassembly(false);
-        cache.get_or_bake(fp, &pre, &image, &input, &opts).unwrap();
-        // Different trip count: distinct key.
-        let (_, l) = cache
-            .get_or_bake(fp, &pre, &image, &RunInput::with_ub(60), &opts)
-            .unwrap();
-        assert!(!l.hit);
-        // Same program and input, same layout (known alignments): hit
-        // even from a *different* image with the same placement.
-        let refill = MemoryImage::with_seed(prog.source(), VectorShape::V16, 999);
-        let (_, l) = cache.get_or_bake(fp, &pre, &refill, &input, &opts).unwrap();
-        assert!(l.hit, "layout-equal image must hit");
-        assert_eq!(cache.stats().occupied(), 2);
-    }
-
-    #[test]
-    fn lru_evicts_oldest_within_shard() {
-        let (prog, pre, image, _) = setup(1);
-        let fp = program_fingerprint(&prog);
-        // One shard, capacity 2: the third distinct input evicts the
-        // least recently used of the first two.
-        let cache = KernelCache::new(1, 2);
-        let opts = KernelOptions::new().disassembly(false);
-        let inputs: Vec<RunInput> = (0..3).map(|k| RunInput::with_ub(50 + k)).collect();
-        cache.get_or_bake(fp, &pre, &image, &inputs[0], &opts).unwrap();
-        cache.get_or_bake(fp, &pre, &image, &inputs[1], &opts).unwrap();
-        // Touch input 0 so input 1 is LRU.
-        let (_, l) = cache.get_or_bake(fp, &pre, &image, &inputs[0], &opts).unwrap();
-        assert!(l.hit);
-        let (_, l) = cache.get_or_bake(fp, &pre, &image, &inputs[2], &opts).unwrap();
-        assert!(!l.hit && l.evicted);
-        let (_, l) = cache.get_or_bake(fp, &pre, &image, &inputs[0], &opts).unwrap();
-        assert!(l.hit, "recently used entry must survive eviction");
-        let (_, l) = cache.get_or_bake(fp, &pre, &image, &inputs[1], &opts).unwrap();
-        assert!(!l.hit, "LRU entry must have been evicted");
-        let stats = cache.stats();
-        assert_eq!(stats.evictions, 2);
-        assert_eq!(stats.occupancy, vec![2]);
-        assert_eq!(stats.capacity_per_shard, 2);
-    }
-
-    #[test]
-    fn concurrent_lookups_share_one_bake_per_key() {
-        let (prog, pre, image, _) = setup(1);
-        let fp = program_fingerprint(&prog);
-        let cache = KernelCache::new(8, 32);
-        let opts = KernelOptions::new().disassembly(false);
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    for k in 0..32u64 {
-                        let input = RunInput::with_ub(50 + (k % 4));
-                        let (kernel, _) = cache
-                            .get_or_bake(fp, &pre, &image, &input, &opts)
-                            .unwrap();
-                        let mut img = image.clone();
-                        kernel.run(&mut img).unwrap();
-                    }
-                });
-            }
-        });
-        let stats = cache.stats();
-        assert_eq!(stats.hits + stats.misses, 8 * 32);
-        assert_eq!(stats.occupied(), 4, "4 distinct keys resident");
-        // Racing first-touch bakes may duplicate, but never exceed one
-        // per thread per key.
-        assert!(stats.misses >= 4 && stats.misses <= 32, "{stats:?}");
-        cache.clear();
-        let cleared = cache.stats();
-        assert_eq!(cleared.occupied(), 0);
-        assert_eq!(cleared.hits + cleared.misses + cleared.evictions, 0);
-    }
-
-    #[test]
-    fn bake_errors_do_not_populate() {
-        let (prog, pre, image, _) = setup(1);
-        let fp = program_fingerprint(&prog);
-        let cache = KernelCache::new(2, 4);
-        let opts = KernelOptions::new();
-        // figure-style loop with a declared runtime ub has no params;
-        // force a trip mismatch via a fixed-trip program instead.
-        let fixed = program(
-            "arrays { a: i32[256] @ 0; b: i32[256] @ 4; }
-             for i in 0..100 { a[i] = b[i+1]; }",
-            Policy::Zero,
-        );
-        let fixed_pre = PredecodedKernel::new(&fixed).unwrap();
-        let fixed_img = MemoryImage::with_seed(fixed.source(), VectorShape::V16, 3);
-        let bad = RunInput::with_ub(7);
-        assert!(cache
-            .get_or_bake(program_fingerprint(&fixed), &fixed_pre, &fixed_img, &bad, &opts)
-            .is_err());
-        assert_eq!(cache.stats().occupied(), 0);
-        // The good path still works afterwards.
-        let (_, l) = cache
-            .get_or_bake(fp, &pre, &image, &RunInput::with_ub(100), &opts)
-            .unwrap();
-        assert!(!l.hit);
-        assert_eq!(cache.stats().occupied(), 1);
-    }
-
-    #[test]
-    fn capacity_one_evicts_in_strict_alternation() {
-        // The degenerate LRU: capacity 1 means every distinct key
-        // displaces the previous one, so an A/B/A/B access pattern
-        // never hits and evicts on every insert after the first.
-        let (prog, pre, image, _) = setup(1);
-        let fp = program_fingerprint(&prog);
-        let cache = KernelCache::new(1, 1);
-        let opts = KernelOptions::new().disassembly(false);
-        let a = RunInput::with_ub(50);
-        let b = RunInput::with_ub(60);
-        let (_, l) = cache.get_or_bake(fp, &pre, &image, &a, &opts).unwrap();
-        assert!(!l.hit && !l.evicted, "first insert fills the empty slot");
-        for round in 0..3 {
-            for input in [&b, &a] {
-                let (_, l) = cache.get_or_bake(fp, &pre, &image, input, &opts).unwrap();
-                assert!(!l.hit && l.evicted, "round {round}: thrashing never hits");
-            }
-        }
-        // Re-touching the key that is actually resident does hit.
-        let (_, l) = cache.get_or_bake(fp, &pre, &image, &a, &opts).unwrap();
-        assert!(l.hit);
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.evictions), (1, 7, 6));
-        assert_eq!(stats.occupied(), 1);
-    }
-
-    #[test]
-    fn same_key_race_converges_to_one_entry_with_identical_bytes() {
-        // Two threads race get_or_bake on the *same* key: at most both
-        // bake (the insert refreshes), exactly one entry stays
-        // resident, and whichever kernel each thread got produces
-        // byte-identical output.
-        let (prog, pre, image, input) = setup(5);
-        let fp = program_fingerprint(&prog);
-        let cache = KernelCache::new(1, 4);
-        let opts = KernelOptions::new().disassembly(false);
-        let results: Vec<MemoryImage> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..2)
-                .map(|_| {
-                    s.spawn(|| {
-                        let (kernel, _) = cache
-                            .get_or_bake(fp, &pre, &image, &input, &opts)
-                            .unwrap();
-                        let mut img = image.clone();
-                        kernel.run(&mut img).unwrap();
-                        img
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert_eq!(
-            results[0].first_difference(&results[1]),
-            None,
-            "racing bakes of one key must produce identical bytes"
-        );
-        let stats = cache.stats();
-        assert_eq!(stats.occupied(), 1, "one key, one resident entry");
-        assert_eq!(stats.hits + stats.misses, 2);
-        assert_eq!(stats.evictions, 0, "a same-key refresh is not an eviction");
-        // The surviving entry serves subsequent lookups.
-        let (_, l) = cache.get_or_bake(fp, &pre, &image, &input, &opts).unwrap();
-        assert!(l.hit);
-    }
-
-    #[test]
-    fn backends_and_isa_levels_key_separately() {
-        // The same (program, input, layout) cached for the fused
-        // interpreter, the scalar-tier lowering and the best host tier
-        // must be three distinct residents — and the two lowerings must
-        // pin their distinct ISA levels. Occupancy/eviction invariants
-        // from the plain-backend tests keep holding throughout.
-        let (prog, pre, image, input) = setup(1);
-        let fp = program_fingerprint(&prog);
-        let cache = KernelCache::new(1, 8);
-        let opts = KernelOptions::new().disassembly(false);
-        let (baked, l) = cache.get_or_bake(fp, &pre, &image, &input, &opts).unwrap();
-        assert!(!l.hit);
-        let (scalar, l) = cache
-            .get_or_bake_simd(fp, &pre, &image, &input, &opts, IsaLevel::Scalar)
-            .unwrap();
-        assert!(!l.hit, "scalar lowering is not the baked kernel");
-        let best = IsaLevel::host_best();
-        let (fast, l) = cache
-            .get_or_bake_simd(fp, &pre, &image, &input, &opts, best)
-            .unwrap();
-        if best == IsaLevel::Scalar {
-            assert!(l.hit, "scalar-only host: same tier, same entry");
-        } else {
-            assert!(!l.hit, "two ISA levels are two entries");
-            assert_ne!(scalar.isa(), fast.isa());
-        }
-        let expected = if best == IsaLevel::Scalar { 2 } else { 3 };
-        let stats = cache.stats();
-        assert_eq!(stats.occupied(), expected);
-        assert_eq!(stats.misses - stats.evictions, stats.occupied() as u64);
-        // Every variant hits its own entry on re-lookup and all three
-        // execute to identical bytes.
-        let (_, l) = cache.get_or_bake(fp, &pre, &image, &input, &opts).unwrap();
-        assert!(l.hit);
-        let (_, l) = cache
-            .get_or_bake_simd(fp, &pre, &image, &input, &opts, IsaLevel::Scalar)
-            .unwrap();
-        assert!(l.hit);
-        let mut want = image.clone();
-        baked.run(&mut want).unwrap();
-        for kernel in [&scalar, &fast] {
-            let mut got = image.clone();
-            kernel.run(&mut got).unwrap();
-            assert_eq!(got.first_difference(&want), None, "{}", kernel.isa());
-        }
-    }
-
-    #[test]
-    fn simd_entries_participate_in_lru_eviction() {
-        // Mixed-backend entries share the same LRU arena: with capacity
-        // 2, inserting baked + two lowerings evicts the oldest.
-        let (prog, pre, image, input) = setup(2);
-        let fp = program_fingerprint(&prog);
-        let cache = KernelCache::new(1, 2);
-        let opts = KernelOptions::new().disassembly(false);
-        cache.get_or_bake(fp, &pre, &image, &input, &opts).unwrap();
-        let (_, l) = cache
-            .get_or_bake_simd(fp, &pre, &image, &input, &opts, IsaLevel::Scalar)
-            .unwrap();
-        assert!(!l.hit && !l.evicted);
-        let best = IsaLevel::host_best();
-        if best == IsaLevel::Scalar {
-            return; // no third distinct key available on this host
-        }
-        let (_, l) = cache
-            .get_or_bake_simd(fp, &pre, &image, &input, &opts, best)
-            .unwrap();
-        assert!(!l.hit && l.evicted, "third key evicts the LRU baked entry");
-        let (_, l) = cache.get_or_bake(fp, &pre, &image, &input, &opts).unwrap();
-        assert!(!l.hit, "baked entry was the eviction victim");
-        let stats = cache.stats();
-        assert_eq!(stats.occupied(), 2);
-        assert_eq!(stats.misses - stats.evictions, stats.occupied() as u64);
-    }
-
-    #[test]
-    fn eviction_counter_matches_occupancy_delta() {
-        // Inserts minus evictions must equal residents at every step:
-        // the counters and the occupancy snapshot describe the same
-        // history.
-        let (prog, pre, image, _) = setup(1);
-        let fp = program_fingerprint(&prog);
-        let cache = KernelCache::new(1, 3);
-        let opts = KernelOptions::new().disassembly(false);
-        for k in 0..10u64 {
-            let input = RunInput::with_ub(40 + k);
-            let (_, l) = cache.get_or_bake(fp, &pre, &image, &input, &opts).unwrap();
-            assert!(!l.hit, "all keys distinct");
-            let stats = cache.stats();
-            assert_eq!(
-                stats.misses - stats.evictions,
-                stats.occupied() as u64,
-                "after insert {k}: {stats:?}"
-            );
-            assert_eq!(l.evicted, k >= 3, "evictions start when capacity fills");
-        }
-        let stats = cache.stats();
-        assert_eq!(stats.occupied(), 3);
-        assert_eq!(stats.evictions, 7);
-        cache.clear();
-        assert_eq!(cache.stats().occupied(), 0);
     }
 }

@@ -26,14 +26,18 @@
 //! After baking, the [`trace`](crate::trace) pass (on by default)
 //! fuses superinstructions, hoists loop invariants into per-loop
 //! headers and strips dead ops — without changing a single stored byte
-//! or stat, since [`RunStats`] are fixed before fusion runs.
+//! or stat, since [`RunStats`] are fixed before fusion runs. The last
+//! step of a bake renames the plan's registers onto one dense block
+//! and decides which loop sections may run in strips
+//! (`native::lower`); what comes out is what every tier executes.
 
-use crate::lanes::{self, Reg};
+use crate::lanes::Reg;
+use crate::native::{self, IsaLevel, Program, Schedule, SectionSchedule};
 use crate::trace::{self, FusionEvent, FusionStats};
 use simdize_codegen::{SCond, SExpr, ScalarEnv, SimdProgram, VInst};
 use simdize_ir::{ArrayId, BinOp, LoopProgram, ScalarType, UnOp, Value, VectorShape};
 use simdize_vm::{
-    run_scalar, runtime_expr_count, scalar_ideal_ops, ExecError, Executor, MemoryImage, RunInput,
+    run_scalar, runtime_expr_count, scalar_ideal_ops, ExecError, MemoryImage, RunInput,
     RunStats, CALL_OVERHEAD, LOOP_OVERHEAD_PER_ITERATION, RUNTIME_SETUP_PER_EXPR,
 };
 use simdize_telemetry as telemetry;
@@ -43,11 +47,18 @@ use std::sync::Arc;
 /// The one vector width the engine has kernels for.
 pub(crate) const V: i64 = 16;
 
-/// One pre-lowered engine instruction. Memory operands are raw byte
-/// offsets into the image — `at = start + iteration · step` — with any
-/// chunk truncation already applied; all scalar operands are folded.
-/// `arr` identifies the accessed array so the trace pass can reason
-/// about aliasing (array guarded regions never overlap).
+/// "No register", in [`Op::regs`] triples and lowering's slot tables.
+pub(crate) const NO_REG: u32 = u32::MAX;
+
+/// One lowered engine instruction — the only lowered form: baking
+/// emits it, the trace pass rewrites it, register renaming finishes it
+/// and the strip driver executes it on every tier. Memory operands are
+/// raw byte offsets into the image — `at = start + iteration · step` —
+/// with any chunk truncation already applied; all scalar operands are
+/// folded. `arr` identifies the accessed array so the trace pass can
+/// reason about aliasing (array guarded regions never overlap).
+/// Register operands are baked ids until renaming, offsets into the
+/// run's register block after it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Op {
     Load { dst: u32, arr: u32, start: i64, step: i64 },
@@ -66,6 +77,41 @@ pub(crate) enum Op {
     BinSplat { dst: u32, op: BinOp, a: u32, imm: Reg, imm_left: bool },
     Un { dst: u32, op: UnOp, a: u32 },
     Copy { dst: u32, src: u32 },
+}
+
+impl Op {
+    /// The registers the op names — `[written, read, read]` —
+    /// [`NO_REG`] where it has no such operand.
+    pub(crate) fn regs(&self) -> [u32; 3] {
+        match *self {
+            Op::Load { dst, .. } | Op::LoadFused { dst, .. } | Op::Splat { dst, .. } => {
+                [dst, NO_REG, NO_REG]
+            }
+            Op::Store { src, .. } => [NO_REG, src, NO_REG],
+            Op::Copy { dst, src } => [dst, src, NO_REG],
+            Op::Shift { dst, a, b, .. }
+            | Op::Splice { dst, a, b, .. }
+            | Op::Perm { dst, a, b, .. }
+            | Op::Bin { dst, a, b, .. } => [dst, a, b],
+            Op::BinSplat { dst, a, .. } | Op::Un { dst, a, .. } => [dst, a, NO_REG],
+        }
+    }
+
+    /// Renames every register the op names through `f`.
+    pub(crate) fn rename(&mut self, f: impl Fn(u32) -> u32) {
+        match self {
+            Op::Load { dst, .. } | Op::LoadFused { dst, .. } | Op::Splat { dst, .. } => {
+                *dst = f(*dst)
+            }
+            Op::Store { src, .. } => *src = f(*src),
+            Op::Copy { dst, src } => (*dst, *src) = (f(*dst), f(*src)),
+            Op::Shift { dst, a, b, .. }
+            | Op::Splice { dst, a, b, .. }
+            | Op::Perm { dst, a, b, .. }
+            | Op::Bin { dst, a, b, .. } => (*dst, *a, *b) = (f(*dst), f(*a), f(*b)),
+            Op::BinSplat { dst, a, .. } | Op::Un { dst, a, .. } => (*dst, *a) = (f(*dst), f(*a)),
+        }
+    }
 }
 
 /// The `ub ≤ 3B` guard resolved to the scalar path at compile time.
@@ -177,31 +223,33 @@ pub struct PredecodedKernel {
 /// tests enforce byte-for-byte and stat-for-stat equality with the
 /// interpreter whether fusion is on or off.
 ///
+/// The baked plan is immutable and shared: cloning a kernel, or pinning
+/// it to an ISA tier with [`SimdKernel::lower`](crate::SimdKernel::lower),
+/// copies a pointer, not the plan.
+///
 /// [`run`]: CompiledKernel::run
 /// [`stats`]: CompiledKernel::stats
 #[derive(Debug, Clone)]
 pub struct CompiledKernel {
-    // Section fields are crate-visible so the `native` lowering pass can
-    // translate the baked plan without re-deriving it.
-    pub(crate) prologue: Vec<Op>,
-    pub(crate) pair_header: Vec<Op>,
-    pub(crate) pair: Vec<Op>,
-    pub(crate) pair_iters: i64,
-    pub(crate) body_header: Vec<Op>,
-    pub(crate) body: Vec<Op>,
-    pub(crate) body_iters: i64,
-    pub(crate) epilogue: Vec<Op>,
-    pub(crate) nregs: usize,
-    pub(crate) elem: ScalarType,
+    plan: Arc<Plan>,
+}
+
+/// Everything a bake produces.
+#[derive(Debug)]
+struct Plan {
+    /// The lowered sections, in execution order, over one register
+    /// block; empty for a scalar-fallback kernel.
+    program: Program,
+    schedule: Schedule,
     shape: VectorShape,
     stats: RunStats,
     bases: Vec<u64>,
     image_len: usize,
     fallback: Option<FallbackPlan>,
     disassembly: String,
+    trace: String,
     fusion: FusionStats,
     fusion_events: Vec<FusionEvent>,
-    fused: bool,
 }
 
 struct Env<'a> {
@@ -716,17 +764,16 @@ impl PredecodedKernel {
             stats.used_fallback = true;
             stats.scalar_fallback =
                 scalar_ideal_ops(&self.source, ub) + ub * LOOP_OVERHEAD_PER_ITERATION;
-            return Ok(CompiledKernel {
-                prologue: Vec::new(),
-                pair_header: Vec::new(),
-                pair: Vec::new(),
-                pair_iters: 0,
-                body_header: Vec::new(),
-                body: Vec::new(),
-                body_iters: 0,
-                epilogue: Vec::new(),
-                nregs: 0,
-                elem: self.elem,
+            let disassembly = format!(
+                "; scalar fallback: ub = {ub} <= guard {}\n",
+                self.guard_min_trip
+            );
+            return Ok(CompiledKernel::new(Plan {
+                program: Program { sections: Vec::new(), nregs: 0, elem: self.elem },
+                schedule: Schedule {
+                    pair: SectionSchedule::Sequential,
+                    body: SectionSchedule::Sequential,
+                },
                 shape: image.shape(),
                 stats,
                 bases,
@@ -736,14 +783,11 @@ impl PredecodedKernel {
                     ub,
                     params: input.params.clone(),
                 }),
-                disassembly: format!(
-                    "; scalar fallback: ub = {ub} <= guard {}\n",
-                    self.guard_min_trip
-                ),
+                trace: disassembly.clone(),
+                disassembly,
                 fusion: FusionStats::default(),
                 fusion_events: Vec::new(),
-                fused: opts.fuse,
-            });
+            }));
         }
 
         stats.invocation_overhead += RUNTIME_SETUP_PER_EXPR * self.runtime_exprs;
@@ -851,27 +895,46 @@ impl PredecodedKernel {
             (Vec::new(), Vec::new(), FusionStats::default(), Vec::new())
         };
 
-        Ok(CompiledKernel {
-            prologue,
-            pair_header,
-            pair,
-            pair_iters,
-            body_header,
-            body,
-            body_iters,
-            epilogue,
-            nregs: self.nregs,
-            elem: self.elem,
+        let trace = match opts.disassembly {
+            true => TraceListing { bases: &bases, elem: self.elem }.render(
+                &format!(
+                    "; trace: V={V} regs={} fused={} fused-loads={} splat-ops={} hoisted={} eliminated={}",
+                    self.nregs, opts.fuse, fusion.fused_loads, fusion.splat_ops, fusion.hoisted,
+                    fusion.eliminated
+                ),
+                &prologue,
+                [("pair", &pair_header, &pair, pair_iters), ("body", &body_header, &body, body_iters)],
+                &epilogue,
+            ),
+            false => String::new(),
+        };
+
+        // Nothing reads the baked register ids past this point: rename
+        // them onto one dense block and settle each loop's schedule.
+        let (program, schedule) = {
+            let _span = telemetry::span("lower");
+            native::lower(
+                prologue,
+                [(pair_header, pair, pair_iters), (body_header, body, body_iters)],
+                epilogue,
+                self.nregs,
+                self.elem,
+            )
+        };
+
+        Ok(CompiledKernel::new(Plan {
+            program,
+            schedule,
             shape: image.shape(),
             stats,
             bases,
             image_len: image.bytes().len(),
             fallback: None,
             disassembly: bk.dis,
+            trace,
             fusion,
             fusion_events,
-            fused: opts.fuse,
-        })
+        }))
     }
 }
 
@@ -899,20 +962,27 @@ impl CompiledKernel {
         PredecodedKernel::new(program)?.bake(image, input, &KernelOptions::default())
     }
 
+    fn new(plan: Plan) -> CompiledKernel {
+        CompiledKernel { plan: Arc::new(plan) }
+    }
+
     /// Whether `image` has the exact layout this kernel was baked for
     /// (shape, element type, total length, every array base).
     pub fn layout_matches(&self, image: &MemoryImage) -> bool {
-        image.shape() == self.shape
-            && image.elem() == self.elem
-            && image.bytes().len() == self.image_len
-            && (0..self.bases.len())
-                .all(|k| image.base_of(ArrayId::from_index(k)) == self.bases[k])
+        let plan = &*self.plan;
+        image.shape() == plan.shape
+            && image.elem() == plan.program.elem
+            && image.bytes().len() == plan.image_len
+            && (0..plan.bases.len())
+                .all(|k| image.base_of(ArrayId::from_index(k)) == plan.bases[k])
     }
 
     /// Executes the kernel against `image`, which must have the layout
-    /// the kernel was compiled for.
+    /// the kernel was compiled for, on the portable tier every host
+    /// has; [`SimdKernel`](crate::SimdKernel) runs the same plan on the
+    /// host's `std::arch` tier.
     ///
-    /// The pre-lowered path is fault-free by construction (every access
+    /// The lowered plan is fault-free by construction (every access
     /// and register was validated at compile time), so the hot loop is
     /// pure dispatch. Returns the compile-time [`RunStats`].
     ///
@@ -922,62 +992,62 @@ impl CompiledKernel {
     /// than the compile-time one; scalar-fallback kernels propagate
     /// [`run_scalar`] faults.
     pub fn run(&self, image: &mut MemoryImage) -> Result<RunStats, ExecError> {
+        self.run_at(IsaLevel::Scalar, image)
+    }
+
+    /// [`run`](CompiledKernel::run) on the tier `isa` names.
+    pub(crate) fn run_at(
+        &self,
+        isa: IsaLevel,
+        image: &mut MemoryImage,
+    ) -> Result<RunStats, ExecError> {
         let _span = telemetry::span("run");
         if !self.layout_matches(image) {
             return Err(ExecError::Unsupported {
                 what: "a memory image with a different layout than compiled for",
             });
         }
-        if let Some(fb) = &self.fallback {
-            run_scalar(&fb.source, image, fb.ub, &fb.params)?;
-            return Ok(self.stats);
+        let plan = &*self.plan;
+        match &plan.fallback {
+            Some(fb) => run_scalar(&fb.source, image, fb.ub, &fb.params).map(drop)?,
+            None => native::exec(isa, &plan.program, image.bytes_mut()),
         }
-        let mut regs = vec![[0u8; 16]; self.nregs];
-        let elem = self.elem;
-        let mem = image.bytes_mut();
-        exec_section(&self.prologue, 0, elem, &mut regs, mem);
-        if self.pair_iters > 0 {
-            exec_section(&self.pair_header, 0, elem, &mut regs, mem);
-            for k in 0..self.pair_iters {
-                exec_section(&self.pair, k, elem, &mut regs, mem);
-            }
-        }
-        if self.body_iters > 0 {
-            exec_section(&self.body_header, 0, elem, &mut regs, mem);
-            for k in 0..self.body_iters {
-                exec_section(&self.body, k, elem, &mut regs, mem);
-            }
-        }
-        exec_section(&self.epilogue, 0, elem, &mut regs, mem);
-        Ok(self.stats)
+        Ok(plan.stats)
     }
 
     /// The dynamic instruction counts this kernel's execution produces,
     /// computed analytically at compile time (before trace fusion, so
     /// fused and unfused kernels report identical stats).
     pub fn stats(&self) -> RunStats {
-        self.stats
+        self.plan.stats
     }
 
     /// Whether the `ub ≤ 3B` guard resolved to the scalar path.
     pub fn is_fallback(&self) -> bool {
-        self.fallback.is_some()
+        self.plan.fallback.is_some()
+    }
+
+    /// How [`run`](CompiledKernel::run) executes the two loop sections:
+    /// in strips where lowering proved that equivalent to program
+    /// order, else sequentially. The same on every tier.
+    pub fn schedule(&self) -> Schedule {
+        self.plan.schedule
     }
 
     /// What the trace fusion pass did to this kernel (all zero when
     /// baked with fusion disabled).
     pub fn fusion_stats(&self) -> FusionStats {
-        self.fusion
+        self.plan.fusion
     }
 
     /// The individual rewrites the trace fusion pass applied, in order
     /// (empty when baked with fusion disabled). Each names its section
     /// and — for fused loads — the array.
     pub fn fusion_events(&self) -> &[FusionEvent] {
-        &self.fusion_events
+        &self.plan.fusion_events
     }
 
-    /// A human-readable listing of the lowered kernel: baked offsets,
+    /// A human-readable listing of the baked kernel: baked offsets,
     /// folded scalars, resolved guards and per-section iteration
     /// counts. Offsets are printed relative to each array's base so the
     /// text is stable across layouts of the same program. This listing
@@ -985,54 +1055,67 @@ impl CompiledKernel {
     /// [`trace`](CompiledKernel::trace) for the fused form. Empty when
     /// baked with the disassembly disabled.
     pub fn disassembly(&self) -> &str {
-        &self.disassembly
+        &self.plan.disassembly
     }
 
-    /// The pre-decoded execution trace actually dispatched by
-    /// [`run`](CompiledKernel::run): fused superinstructions
-    /// (`vload.fused`, immediate binops), hoisted per-loop headers and
-    /// dead ops stripped. Like the disassembly, offsets are printed
-    /// relative to array bases so the text is stable across layouts.
-    pub fn trace(&self) -> String {
-        if self.fallback.is_some() {
-            return self.disassembly.clone();
-        }
-        let mut out = String::new();
-        let f = &self.fusion;
-        let _ = writeln!(
-            out,
-            "; trace: V={V} regs={} fused={} fused-loads={} splat-ops={} hoisted={} eliminated={}",
-            self.nregs, self.fused, f.fused_loads, f.splat_ops, f.hoisted, f.eliminated
-        );
-        self.render_section(&mut out, "prologue", &self.prologue, 1);
-        if self.pair_iters > 0 {
-            if !self.pair_header.is_empty() {
-                self.render_section(&mut out, "pair.header", &self.pair_header, 1);
+    /// The plan [`run`](CompiledKernel::run) dispatches, listed before
+    /// its registers are renamed so it reads against the disassembly:
+    /// fused superinstructions (`vload.fused`, immediate binops),
+    /// hoisted per-loop headers and dead ops stripped. Like the
+    /// disassembly, offsets are printed relative to array bases so the
+    /// text is stable across layouts, and it is empty when baked with
+    /// the disassembly disabled.
+    pub fn trace(&self) -> &str {
+        &self.plan.trace
+    }
+
+    /// Registers in the run's block; the driver's columns.
+    #[cfg(test)]
+    pub(crate) fn block_registers(&self) -> usize {
+        self.plan.program.nregs
+    }
+}
+
+/// Renders [`CompiledKernel::trace`].
+struct TraceListing<'a> {
+    bases: &'a [u64],
+    elem: ScalarType,
+}
+
+impl TraceListing<'_> {
+    fn render(
+        &self,
+        header: &str,
+        prologue: &[Op],
+        loops: [(&str, &Vec<Op>, &Vec<Op>, i64); 2],
+        epilogue: &[Op],
+    ) -> String {
+        let mut out = format!("{header}\n");
+        self.section(&mut out, "prologue", prologue, 1);
+        for (name, header, ops, iters) in loops {
+            if iters > 0 {
+                if !header.is_empty() {
+                    self.section(&mut out, &format!("{name}.header"), header, 1);
+                }
+                self.section(&mut out, name, ops, iters);
             }
-            self.render_section(&mut out, "pair", &self.pair, self.pair_iters);
         }
-        if self.body_iters > 0 {
-            if !self.body_header.is_empty() {
-                self.render_section(&mut out, "body.header", &self.body_header, 1);
-            }
-            self.render_section(&mut out, "body", &self.body, self.body_iters);
-        }
-        self.render_section(&mut out, "epilogue", &self.epilogue, 1);
+        self.section(&mut out, "epilogue", epilogue, 1);
         out
     }
 
-    fn render_section(&self, out: &mut String, name: &str, ops: &[Op], iters: i64) {
+    fn section(&self, out: &mut String, name: &str, ops: &[Op], iters: i64) {
         if iters == 1 {
             let _ = writeln!(out, "{name}:");
         } else {
             let _ = writeln!(out, "{name} x{iters}:");
         }
         for op in ops {
-            let _ = writeln!(out, "{}", self.render_op(op));
+            let _ = writeln!(out, "{}", self.op(op));
         }
     }
 
-    fn render_op(&self, op: &Op) -> String {
+    fn op(&self, op: &Op) -> String {
         let addr = |arr: u32, start: i64, step: i64| {
             let a = ArrayId::from_index(arr as usize);
             let rel = start - self.bases[arr as usize] as i64;
@@ -1085,28 +1168,6 @@ impl CompiledKernel {
     }
 }
 
-/// The compiled-engine [`Executor`]: compiles a kernel per call and
-/// runs it. Use [`CompiledKernel`] directly to amortize compilation
-/// over repeated runs, and [`PredecodedKernel`] to amortize pre-decoding
-/// over many layouts of one program.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NativeEngine;
-
-impl Executor for NativeEngine {
-    fn execute(
-        &self,
-        program: &SimdProgram,
-        image: &mut MemoryImage,
-        input: &RunInput,
-    ) -> Result<RunStats, ExecError> {
-        CompiledKernel::compile(program, image, input)?.run(image)
-    }
-
-    fn name(&self) -> &'static str {
-        "native"
-    }
-}
-
 /// Highest register index mentioned anywhere in the program.
 fn max_reg(program: &SimdProgram) -> usize {
     let mut max = 0usize;
@@ -1142,76 +1203,13 @@ fn scaled(counts: RunStats, n: u64) -> RunStats {
     }
 }
 
-/// The dispatch loop: executes one straight-line section for iteration
-/// `k`, with every address `start + k · step`.
-fn exec_section(ops: &[Op], k: i64, elem: ScalarType, regs: &mut [Reg], mem: &mut [u8]) {
-    for op in ops {
-        match *op {
-            Op::Load { dst, start, step, .. } | Op::LoadFused { dst, start, step, .. } => {
-                let at = (start + k * step) as usize;
-                regs[dst as usize].copy_from_slice(&mem[at..at + 16]);
-            }
-            Op::Store { src, start, step, .. } => {
-                let at = (start + k * step) as usize;
-                mem[at..at + 16].copy_from_slice(&regs[src as usize]);
-            }
-            Op::Shift { dst, a, b, amt } => {
-                let av = regs[a as usize];
-                let bv = regs[b as usize];
-                let amt = amt as usize;
-                let out = &mut regs[dst as usize];
-                out[..16 - amt].copy_from_slice(&av[amt..]);
-                out[16 - amt..].copy_from_slice(&bv[..amt]);
-            }
-            Op::Splice { dst, a, b, point } => {
-                let av = regs[a as usize];
-                let bv = regs[b as usize];
-                let p = point as usize;
-                let out = &mut regs[dst as usize];
-                out[..p].copy_from_slice(&av[..p]);
-                out[p..].copy_from_slice(&bv[p..]);
-            }
-            Op::Perm {
-                dst,
-                a,
-                b,
-                ref pattern,
-            } => {
-                let mut pair = [0u8; 32];
-                pair[..16].copy_from_slice(&regs[a as usize]);
-                pair[16..].copy_from_slice(&regs[b as usize]);
-                let out = &mut regs[dst as usize];
-                for (t, &sel) in pattern.iter().enumerate() {
-                    out[t] = pair[sel as usize];
-                }
-            }
-            Op::Splat { dst, bytes } => regs[dst as usize] = bytes,
-            Op::Bin { dst, op, a, b } => {
-                regs[dst as usize] = lanes::bin(op, elem, &regs[a as usize], &regs[b as usize]);
-            }
-            Op::BinSplat { dst, op, a, ref imm, imm_left } => {
-                let av = regs[a as usize];
-                regs[dst as usize] = if imm_left {
-                    lanes::bin(op, elem, imm, &av)
-                } else {
-                    lanes::bin(op, elem, &av, imm)
-                };
-            }
-            Op::Un { dst, op, a } => {
-                regs[dst as usize] = lanes::un(op, elem, &regs[a as usize]);
-            }
-            Op::Copy { dst, src } => regs[dst as usize] = regs[src as usize],
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use simdize_codegen::{generate, CodegenOptions, ReuseMode};
     use simdize_ir::parse_program;
     use simdize_reorg::{Policy, ReorgGraph};
-    use simdize_vm::{run_simd, Interpreter};
+    use simdize_vm::run_simd;
 
     const FIG1: &str = "arrays { a: i32[128] @ 0; b: i32[128] @ 0; c: i32[128] @ 0; }
                         for i in 0..100 { a[i+3] = b[i+1] + c[i+2]; }";
@@ -1263,7 +1261,10 @@ mod tests {
                 let mut interp_img = MemoryImage::with_seed(&source, VectorShape::V16, seed);
                 let mut engine_img = interp_img.clone();
                 let want = run_simd(&prog, &mut interp_img, &input).unwrap();
-                let got = NativeEngine.execute(&prog, &mut engine_img, &input).unwrap();
+                let got = CompiledKernel::compile(&prog, &engine_img, &input)
+                    .unwrap()
+                    .run(&mut engine_img)
+                    .unwrap();
                 assert_eq!(got, want, "seed {seed} ub {ub}");
                 assert_eq!(engine_img.first_difference(&interp_img), None);
             }
@@ -1348,12 +1349,6 @@ mod tests {
             run_simd(&prog, &mut interp_img, &input).unwrap();
             assert_eq!(engine_img.first_difference(&interp_img), None, "fill {fill}");
         }
-    }
-
-    #[test]
-    fn executor_names() {
-        assert_eq!(NativeEngine.name(), "native");
-        assert_eq!(Interpreter.name(), "interp");
     }
 
     #[test]

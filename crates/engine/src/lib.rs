@@ -1,4 +1,4 @@
-//! A compiled native execution engine for simdized loops.
+//! A compiled execution engine for simdized loops.
 //!
 //! The interpreter in `simdize-vm` is the *reference semantics*: it
 //! walks [`simdize_codegen::SimdProgram`] instruction by instruction,
@@ -6,12 +6,14 @@
 //! allocating a fresh `Vec<u8>` per register write. That is exactly
 //! right for an oracle and far too slow for large sweeps.
 //!
-//! This crate adds the second execution tier, split in two phases so
-//! repeated work is shared. [`PredecodedKernel`] does everything that
-//! depends only on the program (shape checks, permutation validation,
-//! constant splats, address reduction); [`PredecodedKernel::bake`]
-//! (or the one-shot [`CompiledKernel::compile`]) finishes the job per
-//! (memory layout, runtime input) pair —
+//! This crate is the fast path, and there is one of it: **bake → fuse
+//! → rename and schedule → strip driver → tier**. Compilation is split
+//! in two phases so repeated work is shared. [`PredecodedKernel`] does
+//! everything that depends only on the program (shape checks,
+//! permutation validation, constant splats, address reduction);
+//! [`PredecodedKernel::bake`] (or the one-shot
+//! [`CompiledKernel::compile`]) finishes the job per (memory layout,
+//! runtime input) pair —
 //!
 //! * every scalar expression (alignment masks, shift amounts, splice
 //!   points, runtime trip bounds) evaluated exactly once,
@@ -22,40 +24,40 @@
 //!   defined-before-use up front,
 //! * dynamic instruction counts computed analytically —
 //!
-//! and then executes prologue, steady state and epilogue as
-//! straight-line slices of a flat `[u8; 16]`-register machine in a
-//! tight dispatch loop. On top of the baked trace a fusion pass
-//! (on by default, see [`FusionStats`]) rewrites `vload`+`vshiftpair`
-//! chains into single fused loads, folds known-operand arithmetic into
-//! splat/immediate forms, hoists loop invariants into once-run headers
-//! and deletes dead ops — shrinking the steady-state op count without
-//! changing a stored byte or a reported stat ([`RunStats`] are fixed
-//! before fusion). The engine is byte-for-byte and stat-for-stat
-//! identical to [`simdize_vm::run_simd`] (the differential tests
-//! enforce it, fused and unfused) while running orders of magnitude
-//! faster. The interpreter tiers stay `unsafe`-free — their hot-loop
-//! safety comes from compile-time validation — while the [`native`]
-//! intrinsics backend confines its `unsafe` to two audited
-//! per-architecture modules (`x86`, `neon`) behind the crate-wide
-//! `#![deny(unsafe_code)]` lint.
+//! into prologue, steady-state and epilogue sections of one lowered
+//! instruction form. On that plan a fusion pass (on by default, see
+//! [`FusionStats`]) rewrites `vload`+`vshiftpair` chains into single
+//! fused loads, folds known-operand arithmetic into splat/immediate
+//! forms, hoists loop invariants into once-run headers and deletes
+//! dead ops — shrinking the steady-state op count without changing a
+//! stored byte or a reported stat ([`RunStats`] are fixed before
+//! fusion). The bake ends by renaming registers onto one dense block
+//! and deciding which loops may run strip-mined ([`Schedule`]).
 //!
-//! The [`native`] module adds the third tier: [`SimdKernel`] lowers a
-//! baked (and trace-fused) plan to real `std::arch` intrinsics —
-//! SSE2 always on x86_64, AVX2 by runtime feature detection, NEON on
-//! aarch64, and a portable scalar tier everywhere — selected once per
-//! kernel by [`IsaLevel::detect`] and replayed through one strip-mined
-//! section driver ([`Schedule`]).
+//! One strip-mined driver executes the plan, instantiated per
+//! instruction tier ([`native`]): a portable tier every host has —
+//! what [`CompiledKernel::run`] uses — and real `std::arch`
+//! intrinsics — SSE2 always on x86_64, AVX2 by runtime feature
+//! detection, NEON on aarch64 — which [`SimdKernel`] pins a kernel to,
+//! by [`IsaLevel::detect`] unless told otherwise. Every tier is
+//! byte-for-byte and stat-for-stat identical to
+//! [`simdize_vm::run_simd`] (the differential tests enforce it, fused
+//! and unfused) while running orders of magnitude faster. `unsafe` is
+//! confined to two audited per-architecture modules (`x86`, `neon`)
+//! behind the crate-wide `#![deny(unsafe_code)]` lint; the driver
+//! hands them bounds-checked 16-byte windows.
 //!
 //! The [`batch`] module scales this to sweeps: many (program, seed)
 //! jobs distributed over scoped worker threads, each job compiled,
-//! executed and differentially verified, with per-job [`RunStats`].
-//! Sweeps pre-decode each distinct program once ([`SweepOptions`]) and
-//! reuse per-worker scratch images across jobs. Baked kernels live in
-//! a sharded, LRU-bounded [`cache::KernelCache`] keyed by *(program
-//! fingerprint, runtime input, memory layout)* — shared across workers
-//! within a sweep and, through [`batch::run_sweep_shared`], across
-//! sweeps entirely (the `simdize serve` server keeps one process-wide
-//! cache for every request it handles).
+//! executed on the detected tier and differentially verified, with
+//! per-job [`RunStats`]. Sweeps pre-decode each distinct program once
+//! and reuse per-worker scratch images across jobs. Baked kernels live
+//! in a sharded, LRU-bounded [`cache::KernelCache`] keyed by *(program
+//! fingerprint, runtime input, memory layout, ISA tier)* — shared
+//! across workers within a sweep and, through
+//! [`batch::run_sweep_shared`], across sweeps entirely (the `simdize
+//! serve` server keeps one process-wide cache for every request it
+//! handles).
 //!
 //! # Example
 //!
@@ -95,12 +97,12 @@ pub mod native;
 mod trace;
 
 pub use batch::{
-    run_sweep, run_sweep_collect, run_sweep_shared, run_sweep_with, CacheMode, SweepBackend,
+    run_sweep, run_sweep_collect, run_sweep_shared, SweepBackend,
     SweepJob, SweepOptions, SweepOutcome, SweepStats,
 };
 pub use cache::{
     program_fingerprint, CacheKey, CacheStats, KernelBackend, KernelCache, LayoutSig, Lookup,
 };
-pub use kernel::{CompiledKernel, KernelOptions, NativeEngine, PredecodedKernel};
+pub use kernel::{CompiledKernel, KernelOptions, PredecodedKernel};
 pub use native::{IsaLevel, Schedule, SectionSchedule, SimdEngine, SimdKernel};
 pub use trace::{FusionEvent, FusionEventKind, FusionStats};

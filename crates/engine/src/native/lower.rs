@@ -1,31 +1,11 @@
-//! Lowering a baked kernel onto the strip driver: which loop sections
-//! may run in strips, which column of the register block each baked
-//! register lives in, and the operands the intrinsics want
-//! precomputed.
+//! The last step of a bake, preparing a plan for the strip driver:
+//! which loop sections may run in strips, and which column of the
+//! register block each baked register lives in.
 
 use super::strip::{Program, Section, STRIP};
-use super::{NOp, Schedule, SectionSchedule};
-use crate::kernel::{CompiledKernel, Op, V};
-
-/// "No register", in operand triples and slots.
-const NONE: u32 = u32::MAX;
-
-/// The registers an op names — `[written, read, read]` — [`NONE`]
-/// where it has no such operand.
-fn regs(op: &Op) -> [u32; 3] {
-    match *op {
-        Op::Load { dst, .. } | Op::LoadFused { dst, .. } | Op::Splat { dst, .. } => {
-            [dst, NONE, NONE]
-        }
-        Op::Store { src, .. } => [NONE, src, NONE],
-        Op::Copy { dst, src } => [dst, src, NONE],
-        Op::Shift { dst, a, b, .. }
-        | Op::Splice { dst, a, b, .. }
-        | Op::Perm { dst, a, b, .. }
-        | Op::Bin { dst, a, b, .. } => [dst, a, b],
-        Op::BinSplat { dst, a, .. } | Op::Un { dst, a, .. } => [dst, a, NONE],
-    }
-}
+use super::{Schedule, SectionSchedule};
+use crate::kernel::{Op, NO_REG as NONE, V};
+use simdize_ir::ScalarType;
 
 /// What lowering tracks per baked register.
 #[derive(Clone, Copy)]
@@ -117,7 +97,7 @@ fn scan(ops: &[Op], iters: i64, s: usize, info: &mut [Reg], named: &mut Vec<[u32
     let mut accesses = Vec::with_capacity(live_in.capacity());
     let mut carried = false;
     for op in ops {
-        let [dst, a, b] = regs(op);
+        let [dst, a, b] = op.regs();
         named.push([dst, a, b]);
         // Sources before the destination: `acc = acc + x` reads first.
         for r in [a, b] {
@@ -182,40 +162,8 @@ impl Slots {
     }
 }
 
-/// Lowers one op, renaming registers through `col`.
-fn lower_op(op: &Op, c: impl Fn(u32) -> u32) -> NOp {
-    match *op {
-        // Fused shifted loads are already single loads; the backend
-        // keeps them as one movdqu/vld1q each.
-        Op::Load { dst, start, step, .. } | Op::LoadFused { dst, start, step, .. } => {
-            NOp::Load { dst: c(dst), start, step }
-        }
-        Op::Store { src, start, step, .. } => NOp::Store { src: c(src), start, step },
-        Op::Shift { dst, a, b, amt } => NOp::Shift { dst: c(dst), a: c(a), b: c(b), amt },
-        Op::Splice { dst, a, b, point } => {
-            let mut mask = [0u8; 16];
-            mask[..point as usize].fill(0xFF);
-            NOp::Splice { dst: c(dst), a: c(a), b: c(b), mask }
-        }
-        Op::Perm { dst, a, b, pattern } => NOp::Perm {
-            dst: c(dst),
-            a: c(a),
-            b: c(b),
-            pattern,
-            lo: pattern.map(|sel| if sel < 16 { sel } else { 0x80 }),
-            hi: pattern.map(|sel| if sel < 16 { 0x80 } else { sel - 16 }),
-        },
-        Op::Splat { dst, bytes } => NOp::Splat { dst: c(dst), bytes },
-        Op::Bin { dst, op, a, b } => NOp::Bin { dst: c(dst), op, a: c(a), b: c(b) },
-        Op::BinSplat { dst, op, a, imm, imm_left } => {
-            NOp::BinImm { dst: c(dst), op, a: c(a), imm, imm_left }
-        }
-        Op::Un { dst, op, a } => NOp::Un { dst: c(dst), op, a: c(a) },
-        Op::Copy { dst, src } => NOp::Copy { dst: c(dst), src: c(src) },
-    }
-}
-
-/// Lowers a baked kernel onto one register block.
+/// Lowers a baked plan — its prologue, its two loops as `(header,
+/// ops, iterations)` and its epilogue — onto one register block.
 ///
 /// Sections come out in execution order; a loop that never runs drops
 /// out with its header. Registers are renamed onto the block by one
@@ -223,34 +171,34 @@ fn lower_op(op: &Op, c: impl Fn(u32) -> u32) -> NOp {
 /// that names it and hands it on after the last one, unless a later
 /// section reads the value or — for a register live into a loop — the
 /// loop has not ended. The block is therefore sized by the values
-/// live at once, not by the baked kernel's sparse id space.
-pub(super) fn lower(kernel: &CompiledKernel) -> (Program, Schedule) {
-    let mut plan: Vec<(&[Op], i64)> = Vec::with_capacity(6);
-    plan.push((&kernel.prologue, 1));
-    let mut loops = [usize::MAX; 2];
-    for (i, (header, ops, iters)) in [
-        (&kernel.pair_header, &kernel.pair, kernel.pair_iters),
-        (&kernel.body_header, &kernel.body, kernel.body_iters),
-    ]
-    .into_iter()
-    .enumerate()
-    {
+/// live at once, not by the baked plan's sparse id space (`nregs`).
+pub(crate) fn lower(
+    prologue: Vec<Op>,
+    loops: [(Vec<Op>, Vec<Op>, i64); 2],
+    epilogue: Vec<Op>,
+    nregs: usize,
+    elem: ScalarType,
+) -> (Program, Schedule) {
+    let mut plan: Vec<(Vec<Op>, i64)> = Vec::with_capacity(6);
+    plan.push((prologue, 1));
+    let mut loop_at = [usize::MAX; 2];
+    for (i, (header, ops, iters)) in loops.into_iter().enumerate() {
         if iters > 0 {
             plan.push((header, 1));
-            loops[i] = plan.len();
+            loop_at[i] = plan.len();
             plan.push((ops, iters));
         }
     }
-    plan.push((&kernel.epilogue, 1));
+    plan.push((epilogue, 1));
 
-    let mut info = vec![Reg::UNNAMED; kernel.nregs];
+    let mut info = vec![Reg::UNNAMED; nregs];
     let mut named = Vec::with_capacity(plan.iter().map(|(ops, _)| ops.len()).sum());
     let scans: Vec<Scan> = plan
         .iter()
         .enumerate()
-        .map(|(s, &(ops, iters))| {
+        .map(|(s, (ops, iters))| {
             let from = named.len();
-            let scan = scan(ops, iters, s, &mut info, &mut named);
+            let scan = scan(ops, *iters, s, &mut info, &mut named);
             if scan.strips {
                 for &r in named[from..].iter().flatten().filter(|&&r| r != NONE) {
                     info[r as usize].wide = true;
@@ -263,7 +211,7 @@ pub(super) fn lower(kernel: &CompiledKernel) -> (Program, Schedule) {
     let mut slots = Slots::default();
     let mut named = &named[..];
     let mut sections = Vec::with_capacity(plan.len());
-    for (s, (&(ops, iters), scan)) in plan.iter().zip(&scans).enumerate() {
+    for (s, ((mut ops, iters), scan)) in plan.into_iter().zip(&scans).enumerate() {
         let (here, rest) = named.split_at(ops.len());
         named = rest;
         for (i, regs) in here.iter().enumerate() {
@@ -271,13 +219,7 @@ pub(super) fn lower(kernel: &CompiledKernel) -> (Program, Schedule) {
                 info[r as usize].last = i as u32;
             }
         }
-        let mut section = Section {
-            ops: Vec::with_capacity(ops.len()),
-            iters,
-            width: if scan.strips { STRIP } else { 1 },
-            invariant: Vec::new(),
-            written: Vec::new(),
-        };
+        let (mut invariant, mut written) = (Vec::new(), Vec::new());
         for &r in &scan.live_in {
             let reg = &mut info[r as usize];
             reg.pinned = true;
@@ -285,19 +227,19 @@ pub(super) fn lower(kernel: &CompiledKernel) -> (Program, Schedule) {
                 reg.slot = slots.claim(reg.wide);
             }
             if scan.strips {
-                section.invariant.push(reg.slot);
+                invariant.push(reg.slot);
             }
         }
-        for (i, (op, regs)) in ops.iter().zip(here).enumerate() {
+        for (i, (op, regs)) in ops.iter_mut().zip(here).enumerate() {
             for &r in regs.iter().filter(|&&r| r != NONE) {
                 let reg = &mut info[r as usize];
                 if reg.slot == NONE {
                     reg.slot = slots.claim(reg.wide);
                 }
             }
-            section.ops.push(lower_op(op, |r| info[r as usize].slot));
+            op.rename(|r| info[r as usize].slot);
             if scan.strips && regs[0] != NONE {
-                section.written.push(info[regs[0] as usize].slot);
+                written.push(info[regs[0] as usize].slot);
             }
             for &r in regs.iter().filter(|&&r| r != NONE) {
                 let reg = &mut info[r as usize];
@@ -317,14 +259,15 @@ pub(super) fn lower(kernel: &CompiledKernel) -> (Program, Schedule) {
                 reg.slot = NONE;
             }
         }
-        sections.push(section);
+        let width = if scan.strips { STRIP } else { 1 };
+        sections.push(Section { ops, iters, width, invariant, written });
     }
 
-    let schedule = |i: usize| match scans.get(loops[i]).is_some_and(|scan| scan.strips) {
+    let schedule = |i: usize| match scans.get(loop_at[i]).is_some_and(|scan| scan.strips) {
         true => SectionSchedule::Strip,
         false => SectionSchedule::Sequential,
     };
-    let program = Program { sections, nregs: slots.columns as usize * STRIP, elem: kernel.elem };
+    let program = Program { sections, nregs: slots.columns as usize * STRIP, elem };
     (program, Schedule { pair: schedule(0), body: schedule(1) })
 }
 
@@ -378,28 +321,5 @@ mod tests {
         assert!(!strips(&[load(0, 1024, 32), store(0, 1024 + 32 * 500, 16)], 1000));
         // A store that does not advance overwrites itself.
         assert!(!strips(&[load(0, 1024, 16), store(0, far, 0)], 1000));
-    }
-
-    #[test]
-    fn lowering_renames_registers_and_precomputes_masks_and_tables() {
-        let col = [30, 10, 20];
-        let op = Op::Splice { dst: 0, a: 1, b: 2, point: 5 };
-        match lower_op(&op, |r| col[r as usize]) {
-            NOp::Splice { dst: 30, a: 10, b: 20, mask } => {
-                for (i, byte) in mask.iter().enumerate() {
-                    assert_eq!(*byte, if i < 5 { 0xFF } else { 0x00 });
-                }
-            }
-            other => panic!("unexpected lowering: {other:?}"),
-        }
-        // Selectors 31 down to 16: every byte comes from `b`, reversed.
-        let pattern: [u8; 16] = std::array::from_fn(|i| (31 - i) as u8);
-        match lower_op(&Op::Perm { dst: 0, a: 1, b: 2, pattern }, |r| col[r as usize]) {
-            NOp::Perm { lo, hi, .. } => {
-                assert_eq!(lo, [0x80; 16]);
-                assert_eq!(hi, std::array::from_fn(|i| (15 - i) as u8));
-            }
-            other => panic!("unexpected lowering: {other:?}"),
-        }
     }
 }

@@ -1,13 +1,13 @@
 //! Portable scalar-emulation tier: the [`Lanes`] operations on
 //! `[u8; 16]` registers with no `unsafe` and no architecture
-//! assumptions. This is the tier every host can run, the clamp target
-//! for unavailable ISAs, and the differential reference the intrinsic
-//! tiers are tested against.
+//! assumptions. This is the tier every host can run — what
+//! `CompiledKernel::run` executes on — and the clamp target for
+//! unavailable ISAs.
 //!
-//! Unlike the interpreter it consumes the *lowered* operands — splice
-//! byte masks, renumbered columns — through the same strip driver as
-//! the intrinsic tiers, so the lowering pass and the strip schedule
-//! are under test even on hosts without SIMD.
+//! It consumes the same operands — splice byte masks, renamed columns
+//! — through the same strip driver as the intrinsic tiers, so the
+//! renaming pass and the strip schedule are under test even on hosts
+//! without SIMD.
 
 use super::strip::{Lanes, Tier};
 use crate::lanes::{self, Reg};
@@ -22,8 +22,8 @@ pub(super) fn portable() -> impl Lanes<V = Reg> {
             pair[16..].copy_from_slice(&b);
             std::array::from_fn(|i| pair[i + amt as usize])
         },
-        // Driven off the lowered mask (not the splice point) so the
-        // mask itself is differentially tested.
+        // Driven off the mask (not the splice point) so the mask itself
+        // is differentially tested.
         splice: |a: Reg, b: Reg, mask: Reg| {
             std::array::from_fn(|i| (a[i] & mask[i]) | (b[i] & !mask[i]))
         },

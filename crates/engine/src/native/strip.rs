@@ -1,7 +1,7 @@
 //! The one section driver every tier runs: strip-mined,
 //! column-at-a-time.
 //!
-//! A lowered kernel is a list of [`Section`]s over one block of vector
+//! A lowered plan is a list of [`Section`]s over one block of vector
 //! registers. A section scheduled in strips dispatches each op once
 //! per [`STRIP`] iterations and runs it as a tight loop down a register
 //! *column* — lane `u` of column `c` is `regs[c + u]` and holds the
@@ -16,7 +16,7 @@
 //! tier instantiates it inside its `#[target_feature]` entry, where
 //! the tier's per-op helpers inline into the lane loops.
 
-use super::NOp;
+use crate::kernel::Op;
 use crate::lanes::Reg;
 use simdize_ir::{BinOp, ScalarType, UnOp};
 use std::cell::Cell;
@@ -41,10 +41,13 @@ pub(super) trait Lanes: Copy {
     fn store(self, v: Self::V, out: &mut Reg);
     /// `vshiftpair`: bytes `amt..amt + 16` of `a ++ b`.
     fn shift(self, a: Self::V, b: Self::V, amt: u8) -> Self::V;
-    /// `vsplice`: `a` where the mask byte is `0xFF`, `b` where `0x00`.
+    /// `vsplice`: `a` where the mask byte is `0xFF` (index below the
+    /// splice point), `b` where `0x00`.
     fn splice(self, a: Self::V, b: Self::V, mask: Self::V) -> Self::V;
-    /// `vperm`: byte gather from `a ++ b`, by whichever of the raw
-    /// selector or its two `pshufb` half-tables the tier wants.
+    /// `vperm`: byte gather from `a ++ b`, by whichever the tier wants
+    /// of the raw 0..32 selector or its two `pshufb` half-tables
+    /// (selector over `a` / selector − 16 over `b`, `0x80` — shuffle to
+    /// zero — where the byte comes from the other register).
     fn perm(self, a: Self::V, b: Self::V, pattern: &[u8; 16], lo: &Reg, hi: &Reg) -> Self::V;
     fn bin(self, op: BinOp, elem: ScalarType, a: Self::V, b: Self::V) -> Self::V;
     fn un(self, op: UnOp, elem: ScalarType, a: Self::V) -> Self::V;
@@ -109,9 +112,9 @@ where
 }
 
 /// One straight-line run of ops and how often it repeats.
-#[derive(Debug, Clone)]
-pub(super) struct Section {
-    pub(super) ops: Vec<NOp>,
+#[derive(Debug)]
+pub(crate) struct Section {
+    pub(super) ops: Vec<Op>,
     pub(super) iters: i64,
     /// Iterations per op dispatch: [`STRIP`], or 1 for the sequential
     /// schedule.
@@ -125,13 +128,13 @@ pub(super) struct Section {
     pub(super) written: Vec<u32>,
 }
 
-/// A lowered kernel: its sections in execution order over one block of
+/// A lowered plan: its sections in execution order over one block of
 /// `nregs` registers.
-#[derive(Debug, Clone)]
-pub(super) struct Program {
-    pub(super) sections: Vec<Section>,
-    pub(super) nregs: usize,
-    pub(super) elem: ScalarType,
+#[derive(Debug)]
+pub(crate) struct Program {
+    pub(crate) sections: Vec<Section>,
+    pub(crate) nregs: usize,
+    pub(crate) elem: ScalarType,
 }
 
 /// Expands `$body` once per listed constant with `$name` bound to it,
@@ -170,6 +173,19 @@ macro_rules! with_elem {
     };
 }
 
+/// The mask [`Lanes::splice`] takes for a splice at `point`.
+pub(super) fn splice_mask(point: u8) -> Reg {
+    std::array::from_fn(|i| if i < point as usize { 0xFF } else { 0x00 })
+}
+
+/// The two half-tables [`Lanes::perm`] takes beside `pattern`.
+pub(super) fn perm_tables(pattern: &[u8; 16]) -> (Reg, Reg) {
+    (
+        pattern.map(|sel| if sel < 16 { sel } else { 0x80 }),
+        pattern.map(|sel| if sel < 16 { 0x80 } else { sel - 16 }),
+    )
+}
+
 #[inline(always)]
 fn map1<V: Copy>(d: &[Cell<V>], a: &[Cell<V>], f: impl Fn(V) -> V) {
     for (d, a) in d.iter().zip(a) {
@@ -190,7 +206,7 @@ fn map2<V: Copy>(d: &[Cell<V>], a: &[Cell<V>], b: &[Cell<V>], f: impl Fn(V, V) -
 #[inline(always)]
 fn strip<L: Lanes>(
     l: L,
-    ops: &[NOp],
+    ops: &[Op],
     k0: i64,
     len: usize,
     elem: ScalarType,
@@ -205,19 +221,19 @@ fn strip<L: Lanes>(
     };
     for op in ops {
         match *op {
-            NOp::Load { dst, start, step } => {
+            Op::Load { dst, start, step, .. } | Op::LoadFused { dst, start, step, .. } => {
                 for (u, d) in col(dst).iter().enumerate() {
                     let src = &mem[at(start, step, u)];
                     d.set(l.load(src.try_into().expect("a 16-byte window")));
                 }
             }
-            NOp::Store { src, start, step } => {
+            Op::Store { src, start, step, .. } => {
                 for (u, s) in col(src).iter().enumerate() {
                     let out = &mut mem[at(start, step, u)];
                     l.store(s.get(), out.try_into().expect("a 16-byte window"));
                 }
             }
-            NOp::Shift { dst, a, b, amt } => {
+            Op::Shift { dst, a, b, amt } => {
                 macro_rules! arm {
                     ($n:literal) => {
                         map2(col(dst), col(a), col(b), |x, y| l.shift(x, y, $n))
@@ -226,21 +242,22 @@ fn strip<L: Lanes>(
                 let copy = |src| map1(col(dst), col(src), |x| x);
                 by_amount!(amt, copy(a), copy(b), arm)
             }
-            NOp::Splice { dst, a, b, ref mask } => {
-                let m = l.load(mask);
+            Op::Splice { dst, a, b, point } => {
+                let m = l.load(&splice_mask(point));
                 map2(col(dst), col(a), col(b), |x, y| l.splice(x, y, m));
             }
-            NOp::Perm { dst, a, b, ref pattern, ref lo, ref hi } => {
-                map2(col(dst), col(a), col(b), |x, y| l.perm(x, y, pattern, lo, hi));
+            Op::Perm { dst, a, b, ref pattern } => {
+                let (lo, hi) = perm_tables(pattern);
+                map2(col(dst), col(a), col(b), |x, y| l.perm(x, y, pattern, &lo, &hi));
             }
-            NOp::Splat { dst, ref bytes } => {
+            Op::Splat { dst, ref bytes } => {
                 let v = l.load(bytes);
                 col(dst).iter().for_each(|d| d.set(v));
             }
-            NOp::Bin { dst, op, a, b } => with_binop!(op, |op| with_elem!(elem, |ty| {
+            Op::Bin { dst, op, a, b } => with_binop!(op, |op| with_elem!(elem, |ty| {
                 map2(col(dst), col(a), col(b), |x, y| l.bin(op, ty, x, y))
             })),
-            NOp::BinImm { dst, op, a, ref imm, imm_left } => {
+            Op::BinSplat { dst, op, a, ref imm, imm_left } => {
                 let iv = l.load(imm);
                 with_binop!(op, |op| with_elem!(elem, |ty| if imm_left {
                     map1(col(dst), col(a), |x| l.bin(op, ty, iv, x))
@@ -248,15 +265,15 @@ fn strip<L: Lanes>(
                     map1(col(dst), col(a), |x| l.bin(op, ty, x, iv))
                 }))
             }
-            NOp::Un { dst, op, a } => with_const!(op, [UnOp::Neg, UnOp::Not, UnOp::Abs], |op| {
+            Op::Un { dst, op, a } => with_const!(op, [UnOp::Neg, UnOp::Not, UnOp::Abs], |op| {
                 with_elem!(elem, |ty| map1(col(dst), col(a), |x| l.un(op, ty, x)))
             }),
-            NOp::Copy { dst, src } => map1(col(dst), col(src), |x| x),
+            Op::Copy { dst, src } => map1(col(dst), col(src), |x| x),
         }
     }
 }
 
-/// Runs a lowered kernel: one zeroed register block, then every
+/// Runs a lowered plan: one zeroed register block, then every
 /// section in order.
 #[inline(always)]
 pub(super) fn run<L: Lanes>(l: L, program: &Program, mem: &mut [u8]) {

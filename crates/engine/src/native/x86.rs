@@ -298,15 +298,13 @@ mod tests {
                 assert_eq!(bytes(l.shift(a, b, amt as u8)), want, "{tier} shift {amt}");
             }
             for point in 0..=16usize {
-                let mut mask = [0u8; 16];
-                mask[..point].fill(0xFF);
+                let mask = strip::splice_mask(point as u8);
                 let mut want = br;
                 want[..point].copy_from_slice(&ar[..point]);
                 assert_eq!(bytes(l.splice(a, b, l.load(&mask))), want, "{tier} splice");
             }
             let pattern: [u8; 16] = std::array::from_fn(|_| (rng.next_u64() % 32) as u8);
-            let lo = pattern.map(|sel| if sel < 16 { sel } else { 0x80 });
-            let hi = pattern.map(|sel| if sel < 16 { 0x80 } else { sel - 16 });
+            let (lo, hi) = strip::perm_tables(&pattern);
             let want = pattern.map(|sel| pair[sel as usize]);
             assert_eq!(bytes(l.perm(a, b, &pattern, &lo, &hi)), want, "{tier} perm");
             for ty in simdize_ir::ScalarType::ALL {

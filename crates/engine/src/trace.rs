@@ -37,7 +37,7 @@
 //! reported stat: `RunStats` are fixed before this pass runs, and the
 //! differential tests execute every kernel fused and unfused.
 
-use crate::kernel::Op;
+use crate::kernel::{Op, NO_REG};
 use crate::lanes::{self, Reg};
 use simdize_ir::ScalarType;
 use simdize_telemetry as telemetry;
@@ -216,36 +216,12 @@ pub(crate) fn optimize(s: Sections) -> (Vec<Op>, Vec<Op>, FusionStats, Vec<Fusio
 
 /// The defined register of `op`, if any (only `Store` has none).
 fn def(op: &Op) -> Option<u32> {
-    match *op {
-        Op::Load { dst, .. }
-        | Op::LoadFused { dst, .. }
-        | Op::Shift { dst, .. }
-        | Op::Splice { dst, .. }
-        | Op::Perm { dst, .. }
-        | Op::Splat { dst, .. }
-        | Op::Bin { dst, .. }
-        | Op::BinSplat { dst, .. }
-        | Op::Un { dst, .. }
-        | Op::Copy { dst, .. } => Some(dst),
-        Op::Store { .. } => None,
-    }
+    Some(op.regs()[0]).filter(|&d| d != NO_REG)
 }
 
 /// Visits every register `op` reads.
-fn uses(op: &Op, mut f: impl FnMut(u32)) {
-    match *op {
-        Op::Load { .. } | Op::LoadFused { .. } | Op::Splat { .. } => {}
-        Op::Store { src, .. } => f(src),
-        Op::Shift { a, b, .. }
-        | Op::Splice { a, b, .. }
-        | Op::Perm { a, b, .. }
-        | Op::Bin { a, b, .. } => {
-            f(a);
-            f(b);
-        }
-        Op::BinSplat { a, .. } | Op::Un { a, .. } => f(a),
-        Op::Copy { src, .. } => f(src),
-    }
+fn uses(op: &Op, f: impl FnMut(u32)) {
+    op.regs()[1..].iter().copied().filter(|&r| r != NO_REG).for_each(f)
 }
 
 fn known(facts: &[Fact], r: u32) -> Option<Reg> {

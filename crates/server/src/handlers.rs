@@ -10,12 +10,12 @@
 //! fields (`wall_ms`, `wall_us`, span durations) rather than the
 //! handlers zeroing them at the source.
 
-use crate::protocol::{Command, ExecRequest, WireEngine};
+use crate::protocol::{Command, ExecRequest};
 use crate::server::ServerConfig;
 use simdize::{
     analyze_program, parse_program, run_sweep_shared, trace_source_with, AnalyzeOptions,
-    KernelCache, ReuseMode, RunInput, Simdizer, SweepBackend, SweepJob, SweepOptions, Target,
-    TraceId, VectorShape,
+    KernelCache, ReuseMode, RunInput, Simdizer, SweepJob, SweepOptions, Target, TraceId,
+    VectorShape,
 };
 use simdize_explain::{render_json, Explainer};
 use simdize_telemetry::json;
@@ -60,17 +60,6 @@ fn err<E: std::fmt::Display>(e: E) -> String {
     e.to_string()
 }
 
-/// Maps the wire engine choice onto the sweep runner's backend. Both
-/// backends report identical stats by construction, so responses stay
-/// byte-identical across hosts; only the kernel-cache keys (which carry
-/// the dispatched ISA) and the execution path differ.
-fn backend(req: &ExecRequest) -> SweepBackend {
-    match req.engine {
-        WireEngine::Native => SweepBackend::Baked,
-        WireEngine::Simd => SweepBackend::Simd,
-    }
-}
-
 fn compile(req: &ExecRequest) -> Result<String, String> {
     let program = parse_program(&req.source).map_err(err)?;
     let compiled = driver(req).compile(&program).map_err(err)?;
@@ -113,7 +102,7 @@ fn run(req: &ExecRequest, cache: &KernelCache) -> Result<String, String> {
             params: req.params.clone(),
         },
     };
-    let (outcomes, _) = run_sweep_shared(&[job], SweepOptions::new(1).backend(backend(req)), cache);
+    let (outcomes, _) = run_sweep_shared(&[job], SweepOptions::new(1), cache);
     let outcome = outcomes
         .into_iter()
         .next()
@@ -147,8 +136,7 @@ fn sweep(req: &ExecRequest, cache: &KernelCache, config: &ServerConfig) -> Resul
         })
         .collect();
     let threads = config.sweep_threads.max(1);
-    let (outcomes, _) =
-        run_sweep_shared(&jobs, SweepOptions::new(threads).backend(backend(req)), cache);
+    let (outcomes, _) = run_sweep_shared(&jobs, SweepOptions::new(threads), cache);
     let mut verified = 0usize;
     let mut speedup_sum = 0.0;
     let mut min_speedup = f64::INFINITY;

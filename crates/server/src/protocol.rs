@@ -36,10 +36,11 @@
 //! `verify` and `trace` carry an inline loop `source` and are executed
 //! on the worker pool. Optional fields: `policy`
 //! (`zero|eager|lazy|dominant`), `seed`, `ub`, `params`
-//! (array of integers), `engine` (`native|simd` — `simd` executes
-//! `run`/`sweep` through the `std::arch` intrinsics backend at the
-//! host's dispatched ISA; kernel-cache keys carry the ISA level so
-//! entries never collide across backends) and, for `sweep`, `count`.
+//! (array of integers), `engine` (`native|simd` — accepted and
+//! validated for clients written when there were two executors, but it
+//! selects nothing: `run`/`sweep` always execute the one baked plan at
+//! the host's dispatched ISA, and kernel-cache keys carry that ISA
+//! level) and, for `sweep`, `count`.
 //! `verify` runs the
 //! bounded-equivalence prover over its quick domain and returns the
 //! `simdize-verify/v1` report. `trace` runs the request-scoped tracing
@@ -135,17 +136,6 @@ impl Command {
     }
 }
 
-/// Per-request executor selection for `run`/`sweep`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WireEngine {
-    /// The trace-fused compiled-kernel engine (wire name `native`).
-    #[default]
-    Native,
-    /// The `std::arch` intrinsics backend at the host's dispatched ISA
-    /// (wire name `simd`).
-    Simd,
-}
-
 /// Payload of the pipeline-executing commands.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecRequest {
@@ -161,8 +151,6 @@ pub struct ExecRequest {
     pub params: Vec<i64>,
     /// Seeds to cover (`sweep` only).
     pub count: usize,
-    /// Executor for `run`/`sweep` (default: the fused engine).
-    pub engine: WireEngine,
 }
 
 /// A request that could not be parsed. Carries the id when one could
@@ -267,16 +255,16 @@ fn parse_exec(doc: &Json, id: u64) -> Result<ExecRequest, WireError> {
             params.push(v as i64);
         }
     }
-    let engine = match doc.get("engine").and_then(Json::as_str) {
-        None | Some("native") => WireEngine::Native,
-        Some("simd") => WireEngine::Simd,
-        Some(other) => {
+    // `engine` no longer selects anything, but a value outside the
+    // protocol's vocabulary is still a malformed request.
+    if let Some(other) = doc.get("engine").and_then(Json::as_str) {
+        if !matches!(other, "native" | "simd") {
             return Err(WireError::new(
                 Some(id),
                 format!("unknown engine `{other}` (expected native|simd)"),
-            ))
+            ));
         }
-    };
+    }
     Ok(ExecRequest {
         source,
         policy,
@@ -284,7 +272,6 @@ fn parse_exec(doc: &Json, id: u64) -> Result<ExecRequest, WireError> {
         ub: get_u64(doc, "ub").unwrap_or(DEFAULT_UB),
         params,
         count: get_u64(doc, "count").map_or(DEFAULT_COUNT, |c| c as usize),
-        engine,
     })
 }
 
@@ -338,14 +325,14 @@ mod tests {
         assert_eq!(exec.policy, Some(Policy::Lazy));
         assert_eq!((exec.seed, exec.ub, exec.count), (5, 64, 12));
         assert_eq!(exec.params, vec![3, -1]);
-        assert_eq!(exec.engine, WireEngine::Native);
 
-        let r = parse_request(r#"{"v":1,"id":2,"cmd":"run","source":"x","engine":"simd"}"#)
-            .unwrap();
-        let Command::Run(exec) = r.cmd else {
-            panic!("expected run");
+        // Both engine names stay accepted and parse to the same request.
+        let parse = |engine: &str| {
+            let line = format!(r#"{{"v":1,"id":2,"cmd":"run","source":"x","engine":"{engine}"}}"#);
+            parse_request(&line).map(|r| r.cmd)
         };
-        assert_eq!(exec.engine, WireEngine::Simd);
+        assert_eq!(parse("simd"), parse("native"));
+        assert!(matches!(parse("simd"), Ok(Command::Run(_))));
     }
 
     #[test]

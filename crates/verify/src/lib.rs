@@ -22,14 +22,15 @@
 //! * [`prover::HARNESS_NAMES`]`[0]` — `harness_codegen_equiv`: the
 //!   generated program, interpreted, matches the scalar oracle byte
 //!   for byte (guard padding included).
-//! * `harness_fusion_equiv`: the trace-fused engine matches the oracle
-//!   *and* reports the interpreter's exact `RunStats`.
+//! * `harness_fusion_equiv`: the baked, trace-fused plan, run by the
+//!   engine on the portable tier, matches the oracle *and* reports the
+//!   interpreter's exact `RunStats` (its counterexamples replay as
+//!   `SIMDIZE_ISA=scalar simdize run --engine simd`).
 //! * `harness_cache_coherence`: a kernel-cache hit is byte-identical
-//!   to a fresh bake for the same `(program, input, layout)` key.
-//! * `harness_native_equiv`: the `std::arch` intrinsics backend,
-//!   dispatched at the host's detected ISA level, matches the oracle's
-//!   bytes and the interpreter's exact `RunStats` (its counterexamples
-//!   replay as `simdize run --engine simd`).
+//!   to a fresh bake for the same `(program, input, layout, tier)` key.
+//! * `harness_native_equiv`: the same function as the fusion harness
+//!   at the host's detected ISA tier — the `std::arch` intrinsics —
+//!   (its counterexamples replay as `simdize run --engine simd`).
 //!
 //! Counterexamples are shrunk to the minimal `(alignment, trip, seed)`
 //! triple and printed as a replayable `simdize run` command line. The

@@ -18,7 +18,7 @@ use crate::shrink;
 use simdize_analysis::{analyze_program, AnalyzeOptions};
 use simdize_codegen::{generate, generate_strided, CodegenOptions, ReuseMode, SimdProgram};
 use simdize_engine::{
-    program_fingerprint, CompiledKernel, KernelCache, KernelOptions, PredecodedKernel, SimdKernel,
+    program_fingerprint, IsaLevel, KernelCache, KernelOptions, PredecodedKernel, SimdKernel,
 };
 use simdize_ir::{LoopProgram, TripCount, VectorShape};
 use simdize_reorg::{Policy, ReorgGraph};
@@ -43,6 +43,20 @@ pub(crate) const H_NATIVE: usize = 3;
 /// Number of harnesses, for sizing per-harness accounting arrays.
 pub(crate) const NH: usize = HARNESS_NAMES.len();
 
+/// The harnesses, indexed like [`HARNESS_NAMES`] and run in that order
+/// at every point: the interpreter first, so the engine harnesses can
+/// hold every tier to its exact [`RunStats`].
+pub(crate) const HARNESSES: [fn(&mut Point) -> Verdict; NH] = [
+    harness_codegen_equiv,
+    // `harness_fusion_equiv`: the trace-fused plan on the portable
+    // tier, which every host has.
+    |p| harness_engine_equiv(p, IsaLevel::Scalar),
+    harness_cache_coherence,
+    // `harness_native_equiv`: the same plan on the host's detected
+    // tier (SSE2/AVX2/NEON; `SIMDIZE_ISA` can force a lower one).
+    |p| harness_engine_equiv(p, IsaLevel::detect()),
+];
+
 /// The verdict of one harness execution.
 pub(crate) enum Verdict {
     /// The property held.
@@ -61,6 +75,20 @@ pub(crate) struct RawCe {
     pub probe: Probe,
     pub harness: usize,
     pub detail: String,
+}
+
+/// One point of the proof domain, as the harnesses see it.
+pub(crate) struct Point<'a> {
+    pub prog: &'a SimdProgram,
+    pub img: &'a MemoryImage,
+    pub oracle: &'a MemoryImage,
+    pub input: &'a RunInput,
+    /// The interpreter's stats, once `harness_codegen_equiv` ran here.
+    pub interp_stats: Option<RunStats>,
+    /// What `harness_cache_coherence` looks up: the program's
+    /// fingerprint and pre-decode, and the cache. `None` at the points
+    /// where that harness does not run.
+    pub cached: Option<(u64, &'a PredecodedKernel, &'a KernelCache)>,
 }
 
 /// Compiles the loop variant a unit proves: alignments per `cfg.mode`,
@@ -101,120 +129,67 @@ pub(crate) fn is_strided(p: &LoopProgram) -> bool {
 /// `harness_codegen_equiv`: the generated program, run by the VIR
 /// interpreter, leaves memory byte-identical to the scalar oracle —
 /// including the guard padding around every array.
-pub(crate) fn harness_codegen_equiv(
-    prog: &SimdProgram,
-    img: &MemoryImage,
-    oracle: &MemoryImage,
-    input: &RunInput,
-) -> (Verdict, Option<RunStats>) {
-    let mut mem = img.clone();
-    match run_simd(prog, &mut mem, input) {
-        Ok(stats) => match mem.first_difference(oracle) {
-            None => (Verdict::Pass, Some(stats)),
-            Some(off) => (
-                Verdict::Violation(format!(
+fn harness_codegen_equiv(p: &mut Point) -> Verdict {
+    let mut mem = p.img.clone();
+    match run_simd(p.prog, &mut mem, p.input) {
+        Ok(stats) => {
+            p.interp_stats = Some(stats);
+            match mem.first_difference(p.oracle) {
+                None => Verdict::Pass,
+                Some(off) => Verdict::Violation(format!(
                     "interpreter output differs from the scalar oracle at byte {off}"
                 )),
-                Some(stats),
-            ),
-        },
-        Err(e) => (Verdict::Violation(format!("interpreter fault: {e}")), None),
+            }
+        }
+        Err(e) => Verdict::Violation(format!("interpreter fault: {e}")),
     }
 }
 
-/// `harness_fusion_equiv`: the trace-fused compiled kernel produces the
-/// oracle's bytes and (when the interpreter also ran) the interpreter's
-/// exact [`RunStats`] — the fused/unfused accounting invariant.
-pub(crate) fn harness_fusion_equiv(
-    prog: &SimdProgram,
-    img: &MemoryImage,
-    oracle: &MemoryImage,
-    input: &RunInput,
-    interp_stats: Option<RunStats>,
-) -> Verdict {
-    let mut mem = img.clone();
-    let kernel = match CompiledKernel::compile(prog, &mem, input) {
-        Ok(k) => k,
+/// `harness_fusion_equiv` and `harness_native_equiv`: the baked,
+/// trace-fused plan, run by the engine on the tier `isa`, produces the
+/// oracle's bytes and (when the interpreter also ran) the
+/// interpreter's exact [`RunStats`]. Stats are fixed before fusion and
+/// lowering, so a stats divergence is an accounting bug and a byte
+/// divergence a fusion, lowering or — off the portable tier —
+/// intrinsics one.
+fn harness_engine_equiv(p: &mut Point, isa: IsaLevel) -> Verdict {
+    let mut mem = p.img.clone();
+    let baked = PredecodedKernel::new(p.prog)
+        .and_then(|pre| pre.bake(&mem, p.input, &KernelOptions::new().disassembly(false)));
+    let kernel = match baked {
+        Ok(k) => SimdKernel::lower(&k, isa),
         Err(e) => return Verdict::Violation(format!("bake fault: {e}")),
     };
+    let isa = kernel.isa();
     match kernel.run(&mut mem) {
         Ok(stats) => {
-            if let Some(off) = mem.first_difference(oracle) {
+            if let Some(off) = mem.first_difference(p.oracle) {
                 return Verdict::Violation(format!(
-                    "fused engine output differs from the scalar oracle at byte {off}"
+                    "engine ({isa} tier) output differs from the scalar oracle at byte {off}"
                 ));
             }
-            if let Some(is) = interp_stats {
-                if is != stats {
-                    return Verdict::Violation(format!(
-                        "fused RunStats diverge from the interpreter ({} vs {} total ops)",
-                        stats.total(),
-                        is.total()
-                    ));
-                }
+            match p.interp_stats {
+                Some(is) if is != stats => Verdict::Violation(format!(
+                    "engine ({isa} tier) RunStats diverge from the interpreter ({} vs {} total ops)",
+                    stats.total(),
+                    is.total()
+                )),
+                _ => Verdict::Pass,
             }
-            Verdict::Pass
         }
-        Err(e) => Verdict::Violation(format!("fused engine fault: {e}")),
+        Err(e) => Verdict::Violation(format!("engine ({isa} tier) fault: {e}")),
     }
 }
 
-/// `harness_native_equiv`: the intrinsics-lowered kernel, dispatched at
-/// the host's detected ISA level (SSE2/AVX2/NEON or the portable scalar
-/// tier — `SIMDIZE_ISA` can force a lower tier), produces the oracle's
-/// bytes and (when the interpreter also ran) its exact [`RunStats`].
-/// Stats are computed before lowering, so any divergence here is a
-/// lowering or intrinsics bug, not an accounting one.
-pub(crate) fn harness_native_equiv(
-    prog: &SimdProgram,
-    img: &MemoryImage,
-    oracle: &MemoryImage,
-    input: &RunInput,
-    interp_stats: Option<RunStats>,
-) -> Verdict {
-    let mut mem = img.clone();
-    let kernel = match CompiledKernel::compile(prog, &mem, input) {
-        Ok(k) => k,
-        Err(e) => return Verdict::Violation(format!("bake fault: {e}")),
-    };
-    let lowered = SimdKernel::lower_detected(&kernel);
-    match lowered.run(&mut mem) {
-        Ok(stats) => {
-            if let Some(off) = mem.first_difference(oracle) {
-                return Verdict::Violation(format!(
-                    "simd backend ({}) output differs from the scalar oracle at byte {off}",
-                    lowered.isa()
-                ));
-            }
-            if let Some(is) = interp_stats {
-                if is != stats {
-                    return Verdict::Violation(format!(
-                        "simd backend ({}) RunStats diverge from the interpreter ({} vs {} total ops)",
-                        lowered.isa(),
-                        stats.total(),
-                        is.total()
-                    ));
-                }
-            }
-            Verdict::Pass
-        }
-        Err(e) => Verdict::Violation(format!("simd backend ({}) fault: {e}", lowered.isa())),
-    }
-}
-
-/// `harness_cache_coherence`: for one `(program, input, layout)` key, a
-/// [`KernelCache`] hit runs byte-identically to a fresh bake, and the
-/// second lookup of the key actually hits.
-pub(crate) fn harness_cache_coherence(
-    fingerprint: u64,
-    pre: &PredecodedKernel,
-    cache: &KernelCache,
-    img: &MemoryImage,
-    oracle: &MemoryImage,
-    input: &RunInput,
-    kopts: &KernelOptions,
-) -> Verdict {
-    let (k1, _) = match cache.get_or_bake(fingerprint, pre, img, input, kopts) {
+/// `harness_cache_coherence`: for one `(program, input, layout, tier)`
+/// key, a [`KernelCache`] hit runs byte-identically to a fresh bake,
+/// and the second lookup of the key actually hits.
+fn harness_cache_coherence(p: &mut Point) -> Verdict {
+    let (fingerprint, pre, cache) = p.cached.expect("only run where the point carries a cache");
+    let (img, input) = (p.img, p.input);
+    let kopts = KernelOptions::new().disassembly(false);
+    let lookup = || cache.get_or_bake_simd(fingerprint, pre, img, input, &kopts, IsaLevel::Scalar);
+    let (k1, _) = match lookup() {
         Ok(r) => r,
         Err(e) => return Verdict::Violation(format!("cache bake fault: {e}")),
     };
@@ -223,7 +198,7 @@ pub(crate) fn harness_cache_coherence(
         Ok(s) => s,
         Err(e) => return Verdict::Violation(format!("cached kernel fault: {e}")),
     };
-    let (k2, l2) = match cache.get_or_bake(fingerprint, pre, img, input, kopts) {
+    let (k2, l2) = match lookup() {
         Ok(r) => r,
         Err(e) => return Verdict::Violation(format!("cache bake fault: {e}")),
     };
@@ -238,7 +213,7 @@ pub(crate) fn harness_cache_coherence(
         Ok(s) => s,
         Err(e) => return Verdict::Violation(format!("cache-hit kernel fault: {e}")),
     };
-    let fresh = match pre.bake(img, input, kopts) {
+    let fresh = match pre.bake(img, input, &kopts) {
         Ok(k) => k,
         Err(e) => return Verdict::Violation(format!("fresh bake fault: {e}")),
     };
@@ -257,7 +232,7 @@ pub(crate) fn harness_cache_coherence(
             "cached and fresh kernels disagree on outputs or stats".to_string(),
         );
     }
-    if let Some(off) = m3.first_difference(oracle) {
+    if let Some(off) = m3.first_difference(p.oracle) {
         return Verdict::Violation(format!(
             "fresh bake differs from the scalar oracle at byte {off}"
         ));
@@ -279,9 +254,89 @@ struct UnitOutcome {
     exhausted: bool,
 }
 
-/// Takes one budget token; `false` means the budget is spent.
-fn take(spent: &AtomicU64, budget: u64) -> bool {
-    spent.fetch_add(1, Ordering::Relaxed) < budget
+/// One compiled variant of a unit, swept over its trips and probes.
+struct Variant<'a> {
+    prog: &'a SimdProgram,
+    style: TripStyle,
+    /// The program's fingerprint and pre-decode, where this variant
+    /// carries the unit's cache-coherence proof.
+    pre: Option<(u64, PredecodedKernel)>,
+}
+
+impl<'a> Variant<'a> {
+    fn new(prog: &'a SimdProgram, style: TripStyle, proves_cache: bool) -> Variant<'a> {
+        let pre = proves_cache.then(|| PredecodedKernel::new(prog).ok()).flatten();
+        Variant { prog, style, pre: pre.map(|pre| (program_fingerprint(prog), pre)) }
+    }
+}
+
+/// A unit's sweep state: what it proves, the budget it draws on, and
+/// what it has found so far.
+struct Unit<'a> {
+    cfg: Config,
+    aligns: &'a [u32],
+    shape: VectorShape,
+    params: Vec<i64>,
+    budget: u64,
+    spent: &'a AtomicU64,
+    cache: KernelCache,
+    /// One violation per harness per unit is recorded; the rest of the
+    /// unit's sweep for that harness is redundant evidence.
+    found: [bool; NH],
+    out: UnitOutcome,
+}
+
+impl Unit<'_> {
+    /// Runs every harness still open at the points `(trip, probe)` of
+    /// one variant. `false` once the budget is spent.
+    fn sweep(&mut self, v: &Variant, trip: u64, probes: Vec<Probe>) -> bool {
+        let src = v.prog.source();
+        let input = RunInput { ub: trip, params: self.params.clone() };
+        for (pi, probe) in probes.into_iter().enumerate() {
+            let img = probe.build_image(src, self.shape, self.aligns);
+            let mut oracle = img.clone();
+            if run_scalar(src, &mut oracle, trip, &self.params).is_err() {
+                self.out.points_skipped += 1;
+                continue;
+            }
+            self.out.points += 1;
+            let mut point = Point {
+                prog: v.prog,
+                img: &img,
+                oracle: &oracle,
+                input: &input,
+                interp_stats: None,
+                // The cache harness runs once per trip: a kernel does
+                // not depend on the image's contents.
+                cached: (v.pre.as_ref().filter(|_| pi == 0))
+                    .map(|(fingerprint, pre)| (*fingerprint, pre, &self.cache)),
+            };
+            for (h, harness) in HARNESSES.iter().enumerate() {
+                if self.found[h] || (h == H_CACHE && point.cached.is_none()) {
+                    continue;
+                }
+                if self.spent.fetch_add(1, Ordering::Relaxed) >= self.budget {
+                    self.out.exhausted = true;
+                    return false;
+                }
+                self.out.harness_runs[h] += 1;
+                if let Verdict::Violation(detail) = harness(&mut point) {
+                    self.found[h] = true;
+                    self.out.harness_viol[h] += 1;
+                    self.out.violations.push(RawCe {
+                        cfg: self.cfg,
+                        aligns: self.aligns.to_vec(),
+                        trip,
+                        style: v.style,
+                        probe,
+                        harness: h,
+                        detail,
+                    });
+                }
+            }
+        }
+        true
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -296,13 +351,17 @@ fn run_unit(
     trips_known: &[u64],
     spent: &AtomicU64,
 ) -> UnitOutcome {
-    let mut out = UnitOutcome::default();
-    let params = params_for(base);
-    let kopts = KernelOptions::new().disassembly(false);
-    let cache = KernelCache::new(1, 4);
-    // One violation per harness per unit is recorded; the rest of the
-    // unit's sweep for that harness is redundant evidence.
-    let mut found = [false; NH];
+    let mut unit = Unit {
+        cfg,
+        aligns,
+        shape,
+        params: params_for(base),
+        budget: opts.budget,
+        spent,
+        cache: KernelCache::new(1, 4),
+        found: [false; NH],
+        out: UnitOutcome::default(),
+    };
     let mut lint_done = false;
     // The reuse-discipline lint only applies to the stream generator;
     // the §7 strided generator does not pipeline chunks.
@@ -324,278 +383,45 @@ fn run_unit(
         compile_variant(base, cfg, aligns, TripCount::Runtime, opts.mutation, shape)
     };
     if let Some((prog, mutated)) = runtime_variant {
-    out.compiled = true;
-    out.mutated = mutated;
-    out.lint_deny = lint_deny_count(&prog);
-    lint_done = true;
-
-    let fingerprint = program_fingerprint(&prog);
-    let pre = PredecodedKernel::new(&prog).ok();
-    cache_proved_here = pre.is_some();
-    let src = prog.source().clone();
-
-    'sweep: for &trip in trips_ub {
-        let input = RunInput {
-            ub: trip,
-            params: params.clone(),
-        };
-        for (pi, probe) in probes(trip, block, opts.trip_bound, opts.quick, trip)
-            .into_iter()
-            .enumerate()
-        {
-            let img = probe.build_image(&src, shape, aligns);
-            let mut oracle = img.clone();
-            if run_scalar(&src, &mut oracle, trip, &params).is_err() {
-                out.points_skipped += 1;
-                continue;
-            }
-            out.points += 1;
-
-            let mut interp_stats = None;
-            if !found[H_CODEGEN] {
-                if !take(spent, opts.budget) {
-                    out.exhausted = true;
-                    break 'sweep;
-                }
-                out.harness_runs[H_CODEGEN] += 1;
-                let (verdict, stats) = harness_codegen_equiv(&prog, &img, &oracle, &input);
-                interp_stats = stats;
-                if let Verdict::Violation(detail) = verdict {
-                    found[H_CODEGEN] = true;
-                    out.harness_viol[H_CODEGEN] += 1;
-                    out.violations.push(RawCe {
-                        cfg,
-                        aligns: aligns.to_vec(),
-                        trip,
-                        style: TripStyle::RuntimeUb,
-                        probe,
-                        harness: H_CODEGEN,
-                        detail,
-                    });
-                }
-            }
-            if !found[H_FUSION] {
-                if !take(spent, opts.budget) {
-                    out.exhausted = true;
-                    break 'sweep;
-                }
-                out.harness_runs[H_FUSION] += 1;
-                if let Verdict::Violation(detail) =
-                    harness_fusion_equiv(&prog, &img, &oracle, &input, interp_stats)
-                {
-                    found[H_FUSION] = true;
-                    out.harness_viol[H_FUSION] += 1;
-                    out.violations.push(RawCe {
-                        cfg,
-                        aligns: aligns.to_vec(),
-                        trip,
-                        style: TripStyle::RuntimeUb,
-                        probe,
-                        harness: H_FUSION,
-                        detail,
-                    });
-                }
-            }
-            if !found[H_NATIVE] {
-                if !take(spent, opts.budget) {
-                    out.exhausted = true;
-                    break 'sweep;
-                }
-                out.harness_runs[H_NATIVE] += 1;
-                if let Verdict::Violation(detail) =
-                    harness_native_equiv(&prog, &img, &oracle, &input, interp_stats)
-                {
-                    found[H_NATIVE] = true;
-                    out.harness_viol[H_NATIVE] += 1;
-                    out.violations.push(RawCe {
-                        cfg,
-                        aligns: aligns.to_vec(),
-                        trip,
-                        style: TripStyle::RuntimeUb,
-                        probe,
-                        harness: H_NATIVE,
-                        detail,
-                    });
-                }
-            }
-            if pi == 0 && !found[H_CACHE] {
-                if let Some(pre) = &pre {
-                    if !take(spent, opts.budget) {
-                        out.exhausted = true;
-                        break 'sweep;
-                    }
-                    out.harness_runs[H_CACHE] += 1;
-                    if let Verdict::Violation(detail) = harness_cache_coherence(
-                        fingerprint,
-                        pre,
-                        &cache,
-                        &img,
-                        &oracle,
-                        &input,
-                        &kopts,
-                    ) {
-                        found[H_CACHE] = true;
-                        out.harness_viol[H_CACHE] += 1;
-                        out.violations.push(RawCe {
-                            cfg,
-                            aligns: aligns.to_vec(),
-                            trip,
-                            style: TripStyle::RuntimeUb,
-                            probe,
-                            harness: H_CACHE,
-                            detail,
-                        });
-                    }
-                }
+        unit.out.compiled = true;
+        unit.out.mutated = mutated;
+        unit.out.lint_deny = lint_deny_count(&prog);
+        lint_done = true;
+        let variant = Variant::new(&prog, TripStyle::RuntimeUb, true);
+        cache_proved_here = variant.pre.is_some();
+        for &trip in trips_ub {
+            let probes = probes(trip, block, opts.trip_bound, opts.quick, trip);
+            if !unit.sweep(&variant, trip, probes) {
+                break;
             }
         }
-    }
-
     }
 
     // Compile-time-known trip counts take the other bound formulas
     // (eqs 12/14): a small subset, each its own compilation. For
     // reduction and strided loops this pass is the entire proof, so it
     // also takes over the cache-coherence harness.
-    if !out.exhausted {
-        'known: for &trip in trips_known {
-            if found[H_CODEGEN]
-                && found[H_FUSION]
-                && found[H_NATIVE]
-                && (cache_proved_here || found[H_CACHE])
-            {
-                break;
-            }
-            let Some((kprog, kmutated)) = compile_variant(
-                base,
-                cfg,
-                aligns,
-                TripCount::Known(trip),
-                opts.mutation,
-                shape,
-            ) else {
-                continue;
-            };
-            out.compiled = true;
-            out.mutated |= kmutated;
-            if !lint_done {
-                out.lint_deny = lint_deny_count(&kprog);
-                lint_done = true;
-            }
-            let kpre = if cache_proved_here {
-                None
-            } else {
-                PredecodedKernel::new(&kprog).ok()
-            };
-            let kfp = program_fingerprint(&kprog);
-            let ksrc = kprog.source().clone();
-            let input = RunInput {
-                ub: trip,
-                params: params.clone(),
-            };
-            for (pi, probe) in [Probe::Seeded(trip), Probe::LaneRamp].into_iter().enumerate() {
-                let img = probe.build_image(&ksrc, shape, aligns);
-                let mut oracle = img.clone();
-                if run_scalar(&ksrc, &mut oracle, trip, &params).is_err() {
-                    out.points_skipped += 1;
-                    continue;
-                }
-                out.points += 1;
-                let mut interp_stats = None;
-                if !found[H_CODEGEN] {
-                    if !take(spent, opts.budget) {
-                        out.exhausted = true;
-                        break 'known;
-                    }
-                    out.harness_runs[H_CODEGEN] += 1;
-                    let (verdict, stats) = harness_codegen_equiv(&kprog, &img, &oracle, &input);
-                    interp_stats = stats;
-                    if let Verdict::Violation(detail) = verdict {
-                        found[H_CODEGEN] = true;
-                        out.harness_viol[H_CODEGEN] += 1;
-                        out.violations.push(RawCe {
-                            cfg,
-                            aligns: aligns.to_vec(),
-                            trip,
-                            style: TripStyle::KnownTrip,
-                            probe,
-                            harness: H_CODEGEN,
-                            detail,
-                        });
-                    }
-                }
-                if !found[H_FUSION] {
-                    if !take(spent, opts.budget) {
-                        out.exhausted = true;
-                        break 'known;
-                    }
-                    out.harness_runs[H_FUSION] += 1;
-                    if let Verdict::Violation(detail) =
-                        harness_fusion_equiv(&kprog, &img, &oracle, &input, interp_stats)
-                    {
-                        found[H_FUSION] = true;
-                        out.harness_viol[H_FUSION] += 1;
-                        out.violations.push(RawCe {
-                            cfg,
-                            aligns: aligns.to_vec(),
-                            trip,
-                            style: TripStyle::KnownTrip,
-                            probe,
-                            harness: H_FUSION,
-                            detail,
-                        });
-                    }
-                }
-                if !found[H_NATIVE] {
-                    if !take(spent, opts.budget) {
-                        out.exhausted = true;
-                        break 'known;
-                    }
-                    out.harness_runs[H_NATIVE] += 1;
-                    if let Verdict::Violation(detail) =
-                        harness_native_equiv(&kprog, &img, &oracle, &input, interp_stats)
-                    {
-                        found[H_NATIVE] = true;
-                        out.harness_viol[H_NATIVE] += 1;
-                        out.violations.push(RawCe {
-                            cfg,
-                            aligns: aligns.to_vec(),
-                            trip,
-                            style: TripStyle::KnownTrip,
-                            probe,
-                            harness: H_NATIVE,
-                            detail,
-                        });
-                    }
-                }
-                if pi == 0 && !found[H_CACHE] {
-                    if let Some(kpre) = &kpre {
-                        if !take(spent, opts.budget) {
-                            out.exhausted = true;
-                            break 'known;
-                        }
-                        out.harness_runs[H_CACHE] += 1;
-                        if let Verdict::Violation(detail) = harness_cache_coherence(
-                            kfp, kpre, &cache, &img, &oracle, &input, &kopts,
-                        ) {
-                            found[H_CACHE] = true;
-                            out.harness_viol[H_CACHE] += 1;
-                            out.violations.push(RawCe {
-                                cfg,
-                                aligns: aligns.to_vec(),
-                                trip,
-                                style: TripStyle::KnownTrip,
-                                probe,
-                                harness: H_CACHE,
-                                detail,
-                            });
-                        }
-                    }
-                }
-            }
+    for &trip in trips_known {
+        let f = &unit.found;
+        let all_found = f[H_CODEGEN] && f[H_FUSION] && f[H_NATIVE] && (cache_proved_here || f[H_CACHE]);
+        if unit.out.exhausted || all_found {
+            break;
         }
+        let known = TripCount::Known(trip);
+        let Some((kprog, kmutated)) = compile_variant(base, cfg, aligns, known, opts.mutation, shape)
+        else {
+            continue;
+        };
+        unit.out.compiled = true;
+        unit.out.mutated |= kmutated;
+        if !lint_done {
+            unit.out.lint_deny = lint_deny_count(&kprog);
+            lint_done = true;
+        }
+        let variant = Variant::new(&kprog, TripStyle::KnownTrip, !cache_proved_here);
+        unit.sweep(&variant, trip, vec![Probe::Seeded(trip), Probe::LaneRamp]);
     }
-    out
+    unit.out
 }
 
 /// Proves the loop over the full bounded domain and returns the

@@ -9,11 +9,11 @@
 
 use crate::domain::{params_for, rebuild, reuse_name, Config, Mode, Probe, TripStyle, VerifyOptions};
 use crate::prover::{
-    compile_variant, harness_cache_coherence, harness_codegen_equiv, harness_fusion_equiv,
-    harness_native_equiv, RawCe, Verdict, H_CACHE, H_CODEGEN, H_NATIVE, HARNESS_NAMES, NH,
+    compile_variant, Point, RawCe, Verdict, HARNESSES, HARNESS_NAMES, H_CACHE, H_CODEGEN,
+    H_NATIVE, NH,
 };
 use crate::report::Counterexample;
-use simdize_engine::{program_fingerprint, KernelCache, KernelOptions, PredecodedKernel};
+use simdize_engine::{program_fingerprint, KernelCache, PredecodedKernel};
 use simdize_ir::{LoopProgram, TripCount, VectorShape};
 use simdize_vm::{run_scalar, RunInput};
 use std::fmt::Write as _;
@@ -49,50 +49,28 @@ fn fails(
         return false;
     }
     let input = RunInput { ub: trip, params };
-    match harness {
-        H_CODEGEN => matches!(
-            harness_codegen_equiv(&prog, &img, &oracle, &input).0,
-            Verdict::Violation(_)
-        ),
-        H_CACHE => {
-            let Ok(pre) = PredecodedKernel::new(&prog) else {
-                return false;
-            };
-            let cache = KernelCache::new(1, 4);
-            let kopts = KernelOptions::new().disassembly(false);
-            matches!(
-                harness_cache_coherence(
-                    program_fingerprint(&prog),
-                    &pre,
-                    &cache,
-                    &img,
-                    &oracle,
-                    &input,
-                    &kopts,
-                ),
-                Verdict::Violation(_)
-            )
-        }
-        H_NATIVE => {
-            // Like fusion: the interpreter runs first so the RunStats
-            // cross check still applies during shrinking.
-            let (_, stats) = harness_codegen_equiv(&prog, &img, &oracle, &input);
-            matches!(
-                harness_native_equiv(&prog, &img, &oracle, &input, stats),
-                Verdict::Violation(_)
-            )
-        }
-        _ => {
-            // Fusion: run the interpreter first so the RunStats cross
-            // check — one of the properties this harness proves — still
-            // applies during shrinking.
-            let (_, stats) = harness_codegen_equiv(&prog, &img, &oracle, &input);
-            matches!(
-                harness_fusion_equiv(&prog, &img, &oracle, &input, stats),
-                Verdict::Violation(_)
-            )
-        }
+    let mut point = Point {
+        prog: &prog,
+        img: &img,
+        oracle: &oracle,
+        input: &input,
+        interp_stats: None,
+        cached: None,
+    };
+    let (pre, cache);
+    if harness == H_CACHE {
+        let Ok(predecoded) = PredecodedKernel::new(&prog) else {
+            return false;
+        };
+        (pre, cache) = (predecoded, KernelCache::new(1, 4));
+        point.cached = Some((program_fingerprint(&prog), &pre, &cache));
+    } else if harness != H_CODEGEN {
+        // The engine harnesses: run the interpreter first so the
+        // RunStats cross check — one of the properties they prove —
+        // still applies during shrinking.
+        HARNESSES[H_CODEGEN](&mut point);
     }
+    matches!(HARNESSES[harness](&mut point), Verdict::Violation(_))
 }
 
 /// Shrinks `raw` and renders the replayable counterexample.
@@ -194,7 +172,14 @@ pub(crate) fn shrink_and_replay(
         .collect::<Vec<_>>()
         .join(" ");
 
-    let mut cmd = format!("echo '{src}' | simdize run -");
+    // Replay through what the harness actually exercised: the
+    // interpreter for codegen, the engine otherwise — on the host's
+    // tier for native, forced down to the portable one for the rest.
+    let isa_env = match raw.harness {
+        H_CODEGEN | H_NATIVE => "",
+        _ => "SIMDIZE_ISA=scalar ",
+    };
+    let mut cmd = format!("echo '{src}' | {isa_env}simdize run -");
     let _ = write!(cmd, " --policy {}", cfg.policy.name());
     let _ = write!(cmd, " --reuse {}", reuse_name(cfg.reuse));
     if !cfg.unroll {
@@ -209,13 +194,8 @@ pub(crate) fn shrink_and_replay(
     if let Probe::Seeded(s) = probe {
         let _ = write!(cmd, " --seed {s}");
     }
-    // Replay through the engine the harness actually exercised: the
-    // interpreter for codegen, the intrinsics backend for native, the
-    // fused engine otherwise.
-    match raw.harness {
-        H_CODEGEN => {}
-        H_NATIVE => cmd.push_str(" --engine simd"),
-        _ => cmd.push_str(" --engine native"),
+    if raw.harness != H_CODEGEN {
+        cmd.push_str(" --engine simd");
     }
     if let Some(kind) = opts.mutation {
         let _ = write!(cmd, "  # with --mutate {} injected", kind.name());

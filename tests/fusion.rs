@@ -1,15 +1,16 @@
 //! Differential tests for the engine's trace fusion pass: a fused
 //! kernel must be byte-for-byte and stat-for-stat identical to its
-//! unfused twin across the full policy × reuse × alignment matrix
-//! (fusion is a pure execution-plan optimization — [`RunStats`] are
-//! fixed analytically before it runs), and the fused plan for the
-//! paper's Figure 1 loop is pinned by a golden trace snapshot.
+//! unfused twin across the full policy × reuse × alignment matrix, on
+//! the portable tier and on the host's detected one (fusion is a pure
+//! execution-plan optimization — [`RunStats`] are fixed analytically
+//! before it runs), and the fused plan for the paper's Figure 1 loop
+//! is pinned by a golden trace snapshot.
 //!
 //! [`RunStats`]: simdize::RunStats
 
 use simdize::{
-    KernelOptions, MemoryImage, Policy, PredecodedKernel, ReuseMode, RunInput, SimdizeError,
-    Simdizer, VectorShape,
+    IsaLevel, KernelOptions, MemoryImage, Policy, PredecodedKernel, ReuseMode, RunInput,
+    SimdKernel, SimdizeError, Simdizer, VectorShape,
 };
 
 const REUSES: [ReuseMode; 3] = [
@@ -47,14 +48,10 @@ fn fused_matches_unfused_across_policy_reuse_alignment_matrix() {
                 let pre = PredecodedKernel::new(&compiled).unwrap();
                 for seed in [2, 11, 2004] {
                     let input = RunInput::with_ub(ub);
-                    let mut fused_img =
-                        MemoryImage::with_seed(&program, VectorShape::V16, seed);
-                    let mut unfused_img = fused_img.clone();
-                    let fused = pre
-                        .bake(&fused_img, &input, &KernelOptions::new())
-                        .unwrap();
+                    let image = MemoryImage::with_seed(&program, VectorShape::V16, seed);
+                    let fused = pre.bake(&image, &input, &KernelOptions::new()).unwrap();
                     let unfused = pre
-                        .bake(&unfused_img, &input, &KernelOptions::new().fuse(false))
+                        .bake(&image, &input, &KernelOptions::new().fuse(false))
                         .unwrap();
                     // Stats are finalized before fusion, so the two
                     // plans must *promise* the same counts...
@@ -63,15 +60,20 @@ fn fused_matches_unfused_across_policy_reuse_alignment_matrix() {
                         unfused.stats(),
                         "{policy}/{reuse:?} seed {seed}: baked stats diverged"
                     );
-                    // ...and report them identically after running.
-                    let got = fused.run(&mut fused_img).unwrap();
-                    let want = unfused.run(&mut unfused_img).unwrap();
-                    assert_eq!(got, want, "{policy}/{reuse:?} seed {seed}: run stats diverged");
-                    assert_eq!(
-                        fused_img.first_difference(&unfused_img),
-                        None,
-                        "{policy}/{reuse:?} seed {seed}: memory diverged"
-                    );
+                    // ...and report them identically after running, on
+                    // either tier.
+                    for tier in [IsaLevel::Scalar, IsaLevel::detect()] {
+                        let (mut fused_img, mut unfused_img) = (image.clone(), image.clone());
+                        let got = SimdKernel::lower(&fused, tier).run(&mut fused_img).unwrap();
+                        let want = SimdKernel::lower(&unfused, tier).run(&mut unfused_img).unwrap();
+                        let label = format!("{policy}/{reuse:?} seed {seed} at {tier}");
+                        assert_eq!(got, want, "{label}: run stats diverged");
+                        assert_eq!(
+                            fused_img.first_difference(&unfused_img),
+                            None,
+                            "{label}: memory diverged"
+                        );
+                    }
                     combos += 1;
                 }
             }

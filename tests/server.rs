@@ -288,40 +288,49 @@ fn stats_report_latency_and_cache_counters() {
     harness.shutdown();
 }
 
-/// The same program executed through both backends must occupy two
-/// distinct kernel-cache entries — the backend (and, for simd, the
-/// dispatched ISA level) is part of the cache key, so fused and
-/// intrinsic bakes never collide across server requests — while the
-/// response payloads stay byte-identical.
+/// The wire's `engine` field selects nothing: a `native` and a `simd`
+/// request for the same `(program, input, layout, seed)` run the same
+/// plan on the same tier, so the second is served from the entry the
+/// first one baked, with a byte-identical payload. What does split the
+/// cache is the ISA tier: one key at the portable tier and at the
+/// host's detected tier is two entries.
 #[test]
-fn backends_occupy_distinct_cache_entries_across_requests() {
+fn engine_field_shares_one_cache_entry_and_isa_tiers_key_separately() {
     let harness = Harness::start(ServerConfig::default());
     let mut client = harness.client();
     let src = inline(&sample("figure1"));
-    let baked = format!(r#"{{"v":1,"id":1,"cmd":"run","source":"{src}","seed":5}}"#);
-    let simd =
-        format!(r#"{{"v":1,"id":1,"cmd":"run","source":"{src}","seed":5,"engine":"simd"}}"#);
-    let first = client.roundtrip(&baked);
+    let request = |id: u32, engine: &str| {
+        format!(r#"{{"v":1,"id":{id},"cmd":"run","source":"{src}","seed":5,"engine":"{engine}"}}"#)
+    };
+    let first = client.roundtrip(&request(1, "native"));
     assert!(first.contains("\"verified\":true"), "{first}");
-    assert_eq!(
-        normalize(&client.roundtrip(&simd)),
-        normalize(&first),
-        "stats are computed pre-lowering, so the payloads must agree"
-    );
+    assert_eq!(normalize(&client.roundtrip(&request(1, "simd"))), normalize(&first));
     let stats = client.roundtrip(r#"{"v":1,"id":2,"cmd":"stats"}"#);
     let doc = json::parse(&stats).unwrap();
     let cache = doc.get("result").unwrap().get("cache").unwrap();
-    assert_eq!(cache.get("misses").and_then(Json::as_f64), Some(2.0), "{stats}");
-    assert_eq!(cache.get("occupied").and_then(Json::as_f64), Some(2.0), "{stats}");
-    // Replaying both verbs now hits both entries.
-    client.roundtrip(&baked);
-    client.roundtrip(&simd);
-    let stats = client.roundtrip(r#"{"v":1,"id":3,"cmd":"stats"}"#);
-    let doc = json::parse(&stats).unwrap();
-    let cache = doc.get("result").unwrap().get("cache").unwrap();
-    assert_eq!(cache.get("hits").and_then(Json::as_f64), Some(2.0), "{stats}");
-    assert_eq!(cache.get("occupied").and_then(Json::as_f64), Some(2.0), "{stats}");
+    assert_eq!(cache.get("misses").and_then(Json::as_f64), Some(1.0), "{stats}");
+    assert_eq!(cache.get("hits").and_then(Json::as_f64), Some(1.0), "{stats}");
+    assert_eq!(cache.get("occupied").and_then(Json::as_f64), Some(1.0), "{stats}");
     harness.shutdown();
+
+    use simdize::{IsaLevel, KernelCache, KernelOptions, MemoryImage, PredecodedKernel, RunInput};
+    let program = simdize::parse_program(&sample("figure1")).unwrap();
+    let compiled = simdize::Simdizer::new().compile(&program).unwrap();
+    let pre = PredecodedKernel::new(&compiled).unwrap();
+    let image = MemoryImage::with_seed(&program, simdize::VectorShape::V16, 5);
+    let input = RunInput::with_ub(program.trip().known().unwrap());
+    let cache = KernelCache::default();
+    let tiers = [IsaLevel::Scalar, IsaLevel::detect()];
+    for (nth, isa) in tiers.into_iter().enumerate() {
+        let fingerprint = simdize::program_fingerprint(&compiled);
+        let (kernel, lookup) = cache
+            .get_or_bake_simd(fingerprint, &pre, &image, &input, &KernelOptions::new(), isa)
+            .unwrap();
+        assert_eq!(kernel.isa(), isa);
+        assert_eq!(lookup.hit, nth == 1 && tiers[0] == tiers[1], "{isa}");
+    }
+    let distinct = if tiers[0] == tiers[1] { 1 } else { 2 };
+    assert_eq!(cache.stats().occupied(), distinct);
 }
 
 /// A queue of depth 1 with a single worker under a burst of parallel

@@ -22,11 +22,16 @@ fn figure1() -> String {
 /// Pins the normalized `simdize-telemetry/v1` JSON for a Figure 1
 /// profile, byte for byte. Counts, tree shape and cache metrics are
 /// deterministic on this loop (single worker, compile-time-known
-/// alignments); wall-clock fields are normalized to zero. Regenerate
-/// after an intentional pipeline change with
+/// alignments); wall-clock fields are normalized to zero. The profiled
+/// sweep runs on the dispatched tier, so the tier is pinned the way
+/// `tests/trace.rs` pins it — `IsaLevel::detect()` re-reads the
+/// override on every call and `scalar` is valid on every host — and
+/// the document cannot come to depend on the host. Regenerate after an
+/// intentional pipeline change with
 /// `UPDATE_GOLDEN=1 cargo test --test telemetry`.
 #[test]
 fn figure1_profile_json_golden() {
+    std::env::set_var("SIMDIZE_ISA", "scalar");
     let outcome = profile_source(&figure1()).unwrap();
     assert!(outcome.verified);
     let json = outcome.report.render_json(true);

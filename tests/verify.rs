@@ -64,11 +64,18 @@ fn mutate_and_catch_shrinks_to_a_replayable_counterexample() {
             .violations
             .first()
             .unwrap_or_else(|| panic!("{kind:?}: no shrunk counterexample"));
-        assert!(
-            ce.replay.contains("| simdize run -"),
-            "{kind:?} replay not a command line: {}",
-            ce.replay
-        );
+        // Every harness's replay is a `simdize run` command line the
+        // CLI still has an engine for: the interpreter, or `simd` (with
+        // the tier forced down where the harness ran the portable one).
+        for ce in &report.violations {
+            let command = ce.replay.split("  #").next().unwrap();
+            let replays = command.contains("| simdize run -")
+                || command.contains("| SIMDIZE_ISA=scalar simdize run -");
+            assert!(replays, "{kind:?} replay not a command line: {}", ce.replay);
+            assert!(!command.contains("--engine native"), "{kind:?}: {}", ce.replay);
+            let engine = ce.harness != "harness_codegen_equiv";
+            assert_eq!(command.ends_with(" --engine simd"), engine, "{kind:?}: {}", ce.replay);
+        }
         assert!(
             ce.replay.contains("--policy") && ce.replay.contains("--reuse"),
             "{kind:?} replay lacks the configuration: {}",
