@@ -73,9 +73,10 @@
 //!                                       telemetry around `run`/`sweep`
 //!   --dir PATH                          bench-history directory for
 //!                                       `bench diff` (default bench_history)
-//!   --workers N                         serve: worker pool size (default 2)
-//!   --queue N                           serve: bounded job-queue depth
-//!                                       (default 64; full queue => busy)
+//!   --workers N                         serve: requests executing at once
+//!                                       (default 2)
+//!   --queue N                           serve: requests waiting for a slot
+//!                                       (default 64; one more => busy)
 //!   --shards N / --cache-cap N          serve: kernel-cache shard count
 //!                                       (default 8) and per-shard LRU
 //!                                       capacity (default 32)
@@ -106,10 +107,9 @@
 #![warn(missing_docs)]
 
 use simdize::{
-    analyze_program, lower_altivec, run_scalar, run_sweep_collect, to_dot, AnalyzeOptions,
-    DiffConfig, IsaLevel, Level, Lint, MemoryImage, MutationKind, Policy,
-    ReorgGraph, ReuseMode, RunInput, Scheme, SimdKernel, SimdizeError, Simdizer, SweepJob,
-    SweepOptions, Target, VectorShape, VerifyOptions,
+    analyze_program, lower_altivec, run_job, run_sweep_collect, to_dot, AnalyzeOptions,
+    DiffConfig, IsaLevel, KernelCache, Level, Lint, MutationKind, Policy, ReorgGraph, ReuseMode,
+    Scheme, SimdizeError, Simdizer, SweepJob, SweepOptions, Target, VectorShape, VerifyOptions,
 };
 use simdize_explain::{render_json, render_markdown, render_text, Explainer};
 use simdize_telemetry as telemetry;
@@ -534,20 +534,10 @@ pub fn run(opts: &Options) -> Result<String, Box<dyn Error>> {
             }
         }
         "run" if opts.engine == "simd" => {
-            let compiled = driver.compile(&program)?;
-            let source = compiled.source().clone();
-            let ub = source.trip().known().unwrap_or(opts.ub);
-            let input = RunInput {
-                ub,
-                params: opts.params.clone(),
-            };
-            let mut image = MemoryImage::with_seed(&source, opts.shape, opts.seed);
-            let mut oracle = image.clone();
-            let lowered = SimdKernel::compile(&compiled, &image, &input)?;
-            let stats = lowered.run(&mut image)?;
-            let ideal = run_scalar(&source, &mut oracle, ub, &opts.params)?;
-            let verified = image.first_difference(&oracle).is_none();
-            let data = source.stmts().len() as u64 * ub;
+            let mut job = SweepJob::new(driver.compile(&program)?, opts.seed, opts.ub);
+            job.input.params.clone_from(&opts.params);
+            let (outcome, lowered, _) = run_job(&job, &KernelCache::new(1, 1))?;
+            let (verified, stats) = (outcome.verified, outcome.stats);
             writeln!(out, "verified: {verified}")?;
             writeln!(
                 out,
@@ -568,8 +558,8 @@ pub fn run(opts: &Options) -> Result<String, Box<dyn Error>> {
             writeln!(
                 out,
                 "opd: {:.3}  speedup: {:.2}x over idealistic scalar",
-                stats.opd(data),
-                ideal as f64 / stats.total() as f64
+                stats.opd(outcome.data_produced),
+                outcome.speedup()
             )?;
             writeln!(out, "stats: {stats}")?;
             if !verified {

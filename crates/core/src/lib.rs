@@ -99,10 +99,10 @@ pub use simdize_reorg::{
     ReorgGraph, ValidateGraphError,
 };
 pub use simdize_engine::{
-    program_fingerprint, run_sweep, run_sweep_collect, run_sweep_shared, CacheStats,
-    CompiledKernel, FusionEvent, FusionEventKind, FusionStats, IsaLevel, KernelBackend,
-    KernelCache, KernelOptions, PredecodedKernel, Schedule, SectionSchedule, SimdEngine,
-    SimdKernel, SweepBackend, SweepJob, SweepOptions, SweepOutcome, SweepStats,
+    program_fingerprint, run_job, run_sweep, run_sweep_collect, run_sweep_shared, CacheStats,
+    CompiledKernel, FusionEvent, FusionEventKind, FusionStats, IsaLevel, JobRun, KernelBackend,
+    KernelCache, KernelOptions, PredecodedKernel, Schedule, SectionSchedule, SimdKernel,
+    SweepBackend, SweepJob, SweepOptions, SweepOutcome, SweepStats,
 };
 pub use simdize_telemetry::{RequestTrace, TelemetryReport, TraceId, TELEMETRY_SCHEMA, TRACE_SCHEMA};
 pub use simdize_verify::{
@@ -111,7 +111,7 @@ pub use simdize_verify::{
 };
 pub use simdize_vm::{
     run_differential, run_scalar, run_simd, run_simd_traced, scalar_ideal_ops, DiffConfig,
-    DiffOutcome, ExecError, Executor, Interpreter, MemoryImage, RunInput, RunStats, VerifyError,
+    DiffOutcome, ExecError, MemoryImage, RunInput, RunStats, VerifyError,
     UNALIGNED_MEM_COST,
 };
 pub use simdize_workloads::{

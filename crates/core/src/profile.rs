@@ -20,6 +20,7 @@ use simdize_engine::{
 use simdize_ir::{parse_program, VectorShape};
 use simdize_telemetry::{self as telemetry, TelemetryReport};
 use simdize_vm::{run_scalar, ExecError, MemoryImage, RunInput, VerifyError};
+use simdize_workloads::lower_bound_opd;
 
 /// How many seeds the profiling sweep covers. Small enough to finish
 /// instantly, large enough that cache hits dominate misses on a
@@ -45,25 +46,34 @@ pub struct ProfileOutcome {
     pub speedup: f64,
 }
 
-fn exec_err(e: ExecError) -> SimdizeError {
-    SimdizeError::from(VerifyError::from(e))
+/// What the one instrumented pass measured. [`profile_source`] and
+/// [`trace_source_with`](crate::trace_source_with) each wrap it in
+/// their own collector — a session, a request scope — and add their
+/// own tags.
+pub(crate) struct InstrumentedPass {
+    pub verified: bool,
+    pub speedup: f64,
+    pub opd: f64,
+    pub opd_bound: f64,
+    pub sweep_verified: usize,
+    pub sweep_jobs: usize,
+    pub sweep_stats: SweepStats,
 }
 
-/// Profiles one loop end to end and returns the telemetry plus a
-/// verification summary.
-///
-/// # Errors
-///
-/// Any [`SimdizeError`] the instrumented pipeline raises: parse
-/// failures, graph/codegen errors, analysis rejections, or engine
-/// faults (wrapped as [`SimdizeError::Verify`]).
-pub fn profile_source(src: &str) -> Result<ProfileOutcome, SimdizeError> {
-    let mut session = telemetry::session();
+/// The pass both drivers instrument: parse → compile with the analysis
+/// gate on → predecode → bake → run → scalar oracle → diff, then the
+/// one-worker seed sweep. The bake is deliberately uncached and builds
+/// the disassembly — this is the path whose every phase must show up
+/// as a span — so it does not go through `run_job`.
+pub(crate) fn instrumented_pass(src: &str) -> Result<InstrumentedPass, SimdizeError> {
+    let exec_err = |e: ExecError| SimdizeError::from(VerifyError::from(e));
     let program = {
         let _span = telemetry::span("parse");
         parse_program(src)?
     };
-    let compiled = Simdizer::new().analyze(true).compile(&program)?;
+    let simdizer = Simdizer::new().analyze(true);
+    let policy = simdizer.policy_for(&program);
+    let compiled = simdizer.compile(&program)?;
     let ub = program.trip().known().unwrap_or(256);
     let input = RunInput::with_ub(ub);
 
@@ -77,7 +87,6 @@ pub fn profile_source(src: &str) -> Result<ProfileOutcome, SimdizeError> {
     let scalar_ideal =
         run_scalar(&program, &mut oracle_img, ub, &input.params).map_err(exec_err)?;
     let verified = engine_img.first_difference(&oracle_img).is_none();
-    let speedup = scalar_ideal as f64 / stats.total() as f64;
 
     let jobs: Vec<SweepJob> = (0..PROFILE_SWEEP_SEEDS)
         .map(|seed| SweepJob::new(compiled.clone(), seed, ub))
@@ -91,13 +100,35 @@ pub fn profile_source(src: &str) -> Result<ProfileOutcome, SimdizeError> {
         }
     }
 
-    Ok(ProfileOutcome {
-        report: session.finish(),
+    Ok(InstrumentedPass {
         verified,
+        speedup: scalar_ideal as f64 / stats.total() as f64,
+        opd: stats.opd(program.stmts().len() as u64 * ub),
+        opd_bound: lower_bound_opd(&program, VectorShape::V16, policy),
         sweep_verified,
         sweep_jobs,
         sweep_stats,
-        speedup,
+    })
+}
+
+/// Profiles one loop end to end and returns the telemetry plus a
+/// verification summary.
+///
+/// # Errors
+///
+/// Any [`SimdizeError`] the instrumented pipeline raises: parse
+/// failures, graph/codegen errors, analysis rejections, or engine
+/// faults (wrapped as [`SimdizeError::Verify`]).
+pub fn profile_source(src: &str) -> Result<ProfileOutcome, SimdizeError> {
+    let mut session = telemetry::session();
+    let pass = instrumented_pass(src)?;
+    Ok(ProfileOutcome {
+        report: session.finish(),
+        verified: pass.verified,
+        sweep_verified: pass.sweep_verified,
+        sweep_jobs: pass.sweep_jobs,
+        sweep_stats: pass.sweep_stats,
+        speedup: pass.speedup,
     })
 }
 

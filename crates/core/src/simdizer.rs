@@ -173,12 +173,9 @@ impl Simdizer {
             telemetry::tag("policy", policy);
             let graph = {
                 let _span = telemetry::span("reorg");
-                let program = if self.reassoc {
-                    reassociate(program, self.shape)
-                } else {
-                    program.clone()
-                };
-                ReorgGraph::build(&program, self.shape)?.with_policy(policy)?
+                let reassociated = self.reassoc.then(|| reassociate(program, self.shape));
+                ReorgGraph::build(reassociated.as_ref().unwrap_or(program), self.shape)?
+                    .with_policy(policy)?
             };
             let _span = telemetry::span("codegen");
             generate(&graph, &self.options)?

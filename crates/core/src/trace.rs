@@ -15,15 +15,9 @@
 //! [`profile_source`]: crate::profile_source
 
 use crate::error::SimdizeError;
-use crate::profile::PROFILE_SWEEP_SEEDS;
-use crate::simdizer::Simdizer;
-use simdize_engine::{
-    run_sweep_collect, IsaLevel, KernelOptions, PredecodedKernel, SweepJob, SweepOptions,
-};
-use simdize_ir::{parse_program, VectorShape};
+use crate::profile::instrumented_pass;
+use simdize_engine::IsaLevel;
 use simdize_telemetry::{self as telemetry, RequestTrace, TraceId};
-use simdize_vm::{run_scalar, ExecError, MemoryImage, RunInput, VerifyError};
-use simdize_workloads::lower_bound_opd;
 
 /// Everything one traced pass produced.
 #[derive(Debug, Clone)]
@@ -48,10 +42,6 @@ pub struct TraceOutcome {
     pub opd_bound: f64,
 }
 
-fn exec_err(e: ExecError) -> SimdizeError {
-    SimdizeError::from(VerifyError::from(e))
-}
-
 /// Traces one loop end to end under a fresh CLI-local [`TraceId`].
 ///
 /// # Errors
@@ -72,68 +62,32 @@ pub fn trace_source(src: &str) -> Result<TraceOutcome, SimdizeError> {
 /// See [`trace_source`].
 pub fn trace_source_with(src: &str, id: TraceId) -> Result<TraceOutcome, SimdizeError> {
     let scope = telemetry::begin_request(id, "trace");
-    let program = {
-        let _span = telemetry::span("parse");
-        parse_program(src)?
-    };
-    let simdizer = Simdizer::new().analyze(true);
-    let policy = simdizer.policy_for(&program);
-    let compiled = simdizer.compile(&program)?;
-    let ub = program.trip().known().unwrap_or(256);
-    let input = RunInput::with_ub(ub);
-
-    let pre = PredecodedKernel::new(&compiled).map_err(exec_err)?;
-    let mut engine_img = MemoryImage::with_seed(&program, VectorShape::V16, 1);
-    let mut oracle_img = engine_img.clone();
-    let kernel = pre
-        .bake(&engine_img, &input, &KernelOptions::default())
-        .map_err(exec_err)?;
-    let stats = kernel.run(&mut engine_img).map_err(exec_err)?;
-    let scalar_ideal =
-        run_scalar(&program, &mut oracle_img, ub, &input.params).map_err(exec_err)?;
-    let verified = engine_img.first_difference(&oracle_img).is_none();
-    let speedup = scalar_ideal as f64 / stats.total() as f64;
-    let data_produced = program.stmts().len() as u64 * ub;
-    let opd = stats.opd(data_produced);
-    let opd_bound = lower_bound_opd(&program, VectorShape::V16, policy);
+    let pass = instrumented_pass(src)?;
 
     // Attribute the run's headline numbers. Policy, fusion rewrites
     // and cache hit/miss are tagged inside the pipeline; the tier the
-    // sweep below dispatches to is tagged here.
+    // pass's sweep dispatched to is tagged here.
     telemetry::tag("isa", IsaLevel::detect());
-    telemetry::tag("opd", format!("{opd:.3}"));
-    telemetry::tag("opd.bound", format!("{opd_bound:.3}"));
-    telemetry::tag("speedup", format!("{speedup:.2}"));
-    telemetry::tag("verified", verified);
-
-    // A single-threaded seed sweep, as in the profile driver: one
-    // worker keeps the cache hit/miss attribution deterministic.
-    let jobs: Vec<SweepJob> = (0..PROFILE_SWEEP_SEEDS)
-        .map(|seed| SweepJob::new(compiled.clone(), seed, ub))
-        .collect();
-    let (outcomes, _sweep_stats) = run_sweep_collect(&jobs, SweepOptions::new(1));
-    let sweep_jobs = outcomes.len();
-    let mut sweep_verified = 0;
-    for outcome in outcomes {
-        if outcome.map_err(exec_err)?.verified {
-            sweep_verified += 1;
-        }
-    }
+    telemetry::tag("opd", format!("{:.3}", pass.opd));
+    telemetry::tag("opd.bound", format!("{:.3}", pass.opd_bound));
+    telemetry::tag("speedup", format!("{:.2}", pass.speedup));
+    telemetry::tag("verified", pass.verified);
 
     Ok(TraceOutcome {
         trace: scope.finish(None),
-        verified,
-        sweep_verified,
-        sweep_jobs,
-        speedup,
-        opd,
-        opd_bound,
+        verified: pass.verified,
+        sweep_verified: pass.sweep_verified,
+        sweep_jobs: pass.sweep_jobs,
+        speedup: pass.speedup,
+        opd: pass.opd,
+        opd_bound: pass.opd_bound,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PROFILE_SWEEP_SEEDS;
 
     const FIG1: &str = "arrays { a: i32[128] @ 0; b: i32[128] @ 0; c: i32[128] @ 0; }
                         for i in 0..100 { a[i+3] = b[i+1] + c[i+2]; }";

@@ -23,16 +23,18 @@
 //!   serve` server) can reuse baked kernels *across* sweeps too.
 //!
 //! Every job runs on the tier [`IsaLevel::detect`] reports when the
-//! sweep starts.
+//! sweep starts. A caller with exactly one job ([`run_job`]) runs the
+//! same job body on its own thread.
 
-use crate::cache::{program_fingerprint, KernelCache};
+use crate::cache::{program_fingerprint, KernelCache, Lookup};
 use crate::kernel::{KernelOptions, PredecodedKernel};
-use crate::native::IsaLevel;
+use crate::native::{IsaLevel, SimdKernel};
 use simdize_codegen::SimdProgram;
 use simdize_ir::VectorShape;
 use simdize_telemetry as telemetry;
 use simdize_vm::{run_scalar, ExecError, MemoryImage, RunInput, RunStats};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::thread;
 
 /// One sweep job: a compiled program plus the seed that determines its
@@ -279,9 +281,10 @@ pub fn run_sweep_shared(
                         let _span = telemetry::span("sweep.job");
                         tally.jobs += 1;
                         let template = &templates[job_template[idx]];
-                        let res =
-                            run_job(&jobs[idx], template, cache, isa, &mut scratch, &mut tally);
-                        mine.push((idx, res));
+                        let res = run_prepared(
+                            &jobs[idx], template, cache, isa, &mut scratch, &mut tally,
+                        );
+                        mine.push((idx, res.map(|(outcome, ..)| outcome)));
                     }
                     (mine, tally)
                 })
@@ -311,14 +314,14 @@ pub fn run_sweep_shared(
         stats.jobs_per_worker.push(tally.jobs);
     }
     if telemetry::enabled() {
-        telemetry::counter("sweep.kernel_cache.hit").add(stats.cache_hits);
-        telemetry::counter("sweep.kernel_cache.miss").add(stats.cache_misses);
-        telemetry::counter("sweep.kernel_cache.evict").add(stats.cache_evictions);
+        publish_cache_traffic(
+            stats.cache_hits,
+            stats.cache_misses,
+            stats.cache_evictions,
+            stats.cache_occupied(),
+        );
         telemetry::counter("sweep.scratch.reseed").add(stats.scratch_reseeds);
         telemetry::gauge("sweep.workers").set(stats.workers as u64);
-        telemetry::gauge("sweep.kernel_cache.occupied").set(stats.cache_occupied() as u64);
-        telemetry::tag("cache.hits", stats.cache_hits);
-        telemetry::tag("cache.misses", stats.cache_misses);
         let jobs_hist = telemetry::histogram("sweep.worker.jobs");
         for &n in &stats.jobs_per_worker {
             jobs_hist.observe(n);
@@ -331,23 +334,75 @@ pub fn run_sweep_shared(
     (results, stats)
 }
 
+/// Publishes one call's kernel-cache traffic: the process-wide
+/// counters plus the requesting scope's `cache.hits` / `cache.misses`
+/// attributes. One helper, so a one-job request and a sweep report
+/// alike.
+fn publish_cache_traffic(hits: u64, misses: u64, evictions: u64, occupied: usize) {
+    telemetry::counter("sweep.kernel_cache.hit").add(hits);
+    telemetry::counter("sweep.kernel_cache.miss").add(misses);
+    telemetry::counter("sweep.kernel_cache.evict").add(evictions);
+    telemetry::gauge("sweep.kernel_cache.occupied").set(occupied as u64);
+    telemetry::tag("cache.hits", hits);
+    telemetry::tag("cache.misses", misses);
+}
+
 /// One distinct program of a sweep: the program, its fingerprint and
 /// its pre-decode.
 type Template<'a> = (&'a SimdProgram, u64, Result<PredecodedKernel, ExecError>);
 
-/// Runs one job: scratch images re-seeded in place
+/// What one job produced: its outcome, the kernel it ran (the cache's
+/// own handle) and what the cache lookup did.
+pub type JobRun = (SweepOutcome, Arc<SimdKernel>, Lookup);
+
+/// Runs and verifies one job on the caller's thread: fingerprint and
+/// pre-decode the program, then the job body every sweep worker runs.
+/// A request that is one job (the server's `run`, the CLI's `run
+/// --engine simd`) calls this instead of a sweep of length one: same
+/// [`SweepOutcome`], same cache traffic, no worker thread.
+///
+/// # Errors
+///
+/// Pre-decode, bake or execution faults, as a sweep reports per job.
+pub fn run_job(job: &SweepJob, cache: &KernelCache) -> Result<JobRun, ExecError> {
+    let template = (
+        &job.program,
+        program_fingerprint(&job.program),
+        PredecodedKernel::new(&job.program),
+    );
+    let mut tally = WorkerTally::default();
+    let run = run_prepared(
+        job,
+        &template,
+        cache,
+        IsaLevel::detect(),
+        &mut Scratch::default(),
+        &mut tally,
+    );
+    if telemetry::enabled() {
+        publish_cache_traffic(
+            tally.cache_hits,
+            tally.cache_misses,
+            tally.cache_evictions,
+            cache.stats().occupied(),
+        );
+    }
+    run
+}
+
+/// The job body: scratch images re-seeded in place
 /// ([`MemoryImage::reseed`] rebuilds exactly the image `with_seed`
 /// would), the kernel out of `cache` — reused only when the program,
 /// the runtime input, the memory layout and the tier all match — and
 /// the result diffed against the scalar oracle.
-fn run_job(
+fn run_prepared(
     job: &SweepJob,
     (_, fingerprint, pre): &Template,
     cache: &KernelCache,
     isa: IsaLevel,
     scratch: &mut Scratch,
     tally: &mut WorkerTally,
-) -> Result<SweepOutcome, ExecError> {
+) -> Result<JobRun, ExecError> {
     let pre = pre.as_ref().map_err(|e| e.clone())?;
     let source = job.program.source();
     let shape = VectorShape::V16;
@@ -384,13 +439,14 @@ fn run_job(
 
     let ub = source.trip().known().unwrap_or(job.input.ub);
     let scalar_ideal = run_scalar(source, oracle_img, ub, &job.input.params)?;
-    Ok(SweepOutcome {
+    let outcome = SweepOutcome {
         seed: job.seed,
         stats,
         verified: engine_img.first_difference(oracle_img).is_none(),
         data_produced: source.stmts().len() as u64 * ub,
         scalar_ideal,
-    })
+    };
+    Ok((outcome, kernel, lookup))
 }
 
 #[cfg(test)]
@@ -508,6 +564,33 @@ mod tests {
         assert_eq!(second.cache_hits, 6);
         for o in outcomes {
             assert!(o.unwrap().verified);
+        }
+    }
+
+    #[test]
+    fn run_job_is_a_one_job_sweep_without_the_sweep() {
+        let one = SweepOptions::new(1);
+        for src in [KNOWN, RUNTIME] {
+            let job = SweepJob::new(program(src), 9, 300);
+            let jobs = std::slice::from_ref(&job);
+            let (swept_cache, direct_cache) = (KernelCache::new(4, 16), KernelCache::new(4, 16));
+            let mut kernels = Vec::new();
+            for round in 0..2 {
+                let (swept, stats) = run_sweep_shared(jobs, one, &swept_cache);
+                let (outcome, kernel, lookup) = run_job(&job, &direct_cache).unwrap();
+                assert_eq!(Ok(&outcome), swept[0].as_ref());
+                assert!(outcome.verified);
+                assert_eq!((lookup.hit, lookup.evicted), (round == 1, false));
+                assert_eq!(stats.cache_hits, u64::from(lookup.hit));
+                assert_eq!(stats.cache_misses, u64::from(!lookup.hit));
+                assert_eq!(direct_cache.stats(), swept_cache.stats());
+                kernels.push(kernel);
+            }
+            // A hit hands out the cache's own kernel, and the two paths
+            // key alike: each hits on the entry the other baked.
+            assert!(Arc::ptr_eq(&kernels[0], &kernels[1]));
+            assert!(run_job(&job, &swept_cache).unwrap().2.hit);
+            assert_eq!(run_sweep_shared(jobs, one, &direct_cache).1.cache_hits, 1);
         }
     }
 

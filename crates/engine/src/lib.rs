@@ -97,12 +97,12 @@ pub mod native;
 mod trace;
 
 pub use batch::{
-    run_sweep, run_sweep_collect, run_sweep_shared, SweepBackend,
-    SweepJob, SweepOptions, SweepOutcome, SweepStats,
+    run_job, run_sweep, run_sweep_collect, run_sweep_shared, JobRun, SweepBackend, SweepJob,
+    SweepOptions, SweepOutcome, SweepStats,
 };
 pub use cache::{
     program_fingerprint, CacheKey, CacheStats, KernelBackend, KernelCache, LayoutSig, Lookup,
 };
 pub use kernel::{CompiledKernel, KernelOptions, PredecodedKernel};
-pub use native::{IsaLevel, Schedule, SectionSchedule, SimdEngine, SimdKernel};
+pub use native::{IsaLevel, Schedule, SectionSchedule, SimdKernel};
 pub use trace::{FusionEvent, FusionEventKind, FusionStats};

@@ -36,7 +36,7 @@
 
 use crate::kernel::CompiledKernel;
 use simdize_codegen::SimdProgram;
-use simdize_vm::{ExecError, Executor, MemoryImage, RunInput, RunStats};
+use simdize_vm::{ExecError, MemoryImage, RunInput, RunStats};
 
 /// Dispatches on a `vshiftpair` amount with the amount a literal in
 /// each arm — `$a` for 0, `$arm!(n)` for 1..=15, `$b` for 16 — because
@@ -189,26 +189,6 @@ impl SimdKernel {
     /// Exactly those of [`CompiledKernel::run`].
     pub fn run(&self, image: &mut MemoryImage) -> Result<RunStats, ExecError> {
         self.base.run_at(self.isa, image)
-    }
-}
-
-/// [`Executor`] running every program through the intrinsics backend
-/// at the detected ISA tier — `simdize run --engine simd`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SimdEngine;
-
-impl Executor for SimdEngine {
-    fn execute(
-        &self,
-        program: &SimdProgram,
-        image: &mut MemoryImage,
-        input: &RunInput,
-    ) -> Result<RunStats, ExecError> {
-        SimdKernel::compile(program, image, input)?.run(image)
-    }
-
-    fn name(&self) -> &'static str {
-        "simd"
     }
 }
 

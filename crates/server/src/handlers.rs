@@ -13,7 +13,7 @@
 use crate::protocol::{Command, ExecRequest};
 use crate::server::ServerConfig;
 use simdize::{
-    analyze_program, parse_program, run_sweep_shared, trace_source_with, AnalyzeOptions,
+    analyze_program, parse_program, run_job, run_sweep_shared, trace_source_with, AnalyzeOptions,
     KernelCache, ReuseMode, RunInput, Simdizer, SweepJob, SweepOptions, Target, TraceId,
     VectorShape,
 };
@@ -38,9 +38,9 @@ pub fn execute(
         Command::Explain(req) => explain(req),
         Command::Verify(req) => verify(req, config),
         Command::Trace(req) => trace(req, trace_id),
-        // Control-plane verbs never reach the worker pool.
+        // Control-plane verbs are answered before the gate.
         Command::Ping | Command::Stats | Command::Dump | Command::Shutdown => {
-            Err("internal: control command on worker pool".to_string())
+            Err("internal: control command reached the pipeline".to_string())
         }
     }
 }
@@ -102,12 +102,7 @@ fn run(req: &ExecRequest, cache: &KernelCache) -> Result<String, String> {
             params: req.params.clone(),
         },
     };
-    let (outcomes, _) = run_sweep_shared(&[job], SweepOptions::new(1), cache);
-    let outcome = outcomes
-        .into_iter()
-        .next()
-        .expect("one job in, one outcome out")
-        .map_err(err)?;
+    let (outcome, ..) = run_job(&job, cache).map_err(err)?;
     Ok(format!(
         "{{\"verified\":{},\"seed\":{},\"engine_ops\":{},\"scalar_ideal\":{},\
          \"opd\":{:.3},\"speedup\":{:.3}}}",

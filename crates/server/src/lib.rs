@@ -6,16 +6,18 @@
 //! memory layout)* — the perfect unit to cache and serve. This crate
 //! provides:
 //!
-//! * [`Server`] — `bind` an address, then [`Server::serve`] runs a
-//!   worker pool behind a bounded job queue, answering the versioned
-//!   JSONL-over-TCP protocol in [`protocol`] (`simdize-wire/v1`). All
-//!   `run`/`sweep` requests execute through one process-wide sharded
-//!   [`simdize::KernelCache`], so repeated requests skip compilation
-//!   entirely.
-//! * explicit backpressure — a full queue answers
-//!   `{"ok":false,"busy":true,...}` instead of buffering without
-//!   bound, and graceful shutdown on a `shutdown` request or (when
-//!   [`ServerConfig::handle_sigint`] is set) Ctrl-C.
+//! * [`Server`] — `bind` an address, then [`Server::serve`] answers
+//!   the versioned JSONL-over-TCP protocol in [`protocol`]
+//!   (`simdize-wire/v1`), each connection's thread executing the
+//!   requests it reads. All `run`/`sweep` requests bake through one
+//!   process-wide sharded [`simdize::KernelCache`], so repeated
+//!   requests skip compilation entirely.
+//! * explicit backpressure — one admission gate lets
+//!   [`ServerConfig::workers`] pipeline requests execute and
+//!   [`ServerConfig::queue_depth`] more wait in arrival order; the
+//!   next answers `{"ok":false,"busy":true,...}` instead of buffering
+//!   without bound — and graceful shutdown on a `shutdown` request or
+//!   (when [`ServerConfig::handle_sigint`] is set) Ctrl-C.
 //! * latency observability — per-request latency lands in
 //!   [`simdize_telemetry::Histogram`]s and the `stats` verb reports
 //!   p50/p95, requests/sec and the cache's hit/miss/evict counters.
@@ -51,6 +53,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+mod gate;
 mod handlers;
 pub mod protocol;
 mod server;

@@ -24,17 +24,19 @@
 //! exported documents use, so one slow response correlates directly
 //! with its span timeline and its postmortem entry.
 //!
-//! A server whose bounded job queue is full rejects with the
-//! 503-flavoured
+//! A server with `workers` requests executing and `queue_depth` more
+//! waiting rejects the next one with the 503-flavoured
 //! `{"v":1,"id":7,"trace":"...","ok":false,"busy":true,"error":"..."}`
 //! instead of blocking the connection — clients are expected to back
 //! off and retry.
 //!
 //! Commands: `ping`, `stats`, `dump` (the flight-recorder dump) and
-//! `shutdown` are control-plane and are answered inline by the
-//! connection thread; `compile`, `analyze`, `run`, `sweep`, `explain`,
-//! `verify` and `trace` carry an inline loop `source` and are executed
-//! on the worker pool. Optional fields: `policy`
+//! `shutdown` are control-plane and are answered at once; `compile`,
+//! `analyze`, `run`, `sweep`, `explain`, `verify` and `trace` carry an
+//! inline loop `source` and pass the admission gate first. Either way
+//! the connection thread that read the line executes it. A line is at
+//! most 1 MiB; a longer one is answered with an error and the
+//! connection closed. Optional fields: `policy`
 //! (`zero|eager|lazy|dominant`), `seed`, `ub`, `params`
 //! (array of integers), `engine` (`native|simd` — accepted and
 //! validated for clients written when there were two executors, but it
@@ -109,15 +111,6 @@ pub enum Command {
 }
 
 impl Command {
-    /// Whether this command executes on the worker pool (as opposed to
-    /// being answered inline by the connection thread).
-    pub fn is_exec(&self) -> bool {
-        !matches!(
-            self,
-            Command::Ping | Command::Stats | Command::Dump | Command::Shutdown
-        )
-    }
-
     /// The wire name of the verb.
     pub fn name(&self) -> &'static str {
         match self {
@@ -165,7 +158,7 @@ pub struct WireError {
 }
 
 impl WireError {
-    fn new(id: Option<u64>, message: impl Into<String>) -> WireError {
+    pub(crate) fn new(id: Option<u64>, message: impl Into<String>) -> WireError {
         WireError {
             id,
             message: message.into(),
@@ -293,8 +286,9 @@ pub fn error_response(id: u64, trace: &str, message: &str) -> String {
     )
 }
 
-/// The backpressure envelope: the bounded job queue is full, try again
-/// later. Distinguished from other failures by `"busy":true`.
+/// The backpressure envelope: every execution slot and every waiting
+/// place is taken, try again later. Distinguished from other failures
+/// by `"busy":true`.
 pub fn busy_response(id: u64, trace: &str) -> String {
     format!(
         "{{\"v\":{WIRE_VERSION},\"id\":{id},\"trace\":\"{}\",\"ok\":false,\"busy\":true,\
@@ -312,7 +306,6 @@ mod tests {
         let r = parse_request(r#"{"v":1,"id":3,"cmd":"ping"}"#).unwrap();
         assert_eq!(r.id, 3);
         assert_eq!(r.cmd, Command::Ping);
-        assert!(!r.cmd.is_exec());
 
         let r = parse_request(
             r#"{"v":1,"id":9,"cmd":"sweep","source":"x","policy":"lazy","seed":5,"ub":64,"count":12,"params":[3,-1]}"#,
@@ -413,7 +406,6 @@ mod tests {
 
         let r = parse_request(r#"{"v":1,"id":12,"cmd":"dump"}"#).unwrap();
         assert_eq!(r.cmd, Command::Dump);
-        assert!(!r.cmd.is_exec());
         assert_eq!(r.cmd.name(), "dump");
     }
 }

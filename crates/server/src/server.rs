@@ -6,17 +6,19 @@
 //! * one **accept loop** on a nonblocking listener, polled every few
 //!   milliseconds so a shutdown request or SIGINT is observed promptly;
 //! * one **connection thread** per client, reading JSONL requests with
-//!   a short read timeout (so idle connections also observe shutdown),
-//!   answering control-plane requests (`ping`/`stats`/`shutdown`)
-//!   inline and handing pipeline requests to the worker pool;
-//! * a fixed **worker pool** popping jobs from a bounded
-//!   `Mutex<VecDeque>` + `Condvar` queue. When the queue is full the
-//!   connection thread answers with the `busy` envelope immediately —
-//!   explicit backpressure instead of unbounded buffering;
-//! * one process-wide sharded [`KernelCache`]: every `run` and `sweep`
-//!   request executes through [`run_sweep_shared`], so a kernel baked
-//!   for one request is a cache hit for every later request (and every
-//!   worker) with the same (program, input, layout).
+//!   a short read timeout (so idle connections also observe shutdown)
+//!   and a length cap, and executing what it parses: a request is a
+//!   function call on the thread that read it;
+//! * one admission [`Gate`] in front of the pipeline verbs: `workers`
+//!   requests execute at once, `queue_depth` more wait in arrival
+//!   order, the rest get the `busy` envelope immediately — explicit
+//!   backpressure instead of unbounded buffering;
+//! * one process-wide sharded [`KernelCache`]: a kernel baked for one
+//!   `run` or `sweep` is a hit for every later request, on any
+//!   connection, with the same (program, input, layout).
+//!
+//! Shutdown sets the stop flag and joins the connection threads: the
+//! thread being joined is the one answering, so no reply is orphaned.
 //!
 //! Per-request latency lands in [`simdize_telemetry::Histogram`]s (one
 //! per verb plus an aggregate), which is what `stats` reports p50/p95
@@ -24,7 +26,7 @@
 //!
 //! Every request gets a deterministic [`TraceId`] (`c<conn>-<seq>`:
 //! the accepting connection's number plus a process-scoped request
-//! counter), echoed in its response envelope. Worker-pool requests run
+//! counter), echoed in its response envelope. Pipeline requests run
 //! under a request scope ([`telemetry::begin_request`]) so their spans
 //! and pipeline attributes are collected per request; every request —
 //! including control verbs, parse errors and `busy` rejections — is
@@ -35,6 +37,7 @@
 //! Prometheus text exposition of the server counters and the
 //! telemetry registry.
 
+use crate::gate::Gate;
 use crate::handlers;
 use crate::protocol::{
     busy_response, error_response, ok_response, parse_request, Command, WireError, WIRE_SCHEMA,
@@ -43,21 +46,24 @@ use crate::signal;
 use simdize::{IsaLevel, KernelCache};
 use simdize_telemetry as telemetry;
 use simdize_telemetry::{FlightEntry, FlightRecorder, Histogram, TraceId};
-use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::collections::BTreeMap;
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
+
+/// The longest request line a connection buffers, and the most a
+/// `/metrics` connection reads (request line plus header block).
+const MAX_LINE: usize = 1 << 20;
 
 /// How a [`Server`] is sized. All knobs have serve-sensible defaults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// Worker threads executing pipeline requests.
+    /// Pipeline requests executing at once.
     pub workers: usize,
-    /// Bounded job-queue depth; a full queue answers `busy`.
+    /// Pipeline requests waiting for a slot; one more answers `busy`.
     pub queue_depth: usize,
     /// Lock-striped shards in the kernel cache.
     pub cache_shards: usize,
@@ -92,81 +98,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// One queued pipeline job: the parsed request plus the channel its
-/// rendered response line goes back on.
-struct Job {
-    id: u64,
-    trace: TraceId,
-    cmd: Command,
-    accepted_at: Instant,
-    reply: mpsc::Sender<String>,
-}
-
-/// Bounded MPMC job queue with explicit rejection when full.
-struct JobQueue {
-    jobs: Mutex<VecDeque<Job>>,
-    ready: Condvar,
-    depth: usize,
-}
-
-impl JobQueue {
-    fn new(depth: usize) -> JobQueue {
-        JobQueue {
-            jobs: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-            depth: depth.max(1),
-        }
-    }
-
-    /// Enqueues unless the queue is at capacity (the job is dropped
-    /// and `false` returned — the caller answers `busy`). Never
-    /// blocks.
-    fn try_push(&self, job: Job) -> bool {
-        let mut jobs = self.jobs.lock().expect("job queue poisoned");
-        if jobs.len() >= self.depth {
-            return false;
-        }
-        jobs.push_back(job);
-        drop(jobs);
-        self.ready.notify_one();
-        true
-    }
-
-    /// Pops the next job, waiting in short slices so `stop` is
-    /// observed; `None` once stopping and drained.
-    fn pop(&self, stop: &AtomicBool) -> Option<Job> {
-        let mut jobs = self.jobs.lock().expect("job queue poisoned");
-        loop {
-            if let Some(job) = jobs.pop_front() {
-                return Some(job);
-            }
-            if stop.load(Ordering::SeqCst) {
-                return None;
-            }
-            let (guard, _) = self
-                .ready
-                .wait_timeout(jobs, Duration::from_millis(25))
-                .expect("job queue poisoned");
-            jobs = guard;
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.jobs.lock().expect("job queue poisoned").len()
-    }
-
-    /// Removes and returns everything still queued (shutdown path:
-    /// jobs that raced past the stopping workers get error replies so
-    /// no connection thread blocks on `recv` forever).
-    fn drain(&self) -> Vec<Job> {
-        self.jobs
-            .lock()
-            .expect("job queue poisoned")
-            .drain(..)
-            .collect()
-    }
-}
-
 /// Latency + traffic metrics, one histogram per verb plus an
 /// aggregate, all in microseconds.
 struct Metrics {
@@ -195,11 +126,11 @@ impl Metrics {
     }
 }
 
-/// State shared by the accept loop, connection threads and workers.
+/// State shared by the accept loop and the connection threads.
 struct Shared {
     config: ServerConfig,
     cache: KernelCache,
-    queue: JobQueue,
+    gate: Gate,
     metrics: Mutex<Metrics>,
     flight: FlightRecorder,
     started: Instant,
@@ -211,20 +142,6 @@ struct Shared {
 }
 
 impl Shared {
-    /// Record one finished request of `cmd` that took `elapsed`.
-    fn record(&self, cmd: &'static str, elapsed: Duration) {
-        let us = elapsed.as_micros().min(u64::MAX as u128) as u64;
-        self.metrics
-            .lock()
-            .expect("metrics poisoned")
-            .record(cmd, us);
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        if telemetry::enabled() {
-            telemetry::counter("server.request").add(1);
-            telemetry::histogram("server.latency_us").observe(us);
-        }
-    }
-
     fn stopping(&self) -> bool {
         self.stop.load(Ordering::SeqCst) || (self.config.handle_sigint && signal::sigint_received())
     }
@@ -235,7 +152,7 @@ impl Shared {
         trace: TraceId,
         verb: &str,
         elapsed: Duration,
-        attrs: std::collections::BTreeMap<String, String>,
+        attrs: BTreeMap<String, String>,
         error: Option<String>,
     ) {
         self.flight.record(FlightEntry {
@@ -341,7 +258,7 @@ impl Shared {
             cache.occupied(),
             cache.capacity_per_shard,
             occupancy.join(","),
-            self.queue.len(),
+            self.gate.waiting(),
             self.config.queue_depth,
             self.config.workers,
             self.flight.recorded(),
@@ -391,7 +308,7 @@ impl Server {
         };
         let shared = Arc::new(Shared {
             cache: KernelCache::new(config.cache_shards, config.cache_capacity),
-            queue: JobQueue::new(config.queue_depth),
+            gate: Gate::new(config.workers, config.queue_depth),
             metrics: Mutex::new(Metrics::new()),
             flight: FlightRecorder::new(config.flight_capacity, 8),
             started: Instant::now(),
@@ -422,8 +339,9 @@ impl Server {
     }
 
     /// Serves until a `shutdown` request (or SIGINT, when configured)
-    /// arrives, then drains workers and connections and returns the
-    /// traffic summary.
+    /// arrives, then joins the connection threads — each finishes and
+    /// answers the request it is executing or has waiting at the gate —
+    /// and returns the traffic summary.
     ///
     /// # Errors
     ///
@@ -446,28 +364,14 @@ impl Server {
             }
             None => None,
         };
-        let workers: Vec<thread::JoinHandle<()>> = (0..self.shared.config.workers.max(1))
-            .map(|k| {
-                let shared = Arc::clone(&self.shared);
-                thread::Builder::new()
-                    .name(format!("simdize-worker-{k}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn worker")
-            })
-            .collect();
-
         let mut conns: Vec<thread::JoinHandle<()>> = Vec::new();
         while !self.shared.stopping() {
             match self.listener.accept() {
                 Ok((stream, _)) => {
                     let conn_id = self.shared.connections.fetch_add(1, Ordering::Relaxed) + 1;
                     let shared = Arc::clone(&self.shared);
-                    // Thousands of concurrent connections on small
-                    // stacks: the connection loop only parses and
-                    // forwards, heavy work happens on the worker pool.
                     let handle = thread::Builder::new()
                         .name("simdize-conn".to_string())
-                        .stack_size(256 * 1024)
                         .spawn(move || connection_loop(stream, &shared, conn_id))
                         .expect("spawn connection thread");
                     conns.push(handle);
@@ -482,29 +386,12 @@ impl Server {
                 Err(e) => return Err(e),
             }
         }
-        // Drain: stop is set; wake the workers, let connections notice
-        // via their read timeouts.
+        // Set the flag (a SIGINT exit has not yet) and join: idle
+        // connections notice within their read timeout, busy ones
+        // finish and answer first.
         self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.queue.ready.notify_all();
-        for w in workers {
-            let _ = w.join();
-        }
-        // Connections still mid-request may enqueue after the workers
-        // exited; keep draining (answering "shutting down") until every
-        // connection thread has returned.
-        loop {
-            for job in self.shared.queue.drain() {
-                let _ = job.reply.send(error_response(
-                    job.id,
-                    &job.trace.to_string(),
-                    "server shutting down",
-                ));
-            }
-            conns.retain(|c| !c.is_finished());
-            if conns.is_empty() {
-                break;
-            }
-            thread::sleep(Duration::from_millis(10));
+        for conn in conns {
+            let _ = conn.join();
         }
         if let Some(m) = metrics_thread {
             let _ = m.join();
@@ -523,40 +410,6 @@ impl Server {
             errors: self.shared.errors.load(Ordering::Relaxed),
             connections: self.shared.connections.load(Ordering::Relaxed),
         })
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    while let Some(job) = shared.queue.pop(&shared.stop) {
-        let cmd_name = job.cmd.name();
-        // The request scope collects this request's spans and pipeline
-        // attributes (policy, isa, cache hit/miss, …) — per request,
-        // even with many workers executing concurrently.
-        let scope = telemetry::begin_request(job.trace, cmd_name);
-        let outcome = handlers::execute(&job.cmd, job.trace, &shared.cache, &shared.config);
-        let trace = scope.finish(outcome.as_ref().err().cloned());
-        let line = match outcome {
-            Ok(result) => ok_response(job.id, &trace.trace_id, &result),
-            Err(message) => {
-                shared.errors.fetch_add(1, Ordering::Relaxed);
-                error_response(job.id, &trace.trace_id, &message)
-            }
-        };
-        let elapsed = job.accepted_at.elapsed();
-        let failed = trace.error.is_some();
-        shared.note_flight(job.trace, cmd_name, elapsed, trace.attrs, trace.error);
-        if failed {
-            // Error postmortem: the dump (which includes this request)
-            // goes to the server log.
-            eprintln!(
-                "simdize serve: request {} ({cmd_name}) failed; flight dump {}",
-                job.trace,
-                shared.flight.render_json(false)
-            );
-        }
-        shared.record(cmd_name, elapsed);
-        // A send error means the client hung up; nothing to do.
-        let _ = job.reply.send(line);
     }
 }
 
@@ -580,7 +433,8 @@ fn serve_metrics_conn(stream: TcpStream, shared: &Shared) {
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
-    });
+    })
+    .take(MAX_LINE as u64);
     let mut request_line = String::new();
     if reader.read_line(&mut request_line).is_err() {
         return;
@@ -622,9 +476,11 @@ fn connection_loop(stream: TcpStream, shared: &Shared, conn_id: u64) {
         // The short read timeout doubles as the shutdown poll: on
         // timeout any partially-read bytes stay buffered in `line`
         // only if read_line appended them — so we must not clear the
-        // buffer between retries of the same line.
+        // buffer between retries of the same line. `take` stops the
+        // read one byte past the cap, newline or not.
         let n = loop {
-            match reader.read_line(&mut line) {
+            let room = (MAX_LINE + 1).saturating_sub(line.len()) as u64;
+            match reader.by_ref().take(room).read_line(&mut line) {
                 Ok(n) => break n,
                 Err(e)
                     if matches!(
@@ -642,11 +498,10 @@ fn connection_loop(stream: TcpStream, shared: &Shared, conn_id: u64) {
         if n == 0 {
             return; // client closed
         }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
+        if line.trim().is_empty() {
             continue;
         }
-        let response = handle_line(trimmed, shared, conn_id);
+        let response = handle_line(&line, shared, conn_id);
         if writer
             .write_all(response.as_bytes())
             .and_then(|()| writer.write_all(b"\n"))
@@ -654,86 +509,89 @@ fn connection_loop(stream: TcpStream, shared: &Shared, conn_id: u64) {
         {
             return;
         }
-        if shared.stopping() {
+        if line.len() > MAX_LINE || shared.stopping() {
             return;
         }
     }
 }
 
-/// Parses and answers one request line (inline for control-plane
-/// verbs, via the worker pool for pipeline verbs). Every line —
-/// including malformed ones — gets a trace id and a flight entry.
+/// Parses one request line and executes it on this thread — control
+/// verbs at once, pipeline verbs once the gate admits them. Every line
+/// — including malformed and over-long ones — gets a trace id and a
+/// flight entry.
 fn handle_line(line: &str, shared: &Shared, conn_id: u64) -> String {
     let started = Instant::now();
     let trace = TraceId::next(conn_id);
     let trace_str = trace.to_string();
-    let no_attrs = std::collections::BTreeMap::new;
-    let request = match parse_request(line) {
-        Ok(r) => r,
-        Err(WireError { id, message }) => {
-            shared.errors.fetch_add(1, Ordering::Relaxed);
-            shared.note_flight(trace, "error", started.elapsed(), no_attrs(), Some(message.clone()));
-            shared.record("error", started.elapsed());
-            return error_response(id.unwrap_or(0), &trace_str, &message);
+    let parsed = if line.len() > MAX_LINE {
+        let message = format!("request line exceeds {MAX_LINE} bytes; closing the connection");
+        Err(WireError::new(None, message))
+    } else {
+        parse_request(line.trim())
+    };
+    let mut attrs = BTreeMap::new();
+    let (id, verb, outcome) = match parsed {
+        Err(WireError { id, message }) => (id.unwrap_or(0), "error", Err(message)),
+        Ok(request) => {
+            let verb = request.cmd.name();
+            let outcome = match &request.cmd {
+                Command::Ping => Ok(format!("{{\"pong\":true,\"schema\":\"{WIRE_SCHEMA}\"}}")),
+                Command::Stats => Ok(shared.stats_json()),
+                Command::Dump => Ok(shared.flight.render_json(false)),
+                Command::Shutdown => {
+                    shared.stop.store(true, Ordering::SeqCst);
+                    Ok("{\"stopping\":true}".to_string())
+                }
+                cmd => {
+                    let Some(_permit) = shared.gate.enter() else {
+                        shared.busy.fetch_add(1, Ordering::Relaxed);
+                        shared.requests.fetch_add(1, Ordering::Relaxed);
+                        if telemetry::enabled() {
+                            telemetry::counter("server.busy").add(1);
+                        }
+                        let error = Some("busy: job queue full".to_string());
+                        shared.note_flight(trace, "busy", started.elapsed(), attrs, error);
+                        return busy_response(request.id, &trace_str);
+                    };
+                    // The request scope collects this request's spans
+                    // and pipeline attributes (policy, isa, cache
+                    // hit/miss, …) — per request, however many
+                    // connections execute concurrently.
+                    let scope = telemetry::begin_request(trace, verb);
+                    let outcome = handlers::execute(cmd, trace, &shared.cache, &shared.config);
+                    attrs = scope.finish(outcome.as_ref().err().cloned()).attrs;
+                    outcome
+                }
+            };
+            (request.id, verb, outcome)
         }
     };
-    match &request.cmd {
-        Command::Ping => {
-            let out = ok_response(
-                request.id,
-                &trace_str,
-                &format!("{{\"pong\":true,\"schema\":\"{WIRE_SCHEMA}\"}}"),
-            );
-            shared.note_flight(trace, "ping", started.elapsed(), no_attrs(), None);
-            shared.record("ping", started.elapsed());
-            out
+    // One tail for every verb. Latency runs from the moment the line
+    // was read, so a wait at the gate shows in `stats`.
+    let elapsed = started.elapsed();
+    let response = match &outcome {
+        Ok(result) => ok_response(id, &trace_str, result),
+        Err(message) => {
+            shared.errors.fetch_add(1, Ordering::Relaxed);
+            error_response(id, &trace_str, message)
         }
-        Command::Stats => {
-            let out = ok_response(request.id, &trace_str, &shared.stats_json());
-            shared.note_flight(trace, "stats", started.elapsed(), no_attrs(), None);
-            shared.record("stats", started.elapsed());
-            out
-        }
-        Command::Dump => {
-            let out = ok_response(request.id, &trace_str, &shared.flight.render_json(false));
-            shared.note_flight(trace, "dump", started.elapsed(), no_attrs(), None);
-            shared.record("dump", started.elapsed());
-            out
-        }
-        Command::Shutdown => {
-            shared.stop.store(true, Ordering::SeqCst);
-            shared.note_flight(trace, "shutdown", started.elapsed(), no_attrs(), None);
-            shared.record("shutdown", started.elapsed());
-            ok_response(request.id, &trace_str, "{\"stopping\":true}")
-        }
-        _ => {
-            let (tx, rx) = mpsc::channel();
-            let job = Job {
-                id: request.id,
-                trace,
-                cmd: request.cmd,
-                accepted_at: started,
-                reply: tx,
-            };
-            if shared.queue.try_push(job) {
-                rx.recv().unwrap_or_else(|_| {
-                    error_response(request.id, &trace_str, "server shutting down")
-                })
-            } else {
-                shared.busy.fetch_add(1, Ordering::Relaxed);
-                shared.requests.fetch_add(1, Ordering::Relaxed);
-                if telemetry::enabled() {
-                    telemetry::counter("server.busy").add(1);
-                }
-                shared.note_flight(
-                    trace,
-                    "busy",
-                    started.elapsed(),
-                    no_attrs(),
-                    Some("busy: job queue full".to_string()),
-                );
-                busy_response(request.id, &trace_str)
-            }
-        }
+    };
+    let failed = outcome.is_err();
+    shared.note_flight(trace, verb, elapsed, attrs, outcome.err());
+    if failed {
+        // Error postmortem: the dump (which includes this request)
+        // goes to the server log.
+        eprintln!(
+            "simdize serve: request {trace} ({verb}) failed; flight dump {}",
+            shared.flight.render_json(false)
+        );
     }
+    let us = elapsed.as_micros().min(u64::MAX as u128) as u64;
+    shared.metrics.lock().expect("metrics poisoned").record(verb, us);
+    shared.requests.fetch_add(1, Ordering::Relaxed);
+    if telemetry::enabled() {
+        telemetry::counter("server.request").add(1);
+        telemetry::histogram("server.latency_us").observe(us);
+    }
+    response
 }

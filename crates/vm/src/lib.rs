@@ -58,7 +58,6 @@
 
 mod diff;
 mod error;
-mod exec;
 mod interp;
 mod memory;
 mod scalar;
@@ -66,7 +65,6 @@ mod stats;
 
 pub use diff::{run_differential, DiffConfig, DiffOutcome};
 pub use error::{ExecError, VerifyError};
-pub use exec::{Executor, Interpreter};
 pub use interp::{run_simd, run_simd_traced, runtime_expr_count, RunInput};
 pub use memory::MemoryImage;
 pub use scalar::{run_scalar, scalar_ideal_ops};

@@ -19,8 +19,9 @@
 # telemetry collection on), an instrumented `simdize profile` pass, a
 # request-scoped `simdize trace` export (JSON + Chrome trace events),
 # the disabled-instrumentation overhead gate, a server smoke that
-# checks trace-id echoing, the flight recorder's dump verb and the
-# Prometheus /metrics endpoint, the engine
+# checks trace-id echoing, the flight recorder's dump verb, the
+# server's thread count (no pool) and the Prometheus /metrics
+# endpoint, the engine
 # bench harness in quick mode (floors: engine >= 5x the interpreter,
 # fused >= 1.3x unfused on reorg-dominated kernels), a checked 1 s run
 # of the BENCHMARK.json package, a
@@ -159,9 +160,9 @@ target/release/simdize bench diff "$baseline" "$fresh" --threshold 0.9
 echo "== server smoke (serve round-trip, trace ids, dump, /metrics) =="
 # Boots `simdize serve` on port 0 with the metrics endpoint on a second
 # ephemeral port, drives a compile/run/sweep/stats/trace/dump round-trip
-# over /dev/tcp (every response must echo a trace id), scrapes the
-# Prometheus exposition, then requests shutdown and insists on a clean
-# exit. The loop source is quote-free so it embeds in the JSON request
+# over /dev/tcp (every response must echo a trace id), counts the
+# server's threads, scrapes the Prometheus exposition, then requests
+# shutdown and insists on a clean exit. The loop source is quote-free so it embeds in the JSON request
 # lines without escaping.
 target/release/simdize serve 127.0.0.1:0 --metrics-addr 127.0.0.1:0 \
     > "$BENCH_TMP/serve.log" &
@@ -197,6 +198,12 @@ for id in 1 2 3 4 5 6; do
             || { echo "server smoke: dump verb missing schema: $line" >&2; exit 1; } ;;
     esac
 done
+# A request is a function call on the connection's own thread: the
+# process is the accept loop, the /metrics listener and this one
+# connection. A fourth thread means a pool came back.
+threads=$(awk '/^Threads:/ {print $2}' "/proc/$serve_pid/status")
+[ "$threads" = 3 ] \
+    || { echo "server smoke: expected 3 threads, found $threads" >&2; exit 1; }
 # Prometheus scrape over /dev/tcp (no curl in the CI image): at least
 # one known counter must expose with a live value.
 exec 4<>"/dev/tcp/127.0.0.1/$mport"

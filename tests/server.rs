@@ -660,3 +660,110 @@ fn metrics_endpoint_serves_prometheus_text() {
     assert!(resp.contains("\"stopping\":true"), "{resp}");
     handle.join().unwrap().unwrap();
 }
+
+/// ROADMAP robustness: a request line is capped. A client that sends
+/// 2 MiB without a newline gets one error envelope naming the limit
+/// and then end of stream; the fault is counted and recorded, and a
+/// healthy connection opened before it is not disturbed.
+#[test]
+fn oversized_request_line_is_refused_and_the_connection_closed() {
+    use std::io::Read as _;
+    let harness = Harness::start(ServerConfig::default());
+    let mut healthy = harness.client();
+    let run = format!(
+        r#"{{"v":1,"id":1,"cmd":"run","source":"{}","seed":5}}"#,
+        inline(&sample("figure1"))
+    );
+    let before = normalize(&healthy.roundtrip(&run));
+
+    let mut hostile = harness.client();
+    // The server stops reading one byte past the cap and closes, so
+    // the tail of this write may be refused; that is the point.
+    let _ = hostile.conn.write_all(&vec![b'x'; 2 << 20]);
+    let mut reply = String::new();
+    hostile.reader.read_line(&mut reply).unwrap();
+    let doc = json::parse(&reply).unwrap_or_else(|e| panic!("{reply}: {e}"));
+    assert_eq!(doc.get("ok"), Some(&Json::Bool(false)), "{reply}");
+    let error = doc.get("error").and_then(Json::as_str).unwrap();
+    assert!(error.contains("exceeds 1048576 bytes"), "{reply}");
+    let failed_id = trace_id_of(&reply);
+    let mut rest = Vec::new();
+    let _ = hostile.reader.read_to_end(&mut rest);
+    assert!(rest.is_empty(), "connection must close after the error envelope");
+
+    assert_eq!(normalize(&healthy.roundtrip(&run)), before);
+    let dump = healthy.roundtrip(r#"{"v":1,"id":2,"cmd":"dump"}"#);
+    assert!(dump.contains(&format!("\"trace_id\":\"{failed_id}\"")), "{dump}");
+    let stats = healthy.roundtrip(r#"{"v":1,"id":3,"cmd":"stats"}"#);
+    let doc = json::parse(&stats).unwrap();
+    let errors = doc.get("result").unwrap().get("errors").and_then(Json::as_f64);
+    assert_eq!(errors, Some(1.0), "{stats}");
+    let summary = harness.shutdown();
+    assert_eq!(summary.errors, 1);
+}
+
+/// Shutdown under load: a request the server admitted is answered in
+/// full, whether it was executing or still waiting at the gate when the
+/// `shutdown` arrived — the thread `serve()` joins is the thread doing
+/// the work, so there is no reply to orphan.
+#[test]
+fn shutdown_under_load_answers_every_admitted_request() {
+    let harness = Harness::start(ServerConfig {
+        workers: 1,
+        queue_depth: 8,
+        ..ServerConfig::default()
+    });
+    let source = inline(&sample("runtime"));
+    let mut clients: Vec<Client> = (0..6).map(|_| harness.client()).collect();
+    for (k, client) in clients.iter_mut().enumerate() {
+        // Seeds far apart: no sweep rides on another's cached kernels.
+        let seed = k * 4096;
+        writeln!(
+            client.conn,
+            r#"{{"v":1,"id":{k},"cmd":"sweep","source":"{source}","seed":{seed},"ub":4000,"count":64}}"#
+        )
+        .unwrap();
+    }
+    // Wait until all six are in with some still parked: whatever has
+    // not finished is executing (one, whenever anything waits) or
+    // waiting at the gate.
+    let mut control = harness.client();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    let mut polls = 0;
+    loop {
+        let stats = control.roundtrip(r#"{"v":1,"id":100,"cmd":"stats"}"#);
+        polls += 1;
+        let doc = json::parse(&stats).unwrap();
+        let result = doc.get("result").unwrap();
+        let waiting = result.get("queue").unwrap().get("depth").and_then(Json::as_f64).unwrap();
+        let finished = match result.get("commands").unwrap() {
+            Json::Arr(commands) => commands
+                .iter()
+                .find(|c| c.get("cmd").and_then(Json::as_str) == Some("sweep"))
+                .map_or(0.0, |c| c.get("count").and_then(Json::as_f64).unwrap()),
+            other => panic!("commands not an array: {other:?}"),
+        };
+        if waiting >= 1.0 && finished + 1.0 + waiting == 6.0 {
+            break;
+        }
+        assert!(
+            finished < 5.0 && std::time::Instant::now() < deadline,
+            "never saw all six sweeps in with one still parked: {stats}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    // `shutdown()` returns once `serve()` has: every reply is already
+    // on its socket by then.
+    let summary = harness.shutdown();
+    for (k, client) in clients.iter_mut().enumerate() {
+        let mut reply = String::new();
+        client.reader.read_line(&mut reply).unwrap();
+        assert!(reply.ends_with('\n'), "client {k}: truncated reply {reply:?}");
+        assert!(reply.contains(&format!("\"id\":{k},")), "client {k}: {reply}");
+        assert!(reply.contains("\"ok\":true"), "client {k}: {reply}");
+        assert!(reply.contains("\"verified\":64"), "client {k}: {reply}");
+    }
+    assert_eq!(summary.busy, 0);
+    assert_eq!(summary.errors, 0);
+    assert_eq!(summary.requests, 6 + polls + 1, "six sweeps, the polls, the shutdown");
+}
