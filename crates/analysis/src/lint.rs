@@ -2,6 +2,7 @@
 //! findings and their text/JSON renderings.
 
 use simdize_codegen::VReg;
+use simdize_telemetry::json::escape;
 use std::fmt;
 use std::str::FromStr;
 
@@ -305,26 +306,12 @@ impl AnalysisReport {
                     Some(r) => format!("\"{r}\""),
                     None => "null".to_string(),
                 },
-                escape_json(&f.message)
+                escape(&f.message)
             ));
         }
         out.push_str("]}");
         out
     }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

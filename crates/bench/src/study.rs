@@ -5,9 +5,9 @@
 //! module synthesizes a suite of loops, places each one under all four
 //! greedy policies, and compares the shift counts against the exact
 //! minimum computed by [`optimal_shift_counts`]. The aggregate — match
-//! rate, total excess shifts, worst single-loop gap — is the evidence
-//! behind the claims in `docs/POLICIES.md`, whose summary table is
-//! generated from [`render_study_markdown`] (CI checks it for drift).
+//! rate and total excess shifts — is the evidence behind the claims in
+//! `docs/POLICIES.md`, whose summary table is generated from
+//! [`render_study_markdown`] (CI checks it for drift).
 //!
 //! Everything here is deterministic given the base seed, so the table
 //! is reproducible byte for byte:
@@ -36,8 +36,6 @@ pub struct PolicyGap {
     pub matched: usize,
     /// Total shifts placed beyond the minimum, summed over the suite.
     pub excess: u64,
-    /// The largest single-loop excess.
-    pub worst: usize,
 }
 
 /// One `(l, s, b, r)` cell of the study matrix.
@@ -94,7 +92,6 @@ pub fn study_cell(spec: &WorkloadSpec, count: usize, base_seed: u64) -> StudyCel
             policy,
             matched: 0,
             excess: 0,
-            worst: 0,
         })
         .collect();
 
@@ -122,7 +119,6 @@ pub fn study_cell(spec: &WorkloadSpec, count: usize, base_seed: u64) -> StudyCel
                 gap.matched += 1;
             }
             gap.excess += (placed - optimal) as u64;
-            gap.worst = gap.worst.max(placed - optimal);
         }
     }
 
@@ -169,7 +165,6 @@ pub fn study_overall(cells: &[StudyCell]) -> StudyCell {
             policy,
             matched: 0,
             excess: 0,
-            worst: 0,
         })
         .collect();
     let mut overall = StudyCell {
@@ -189,7 +184,6 @@ pub fn study_overall(cells: &[StudyCell]) -> StudyCell {
             let g = cell.gap(gap.policy);
             gap.matched += g.matched;
             gap.excess += g.excess;
-            gap.worst = gap.worst.max(g.worst);
         }
     }
     overall.gaps = gaps;
@@ -255,43 +249,6 @@ pub fn render_study_markdown(cells: &[StudyCell], count: usize, base_seed: u64) 
     out
 }
 
-/// Renders the study as the `"optimality"` JSON section of
-/// `BENCH_engine.json` (hand-rolled like the rest of the report).
-pub fn render_study_json(cells: &[StudyCell]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "  \"optimality\": {{");
-    let _ = writeln!(out, "    \"schema\": \"simdize-optimality-study/v1\",");
-    let _ = writeln!(out, "    \"cells\": [");
-    let overall = study_overall(cells);
-    let all: Vec<&StudyCell> = cells.iter().chain(std::iter::once(&overall)).collect();
-    for (i, cell) in all.iter().enumerate() {
-        let _ = writeln!(out, "      {{");
-        let _ = writeln!(out, "        \"suite\": \"{}\",", cell.label);
-        let _ = writeln!(out, "        \"loops\": {},", cell.loops);
-        let _ = writeln!(out, "        \"optimal_shifts\": {},", cell.optimal_total);
-        let _ = writeln!(out, "        \"analytic_bound\": {},", cell.bound_total);
-        let _ = writeln!(out, "        \"bound_tight\": {},", cell.tight);
-        let _ = writeln!(out, "        \"policies\": [");
-        for (j, policy) in GREEDY_POLICIES.iter().enumerate() {
-            let gap = cell.gap(*policy);
-            let _ = writeln!(
-                out,
-                "          {{ \"policy\": \"{}\", \"matched\": {}, \"excess\": {}, \"worst\": {} }}{}",
-                policy.name(),
-                gap.matched,
-                gap.excess,
-                gap.worst,
-                if j + 1 < GREEDY_POLICIES.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(out, "        ]");
-        let _ = writeln!(out, "      }}{}", if i + 1 < all.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "    ]");
-    let _ = write!(out, "  }}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,10 +291,6 @@ mod tests {
         assert!(md.contains("S1*L2"));
         assert!(md.contains("S2*L4"));
         assert!(md.contains("**overall**"));
-        let json = render_study_json(&cells);
-        assert!(json.contains("\"optimality\""));
-        assert!(json.contains("\"simdize-optimality-study/v1\""));
-        assert!(json.contains("\"policy\": \"dominant\""));
         let overall = study_overall(&cells);
         assert_eq!(overall.loops, 8);
     }

@@ -36,9 +36,6 @@
 //!              simdize-wire/v1 JSONL-over-TCP protocol; prints
 //!              `listening on ADDR` (with the resolved port) before
 //!              accepting, shuts down on SIGINT or a shutdown request
-//!   bench diff [old new]   compare two bench-history entries with
-//!              noise-aware thresholds; exits non-zero on regression
-//!              (defaults to the two newest entries in --dir)
 //!
 //! Every command that takes `<file.loop>` also accepts a bare loop
 //! name: `simdize run figure1` resolves to `loops/figure1.loop`,
@@ -71,8 +68,6 @@
 //!   --smoke                             quick 8-seed sweep preset
 //!   --telemetry                         collect and print span/metric
 //!                                       telemetry around `run`/`sweep`
-//!   --dir PATH                          bench-history directory for
-//!                                       `bench diff` (default bench_history)
 //!   --workers N                         serve: requests executing at once
 //!                                       (default 2)
 //!   --queue N                           serve: requests waiting for a slot
@@ -88,9 +83,6 @@
 //!                                       prints `metrics on ADDR`
 //!   --chrome-out FILE                   trace: also write the Chrome
 //!                                       trace-event JSON to FILE
-//!   --threshold F                       allowed relative loss before a
-//!                                       metric counts as regressed
-//!                                       (default 0.25; timings get 2x)
 //!   --quick                             verify: smoke-sized domain preset
 //!                                       (sampled alignments, boundary trips)
 //!   --trip-bound N                      verify: prove trip counts 1..=N
@@ -144,10 +136,6 @@ pub struct Options {
     count: usize,
     smoke: bool,
     telemetry: bool,
-    dir: String,
-    threshold: f64,
-    bench_old: Option<String>,
-    bench_new: Option<String>,
     dot: bool,
     asm: bool,
     addr: String,
@@ -191,21 +179,13 @@ pub fn parse_args(
             | "profile"
             | "trace"
             | "serve"
-            | "bench"
     ) {
         return Err(format!("unknown command `{command}`\n{USAGE}").into());
     }
-    // `bench` takes a subcommand and entry paths, and `serve` a listen
-    // address — neither reads a loop file.
+    // `serve` takes a listen address and reads no loop file.
     let mut addr = String::new();
     let mut loop_name = String::new();
-    let source = if command == "bench" {
-        let sub = it.next().ok_or("bench needs a subcommand: `bench diff`")?;
-        if sub != "diff" {
-            return Err(format!("unknown bench subcommand `{sub}` (expected `diff`)").into());
-        }
-        String::new()
-    } else if command == "serve" {
+    let source = if command == "serve" {
         addr = it
             .next()
             .ok_or("serve needs a listen address, e.g. `serve 127.0.0.1:4910` (port 0 = ephemeral)")?
@@ -246,10 +226,6 @@ pub fn parse_args(
         count: 32,
         smoke: false,
         telemetry: false,
-        dir: "bench_history".to_string(),
-        threshold: 0.25,
-        bench_old: None,
-        bench_new: None,
         dot: false,
         asm: false,
         addr,
@@ -340,13 +316,6 @@ pub fn parse_args(
             "--count" => opts.count = value("--count")?.parse()?,
             "--smoke" => opts.smoke = true,
             "--telemetry" => opts.telemetry = true,
-            "--dir" => opts.dir = value("--dir")?,
-            "--threshold" => {
-                opts.threshold = value("--threshold")?.parse()?;
-                if !(0.0..1.0).contains(&opts.threshold) {
-                    return Err("--threshold must be in [0, 1)".into());
-                }
-            }
             "--dot" => opts.dot = true,
             "--asm" => opts.asm = true,
             "--workers" => {
@@ -392,15 +361,6 @@ pub fn parse_args(
                     format!("unknown mutation `{name}` (expected `splice` or `shift`)")
                 })?);
             }
-            other if opts.command == "bench" && !other.starts_with('-') => {
-                if opts.bench_old.is_none() {
-                    opts.bench_old = Some(other.to_string());
-                } else if opts.bench_new.is_none() {
-                    opts.bench_new = Some(other.to_string());
-                } else {
-                    return Err("bench diff takes at most two entry paths".into());
-                }
-            }
             other => return Err(format!("unknown option `{other}`\n{USAGE}").into()),
         }
     }
@@ -410,7 +370,6 @@ pub fn parse_args(
 const USAGE: &str =
     "usage: simdize <check|graph|compile|analyze|run|verify|explain|policies|sweep|profile|trace> <file.loop|-> [options]
        simdize serve <addr> [--workers N] [--queue N] [--shards N] [--cache-cap N] [--flight-cap N] [--metrics-addr ADDR]
-       simdize bench diff [old.json new.json] [--dir DIR] [--threshold F]
 run `simdize` with no arguments for the full option list";
 
 /// Resolves a `<file.loop>` argument: an existing path (or anything
@@ -446,9 +405,6 @@ pub fn resolve_loop_path(path: &str) -> std::path::PathBuf {
 /// Propagates parse, pipeline and verification errors with readable
 /// messages.
 pub fn run(opts: &Options) -> Result<String, Box<dyn Error>> {
-    if opts.command == "bench" {
-        return run_bench_diff(opts);
-    }
     if opts.command == "serve" {
         return run_serve(opts);
     }
@@ -837,72 +793,6 @@ fn run_serve(opts: &Options) -> Result<String, Box<dyn Error>> {
     ))
 }
 
-/// `simdize bench diff`: compare two bench-history entries (explicit
-/// paths, or the two newest in `--dir`) and fail on regression.
-fn run_bench_diff(opts: &Options) -> Result<String, Box<dyn Error>> {
-    use simdize_telemetry::history;
-    let dir = std::path::Path::new(&opts.dir);
-    let (old_path, new_path) = match (&opts.bench_old, &opts.bench_new) {
-        (Some(old), Some(new)) => (old.into(), new.into()),
-        (None, None) => {
-            let entries = history::list_entries(dir);
-            if entries.len() < 2 {
-                return Err(format!(
-                    "bench diff needs two history entries in {} (found {}); \
-                     pass two entry paths explicitly or record more runs",
-                    dir.display(),
-                    entries.len()
-                )
-                .into());
-            }
-            // The history interleaves engine and server entries, so the
-            // baseline is the newest *older* entry sharing the newest
-            // entry's bench schema — not simply the second-newest file.
-            let newest = entries[entries.len() - 1].clone();
-            let schema = history::entry_schema(&history::load_entry(&newest)?)
-                .map(str::to_owned)
-                .ok_or_else(|| format!("{}: entry has no bench schema", newest.display()))?;
-            let baseline = entries[..entries.len() - 1]
-                .iter()
-                .rev()
-                .find(|p| {
-                    history::load_entry(p)
-                        .is_ok_and(|doc| history::entry_schema(&doc) == Some(schema.as_str()))
-                })
-                .cloned()
-                .ok_or_else(|| {
-                    format!(
-                        "bench diff: no older entry in {} shares schema {schema} \
-                         with {}; pass two entry paths explicitly",
-                        dir.display(),
-                        newest.display()
-                    )
-                })?;
-            (baseline, newest)
-        }
-        _ => return Err("bench diff takes zero or two entry paths, not one".into()),
-    };
-    let old = history::load_entry(&old_path)?;
-    let new = history::load_entry(&new_path)?;
-    let report = history::diff(&old, &new, opts.threshold);
-    if report.rows.is_empty() {
-        return Err("bench diff: no comparable metrics between the two entries".into());
-    }
-    let mut out = String::new();
-    writeln!(out, "old: {}", old_path.display())?;
-    writeln!(out, "new: {}", new_path.display())?;
-    out.push_str(&report.render_text());
-    if report.regressions > 0 {
-        return Err(format!(
-            "{out}bench diff: {} metric(s) regressed past the {:.0}% threshold",
-            report.regressions,
-            opts.threshold * 100.0
-        )
-        .into());
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1193,132 +1083,6 @@ mod tests {
             "{out}"
         );
         assert!(out.contains("scratch reseed(s)"), "{out}");
-    }
-
-    fn bench_doc(speedup: f64) -> String {
-        format!(
-            r#"{{ "schema": "simdize-bench-engine/v1",
-  "kernels": [ {{ "name": "fig1", "speedup_vs_interp": {speedup} }} ] }}"#
-        )
-    }
-
-    fn history_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "simdize-cli-bench-{tag}-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    #[test]
-    fn bench_diff_compares_newest_entries() {
-        use simdize_telemetry::history::{append_entry, HistoryMeta, HostFingerprint};
-        let dir = history_dir("ok");
-        let meta = |ms| HistoryMeta {
-            recorded_at_unix_ms: ms,
-            git_sha: "test".into(),
-            host: HostFingerprint::gather(),
-        };
-        append_entry(&dir, &meta(1), &bench_doc(20.0)).unwrap();
-        append_entry(&dir, &meta(2), &bench_doc(21.0)).unwrap();
-        let out = run(&opts(&["bench", "diff", "--dir", dir.to_str().unwrap()])).unwrap();
-        assert!(out.contains("kernel.fig1.speedup_vs_interp"), "{out}");
-        assert!(out.contains("1 metric(s) compared, 0 regression(s)"), "{out}");
-        // The pair of entry filenames compared is printed up front.
-        assert!(out.starts_with("old: "), "{out}");
-        assert!(out.lines().nth(1).is_some_and(|l| l.starts_with("new: ")), "{out}");
-        assert!(out.contains(dir.to_str().unwrap()), "{out}");
-
-        // A large drop regresses and the command fails.
-        append_entry(&dir, &meta(3), &bench_doc(5.0)).unwrap();
-        let err = run(&opts(&["bench", "diff", "--dir", dir.to_str().unwrap()]))
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("REGRESSED"), "{err}");
-        assert!(err.contains("regressed past the 25% threshold"), "{err}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// With engine and server entries interleaved in one history, the
-    /// default pair is the newest entry plus the newest *older* entry
-    /// of the same bench schema — a server entry recorded in between
-    /// must not become the engine baseline.
-    #[test]
-    fn bench_diff_pairs_default_entries_by_schema() {
-        use simdize_telemetry::history::{append_entry, HistoryMeta, HostFingerprint};
-        let dir = history_dir("schema");
-        let meta = |ms| HistoryMeta {
-            recorded_at_unix_ms: ms,
-            git_sha: "test".into(),
-            host: HostFingerprint::gather(),
-        };
-        let server_doc = r#"{ "schema": "simdize-bench-server/v1",
-  "server": [ { "name": "loadgen", "requests_per_sec": 5000.0 } ] }"#;
-        let engine_old = append_entry(&dir, &meta(1), &bench_doc(20.0)).unwrap();
-        append_entry(&dir, &meta(2), server_doc).unwrap();
-        append_entry(&dir, &meta(3), &bench_doc(21.0)).unwrap();
-        let out = run(&opts(&["bench", "diff", "--dir", dir.to_str().unwrap()])).unwrap();
-        assert!(
-            out.contains(engine_old.file_name().unwrap().to_str().unwrap()),
-            "{out}"
-        );
-        assert!(out.contains("kernel.fig1.speedup_vs_interp"), "{out}");
-        assert!(out.contains("0 regression(s)"), "{out}");
-
-        // A lone newest-schema entry has no baseline to pair with.
-        let lone = history_dir("schema-lone");
-        append_entry(&lone, &meta(1), &bench_doc(20.0)).unwrap();
-        append_entry(&lone, &meta(2), server_doc).unwrap();
-        let err = run(&opts(&["bench", "diff", "--dir", lone.to_str().unwrap()]))
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("shares schema simdize-bench-server/v1"), "{err}");
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&lone);
-    }
-
-    #[test]
-    fn bench_diff_takes_explicit_paths() {
-        use simdize_telemetry::history::{append_entry, HistoryMeta, HostFingerprint};
-        let dir = history_dir("explicit");
-        let meta = HistoryMeta {
-            recorded_at_unix_ms: 7,
-            git_sha: "test".into(),
-            host: HostFingerprint::gather(),
-        };
-        let p1 = append_entry(&dir, &meta, &bench_doc(20.0)).unwrap();
-        let p2 = append_entry(&dir, &meta, &bench_doc(19.0)).unwrap();
-        let args: Vec<String> = ["bench", "diff"]
-            .iter()
-            .map(|s| s.to_string())
-            .chain([p1, p2].iter().map(|p| p.to_str().unwrap().to_string()))
-            .collect();
-        let parsed = parse_args(&args, &|_| unreachable!("bench reads no loop file")).unwrap();
-        let out = run(&parsed).unwrap();
-        assert!(out.contains("0 regression(s)"), "{out}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn bench_diff_argument_errors() {
-        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let read = |_: &str| -> Result<String, Box<dyn Error>> { Ok(LOOP.into()) };
-        assert!(parse_args(&args(&["bench"]), &read).is_err());
-        assert!(parse_args(&args(&["bench", "frobnicate"]), &read).is_err());
-        assert!(parse_args(&args(&["bench", "diff", "a", "b", "c"]), &read).is_err());
-        assert!(parse_args(&args(&["bench", "diff", "--threshold", "1.5"]), &read).is_err());
-        assert!(parse_args(&args(&["bench", "diff", "--threshold", "-0.1"]), &read).is_err());
-        // One explicit path is ambiguous; an empty directory has no entries.
-        let one = parse_args(&args(&["bench", "diff", "only.json"]), &read).unwrap();
-        assert!(run(&one).unwrap_err().to_string().contains("zero or two"));
-        let missing = parse_args(
-            &args(&["bench", "diff", "--dir", "/nonexistent/simdize-history"]),
-            &read,
-        )
-        .unwrap();
-        let err = run(&missing).unwrap_err().to_string();
-        assert!(err.contains("needs two history entries"), "{err}");
     }
 
     #[test]

@@ -14,27 +14,11 @@ use crate::decision::DecisionId;
 use crate::report::{
     ExplainReport, InapplicableReport, LoopInfo, StreamReport, StridedReport,
 };
+use simdize_telemetry::json::escape;
 use simdize_vm::RunStats;
-use std::fmt::Write as _;
 
 /// The version tag emitted in every document's `"schema"` field.
 pub const SCHEMA: &str = "simdize-explain/v1";
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if c.is_control() => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// JSON has no NaN/Infinity: render those as `null`, everything else
 /// with six fractional digits (deterministic across runs).
@@ -55,12 +39,12 @@ fn loop_json(info: &LoopInfo) -> String {
     let arrays: Vec<String> = info
         .array_names
         .iter()
-        .map(|n| format!("\"{}\"", escape_json(n)))
+        .map(|n| format!("\"{}\"", escape(n)))
         .collect();
     format!(
         "{{\"source\":\"{}\",\"arrays\":[{}],\"policy\":\"{}\",\"policy_forced\":{},\
          \"shape\":\"{}\",\"block\":{},\"seed\":{},\"ub\":{}}}",
-        escape_json(&info.source),
+        escape(&info.source),
         arrays.join(","),
         info.policy.name(),
         info.policy_forced,
@@ -101,7 +85,7 @@ fn sections_json(sections: &[AnnotatedSection]) -> String {
                 .map(|i| {
                     format!(
                         "{{\"text\":\"{}\",\"depth\":{},\"links\":{}}}",
-                        escape_json(&i.text),
+                        escape(&i.text),
                         i.depth,
                         links_json(&i.links)
                     )
@@ -110,7 +94,7 @@ fn sections_json(sections: &[AnnotatedSection]) -> String {
             format!(
                 "{{\"name\":\"{}\",\"header\":\"{}\",\"insts\":[{}]}}",
                 s.name,
-                escape_json(&s.header),
+                escape(&s.header),
                 insts.join(",")
             )
         })
@@ -131,7 +115,7 @@ fn accounting_json(a: &Accounting) -> String {
                 r.weight,
                 r.contribution,
                 num(r.bound),
-                escape_json(r.note),
+                escape(r.note),
                 links_json(&r.links)
             )
         })
@@ -164,7 +148,7 @@ fn stream_json(r: &StreamReport) -> String {
             format!(
                 "{{\"id\":\"{id}\",\"phase\":\"{}\",\"text\":\"{}\"}}",
                 id.phase.name(),
-                escape_json(text)
+                escape(text)
             )
         })
         .collect();
@@ -191,8 +175,8 @@ fn inapplicable_json(r: &InapplicableReport) -> String {
         "{{\"schema\":\"{SCHEMA}\",\"mode\":\"inapplicable\",\"loop\":{},\
          \"error\":\"{}\",\"explanation\":\"{}\"}}",
         loop_json(&r.info),
-        escape_json(&r.error),
-        escape_json(&r.explanation)
+        escape(&r.error),
+        escape(&r.explanation)
     )
 }
 
@@ -202,7 +186,7 @@ fn strided_json(r: &StridedReport) -> String {
          \"program\":\"{}\",\"stats\":{},\"data\":{},\"opd\":{},\"model_opd\":{},\
          \"verified\":{},\"speedup\":{}}}",
         loop_json(&r.info),
-        escape_json(&r.program.to_string()),
+        escape(&r.program.to_string()),
         stats_json(&r.stats),
         r.data,
         num(r.opd),

@@ -23,10 +23,10 @@
 //!   p50/p95, requests/sec and the cache's hit/miss/evict counters.
 //!
 //! Everything is `std`: no async runtime, no HTTP stack, no serde —
-//! the wire format is parsed with the same hand-rolled JSON reader the
-//! bench-history tracker uses. The only `unsafe` in the workspace is
-//! the tiny `signal(2)` FFI declaration in [`signal`], gated to the
-//! CLI's opt-in Ctrl-C handling.
+//! the wire format is parsed with `simdize-telemetry`'s hand-rolled
+//! JSON reader. The only `unsafe` in the workspace is the tiny
+//! `signal(2)` FFI declaration in [`signal`], gated to the CLI's opt-in
+//! Ctrl-C handling.
 //!
 //! # Example
 //!

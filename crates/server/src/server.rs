@@ -546,9 +546,6 @@ fn handle_line(line: &str, shared: &Shared, conn_id: u64) -> String {
                     let Some(_permit) = shared.gate.enter() else {
                         shared.busy.fetch_add(1, Ordering::Relaxed);
                         shared.requests.fetch_add(1, Ordering::Relaxed);
-                        if telemetry::enabled() {
-                            telemetry::counter("server.busy").add(1);
-                        }
                         let error = Some("busy: job queue full".to_string());
                         shared.note_flight(trace, "busy", started.elapsed(), attrs, error);
                         return busy_response(request.id, &trace_str);
@@ -589,9 +586,5 @@ fn handle_line(line: &str, shared: &Shared, conn_id: u64) -> String {
     let us = elapsed.as_micros().min(u64::MAX as u128) as u64;
     shared.metrics.lock().expect("metrics poisoned").record(verb, us);
     shared.requests.fetch_add(1, Ordering::Relaxed);
-    if telemetry::enabled() {
-        telemetry::counter("server.request").add(1);
-        telemetry::histogram("server.latency_us").observe(us);
-    }
     response
 }

@@ -1,11 +1,13 @@
-//! A minimal JSON reader for the bench-history tracker.
+//! The workspace's JSON reader and its one string escaper.
 //!
-//! The workspace is offline by policy (no serde), but `simdize bench
-//! diff` has to read back the JSON documents the bench harness writes.
-//! This is a straightforward recursive-descent parser over the JSON
-//! grammar — objects, arrays, strings (with the standard escapes),
-//! numbers (including scientific notation), booleans and null — that
-//! keeps object keys in document order.
+//! The workspace is offline by policy (no serde), but the server has
+//! to read `simdize-wire/v1` request lines and the tests read back the
+//! documents the stack writes. [`parse`] is a straightforward
+//! recursive-descent parser over the JSON grammar — objects, arrays,
+//! strings (with the standard escapes), numbers (including scientific
+//! notation), booleans and null — that keeps object keys in document
+//! order; [`escape`] is what every hand-written JSON renderer in the
+//! workspace calls for string contents.
 
 use std::fmt;
 
@@ -339,23 +341,22 @@ mod tests {
     }
 
     #[test]
-    fn roundtrips_a_real_bench_document() {
+    fn reads_a_pretty_printed_document() {
         let doc = r#"{
-  "schema": "simdize-bench-engine/v1",
-  "mode": "quick",
-  "kernels": [
-    { "name": "fig1", "fused_ops_per_sec": 3.466e8, "speedup_vs_interp": 20.71 }
+  "schema": "simdize-telemetry/v1",
+  "spans": [
+    { "name": "bake", "total_ns": 3.466e8, "p50_us": 20.71 }
   ],
-  "sweeps": []
+  "counters": []
 }"#;
         let v = parse(doc).unwrap();
         assert_eq!(
             v.get("schema").unwrap().as_str(),
-            Some("simdize-bench-engine/v1")
+            Some("simdize-telemetry/v1")
         );
-        let kernels = v.get("kernels").unwrap().as_arr().unwrap();
+        let spans = v.get("spans").unwrap().as_arr().unwrap();
         assert_eq!(
-            kernels[0].get("fused_ops_per_sec").unwrap().as_f64(),
+            spans[0].get("total_ns").unwrap().as_f64(),
             Some(346_600_000.0)
         );
     }

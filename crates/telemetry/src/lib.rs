@@ -1,6 +1,6 @@
 //! Runtime telemetry for the simdize stack: a span profiler, a metrics
-//! registry, request-scoped tracing, a flight recorder, and a
-//! bench-history regression tracker.
+//! registry, request-scoped tracing, a flight recorder, and the
+//! workspace's JSON reader and string escaper.
 //!
 //! The crate is built around one invariant: **when telemetry is off
 //! (the default), instrumentation costs a single relaxed atomic load
@@ -59,15 +59,14 @@
 //!   and the `simdize-trace/v1` + Chrome trace-event encoders.
 //! - [`flight`] — a fixed-capacity lock-striped ring buffer of recent
 //!   request summaries for postmortem dumps.
-//! - [`history`] — append-only bench run records and a noise-aware
-//!   regression diff (`simdize bench diff`).
+//! - [`json`] — the `simdize-wire/v1` request parser and the one JSON
+//!   string escaper every renderer in the workspace calls.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod flight;
 pub mod hist;
-pub mod history;
 pub mod json;
 mod metrics;
 mod prom;

@@ -2,6 +2,7 @@
 //! shrunk counterexamples, and the text / `simdize-verify/v1` JSON
 //! renderings.
 
+use simdize_telemetry::json::escape;
 use std::fmt::Write as _;
 
 /// What one named harness did across the whole enumeration.
@@ -221,7 +222,7 @@ impl VerifyReport {
              \"runs\":{{\"points\":{},\"points_skipped\":{},\"executed\":{},\"budget\":{},\"budget_exhausted\":{}}},\
              \"harnesses\":[",
             Self::SCHEMA,
-            esc(&self.loop_name),
+            escape(&self.loop_name),
             self.proved,
             self.quick,
             self.trip_bound,
@@ -263,18 +264,18 @@ impl VerifyReport {
                  \"aligns\":[{}],\"trip\":{},\"trip_style\":\"{}\",\"probe\":\"{}\",\
                  \"detail\":\"{}\",\"shrunk\":{},\"shrink_steps\":{},\"replay\":\"{}\"}}",
                 ce.harness,
-                esc(&ce.policy),
-                esc(&ce.reuse),
+                escape(&ce.policy),
+                escape(&ce.reuse),
                 ce.unroll,
-                esc(&ce.mode),
+                escape(&ce.mode),
                 aligns.join(","),
                 ce.trip,
-                esc(&ce.trip_style),
-                esc(&ce.probe),
-                esc(&ce.detail),
+                escape(&ce.trip_style),
+                escape(&ce.probe),
+                escape(&ce.detail),
                 ce.shrunk,
                 ce.shrink_steps,
-                esc(&ce.replay),
+                escape(&ce.replay),
             );
         }
         let _ = write!(
@@ -286,29 +287,11 @@ impl VerifyReport {
             if k > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\"", esc(inc));
+            let _ = write!(out, "\"{}\"", escape(inc));
         }
         let _ = write!(out, "],\"wall_ms\":{}}}", self.wall_ms);
         out
     }
-}
-
-/// Minimal JSON string escaping (the report embeds loop sources and
-/// shell replay lines).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

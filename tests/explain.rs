@@ -6,6 +6,7 @@
 
 use simdize::{parse_program, Policy};
 use simdize_explain::{render_json, render_markdown, ExplainReport, Explainer};
+use simdize_suite::{assert_golden, repo, sample};
 
 const POLICIES: [(Policy, &str); 5] = [
     (Policy::Zero, "zero"),
@@ -16,15 +17,6 @@ const POLICIES: [(Policy, &str); 5] = [
 ];
 
 const LOOPS: [&str; 4] = ["figure1", "runtime", "dot_product", "deinterleave"];
-
-fn repo(path: &str) -> String {
-    format!("{}/{path}", env!("CARGO_MANIFEST_DIR"))
-}
-
-fn sample(name: &str) -> String {
-    let path = repo(&format!("loops/{name}.loop"));
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("missing {path}: {e}"))
-}
 
 fn explain(name: &str, policy: Policy) -> ExplainReport {
     let program = parse_program(&sample(name)).unwrap();
@@ -42,17 +34,10 @@ fn explain(name: &str, policy: Policy) -> ExplainReport {
 fn figure1_json_golden() {
     for (policy, pname) in POLICIES {
         let json = render_json(&explain("figure1", policy));
-        let path = repo(&format!("tests/golden/explain-figure1-{pname}.json"));
-        if std::env::var_os("UPDATE_GOLDEN").is_some() {
-            std::fs::write(&path, format!("{json}\n")).unwrap();
-            continue;
-        }
-        let expected = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("missing golden {path}: {e} (run with UPDATE_GOLDEN=1)"));
-        assert_eq!(
-            expected.trim_end(),
-            json,
-            "golden drift for figure1/{pname}; if intended, UPDATE_GOLDEN=1 and re-review"
+        assert_golden(
+            &format!("tests/golden/explain-figure1-{pname}.json"),
+            &json,
+            &format!("golden drift for figure1/{pname}"),
         );
     }
 }

@@ -10,10 +10,7 @@ use simdize::{
     ReorgGraph, Simdizer, TripSpec, VectorShape, WorkloadSpec,
 };
 use simdize_prng::SplitMix64;
-
-fn repo(path: &str) -> String {
-    format!("{}/{path}", env!("CARGO_MANIFEST_DIR"))
-}
+use simdize_suite::repo;
 
 /// Every sample loop whose alignments are compile-time constants (the
 /// optimal search, like every policy but zero-shift, refuses `@ ?`).

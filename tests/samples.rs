@@ -2,20 +2,16 @@
 //! execute and verify — they are the CLI's first-contact surface.
 
 use simdize::{parse_program, DiffConfig, Simdizer};
-
-fn sample(name: &str) -> String {
-    let path = format!("{}/loops/{name}", env!("CARGO_MANIFEST_DIR"));
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("missing {path}: {e}"))
-}
+use simdize_suite::sample;
 
 #[test]
 fn all_samples_verify() {
     for name in [
-        "figure1.loop",
-        "runtime.loop",
-        "dot_product.loop",
-        "deinterleave.loop",
-        "halfword.loop",
+        "figure1",
+        "runtime",
+        "dot_product",
+        "deinterleave",
+        "halfword",
     ] {
         let program = parse_program(&sample(name)).unwrap_or_else(|e| panic!("{name}: {e}"));
         let report = Simdizer::new()
@@ -29,10 +25,10 @@ fn all_samples_verify() {
 #[test]
 fn samples_roundtrip_through_the_printer() {
     for name in [
-        "figure1.loop",
-        "dot_product.loop",
-        "deinterleave.loop",
-        "halfword.loop",
+        "figure1",
+        "dot_product",
+        "deinterleave",
+        "halfword",
     ] {
         let program = parse_program(&sample(name)).unwrap();
         let reparsed = parse_program(&program.to_source()).unwrap();
@@ -43,7 +39,7 @@ fn samples_roundtrip_through_the_printer() {
 #[test]
 fn traced_execution_matches_plain() {
     use simdize::{run_simd, run_simd_traced, MemoryImage, RunInput, VectorShape};
-    let program = parse_program(&sample("figure1.loop")).unwrap();
+    let program = parse_program(&sample("figure1")).unwrap();
     let compiled = Simdizer::new().compile(&program).unwrap();
     let mut a = MemoryImage::with_seed(&program, VectorShape::V16, 3);
     let mut b = a.clone();
@@ -59,7 +55,7 @@ fn traced_execution_matches_plain() {
 #[test]
 fn reduction_graph_metadata() {
     use simdize::{Offset, ReorgGraph, VectorShape};
-    let program = parse_program(&sample("dot_product.loop")).unwrap();
+    let program = parse_program(&sample("dot_product")).unwrap();
     let graph = ReorgGraph::build(&program, VectorShape::V16).unwrap();
     // Reductions require stream offset 0 of their expression.
     assert_eq!(graph.store_offset(0), Offset::Byte(0));

@@ -8,16 +8,8 @@ use simdize::{
     Simdizer, VectorShape, PROFILE_SWEEP_SEEDS,
 };
 use simdize_telemetry as telemetry;
+use simdize_suite::{assert_golden, sample};
 use simdize_telemetry::json;
-
-fn repo(path: &str) -> String {
-    format!("{}/{path}", env!("CARGO_MANIFEST_DIR"))
-}
-
-fn figure1() -> String {
-    let path = repo("loops/figure1.loop");
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("missing {path}: {e}"))
-}
 
 /// Pins the normalized `simdize-telemetry/v1` JSON for a Figure 1
 /// profile, byte for byte. Counts, tree shape and cache metrics are
@@ -32,21 +24,10 @@ fn figure1() -> String {
 #[test]
 fn figure1_profile_json_golden() {
     std::env::set_var("SIMDIZE_ISA", "scalar");
-    let outcome = profile_source(&figure1()).unwrap();
+    let outcome = profile_source(&sample("figure1")).unwrap();
     assert!(outcome.verified);
     let json = outcome.report.render_json(true);
-    let path = repo("tests/golden/telemetry-figure1.json");
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, format!("{json}\n")).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {path}: {e} (run with UPDATE_GOLDEN=1)"));
-    assert_eq!(
-        expected.trim_end(),
-        json,
-        "telemetry schema drift; if intended, UPDATE_GOLDEN=1 and re-review"
-    );
+    assert_golden("tests/golden/telemetry-figure1.json", &json, "telemetry schema drift");
 }
 
 /// The acceptance contract, independent of the golden bytes: the JSON
@@ -54,7 +35,7 @@ fn figure1_profile_json_golden() {
 /// and the sweep-cache counters show the expected one-miss pattern.
 #[test]
 fn figure1_profile_document_covers_every_phase() {
-    let outcome = profile_source(&figure1()).unwrap();
+    let outcome = profile_source(&sample("figure1")).unwrap();
     let doc = json::parse(&outcome.report.render_json(false)).unwrap();
     assert_eq!(
         doc.get("schema").unwrap().as_str(),
@@ -162,7 +143,7 @@ fn disabled_instrumentation_overhead_under_two_percent() {
         return;
     }
     assert!(!telemetry::enabled());
-    let program = parse_program(&figure1()).unwrap();
+    let program = parse_program(&sample("figure1")).unwrap();
     let compiled = Simdizer::new().compile(&program).unwrap();
     let ub = program.trip().known().unwrap_or(256);
     let input = RunInput::with_ub(ub);

@@ -6,15 +6,7 @@
 //! `UPDATE_GOLDEN=1 cargo test --test trace`.
 
 use simdize::trace_source;
-
-fn repo(path: &str) -> String {
-    format!("{}/{path}", env!("CARGO_MANIFEST_DIR"))
-}
-
-fn figure1() -> String {
-    let path = repo("loops/figure1.loop");
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("missing {path}: {e}"))
-}
+use simdize_suite::{assert_golden, sample};
 
 /// Pins the `isa` attribute host-independently: `IsaLevel::detect()`
 /// re-reads the override on every call, and `scalar` is a valid tier
@@ -27,28 +19,19 @@ fn force_scalar_isa() {
 #[test]
 fn normalized_trace_json_matches_golden() {
     force_scalar_isa();
-    let outcome = trace_source(&figure1()).unwrap();
+    let outcome = trace_source(&sample("figure1")).unwrap();
     assert!(outcome.verified);
-    let mut rendered = outcome.trace.render_json(true);
-    rendered.push('\n');
-
-    let path = repo("tests/golden/trace-figure1.json");
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &rendered).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {path}: {e} (run with UPDATE_GOLDEN=1)"));
-    assert_eq!(
-        expected, rendered,
-        "trace schema drift; if intended, UPDATE_GOLDEN=1 and re-review"
+    assert_golden(
+        "tests/golden/trace-figure1.json",
+        &outcome.trace.render_json(true),
+        "trace schema drift",
     );
 }
 
 #[test]
 fn chrome_export_agrees_with_the_span_timeline() {
     force_scalar_isa();
-    let outcome = trace_source(&figure1()).unwrap();
+    let outcome = trace_source(&sample("figure1")).unwrap();
     let chrome = outcome.trace.render_chrome();
     // One complete event per recorded span, plus the request root.
     let events = chrome.matches("\"ph\":\"X\"").count();

@@ -5,15 +5,7 @@
 //! `simdize-verify/v1` JSON report.
 
 use simdize::{prove_source, MutationKind, VerifyOptions};
-
-fn repo(path: &str) -> String {
-    format!("{}/{path}", env!("CARGO_MANIFEST_DIR"))
-}
-
-fn sample(name: &str) -> String {
-    let path = repo(&format!("loops/{name}.loop"));
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("missing {path}: {e}"))
-}
+use simdize_suite::{assert_golden, sample};
 
 fn quick(threads: usize) -> VerifyOptions {
     let mut opts = VerifyOptions::quick();
@@ -104,18 +96,9 @@ fn mutate_and_catch_shrinks_to_a_replayable_counterexample() {
 fn verify_report_json_golden() {
     let mut report = prove_source("figure1", &sample("figure1"), &quick(2)).unwrap();
     report.wall_ms = 0;
-    let mut rendered = report.render_json();
-    rendered.push('\n');
-
-    let path = repo("tests/golden/verify-figure1-quick.json");
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &rendered).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {path}: {e} (run with UPDATE_GOLDEN=1)"));
-    assert_eq!(
-        expected, rendered,
-        "verify-report drift; if intended, UPDATE_GOLDEN=1 and re-review"
+    assert_golden(
+        "tests/golden/verify-figure1-quick.json",
+        &report.render_json(),
+        "verify-report drift",
     );
 }
