@@ -1,77 +1,83 @@
-//! One-command reproduction of the paper's entire evaluation: prints
-//! Figures 11 and 12, Tables 1 and 2, and runs a compact coverage
-//! sweep, all with the default seed.
+//! One-command reproduction of the paper's evaluation: every experiment
+//! of EXPERIMENTS.md (E2–E13) and the optimality study (E16) with the
+//! fixed seed, ~15 s in release.
 //!
-//! Run with: `cargo run -p simdize-bench --bin repro --release`
+//! Run with: `cargo run -p simdize-bench --bin repro --release -- [flag]`
+//!
+//! ```text
+//! (no flag)       print every generated block
+//! --update-docs   rewrite the blocks between the per-experiment
+//!                 markers in EXPERIMENTS.md and docs/POLICIES.md
+//! --check-docs    exit non-zero, naming the experiments, if a
+//!                 checked-in block differs from a fresh regeneration
+//!                 (the CI drift guard)
+//! ```
 
-use simdize::{synthesize, DiffConfig, ScalarType, Scheme, Simdizer, TripSpec, WorkloadSpec};
-use simdize_prng::SplitMix64;
+use simdize_bench::{docs, experiments, DOCS};
+use std::path::Path;
+use std::process::ExitCode;
 
-fn main() {
-    println!("reproducing Eichenberger, Wu & O'Brien, PLDI 2004\n");
+const UPDATE: &str = "cargo run -p simdize-bench --bin repro --release -- --update-docs";
 
-    let rows = simdize_bench::figure_opd(&simdize_bench::figure_spec(), false, 2004);
-    print!(
-        "{}",
-        simdize_bench::render_figure(
-            "Figure 11 — operations per datum (S1*L6 i32, reassoc OFF)",
-            &rows
-        )
-    );
-    println!();
-    let rows = simdize_bench::figure_opd(&simdize_bench::figure_spec(), true, 2004);
-    print!(
-        "{}",
-        simdize_bench::render_figure(
-            "Figure 12 — operations per datum (S1*L6 i32, reassoc ON)",
-            &rows
-        )
-    );
-    println!();
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let update = match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+        [] => None,
+        ["--update-docs"] => Some(true),
+        ["--check-docs"] => Some(false),
+        _ => {
+            eprintln!("usage: repro [--update-docs | --check-docs]");
+            return ExitCode::from(2);
+        }
+    };
+    let blocks: Vec<_> = experiments()
+        .iter()
+        .map(|e| (e.doc, e.id, (e.render)()))
+        .collect();
+    let Some(update) = update else {
+        for (_, id, body) in &blocks {
+            print!("== {id} ==\n{body}\n");
+        }
+        return ExitCode::SUCCESS;
+    };
 
-    let rows = simdize_bench::speedup_table(&simdize_bench::TABLE_SHAPES, ScalarType::I32, 2004);
-    print!(
-        "{}",
-        simdize_bench::render_table("Table 1 — 4 × i32 per register", &rows, 4)
-    );
-    println!();
-    let rows = simdize_bench::speedup_table(&simdize_bench::TABLE_SHAPES, ScalarType::I16, 2004);
-    print!(
-        "{}",
-        simdize_bench::render_table("Table 2 — 8 × i16 per register", &rows, 8)
-    );
-    println!();
-
-    // Compact §5.4 coverage pass (the full sweep is `--bin coverage`).
-    let mut loops = 0usize;
-    let mut runs = 0usize;
-    for seed in 0..64u64 {
-        let mut meta = SplitMix64::seed_from_u64(seed * 7 + 1);
-        let spec = WorkloadSpec::new(
-            meta.range_inclusive(1, 4) as usize,
-            meta.range_inclusive(1, 8) as usize,
-        )
-        .bias(meta.range_f64(0.0, 1.0))
-        .reuse(meta.range_f64(0.0, 1.0))
-        .trip(TripSpec::KnownInRange(997, 1000))
-        .runtime_align(seed % 3 == 0);
-        let mut rng = SplitMix64::seed_from_u64(seed);
-        let program = synthesize(&spec, &mut rng);
-        loops += 1;
-        let schemes = if spec.runtime_align {
-            Scheme::runtime_contenders()
-        } else {
-            Scheme::contenders()
-        };
-        for scheme in schemes {
-            let report = Simdizer::new()
-                .scheme(scheme)
-                .evaluate_with(&program, &DiffConfig::with_seed(seed))
-                .unwrap_or_else(|e| panic!("loop {seed} under {scheme}: {e}"));
-            assert!(report.verified);
-            runs += 1;
+    let mut code = ExitCode::SUCCESS;
+    for doc in DOCS {
+        // Resolved from the manifest, so any working directory works.
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .join(doc);
+        let blocks: Vec<(&str, &str)> = blocks
+            .iter()
+            .filter(|b| b.0 == doc)
+            .map(|b| (b.1, b.2.as_str()))
+            .collect();
+        let spliced = std::fs::read_to_string(&path)
+            .map_err(|e| format!("read {doc}: {e}"))
+            .and_then(|text| docs::splice_all(doc, &text, &blocks));
+        match spliced {
+            Err(e) => {
+                eprintln!("{e}");
+                code = ExitCode::FAILURE;
+            }
+            Ok((_, stale)) if stale.is_empty() => {
+                println!("{doc}: {} generated blocks are up to date", blocks.len());
+            }
+            Ok((fresh, stale)) if update => match std::fs::write(&path, fresh) {
+                Ok(()) => println!("{doc}: rewrote {}", stale.join(", ")),
+                Err(e) => {
+                    eprintln!("write {doc}: {e}");
+                    code = ExitCode::FAILURE;
+                }
+            },
+            Ok((_, stale)) => {
+                eprintln!(
+                    "{doc}: stale generated blocks: {}; run `{UPDATE}`",
+                    stale.join(", ")
+                );
+                code = ExitCode::FAILURE;
+            }
         }
     }
-    println!("coverage sample: {loops} loops, {runs} verified simdized executions");
-    println!("(full >1000-loop sweep: cargo run -p simdize-bench --bin coverage --release)");
+    code
 }

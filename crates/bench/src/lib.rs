@@ -1,29 +1,41 @@
-//! The evaluation harness reproducing the paper's §5: synthesized-loop
-//! suites, the OPD breakdown of Figures 11/12, and the speedup tables
-//! (Tables 1/2).
+//! The paper reproduction: every experiment of EXPERIMENTS.md as a
+//! function returning its rendered table — the §5.4 coverage sweep
+//! (E2), the OPD breakdown of Figures 11/12 (E3, E4), the speedup
+//! tables (E5, E6), the [`ablations`] (E7–E13) and the optimality
+//! [`study`] (E16).
 //!
-//! Every function here is deterministic given its seed; the `fig11`,
-//! `fig12`, `table1`, `table2` and `coverage` binaries (and the
-//! in-repo [`timing`] benches of the same names) are thin wrappers that
-//! print the regenerated artifacts.
+//! Every function here is deterministic (seed [`SEED`]), so the tables
+//! are checked outputs: the `repro` bin prints [`experiments`], splices
+//! them between per-experiment markers in EXPERIMENTS.md and
+//! docs/POLICIES.md (`--update-docs`) and fails on drift
+//! (`--check-docs`, run by `scripts/ci.sh`). Every run doubles as a
+//! correctness check: a loop that fails to verify panics.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod ablations;
+pub mod docs;
 pub mod study;
-pub mod timing;
 
 use simdize_prng::SplitMix64;
 
 use simdize::{
-    harmonic_mean, lower_bound_parts, synthesize, DiffConfig, LoopProgram, Policy, ReuseMode,
-    ScalarType, Scheme, Simdizer, TripSpec, VectorShape, WorkloadSpec,
+    harmonic_mean, lower_bound_parts, synthesize, DiffConfig, LoopProgram, Report, ScalarType,
+    Scheme, Simdizer, TripSpec, VectorShape, WorkloadSpec,
 };
+use std::fmt::Write as _;
 
 /// Number of loops per benchmark, as in the paper ("each benchmark …
 /// consists of 50 distinct loops with identical (l, s, n, b, r)
 /// characteristics").
 pub const LOOPS_PER_BENCHMARK: usize = 50;
+
+/// The base seed of every checked-in table.
+pub const SEED: u64 = 2004;
+
+/// The trip counts of the paper's §5 benchmarks.
+pub const PAPER_TRIP: TripSpec = TripSpec::KnownInRange(997, 1000);
 
 /// Builds a deterministic suite of `count` loops from one spec.
 pub fn suite(spec: &WorkloadSpec, count: usize, base_seed: u64) -> Vec<LoopProgram> {
@@ -33,6 +45,21 @@ pub fn suite(spec: &WorkloadSpec, count: usize, base_seed: u64) -> Vec<LoopProgr
             synthesize(spec, &mut rng)
         })
         .collect()
+}
+
+/// Compiles `program` under `driver`, runs it on memory seeded with
+/// `seed` and returns the measured report.
+///
+/// # Panics
+///
+/// Panics if the loop fails to simdize or diverges from the scalar
+/// oracle — every reproduction run doubles as a correctness check.
+pub fn evaluate(driver: Simdizer, program: &LoopProgram, seed: u64) -> Report {
+    let report = driver
+        .evaluate_with(program, &DiffConfig::with_seed(seed))
+        .unwrap_or_else(|e| panic!("{driver:?}, data seed {seed}: {e}"));
+    assert!(report.verified, "{driver:?}, data seed {seed}: diverged");
+    report
 }
 
 /// One bar of Figure 11/12: a scheme's OPD decomposed into the §5.3
@@ -116,14 +143,8 @@ fn scheme_row(loops: &[LoopProgram], scheme: Scheme, label: &str, base_seed: u64
     let mut others = Vec::new();
     let mut totals = Vec::new();
     for (k, program) in loops.iter().enumerate() {
-        let report = Simdizer::new()
-            .scheme(scheme)
-            .evaluate_with(
-                program,
-                &DiffConfig::with_seed(base_seed ^ (k as u64 * 131 + 17)),
-            )
-            .unwrap_or_else(|e| panic!("{label} loop {k}: {e}"));
-        assert!(report.verified, "{label} loop {k} diverged");
+        let driver = Simdizer::new().scheme(scheme);
+        let report = evaluate(driver, program, base_seed ^ (k as u64 * 131 + 17));
         let lb = lower_bound_parts(program, VectorShape::V16, scheme.policy);
         let measured_reorg = report.stats.reorg_ops() as f64 / report.data_produced as f64;
         let reorg_overhead = (measured_reorg - lb.shift_opd()).max(0.0);
@@ -197,14 +218,13 @@ pub struct SpeedupRow {
 pub fn speedup_table(
     shapes: &[(usize, usize)],
     elem: ScalarType,
+    trip: TripSpec,
     base_seed: u64,
 ) -> Vec<SpeedupRow> {
     shapes
         .iter()
         .map(|&(s, l)| {
-            let spec = WorkloadSpec::new(s, l)
-                .elem(elem)
-                .trip(TripSpec::KnownInRange(997, 1000));
+            let spec = WorkloadSpec::new(s, l).elem(elem).trip(trip);
             let static_loops = suite(&spec, LOOPS_PER_BENCHMARK, base_seed);
             let (best_static, static_speedup, static_bound) =
                 best_scheme(&static_loops, &Scheme::contenders(), base_seed);
@@ -235,14 +255,8 @@ fn best_scheme(loops: &[LoopProgram], schemes: &[Scheme], base_seed: u64) -> (St
         let mut simd_total = 0u64;
         let mut lb_total = 0.0f64;
         for (k, program) in loops.iter().enumerate() {
-            let report = Simdizer::new()
-                .scheme(scheme)
-                .evaluate_with(
-                    program,
-                    &DiffConfig::with_seed(base_seed ^ (k as u64 * 977 + 3)),
-                )
-                .unwrap_or_else(|e| panic!("{scheme} loop {k}: {e}"));
-            assert!(report.verified);
+            let driver = Simdizer::new().scheme(scheme);
+            let report = evaluate(driver, program, base_seed ^ (k as u64 * 977 + 3));
             scalar_total += report.scalar_ideal;
             simd_total += report.stats.total();
             lb_total += lower_bound_parts(program, VectorShape::V16, scheme.policy).opd()
@@ -289,69 +303,147 @@ pub fn figure_spec() -> WorkloadSpec {
     WorkloadSpec::new(1, 6)
         .bias(0.3)
         .reuse(0.3)
-        .trip(TripSpec::KnownInRange(997, 1000))
+        .trip(PAPER_TRIP)
 }
 
-/// A representative loop + scheme pair used by the timing benches: one
-/// S1×L6 loop under dominant-shift with software pipelining.
-pub fn representative() -> (LoopProgram, Scheme) {
-    let mut rng = SplitMix64::seed_from_u64(2004);
-    let program = synthesize(&figure_spec(), &mut rng);
-    (
-        program,
-        Scheme::new(Policy::Dominant, ReuseMode::SoftwarePipeline),
-    )
+/// E3 (reassoc off) / E4 (reassoc on): Figure 11 / 12 on the headline
+/// benchmark.
+pub fn figure(reassoc: bool) -> String {
+    let title = if reassoc {
+        "Figure 12 — operations per datum (S1*L6 i32, bias 30%, reuse 30%, reassoc ON)"
+    } else {
+        "Figure 11 — operations per datum (S1*L6 i32, bias 30%, reuse 30%, reassoc OFF)"
+    };
+    render_figure(title, &figure_opd(&figure_spec(), reassoc, SEED))
+}
+
+/// E5 / E6: Table 1 (`i32`, peak 4×) / Table 2 (`i16`, peak 8×) at the
+/// paper's trip counts.
+pub fn table(title: &str, elem: ScalarType, peak: u32) -> String {
+    let rows = speedup_table(&TABLE_SHAPES, elem, PAPER_TRIP, SEED);
+    render_table(title, &rows, peak)
+}
+
+/// E2, the §5.4 coverage sweep: 16 synthesized loops for every
+/// `(s, l)` in 1..=4 × 1..=8 with compile-time and with runtime
+/// alignments (1024 loops, random bias and reuse, the paper's trip
+/// counts), each compiled under every applicable contender and run
+/// against the scalar oracle.
+///
+/// # Panics
+///
+/// Panics if any loop fails to simdize or verify — that every run
+/// passes is the experiment's claim.
+pub fn coverage() -> String {
+    // (loops, executions) with compile-time and with runtime alignments.
+    let mut counts = [(0usize, 0usize); 2];
+    let mut seed = 0u64;
+    for s in 1..=4usize {
+        for l in 1..=8usize {
+            for runtime_align in [false, true] {
+                for rep in 0..16u64 {
+                    seed += 1;
+                    let mut meta = SplitMix64::seed_from_u64(seed * 131 + rep);
+                    let spec = WorkloadSpec::new(s, l)
+                        .bias(meta.range_f64(0.0, 1.0))
+                        .reuse(meta.range_f64(0.0, 1.0))
+                        .trip(PAPER_TRIP)
+                        .runtime_align(runtime_align);
+                    let program = synthesize(&spec, &mut SplitMix64::seed_from_u64(seed));
+                    let schemes = if runtime_align {
+                        Scheme::runtime_contenders()
+                    } else {
+                        Scheme::contenders()
+                    };
+                    let (loops, runs) = &mut counts[usize::from(runtime_align)];
+                    *loops += 1;
+                    for scheme in schemes {
+                        evaluate(Simdizer::new().scheme(scheme), &program, seed);
+                        *runs += 1;
+                    }
+                }
+            }
+        }
+    }
+    let mut out =
+        String::from("§5.4 coverage — every execution verified against the scalar oracle\n");
+    let _ = writeln!(
+        out,
+        "{:<14} {:>6} {:>11}",
+        "alignments", "loops", "executions"
+    );
+    let [ct, rt] = counts;
+    for (label, (loops, runs)) in [
+        ("compile-time", ct),
+        ("runtime", rt),
+        ("total", (ct.0 + rt.0, ct.1 + rt.1)),
+    ] {
+        let _ = writeln!(out, "{label:<14} {loops:>6} {runs:>11}");
+    }
+    out
+}
+
+/// The documents that embed generated blocks, relative to the
+/// repository root.
+pub const DOCS: [&str; 2] = ["EXPERIMENTS.md", "docs/POLICIES.md"];
+
+/// One drift-gated experiment: its id (the marker key), the document
+/// of [`DOCS`] that embeds it and the function rendering its Markdown
+/// block (deterministic; runs the experiment).
+#[derive(Debug, Clone, Copy)]
+pub struct Experiment {
+    /// `E2` … `E16`, as in EXPERIMENTS.md's section titles.
+    pub id: &'static str,
+    /// Where the block lives.
+    pub doc: &'static str,
+    /// Renders the block.
+    pub render: fn() -> String,
+}
+
+fn fenced(table: String) -> String {
+    format!("```\n{table}```\n")
+}
+
+/// Every generated table, in EXPERIMENTS.md's numbering.
+pub fn experiments() -> Vec<Experiment> {
+    let [doc, policies] = DOCS;
+    let e = |id, render| Experiment { id, doc, render };
+    vec![
+        e("E2", || fenced(coverage())),
+        e("E3", || fenced(figure(false))),
+        e("E4", || fenced(figure(true))),
+        e("E5", || {
+            fenced(table("Table 1 — 4 × i32 per register", ScalarType::I32, 4))
+        }),
+        e("E6", || {
+            fenced(table("Table 2 — 8 × i16 per register", ScalarType::I16, 8))
+        }),
+        e("E7", || fenced(ablations::policies())),
+        e("E8", || fenced(ablations::reuse())),
+        e("E9", || fenced(ablations::hardware())),
+        e("E10", || fenced(ablations::applicability())),
+        e("E11", || fenced(ablations::stride())),
+        e("E12", || fenced(ablations::scaling())),
+        e("E13", || fenced(ablations::reduction())),
+        Experiment {
+            id: "E16",
+            doc: policies,
+            render: study::render,
+        },
+    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn small_spec() -> WorkloadSpec {
-        WorkloadSpec::new(1, 3).trip(TripSpec::Known(200))
-    }
-
     #[test]
     fn suite_is_deterministic() {
-        let a = suite(&small_spec(), 3, 9);
-        let b = suite(&small_spec(), 3, 9);
+        let spec = WorkloadSpec::new(1, 3).trip(TripSpec::Known(200));
+        let a = suite(&spec, 3, 9);
+        let b = suite(&spec, 3, 9);
         assert_eq!(a, b);
         assert_eq!(a.len(), 3);
         assert_ne!(a[0], a[1]);
-    }
-
-    #[test]
-    fn figure_rows_have_expected_shape() {
-        // A tiny figure run: 50 loops but short trip counts keep it fast.
-        let spec = WorkloadSpec::new(1, 4).trip(TripSpec::Known(200));
-        let rows = figure_opd(&spec, false, 5);
-        assert_eq!(rows.len(), 1 + 15 + 2);
-        assert_eq!(rows[0].label, "SEQ");
-        assert!((rows[0].total - 8.0).abs() < 1e-9); // 2l = 8 for l=4
-        for r in &rows[1..] {
-            assert!(r.total < rows[0].total, "{} did not beat SEQ", r.label);
-            assert!(r.bound > 0.0);
-        }
-        // Reuse schemes beat their naive counterparts.
-        let get = |l: &str| rows.iter().find(|r| r.label == l).unwrap().total;
-        assert!(get("ZERO-sp") < get("ZERO"));
-        assert!(get("LAZY-pc") < get("LAZY"));
-        let text = render_figure("test", &rows);
-        assert!(text.contains("SEQ"));
-        assert!(text.contains("ZERO-sp"));
-    }
-
-    #[test]
-    fn speedup_rows_have_expected_shape() {
-        let rows = speedup_table(&[(1, 2), (2, 4)], ScalarType::I32, 3);
-        assert_eq!(rows.len(), 2);
-        for r in &rows {
-            assert!(r.static_speedup > 1.0, "{}: {}", r.name, r.static_speedup);
-            assert!(r.static_speedup <= 4.0);
-            assert!(r.runtime_speedup <= r.static_speedup * 1.05);
-            assert!(r.static_bound >= r.static_speedup * 0.8);
-        }
-        let text = render_table("test", &rows, 4);
-        assert!(text.contains("S1*L2"));
     }
 }

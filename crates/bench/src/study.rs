@@ -6,17 +6,13 @@
 //! greedy policies, and compares the shift counts against the exact
 //! minimum computed by [`optimal_shift_counts`]. The aggregate — match
 //! rate and total excess shifts — is the evidence behind the claims in
-//! `docs/POLICIES.md`, whose summary table is generated from
-//! [`render_study_markdown`] (CI checks it for drift).
+//! `docs/POLICIES.md`, whose summary table is [`render`]ed by the
+//! `repro` bin (experiment E16; CI checks it for drift).
 //!
-//! Everything here is deterministic given the base seed, so the table
-//! is reproducible byte for byte:
-//!
-//! ```text
-//! cargo run -p simdize-bench --bin study --release
-//! ```
+//! Everything here is placement-only and deterministic given the base
+//! seed, so the table is reproducible byte for byte.
 
-use crate::suite;
+use crate::{suite, LOOPS_PER_BENCHMARK, SEED};
 use simdize::{
     distinct_alignments, optimal_shift_counts, Policy, ReorgGraph, TripSpec, VectorShape,
     WorkloadSpec,
@@ -197,13 +193,18 @@ fn pct(part: usize, whole: usize) -> String {
     format!("{:.0}%", 100.0 * part as f64 / whole as f64)
 }
 
-/// Renders the study as the Markdown table embedded in
-/// `docs/POLICIES.md` (between the `study:begin`/`study:end` markers).
+/// E16: the default matrix at the paper's suite size, as the Markdown
+/// table embedded in `docs/POLICIES.md`.
+pub fn render() -> String {
+    render_study_markdown(&study_matrix(LOOPS_PER_BENCHMARK, SEED))
+}
+
+/// Renders the study as a Markdown table.
 ///
 /// Per cell: suite size, total proven-minimum shifts, how often the
 /// minimum met the §5.3 analytic bound, and per greedy policy the
 /// match rate plus total excess shifts.
-pub fn render_study_markdown(cells: &[StudyCell], count: usize, base_seed: u64) -> String {
+pub fn render_study_markdown(cells: &[StudyCell]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -243,8 +244,7 @@ pub fn render_study_markdown(cells: &[StudyCell], count: usize, base_seed: u64) 
         "Per policy column: match rate against the proven minimum, then total \
          excess shifts over the suite in parentheses. \"bound tight\" is how \
          often the proven minimum equals the §5.3 analytic bound (distinct \
-         alignments − 1 per statement). Regenerate with \
-         `cargo run -p simdize-bench --bin study --release -- --loops {count} --seed {base_seed} --update-docs`."
+         alignments − 1 per statement)."
     );
     out
 }
@@ -287,7 +287,7 @@ mod tests {
             study_cell(&WorkloadSpec::new(1, 2).trip(TripSpec::Known(200)), 4, 7),
             study_cell(&WorkloadSpec::new(2, 4).trip(TripSpec::Known(200)), 4, 7),
         ];
-        let md = render_study_markdown(&cells, 4, 7);
+        let md = render_study_markdown(&cells);
         assert!(md.contains("S1*L2"));
         assert!(md.contains("S2*L4"));
         assert!(md.contains("**overall**"));

@@ -7,14 +7,15 @@
 # (`benchmark/`, outside the workspace and frozen between benchmark
 # PRs), so an API break against it fails in the first minutes. The root
 # `cargo build`/`cargo test` pair is the tier-1 gate; the rest of the
-# script widens it to the full workspace in release (bench + cli are
-# not in the root package's dependency graph, and the engine's speed
-# floors only exist in release), lints with clippy at -D warnings,
+# script widens it to the full workspace in release (cli is not in the
+# root package's dependency graph, bench only as the dev-dependency of
+# tests/paper.rs, and the engine's speed floors only exist in release),
+# lints with clippy at -D warnings,
 # builds rustdoc with warnings denied (every crate warns on
 # missing_docs), re-runs the engine's differential tier matrix forced
 # to the SSE2 and scalar tiers, runs the doctests, builds the examples,
-# checks that the generated worked-example docs are current,
-# and finishes with an end-to-end smoke sweep through the CLI binary:
+# checks that the generated worked-example docs and the paper
+# reproduction's generated tables are current, and finishes with an end-to-end smoke sweep through the CLI binary:
 # eight seeds of Figure 1 baked, run on the detected ISA tier and
 # verified against the scalar oracle on four worker threads (with
 # telemetry collection on), an instrumented `simdize profile` pass, a
@@ -81,11 +82,14 @@ echo "== worked-example docs are current =="
 # that shifts a proven minimum fails here.
 scripts/gen-docs.sh --check
 
-echo "== optimality study table is current =="
-# Re-runs the full greedy-vs-optimal study (deterministic, placement
-# only — no execution) and diffs the summary table embedded in
-# docs/POLICIES.md; drift fails CI (see crates/bench/src/bin/study.rs).
-target/release/study --check-docs
+echo "== paper reproduction tables are current (E2-E13, E16) =="
+# Re-runs every experiment of EXPERIMENTS.md and the greedy-vs-optimal
+# study at full size (deterministic, seed 2004, ~15 s; every simdized
+# run is verified against the scalar oracle on the way) and diffs each
+# rendered table against its generated block in EXPERIMENTS.md and
+# docs/POLICIES.md; drift fails CI and names the experiment (see
+# crates/bench/src/bin/repro.rs).
+target/release/repro --check-docs
 
 echo "== optimal placement proves on every sample loop =="
 # The full verify matrix below already includes optimal among its

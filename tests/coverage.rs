@@ -9,8 +9,8 @@
 //! statement, four statements per loop, random bias and reuse, both
 //! compile-time and runtime alignments and trip counts) at a trip-count
 //! scale that keeps the suite fast; the full >1000-loop sweep at the
-//! paper's trip counts lives in `cargo run -p simdize-bench --bin
-//! coverage --release`.
+//! paper's trip counts is `simdize_bench::coverage`, experiment E2 of
+//! `cargo run -p simdize-bench --bin repro --release`.
 
 use simdize_prng::SplitMix64;
 use simdize::{synthesize, DiffConfig, Scheme, Simdizer, TripSpec, WorkloadSpec};
