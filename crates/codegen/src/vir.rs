@@ -112,7 +112,7 @@ impl fmt::Display for Addr {
 /// `Copy` instructions at the end of a steady-state body are, by
 /// convention, the loop-carried register rotations introduced by
 /// software pipelining or predictive commoning (Figure 10 line 19).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum VInst {
     /// `dst = vload(addr)` — loads the `V`-byte chunk enclosing `addr`.
     LoadA {
@@ -335,7 +335,7 @@ impl fmt::Display for VInst {
 ///     run epilogue (i now at the first un-executed steady value)
 /// }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SimdProgram {
     pub(crate) program: LoopProgram,
     pub(crate) shape: VectorShape,

@@ -88,9 +88,9 @@ pub use simdize_codegen::{
     SectionCounts, SimdProgram, VInst, VReg, VerifyProgramError, MACHINE_VREGS, MAX_STRIDE,
 };
 pub use simdize_ir::{
-    parse_program, AlignKind, ArrayDecl, ArrayId, ArrayRef, BinOp, Expr, Invariant, LoopBuilder,
-    LoopProgram, ParamId, ParseProgramError, ScalarType, Stmt, TripCount, UnOp, ValidateLoopError,
-    Value, VectorShape,
+    parse_program, AlignKind, ArrayDecl, ArrayId, ArrayRef, BinOp, Expr, Invariant, Lane,
+    LoopBuilder, LoopProgram, ParamId, ParseProgramError, ScalarType, Stmt, TripCount, UnOp,
+    ValidateLoopError, Value, VectorShape,
 };
 pub use simdize_reorg::{
     branch_and_bound_shift_counts, distinct_alignments, optimal_shift_counts, reassociate,

@@ -9,15 +9,17 @@
 //! reuse it byte-for-byte, across workers and — in `simdize serve` —
 //! across requests:
 //!
-//! * **Keying.** A [`CacheKey`] is a 64-bit program fingerprint (FNV-1a
-//!   over the structural [`SimdProgram`] listing, which embeds the
-//!   placement policy and codegen scheme), the [`RunInput`], a
-//!   [`LayoutSig`] (shape, element type, image length, every array
-//!   base), and the dispatched [`IsaLevel`], so an AVX2 kernel and an
-//!   SSE2 kernel of the same program never collide, within a sweep or
-//!   across server requests. Equality is checked on the full key, so
-//!   fingerprint collisions degrade to misses of correctness-irrelevant
-//!   cost.
+//! * **Keying.** A [`CacheKey`] is a 64-bit program fingerprint (a
+//!   structural FNV-1a hash of the [`SimdProgram`], which embeds the
+//!   placement policy and codegen scheme — see
+//!   [`program_fingerprint`]), the [`RunInput`], a [`LayoutSig`]
+//!   (shape, element type, image length, every array base), and the
+//!   dispatched [`IsaLevel`], so an AVX2 kernel and an SSE2 kernel of
+//!   the same program never collide, within a sweep or across server
+//!   requests. The input, layout and tier are compared in full; the
+//!   program is compared by fingerprint only, so a 64-bit collision
+//!   between two programs serves one the other's kernel, which the
+//!   oracle diff of every run then reports as `verified: false`.
 //! * **Sharding.** Entries are striped over `shards` independent
 //!   mutexes selected by key hash; concurrent workers only contend
 //!   when they touch the same stripe.
@@ -39,6 +41,7 @@ use crate::native::{IsaLevel, SimdKernel};
 use simdize_codegen::SimdProgram;
 use simdize_ir::{ArrayId, ScalarType};
 use simdize_vm::{ExecError, MemoryImage, RunInput};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -54,13 +57,38 @@ fn fnv1a(bytes: &[u8], mut h: u64) -> u64 {
     h
 }
 
-/// A 64-bit structural fingerprint of a [`SimdProgram`]: FNV-1a over
-/// its canonical listing, which encodes the source loop, the placement
-/// policy's shift choices and every codegen decision. Structurally
-/// equal programs fingerprint equal; the cache still compares full
-/// keys, so a collision can only cost a duplicated bake.
+/// FNV-1a as a [`Hasher`], so `#[derive(Hash)]` can feed it a
+/// structure field by field without rendering it to text first.
+struct Fnv(u64);
+
+impl Hasher for Fnv {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = fnv1a(bytes, self.0);
+    }
+}
+
+/// A 64-bit structural fingerprint of a [`SimdProgram`]: FNV-1a fed by
+/// the derived `Hash` of the program — the source loop, the shape, the
+/// bounds and every instruction of every section, so the placement
+/// policy's shift choices and every codegen decision are in it — with
+/// no intermediate text and no allocation. Programs that compare equal
+/// fingerprint equal. The value is process-local: nothing stores it or
+/// puts it on the wire, so it may change between builds.
+///
+/// A [`CacheKey`] holds only this fingerprint, not the program, so two
+/// different programs whose fingerprints collide (at equal input,
+/// layout and tier) share a cache entry: the second is served the
+/// first's kernel. Nothing unsafe follows — the layout matched, so the
+/// kernel stays inside the image — and it is not silent: the run is
+/// diffed against the scalar oracle and reports `verified: false`.
 pub fn program_fingerprint(program: &SimdProgram) -> u64 {
-    fnv1a(program.to_string().as_bytes(), FNV_OFFSET)
+    let mut h = Fnv(FNV_OFFSET);
+    program.hash(&mut h);
+    h.finish()
 }
 
 /// The layout half of a cache key: everything

@@ -1,11 +1,10 @@
 //! Width-specialized lane arithmetic on fixed 16-byte registers.
 //!
-//! The interpreter in `simdize-vm` decodes every lane through
-//! [`simdize_ir::Value`], which allocates a `Vec<u8>` per lane result.
-//! The engine instead dispatches once per instruction on
-//! `(element width, signedness)` and runs a monomorphic loop over the
-//! register bytes — no allocation, no per-lane branching. Two structural
-//! choices keep the loops wide:
+//! The interpreter in `simdize-vm` decodes every lane through the
+//! width-dynamic [`simdize_ir::Value`]. The engine instead dispatches
+//! once per instruction on `(element width, signedness)` and runs a
+//! monomorphic loop over the register bytes — no per-lane branching.
+//! Two structural choices keep the loops wide:
 //!
 //! * the operator `match` is resolved *once per register*, outside the
 //!   lane loop: each arm hands a lane closure to a `map` helper whose

@@ -83,7 +83,7 @@ impl fmt::Display for AlignKind {
 /// element length (§4.1); [`crate::LoopBuilder::finish`] enforces
 /// `offset % elem.size() == 0` for known alignments, and the memory image
 /// enforces it for runtime ones.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ArrayDecl {
     name: String,
     elem: ScalarType,

@@ -68,4 +68,4 @@ pub use parser::{parse_program, ParseProgramError};
 pub use program::{LoopProgram, ParamDecl, ParamId, TripCount};
 pub use stmt::Stmt;
 pub use types::{ScalarType, VectorShape};
-pub use value::Value;
+pub use value::{Lane, LeBytes, Value};

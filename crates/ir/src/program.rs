@@ -34,7 +34,7 @@ impl fmt::Display for ParamId {
 }
 
 /// Declaration of a loop-invariant runtime scalar parameter.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ParamDecl {
     name: String,
 }
@@ -88,7 +88,7 @@ impl fmt::Display for TripCount {
 /// Construct via [`crate::LoopBuilder`] or [`crate::parse_program`]; both
 /// run [`LoopProgram::validate`], so a `LoopProgram` in hand always
 /// satisfies the paper's §4.1 preconditions.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LoopProgram {
     elem: ScalarType,
     arrays: Vec<ArrayDecl>,

@@ -16,7 +16,7 @@ use std::fmt;
 ///   value (`+=`-style). This is the §7 extension for scalar accesses
 ///   in non-address computation; `op` must be associative and
 ///   commutative so the vector accumulator may reassociate freely.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Stmt {
     /// The store target (for reductions, the fixed accumulated element
     /// `target.array[target.offset]`; the stride is ignored).

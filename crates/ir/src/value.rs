@@ -1,7 +1,11 @@
-//! Scalar values with SIMD-lane (wrapping, width-masked) semantics.
+//! Scalar values with SIMD-lane (wrapping, width-masked) semantics:
+//! the width-dynamic [`Value`] and, next to it, the same semantics over
+//! the eight native integer types ([`Lane`]).
 
+use crate::expr::{BinOp, UnOp};
 use crate::types::ScalarType;
 use std::fmt;
+use std::ops::Deref;
 
 /// A scalar value as it lives in one SIMD lane: a bit pattern of the
 /// element width, interpreted as signed or unsigned by its [`ScalarType`].
@@ -60,9 +64,13 @@ impl Value {
         }
     }
 
-    /// Little-endian byte representation, `ty.size()` bytes long.
-    pub fn to_le_bytes(self) -> Vec<u8> {
-        self.bits.to_le_bytes()[..self.ty.size()].to_vec()
+    /// Little-endian byte representation, `ty.size()` bytes long, held
+    /// by value: writing an element never touches the heap.
+    pub fn to_le_bytes(self) -> LeBytes {
+        LeBytes {
+            buf: self.bits.to_le_bytes(),
+            len: self.ty.size() as u8,
+        }
     }
 
     /// Reads a value of type `ty` from the first `ty.size()` bytes of a
@@ -157,6 +165,127 @@ impl Value {
     }
 }
 
+/// The little-endian bytes of one [`Value`]: a `[u8]` of the element's
+/// size (1, 2, 4 or 8) that lives on the stack.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LeBytes {
+    buf: [u8; 8],
+    len: u8,
+}
+
+impl Deref for LeBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.buf[..self.len as usize]
+    }
+}
+
+/// One SIMD lane as a native integer: the semantics of [`Value`] with
+/// the element type fixed at compile time, so a loop over elements
+/// monomorphises to plain wrapping machine arithmetic.
+///
+/// Implemented for exactly the eight integer types behind
+/// [`ScalarType::ALL`]. Every operation is bit-identical to the
+/// corresponding [`Value`] method (`tests/properties.rs` checks all
+/// types × operators, exhaustively for the 8-bit ones): arithmetic
+/// wraps, `min`/`max` follow the type's signedness, `abs(MIN) == MIN`
+/// and `abs` is the identity on unsigned types.
+pub trait Lane: Copy + Eq + fmt::Debug {
+    /// The element type this native integer implements.
+    const TYPE: ScalarType;
+
+    /// Wraps `v` to the lane width (as [`Value::from_i64`]).
+    fn from_i64(v: i64) -> Self;
+
+    /// The same lane as a width-dynamic [`Value`].
+    fn to_value(self) -> Value;
+
+    /// Reads a lane from the first `TYPE.size()` bytes of `bytes`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` is shorter than `TYPE.size()`.
+    fn read_le(bytes: &[u8]) -> Self;
+
+    /// Writes the lane to the first `TYPE.size()` bytes of `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is shorter than `TYPE.size()`.
+    fn write_le(self, out: &mut [u8]);
+
+    /// `op` applied lane-wise (as [`BinOp::apply`]).
+    fn binary(self, op: BinOp, rhs: Self) -> Self;
+
+    /// `op` applied lane-wise (as [`UnOp::apply`]).
+    fn unary(self, op: UnOp) -> Self;
+}
+
+macro_rules! impl_lane {
+    ($($t:ty => $ty:ident, $abs:expr;)*) => {$(
+        impl Lane for $t {
+            const TYPE: ScalarType = ScalarType::$ty;
+
+            #[inline]
+            fn from_i64(v: i64) -> $t {
+                v as $t
+            }
+
+            fn to_value(self) -> Value {
+                Value::from_i64(ScalarType::$ty, self as i64)
+            }
+
+            #[inline]
+            fn read_le(bytes: &[u8]) -> $t {
+                const N: usize = std::mem::size_of::<$t>();
+                <$t>::from_le_bytes(bytes[..N].try_into().expect("sliced to N bytes"))
+            }
+
+            #[inline]
+            fn write_le(self, out: &mut [u8]) {
+                const N: usize = std::mem::size_of::<$t>();
+                out[..N].copy_from_slice(&self.to_le_bytes());
+            }
+
+            #[inline]
+            fn binary(self, op: BinOp, rhs: $t) -> $t {
+                match op {
+                    BinOp::Add => self.wrapping_add(rhs),
+                    BinOp::Sub => self.wrapping_sub(rhs),
+                    BinOp::Mul => self.wrapping_mul(rhs),
+                    BinOp::Min => self.min(rhs),
+                    BinOp::Max => self.max(rhs),
+                    BinOp::And => self & rhs,
+                    BinOp::Or => self | rhs,
+                    BinOp::Xor => self ^ rhs,
+                }
+            }
+
+            #[inline]
+            fn unary(self, op: UnOp) -> $t {
+                let abs: fn($t) -> $t = $abs;
+                match op {
+                    UnOp::Neg => self.wrapping_neg(),
+                    UnOp::Not => !self,
+                    UnOp::Abs => abs(self),
+                }
+            }
+        }
+    )*};
+}
+
+impl_lane! {
+    i8 => I8, i8::wrapping_abs;
+    u8 => U8, |x| x;
+    i16 => I16, i16::wrapping_abs;
+    u16 => U16, |x| x;
+    i32 => I32, i32::wrapping_abs;
+    u32 => U32, |x| x;
+    i64 => I64, i64::wrapping_abs;
+    u64 => U64, |x| x;
+}
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}{}", self.as_i64(), self.ty)
@@ -206,6 +335,13 @@ mod tests {
             assert_eq!(bytes.len(), ty.size());
             assert_eq!(Value::from_le_bytes(ty, &bytes), v, "{ty}");
         }
+    }
+
+    #[test]
+    fn le_bytes_deref_to_the_element_width() {
+        let v = Value::from_i64(ScalarType::U16, 0x1_ABCD);
+        assert_eq!(*v.to_le_bytes(), [0xCD, 0xAB]);
+        assert_eq!(v.to_le_bytes().len(), 2);
     }
 
     #[test]

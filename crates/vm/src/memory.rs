@@ -91,14 +91,19 @@ impl MemoryImage {
 
     /// Fills every array element with pseudo-random values (guard bytes
     /// stay untouched, so differential comparisons cover them too).
+    ///
+    /// One [`SplitMix64`] draw per element, in array then index order;
+    /// the element is the draw's low `D` bytes, little-endian — what
+    /// `Value::from_i64(elem, draw)` holds. Each array's elements are
+    /// contiguous, so the fill is one pass over its byte range with no
+    /// per-element address arithmetic, bounds check or allocation.
     pub fn fill_random(&mut self, seed: u64) {
         let mut rng = SplitMix64::seed_from_u64(seed | 1);
         let d = self.elem.size();
-        for a in 0..self.bases.len() {
-            for idx in 0..self.lens[a] {
-                let v = Value::from_i64(self.elem, rng.next_u64() as i64);
-                let at = (self.bases[a] + idx * d as u64) as usize;
-                self.bytes[at..at + d].copy_from_slice(&v.to_le_bytes());
+        for (&base, &len) in self.bases.iter().zip(&self.lens) {
+            let at = base as usize;
+            for elem in self.bytes[at..at + len as usize * d].chunks_exact_mut(d) {
+                elem.copy_from_slice(&rng.next_u64().to_le_bytes()[..d]);
             }
         }
     }
@@ -110,6 +115,12 @@ impl MemoryImage {
     /// Panics if `array` does not belong to the image's program.
     pub fn base_of(&self, array: ArrayId) -> u64 {
         self.bases[array.index()]
+    }
+
+    /// The element count of `array`; 0 for an array the image does not
+    /// hold, so an up-front bounds check rejects it.
+    pub(crate) fn len_of(&self, array: ArrayId) -> u64 {
+        self.lens.get(array.index()).copied().unwrap_or(0)
     }
 
     /// The vector shape the image was laid out for.
@@ -438,6 +449,35 @@ mod tests {
         assert_eq!(a, b);
         b.fill_random(10);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn bulk_fill_writes_what_per_element_values_would() {
+        // The fill as it was first written: one `Value` per element,
+        // stored through the checked setter.
+        for ty in ScalarType::ALL {
+            let mut bld = LoopBuilder::new(ty);
+            let a = bld.array("a", 37, (3 * ty.size() as u32) % 16);
+            let c = bld.array_runtime_align("c", 64);
+            bld.stmt(a.at(0), Expr::load(c.at(1)));
+            let p = bld.finish(32).unwrap();
+            for seed in 0..4 {
+                let img = MemoryImage::with_seed(&p, VectorShape::V16, seed);
+                let mut by_value = img.clone();
+                by_value.bytes_mut().fill(0);
+                let mut rng = SplitMix64::seed_from_u64((seed ^ 0x9E37_79B9_7F4A_7C15) | 1);
+                for (k, decl) in p.arrays().iter().enumerate() {
+                    for idx in 0..decl.len() {
+                        let v = Value::from_i64(ty, rng.next_u64() as i64);
+                        by_value.set(ArrayId::from_index(k), idx, v).unwrap();
+                    }
+                }
+                assert_eq!(img, by_value, "{ty} seed {seed}");
+                let mut reused = MemoryImage::with_seed(&program(), VectorShape::V16, 9);
+                reused.reseed(&p, VectorShape::V16, seed);
+                assert_eq!(reused, img, "{ty} seed {seed}");
+            }
+        }
     }
 
     #[test]

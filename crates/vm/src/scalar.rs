@@ -1,9 +1,33 @@
 //! The scalar reference executor (correctness oracle and `ub ≤ 3B`
 //! fallback path) and the idealistic scalar instruction count.
+//!
+//! The oracle is what every `verified` compares against, so it is
+//! driven by the source [`LoopProgram`] alone and shares no code with
+//! the vector interpreter or `simdize-engine`: the only things it
+//! trusts are the loop's own statements and the lane semantics that
+//! live next to [`Value`] in `simdize-ir`. It has two walks over the
+//! same iteration space, both strictly element by element in iteration
+//! and statement order:
+//!
+//! * the **typed loop** — every reference is affine in `i` with a
+//!   positive stride, so its first and last index decide whether *any*
+//!   iteration leaves its array. When none does, the loop runs
+//!   monomorphised on the element's native integer type ([`Lane`]):
+//!   each statement is flattened once to postfix steps whose loads
+//!   carry a precomputed byte base and byte stride, and an element
+//!   costs a handful of wrapping machine operations with no `Result`,
+//!   no width dispatch and no allocation;
+//! * the **checked walk** — the tree walk over [`Value`] that checks
+//!   every access. It runs whenever the up-front check fails, from the
+//!   untouched image, so the error, the faulting iteration and the
+//!   partial writes before it are exactly what they always were — and
+//!   it is the in-tree reference the typed loop is tested against.
 
 use crate::error::ExecError;
 use crate::memory::MemoryImage;
-use simdize_ir::{Expr, Invariant, LoopProgram, Value};
+use simdize_ir::{
+    ArrayRef, BinOp, Expr, Invariant, Lane, LoopProgram, ScalarType, Stmt, UnOp, Value,
+};
 
 /// Executes `program` element by element, exactly as the original
 /// scalar loop would, for `ub` iterations.
@@ -16,8 +40,10 @@ use simdize_ir::{Expr, Invariant, LoopProgram, Value};
 /// # Errors
 ///
 /// Returns [`ExecError::ElementOutOfBounds`] when `ub` drives a
-/// reference outside its array, or [`ExecError::MissingParam`] when
-/// `params` is shorter than the loop's parameter table.
+/// reference outside its array (the image then holds every write made
+/// before the faulting access), or [`ExecError::MissingParam`] when
+/// `params` is shorter than the loop's parameter table (nothing is
+/// written).
 pub fn run_scalar(
     program: &LoopProgram,
     image: &mut MemoryImage,
@@ -29,6 +55,175 @@ pub fn run_scalar(
             index: params.len(),
         });
     }
+    if ub > 0 && never_faults(program, image, ub) {
+        match program.elem() {
+            ScalarType::I8 => run_typed::<i8>(program, image, ub, params),
+            ScalarType::U8 => run_typed::<u8>(program, image, ub, params),
+            ScalarType::I16 => run_typed::<i16>(program, image, ub, params),
+            ScalarType::U16 => run_typed::<u16>(program, image, ub, params),
+            ScalarType::I32 => run_typed::<i32>(program, image, ub, params),
+            ScalarType::U32 => run_typed::<u32>(program, image, ub, params),
+            ScalarType::I64 => run_typed::<i64>(program, image, ub, params),
+            ScalarType::U64 => run_typed::<u64>(program, image, ub, params),
+        }
+    } else {
+        run_checked(program, image, ub, params)?;
+    }
+    Ok(scalar_ideal_ops(program, ub))
+}
+
+/// Whether `ub ≥ 1` iterations keep every reference of `program`
+/// inside its array of `image`. A reference's index `stride·i + offset`
+/// is affine and increasing in `i`, so iterations `0` and `ub − 1`
+/// decide; a reduction target is the fixed element `offset`.
+fn never_faults(program: &LoopProgram, image: &MemoryImage, ub: u64) -> bool {
+    let in_bounds = |r: ArrayRef, stride: u32| {
+        let last = i128::from(stride) * i128::from(ub - 1) + i128::from(r.offset);
+        r.offset >= 0 && last < i128::from(image.len_of(r.array))
+    };
+    image.elem() == program.elem()
+        && program.stmts().iter().all(|stmt| {
+            let mut ok = in_bounds(stmt.target, target_stride(stmt));
+            stmt.rhs.visit_loads(&mut |r| ok &= in_bounds(r, r.stride));
+            ok
+        })
+}
+
+/// How far `stmt`'s target advances per iteration, in elements: a
+/// reduction accumulates into one fixed element.
+fn target_stride(stmt: &Stmt) -> u32 {
+    if stmt.is_reduction() {
+        0
+    } else {
+        stmt.target.stride
+    }
+}
+
+/// One postfix step of a flattened right-hand side.
+#[derive(Clone, Copy)]
+enum Step<T> {
+    /// Push the element at byte `at + i·stride` of the image.
+    Load { at: usize, stride: usize },
+    /// Push a loop invariant (constant or parameter, already wrapped).
+    Splat(T),
+    /// Pop two, push `op` of them.
+    Bin(BinOp),
+    /// Replace the top with `op` of it.
+    Un(UnOp),
+}
+
+/// One statement, flattened: the postfix steps of its right-hand side
+/// and where the result goes at iteration `i` (byte `at + i·stride`;
+/// a reduction accumulates into the fixed byte `at`, stride 0).
+struct Flat<T> {
+    steps: Vec<Step<T>>,
+    at: usize,
+    stride: usize,
+    reduction: Option<BinOp>,
+}
+
+/// The typed loop. [`never_faults`] has shown that no access of the
+/// `ub` iterations leaves its array, so the slice indexing below
+/// cannot fail. It is still bounds-checked against the image: a wrong
+/// pre-check could at worst reach a neighbouring array's bytes — which
+/// the comparison against the checked walk would show — never memory
+/// outside the image.
+fn run_typed<T: Lane>(program: &LoopProgram, image: &mut MemoryImage, ub: u64, params: &[i64]) {
+    let d = T::TYPE.size();
+    let byte_at = |r: ArrayRef| image.base_of(r.array) as usize + r.offset as usize * d;
+    let mut depth = 0;
+    let stmts: Vec<Flat<T>> = program
+        .stmts()
+        .iter()
+        .map(|stmt| {
+            let mut steps = Vec::with_capacity(stmt.rhs.node_count());
+            depth = depth.max(flatten(&stmt.rhs, params, &byte_at, &mut steps));
+            Flat {
+                steps,
+                at: byte_at(stmt.target),
+                stride: target_stride(stmt) as usize * d,
+                reduction: stmt.reduction,
+            }
+        })
+        .collect();
+    let mut stack = vec![T::from_i64(0); depth];
+    let bytes = image.bytes_mut();
+    for i in 0..ub as usize {
+        for stmt in &stmts {
+            let mut sp = 0;
+            for step in &stmt.steps {
+                match *step {
+                    Step::Load { at, stride } => {
+                        stack[sp] = T::read_le(&bytes[at + i * stride..]);
+                        sp += 1;
+                    }
+                    Step::Splat(v) => {
+                        stack[sp] = v;
+                        sp += 1;
+                    }
+                    Step::Bin(op) => {
+                        sp -= 1;
+                        stack[sp - 1] = stack[sp - 1].binary(op, stack[sp]);
+                    }
+                    Step::Un(op) => stack[sp - 1] = stack[sp - 1].unary(op),
+                }
+            }
+            let at = stmt.at + i * stmt.stride;
+            let value = match stmt.reduction {
+                Some(op) => T::read_le(&bytes[at..]).binary(op, stack[0]),
+                None => stack[0],
+            };
+            value.write_le(&mut bytes[at..]);
+        }
+    }
+}
+
+/// Appends `e` in postfix order to `steps`; returns the stack depth
+/// evaluating it needs.
+fn flatten<T: Lane>(
+    e: &Expr,
+    params: &[i64],
+    byte_at: &impl Fn(ArrayRef) -> usize,
+    steps: &mut Vec<Step<T>>,
+) -> usize {
+    match e {
+        Expr::Load(r) => {
+            steps.push(Step::Load {
+                at: byte_at(*r),
+                stride: r.stride as usize * T::TYPE.size(),
+            });
+            1
+        }
+        Expr::Splat(inv) => {
+            steps.push(Step::Splat(T::from_i64(match inv {
+                Invariant::Const(c) => *c,
+                Invariant::Param(p) => params[p.index()],
+            })));
+            1
+        }
+        Expr::Binary(op, a, b) => {
+            let da = flatten(a, params, byte_at, steps);
+            let db = flatten(b, params, byte_at, steps);
+            steps.push(Step::Bin(*op));
+            da.max(db + 1)
+        }
+        Expr::Unary(op, a) => {
+            let da = flatten(a, params, byte_at, steps);
+            steps.push(Step::Un(*op));
+            da
+        }
+    }
+}
+
+/// The checked walk: every access bounds-checked, every lane a
+/// width-dynamic [`Value`]. Reached only when [`never_faults`] says an
+/// access will fault (or for `ub == 0`).
+fn run_checked(
+    program: &LoopProgram,
+    image: &mut MemoryImage,
+    ub: u64,
+    params: &[i64],
+) -> Result<(), ExecError> {
     for i in 0..ub {
         for stmt in program.stmts() {
             let value = eval(&stmt.rhs, i, program, image, params)?;
@@ -44,7 +239,7 @@ pub fn run_scalar(
             }
         }
     }
-    Ok(scalar_ideal_ops(program, ub))
+    Ok(())
 }
 
 fn eval(
@@ -156,6 +351,60 @@ mod tests {
         assert!(run_scalar(&p, &mut img, 63, &[]).is_ok());
         let mut img = MemoryImage::with_seed(&p, VectorShape::V16, 5);
         assert!(run_scalar(&p, &mut img, 64, &[]).is_err());
+    }
+
+    /// The loops of `loops/` plus one per feature the typed loop
+    /// flattens: strides 2 and 4, a reduction, parameters, constants,
+    /// every unary operator, several statements, 1- and 8-byte lanes.
+    const CORPUS: [&str; 9] = [
+        include_str!("../../../loops/figure1.loop"),
+        include_str!("../../../loops/runtime.loop"),
+        include_str!("../../../loops/dot_product.loop"),
+        include_str!("../../../loops/deinterleave.loop"),
+        include_str!("../../../loops/halfword.loop"),
+        "arrays { o: u8[100] @ 3; x: u8[260] @ ?; }
+         for i in 0..ub { o[i] = x[4*i+2] - x[2*i] * 3; }",
+        "arrays { acc: i64[4] @ 0; lo: i64[8] @ 8; x: i64[90] @ 8; y: i64[64] @ 0; }
+         params { k; }
+         for i in 0..ub { acc[i+2] += abs(x[i+1]) * k; lo[i+1] min= -x[i] ^ ~y[i]; }",
+        "arrays { p: u16[80] @ 2; q: u16[300] @ 0; r: u16[77] @ 6; s: u16[70] @ 4; }
+         params { a; b; }
+         for i in 0..ub { p[i+3] = max(q[4*i+1], r[i]) | a; s[i] = (r[i+2] & b) + 65535; }",
+        "arrays { t: i8[50] @ 5; u: i8[50] @ 9; }
+         for i in 0..ub { t[i] = abs(-u[i]) - 128; }",
+    ];
+
+    #[test]
+    fn typed_loop_matches_the_checked_walk() {
+        for (k, src) in CORPUS.iter().enumerate() {
+            let p = parse_program(src).unwrap();
+            let params = [-3, 0x1_2345_6789];
+            // Past every array of the corpus, so each loop faults
+            // somewhere in the sweep and completes before it.
+            for ub in (0..=70).chain([257, 4000, u64::MAX / 2, u64::MAX]) {
+                let pristine = MemoryImage::with_seed(&p, VectorShape::V16, ub ^ 5);
+                let (mut fast, mut slow) = (pristine.clone(), pristine);
+                let got = run_scalar(&p, &mut fast, ub, &params);
+                let want = run_checked(&p, &mut slow, ub, &params);
+                assert_eq!(got.is_ok(), ub == 0 || never_faults(&p, &slow, ub));
+                assert_eq!(got.map(drop), want, "loop {k} ub {ub}");
+                assert_eq!(fast, slow, "loop {k} ub {ub}");
+            }
+        }
+    }
+
+    #[test]
+    fn missing_param_wins_over_a_bounds_fault() {
+        let p = parse_program(CORPUS[7]).unwrap();
+        let pristine = MemoryImage::with_seed(&p, VectorShape::V16, 1);
+        for ub in [0, 1, 70, 71, u64::MAX] {
+            let mut img = pristine.clone();
+            assert_eq!(
+                run_scalar(&p, &mut img, ub, &[4]),
+                Err(ExecError::MissingParam { index: 1 })
+            );
+            assert_eq!(img, pristine);
+        }
     }
 
     #[test]

@@ -49,6 +49,13 @@ echo "== test (tier-1: root package) =="
 cargo test -q --offline
 
 echo "== test (release, workspace) =="
+# Also the second profile for two root tests the tier-1 run above just
+# ran in debug, and which can pass in one profile and fail in the other:
+# tests/alloc.rs (the optimizer may elide or merge allocations, so a
+# count that holds in debug must be shown to hold here) and
+# tests/oracle.rs (the typed oracle loop's index arithmetic panics on
+# overflow only in debug and wraps here, where only the byte comparison
+# against the checked walk would notice).
 cargo test -q --release --offline --workspace
 
 echo "== engine tier matrix, forced to the SSE2 and scalar tiers =="
@@ -132,7 +139,9 @@ TELEMETRY_OVERHEAD=1 cargo test -q --release --offline --test telemetry \
 echo "== regression benchmark checks out (kernel-steady, 1 s) =="
 # One short untraced run of the workload that lives in the strip
 # driver: the last line is the contract's JSON, and it must say every
-# op matched the scalar oracle. (The timings of a 1 s run mean nothing;
+# op matched the scalar oracle — set-up builds each reference image
+# with `MemoryImage::with_seed` + `run_scalar`, so a wrong seed fill or
+# oracle fails here too. (The timings of a 1 s run mean nothing;
 # the gate is "runs, correct" — the package was built at the top.)
 benchmark/target/release/simdize-benchmark --workload kernel-steady --seed 1 --seconds 1 --trace 0 \
     | tail -n 1 | grep -q '"correct":true' \

@@ -13,6 +13,25 @@ pub fn sample(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("missing {path}: {e}"))
 }
 
+/// Every bundled sample loop, `loops/*.loop`, as `(name, source text)`
+/// in name order.
+pub fn sample_loops() -> Vec<(String, String)> {
+    let dir = repo("loops");
+    let mut paths: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("read {dir}: {e}"))
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "loop"))
+        .collect();
+    paths.sort();
+    paths
+        .into_iter()
+        .map(|path| {
+            let name = path.file_stem().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read_to_string(&path).unwrap())
+        })
+        .collect()
+}
+
 /// Compares `actual` with the golden file at `rel_path` (which ends in
 /// one newline whether or not `actual` does), or rewrites the file when
 /// `UPDATE_GOLDEN` is set. `what` names the drift in the failure.

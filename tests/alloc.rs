@@ -1,0 +1,155 @@
+//! Heap traffic on the path every `run` request takes, counted.
+//!
+//! Seeding an image, running the scalar oracle and fingerprinting a
+//! program once cost one `malloc` per element written or instruction
+//! hashed (`Value::to_le_bytes` returned a `Vec`, the fingerprint
+//! rendered the program to a `String`). This binary installs a counting
+//! global allocator and pins the fix as a scaling law rather than a
+//! number: doubling the array length, the trip count or the instruction
+//! count must not change how many times each function allocates.
+
+use simdize::{
+    parse_program, program_fingerprint, run_scalar, LoopProgram, MemoryImage, Policy, ReuseMode,
+    SimdProgram, Simdizer, VectorShape,
+};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocator calls made by this thread (the test harness runs each
+    /// test on its own thread, so tests do not see each other).
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn count() {
+    // `try_with`: the allocator also runs while a thread's locals are
+    // being torn down.
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; counting touches no
+// allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's obligations are passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// How many times `f` called the allocator.
+fn allocations(f: impl FnOnce()) -> u64 {
+    let before = CALLS.with(Cell::get);
+    f();
+    CALLS.with(Cell::get) - before
+}
+
+/// A two-statement loop over `len`-element arrays, trip `len − 8`.
+fn program(len: u64) -> LoopProgram {
+    parse_program(&format!(
+        "arrays {{ a: i16[{len}] @ 2; b: i16[{len}] @ ?; c: i16[{len}] @ 6; d: i16[{len}] @ 0; }}
+         params {{ k; }}
+         for i in 0..{} {{ a[i+1] = b[i+3] * k + c[i]; d[i] = max(b[i], abs(c[i+2])) - 7; }}",
+        len - 8
+    ))
+    .unwrap()
+}
+
+#[test]
+fn reseeding_an_image_allocates_independently_of_its_size() {
+    let counts: Vec<u64> = [256, 512, 1024]
+        .into_iter()
+        .map(|len| {
+            let p = program(len);
+            let mut image = MemoryImage::with_seed(&p, VectorShape::V16, 1);
+            let n = allocations(|| image.reseed(&p, VectorShape::V16, 2));
+            assert_eq!(image, MemoryImage::with_seed(&p, VectorShape::V16, 2));
+            n
+        })
+        .collect();
+    assert!(counts.iter().all(|&n| n == counts[0]), "{counts:?}");
+    // The layout's three small vectors (offsets, bases, lengths) and
+    // their growth; nothing per element.
+    assert!(counts[0] <= 8, "{counts:?}");
+}
+
+#[test]
+fn the_scalar_oracle_allocates_independently_of_the_trip_count() {
+    let counts: Vec<u64> = [256, 512, 1024]
+        .into_iter()
+        .map(|len| {
+            let p = program(len);
+            let mut image = MemoryImage::with_seed(&p, VectorShape::V16, 1);
+            let mut ops = 0;
+            let n = allocations(|| ops = run_scalar(&p, &mut image, len - 8, &[3]).unwrap());
+            assert_eq!(ops, 11 * (len - 8));
+            n
+        })
+        .collect();
+    assert!(counts.iter().all(|&n| n == counts[0]), "{counts:?}");
+    // Per statement: the flattened steps and the ideal-op count's load
+    // list; per run: the statement table and the value stack.
+    assert!(counts[0] <= 16, "{counts:?}");
+}
+
+fn compile(src: &str) -> SimdProgram {
+    let program = parse_program(src).unwrap();
+    Simdizer::new()
+        .policy(Policy::Zero)
+        .reuse(ReuseMode::SoftwarePipeline)
+        .compile(&program)
+        .unwrap()
+}
+
+#[test]
+fn fingerprinting_never_allocates() {
+    let one = compile(
+        "arrays { a: i32[128] @ 0; b: i32[128] @ 4; c: i32[128] @ 8; }
+         for i in 0..100 { a[i+3] = b[i+1] + c[i+2]; }",
+    );
+    let two = compile(
+        "arrays { a: i32[128] @ 0; b: i32[128] @ 4; c: i32[128] @ 8; d: i32[128] @ 12;
+                  e: i32[128] @ 4; }
+         for i in 0..100 { a[i+3] = b[i+1] + c[i+2]; d[i+1] = b[i+2] * c[i+3] - b[i];
+                           e[i+2] = c[i+1] ^ b[i+3]; }",
+    );
+    let insts = |p: &SimdProgram| {
+        let (pro, body, epi) = p.static_counts();
+        pro + body + epi
+    };
+    assert!(
+        insts(&two) >= 2 * insts(&one),
+        "{} vs {}",
+        insts(&two),
+        insts(&one)
+    );
+    for program in [&one, &two] {
+        let mut fp = 0;
+        assert_eq!(allocations(|| fp = program_fingerprint(program)), 0);
+        assert_eq!(fp, program_fingerprint(&program.clone()));
+    }
+    assert_ne!(program_fingerprint(&one), program_fingerprint(&two));
+}

@@ -241,6 +241,63 @@ fn cache_fingerprints_distinguish_policies_not_clones() {
     let zero = compile(Policy::Zero);
     assert_eq!(program_fingerprint(&zero), program_fingerprint(&zero.clone()));
     assert_ne!(program_fingerprint(&zero), program_fingerprint(&compile(Policy::Eager)));
+
+    // The fingerprint hashes the program's structure, so it must agree
+    // with `==` in both directions: two independent compiles of one
+    // source fingerprint equal, and every pair of the five policies x
+    // three reuse modes that compiles to different programs
+    // fingerprints different. (Four stream offsets feeding two
+    // multiplies separate zero, eager, lazy and dominant; optimal finds
+    // dominant's placement here, generates an equal program and must
+    // fingerprint equal.)
+    let parsed = simdize::parse_program(
+        "arrays { a: i32[256] @ 0; b: i32[256] @ 0; c: i32[256] @ 0; d: i32[256] @ 0;
+                  e: i32[256] @ 0; }
+         for i in 0..ub { a[i+3] = b[i+1] * c[i+2] + d[i+1] * e[i+1]; }",
+    )
+    .unwrap();
+    let mut compiled = Vec::new();
+    for policy in Policy::ALL {
+        for reuse in REUSES {
+            let build = || Simdizer::new().policy(policy).reuse(reuse).compile(&parsed);
+            let Ok(first) = build() else { continue };
+            let again = build().unwrap();
+            assert_eq!(first, again, "{policy}/{reuse:?}");
+            assert_eq!(
+                program_fingerprint(&first),
+                program_fingerprint(&again),
+                "{policy}/{reuse:?}: two compiles of one source"
+            );
+            compiled.push((format!("{policy}/{reuse:?}"), first));
+        }
+    }
+    assert_eq!(compiled.len(), Policy::ALL.len() * REUSES.len());
+    let mut classes = 0;
+    for (k, (name_a, a)) in compiled.iter().enumerate() {
+        for (name_b, b) in &compiled[k + 1..] {
+            assert_eq!(
+                a == b,
+                program_fingerprint(a) == program_fingerprint(b),
+                "{name_a} vs {name_b}"
+            );
+        }
+        classes += usize::from(compiled[..k].iter().all(|(_, earlier)| earlier != a));
+    }
+    assert!(classes >= 12, "only {classes} distinct programs among 15");
+
+    // ... and across sources: every `loops/` sample is its own program.
+    let samples = simdize_suite::sample_loops();
+    let prints: Vec<u64> = samples
+        .iter()
+        .map(|(_, src)| {
+            let program = simdize::parse_program(src).unwrap();
+            program_fingerprint(&Simdizer::new().compile(&program).unwrap())
+        })
+        .collect();
+    assert!(prints.len() >= 5);
+    for (k, a) in prints.iter().enumerate() {
+        assert!(!prints[k + 1..].contains(a), "{}", samples[k].0);
+    }
 }
 
 #[test]

@@ -10,28 +10,15 @@ use simdize::{
     ReorgGraph, Simdizer, TripSpec, VectorShape, WorkloadSpec,
 };
 use simdize_prng::SplitMix64;
-use simdize_suite::repo;
+use simdize_suite::sample_loops;
 
 /// Every sample loop whose alignments are compile-time constants (the
 /// optimal search, like every policy but zero-shift, refuses `@ ?`).
 fn static_sample_loops() -> Vec<(String, LoopProgram)> {
-    let dir = repo("loops");
-    let mut names: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap_or_else(|e| panic!("read {dir}: {e}"))
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|x| x == "loop"))
-        .collect();
-    names.sort();
-    names
+    sample_loops()
         .into_iter()
-        .filter_map(|path| {
-            let text = std::fs::read_to_string(&path).unwrap();
-            let program = parse_program(&text).unwrap();
-            program.all_alignments_known().then(|| {
-                let name = path.file_stem().unwrap().to_string_lossy().into_owned();
-                (name, program)
-            })
-        })
+        .map(|(name, text)| (name, parse_program(&text).unwrap()))
+        .filter(|(_, program)| program.all_alignments_known())
         .collect()
 }
 

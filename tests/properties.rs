@@ -7,8 +7,8 @@
 //! Build with `--features fuzz` to multiply the case counts.
 
 use simdize::{
-    parse_program, reassociate, synthesize, DiffConfig, Policy, ReorgGraph, ReuseMode, ScalarType,
-    Scheme, Simdizer, TripSpec, Value, VectorShape, WorkloadSpec,
+    parse_program, reassociate, synthesize, BinOp, DiffConfig, Lane, Policy, ReorgGraph, ReuseMode,
+    ScalarType, Scheme, Simdizer, TripSpec, UnOp, Value, VectorShape, WorkloadSpec,
 };
 use simdize_prng::SplitMix64;
 
@@ -228,6 +228,88 @@ fn value_algebra() {
         let hi = a.max_lane(b).as_i64();
         assert!(lo <= hi, "case {case}");
     }
+}
+
+/// Every operator on one operand pair: the native-integer lane
+/// ([`Lane`], what the scalar oracle's typed loop computes with) must
+/// produce the bits the width-dynamic [`Value`] produces.
+fn assert_lane_matches_value<T: Lane>(a: i64, b: i64) {
+    let (ta, tb) = (T::from_i64(a), T::from_i64(b));
+    let (va, vb) = (Value::from_i64(T::TYPE, a), Value::from_i64(T::TYPE, b));
+    assert_eq!(
+        (ta.to_value(), tb.to_value()),
+        (va, vb),
+        "{} {a} {b}",
+        T::TYPE
+    );
+    for op in [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::Min,
+        BinOp::Max,
+        BinOp::And,
+        BinOp::Or,
+        BinOp::Xor,
+    ] {
+        let lane = ta.binary(op, tb).to_value();
+        assert_eq!(lane, op.apply(va, vb), "{va} {op} {vb}");
+    }
+    for op in [UnOp::Neg, UnOp::Not, UnOp::Abs] {
+        assert_eq!(ta.unary(op).to_value(), op.apply(va), "{op} {va}");
+    }
+    let mut buf = [0u8; 8];
+    ta.write_le(&mut buf);
+    assert_eq!(buf[..T::TYPE.size()], *va.to_le_bytes(), "{va}");
+    assert_eq!(T::read_le(&buf), ta, "{va}");
+}
+
+/// Typed lane ops ≡ `Value` for all 8 element types × 8 binary × 3
+/// unary operators: exhaustive over operand pairs for the 8-bit types,
+/// and for the wider ones an edge grid — 0, ±1, MIN, MAX, MAX−1 of both
+/// signednesses, alternating bits, 64 random draws — which includes
+/// `abs(MIN)`, `neg` on unsigned and `min`/`max` across the sign
+/// boundary (`MAX` vs `MIN`, `-1` vs `0`).
+#[test]
+fn typed_lanes_match_value_semantics() {
+    for a in 0..=255 {
+        for b in 0..=255 {
+            assert_lane_matches_value::<i8>(a, b);
+            assert_lane_matches_value::<u8>(a, b);
+        }
+    }
+    fn grid<T: Lane>() {
+        let bits = T::TYPE.bits();
+        let signed_max = ((1u64 << (bits - 1)) - 1) as i64;
+        let signed_min = -signed_max - 1;
+        let unsigned_max = if bits == 64 { -1 } else { (1i64 << bits) - 1 };
+        let mut points = vec![
+            0,
+            1,
+            -1,
+            signed_min,
+            signed_min + 1,
+            signed_max,
+            signed_max - 1,
+            unsigned_max,
+            unsigned_max - 1,
+            0x5555_5555_5555_5555,
+            0xAAAA_AAAA_AAAA_AAAAu64 as i64,
+        ];
+        let mut rng = SplitMix64::seed_from_u64(0x1A9E5 + u64::from(bits));
+        points.extend((0..64).map(|_| rng.next_u64() as i64));
+        for &a in &points {
+            for &b in &points {
+                assert_lane_matches_value::<T>(a, b);
+            }
+        }
+    }
+    grid::<i16>();
+    grid::<u16>();
+    grid::<i32>();
+    grid::<u32>();
+    grid::<i64>();
+    grid::<u64>();
 }
 
 /// The strided extension: any mixed-stride workload (strides 1, 2, 4;

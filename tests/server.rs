@@ -737,10 +737,13 @@ fn shutdown_under_load_answers_every_admitted_request() {
     let mut clients: Vec<Client> = (0..6).map(|_| harness.client()).collect();
     for (k, client) in clients.iter_mut().enumerate() {
         // Seeds far apart: no sweep rides on another's cached kernels.
+        // 512 seeds each: a sweep has to outlast the control
+        // connection's first polls below on a release build too
+        // (about 30 ms; at 64 seeds all six were done in 47 ms).
         let seed = k * 4096;
         writeln!(
             client.conn,
-            r#"{{"v":1,"id":{k},"cmd":"sweep","source":"{source}","seed":{seed},"ub":4000,"count":64}}"#
+            r#"{{"v":1,"id":{k},"cmd":"sweep","source":"{source}","seed":{seed},"ub":4000,"count":512}}"#
         )
         .unwrap();
     }
@@ -781,7 +784,7 @@ fn shutdown_under_load_answers_every_admitted_request() {
         assert!(reply.ends_with('\n'), "client {k}: truncated reply {reply:?}");
         assert!(reply.contains(&format!("\"id\":{k},")), "client {k}: {reply}");
         assert!(reply.contains("\"ok\":true"), "client {k}: {reply}");
-        assert!(reply.contains("\"verified\":64"), "client {k}: {reply}");
+        assert!(reply.contains("\"verified\":512"), "client {k}: {reply}");
     }
     assert_eq!(summary.busy, 0);
     assert_eq!(summary.errors, 0);
