@@ -24,14 +24,12 @@
 //!              with OPD accounting (--json / --markdown)
 //!   policies   compare all four shift-placement policies on the loop
 //!   sweep      run the loop over many memory seeds on worker threads
-//!   profile    instrumented end-to-end pass: span tree over every
-//!              pipeline phase plus engine metrics (--json for the
-//!              versioned simdize-telemetry/v1 document)
-//!   trace      request-scoped end-to-end trace: one pass collected
-//!              under a fresh trace id, printed as a span timeline
-//!              with pipeline attributes (--json for the versioned
-//!              simdize-trace/v1 document, --chrome-out FILE for a
-//!              chrome://tracing / Perfetto trace-event file)
+//!   trace      instrumented end-to-end pass collected under a fresh
+//!              request scope: pipeline attributes, the span tree over
+//!              every pipeline phase and the engine metrics (--json
+//!              for the versioned simdize-trace/v1 document,
+//!              --chrome-out FILE for a chrome://tracing / Perfetto
+//!              trace-event file)
 //!   serve <addr>   long-running simdization server speaking the
 //!              simdize-wire/v1 JSONL-over-TCP protocol; prints
 //!              `listening on ADDR` (with the resolved port) before
@@ -66,8 +64,9 @@
 //!                                       an alias)
 //!   --count N                           sweep seeds to cover (default 32)
 //!   --smoke                             quick 8-seed sweep preset
-//!   --telemetry                         collect and print span/metric
-//!                                       telemetry around `run`/`sweep`
+//!   --telemetry                         run the command under a request
+//!                                       scope and append its spans,
+//!                                       attributes and the metrics
 //!   --workers N                         serve: requests executing at once
 //!                                       (default 2)
 //!   --queue N                           serve: requests waiting for a slot
@@ -104,7 +103,7 @@ use simdize::{
     Scheme, SimdizeError, Simdizer, SweepJob, SweepOptions, Target, VectorShape, VerifyOptions,
 };
 use simdize_explain::{render_json, render_markdown, render_text, Explainer};
-use simdize_telemetry as telemetry;
+use simdize_telemetry::{self as telemetry, RequestTrace, TraceId};
 use std::error::Error;
 use std::fmt::Write as _;
 
@@ -176,7 +175,6 @@ pub fn parse_args(
             | "explain"
             | "policies"
             | "sweep"
-            | "profile"
             | "trace"
             | "serve"
     ) {
@@ -368,7 +366,7 @@ pub fn parse_args(
 }
 
 const USAGE: &str =
-    "usage: simdize <check|graph|compile|analyze|run|verify|explain|policies|sweep|profile|trace> <file.loop|-> [options]
+    "usage: simdize <check|graph|compile|analyze|run|verify|explain|policies|sweep|trace> <file.loop|-> [options]
        simdize serve <addr> [--workers N] [--queue N] [--shards N] [--cache-cap N] [--flight-cap N] [--metrics-addr ADDR]
 run `simdize` with no arguments for the full option list";
 
@@ -408,9 +406,11 @@ pub fn run(opts: &Options) -> Result<String, Box<dyn Error>> {
     if opts.command == "serve" {
         return run_serve(opts);
     }
-    // --telemetry wraps the whole command in a collection session; the
-    // report is appended to the normal output.
-    let mut session = opts.telemetry.then(telemetry::session);
+    // --telemetry wraps the whole command in a request scope; what it
+    // collected is appended to the normal output.
+    let scope = opts
+        .telemetry
+        .then(|| telemetry::begin_request(TraceId::next(0), &opts.command));
     let program = simdize::parse_program(&opts.source)?;
     let mut driver = Simdizer::new()
         .shape(opts.shape)
@@ -596,51 +596,30 @@ pub fn run(opts: &Options) -> Result<String, Box<dyn Error>> {
                 writeln!(out, "backend: simd/{} (std::arch dispatch)", IsaLevel::detect())?;
             }
         }
-        "profile" => {
-            let outcome = simdize::profile_source(&opts.source)?;
-            if opts.json {
-                out.push_str(&outcome.report.render_json(false));
-                out.push('\n');
-            } else {
-                writeln!(
-                    out,
-                    "profiled: verified={} sweep {}/{} verified, {:.2}x speedup, \
-                     kernel cache {:.0}% hit rate",
-                    outcome.verified,
-                    outcome.sweep_verified,
-                    outcome.sweep_jobs,
-                    outcome.speedup,
-                    outcome.sweep_stats.cache_hit_rate() * 100.0
-                )?;
-                out.push_str(&outcome.report.render_text());
-            }
-            if !outcome.verified || outcome.sweep_verified != outcome.sweep_jobs {
-                return Err("profiled run diverged from the scalar oracle".into());
-            }
-        }
         "trace" => {
-            let outcome = simdize::trace_source(&opts.source)?;
+            let (trace, outcome) = simdize::trace_source(&opts.source)?;
             if let Some(path) = &opts.chrome_out {
-                std::fs::write(path, outcome.trace.render_chrome())
+                std::fs::write(path, trace.render_chrome())
                     .map_err(|e| format!("--chrome-out {path}: {e}"))?;
             }
             if opts.json {
-                out.push_str(&outcome.trace.render_json(false));
+                out.push_str(&trace.render_json(false));
                 out.push('\n');
             } else {
                 writeln!(
                     out,
                     "traced {}: verified={} sweep {}/{} verified, {:.2}x speedup, \
-                     opd {:.3} (bound {:.3})",
-                    outcome.trace.trace_id,
+                     opd {:.3} (bound {:.3}), kernel cache {:.0}% hit rate",
+                    trace.trace_id,
                     outcome.verified,
                     outcome.sweep_verified,
                     outcome.sweep_jobs,
                     outcome.speedup,
                     outcome.opd,
-                    outcome.opd_bound
+                    outcome.opd_bound,
+                    outcome.sweep_stats.cache_hit_rate() * 100.0
                 )?;
-                out.push_str(&outcome.trace.render_text());
+                out.push_str(&render_telemetry(&trace));
             }
             if let Some(path) = &opts.chrome_out {
                 writeln!(out, "chrome trace written to {path}")?;
@@ -744,12 +723,18 @@ pub fn run(opts: &Options) -> Result<String, Box<dyn Error>> {
         }
         _ => unreachable!("validated in parse_args"),
     }
-    if let Some(session) = &mut session {
-        let report = session.finish();
+    if let Some(scope) = scope {
         writeln!(out, "\n-- telemetry --")?;
-        out.push_str(&report.render_text());
+        out.push_str(&render_telemetry(&scope.finish(None)));
     }
     Ok(out)
+}
+
+/// The one text rendering `trace` and `--telemetry` share: the request
+/// scope's header, attributes and span tree, then the process's
+/// metrics registry.
+fn render_telemetry(trace: &RequestTrace) -> String {
+    trace.render_text() + &telemetry::metrics_snapshot().render_text()
 }
 
 /// `simdize serve <addr>`: bind, announce the resolved address on
@@ -970,6 +955,12 @@ mod tests {
         let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         let read = |_: &str| -> Result<String, Box<dyn Error>> { Ok(LOOP.into()) };
         assert!(parse_args(&args(&["frobnicate", "x"]), &read).is_err());
+        // Retired commands answer like any other unknown word.
+        let err = parse_args(&args(&["profile", "x"]), &read).unwrap_err();
+        assert!(
+            err.to_string().starts_with("unknown command `profile`"),
+            "{err}"
+        );
         assert!(parse_args(&args(&["run"]), &read).is_err());
         assert!(parse_args(&args(&["run", "x", "--policy", "bogus"]), &read).is_err());
         assert!(parse_args(&args(&["run", "x", "--shape", "12"]), &read).is_err());
@@ -1013,30 +1004,20 @@ mod tests {
     }
 
     #[test]
-    fn profile_text_and_json() {
-        let out = run(&opts(&["profile", "x.loop"])).unwrap();
-        assert!(out.contains("profiled: verified=true"), "{out}");
-        assert!(out.contains("== spans =="), "{out}");
-        assert!(out.contains("hit rate"), "{out}");
-        let json = run(&opts(&["profile", "x.loop", "--json"])).unwrap();
-        assert!(
-            json.starts_with("{\"schema\":\"simdize-telemetry/v1\""),
-            "{json}"
-        );
-        assert!(json.contains("\"name\":\"parse\""), "{json}");
-        assert!(json.contains("\"sweep.kernel_cache.hit\""), "{json}");
-    }
-
-    #[test]
     fn trace_text_json_and_chrome_out() {
         let out = run(&opts(&["trace", "x.loop"])).unwrap();
         assert!(out.contains("traced c"), "{out}");
         assert!(out.contains("verified=true"), "{out}");
+        assert!(out.contains("hit rate"), "{out}");
         assert!(out.contains("policy"), "{out}");
+        assert!(out.contains("== spans =="), "{out}");
+        let metrics = out.split("== metrics ==").nth(1).expect("a metrics block");
+        assert!(metrics.contains("sweep.kernel_cache.hit"), "{out}");
         let json = run(&opts(&["trace", "x.loop", "--json"])).unwrap();
         assert!(json.starts_with("{\"schema\":\"simdize-trace/v1\""), "{json}");
         assert!(json.contains("\"verb\":\"trace\""), "{json}");
         assert!(json.contains("\"policy\":\"dominant\""), "{json}");
+        assert!(json.contains("\"name\":\"parse\""), "{json}");
         // --chrome-out writes a loadable trace-event file alongside.
         let path = std::env::temp_dir().join(format!(
             "simdize-cli-chrome-{}.json",

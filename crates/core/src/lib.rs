@@ -64,18 +64,16 @@
 #![warn(missing_docs)]
 
 mod error;
-pub mod profile;
 mod report;
 mod scheme;
 mod simdizer;
 pub mod trace;
 
 pub use error::SimdizeError;
-pub use profile::{profile_source, ProfileOutcome, PROFILE_SWEEP_SEEDS};
 pub use report::Report;
 pub use scheme::Scheme;
 pub use simdizer::{Simdizer, Target};
-pub use trace::{trace_source, trace_source_with, TraceOutcome};
+pub use trace::{trace_source, traced_pass, TraceOutcome, TRACE_SWEEP_SEEDS};
 
 // The full pipeline surface, re-exported for one-stop use.
 pub use simdize_analysis::{
@@ -104,7 +102,7 @@ pub use simdize_engine::{
     KernelCache, KernelOptions, PredecodedKernel, Schedule, SectionSchedule, SimdKernel,
     SweepBackend, SweepJob, SweepOptions, SweepOutcome, SweepStats,
 };
-pub use simdize_telemetry::{RequestTrace, TelemetryReport, TraceId, TELEMETRY_SCHEMA, TRACE_SCHEMA};
+pub use simdize_telemetry::{RequestTrace, TraceId, TRACE_SCHEMA};
 pub use simdize_verify::{
     apply_mutation, prove_loop, prove_source, Counterexample, HarnessSummary, Mode as VerifyMode,
     MutationKind, Probe, ProveError, TripStyle, VerifyOptions, VerifyReport, HARNESS_NAMES,

@@ -1,30 +1,43 @@
-//! The `simdize trace` driver: one request-scoped end-to-end pass over
-//! a loop, producing a [`RequestTrace`] — the span timeline, the
-//! pipeline attributes (policy, dispatched ISA, cache hit/miss, fusion
-//! rewrites, OPD vs the §5.3 bound), and the Chrome-trace export.
+//! The `simdize trace` driver: one instrumented end-to-end pass over a
+//! loop, collected under a request scope — the span timeline covering
+//! every pipeline phase, the pipeline attributes (policy, dispatched
+//! ISA, cache hit/miss, fusion rewrites, OPD vs the §5.3 bound), and
+//! the Chrome-trace export.
 //!
-//! This is the request-scoped sibling of [`profile_source`]: the same
-//! deterministic pipeline (parse → compile → predecode → bake → run →
-//! scalar verification → a single-threaded seed sweep), but collected
-//! through [`begin_request`](simdize_telemetry::begin_request) instead
-//! of a process-wide session, exactly as the server's `trace` wire verb
-//! collects it. With one sweep worker the span tree, attribute set and
-//! cache counters are deterministic for a fixed loop, so the normalized
-//! JSON rendering is pinned by a golden test.
+//! The pass runs, in order: parse → reorg → codegen → analysis (the
+//! static-analysis gate is always on here) → predecode → bake (with the
+//! per-pass fusion spans beneath it) → run + scalar verification → a
+//! small single-threaded seed sweep that exercises the baked-kernel
+//! cache, the scratch-image reuse and the per-worker accounting. The
+//! sweep is single-threaded on purpose: with one worker the span tree,
+//! attribute set and cache counters are deterministic for a fixed
+//! loop, which is what lets the normalized JSON rendering be pinned by
+//! a golden test.
 //!
-//! [`profile_source`]: crate::profile_source
+//! [`traced_pass`] is that pass under whatever scope its caller holds —
+//! the server's `trace` verb runs it under the request's own scope, so
+//! the exported document is the request's; [`trace_source`] is the
+//! CLI's form, which opens the scope itself.
 
 use crate::error::SimdizeError;
-use crate::profile::instrumented_pass;
-use simdize_engine::IsaLevel;
+use crate::simdizer::Simdizer;
+use simdize_engine::{
+    run_sweep_collect, IsaLevel, KernelOptions, PredecodedKernel, SweepJob, SweepOptions,
+    SweepStats,
+};
+use simdize_ir::{parse_program, VectorShape};
 use simdize_telemetry::{self as telemetry, RequestTrace, TraceId};
+use simdize_vm::{run_scalar, ExecError, MemoryImage, RunInput, VerifyError};
+use simdize_workloads::lower_bound_opd;
 
-/// Everything one traced pass produced.
+/// How many seeds the traced sweep covers. Small enough to finish
+/// instantly, large enough that cache hits dominate misses on a
+/// known-alignment loop.
+pub const TRACE_SWEEP_SEEDS: u64 = 16;
+
+/// What one traced pass measured.
 #[derive(Debug, Clone)]
 pub struct TraceOutcome {
-    /// The request-scoped collection: span timeline, attributes,
-    /// renderable as `simdize-trace/v1` JSON or Chrome trace events.
-    pub trace: RequestTrace,
     /// Whether the instrumented run matched the scalar oracle byte for
     /// byte.
     pub verified: bool,
@@ -32,6 +45,8 @@ pub struct TraceOutcome {
     pub sweep_verified: usize,
     /// Total jobs in the trace sweep.
     pub sweep_jobs: usize,
+    /// What the sweep's caches did.
+    pub sweep_stats: SweepStats,
     /// Speedup of the instrumented run over the idealistic scalar
     /// baseline.
     pub speedup: f64,
@@ -42,99 +57,149 @@ pub struct TraceOutcome {
     pub opd_bound: f64,
 }
 
-/// Traces one loop end to end under a fresh CLI-local [`TraceId`].
+/// Traces one loop end to end under a fresh CLI-local [`TraceId`] and
+/// returns the request-scoped collection with what the pass measured.
 ///
 /// # Errors
 ///
-/// Any [`SimdizeError`] the instrumented pipeline raises; the partial
-/// trace is discarded on error (the caller's own scope, if any, still
-/// records the failure).
-pub fn trace_source(src: &str) -> Result<TraceOutcome, SimdizeError> {
-    trace_source_with(src, TraceId::next(0))
+/// Any [`SimdizeError`] the instrumented pipeline raises: parse
+/// failures, graph/codegen errors, analysis rejections, or engine
+/// faults (wrapped as [`SimdizeError::Verify`]). The partial trace is
+/// discarded on error.
+pub fn trace_source(src: &str) -> Result<(RequestTrace, TraceOutcome), SimdizeError> {
+    let scope = telemetry::begin_request(TraceId::next(0), "trace");
+    let outcome = traced_pass(src)?;
+    Ok((scope.finish(None), outcome))
 }
 
-/// [`trace_source`] under a caller-supplied id — the server's `trace`
-/// verb passes the wire request's id so the exported document and the
-/// response envelope agree.
+/// The traced pass under the caller's request scope: parse → compile
+/// with the analysis gate on → predecode → bake → run → scalar oracle
+/// → diff, then the one-worker seed sweep, with the headline numbers
+/// tagged onto the scope. The bake is deliberately uncached and builds
+/// the disassembly — this is the path whose every phase must show up
+/// as a span — so it does not go through `run_job`.
 ///
 /// # Errors
 ///
-/// See [`trace_source`].
-pub fn trace_source_with(src: &str, id: TraceId) -> Result<TraceOutcome, SimdizeError> {
-    let scope = telemetry::begin_request(id, "trace");
-    let pass = instrumented_pass(src)?;
+/// See [`trace_source`]; the caller's scope records the failure.
+pub fn traced_pass(src: &str) -> Result<TraceOutcome, SimdizeError> {
+    let exec_err = |e: ExecError| SimdizeError::from(VerifyError::from(e));
+    let program = {
+        let _span = telemetry::span("parse");
+        parse_program(src)?
+    };
+    let simdizer = Simdizer::new().analyze(true);
+    let policy = simdizer.policy_for(&program);
+    let compiled = simdizer.compile(&program)?;
+    let ub = program.trip().known().unwrap_or(256);
+    let input = RunInput::with_ub(ub);
 
-    // Attribute the run's headline numbers. Policy, fusion rewrites
-    // and cache hit/miss are tagged inside the pipeline; the tier the
-    // pass's sweep dispatched to is tagged here.
+    let pre = PredecodedKernel::new(&compiled).map_err(exec_err)?;
+    let mut engine_img = MemoryImage::with_seed(&program, VectorShape::V16, 1);
+    let mut oracle_img = engine_img.clone();
+    let kernel = pre
+        .bake(&engine_img, &input, &KernelOptions::default())
+        .map_err(exec_err)?;
+    let stats = kernel.run(&mut engine_img).map_err(exec_err)?;
+    let scalar_ideal =
+        run_scalar(&program, &mut oracle_img, ub, &input.params).map_err(exec_err)?;
+    let verified = engine_img.first_difference(&oracle_img).is_none();
+
+    let jobs: Vec<SweepJob> = (0..TRACE_SWEEP_SEEDS)
+        .map(|seed| SweepJob::new(compiled.clone(), seed, ub))
+        .collect();
+    let (outcomes, sweep_stats) = run_sweep_collect(&jobs, SweepOptions::new(1));
+    let sweep_jobs = outcomes.len();
+    let mut sweep_verified = 0;
+    for outcome in outcomes {
+        if outcome.map_err(exec_err)?.verified {
+            sweep_verified += 1;
+        }
+    }
+
+    let outcome = TraceOutcome {
+        verified,
+        sweep_verified,
+        sweep_jobs,
+        sweep_stats,
+        speedup: scalar_ideal as f64 / stats.total() as f64,
+        opd: stats.opd(program.stmts().len() as u64 * ub),
+        opd_bound: lower_bound_opd(&program, VectorShape::V16, policy),
+    };
+    // Policy, fusion rewrites and cache hit/miss are tagged inside the
+    // pipeline; the headline numbers and the tier the sweep dispatched
+    // to are tagged here.
     telemetry::tag("isa", IsaLevel::detect());
-    telemetry::tag("opd", format!("{:.3}", pass.opd));
-    telemetry::tag("opd.bound", format!("{:.3}", pass.opd_bound));
-    telemetry::tag("speedup", format!("{:.2}", pass.speedup));
-    telemetry::tag("verified", pass.verified);
-
-    Ok(TraceOutcome {
-        trace: scope.finish(None),
-        verified: pass.verified,
-        sweep_verified: pass.sweep_verified,
-        sweep_jobs: pass.sweep_jobs,
-        speedup: pass.speedup,
-        opd: pass.opd,
-        opd_bound: pass.opd_bound,
-    })
+    telemetry::tag("opd", format!("{:.3}", outcome.opd));
+    telemetry::tag("opd.bound", format!("{:.3}", outcome.opd_bound));
+    telemetry::tag("speedup", format!("{:.2}", outcome.speedup));
+    telemetry::tag("verified", outcome.verified);
+    Ok(outcome)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PROFILE_SWEEP_SEEDS;
 
     const FIG1: &str = "arrays { a: i32[128] @ 0; b: i32[128] @ 0; c: i32[128] @ 0; }
                         for i in 0..100 { a[i+3] = b[i+1] + c[i+2]; }";
 
     #[test]
     fn trace_collects_spans_and_pipeline_attrs() {
-        let outcome = trace_source(FIG1).unwrap();
+        let (trace, outcome) = trace_source(FIG1).unwrap();
         assert!(outcome.verified);
         assert_eq!(outcome.sweep_verified, outcome.sweep_jobs);
-        assert_eq!(outcome.trace.verb, "trace");
-        assert!(outcome.trace.error.is_none());
-        let roots: Vec<&str> = outcome
-            .trace
-            .spans
-            .iter()
-            .map(|n| n.name.as_str())
-            .collect();
-        for phase in ["parse", "reorg", "codegen", "analysis", "bake", "run", "sweep"] {
+        assert_eq!(outcome.sweep_jobs, TRACE_SWEEP_SEEDS as usize);
+        assert_eq!(outcome.sweep_stats.workers, 1);
+        assert!(outcome.speedup > 1.0);
+        assert_eq!(trace.verb, "trace");
+        assert!(trace.error.is_none());
+        let roots: Vec<&str> = trace.spans.iter().map(|n| n.name.as_str()).collect();
+        for phase in [
+            "parse",
+            "reorg",
+            "codegen",
+            "analysis",
+            "predecode",
+            "bake",
+            "run",
+            "sweep",
+            "sweep.job",
+        ] {
             assert!(roots.contains(&phase), "missing phase {phase} in {roots:?}");
         }
-        let attrs = &outcome.trace.attrs;
+        // Fusion passes nest under bake/fuse.
+        let bake = trace.spans.iter().find(|n| n.name == "bake").unwrap();
+        let fuse = bake.children.iter().find(|n| n.name == "fuse").unwrap();
+        let passes: Vec<&str> = fuse.children.iter().map(|n| n.name.as_str()).collect();
+        assert!(passes.contains(&"rewrite"));
+        assert!(passes.contains(&"dce"));
+        let attrs = &trace.attrs;
         assert_eq!(attrs["policy"], "dominant");
         assert_eq!(attrs["verified"], "true");
         assert!(attrs.contains_key("isa"));
         assert!(attrs.contains_key("fusion.rewrites"));
-        // Known alignments + one worker: 1 miss, 15 hits.
+        // Known alignments + one worker: the sweep bakes once and hits
+        // the cache on every remaining seed.
         assert_eq!(attrs["cache.misses"], "1");
-        assert_eq!(
-            attrs["cache.hits"],
-            (PROFILE_SWEEP_SEEDS - 1).to_string()
-        );
+        assert_eq!(attrs["cache.hits"], (TRACE_SWEEP_SEEDS - 1).to_string());
+        assert_eq!(outcome.sweep_stats.cache_misses, 1);
+        assert_eq!(outcome.sweep_stats.cache_hits, TRACE_SWEEP_SEEDS - 1);
         // OPD is achieved, the §5.3 bound is a bound.
         assert!(outcome.opd >= outcome.opd_bound);
         assert_eq!(attrs["opd"], format!("{:.3}", outcome.opd));
         assert_eq!(attrs["opd.bound"], format!("{:.3}", outcome.opd_bound));
         // The timeline carries every span completion.
-        assert!(!outcome.trace.events.is_empty());
+        assert!(!trace.events.is_empty());
     }
 
     #[test]
     fn trace_sums_consistently_with_its_own_tree() {
         // The Chrome export's per-event durations must sum to the span
         // tree's totals — both views come from the same records.
-        let outcome = trace_source(FIG1).unwrap();
-        let tree_total: u64 = outcome.trace.spans.iter().map(|n| n.total_ns).sum();
-        let events_total: u64 = outcome
-            .trace
+        let (trace, _) = trace_source(FIG1).unwrap();
+        let tree_total: u64 = trace.spans.iter().map(|n| n.total_ns).sum();
+        let events_total: u64 = trace
             .events
             .iter()
             .filter(|e| !e.path.contains('/'))
@@ -156,9 +221,14 @@ mod tests {
     }
 
     #[test]
-    fn trace_uses_the_supplied_id() {
+    fn traced_pass_collects_into_the_callers_scope() {
         let id = TraceId::next(42);
-        let outcome = trace_source_with(FIG1, id).unwrap();
-        assert_eq!(outcome.trace.trace_id, id.to_string());
+        let scope = telemetry::begin_request(id, "caller");
+        let outcome = traced_pass(FIG1).unwrap();
+        let trace = scope.finish(None);
+        assert_eq!(trace.trace_id, id.to_string());
+        assert_eq!(trace.verb, "caller");
+        assert_eq!(trace.attrs["opd"], format!("{:.3}", outcome.opd));
+        assert!(trace.spans.iter().any(|n| n.name == "sweep.job"));
     }
 }

@@ -262,7 +262,8 @@ pub fn run_sweep_shared(
     let cursor = AtomicUsize::new(0);
     let cursor = &cursor;
     // If the sweep runs on behalf of a request scope, credit the
-    // worker threads' spans to that request, not the global collector.
+    // worker threads' spans to that request; without the context they
+    // would be inert.
     let trace_ctx = telemetry::current_context();
     let partials: Vec<WorkerPartial> = thread::scope(|s| {
         let handles: Vec<_> = (0..threads)

@@ -13,20 +13,19 @@
 use crate::protocol::{Command, ExecRequest};
 use crate::server::ServerConfig;
 use simdize::{
-    analyze_program, parse_program, run_job, run_sweep_shared, trace_source_with, AnalyzeOptions,
-    KernelCache, ReuseMode, RunInput, Simdizer, SweepJob, SweepOptions, Target, TraceId,
-    VectorShape,
+    analyze_program, parse_program, run_job, run_sweep_shared, traced_pass, AnalyzeOptions,
+    KernelCache, ReuseMode, RunInput, Simdizer, SweepJob, SweepOptions, Target, VectorShape,
 };
 use simdize_explain::{render_json, Explainer};
 use simdize_telemetry::json;
 
-/// Runs one pipeline command to completion, using `cache` for baked
-/// kernels. `trace` is the request's wire trace id (the `trace` verb
-/// stamps it into the exported document). Returns the rendered
-/// `result` JSON on success, a readable message on failure.
+/// Runs one pipeline command to completion under the caller's request
+/// scope, using `cache` for baked kernels. Returns the rendered
+/// `result` JSON on success, a readable message on failure — except
+/// for `trace`, whose result is the caller's finished scope, so its
+/// `Ok` body is empty.
 pub fn execute(
     cmd: &Command,
-    trace_id: TraceId,
     cache: &KernelCache,
     config: &ServerConfig,
 ) -> Result<String, String> {
@@ -37,7 +36,7 @@ pub fn execute(
         Command::Sweep(req) => sweep(req, cache, config),
         Command::Explain(req) => explain(req),
         Command::Verify(req) => verify(req, config),
-        Command::Trace(req) => trace(req, trace_id),
+        Command::Trace(req) => trace(req),
         // Control-plane verbs are answered before the gate.
         Command::Ping | Command::Stats | Command::Dump | Command::Shutdown => {
             Err("internal: control command reached the pipeline".to_string())
@@ -163,13 +162,13 @@ fn verify(req: &ExecRequest, config: &ServerConfig) -> Result<String, String> {
     Ok(format!("{{\"verify\":{}}}", report.render_json()))
 }
 
-fn trace(req: &ExecRequest, id: TraceId) -> Result<String, String> {
+fn trace(req: &ExecRequest) -> Result<String, String> {
     // The traced pipeline chooses its own (deterministic) driver
-    // configuration; the request's policy/seed knobs do not apply —
-    // what matters is that the exported document carries the wire
-    // request's trace id, so response envelope and timeline agree.
-    let outcome = trace_source_with(&req.source, id).map_err(err)?;
-    Ok(outcome.trace.render_json(false))
+    // configuration; the request's policy/seed knobs do not apply.
+    // It collects into the request's own scope, so the document the
+    // server renders from it carries the envelope's trace id.
+    traced_pass(&req.source).map_err(err)?;
+    Ok(String::new())
 }
 
 fn explain(req: &ExecRequest) -> Result<String, String> {

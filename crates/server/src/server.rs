@@ -555,8 +555,14 @@ fn handle_line(line: &str, shared: &Shared, conn_id: u64) -> String {
                     // hit/miss, …) — per request, however many
                     // connections execute concurrently.
                     let scope = telemetry::begin_request(trace, verb);
-                    let outcome = handlers::execute(cmd, trace, &shared.cache, &shared.config);
-                    attrs = scope.finish(outcome.as_ref().err().cloned()).attrs;
+                    let outcome = handlers::execute(cmd, &shared.cache, &shared.config);
+                    let finished = scope.finish(outcome.as_ref().err().cloned());
+                    // The `trace` verb's result is this very scope.
+                    let outcome = match cmd {
+                        Command::Trace(_) => outcome.map(|_| finished.render_json(false)),
+                        _ => outcome,
+                    };
+                    attrs = finished.attrs;
                     outcome
                 }
             };

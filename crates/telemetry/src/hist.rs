@@ -159,15 +159,6 @@ impl Histogram {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
-
-    /// Resets every counter to the empty state.
-    pub fn reset(&mut self) {
-        self.buckets.iter_mut().for_each(|b| *b = 0);
-        self.count = 0;
-        self.sum = 0;
-        self.min = u64::MAX;
-        self.max = 0;
-    }
 }
 
 #[cfg(test)]
@@ -259,7 +250,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_reset() {
+    fn merge_combines_two_histograms() {
         let mut a = Histogram::new();
         let mut b = Histogram::new();
         for v in 1..=500u64 {
@@ -274,11 +265,6 @@ mod tests {
         assert_eq!(a.max(), 1000);
         let p50 = a.quantile(0.5) as f64;
         assert!((p50 - 500.0).abs() / 500.0 < 1.0 / 16.0, "p50 {p50}");
-        a.reset();
-        assert_eq!(a.count(), 0);
-        assert_eq!(a.quantile(0.5), 0);
-        assert_eq!(a.min(), 0);
-        assert_eq!(a.max(), 0);
     }
 
     #[test]

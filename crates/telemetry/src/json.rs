@@ -343,17 +343,14 @@ mod tests {
     #[test]
     fn reads_a_pretty_printed_document() {
         let doc = r#"{
-  "schema": "simdize-telemetry/v1",
+  "schema": "simdize-trace/v1",
   "spans": [
     { "name": "bake", "total_ns": 3.466e8, "p50_us": 20.71 }
   ],
   "counters": []
 }"#;
         let v = parse(doc).unwrap();
-        assert_eq!(
-            v.get("schema").unwrap().as_str(),
-            Some("simdize-telemetry/v1")
-        );
+        assert_eq!(v.get("schema").unwrap().as_str(), Some("simdize-trace/v1"));
         let spans = v.get("spans").unwrap().as_arr().unwrap();
         assert_eq!(
             spans[0].get("total_ns").unwrap().as_f64(),

@@ -5,13 +5,14 @@
 //! (per worker, per phase) and then updates lock-free; every update
 //! first checks the global enabled flag with one relaxed atomic load,
 //! so a disabled build path costs a predictable branch and nothing
-//! else. Names are dotted lowercase (`sweep.kernel_cache.hit`); the
-//! snapshot reports them sorted, and omits metrics still at zero so a
-//! session only exports what it actually touched.
+//! else. Names are dotted lowercase (`sweep.kernel_cache.hit`). The
+//! registry is a monotonic process-lifetime feed — nothing resets it —
+//! and the snapshot reports it sorted, omitting metrics still at zero.
 
 use crate::enabled;
 use crate::hist::Histogram;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -108,22 +109,6 @@ pub fn histogram(name: &str) -> HistogramHandle {
     ))
 }
 
-/// Zeroes every registered metric in place (handles stay valid — a
-/// worker that cached a [`Counter`] before the reset keeps counting
-/// into the same slot).
-pub fn reset_metrics() {
-    let reg = registry().lock().unwrap_or_else(|e| e.into_inner());
-    for c in reg.counters.values() {
-        c.store(0, Ordering::Relaxed);
-    }
-    for g in reg.gauges.values() {
-        g.store(0, Ordering::Relaxed);
-    }
-    for h in reg.histograms.values() {
-        h.lock().unwrap_or_else(|e| e.into_inner()).reset();
-    }
-}
-
 /// The summarized state of one histogram at snapshot time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSummary {
@@ -150,6 +135,31 @@ pub struct MetricsSnapshot {
     pub gauges: BTreeMap<String, u64>,
     /// Histograms with at least one sample.
     pub histograms: BTreeMap<String, HistogramSummary>,
+}
+
+impl MetricsSnapshot {
+    /// The `== metrics ==` text block: one line per touched metric,
+    /// sorted by name within each kind.
+    pub fn render_text(&self) -> String {
+        let mut out = String::from("== metrics ==\n");
+        if self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty() {
+            out.push_str("(none touched)\n");
+        }
+        for (name, v) in &self.counters {
+            let _ = writeln!(out, "{name:<36} {v}");
+        }
+        for (name, v) in &self.gauges {
+            let _ = writeln!(out, "{name:<36} {v} (gauge)");
+        }
+        for (name, h) in &self.histograms {
+            let _ = writeln!(
+                out,
+                "{name:<36} n={} min={} p50={} p95={} max={}",
+                h.count, h.min, h.p50, h.p95, h.max
+            );
+        }
+        out
+    }
 }
 
 /// Snapshots every registered metric, omitting untouched (zero /
@@ -191,11 +201,12 @@ pub fn metrics_snapshot() -> MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session;
+    use crate::{begin_request, flag_guard, TraceId};
 
     #[test]
     fn counters_gauges_histograms_roundtrip() {
-        let mut s = session();
+        let _flags = flag_guard();
+        let _scope = begin_request(TraceId::next(0), "metrics_test");
         counter("test.hits").add(3);
         counter("test.hits").inc();
         gauge("test.workers").set(4);
@@ -203,54 +214,37 @@ mod tests {
         for v in [10u64, 20, 30] {
             h.observe(v);
         }
-        let report = s.finish();
-        assert_eq!(report.metrics.counters["test.hits"], 4);
-        assert_eq!(report.metrics.gauges["test.workers"], 4);
-        let jobs = &report.metrics.histograms["test.jobs"];
+        let snap = metrics_snapshot();
+        assert_eq!(snap.counters["test.hits"], 4);
+        assert_eq!(snap.gauges["test.workers"], 4);
+        let jobs = &snap.histograms["test.jobs"];
         assert_eq!(jobs.count, 3);
         assert_eq!(jobs.min, 10);
         assert_eq!(jobs.max, 30);
         assert_eq!(jobs.sum, 60);
+        let text = snap.render_text();
+        assert!(text.starts_with("== metrics ==\n"), "{text}");
+        assert!(
+            text.contains("test.hits                            4\n"),
+            "{text}"
+        );
+        assert!(text.contains("4 (gauge)"), "{text}");
+        assert!(text.contains("n=3 min=10"), "{text}");
+        assert!(MetricsSnapshot::default()
+            .render_text()
+            .contains("(none touched)"));
     }
 
     #[test]
     fn disabled_updates_are_dropped_and_zeroes_omitted() {
-        let _flags = crate::flag_guard();
-        // Outside a session: enabled() is false, nothing records.
+        let _flags = flag_guard();
+        // No scope live: enabled() is false, nothing records.
         counter("test.ghost").add(100);
         gauge("test.ghost_gauge").set(9);
         histogram("test.ghost_hist").observe(5);
-        let mut s = session();
-        let report = s.finish();
-        assert!(!report.metrics.counters.contains_key("test.ghost"));
-        assert!(!report.metrics.gauges.contains_key("test.ghost_gauge"));
-        assert!(!report.metrics.histograms.contains_key("test.ghost_hist"));
-    }
-
-    #[test]
-    fn sessions_reset_previous_values() {
-        {
-            let mut s = session();
-            counter("test.reset_me").add(7);
-            let r = s.finish();
-            assert_eq!(r.metrics.counters["test.reset_me"], 7);
-        }
-        let mut s = session();
-        let report = s.finish();
-        assert!(
-            !report.metrics.counters.contains_key("test.reset_me"),
-            "stale counter survived session reset"
-        );
-    }
-
-    #[test]
-    fn handles_survive_reset() {
-        let mut s = session();
-        let c = counter("test.handle");
-        c.add(1);
-        reset_metrics();
-        c.add(2);
-        let report = s.finish();
-        assert_eq!(report.metrics.counters["test.handle"], 2);
+        let snap = metrics_snapshot();
+        assert!(!snap.counters.contains_key("test.ghost"));
+        assert!(!snap.gauges.contains_key("test.ghost_gauge"));
+        assert!(!snap.histograms.contains_key("test.ghost_hist"));
     }
 }

@@ -7,10 +7,10 @@
 //! its name. Completed spans accumulate in a thread-local buffer that
 //! is flushed whenever the thread's span stack empties — one mutex
 //! acquisition per top-level span, none per nested span. The flush
-//! destination depends on what is collecting: a thread running under a
-//! request scope (see [`crate::trace`]) delivers into that request's
-//! private buffer; otherwise records land in the process-wide collector
-//! that [`crate::Session`] drains. When telemetry is disabled (the
+//! goes to the thread's request context (see [`crate::trace`]) or
+//! nowhere: there is no process-wide buffer, so a thread that runs
+//! under no request scope opens only inert guards, however many
+//! scopes are live elsewhere. When telemetry is disabled (the
 //! default), [`span`] is a single relaxed atomic load and returns an
 //! inert guard: no clock read, no TLS access, no allocation.
 //!
@@ -22,7 +22,7 @@
 use crate::enabled;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// One completed span: its slash-joined path, when it started
@@ -40,8 +40,6 @@ pub struct SpanRecord {
     /// per-track timeline export. Not an OS thread id.
     pub tid: u64,
 }
-
-static COLLECTOR: Mutex<Vec<SpanRecord>> = Mutex::new(Vec::new());
 
 /// The process-scoped instant all span start offsets are measured
 /// from (first telemetry use wins).
@@ -78,20 +76,6 @@ impl ThreadSpans {
     }
 }
 
-/// Routes one flushed batch: to the thread's active request context
-/// if there is one, else to the global collector.
-fn flush(records: Vec<SpanRecord>) {
-    if records.is_empty() {
-        return;
-    }
-    if let Some(records) = crate::trace::sink_spans(records) {
-        COLLECTOR
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .extend(records);
-    }
-}
-
 /// An open profiling scope; records its duration on drop.
 ///
 /// Close spans in the order they were opened (ordinary lexical scoping
@@ -104,9 +88,10 @@ pub struct SpanGuard {
 }
 
 /// Opens a span named `name` under the thread's current span path.
-/// Near-zero cost when telemetry is disabled.
+/// Near-zero cost when telemetry is disabled; inert, too, on a thread
+/// with no request context — its record would have nowhere to go.
 pub fn span(name: &'static str) -> SpanGuard {
-    if !enabled() {
+    if !enabled() || !crate::trace::has_context() {
         return SpanGuard {
             start: None,
             start_ns: 0,
@@ -138,26 +123,10 @@ impl Drop for SpanGuard {
             if t.stack.is_empty() {
                 let drained: Vec<SpanRecord> = t.buf.drain(..).collect();
                 drop(t);
-                flush(drained);
+                crate::trace::sink_spans(drained);
             }
         });
     }
-}
-
-/// Removes and returns every span in the global collector (from every
-/// thread that has flushed; the calling thread's buffer is flushed
-/// first so its completed spans are never stranded). Spans captured by
-/// request scopes never pass through here.
-pub fn drain_spans() -> Vec<SpanRecord> {
-    THREAD.with(|t| {
-        let mut t = t.borrow_mut();
-        if !t.buf.is_empty() {
-            let drained: Vec<SpanRecord> = t.buf.drain(..).collect();
-            drop(t);
-            flush(drained);
-        }
-    });
-    std::mem::take(&mut *COLLECTOR.lock().unwrap_or_else(|e| e.into_inner()))
 }
 
 /// One node of the aggregated span tree: all completions of one path,
@@ -241,11 +210,12 @@ pub fn build_tree(records: &[SpanRecord]) -> Vec<SpanNode> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session;
+    use crate::{adopt_context, begin_request, current_context, flag_guard, TraceId};
 
     #[test]
     fn nested_spans_build_a_tree() {
-        let mut s = session();
+        let _flags = flag_guard();
+        let scope = begin_request(TraceId::next(0), "span_test");
         {
             let _a = span("outer");
             for _ in 0..3 {
@@ -256,10 +226,10 @@ mod tests {
         {
             let _c = span("second");
         }
-        let report = s.finish();
-        let names: Vec<&str> = report.spans.iter().map(|n| n.name.as_str()).collect();
+        let trace = scope.finish(None);
+        let names: Vec<&str> = trace.spans.iter().map(|n| n.name.as_str()).collect();
         assert_eq!(names, ["outer", "second"]);
-        let outer = &report.spans[0];
+        let outer = &trace.spans[0];
         assert_eq!(outer.count, 1);
         assert_eq!(outer.children.len(), 1);
         assert_eq!(outer.children[0].name, "inner");
@@ -271,64 +241,74 @@ mod tests {
 
     #[test]
     fn disabled_spans_record_nothing() {
-        let _flags = crate::flag_guard();
-        // No session: telemetry is off, the guard must be inert.
-        {
-            let _g = span("ghost");
-        }
-        let mut s = session();
-        let report = s.finish();
-        assert!(
-            report.spans.iter().all(|n| n.name != "ghost"),
-            "disabled span leaked into the collector"
-        );
+        let _flags = flag_guard();
+        // No scope: telemetry is off, the guard must be inert.
+        assert!(span("ghost").start.is_none());
+    }
+
+    /// The leak the global collector used to be: a scope live on this
+    /// thread switches collection on process-wide, and a thread that
+    /// never adopted the context closes spans meanwhile. They must go
+    /// nowhere — not into this scope, not into a buffer nobody drains.
+    #[test]
+    fn spans_on_a_thread_with_no_context_are_inert() {
+        let _flags = flag_guard();
+        let scope = begin_request(TraceId::next(0), "span_test");
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert!(crate::enabled() && current_context().is_none());
+                for _ in 0..10_000 {
+                    let outer = span("stray");
+                    let inner = span("stray.child");
+                    assert!(outer.start.is_none() && inner.start.is_none());
+                }
+                THREAD.with(|t| {
+                    let t = t.borrow();
+                    assert!(t.stack.is_empty() && t.buf.is_empty());
+                });
+            });
+        });
+        assert!(scope.finish(None).events.is_empty());
     }
 
     #[test]
     fn cross_thread_spans_merge_by_path() {
-        let mut s = session();
-        std::thread::scope(|scope| {
+        let _flags = flag_guard();
+        let scope = begin_request(TraceId::next(0), "span_test");
+        let ctx = current_context().expect("scope installs a context");
+        std::thread::scope(|s| {
             for _ in 0..4 {
-                scope.spawn(|| {
+                let ctx = ctx.clone();
+                s.spawn(move || {
+                    let _adopted = adopt_context(ctx);
                     let _g = span("worker");
                     let _h = span("step");
                 });
             }
         });
-        let report = s.finish();
-        let worker = report
-            .spans
-            .iter()
-            .find(|n| n.name == "worker")
-            .expect("worker spans collected");
-        assert_eq!(worker.count, 4);
+        let trace = scope.finish(None);
+        assert_eq!(trace.spans.len(), 1);
+        let worker = &trace.spans[0];
+        assert_eq!((worker.name.as_str(), worker.count), ("worker", 4));
         assert_eq!(worker.children.len(), 1);
         assert_eq!(worker.children[0].count, 4);
     }
 
     #[test]
     fn records_carry_timeline_fields() {
-        let _s = session();
+        let _flags = flag_guard();
+        let scope = begin_request(TraceId::next(0), "span_test");
         {
-            let _a = span("timeline");
-            std::hint::black_box(1 + 1);
-        }
-        let records = drain_spans();
-        let rec = records
-            .iter()
-            .find(|r| r.path == "timeline")
-            .expect("timeline span recorded");
-        assert!(rec.tid > 0, "thread id assigned");
-        // A nested span starts at or after its parent.
-        let _b = span("outer2");
-        let inner_start = {
-            let _c = span("inner2");
+            let _outer = span("outer2");
+            let _inner = span("inner2");
             std::hint::black_box(0);
-            epoch_ns_now()
-        };
-        drop(_b);
-        let records = drain_spans();
-        let outer = records.iter().find(|r| r.path == "outer2").unwrap();
-        assert!(outer.start_ns <= inner_start);
+        }
+        let trace = scope.finish(None);
+        let find = |path: &str| trace.events.iter().find(|r| r.path == path).unwrap();
+        let (outer, inner) = (find("outer2"), find("outer2/inner2"));
+        assert!(outer.tid > 0, "thread id assigned");
+        assert_eq!(outer.tid, inner.tid);
+        // A nested span starts at or after its parent.
+        assert!(outer.start_ns <= inner.start_ns);
     }
 }

@@ -2,13 +2,12 @@
 //! attributes, deterministic trace ids, and the `simdize-trace/v1` +
 //! Chrome trace-event encoders.
 //!
-//! A [`Session`](crate::Session) collects process-wide; a server
-//! handling concurrent requests needs one collection *per request*.
-//! [`begin_request`] opens a [`RequestScope`]: it installs a
-//! thread-local [`TraceContext`] so every span completed on the thread
-//! is delivered to the request's private buffer, bumps the global
-//! enabled flag (so instrumentation fires without a session), and
-//! records wall time. Pipeline code annotates the trace with [`tag`]
+//! A server handling concurrent requests needs one collection *per
+//! request*, and the CLI is a server of one. [`begin_request`] opens a
+//! [`RequestScope`]: it installs a thread-local [`TraceContext`] so
+//! every span completed on the thread is delivered to the request's
+//! private buffer, bumps the global enabled flag, and records wall
+//! time. Pipeline code annotates the trace with [`tag`]
 //! (policy, dispatched ISA, cache hits, …) — a no-op on threads with no
 //! active context. Worker threads doing work on behalf of the request
 //! call [`adopt_context`] with a handle obtained from
@@ -22,7 +21,6 @@
 //! format that `chrome://tracing` and Perfetto load directly.
 
 use crate::json::escape;
-use crate::report::render_span_json;
 use crate::span::{build_tree, SpanNode, SpanRecord};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -84,21 +82,25 @@ thread_local! {
     static CURRENT: RefCell<Option<TraceContext>> = const { RefCell::new(None) };
 }
 
-/// Offers one flushed span batch to the thread's active context.
-/// Returns the batch back when there is none (the caller sends it to
-/// the global collector instead).
-pub(crate) fn sink_spans(records: Vec<SpanRecord>) -> Option<Vec<SpanRecord>> {
-    CURRENT.with(|c| match &*c.borrow() {
-        Some(ctx) => {
+/// Whether the calling thread has an active context — [`crate::span`]
+/// only opens a live guard when it does.
+pub(crate) fn has_context() -> bool {
+    CURRENT.with(|c| c.borrow().is_some())
+}
+
+/// Delivers one flushed span batch to the thread's active context. A
+/// batch whose context was un-adopted while its spans were still open
+/// is dropped: there is no other collector.
+pub(crate) fn sink_spans(records: Vec<SpanRecord>) {
+    CURRENT.with(|c| {
+        if let Some(ctx) = &*c.borrow() {
             ctx.inner
                 .spans
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .extend(records);
-            None
         }
-        None => Some(records),
-    })
+    });
 }
 
 /// Records a request attribute (`policy`, `isa`, `cache.hits`, …) on
@@ -257,7 +259,7 @@ pub struct RequestTrace {
     pub wall_us: u64,
     /// Pipeline attributes recorded via [`tag`], sorted by key.
     pub attrs: BTreeMap<String, String>,
-    /// The aggregated span tree (same node shape as a session report).
+    /// The aggregated span tree.
     pub spans: Vec<SpanNode>,
     /// The raw timeline: every completed span with its start offset
     /// (ns from scope begin), duration and thread track.
@@ -396,10 +398,62 @@ impl RequestTrace {
             let _ = writeln!(out, "(none recorded)");
         }
         for node in &self.spans {
-            crate::report::render_span_text(&mut out, node, 0);
+            render_span_text(&mut out, node, 0);
         }
         out
     }
+}
+
+fn format_ns(ns: u64) -> String {
+    let ns = ns as f64;
+    if ns >= 1e9 {
+        format!("{:.3} s", ns / 1e9)
+    } else if ns >= 1e6 {
+        format!("{:.3} ms", ns / 1e6)
+    } else if ns >= 1e3 {
+        format!("{:.3} µs", ns / 1e3)
+    } else {
+        format!("{ns:.0} ns")
+    }
+}
+
+fn render_span_text(out: &mut String, node: &SpanNode, depth: usize) {
+    let indent = "  ".repeat(depth);
+    let _ = writeln!(
+        out,
+        "{indent}{:<w$} {:>12}  x{:<6} p50 {:>10}  p95 {:>10}  max {:>10}",
+        node.name,
+        format_ns(node.total_ns),
+        node.count,
+        format_ns(node.p50_ns),
+        format_ns(node.p95_ns),
+        format_ns(node.max_ns),
+        w = 24usize.saturating_sub(2 * depth),
+    );
+    for child in &node.children {
+        render_span_text(out, child, depth + 1);
+    }
+}
+
+fn render_span_json(out: &mut String, node: &SpanNode, normalize: bool) {
+    let ns = |v: u64| if normalize { 0 } else { v };
+    let _ = write!(
+        out,
+        "{{\"name\":\"{}\",\"count\":{},\"total_ns\":{},\"p50_ns\":{},\"p95_ns\":{},\"max_ns\":{},\"children\":[",
+        escape(&node.name),
+        node.count,
+        ns(node.total_ns),
+        ns(node.p50_ns),
+        ns(node.p95_ns),
+        ns(node.max_ns)
+    );
+    for (i, child) in node.children.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        render_span_json(out, child, normalize);
+    }
+    out.push_str("]}");
 }
 
 #[cfg(test)]
@@ -437,10 +491,6 @@ mod tests {
         assert_eq!(trace.spans[0].name, "req_outer");
         assert_eq!(trace.spans[0].children[0].name, "req_inner");
         assert_eq!(trace.events.len(), 2);
-        // The events never reached the global collector.
-        assert!(span::drain_spans()
-            .iter()
-            .all(|r| !r.path.starts_with("req_")));
     }
 
     #[test]
@@ -563,10 +613,6 @@ mod tests {
         }
         assert!(!crate::enabled());
         assert!(current_context().is_none());
-        // Nothing leaked to the global collector.
-        assert!(span::drain_spans()
-            .iter()
-            .all(|r| r.path != "discarded"));
     }
 
     #[test]
@@ -582,5 +628,11 @@ mod tests {
         assert!(text.contains("verb=run"));
         assert!(text.contains("policy"));
         assert!(text.contains("text_phase"));
+        assert!(text.contains("p95"));
+        let empty = begin_request(TraceId::next(8), "run")
+            .finish(None)
+            .render_text();
+        assert!(empty.contains("(none tagged)"));
+        assert!(empty.contains("(none recorded)"));
     }
 }

@@ -18,8 +18,8 @@
 # reproduction's generated tables are current, and finishes with an end-to-end smoke sweep through the CLI binary:
 # eight seeds of Figure 1 baked, run on the detected ISA tier and
 # verified against the scalar oracle on four worker threads (with
-# telemetry collection on), an instrumented `simdize profile` pass, a
-# request-scoped `simdize trace` export (JSON + Chrome trace events),
+# telemetry collection on), a request-scoped `simdize trace` export
+# (text with the metrics block, JSON, Chrome trace events),
 # the disabled-instrumentation overhead gate, a checked 1 s run of the
 # BENCHMARK.json package, a server smoke that checks trace-id echoing,
 # the flight recorder's dump verb, the server's thread count (no pool)
@@ -111,23 +111,23 @@ done
 echo "== smoke sweep (detected ISA tier, 8 seeds, telemetry on) =="
 target/release/simdize sweep loops/figure1.loop --smoke --jobs 4 --telemetry
 
-echo "== profile smoke (span tree + versioned telemetry JSON) =="
-target/release/simdize profile loops/figure1.loop > /dev/null
-target/release/simdize profile loops/figure1.loop --json \
-    | grep -q '"schema":"simdize-telemetry/v1"'
-
 echo "== trace smoke (request-scoped export + chrome trace events) =="
 # The byte-exact normalized form is pinned by the tier-1 golden
 # (tests/trace.rs, regenerate with UPDATE_GOLDEN=1); this smoke drives
-# the release binary: schema-versioned JSON on stdout and a loadable
-# chrome://tracing file via --chrome-out.
-target/release/simdize trace loops/figure1.loop > /dev/null
+# the release binary: the text form ending in the metrics block,
+# schema-versioned JSON on stdout and a loadable chrome://tracing file
+# via --chrome-out.
+target/release/simdize trace loops/figure1.loop | grep -q '^== metrics ==$'
 target/release/simdize trace loops/figure1.loop --json \
     | grep -q '"schema":"simdize-trace/v1"'
 target/release/simdize trace loops/figure1.loop \
     --chrome-out "$BENCH_TMP/chrome-trace.json" > /dev/null
 grep -q '"traceEvents":\[' "$BENCH_TMP/chrome-trace.json"
 grep -q '"ph":"X"' "$BENCH_TMP/chrome-trace.json"
+
+echo "== one collector (the session collector and its schema stay gone) =="
+# Bracketed so the patterns do not match this line.
+if grep -rnE 'simdize-telemetry/v[1]|drain_span[s]|telemetry::sessio[n]' crates/ src/ tests/ scripts/ README.md docs/; then exit 1; fi
 
 echo "== telemetry disabled-overhead gate (<2% of a kernel run) =="
 # Run the timing-sensitive gate alone (--exact): the concurrent

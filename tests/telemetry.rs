@@ -1,74 +1,14 @@
-//! Telemetry tier contract tests: the `simdize-telemetry/v1` document
-//! for a Figure 1 profile is golden-pinned (timings normalized), the
-//! span tree covers every pipeline phase, and the disabled
-//! instrumentation path costs a negligible fraction of a kernel run.
+//! Telemetry tier contract tests: concurrent request scopes collect
+//! exactly their own records, and the disabled instrumentation path
+//! costs a negligible fraction of a kernel run. (The span tree and the
+//! `simdize-trace/v1` document of a Figure 1 pass are pinned by
+//! `tests/trace.rs` and the traced pass's own unit tests.)
 
 use simdize::{
-    parse_program, profile_source, KernelOptions, MemoryImage, PredecodedKernel, RunInput,
-    Simdizer, VectorShape, PROFILE_SWEEP_SEEDS,
+    parse_program, KernelOptions, MemoryImage, PredecodedKernel, RunInput, Simdizer, VectorShape,
 };
+use simdize_suite::sample;
 use simdize_telemetry as telemetry;
-use simdize_suite::{assert_golden, sample};
-use simdize_telemetry::json;
-
-/// Pins the normalized `simdize-telemetry/v1` JSON for a Figure 1
-/// profile, byte for byte. Counts, tree shape and cache metrics are
-/// deterministic on this loop (single worker, compile-time-known
-/// alignments); wall-clock fields are normalized to zero. The profiled
-/// sweep runs on the dispatched tier, so the tier is pinned the way
-/// `tests/trace.rs` pins it — `IsaLevel::detect()` re-reads the
-/// override on every call and `scalar` is valid on every host — and
-/// the document cannot come to depend on the host. Regenerate after an
-/// intentional pipeline change with
-/// `UPDATE_GOLDEN=1 cargo test --test telemetry`.
-#[test]
-fn figure1_profile_json_golden() {
-    std::env::set_var("SIMDIZE_ISA", "scalar");
-    let outcome = profile_source(&sample("figure1")).unwrap();
-    assert!(outcome.verified);
-    let json = outcome.report.render_json(true);
-    assert_golden("tests/golden/telemetry-figure1.json", &json, "telemetry schema drift");
-}
-
-/// The acceptance contract, independent of the golden bytes: the JSON
-/// document is versioned, its span tree names every pipeline phase,
-/// and the sweep-cache counters show the expected one-miss pattern.
-#[test]
-fn figure1_profile_document_covers_every_phase() {
-    let outcome = profile_source(&sample("figure1")).unwrap();
-    let doc = json::parse(&outcome.report.render_json(false)).unwrap();
-    assert_eq!(
-        doc.get("schema").unwrap().as_str(),
-        Some("simdize-telemetry/v1")
-    );
-    let spans = doc.get("spans").unwrap().as_arr().unwrap();
-    let roots: Vec<&str> = spans
-        .iter()
-        .filter_map(|s| s.get("name").and_then(json::Json::as_str))
-        .collect();
-    for phase in [
-        "parse",
-        "reorg",
-        "codegen",
-        "analysis",
-        "predecode",
-        "bake",
-        "run",
-        "sweep",
-        "sweep.job",
-    ] {
-        assert!(roots.contains(&phase), "missing phase {phase} in {roots:?}");
-    }
-    let counters = doc.get("counters").unwrap();
-    assert_eq!(
-        counters.get("sweep.kernel_cache.miss").unwrap().as_f64(),
-        Some(1.0)
-    );
-    assert_eq!(
-        counters.get("sweep.kernel_cache.hit").unwrap().as_f64(),
-        Some((PROFILE_SWEEP_SEEDS - 1) as f64)
-    );
-}
 
 /// Request-scoped collection under contention: 16 threads open their
 /// own request scopes behind a barrier, each records a known number of
@@ -178,6 +118,4 @@ fn disabled_instrumentation_overhead_under_two_percent() {
         per_call_ns < 0.02 * run_ns,
         "disabled span costs {per_call_ns:.1} ns vs {run_ns:.0} ns kernel run (>= 2%)"
     );
-    // Nothing may have been recorded while disabled.
-    assert!(telemetry::drain_spans().is_empty());
 }

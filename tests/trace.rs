@@ -19,11 +19,11 @@ fn force_scalar_isa() {
 #[test]
 fn normalized_trace_json_matches_golden() {
     force_scalar_isa();
-    let outcome = trace_source(&sample("figure1")).unwrap();
+    let (trace, outcome) = trace_source(&sample("figure1")).unwrap();
     assert!(outcome.verified);
     assert_golden(
         "tests/golden/trace-figure1.json",
-        &outcome.trace.render_json(true),
+        &trace.render_json(true),
         "trace schema drift",
     );
 }
@@ -31,26 +31,26 @@ fn normalized_trace_json_matches_golden() {
 #[test]
 fn chrome_export_agrees_with_the_span_timeline() {
     force_scalar_isa();
-    let outcome = trace_source(&sample("figure1")).unwrap();
-    let chrome = outcome.trace.render_chrome();
+    let (trace, _) = trace_source(&sample("figure1")).unwrap();
+    let chrome = trace.render_chrome();
     // One complete event per recorded span, plus the request root.
     let events = chrome.matches("\"ph\":\"X\"").count();
-    assert_eq!(events, outcome.trace.events.len() + 1, "{chrome}");
+    assert_eq!(events, trace.events.len() + 1, "{chrome}");
     // The root request event's duration is the request wall time, and
     // every span's microsecond duration appears with its name.
     assert!(
         chrome.contains(&format!(
             "\"name\":\"request:trace\",\"cat\":\"request\",\"ph\":\"X\",\"ts\":0,\"dur\":{}",
-            outcome.trace.wall_us
+            trace.wall_us
         )),
         "{chrome}"
     );
-    for ev in &outcome.trace.events {
+    for ev in &trace.events {
         let name = ev.path.rsplit('/').next().unwrap();
         assert!(chrome.contains(&format!("\"name\":\"{name}\"")), "{name} missing");
     }
     // The document is parseable JSON with the trace id in the root args.
     let doc = simdize_telemetry::json::parse(&chrome).unwrap();
     assert!(doc.get("traceEvents").is_some());
-    assert!(chrome.contains(&format!("\"trace_id\":\"{}\"", outcome.trace.trace_id)));
+    assert!(chrome.contains(&format!("\"trace_id\":\"{}\"", trace.trace_id)));
 }
