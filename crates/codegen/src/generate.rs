@@ -673,8 +673,14 @@ fn push_guarded(cond: SCond, body: Vec<VInst>, out: &mut Vec<VInst>) {
     }
 }
 
-/// The identity element of a reduction operation for lanes of `elem`.
-fn reduction_identity(op: BinOp, elem: ScalarType) -> i64 {
+/// The identity element of a reduction operation for lanes of `elem`:
+/// what codegen masks a residue block with, and what the engine fills
+/// the lanes of a strip's partial accumulators with.
+///
+/// # Panics
+///
+/// On [`BinOp::Sub`], which is not reassociable and so never reduces.
+pub fn reduction_identity(op: BinOp, elem: ScalarType) -> i64 {
     match op {
         BinOp::Add | BinOp::Or | BinOp::Xor => 0,
         BinOp::Mul => 1,

@@ -63,7 +63,7 @@ mod vir;
 
 pub use analysis::{max_live_vregs, MACHINE_VREGS};
 pub use error::GenCodeError;
-pub use generate::{generate, generate_traced};
+pub use generate::{generate, generate_traced, reduction_identity};
 pub use lower::lower_altivec;
 pub use options::{CodegenOptions, ReuseMode};
 pub use sexpr::{SCond, SExpr, ScalarEnv};

@@ -99,7 +99,8 @@ pub use simdize_reorg::{
 pub use simdize_engine::{
     program_fingerprint, run_job, run_sweep, run_sweep_collect, run_sweep_shared, CacheStats,
     CompiledKernel, FusionEvent, FusionEventKind, FusionStats, IsaLevel, JobRun, KernelBackend,
-    KernelCache, KernelOptions, PredecodedKernel, Schedule, SectionSchedule, SimdKernel,
+    KernelCache, KernelOptions, PredecodedKernel, Schedule, SectionSchedule, SequentialReason,
+    SimdKernel,
     SweepBackend, SweepJob, SweepOptions, SweepOutcome, SweepStats,
 };
 pub use simdize_telemetry::{RequestTrace, TraceId, TRACE_SCHEMA};

@@ -32,7 +32,7 @@
 //! (`native::lower`); what comes out is what every tier executes.
 
 use crate::lanes::Reg;
-use crate::native::{self, IsaLevel, Program, Schedule, SectionSchedule};
+use crate::native::{self, IsaLevel, Program, Schedule, SectionSchedule, SequentialReason};
 use crate::trace::{self, FusionEvent, FusionStats};
 use simdize_codegen::{SCond, SExpr, ScalarEnv, SimdProgram, VInst};
 use simdize_ir::{ArrayId, BinOp, LoopProgram, ScalarType, UnOp, Value, VectorShape};
@@ -360,7 +360,7 @@ fn predecode(insts: &[VInst], elem_size: i64, elem: ScalarType, out: &mut Vec<PI
 }
 
 /// `value` replicated into every `elem`-sized lane of a register.
-fn splat_bytes(elem: ScalarType, value: i64) -> Reg {
+pub(crate) fn splat_bytes(elem: ScalarType, value: i64) -> Reg {
     let bytes = Value::from_i64(elem, value).to_le_bytes();
     let d = elem.size();
     let mut out = [0u8; 16];
@@ -771,8 +771,8 @@ impl PredecodedKernel {
             return Ok(CompiledKernel::new(Plan {
                 program: Program { sections: Vec::new(), nregs: 0, elem: self.elem },
                 schedule: Schedule {
-                    pair: SectionSchedule::Sequential,
-                    body: SectionSchedule::Sequential,
+                    pair: SectionSchedule::Sequential(SequentialReason::NoLoop),
+                    body: SectionSchedule::Sequential(SequentialReason::NoLoop),
                 },
                 shape: image.shape(),
                 stats,
@@ -1069,10 +1069,10 @@ impl CompiledKernel {
         &self.plan.trace
     }
 
-    /// Registers in the run's block; the driver's columns.
+    /// The lowered plan the driver runs.
     #[cfg(test)]
-    pub(crate) fn block_registers(&self) -> usize {
-        self.plan.program.nregs
+    pub(crate) fn program(&self) -> &Program {
+        &self.plan.program
     }
 }
 

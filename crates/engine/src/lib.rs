@@ -104,5 +104,5 @@ pub use cache::{
     program_fingerprint, CacheKey, CacheStats, KernelBackend, KernelCache, LayoutSig, Lookup,
 };
 pub use kernel::{CompiledKernel, KernelOptions, PredecodedKernel};
-pub use native::{IsaLevel, Schedule, SectionSchedule, SimdKernel};
+pub use native::{IsaLevel, Schedule, SectionSchedule, SequentialReason, SimdKernel};
 pub use trace::{FusionEvent, FusionEventKind, FusionStats};

@@ -90,10 +90,24 @@ pub enum SectionSchedule {
     /// Strip-mined: each op is dispatched once per strip of
     /// iterations and runs down a register column.
     Strip,
-    /// One iteration per dispatch, in program order — what a loop that
-    /// carries a register or a close memory dependence between
-    /// iterations needs.
-    Sequential,
+    /// One iteration per dispatch, in program order, for the reason
+    /// given.
+    Sequential(SequentialReason),
+}
+
+/// Why a loop section runs one iteration per dispatch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SequentialReason {
+    /// The loop never runs (or the kernel is the scalar fallback).
+    NoLoop,
+    /// The loop runs once: there is nothing to amortize.
+    OneIteration,
+    /// A register carries a value between iterations that is neither a
+    /// rotation nor a reduction accumulator.
+    CarriedRegister,
+    /// A store may touch what another iteration of the strip accesses,
+    /// or a load a rotation needs hoisted would pass a store to it.
+    MemoryDependence,
 }
 
 /// The schedule a bake chose for the two loop sections.
@@ -291,7 +305,29 @@ mod tests {
         assert_eq!(kernel.schedule().body, SectionSchedule::Strip);
         // Two loads, two shifts, an add and the store's source, some
         // of them sharing a column: far fewer than one per baked id.
-        let columns = kernel.block_registers() / strip::STRIP;
+        let columns = kernel.program().nregs / strip::STRIP;
         assert!((1..=6).contains(&columns), "{columns} columns");
+
+        // A rotation shares its source's column, plus one seed lane per
+        // level of the chain: against the same loop without reuse, the
+        // block grows by at most those lanes. (`deinterleave`, the
+        // strided sample, has no reuse to compare.)
+        for name in ["figure1", "runtime", "dot_product", "halfword"] {
+            let path = format!("{}/../../loops/{name}.loop", env!("CARGO_MANIFEST_DIR"));
+            let src = std::fs::read_to_string(path).unwrap();
+            let ub = parse_program(&src).unwrap().trip().known().unwrap_or(4096);
+            let block = |reuse| {
+                let (_, kernel, _) = compile_reusing(&src, Policy::Zero, reuse, ub);
+                let program = kernel.program();
+                let seeds: usize = program.sections.iter().flat_map(|s| &s.seeds).map(|&(_, d)| d as usize).sum();
+                (program.nregs, seeds)
+            };
+            let (plain, _) = block(ReuseMode::None);
+            for reuse in [ReuseMode::SoftwarePipeline, ReuseMode::PredictiveCommoning] {
+                let (nregs, seeds) = block(reuse);
+                assert!(nregs <= plain + seeds, "{name} {reuse:?}: {nregs} lanes, {plain} without reuse");
+                assert!(nregs <= 8 * strip::STRIP, "{name} {reuse:?}: {nregs} lanes");
+            }
+        }
     }
 }

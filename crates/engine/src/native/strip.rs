@@ -126,6 +126,13 @@ pub(crate) struct Section {
     /// iteration's lane is copied to lane 0 on exit, where sequential
     /// code looks for it.
     pub(super) written: Vec<u32>,
+    /// Strip sections only: rotation chains as `(c, d)`, a column at
+    /// `c + d` behind `d` seed lanes. After each strip its last `d`
+    /// lanes move onto the seeds.
+    pub(super) seeds: Vec<(u32, u32)>,
+    /// Strip sections only: reduction accumulators `(column, op,
+    /// identity)`, lanes 1.. filled on entry and folded into 0 on exit.
+    pub(super) partials: Vec<(u32, BinOp, Reg)>,
 }
 
 /// A lowered plan: its sections in execution order over one block of
@@ -273,6 +280,18 @@ fn strip<L: Lanes>(
     }
 }
 
+/// Moves the last `d` lanes of each rotated column onto its seed lanes
+/// after a strip of `len` iterations. Kept out of line: inlined, it
+/// costs the strip loop of every other kernel a few percent.
+#[inline(never)]
+fn reseed<V: Copy>(regs: &[Cell<V>], seeds: &[(u32, u32)], len: usize) {
+    for &(c, d) in seeds {
+        for seed in c as usize..(c + d) as usize {
+            regs[seed].set(regs[seed + len].get());
+        }
+    }
+}
+
 /// Runs a lowered plan: one zeroed register block, then every
 /// section in order.
 #[inline(always)]
@@ -292,6 +311,10 @@ pub(super) fn run<L: Lanes>(l: L, program: &Program, mem: &mut [u8]) {
             let column = &regs[c as usize..][..STRIP];
             column.iter().for_each(|lane| lane.set(column[0].get()));
         }
+        for (c, _, identity) in &s.partials {
+            let identity = l.load(identity);
+            regs[*c as usize + 1..][..STRIP - 1].iter().for_each(|lane| lane.set(identity));
+        }
         let mut k = 0;
         while k < s.iters {
             let len = (s.iters - k).min(s.width as i64) as usize;
@@ -303,11 +326,19 @@ pub(super) fn run<L: Lanes>(l: L, program: &Program, mem: &mut [u8]) {
             } else {
                 strip(l, &s.ops, k, len, program.elem, regs, mem);
             }
+            if !s.seeds.is_empty() {
+                reseed(regs, &s.seeds, len);
+            }
             k += len as i64;
         }
         let last = ((s.iters - 1) % s.width as i64) as usize;
         for &c in &s.written {
             regs[c as usize].set(regs[c as usize + last].get());
+        }
+        for &(c, op, _) in &s.partials {
+            let column = &regs[c as usize..][..STRIP];
+            let total = column[1..].iter().fold(column[0].get(), |acc, lane| l.bin(op, program.elem, acc, lane.get()));
+            column[0].set(total);
         }
     }
 }

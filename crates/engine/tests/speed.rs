@@ -1,9 +1,11 @@
 //! Performance floors on 1M-element loops: the compiled kernel must
 //! beat the interpreter by at least 5×, trace fusion must pay for
-//! itself where the steady state is load/shift chains (≥ 1.3×), and the
+//! itself where the steady state is load/shift chains (≥ 1.3×), the
 //! detected `std::arch` tier must beat the portable tier on the same
-//! plan (≥ 1.5×). Timing assertions are only meaningful on optimized
-//! builds, so the whole test compiles away in debug mode
+//! plan (≥ 1.5×), and software-pipelined reuse must cost no more than
+//! recomputing (≤ 1.1× the time without reuse). Timing assertions are
+//! only meaningful on optimized builds, so the whole test compiles away
+//! in debug mode
 //! (`cargo test --release` / `scripts/ci.sh` exercise it).
 #![cfg(not(debug_assertions))]
 
@@ -21,18 +23,22 @@ const FIG1: &str = "arrays { a: i32[1000016] @ 0; b: i32[1000016] @ 4; c: i32[10
 /// the largest op fraction here.
 const COPY3: &str = "arrays { a: i32[1000016] @ 0; b: i32[1000016] @ 12; }
                      for i in 0..1000000 { a[i] = b[i+3]; }";
+/// Figure 1 with runtime alignments: the store-side shift keeps its
+/// software-pipelined rotation through fusion.
+const RUNTIME: &str = "arrays { a: i32[1000016] @ ?; b: i32[1000016] @ ?; c: i32[1000016] @ ?; }
+                       for i in 0..ub { a[i+3] = b[i+1] + c[i+2]; }";
 
 fn compile(source: &str, policy: Policy) -> (SimdProgram, MemoryImage, RunInput) {
+    compile_reusing(source, policy, ReuseMode::SoftwarePipeline)
+}
+
+fn compile_reusing(source: &str, policy: Policy, reuse: ReuseMode) -> (SimdProgram, MemoryImage, RunInput) {
     let p = parse_program(source).unwrap();
     let g = ReorgGraph::build(&p, VectorShape::V16)
         .unwrap()
         .with_policy(policy)
         .unwrap();
-    let prog = generate(
-        &g,
-        &CodegenOptions::default().reuse(ReuseMode::SoftwarePipeline),
-    )
-    .unwrap();
+    let prog = generate(&g, &CodegenOptions::default().reuse(reuse)).unwrap();
     let img = MemoryImage::with_seed(&p, VectorShape::V16, 2004);
     (prog, img, RunInput::with_ub(1_000_000))
 }
@@ -63,12 +69,16 @@ fn engine_vs_interpreter() {
     );
 }
 
+/// Times what fusion alone buys: both bakes of a no-reuse plan run in
+/// strips, so the difference is the ops fusion sheds (two loads and a
+/// shift become one load). On the dispatched tier, because the portable
+/// tier's lane arithmetic hides it on Figure 1.
 fn fused_vs_unfused(name: &str, source: &str) {
-    let (prog, mut img, input) = compile(source, Policy::Dominant);
+    let (prog, mut img, input) = compile_reusing(source, Policy::Dominant, ReuseMode::None);
     let pre = PredecodedKernel::new(&prog).unwrap();
     let opts = KernelOptions::new().disassembly(false);
-    let fused = pre.bake(&img, &input, &opts).unwrap();
-    let unfused = pre.bake(&img, &input, &opts.fuse(false)).unwrap();
+    let fused = SimdKernel::lower_detected(&pre.bake(&img, &input, &opts).unwrap());
+    let unfused = SimdKernel::lower_detected(&pre.bake(&img, &input, &opts.fuse(false)).unwrap());
     let fused_t = best_of_three(|| fused.run(&mut img).unwrap());
     let unfused_t = best_of_three(|| unfused.run(&mut img).unwrap());
     let ratio = unfused_t / fused_t;
@@ -97,6 +107,24 @@ fn detected_vs_portable_tier() {
     );
 }
 
+/// The software pipeline loads each chunk once and carries it into the
+/// next iteration, which only pays while the carried register runs in
+/// strips like everything else.
+fn reuse_vs_recompute() {
+    let time = |reuse| {
+        let (prog, mut img, input) = compile_reusing(RUNTIME, Policy::Zero, reuse);
+        let kernel = SimdKernel::compile(&prog, &img, &input).unwrap();
+        best_of_three(|| kernel.run(&mut img).unwrap())
+    };
+    let (pipelined_t, plain_t) = (time(ReuseMode::SoftwarePipeline), time(ReuseMode::None));
+    let ratio = pipelined_t / plain_t;
+    assert!(
+        ratio <= 1.1,
+        "software pipelining takes {ratio:.2}x the time of no reuse \
+         (pipelined {pipelined_t:.4} s, plain {plain_t:.4} s; need <= 1.1x)"
+    );
+}
+
 /// One test, so the floors are timed one after another: the harness
 /// would run separate tests on parallel threads, and a ratio of two
 /// timings means little when the two sides had different core shares.
@@ -106,4 +134,5 @@ fn engine_speed_floors() {
     fused_vs_unfused("fig1", FIG1);
     fused_vs_unfused("copy3", COPY3);
     detected_vs_portable_tier();
+    reuse_vs_recompute();
 }

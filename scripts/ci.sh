@@ -65,8 +65,10 @@ echo "== engine tier matrix, forced to the SSE2 and scalar tiers =="
 # shift/splice/perm sequences, and SIMDIZE_ISA=scalar re-runs it with
 # the portable tier as the *dispatched* one — every tier shares the one
 # generic strip driver, so each forced run is that driver at another
-# instantiation. (The override can only lower the tier, so this is
-# safe on any host.)
+# instantiation. The carried-register strip-boundary matrix (rotations'
+# seed lanes, reductions' partial-accumulator fill and fold) lives in
+# simd_native too, so both runs pick it up unchanged. (The override
+# can only lower the tier, so this is safe on any host.)
 SIMDIZE_ISA=sse2 cargo test -q --release --offline --test simd_native
 SIMDIZE_ISA=scalar cargo test -q --release --offline --test simd_native
 

@@ -7,9 +7,9 @@
 //! including the 16-bit `halfword.loop`.
 
 use simdize::{
-    run_scalar, run_simd, ArrayId, CompiledKernel, IsaLevel, MemoryImage, Policy, ReuseMode,
-    RunInput, RunStats, Schedule, SectionSchedule, SimdKernel, SimdizeError, Simdizer, VInst,
-    VectorShape,
+    run_scalar, run_simd, ArrayId, IsaLevel, KernelOptions, MemoryImage, Policy,
+    PredecodedKernel, ReuseMode, RunInput, RunStats, Schedule, SectionSchedule, SequentialReason,
+    SimdKernel, SimdizeError, Simdizer, VInst, VectorShape,
 };
 use std::collections::BTreeSet;
 
@@ -69,9 +69,21 @@ fn check_tiers(
     seed: u64,
     label: &str,
 ) -> (Schedule, RunStats) {
+    check_bake(program, compiled, ub, seed, label, KernelOptions::new())
+}
+
+/// [`check_tiers`] for a bake with `opts`.
+fn check_bake(
+    program: &simdize::LoopProgram,
+    compiled: &simdize::SimdProgram,
+    ub: u64,
+    seed: u64,
+    label: &str,
+    opts: KernelOptions,
+) -> (Schedule, RunStats) {
     let input = RunInput::with_ub(ub);
     let mut interp_img = MemoryImage::with_seed(program, VectorShape::V16, seed);
-    let kernel = CompiledKernel::compile(compiled, &interp_img, &input).unwrap();
+    let kernel = PredecodedKernel::new(compiled).unwrap().bake(&interp_img, &input, &opts).unwrap();
     let want = run_simd(compiled, &mut interp_img, &input).unwrap();
     let schedule = kernel.schedule();
     for tier in host_tiers() {
@@ -173,9 +185,11 @@ fn halfword_sample_covers_the_i16_offset_domain() {
 /// in the matrix fails if it drifts.
 const STRIP: u64 = 32;
 
+/// A loop without a pair loop whose body a memory dependence keeps
+/// sequential.
 const SEQUENTIAL: Schedule = Schedule {
-    pair: SectionSchedule::Sequential,
-    body: SectionSchedule::Sequential,
+    pair: SectionSchedule::Sequential(SequentialReason::NoLoop),
+    body: SectionSchedule::Sequential(SequentialReason::MemoryDependence),
 };
 
 /// Strip transitions: the loop sections run `STRIP−1`, `STRIP`,
@@ -306,29 +320,168 @@ fn mixed_step_loops_strip_only_on_disjoint_extents() {
     assert_eq!(aliased_schedule(src, (0, 1), "deinterleave, folded"), SEQUENTIAL);
 }
 
-/// A register carried between iterations keeps a loop sequential: the
-/// software-pipelined `vshiftpair` operand of the runtime-aligned
-/// sample, and the accumulator of the reduction.
+/// The schedule of the loop that runs the most iterations: the pair
+/// loop when there is one (it leaves the body one iteration at most).
+fn main_loop(schedule: Schedule) -> SectionSchedule {
+    match schedule.pair {
+        SectionSchedule::Sequential(SequentialReason::NoLoop) => schedule.body,
+        pair => pair,
+    }
+}
+
+/// The loop text of a `kernel-steady` kernel at trip `n`.
+fn kernel_source(name: &str, n: u64) -> String {
+    let len = n + 16;
+    match name {
+        "fig1" => format!(
+            "arrays {{ a: i32[{len}] @ 0; b: i32[{len}] @ 4; c: i32[{len}] @ 8; }}
+             for i in 0..{n} {{ a[i+3] = b[i+1] + c[i+2]; }}"
+        ),
+        "chain6" => format!(
+            "arrays {{ a: i32[{len}] @ 0; b: i32[{len}] @ 4; c: i32[{len}] @ 8;
+                       d: i32[{len}] @ 12; e: i32[{len}] @ 4; f: i32[{len}] @ 8;
+                       g: i32[{len}] @ 12; }}
+             for i in 0..{n} {{ a[i] = b[i+1] + c[i+2] + d[i+3] + e[i+3] + f[i+1] + g[i+2]; }}"
+        ),
+        "fir4" => format!(
+            "arrays {{ a: i32[{len}] @ 0; b: i32[{len}] @ 0; }}
+             for i in 0..{n} {{ a[i] = b[i] + b[i+1] + b[i+2] + b[i+3]; }}"
+        ),
+        "copy3" => format!(
+            "arrays {{ a: i32[{len}] @ 0; b: i32[{len}] @ 12; }}
+             for i in 0..{n} {{ a[i] = b[i+3]; }}"
+        ),
+        other => panic!("no kernel named `{other}`"),
+    }
+}
+
+/// A register carried between iterations no longer keeps a loop
+/// sequential: the main loop of every `loops/` sample (the
+/// software-pipelined `vshiftpair` operand of the runtime-aligned one
+/// over store-side shifts 16, 12, 8 and 4, the reduction's accumulator)
+/// and of every benchmark kernel shape runs in strips, on every tier,
+/// and matches the interpreter.
 #[test]
-fn carried_registers_keep_a_loop_sequential() {
-    for (name, ub) in [("runtime.loop", 777u64), ("dot_product.loop", 1000)] {
-        let path = format!("{}/loops/{name}", env!("CARGO_MANIFEST_DIR"));
-        let src = std::fs::read_to_string(path).unwrap();
+fn carried_registers_strip_the_main_loop_of_every_sample_and_kernel() {
+    let dir = format!("{}/loops", env!("CARGO_MANIFEST_DIR"));
+    let mut sources: Vec<(String, String)> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "loop"))
+        .map(|p| (p.display().to_string(), std::fs::read_to_string(&p).unwrap()))
+        .collect();
+    assert!(sources.len() >= 5, "{} samples in {dir}", sources.len());
+    for name in ["fig1", "chain6", "fir4", "copy3"] {
+        sources.push((name.to_string(), kernel_source(name, 4096)));
+    }
+    for (name, src) in sources {
         let program = simdize::parse_program(&src).unwrap();
         let compiled = Simdizer::new().compile(&program).unwrap();
-        let (schedule, _) = check_all_tiers(&program, &compiled, ub, 5, name);
-        assert_eq!(schedule, SEQUENTIAL, "{name}");
+        let ub = program.trip().known().unwrap_or(4096);
+        for seed in 1..=8 {
+            let label = format!("{name} seed {seed}");
+            let (schedule, _) = check_tiers(&program, &compiled, ub, seed, &label);
+            assert_eq!(main_loop(schedule), SectionSchedule::Strip, "{label}: {schedule:?}\n{program}");
+        }
     }
+}
+
+/// [`check_tiers`] for a fused and an unfused bake of `compiled`;
+/// returns each bake's main-loop schedule and pair-loop iterations.
+fn check_bakes(program: &simdize::LoopProgram, compiled: &simdize::SimdProgram, ub: u64, seed: u64, label: &str) -> Vec<(SectionSchedule, u64)> {
+    [true, false]
+        .map(|fuse| {
+            let label = format!("{label}/fuse={fuse}");
+            let (schedule, stats) = check_bake(program, compiled, ub, seed, &label, KernelOptions::new().fuse(fuse));
+            (main_loop(schedule), stats.steady_iterations / 2)
+        })
+        .to_vec()
+}
+
+/// The strip transitions of [`strip_boundaries_match_interpreter_across_policy_reuse_tier_matrix`]
+/// for loops that carry registers: main loops of `STRIP−1`, `STRIP`,
+/// `STRIP+1` and `2·STRIP+1` pair iterations, fused and unfused, on
+/// every tier, for the runtime-aligned Figure 1 loop's rotations under
+/// both reuse modes, every reduction operator on every integer width
+/// (unsigned `min=` starts its lanes at all ones), and a reduction
+/// beside a rotated store stream. Each case must have run in strips at
+/// every target.
+#[test]
+fn carried_register_strip_boundaries_match_interpreter() {
+    let targets = [STRIP - 1, STRIP, STRIP + 1, 2 * STRIP + 1];
+    let check = |label: &str, runs: &mut dyn FnMut(u64) -> Vec<(SectionSchedule, u64)>, per_pair: u64| {
+        let mut stripped = BTreeSet::new();
+        for n in targets {
+            for ub in (per_pair * n..per_pair * (n + 2)).step_by(per_pair as usize / 2) {
+                for (schedule, pairs) in runs(ub) {
+                    assert_eq!(schedule, SectionSchedule::Strip, "{label} ub={ub}");
+                    stripped.insert(pairs);
+                }
+            }
+        }
+        for n in targets {
+            assert!(stripped.contains(&n), "{label}: no strip of {n} pair iterations ran");
+        }
+    };
+
+    let fig1 = simdize::parse_program(
+        "arrays { a: i32[700] @ ?; b: i32[700] @ ?; c: i32[700] @ ?; }
+         for i in 0..ub { a[i+3] = b[i+1] + c[i+2]; }",
+    )
+    .unwrap();
+    for reuse in [ReuseMode::SoftwarePipeline, ReuseMode::PredictiveCommoning] {
+        let compiled = Simdizer::new().reuse(reuse).compile(&fig1).unwrap();
+        let label = format!("runtime fig1 {reuse:?}");
+        check(&label, &mut |ub| check_bakes(&fig1, &compiled, ub, ub % 8, &format!("{label} ub={ub}")), 8);
+    }
+
+    let ops = ["+=", "*=", "&=", "|=", "^=", "min=", "max="];
+    for ty in ["i8", "u8", "i16", "u16", "i32", "u32", "i64", "u64"] {
+        let lanes: u64 = 128 / ty[1..].parse::<u64>().unwrap();
+        for op in ops {
+            let label = format!("{ty} {op}");
+            check(
+                &label,
+                &mut |ub| {
+                    let program = simdize::parse_program(&format!(
+                        "arrays {{ acc: {ty}[16] @ 4; x: {ty}[{}] @ 4; }}
+                         for i in 0..{ub} {{ acc[i+1] {op} x[i+3]; }}",
+                        ub + 16
+                    ))
+                    .unwrap();
+                    let compiled = Simdizer::new().compile(&program).unwrap();
+                    check_bakes(&program, &compiled, ub, ub, &format!("{label} ub={ub}"))
+                },
+                2 * lanes,
+            );
+        }
+    }
+
+    check(
+        "reduction beside a rotated store",
+        &mut |ub| {
+            let program = simdize::parse_program(&format!(
+                "arrays {{ out: i32[{len}] @ ?; sum: i32[4] @ 0; x: i32[{len}] @ ?; y: i32[{len}] @ ?; }}
+                 for i in 0..{ub} {{ out[i+3] = x[i+1] + y[i+2]; sum[i] += x[i+1] * y[i+2]; }}",
+                len = ub + 16
+            ))
+            .unwrap();
+            let compiled = Simdizer::new().compile(&program).unwrap();
+            check_bakes(&program, &compiled, ub, ub % 8, &format!("mixed ub={ub}"))
+        },
+        8,
+    );
 }
 
 /// Column allocation under pressure: the §5.3 generator's
 /// multi-statement loops (up to 4 statements × 6 loads, so dozens of
 /// baked registers whose ids the pair loop and the remainder body
-/// share) with and without reuse, every tier against the interpreter.
+/// share, and under software pipelining a rotation per misaligned
+/// stream) with and without reuse, every tier against the
+/// interpreter. Every main loop runs in strips.
 #[test]
 fn synthesized_multi_statement_loops_match_interpreter() {
     let mut rng = simdize_prng::SplitMix64::seed_from_u64(0x5712);
-    let (mut strip_scheduled, mut sequential) = (0, 0);
     for k in 0..48 {
         let (statements, loads) = (1 + k % 4, 1 + (k / 4) % 6);
         let spec = simdize::WorkloadSpec::new(statements, loads)
@@ -339,11 +492,7 @@ fn synthesized_multi_statement_loops_match_interpreter() {
             let compiled = Simdizer::new().reuse(reuse).compile(&program).unwrap();
             let label = format!("synth {statements}x{loads} #{k} {reuse:?}");
             let (schedule, _) = check_all_tiers(&program, &compiled, ub, k as u64, &label);
-            match strips(schedule) {
-                true => strip_scheduled += 1,
-                false => sequential += 1,
-            }
+            assert_eq!(main_loop(schedule), SectionSchedule::Strip, "{label}: {schedule:?}");
         }
     }
-    assert!(strip_scheduled >= 24 && sequential >= 8, "{strip_scheduled} strip, {sequential} not");
 }
