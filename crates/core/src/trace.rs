@@ -5,14 +5,14 @@
 //! the Chrome-trace export.
 //!
 //! The pass runs, in order: parse → reorg → codegen → analysis (the
-//! static-analysis gate is always on here) → predecode → bake (with the
-//! per-pass fusion spans beneath it) → run + scalar verification → a
-//! small single-threaded seed sweep that exercises the baked-kernel
-//! cache, the scratch-image reuse and the per-worker accounting. The
-//! sweep is single-threaded on purpose: with one worker the span tree,
-//! attribute set and cache counters are deterministic for a fixed
-//! loop, which is what lets the normalized JSON rendering be pinned by
-//! a golden test.
+//! static-analysis gate is always on here) → predecode (the engine's
+//! once-per-program check) → bake (with the per-pass fusion spans
+//! beneath it) → run + scalar verification → a small single-threaded
+//! seed sweep that exercises the baked-kernel cache, the scratch-image
+//! reuse and the per-worker accounting. The sweep is single-threaded on
+//! purpose: with one worker the span tree, attribute set and cache
+//! counters are deterministic for a fixed loop, which is what lets the
+//! normalized JSON rendering be pinned by a golden test.
 //!
 //! [`traced_pass`] is that pass under whatever scope its caller holds —
 //! the server's `trace` verb runs it under the request's own scope, so
@@ -75,9 +75,9 @@ pub fn trace_source(src: &str) -> Result<(RequestTrace, TraceOutcome), SimdizeEr
 /// The traced pass under the caller's request scope: parse → compile
 /// with the analysis gate on → predecode → bake → run → scalar oracle
 /// → diff, then the one-worker seed sweep, with the headline numbers
-/// tagged onto the scope. The bake is deliberately uncached and builds
-/// the disassembly — this is the path whose every phase must show up
-/// as a span — so it does not go through `run_job`.
+/// tagged onto the scope. The bake is deliberately uncached — this is
+/// the path whose every phase must show up as a span — so it does not
+/// go through `run_job`.
 ///
 /// # Errors
 ///

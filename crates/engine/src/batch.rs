@@ -10,8 +10,9 @@
 //! Sweeps repeat the same handful of programs over many seeds, so
 //! compilation work is shared:
 //!
-//! * each *distinct* program (by structural equality) is pre-decoded
-//!   exactly once into a [`PredecodedKernel`] before the workers start;
+//! * each *distinct* program (by structural equality) is fingerprinted
+//!   and checked exactly once into a [`PredecodedKernel`] before the
+//!   workers start;
 //! * each worker keeps one scratch engine image and one scratch oracle
 //!   image, re-seeded in place per job ([`MemoryImage::reseed`])
 //!   instead of allocating fresh images;
@@ -235,7 +236,7 @@ pub fn run_sweep_shared(
     let _span = telemetry::span("sweep");
     let threads = opts.threads.clamp(1, jobs.len());
 
-    // One pre-decode (and one fingerprint) per distinct program, shared
+    // One check (and one fingerprint) per distinct program, shared
     // by every worker.
     let mut templates: Vec<Template> = Vec::new();
     let mut job_template: Vec<usize> = Vec::with_capacity(jobs.len());
@@ -349,22 +350,23 @@ fn publish_cache_traffic(hits: u64, misses: u64, evictions: u64, occupied: usize
 }
 
 /// One distinct program of a sweep: the program, its fingerprint and
-/// its pre-decode.
-type Template<'a> = (&'a SimdProgram, u64, Result<PredecodedKernel, ExecError>);
+/// its checked form.
+type Template<'a> = (&'a SimdProgram, u64, Result<PredecodedKernel<'a>, ExecError>);
 
 /// What one job produced: its outcome, the kernel it ran (the cache's
 /// own handle) and what the cache lookup did.
 pub type JobRun = (SweepOutcome, Arc<SimdKernel>, Lookup);
 
 /// Runs and verifies one job on the caller's thread: fingerprint and
-/// pre-decode the program, then the job body every sweep worker runs.
-/// A request that is one job (the server's `run`, the CLI's `run
-/// --engine simd`) calls this instead of a sweep of length one: same
-/// [`SweepOutcome`], same cache traffic, no worker thread.
+/// check the program (neither allocates), then the job body every
+/// sweep worker runs. A request that is one job (the server's `run`,
+/// the CLI's `run --engine simd`) calls this instead of a sweep of
+/// length one: same [`SweepOutcome`], same cache traffic, no worker
+/// thread.
 ///
 /// # Errors
 ///
-/// Pre-decode, bake or execution faults, as a sweep reports per job.
+/// Program-check, bake or execution faults, as a sweep reports per job.
 pub fn run_job(job: &SweepJob, cache: &KernelCache) -> Result<JobRun, ExecError> {
     let template = (
         &job.program,
@@ -427,9 +429,8 @@ fn run_prepared(
         slot => slot.insert(engine_img.clone()),
     };
 
-    let bake_opts = KernelOptions::new().disassembly(false);
     let (kernel, lookup) =
-        cache.get_or_bake_simd(*fingerprint, pre, engine_img, &job.input, &bake_opts, isa)?;
+        cache.get_or_bake_simd(*fingerprint, pre, engine_img, &job.input, &KernelOptions::new(), isa)?;
     if lookup.hit {
         tally.cache_hits += 1;
     } else {

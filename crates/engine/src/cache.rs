@@ -332,7 +332,7 @@ impl KernelCache {
     pub fn get_or_bake_simd(
         &self,
         program_fingerprint: u64,
-        pre: &PredecodedKernel,
+        pre: &PredecodedKernel<'_>,
         image: &MemoryImage,
         input: &RunInput,
         opts: &KernelOptions,

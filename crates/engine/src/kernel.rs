@@ -1,27 +1,26 @@
 //! Kernel compilation: one `SimdProgram` + one memory layout + one set
-//! of runtime inputs, lowered once into straight-line instruction
-//! slices that a tight dispatch loop can execute with no per-iteration
+//! of runtime inputs, baked once into straight-line [`Op`] sections
+//! that a tight dispatch loop can execute with no per-iteration
 //! decisions left.
 //!
-//! Compilation is split into two phases so sweeps can share work:
+//! [`PredecodedKernel::new`] checks, once per program, what no layout
+//! can change — the V16 shape and every `vperm` pattern — and counts
+//! the register file and the runtime scalar expressions. It borrows the
+//! program and allocates nothing, so a sweep shares one across every
+//! seed and a one-job request pays nothing for it.
 //!
-//! * [`PredecodedKernel::new`] does everything that depends only on the
-//!   *program*: V16 shape check, permutation validation, constant-splat
-//!   materialization, address reduction to per-array `(byte offset,
-//!   byte scale)` pairs, register-file sizing. One pre-decode is shared
-//!   across every seed of a sweep.
-//! * [`PredecodedKernel::bake`] does the cheap per-(layout, input)
-//!   remainder: every scalar expression (alignment masks, shift
-//!   amounts, splice points, the runtime upper bound) is evaluated
-//!   against the image; every address becomes a baked `(start, step)`
-//!   byte pair — truncation to the enclosing chunk happens here, which
-//!   is sound because a steady iteration advances every address by
-//!   `scale · V` bytes, a multiple of the chunk size; guarded blocks
-//!   are resolved (the conditions are loop invariant) and flattened;
-//!   every access stream is bounds-checked first-and-last against the
-//!   image's guarded ranges; registers are checked defined-before-use;
-//!   dynamic instruction counts are computed analytically, charging the
-//!   same costs as `simdize_vm::run_simd` charges dynamically.
+//! [`PredecodedKernel::bake`] walks the VIR itself, per (layout,
+//! input): every scalar expression (alignment masks, shift amounts,
+//! splice points, the runtime upper bound) is evaluated against the
+//! image; every address becomes a baked `(start, step)` byte pair —
+//! truncation to the enclosing chunk happens here, which is sound
+//! because a steady iteration advances every address by `scale · V`
+//! bytes, a multiple of the chunk size; guarded blocks are resolved
+//! (the conditions are loop invariant) and flattened; every access
+//! stream is bounds-checked first-and-last against the image's guarded
+//! ranges; registers are checked defined-before-use; dynamic
+//! instruction counts are computed analytically, charging the same
+//! costs as `simdize_vm::run_simd` charges dynamically.
 //!
 //! After baking, the [`trace`](crate::trace) pass (on by default)
 //! fuses superinstructions, hoists loop invariants into per-loop
@@ -29,12 +28,13 @@
 //! or stat, since [`RunStats`] are fixed before fusion runs. The last
 //! step of a bake renames the plan's registers onto one dense block
 //! and decides which loop sections may run in strips
-//! (`native::lower`); what comes out is what every tier executes.
+//! (`native::lower`); what comes out is what every tier executes and
+//! what [`CompiledKernel::trace`] lists.
 
 use crate::lanes::Reg;
-use crate::native::{self, IsaLevel, Program, Schedule, SectionSchedule, SequentialReason};
+use crate::native::{self, IsaLevel, Program, Schedule, Section, SectionSchedule, SequentialReason};
 use crate::trace::{self, FusionEvent, FusionStats};
-use simdize_codegen::{SCond, SExpr, ScalarEnv, SimdProgram, VInst};
+use simdize_codegen::{Addr, ScalarEnv, SimdProgram, VInst, VReg};
 use simdize_ir::{ArrayId, BinOp, LoopProgram, ScalarType, UnOp, Value, VectorShape};
 use simdize_vm::{
     run_scalar, runtime_expr_count, scalar_ideal_ops, ExecError, MemoryImage, RunInput,
@@ -50,7 +50,7 @@ pub(crate) const V: i64 = 16;
 /// "No register", in [`Op::regs`] triples and lowering's slot tables.
 pub(crate) const NO_REG: u32 = u32::MAX;
 
-/// One lowered engine instruction — the only lowered form: baking
+/// One lowered engine instruction — the only IR below the VIR: baking
 /// emits it, the trace pass rewrites it, register renaming finishes it
 /// and the strip driver executes it on every tier. Memory operands are
 /// raw byte offsets into the image — `at = start + iteration · step` —
@@ -64,7 +64,7 @@ pub(crate) enum Op {
     Load { dst: u32, arr: u32, start: i64, step: i64 },
     /// A `vload` + `vshiftpair` pair fused by the trace pass into one
     /// shifted load. Executes exactly like `Load`; kept distinct so the
-    /// trace listing and fusion telemetry can tell them apart.
+    /// plan listing and fusion telemetry can tell them apart.
     LoadFused { dst: u32, arr: u32, start: i64, step: i64 },
     Store { src: u32, arr: u32, start: i64, step: i64 },
     Shift { dst: u32, a: u32, b: u32, amt: u8 },
@@ -117,34 +117,28 @@ impl Op {
 /// The `ub ≤ 3B` guard resolved to the scalar path at compile time.
 #[derive(Debug, Clone)]
 struct FallbackPlan {
-    source: Arc<LoopProgram>,
+    source: LoopProgram,
     ub: u64,
+    guard: u64,
     params: Vec<i64>,
 }
 
-/// Knobs for [`PredecodedKernel::bake`].
-///
-/// The defaults match [`CompiledKernel::compile`]: trace fusion on,
-/// disassembly text built. Sweeps turn the disassembly off (nobody
-/// reads per-seed text); the differential fusion tests turn fusion off
-/// to pin fused == unfused execution.
+/// Knobs for [`PredecodedKernel::bake`]: trace fusion, on by default
+/// as in [`CompiledKernel::compile`]. The differential fusion tests
+/// turn it off to pin fused == unfused execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelOptions {
     fuse: bool,
-    disassembly: bool,
 }
 
 impl Default for KernelOptions {
     fn default() -> KernelOptions {
-        KernelOptions {
-            fuse: true,
-            disassembly: true,
-        }
+        KernelOptions { fuse: true }
     }
 }
 
 impl KernelOptions {
-    /// The default options: fusion on, disassembly on.
+    /// The default options: fusion on.
     pub fn new() -> KernelOptions {
         KernelOptions::default()
     }
@@ -155,66 +149,35 @@ impl KernelOptions {
         self
     }
 
-    /// Enables or disables building the disassembly listing.
-    pub fn disassembly(mut self, on: bool) -> KernelOptions {
-        self.disassembly = on;
+    /// Does nothing: a bake formats no text, and
+    /// [`CompiledKernel::trace`] renders the plan on demand.
+    // Kept only because the benchmark package (`benchmark/`, frozen
+    // between benchmark PRs) spells `KernelOptions::new().disassembly(false)`.
+    #[doc(hidden)]
+    pub fn disassembly(self, _on: bool) -> KernelOptions {
         self
     }
-}
-
-/// One program-level instruction after pre-decoding: registers are raw
-/// indices, addresses are `(array, byte offset, byte scale)` triples,
-/// permutation patterns are validated, constant splats materialized.
-/// Everything left symbolic (`SExpr`/`SCond`) genuinely depends on the
-/// memory layout or runtime input.
-#[derive(Debug, Clone)]
-enum PInst {
-    LoadA { dst: u32, arr: u32, off: i64, scale: i64 },
-    LoadU { dst: u32, arr: u32, off: i64, scale: i64 },
-    StoreA { src: u32, arr: u32, off: i64, scale: i64 },
-    StoreU { src: u32, arr: u32, off: i64, scale: i64 },
-    Shift { dst: u32, a: u32, b: u32, amt: SExpr },
-    Splice { dst: u32, a: u32, b: u32, point: SExpr },
-    Perm { dst: u32, a: u32, b: u32, pattern: [u8; 16] },
-    Splat { dst: u32, bytes: Reg, value: i64 },
-    SplatParam { dst: u32, param: usize },
-    Bin { dst: u32, op: BinOp, a: u32, b: u32 },
-    Un { dst: u32, op: UnOp, a: u32 },
-    Copy { dst: u32, src: u32 },
-    Guarded { cond: SCond, body: Vec<PInst> },
 }
 
 /// The program-dependent half of kernel compilation, shared across
 /// every memory layout and runtime input.
 ///
-/// Build once per distinct `SimdProgram` with [`PredecodedKernel::new`],
-/// then [`bake`](PredecodedKernel::bake) a [`CompiledKernel`] per
-/// (image, input) pair. `engine::run_sweep` keys a cache of these on
-/// program identity so a 64-seed sweep pre-decodes once, not 64 times.
-#[derive(Debug, Clone)]
-pub struct PredecodedKernel {
-    source: Arc<LoopProgram>,
-    elem: ScalarType,
-    elem_size: i64,
+/// [`PredecodedKernel::new`] checks a `SimdProgram` once and borrows
+/// it; [`bake`](PredecodedKernel::bake) then compiles a
+/// [`CompiledKernel`] per (image, input) pair straight from its VIR.
+/// `engine::run_sweep` builds one per distinct program, so a 64-seed
+/// sweep checks the program once, not 64 times.
+#[derive(Debug, Clone, Copy)]
+pub struct PredecodedKernel<'p> {
+    program: &'p SimdProgram,
     nregs: usize,
-    narrays: usize,
-    nparams: usize,
-    trip_known: Option<u64>,
-    guard_min_trip: u64,
-    block: i64,
-    lower_bound: i64,
-    upper_bound: SExpr,
     runtime_exprs: u64,
-    prologue: Vec<PInst>,
-    pair: Option<Vec<PInst>>,
-    body: Vec<PInst>,
-    epilogue: Vec<PInst>,
 }
 
 /// A `SimdProgram` compiled for one memory layout and one set of
 /// runtime inputs.
 ///
-/// Compile once with [`CompiledKernel::compile`] (or pre-decode with
+/// Compile once with [`CompiledKernel::compile`] (or check with
 /// [`PredecodedKernel`] and [`bake`](PredecodedKernel::bake)), then
 /// [`run`] against the image (or any image with the identical layout —
 /// same bases, same length). The kernel's [`stats`] are computed at
@@ -246,8 +209,6 @@ struct Plan {
     bases: Vec<u64>,
     image_len: usize,
     fallback: Option<FallbackPlan>,
-    disassembly: String,
-    trace: String,
     fusion: FusionStats,
     fusion_events: Vec<FusionEvent>,
 }
@@ -269,92 +230,28 @@ impl ScalarEnv for Env<'_> {
     }
 }
 
-/// Pre-decodes one instruction list (recursing into guards).
-fn predecode(insts: &[VInst], elem_size: i64, elem: ScalarType, out: &mut Vec<PInst>) -> Result<(), ExecError> {
-    let addr = |a: &simdize_codegen::Addr| (a.array.index() as u32, a.elem * elem_size, a.scale * elem_size);
+/// Checks the `vperm` patterns of `insts` (recursing into guards) and
+/// raises `max` to the highest register they name.
+fn check(insts: &[VInst], max: &mut usize) -> Result<(), ExecError> {
     for inst in insts {
         match inst {
-            VInst::LoadA { dst, addr: a } => {
-                let (arr, off, scale) = addr(a);
-                out.push(PInst::LoadA { dst: dst.index() as u32, arr, off, scale });
-            }
-            VInst::StoreA { addr: a, src } => {
-                let (arr, off, scale) = addr(a);
-                out.push(PInst::StoreA { src: src.index() as u32, arr, off, scale });
-            }
-            VInst::LoadU { dst, addr: a } => {
-                let (arr, off, scale) = addr(a);
-                out.push(PInst::LoadU { dst: dst.index() as u32, arr, off, scale });
-            }
-            VInst::StoreU { addr: a, src } => {
-                let (arr, off, scale) = addr(a);
-                out.push(PInst::StoreU { src: src.index() as u32, arr, off, scale });
-            }
-            VInst::ShiftPair { dst, a, b, amt } => out.push(PInst::Shift {
-                dst: dst.index() as u32,
-                a: a.index() as u32,
-                b: b.index() as u32,
-                amt: amt.clone(),
-            }),
-            VInst::Splice { dst, a, b, point } => out.push(PInst::Splice {
-                dst: dst.index() as u32,
-                a: a.index() as u32,
-                b: b.index() as u32,
-                point: point.clone(),
-            }),
-            VInst::Perm { dst, a, b, pattern } => {
-                if pattern.len() != V as usize {
-                    return Err(ExecError::BadShiftAmount {
-                        amount: pattern.len() as i64,
-                    });
-                }
-                let mut pat = [0u8; 16];
-                for (t, &sel) in pattern.iter().enumerate() {
-                    if sel as i64 >= 2 * V {
-                        return Err(ExecError::BadShiftAmount { amount: sel as i64 });
-                    }
-                    pat[t] = sel;
-                }
-                out.push(PInst::Perm {
-                    dst: dst.index() as u32,
-                    a: a.index() as u32,
-                    b: b.index() as u32,
-                    pattern: pat,
+            VInst::Perm { pattern, .. } if pattern.len() != V as usize => {
+                return Err(ExecError::BadShiftAmount {
+                    amount: pattern.len() as i64,
                 });
             }
-            VInst::SplatConst { dst, value } => out.push(PInst::Splat {
-                dst: dst.index() as u32,
-                bytes: splat_bytes(elem, *value),
-                value: *value,
-            }),
-            VInst::SplatParam { dst, param } => out.push(PInst::SplatParam {
-                dst: dst.index() as u32,
-                param: param.index(),
-            }),
-            VInst::Bin { dst, op, a, b } => out.push(PInst::Bin {
-                dst: dst.index() as u32,
-                op: *op,
-                a: a.index() as u32,
-                b: b.index() as u32,
-            }),
-            VInst::Un { dst, op, a } => out.push(PInst::Un {
-                dst: dst.index() as u32,
-                op: *op,
-                a: a.index() as u32,
-            }),
-            VInst::Copy { dst, src } => out.push(PInst::Copy {
-                dst: dst.index() as u32,
-                src: src.index() as u32,
-            }),
-            VInst::Guarded { cond, body } => {
-                let mut inner = Vec::new();
-                predecode(body, elem_size, elem, &mut inner)?;
-                out.push(PInst::Guarded {
-                    cond: cond.clone(),
-                    body: inner,
-                });
+            VInst::Perm { pattern, .. } => {
+                if let Some(&sel) = pattern.iter().find(|&&sel| sel as i64 >= 2 * V) {
+                    return Err(ExecError::BadShiftAmount { amount: sel as i64 });
+                }
             }
+            VInst::Guarded { body, .. } => check(body, max)?,
+            _ => {}
         }
+        if let Some(d) = inst.def() {
+            *max = (*max).max(d.index());
+        }
+        inst.visit_uses(&mut |r| *max = (*max).max(r.index()));
     }
     Ok(())
 }
@@ -377,59 +274,57 @@ struct Baking<'a> {
     ub: i64,
     elem: ScalarType,
     defined: Vec<bool>,
-    dis: String,
-    want_dis: bool,
 }
 
 impl Baking<'_> {
-    fn eval(&self, e: &SExpr) -> i64 {
-        e.eval(&Env {
+    fn env(&self) -> Env<'_> {
+        Env {
             ub: self.ub,
             image: self.image,
-        })
-    }
-
-    fn use_reg(&self, r: u32) -> Result<u32, ExecError> {
-        if !self.defined[r as usize] {
-            return Err(ExecError::UninitializedRegister { index: r as usize });
         }
-        Ok(r)
     }
 
-    fn def_reg(&mut self, r: u32) -> u32 {
-        self.defined[r as usize] = true;
-        r
+    fn use_reg(&self, r: VReg) -> Result<u32, ExecError> {
+        if !self.defined[r.index()] {
+            return Err(ExecError::UninitializedRegister { index: r.index() });
+        }
+        Ok(r.index() as u32)
     }
 
-    /// Validates one memory stream: `iters` accesses starting at byte
-    /// `start`, advancing by `step` bytes each, every one inside the
-    /// array's guarded region.
-    fn check_stream(&self, arr: u32, start: i64, step: i64, iters: i64) -> Result<(), ExecError> {
-        let array = ArrayId::from_index(arr as usize);
-        let (lo, hi) = self.image.guarded_range(array);
-        let last = start + (iters - 1) * step;
-        for at in [start, last] {
+    fn def_reg(&mut self, r: VReg) -> u32 {
+        self.defined[r.index()] = true;
+        r.index() as u32
+    }
+
+    /// The baked `(array, first byte, bytes per iteration)` of `addr`
+    /// over `iters` iterations from element `i0` in steps of `step_i` —
+    /// truncated to its chunk when `truncate` — once the first and last
+    /// access are checked to lie inside the array's guarded region.
+    fn stream(
+        &self,
+        addr: &Addr,
+        truncate: bool,
+        i0: i64,
+        step_i: i64,
+        iters: i64,
+    ) -> Result<(u32, i64, i64), ExecError> {
+        let d = self.elem.size() as i64;
+        let base = self.image.base_of(addr.array);
+        let exact = base as i64 + (addr.elem + addr.scale * i0) * d;
+        let start = if truncate { exact & !(V - 1) } else { exact };
+        let step = addr.scale * step_i * d;
+        let (lo, hi) = self.image.guarded_range(addr.array);
+        for at in [start, start + (iters - 1) * step] {
             if at < lo || at + V > hi {
-                let base = self.image.base_of(array);
                 return Err(ExecError::ChunkOutOfBounds {
-                    array,
+                    array: addr.array,
                     addr: at,
                     base,
                     byte_len: (hi - base as i64 - 4 * V) as u64,
                 });
             }
         }
-        Ok(())
-    }
-
-    fn dis_addr(&self, arr: u32, start: i64, step: i64) -> String {
-        let array = ArrayId::from_index(arr as usize);
-        let rel = start - self.image.base_of(array) as i64;
-        if step != 0 {
-            format!("{array}[base{rel:+}; {step:+}/iter]")
-        } else {
-            format!("{array}[base{rel:+}]")
-        }
+        Ok((addr.array.index() as u32, start, step))
     }
 
     /// Bakes `insts` executed with the induction variable starting at
@@ -438,7 +333,7 @@ impl Baking<'_> {
     /// iteration) to `counts`.
     fn bake_insts(
         &mut self,
-        insts: &[PInst],
+        insts: &[VInst],
         i0: i64,
         step_i: i64,
         iters: i64,
@@ -446,205 +341,82 @@ impl Baking<'_> {
         out: &mut Vec<Op>,
     ) -> Result<(), ExecError> {
         for inst in insts {
-            self.bake_inst(inst, i0, step_i, iters, counts, out)?;
-        }
-        Ok(())
-    }
-
-    fn bake_inst(
-        &mut self,
-        inst: &PInst,
-        i0: i64,
-        step_i: i64,
-        iters: i64,
-        counts: &mut RunStats,
-        out: &mut Vec<Op>,
-    ) -> Result<(), ExecError> {
-        // Baked `(first byte address, bytes per iteration)` of one
-        // pre-decoded address.
-        let baked = |this: &Baking, arr: u32, off: i64, scale: i64| {
-            let base = this.image.base_of(ArrayId::from_index(arr as usize)) as i64;
-            (base + off + scale * i0, scale * step_i)
-        };
-        match *inst {
-            PInst::LoadA { dst, arr, off, scale } => {
-                let (a0, step) = baked(self, arr, off, scale);
-                let start = a0 & !(V - 1);
-                self.check_stream(arr, start, step, iters)?;
-                let d = self.def_reg(dst);
-                if self.want_dis {
-                    let at = self.dis_addr(arr, start, step);
-                    let _ = writeln!(self.dis, "  v{d} = load.chunk {at}");
+            match inst {
+                VInst::LoadA { dst, addr } | VInst::LoadU { dst, addr } => {
+                    let aligned = matches!(inst, VInst::LoadA { .. });
+                    let (arr, start, step) = self.stream(addr, aligned, i0, step_i, iters)?;
+                    out.push(Op::Load { dst: self.def_reg(*dst), arr, start, step });
+                    if aligned {
+                        counts.loads += 1;
+                    } else {
+                        counts.unaligned_mem += 1;
+                    }
                 }
-                out.push(Op::Load { dst: d, arr, start, step });
-                counts.loads += 1;
-            }
-            PInst::StoreA { src, arr, off, scale } => {
-                let (a0, step) = baked(self, arr, off, scale);
-                let start = a0 & !(V - 1);
-                self.check_stream(arr, start, step, iters)?;
-                let s = self.use_reg(src)?;
-                if self.want_dis {
-                    let at = self.dis_addr(arr, start, step);
-                    let _ = writeln!(self.dis, "  store.chunk {at}, v{s}");
+                VInst::StoreA { addr, src } | VInst::StoreU { addr, src } => {
+                    let aligned = matches!(inst, VInst::StoreA { .. });
+                    let (arr, start, step) = self.stream(addr, aligned, i0, step_i, iters)?;
+                    out.push(Op::Store { src: self.use_reg(*src)?, arr, start, step });
+                    if aligned {
+                        counts.stores += 1;
+                    } else {
+                        counts.unaligned_mem += 1;
+                    }
                 }
-                out.push(Op::Store { src: s, arr, start, step });
-                counts.stores += 1;
-            }
-            PInst::LoadU { dst, arr, off, scale } => {
-                let (start, step) = baked(self, arr, off, scale);
-                self.check_stream(arr, start, step, iters)?;
-                let d = self.def_reg(dst);
-                if self.want_dis {
-                    let at = self.dis_addr(arr, start, step);
-                    let _ = writeln!(self.dis, "  v{d} = load.exact {at}");
+                VInst::ShiftPair { dst, a, b, amt } => {
+                    let amount = amt.eval(&self.env());
+                    if !(0..=V).contains(&amount) {
+                        return Err(ExecError::BadShiftAmount { amount });
+                    }
+                    let (a, b) = (self.use_reg(*a)?, self.use_reg(*b)?);
+                    out.push(Op::Shift { dst: self.def_reg(*dst), a, b, amt: amount as u8 });
+                    counts.shifts += 1;
                 }
-                out.push(Op::Load { dst: d, arr, start, step });
-                counts.unaligned_mem += 1;
-            }
-            PInst::StoreU { src, arr, off, scale } => {
-                let (start, step) = baked(self, arr, off, scale);
-                self.check_stream(arr, start, step, iters)?;
-                let s = self.use_reg(src)?;
-                if self.want_dis {
-                    let at = self.dis_addr(arr, start, step);
-                    let _ = writeln!(self.dis, "  store.exact {at}, v{s}");
+                VInst::Splice { dst, a, b, point } => {
+                    let p = point.eval(&self.env());
+                    if !(0..=V).contains(&p) {
+                        return Err(ExecError::BadSplicePoint { point: p });
+                    }
+                    let (a, b) = (self.use_reg(*a)?, self.use_reg(*b)?);
+                    out.push(Op::Splice { dst: self.def_reg(*dst), a, b, point: p as u8 });
+                    counts.splices += 1;
                 }
-                out.push(Op::Store { src: s, arr, start, step });
-                counts.unaligned_mem += 1;
-            }
-            PInst::Shift { dst, a, b, ref amt } => {
-                let amount = self.eval(amt);
-                if !(0..=V).contains(&amount) {
-                    return Err(ExecError::BadShiftAmount { amount });
+                VInst::Perm { dst, a, b, pattern } => {
+                    let (a, b) = (self.use_reg(*a)?, self.use_reg(*b)?);
+                    let pattern = pattern[..].try_into().expect("`PredecodedKernel::new` checked it");
+                    out.push(Op::Perm { dst: self.def_reg(*dst), a, b, pattern });
+                    counts.shifts += 1; // permutes count as reorganization ops
                 }
-                let (ra, rb) = (self.use_reg(a)?, self.use_reg(b)?);
-                let d = self.def_reg(dst);
-                if self.want_dis {
-                    let _ = writeln!(self.dis, "  v{d} = shift(v{ra}, v{rb}, {amount})");
+                VInst::SplatConst { dst, value } => {
+                    let bytes = splat_bytes(self.elem, *value);
+                    out.push(Op::Splat { dst: self.def_reg(*dst), bytes });
+                    counts.splats += 1;
                 }
-                out.push(Op::Shift {
-                    dst: d,
-                    a: ra,
-                    b: rb,
-                    amt: amount as u8,
-                });
-                counts.shifts += 1;
-            }
-            PInst::Splice { dst, a, b, ref point } => {
-                let p = self.eval(point);
-                if !(0..=V).contains(&p) {
-                    return Err(ExecError::BadSplicePoint { point: p });
+                VInst::SplatParam { dst, param } => {
+                    let index = param.index();
+                    let value = *self.params.get(index).ok_or(ExecError::MissingParam { index })?;
+                    let bytes = splat_bytes(self.elem, value);
+                    out.push(Op::Splat { dst: self.def_reg(*dst), bytes });
+                    counts.splats += 1;
                 }
-                let (ra, rb) = (self.use_reg(a)?, self.use_reg(b)?);
-                let d = self.def_reg(dst);
-                if self.want_dis {
-                    let _ = writeln!(self.dis, "  v{d} = splice(v{ra}, v{rb}, {p})");
+                VInst::Bin { dst, op, a, b } => {
+                    let (a, b) = (self.use_reg(*a)?, self.use_reg(*b)?);
+                    out.push(Op::Bin { dst: self.def_reg(*dst), op: *op, a, b });
+                    counts.ops += 1;
                 }
-                out.push(Op::Splice {
-                    dst: d,
-                    a: ra,
-                    b: rb,
-                    point: p as u8,
-                });
-                counts.splices += 1;
-            }
-            PInst::Perm { dst, a, b, pattern } => {
-                let (ra, rb) = (self.use_reg(a)?, self.use_reg(b)?);
-                let d = self.def_reg(dst);
-                if self.want_dis {
-                    let pat_str: Vec<String> = pattern.iter().map(|x| x.to_string()).collect();
-                    let _ = writeln!(
-                        self.dis,
-                        "  v{d} = perm(v{ra}, v{rb}, [{}])",
-                        pat_str.join(",")
-                    );
+                VInst::Un { dst, op, a } => {
+                    let a = self.use_reg(*a)?;
+                    out.push(Op::Un { dst: self.def_reg(*dst), op: *op, a });
+                    counts.ops += 1;
                 }
-                out.push(Op::Perm {
-                    dst: d,
-                    a: ra,
-                    b: rb,
-                    pattern,
-                });
-                counts.shifts += 1; // permutes count as reorganization ops
-            }
-            PInst::Splat { dst, bytes, value } => {
-                let d = self.def_reg(dst);
-                if self.want_dis {
-                    let _ = writeln!(self.dis, "  v{d} = splat({value})");
+                VInst::Copy { dst, src } => {
+                    let src = self.use_reg(*src)?;
+                    out.push(Op::Copy { dst: self.def_reg(*dst), src });
+                    counts.copies += 1;
                 }
-                out.push(Op::Splat { dst: d, bytes });
-                counts.splats += 1;
-            }
-            PInst::SplatParam { dst, param } => {
-                let value = *self
-                    .params
-                    .get(param)
-                    .ok_or(ExecError::MissingParam { index: param })?;
-                let d = self.def_reg(dst);
-                if self.want_dis {
-                    let _ = writeln!(self.dis, "  v{d} = splat(p{param}={value})");
-                }
-                out.push(Op::Splat {
-                    dst: d,
-                    bytes: splat_bytes(self.elem, value),
-                });
-                counts.splats += 1;
-            }
-            PInst::Bin { dst, op, a, b } => {
-                let (ra, rb) = (self.use_reg(a)?, self.use_reg(b)?);
-                let d = self.def_reg(dst);
-                if self.want_dis {
-                    let _ = writeln!(
-                        self.dis,
-                        "  v{d} = {}(v{ra}, v{rb})",
-                        format!("{op:?}").to_lowercase()
-                    );
-                }
-                out.push(Op::Bin {
-                    dst: d,
-                    op,
-                    a: ra,
-                    b: rb,
-                });
-                counts.ops += 1;
-            }
-            PInst::Un { dst, op, a } => {
-                let ra = self.use_reg(a)?;
-                let d = self.def_reg(dst);
-                if self.want_dis {
-                    let _ = writeln!(
-                        self.dis,
-                        "  v{d} = {}(v{ra})",
-                        format!("{op:?}").to_lowercase()
-                    );
-                }
-                out.push(Op::Un { dst: d, op, a: ra });
-                counts.ops += 1;
-            }
-            PInst::Copy { dst, src } => {
-                let s = self.use_reg(src)?;
-                let d = self.def_reg(dst);
-                if self.want_dis {
-                    let _ = writeln!(self.dis, "  v{d} = v{s}");
-                }
-                out.push(Op::Copy { dst: d, src: s });
-                counts.copies += 1;
-            }
-            PInst::Guarded { ref cond, ref body } => {
-                let taken = cond.eval(&Env {
-                    ub: self.ub,
-                    image: self.image,
-                });
-                if self.want_dis {
-                    let _ = writeln!(
-                        self.dis,
-                        "  ; guard [{cond}] resolved {}",
-                        if taken { "taken" } else { "skipped" }
-                    );
-                }
-                if taken {
-                    self.bake_insts(body, i0, step_i, iters, counts, out)?;
+                VInst::Guarded { cond, body } => {
+                    if cond.eval(&self.env()) {
+                        self.bake_insts(body, i0, step_i, iters, counts, out)?;
+                    }
                 }
             }
         }
@@ -652,63 +424,40 @@ impl Baking<'_> {
     }
 }
 
-impl PredecodedKernel {
-    /// Pre-decodes `program`: the program-only half of compilation,
-    /// reusable across every memory layout and runtime input.
+impl<'p> PredecodedKernel<'p> {
+    /// Checks `program` for every layout and input at once — its
+    /// vector shape and its permutation patterns — and counts its
+    /// registers and runtime scalar expressions. Borrows the program;
+    /// allocates nothing.
     ///
     /// # Errors
     ///
     /// Returns [`ExecError::Unsupported`] for vector shapes other than
     /// 16 bytes and [`ExecError::BadShiftAmount`] for malformed
     /// permutation patterns.
-    pub fn new(program: &SimdProgram) -> Result<PredecodedKernel, ExecError> {
+    pub fn new(program: &'p SimdProgram) -> Result<PredecodedKernel<'p>, ExecError> {
         let _span = telemetry::span("predecode");
         if program.shape().bytes() as i64 != V {
             return Err(ExecError::Unsupported {
                 what: "vector shapes other than V16",
             });
         }
-        let source = program.source();
-        let elem = source.elem();
-        let elem_size = elem.size() as i64;
-        let mut prologue = Vec::new();
-        let mut body = Vec::new();
-        let mut epilogue = Vec::new();
-        predecode(program.prologue(), elem_size, elem, &mut prologue)?;
-        predecode(program.body(), elem_size, elem, &mut body)?;
-        let pair = match program.body_pair() {
-            Some(p) => {
-                let mut v = Vec::new();
-                predecode(p, elem_size, elem, &mut v)?;
-                Some(v)
-            }
-            None => None,
-        };
-        predecode(program.epilogue(), elem_size, elem, &mut epilogue)?;
+        let mut max_reg = 0;
+        let pair = program.body_pair().unwrap_or_default();
+        for insts in [program.prologue(), program.body(), pair, program.epilogue()] {
+            check(insts, &mut max_reg)?;
+        }
         Ok(PredecodedKernel {
-            source: Arc::new(source.clone()),
-            elem,
-            elem_size,
-            nregs: max_reg(program) + 1,
-            narrays: source.arrays().len(),
-            nparams: source.params().len(),
-            trip_known: source.trip().known(),
-            guard_min_trip: program.guard_min_trip(),
-            block: program.block() as i64,
-            lower_bound: program.lower_bound() as i64,
-            upper_bound: program.upper_bound().clone(),
+            program,
+            nregs: max_reg + 1,
             runtime_exprs: runtime_expr_count(program) as u64,
-            prologue,
-            pair,
-            body,
-            epilogue,
         })
     }
 
     /// Number of arrays in the source loop (the cache keys a layout by
     /// this many base addresses).
     pub(crate) fn narrays(&self) -> usize {
-        self.narrays
+        self.program.source().arrays().len()
     }
 
     /// Bakes a [`CompiledKernel`] for the layout of `image` and the
@@ -731,17 +480,19 @@ impl PredecodedKernel {
         opts: &KernelOptions,
     ) -> Result<CompiledKernel, ExecError> {
         let _span = telemetry::span("bake");
+        let program = self.program;
+        let source = program.source();
         if image.shape().bytes() as i64 != V {
             return Err(ExecError::Unsupported {
                 what: "vector shapes other than V16",
             });
         }
-        if input.params.len() < self.nparams {
+        if input.params.len() < source.params().len() {
             return Err(ExecError::MissingParam {
                 index: input.params.len(),
             });
         }
-        if let Some(declared) = self.trip_known {
+        if let Some(declared) = source.trip().known() {
             if input.ub != declared {
                 return Err(ExecError::TripMismatch {
                     declared,
@@ -749,8 +500,9 @@ impl PredecodedKernel {
                 });
             }
         }
-        let ub = self.trip_known.unwrap_or(input.ub);
-        let bases: Vec<u64> = (0..self.narrays)
+        let ub = input.ub;
+        let elem = source.elem();
+        let bases: Vec<u64> = (0..self.narrays())
             .map(|k| image.base_of(ArrayId::from_index(k)))
             .collect();
 
@@ -759,17 +511,14 @@ impl PredecodedKernel {
             ..RunStats::default()
         };
 
-        if ub <= self.guard_min_trip {
+        let guard = program.guard_min_trip();
+        if ub <= guard {
             // §4.4 guard: the kernel is the original scalar loop.
             stats.used_fallback = true;
             stats.scalar_fallback =
-                scalar_ideal_ops(&self.source, ub) + ub * LOOP_OVERHEAD_PER_ITERATION;
-            let disassembly = format!(
-                "; scalar fallback: ub = {ub} <= guard {}\n",
-                self.guard_min_trip
-            );
+                scalar_ideal_ops(source, ub) + ub * LOOP_OVERHEAD_PER_ITERATION;
             return Ok(CompiledKernel::new(Plan {
-                program: Program { sections: Vec::new(), nregs: 0, elem: self.elem },
+                program: Program { sections: Vec::new(), nregs: 0, elem },
                 schedule: Schedule {
                     pair: SectionSchedule::Sequential(SequentialReason::NoLoop),
                     body: SectionSchedule::Sequential(SequentialReason::NoLoop),
@@ -779,12 +528,11 @@ impl PredecodedKernel {
                 bases,
                 image_len: image.bytes().len(),
                 fallback: Some(FallbackPlan {
-                    source: Arc::clone(&self.source),
+                    source: source.clone(),
                     ub,
+                    guard,
                     params: input.params.clone(),
                 }),
-                trace: disassembly.clone(),
-                disassembly,
                 fusion: FusionStats::default(),
                 fusion_events: Vec::new(),
             }));
@@ -792,9 +540,9 @@ impl PredecodedKernel {
 
         stats.invocation_overhead += RUNTIME_SETUP_PER_EXPR * self.runtime_exprs;
 
-        let b = self.block;
-        let lb = self.lower_bound;
-        let upper = self.upper_bound.eval(&Env {
+        let b = program.block() as i64;
+        let lb = program.lower_bound() as i64;
+        let upper = program.upper_bound().eval(&Env {
             ub: ub as i64,
             image,
         });
@@ -802,7 +550,7 @@ impl PredecodedKernel {
         // Iteration counts, mirroring run_simd's loop structure exactly:
         //   if pair: while i + B < upper { i += 2B }   (steady ×2)
         //   while i < upper { i += B }                 (leftover)
-        let pair_iters = if self.pair.is_some() && lb + b < upper {
+        let pair_iters = if program.body_pair().is_some() && lb + b < upper {
             (upper - b - lb + 2 * b - 1).div_euclid(2 * b)
         } else {
             0
@@ -819,18 +567,9 @@ impl PredecodedKernel {
             image,
             params: &input.params,
             ub: ub as i64,
-            elem: self.elem,
+            elem,
             defined: vec![false; self.nregs],
-            dis: String::new(),
-            want_dis: opts.disassembly,
         };
-        if bk.want_dis {
-            let _ = writeln!(
-                bk.dis,
-                "; kernel: V={V} D={} B={b} ub={ub} upper={upper} regs={}",
-                self.elem_size, self.nregs
-            );
-        }
 
         let mut prologue = Vec::new();
         let mut pair = Vec::new();
@@ -841,16 +580,10 @@ impl PredecodedKernel {
         let mut body_counts = RunStats::default();
         let mut epi_counts = RunStats::default();
 
-        if bk.want_dis {
-            let _ = writeln!(bk.dis, "prologue (i = 0):");
-        }
-        bk.bake_insts(&self.prologue, 0, 0, 1, &mut pro_counts, &mut prologue)?;
+        bk.bake_insts(program.prologue(), 0, 0, 1, &mut pro_counts, &mut prologue)?;
         if pair_iters > 0 {
-            if bk.want_dis {
-                let _ = writeln!(bk.dis, "pair (i = {lb}, step {}, x{pair_iters}):", 2 * b);
-            }
             bk.bake_insts(
-                self.pair.as_ref().expect("pair_iters > 0 implies pair"),
+                program.body_pair().expect("pair_iters > 0 implies pair"),
                 lb,
                 2 * b,
                 pair_iters,
@@ -859,15 +592,9 @@ impl PredecodedKernel {
             )?;
         }
         if body_iters > 0 {
-            if bk.want_dis {
-                let _ = writeln!(bk.dis, "body (i = {i_after}, step {b}, x{body_iters}):");
-            }
-            bk.bake_insts(&self.body, i_after, b, body_iters, &mut body_counts, &mut body)?;
+            bk.bake_insts(program.body(), i_after, b, body_iters, &mut body_counts, &mut body)?;
         }
-        if bk.want_dis {
-            let _ = writeln!(bk.dis, "epilogue (i = {i_final}):");
-        }
-        bk.bake_insts(&self.epilogue, i_final, 0, 1, &mut epi_counts, &mut epilogue)?;
+        bk.bake_insts(program.epilogue(), i_final, 0, 1, &mut epi_counts, &mut epilogue)?;
 
         stats += pro_counts;
         stats += scaled(pair_counts, pair_iters as u64);
@@ -889,24 +616,10 @@ impl PredecodedKernel {
                 body_iters,
                 epilogue: &mut epilogue,
                 nregs: self.nregs,
-                elem: self.elem,
+                elem,
             })
         } else {
             (Vec::new(), Vec::new(), FusionStats::default(), Vec::new())
-        };
-
-        let trace = match opts.disassembly {
-            true => TraceListing { bases: &bases, elem: self.elem }.render(
-                &format!(
-                    "; trace: V={V} regs={} fused={} fused-loads={} splat-ops={} hoisted={} eliminated={}",
-                    self.nregs, opts.fuse, fusion.fused_loads, fusion.splat_ops, fusion.hoisted,
-                    fusion.eliminated
-                ),
-                &prologue,
-                [("pair", &pair_header, &pair, pair_iters), ("body", &body_header, &body, body_iters)],
-                &epilogue,
-            ),
-            false => String::new(),
         };
 
         // Nothing reads the baked register ids past this point: rename
@@ -918,7 +631,7 @@ impl PredecodedKernel {
                 [(pair_header, pair, pair_iters), (body_header, body, body_iters)],
                 epilogue,
                 self.nregs,
-                self.elem,
+                elem,
             )
         };
 
@@ -930,8 +643,6 @@ impl PredecodedKernel {
             bases,
             image_len: image.bytes().len(),
             fallback: None,
-            disassembly: bk.dis,
-            trace,
             fusion,
             fusion_events,
         }))
@@ -942,9 +653,9 @@ impl CompiledKernel {
     /// Compiles `program` for the layout of `image` and the runtime
     /// inputs in `input`: [`PredecodedKernel::new`] followed by
     /// [`PredecodedKernel::bake`] with default [`KernelOptions`]
-    /// (fusion on, disassembly on). The image's *contents* do not
-    /// matter — only its array placement — so one kernel may run over
-    /// many refills of the same layout.
+    /// (fusion on). The image's *contents* do not matter — only its
+    /// array placement — so one kernel may run over many refills of
+    /// the same layout.
     ///
     /// # Errors
     ///
@@ -1047,26 +758,30 @@ impl CompiledKernel {
         &self.plan.fusion_events
     }
 
-    /// A human-readable listing of the baked kernel: baked offsets,
-    /// folded scalars, resolved guards and per-section iteration
-    /// counts. Offsets are printed relative to each array's base so the
-    /// text is stable across layouts of the same program. This listing
-    /// shows the kernel *before* trace fusion; see
-    /// [`trace`](CompiledKernel::trace) for the fused form. Empty when
-    /// baked with the disassembly disabled.
-    pub fn disassembly(&self) -> &str {
-        &self.plan.disassembly
-    }
-
-    /// The plan [`run`](CompiledKernel::run) dispatches, listed before
-    /// its registers are renamed so it reads against the disassembly:
-    /// fused superinstructions (`vload.fused`, immediate binops),
-    /// hoisted per-loop headers and dead ops stripped. Like the
-    /// disassembly, offsets are printed relative to array bases so the
-    /// text is stable across layouts, and it is empty when baked with
-    /// the disassembly disabled.
-    pub fn trace(&self) -> &str {
-        &self.plan.trace
+    /// A listing of the plan [`run`](CompiledKernel::run) dispatches,
+    /// rendered on each call from the lowered sections themselves: each
+    /// section's role, iteration count and schedule (strip, or
+    /// sequential with its reason), then its ops as the strip driver
+    /// runs them — fused superinstructions (`vload.fused`, immediate
+    /// binops), hoisted headers, registers renamed onto the run's
+    /// register block, rotation copies replaced by seed lanes. Offsets
+    /// are printed relative to array bases, so the text is stable
+    /// across layouts of the same program.
+    pub fn trace(&self) -> String {
+        let plan = &*self.plan;
+        if let Some(fb) = &plan.fallback {
+            return format!("; scalar fallback: ub = {} <= guard {}\n", fb.ub, fb.guard);
+        }
+        let f = plan.fusion;
+        let mut out = format!(
+            "; plan: V={V} lanes={} fused-loads={} splat-ops={} hoisted={} eliminated={}\n",
+            plan.program.nregs, f.fused_loads, f.splat_ops, f.hoisted, f.eliminated
+        );
+        let listing = Listing { bases: &plan.bases, elem: plan.program.elem };
+        for section in plan.program.sections.iter().filter(|s| !s.ops.is_empty()) {
+            listing.section(&mut out, section);
+        }
+        out
     }
 
     /// The lowered plan the driver runs.
@@ -1076,41 +791,28 @@ impl CompiledKernel {
     }
 }
 
-/// Renders [`CompiledKernel::trace`].
-struct TraceListing<'a> {
+/// Renders [`CompiledKernel::trace`], one line per op.
+struct Listing<'a> {
     bases: &'a [u64],
     elem: ScalarType,
 }
 
-impl TraceListing<'_> {
-    fn render(
-        &self,
-        header: &str,
-        prologue: &[Op],
-        loops: [(&str, &Vec<Op>, &Vec<Op>, i64); 2],
-        epilogue: &[Op],
-    ) -> String {
-        let mut out = format!("{header}\n");
-        self.section(&mut out, "prologue", prologue, 1);
-        for (name, header, ops, iters) in loops {
-            if iters > 0 {
-                if !header.is_empty() {
-                    self.section(&mut out, &format!("{name}.header"), header, 1);
-                }
-                self.section(&mut out, name, ops, iters);
+impl Listing<'_> {
+    fn section(&self, out: &mut String, s: &Section) {
+        let _ = match (s.iters, s.schedule) {
+            (1, _) => writeln!(out, "{}:", s.role),
+            (n, SectionSchedule::Strip) => writeln!(out, "{} x{n}, strip:", s.role),
+            (n, SectionSchedule::Sequential(why)) => {
+                writeln!(out, "{} x{n}, sequential ({why:?}):", s.role)
             }
+        };
+        for &(c, d) in &s.seeds {
+            let _ = writeln!(out, "  ; v{c}: {d} seed lane(s) of column v{}", c + d);
         }
-        self.section(&mut out, "epilogue", epilogue, 1);
-        out
-    }
-
-    fn section(&self, out: &mut String, name: &str, ops: &[Op], iters: i64) {
-        if iters == 1 {
-            let _ = writeln!(out, "{name}:");
-        } else {
-            let _ = writeln!(out, "{name} x{iters}:");
+        for (c, op, _) in &s.partials {
+            let _ = writeln!(out, "  ; v{c}: lane partials, folded by {}", name(op));
         }
-        for op in ops {
+        for op in &s.ops {
             let _ = writeln!(out, "{}", self.op(op));
         }
     }
@@ -1149,43 +851,24 @@ impl TraceListing<'_> {
                 format!("  v{dst} = vperm(v{a}, v{b}, [{}])", pat.join(","))
             }
             Op::Splat { dst, ref bytes } => format!("  v{dst} = vsplat(0x{})", imm_hex(bytes)),
-            Op::Bin { dst, op, a, b } => {
-                format!("  v{dst} = {}(v{a}, v{b})", format!("{op:?}").to_lowercase())
-            }
+            Op::Bin { dst, op, a, b } => format!("  v{dst} = {}(v{a}, v{b})", name(&op)),
             Op::BinSplat { dst, op, a, ref imm, imm_left } => {
-                let o = format!("{op:?}").to_lowercase();
+                let o = name(&op);
                 if imm_left {
                     format!("  v{dst} = {o}(0x{}, v{a})", imm_hex(imm))
                 } else {
                     format!("  v{dst} = {o}(v{a}, 0x{})", imm_hex(imm))
                 }
             }
-            Op::Un { dst, op, a } => {
-                format!("  v{dst} = {}(v{a})", format!("{op:?}").to_lowercase())
-            }
+            Op::Un { dst, op, a } => format!("  v{dst} = {}(v{a})", name(&op)),
             Op::Copy { dst, src } => format!("  v{dst} = v{src}"),
         }
     }
 }
 
-/// Highest register index mentioned anywhere in the program.
-fn max_reg(program: &SimdProgram) -> usize {
-    let mut max = 0usize;
-    let mut scan = |insts: &[VInst]| {
-        for inst in insts {
-            if let Some(d) = inst.def() {
-                max = max.max(d.index());
-            }
-            inst.visit_uses(&mut |r| max = max.max(r.index()));
-        }
-    };
-    scan(program.prologue());
-    scan(program.body());
-    if let Some(pair) = program.body_pair() {
-        scan(pair);
-    }
-    scan(program.epilogue());
-    max
+/// An operator's listing name: its variant, lower-cased.
+fn name(op: &impl std::fmt::Debug) -> String {
+    format!("{op:?}").to_lowercase()
 }
 
 /// Class counts of one section iteration, scaled to `n` iterations.
@@ -1283,55 +966,11 @@ mod tests {
         let want = run_simd(&prog, &mut interp_img, &input).unwrap();
         let kernel = CompiledKernel::compile(&prog, &engine_img, &input).unwrap();
         assert!(kernel.is_fallback());
-        assert!(kernel.disassembly().contains("scalar fallback"));
-        assert!(kernel.trace().contains("scalar fallback"));
+        assert!(kernel.trace().starts_with("; scalar fallback: ub = 7 <= guard"));
         let got = kernel.run(&mut engine_img).unwrap();
         assert!(got.used_fallback);
         assert_eq!(got, want);
         assert_eq!(engine_img.first_difference(&interp_img), None);
-    }
-
-    #[test]
-    fn rejects_mismatched_trip_and_shapes() {
-        let prog = compile_prog(FIG1, Policy::Zero, ReuseMode::None);
-        let source = prog.source().clone();
-        let img = MemoryImage::with_seed(&source, VectorShape::V16, 1);
-        let err = CompiledKernel::compile(&prog, &img, &RunInput::with_ub(99)).unwrap_err();
-        assert_eq!(
-            err,
-            ExecError::TripMismatch {
-                declared: 100,
-                supplied: 99
-            }
-        );
-        let img8 = MemoryImage::with_seed(&source, VectorShape::V8, 1);
-        let err = CompiledKernel::compile(&prog, &img8, &RunInput::with_ub(100)).unwrap_err();
-        assert!(matches!(err, ExecError::Unsupported { .. }));
-    }
-
-    #[test]
-    fn rejects_foreign_layout_at_run() {
-        let prog = compile_prog(FIG1, Policy::Zero, ReuseMode::None);
-        let source = prog.source().clone();
-        let img = MemoryImage::with_seed(&source, VectorShape::V16, 1);
-        let kernel = CompiledKernel::compile(&prog, &img, &RunInput::with_ub(100)).unwrap();
-        // Same layout, refilled contents: accepted.
-        let mut refill = img.clone();
-        refill.fill_random(77);
-        assert!(kernel.layout_matches(&refill));
-        kernel.run(&mut refill).unwrap();
-        // A different program's image: rejected, not corrupted.
-        let other = parse_program(
-            "arrays { x: i32[16] @ 0; y: i32[16] @ 0; }
-             for i in 0..8 { x[i] = y[i]; }",
-        )
-        .unwrap();
-        let mut foreign = MemoryImage::with_seed(&other, VectorShape::V16, 1);
-        assert!(!kernel.layout_matches(&foreign));
-        assert!(matches!(
-            kernel.run(&mut foreign),
-            Err(ExecError::Unsupported { .. })
-        ));
     }
 
     #[test]
@@ -1352,21 +991,7 @@ mod tests {
     }
 
     #[test]
-    fn disassembly_lists_sections_and_baked_offsets() {
-        let prog = compile_prog(FIG1, Policy::Zero, ReuseMode::SoftwarePipeline);
-        let source = prog.source().clone();
-        let img = MemoryImage::with_seed(&source, VectorShape::V16, 1);
-        let kernel = CompiledKernel::compile(&prog, &img, &RunInput::with_ub(100)).unwrap();
-        let dis = kernel.disassembly();
-        assert!(dis.starts_with("; kernel: V=16 D=4 B=4 ub=100"));
-        assert!(dis.contains("prologue (i = 0):"));
-        assert!(dis.contains("epilogue"));
-        assert!(dis.contains("load.chunk"));
-        assert!(dis.contains("/iter"));
-    }
-
-    #[test]
-    fn predecode_plus_bake_equals_compile() {
+    fn new_plus_bake_equals_compile() {
         let prog = compile_prog(FIG1, Policy::Zero, ReuseMode::SoftwarePipeline);
         let source = prog.source().clone();
         let input = RunInput::with_ub(100);
@@ -1376,7 +1001,6 @@ mod tests {
             let direct = CompiledKernel::compile(&prog, &img, &input).unwrap();
             let baked = pre.bake(&img, &input, &KernelOptions::default()).unwrap();
             assert_eq!(baked.stats(), direct.stats(), "seed {seed}");
-            assert_eq!(baked.disassembly(), direct.disassembly(), "seed {seed}");
             assert_eq!(baked.trace(), direct.trace(), "seed {seed}");
             let mut a = img.clone();
             let mut b = img.clone();
@@ -1420,25 +1044,5 @@ mod tests {
         // The fused trace executes fewer steady-state ops than the
         // unfused listing.
         assert!(st.eliminated > 0, "nothing eliminated: {st:?}");
-    }
-
-    #[test]
-    fn disassembly_off_skips_text_only() {
-        let prog = compile_prog(FIG1, Policy::Zero, ReuseMode::SoftwarePipeline);
-        let source = prog.source().clone();
-        let input = RunInput::with_ub(100);
-        let pre = PredecodedKernel::new(&prog).unwrap();
-        let img = MemoryImage::with_seed(&source, VectorShape::V16, 7);
-        let quiet = pre
-            .bake(&img, &input, &KernelOptions::default().disassembly(false))
-            .unwrap();
-        let loud = pre.bake(&img, &input, &KernelOptions::default()).unwrap();
-        assert!(quiet.disassembly().is_empty());
-        assert_eq!(quiet.stats(), loud.stats());
-        let mut a = img.clone();
-        let mut b = img.clone();
-        quiet.run(&mut a).unwrap();
-        loud.run(&mut b).unwrap();
-        assert_eq!(a.first_difference(&b), None);
     }
 }

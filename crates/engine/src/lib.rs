@@ -7,12 +7,12 @@
 //! right for an oracle and far too slow for large sweeps.
 //!
 //! This crate is the fast path, and there is one of it: **bake → fuse
-//! → rename and schedule → strip driver → tier**. Compilation is split
-//! in two phases so repeated work is shared. [`PredecodedKernel`] does
-//! everything that depends only on the program (shape checks,
-//! permutation validation, constant splats, address reduction);
+//! → rename and schedule → strip driver → tier**, over one lowered
+//! instruction form below the VIR. [`PredecodedKernel`] checks, once
+//! per program and without allocating, what no layout can change (the
+//! vector shape, permutation patterns) and borrows the program;
 //! [`PredecodedKernel::bake`] (or the one-shot
-//! [`CompiledKernel::compile`]) finishes the job per (memory layout,
+//! [`CompiledKernel::compile`]) walks the VIR per (memory layout,
 //! runtime input) pair —
 //!
 //! * every scalar expression (alignment masks, shift amounts, splice
@@ -24,15 +24,15 @@
 //!   defined-before-use up front,
 //! * dynamic instruction counts computed analytically —
 //!
-//! into prologue, steady-state and epilogue sections of one lowered
-//! instruction form. On that plan a fusion pass (on by default, see
-//! [`FusionStats`]) rewrites `vload`+`vshiftpair` chains into single
-//! fused loads, folds known-operand arithmetic into splat/immediate
+//! into prologue, steady-state and epilogue sections of that form. On
+//! that plan a fusion pass (on by default, see [`FusionStats`])
+//! rewrites `vload`+`vshiftpair` chains into single fused loads, folds known-operand arithmetic into splat/immediate
 //! forms, hoists loop invariants into once-run headers and deletes
 //! dead ops — shrinking the steady-state op count without changing a
 //! stored byte or a reported stat ([`RunStats`] are fixed before
 //! fusion). The bake ends by renaming registers onto one dense block
-//! and deciding which loops may run strip-mined ([`Schedule`]).
+//! and deciding which loops may run strip-mined ([`Schedule`]);
+//! [`CompiledKernel::trace`] lists the result on demand.
 //!
 //! One strip-mined driver executes the plan, instantiated per
 //! instruction tier ([`native`]): a portable tier every host has —
@@ -50,7 +50,7 @@
 //! The [`batch`] module scales this to sweeps: many (program, seed)
 //! jobs distributed over scoped worker threads, each job compiled,
 //! executed on the detected tier and differentially verified, with
-//! per-job [`RunStats`]. Sweeps pre-decode each distinct program once
+//! per-job [`RunStats`]. Sweeps check each distinct program once
 //! and reuse per-worker scratch images across jobs. Baked kernels live
 //! in a sharded, LRU-bounded [`cache::KernelCache`] keyed by *(program
 //! fingerprint, runtime input, memory layout, ISA tier)* — shared

@@ -422,16 +422,21 @@ pub(crate) fn lower(
     elem: ScalarType,
 ) -> (Program, Schedule) {
     let mut plan: Vec<(Vec<Op>, i64)> = Vec::with_capacity(6);
+    let mut roles = Vec::with_capacity(6);
     plan.push((prologue, 1));
+    roles.push("prologue");
     let mut loop_at = [usize::MAX; 2];
-    for (i, (header, ops, iters)) in loops.into_iter().enumerate() {
+    let loop_roles = [["pair.header", "pair"], ["body.header", "body"]];
+    for (i, ((header, ops, iters), [header_role, role])) in loops.into_iter().zip(loop_roles).enumerate() {
         if iters > 0 {
             plan.push((header, 1));
             loop_at[i] = plan.len();
             plan.push((ops, iters));
+            roles.extend([header_role, role]);
         }
     }
     plan.push((epilogue, 1));
+    roles.push("epilogue");
 
     let mut info = vec![Reg::UNNAMED; nregs];
     let mut scans: Vec<Scan> = plan.iter().enumerate().map(|(s, (ops, iters))| scan(ops, *iters, s, &mut info)).collect();
@@ -464,8 +469,13 @@ pub(crate) fn lower(
     }
 
     let mut sections = Vec::with_capacity(plan.len());
-    for (s, (((mut ops, iters), scan), decision)) in plan.into_iter().zip(&scans).zip(decisions).enumerate() {
-        let strips = decision.is_ok();
+    let sections_in = plan.into_iter().zip(&scans).zip(decisions).zip(roles);
+    for (s, ((((mut ops, iters), scan), decision), role)) in sections_in.enumerate() {
+        let schedule = match &decision {
+            Ok(_) => SectionSchedule::Strip,
+            Err(why) => SectionSchedule::Sequential(*why),
+        };
+        let strips = schedule == SectionSchedule::Strip;
         let Carried { chains, partials } = decision.unwrap_or_default();
         for (i, regs) in scan.regs.iter().enumerate() {
             for &r in regs.iter().filter(|&&r| r != NONE) {
@@ -514,7 +524,7 @@ pub(crate) fn lower(
             }
         }
         let width = if strips { STRIP } else { 1 };
-        sections.push(Section { ops, iters, width, invariant, written, seeds, partials });
+        sections.push(Section { role, ops, iters, schedule, width, invariant, written, seeds, partials });
     }
 
     let program = Program { sections, nregs: block.lanes as usize, elem };

@@ -68,7 +68,7 @@ mod x86;
 
 pub use isa::IsaLevel;
 pub(crate) use lower::lower;
-pub(crate) use strip::Program;
+pub(crate) use strip::{Program, Section};
 
 /// Runs a lowered plan over `mem` on the tier `isa` names, or on the
 /// portable tier when this host cannot execute that one.

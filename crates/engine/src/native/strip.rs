@@ -16,6 +16,7 @@
 //! tier instantiates it inside its `#[target_feature]` entry, where
 //! the tier's per-op helpers inline into the lane loops.
 
+use super::SectionSchedule;
 use crate::kernel::Op;
 use crate::lanes::Reg;
 use simdize_ir::{BinOp, ScalarType, UnOp};
@@ -114,10 +115,14 @@ where
 /// One straight-line run of ops and how often it repeats.
 #[derive(Debug)]
 pub(crate) struct Section {
-    pub(super) ops: Vec<Op>,
-    pub(super) iters: i64,
-    /// Iterations per op dispatch: [`STRIP`], or 1 for the sequential
-    /// schedule.
+    /// Where the section sits in the plan: `prologue`, `pair.header`,
+    /// `pair`, `body.header`, `body` or `epilogue`.
+    pub(crate) role: &'static str,
+    pub(crate) ops: Vec<Op>,
+    pub(crate) iters: i64,
+    pub(crate) schedule: SectionSchedule,
+    /// Iterations per op dispatch, as the strip driver reads `schedule`:
+    /// [`STRIP`], or 1 for the sequential schedule.
     pub(super) width: usize,
     /// Strip sections only: columns the section reads but never
     /// writes. Their lane 0 is broadcast down the column on entry.
@@ -129,10 +134,10 @@ pub(crate) struct Section {
     /// Strip sections only: rotation chains as `(c, d)`, a column at
     /// `c + d` behind `d` seed lanes. After each strip its last `d`
     /// lanes move onto the seeds.
-    pub(super) seeds: Vec<(u32, u32)>,
+    pub(crate) seeds: Vec<(u32, u32)>,
     /// Strip sections only: reduction accumulators `(column, op,
     /// identity)`, lanes 1.. filled on entry and folded into 0 on exit.
-    pub(super) partials: Vec<(u32, BinOp, Reg)>,
+    pub(crate) partials: Vec<(u32, BinOp, Reg)>,
 }
 
 /// A lowered plan: its sections in execution order over one block of

@@ -76,7 +76,7 @@ fn engine_vs_interpreter() {
 fn fused_vs_unfused(name: &str, source: &str) {
     let (prog, mut img, input) = compile_reusing(source, Policy::Dominant, ReuseMode::None);
     let pre = PredecodedKernel::new(&prog).unwrap();
-    let opts = KernelOptions::new().disassembly(false);
+    let opts = KernelOptions::new();
     let fused = SimdKernel::lower_detected(&pre.bake(&img, &input, &opts).unwrap());
     let unfused = SimdKernel::lower_detected(&pre.bake(&img, &input, &opts.fuse(false)).unwrap());
     let fused_t = best_of_three(|| fused.run(&mut img).unwrap());

@@ -7,8 +7,10 @@
 //!   milliseconds so a shutdown request or SIGINT is observed promptly;
 //! * one **connection thread** per client, reading JSONL requests with
 //!   a short read timeout (so idle connections also observe shutdown)
-//!   and a length cap, and executing what it parses: a request is a
-//!   function call on the thread that read it;
+//!   and a length cap, executing what it parses — a request is a
+//!   function call on the thread that read it — and writing the reply
+//!   under [`WRITE_TIMEOUT`], so a client that stops reading loses its
+//!   connection instead of pinning the thread;
 //! * one admission [`Gate`] in front of the pipeline verbs: `workers`
 //!   requests execute at once, `queue_depth` more wait in arrival
 //!   order, the rest get the `busy` envelope immediately — explicit
@@ -57,6 +59,12 @@ use std::time::{Duration, Instant};
 /// The longest request line a connection buffers, and the most a
 /// `/metrics` connection reads (request line plus header block).
 const MAX_LINE: usize = 1 << 20;
+
+/// How long one write to a client may block before the server gives up
+/// on it and closes the connection. A client that stops reading would
+/// otherwise pin its thread in `write_all` for good, and with it
+/// [`Server::serve`], which joins every connection thread on shutdown.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// How a [`Server`] is sized. All knobs have serve-sensible defaults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -430,6 +438,7 @@ fn metrics_loop(listener: &TcpListener, shared: &Shared) {
 
 fn serve_metrics_conn(stream: TcpStream, shared: &Shared) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
@@ -464,6 +473,7 @@ fn serve_metrics_conn(stream: TcpStream, shared: &Shared) {
 
 fn connection_loop(stream: TcpStream, shared: &Shared, conn_id: u64) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let _ = stream.set_nodelay(true);
     let mut writer = match stream.try_clone() {
         Ok(w) => w,

@@ -86,9 +86,9 @@ pub(crate) struct Point<'a> {
     /// The interpreter's stats, once `harness_codegen_equiv` ran here.
     pub interp_stats: Option<RunStats>,
     /// What `harness_cache_coherence` looks up: the program's
-    /// fingerprint and pre-decode, and the cache. `None` at the points
+    /// fingerprint and checked form, and the cache. `None` at the points
     /// where that harness does not run.
-    pub cached: Option<(u64, &'a PredecodedKernel, &'a KernelCache)>,
+    pub cached: Option<(u64, &'a PredecodedKernel<'a>, &'a KernelCache)>,
 }
 
 /// Compiles the loop variant a unit proves: alignments per `cfg.mode`,
@@ -155,7 +155,7 @@ fn harness_codegen_equiv(p: &mut Point) -> Verdict {
 fn harness_engine_equiv(p: &mut Point, isa: IsaLevel) -> Verdict {
     let mut mem = p.img.clone();
     let baked = PredecodedKernel::new(p.prog)
-        .and_then(|pre| pre.bake(&mem, p.input, &KernelOptions::new().disassembly(false)));
+        .and_then(|pre| pre.bake(&mem, p.input, &KernelOptions::new()));
     let kernel = match baked {
         Ok(k) => SimdKernel::lower(&k, isa),
         Err(e) => return Verdict::Violation(format!("bake fault: {e}")),
@@ -187,7 +187,7 @@ fn harness_engine_equiv(p: &mut Point, isa: IsaLevel) -> Verdict {
 fn harness_cache_coherence(p: &mut Point) -> Verdict {
     let (fingerprint, pre, cache) = p.cached.expect("only run where the point carries a cache");
     let (img, input) = (p.img, p.input);
-    let kopts = KernelOptions::new().disassembly(false);
+    let kopts = KernelOptions::new();
     let lookup = || cache.get_or_bake_simd(fingerprint, pre, img, input, &kopts, IsaLevel::Scalar);
     let (k1, _) = match lookup() {
         Ok(r) => r,
@@ -258,9 +258,9 @@ struct UnitOutcome {
 struct Variant<'a> {
     prog: &'a SimdProgram,
     style: TripStyle,
-    /// The program's fingerprint and pre-decode, where this variant
+    /// The program's fingerprint and checked form, where this variant
     /// carries the unit's cache-coherence proof.
-    pre: Option<(u64, PredecodedKernel)>,
+    pre: Option<(u64, PredecodedKernel<'a>)>,
 }
 
 impl<'a> Variant<'a> {

@@ -8,7 +8,6 @@ use crate::scalar::run_scalar;
 use crate::stats::{RunStats, CALL_OVERHEAD, LOOP_OVERHEAD_PER_ITERATION, RUNTIME_SETUP_PER_EXPR};
 use simdize_codegen::{SExpr, ScalarEnv, SimdProgram, VInst};
 use simdize_ir::{ArrayId, Value, VectorShape};
-use std::collections::HashSet;
 
 /// Runtime inputs of one loop invocation.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -144,36 +143,40 @@ pub fn run_simd(
 ///
 /// Public so alternative executors (the compiled engine) charge exactly
 /// the same [`RUNTIME_SETUP_PER_EXPR`] invocation overhead as the
-/// interpreter.
+/// interpreter. Allocates nothing: an occurrence counts when no earlier
+/// one equals it, a quadratic walk over the handful a program holds.
 pub fn runtime_expr_count(program: &SimdProgram) -> usize {
-    let mut seen: HashSet<SExpr> = HashSet::new();
-    let mut scan = |insts: &[VInst]| {
-        collect_runtime(insts, &mut seen);
-    };
-    scan(program.prologue());
-    scan(program.body());
-    if let Some(pair) = program.body_pair() {
-        scan(pair);
-    }
-    scan(program.epilogue());
-    if program.upper_bound().is_runtime() {
-        seen.insert(program.upper_bound().clone());
-    }
-    seen.len()
+    let (mut distinct, mut seen) = (0, 0);
+    visit_runtime(program, &mut |e| {
+        let (mut earlier, mut repeat) = (0, false);
+        visit_runtime(program, &mut |other| {
+            repeat |= earlier < seen && other == e;
+            earlier += 1;
+        });
+        distinct += usize::from(!repeat);
+        seen += 1;
+    });
+    distinct
 }
 
-fn collect_runtime(insts: &[VInst], seen: &mut HashSet<SExpr>) {
-    for inst in insts {
-        match inst {
-            VInst::ShiftPair { amt, .. } if amt.is_runtime() => {
-                seen.insert(amt.clone());
+/// Calls `f` on every runtime scalar expression of `program` in a fixed
+/// order (recursing into guards), the runtime upper bound last.
+fn visit_runtime<'p>(program: &'p SimdProgram, f: &mut impl FnMut(&'p SExpr)) {
+    fn walk<'p>(insts: &'p [VInst], f: &mut impl FnMut(&'p SExpr)) {
+        for inst in insts {
+            match inst {
+                VInst::ShiftPair { amt: e, .. } | VInst::Splice { point: e, .. } if e.is_runtime() => f(e),
+                VInst::Guarded { body, .. } => walk(body, f),
+                _ => {}
             }
-            VInst::Splice { point, .. } if point.is_runtime() => {
-                seen.insert(point.clone());
-            }
-            VInst::Guarded { body, .. } => collect_runtime(body, seen),
-            _ => {}
         }
+    }
+    let pair = program.body_pair().unwrap_or_default();
+    for insts in [program.prologue(), program.body(), pair, program.epilogue()] {
+        walk(insts, f);
+    }
+    if program.upper_bound().is_runtime() {
+        f(program.upper_bound());
     }
 }
 

@@ -14,14 +14,16 @@
 # builds rustdoc with warnings denied (every crate warns on
 # missing_docs), re-runs the engine's differential tier matrix forced
 # to the SSE2 and scalar tiers, runs the doctests, builds the examples,
-# checks that the generated worked-example docs and the paper
-# reproduction's generated tables are current, and finishes with an end-to-end smoke sweep through the CLI binary:
+# checks that the paper reproduction's generated tables are current
+# (the worked-example docs are checked by tier-1's tests/explain.rs),
+# and finishes with an end-to-end smoke sweep through the CLI binary:
 # eight seeds of Figure 1 baked, run on the detected ISA tier and
 # verified against the scalar oracle on four worker threads (with
 # telemetry collection on), a request-scoped `simdize trace` export
 # (text with the metrics block, JSON, Chrome trace events),
-# the disabled-instrumentation overhead gate, a checked 1 s run of the
-# BENCHMARK.json package, a server smoke that checks trace-id echoing,
+# the disabled-instrumentation overhead gate, checked 1 s runs of the
+# BENCHMARK.json package's kernel-steady and bake-cold workloads, a
+# server smoke that checks trace-id echoing,
 # the flight recorder's dump verb, the server's thread count (no pool)
 # and the Prometheus /metrics endpoint, the 1200-connection stress
 # test, and the bounded-equivalence prover: a quick proof of every
@@ -84,13 +86,6 @@ cargo test -q --offline --doc --workspace
 echo "== examples build =="
 cargo build -q --release --offline --examples
 
-echo "== worked-example docs are current =="
-# Regenerates docs/worked-examples/ into a temp dir and diffs against
-# the checked-in pages; any drift fails CI (see scripts/gen-docs.sh).
-# The matrix includes the optimal-policy pages, so a placement change
-# that shifts a proven minimum fails here.
-scripts/gen-docs.sh --check
-
 echo "== paper reproduction tables are current (E2-E13, E16) =="
 # Re-runs every experiment of EXPERIMENTS.md and the greedy-vs-optimal
 # study at full size (deterministic, seed 2004, ~15 s; every simdized
@@ -138,7 +133,7 @@ echo "== telemetry disabled-overhead gate (<2% of a kernel run) =="
 TELEMETRY_OVERHEAD=1 cargo test -q --release --offline --test telemetry \
     -- --exact disabled_instrumentation_overhead_under_two_percent
 
-echo "== regression benchmark checks out (kernel-steady, 1 s) =="
+echo "== regression benchmark checks out (kernel-steady and bake-cold, 1 s each) =="
 # One short untraced run of the workload that lives in the strip
 # driver: the last line is the contract's JSON, and it must say every
 # op matched the scalar oracle — set-up builds each reference image
@@ -148,6 +143,15 @@ echo "== regression benchmark checks out (kernel-steady, 1 s) =="
 benchmark/target/release/simdize-benchmark --workload kernel-steady --seed 1 --seconds 1 --trace 0 \
     | tail -n 1 | grep -q '"correct":true' \
     || { echo "benchmark: kernel-steady did not check out" >&2; exit 1; }
+# And the workload that lives in the bake: 512 programs checked
+# (`PredecodedKernel::new`, borrowing the program), baked straight from
+# their VIR, lowered and cached, every op diffed against the scalar
+# oracle. `--trace 1` alternates plain and traced rounds, so both of
+# the benchmark's op paths (`get_or_bake_simd`, and its traced copy
+# that calls `bake` and `SimdKernel::lower` itself) run.
+benchmark/target/release/simdize-benchmark --workload bake-cold --seed 1 --seconds 1 --trace 1 \
+    | tail -n 1 | grep -q '"correct":true' \
+    || { echo "benchmark: bake-cold did not check out" >&2; exit 1; }
 
 echo "== server smoke (serve round-trip, trace ids, dump, /metrics) =="
 # Boots `simdize serve` on port 0 with the metrics endpoint on a second

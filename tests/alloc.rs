@@ -6,11 +6,13 @@
 //! rendered the program to a `String`). This binary installs a counting
 //! global allocator and pins the fix as a scaling law rather than a
 //! number: doubling the array length, the trip count or the instruction
-//! count must not change how many times each function allocates.
+//! count must not change how many times each function allocates. The
+//! engine's once-per-program check (`PredecodedKernel::new`) is pinned
+//! at zero.
 
 use simdize::{
-    parse_program, program_fingerprint, run_scalar, LoopProgram, MemoryImage, Policy, ReuseMode,
-    SimdProgram, Simdizer, VectorShape,
+    parse_program, program_fingerprint, run_scalar, LoopProgram, MemoryImage, Policy,
+    PredecodedKernel, ReuseMode, SimdProgram, Simdizer, VectorShape,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -152,4 +154,28 @@ fn fingerprinting_never_allocates() {
         assert_eq!(fp, program_fingerprint(&program.clone()));
     }
     assert_ne!(program_fingerprint(&one), program_fingerprint(&two));
+}
+
+/// Checking a program for the engine borrows it and allocates nothing,
+/// whatever its size: the bake walks the VIR itself, so there is no
+/// decoded copy to build. The larger program has runtime alignments, so
+/// counting its distinct runtime expressions has work to do too.
+#[test]
+fn checking_a_program_for_the_engine_never_allocates() {
+    let one = compile(
+        "arrays { a: i32[128] @ 0; b: i32[128] @ 4; c: i32[128] @ 8; }
+         for i in 0..100 { a[i+3] = b[i+1] + c[i+2]; }",
+    );
+    let two = compile(
+        "arrays { a: i32[512] @ ?; b: i32[512] @ ?; c: i32[512] @ ?; d: i32[512] @ ?; }
+         for i in 0..ub { a[i+3] = b[i+1] + c[i+2]; d[i+1] = b[i+2] * c[i+3] - b[i]; }",
+    );
+    assert!(one.upper_bound().as_const().is_some() && two.upper_bound().is_runtime());
+    assert!(two.static_counts().1 > one.static_counts().1);
+    for program in [&one, &two] {
+        let mut checked = false;
+        let calls = allocations(|| checked = PredecodedKernel::new(program).is_ok());
+        assert!(checked);
+        assert_eq!(calls, 0);
+    }
 }

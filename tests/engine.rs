@@ -1,13 +1,14 @@
 //! Differential tests for the compiled engine: `simdize-engine` must
 //! be byte-for-byte and stat-for-stat identical to the `simdize-vm`
 //! interpreter (the reference semantics) across the full configuration
-//! matrix, its kernel lowering is pinned by a golden disassembly, and
-//! its kernel cache keeps its keying, LRU and counter contracts.
+//! matrix, the plan of an unfused bake is pinned by a golden listing,
+//! every fault a bake raises before touching memory is pinned, and its
+//! kernel cache keeps its keying, LRU and counter contracts.
 
 use simdize::{
-    program_fingerprint, run_simd, CompiledKernel, IsaLevel, KernelCache, KernelOptions,
-    MemoryImage, Policy, PredecodedKernel, ReuseMode, RunInput, SimdProgram, SimdizeError,
-    Simdizer, VectorShape,
+    program_fingerprint, run_simd, CompiledKernel, ExecError, IsaLevel, KernelCache,
+    KernelOptions, MemoryImage, Policy, PredecodedKernel, ReuseMode, RunInput, SimdProgram,
+    SimdizeError, Simdizer, VInst, VectorShape,
 };
 use std::sync::Arc;
 
@@ -96,14 +97,9 @@ fn engine_matches_interpreter_on_scalar_fallback_trips() {
     }
 }
 
-/// Pins the lowered kernel for the paper's Figure 1 loop under the
-/// zero-shift policy with software pipelining: the prologue shifts both
-/// streams to offset zero, the unrolled pair body carries three
-/// registers across iterations and the epilogue finishes with a
-/// load–splice–store partial store. Offsets are relative to each
-/// array's base, so the text is layout-stable.
-#[test]
-fn golden_disassembly_for_figure1_zero_sp() {
+/// The paper's Figure 1 loop, compiled under the zero-shift policy
+/// with software pipelining.
+fn figure1_zero_sp() -> (simdize::LoopProgram, SimdProgram) {
     let program = simdize::parse_program(
         "arrays { a: i32[128] @ 0; b: i32[128] @ 0; c: i32[128] @ 0; }
          for i in 0..100 { a[i+3] = b[i+1] + c[i+2]; }",
@@ -114,75 +110,198 @@ fn golden_disassembly_for_figure1_zero_sp() {
         .reuse(ReuseMode::SoftwarePipeline)
         .compile(&program)
         .unwrap();
-    let img = MemoryImage::with_seed(&program, VectorShape::V16, 1);
-    let kernel = CompiledKernel::compile(&compiled, &img, &RunInput::with_ub(100)).unwrap();
-    let expected = "\
-; kernel: V=16 D=4 B=4 ub=100 upper=97 regs=90
-prologue (i = 0):
-  v0 = load.chunk arr1[base-16]
-  v1 = load.chunk arr1[base+0]
-  v2 = shift(v0, v1, 4)
-  v3 = load.chunk arr2[base-16]
-  v4 = load.chunk arr2[base+0]
-  v5 = shift(v3, v4, 8)
-  v6 = add(v2, v5)
-  v8 = load.chunk arr1[base+16]
-  v9 = shift(v1, v8, 4)
-  v11 = load.chunk arr2[base+16]
-  v12 = shift(v4, v11, 8)
-  v13 = add(v9, v12)
-  v14 = shift(v6, v13, 4)
-  v15 = load.chunk arr0[base+0]
-  v16 = splice(v15, v14, 12)
-  store.chunk arr0[base+0], v16
-  v17 = v13
-  v25 = v8
-  v29 = v11
-pair (i = 4, step 8, x12):
-  v27 = load.chunk arr1[base+32; +32/iter]
-  v28 = shift(v25, v27, 4)
-  v31 = load.chunk arr2[base+32; +32/iter]
-  v32 = shift(v29, v31, 8)
-  v33 = add(v28, v32)
-  v34 = shift(v17, v33, 4)
-  store.chunk arr0[base+16; +32/iter], v34
-  v84 = load.chunk arr1[base+48; +32/iter]
-  v85 = shift(v27, v84, 4)
-  v86 = load.chunk arr2[base+48; +32/iter]
-  v87 = shift(v31, v86, 8)
-  v88 = add(v85, v87)
-  v89 = shift(v33, v88, 4)
-  store.chunk arr0[base+32; +32/iter], v89
-  v25 = v84
-  v29 = v86
-  v17 = v88
-epilogue (i = 100):
-  v67 = load.chunk arr1[base+384]
-  v68 = load.chunk arr1[base+400]
-  v69 = shift(v67, v68, 4)
-  v70 = load.chunk arr2[base+384]
-  v71 = load.chunk arr2[base+400]
-  v72 = shift(v70, v71, 8)
-  v73 = add(v69, v72)
-  v75 = load.chunk arr1[base+416]
-  v76 = shift(v68, v75, 4)
-  v78 = load.chunk arr2[base+416]
-  v79 = shift(v71, v78, 8)
-  v80 = add(v76, v79)
-  v81 = shift(v73, v80, 4)
-  v82 = load.chunk arr0[base+400]
-  v83 = splice(v81, v82, 12)
-  store.chunk arr0[base+400], v83
-";
-    assert_eq!(kernel.disassembly(), expected);
+    (program, compiled)
 }
 
-/// One program, its pre-decode and a seeded image: what a cache lookup
-/// takes. `lookup` is [`KernelCache::get_or_bake_simd`] at `isa`,
-/// reduced to `(hit, evicted)`.
+/// Pins the plan of an unfused bake of Figure 1 under the zero-shift
+/// policy with software pipelining — the listing `trace()` renders of
+/// what the strip driver executes, before fusion touches it: the prologue shifts
+/// both streams to offset zero, the unrolled pair body strips with its
+/// three rotations riding seed lanes, and the epilogue finishes with a
+/// load–splice–store partial store. Every chunk access is truncated
+/// (`b[i+1]` at `i = 0` loads `base-16`, not `base-12`) and every
+/// stream carries its baked `(start, step)`; offsets are relative to
+/// each array's base, so the text is layout-stable.
+#[test]
+fn golden_disassembly_for_figure1_zero_sp() {
+    let (program, compiled) = figure1_zero_sp();
+    let img = MemoryImage::with_seed(&program, VectorShape::V16, 1);
+    let kernel = PredecodedKernel::new(&compiled)
+        .unwrap()
+        .bake(&img, &RunInput::with_ub(100), &KernelOptions::new().fuse(false))
+        .unwrap();
+    let expected = "\
+; plan: V=16 lanes=291 fused-loads=0 splat-ops=0 hoisted=0 eliminated=0
+prologue:
+  v0 = vload arr1[base-16]
+  v1 = vload arr1[base+0]
+  v2 = vshiftpair(v0, v1, 4)
+  v0 = vload arr2[base-16]
+  v3 = vload arr2[base+0]
+  v4 = vshiftpair(v0, v3, 8)
+  v0 = add(v2, v4)
+  v4 = vload arr1[base+16]
+  v2 = vshiftpair(v1, v4, 4)
+  v1 = vload arr2[base+16]
+  v5 = vshiftpair(v3, v1, 8)
+  v3 = add(v2, v5)
+  v5 = vshiftpair(v0, v3, 4)
+  v0 = vload arr0[base+0]
+  v2 = vsplice(v0, v5, 12)
+  vstore arr0[base+0], v2
+  v32 = v3
+  v65 = v4
+  v98 = v1
+pair x12, strip:
+  ; v65: 1 seed lane(s) of column v66
+  ; v98: 1 seed lane(s) of column v99
+  ; v32: 1 seed lane(s) of column v33
+  v131 = vload arr1[base+32; +32/iter]
+  v66 = vload arr1[base+48; +32/iter]
+  v163 = vshiftpair(v65, v131, 4)
+  v195 = vload arr2[base+32; +32/iter]
+  v99 = vload arr2[base+48; +32/iter]
+  v227 = vshiftpair(v98, v195, 8)
+  v259 = add(v163, v227)
+  v227 = vshiftpair(v131, v66, 4)
+  v131 = vshiftpair(v195, v99, 8)
+  v33 = add(v227, v131)
+  v131 = vshiftpair(v32, v259, 4)
+  vstore arr0[base+16; +32/iter], v131
+  v131 = vshiftpair(v259, v33, 4)
+  vstore arr0[base+32; +32/iter], v131
+epilogue:
+  v1 = vload arr1[base+384]
+  v4 = vload arr1[base+400]
+  v3 = vshiftpair(v1, v4, 4)
+  v1 = vload arr2[base+384]
+  v2 = vload arr2[base+400]
+  v5 = vshiftpair(v1, v2, 8)
+  v1 = add(v3, v5)
+  v5 = vload arr1[base+416]
+  v3 = vshiftpair(v4, v5, 4)
+  v5 = vload arr2[base+416]
+  v4 = vshiftpair(v2, v5, 8)
+  v5 = add(v3, v4)
+  v4 = vshiftpair(v1, v5, 4)
+  v5 = vload arr0[base+400]
+  v1 = vsplice(v4, v5, 12)
+  vstore arr0[base+400], v1
+";
+    assert_eq!(kernel.trace(), expected);
+}
+
+/// The listing is a view of the plan, not something a bake builds:
+/// `disassembly(false)`, a no-op, bakes the identical plan — the same
+/// listing and the same bytes, fused or not.
+#[test]
+fn the_listing_does_not_depend_on_the_disassembly_switch() {
+    let (program, compiled) = figure1_zero_sp();
+    let img = MemoryImage::with_seed(&program, VectorShape::V16, 7);
+    let pre = PredecodedKernel::new(&compiled).unwrap();
+    let input = RunInput::with_ub(100);
+    for fuse in [true, false] {
+        let opts = KernelOptions::new().fuse(fuse);
+        let plain = pre.bake(&img, &input, &opts).unwrap();
+        let quiet = pre.bake(&img, &input, &opts.disassembly(false)).unwrap();
+        assert_eq!(quiet.trace(), plain.trace(), "fuse {fuse}");
+        assert_eq!(quiet.stats(), plain.stats(), "fuse {fuse}");
+        let (mut a, mut b) = (img.clone(), img.clone());
+        quiet.run(&mut a).unwrap();
+        plain.run(&mut b).unwrap();
+        assert_eq!(a.first_difference(&b), None, "fuse {fuse}");
+    }
+}
+
+/// What the bake refuses, before it touches memory: inputs that
+/// contradict the loop, an image of another shape, and — at `run` —
+/// an image of another layout.
+#[test]
+fn bake_rejects_inputs_the_loop_does_not_fit() {
+    let (program, compiled) = figure1_zero_sp();
+    let img = MemoryImage::with_seed(&program, VectorShape::V16, 1);
+    let pre = PredecodedKernel::new(&compiled).unwrap();
+    let opts = KernelOptions::new();
+    assert_eq!(
+        pre.bake(&img, &RunInput::with_ub(99), &opts).unwrap_err(),
+        ExecError::TripMismatch { declared: 100, supplied: 99 }
+    );
+    let img8 = MemoryImage::with_seed(&program, VectorShape::V8, 1);
+    assert!(matches!(
+        pre.bake(&img8, &RunInput::with_ub(100), &opts),
+        Err(ExecError::Unsupported { .. })
+    ));
+
+    // A parameter the loop declares and the input lacks.
+    let scaled = simdize::parse_program(
+        "arrays { a: i32[128] @ 0; b: i32[128] @ 4; } params { k; }
+         for i in 0..100 { a[i] = b[i+1] * k; }",
+    )
+    .unwrap();
+    let scaled_compiled = Simdizer::new().compile(&scaled).unwrap();
+    let scaled_img = MemoryImage::with_seed(&scaled, VectorShape::V16, 1);
+    let scaled_pre = PredecodedKernel::new(&scaled_compiled).unwrap();
+    assert_eq!(
+        scaled_pre.bake(&scaled_img, &RunInput::with_ub(100), &opts).unwrap_err(),
+        ExecError::MissingParam { index: 0 }
+    );
+    let given = RunInput { ub: 100, params: vec![3] };
+    assert!(scaled_pre.bake(&scaled_img, &given, &opts).is_ok());
+
+    // Same layout, refilled contents: accepted. Another program's
+    // image: rejected, not corrupted.
+    let kernel = pre.bake(&img, &RunInput::with_ub(100), &opts).unwrap();
+    let mut refill = img.clone();
+    refill.fill_random(77);
+    assert!(kernel.layout_matches(&refill));
+    kernel.run(&mut refill).unwrap();
+    let mut foreign = scaled_img.clone();
+    assert!(!kernel.layout_matches(&foreign));
+    assert!(matches!(kernel.run(&mut foreign), Err(ExecError::Unsupported { .. })));
+    assert_eq!(foreign.first_difference(&scaled_img), None);
+}
+
+/// What the program check and the bake refuse in a malformed program,
+/// built by patching generated VIR: a `vperm` whose pattern is not 16
+/// selectors below 32, and a read of a register nothing wrote yet —
+/// refused exactly as the interpreter faults on it.
+#[test]
+fn bake_rejects_malformed_programs() {
+    let program = simdize::parse_program(MISALIGNED).unwrap();
+    let compiled = Simdizer::new()
+        .policy(Policy::Zero)
+        .reuse(ReuseMode::None)
+        .compile(&program)
+        .unwrap();
+    let r = compiled.body().iter().find_map(VInst::def).unwrap();
+    for (pattern, amount) in [(vec![0u8; 15], 15), ((0..16).map(|k| 2 * k + 2).collect(), 32)] {
+        let mut bad = compiled.clone();
+        bad.body_mut().push(VInst::Perm { dst: r, a: r, b: r, pattern });
+        assert_eq!(
+            PredecodedKernel::new(&bad).unwrap_err(),
+            ExecError::BadShiftAmount { amount }
+        );
+    }
+
+    // The body's last result, read at its top: the first iteration
+    // reads it before anything wrote it.
+    assert!(compiled.body_pair().is_none(), "the body must run first");
+    let late = compiled.body().iter().rev().find_map(VInst::def).unwrap();
+    let mut bad = compiled.clone();
+    bad.body_mut().insert(0, VInst::Copy { dst: r, src: late });
+    let img = MemoryImage::with_seed(&program, VectorShape::V16, 1);
+    let input = RunInput::with_ub(200);
+    let want = run_simd(&bad, &mut img.clone(), &input).unwrap_err();
+    assert_eq!(want, ExecError::UninitializedRegister { index: late.index() });
+    let pre = PredecodedKernel::new(&bad).unwrap();
+    assert_eq!(pre.bake(&img, &input, &KernelOptions::new()).unwrap_err(), want);
+}
+
+/// One program and a seeded image: what a cache lookup takes.
+/// `lookup` is [`KernelCache::get_or_bake_simd`] at `isa`, reduced to
+/// `(hit, evicted)`.
 struct Cached {
     program: SimdProgram,
-    pre: PredecodedKernel,
     image: MemoryImage,
 }
 
@@ -194,9 +313,8 @@ impl Cached {
             .reuse(ReuseMode::SoftwarePipeline)
             .compile(&parsed)
             .unwrap();
-        let pre = PredecodedKernel::new(&program).unwrap();
         let image = MemoryImage::with_seed(&parsed, VectorShape::V16, seed);
-        Cached { program, pre, image }
+        Cached { program, image }
     }
 
     fn runtime_trip(seed: u64) -> Cached {
@@ -213,10 +331,11 @@ impl Cached {
         ub: u64,
         isa: IsaLevel,
     ) -> (Arc<simdize::SimdKernel>, bool, bool) {
-        let opts = KernelOptions::new().disassembly(false);
+        let pre = PredecodedKernel::new(&self.program).unwrap();
         let fingerprint = program_fingerprint(&self.program);
+        let input = RunInput::with_ub(ub);
         let (kernel, lookup) = cache
-            .get_or_bake_simd(fingerprint, &self.pre, &self.image, &RunInput::with_ub(ub), &opts, isa)
+            .get_or_bake_simd(fingerprint, &pre, &self.image, &input, &KernelOptions::new(), isa)
             .unwrap();
         (kernel, lookup.hit, lookup.evicted)
     }
@@ -438,7 +557,7 @@ fn cache_bake_errors_do_not_populate() {
     // A trip count the program does not declare fails the bake.
     let mismatch = cache.get_or_bake_simd(
         program_fingerprint(&fixed.program),
-        &fixed.pre,
+        &PredecodedKernel::new(&fixed.program).unwrap(),
         &fixed.image,
         &RunInput::with_ub(7),
         &KernelOptions::new(),

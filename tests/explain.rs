@@ -6,7 +6,7 @@
 
 use simdize::{parse_program, Policy};
 use simdize_explain::{render_json, render_markdown, ExplainReport, Explainer};
-use simdize_suite::{assert_golden, repo, sample};
+use simdize_suite::{assert_golden, sample, sample_loops};
 
 const POLICIES: [(Policy, &str); 5] = [
     (Policy::Zero, "zero"),
@@ -115,7 +115,7 @@ fn accounting_covers_every_op() {
 }
 
 /// Inapplicable (loop, policy) pairs produce an explanation page, not
-/// an error — the docs generator relies on this to cover the full
+/// an error — the worked-example docs rely on this to cover the full
 /// loop × policy matrix.
 #[test]
 fn inapplicable_is_a_page_not_an_error() {
@@ -134,21 +134,43 @@ fn inapplicable_is_a_page_not_an_error() {
     ));
 }
 
-/// The checked-in worked examples must match what the compiler
-/// produces today (the in-process twin of `scripts/gen-docs.sh
-/// --check`).
+/// The head of `docs/worked-examples/README.md`; one table row per
+/// sample loop follows.
+const INDEX_HEAD: &str = "\
+# Worked examples
+
+Generated by `tests/explain.rs` — do not edit by hand; regenerate with
+`UPDATE_GOLDEN=1 cargo test --test explain`.
+Each page is the output of `simdize explain --markdown` for one
+sample loop under one shift-placement policy: the decision trace,
+the generated program with every instruction back-linked to the
+decisions that produced it, and the operations-per-datum accounting
+against the paper's §5.3 analytic lower bound. The tier-1 tests fail
+if these pages drift from the compiler's actual behavior.
+
+| loop | zero | eager | lazy | dominant | optimal |
+|------|------|-------|------|----------|---------|
+";
+
+/// The checked-in worked examples — one page per sample loop in
+/// `loops/` per policy, and their index — must match what the compiler
+/// produces today. If an intentional pipeline change moves them,
+/// re-verify and regenerate with `UPDATE_GOLDEN=1 cargo test --test
+/// explain`.
 #[test]
 fn worked_example_docs_are_current() {
-    for name in LOOPS {
+    let mut index = INDEX_HEAD.to_string();
+    for (name, _) in sample_loops() {
+        index += &format!("| `loops/{name}.loop` |");
         for (policy, pname) in POLICIES {
-            let path = repo(&format!("docs/worked-examples/{name}-{pname}.md"));
-            let checked_in = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("missing {path}: {e} (run scripts/gen-docs.sh)"));
-            let fresh = render_markdown(&explain(name, policy));
-            assert_eq!(
-                checked_in, fresh,
-                "{path} is stale; run scripts/gen-docs.sh"
-            );
+            let page = format!("{name}-{pname}.md");
+            let path = format!("docs/worked-examples/{page}");
+            let fresh = render_markdown(&explain(&name, policy));
+            assert_golden(&path, &fresh, &format!("{path} is stale"));
+            index += &format!(" [{pname}]({page}) |");
         }
+        index.push('\n');
     }
+    let path = "docs/worked-examples/README.md";
+    assert_golden(path, &index, &format!("{path} is stale"));
 }

@@ -113,12 +113,13 @@ fn fusion_fires_on_every_policy_for_the_misaligned_loop() {
 
 /// Pins the fused execution plan for the paper's Figure 1 loop under
 /// the zero-shift policy with software pipelining — the fused twin of
-/// `golden_disassembly_for_figure1_zero_sp` in `tests/engine.rs`. Every
+/// `golden_disassembly_for_figure1_zero_sp` in `tests/engine.rs`, the
+/// same `trace()` listing of the plan the strip driver executes. Every
 /// `load`+`shift` chain collapses into a `vload.fused` at the shifted
-/// byte offset, and the software pipeline's rotation copies for the
-/// raw load registers die with the shifts (only the computed-value
-/// rotation `v17 = v88` survives, feeding the store-side shift). The
-/// unrolled pair body drops from 16 ops to 11.
+/// byte offset, and the software pipeline's rotations of the raw load
+/// registers die with the shifts: only the computed-value rotation
+/// survives, as one seed lane in front of the sum's column, feeding the
+/// store-side shift. The stripped pair body drops from 14 ops to 10.
 #[test]
 fn golden_trace_for_figure1_zero_sp() {
     let program = simdize::parse_program(
@@ -137,42 +138,42 @@ fn golden_trace_for_figure1_zero_sp() {
         .bake(&img, &RunInput::with_ub(100), &KernelOptions::new())
         .unwrap();
     let expected = "\
-; trace: V=16 regs=90 fused=true fused-loads=12 splat-ops=0 hoisted=0 eliminated=20
+; plan: V=16 lanes=161 fused-loads=12 splat-ops=0 hoisted=0 eliminated=20
 prologue:
-  v2 = vload.fused arr1[base-12]
-  v5 = vload.fused arr2[base-8]
-  v6 = add(v2, v5)
-  v9 = vload.fused arr1[base+4]
-  v12 = vload.fused arr2[base+8]
-  v13 = add(v9, v12)
-  v14 = vshiftpair(v6, v13, 4)
-  v15 = vload arr0[base+0]
-  v16 = vsplice(v15, v14, 12)
-  vstore arr0[base+0], v16
-  v17 = v13
-pair x12:
-  v28 = vload.fused arr1[base+20; +32/iter]
-  v32 = vload.fused arr2[base+24; +32/iter]
-  v33 = add(v28, v32)
-  v34 = vshiftpair(v17, v33, 4)
-  vstore arr0[base+16; +32/iter], v34
-  v85 = vload.fused arr1[base+36; +32/iter]
-  v87 = vload.fused arr2[base+40; +32/iter]
-  v88 = add(v85, v87)
-  v89 = vshiftpair(v33, v88, 4)
-  vstore arr0[base+32; +32/iter], v89
-  v17 = v88
+  v0 = vload.fused arr1[base-12]
+  v1 = vload.fused arr2[base-8]
+  v2 = add(v0, v1)
+  v1 = vload.fused arr1[base+4]
+  v0 = vload.fused arr2[base+8]
+  v3 = add(v1, v0)
+  v0 = vshiftpair(v2, v3, 4)
+  v2 = vload arr0[base+0]
+  v1 = vsplice(v2, v0, 12)
+  vstore arr0[base+0], v1
+  v32 = v3
+pair x12, strip:
+  ; v32: 1 seed lane(s) of column v33
+  v65 = vload.fused arr1[base+20; +32/iter]
+  v97 = vload.fused arr2[base+24; +32/iter]
+  v129 = add(v65, v97)
+  v97 = vload.fused arr1[base+36; +32/iter]
+  v65 = vload.fused arr2[base+40; +32/iter]
+  v33 = add(v97, v65)
+  v65 = vshiftpair(v32, v129, 4)
+  vstore arr0[base+16; +32/iter], v65
+  v65 = vshiftpair(v129, v33, 4)
+  vstore arr0[base+32; +32/iter], v65
 epilogue:
-  v69 = vload.fused arr1[base+388]
-  v72 = vload.fused arr2[base+392]
-  v73 = add(v69, v72)
-  v76 = vload.fused arr1[base+404]
-  v79 = vload.fused arr2[base+408]
-  v80 = add(v76, v79)
-  v81 = vshiftpair(v73, v80, 4)
-  v82 = vload arr0[base+400]
-  v83 = vsplice(v81, v82, 12)
-  vstore arr0[base+400], v83
+  v3 = vload.fused arr1[base+388]
+  v1 = vload.fused arr2[base+392]
+  v0 = add(v3, v1)
+  v1 = vload.fused arr1[base+404]
+  v3 = vload.fused arr2[base+408]
+  v2 = add(v1, v3)
+  v3 = vshiftpair(v0, v2, 4)
+  v2 = vload arr0[base+400]
+  v0 = vsplice(v3, v2, 12)
+  vstore arr0[base+400], v0
 ";
     assert_eq!(kernel.trace(), expected);
 }

@@ -791,6 +791,42 @@ fn shutdown_under_load_answers_every_admitted_request() {
     assert_eq!(summary.requests, 6 + polls + 1, "six sweeps, the polls, the shutdown");
 }
 
+/// ROADMAP robustness: a client that sends requests and never reads
+/// the replies fills the socket buffers until the server's reply write
+/// blocks. That write gives up after `WRITE_TIMEOUT` and the connection
+/// closes, so a `shutdown` from a second client still stops the server:
+/// `serve()` returns within the timeout plus a margin. (Without the
+/// timeout the flooder's thread blocks in `write_all` for good and
+/// `serve()` joins it forever; `recv_timeout` turns that into a
+/// failure instead of a hang.)
+#[test]
+fn a_client_that_stops_reading_cannot_hang_shutdown() {
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let (done, served) = std::sync::mpsc::channel();
+    let serving = std::thread::spawn(move || done.send(server.serve().is_ok()));
+
+    // Flood until the server stops taking bytes (its reply write is
+    // blocked) or drops the connection.
+    let mut flooder = TcpStream::connect(addr).unwrap();
+    flooder.set_write_timeout(Some(Duration::from_millis(500))).unwrap();
+    let burst = r#"{"v":1,"id":1,"cmd":"stats"}"#.to_string() + "\n";
+    let burst = burst.repeat(1024);
+    let mut sent = 0;
+    while flooder.write_all(burst.as_bytes()).is_ok() {
+        sent += burst.len();
+        assert!(sent < 1 << 30, "the server never stopped reading");
+    }
+
+    let mut control = Client::connect(addr);
+    let reply = control.roundtrip(r#"{"v":1,"id":2,"cmd":"shutdown"}"#);
+    assert!(reply.contains("\"stopping\":true"), "{reply}");
+    let margin = Duration::from_secs(5);
+    let stopped = served.recv_timeout(simdize_server::WRITE_TIMEOUT + margin);
+    assert_eq!(stopped, Ok(true), "serve() did not return after {sent} bytes of unread requests");
+    serving.join().unwrap().unwrap();
+}
+
 /// Connects and proves the connection live with a ping round trip,
 /// retrying with backoff. A burst of hundreds of simultaneous SYNs can
 /// overflow the listen backlog; the kernel then drops the final ACK,
