@@ -32,7 +32,7 @@
 //! what [`CompiledKernel::trace`] lists.
 
 use crate::lanes::Reg;
-use crate::native::{self, IsaLevel, Program, Schedule, Section, SectionSchedule, SequentialReason};
+use crate::native::{self, IsaLevel, Program, Schedule, Section, SectionSchedule, SequentialReason, Sink, Super};
 use crate::trace::{self, FusionEvent, FusionStats};
 use simdize_codegen::{Addr, ScalarEnv, SimdProgram, VInst, VReg};
 use simdize_ir::{ArrayId, BinOp, LoopProgram, ScalarType, UnOp, Value, VectorShape};
@@ -761,10 +761,12 @@ impl CompiledKernel {
     /// A listing of the plan [`run`](CompiledKernel::run) dispatches,
     /// rendered on each call from the lowered sections themselves: each
     /// section's role, iteration count and schedule (strip, or
-    /// sequential with its reason), then its ops as the strip driver
-    /// runs them — fused superinstructions (`vload.fused`, immediate
-    /// binops), hoisted headers, registers renamed onto the run's
-    /// register block, rotation copies replaced by seed lanes. Offsets
+    /// sequential with its reason), then what the strip driver
+    /// dispatches, one line each — an op, or a `fold` superinstruction
+    /// with its member ops indented under it — with fused loads
+    /// (`vload.fused`), immediate binops, hoisted headers, registers
+    /// renamed onto the run's register block, and rotation copies
+    /// replaced by seed lanes. Offsets
     /// are printed relative to array bases, so the text is stable
     /// across layouts of the same program.
     pub fn trace(&self) -> String {
@@ -791,7 +793,7 @@ impl CompiledKernel {
     }
 }
 
-/// Renders [`CompiledKernel::trace`], one line per op.
+/// Renders [`CompiledKernel::trace`], one line per dispatch.
 struct Listing<'a> {
     bases: &'a [u64],
     elem: ScalarType,
@@ -812,8 +814,19 @@ impl Listing<'_> {
         for (c, op, _) in &s.partials {
             let _ = writeln!(out, "  ; v{c}: lane partials, folded by {}", name(op));
         }
-        for op in &s.ops {
-            let _ = writeln!(out, "{}", self.op(op));
+        let mut at = 0;
+        for i in 0..=s.supers.len() {
+            let f = s.supers.get(i);
+            for op in &s.ops[at..f.map_or(s.ops.len(), |f| f.ops.start)] {
+                let _ = writeln!(out, "{}", self.op(op));
+            }
+            if let Some(f) = f {
+                let _ = writeln!(out, "{}", fold(f));
+                for op in &s.ops[f.ops.clone()] {
+                    let _ = writeln!(out, "  {}", self.op(op));
+                }
+                at = f.ops.end;
+            }
         }
     }
 
@@ -864,6 +877,20 @@ impl Listing<'_> {
             Op::Copy { dst, src } => format!("  v{dst} = v{src}"),
         }
     }
+}
+
+/// A superinstruction's dispatched line: its operator (`copy` when
+/// no fold combines two streams), each fold's stream count and the
+/// folds' sink.
+fn fold(f: &Super) -> String {
+    let op = if f.folds().iter().all(|g| g.leaves == 1) { "copy".to_string() } else { name(&f.op) };
+    let leaves: Vec<String> = f.folds().iter().map(|g| g.leaves.to_string()).collect();
+    let sink = match f.folds()[0].sink {
+        Sink::Store { .. } => "vstore".to_string(),
+        Sink::Shift { .. } => format!("vshiftpair from v{} + vstore", f.column),
+        Sink::Reduce { op } => format!("v{} lane partials by {}", f.column, name(&op)),
+    };
+    format!("  fold {op}, {} streams -> {sink}", leaves.join("+"))
 }
 
 /// An operator's listing name: its variant, lower-cased.

@@ -45,7 +45,7 @@
 //! and unfused) while running orders of magnitude faster. `unsafe` is
 //! confined to two audited per-architecture modules (`x86`, `neon`)
 //! behind the crate-wide `#![deny(unsafe_code)]` lint; the driver
-//! hands them bounds-checked 16-byte windows.
+//! hands them 16-byte arrays sliced out of per-strip stream windows.
 //!
 //! The [`batch`] module scales this to sweeps: many (program, seed)
 //! jobs distributed over scoped worker threads, each job compiled,

@@ -1,13 +1,15 @@
 //! The last step of a bake, preparing a plan for the strip driver:
 //! which loop sections may run in strips, where the registers they
-//! carry between iterations live in the lanes, and which column of the
-//! register block each baked register lives in.
+//! carry between iterations live in the lanes, which runs of a strip
+//! section's ops the driver runs as one superinstruction, and which
+//! column of the register block each baked register lives in.
 
-use super::strip::{Program, Section, STRIP};
+use super::strip::{perm_tables, Fold, Program, Section, Sink, Super, MAX_LEAVES, STRIP};
 use super::{Schedule, SectionSchedule, SequentialReason};
 use crate::kernel::{splat_bytes, Op, NO_REG as NONE, V};
 use simdize_codegen::reduction_identity;
 use simdize_ir::{BinOp, ScalarType};
+use std::ops::Range;
 use SequentialReason::{CarriedRegister, MemoryDependence, OneIteration};
 
 /// What lowering tracks per baked register.
@@ -331,6 +333,297 @@ fn decide(ops: &mut Vec<Op>, iters: i64, s: usize, scan: &mut Scan, info: &mut V
     Ok(carried)
 }
 
+/// Returns `None` from the enclosing selection rule unless `$cond`
+/// holds: the ops it looked at stay on the generic arms.
+macro_rules! require {
+    ($cond:expr) => {
+        if !$cond {
+            return None;
+        }
+    };
+}
+
+/// Most streams one fold combines.
+const MAX_FOLD: usize = 8;
+
+/// A run of a strip section's ops read as a superinstruction, one op
+/// at a time ([`Parse::push`]).
+struct Parse {
+    op: Option<BinOp>,
+    step: Option<i64>,
+    /// Trees begun and not yet sunk, oldest first: `(value, leaves)`.
+    trees: Vec<(u32, usize)>,
+    /// Each leaf's first byte and array, fold by fold.
+    loads: Vec<(i64, u32)>,
+    /// Each fold done: its shape, its value and its store's first byte.
+    folds: Vec<(Fold, u32, i64)>,
+    /// Where the ops so far end a whole superinstruction: `(end, folds,
+    /// leaves)`.
+    whole: Vec<(usize, usize, usize)>,
+    /// The array the stores write.
+    stored: u32,
+    /// A `vshiftpair` awaiting its store: `(dst, amt)`.
+    shifted: Option<(u32, u8)>,
+    /// The rotated register the first shift reads, and the register the
+    /// next one must read: the last fold's value.
+    rotated: u32,
+    carry: u32,
+    /// A reduction: its accumulator, the chain's last link, and whether
+    /// the closing copy was read.
+    acc: u32,
+    link: u32,
+    closed: bool,
+}
+
+impl Parse {
+    fn new() -> Parse {
+        Parse {
+            op: None,
+            step: None,
+            trees: Vec::new(),
+            loads: Vec::new(),
+            folds: Vec::new(),
+            whole: Vec::new(),
+            stored: NONE,
+            shifted: None,
+            rotated: NONE,
+            carry: NONE,
+            acc: NONE,
+            link: NONE,
+            closed: false,
+        }
+    }
+
+    /// Starts over, keeping the buffers.
+    fn clear(&mut self) {
+        let mut next = Parse::new();
+        std::mem::swap(&mut next.trees, &mut self.trees);
+        std::mem::swap(&mut next.loads, &mut self.loads);
+        std::mem::swap(&mut next.folds, &mut self.folds);
+        std::mem::swap(&mut next.whole, &mut self.whole);
+        next.trees.clear();
+        next.loads.clear();
+        next.folds.clear();
+        next.whole.clear();
+        *self = next;
+    }
+
+    /// Whether the ops so far end a whole superinstruction.
+    fn is_whole(&self) -> bool {
+        !self.folds.is_empty() && self.trees.is_empty() && self.shifted.is_none() && (self.acc == NONE || self.closed)
+    }
+
+    /// Every stream shares one step, a forward one of whole vectors.
+    fn stream(&mut self, step: i64) -> Option<()> {
+        require!(step >= V && step % V == 0 && *self.step.get_or_insert(step) == step);
+        Some(())
+    }
+
+    /// Ends the oldest tree, which must be `value`, in `sink`: one kind
+    /// of sink per superinstruction, stores whole vectors apart, and at
+    /// most two rotation shifts.
+    fn sink(&mut self, value: u32, sink: Sink, start: i64) -> Option<()> {
+        let &(tree, leaves) = self.trees.first()?;
+        require!(tree == value && !(matches!(sink, Sink::Shift { .. }) && self.folds.len() == 2));
+        if let Some(&(first, _, first_start)) = self.folds.first() {
+            require!(std::mem::discriminant(&first.sink) == std::mem::discriminant(&sink) && (start - first_start) % V == 0);
+        }
+        self.trees.remove(0);
+        self.folds.push((Fold { leaves, sink }, value, start));
+        Some(())
+    }
+
+    /// Reads one more op: `None` where it cannot continue the run.
+    fn push(&mut self, op: &Op, carried: &Carried) -> Option<()> {
+        require!(!self.closed);
+        match *op {
+            Op::Load { dst, arr, start, step } | Op::LoadFused { dst, arr, start, step } => {
+                require!(self.loads.len() < MAX_LEAVES);
+                self.stream(step)?;
+                self.trees.push((dst, 1));
+                self.loads.push((start, arr));
+            }
+            Op::Bin { dst, op, a, b } => match self.trees[..] {
+                // Two trees whose values meet: one tree of one operator,
+                // reassociable past two leaves.
+                [.., (x, m), (y, n)] if (a, b) == (x, y) || (a, b) == (y, x) => {
+                    let leaves = m + n;
+                    require!(*self.op.get_or_insert(op) == op && leaves <= MAX_FOLD);
+                    require!(leaves == 2 || op.is_reassociable());
+                    if (a, b) == (y, x) && !op.is_reassociable() {
+                        let k = self.loads.len();
+                        self.loads.swap(k - 2, k - 1);
+                    }
+                    self.trees.truncate(self.trees.len() - 2);
+                    self.trees.push((dst, leaves));
+                }
+                // A link of a reduction chain: the lane's partial and the
+                // oldest tree.
+                _ => {
+                    let link = match self.acc {
+                        NONE => [a, b].into_iter().find(|&r| carried.partials.contains(&(r, op)))?,
+                        acc => {
+                            require!(carried.partials.contains(&(acc, op)));
+                            self.link
+                        }
+                    };
+                    let value = if a == link { b } else { a };
+                    require!((a == link || b == link) && value != link);
+                    self.sink(value, Sink::Reduce { op }, 0)?;
+                    if self.acc == NONE {
+                        self.acc = link;
+                    }
+                    self.link = dst;
+                }
+            },
+            Op::Shift { dst, a, b, amt } => {
+                require!(self.shifted.is_none() && self.trees.first().is_some_and(|&(t, _)| t == b));
+                if self.rotated == NONE {
+                    require!(carried.chains.iter().any(|c| c[0] == a));
+                    (self.rotated, self.carry) = (a, a);
+                }
+                require!(a == self.carry);
+                self.shifted = Some((dst, amt));
+                self.carry = b;
+            }
+            Op::Store { src, arr, start, step } => {
+                self.stream(step)?;
+                require!(self.stored == NONE || self.stored == arr);
+                self.stored = arr;
+                match self.shifted.take() {
+                    Some((shifted, amt)) => {
+                        require!(shifted == src);
+                        self.sink(self.carry, Sink::Shift { at: 0, amt }, start)?;
+                    }
+                    None => self.sink(src, Sink::Store { at: 0 }, start)?,
+                }
+            }
+            Op::Copy { dst, src } if self.acc != NONE && (dst, src) == (self.acc, self.link) => self.closed = true,
+            _ => return None,
+        }
+        Some(())
+    }
+
+    /// The run's first `folds` folds (over its first `leaves` streams)
+    /// as the superinstruction over `ops`.
+    fn build(&self, ops: Range<usize>, folds: usize, leaves: usize) -> Super {
+        let folds = &self.folds[..folds];
+        let stores = folds.iter().filter(|(f, ..)| !matches!(f.sink, Sink::Reduce { .. }));
+        let base = stores.map(|&(.., start)| start).min();
+        let mut fold = [Fold { leaves: 0, sink: Sink::Store { at: 0 } }; MAX_LEAVES];
+        for (to, &(mut f, _, start)) in fold.iter_mut().zip(folds) {
+            if let Sink::Store { at } | Sink::Shift { at, .. } = &mut f.sink {
+                *at = (start - base.unwrap_or(0)) as usize;
+            }
+            *to = f;
+        }
+        let reach = fold[..folds.len()].iter().filter_map(|f| match f.sink {
+            Sink::Store { at } | Sink::Shift { at, .. } => Some(at),
+            Sink::Reduce { .. } => None,
+        });
+        let mut shifts = [([0; 16], [0; 16], [0; 16]); 2];
+        for (f, tables) in fold[..folds.len()].iter().zip(&mut shifts) {
+            if let Sink::Shift { amt, .. } = f.sink {
+                let pattern = std::array::from_fn(|i| amt + i as u8);
+                let (lo, hi) = perm_tables(&pattern);
+                *tables = (pattern, lo, hi);
+            }
+        }
+        let mut leaf = [0; MAX_LEAVES];
+        for (to, &(start, _)) in leaf.iter_mut().zip(&self.loads[..leaves]) {
+            *to = start;
+        }
+        Super {
+            ops,
+            shifts,
+            op: self.op.unwrap_or(BinOp::Or),
+            step: self.step.unwrap_or(0),
+            store: base.map(|base| (base, reach.max().unwrap_or(0))),
+            used: (leaves, folds.len()),
+            leaf,
+            fold,
+            column: if self.acc != NONE { self.acc } else { self.rotated },
+        }
+    }
+}
+
+/// The selection rules a run of the right shape must still pass. A
+/// rotation it carries has depth 1 and its source is the last fold's
+/// value; no stream reads the stored array; and every register the run
+/// names is single use — read only inside the run, once unless a
+/// rotation shift reads it again — and dead after the run: neither
+/// carried nor read by a later section. The rotated register, its
+/// source and the accumulator leave through their lanes instead.
+#[allow(clippy::too_many_arguments)]
+fn legal(ops: &[Op], regs: &[[u32; 3]], reads: &[Range<u32>], run: Range<usize>, s: usize, scan: &Scan, carried: &Carried, info: &[Reg], p: &Parse, folds: usize) -> bool {
+    let (last, value, _) = p.folds[folds - 1];
+    let source = match last.sink {
+        Sink::Shift { .. } => match carried.chains.iter().find(|c| c[0] == p.rotated) {
+            Some(chain) if chain[..] == [p.rotated, value] => value,
+            _ => return false,
+        },
+        _ => NONE,
+    };
+    if ops[run.clone()].iter().any(|op| matches!(*op, Op::Load { arr, .. } | Op::LoadFused { arr, .. } if arr == p.stored)) {
+        return false;
+    }
+    let within = run.start as u32..run.end as u32;
+    regs[run].iter().flatten().filter(|&&r| r != NONE).all(|&r| {
+        let read = &reads[r as usize];
+        let escapes = scan.carried.contains(&r) || info[r as usize].live_after(s);
+        (read.end == 0 || within.contains(&read.start) && within.contains(&(read.end - 1)))
+            && ([p.rotated, source, p.acc].contains(&r) || !escapes)
+    })
+}
+
+/// The superinstruction that starts at op `i` of strip section `s` (in
+/// strip order), if one does: the longest run of ops from `i` that
+/// reads as folds of loaded streams by one operator, each into the same
+/// kind of sink, and is [`legal`].
+#[allow(clippy::too_many_arguments)]
+fn pick(ops: &[Op], regs: &[[u32; 3]], reads: &[Range<u32>], i: usize, s: usize, scan: &Scan, carried: &Carried, info: &[Reg], p: &mut Parse) -> Option<Super> {
+    require!(matches!(ops[i], Op::Load { .. } | Op::LoadFused { .. }));
+    p.clear();
+    for (j, op) in ops.iter().enumerate().skip(i) {
+        if p.push(op, carried).is_none() {
+            break;
+        }
+        if p.is_whole() {
+            p.whole.push((j + 1, p.folds.len(), p.loads.len()));
+        }
+    }
+    let legal = |&&(end, folds, _): &&(usize, usize, usize)| legal(ops, regs, reads, i..end, s, scan, carried, info, p, folds);
+    let &(end, folds, leaves) = p.whole.iter().rev().find(legal)?;
+    Some(p.build(i..end, folds, leaves))
+}
+
+/// Superinstruction selection for strip section `s`, its ops in strip
+/// order — one generic entry over a table of three fold families (the
+/// sink: a store, a rotation shift and store, a reduction partial),
+/// where any rule a run fails leaves its ops to the generic arms.
+fn select(ops: &[Op], regs: &[[u32; 3]], s: usize, scan: &Scan, carried: &Carried, info: &[Reg]) -> Vec<Super> {
+    let (mut supers, mut parse, mut i) = (Vec::new(), Parse::new(), 0);
+    // The ops that read each register: from its first reader to one
+    // past its last.
+    let mut reads = vec![0..0; info.len()];
+    for (i, x) in regs.iter().enumerate() {
+        for &r in x[1..].iter().filter(|&&r| r != NONE) {
+            let read = &mut reads[r as usize];
+            *read = if read.end == 0 { i as u32 } else { read.start }..i as u32 + 1;
+        }
+    }
+    while i < ops.len() {
+        match pick(ops, regs, &reads, i, s, scan, carried, info, &mut parse) {
+            Some(f) => {
+                i = f.ops.end;
+                supers.push(f);
+            }
+            None => i += 1,
+        }
+    }
+    supers
+}
+
 /// A rotation chain's `STRIP + d` lanes, claimed by the first of its
 /// registers and freed after the last.
 struct Group {
@@ -476,7 +769,9 @@ pub(crate) fn lower(
             Err(why) => SectionSchedule::Sequential(*why),
         };
         let strips = schedule == SectionSchedule::Strip;
-        let Carried { chains, partials } = decision.unwrap_or_default();
+        let carried = decision.unwrap_or_default();
+        let mut supers = if strips { select(&ops, &scan.regs, s, scan, &carried, &info) } else { Vec::new() };
+        let Carried { chains, partials } = carried;
         for (i, regs) in scan.regs.iter().enumerate() {
             for &r in regs.iter().filter(|&&r| r != NONE) {
                 info[r as usize].last = i as u32;
@@ -513,6 +808,11 @@ pub(crate) fn lower(
                 }
             }
         }
+        for f in &mut supers {
+            if f.column != NONE {
+                f.column = info[f.column as usize].slot;
+            }
+        }
         let seeds = chains.iter().map(|chain| (info[chain[0] as usize].slot, chain.len() as u32 - 1)).collect();
         let identity = |op| splat_bytes(elem, reduction_identity(op, elem));
         let partials = partials.into_iter().map(|(r, op)| (info[r as usize].slot, op, identity(op))).collect();
@@ -524,7 +824,7 @@ pub(crate) fn lower(
             }
         }
         let width = if strips { STRIP } else { 1 };
-        sections.push(Section { role, ops, iters, schedule, width, invariant, written, seeds, partials });
+        sections.push(Section { role, ops, supers, iters, schedule, width, invariant, written, seeds, partials });
     }
 
     let program = Program { sections, nregs: block.lanes as usize, elem };
@@ -718,6 +1018,110 @@ mod tests {
             store(3, 2 * FAR, 16),
         ];
         assert_eq!(why(&both, 1000), Some(CarriedRegister));
+    }
+
+    /// [`select`] on one loop section, in the order [`decide`] leaves it,
+    /// followed by `after`: each superinstruction's ops and the kind of
+    /// its first sink.
+    fn selected_after(ops: &[Op], after: &[Op]) -> Vec<(Range<usize>, Sink)> {
+        let mut info = vec![Reg::UNNAMED; 16];
+        let mut looped = scan(ops, 1000, 0, &mut info);
+        scan(after, 1, 1, &mut info);
+        let mut ops = ops.to_vec();
+        let carried = decide(&mut ops, 1000, 0, &mut looped, &mut info).expect("the section strips");
+        let supers = select(&ops, &looped.regs, 0, &looped, &carried, &info);
+        supers.into_iter().map(|f| (f.ops.clone(), f.folds()[0].sink)).collect()
+    }
+
+    /// Each superinstruction's first and one-past-last op.
+    fn selected(ops: &[Op]) -> Vec<(usize, usize)> {
+        selected_after(ops, &[]).into_iter().map(|(run, _)| (run.start, run.end)).collect()
+    }
+
+    fn bin(dst: u32, op: BinOp, a: u32, b: u32) -> Op {
+        Op::Bin { dst, op, a, b }
+    }
+
+    /// `r2 = r0 op r1` over two streams, stored.
+    fn fold2(op: BinOp) -> Vec<Op> {
+        vec![load(0, 1024, 16), load(1, 4096, 16), bin(2, op, 0, 1), store(2, FAR, 16)]
+    }
+
+    #[test]
+    fn a_value_read_twice_or_after_its_run_is_not_fused() {
+        // Single use: the fold's value is read once, by its store.
+        assert_eq!(selected(&fold2(BinOp::Add)), [(0, 4)]);
+        let mut twice = fold2(BinOp::Add);
+        twice.push(store(2, 2 * FAR, 16));
+        assert_eq!(selected(&twice), []);
+        // Dead after the run: a later section may not read the value.
+        assert_eq!(selected_after(&fold2(BinOp::Add), &[]).len(), 1);
+        assert_eq!(selected_after(&fold2(BinOp::Add), &[store(2, FAR, 0)]), []);
+    }
+
+    #[test]
+    fn a_run_is_contiguous() {
+        // The two halves of a pair loop form one run.
+        let half = |d: u32, at: i64| {
+            [load(d, 1024 + at, 32), load(d + 1, 4096 + at, 32), bin(d + 2, BinOp::Add, d, d + 1), store(d + 2, FAR + at, 32)]
+        };
+        let pair: Vec<Op> = half(0, 0).into_iter().chain(half(3, 16)).collect();
+        assert_eq!(selected(&pair), [(0, 8)]);
+        // An op inside a tree that is not part of it breaks the run.
+        let mut split = fold2(BinOp::Add);
+        split.insert(2, Op::Splat { dst: 7, bytes: [1; 16] });
+        assert_eq!(selected(&split), []);
+    }
+
+    #[test]
+    fn streams_and_stores_are_whole_vectors_apart() {
+        // The lane loop indexes its windows by vector.
+        let half = |d: u32, at: i64, to: i64| [load(d, 1024 + at, 32), store(d, FAR + to, 32)];
+        let pair: Vec<Op> = half(0, 0, 0).into_iter().chain(half(1, 16, 16)).collect();
+        assert_eq!(selected(&pair), [(0, 4)]);
+        let skewed: Vec<Op> = half(0, 0, 0).into_iter().chain(half(1, 16, 1 << 16 | 4)).collect();
+        assert_eq!(selected(&skewed), [(0, 2), (2, 4)]);
+        assert_eq!(selected(&[load(0, 1024, 24), store(0, FAR, 24)]), []);
+    }
+
+    #[test]
+    fn trees_past_two_streams_need_a_reassociable_operator() {
+        let three = |op| {
+            let mut ops = fold2(op);
+            ops.truncate(3);
+            ops.extend([load(3, 8192, 16), bin(4, op, 2, 3), store(4, FAR, 16)]);
+            ops
+        };
+        assert_eq!(selected(&three(BinOp::Add)), [(0, 6)]);
+        assert_eq!(selected(&fold2(BinOp::Sub)), [(0, 4)], "two streams: any operator");
+        assert_eq!(selected(&three(BinOp::Sub)), []);
+    }
+
+    #[test]
+    fn a_rotation_shift_fuses_at_depth_one_only() {
+        // The pipelined store: r9 is the fold's value a lane back.
+        let mut pipelined = fold2(BinOp::Add);
+        pipelined.truncate(3);
+        pipelined.extend([Op::Shift { dst: 3, a: 9, b: 2, amt: 4 }, store(3, FAR, 16), Op::Copy { dst: 9, src: 2 }]);
+        let runs = selected_after(&pipelined, &[]);
+        assert!(matches!(runs[..], [(ref run, Sink::Shift { amt: 4, .. })] if *run == (0..5)), "{runs:?}");
+        // Two iterations back: r8 = r9, r9 = r2.
+        let mut deep = pipelined.clone();
+        deep[3] = Op::Shift { dst: 3, a: 8, b: 2, amt: 4 };
+        deep.extend([Op::Copy { dst: 8, src: 9 }]);
+        deep.swap(5, 6);
+        assert_eq!(selected(&deep), []);
+    }
+
+    #[test]
+    fn a_reduction_link_must_read_the_lane_partial() {
+        // acc r7 += r0 * r1: a lane partial.
+        let dot = [load(0, 1024, 16), load(1, 4096, 16), bin(2, BinOp::Mul, 0, 1), bin(3, BinOp::Add, 7, 2), Op::Copy { dst: 7, src: 3 }];
+        let runs = selected_after(&dot, &[]);
+        assert!(matches!(runs[..], [(ref run, Sink::Reduce { op: BinOp::Add })] if *run == (0..5)), "{runs:?}");
+        // r7 only read, never written: a loop invariant, not a partial.
+        let invariant = [load(0, 1024, 16), load(1, 4096, 16), bin(2, BinOp::Mul, 0, 1), bin(3, BinOp::Add, 7, 2), store(3, FAR, 16)];
+        assert_eq!(selected(&invariant), []);
     }
 
     #[test]

@@ -2,11 +2,14 @@
 //! for it, and the instruction tiers it runs on.
 //!
 //! The last step of a bake (`lower`) renames the (trace-fused)
-//! plan's registers onto one dense block and settles which loop
-//! sections run in strips; the one strip-mined driver (`strip`) then
-//! replays that plan on one of four instruction tiers picked by
-//! [`IsaLevel`] — the portable tier behind
-//! [`CompiledKernel::run`], the detected one behind [`SimdKernel`]:
+//! plan's registers onto one dense block, settles which loop sections
+//! run in strips and, in those, which runs of ops form superinstructions
+//! — folds of loaded streams into a store, a rotation shift or a
+//! reduction partial, run as one lane loop with their values in
+//! registers. The one strip-mined driver (`strip`) then replays that
+//! plan on one of four instruction tiers picked by [`IsaLevel`] — the
+//! portable tier behind [`CompiledKernel::run`], the detected one
+//! behind [`SimdKernel`]:
 //!
 //! | VIR form        | SSE2                               | AVX2 tier                | NEON            |
 //! |-----------------|------------------------------------|--------------------------|-----------------|
@@ -22,7 +25,10 @@
 //! lowering table lands on real instructions. What an intrinsic wants
 //! precomputed — the splice's byte-select mask, the permutation's two
 //! `pshufb` half-tables — the driver derives from the op once per
-//! dispatch, outside the lane loop. Operation/width pairs a tier has
+//! dispatch, outside the lane loop (a superinstruction's rotation shift
+//! is a `vperm` whose tables `lower` computes once). Every memory
+//! stream is sliced once per strip into the window the strip touches,
+//! and the lane loops index that slice. Operation/width pairs a tier has
 //! no instruction for (64-bit multiply, for example) fall back per-op
 //! to the `crate::lanes` reference loops on register copies, so every
 //! tier is total and byte-identical to the interpreter by
@@ -68,7 +74,7 @@ mod x86;
 
 pub use isa::IsaLevel;
 pub(crate) use lower::lower;
-pub(crate) use strip::{Program, Section};
+pub(crate) use strip::{Program, Section, Sink, Super};
 
 /// Runs a lowered plan over `mem` on the tier `isa` names, or on the
 /// portable tier when this host cannot execute that one.

@@ -11,10 +11,11 @@
 //! to use `unsafe`; every block is a load/store intrinsic on an
 //! exactly-16-byte array or the baseline-feature tier entry.
 
-use super::strip::{self, Lanes, Program, Tier};
+use super::strip::{self, Lanes, Program, Super, Tier};
 use crate::lanes::{self, Reg};
 use core::arch::aarch64::*;
 use simdize_ir::{BinOp, ScalarType, UnOp};
+use std::cell::Cell;
 
 /// Safe dispatch into the NEON tier.
 pub(super) fn exec(program: &Program, mem: &mut [u8]) {
@@ -25,6 +26,12 @@ pub(super) fn exec(program: &Program, mem: &mut [u8]) {
 #[target_feature(enable = "neon")]
 fn run_neon(program: &Program, mem: &mut [u8]) {
     strip::run(neon(), program, mem)
+}
+
+#[inline(never)]
+#[target_feature(enable = "neon")]
+fn fold_neon(f: &Super, k0: i64, len: usize, elem: ScalarType, regs: &[Cell<uint8x16_t>], mem: &mut [u8]) {
+    strip::fold::<_, true>(neon(), f, k0, len, elem, regs, mem)
 }
 
 /// The NEON tier's operations. The closures inherit this function's
@@ -40,6 +47,7 @@ fn neon() -> impl Lanes<V = uint8x16_t> {
         perm: |a, b, pattern: &[u8; 16], _: &Reg, _: &Reg| perm(a, b, pattern),
         bin: |op, elem, a, b| bin(op, elem, a, b),
         un: |op, elem, a| un(op, elem, a),
+        fold: |f: &Super, k0, len, elem, regs: &[Cell<uint8x16_t>], mem: &mut [u8]| fold_neon(f, k0, len, elem, regs, mem),
     }
 }
 

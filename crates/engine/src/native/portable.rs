@@ -9,8 +9,10 @@
 //! renaming pass and the strip schedule are under test even on hosts
 //! without SIMD.
 
-use super::strip::{Lanes, Tier};
+use super::strip::{self, Lanes, Super, Tier};
 use crate::lanes::{self, Reg};
+use simdize_ir::ScalarType;
+use std::cell::Cell;
 
 pub(super) fn portable() -> impl Lanes<V = Reg> {
     Tier {
@@ -32,5 +34,11 @@ pub(super) fn portable() -> impl Lanes<V = Reg> {
         },
         bin: |op, elem, a: Reg, b: Reg| lanes::bin(op, elem, &a, &b),
         un: |op, elem, a: Reg| lanes::un(op, elem, &a),
+        fold,
     }
+}
+
+#[inline(never)]
+fn fold(f: &Super, k0: i64, len: usize, elem: ScalarType, regs: &[Cell<Reg>], mem: &mut [u8]) {
+    strip::fold::<_, false>(portable(), f, k0, len, elem, regs, mem)
 }

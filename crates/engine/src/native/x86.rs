@@ -1,9 +1,14 @@
 //! x86_64 intrinsic tiers: SSE2 baseline and the AVX2 tier.
 //!
 //! A tier is a set of per-operation helpers carrying its feature set,
-//! bundled into a [`Lanes`] value ([`sse2`], [`avx2`]) and one
-//! `#[target_feature]` entry that instantiates the generic strip
-//! driver. Every call between them is a safe same-context call:
+//! bundled into a [`Lanes`] value ([`sse2`], [`avx2`]), and two
+//! `#[target_feature]` entries that instantiate the generic driver: the
+//! strip loop, and — out of line, so its lane loops stay out of the
+//! strip loop — the superinstruction runner the bundle's `fold` calls.
+//! Only the AVX2 runner gets a lane loop per `(BinOp, ScalarType)`
+//! pair; the SSE2 baseline, a fallback on current hosts, runs one loop
+//! with the pair a runtime value and keeps the binary small.
+//! Every call between them is a safe same-context call:
 //! rustc's implied-feature rules make the SSE2-attributed helpers
 //! callable from the AVX2 tier, and the closures in a bundle inherit
 //! the features of the function that builds it.
@@ -29,11 +34,12 @@
 //! driver hands those arrays out of bounds-checked slices of the
 //! image, so no access here can leave it.
 
-use super::strip::{self, Lanes, Program, Tier};
+use super::strip::{self, Lanes, Program, Super, Tier};
 use super::IsaLevel;
 use crate::lanes::{self, Reg};
 use core::arch::x86_64::*;
 use simdize_ir::{BinOp, ScalarType, UnOp};
+use std::cell::Cell;
 
 /// Safe dispatch into the x86 tiers. `wide` asks for the AVX2 tier;
 /// the runtime probe is re-checked here so this safe function cannot
@@ -59,6 +65,18 @@ fn run_avx2(program: &Program, mem: &mut [u8]) {
     strip::run(avx2(), program, mem)
 }
 
+#[inline(never)]
+#[target_feature(enable = "sse2")]
+fn fold_sse2(f: &Super, k0: i64, len: usize, elem: ScalarType, regs: &[Cell<__m128i>], mem: &mut [u8]) {
+    strip::fold::<_, false>(sse2(), f, k0, len, elem, regs, mem)
+}
+
+#[inline(never)]
+#[target_feature(enable = "ssse3,sse4.1,avx2")]
+fn fold_avx2(f: &Super, k0: i64, len: usize, elem: ScalarType, regs: &[Cell<__m128i>], mem: &mut [u8]) {
+    strip::fold::<_, true>(avx2(), f, k0, len, elem, regs, mem)
+}
+
 /// The SSE2 tier's operations.
 #[inline]
 #[target_feature(enable = "sse2")]
@@ -71,6 +89,7 @@ fn sse2() -> impl Lanes<V = __m128i> {
         perm: |a, b, pattern: &[u8; 16], _: &Reg, _: &Reg| perm_sse2(a, b, pattern),
         bin: |op, elem, a, b| bin_sse2(op, elem, a, b),
         un: |op, elem, a| un_sse2(op, elem, a),
+        fold: |f: &Super, k0, len, elem, regs: &[Cell<__m128i>], mem: &mut [u8]| fold_sse2(f, k0, len, elem, regs, mem),
     }
 }
 
@@ -86,6 +105,7 @@ fn avx2() -> impl Lanes<V = __m128i> {
         perm: |a, b, _: &[u8; 16], lo: &Reg, hi: &Reg| perm_avx2(a, b, lo, hi),
         bin: |op, elem, a, b| bin_avx2(op, elem, a, b),
         un: |op, elem, a| un_avx2(op, elem, a),
+        fold: |f: &Super, k0, len, elem, regs: &[Cell<__m128i>], mem: &mut [u8]| fold_avx2(f, k0, len, elem, regs, mem),
     }
 }
 

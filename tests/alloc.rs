@@ -7,12 +7,12 @@
 //! global allocator and pins the fix as a scaling law rather than a
 //! number: doubling the array length, the trip count or the instruction
 //! count must not change how many times each function allocates. The
-//! engine's once-per-program check (`PredecodedKernel::new`) is pinned
-//! at zero.
+//! engine's once-per-program check (`PredecodedKernel::new`) and a run
+//! of a lowered kernel are pinned at zero.
 
 use simdize::{
-    parse_program, program_fingerprint, run_scalar, LoopProgram, MemoryImage, Policy,
-    PredecodedKernel, ReuseMode, SimdProgram, Simdizer, VectorShape,
+    parse_program, program_fingerprint, run_scalar, IsaLevel, LoopProgram, MemoryImage, Policy,
+    PredecodedKernel, ReuseMode, RunInput, SimdKernel, SimdProgram, Simdizer, VectorShape,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -177,5 +177,58 @@ fn checking_a_program_for_the_engine_never_allocates() {
         let calls = allocations(|| checked = PredecodedKernel::new(program).is_ok());
         assert!(checked);
         assert_eq!(calls, 0);
+    }
+}
+
+/// A run of a lowered kernel allocates nothing: its register block is a
+/// stack array up to eight columns, and superinstructions and stream
+/// windows are slices of that block and of the image. Every `loops/`
+/// sample and the `kernel-steady` shapes `fig1`, `chain6`, `fir4` and
+/// `copy3`, on the detected tier and on the portable one.
+#[test]
+fn running_a_lowered_kernel_never_allocates() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/loops");
+    let mut sources: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "loop"))
+        .map(|p| std::fs::read_to_string(p).unwrap())
+        .collect();
+    assert!(sources.len() >= 5, "{} samples in {dir}", sources.len());
+    let (n, len) = (4096, 4112);
+    sources.extend([
+        format!(
+            "arrays {{ a: i32[{len}] @ 0; b: i32[{len}] @ 4; c: i32[{len}] @ 8; }}
+             for i in 0..{n} {{ a[i+3] = b[i+1] + c[i+2]; }}"
+        ),
+        format!(
+            "arrays {{ a: i32[{len}] @ 0; b: i32[{len}] @ 4; c: i32[{len}] @ 8;
+                       d: i32[{len}] @ 12; e: i32[{len}] @ 4; f: i32[{len}] @ 8;
+                       g: i32[{len}] @ 12; }}
+             for i in 0..{n} {{ a[i] = b[i+1] + c[i+2] + d[i+3] + e[i+3] + f[i+1] + g[i+2]; }}"
+        ),
+        format!(
+            "arrays {{ a: i32[{len}] @ 0; b: i32[{len}] @ 0; }}
+             for i in 0..{n} {{ a[i] = b[i] + b[i+1] + b[i+2] + b[i+3]; }}"
+        ),
+        format!(
+            "arrays {{ a: i32[{len}] @ 0; b: i32[{len}] @ 12; }}
+             for i in 0..{n} {{ a[i] = b[i+3]; }}"
+        ),
+    ]);
+    for src in sources {
+        let program = parse_program(&src).unwrap();
+        let compiled = Simdizer::new().compile(&program).unwrap();
+        let ub = program.trip().known().unwrap_or(1000);
+        let mut image = MemoryImage::with_seed(&program, VectorShape::V16, 1);
+        let detected = SimdKernel::compile(&compiled, &image, &RunInput::with_ub(ub)).unwrap();
+        assert!(!detected.is_fallback());
+        for isa in [detected.isa(), IsaLevel::Scalar] {
+            let kernel = SimdKernel::lower(detected.base(), isa);
+            let mut ran = false;
+            let calls = allocations(|| ran = kernel.run(&mut image).is_ok());
+            assert!(ran);
+            assert_eq!(calls, 0, "{isa}: {program}");
+        }
     }
 }

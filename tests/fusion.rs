@@ -119,7 +119,9 @@ fn fusion_fires_on_every_policy_for_the_misaligned_loop() {
 /// byte offset, and the software pipeline's rotations of the raw load
 /// registers die with the shifts: only the computed-value rotation
 /// survives, as one seed lane in front of the sum's column, feeding the
-/// store-side shift. The stripped pair body drops from 14 ops to 10.
+/// store-side shift. The stripped pair body drops from 14 ops to 10,
+/// and those 10 run as one rotation superinstruction: one dispatched
+/// line per strip, its members listed under it.
 #[test]
 fn golden_trace_for_figure1_zero_sp() {
     let program = simdize::parse_program(
@@ -153,16 +155,17 @@ prologue:
   v32 = v3
 pair x12, strip:
   ; v32: 1 seed lane(s) of column v33
-  v65 = vload.fused arr1[base+20; +32/iter]
-  v97 = vload.fused arr2[base+24; +32/iter]
-  v129 = add(v65, v97)
-  v97 = vload.fused arr1[base+36; +32/iter]
-  v65 = vload.fused arr2[base+40; +32/iter]
-  v33 = add(v97, v65)
-  v65 = vshiftpair(v32, v129, 4)
-  vstore arr0[base+16; +32/iter], v65
-  v65 = vshiftpair(v129, v33, 4)
-  vstore arr0[base+32; +32/iter], v65
+  fold add, 2+2 streams -> vshiftpair from v32 + vstore
+    v65 = vload.fused arr1[base+20; +32/iter]
+    v97 = vload.fused arr2[base+24; +32/iter]
+    v129 = add(v65, v97)
+    v97 = vload.fused arr1[base+36; +32/iter]
+    v65 = vload.fused arr2[base+40; +32/iter]
+    v33 = add(v97, v65)
+    v65 = vshiftpair(v32, v129, 4)
+    vstore arr0[base+16; +32/iter], v65
+    v65 = vshiftpair(v129, v33, 4)
+    vstore arr0[base+32; +32/iter], v65
 epilogue:
   v3 = vload.fused arr1[base+388]
   v1 = vload.fused arr2[base+392]

@@ -7,9 +7,9 @@
 //! including the 16-bit `halfword.loop`.
 
 use simdize::{
-    run_scalar, run_simd, ArrayId, IsaLevel, KernelOptions, MemoryImage, Policy,
-    PredecodedKernel, ReuseMode, RunInput, RunStats, Schedule, SectionSchedule, SequentialReason,
-    SimdKernel, SimdizeError, Simdizer, VInst, VectorShape,
+    run_scalar, run_simd, Addr, ArrayId, CompiledKernel, IsaLevel, KernelOptions, MemoryImage,
+    Policy, PredecodedKernel, ReuseMode, RunInput, RunStats, Schedule, SectionSchedule,
+    SequentialReason, SimdKernel, SimdizeError, Simdizer, VInst, VectorShape,
 };
 use std::collections::BTreeSet;
 
@@ -69,10 +69,12 @@ fn check_tiers(
     seed: u64,
     label: &str,
 ) -> (Schedule, RunStats) {
-    check_bake(program, compiled, ub, seed, label, KernelOptions::new())
+    let (schedule, stats, _) = check_bake(program, compiled, ub, seed, label, KernelOptions::new());
+    (schedule, stats)
 }
 
-/// [`check_tiers`] for a bake with `opts`.
+/// [`check_tiers`] for a bake with `opts`; also returns the bake's plan
+/// listing.
 fn check_bake(
     program: &simdize::LoopProgram,
     compiled: &simdize::SimdProgram,
@@ -80,7 +82,7 @@ fn check_bake(
     seed: u64,
     label: &str,
     opts: KernelOptions,
-) -> (Schedule, RunStats) {
+) -> (Schedule, RunStats, String) {
     let input = RunInput::with_ub(ub);
     let mut interp_img = MemoryImage::with_seed(program, VectorShape::V16, seed);
     let kernel = PredecodedKernel::new(compiled).unwrap().bake(&interp_img, &input, &opts).unwrap();
@@ -99,7 +101,7 @@ fn check_bake(
             "{label}/{tier}: memory diverged"
         );
     }
-    (schedule, want)
+    (schedule, want, kernel.trace())
 }
 
 #[test]
@@ -351,6 +353,23 @@ fn kernel_source(name: &str, n: u64) -> String {
             "arrays {{ a: i32[{len}] @ 0; b: i32[{len}] @ 12; }}
              for i in 0..{n} {{ a[i] = b[i+3]; }}"
         ),
+        "halfword" => format!(
+            "arrays {{ out: i16[{len}] @ 2; u: i16[{len}] @ 6; v: i16[{len}] @ 10; }}
+             for i in 0..{n} {{ out[i+2] = u[i+1] * v[i+3]; }}"
+        ),
+        "runtime" => format!(
+            "arrays {{ dst: i32[{len}] @ ?; src1: i32[{len}] @ ?; src2: i32[{len}] @ ?; }}
+             for i in 0..ub {{ dst[i+3] = src1[i+1] + src2[i+2]; }}"
+        ),
+        "deinterleave" => format!(
+            "arrays {{ out: i32[{len}] @ 0; inter: i32[{}] @ 8; }}
+             for i in 0..{n} {{ out[i] = inter[2*i] * inter[2*i] + inter[2*i+1] * inter[2*i+1]; }}",
+            2 * n + 16
+        ),
+        "dot_product" => format!(
+            "arrays {{ acc: i32[4] @ 4; x: i32[{len}] @ 4; y: i32[{len}] @ 8; }}
+             for i in 0..{n} {{ acc[i] += x[i+1] * y[i+2]; }}"
+        ),
         other => panic!("no kernel named `{other}`"),
     }
 }
@@ -386,16 +405,37 @@ fn carried_registers_strip_the_main_loop_of_every_sample_and_kernel() {
     }
 }
 
-/// [`check_tiers`] for a fused and an unfused bake of `compiled`;
-/// returns each bake's main-loop schedule and pair-loop iterations.
-fn check_bakes(program: &simdize::LoopProgram, compiled: &simdize::SimdProgram, ub: u64, seed: u64, label: &str) -> Vec<(SectionSchedule, u64)> {
+/// One bake's main-loop schedule, pair-loop iterations and plan listing.
+type Bake = (SectionSchedule, u64, String);
+
+/// [`check_tiers`] for a fused and an unfused bake of `compiled`.
+fn check_bakes(program: &simdize::LoopProgram, compiled: &simdize::SimdProgram, ub: u64, seed: u64, label: &str) -> Vec<Bake> {
     [true, false]
         .map(|fuse| {
             let label = format!("{label}/fuse={fuse}");
-            let (schedule, stats) = check_bake(program, compiled, ub, seed, &label, KernelOptions::new().fuse(fuse));
-            (main_loop(schedule), stats.steady_iterations / 2)
+            let (schedule, stats, listing) = check_bake(program, compiled, ub, seed, &label, KernelOptions::new().fuse(fuse));
+            (main_loop(schedule), stats.steady_iterations / 2, listing)
         })
         .to_vec()
+}
+
+/// Runs `runs` over trips around main loops of `STRIP−1`, `STRIP`,
+/// `STRIP+1` and `2·STRIP+1` pair iterations, `per_pair` elements
+/// each: every bake must strip, and every target must have run.
+fn check_strip_boundaries(label: &str, runs: &mut dyn FnMut(u64) -> Vec<Bake>, per_pair: u64) {
+    let targets = [STRIP - 1, STRIP, STRIP + 1, 2 * STRIP + 1];
+    let mut stripped = BTreeSet::new();
+    for n in targets {
+        for ub in (per_pair * n..per_pair * (n + 2)).step_by(per_pair as usize / 2) {
+            for (schedule, pairs, _) in runs(ub) {
+                assert_eq!(schedule, SectionSchedule::Strip, "{label} ub={ub}");
+                stripped.insert(pairs);
+            }
+        }
+    }
+    for n in targets {
+        assert!(stripped.contains(&n), "{label}: no strip of {n} pair iterations ran");
+    }
 }
 
 /// The strip transitions of [`strip_boundaries_match_interpreter_across_policy_reuse_tier_matrix`]
@@ -408,22 +448,6 @@ fn check_bakes(program: &simdize::LoopProgram, compiled: &simdize::SimdProgram, 
 /// every target.
 #[test]
 fn carried_register_strip_boundaries_match_interpreter() {
-    let targets = [STRIP - 1, STRIP, STRIP + 1, 2 * STRIP + 1];
-    let check = |label: &str, runs: &mut dyn FnMut(u64) -> Vec<(SectionSchedule, u64)>, per_pair: u64| {
-        let mut stripped = BTreeSet::new();
-        for n in targets {
-            for ub in (per_pair * n..per_pair * (n + 2)).step_by(per_pair as usize / 2) {
-                for (schedule, pairs) in runs(ub) {
-                    assert_eq!(schedule, SectionSchedule::Strip, "{label} ub={ub}");
-                    stripped.insert(pairs);
-                }
-            }
-        }
-        for n in targets {
-            assert!(stripped.contains(&n), "{label}: no strip of {n} pair iterations ran");
-        }
-    };
-
     let fig1 = simdize::parse_program(
         "arrays { a: i32[700] @ ?; b: i32[700] @ ?; c: i32[700] @ ?; }
          for i in 0..ub { a[i+3] = b[i+1] + c[i+2]; }",
@@ -432,7 +456,7 @@ fn carried_register_strip_boundaries_match_interpreter() {
     for reuse in [ReuseMode::SoftwarePipeline, ReuseMode::PredictiveCommoning] {
         let compiled = Simdizer::new().reuse(reuse).compile(&fig1).unwrap();
         let label = format!("runtime fig1 {reuse:?}");
-        check(&label, &mut |ub| check_bakes(&fig1, &compiled, ub, ub % 8, &format!("{label} ub={ub}")), 8);
+        check_strip_boundaries(&label, &mut |ub| check_bakes(&fig1, &compiled, ub, ub % 8, &format!("{label} ub={ub}")), 8);
     }
 
     let ops = ["+=", "*=", "&=", "|=", "^=", "min=", "max="];
@@ -440,7 +464,7 @@ fn carried_register_strip_boundaries_match_interpreter() {
         let lanes: u64 = 128 / ty[1..].parse::<u64>().unwrap();
         for op in ops {
             let label = format!("{ty} {op}");
-            check(
+            check_strip_boundaries(
                 &label,
                 &mut |ub| {
                     let program = simdize::parse_program(&format!(
@@ -457,7 +481,7 @@ fn carried_register_strip_boundaries_match_interpreter() {
         }
     }
 
-    check(
+    check_strip_boundaries(
         "reduction beside a rotated store",
         &mut |ub| {
             let program = simdize::parse_program(&format!(
@@ -493,6 +517,175 @@ fn synthesized_multi_statement_loops_match_interpreter() {
             let label = format!("synth {statements}x{loads} #{k} {reuse:?}");
             let (schedule, _) = check_all_tiers(&program, &compiled, ub, k as u64, &label);
             assert_eq!(main_loop(schedule), SectionSchedule::Strip, "{label}: {schedule:?}");
+        }
+    }
+}
+
+/// The dispatched lines of the first strip-scheduled section of a plan
+/// listing: its ops and superinstructions, without their members and
+/// without the seed-lane and partial notes.
+fn strip_dispatches(listing: &str) -> Vec<&str> {
+    listing
+        .lines()
+        .skip_while(|l| !l.ends_with(", strip:"))
+        .skip(1)
+        .take_while(|l| l.starts_with(' '))
+        .filter(|l| !l.starts_with("    ") && !l.starts_with("  ;"))
+        .collect()
+}
+
+/// Superinstructions shorten the strip: the pair loop of every
+/// `kernel-steady` kernel the three families cover dispatches at most
+/// twice per strip, and `deinterleave`'s `vperm` chain, which no family
+/// covers, still dispatches op by op.
+#[test]
+fn kernel_steady_main_loops_dispatch_at_most_twice_per_strip() {
+    for name in ["fig1", "chain6", "fir4", "copy3", "halfword", "runtime", "dot_product", "deinterleave"] {
+        let program = simdize::parse_program(&kernel_source(name, 4096)).unwrap();
+        let compiled = Simdizer::new().compile(&program).unwrap();
+        let image = MemoryImage::with_seed(&program, VectorShape::V16, 1);
+        let kernel = CompiledKernel::compile(&compiled, &image, &RunInput::with_ub(4096)).unwrap();
+        let listing = kernel.trace();
+        let dispatches = strip_dispatches(&listing).len();
+        if name == "deinterleave" {
+            assert_eq!(dispatches, 16, "{name}\n{listing}");
+        } else {
+            assert!((1..=2).contains(&dispatches), "{name}: {dispatches} dispatches per strip\n{listing}");
+        }
+    }
+}
+
+/// Each superinstruction family with the mark its dispatched line
+/// carries in the plan listing.
+const FAMILIES: [(&str, &str); 3] = [
+    ("fold", "streams -> vstore"),
+    ("rotation", "streams -> vshiftpair from"),
+    ("reduction", "lane partials by"),
+];
+
+const BINOPS: [&str; 8] = ["+", "-", "*", "&", "|", "^", "min", "max"];
+
+const WIDTHS: [&str; 8] = ["i8", "u8", "i16", "u16", "i32", "u32", "i64", "u64"];
+
+/// A loop of family `family` whose fold combines its streams by
+/// `BINOPS[op]`, at element type `ty` and trip `n`. The streams are
+/// aligned, so the unfused bake selects the family as well as the
+/// fused one.
+fn family_source(family: usize, op: usize, ty: &str, n: u64) -> String {
+    let len = n + 64;
+    let bin = |x: &str, y: &str| match BINOPS[op] {
+        f @ ("min" | "max") => format!("{f}({x}, {y})"),
+        o => format!("{x} {o} {y}"),
+    };
+    let arrays = |names: &[&str]| names.iter().map(|a| format!("{a}: {ty}[{len}] @ 0;")).collect::<Vec<_>>().join(" ");
+    match family {
+        // Three streams where the operator reassociates, two for `-`.
+        0 => {
+            let rhs = if BINOPS[op] == "-" { bin("b[i]", "c[i]") } else { bin(&bin("b[i]", "c[i]"), "d[i]") };
+            format!("arrays {{ {} }} for i in 0..{n} {{ a[i] = {rhs}; }}", arrays(&["a", "b", "c", "d"]))
+        }
+        // The store a lane off the streams: a rotation shift feeds it.
+        1 => format!(
+            "arrays {{ {} }} for i in 0..{n} {{ a[i+2] = {}; }}",
+            arrays(&["a", "b", "c"]),
+            bin("b[i+1]", "c[i+1]")
+        ),
+        // A reduction of the fold, by each reassociable operator in turn.
+        _ => format!(
+            "arrays {{ acc: {ty}[16] @ 0; {} }} for i in 0..{n} {{ acc[i] {} {}; }}",
+            arrays(&["x", "y"]),
+            ["+=", "*=", "&=", "|=", "^=", "min=", "max="][op % 7],
+            bin("x[i]", "y[i]")
+        ),
+    }
+}
+
+/// Every superinstruction family × every `BinOp` × every integer width,
+/// through [`check_strip_boundaries`] — fused and unfused, on every
+/// host tier, against the interpreter — and every bake's listing shows
+/// its family selected.
+#[test]
+fn superinstruction_families_match_interpreter_at_strip_boundaries() {
+    for (family, (name, mark)) in FAMILIES.into_iter().enumerate() {
+        for ty in WIDTHS {
+            let lanes: u64 = 128 / ty[1..].parse::<u64>().unwrap();
+            for (op, symbol) in BINOPS.into_iter().enumerate() {
+                let label = format!("{name} {symbol} {ty}");
+                let mut runs = |ub| {
+                    let program = simdize::parse_program(&family_source(family, op, ty, ub)).unwrap();
+                    let compiled = Simdizer::new().compile(&program).unwrap();
+                    let bakes = check_bakes(&program, &compiled, ub, ub, &format!("{label} ub={ub}"));
+                    for (_, _, listing) in &bakes {
+                        let selected = strip_dispatches(listing).iter().any(|l| l.contains(mark));
+                        assert!(selected, "{label} ub={ub}: not selected\n{listing}");
+                    }
+                    bakes
+                };
+                check_strip_boundaries(&label, &mut runs, 2 * lanes);
+            }
+        }
+    }
+}
+
+/// Shapes no family covers run on the generic arms — in strips, and
+/// matching the interpreter on every tier, fused and unfused: a `-`
+/// tree of three streams, a value stored twice, a value the epilogue
+/// reads, an immediate operand (a `BinSplat` leaf once fused) and a
+/// predictive-commoning chain of depth 2.
+#[test]
+fn shapes_outside_the_families_fall_back_to_the_generic_driver() {
+    let arrays = "arrays { a: i32[520] @ 0; b: i32[520] @ 0; c: i32[520] @ 0; d: i32[520] @ 0; }";
+    let compile = |body: &str, driver: Simdizer| {
+        let program = simdize::parse_program(&format!("{arrays} for i in 0..500 {{ {body} }}")).unwrap();
+        let compiled = driver.compile(&program).unwrap();
+        (program, compiled)
+    };
+    let d = ArrayId::from_index(3);
+    let mut cases = Vec::new();
+    cases.push(("sub tree", compile("a[i] = b[i] - c[i] - d[i];", Simdizer::new())));
+
+    // Every loop store of the sum again, to `d`.
+    let (program, mut stored_twice) = compile("a[i] = b[i] + c[i];", Simdizer::new());
+    let twice = |insts: &mut Vec<VInst>| {
+        let copies: Vec<VInst> = insts
+            .iter()
+            .filter_map(|inst| match *inst {
+                VInst::StoreA { addr, src } => Some(VInst::StoreA { addr: Addr { array: d, ..addr }, src }),
+                _ => None,
+            })
+            .collect();
+        insts.extend(copies);
+    };
+    twice(stored_twice.body_mut());
+    if let Some(pair) = stored_twice.body_pair_mut() {
+        twice(pair);
+    }
+    cases.push(("stored twice", (program, stored_twice)));
+
+    // The epilogue stores the body's last sum.
+    let (program, mut read_after) = compile("a[i] = b[i] + c[i];", Simdizer::new().unroll(false));
+    let sum = read_after.body().iter().find_map(|inst| match *inst {
+        VInst::Bin { dst, .. } => Some(dst),
+        _ => None,
+    });
+    let src = sum.expect("the body adds");
+    read_after.epilogue_mut().push(VInst::StoreA { addr: Addr::new(d, 0), src });
+    cases.push(("read by the epilogue", (program, read_after)));
+
+    cases.push(("immediate operand", compile("a[i] = b[i] * 3 + c[i];", Simdizer::new())));
+    let chain = Simdizer::new().reuse(ReuseMode::PredictiveCommoning).unroll(false);
+    cases.push(("chain of depth 2", compile("a[i] = b[i] + b[i+4] + b[i+8];", chain)));
+
+    for (name, (program, compiled)) in cases {
+        for fuse in [true, false] {
+            let label = format!("{name} fuse={fuse}");
+            let (schedule, _, listing) = check_bake(&program, &compiled, 500, 3, &label, KernelOptions::new().fuse(fuse));
+            assert_eq!(main_loop(schedule), SectionSchedule::Strip, "{label}\n{listing}");
+            let dispatches = strip_dispatches(&listing);
+            assert!(!dispatches.is_empty() && dispatches.iter().all(|l| !l.starts_with("  fold")), "{label}\n{listing}");
+            if name == "chain of depth 2" {
+                assert!(listing.contains(": 2 seed lane(s)"), "{label}\n{listing}");
+            }
         }
     }
 }
