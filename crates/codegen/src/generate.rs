@@ -4,11 +4,12 @@ use crate::error::GenCodeError;
 use crate::options::{CodegenOptions, ReuseMode};
 use crate::passes;
 use crate::sexpr::{SCond, SExpr};
-use crate::trace::{BoundFormula, CodegenEvent, CodegenTrace};
+use crate::trace::{BoundFormula, CodegenEvent, CodegenTrace, Recorder};
 use crate::vir::{Addr, SimdProgram, VInst, VReg};
 use simdize_ir::{AlignKind, ArrayRef, BinOp, Invariant, ScalarType, TripCount};
 use simdize_reorg::{NodeId, Offset, RNode, ReorgGraph, ShiftDir, VOpKind};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Generates a [`SimdProgram`] from a valid data reorganization graph.
 ///
@@ -26,8 +27,7 @@ use std::collections::HashMap;
 /// Returns [`GenCodeError::InvalidGraph`] when the graph violates
 /// constraint (C.2) or (C.3); apply a [`simdize_reorg::Policy`] first.
 pub fn generate(graph: &ReorgGraph, options: &CodegenOptions) -> Result<SimdProgram, GenCodeError> {
-    let mut trace = CodegenTrace::new();
-    generate_traced(graph, options, &mut trace)
+    run(graph, options, &mut Recorder::off())
 }
 
 /// Like [`generate`], but records every structural decision — bound
@@ -43,11 +43,19 @@ pub fn generate_traced(
     options: &CodegenOptions,
     trace: &mut CodegenTrace,
 ) -> Result<SimdProgram, GenCodeError> {
+    run(graph, options, &mut Recorder::on(trace))
+}
+
+/// The one generator and pass pipeline behind both entry points; `rec`
+/// decides whether their decisions are recorded.
+fn run(
+    graph: &ReorgGraph,
+    options: &CodegenOptions,
+    rec: &mut Recorder<'_>,
+) -> Result<SimdProgram, GenCodeError> {
     graph.validate()?;
-    let mut generator = Generator::new(graph, options);
-    let mut program = generator.run()?;
-    trace.events.append(&mut generator.trace.events);
-    passes::run_pipeline_traced(&mut program, options, trace);
+    let mut program = Generator::new(graph, options).run(rec)?;
+    passes::run_pipeline(&mut program, options, rec);
     Ok(program)
 }
 
@@ -78,8 +86,6 @@ struct Generator<'g> {
     v: i64,
     /// Element size in bytes.
     d: i64,
-    /// Structural decisions made while generating.
-    trace: CodegenTrace,
 }
 
 impl<'g> Generator<'g> {
@@ -96,7 +102,6 @@ impl<'g> Generator<'g> {
             b: graph.blocking_factor() as i64,
             v: graph.shape().bytes() as i64,
             d: graph.program().elem().size() as i64,
-            trace: CodegenTrace::new(),
         }
     }
 
@@ -106,8 +111,9 @@ impl<'g> Generator<'g> {
         r
     }
 
-    fn run(&mut self) -> Result<SimdProgram, GenCodeError> {
-        let program = self.graph.program().clone();
+    /// Generates the program, passing each structural decision to `rec`.
+    fn run(&mut self, rec: &mut Recorder<'_>) -> Result<SimdProgram, GenCodeError> {
+        let program = Arc::clone(self.graph.shared_program());
         let guard_min_trip = (3 * self.b) as u64;
 
         // Per-statement stores (or reduction accumulators) and their
@@ -170,7 +176,7 @@ impl<'g> Generator<'g> {
         } else {
             ub_sexpr.clone().sub(SExpr::c(self.b - 1))
         };
-        self.trace.events.push(CodegenEvent::BoundsChosen {
+        rec.record(|| CodegenEvent::BoundsChosen {
             lower_bound: self.b as u64,
             upper_bound: upper_bound.clone(),
             formula: if use_eq15 {
@@ -188,7 +194,7 @@ impl<'g> Generator<'g> {
         // Reductions initialize their accumulator with the first block
         // E(0) here instead of a partial store.
         for (idx, &(store, src, reduction)) in stmts.iter().enumerate() {
-            self.trace.events.push(CodegenEvent::ProloguePeeled {
+            rec.record(|| CodegenEvent::ProloguePeeled {
                 stmt: idx,
                 prosplice: prosplices[idx].clone(),
                 spliced: prosplices[idx]
@@ -254,14 +260,12 @@ impl<'g> Generator<'g> {
                 }),
             }
         }
-        for &(old, second) in &self.carried.clone() {
-            body.push(VInst::Copy {
-                dst: old,
-                src: second,
-            });
-        }
+        body.extend(self.carried.iter().map(|&(old, second)| VInst::Copy {
+            dst: old,
+            src: second,
+        }));
         self.body = body;
-        self.trace.events.push(CodegenEvent::ReuseApplied {
+        rec.record(|| CodegenEvent::ReuseApplied {
             mode: self.options.reuse_mode(),
             carried_chains: self.carried.len(),
         });
@@ -273,7 +277,7 @@ impl<'g> Generator<'g> {
                 let acc = accs[idx].expect("initialized in prologue");
                 let ub = ub_sexpr.as_const().expect("reductions have known trips");
                 let residue = (ub % self.b) as usize;
-                self.trace.events.push(CodegenEvent::ReductionEpilogue {
+                rec.record(|| CodegenEvent::ReductionEpilogue {
                     stmt: idx,
                     residue,
                     fold_steps: (self.b as u64).ilog2() as usize,
@@ -293,7 +297,7 @@ impl<'g> Generator<'g> {
                     .add(ub_sexpr.clone().rem(SExpr::c(self.b)).mul(SExpr::c(self.d)))
             };
             let episplice = elo.clone().rem(SExpr::c(self.v));
-            self.trace.events.push(CodegenEvent::EpilogueForm {
+            rec.record(|| CodegenEvent::EpilogueForm {
                 stmt: idx,
                 leftover: elo.clone(),
                 episplice: episplice.clone(),
@@ -496,7 +500,8 @@ impl<'g> Generator<'g> {
     /// Figure 7 `GenSimdExpr` / Figure 10 `GenSimdExprSP`. `delta` is the
     /// accumulated `Substitute(n, i → i + delta)` in elements.
     fn gen_expr(&mut self, node: NodeId, delta: i64, out: &mut Vec<VInst>, mode: Mode) -> VReg {
-        match self.graph.node(node).clone() {
+        let graph = self.graph;
+        match *graph.node(node) {
             RNode::Load { r } => {
                 let dst = self.fresh();
                 out.push(VInst::LoadA {
@@ -513,25 +518,23 @@ impl<'g> Generator<'g> {
                 });
                 dst
             }
-            RNode::Op { kind, srcs } => {
-                let regs: Vec<VReg> = srcs
-                    .iter()
-                    .map(|&s| self.gen_expr(s, delta, out, mode))
-                    .collect();
+            RNode::Op {
+                kind: VOpKind::Bin(op),
+                ref srcs,
+            } => {
+                let a = self.gen_expr(srcs[0], delta, out, mode);
+                let b = self.gen_expr(srcs[1], delta, out, mode);
                 let dst = self.fresh();
-                out.push(match kind {
-                    VOpKind::Bin(op) => VInst::Bin {
-                        dst,
-                        op,
-                        a: regs[0],
-                        b: regs[1],
-                    },
-                    VOpKind::Un(op) => VInst::Un {
-                        dst,
-                        op,
-                        a: regs[0],
-                    },
-                });
+                out.push(VInst::Bin { dst, op, a, b });
+                dst
+            }
+            RNode::Op {
+                kind: VOpKind::Un(op),
+                ref srcs,
+            } => {
+                let a = self.gen_expr(srcs[0], delta, out, mode);
+                let dst = self.fresh();
+                out.push(VInst::Un { dst, op, a });
                 dst
             }
             RNode::ShiftStream { src, to } => {

@@ -5,69 +5,57 @@
 //! a live instruction — in any section, since prologue definitions (the
 //! carried-register initializers) are consumed by the steady body.
 
-use crate::vir::{SimdProgram, VInst, VReg};
-use std::collections::HashSet;
+use crate::vir::{SimdProgram, VInst};
 
 pub(crate) fn run(program: &mut SimdProgram) {
+    // `used[r]`: register `r` is read somewhere in the program.
+    let mut used = vec![false; program.nvregs as usize];
     // Fixpoint: removing an instruction can kill the uses that kept
     // another alive.
     loop {
-        let mut used: HashSet<VReg> = HashSet::new();
+        used.fill(false);
         for section in [&program.prologue, &program.body, &program.epilogue] {
-            collect_uses(section, &mut used);
+            for inst in section {
+                inst.visit_uses(&mut |r| used[r.index()] = true);
+            }
         }
-        let before = count(&program.prologue) + count(&program.body) + count(&program.epilogue);
+        let mut removed = false;
         for section in [
             &mut program.prologue,
             &mut program.body,
             &mut program.epilogue,
         ] {
-            sweep(section, &used);
+            removed |= sweep(section, &used);
         }
-        let after = count(&program.prologue) + count(&program.body) + count(&program.epilogue);
-        if after == before {
+        if !removed {
             break;
         }
     }
 }
 
-fn collect_uses(insts: &[VInst], used: &mut HashSet<VReg>) {
-    for inst in insts {
-        inst.visit_uses(&mut |r| {
-            used.insert(r);
-        });
-    }
-}
-
-fn sweep(insts: &mut Vec<VInst>, used: &HashSet<VReg>) {
+/// Drops the dead instructions of `insts`; returns whether any were.
+fn sweep(insts: &mut Vec<VInst>, used: &[bool]) -> bool {
+    let before = insts.len();
+    let mut removed = false;
     insts.retain_mut(|inst| match inst {
         VInst::StoreA { .. } | VInst::StoreU { .. } => true,
         VInst::Guarded { body, .. } => {
-            sweep(body, used);
+            removed |= sweep(body, used);
             !body.is_empty()
         }
         other => match other.def() {
-            Some(dst) => used.contains(&dst),
+            Some(dst) => used[dst.index()],
             None => true,
         },
     });
-}
-
-fn count(insts: &[VInst]) -> usize {
-    insts
-        .iter()
-        .map(|i| match i {
-            VInst::Guarded { body, .. } => 1 + count(body),
-            _ => 1,
-        })
-        .sum()
+    removed || insts.len() != before
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sexpr::SExpr;
-    use crate::vir::Addr;
+    use crate::vir::{Addr, VReg};
     use simdize_ir::{parse_program, ArrayId, VectorShape};
     use simdize_reorg::{Policy, ReorgGraph};
 

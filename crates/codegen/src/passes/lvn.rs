@@ -20,28 +20,28 @@
 use crate::sexpr::SExpr;
 use crate::vir::{SimdProgram, VInst, VReg};
 use simdize_ir::{AlignKind, BinOp, LoopProgram, ParamId, UnOp, VectorShape};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 pub(crate) fn run(program: &mut SimdProgram, memnorm: bool) {
-    let source = program.source().clone();
-    let shape = program.shape();
     let ctx = Ctx {
-        source,
-        shape,
+        source: &program.program,
+        shape: program.shape,
         memnorm,
     };
+    let mut table = Table::new(program.nvregs);
     for section in [
         &mut program.prologue,
         &mut program.body,
         &mut program.epilogue,
     ] {
-        let mut table = Table::default();
+        table.reset();
         number(section, &mut table, &ctx);
     }
 }
 
-struct Ctx {
-    source: LoopProgram,
+struct Ctx<'p> {
+    source: &'p LoopProgram,
     shape: VectorShape,
     memnorm: bool,
 }
@@ -59,57 +59,144 @@ enum Key {
     Un(UnOp, VReg),
 }
 
-#[derive(Default, Clone)]
+/// One change to the table made inside a guarded block, undone when
+/// the block's scope closes.
+enum Undo {
+    /// The key was numbered.
+    Added(Key),
+    /// A store forgot the key, which held this register.
+    Removed(Key, VReg),
+    /// The register's uses were renamed; it was renamed to this before.
+    Renamed(VReg, VReg),
+}
+
+/// The available values of one section, scoped per guarded block.
 struct Table {
     values: HashMap<Key, VReg>,
-    rename: HashMap<VReg, VReg>,
+    /// `rename[r]`: the register `r`'s uses read instead (`r` itself
+    /// unless its instruction was dropped as a duplicate).
+    rename: Vec<VReg>,
+    /// Changes made inside the open guarded blocks, oldest first.
+    undo: Vec<Undo>,
+    /// How many guarded blocks are open; changes are logged only
+    /// inside one.
+    depth: usize,
 }
 
 impl Table {
+    fn new(nvregs: u32) -> Table {
+        Table {
+            values: HashMap::new(),
+            rename: (0..nvregs).map(VReg).collect(),
+            undo: Vec::new(),
+            depth: 0,
+        }
+    }
+
+    /// Forgets everything, for the next section.
+    fn reset(&mut self) {
+        self.values.clear();
+        for (k, r) in self.rename.iter_mut().enumerate() {
+            *r = VReg(k as u32);
+        }
+    }
+
     fn resolve(&self, r: VReg) -> VReg {
-        *self.rename.get(&r).unwrap_or(&r)
+        self.rename[r.index()]
+    }
+
+    /// Opens a guarded block's scope; returns the mark to close it at.
+    fn open(&mut self) -> usize {
+        self.depth += 1;
+        self.undo.len()
+    }
+
+    /// Closes the scope opened at `mark`, undoing every change made in
+    /// it, newest first.
+    fn close(&mut self, mark: usize) {
+        self.depth -= 1;
+        while self.undo.len() > mark {
+            match self.undo.pop().expect("above the mark") {
+                Undo::Added(key) => {
+                    self.values.remove(&key);
+                }
+                Undo::Removed(key, r) => {
+                    self.values.insert(key, r);
+                }
+                Undo::Renamed(r, before) => self.rename[r.index()] = before,
+            }
+        }
+    }
+
+    /// The register that already holds `key`'s value, to which `dst`
+    /// is then renamed; if there is none, `dst` becomes it.
+    fn find_or_add(&mut self, key: Key, dst: VReg) -> Option<VReg> {
+        match self.values.entry(key) {
+            Entry::Occupied(e) => {
+                let rep = *e.get();
+                if self.depth > 0 {
+                    self.undo.push(Undo::Renamed(dst, self.rename[dst.index()]));
+                }
+                self.rename[dst.index()] = rep;
+                Some(rep)
+            }
+            Entry::Vacant(e) => {
+                if self.depth > 0 {
+                    self.undo.push(Undo::Added(e.key().clone()));
+                }
+                e.insert(dst);
+                None
+            }
+        }
+    }
+
+    /// Forgets every remembered load of array `arr`.
+    fn forget_loads_of(&mut self, arr: u32) {
+        let (logging, undo) = (self.depth > 0, &mut self.undo);
+        self.values.retain(|k, &mut r| {
+            let stale = matches!(k, Key::LoadSyntactic(a, _, _) | Key::LoadChunk(a, _)
+                                 if *a & 0x7FFF_FFFF == arr);
+            if stale && logging {
+                undo.push(Undo::Removed(k.clone(), r));
+            }
+            !stale
+        });
     }
 }
 
-fn number(insts: &mut Vec<VInst>, table: &mut Table, ctx: &Ctx) {
-    let mut out: Vec<VInst> = Vec::with_capacity(insts.len());
-    for mut inst in insts.drain(..) {
-        rewrite_uses(&mut inst, table);
-        match &mut inst {
+fn number(insts: &mut Vec<VInst>, table: &mut Table, ctx: &Ctx<'_>) {
+    insts.retain_mut(|inst| {
+        rewrite_uses(inst, table);
+        match inst {
             VInst::Guarded { body, .. } => {
                 // Values computed outside remain visible inside; values
-                // defined inside must not leak out, so number a clone.
-                let mut inner = table.clone();
-                number(body, &mut inner, ctx);
-                out.push(inst);
+                // defined inside must not leak out, so the block's
+                // changes are undone when it ends.
+                let mark = table.open();
+                number(body, table, ctx);
+                table.close(mark);
+                true
             }
             VInst::StoreA { addr, .. } | VInst::StoreU { addr, .. } => {
                 // A store invalidates remembered loads of its array
                 // (conservative: the whole array, aligned and
                 // unaligned keys alike).
-                let arr = addr.array.index() as u32;
-                table.values.retain(|k, _| {
-                    !matches!(k, Key::LoadSyntactic(a, _, _) | Key::LoadChunk(a, _)
-                              if *a & 0x7FFF_FFFF == arr)
-                });
-                out.push(inst);
+                table.forget_loads_of(addr.array.index() as u32);
+                true
             }
-            _ => match key_of(&inst, ctx) {
+            _ => match key_of(inst, ctx) {
+                // Kept unless its value is already in a register.
                 Some(key) => {
                     let dst = inst.def().expect("keyed instructions define");
-                    if let Some(&rep) = table.values.get(&key) {
-                        table.rename.insert(dst, rep);
-                        // drop the duplicate instruction
-                    } else {
-                        table.values.insert(key, dst);
-                        out.push(inst);
-                    }
+                    table.find_or_add(key, dst).is_none()
                 }
-                None => out.push(inst),
+                None => true,
             },
         }
-    }
-    *insts = out;
+    });
+    // The program outlives the pass (kernel caches hold it): keep no
+    // room for the dropped duplicates.
+    insts.shrink_to_fit();
 }
 
 fn rewrite_uses(inst: &mut VInst, table: &Table) {
@@ -137,7 +224,7 @@ fn rewrite_uses(inst: &mut VInst, table: &Table) {
     }
 }
 
-fn key_of(inst: &VInst, ctx: &Ctx) -> Option<Key> {
+fn key_of(inst: &VInst, ctx: &Ctx<'_>) -> Option<Key> {
     match inst {
         VInst::LoadA { addr, .. } => {
             let arr = addr.array.index() as u32;

@@ -6,7 +6,7 @@ mod pc;
 mod unroll;
 
 use crate::options::{CodegenOptions, ReuseMode};
-use crate::trace::{CodegenEvent, CodegenTrace, SectionCounts};
+use crate::trace::{CodegenEvent, Recorder, SectionCounts};
 use crate::vir::SimdProgram;
 
 /// Runs the configured pass pipeline in order:
@@ -21,31 +21,34 @@ use crate::vir::SimdProgram;
 ///    registers.
 ///
 /// Each pass appends a [`CodegenEvent::PassApplied`] with before/after
-/// instruction counts to `trace`.
-pub(crate) fn run_pipeline_traced(
+/// instruction counts to `rec`; the counts are taken only when it is
+/// recording.
+pub(crate) fn run_pipeline(
     program: &mut SimdProgram,
     options: &CodegenOptions,
-    trace: &mut CodegenTrace,
+    rec: &mut Recorder<'_>,
 ) {
-    let mut traced = |program: &mut SimdProgram, pass, f: &dyn Fn(&mut SimdProgram)| {
-        let before = SectionCounts::of(program);
+    let mut apply = |program: &mut SimdProgram, pass, f: &dyn Fn(&mut SimdProgram)| {
+        let before = rec.is_recording().then(|| SectionCounts::of(program));
         f(program);
         debug_verify(program, pass);
-        trace.events.push(CodegenEvent::PassApplied {
-            pass,
-            before,
-            after: SectionCounts::of(program),
-        });
+        if let Some(before) = before {
+            rec.record(|| CodegenEvent::PassApplied {
+                pass,
+                before,
+                after: SectionCounts::of(program),
+            });
+        }
     };
     let memnorm = options.memnorm_enabled();
-    traced(program, "lvn", &|p| lvn::run(p, memnorm));
+    apply(program, "lvn", &|p| lvn::run(p, memnorm));
     if options.reuse_mode() == ReuseMode::PredictiveCommoning {
-        traced(program, "pc", &pc::run);
-        traced(program, "post-pc lvn", &|p| lvn::run(p, memnorm));
+        apply(program, "pc", &pc::run);
+        apply(program, "post-pc lvn", &|p| lvn::run(p, memnorm));
     }
-    traced(program, "dce", &dce::run);
+    apply(program, "dce", &dce::run);
     if options.unroll_enabled() {
-        traced(program, "unroll", &unroll::run);
+        apply(program, "unroll", &unroll::run);
     }
 }
 

@@ -9,7 +9,6 @@
 //! single-iteration loop (the original body) handles odd trip counts.
 
 use crate::vir::{SimdProgram, VInst, VReg};
-use std::collections::HashMap;
 
 pub(crate) fn run(program: &mut SimdProgram) {
     let copies: Vec<(VReg, VReg)> = program
@@ -23,11 +22,12 @@ pub(crate) fn run(program: &mut SimdProgram) {
     if copies.is_empty() {
         return; // nothing to win
     }
-    let carried: Vec<VReg> = copies.iter().map(|&(c, _)| c).collect();
 
     // Chains (a copy reading another carried register) need the
     // sequential-copy semantics preserved; keep the copies in that case.
-    let has_chain = copies.iter().any(|&(_, src)| carried.contains(&src));
+    let has_chain = copies
+        .iter()
+        .any(|&(_, src)| copies.iter().any(|&(carried, _)| carried == src));
 
     let core: Vec<VInst> = program
         .body
@@ -36,30 +36,29 @@ pub(crate) fn run(program: &mut SimdProgram) {
         .cloned()
         .collect();
 
+    // Both maps are indexed by register: every register they are asked
+    // about is one of the body's, below the count before unrolling.
+    let nvregs = program.nvregs as usize;
     // The value each carried register holds at the end of half 1.
-    let end_value: HashMap<VReg, VReg> = copies.iter().cloned().collect();
-
-    let b = program.block() as i64;
-    let mut pair: Vec<VInst> = core.clone();
-    if has_chain {
-        for &(dst, src) in &copies {
-            pair.push(VInst::Copy { dst, src });
-        }
+    let mut end_value: Vec<Option<VReg>> = vec![None; nvregs];
+    for &(dst, src) in &copies {
+        end_value[dst.index()] = Some(src);
     }
 
     // Second half: addresses advance by B; every defined register is
     // renamed; reads of carried registers take half 1's value directly
     // (forward-propagated copies) unless chains forced real copies.
-    let mut rename: HashMap<VReg, VReg> = HashMap::new();
-    let mut half2: Vec<VInst> = Vec::new();
+    let b = program.block() as i64;
+    let mut rename: Vec<Option<VReg>> = vec![None; nvregs];
+    let mut half2: Vec<VInst> = Vec::with_capacity(core.len() + copies.len());
     for inst in &core {
         let mut inst = inst.clone();
         // Rewrite uses first (pre-rename state).
         remap_uses(&mut inst, |r| {
-            if let Some(&n) = rename.get(&r) {
+            if let Some(n) = rename[r.index()] {
                 n
             } else if !has_chain {
-                *end_value.get(&r).unwrap_or(&r)
+                end_value[r.index()].unwrap_or(r)
             } else {
                 r
             }
@@ -68,17 +67,24 @@ pub(crate) fn run(program: &mut SimdProgram) {
         if let Some(dst) = inst.def() {
             let fresh = VReg(program.nvregs);
             program.nvregs += 1;
-            rename.insert(dst, fresh);
+            rename[dst.index()] = Some(fresh);
             set_def(&mut inst, fresh);
         }
         half2.push(inst);
     }
     // Second half's rotations close the loop for the next pair.
     for &(dst, src) in &copies {
-        let src = *rename.get(&src).unwrap_or(&src);
+        let src = rename[src.index()].unwrap_or(src);
         half2.push(VInst::Copy { dst, src });
     }
 
+    // First half: the body without its rotations, which are
+    // forward-propagated into half 2 (or kept when chains need them).
+    let mut pair = core;
+    pair.reserve_exact(half2.len() + if has_chain { copies.len() } else { 0 });
+    if has_chain {
+        pair.extend(copies.iter().map(|&(dst, src)| VInst::Copy { dst, src }));
+    }
     pair.extend(half2);
     program.body_pair = Some(pair);
 }

@@ -31,6 +31,7 @@ use crate::vir::{Addr, SimdProgram, VInst, VReg};
 use simdize_ir::{AlignKind, ArrayRef, Expr, Invariant, LoopProgram, VectorShape};
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// The largest supported stride. Larger strides would only need wider
 /// windows, but the guard padding of the simulated memory image covers
@@ -150,7 +151,7 @@ fn try_generate(program: &LoopProgram, shape: VectorShape) -> Result<SimdProgram
     }
 
     let mut compiled = SimdProgram {
-        program: program.clone(),
+        program: Arc::new(program.clone()),
         shape,
         nvregs: g.next,
         prologue: Vec::new(),

@@ -231,3 +231,35 @@ impl CodegenTrace {
         CodegenTrace::default()
     }
 }
+
+/// Where the generator and the pass pipeline send their decisions: into
+/// a [`CodegenTrace`] when one was asked for, nowhere otherwise. Each
+/// event is passed as a closure that runs only when a trace is being
+/// recorded, so the untraced [`crate::generate`] runs the same
+/// generator and passes without building a single event.
+pub(crate) struct Recorder<'t>(Option<&'t mut CodegenTrace>);
+
+impl<'t> Recorder<'t> {
+    /// Records into `trace`.
+    pub(crate) fn on(trace: &'t mut CodegenTrace) -> Recorder<'t> {
+        Recorder(Some(trace))
+    }
+
+    /// Records nothing.
+    pub(crate) fn off() -> Recorder<'t> {
+        Recorder(None)
+    }
+
+    /// Whether events are being recorded: for a measurement an event
+    /// needs from before the work it describes.
+    pub(crate) fn is_recording(&self) -> bool {
+        self.0.is_some()
+    }
+
+    /// Appends the event `event` builds, if a trace is being recorded.
+    pub(crate) fn record(&mut self, event: impl FnOnce() -> CodegenEvent) {
+        if let Some(trace) = self.0.as_deref_mut() {
+            trace.events.push(event());
+        }
+    }
+}

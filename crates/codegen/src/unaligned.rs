@@ -15,6 +15,7 @@ use crate::sexpr::{SCond, SExpr};
 use crate::vir::{Addr, SimdProgram, VInst, VReg};
 use simdize_ir::{Expr, Invariant, TripCount};
 use simdize_reorg::ReorgGraph;
+use std::sync::Arc;
 
 /// Generates code for a machine with unaligned vector loads and stores.
 ///
@@ -30,7 +31,7 @@ use simdize_reorg::ReorgGraph;
 /// Currently infallible for validated loops; the `Result` mirrors
 /// [`crate::generate`] for uniform call sites.
 pub fn generate_unaligned(graph: &ReorgGraph) -> Result<SimdProgram, GenCodeError> {
-    let program = graph.program().clone();
+    let program = Arc::clone(graph.shared_program());
     let shape = graph.shape();
     let b = graph.blocking_factor() as i64;
     let d = program.elem().size() as i64;

@@ -3,6 +3,7 @@
 use crate::sexpr::{SCond, SExpr};
 use simdize_ir::{ArrayId, BinOp, LoopProgram, ParamId, ScalarType, UnOp, VectorShape};
 use std::fmt;
+use std::sync::Arc;
 
 /// A virtual vector register. The generator allocates an unbounded
 /// supply; the simulator maps each to one `V`-byte register.
@@ -337,7 +338,7 @@ impl fmt::Display for VInst {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SimdProgram {
-    pub(crate) program: LoopProgram,
+    pub(crate) program: Arc<LoopProgram>,
     pub(crate) shape: VectorShape,
     pub(crate) nvregs: u32,
     pub(crate) prologue: Vec<VInst>,

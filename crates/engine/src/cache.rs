@@ -10,8 +10,8 @@
 //! across requests:
 //!
 //! * **Keying.** A [`CacheKey`] is a 64-bit program fingerprint (a
-//!   structural FNV-1a hash of the [`SimdProgram`], which embeds the
-//!   placement policy and codegen scheme — see
+//!   structural word-at-a-time hash of the [`SimdProgram`], which
+//!   embeds the placement policy and codegen scheme — see
 //!   [`program_fingerprint`]), the [`RunInput`], a [`LayoutSig`]
 //!   (shape, element type, image length, every array base), and the
 //!   dispatched [`IsaLevel`], so an AVX2 kernel and an SSE2 kernel of
@@ -45,37 +45,79 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// FNV-1a offset basis / prime (64-bit).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// A word-at-a-time [`Hasher`], so `#[derive(Hash)]` can feed it a
+/// structure field by field without rendering it to text first. Nearly
+/// every field is a small integer: each is one rotate-xor-multiply step
+/// whatever its width, byte strings go eight bytes per step, and
+/// [`Hasher::finish`] runs a full-avalanche finaliser (MurmurHash3's
+/// `fmix64`), so every input bit reaches every output bit — the low
+/// bits the shard choice reads included. It has no per-process seed:
+/// nothing here is a hash table that input could flood.
+struct WordHasher(u64);
 
-fn fnv1a(bytes: &[u8], mut h: u64) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
+impl WordHasher {
+    fn new() -> WordHasher {
+        WordHasher(0x243f_6a88_85a3_08d3)
     }
-    h
+
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(26) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
 }
 
-/// FNV-1a as a [`Hasher`], so `#[derive(Hash)]` can feed it a
-/// structure field by field without rendering it to text first.
-struct Fnv(u64);
-
-impl Hasher for Fnv {
+impl Hasher for WordHasher {
     fn finish(&self) -> u64 {
-        self.0
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        self.0 = fnv1a(bytes, self.0);
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.mix(u64::from_le_bytes(chunk.try_into().expect("eight bytes")));
+        }
+        let tail = chunks.remainder();
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        // The length tells `ab` + `c` from `a` + `bc` when two byte
+        // strings are hashed back to back.
+        self.mix(u64::from_le_bytes(last) ^ ((bytes.len() as u64) << 56));
     }
+
+    fn write_u8(&mut self, i: u8) {
+        self.mix(u64::from(i));
+    }
+
+    fn write_u16(&mut self, i: u16) {
+        self.mix(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.mix(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.mix(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.mix(i as u64);
+    }
+
+    // The signed writes' default forwards to these unsigned ones.
 }
 
-/// A 64-bit structural fingerprint of a [`SimdProgram`]: FNV-1a fed by
-/// the derived `Hash` of the program — the source loop, the shape, the
-/// bounds and every instruction of every section, so the placement
-/// policy's shift choices and every codegen decision are in it — with
-/// no intermediate text and no allocation. Programs that compare equal
+/// A 64-bit structural fingerprint of a [`SimdProgram`]: a
+/// word-at-a-time hash with a full-avalanche finish, fed by the derived
+/// `Hash` of the program — the source loop, the shape, the bounds and
+/// every instruction of every section, so the placement policy's shift
+/// choices and every codegen decision are in it — one mixing step per
+/// field, with no intermediate text and no allocation. Programs that compare equal
 /// fingerprint equal. The value is process-local: nothing stores it or
 /// puts it on the wire, so it may change between builds.
 ///
@@ -86,7 +128,7 @@ impl Hasher for Fnv {
 /// kernel stays inside the image — and it is not silent: the run is
 /// diffed against the scalar oracle and reports `verified: false`.
 pub fn program_fingerprint(program: &SimdProgram) -> u64 {
-    let mut h = Fnv(FNV_OFFSET);
+    let mut h = WordHasher::new();
     program.hash(&mut h);
     h.finish()
 }
@@ -158,19 +200,22 @@ impl CacheKey {
         }
     }
 
-    /// The shard-selection hash: FNV-1a over every key component.
+    /// The shard-selection hash: the fingerprint's hasher over every
+    /// key component.
     fn mix(&self) -> u64 {
-        let mut h = fnv1a(&self.program.to_le_bytes(), FNV_OFFSET);
-        h = fnv1a(&self.input.ub.to_le_bytes(), h);
-        for p in &self.input.params {
-            h = fnv1a(&p.to_le_bytes(), h);
+        let mut h = WordHasher::new();
+        h.write_u64(self.program);
+        h.write_u64(self.input.ub);
+        for &p in &self.input.params {
+            h.write_i64(p);
         }
-        h = fnv1a(&self.layout.shape_bytes.to_le_bytes(), h);
-        h = fnv1a(&(self.layout.image_len as u64).to_le_bytes(), h);
-        for b in &self.layout.bases {
-            h = fnv1a(&b.to_le_bytes(), h);
+        h.write_u32(self.layout.shape_bytes);
+        h.write_usize(self.layout.image_len);
+        for &b in &self.layout.bases {
+            h.write_u64(b);
         }
-        fnv1a(self.isa.name().as_bytes(), h)
+        h.write(self.isa.name().as_bytes());
+        h.finish()
     }
 }
 
@@ -384,5 +429,39 @@ impl KernelCache {
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
         self.evictions.store(0, Ordering::Relaxed);
+    }
+}
+
+#[cfg(test)]
+mod hasher_tests {
+    use super::*;
+
+    fn hash(value: impl Hash) -> u64 {
+        let mut h = WordHasher::new();
+        value.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn integers_of_every_width_and_strings_separate() {
+        assert_eq!(hash(7u32), hash(7u32));
+        assert_ne!(hash(7u32), hash(8u32));
+        assert_ne!(hash(("ab", "c")), hash(("a", "bc")));
+        assert_ne!(hash("abcdefgh"), hash("abcdefgh\0"));
+        assert_ne!(hash([1u8, 2]), hash([2u8, 1]));
+    }
+
+    #[test]
+    fn every_input_bit_reaches_the_low_output_bits() {
+        // Flipping any one bit of a word changes about half the output
+        // bits, the low byte included.
+        for bit in 0..64 {
+            let flipped = hash(0u64) ^ hash(1u64 << bit);
+            let ones = flipped.count_ones();
+            assert!((16..=48).contains(&ones), "bit {bit}: {ones} output bits");
+        }
+        let low: std::collections::HashSet<u8> =
+            (0..64).map(|bit| hash(1u64 << (63 - bit)) as u8).collect();
+        assert!(low.len() > 32, "{} distinct low bytes", low.len());
     }
 }

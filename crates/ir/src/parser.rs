@@ -76,9 +76,11 @@ pub fn parse_program(src: &str) -> Result<LoopProgram, ParseProgramError> {
     Parser::new(src).parse()
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Tok {
-    Ident(String),
+/// A token. Identifiers borrow the source text, so tokens are `Copy`
+/// and tokenizing allocates nothing per identifier.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tok<'a> {
+    Ident(&'a str),
     Int(i64),
     Punct(char),
     DotDot,
@@ -87,7 +89,7 @@ enum Tok {
 
 struct Parser<'a> {
     src: &'a str,
-    toks: Vec<(Tok, usize)>,
+    toks: Vec<(Tok<'a>, usize)>,
     pos: usize,
 }
 
@@ -130,8 +132,7 @@ impl<'a> Parser<'a> {
                 {
                     i += 1;
                 }
-                self.toks
-                    .push((Tok::Ident(self.src[start..i].to_string()), start));
+                self.toks.push((Tok::Ident(&self.src[start..i]), start));
             } else if c.is_ascii_digit() {
                 let start = i;
                 while i < bytes.len() && (bytes[i] as char).is_ascii_digit() {
@@ -159,12 +160,12 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    fn peek(&self) -> &Tok {
-        &self.toks[self.pos].0
+    fn peek(&self) -> Tok<'a> {
+        self.toks[self.pos].0
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos].0.clone();
+    fn bump(&mut self) -> Tok<'a> {
+        let t = self.toks[self.pos].0;
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
@@ -172,7 +173,7 @@ impl<'a> Parser<'a> {
     }
 
     fn expect_punct(&mut self, c: char) -> Result<(), ParseProgramError> {
-        if self.peek() == &Tok::Punct(c) {
+        if self.peek() == Tok::Punct(c) {
             self.bump();
             Ok(())
         } else {
@@ -181,7 +182,7 @@ impl<'a> Parser<'a> {
     }
 
     fn expect_ident(&mut self, kw: &str) -> Result<(), ParseProgramError> {
-        if matches!(self.peek(), Tok::Ident(s) if s == kw) {
+        if self.peek() == Tok::Ident(kw) {
             self.bump();
             Ok(())
         } else {
@@ -189,23 +190,25 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn ident(&mut self) -> Result<String, ParseProgramError> {
-        match self.bump() {
-            Tok::Ident(s) => Ok(s),
-            _ => {
-                self.pos -= 1;
-                self.err("expected identifier")
+    // The token is checked before it is consumed, so an error points
+    // at the offending token itself — at the end of input too.
+    fn ident(&mut self) -> Result<&'a str, ParseProgramError> {
+        match self.peek() {
+            Tok::Ident(s) => {
+                self.bump();
+                Ok(s)
             }
+            _ => self.err("expected identifier"),
         }
     }
 
     fn int(&mut self) -> Result<i64, ParseProgramError> {
-        match self.bump() {
-            Tok::Int(n) => Ok(n),
-            _ => {
-                self.pos -= 1;
-                self.err("expected integer")
+        match self.peek() {
+            Tok::Int(n) => {
+                self.bump();
+                Ok(n)
             }
+            _ => self.err("expected integer"),
         }
     }
 
@@ -215,12 +218,12 @@ impl<'a> Parser<'a> {
         // arrays { ... }
         self.expect_ident("arrays")?;
         self.expect_punct('{')?;
-        let mut decls: Vec<(String, ScalarType, u64, AlignKind)> = Vec::new();
-        while self.peek() != &Tok::Punct('}') {
+        let mut decls: Vec<(&str, ScalarType, u64, AlignKind)> = Vec::new();
+        while self.peek() != Tok::Punct('}') {
             let name = self.ident()?;
             self.expect_punct(':')?;
             let tyname = self.ident()?;
-            let ty = match ScalarType::from_name(&tyname) {
+            let ty = match ScalarType::from_name(tyname) {
                 Some(t) => t,
                 None => return self.err(format!("unknown element type `{tyname}`")),
             };
@@ -231,7 +234,7 @@ impl<'a> Parser<'a> {
             }
             self.expect_punct(']')?;
             self.expect_punct('@')?;
-            let align = if self.peek() == &Tok::Punct('?') {
+            let align = if self.peek() == Tok::Punct('?') {
                 self.bump();
                 AlignKind::Runtime
             } else {
@@ -251,21 +254,21 @@ impl<'a> Parser<'a> {
             None => return self.err("at least one array must be declared"),
         };
         let mut builder = LoopBuilder::new(elem);
-        let mut arrays: HashMap<String, ArrayHandle> = HashMap::new();
+        let mut arrays: HashMap<&str, ArrayHandle> = HashMap::new();
         for (name, ty, len, align) in decls {
-            let h = builder.declare(crate::ArrayDecl::new(name.clone(), ty, len, align));
+            let h = builder.declare(crate::ArrayDecl::new(name, ty, len, align));
             arrays.insert(name, h);
         }
 
         // params { ... } (optional)
-        let mut params: HashMap<String, crate::ParamId> = HashMap::new();
-        if matches!(self.peek(), Tok::Ident(s) if s == "params") {
+        let mut params: HashMap<&str, crate::ParamId> = HashMap::new();
+        if self.peek() == Tok::Ident("params") {
             self.bump();
             self.expect_punct('{')?;
-            while self.peek() != &Tok::Punct('}') {
+            while self.peek() != Tok::Punct('}') {
                 let name = self.ident()?;
                 self.expect_punct(';')?;
-                let id = builder.param(name.clone());
+                let id = builder.param(name);
                 params.insert(name, id);
             }
             self.bump();
@@ -279,31 +282,29 @@ impl<'a> Parser<'a> {
         if lo != 0 {
             return self.err("loops must be normalized: lower bound is 0");
         }
-        if self.peek() != &Tok::DotDot {
+        if self.peek() != Tok::DotDot {
             return self.err("expected `..`");
         }
         self.bump();
-        let trip = match self.bump() {
+        let trip = match self.peek() {
             Tok::Int(n) if n >= 0 => TripCount::Known(n as u64),
-            Tok::Ident(s) if s == "ub" => TripCount::Runtime,
-            _ => {
-                self.pos -= 1;
-                return self.err("expected trip count integer or `ub`");
-            }
+            Tok::Ident("ub") => TripCount::Runtime,
+            _ => return self.err("expected trip count integer or `ub`"),
         };
+        self.bump();
         self.expect_punct('{')?;
-        while self.peek() != &Tok::Punct('}') {
+        while self.peek() != Tok::Punct('}') {
             let target = self.array_ref(&arrays)?;
             // `target op= expr;` is a reduction (`+=`, `*=`, `&=`,
             // `|=`, `^=`, `min=`, `max=`); `target = expr;` a store.
-            let reduction = match self.peek().clone() {
+            let reduction = match self.peek() {
                 Tok::Punct('+') => Some(BinOp::Add),
                 Tok::Punct('*') => Some(BinOp::Mul),
                 Tok::Punct('&') => Some(BinOp::And),
                 Tok::Punct('|') => Some(BinOp::Or),
                 Tok::Punct('^') => Some(BinOp::Xor),
-                Tok::Ident(ref w) if w == "min" => Some(BinOp::Min),
-                Tok::Ident(ref w) if w == "max" => Some(BinOp::Max),
+                Tok::Ident("min") => Some(BinOp::Min),
+                Tok::Ident("max") => Some(BinOp::Max),
                 _ => None,
             };
             if reduction.is_some() {
@@ -324,17 +325,16 @@ impl<'a> Parser<'a> {
 
     fn array_ref(
         &mut self,
-        arrays: &HashMap<String, ArrayHandle>,
+        arrays: &HashMap<&str, ArrayHandle>,
     ) -> Result<ArrayRef, ParseProgramError> {
         let name = self.ident()?;
-        let h = match arrays.get(&name) {
+        let h = match arrays.get(name) {
             Some(h) => *h,
             None => return self.err(format!("undeclared array `{name}`")),
         };
         self.expect_punct('[')?;
         // Optional stride multiplier: `name[2*i+3]`.
         let stride = if let Tok::Int(s) = self.peek() {
-            let s = *s;
             self.bump();
             self.expect_punct('*')?;
             if !(1..=u32::MAX as i64).contains(&s) {
@@ -362,16 +362,16 @@ impl<'a> Parser<'a> {
 
     fn expr(
         &mut self,
-        arrays: &HashMap<String, ArrayHandle>,
-        params: &HashMap<String, crate::ParamId>,
+        arrays: &HashMap<&str, ArrayHandle>,
+        params: &HashMap<&str, crate::ParamId>,
     ) -> Result<Expr, ParseProgramError> {
         self.bin_expr(arrays, params, 0)
     }
 
     fn bin_expr(
         &mut self,
-        arrays: &HashMap<String, ArrayHandle>,
-        params: &HashMap<String, crate::ParamId>,
+        arrays: &HashMap<&str, ArrayHandle>,
+        params: &HashMap<&str, crate::ParamId>,
         min_prec: u8,
     ) -> Result<Expr, ParseProgramError> {
         let mut lhs = self.unary_expr(arrays, params)?;
@@ -397,15 +397,14 @@ impl<'a> Parser<'a> {
 
     fn unary_expr(
         &mut self,
-        arrays: &HashMap<String, ArrayHandle>,
-        params: &HashMap<String, crate::ParamId>,
+        arrays: &HashMap<&str, ArrayHandle>,
+        params: &HashMap<&str, crate::ParamId>,
     ) -> Result<Expr, ParseProgramError> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Punct('-') => {
                 self.bump();
                 // Negative literal vs. unary negation of a subexpression.
                 if let Tok::Int(n) = self.peek() {
-                    let n = *n;
                     self.bump();
                     Ok(Expr::constant(-n))
                 } else {
@@ -430,7 +429,7 @@ impl<'a> Parser<'a> {
             }
             Tok::Ident(name) => {
                 // min/max/abs calls, array loads, or parameter splats.
-                match name.as_str() {
+                match name {
                     "min" | "max" if self.toks[self.pos + 1].0 == Tok::Punct('(') => {
                         self.bump();
                         self.bump();
@@ -453,10 +452,10 @@ impl<'a> Parser<'a> {
                         Ok(Expr::unary(UnOp::Abs, a))
                     }
                     _ => {
-                        if arrays.contains_key(&name) {
+                        if arrays.contains_key(name) {
                             let r = self.array_ref(arrays)?;
                             Ok(Expr::load(r))
-                        } else if let Some(&p) = params.get(&name) {
+                        } else if let Some(&p) = params.get(name) {
                             self.bump();
                             Ok(Expr::param(p))
                         } else {
@@ -559,6 +558,33 @@ mod tests {
     fn rejects_bad_type_and_chars() {
         assert!(parse_program("arrays { a: f32[4] @ 0; } for i in 0..1 { a[i] = a[i]; }").is_err());
         assert!(parse_program("arrays { a: i32[4] @ 0; } $").is_err());
+    }
+
+    #[test]
+    fn errors_at_end_of_input_point_at_the_end() {
+        for (src, message) in [
+            ("arrays {", "expected identifier"),
+            ("arrays { a: i32[", "expected integer"),
+            (
+                "arrays { a: i32[4] @ 0; } for i in 0..",
+                "expected trip count integer or `ub`",
+            ),
+            ("arrays { broken", "expected `:`"),
+        ] {
+            let e = parse_program(src).unwrap_err();
+            assert_eq!(e.position(), src.len(), "{src}: {e}");
+            assert!(e.to_string().starts_with(message), "{src}: {e}");
+        }
+    }
+
+    #[test]
+    fn errors_before_the_end_point_at_the_offending_token() {
+        let src = "arrays { a: i32[x] @ 0; }";
+        let e = parse_program(src).unwrap_err();
+        assert_eq!(e.position(), src.find('x').unwrap(), "{e}");
+        let src = "arrays { a: i32[4] @ 0; } for i in 0..; {}";
+        let e = parse_program(src).unwrap_err();
+        assert_eq!(e.position(), src.rfind(';').unwrap(), "{e}");
     }
 
     #[test]

@@ -239,12 +239,9 @@ impl LoopProgram {
             }
         }
         for s in &self.stmts {
-            let mut refs = s.rhs.loads();
             // A reduction target is a single fixed element; only it
             // escapes the per-iteration bounds rule below.
-            if s.reduction.is_none() {
-                refs.push(s.target);
-            } else {
+            if s.reduction.is_some() {
                 let r = s.target;
                 if r.offset < 0 || r.offset as u64 >= self.array(r.array).len() {
                     return Err(ValidateLoopError::OutOfBounds {
@@ -255,32 +252,48 @@ impl LoopProgram {
                     });
                 }
             }
-            for r in refs {
-                if r.array.index() >= self.arrays.len() {
-                    return Err(ValidateLoopError::UnknownArray { id: r.array });
+            let mut err = None;
+            s.rhs.visit_loads(&mut |r| {
+                if err.is_none() {
+                    err = self.check_ref(r).err();
                 }
-                if r.offset < 0 {
-                    return Err(ValidateLoopError::NegativeOffset {
-                        array: self.name_of(r.array),
-                        offset: r.offset,
-                    });
-                }
-                if let TripCount::Known(ub) = self.trip {
-                    let last = r.stride as u64 * (ub - 1) + r.offset as u64;
-                    if last >= self.array(r.array).len() {
-                        return Err(ValidateLoopError::OutOfBounds {
-                            array: self.name_of(r.array),
-                            offset: r.offset,
-                            trip: ub,
-                            len: self.array(r.array).len(),
-                        });
-                    }
-                }
+            });
+            if let Some(e) = err {
+                return Err(e);
+            }
+            if s.reduction.is_none() {
+                self.check_ref(s.target)?;
             }
         }
 
         for s in &self.stmts {
             self.check_params(&s.rhs)?;
+        }
+        Ok(())
+    }
+
+    /// Checks that the per-iteration reference `r` names a declared
+    /// array and stays inside it for every iteration.
+    fn check_ref(&self, r: ArrayRef) -> Result<(), ValidateLoopError> {
+        if r.array.index() >= self.arrays.len() {
+            return Err(ValidateLoopError::UnknownArray { id: r.array });
+        }
+        if r.offset < 0 {
+            return Err(ValidateLoopError::NegativeOffset {
+                array: self.name_of(r.array),
+                offset: r.offset,
+            });
+        }
+        if let TripCount::Known(ub) = self.trip {
+            let last = r.stride as u64 * (ub - 1) + r.offset as u64;
+            if last >= self.array(r.array).len() {
+                return Err(ValidateLoopError::OutOfBounds {
+                    array: self.name_of(r.array),
+                    offset: r.offset,
+                    trip: ub,
+                    len: self.array(r.array).len(),
+                });
+            }
         }
         Ok(())
     }

@@ -6,6 +6,7 @@ use crate::policy::Policy;
 use crate::stats::GraphStats;
 use simdize_ir::{ArrayRef, BinOp, Expr, Invariant, LoopProgram, UnOp, VectorShape};
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a node within a [`ReorgGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -101,7 +102,7 @@ pub enum RNode {
 ///    checkable with [`ReorgGraph::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReorgGraph {
-    pub(crate) program: LoopProgram,
+    pub(crate) program: Arc<LoopProgram>,
     pub(crate) shape: VectorShape,
     pub(crate) nodes: Vec<RNode>,
     pub(crate) roots: Vec<NodeId>,
@@ -137,7 +138,7 @@ impl ReorgGraph {
             }
         }
         let mut g = ReorgGraph {
-            program: program.clone(),
+            program: Arc::new(program.clone()),
             shape,
             nodes: Vec::new(),
             roots: Vec::new(),
@@ -184,6 +185,13 @@ impl ReorgGraph {
 
     /// The loop this graph simdizes.
     pub fn program(&self) -> &LoopProgram {
+        &self.program
+    }
+
+    /// The loop this graph simdizes, shared: placement hands it to the
+    /// placed graph, and code generation to the program it emits,
+    /// without copying it.
+    pub fn shared_program(&self) -> &Arc<LoopProgram> {
         &self.program
     }
 

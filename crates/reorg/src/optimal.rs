@@ -34,7 +34,7 @@ use crate::graph::{NodeId, RNode, ReorgGraph};
 use crate::offset::Offset;
 use crate::policy::natural_target;
 use crate::stats::distinct_alignments;
-use crate::trace::{Constraint, PlacementEvent, PlacementTrace};
+use crate::trace::{Constraint, PlacementEvent, Recorder};
 
 /// The exact-search result for one statement.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -189,7 +189,8 @@ impl<'a> Search<'a> {
                 usize::from(!self.old.offset_of(self.expr).matches(self.store_off))
             }
             _ => {
-                let dp = self.dp(self.expr);
+                let memo = self.dp_tables();
+                let dp = memo[self.expr.index()].as_ref().expect("filled");
                 (0..self.candidates.len())
                     .map(|k| dp.raw[k] + self.store_penalty(k))
                     .min()
@@ -204,9 +205,18 @@ impl<'a> Search<'a> {
         usize::from(!Offset::Byte(self.candidates[k]).matches(self.store_off))
     }
 
-    fn dp(&self, node: NodeId) -> Dp {
+    /// The DP table of the statement's expression and of every node
+    /// below it, indexed by node: each subtree's table is computed once,
+    /// and the argmin rebuild reads its children's from here.
+    fn dp_tables(&self) -> Vec<Option<Dp>> {
+        let mut memo: Vec<Option<Dp>> = (0..self.old.nodes().len()).map(|_| None).collect();
+        self.fill_dp(self.expr, &mut memo);
+        memo
+    }
+
+    fn fill_dp(&self, node: NodeId, memo: &mut [Option<Dp>]) {
         let n = self.candidates.len();
-        match self.old.node(node) {
+        let dp = match self.old.node(node) {
             RNode::Load { .. } => {
                 let off = self.old.offset_of(node);
                 Dp {
@@ -223,19 +233,22 @@ impl<'a> Search<'a> {
                 any: true,
             },
             RNode::Op { srcs, .. } => {
-                let kids: Vec<Dp> = srcs.iter().map(|&s| self.dp(s)).collect();
-                let raw = (0..n)
-                    .map(|k| kids.iter().map(|d| d.delivered(k)).sum())
-                    .collect();
+                for &s in srcs {
+                    self.fill_dp(s, memo);
+                }
+                let kid = |s: NodeId| memo[s.index()].as_ref().expect("filled above");
                 Dp {
-                    raw,
-                    any: kids.iter().all(|d| d.any),
+                    raw: (0..n)
+                        .map(|k| srcs.iter().map(|&s| kid(s).delivered(k)).sum())
+                        .collect(),
+                    any: srcs.iter().all(|&s| kid(s).any),
                 }
             }
             RNode::ShiftStream { .. } | RNode::Store { .. } => {
                 unreachable!("optimal search runs on unshifted expression subtrees")
             }
-        }
+        };
+        memo[node.index()] = Some(dp);
     }
 
     /// The branch-and-bound engine: depth-first over explicit offset
@@ -310,32 +323,21 @@ impl<'a> Search<'a> {
     }
 
     /// Rebuilds the statement's expression into `out` along the DP's
-    /// argmin placement, emitting the same trace-event shapes as the
+    /// argmin placement, passing `rec` the same event shapes as the
     /// greedy policies; returns the new source node and its offset (the
     /// caller adds the final (C.2) store shift if needed).
-    pub(crate) fn rebuild(
-        &self,
-        out: &mut ReorgGraph,
-        trace: &mut PlacementTrace,
-    ) -> (NodeId, Offset) {
-        trace.events.push(PlacementEvent::OptimalChosen {
+    pub(crate) fn rebuild(&self, out: &mut ReorgGraph, rec: &mut Recorder<'_>) -> (NodeId, Offset) {
+        rec.record(|| PlacementEvent::OptimalChosen {
             stmt: self.stmt,
             shifts: self.minimum(),
             lower_bound: distinct_alignments(self.old, self.stmt).saturating_sub(1),
             candidates: self.candidates.clone(),
             store: self.store_off,
         });
-        match self.old.node(self.expr).clone() {
-            RNode::Load { r } => {
-                let off = self.old.offset_of(self.expr);
-                let loaded = out.add(RNode::Load { r });
-                trace.events.push(PlacementEvent::OffsetComputed {
-                    stmt: self.stmt,
-                    node: loaded,
-                    desc: format!("vload({})", self.old.ref_str(r)),
-                    offset: off,
-                });
-                trace.events.push(PlacementEvent::ShiftElided {
+        match self.old.node(self.expr) {
+            RNode::Load { .. } => {
+                let (loaded, off) = self.leaf(out, self.expr, rec);
+                rec.record(|| PlacementEvent::ShiftElided {
                     stmt: self.stmt,
                     node: loaded,
                     offset: off,
@@ -345,9 +347,43 @@ impl<'a> Search<'a> {
                 });
                 (loaded, off)
             }
+            RNode::Splat { .. } => self.leaf(out, self.expr, rec),
+            RNode::Op { .. } => {
+                let memo = self.dp_tables();
+                let dp = memo[self.expr.index()].as_ref().expect("filled");
+                // Argmin with ties broken toward meeting the store
+                // without a final shift, then the smallest offset —
+                // deterministic output for the docs generator.
+                let k = (0..self.candidates.len())
+                    .min_by_key(|&k| (dp.raw[k] + self.store_penalty(k), self.store_penalty(k), self.candidates[k]))
+                    .expect("op-rooted statement has candidates");
+                let node = self.rebuild_op_at(out, self.expr, k, &memo, rec);
+                (node, Offset::Byte(self.candidates[k]))
+            }
+            RNode::ShiftStream { .. } | RNode::Store { .. } => {
+                unreachable!("optimal search runs on unshifted expression subtrees")
+            }
+        }
+    }
+
+    /// Copies the load or splat at `node` into `out` at its own stream
+    /// offset.
+    fn leaf(&self, out: &mut ReorgGraph, node: NodeId, rec: &mut Recorder<'_>) -> (NodeId, Offset) {
+        match *self.old.node(node) {
+            RNode::Load { r } => {
+                let off = self.old.offset_of(node);
+                let loaded = out.add(RNode::Load { r });
+                rec.record(|| PlacementEvent::OffsetComputed {
+                    stmt: self.stmt,
+                    node: loaded,
+                    desc: format!("vload({})", self.old.ref_str(r)),
+                    offset: off,
+                });
+                (loaded, off)
+            }
             RNode::Splat { inv } => {
                 let n = out.add(RNode::Splat { inv });
-                trace.events.push(PlacementEvent::OffsetComputed {
+                rec.record(|| PlacementEvent::OffsetComputed {
                     stmt: self.stmt,
                     node: n,
                     desc: format!("vsplat({inv})"),
@@ -355,20 +391,7 @@ impl<'a> Search<'a> {
                 });
                 (n, Offset::Any)
             }
-            RNode::Op { .. } => {
-                let dp = self.dp(self.expr);
-                // Argmin with ties broken toward meeting the store
-                // without a final shift, then the smallest offset —
-                // deterministic output for the docs generator.
-                let k = (0..self.candidates.len())
-                    .min_by_key(|&k| (dp.raw[k] + self.store_penalty(k), self.store_penalty(k), self.candidates[k]))
-                    .expect("op-rooted statement has candidates");
-                let node = self.rebuild_op_at(out, self.expr, k, trace);
-                (node, Offset::Byte(self.candidates[k]))
-            }
-            RNode::ShiftStream { .. } | RNode::Store { .. } => {
-                unreachable!("optimal search runs on unshifted expression subtrees")
-            }
+            _ => unreachable!("leaf visits only loads and splats"),
         }
     }
 
@@ -381,39 +404,20 @@ impl<'a> Search<'a> {
         out: &mut ReorgGraph,
         node: NodeId,
         k: usize,
-        trace: &mut PlacementTrace,
+        memo: &[Option<Dp>],
+        rec: &mut Recorder<'_>,
     ) -> NodeId {
         let target = Offset::Byte(self.candidates[k]);
-        let RNode::Op { kind, srcs } = self.old.node(node).clone() else {
+        let RNode::Op { kind, srcs } = self.old.node(node) else {
             unreachable!("rebuild_op_at visits only vop nodes");
         };
         // Build children at their chosen computing offsets first.
         let rebuilt: Vec<(NodeId, Offset)> = srcs
             .iter()
-            .map(|&s| match self.old.node(s).clone() {
-                RNode::Load { r } => {
-                    let off = self.old.offset_of(s);
-                    let loaded = out.add(RNode::Load { r });
-                    trace.events.push(PlacementEvent::OffsetComputed {
-                        stmt: self.stmt,
-                        node: loaded,
-                        desc: format!("vload({})", self.old.ref_str(r)),
-                        offset: off,
-                    });
-                    (loaded, off)
-                }
-                RNode::Splat { inv } => {
-                    let n = out.add(RNode::Splat { inv });
-                    trace.events.push(PlacementEvent::OffsetComputed {
-                        stmt: self.stmt,
-                        node: n,
-                        desc: format!("vsplat({inv})"),
-                        offset: Offset::Any,
-                    });
-                    (n, Offset::Any)
-                }
+            .map(|&s| match self.old.node(s) {
+                RNode::Load { .. } | RNode::Splat { .. } => self.leaf(out, s, rec),
                 RNode::Op { .. } => {
-                    let dp = self.dp(s);
+                    let dp = memo[s.index()].as_ref().expect("filled by dp_tables");
                     // Deliver at `k` directly unless computing at the
                     // child's own best offset plus one shift is
                     // strictly cheaper.
@@ -424,7 +428,7 @@ impl<'a> Search<'a> {
                             .min_by_key(|&j| (dp.raw[j], self.candidates[j]))
                             .expect("op node has candidates")
                     };
-                    let built = self.rebuild_op_at(out, s, kc, trace);
+                    let built = self.rebuild_op_at(out, s, kc, memo, rec);
                     let off = if dp.any {
                         Offset::Any
                     } else {
@@ -441,8 +445,11 @@ impl<'a> Search<'a> {
         let all_match = rebuilt.iter().all(|&(_, o)| o.matches(target));
         if all_match {
             let ids = rebuilt.iter().map(|&(n, _)| n).collect();
-            let op = out.add(RNode::Op { kind, srcs: ids });
-            trace.events.push(PlacementEvent::ConstraintChecked {
+            let op = out.add(RNode::Op {
+                kind: *kind,
+                srcs: ids,
+            });
+            rec.record(|| PlacementEvent::ConstraintChecked {
                 stmt: self.stmt,
                 constraint: Constraint::C3,
                 node: op,
@@ -454,7 +461,7 @@ impl<'a> Search<'a> {
         }
         // Reconcile: the (C.3) check reads first (it is the reason for
         // the shifts), so remember where to insert it.
-        let mark = trace.events.len();
+        let mark = rec.mark();
         let found = rebuilt
             .iter()
             .map(|&(_, o)| o)
@@ -464,7 +471,7 @@ impl<'a> Search<'a> {
             .into_iter()
             .map(|(n, o)| {
                 if o.matches(target) {
-                    trace.events.push(PlacementEvent::ShiftElided {
+                    rec.record(|| PlacementEvent::ShiftElided {
                         stmt: self.stmt,
                         node: n,
                         offset: o,
@@ -475,7 +482,7 @@ impl<'a> Search<'a> {
                     n
                 } else {
                     let s = out.add(RNode::ShiftStream { src: n, to: target });
-                    trace.events.push(PlacementEvent::ShiftInserted {
+                    rec.record(|| PlacementEvent::ShiftInserted {
                         stmt: self.stmt,
                         node: s,
                         src: n,
@@ -490,18 +497,18 @@ impl<'a> Search<'a> {
                 }
             })
             .collect();
-        let op = out.add(RNode::Op { kind, srcs: ids });
-        trace.events.insert(
-            mark,
-            PlacementEvent::ConstraintChecked {
-                stmt: self.stmt,
-                constraint: Constraint::C3,
-                node: op,
-                required: target,
-                found,
-                satisfied: false,
-            },
-        );
+        let op = out.add(RNode::Op {
+            kind: *kind,
+            srcs: ids,
+        });
+        rec.record_at(mark, || PlacementEvent::ConstraintChecked {
+            stmt: self.stmt,
+            constraint: Constraint::C3,
+            node: op,
+            required: target,
+            found,
+            satisfied: false,
+        });
         op
     }
 }

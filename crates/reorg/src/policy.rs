@@ -3,9 +3,9 @@
 use crate::error::PolicyError;
 use crate::graph::{NodeId, RNode, ReorgGraph};
 use crate::offset::Offset;
-use crate::trace::{Constraint, PlacementEvent, PlacementTrace};
-use std::collections::HashMap;
+use crate::trace::{Constraint, PlacementEvent, PlacementTrace, Recorder};
 use std::fmt;
+use std::sync::Arc;
 
 /// Where `vshiftstream` nodes are placed to make a graph valid.
 ///
@@ -102,8 +102,7 @@ impl ReorgGraph {
     ///   than zero-shift is requested and some alignment is unknown at
     ///   compile time.
     pub fn with_policy(&self, policy: Policy) -> Result<ReorgGraph, PolicyError> {
-        let mut trace = PlacementTrace::new();
-        self.with_policy_traced(policy, &mut trace)
+        self.place(policy, &mut Recorder::off())
     }
 
     /// Like [`ReorgGraph::with_policy`], but records every placement
@@ -121,6 +120,12 @@ impl ReorgGraph {
         policy: Policy,
         trace: &mut PlacementTrace,
     ) -> Result<ReorgGraph, PolicyError> {
+        self.place(policy, &mut Recorder::on(trace))
+    }
+
+    /// The one placer behind both entry points; `rec` decides whether
+    /// its decisions are recorded.
+    fn place(&self, policy: Policy, rec: &mut Recorder<'_>) -> Result<ReorgGraph, PolicyError> {
         if let Some(existing) = self.policy {
             return Err(PolicyError::AlreadyPlaced { existing });
         }
@@ -129,15 +134,15 @@ impl ReorgGraph {
         }
 
         let mut out = ReorgGraph {
-            program: self.program.clone(),
+            program: Arc::clone(&self.program),
             shape: self.shape,
-            nodes: Vec::new(),
-            roots: Vec::new(),
+            nodes: Vec::with_capacity(self.nodes.len()),
+            roots: Vec::with_capacity(self.roots.len()),
             policy: Some(policy),
         };
 
         let elem_size = self.program.elem().size() as u32;
-        for (idx, &root) in self.roots.clone().iter().enumerate() {
+        for (idx, &root) in self.roots.iter().enumerate() {
             let (r, src_old) = match self.node(root) {
                 RNode::Store { r, src } => (*r, *src),
                 other => unreachable!("root is not a store: {other:?}"),
@@ -163,28 +168,26 @@ impl ReorgGraph {
             };
             let (new_src, src_off) = match policy {
                 Policy::Zero => {
-                    placer.rebuild(&mut out, src_old, ShiftLeavesTo(Offset::Byte(0)), trace)
+                    placer.rebuild(&mut out, src_old, ShiftLeavesTo(Offset::Byte(0)), rec)
                 }
                 Policy::Eager => {
-                    placer.rebuild(&mut out, src_old, ShiftLeavesTo(natural_store), trace)
+                    placer.rebuild(&mut out, src_old, ShiftLeavesTo(natural_store), rec)
                 }
-                Policy::Lazy => {
-                    placer.rebuild(&mut out, src_old, ReconcileTo(natural_store), trace)
-                }
+                Policy::Lazy => placer.rebuild(&mut out, src_old, ReconcileTo(natural_store), rec),
                 Policy::Dominant => {
                     let (d, histogram) =
                         dominant_offset(self, src_old, natural_store, elem_size);
-                    trace.events.push(PlacementEvent::DominantChosen {
+                    rec.record(|| PlacementEvent::DominantChosen {
                         stmt: idx,
                         target: d,
                         histogram,
                         store: store_off,
                     });
-                    placer.rebuild(&mut out, src_old, ReconcileTo(d), trace)
+                    placer.rebuild(&mut out, src_old, ReconcileTo(d), rec)
                 }
                 Policy::Optimal => {
                     let search = crate::optimal::Search::for_stmt(self, idx);
-                    search.rebuild(&mut out, trace)
+                    search.rebuild(&mut out, rec)
                 }
             };
 
@@ -198,21 +201,20 @@ impl ReorgGraph {
                 })
             };
             let new_root = out.add(RNode::Store { r, src: final_src });
-            let desc = if reduction {
-                format!(
-                    "vstore({}) [reduction: accumulator kept at offset 0]",
-                    self.ref_str(r)
-                )
-            } else {
-                format!("vstore({})", self.ref_str(r))
-            };
-            trace.events.push(PlacementEvent::OffsetComputed {
+            rec.record(|| PlacementEvent::OffsetComputed {
                 stmt: idx,
                 node: new_root,
-                desc,
+                desc: if reduction {
+                    format!(
+                        "vstore({}) [reduction: accumulator kept at offset 0]",
+                        self.ref_str(r)
+                    )
+                } else {
+                    format!("vstore({})", self.ref_str(r))
+                },
                 offset: store_off,
             });
-            trace.events.push(PlacementEvent::ConstraintChecked {
+            rec.record(|| PlacementEvent::ConstraintChecked {
                 stmt: idx,
                 constraint: Constraint::C2,
                 node: new_root,
@@ -221,7 +223,7 @@ impl ReorgGraph {
                 satisfied,
             });
             if satisfied {
-                trace.events.push(PlacementEvent::ShiftElided {
+                rec.record(|| PlacementEvent::ShiftElided {
                     stmt: idx,
                     node: new_src,
                     offset: src_off,
@@ -230,23 +232,22 @@ impl ReorgGraph {
                         .to_string(),
                 });
             } else {
-                let rule = if policy == Policy::Zero {
-                    "zero-shift: one right shift from offset 0 to the store offset just \
-                     before the store (§4.4, works for runtime alignments)"
-                        .to_string()
-                } else {
-                    format!(
-                        "final shift to satisfy (C.2): the {policy}-placed stream offset \
-                         differs from the store offset"
-                    )
-                };
-                trace.events.push(PlacementEvent::ShiftInserted {
+                rec.record(|| PlacementEvent::ShiftInserted {
                     stmt: idx,
                     node: final_src,
                     src: new_src,
                     from: src_off,
                     to: store_off,
-                    rule,
+                    rule: if policy == Policy::Zero {
+                        "zero-shift: one right shift from offset 0 to the store offset just \
+                         before the store (§4.4, works for runtime alignments)"
+                            .to_string()
+                    } else {
+                        format!(
+                            "final shift to satisfy (C.2): the {policy}-placed stream offset \
+                             differs from the store offset"
+                        )
+                    },
                 });
             }
             out.roots.push(new_root);
@@ -276,7 +277,7 @@ pub(crate) fn natural_target(offset: Offset, elem_size: u32) -> Offset {
     }
 }
 
-/// Per-statement context for the recursive traced rebuild.
+/// Per-statement context for the recursive rebuild.
 struct Placer<'a> {
     old: &'a ReorgGraph,
     stmt: usize,
@@ -286,22 +287,22 @@ struct Placer<'a> {
 
 impl Placer<'_> {
     /// Recursively copies the subtree at `node` from `self.old` into
-    /// `out`, inserting shifts per `strategy` and recording each
-    /// decision in `trace`; returns the new node and its stream offset.
-    /// All `vop` results end up at natural offsets.
+    /// `out`, inserting shifts per `strategy` and passing each decision
+    /// to `rec`; returns the new node and its stream offset. All `vop`
+    /// results end up at natural offsets.
     fn rebuild(
         &self,
         out: &mut ReorgGraph,
         node: NodeId,
         strategy: Strategy,
-        trace: &mut PlacementTrace,
+        rec: &mut Recorder<'_>,
     ) -> (NodeId, Offset) {
         let stmt = self.stmt;
-        match self.old.node(node).clone() {
-            RNode::Load { r } => {
+        match self.old.node(node) {
+            &RNode::Load { r } => {
                 let off = self.old.offset_of(node);
                 let loaded = out.add(RNode::Load { r });
-                trace.events.push(PlacementEvent::OffsetComputed {
+                rec.record(|| PlacementEvent::OffsetComputed {
                     stmt,
                     node: loaded,
                     desc: format!("vload({})", self.old.ref_str(r)),
@@ -313,29 +314,29 @@ impl Placer<'_> {
                             src: loaded,
                             to: target,
                         });
-                        let rule = match self.policy {
-                            Policy::Zero => {
-                                "zero-shift: every load stream is left-shifted to offset 0 \
-                                 immediately after the load (§3.4; the only policy valid \
-                                 for runtime alignments)"
-                                    .to_string()
-                            }
-                            _ => "eager-shift: each load stream is shifted directly to the \
-                                  store's natural offset (§3.4)"
-                                .to_string(),
-                        };
-                        trace.events.push(PlacementEvent::ShiftInserted {
+                        rec.record(|| PlacementEvent::ShiftInserted {
                             stmt,
                             node: s,
                             src: loaded,
                             from: off,
                             to: target,
-                            rule,
+                            rule: match self.policy {
+                                Policy::Zero => {
+                                    "zero-shift: every load stream is left-shifted to offset 0 \
+                                     immediately after the load (§3.4; the only policy valid \
+                                     for runtime alignments)"
+                                }
+                                _ => {
+                                    "eager-shift: each load stream is shifted directly to the \
+                                     store's natural offset (§3.4)"
+                                }
+                            }
+                            .to_string(),
                         });
                         (s, target)
                     }
                     ShiftLeavesTo(target) => {
-                        trace.events.push(PlacementEvent::ShiftElided {
+                        rec.record(|| PlacementEvent::ShiftElided {
                             stmt,
                             node: loaded,
                             offset: off,
@@ -348,7 +349,7 @@ impl Placer<'_> {
                         (loaded, off)
                     }
                     ReconcileTo(_) => {
-                        trace.events.push(PlacementEvent::ShiftElided {
+                        rec.record(|| PlacementEvent::ShiftElided {
                             stmt,
                             node: loaded,
                             offset: off,
@@ -362,9 +363,9 @@ impl Placer<'_> {
                     }
                 }
             }
-            RNode::Splat { inv } => {
+            &RNode::Splat { inv } => {
                 let n = out.add(RNode::Splat { inv });
-                trace.events.push(PlacementEvent::OffsetComputed {
+                rec.record(|| PlacementEvent::OffsetComputed {
                     stmt,
                     node: n,
                     desc: format!("vsplat({inv})"),
@@ -373,9 +374,10 @@ impl Placer<'_> {
                 (n, Offset::Any)
             }
             RNode::Op { kind, srcs } => {
+                let kind = *kind;
                 let rebuilt: Vec<(NodeId, Offset)> = srcs
                     .iter()
-                    .map(|&s| self.rebuild(out, s, strategy, trace))
+                    .map(|&s| self.rebuild(out, s, strategy, rec))
                     .collect();
                 let meet = rebuilt
                     .iter()
@@ -387,7 +389,7 @@ impl Placer<'_> {
                     Some(common) if common.is_natural(self.elem_size) => {
                         let ids = rebuilt.iter().map(|&(n, _)| n).collect();
                         let op = out.add(RNode::Op { kind, srcs: ids });
-                        trace.events.push(PlacementEvent::ConstraintChecked {
+                        rec.record(|| PlacementEvent::ConstraintChecked {
                             stmt,
                             constraint: Constraint::C3,
                             node: op,
@@ -407,7 +409,7 @@ impl Placer<'_> {
                         // The check is the *reason* for the shifts below,
                         // so it reads first in the trace; remember where
                         // to insert it once the vop node id is known.
-                        let mark = trace.events.len();
+                        let mark = rec.mark();
                         let found = rebuilt
                             .iter()
                             .map(|&(_, o)| o)
@@ -417,7 +419,7 @@ impl Placer<'_> {
                             .into_iter()
                             .map(|(n, o)| {
                                 if o.matches(target) {
-                                    trace.events.push(PlacementEvent::ShiftElided {
+                                    rec.record(|| PlacementEvent::ShiftElided {
                                         stmt,
                                         node: n,
                                         offset: o,
@@ -430,7 +432,7 @@ impl Placer<'_> {
                                 } else {
                                     let s =
                                         out.add(RNode::ShiftStream { src: n, to: target });
-                                    trace.events.push(PlacementEvent::ShiftInserted {
+                                    rec.record(|| PlacementEvent::ShiftInserted {
                                         stmt,
                                         node: s,
                                         src: n,
@@ -452,17 +454,14 @@ impl Placer<'_> {
                             })
                             .collect();
                         let op = out.add(RNode::Op { kind, srcs: ids });
-                        trace.events.insert(
-                            mark,
-                            PlacementEvent::ConstraintChecked {
-                                stmt,
-                                constraint: Constraint::C3,
-                                node: op,
-                                required: target,
-                                found,
-                                satisfied: false,
-                            },
-                        );
+                        rec.record_at(mark, || PlacementEvent::ConstraintChecked {
+                            stmt,
+                            constraint: Constraint::C3,
+                            node: op,
+                            required: target,
+                            found,
+                            satisfied: false,
+                        });
                         (op, target)
                     }
                 }
@@ -484,27 +483,33 @@ fn dominant_offset(
     store_off: Offset,
     elem_size: u32,
 ) -> (Offset, Vec<(u32, usize)>) {
-    let mut histogram: HashMap<u32, usize> = HashMap::new();
+    let mut histogram: Vec<(u32, usize)> = Vec::new();
     collect_load_offsets(old, src, &mut histogram, elem_size);
     if let Offset::Byte(b) = store_off {
-        *histogram.entry(b).or_insert(0) += 1;
+        count_offset(&mut histogram, b);
     }
     let store_byte = store_off.known();
     let chosen = histogram
         .iter()
-        .map(|(&byte, &count)| (byte, count))
-        .max_by_key(|&(byte, count)| (count, Some(byte) == store_byte, u32::MAX - byte))
-        .map(|(byte, _)| Offset::Byte(byte))
+        .max_by_key(|&&(byte, count)| (count, Some(byte) == store_byte, u32::MAX - byte))
+        .map(|&(byte, _)| Offset::Byte(byte))
         .unwrap_or(store_off);
-    let mut hist: Vec<(u32, usize)> = histogram.into_iter().collect();
-    hist.sort_unstable();
-    (chosen, hist)
+    (chosen, histogram)
+}
+
+/// Counts one stream at byte offset `b` in the histogram, kept sorted
+/// by offset (a statement has a handful of distinct offsets at most).
+fn count_offset(hist: &mut Vec<(u32, usize)>, b: u32) {
+    match hist.binary_search_by_key(&b, |&(byte, _)| byte) {
+        Ok(k) => hist[k].1 += 1,
+        Err(k) => hist.insert(k, (b, 1)),
+    }
 }
 
 fn collect_load_offsets(
     old: &ReorgGraph,
     node: NodeId,
-    hist: &mut HashMap<u32, usize>,
+    hist: &mut Vec<(u32, usize)>,
     elem_size: u32,
 ) {
     match old.node(node) {
@@ -512,7 +517,7 @@ fn collect_load_offsets(
             // Only natural offsets are legal reconciliation targets.
             if let Offset::Byte(b) = old.offset_of(node) {
                 if b % elem_size == 0 {
-                    *hist.entry(b).or_insert(0) += 1;
+                    count_offset(hist, b);
                 }
             }
         }

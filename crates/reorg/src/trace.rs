@@ -252,3 +252,44 @@ impl PlacementTrace {
         self.events.iter().filter(move |e| e.stmt() == stmt)
     }
 }
+
+/// Where the placer sends its decisions: into a [`PlacementTrace`] when
+/// one was asked for, nowhere otherwise. Each event is passed as a
+/// closure that runs only when a trace is being recorded, so the
+/// untraced [`crate::ReorgGraph::with_policy`] runs the same placer
+/// without building a single event or formatting a single rule.
+pub(crate) struct Recorder<'t>(Option<&'t mut PlacementTrace>);
+
+impl<'t> Recorder<'t> {
+    /// Records into `trace`.
+    pub(crate) fn on(trace: &'t mut PlacementTrace) -> Recorder<'t> {
+        Recorder(Some(trace))
+    }
+
+    /// Records nothing.
+    pub(crate) fn off() -> Recorder<'t> {
+        Recorder(None)
+    }
+
+    /// Appends the event `event` builds, if a trace is being recorded.
+    pub(crate) fn record(&mut self, event: impl FnOnce() -> PlacementEvent) {
+        if let Some(trace) = self.0.as_deref_mut() {
+            trace.events.push(event());
+        }
+    }
+
+    /// The position the next recorded event will take; pass it to
+    /// [`Recorder::record_at`] for an event that must read before the
+    /// ones recorded after it.
+    pub(crate) fn mark(&self) -> usize {
+        self.0.as_ref().map_or(0, |trace| trace.events.len())
+    }
+
+    /// Inserts the event `event` builds at `mark`, if a trace is being
+    /// recorded.
+    pub(crate) fn record_at(&mut self, mark: usize, event: impl FnOnce() -> PlacementEvent) {
+        if let Some(trace) = self.0.as_deref_mut() {
+            trace.events.insert(mark, event());
+        }
+    }
+}

@@ -22,8 +22,8 @@
 # telemetry collection on), a request-scoped `simdize trace` export
 # (text with the metrics block, JSON, Chrome trace events),
 # the disabled-instrumentation overhead gate, checked 1 s runs of the
-# BENCHMARK.json package's kernel-steady and bake-cold workloads, a
-# server smoke that checks trace-id echoing,
+# BENCHMARK.json package's kernel-steady, bake-cold and compile-cold
+# workloads, a server smoke that checks trace-id echoing,
 # the flight recorder's dump verb, the server's thread count (no pool)
 # and the Prometheus /metrics endpoint, the 1200-connection stress
 # test, and the bounded-equivalence prover: a quick proof of every
@@ -137,7 +137,7 @@ echo "== telemetry disabled-overhead gate (<2% of a kernel run) =="
 TELEMETRY_OVERHEAD=1 cargo test -q --release --offline --test telemetry \
     -- --exact disabled_instrumentation_overhead_under_two_percent
 
-echo "== regression benchmark checks out (kernel-steady and bake-cold, 1 s each) =="
+echo "== regression benchmark checks out (kernel-steady, bake-cold and compile-cold, 1 s each) =="
 # One short untraced run of the workload that lives in the strip
 # driver: the last line is the contract's JSON, and it must say every
 # op matched the scalar oracle — set-up builds each reference image
@@ -156,6 +156,14 @@ benchmark/target/release/simdize-benchmark --workload kernel-steady --seed 1 --s
 benchmark/target/release/simdize-benchmark --workload bake-cold --seed 1 --seconds 1 --trace 1 \
     | tail -n 1 | grep -q '"correct":true' \
     || { echo "benchmark: bake-cold did not check out" >&2; exit 1; }
+# And the front half: 512 distinct loops from source text to vector
+# code, every op's program fingerprint checked against the one set-up
+# computed with `Simdizer::compile` — the only workload that checks
+# each op's output. `--trace 1` alternates the untraced op with the
+# benchmark's per-layer copy of the pipeline, so both must agree.
+benchmark/target/release/simdize-benchmark --workload compile-cold --seed 1 --seconds 1 --trace 1 \
+    | tail -n 1 | grep -q '"correct":true' \
+    || { echo "benchmark: compile-cold did not check out" >&2; exit 1; }
 
 echo "== server smoke (serve round-trip, trace ids, dump, /metrics) =="
 # Boots `simdize serve` on port 0 with the metrics endpoint on a second

@@ -8,11 +8,13 @@
 //! number: doubling the array length, the trip count or the instruction
 //! count must not change how many times each function allocates. The
 //! engine's once-per-program check (`PredecodedKernel::new`) and a run
-//! of a lowered kernel are pinned at zero.
+//! of a lowered kernel are pinned at zero. Parsing and untraced
+//! placement are pinned per source term: what an added `+ b[i+k]` costs.
 
 use simdize::{
     parse_program, program_fingerprint, run_scalar, IsaLevel, LoopProgram, MemoryImage, Policy,
-    PredecodedKernel, ReuseMode, RunInput, SimdKernel, SimdProgram, Simdizer, VectorShape,
+    PredecodedKernel, ReorgGraph, ReuseMode, RunInput, SimdKernel, SimdProgram, Simdizer,
+    VectorShape,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -230,5 +232,68 @@ fn running_a_lowered_kernel_never_allocates() {
             assert!(ran);
             assert_eq!(calls, 0, "{isa}: {program}");
         }
+    }
+}
+
+/// A one-statement loop summing `terms` loads of `b`: each term past
+/// the first adds `+ b[i+k]` to the source.
+fn sum_of_terms(terms: usize) -> String {
+    let rhs: Vec<String> = (0..terms).map(|k| format!("b[i+{k}]")).collect();
+    format!(
+        "arrays {{ a: i32[1100] @ 0; b: i32[1100] @ 4; }}
+         for i in 0..1000 {{ a[i+1] = {}; }}",
+        rhs.join(" + ")
+    )
+}
+
+/// Allocator calls `f` makes on the source of each term count in
+/// `terms`, and the largest growth per added term between neighbours.
+fn growth_per_term(terms: &[usize], f: impl Fn(&str) -> u64) -> (Vec<u64>, f64) {
+    let counts: Vec<u64> = terms.iter().map(|&n| f(&sum_of_terms(n))).collect();
+    let worst = terms
+        .windows(2)
+        .zip(counts.windows(2))
+        .map(|(n, c)| (c[1] as f64 - c[0] as f64) / (n[1] - n[0]) as f64)
+        .fold(f64::MIN, f64::max);
+    (counts, worst)
+}
+
+const TERMS: [usize; 4] = [4, 8, 16, 32];
+
+/// Tokens borrow the source and identifiers are looked up by `&str`,
+/// so a `+ b[i+k]` term costs the parser only its expression node's two
+/// boxes — not a `String` per identifier and per token copy.
+#[test]
+fn parsing_allocates_two_calls_per_term() {
+    let (counts, worst) = growth_per_term(&TERMS, |src| {
+        let mut parsed = false;
+        let n = allocations(|| parsed = parse_program(src).is_ok());
+        assert!(parsed);
+        n
+    });
+    // The token vector's doublings round it up.
+    assert!(worst <= 2.25, "{worst} calls per term: {counts:?}");
+}
+
+/// Untraced placement builds no decision records — no `format!`ed
+/// description or rule per load — so a `+ b[i+k]` term costs a greedy
+/// policy only the source clone's two boxes and the rebuilt nodes'
+/// operand lists. The optimal search adds one DP row per node, computed
+/// once per subtree rather than once per ancestor.
+#[test]
+fn untraced_placement_allocates_few_calls_per_term() {
+    for policy in Policy::ALL {
+        let (counts, worst) = growth_per_term(&TERMS, |src| {
+            let graph = ReorgGraph::build(&parse_program(src).unwrap(), VectorShape::V16).unwrap();
+            let mut placed = false;
+            let n = allocations(|| placed = graph.with_policy(policy).is_ok());
+            assert!(placed);
+            n
+        });
+        let bound = if policy == Policy::Optimal { 5.5 } else { 4.0 };
+        assert!(
+            worst <= bound,
+            "{policy}: {worst} calls per term: {counts:?}"
+        );
     }
 }

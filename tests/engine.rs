@@ -6,10 +6,12 @@
 //! kernel cache keeps its keying, LRU and counter contracts.
 
 use simdize::{
-    program_fingerprint, run_simd, CompiledKernel, ExecError, IsaLevel, KernelCache,
+    program_fingerprint, run_simd, synthesize, CompiledKernel, ExecError, IsaLevel, KernelCache,
     KernelOptions, MemoryImage, Policy, PredecodedKernel, ReuseMode, RunInput, SimdProgram,
-    SimdizeError, Simdizer, VInst, VectorShape,
+    SimdizeError, Simdizer, TripSpec, VInst, VectorShape, WorkloadSpec,
 };
+use simdize_prng::SplitMix64;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 const REUSES: [ReuseMode; 3] = [
@@ -417,6 +419,57 @@ fn cache_fingerprints_distinguish_policies_not_clones() {
     for (k, a) in prints.iter().enumerate() {
         assert!(!prints[k + 1..].contains(a), "{}", samples[k].0);
     }
+}
+
+/// The fingerprint agrees with `==` over a large population: 512
+/// distinct §5.3 corpus loops per seed for three seeds (the 4 × 6 shape
+/// grid in turn, as the `compile-cold` benchmark draws them) and every
+/// `loops/` sample, each under all five policies. Equal programs
+/// fingerprint equal, and no two unequal programs share a fingerprint.
+#[test]
+fn fingerprints_separate_every_distinct_corpus_program() {
+    let mut sources: Vec<String> = simdize_suite::sample_loops()
+        .into_iter()
+        .map(|(_, src)| src)
+        .collect();
+    for seed in 1..=3 {
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        let mut seen = HashSet::new();
+        let mut cell = 0;
+        while seen.len() < 512 {
+            let spec = WorkloadSpec::new(1 + cell % 4, 1 + cell / 4 % 6)
+                .trip(TripSpec::KnownInRange(997, 1000));
+            cell += 1;
+            let text = synthesize(&spec, &mut rng).to_string();
+            if seen.insert(text.clone()) {
+                sources.push(text);
+            }
+        }
+    }
+    let mut by_print: HashMap<u64, SimdProgram> = HashMap::new();
+    let mut programs = 0;
+    for src in &sources {
+        let parsed = simdize::parse_program(src).unwrap();
+        for policy in Policy::ALL {
+            let Ok(program) = Simdizer::new().policy(policy).compile(&parsed) else {
+                continue;
+            };
+            programs += 1;
+            let print = program_fingerprint(&program);
+            assert_eq!(print, program_fingerprint(&program.clone()));
+            match by_print.get(&print) {
+                Some(earlier) => assert_eq!(earlier, &program, "collision at {print:#x}"),
+                None => {
+                    by_print.insert(print, program);
+                }
+            }
+        }
+    }
+    assert!(programs >= 5 * 3 * 512, "{programs} programs");
+    // Policies often agree on a loop (always on one with a single
+    // load), so about half the programs are repeats.
+    let distinct = by_print.len();
+    assert!(distinct >= 4000, "{distinct} distinct of {programs}");
 }
 
 #[test]
