@@ -508,8 +508,8 @@ pub fn run(opts: &Options) -> Result<String, Box<dyn Error>> {
             let fusion = lowered.base().fusion_stats();
             writeln!(
                 out,
-                "trace: {} fused load(s), {} splat op(s), {} hoisted, {} eliminated",
-                fusion.fused_loads, fusion.splat_ops, fusion.hoisted, fusion.eliminated
+                "trace: {} fused load(s), {} composed gather(s), {} splat op(s), {} hoisted, {} eliminated",
+                fusion.fused_loads, fusion.composed, fusion.splat_ops, fusion.hoisted, fusion.eliminated
             )?;
             writeln!(
                 out,

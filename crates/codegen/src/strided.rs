@@ -53,6 +53,9 @@ pub enum GenStridedError {
     /// The residue epilogue is specialized per `ub mod B`, so the trip
     /// count must be known at compile time.
     RuntimeTripCount,
+    /// The generator packs and scatters element-wise statements only;
+    /// a reduction (`target op= rhs`) would be stored as one.
+    Reduction,
     /// One element does not fit the vector register, or `B < 2`.
     Shape(simdize_reorg::BuildGraphError),
 }
@@ -72,6 +75,9 @@ impl fmt::Display for GenStridedError {
             ),
             GenStridedError::RuntimeTripCount => f.write_str(
                 "strided generation needs a compile-time trip count for the residue epilogue",
+            ),
+            GenStridedError::Reduction => f.write_str(
+                "strided generation does not support reductions (the scalar loop runs them)",
             ),
             GenStridedError::Shape(e) => write!(f, "{e}"),
         }
@@ -122,6 +128,9 @@ fn try_generate(program: &LoopProgram, shape: VectorShape) -> Result<SimdProgram
     let Some(ub) = program.trip().known() else {
         return Err(GenStridedError::RuntimeTripCount);
     };
+    if program.stmts().iter().any(|s| s.reduction.is_some()) {
+        return Err(GenStridedError::Reduction);
+    }
 
     let b = (v / d) as u64; // blocking factor
     let steady_ub = ub - ub % b;

@@ -32,7 +32,7 @@
 //! what [`CompiledKernel::trace`] lists.
 
 use crate::lanes::Reg;
-use crate::native::{self, IsaLevel, Program, Schedule, Section, SectionSchedule, SequentialReason, Sink, Super};
+use crate::native::{self, IsaLevel, Leaf, Program, Schedule, Section, SectionSchedule, SequentialReason, Sink, Super, Term};
 use crate::trace::{self, FusionEvent, FusionStats};
 use simdize_codegen::{Addr, ScalarEnv, SimdProgram, VInst, VReg};
 use simdize_ir::{ArrayId, BinOp, LoopProgram, ScalarType, UnOp, Value, VectorShape};
@@ -606,7 +606,7 @@ impl<'p> PredecodedKernel<'p> {
 
         // Stats are final: fusion below only changes how the host
         // executes the trace, never what the machine model charges.
-        let (pair_header, body_header, fusion, fusion_events) = if opts.fuse {
+        let fused = if opts.fuse {
             let _span = telemetry::span("fuse");
             trace::optimize(trace::Sections {
                 prologue: &mut prologue,
@@ -619,7 +619,13 @@ impl<'p> PredecodedKernel<'p> {
                 elem,
             })
         } else {
-            (Vec::new(), Vec::new(), FusionStats::default(), Vec::new())
+            trace::Fused {
+                pair_header: Vec::new(),
+                body_header: Vec::new(),
+                stats: FusionStats::default(),
+                events: Vec::new(),
+                nregs: self.nregs,
+            }
         };
 
         // Nothing reads the baked register ids past this point: rename
@@ -628,9 +634,9 @@ impl<'p> PredecodedKernel<'p> {
             let _span = telemetry::span("lower");
             native::lower(
                 prologue,
-                [(pair_header, pair, pair_iters), (body_header, body, body_iters)],
+                [(fused.pair_header, pair, pair_iters), (fused.body_header, body, body_iters)],
                 epilogue,
-                self.nregs,
+                fused.nregs,
                 elem,
             )
         };
@@ -643,8 +649,8 @@ impl<'p> PredecodedKernel<'p> {
             bases,
             image_len: image.bytes().len(),
             fallback: None,
-            fusion,
-            fusion_events,
+            fusion: fused.stats,
+            fusion_events: fused.events,
         }))
     }
 }
@@ -881,16 +887,36 @@ impl Listing<'_> {
 
 /// A superinstruction's dispatched line: its operator (`copy` when
 /// no fold combines two streams), each fold's stream count and the
-/// folds' sink.
+/// folds' sink — or, for mixed trees, each fold's expression over its
+/// leaves (`s` a stream, `g` a gather and `k` a splat, numbered by
+/// stream and by table) and the stream count.
 fn fold(f: &Super) -> String {
-    let op = if f.folds().iter().all(|g| g.leaves == 1) { "copy".to_string() } else { name(&f.op) };
-    let leaves: Vec<String> = f.folds().iter().map(|g| g.leaves.to_string()).collect();
     let sink = match f.folds()[0].sink {
         Sink::Store { .. } => "vstore".to_string(),
         Sink::Shift { .. } => format!("vshiftpair from v{} + vstore", f.column),
         Sink::Reduce { op } => format!("v{} lane partials by {}", f.column, name(&op)),
     };
-    format!("  fold {op}, {} streams -> {sink}", leaves.join("+"))
+    let Some(shape) = &f.tree else {
+        let op = if f.folds().iter().all(|g| g.leaves == 1) { "copy".to_string() } else { name(&f.op) };
+        let leaves: Vec<String> = f.folds().iter().map(|g| g.leaves.to_string()).collect();
+        return format!("  fold {op}, {} streams -> {sink}", leaves.join("+"));
+    };
+    let leaf = |j: u8| match shape.leaves[j as usize] {
+        Leaf::Stream(s) => format!("s{s}"),
+        Leaf::Gather { table, .. } => format!("g{table}"),
+        Leaf::Splat(table) => format!("k{table}"),
+    };
+    let term = |t: &Term| match t.op {
+        Some(op) => format!("{}({}, {})", name(&op), leaf(t.a), leaf(t.b)),
+        None => leaf(t.a),
+    };
+    let (mut at, mut folds) = (0, Vec::new());
+    for (g, op) in f.folds().iter().zip(&shape.ops) {
+        let terms: Vec<String> = shape.terms[at..at + g.leaves].iter().map(term).collect();
+        folds.push(if g.leaves == 1 { terms.join("") } else { format!("{}({})", name(op), terms.join(", ")) });
+        at += g.leaves;
+    }
+    format!("  fold {} over {} streams -> {sink}", folds.join("; "), f.loads().len())
 }
 
 /// An operator's listing name: its variant, lower-cased.

@@ -38,12 +38,12 @@
 //! instruction tier ([`native`]): a portable tier every host has —
 //! what [`CompiledKernel::run`] uses — and real `std::arch`
 //! intrinsics — SSE2 always on x86_64, AVX2 by runtime feature
-//! detection, NEON on aarch64 — which [`SimdKernel`] pins a kernel to,
+//! detection — which [`SimdKernel`] pins a kernel to,
 //! by [`IsaLevel::detect`] unless told otherwise. Every tier is
 //! byte-for-byte and stat-for-stat identical to
 //! [`simdize_vm::run_simd`] (the differential tests enforce it, fused
 //! and unfused) while running orders of magnitude faster. `unsafe` is
-//! confined to two audited per-architecture modules (`x86`, `neon`)
+//! confined to one audited per-architecture module (`x86`)
 //! behind the crate-wide `#![deny(unsafe_code)]` lint; the driver
 //! hands them 16-byte arrays sliced out of per-strip stream windows.
 //!

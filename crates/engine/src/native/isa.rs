@@ -3,7 +3,8 @@
 //! [`IsaLevel`] names the instruction tiers the lowering pass can
 //! target. Detection picks the best tier the host supports —
 //! `is_x86_feature_detected!` at runtime for AVX2, `cfg(target_arch)`
-//! for the SSE2 and NEON baselines — and the `SIMDIZE_ISA` environment
+//! for the SSE2 baseline, the portable tier on every other
+//! architecture — and the `SIMDIZE_ISA` environment
 //! variable can *lower* (never raise) the choice, which is how CI
 //! exercises the SSE2 path on AVX2 hosts.
 
@@ -24,18 +25,11 @@ pub enum IsaLevel {
     /// x86_64 with runtime-detected SSSE3 + SSE4.1 + AVX2 (`palignr`,
     /// `pshufb`, `pblendvb`, `pmulld`, the full min/max family).
     Avx2,
-    /// aarch64 baseline: NEON (ASIMD) is architecturally guaranteed.
-    Neon,
 }
 
 impl IsaLevel {
     /// Every tier, for enumeration in tests and docs.
-    pub const ALL: [IsaLevel; 4] = [
-        IsaLevel::Scalar,
-        IsaLevel::Sse2,
-        IsaLevel::Avx2,
-        IsaLevel::Neon,
-    ];
+    pub const ALL: [IsaLevel; 3] = [IsaLevel::Scalar, IsaLevel::Sse2, IsaLevel::Avx2];
 
     /// The lowercase name used in summaries (`backend: simd/avx2`),
     /// cache-key telemetry and the `SIMDIZE_ISA` override.
@@ -44,23 +38,12 @@ impl IsaLevel {
             IsaLevel::Scalar => "scalar",
             IsaLevel::Sse2 => "sse2",
             IsaLevel::Avx2 => "avx2",
-            IsaLevel::Neon => "neon",
         }
     }
 
     /// Parses a [`name`](IsaLevel::name) back to a tier.
     pub fn parse(s: &str) -> Option<IsaLevel> {
         Self::ALL.into_iter().find(|l| l.name() == s)
-    }
-
-    /// Relative capability rank used by the override clamp: an override
-    /// may only pick a tier that ranks at or below the detected one.
-    fn rank(self) -> u8 {
-        match self {
-            IsaLevel::Scalar => 0,
-            IsaLevel::Sse2 | IsaLevel::Neon => 1,
-            IsaLevel::Avx2 => 2,
-        }
     }
 
     /// Whether this tier can execute on the current host. `Scalar` is
@@ -77,8 +60,6 @@ impl IsaLevel {
                     && is_x86_feature_detected!("sse4.1")
                     && is_x86_feature_detected!("avx2")
             }
-            #[cfg(target_arch = "aarch64")]
-            IsaLevel::Neon => true,
             #[allow(unreachable_patterns)]
             _ => false,
         }
@@ -94,11 +75,7 @@ impl IsaLevel {
                 IsaLevel::Sse2
             }
         }
-        #[cfg(target_arch = "aarch64")]
-        {
-            IsaLevel::Neon
-        }
-        #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+        #[cfg(not(target_arch = "x86_64"))]
         {
             IsaLevel::Scalar
         }
@@ -106,7 +83,7 @@ impl IsaLevel {
 
     /// The tier the backend dispatches to: [`host_best`](Self::host_best),
     /// optionally lowered by the `SIMDIZE_ISA` environment variable
-    /// (`scalar`, `sse2`, `avx2`, `neon`). The override can only select
+    /// (`scalar`, `sse2`, `avx2`). The override can only select
     /// a tier the host supports at or below the detected rank —
     /// `SIMDIZE_ISA=avx2` on an SSE2-only machine, or any unknown
     /// value, is ignored. This is what lets CI force the SSE2 path on
@@ -120,7 +97,7 @@ impl IsaLevel {
     pub(crate) fn with_override(requested: Option<&str>) -> IsaLevel {
         let best = Self::host_best();
         if let Some(req) = requested.and_then(IsaLevel::parse) {
-            if req.available() && req.rank() <= best.rank() {
+            if req.available() && req <= best {
                 return req;
             }
         }
@@ -166,9 +143,7 @@ mod tests {
         #[cfg(target_arch = "x86_64")]
         assert_eq!(IsaLevel::with_override(Some("sse2")), IsaLevel::Sse2);
         // A foreign-architecture tier is never granted.
-        #[cfg(target_arch = "x86_64")]
-        assert_eq!(IsaLevel::with_override(Some("neon")), best);
-        #[cfg(target_arch = "aarch64")]
+        #[cfg(not(target_arch = "x86_64"))]
         assert_eq!(IsaLevel::with_override(Some("avx2")), best);
     }
 }

@@ -4,7 +4,8 @@
 //! section's ops the driver runs as one superinstruction, and which
 //! column of the register block each baked register lives in.
 
-use super::strip::{perm_tables, Fold, Program, Section, Sink, Super, MAX_LEAVES, STRIP};
+use super::strip::{perm_tables, Fold, Leaf, Program, Section, Shape, Sink, Super, Term, MAX_LEAVES, STRIP};
+use crate::lanes::Reg as Bytes;
 use super::{Schedule, SectionSchedule, SequentialReason};
 use crate::kernel::{splat_bytes, Op, NO_REG as NONE, V};
 use simdize_codegen::reduction_identity;
@@ -343,23 +344,108 @@ macro_rules! require {
     };
 }
 
-/// Most streams one fold combines.
+/// Most terms one fold combines.
 const MAX_FOLD: usize = 8;
 
+/// At most `N` values, held inline: [`Parse`]'s buffers, so selection
+/// allocates nothing.
+struct Stack<T, const N: usize> {
+    len: usize,
+    items: [T; N],
+}
+
+impl<T: Copy, const N: usize> Stack<T, N> {
+    fn new(fill: T) -> Self {
+        Stack { len: 0, items: [fill; N] }
+    }
+
+    /// Appends `x`; `None` when full.
+    fn push(&mut self, x: T) -> Option<()> {
+        *self.items.get_mut(self.len)? = x;
+        self.len += 1;
+        Some(())
+    }
+
+    /// Inserts `x` before index `at`; `None` when full.
+    fn insert(&mut self, at: usize, x: T) -> Option<()> {
+        self.push(x)?;
+        self.items.copy_within(at..self.len - 1, at + 1);
+        self.items[at] = x;
+        Some(())
+    }
+
+    fn remove(&mut self, at: usize) {
+        self.items.copy_within(at + 1..self.len, at);
+        self.len -= 1;
+    }
+
+    fn truncate(&mut self, len: usize) {
+        self.len = self.len.min(len);
+    }
+
+    fn clear(&mut self) {
+        self.len = 0;
+    }
+}
+
+impl<T, const N: usize> std::ops::Deref for Stack<T, N> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        &self.items[..self.len]
+    }
+}
+
+impl<T, const N: usize> std::ops::DerefMut for Stack<T, N> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        &mut self.items[..self.len]
+    }
+}
+
+/// What a register defined inside a [`Parse`] run holds.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Value {
+    /// A loaded stream, by index.
+    Stream(u8),
+    /// A gather or splat leaf, by index: read any number of times.
+    Leaf(u8),
+    /// A tree begun and not yet folded into another or sunk.
+    Tree,
+}
+
+/// Where the ops so far end a whole superinstruction: `[end, folds,
+/// streams, leaves, terms, tables]`.
+type Whole = [usize; 6];
+
 /// A run of a strip section's ops read as a superinstruction, one op
-/// at a time ([`Parse::push`]).
+/// at a time ([`Parse::push`]): folds of up to [`MAX_FOLD`] terms by one
+/// operator each, each into a sink; a term a leaf or two leaves by
+/// another operator, a leaf a loaded stream, a `vperm` of two of them or
+/// a splat. [`Parse::build`] makes the run a fold of loaded streams
+/// where its shape is one, and a mixed tree otherwise.
 struct Parse {
-    op: Option<BinOp>,
+    /// By register: the run that defined it last — the current one is
+    /// `run` — and what it holds.
+    defs: Vec<(u32, Value)>,
+    run: u32,
+    /// The streams' step, and the stores'.
     step: Option<i64>,
-    /// Trees begun and not yet sunk, oldest first: `(value, leaves)`.
-    trees: Vec<(u32, usize)>,
-    /// Each leaf's first byte and array, fold by fold.
-    loads: Vec<(i64, u32)>,
-    /// Each fold done: its shape, its value and its store's first byte.
-    folds: Vec<(Fold, u32, i64)>,
-    /// Where the ops so far end a whole superinstruction: `(end, folds,
-    /// leaves)`.
-    whole: Vec<(usize, usize, usize)>,
+    out_step: Option<i64>,
+    /// Each stream's first byte, and its leaf once it is read whole.
+    loads: Stack<i64, MAX_LEAVES>,
+    stream_leaf: [u8; MAX_LEAVES],
+    leaves: Stack<Leaf, MAX_LEAVES>,
+    /// Gather patterns (`true`) and splat images, by table.
+    tables: Stack<(Bytes, bool), MAX_LEAVES>,
+    terms: Stack<Term, MAX_LEAVES>,
+    /// Trees begun and not yet sunk, oldest first: `(value, operator
+    /// once it folds two terms, first term, terms)`.
+    nodes: Stack<(u32, Option<BinOp>, usize, usize), MAX_LEAVES>,
+    /// Each fold done: its shape, its value and its store's first byte,
+    /// and its operator.
+    folds: Stack<(Fold, u32, i64), MAX_LEAVES>,
+    fold_ops: Stack<BinOp, MAX_LEAVES>,
+    /// Where the run may end: after each store, or the closing copy.
+    whole: Stack<Whole, { MAX_LEAVES + 1 }>,
     /// The array the stores write.
     stored: u32,
     /// A `vshiftpair` awaiting its store: `(dst, amt)`.
@@ -376,14 +462,24 @@ struct Parse {
 }
 
 impl Parse {
-    fn new() -> Parse {
+    /// A parse over registers `0..regs`.
+    fn new(regs: usize) -> Parse {
+        let term = Term { op: None, a: 0, b: 0 };
+        let fold = Fold { leaves: 0, sink: Sink::Store { at: 0 } };
         Parse {
-            op: None,
+            defs: vec![(0, Value::Tree); regs],
+            run: 0,
             step: None,
-            trees: Vec::new(),
-            loads: Vec::new(),
-            folds: Vec::new(),
-            whole: Vec::new(),
+            out_step: None,
+            loads: Stack::new(0),
+            stream_leaf: [0; MAX_LEAVES],
+            leaves: Stack::new(Leaf::Stream(0)),
+            tables: Stack::new(([0; 16], false)),
+            terms: Stack::new(term),
+            nodes: Stack::new((NONE, None, 0, 0)),
+            folds: Stack::new((fold, NONE, 0)),
+            fold_ops: Stack::new(BinOp::Or),
+            whole: Stack::new([0; 6]),
             stored: NONE,
             shifted: None,
             rotated: NONE,
@@ -394,90 +490,182 @@ impl Parse {
         }
     }
 
-    /// Starts over, keeping the buffers.
+    /// Starts over.
     fn clear(&mut self) {
-        let mut next = Parse::new();
-        std::mem::swap(&mut next.trees, &mut self.trees);
-        std::mem::swap(&mut next.loads, &mut self.loads);
-        std::mem::swap(&mut next.folds, &mut self.folds);
-        std::mem::swap(&mut next.whole, &mut self.whole);
-        next.trees.clear();
-        next.loads.clear();
-        next.folds.clear();
-        next.whole.clear();
-        *self = next;
+        self.run += 1;
+        (self.step, self.out_step, self.shifted) = (None, None, None);
+        (self.stored, self.rotated, self.carry, self.acc, self.link, self.closed) = (NONE, NONE, NONE, NONE, NONE, false);
+        self.loads.clear();
+        self.leaves.clear();
+        self.tables.clear();
+        self.terms.clear();
+        self.nodes.clear();
+        self.folds.clear();
+        self.fold_ops.clear();
+        self.whole.clear();
     }
 
-    /// Whether the ops so far end a whole superinstruction.
     fn is_whole(&self) -> bool {
-        !self.folds.is_empty() && self.trees.is_empty() && self.shifted.is_none() && (self.acc == NONE || self.closed)
+        !self.folds.is_empty() && self.nodes.is_empty() && self.shifted.is_none() && (self.acc == NONE || self.closed)
     }
 
-    /// Every stream shares one step, a forward one of whole vectors.
-    fn stream(&mut self, step: i64) -> Option<()> {
-        require!(step >= V && step % V == 0 && *self.step.get_or_insert(step) == step);
+    fn value(&self, r: u32) -> Option<Value> {
+        match self.defs[r as usize] {
+            (run, v) if run == self.run => Some(v),
+            _ => None,
+        }
+    }
+
+    /// `r` as a leaf: a gather or splat, or a stream read whole.
+    fn leaf(&mut self, r: u32) -> Option<u8> {
+        match self.value(r)? {
+            Value::Leaf(j) => Some(j),
+            Value::Stream(s) if self.stream_leaf[s as usize] != u8::MAX => Some(self.stream_leaf[s as usize]),
+            Value::Stream(s) => {
+                let j = self.new_leaf(Leaf::Stream(s))?;
+                self.stream_leaf[s as usize] = j;
+                Some(j)
+            }
+            Value::Tree => None,
+        }
+    }
+
+    fn new_leaf(&mut self, leaf: Leaf) -> Option<u8> {
+        self.leaves.push(leaf)?;
+        Some(self.leaves.len() as u8 - 1)
+    }
+
+    fn table(&mut self, bytes: Bytes, gather: bool) -> Option<u8> {
+        self.tables.push((bytes, gather))?;
+        Some(self.tables.len() as u8 - 1)
+    }
+
+    /// Registers `dst`, new to the run — or a tree it folded — as
+    /// holding `v`.
+    fn define(&mut self, dst: u32, v: Value) -> Option<()> {
+        require!(self.value(dst).is_none());
+        self.defs[dst as usize] = (self.run, v);
         Some(())
     }
 
-    /// Ends the oldest tree, which must be `value`, in `sink`: one kind
+    /// Forgets a tree folded into another or sunk.
+    fn fold(&mut self, tree: u32) {
+        if tree != NONE {
+            self.defs[tree as usize].0 = 0;
+        }
+    }
+
+    /// A new tree of one term.
+    fn term(&mut self, dst: u32, term: Term) -> Option<()> {
+        self.define(dst, Value::Tree)?;
+        self.terms.push(term)?;
+        self.nodes.push((dst, None, self.terms.len() - 1, 1))
+    }
+
+    /// `dst = x op y` (`y op x` when `swap`), where `y` is the newest
+    /// tree and `x` the tree before it — or a new term of one leaf, first
+    /// made a tree beside the newest one on the side `leaf` names
+    /// (`true`: the left). Folds of one operator stay flat; deeper trees
+    /// are refused, as are terms a non-reassociable operator would take
+    /// out of source order.
+    fn join(&mut self, dst: u32, op: BinOp, leaf: Option<(u8, bool)>, swap: bool) -> Option<()> {
+        require!(self.value(dst).is_none());
+        if let Some((a, left)) = leaf {
+            let (n, term) = (self.nodes.len(), Term { op: None, a, b: a });
+            let newest = self.nodes[n - 1].2;
+            if left {
+                self.terms.insert(newest, term)?;
+                self.nodes[n - 1].2 = newest + 1;
+                self.nodes.insert(n - 1, (NONE, None, newest, 1))?;
+            } else {
+                self.terms.push(term)?;
+                self.nodes.push((NONE, None, self.terms.len() - 1, 1))?;
+            }
+        }
+        let n = self.nodes.len();
+        require!(n >= 2);
+        let ((x_tree, x_op, first, x), (y_tree, y_op, _, y)) = (self.nodes[n - 2], self.nodes[n - 1]);
+        let folds = |o: Option<BinOp>, terms| terms == 1 || o == Some(op);
+        require!(x + y <= MAX_FOLD && folds(x_op, x) && folds(y_op, y));
+        if !op.is_reassociable() {
+            // A left-deep fold of terms in source order only.
+            require!(y == 1 && (!swap || x == 1));
+            if swap {
+                self.terms.swap(first, first + 1);
+            }
+        }
+        self.nodes.truncate(n - 2);
+        self.fold(x_tree);
+        self.fold(y_tree);
+        self.define(dst, Value::Tree)?;
+        self.nodes.push((dst, Some(op), first, x + y))
+    }
+
+    /// Ends the oldest tree, which must be `value` — or a leaf, as a
+    /// fold of one term ahead of the trees begun — in `sink`: one kind
     /// of sink per superinstruction, stores whole vectors apart, and at
     /// most two rotation shifts.
     fn sink(&mut self, value: u32, sink: Sink, start: i64) -> Option<()> {
-        let &(tree, leaves) = self.trees.first()?;
-        require!(tree == value && !(matches!(sink, Sink::Shift { .. }) && self.folds.len() == 2));
+        require!(!(matches!(sink, Sink::Shift { .. }) && self.folds.len() == 2));
+        let (op, terms) = match self.nodes.first() {
+            Some(&(tree, op, _, terms)) if tree == value => {
+                self.nodes.remove(0);
+                self.fold(tree);
+                (op, terms)
+            }
+            _ => {
+                let a = self.leaf(value)?;
+                // Folds take their terms in order.
+                let at = self.nodes.first().map_or(self.terms.len(), |n| n.2);
+                self.terms.insert(at, Term { op: None, a, b: a })?;
+                self.nodes.iter_mut().for_each(|n| n.2 += 1);
+                (None, 1)
+            }
+        };
         if let Some(&(first, _, first_start)) = self.folds.first() {
             require!(std::mem::discriminant(&first.sink) == std::mem::discriminant(&sink) && (start - first_start) % V == 0);
         }
-        self.trees.remove(0);
-        self.folds.push((Fold { leaves, sink }, value, start));
-        Some(())
+        self.fold_ops.push(op.unwrap_or(BinOp::Or))?;
+        self.folds.push((Fold { leaves: terms, sink }, value, start))
     }
 
     /// Reads one more op: `None` where it cannot continue the run.
     fn push(&mut self, op: &Op, carried: &Carried) -> Option<()> {
         require!(!self.closed);
         match *op {
-            Op::Load { dst, arr, start, step } | Op::LoadFused { dst, arr, start, step } => {
-                require!(self.loads.len() < MAX_LEAVES);
-                self.stream(step)?;
-                self.trees.push((dst, 1));
-                self.loads.push((start, arr));
+            Op::Load { dst, start, step, .. } | Op::LoadFused { dst, start, step, .. } => {
+                require!(self.loads.len() < MAX_LEAVES && whole_vectors(&mut self.step, step));
+                self.define(dst, Value::Stream(self.loads.len() as u8))?;
+                self.stream_leaf[self.loads.len()] = u8::MAX;
+                self.loads.push(start)?;
             }
-            Op::Bin { dst, op, a, b } => match self.trees[..] {
-                // Two trees whose values meet: one tree of one operator,
-                // reassociable past two leaves.
-                [.., (x, m), (y, n)] if (a, b) == (x, y) || (a, b) == (y, x) => {
-                    let leaves = m + n;
-                    require!(*self.op.get_or_insert(op) == op && leaves <= MAX_FOLD);
-                    require!(leaves == 2 || op.is_reassociable());
-                    if (a, b) == (y, x) && !op.is_reassociable() {
-                        let k = self.loads.len();
-                        self.loads.swap(k - 2, k - 1);
-                    }
-                    self.trees.truncate(self.trees.len() - 2);
-                    self.trees.push((dst, leaves));
-                }
-                // A link of a reduction chain: the lane's partial and the
-                // oldest tree.
-                _ => {
-                    let link = match self.acc {
-                        NONE => [a, b].into_iter().find(|&r| carried.partials.contains(&(r, op)))?,
-                        acc => {
-                            require!(carried.partials.contains(&(acc, op)));
-                            self.link
-                        }
-                    };
+            Op::Perm { .. } | Op::Splat { .. } | Op::BinSplat { .. } => return self.gather_or_splat(op),
+            Op::Bin { dst, op, a, b } => {
+                if let Some(link) = self.reduction_link(op, a, b, carried) {
                     let value = if a == link { b } else { a };
-                    require!((a == link || b == link) && value != link);
+                    require!(value != link);
                     self.sink(value, Sink::Reduce { op }, 0)?;
                     if self.acc == NONE {
                         self.acc = link;
                     }
                     self.link = dst;
+                    return Some(());
                 }
-            },
+                let newest = self.nodes.last().map_or(NONE, |n| n.0);
+                match (self.leaf(a), self.leaf(b)) {
+                    (Some(x), Some(y)) => self.term(dst, Term { op: Some(op), a: x, b: y })?,
+                    (Some(x), None) if b == newest => self.join(dst, op, Some((x, true)), false)?,
+                    (None, Some(y)) if a == newest => self.join(dst, op, Some((y, false)), false)?,
+                    (None, None) => {
+                        let older = self.nodes.len().checked_sub(2).map_or(NONE, |n| self.nodes[n].0);
+                        require!(older != NONE && ((a, b) == (older, newest) || (a, b) == (newest, older)));
+                        self.join(dst, op, None, a == newest)?;
+                    }
+                    _ => return None,
+                }
+            }
             Op::Shift { dst, a, b, amt } => {
-                require!(self.shifted.is_none() && self.trees.first().is_some_and(|&(t, _)| t == b));
+                require!(self.shifted.is_none());
                 if self.rotated == NONE {
                     require!(carried.chains.iter().any(|c| c[0] == a));
                     (self.rotated, self.carry) = (a, a);
@@ -487,8 +675,7 @@ impl Parse {
                 self.carry = b;
             }
             Op::Store { src, arr, start, step } => {
-                self.stream(step)?;
-                require!(self.stored == NONE || self.stored == arr);
+                require!(whole_vectors(&mut self.out_step, step) && (self.stored == NONE || self.stored == arr));
                 self.stored = arr;
                 match self.shifted.take() {
                     Some((shifted, amt)) => {
@@ -504,82 +691,204 @@ impl Parse {
         Some(())
     }
 
-    /// The run's first `folds` folds (over its first `leaves` streams)
-    /// as the superinstruction over `ops`.
-    fn build(&self, ops: Range<usize>, folds: usize, leaves: usize) -> Super {
-        let folds = &self.folds[..folds];
-        let stores = folds.iter().filter(|(f, ..)| !matches!(f.sink, Sink::Reduce { .. }));
-        let base = stores.map(|&(.., start)| start).min();
-        let mut fold = [Fold { leaves: 0, sink: Sink::Store { at: 0 } }; MAX_LEAVES];
-        for (to, &(mut f, _, start)) in fold.iter_mut().zip(folds) {
-            if let Sink::Store { at } | Sink::Shift { at, .. } = &mut f.sink {
-                *at = (start - base.unwrap_or(0)) as usize;
+    /// [`Parse::push`] for the ops that make gather and splat leaves —
+    /// out of line, since folds of loaded streams have none.
+    #[cold]
+    #[inline(never)]
+    fn gather_or_splat(&mut self, op: &Op) -> Option<()> {
+        match *op {
+            Op::Perm { dst, a, b, pattern } => {
+                let (Some(Value::Stream(a)), Some(Value::Stream(b))) = (self.value(a), self.value(b)) else { return None };
+                let table = self.table(pattern, true)?;
+                let j = self.new_leaf(Leaf::Gather { a, b, table })?;
+                self.define(dst, Value::Leaf(j))
             }
-            *to = f;
+            Op::Splat { dst, bytes } => {
+                let table = self.table(bytes, false)?;
+                let j = self.new_leaf(Leaf::Splat(table))?;
+                self.define(dst, Value::Leaf(j))
+            }
+            Op::BinSplat { dst, op, a, imm, imm_left } => {
+                let table = self.table(imm, false)?;
+                let k = self.new_leaf(Leaf::Splat(table))?;
+                match self.leaf(a) {
+                    Some(x) => {
+                        let (a, b) = if imm_left { (k, x) } else { (x, k) };
+                        self.term(dst, Term { op: Some(op), a, b })
+                    }
+                    None => {
+                        require!(self.nodes.last().is_some_and(|n| n.0 == a));
+                        self.join(dst, op, Some((k, imm_left)), false)
+                    }
+                }
+            }
+            _ => None,
         }
-        let reach = fold[..folds.len()].iter().filter_map(|f| match f.sink {
-            Sink::Store { at } | Sink::Shift { at, .. } => Some(at),
-            Sink::Reduce { .. } => None,
-        });
+    }
+
+    /// The register a reduction link `a op b` continues — the lane's
+    /// partial or the chain's last link — if it is one.
+    fn reduction_link(&self, op: BinOp, a: u32, b: u32, carried: &Carried) -> Option<u32> {
+        match self.acc {
+            NONE => [a, b].into_iter().find(|&r| carried.partials.contains(&(r, op))),
+            acc => (carried.partials.contains(&(acc, op)) && (a == self.link || b == self.link)).then_some(self.link),
+        }
+    }
+
+    /// The run up to `whole` as the superinstruction over `ops`: folds
+    /// of loaded streams where it is [`Parse::plain`], else a mixed tree
+    /// — which has no rotation shift.
+    fn build(&self, ops: Range<usize>, [_, folds, streams, leaves, terms, tables]: Whole) -> Option<Super> {
+        let (mut fold, store) = frame(&self.folds[..folds]);
+        let rotates = matches!(fold[0].sink, Sink::Shift { .. });
         let mut shifts = [([0; 16], [0; 16], [0; 16]); 2];
-        for (f, tables) in fold[..folds.len()].iter().zip(&mut shifts) {
+        for (f, shift) in fold[..folds].iter().zip(&mut shifts) {
             if let Sink::Shift { amt, .. } = f.sink {
                 let pattern = std::array::from_fn(|i| amt + i as u8);
                 let (lo, hi) = perm_tables(&pattern);
-                *tables = (pattern, lo, hi);
+                *shift = (pattern, lo, hi);
             }
         }
-        let mut leaf = [0; MAX_LEAVES];
-        for (to, &(start, _)) in leaf.iter_mut().zip(&self.loads[..leaves]) {
-            *to = start;
-        }
-        Super {
+        let step = self.step.unwrap_or(0);
+        let mut f = Super {
             ops,
-            shifts,
-            op: self.op.unwrap_or(BinOp::Or),
-            step: self.step.unwrap_or(0),
-            store: base.map(|base| (base, reach.max().unwrap_or(0))),
-            used: (leaves, folds.len()),
-            leaf,
+            op: BinOp::Or,
+            step,
+            used: (streams, folds),
+            stream: [0; MAX_LEAVES],
             fold,
-            column: if self.acc != NONE { self.acc } else { self.rotated },
+            store: store.map(|(base, reach)| (base, reach, self.out_step.unwrap_or(step))),
+            shifts,
+            column: if rotates { self.rotated } else { self.acc },
+            tree: None,
+        };
+        if let Some(op) = self.plain(&mut f.stream, &mut fold[..folds], streams) {
+            (f.fold, f.op) = (fold, op);
+            return Some(f);
         }
+        require!(!rotates);
+        f.stream[..streams].copy_from_slice(&self.loads[..streams]);
+        f.tree = Some(self.shape(folds, leaves, terms, tables));
+        Some(f)
+    }
+
+    /// A mixed tree's first `folds` operators, `leaves` leaves, `terms`
+    /// terms and `tables` tables — out of line, since most runs are folds
+    /// of loaded streams.
+    #[cold]
+    #[inline(never)]
+    fn shape(&self, folds: usize, leaves: usize, terms: usize, tables: usize) -> Shape {
+        let tables = self.tables[..tables].iter().map(|&(bytes, gather)| {
+            let (lo, hi) = if gather { perm_tables(&bytes) } else { ([0; 16], [0; 16]) };
+            (bytes, lo, hi)
+        });
+        Shape { ops: self.fold_ops[..folds].to_vec(), leaves: self.leaves[..leaves].to_vec(), terms: self.terms[..terms].to_vec(), tables: tables.collect() }
+    }
+
+    /// Whether `folds`, over the first `streams` streams, are folds of
+    /// loaded streams by one operator: each term a stream or — the
+    /// first term only, under a non-reassociable operator — two streams
+    /// by its fold's operator, every stream read once, stores as many
+    /// whole vectors apart as the streams, and past two streams a
+    /// reassociable operator. If so, returns the operator, with each
+    /// fold's stream count in `folds` and the streams' first bytes, fold
+    /// by fold, in `stream` — a reassociable fold's in load order.
+    fn plain(&self, stream: &mut [i64; MAX_LEAVES], folds: &mut [Fold], streams: usize) -> Option<BinOp> {
+        require!(self.out_step.is_none() || self.out_step == self.step);
+        let (mut op, mut order, mut n, mut seen, mut k) = (None, [0u8; MAX_LEAVES], 0, 0u32, 0);
+        for (g, &fold_op) in folds.iter_mut().zip(&*self.fold_ops) {
+            let first = n;
+            for (j, t) in self.terms[k..k + g.leaves].iter().enumerate() {
+                let by = if g.leaves == 1 { t.op } else { Some(fold_op) };
+                if let Some(o) = t.op {
+                    require!(Some(o) == by && (j == 0 || o.is_reassociable()));
+                }
+                for leaf in [t.a, t.b].into_iter().take(1 + t.op.is_some() as usize) {
+                    let Leaf::Stream(s) = self.leaves[leaf as usize] else { return None };
+                    require!(seen & 1 << s == 0);
+                    (seen, order[n], n) = (seen | 1 << s, s, n + 1);
+                }
+                if let Some(by) = by.filter(|_| n - first > 1) {
+                    require!(*op.get_or_insert(by) == by && (n - first == 2 || by.is_reassociable()));
+                }
+            }
+            if op.is_some_and(BinOp::is_reassociable) {
+                order[first..n].sort_unstable();
+            }
+            (k, g.leaves) = (k + g.leaves, n - first);
+        }
+        require!(seen.count_ones() as usize == streams);
+        for (to, &s) in stream.iter_mut().zip(&order[..n]) {
+            *to = self.loads[s as usize];
+        }
+        Some(op.unwrap_or(BinOp::Or))
     }
 }
 
-/// The selection rules a run of the right shape must still pass. A
-/// rotation it carries has depth 1 and its source is the last fold's
-/// value; no stream reads the stored array; and every register the run
-/// names is single use — read only inside the run, once unless a
-/// rotation shift reads it again — and dead after the run: neither
-/// carried nor read by a later section. The rotated register, its
-/// source and the accumulator leave through their lanes instead.
+/// The folds of a superinstruction, with their store offsets made
+/// relative to the lowest store, and that store's first byte with the
+/// farthest offset from it (stores only).
+fn frame(folds: &[(Fold, u32, i64)]) -> ([Fold; MAX_LEAVES], Option<(i64, usize)>) {
+    let stores = folds.iter().filter(|(f, ..)| !matches!(f.sink, Sink::Reduce { .. }));
+    let base = stores.map(|&(.., start)| start).min();
+    let mut fold = [Fold { leaves: 0, sink: Sink::Store { at: 0 } }; MAX_LEAVES];
+    for (to, &(mut f, _, start)) in fold.iter_mut().zip(folds) {
+        if let Sink::Store { at } | Sink::Shift { at, .. } = &mut f.sink {
+            *at = (start - base.unwrap_or(0)) as usize;
+        }
+        *to = f;
+    }
+    let reach = fold[..folds.len()].iter().filter_map(|f| match f.sink {
+        Sink::Store { at } | Sink::Shift { at, .. } => Some(at),
+        Sink::Reduce { .. } => None,
+    });
+    (fold, base.map(|base| (base, reach.max().unwrap_or(0))))
+}
+
+/// Whether `step`, shared with every access before it in `shared`, is
+/// a forward one of whole vectors.
+fn whole_vectors(shared: &mut Option<i64>, step: i64) -> bool {
+    step >= V && step % V == 0 && *shared.get_or_insert(step) == step
+}
+
+/// The selection rules a run of the right shape must still pass. No
+/// stream reads the stored array, and every register the run names is
+/// read only inside the run and dead after it: neither carried nor read
+/// by a later section. The registers in `keep` — a rotated register
+/// and its source, an accumulator — leave through their lanes instead.
+/// That a value is read once (a stream or a mixed tree's leaf may be
+/// read again) is the parse's to enforce.
 #[allow(clippy::too_many_arguments)]
-fn legal(ops: &[Op], regs: &[[u32; 3]], reads: &[Range<u32>], run: Range<usize>, s: usize, scan: &Scan, carried: &Carried, info: &[Reg], p: &Parse, folds: usize) -> bool {
-    let (last, value, _) = p.folds[folds - 1];
-    let source = match last.sink {
-        Sink::Shift { .. } => match carried.chains.iter().find(|c| c[0] == p.rotated) {
-            Some(chain) if chain[..] == [p.rotated, value] => value,
-            _ => return false,
-        },
-        _ => NONE,
-    };
-    if ops[run.clone()].iter().any(|op| matches!(*op, Op::Load { arr, .. } | Op::LoadFused { arr, .. } if arr == p.stored)) {
+fn legal(ops: &[Op], regs: &[[u32; 3]], reads: &[Range<u32>], run: Range<usize>, s: usize, scan: &Scan, info: &[Reg], stored: u32, keep: [u32; 3]) -> bool {
+    if ops[run.clone()].iter().any(|op| matches!(*op, Op::Load { arr, .. } | Op::LoadFused { arr, .. } if arr == stored)) {
         return false;
     }
     let within = run.start as u32..run.end as u32;
     regs[run].iter().flatten().filter(|&&r| r != NONE).all(|&r| {
         let read = &reads[r as usize];
         let escapes = scan.carried.contains(&r) || info[r as usize].live_after(s);
-        (read.end == 0 || within.contains(&read.start) && within.contains(&(read.end - 1)))
-            && ([p.rotated, source, p.acc].contains(&r) || !escapes)
+        (read.end == 0 || within.contains(&read.start) && within.contains(&(read.end - 1))) && (keep.contains(&r) || !escapes)
     })
+}
+
+/// The rotation source the first `folds` folds of a run carry: `NONE`
+/// when the last fold does not shift, the last fold's value when it
+/// shifts at depth 1, and `None` when it shifts deeper.
+fn rotation_source(p: &Parse, carried: &Carried, folds: usize) -> Option<u32> {
+    let (last, value, _) = p.folds[folds - 1];
+    match last.sink {
+        Sink::Shift { .. } => match carried.chains.iter().find(|c| c[0] == p.rotated) {
+            Some(chain) if chain[..] == [p.rotated, value] => Some(value),
+            _ => None,
+        },
+        _ => Some(NONE),
+    }
 }
 
 /// The superinstruction that starts at op `i` of strip section `s` (in
 /// strip order), if one does: the longest run of ops from `i` that
-/// reads as folds of loaded streams by one operator, each into the same
-/// kind of sink, and is [`legal`].
+/// reads as folds each into the same kind of sink ([`Parse`]), builds,
+/// and is [`legal`].
 #[allow(clippy::too_many_arguments)]
 fn pick(ops: &[Op], regs: &[[u32; 3]], reads: &[Range<u32>], i: usize, s: usize, scan: &Scan, carried: &Carried, info: &[Reg], p: &mut Parse) -> Option<Super> {
     require!(matches!(ops[i], Op::Load { .. } | Op::LoadFused { .. }));
@@ -588,21 +897,26 @@ fn pick(ops: &[Op], regs: &[[u32; 3]], reads: &[Range<u32>], i: usize, s: usize,
         if p.push(op, carried).is_none() {
             break;
         }
-        if p.is_whole() {
-            p.whole.push((j + 1, p.folds.len(), p.loads.len()));
+        // A run ends at a sink: past it, a stream or leaf would be unread.
+        if p.is_whole() && matches!(op, Op::Store { .. } | Op::Copy { .. }) {
+            p.whole.push([j + 1, p.folds.len(), p.loads.len(), p.leaves.len(), p.terms.len(), p.tables.len()])?;
         }
     }
-    let legal = |&&(end, folds, _): &&(usize, usize, usize)| legal(ops, regs, reads, i..end, s, scan, carried, info, p, folds);
-    let &(end, folds, leaves) = p.whole.iter().rev().find(legal)?;
-    Some(p.build(i..end, folds, leaves))
+    p.whole.iter().rev().find_map(|&whole| {
+        let source = rotation_source(p, carried, whole[1])?;
+        require!(legal(ops, regs, reads, i..whole[0], s, scan, info, p.stored, [p.rotated, source, p.acc]));
+        p.build(i..whole[0], whole)
+    })
 }
 
 /// Superinstruction selection for strip section `s`, its ops in strip
-/// order — one generic entry over a table of three fold families (the
-/// sink: a store, a rotation shift and store, a reduction partial),
-/// where any rule a run fails leaves its ops to the generic arms.
+/// order — one generic entry over a table of four families: folds of
+/// loaded streams by one operator into each of three sinks (a store, a
+/// rotation shift and store, a reduction partial), and mixed trees
+/// into a store or a partial. Any rule a run fails leaves its ops to
+/// the generic arms.
 fn select(ops: &[Op], regs: &[[u32; 3]], s: usize, scan: &Scan, carried: &Carried, info: &[Reg]) -> Vec<Super> {
-    let (mut supers, mut parse, mut i) = (Vec::new(), Parse::new(), 0);
+    let (mut supers, mut parse, mut i) = (Vec::new(), Parse::new(info.len()), 0);
     // The ops that read each register: from its first reader to one
     // past its last.
     let mut reads = vec![0..0; info.len()];
@@ -1069,7 +1383,7 @@ mod tests {
         assert_eq!(selected(&pair), [(0, 8)]);
         // An op inside a tree that is not part of it breaks the run.
         let mut split = fold2(BinOp::Add);
-        split.insert(2, Op::Splat { dst: 7, bytes: [1; 16] });
+        split.insert(2, Op::Copy { dst: 7, src: 9 });
         assert_eq!(selected(&split), []);
     }
 
@@ -1085,16 +1399,99 @@ mod tests {
     }
 
     #[test]
-    fn trees_past_two_streams_need_a_reassociable_operator() {
+    fn folds_past_two_streams_need_a_reassociable_operator() {
         let three = |op| {
             let mut ops = fold2(op);
             ops.truncate(3);
             ops.extend([load(3, 8192, 16), bin(4, op, 2, 3), store(4, FAR, 16)]);
             ops
         };
-        assert_eq!(selected(&three(BinOp::Add)), [(0, 6)]);
-        assert_eq!(selected(&fold2(BinOp::Sub)), [(0, 4)], "two streams: any operator");
-        assert_eq!(selected(&three(BinOp::Sub)), []);
+        assert_eq!(trees(&three(BinOp::Add)), [(0..6, false)]);
+        assert_eq!(trees(&fold2(BinOp::Sub)), [(0..4, false)], "two streams: any operator");
+        // `(b - c) - d` is a mixed tree: a term and a leaf, left-deep.
+        assert_eq!(trees(&three(BinOp::Sub)), [(0..6, true)]);
+    }
+
+    /// Each superinstruction's ops and whether it is a mixed tree.
+    fn trees(ops: &[Op]) -> Vec<(Range<usize>, bool)> {
+        supers(ops).into_iter().map(|f| (f.ops.clone(), f.tree.is_some())).collect()
+    }
+
+    fn supers(ops: &[Op]) -> Vec<Super> {
+        let mut info = vec![Reg::UNNAMED; 16];
+        let mut looped = scan(ops, 1000, 0, &mut info);
+        let mut ops = ops.to_vec();
+        let carried = decide(&mut ops, 1000, 0, &mut looped, &mut info).expect("the section strips");
+        select(&ops, &looped.regs, 0, &looped, &carried, &info)
+    }
+
+    fn perm(dst: u32, a: u32, b: u32) -> Op {
+        Op::Perm { dst, a, b, pattern: std::array::from_fn(|i| 2 * i as u8) }
+    }
+
+    #[test]
+    fn a_composed_gather_body_is_one_mixed_tree() {
+        // `deinterleave` once fusion composed its gathers: two loads read
+        // by two perms, each perm squared.
+        let body = [
+            load(0, 1024, 32),
+            load(1, 1040, 32),
+            perm(2, 0, 1),
+            bin(3, BinOp::Mul, 2, 2),
+            perm(4, 0, 1),
+            bin(5, BinOp::Mul, 4, 4),
+            bin(6, BinOp::Add, 3, 5),
+            store(6, FAR, 16),
+        ];
+        let selected = supers(&body);
+        let [f] = &selected[..] else { panic!("{selected:?}") };
+        assert_eq!((f.ops.clone(), f.loads().len(), f.step, f.store.map(|s| s.2)), (0..8, 2, 32, Some(16)));
+        let shape = f.tree.as_ref().expect("a mixed tree");
+        assert!(matches!(shape.leaves[..], [Leaf::Gather { a: 0, b: 1, table: 0 }, Leaf::Gather { a: 0, b: 1, table: 1 }]));
+        let square = |leaf| Term { op: Some(BinOp::Mul), a: leaf, b: leaf };
+        assert_eq!(shape.terms, [square(0), square(1)]);
+        assert_eq!((f.folds()[0].leaves, shape.ops[0]), (2, BinOp::Add));
+        // A perm of a value the run computed is no leaf.
+        let mut chained = body.to_vec();
+        chained[4] = perm(4, 2, 1);
+        assert_eq!(trees(&chained), []);
+    }
+
+    #[test]
+    fn mixed_trees_are_two_levels_deep_and_left_deep_unless_reassociable() {
+        let (b, c, d) = (load(0, 1024, 16), load(1, 2048, 16), load(2, 4096, 16));
+        // `(b + c) * d - b`: three levels.
+        let deep = [b.clone(), c.clone(), bin(3, BinOp::Add, 0, 1), d.clone(), bin(4, BinOp::Mul, 3, 2), bin(5, BinOp::Sub, 4, 0), store(5, FAR, 16)];
+        assert_eq!(trees(&deep), []);
+        // `d - (b - c)` keeps its order; `(b - c) - (d - b)` cannot.
+        let right = [d.clone(), b.clone(), c.clone(), bin(3, BinOp::Sub, 0, 1), bin(4, BinOp::Sub, 2, 3), store(4, FAR, 16)];
+        let kept = supers(&right)[0].tree.take().expect("a mixed tree");
+        let streams: Vec<_> = kept.terms.iter().map(|t| (t.op, kept.leaves[t.a as usize], kept.leaves[t.b as usize])).collect();
+        assert_eq!(streams, [(None, Leaf::Stream(0), Leaf::Stream(0)), (Some(BinOp::Sub), Leaf::Stream(1), Leaf::Stream(2))]);
+        let both = [b, c, bin(3, BinOp::Sub, 0, 1), d, bin(4, BinOp::Sub, 2, 0), bin(5, BinOp::Sub, 3, 4), store(5, FAR, 16)];
+        assert_eq!(trees(&both), [(0..7, true)]);
+        let mut reversed = both.to_vec();
+        reversed[5] = bin(5, BinOp::Sub, 4, 3);
+        assert_eq!(trees(&reversed), [(0..7, true)], "two single terms swap");
+        assert_eq!(supers(&reversed)[0].tree.as_ref().map(|t| t.terms[0].op), Some(Some(BinOp::Sub)));
+    }
+
+    #[test]
+    fn a_tree_may_end_in_a_lane_partial_and_take_a_splat() {
+        // acc r7 += (r0 · 3) * r1, fused: the splat rides as an immediate.
+        let dot = [
+            load(0, 1024, 32),
+            load(1, 1040, 32),
+            perm(2, 0, 1),
+            Op::BinSplat { dst: 3, op: BinOp::Mul, a: 2, imm: [3; 16], imm_left: false },
+            bin(4, BinOp::Mul, 3, 1),
+            bin(5, BinOp::Add, 7, 4),
+            Op::Copy { dst: 7, src: 5 },
+        ];
+        let selected = supers(&dot);
+        let [f] = &selected[..] else { panic!("{selected:?}") };
+        assert_eq!((f.ops.clone(), f.folds()[0].sink), (0..7, Sink::Reduce { op: BinOp::Add }));
+        assert!(matches!(f.tree.as_ref().map(|t| &t.leaves[..]), Some([Leaf::Gather { .. }, Leaf::Splat(1), Leaf::Stream(1)])));
     }
 
     #[test]

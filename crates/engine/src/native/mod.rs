@@ -7,18 +7,18 @@
 //! — folds of loaded streams into a store, a rotation shift or a
 //! reduction partial, run as one lane loop with their values in
 //! registers. The one strip-mined driver (`strip`) then replays that
-//! plan on one of four instruction tiers picked by [`IsaLevel`] — the
-//! portable tier behind [`CompiledKernel::run`], the detected one
-//! behind [`SimdKernel`]:
+//! plan on one of three instruction tiers picked by [`IsaLevel`] — the
+//! portable tier behind [`CompiledKernel::run`] (and the detected one on
+//! hosts other than x86_64), the detected one behind [`SimdKernel`]:
 //!
-//! | VIR form        | SSE2                               | AVX2 tier                | NEON            |
-//! |-----------------|------------------------------------|--------------------------|-----------------|
-//! | `vload`/`.fused`| `movdqu` (chunk-aligned address)   | same                     | `vld1q_u8`      |
-//! | `vshiftpair`    | `psrldq`+`pslldq`+`por`            | `palignr`                | `vextq_u8`      |
-//! | `vsplice`       | `pand`/`pandn`/`por` mask select   | `pblendvb`               | `vbslq_u8`      |
-//! | `vperm`         | scalar byte gather                 | 2×`pshufb`+`por`         | `vqtbl2q_u8`    |
-//! | `vsplat`        | immediate register image           | same                     | same            |
-//! | arithmetic      | `padd*`/`psub*`/`pmullw`/…         | + `pmulld`, full min/max | `vaddq`/`vsubq`/…|
+//! | VIR form        | SSE2                               | AVX2 tier                |
+//! |-----------------|------------------------------------|--------------------------|
+//! | `vload`/`.fused`| `movdqu` (chunk-aligned address)   | same                     |
+//! | `vshiftpair`    | `psrldq`+`pslldq`+`por`            | `palignr`                |
+//! | `vsplice`       | `pand`/`pandn`/`por` mask select   | `pblendvb`               |
+//! | `vperm`         | scalar byte gather                 | 2×`pshufb`+`por`         |
+//! | `vsplat`        | immediate register image           | same                     |
+//! | arithmetic      | `padd*`/`psub*`/`pmullw`/…         | + `pmulld`, full min/max |
 //!
 //! The fused `vload.fused` forms from the trace pass are already
 //! single loads, so they lower to one `movdqu` — the paper's whole
@@ -34,8 +34,8 @@
 //! tier is total and byte-identical to the interpreter by
 //! construction.
 //!
-//! `unsafe` lives only in the two per-architecture modules; the
-//! portable tier and everything here stay safe. Stats come straight
+//! `unsafe` lives only in the x86 module; the portable tier and
+//! everything here stay safe. Stats come straight
 //! from the bake (they are computed analytically before fusion), so
 //! the interpreter and every tier agree on [`RunStats`] by
 //! construction too.
@@ -65,16 +65,13 @@ mod lower;
 mod portable;
 mod strip;
 
-#[cfg(target_arch = "aarch64")]
-#[allow(unsafe_code)]
-mod neon;
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod x86;
 
 pub use isa::IsaLevel;
 pub(crate) use lower::lower;
-pub(crate) use strip::{Program, Section, Sink, Super};
+pub(crate) use strip::{Leaf, Program, Section, Sink, Super, Term};
 
 /// Runs a lowered plan over `mem` on the tier `isa` names, or on the
 /// portable tier when this host cannot execute that one.
@@ -84,8 +81,6 @@ pub(crate) fn exec(isa: IsaLevel, program: &Program, mem: &mut [u8]) {
         IsaLevel::Sse2 => x86::exec(program, mem, false),
         #[cfg(target_arch = "x86_64")]
         IsaLevel::Avx2 => x86::exec(program, mem, true),
-        #[cfg(target_arch = "aarch64")]
-        IsaLevel::Neon => neon::exec(program, mem),
         _ => strip::run(portable::portable(), program, mem),
     }
 }
@@ -264,14 +259,8 @@ mod tests {
     #[test]
     fn unavailable_tier_clamps_to_scalar() {
         let (_, kernel, _) = compile_at(FIG1, Policy::Zero, 100);
-        let foreign = if cfg!(target_arch = "x86_64") {
-            IsaLevel::Neon
-        } else {
-            IsaLevel::Avx2
-        };
-        if !foreign.available() {
-            let lowered = SimdKernel::lower(&kernel, foreign);
-            assert_eq!(lowered.isa(), IsaLevel::Scalar);
+        for isa in IsaLevel::ALL.into_iter().filter(|l| !l.available()) {
+            assert_eq!(SimdKernel::lower(&kernel, isa).isa(), IsaLevel::Scalar);
         }
     }
 

@@ -6,15 +6,18 @@
 //! per dispatch of each op or superinstruction. A *superinstruction*
 //! ([`Super`], chosen by `lower`) is one lane loop over its streams,
 //! [`BLOCK`] lanes at a time: it loads each fold's leaves, combines
-//! them by one `BinOp` and hands the value to the fold's sink — a
-//! store, a rotation shift and store, or a lane-private partial —
-//! without the value ever leaving a CPU register. Every other op runs
-//! as a tight loop down a register *column* — lane `u` of column `c` is
-//! `regs[c + u]` and holds the register's value in iteration `k0 + u`.
-//! Either way the op kind and element type are matched outside the lane
-//! loop (a superinstruction matches its folds' operator on the tiers
-//! that run for speed; its shift amounts and partial operator stay
-//! runtime values), as is an op's shift amount, and each memory stream
+//! them by one `BinOp` — or, in a mixed tree, evaluates terms over
+//! streams, two-stream gathers and splats and combines those — and
+//! hands the value to the fold's sink — a store, a rotation shift and
+//! store, or a lane-private partial — without the value ever leaving a
+//! CPU register. Every other op runs as a tight loop down a register
+//! *column* — lane `u` of column `c` is `regs[c + u]` and holds the
+//! register's value in iteration `k0 + u`. Either way the op kind and
+//! element type are matched outside the lane loop (a superinstruction
+//! const-matches its operations, as their [`canonical`] `(BinOp,
+//! ScalarType)` pairs, on the tiers that run for speed; its shift
+//! amounts and partial operator stay runtime values), as is an op's
+//! shift amount, and each memory stream
 //! is sliced once per strip into the window the strip touches, so the
 //! lane loop indexes that slice — a superinstruction's as an array of
 //! whole vectors, since its streams step by whole vectors. Everything
@@ -50,6 +53,11 @@ pub(super) const MAX_LEAVES: usize = 16;
 /// for all of them stay in registers, and the loop's per-stream work is
 /// paid once for all of them.
 const BLOCK: usize = 4;
+
+/// [`BLOCK`] for a mixed tree, whose lane loop reads its shape once per
+/// block: twice the lanes, a tree's value and the term it takes in the
+/// sixteen vector registers x86-64 has.
+const TREE_BLOCK: usize = 8;
 
 /// Register blocks up to this size — eight columns, more than any
 /// sample loop or benchmark kernel needs — live on the stack.
@@ -157,35 +165,75 @@ pub(crate) enum Sink {
     Reduce { op: BinOp },
 }
 
-/// One fold of a [`Super`]: its next `leaves` streams combined by the
-/// superinstruction's operator, in order, and what takes the value.
+/// One fold of a [`Super`]: its next `leaves` streams — or, in a mixed
+/// tree, its next `leaves` [`Term`]s — combined by its operator, in
+/// order, and what takes the value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Fold {
     pub(crate) leaves: usize,
     pub(crate) sink: Sink,
 }
 
+/// What one lane of a mixed tree's leaf reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Leaf {
+    /// The vector of stream `s`.
+    Stream(u8),
+    /// `vperm` of the vectors of streams `a` and `b` by [`Shape::tables`]
+    /// entry `table`.
+    Gather { a: u8, b: u8, table: u8 },
+    /// The register image in the first half of [`Shape::tables`] entry
+    /// `table`.
+    Splat(u8),
+}
+
+/// One term of a mixed tree's fold: leaf `a`, or leaves `a` and `b`
+/// combined by `op` (`a == b` squares a leaf).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Term {
+    pub(crate) op: Option<BinOp>,
+    pub(crate) a: u8,
+    pub(crate) b: u8,
+}
+
+/// A mixed tree's shape: what its folds' terms read.
+#[derive(Debug)]
+pub(crate) struct Shape {
+    /// Each fold's operator.
+    pub(crate) ops: Vec<BinOp>,
+    pub(crate) leaves: Vec<Leaf>,
+    /// Fold by fold.
+    pub(crate) terms: Vec<Term>,
+    /// Each gather's pattern and tables ([`perm_tables`]), each splat's
+    /// register image.
+    pub(crate) tables: Vec<(Reg, Reg, Reg)>,
+}
+
 /// A superinstruction: a contiguous run of a strip section's ops —
-/// folds of loaded streams by one `BinOp`, each into a [`Sink`] — that
-/// the driver runs as one lane loop, every intermediate value in a CPU
-/// register (DESIGN §11.4).
+/// folds, each into a [`Sink`], of loaded streams by one `BinOp` or, in
+/// a *mixed tree*, of terms over streams, two-stream gathers and splats
+/// — that the strip driver runs as one lane loop, every intermediate
+/// value in a CPU register (DESIGN §11.4).
 #[derive(Debug)]
 pub(crate) struct Super {
     /// The member ops in [`Section::ops`], for the listing.
     pub(crate) ops: Range<usize>,
-    /// The folds' operator (any, when every fold is one stream).
+    /// The folds' operator (any, when every fold is one stream; a mixed
+    /// tree's are [`Shape::ops`]).
     pub(crate) op: BinOp,
     /// Bytes per iteration, shared by every stream.
     pub(crate) step: i64,
-    /// [`Super::loads`] and [`Super::folds`], held inline so a plan
-    /// allocates nothing per superinstruction: how many of each are in
-    /// use, then the arrays.
+    /// [`Super::loads`] and [`Super::folds`], held inline so a fold of
+    /// loaded streams allocates nothing: how many of each are in use,
+    /// then the arrays.
     pub(crate) used: (usize, usize),
-    pub(crate) leaf: [i64; MAX_LEAVES],
+    pub(crate) stream: [i64; MAX_LEAVES],
     pub(crate) fold: [Fold; MAX_LEAVES],
     /// Stores only: the lowest store's first byte, the store window's
-    /// base, and the farthest [`Sink`] offset from it.
-    pub(crate) store: Option<(i64, usize)>,
+    /// base, the farthest [`Sink`] offset from it, and the stores' bytes
+    /// per iteration — the streams' step but in a mixed tree, whose
+    /// gathers read two vectors a lane.
+    pub(crate) store: Option<(i64, usize, i64)>,
     /// Rotation shifts only: each fold's shift as the `vperm` pattern of
     /// its amount and that pattern's two tables ([`perm_tables`]) — one
     /// instruction sequence for every amount, so the lane loop holds no
@@ -195,12 +243,15 @@ pub(crate) struct Super {
     /// (the carry; its source's column follows it) or a reduction's
     /// accumulator column. `NO_REG` for stores.
     pub(crate) column: u32,
+    /// A mixed tree's shape, its folds counting terms; `None` for folds
+    /// of loaded streams, whose folds count streams.
+    pub(crate) tree: Option<Shape>,
 }
 
 impl Super {
-    /// Each leaf's first byte, fold by fold.
+    /// Each stream's first byte, fold by fold.
     pub(crate) fn loads(&self) -> &[i64] {
-        &self.leaf[..self.used.0]
+        &self.stream[..self.used.0]
     }
 
     pub(crate) fn folds(&self) -> &[Fold] {
@@ -261,16 +312,6 @@ macro_rules! with_const {
     };
 }
 
-macro_rules! with_binop {
-    ($op:expr, |$name:ident| $body:expr) => {
-        with_const!(
-            $op,
-            [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Min, BinOp::Max, BinOp::And, BinOp::Or, BinOp::Xor],
-            |$name| $body
-        )
-    };
-}
-
 macro_rules! with_elem {
     ($elem:expr, |$name:ident| $body:expr) => {
         with_const!(
@@ -282,6 +323,46 @@ macro_rules! with_elem {
             |$name| $body
         )
     };
+}
+
+/// The element type whose lanes `op` treats exactly as `elem`'s:
+/// `add`, `sub` and `mul` wrap the same at either signedness of a width
+/// and `and`, `or` and `xor` the same at any width, so only `min` and
+/// `max` keep the signedness.
+pub(super) fn canonical(op: BinOp, elem: ScalarType) -> ScalarType {
+    match op {
+        BinOp::Min | BinOp::Max => elem,
+        BinOp::And | BinOp::Or | BinOp::Xor => ScalarType::U8,
+        _ => match elem.size() {
+            1 => ScalarType::I8,
+            2 => ScalarType::I16,
+            4 => ScalarType::I32,
+            _ => ScalarType::I64,
+        },
+    }
+}
+
+/// Expands `$body` once per distinct [`canonical`] `(BinOp,
+/// ScalarType)` pair — 31, not 64 — with `$o` and `$t` bound to the
+/// pair `($op, $elem)` computes as.
+macro_rules! with_canonical {
+    ($op:expr, $elem:expr, |$o:ident, $t:ident| $body:expr) => {
+        with_canonical!(@ $op, $elem, |$o, $t| $body,
+            (Add I8) (Add I16) (Add I32) (Add I64) (Sub I8) (Sub I16) (Sub I32) (Sub I64)
+            (Mul I8) (Mul I16) (Mul I32) (Mul I64) (And U8) (Or U8) (Xor U8)
+            (Min I8) (Min U8) (Min I16) (Min U16) (Min I32) (Min U32) (Min I64) (Min U64)
+            (Max I8) (Max U8) (Max I16) (Max U16) (Max I32) (Max U32) (Max I64) (Max U64))
+    };
+    (@ $op:expr, $elem:expr, |$o:ident, $t:ident| $body:expr, $(($c:ident $ty:ident))+) => {{
+        let op: BinOp = $op;
+        match (op, canonical(op, $elem)) {
+            $((BinOp::$c, ScalarType::$ty) => {
+                let ($o, $t) = (BinOp::$c, ScalarType::$ty);
+                $body
+            })+
+            _ => unreachable!("every canonical pair is listed"),
+        }
+    }};
 }
 
 /// The mask [`Lanes::splice`] takes for a splice at `point`.
@@ -375,16 +456,16 @@ fn one<L: Lanes>(l: L, op: &Op, k0: i64, len: usize, elem: ScalarType, regs: &[C
             let v = l.load(bytes);
             col(dst).iter().for_each(|d| d.set(v));
         }
-        Op::Bin { dst, op, a, b } => with_binop!(op, |op| with_elem!(elem, |ty| {
+        Op::Bin { dst, op, a, b } => with_canonical!(op, elem, |op, ty| {
             map2(col(dst), col(a), col(b), |x, y| l.bin(op, ty, x, y))
-        })),
+        }),
         Op::BinSplat { dst, op, a, ref imm, imm_left } => {
             let iv = l.load(imm);
-            with_binop!(op, |op| with_elem!(elem, |ty| if imm_left {
+            with_canonical!(op, elem, |op, ty| if imm_left {
                 map1(col(dst), col(a), |x| l.bin(op, ty, iv, x))
             } else {
                 map1(col(dst), col(a), |x| l.bin(op, ty, x, iv))
-            }))
+            })
         }
         Op::Un { dst, op, a } => with_const!(op, [UnOp::Neg, UnOp::Not, UnOp::Abs], |op| {
             with_elem!(elem, |ty| map1(col(dst), col(a), |x| l.un(op, ty, x)))
@@ -398,39 +479,72 @@ fn one<L: Lanes>(l: L, op: &Op, k0: i64, len: usize, elem: ScalarType, regs: &[C
 /// store window is split off the image first, so every load window is
 /// a shared slice beside it (`lower` keeps loads off the stored array);
 /// then the lane loop, [`BLOCK`] lanes at a time. `PAIRS` tiers — the
-/// ones a host dispatches for speed — get one lane loop per
-/// `(BinOp, ScalarType)` pair; the others, like the lanes left over
-/// (only a section's last strip has any), one loop with the pair a
-/// runtime value, which keeps the binary, and with it the resident
-/// set, small.
+/// ones a host dispatches for speed — const-match every `(BinOp,
+/// ScalarType)` operation, as its [`canonical`] pair: a fold of loaded
+/// streams gets one lane loop per pair, a mixed tree one instance of
+/// the operation per pair at each place its lane loop combines two
+/// values. The others, like the lanes left over (only a section's last
+/// strip has any), run one loop with the pair a runtime value, which
+/// keeps the binary, and with it the resident set, small.
 #[inline(always)]
 pub(super) fn fold<L: Lanes, const PAIRS: bool>(l: L, f: &Super, k0: i64, len: usize, elem: ScalarType, regs: &[Cell<L::V>], mem: &mut [u8]) {
-    let span = (len - 1) * f.step as usize + 16;
-    let at = |start: i64| (start + k0 * f.step) as usize;
-    let (lo, hi) = match f.store {
-        Some((start, reach)) => (at(start), at(start) + reach + span),
-        None => (mem.len(), mem.len()),
+    let span = |step: i64| (len - 1) * step as usize + 16;
+    let at = |start: i64, step: i64| (start + k0 * step) as usize;
+    let (lo, hi, out_step) = match f.store {
+        Some((start, reach, step)) => (at(start, step), at(start, step) + reach + span(step), step),
+        None => (mem.len(), mem.len(), f.step),
     };
     let (head, rest) = mem.split_at_mut(lo);
     let (out, tail) = rest.split_at_mut(hi - lo);
     let mut windows: [&[Reg]; MAX_LEAVES] = [&[]; MAX_LEAVES];
     for (w, &start) in windows.iter_mut().zip(f.loads()) {
-        let first = at(start);
+        let first = at(start, f.step);
+        let span = span(f.step);
         *w = if first < lo { &head[first..][..span] } else { &tail[first - hi..][..span] }.as_chunks().0;
     }
     let carry = regs.get(f.column as usize).map_or_else(|| l.load(&[0; 16]), Cell::get);
-    let (out, stride) = (out.as_chunks_mut().0, f.step as usize / 16);
-    let mut run = Run { f, stride, windows: &windows[..f.used.0], out, regs, carry };
-    let blocked = len - len % BLOCK;
-    if PAIRS {
-        with_binop!(f.op, |op| with_elem!(elem, |ty| run.lanes::<L, BLOCK>(l, op, ty, 0..blocked)));
-    } else {
-        run.lanes::<L, BLOCK>(l, f.op, elem, 0..blocked);
+    let out = out.as_chunks_mut().0;
+    let strides = (f.step as usize / 16, out_step as usize / 16);
+    let mut run = Run { f, stride: strides.0, windows: &windows[..f.used.0], out, regs, carry };
+    if let Some(shape) = &f.tree {
+        let blocked = len - len % TREE_BLOCK;
+        // A gather's strides as constants, so the lane loop's block
+        // slices need no bounds check per lane.
+        match strides {
+            (2, 1) if PAIRS => run.tree::<L, PAIRS, TREE_BLOCK>(l, shape, elem, (2, 1), 0..blocked),
+            _ => run.tree::<L, PAIRS, TREE_BLOCK>(l, shape, elem, strides, 0..blocked),
+        }
+        run.tree::<L, false, 1>(l, shape, elem, strides, blocked..len);
+        return;
     }
-    run.lanes::<L, 1>(l, f.op, elem, blocked..len);
+    let blocked = len - len % BLOCK;
+    let op = f.op;
+    if PAIRS {
+        with_canonical!(op, elem, |op, ty| run.lanes::<L, BLOCK>(l, op, ty, elem, 0..blocked));
+    } else {
+        run.lanes::<L, BLOCK>(l, op, elem, elem, 0..blocked);
+    }
+    run.lanes::<L, 1>(l, op, elem, elem, blocked..len);
     if let Some(Fold { sink: Sink::Shift { .. }, .. }) = f.folds().last() {
         regs[f.column as usize + len].set(run.carry);
     }
+}
+
+/// `op` on `B` lanes at once: const-matched on its [`canonical`] pair
+/// when `PAIRS`, the pair a runtime value otherwise.
+#[inline(always)]
+fn bin_block<L: Lanes, const PAIRS: bool, const B: usize>(l: L, op: BinOp, elem: ScalarType, a: [L::V; B], b: [L::V; B]) -> [L::V; B] {
+    let mut v = a;
+    if PAIRS {
+        with_canonical!(op, elem, |op, ty| for i in 0..B {
+            v[i] = l.bin(op, ty, a[i], b[i]);
+        });
+    } else {
+        for i in 0..B {
+            v[i] = l.bin(op, elem, a[i], b[i]);
+        }
+    }
+    v
 }
 
 /// What [`fold`]'s lane loop reads and writes.
@@ -451,39 +565,43 @@ struct Run<'a, V> {
 impl<V: Copy> Run<'_, V> {
     /// The values of the fold whose leaves are the windows from `k` on,
     /// for the lanes whose vectors are `off` vectors into them: its
-    /// streams loaded and combined one after another, every lane's value
-    /// in a register.
+    /// streams, each window sliced once for the block, loaded and
+    /// combined one after another, every lane's value in a register.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn values<L: Lanes<V = V>, const B: usize>(&self, l: L, op: BinOp, ty: ScalarType, k: usize, leaves: usize, off: &[usize; B]) -> [V; B] {
+        let (stride, span) = (self.stride, self.stride * (B - 1) + 1);
         let mut v = [l.load(&[0; 16]); B];
+        let w = &self.windows[k][off[0]..][..span];
         for i in 0..B {
-            v[i] = l.load(&self.windows[k][off[i]]);
+            v[i] = l.load(&w[stride * i]);
         }
         for w in &self.windows[k + 1..k + leaves] {
+            let w = &w[off[0]..][..span];
             for i in 0..B {
-                v[i] = l.bin(op, ty, v[i], l.load(&w[off[i]]));
+                v[i] = l.bin(op, ty, v[i], l.load(&w[stride * i]));
             }
         }
         v
     }
 
-    /// The lane loop over `lanes`, `B` lanes at a time. Stores and
+    /// The lane loop over `lanes`, `B` lanes at a time, the folds'
+    /// operator `op` at type `ty` and sinks at `elem`. Stores and
     /// partials need no other fold's value, so they run a fold at a
     /// time down all the lanes. A rotation's folds run together, lane
     /// block by lane block: the second fold's shift reads the first's
     /// value, the first's the last fold's a lane back.
     #[inline(always)]
-    fn lanes<L: Lanes<V = V>, const B: usize>(&mut self, l: L, op: BinOp, ty: ScalarType, lanes: Range<usize>) {
+    fn lanes<L: Lanes<V = V>, const B: usize>(&mut self, l: L, op: BinOp, ty: ScalarType, elem: ScalarType, lanes: Range<usize>) {
         let (f, stride) = (self.f, self.stride);
         let offsets = |u: usize| -> [usize; B] { std::array::from_fn(|i| (u + i) * stride) };
-        if let [Fold { leaves, sink: Sink::Shift { at, .. } }, ref rest @ ..] = f.folds()[..] {
+        if let [Fold { leaves, sink: Sink::Shift { at, .. }, .. }, ref rest @ ..] = f.folds()[..] {
             let at = at / 16;
             let (pattern, lo, hi) = &f.shifts[0];
             for u in lanes.step_by(B) {
                 let off = offsets(u);
                 let x = self.values(l, op, ty, 0, leaves, &off);
-                let Some(&Fold { leaves: y_leaves, sink: Sink::Shift { at: at_y, .. } }) = rest.first() else {
+                let Some(&Fold { leaves: y_leaves, sink: Sink::Shift { at: at_y, .. }, .. }) = rest.first() else {
                     for i in 0..B {
                         let prev = if i == 0 { self.carry } else { x[i - 1] };
                         l.store(l.perm(prev, x[i], pattern, lo, hi), &mut self.out[at + off[i]]);
@@ -504,27 +622,112 @@ impl<V: Copy> Run<'_, V> {
         }
         let mut k = 0;
         for g in f.folds() {
+            // A partial combines at `ty` where that computes as `elem`.
+            let exact = match g.sink {
+                Sink::Reduce { op } => canonical(op, ty) == canonical(op, elem),
+                _ => true,
+            };
             for u in lanes.clone().step_by(B) {
                 let off = offsets(u);
                 let v = self.values(l, op, ty, k, g.leaves, &off);
                 match g.sink {
                     Sink::Store { at } => {
-                        let at = at / 16;
+                        let out = &mut self.out[at / 16 + off[0]..][..stride * (B - 1) + 1];
                         for i in 0..B {
-                            l.store(v[i], &mut self.out[at + off[i]]);
+                            l.store(v[i], &mut out[stride * i]);
                         }
                     }
-                    Sink::Reduce { op } => {
-                        let partials = &self.regs[f.column as usize + u..][..B];
-                        for i in 0..B {
-                            partials[i].set(l.bin(op, ty, partials[i].get(), v[i]));
-                        }
-                    }
+                    Sink::Reduce { op } if exact => self.reduce::<L, false, B>(l, op, ty, u, v),
+                    Sink::Reduce { op } => self.reduce::<L, false, B>(l, op, elem, u, v),
                     Sink::Shift { .. } => unreachable!("a rotation's folds all shift"),
                 }
             }
             k += g.leaves;
         }
+    }
+
+    /// Combines the values of lanes `u..u + B` into their partials by
+    /// `op` at `ty`, as [`bin_block`] does.
+    #[inline(always)]
+    fn reduce<L: Lanes<V = V>, const PAIRS: bool, const B: usize>(&self, l: L, op: BinOp, ty: ScalarType, u: usize, v: [V; B]) {
+        let partials = &self.regs[self.f.column as usize + u..][..B];
+        let mut p = v;
+        for i in 0..B {
+            p[i] = partials[i].get();
+        }
+        let p = bin_block::<L, PAIRS, B>(l, op, ty, p, v);
+        for i in 0..B {
+            partials[i].set(p[i]);
+        }
+    }
+
+    /// A mixed tree's lane loop over `lanes`, `B` lanes at a time, with
+    /// `(stride, out_stride)` vectors per iteration in the stream and
+    /// store windows: each fold, down all the lanes, evaluates its terms
+    /// one after another and combines each into the value by its
+    /// operator. Only the operations are const-matched ([`bin_block`]),
+    /// never the tree's shape. Every window is sliced once per block.
+    #[inline(always)]
+    fn tree<L: Lanes<V = V>, const PAIRS: bool, const B: usize>(&mut self, l: L, shape: &Shape, elem: ScalarType, (stride, out_stride): (usize, usize), lanes: Range<usize>) {
+        let mut k = 0;
+        for (g, &op) in self.f.folds().iter().zip(&shape.ops) {
+            let terms = &shape.terms[k..k + g.leaves];
+            for u in lanes.clone().step_by(B) {
+                let at = u * stride;
+                let mut v = self.term::<L, PAIRS, B>(l, shape, elem, terms[0], at, stride);
+                for &t in &terms[1..] {
+                    let x = self.term::<L, PAIRS, B>(l, shape, elem, t, at, stride);
+                    v = bin_block::<L, PAIRS, B>(l, op, elem, v, x);
+                }
+                match g.sink {
+                    Sink::Store { at } => {
+                        let out = &mut self.out[at / 16 + u * out_stride..][..out_stride * (B - 1) + 1];
+                        for i in 0..B {
+                            l.store(v[i], &mut out[out_stride * i]);
+                        }
+                    }
+                    Sink::Reduce { op } => self.reduce::<L, PAIRS, B>(l, op, elem, u, v),
+                    Sink::Shift { .. } => unreachable!("a mixed tree stores or reduces"),
+                }
+            }
+            k += g.leaves;
+        }
+    }
+
+    /// One term of a mixed tree for the lanes whose vectors start `at`
+    /// into the stream windows.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn term<L: Lanes<V = V>, const PAIRS: bool, const B: usize>(&self, l: L, shape: &Shape, elem: ScalarType, t: Term, at: usize, stride: usize) -> [V; B] {
+        let a = self.leaf(l, shape, shape.leaves[t.a as usize], at, stride);
+        let Some(op) = t.op else { return a };
+        let b = if t.b == t.a { a } else { self.leaf(l, shape, shape.leaves[t.b as usize], at, stride) };
+        bin_block::<L, PAIRS, B>(l, op, elem, a, b)
+    }
+
+    /// One leaf of a mixed tree for the lanes whose vectors start `at`
+    /// into the stream windows.
+    #[inline(always)]
+    fn leaf<L: Lanes<V = V>, const B: usize>(&self, l: L, shape: &Shape, leaf: Leaf, at: usize, stride: usize) -> [V; B] {
+        let block = |s: u8| &self.windows[s as usize][at..][..stride * (B - 1) + 1];
+        let mut v = [l.load(&[0; 16]); B];
+        match leaf {
+            Leaf::Stream(s) => {
+                let w = block(s);
+                for i in 0..B {
+                    v[i] = l.load(&w[stride * i]);
+                }
+            }
+            Leaf::Gather { a, b, table } => {
+                let (pattern, lo, hi) = &shape.tables[table as usize];
+                let (a, b) = (block(a), block(b));
+                for i in 0..B {
+                    v[i] = l.perm(l.load(&a[stride * i]), l.load(&b[stride * i]), pattern, lo, hi);
+                }
+            }
+            Leaf::Splat(table) => v = [l.load(&shape.tables[table as usize].0); B],
+        }
+        v
     }
 }
 

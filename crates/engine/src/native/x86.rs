@@ -5,9 +5,10 @@
 //! `#[target_feature]` entries that instantiate the generic driver: the
 //! strip loop, and — out of line, so its lane loops stay out of the
 //! strip loop — the superinstruction runner the bundle's `fold` calls.
-//! Only the AVX2 runner gets a lane loop per `(BinOp, ScalarType)`
-//! pair; the SSE2 baseline, a fallback on current hosts, runs one loop
-//! with the pair a runtime value and keeps the binary small.
+//! Only the AVX2 runner const-matches each operation on its canonical
+//! `(BinOp, ScalarType)` pair (31 of them); the SSE2 baseline, a
+//! fallback on current hosts, runs one loop with the pair a runtime
+//! value and keeps the binary small.
 //! Every call between them is a safe same-context call:
 //! rustc's implied-feature rules make the SSE2-attributed helpers
 //! callable from the AVX2 tier, and the closures in a bundle inherit
@@ -28,8 +29,8 @@
 //! do not emit in hot loops (64-bit multiply, cross-signedness
 //! min/max on SSE2, …).
 //!
-//! This module and `neon` are the only two places in the crate allowed
-//! to use `unsafe`; every block is a load/store intrinsic on an
+//! This module is the only place in the crate allowed to use
+//! `unsafe`; every block is a load/store intrinsic on an
 //! exactly-16-byte array or a feature-checked tier entry. The strip
 //! driver hands those arrays out of bounds-checked slices of the
 //! image, so no access here can leave it.

@@ -18,6 +18,16 @@
 //!   bounds killed at every store to the same array (arrays' guarded
 //!   regions are disjoint, so only same-array stores can invalidate a
 //!   window).
+//! * **gather facts** — "byte `t` of register `r` is `mem[o_t + k·step]`
+//!   of array `A`, as memory currently is" — flow through `vperm`, which
+//!   composes its operands' facts byte by byte. Each also carries the
+//!   *span* its bytes came from: the union of the bounds-checked chunks
+//!   behind them, kept only while it is one contiguous range. A `vperm`
+//!   that reads a gather is one perm of the 32 bytes `[lo, lo + 32)`
+//!   whenever its 16 offsets fit such a window inside the span — the
+//!   same argument shift fusion makes — so it is rewritten to
+//!   `vperm(vload.fused lo, vload.fused lo + 16)`, reusing a pair the
+//!   section already loaded where one fits. The chains it read die.
 //! * **known facts** — registers holding compile-time-constant bytes
 //!   (splats and folds thereof). A binop with one known operand becomes
 //!   an immediate-carrying `BinSplat`; with two, it folds to a `Splat`.
@@ -37,7 +47,7 @@
 //! reported stat: `RunStats` are fixed before this pass runs, and the
 //! differential tests execute every kernel fused and unfused.
 
-use crate::kernel::{Op, NO_REG};
+use crate::kernel::{Op, NO_REG, V};
 use crate::lanes::{self, Reg};
 use simdize_ir::ScalarType;
 use simdize_telemetry as telemetry;
@@ -47,6 +57,9 @@ use simdize_telemetry as telemetry;
 pub struct FusionStats {
     /// `vload`+`vshiftpair` chains rewritten into single fused loads.
     pub fused_loads: usize,
+    /// `vperm` gather chains rewritten into one `vperm` of two fused
+    /// loads.
+    pub composed: usize,
     /// Binops rewritten to immediate forms or folded to splats.
     pub splat_ops: usize,
     /// Iteration-invariant ops moved to a per-loop header.
@@ -78,6 +91,12 @@ pub enum FusionEventKind {
         /// Baked array index.
         arr: u32,
     },
+    /// A `vperm` reading a gather of one array was rewritten into one
+    /// `vperm` of two fused loads of that array.
+    GatherComposed {
+        /// Baked array index.
+        arr: u32,
+    },
     /// An op whose operands were all compile-time-known folded to a
     /// splat immediate.
     FoldedToSplat,
@@ -104,6 +123,10 @@ impl std::fmt::Display for FusionEvent {
             FusionEventKind::LoadFused { arr } => write!(
                 f,
                 "{section}: vload+vshiftpair chain fused into one load of array #{arr}"
+            ),
+            FusionEventKind::GatherComposed { arr } => write!(
+                f,
+                "{section}: vperm gather chain composed into one vperm of two fused loads of array #{arr}"
             ),
             FusionEventKind::FoldedToSplat => {
                 write!(f, "{section}: known-operand op folded to a splat immediate")
@@ -144,49 +167,168 @@ enum Fact {
     /// — the bytes as memory currently is — at iteration `k` of the
     /// enclosing loop (`step` is 0 outside loops).
     Window { arr: u32, start: i64, step: i64 },
+    /// The register holds a gather of array `arr`: the [`Gather`] the
+    /// pass's [`Domain`] keeps at index `id`.
+    Gather { arr: u32, id: u32 },
     /// The register holds exactly these bytes, independent of `k`.
     Known(Reg),
+}
+
+/// What a [`Fact::Gather`] knows: byte `t` of the register is
+/// `mem[base + rel[t] + k·step]` of array `arr`, as memory currently
+/// is, and `mem[base + span.0 + k·step .. base + span.1 + k·step)` is
+/// bounds-checked memory of the array (the union of the chunks the
+/// bytes came from).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Gather {
+    arr: u32,
+    step: i64,
+    base: i64,
+    rel: [i8; 16],
+    span: (i16, i16),
+}
+
+/// The element type and every gather one pass has seen, each once, so
+/// a [`Fact`] stays small and equal gathers are equal facts.
+struct Domain {
+    elem: ScalarType,
+    gathers: Vec<Gather>,
+}
+
+/// The gather arms of the transfer functions, out of line: most plans
+/// have no gathers, and the loops over their facts stay tight.
+impl Domain {
+    #[cold]
+    #[inline(never)]
+    fn gather(&mut self, g: Gather) -> Fact {
+        let id = match self.gathers.iter().position(|x| *x == g) {
+            Some(id) => id,
+            None => {
+                self.gathers.push(g);
+                self.gathers.len() - 1
+            }
+        };
+        Fact::Gather { arr: g.arr, id: id as u32 }
+    }
+
+    /// What `vperm(a, b, pattern)` holds when not a constant: a
+    /// [`gather`], if it is one.
+    #[cold]
+    #[inline(never)]
+    fn perm(&mut self, facts: &[Fact], a: u32, b: u32, pattern: &[u8; 16]) -> Fact {
+        gather(facts, a, b, pattern, self).map_or(Fact::Bottom, |g| self.gather(g))
+    }
+
+    /// Gather `id` with its iteration `k + by` as its iteration `k`.
+    fn advance(&mut self, id: u32, by: i64) -> Fact {
+        let g = self.gathers[id as usize];
+        self.gather(Gather { base: g.base + by * g.step, ..g })
+    }
+
+    /// [`meet`] of every pair of gathers in `pre` and `end` (the back
+    /// edge, before translating it back an iteration) into `next`.
+    #[cold]
+    #[inline(never)]
+    fn meet_all(&mut self, next: &mut [Fact], pre: &[Fact], end: &[Fact]) {
+        for ((n, p), b) in next.iter_mut().zip(pre).zip(end) {
+            if let (&Fact::Gather { id: x, .. }, &Fact::Gather { id: y, .. }) = (p, b) {
+                *n = self.advance(y, -1);
+                if let Fact::Gather { id: y, .. } = *n {
+                    *n = self.meet(x, y);
+                }
+            }
+        }
+    }
+
+    /// Kills every gather of array `arr` among `facts`: a store to it.
+    #[cold]
+    #[inline(never)]
+    fn kill(&self, facts: &mut [Fact], arr: u32) {
+        for f in facts {
+            if matches!(f, Fact::Gather { arr: a, .. } if *a == arr) {
+                *f = Fact::Bottom;
+            }
+        }
+    }
+
+    /// [`concretize`] for the gathers among `facts`.
+    #[cold]
+    #[inline(never)]
+    fn concretize(&mut self, facts: &mut [Fact], iters: i64) {
+        for f in facts {
+            if let Fact::Gather { id, .. } = *f {
+                let g = self.gathers[id as usize];
+                *f = self.gather(Gather { base: g.base + (iters - 1) * g.step, step: 0, ..g });
+            }
+        }
+    }
+
+    /// [`meet`] of two gathers: one iff both agree on array and
+    /// first-iteration bytes, with the back edge's step and the span
+    /// both vouch for.
+    fn meet(&mut self, pre: u32, back: u32) -> Fact {
+        let (x, y) = (self.gathers[pre as usize], self.gathers[back as usize]);
+        if (x.arr, x.base, x.rel) != (y.arr, y.base, y.rel) {
+            return Fact::Bottom;
+        }
+        self.gather(Gather { span: (x.span.0.max(y.span.0), x.span.1.min(y.span.1)), ..y })
+    }
+}
+
+/// What [`optimize`] hands back beside the rewritten sections.
+pub(crate) struct Fused {
+    /// The hoisted pair and body headers.
+    pub(crate) pair_header: Vec<Op>,
+    pub(crate) body_header: Vec<Op>,
+    pub(crate) stats: FusionStats,
+    pub(crate) events: Vec<FusionEvent>,
+    /// The register ids in use: the bake's and the loads composition
+    /// added.
+    pub(crate) nregs: usize,
 }
 
 /// Runs the full pass over a kernel's sections. Returns the hoisted
 /// pair and body headers plus the fusion telemetry: aggregate counts
 /// and the per-rewrite event list.
-pub(crate) fn optimize(s: Sections) -> (Vec<Op>, Vec<Op>, FusionStats, Vec<FusionEvent>) {
+pub(crate) fn optimize(s: Sections) -> Fused {
     let mut st = FusionStats::default();
     let mut ev = Vec::new();
+    // Composition adds registers from `next` on, growing the facts.
+    let mut next = s.nregs as u32;
     let mut facts = vec![Fact::Bottom; s.nregs];
+    let d = &mut Domain { elem: s.elem, gathers: Vec::new() };
     {
         let _span = telemetry::span("rewrite");
-        rewrite(s.prologue, &mut facts, s.elem, &mut st, "prologue", &mut ev);
+        rewrite(s.prologue, &mut facts, &mut next, d, &mut st, "prologue", &mut ev);
     }
 
     let mut pair_header = Vec::new();
     if s.pair_iters > 0 {
-        let entry = loop_entry(&facts, s.pair, s.elem);
+        let entry = loop_entry(&facts, s.pair, d);
         let mut work = entry;
         {
             let _span = telemetry::span("rewrite");
-            rewrite(s.pair, &mut work, s.elem, &mut st, "pair", &mut ev);
+            rewrite(s.pair, &mut work, &mut next, d, &mut st, "pair", &mut ev);
         }
         let _span = telemetry::span("hoist");
-        pair_header = hoist(s.pair, s.pair_iters, s.nregs, &mut st, "pair", &mut ev);
-        facts = concretize(work, s.pair_iters);
+        pair_header = hoist(s.pair, s.pair_iters, next as usize, &mut st, "pair", &mut ev);
+        facts = concretize(work, s.pair_iters, d);
     }
     let mut body_header = Vec::new();
     if s.body_iters > 0 {
-        let entry = loop_entry(&facts, s.body, s.elem);
+        let entry = loop_entry(&facts, s.body, d);
         let mut work = entry;
         {
             let _span = telemetry::span("rewrite");
-            rewrite(s.body, &mut work, s.elem, &mut st, "body", &mut ev);
+            rewrite(s.body, &mut work, &mut next, d, &mut st, "body", &mut ev);
         }
         let _span = telemetry::span("hoist");
-        body_header = hoist(s.body, s.body_iters, s.nregs, &mut st, "body", &mut ev);
-        facts = concretize(work, s.body_iters);
+        body_header = hoist(s.body, s.body_iters, next as usize, &mut st, "body", &mut ev);
+        facts = concretize(work, s.body_iters, d);
     }
     {
         let _span = telemetry::span("rewrite");
-        rewrite(s.epilogue, &mut facts, s.elem, &mut st, "epilogue", &mut ev);
+        rewrite(s.epilogue, &mut facts, &mut next, d, &mut st, "epilogue", &mut ev);
     }
 
     {
@@ -199,19 +341,20 @@ pub(crate) fn optimize(s: Sections) -> (Vec<Op>, Vec<Op>, FusionStats, Vec<Fusio
             Segment { ops: s.body, iters: s.body_iters, name: "body" },
             Segment { ops: s.epilogue, iters: 1, name: "epilogue" },
         ];
-        dce(&mut segments, s.nregs, &mut st, &mut ev);
+        dce(&mut segments, next as usize, &mut st, &mut ev);
     }
     if telemetry::enabled() {
         telemetry::counter("fuse.fused_loads").add(st.fused_loads as u64);
+        telemetry::counter("fuse.composed").add(st.composed as u64);
         telemetry::counter("fuse.splat_ops").add(st.splat_ops as u64);
         telemetry::counter("fuse.hoisted").add(st.hoisted as u64);
         telemetry::counter("fuse.eliminated").add(st.eliminated as u64);
         telemetry::tag(
             "fusion.rewrites",
-            (st.fused_loads + st.splat_ops + st.hoisted + st.eliminated) as u64,
+            (st.fused_loads + st.composed + st.splat_ops + st.hoisted + st.eliminated) as u64,
         );
     }
-    (pair_header, body_header, st, ev)
+    Fused { pair_header, body_header, stats: st, events: ev, nregs: next as usize }
 }
 
 /// The defined register of `op`, if any (only `Store` has none).
@@ -285,11 +428,50 @@ fn shift_window(facts: &[Fact], a: u32, b: u32, amt: u8) -> Option<(u32, i64, i6
     }
 }
 
+/// Byte `i` of a register that `f` describes, if it is a memory byte:
+/// its array, step and offset, and the bounds-checked span it came
+/// from.
+fn memory_byte(f: Fact, i: u8, d: &Domain) -> Option<(u32, i64, i64, (i64, i64))> {
+    match f {
+        Fact::Window { arr, start, step } => Some((arr, step, start + i as i64, (start, start + V))),
+        Fact::Gather { id, .. } => {
+            let Gather { arr, step, base, rel, span } = d.gathers[id as usize];
+            Some((arr, step, base + rel[i as usize] as i64, (base + span.0 as i64, base + span.1 as i64)))
+        }
+        _ => None,
+    }
+}
+
+/// The gather `vperm(a, b, pattern)` computes: defined when every byte
+/// it selects is a memory byte of one array at one step and the spans
+/// those bytes came from make one contiguous range — every byte of
+/// which was read by a bounds-checked load, in every iteration.
+fn gather(facts: &[Fact], a: u32, b: u32, pattern: &[u8; 16], d: &Domain) -> Option<Gather> {
+    let mut offsets = [0i64; 16];
+    let (mut source, mut span) = (None, None);
+    for (t, &sel) in pattern.iter().enumerate() {
+        let (f, i) = if sel < 16 { (a, sel) } else { (b, sel - 16) };
+        let (arr, step, offset, (lo, hi)) = memory_byte(facts[f as usize], i, d)?;
+        let (l, h) = span.get_or_insert((lo, hi));
+        if *source.get_or_insert((arr, step)) != (arr, step) || lo > *h || hi < *l {
+            return None;
+        }
+        (*l, *h) = ((*l).min(lo), (*h).max(hi));
+        offsets[t] = offset;
+    }
+    let ((arr, step), (lo, hi)) = (source?, span?);
+    let base = *offsets.iter().min()?;
+    let rel = offsets.map(|o| i8::try_from(o - base).ok());
+    let span = (i16::try_from(lo - base).ok()?, i16::try_from(hi - base).ok()?);
+    rel.iter().all(Option::is_some).then(|| Gather { arr, step, base, rel: rel.map(|r| r.unwrap_or(0)), span })
+}
+
 /// Transfer function: updates `facts` across one op. Stores kill every
 /// window into the stored array (registers are unaffected; windows are
 /// claims about memory). Cross-array kills are unnecessary because
 /// array guarded regions never overlap.
-fn flow(op: &Op, facts: &mut [Fact], elem: ScalarType) {
+fn flow(op: &Op, facts: &mut [Fact], d: &mut Domain) {
+    let elem = d.elem;
     match *op {
         Op::Load { dst, arr, start, step } | Op::LoadFused { dst, arr, start, step } => {
             facts[dst as usize] = Fact::Window { arr, start, step };
@@ -299,6 +481,9 @@ fn flow(op: &Op, facts: &mut [Fact], elem: ScalarType) {
                 if matches!(f, Fact::Window { arr: a, .. } if *a == arr) {
                     *f = Fact::Bottom;
                 }
+            }
+            if !d.gathers.is_empty() {
+                d.kill(facts, arr);
             }
         }
         Op::Shift { dst, a, b, amt } => {
@@ -319,7 +504,7 @@ fn flow(op: &Op, facts: &mut [Fact], elem: ScalarType) {
         Op::Perm { dst, a, b, ref pattern } => {
             facts[dst as usize] = match (known(facts, a), known(facts, b)) {
                 (Some(x), Some(y)) => Fact::Known(perm_bytes(&x, &y, pattern)),
-                _ => Fact::Bottom,
+                _ => d.perm(facts, a, b, pattern),
             };
         }
         Op::Splat { dst, bytes } => facts[dst as usize] = Fact::Known(bytes),
@@ -350,6 +535,7 @@ fn flow(op: &Op, facts: &mut [Fact], elem: ScalarType) {
 /// back-edge fact (must hold at iterations ≥ 1). A window survives iff
 /// both agree on array and first-iteration start; the step comes from
 /// the back edge (fall-in facts are iteration-independent, step 0).
+/// Gathers meet in [`Domain::meet`].
 fn meet(pre: &Fact, back: &Fact) -> Fact {
     match (pre, back) {
         (Fact::Known(x), Fact::Known(y)) if x == y => Fact::Known(*x),
@@ -369,19 +555,23 @@ fn meet(pre: &Fact, back: &Fact) -> Fact {
 /// component, at `k ≥ 1` through the back-edge component. Bails to
 /// all-`Bottom` (no information, no rewrites) if 64 rounds don't
 /// converge.
-fn loop_entry(pre: &[Fact], ops: &[Op], elem: ScalarType) -> Vec<Fact> {
+fn loop_entry(pre: &[Fact], ops: &[Op], d: &mut Domain) -> Vec<Fact> {
     let mut entry = pre.to_vec();
     for _ in 0..64 {
         let mut end = entry.clone();
         for op in ops {
-            flow(op, &mut end, elem);
+            flow(op, &mut end, d);
         }
         for f in &mut end {
             if let Fact::Window { start, step, .. } = f {
                 *start -= *step;
             }
         }
-        let next: Vec<Fact> = pre.iter().zip(&end).map(|(p, b)| meet(p, b)).collect();
+        let mut next: Vec<Fact> = pre.iter().zip(&end).map(|(p, b)| meet(p, b)).collect();
+        // Gathers, in a pass of their own: most plans have none.
+        if !d.gathers.is_empty() {
+            d.meet_all(&mut next, pre, &end);
+        }
         if next == entry {
             return entry;
         }
@@ -392,8 +582,8 @@ fn loop_entry(pre: &[Fact], ops: &[Op], elem: ScalarType) -> Vec<Fact> {
 
 /// Re-expresses per-iteration facts as facts that hold after the loop
 /// completes `iters` iterations (windows pinned to the last iteration).
-fn concretize(facts: Vec<Fact>, iters: i64) -> Vec<Fact> {
-    facts
+fn concretize(facts: Vec<Fact>, iters: i64, d: &mut Domain) -> Vec<Fact> {
+    let mut facts: Vec<Fact> = facts
         .into_iter()
         .map(|f| match f {
             Fact::Window { arr, start, step } => Fact::Window {
@@ -403,63 +593,187 @@ fn concretize(facts: Vec<Fact>, iters: i64) -> Vec<Fact> {
             },
             other => other,
         })
-        .collect()
+        .collect();
+    // Gathers, in a pass of their own: most plans have none.
+    if !d.gathers.is_empty() {
+        d.concretize(&mut facts, iters);
+    }
+    facts
 }
 
 /// One forward pass over a section: rewrites shift chains over adjacent
-/// windows into fused loads and known-operand arithmetic into
-/// splat/immediate forms, threading `facts` through every (rewritten)
-/// op.
+/// windows into fused loads, perms of gathers into perms of two fused
+/// loads ([`compose`]) and known-operand arithmetic into splat/immediate
+/// forms, threading `facts` through every (rewritten) op. New registers
+/// come from `next`.
 fn rewrite(
-    ops: &mut [Op],
-    facts: &mut [Fact],
-    elem: ScalarType,
+    ops: &mut Vec<Op>,
+    facts: &mut Vec<Fact>,
+    next: &mut u32,
+    d: &mut Domain,
     st: &mut FusionStats,
     section: &'static str,
     ev: &mut Vec<FusionEvent>,
 ) {
+    if ops.iter().any(|op| matches!(op, Op::Perm { .. })) {
+        return rewrite_gathers(ops, facts, next, d, st, section, ev);
+    }
     for op in ops.iter_mut() {
-        let new = match *op {
-            Op::Shift { dst, a, b, amt } => {
-                if let Some((arr, start, step)) = shift_window(facts, a, b, amt) {
-                    Some(Op::LoadFused { dst, arr, start, step })
-                } else if let (Some(x), Some(y)) = (known(facts, a), known(facts, b)) {
-                    Some(Op::Splat { dst, bytes: shift_bytes(&x, &y, amt) })
-                } else {
-                    None
-                }
-            }
-            Op::Bin { dst, op: o, a, b } => match (known(facts, a), known(facts, b)) {
-                (Some(x), Some(y)) => Some(Op::Splat { dst, bytes: lanes::bin(o, elem, &x, &y) }),
-                (Some(x), None) => Some(Op::BinSplat { dst, op: o, a: b, imm: x, imm_left: true }),
-                (None, Some(y)) => Some(Op::BinSplat { dst, op: o, a, imm: y, imm_left: false }),
-                (None, None) => None,
-            },
-            Op::Un { dst, op: o, a } => {
-                known(facts, a).map(|x| Op::Splat { dst, bytes: lanes::un(o, elem, &x) })
-            }
-            _ => None,
-        };
-        if let Some(new) = new {
-            let kind = match new {
-                Op::LoadFused { arr, .. } => {
-                    st.fused_loads += 1;
-                    FusionEventKind::LoadFused { arr }
-                }
-                Op::BinSplat { .. } => {
-                    st.splat_ops += 1;
-                    FusionEventKind::ImmediateForm
-                }
-                _ => {
-                    st.splat_ops += 1;
-                    FusionEventKind::FoldedToSplat
-                }
-            };
-            ev.push(FusionEvent { section, kind });
+        if let Some(new) = simplify(op, facts, d.elem) {
+            ev.push(FusionEvent { section, kind: record(&new, facts, st) });
             *op = new;
         }
-        flow(op, facts, elem);
+        flow(op, facts, d);
     }
+}
+
+/// [`rewrite`] for a section with perms, which may compose: the one
+/// loop that reads the ops before the current one and inserts loads.
+#[cold]
+#[inline(never)]
+fn rewrite_gathers(
+    ops: &mut Vec<Op>,
+    facts: &mut Vec<Fact>,
+    next: &mut u32,
+    d: &mut Domain,
+    st: &mut FusionStats,
+    section: &'static str,
+    ev: &mut Vec<FusionEvent>,
+) {
+    // Loads composition inserts, by the index of the op they precede.
+    let mut loads: Vec<(usize, Op)> = Vec::new();
+    for at in 0..ops.len() {
+        let new = match ops[at] {
+            Op::Perm { dst, a, b, ref pattern } => compose(&ops[..at], &mut loads, at, facts, next, d, (dst, a, b, pattern)),
+            ref op => simplify(op, facts, d.elem),
+        };
+        if let Some(new) = new {
+            ev.push(FusionEvent { section, kind: record(&new, facts, st) });
+            ops[at] = new;
+        }
+        flow(&ops[at], facts, d);
+    }
+    if !loads.is_empty() {
+        insert(ops, loads);
+    }
+}
+
+/// The rewrite of a shift chain over adjacent windows into a fused
+/// load, or of known-operand arithmetic into splat/immediate forms.
+fn simplify(op: &Op, facts: &[Fact], elem: ScalarType) -> Option<Op> {
+    match *op {
+        Op::Shift { dst, a, b, amt } => {
+            if let Some((arr, start, step)) = shift_window(facts, a, b, amt) {
+                Some(Op::LoadFused { dst, arr, start, step })
+            } else if let (Some(x), Some(y)) = (known(facts, a), known(facts, b)) {
+                Some(Op::Splat { dst, bytes: shift_bytes(&x, &y, amt) })
+            } else {
+                None
+            }
+        }
+        Op::Bin { dst, op: o, a, b } => match (known(facts, a), known(facts, b)) {
+            (Some(x), Some(y)) => Some(Op::Splat { dst, bytes: lanes::bin(o, elem, &x, &y) }),
+            (Some(x), None) => Some(Op::BinSplat { dst, op: o, a: b, imm: x, imm_left: true }),
+            (None, Some(y)) => Some(Op::BinSplat { dst, op: o, a, imm: y, imm_left: false }),
+            (None, None) => None,
+        },
+        Op::Un { dst, op: o, a } => known(facts, a).map(|x| Op::Splat { dst, bytes: lanes::un(o, elem, &x) }),
+        _ => None,
+    }
+}
+
+/// Counts the rewrite to `new` in `st` and names it for the event list.
+fn record(new: &Op, facts: &[Fact], st: &mut FusionStats) -> FusionEventKind {
+    match *new {
+        Op::LoadFused { arr, .. } => {
+            st.fused_loads += 1;
+            FusionEventKind::LoadFused { arr }
+        }
+        Op::Perm { a, .. } => {
+            st.composed += 1;
+            match facts[a as usize] {
+                Fact::Window { arr, .. } => FusionEventKind::GatherComposed { arr },
+                _ => unreachable!("a composed perm reads two loads"),
+            }
+        }
+        Op::BinSplat { .. } => {
+            st.splat_ops += 1;
+            FusionEventKind::ImmediateForm
+        }
+        _ => {
+            st.splat_ops += 1;
+            FusionEventKind::FoldedToSplat
+        }
+    }
+}
+
+/// Inserts each of `loads` before the op its index names.
+#[cold]
+#[inline(never)]
+fn insert(ops: &mut Vec<Op>, loads: Vec<(usize, Op)>) {
+    let mut loads = loads.into_iter().peekable();
+    let old = std::mem::take(ops);
+    for (at, op) in old.into_iter().enumerate() {
+        while let Some((_, load)) = loads.next_if(|&(i, _)| i == at) {
+            ops.push(load);
+        }
+        ops.push(op);
+    }
+}
+
+/// The rewrite of `dst = vperm(a, b, pattern)` at index `at`, when it
+/// reads a gather (of one array, at one step) whose 16 offsets fit a
+/// 32-byte window `[lo, lo + 32)` inside the gather's span: the same
+/// perm of the window's two vectors. Takes a pair of registers this
+/// section already loaded with such a window — the highest — or loads
+/// the highest window into two new registers, recorded in `loads` and
+/// flowed through `facts` before the perm.
+fn compose(
+    before: &[Op],
+    loads: &mut Vec<(usize, Op)>,
+    at: usize,
+    facts: &mut Vec<Fact>,
+    next: &mut u32,
+    d: &mut Domain,
+    (dst, a, b, pattern): (u32, u32, u32, &[u8; 16]),
+) -> Option<Op> {
+    let reads_gather = |&sel: &u8| matches!(facts[if sel < 16 { a } else { b } as usize], Fact::Gather { .. });
+    if !pattern.iter().any(reads_gather) {
+        return None;
+    }
+    let Gather { arr, step, base, rel, span } = gather(facts, a, b, pattern, d)?;
+    let last = base + *rel.iter().max()? as i64;
+    let (low, high) = ((last + 1 - 2 * V).max(base + span.0 as i64), base.min(base + span.1 as i64 - 2 * V));
+    // A register this section loaded with `[start, start + 16)` of the
+    // array that still holds it.
+    let held = |start: i64| {
+        let window = Fact::Window { arr, start, step };
+        before.iter().chain(loads.iter().map(|(_, op)| op)).find_map(|op| match *op {
+            Op::Load { dst, arr: x, start: s, step: t } | Op::LoadFused { dst, arr: x, start: s, step: t }
+                if (x, s, t) == (arr, start, step) && facts[dst as usize] == window =>
+            {
+                Some(dst)
+            }
+            _ => None,
+        })
+    };
+    let (lo, x, y) = match (low..=high).rev().find_map(|lo| Some((lo, held(lo)?, held(lo + V)?))) {
+        Some(pair) => pair,
+        None if low <= high => {
+            let (x, y) = (*next, *next + 1);
+            *next += 2;
+            facts.resize(*next as usize, Fact::Bottom);
+            for (r, start) in [(x, high), (y, high + V)] {
+                let load = Op::LoadFused { dst: r, arr, start, step };
+                flow(&load, facts, d);
+                loads.push((at, load));
+            }
+            (high, x, y)
+        }
+        None => return None,
+    };
+    let composed = rel.map(|r| (base + r as i64 - lo) as u8);
+    ((x, y, &composed) != (a, b, pattern)).then_some(Op::Perm { dst, a: x, b: y, pattern: composed })
 }
 
 /// Moves iteration-invariant ops out of a loop section into a header
@@ -647,7 +961,7 @@ mod tests {
         epilogue: &mut Vec<Op>,
         nregs: usize,
     ) -> (Vec<Op>, Vec<Op>, FusionStats) {
-        let (ph, bh, st, _) = optimize(Sections {
+        let fused = optimize(Sections {
             prologue,
             pair,
             pair_iters,
@@ -657,7 +971,138 @@ mod tests {
             nregs,
             elem: elem(),
         });
-        (ph, bh, st)
+        (fused.pair_header, fused.body_header, fused.stats)
+    }
+
+    /// `body` as a loop of 8 iterations with nothing around it.
+    fn fuse_body(body: &mut Vec<Op>, nregs: usize) -> FusionStats {
+        run(&mut Vec::new(), &mut Vec::new(), 0, body, 8, &mut Vec::new(), nregs).2
+    }
+
+    const B: i64 = 1000;
+
+    fn perm(dst: u32, a: u32, b: u32, pattern: [u8; 16]) -> Op {
+        Op::Perm { dst, a, b, pattern }
+    }
+
+    fn load(dst: u32, start: i64) -> Op {
+        Op::Load { dst, arr: 0, start, step: 32 }
+    }
+
+    /// Bytes `4·e..4·e + 4` for each element `e` of `elems`, then
+    /// bytes `from..` to fill the register.
+    fn pick(elems: &[u8], from: u8) -> [u8; 16] {
+        let mut out: [u8; 16] = std::array::from_fn(|i| from + i as u8);
+        for (k, &e) in elems.iter().enumerate() {
+            for j in 0..4 {
+                out[4 * k + j] = 4 * e + j as u8;
+            }
+        }
+        out
+    }
+
+    /// `deinterleave`'s stride-2 gather of the even (`odd = 0`) or odd
+    /// `i32` elements of `arr0[B..B + 32)`, as codegen emits it: three
+    /// chunk loads (`B - 8`, `B + 8`, `B + 24`) and a chain of three
+    /// perms, the last into register `d + 5`.
+    fn chain(d: u32, odd: u8) -> Vec<Op> {
+        vec![
+            load(d, B - 8),
+            perm(d + 1, d, d, pick(&[6 + odd], 1)),
+            load(d + 2, B + 8),
+            perm(d + 3, d + 1, d + 2, pick(&[0, 4 + odd, 6 + odd], 3)),
+            load(d + 4, B + 24),
+            perm(d + 5, d + 3, d + 4, pick(&[0, 1, 2, 4 + odd], 4)),
+        ]
+    }
+
+    #[test]
+    fn a_perm_chain_over_adjacent_chunks_composes_to_two_loads_and_one_perm() {
+        let mut body = chain(0, 0);
+        body.push(Op::Store { src: 5, arr: 1, start: 4000, step: 16 });
+        let st = fuse_body(&mut body, 6);
+        assert_eq!((st.composed, st.fused_loads, st.eliminated), (2, 0, 5), "{body:?}");
+        let even: [u8; 16] = std::array::from_fn(|i| (i / 4 * 8 + i % 4) as u8);
+        assert_eq!(
+            body,
+            vec![
+                Op::LoadFused { dst: 6, arr: 0, start: B, step: 32 },
+                Op::LoadFused { dst: 7, arr: 0, start: B + 16, step: 32 },
+                perm(5, 6, 7, even),
+                Op::Store { src: 5, arr: 1, start: 4000, step: 16 },
+            ]
+        );
+    }
+
+    #[test]
+    fn even_and_odd_gathers_share_their_loads() {
+        let mut body = chain(0, 0);
+        body.extend(chain(6, 1));
+        body.push(Op::Bin { dst: 12, op: simdize_ir::BinOp::Add, a: 5, b: 11 });
+        body.push(Op::Store { src: 12, arr: 1, start: 4000, step: 16 });
+        let st = fuse_body(&mut body, 13);
+        assert_eq!(st.composed, 4);
+        let loads: Vec<&Op> = body.iter().filter(|op| matches!(op, Op::Load { .. } | Op::LoadFused { .. })).collect();
+        assert_eq!(
+            loads,
+            [&Op::LoadFused { dst: 13, arr: 0, start: B, step: 32 }, &Op::LoadFused { dst: 14, arr: 0, start: B + 16, step: 32 }]
+        );
+        let perms: Vec<&Op> = body.iter().filter(|op| matches!(op, Op::Perm { .. })).collect();
+        assert!(matches!(perms[..], [Op::Perm { a: 13, b: 14, .. }, Op::Perm { a: 13, b: 14, .. }]), "{body:?}");
+    }
+
+    #[test]
+    fn a_gather_spanning_more_than_32_bytes_stays_as_it_is() {
+        // Stride 4 over i32: elements 16 bytes apart, four chunks.
+        let mut body = vec![
+            load(0, B),
+            load(1, B + 16),
+            perm(2, 0, 1, pick(&[0, 4], 2)),
+            load(3, B + 32),
+            perm(4, 2, 3, pick(&[0, 1, 4], 3)),
+            load(5, B + 48),
+            perm(6, 4, 5, pick(&[0, 1, 2, 4], 4)),
+            Op::Store { src: 6, arr: 1, start: 4000, step: 16 },
+        ];
+        let before = body.clone();
+        let st = fuse_body(&mut body, 7);
+        assert_eq!((st.composed, st.eliminated), (0, 0));
+        assert_eq!(body, before);
+    }
+
+    #[test]
+    fn a_store_to_the_array_between_the_loads_blocks_composition() {
+        let mut body = chain(0, 0);
+        body.insert(3, Op::Store { src: 1, arr: 0, start: 9000, step: 16 });
+        body.push(Op::Store { src: 5, arr: 1, start: 4000, step: 16 });
+        let before = body.clone();
+        let st = fuse_body(&mut body, 6);
+        assert_eq!(st.composed, 0);
+        assert_eq!(body, before);
+    }
+
+    #[test]
+    fn the_composed_window_never_leaves_the_constituents_union() {
+        // Two chunks, `[B - 8, B + 24)`; the gather reads bytes
+        // `B + 2 .. B + 18`, so a window at its first byte would run 10
+        // bytes past the union. The only window inside is the union,
+        // which the chunk loads already hold.
+        let spread: [u8; 16] = std::array::from_fn(|i| 10 + i as u8);
+        let mut body = vec![
+            load(0, B - 8),
+            perm(1, 0, 0, spread),
+            load(2, B + 8),
+            perm(3, 1, 2, std::array::from_fn(|i| if i < 6 { i as u8 } else { 10 + i as u8 })),
+            Op::Store { src: 3, arr: 1, start: 4000, step: 16 },
+        ];
+        let st = fuse_body(&mut body, 4);
+        assert_eq!(st.composed, 1);
+        for op in &body {
+            if let Op::Load { start, .. } | Op::LoadFused { start, .. } = *op {
+                assert!((B - 8..=B + 8).contains(&start), "{op:?} leaves [B - 8, B + 24)");
+            }
+        }
+        assert!(matches!(body[..], [_, _, Op::Perm { dst: 3, a: 0, b: 2, .. }, _]), "{body:?}");
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! `"schema"` field, a `"mode"` discriminant
 //! (`"stream"` / `"inapplicable"` / `"strided"`), and a `"loop"`
 //! object; stream reports add `"decisions"`, `"program"`,
-//! `"accounting"`, `"stats"` and `"engine"` sections.
+//! `"accounting"`, `"stats"` and `"engine"` sections, strided reports
+//! the engine's trace-fusion `"decisions"`.
 
 use crate::accounting::Accounting;
 use crate::backlink::AnnotatedSection;
@@ -181,10 +182,23 @@ fn inapplicable_json(r: &InapplicableReport) -> String {
 }
 
 fn strided_json(r: &StridedReport) -> String {
+    let decisions: Vec<String> = r
+        .fusion
+        .iter()
+        .enumerate()
+        .map(|(i, e)| {
+            let id = DecisionId::fusion(i);
+            format!(
+                "{{\"id\":\"{id}\",\"phase\":\"{}\",\"text\":\"{}\"}}",
+                id.phase.name(),
+                escape(&e.to_string())
+            )
+        })
+        .collect();
     format!(
         "{{\"schema\":\"{SCHEMA}\",\"mode\":\"strided\",\"loop\":{},\
          \"program\":\"{}\",\"stats\":{},\"data\":{},\"opd\":{},\"model_opd\":{},\
-         \"verified\":{},\"speedup\":{}}}",
+         \"verified\":{},\"speedup\":{},\"decisions\":[{}]}}",
         loop_json(&r.info),
         escape(&r.program.to_string()),
         stats_json(&r.stats),
@@ -192,6 +206,7 @@ fn strided_json(r: &StridedReport) -> String {
         num(r.opd),
         num(r.model_opd),
         r.verified,
-        num(r.speedup)
+        num(r.speedup),
+        decisions.join(",")
     )
 }

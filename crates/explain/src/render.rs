@@ -181,6 +181,12 @@ fn strided_text(r: &StridedReport) -> String {
         r.opd, r.data, r.model_opd, r.speedup
     );
     let _ = writeln!(out, "verified: {}", r.verified);
+    if !r.fusion.is_empty() {
+        let _ = writeln!(out, "\n== engine trace fusion ==");
+        for (i, e) in r.fusion.iter().enumerate() {
+            let _ = writeln!(out, "F{i}  {e}");
+        }
+    }
     out
 }
 
@@ -372,6 +378,12 @@ fn strided_markdown(r: &StridedReport) -> String {
     );
     let _ = writeln!(out, "- speedup: **{:.2}x** vs idealistic scalar", r.speedup);
     let _ = writeln!(out, "- verified: **{}**", r.verified);
+    if !r.fusion.is_empty() {
+        let _ = writeln!(out, "\n## Engine trace fusion\n");
+        for (i, e) in r.fusion.iter().enumerate() {
+            let _ = writeln!(out, "- `F{i}` {e}");
+        }
+    }
     out
 }
 

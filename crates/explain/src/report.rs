@@ -8,7 +8,7 @@ use simdize_codegen::{
     generate_strided, generate_traced, strided_model_opd, CodegenOptions, CodegenTrace, ReuseMode,
     SimdProgram,
 };
-use simdize_engine::CompiledKernel;
+use simdize_engine::{CompiledKernel, FusionEvent};
 use simdize_ir::{parse_program, LoopProgram, VectorShape};
 use simdize_reorg::{Policy, PolicyError, ReorgGraph};
 use simdize_vm::{run_differential, DiffConfig, MemoryImage, RunInput, RunStats};
@@ -144,6 +144,10 @@ pub struct StridedReport {
     pub verified: bool,
     /// Speedup over the idealistic scalar loop.
     pub speedup: f64,
+    /// The engine's trace-fusion rewrites of the baked plan (`F<n>`):
+    /// the composed `vperm` gather chains, among others. Empty for
+    /// shapes the engine does not bake (it runs V16 only).
+    pub fusion: Vec<FusionEvent>,
 }
 
 impl Explainer {
@@ -321,6 +325,16 @@ impl Explainer {
     ) -> Result<ExplainReport, ExplainError> {
         let compiled = generate_strided(program, self.shape)?;
         let outcome = run_differential(&compiled, &self.diff_config())?;
+        let input = RunInput {
+            ub: info.ub,
+            params: self.params.clone(),
+        };
+        let image = MemoryImage::with_seed(program, self.shape, self.seed);
+        let fusion = match CompiledKernel::compile(&compiled, &image, &input) {
+            Ok(kernel) => kernel.fusion_events().to_vec(),
+            Err(_) if self.shape != VectorShape::V16 => Vec::new(),
+            Err(e) => return Err(e.into()),
+        };
         Ok(ExplainReport::Strided(Box::new(StridedReport {
             info,
             opd: outcome.opd(),
@@ -330,6 +344,7 @@ impl Explainer {
             data: outcome.data_produced,
             stats: outcome.stats,
             program: compiled,
+            fusion,
         })))
     }
 

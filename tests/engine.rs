@@ -193,6 +193,38 @@ epilogue:
     assert_eq!(kernel.trace(), expected);
 }
 
+/// Pins the fused plan of `loops/deinterleave.loop` (`out[i] =
+/// inter[2i]² + inter[2i+1]²`): trace fusion composes each half's chain
+/// of three `vperm`s over three chunk loads into one `vperm` of the two
+/// vectors at `base+0` / `base+16`, which both halves share, and the
+/// strip driver runs the body as one mixed-tree superinstruction — one
+/// dispatch per strip.
+#[test]
+fn golden_plan_for_the_composed_deinterleave_body() {
+    let path = format!("{}/loops/deinterleave.loop", env!("CARGO_MANIFEST_DIR"));
+    let program = simdize::parse_program(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let compiled = Simdizer::new().compile(&program).unwrap();
+    let img = MemoryImage::with_seed(&program, VectorShape::V16, 1);
+    let kernel = CompiledKernel::compile(&compiled, &img, &RunInput::with_ub(500)).unwrap();
+    let expected = "\
+; plan: V=16 lanes=128 fused-loads=0 splat-ops=0 hoisted=0 eliminated=10
+body x125, strip:
+  fold add(mul(g0, g0), mul(g1, g1)) over 2 streams -> vstore
+    v0 = vload.fused arr1[base+0; +32/iter]
+    v32 = vload.fused arr1[base+16; +32/iter]
+    v64 = vperm(v0, v32, [0,1,2,3,8,9,10,11,16,17,18,19,24,25,26,27])
+    v96 = mul(v64, v64)
+    v64 = vperm(v0, v32, [4,5,6,7,12,13,14,15,20,21,22,23,28,29,30,31])
+    v32 = mul(v64, v64)
+    v64 = add(v96, v32)
+    vstore arr0[base+0; +16/iter], v64
+";
+    assert_eq!(kernel.trace(), expected);
+    // Each half's last two perms composed (the middle one first onto
+    // the chunks already loaded, then dead).
+    assert_eq!(kernel.fusion_stats().composed, 4);
+}
+
 /// The listing is a view of the plan, not something a bake builds:
 /// `disassembly(false)`, a no-op, bakes the identical plan — the same
 /// listing and the same bytes, fused or not.

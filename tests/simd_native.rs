@@ -83,10 +83,21 @@ fn check_bake(
     label: &str,
     opts: KernelOptions,
 ) -> (Schedule, RunStats, String) {
-    let input = RunInput::with_ub(ub);
+    check_input(program, compiled, &RunInput::with_ub(ub), seed, label, opts)
+}
+
+/// [`check_bake`] for a loop with runtime parameters.
+fn check_input(
+    program: &simdize::LoopProgram,
+    compiled: &simdize::SimdProgram,
+    input: &RunInput,
+    seed: u64,
+    label: &str,
+    opts: KernelOptions,
+) -> (Schedule, RunStats, String) {
     let mut interp_img = MemoryImage::with_seed(program, VectorShape::V16, seed);
-    let kernel = PredecodedKernel::new(compiled).unwrap().bake(&interp_img, &input, &opts).unwrap();
-    let want = run_simd(compiled, &mut interp_img, &input).unwrap();
+    let kernel = PredecodedKernel::new(compiled).unwrap().bake(&interp_img, input, &opts).unwrap();
+    let want = run_simd(compiled, &mut interp_img, input).unwrap();
     let schedule = kernel.schedule();
     for tier in host_tiers() {
         let lowered = SimdKernel::lower(&kernel, tier);
@@ -410,10 +421,15 @@ type Bake = (SectionSchedule, u64, String);
 
 /// [`check_tiers`] for a fused and an unfused bake of `compiled`.
 fn check_bakes(program: &simdize::LoopProgram, compiled: &simdize::SimdProgram, ub: u64, seed: u64, label: &str) -> Vec<Bake> {
+    check_bakes_with(program, compiled, &RunInput::with_ub(ub), seed, label)
+}
+
+/// [`check_bakes`] for a loop with runtime parameters.
+fn check_bakes_with(program: &simdize::LoopProgram, compiled: &simdize::SimdProgram, input: &RunInput, seed: u64, label: &str) -> Vec<Bake> {
     [true, false]
         .map(|fuse| {
             let label = format!("{label}/fuse={fuse}");
-            let (schedule, stats, listing) = check_bake(program, compiled, ub, seed, &label, KernelOptions::new().fuse(fuse));
+            let (schedule, stats, listing) = check_input(program, compiled, input, seed, &label, KernelOptions::new().fuse(fuse));
             (main_loop(schedule), stats.steady_iterations / 2, listing)
         })
         .to_vec()
@@ -534,24 +550,19 @@ fn strip_dispatches(listing: &str) -> Vec<&str> {
         .collect()
 }
 
-/// Superinstructions shorten the strip: the pair loop of every
-/// `kernel-steady` kernel the three families cover dispatches at most
-/// twice per strip, and `deinterleave`'s `vperm` chain, which no family
-/// covers, still dispatches op by op.
+/// Superinstructions shorten the strip to one dispatch: the main loop
+/// of every `kernel-steady` kernel runs as a single superinstruction —
+/// `deinterleave`'s composed gathers as a mixed tree.
 #[test]
-fn kernel_steady_main_loops_dispatch_at_most_twice_per_strip() {
+fn kernel_steady_main_loops_dispatch_once_per_strip() {
     for name in ["fig1", "chain6", "fir4", "copy3", "halfword", "runtime", "dot_product", "deinterleave"] {
         let program = simdize::parse_program(&kernel_source(name, 4096)).unwrap();
         let compiled = Simdizer::new().compile(&program).unwrap();
         let image = MemoryImage::with_seed(&program, VectorShape::V16, 1);
         let kernel = CompiledKernel::compile(&compiled, &image, &RunInput::with_ub(4096)).unwrap();
         let listing = kernel.trace();
-        let dispatches = strip_dispatches(&listing).len();
-        if name == "deinterleave" {
-            assert_eq!(dispatches, 16, "{name}\n{listing}");
-        } else {
-            assert!((1..=2).contains(&dispatches), "{name}: {dispatches} dispatches per strip\n{listing}");
-        }
+        let dispatches = strip_dispatches(&listing);
+        assert!(matches!(dispatches[..], [line] if line.starts_with("  fold")), "{name}\n{listing}");
     }
 }
 
@@ -627,11 +638,77 @@ fn superinstruction_families_match_interpreter_at_strip_boundaries() {
     }
 }
 
+/// Whether a listing's first strip section runs a mixed tree.
+fn runs_a_tree(listing: &str) -> bool {
+    strip_dispatches(listing).iter().any(|l| l.starts_with("  fold") && l.contains(" over "))
+}
+
+/// The mixed-tree family and the gathers trace fusion composes for it,
+/// through [`check_strip_boundaries`] — fused and unfused, on every host
+/// tier, against the interpreter: the stride-2 sum of squares at every
+/// width, `deinterleave` at every input alignment, a non-reassociable
+/// root, a gather stored as it is, a splat leaf, a mixed tree into a
+/// lane partial, the `b - c - d` and immediate-operand shapes the
+/// one-operator folds refuse, and `alpha_blend` (its two products of a
+/// stream and a parameter) under the default and the zero-shift
+/// policy. Every fused bake but the default-policy `alpha_blend`
+/// (whose products feed rotation shifts) runs a mixed tree.
+#[test]
+fn mixed_trees_match_interpreter_at_strip_boundaries() {
+    fn squares(ty: &'static str, at: u64, rhs: &'static str) -> impl Fn(u64) -> String {
+        move |ub| format!("arrays {{ out: {ty}[{}] @ 0; x: {ty}[{}] @ {at}; }} for i in 0..{ub} {{ out[i] = {rhs}; }}", ub + 16, 2 * ub + 32)
+    }
+    let sum = "x[2*i] * x[2*i] + x[2*i+1] * x[2*i+1]";
+    type Case = (String, u64, Box<dyn Fn(u64) -> String>);
+    let mut cases: Vec<Case> = Vec::new();
+    for ty in ["i8", "i16", "i32", "i64"] {
+        let lanes = 128 / ty[1..].parse::<u64>().unwrap();
+        cases.push((format!("stride 2 {ty}"), lanes, Box::new(squares(ty, 0, sum))));
+    }
+    for at in [0, 4, 8, 12] {
+        cases.push((format!("deinterleave @ {at}"), 4, Box::new(squares("i32", at, sum))));
+    }
+    cases.push(("non-reassociable root".into(), 4, Box::new(squares("i32", 0, "x[2*i] * x[2*i] - x[2*i+1] * x[2*i+1]"))));
+    cases.push(("stride-2 copy".into(), 4, Box::new(squares("i32", 8, "x[2*i+1]"))));
+    cases.push(("splat leaf".into(), 4, Box::new(squares("i32", 4, "x[2*i] * 3 + x[2*i+1]"))));
+    let streams = |rhs: &'static str| {
+        move |ub: u64| {
+            let arrays: Vec<String> = ["a", "b", "c", "d"].iter().map(|a| format!("{a}: i32[{}] @ 0;", ub + 16)).collect();
+            format!("arrays {{ acc: i32[4] @ 0; {} }} for i in 0..{ub} {{ {rhs} }}", arrays.join(" "))
+        }
+    };
+    cases.push(("tree into a lane partial".into(), 4, Box::new(streams("acc[i] += b[i] * 3 - c[i] * d[i];"))));
+    cases.push(("sub tree".into(), 4, Box::new(streams("a[i] = b[i] - c[i] - d[i];"))));
+    cases.push(("immediate operand".into(), 4, Box::new(streams("a[i] = b[i] * 3 + c[i];"))));
+    for (label, lanes, source) in &cases {
+        let mut runs = |ub| {
+            let program = simdize::parse_program(&source(ub)).unwrap();
+            let compiled = Simdizer::new().compile(&program).unwrap();
+            let bakes = check_bakes(&program, &compiled, ub, ub, &format!("{label} ub={ub}"));
+            assert!(runs_a_tree(&bakes[0].2), "{label} ub={ub}: no mixed tree\n{}", bakes[0].2);
+            bakes
+        };
+        check_strip_boundaries(label, &mut runs, 2 * lanes);
+    }
+    for zero in [false, true] {
+        let label = format!("alpha_blend zero={zero}");
+        let mut runs = |ub| {
+            let (program, _) = simdize_workloads::alpha_blend(ub);
+            let driver = if zero { Simdizer::new().policy(Policy::Zero) } else { Simdizer::new() };
+            let compiled = driver.compile(&program).unwrap();
+            let input = RunInput { params: vec![77, 179], ..RunInput::with_ub(ub) };
+            let bakes = check_bakes_with(&program, &compiled, &input, ub, &format!("{label} ub={ub}"));
+            assert_eq!(runs_a_tree(&bakes[0].2), zero, "{label} ub={ub}\n{}", bakes[0].2);
+            bakes
+        };
+        check_strip_boundaries(&label, &mut runs, 32);
+    }
+}
+
 /// Shapes no family covers run on the generic arms — in strips, and
-/// matching the interpreter on every tier, fused and unfused: a `-`
-/// tree of three streams, a value stored twice, a value the epilogue
-/// reads, an immediate operand (a `BinSplat` leaf once fused) and a
-/// predictive-commoning chain of depth 2.
+/// matching the interpreter on every tier, fused and unfused: a tree
+/// three operators deep, a value stored twice, a value the epilogue
+/// reads and a predictive-commoning chain of depth 2.
 #[test]
 fn shapes_outside_the_families_fall_back_to_the_generic_driver() {
     let arrays = "arrays { a: i32[520] @ 0; b: i32[520] @ 0; c: i32[520] @ 0; d: i32[520] @ 0; }";
@@ -642,7 +719,7 @@ fn shapes_outside_the_families_fall_back_to_the_generic_driver() {
     };
     let d = ArrayId::from_index(3);
     let mut cases = Vec::new();
-    cases.push(("sub tree", compile("a[i] = b[i] - c[i] - d[i];", Simdizer::new())));
+    cases.push(("three levels", compile("a[i] = (b[i] + c[i]) * d[i] - b[i];", Simdizer::new())));
 
     // Every loop store of the sum again, to `d`.
     let (program, mut stored_twice) = compile("a[i] = b[i] + c[i];", Simdizer::new());
@@ -672,7 +749,6 @@ fn shapes_outside_the_families_fall_back_to_the_generic_driver() {
     read_after.epilogue_mut().push(VInst::StoreA { addr: Addr::new(d, 0), src });
     cases.push(("read by the epilogue", (program, read_after)));
 
-    cases.push(("immediate operand", compile("a[i] = b[i] * 3 + c[i];", Simdizer::new())));
     let chain = Simdizer::new().reuse(ReuseMode::PredictiveCommoning).unroll(false);
     cases.push(("chain of depth 2", compile("a[i] = b[i] + b[i+4] + b[i+8];", chain)));
 

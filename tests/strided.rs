@@ -1,7 +1,7 @@
 //! End-to-end tests of the non-unit-stride extension (§7 future work):
 //! the gather/scatter permute generator against the scalar oracle.
 
-use simdize::{Expr, LoopBuilder, LoopProgram, ScalarType, Simdizer, VectorShape};
+use simdize::{BinOp, Expr, LoopBuilder, LoopProgram, ScalarType, Simdizer, VectorShape};
 
 fn verify(p: &LoopProgram, seed: u64) -> simdize::Report {
     let r = Simdizer::new().evaluate(p, seed).unwrap_or_else(|e| {
@@ -116,4 +116,18 @@ fn strided_rejections_are_clean_errors() {
         err,
         simdize::BuildGraphError::NonUnitStride { stride: 2 }
     ));
+}
+
+#[test]
+fn strided_reductions_are_refused() {
+    // `acc[0] += x[2i] * x[2i+1]`: the gather/scatter generator has no
+    // reduction form, and storing the value element-wise would be wrong.
+    let mut b = LoopBuilder::new(ScalarType::I32);
+    let acc = b.array("acc", 16, 4);
+    let x = b.array("x", 1100, 0);
+    let product = Expr::binary(BinOp::Mul, x.load_strided(2, 0), x.load_strided(2, 1));
+    b.reduce(acc.at(0), BinOp::Add, product);
+    let p = b.finish(500).unwrap();
+    let err = Simdizer::new().compile(&p).unwrap_err();
+    assert!(err.to_string().contains("does not support reductions"), "{err}");
 }
