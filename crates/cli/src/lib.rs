@@ -25,8 +25,9 @@
 //!   policies   compare all four shift-placement policies on the loop
 //!   sweep      run the loop over many memory seeds on worker threads
 //!   trace      instrumented end-to-end pass collected under a fresh
-//!              request scope: pipeline attributes, the span tree over
-//!              every pipeline phase and the engine metrics (--json
+//!              request scope: pipeline attributes (opd, kernel-cache
+//!              hits and misses, fusion rewrites) and the span tree over
+//!              every pipeline phase (--json
 //!              for the versioned simdize-trace/v1 document,
 //!              --chrome-out FILE for a chrome://tracing / Perfetto
 //!              trace-event file)
@@ -65,8 +66,8 @@
 //!   --count N                           sweep seeds to cover (default 32)
 //!   --smoke                             quick 8-seed sweep preset
 //!   --telemetry                         run the command under a request
-//!                                       scope and append its spans,
-//!                                       attributes and the metrics
+//!                                       scope and append its
+//!                                       attributes and spans
 //!   --workers N                         serve: requests executing at once
 //!                                       (default 2)
 //!   --queue N                           serve: requests waiting for a slot
@@ -103,7 +104,7 @@ use simdize::{
     Scheme, SimdizeError, Simdizer, SweepJob, SweepOptions, Target, VectorShape, VerifyOptions,
 };
 use simdize_explain::{render_json, render_markdown, render_text, Explainer};
-use simdize_telemetry::{self as telemetry, RequestTrace, TraceId};
+use simdize_telemetry::{self as telemetry, TraceId};
 use std::error::Error;
 use std::fmt::Write as _;
 
@@ -603,7 +604,7 @@ pub fn run(opts: &Options) -> Result<String, Box<dyn Error>> {
                     .map_err(|e| format!("--chrome-out {path}: {e}"))?;
             }
             if opts.json {
-                out.push_str(&trace.render_json(false));
+                out.push_str(&trace.render_json());
                 out.push('\n');
             } else {
                 writeln!(
@@ -619,7 +620,7 @@ pub fn run(opts: &Options) -> Result<String, Box<dyn Error>> {
                     outcome.opd_bound,
                     outcome.sweep_stats.cache_hit_rate() * 100.0
                 )?;
-                out.push_str(&render_telemetry(&trace));
+                out.push_str(&trace.render_text());
             }
             if let Some(path) = &opts.chrome_out {
                 writeln!(out, "chrome trace written to {path}")?;
@@ -725,16 +726,9 @@ pub fn run(opts: &Options) -> Result<String, Box<dyn Error>> {
     }
     if let Some(scope) = scope {
         writeln!(out, "\n-- telemetry --")?;
-        out.push_str(&render_telemetry(&scope.finish(None)));
+        out.push_str(&scope.finish(None).render_text());
     }
     Ok(out)
-}
-
-/// The one text rendering `trace` and `--telemetry` share: the request
-/// scope's header, attributes and span tree, then the process's
-/// metrics registry.
-fn render_telemetry(trace: &RequestTrace) -> String {
-    trace.render_text() + &telemetry::metrics_snapshot().render_text()
 }
 
 /// `simdize serve <addr>`: bind, announce the resolved address on
@@ -1003,6 +997,15 @@ mod tests {
         }
     }
 
+    /// The `cache.hits` attribute of a rendered request scope.
+    fn cache_hits_attr(out: &str) -> u64 {
+        let line = out
+            .lines()
+            .find(|l| l.starts_with("cache.hits "))
+            .unwrap_or_else(|| panic!("no cache.hits attribute in {out}"));
+        line["cache.hits".len()..].trim().parse().unwrap()
+    }
+
     #[test]
     fn trace_text_json_and_chrome_out() {
         let out = run(&opts(&["trace", "x.loop"])).unwrap();
@@ -1011,8 +1014,8 @@ mod tests {
         assert!(out.contains("hit rate"), "{out}");
         assert!(out.contains("policy"), "{out}");
         assert!(out.contains("== spans =="), "{out}");
-        let metrics = out.split("== metrics ==").nth(1).expect("a metrics block");
-        assert!(metrics.contains("sweep.kernel_cache.hit"), "{out}");
+        assert!(!out.contains("== metrics =="), "{out}");
+        assert!(cache_hits_attr(&out) > 0, "{out}");
         let json = run(&opts(&["trace", "x.loop", "--json"])).unwrap();
         assert!(json.starts_with("{\"schema\":\"simdize-trace/v1\""), "{json}");
         assert!(json.contains("\"verb\":\"trace\""), "{json}");
@@ -1049,7 +1052,7 @@ mod tests {
         assert!(out.contains("8/8 verified"), "{out}");
         assert!(out.contains("-- telemetry --"), "{out}");
         assert!(out.contains("== spans =="), "{out}");
-        assert!(out.contains("sweep.kernel_cache.hit"), "{out}");
+        assert_eq!(cache_hits_attr(&out), 7, "{out}");
         // Without the flag, no telemetry section.
         let plain = run(&opts(&["sweep", "x.loop", "--smoke", "--threads", "1"])).unwrap();
         assert!(!plain.contains("-- telemetry --"), "{plain}");

@@ -155,7 +155,7 @@ impl Simdizer {
     /// code generation — e.g. forcing a non-zero policy on a loop with
     /// runtime alignments.
     pub fn compile(&self, program: &LoopProgram) -> Result<SimdProgram, SimdizeError> {
-        let strided = program.all_refs().iter().any(|r| !r.is_unit_stride());
+        let strided = is_strided(program);
         let compiled = if strided {
             // §7 extension: loops with non-unit-stride references go
             // through the gather/scatter permute generator.
@@ -197,6 +197,22 @@ impl Simdizer {
         Ok(compiled)
     }
 
+    /// The operations-per-datum bound reported next to a measured OPD:
+    /// the §5.3 analytic bound under [`Simdizer::policy_for`] (its
+    /// hardware-misaligned form on [`Target::Unaligned`]). The §5.3
+    /// bound only covers the stream framework, so a loop with a
+    /// non-unit-stride reference gets the strided generator's static
+    /// cost model instead (`NaN` when the model has no figure for it).
+    pub fn opd_bound(&self, program: &LoopProgram) -> f64 {
+        if is_strided(program) {
+            return strided_model_opd(program, self.shape).unwrap_or(f64::NAN);
+        }
+        match self.target {
+            Target::Aligned => lower_bound_opd(program, self.shape, self.policy_for(program)),
+            Target::Unaligned => lower_bound_opd_unaligned(program, self.shape, UNALIGNED_MEM_COST),
+        }
+    }
+
     /// Compiles, runs differentially against the scalar oracle with the
     /// given `seed`, and reports the paper's metrics.
     ///
@@ -222,20 +238,7 @@ impl Simdizer {
     ) -> Result<Report, SimdizeError> {
         let compiled = self.compile(program)?;
         let outcome = run_differential(&compiled, config)?;
-        let strided = program.all_refs().iter().any(|r| !r.is_unit_stride());
-        let bound = if strided {
-            // The §5.3 analytic bound only covers the stream framework;
-            // for strided loops report the strided generator's static
-            // cost model instead.
-            strided_model_opd(program, self.shape).unwrap_or(f64::NAN)
-        } else {
-            match self.target {
-                Target::Aligned => lower_bound_opd(program, self.shape, self.policy_for(program)),
-                Target::Unaligned => {
-                    lower_bound_opd_unaligned(program, self.shape, UNALIGNED_MEM_COST)
-                }
-            }
-        };
+        let bound = self.opd_bound(program);
         let scalar_opd = outcome.scalar_ideal as f64 / outcome.data_produced as f64;
         Ok(Report {
             verified: outcome.verified,
@@ -248,6 +251,12 @@ impl Simdizer {
             speedup_bound: scalar_opd / bound,
         })
     }
+}
+
+/// Whether `program` has a non-unit-stride reference, which sends it
+/// through the §7 strided generator.
+fn is_strided(program: &LoopProgram) -> bool {
+    program.all_refs().iter().any(|r| !r.is_unit_stride())
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The `simdize trace` driver: one instrumented end-to-end pass over a
 //! loop, collected under a request scope — the span timeline covering
 //! every pipeline phase, the pipeline attributes (policy, dispatched
-//! ISA, cache hit/miss, fusion rewrites, OPD vs the §5.3 bound), and
+//! ISA, cache hit/miss, fusion rewrites, OPD vs its bound), and
 //! the Chrome-trace export.
 //!
 //! The pass runs, in order: parse → reorg → codegen → analysis (the
@@ -28,7 +28,6 @@ use simdize_engine::{
 use simdize_ir::{parse_program, VectorShape};
 use simdize_telemetry::{self as telemetry, RequestTrace, TraceId};
 use simdize_vm::{run_scalar, ExecError, MemoryImage, RunInput, VerifyError};
-use simdize_workloads::lower_bound_opd;
 
 /// How many seeds the traced sweep covers. Small enough to finish
 /// instantly, large enough that cache hits dominate misses on a
@@ -52,8 +51,9 @@ pub struct TraceOutcome {
     pub speedup: f64,
     /// Achieved operations per datum of the instrumented run (§5).
     pub opd: f64,
-    /// The §5.3 lower bound on operations per datum for this loop
-    /// under the chosen policy.
+    /// The operations-per-datum bound `simdize run` reports for this
+    /// loop ([`Simdizer::opd_bound`]): §5.3's under the chosen policy,
+    /// or the strided cost model for a strided loop.
     pub opd_bound: f64,
 }
 
@@ -89,7 +89,6 @@ pub fn traced_pass(src: &str) -> Result<TraceOutcome, SimdizeError> {
         parse_program(src)?
     };
     let simdizer = Simdizer::new().analyze(true);
-    let policy = simdizer.policy_for(&program);
     let compiled = simdizer.compile(&program)?;
     let ub = program.trip().known().unwrap_or(256);
     let input = RunInput::with_ub(ub);
@@ -124,7 +123,7 @@ pub fn traced_pass(src: &str) -> Result<TraceOutcome, SimdizeError> {
         sweep_stats,
         speedup: scalar_ideal as f64 / stats.total() as f64,
         opd: stats.opd(program.stmts().len() as u64 * ub),
-        opd_bound: lower_bound_opd(&program, VectorShape::V16, policy),
+        opd_bound: simdizer.opd_bound(&program),
     };
     // Policy, fusion rewrites and cache hit/miss are tagged inside the
     // pipeline; the headline numbers and the tier the sweep dispatched

@@ -315,20 +315,7 @@ pub fn run_sweep_shared(
         stats.scratch_reseeds += tally.scratch_reseeds;
         stats.jobs_per_worker.push(tally.jobs);
     }
-    if telemetry::enabled() {
-        publish_cache_traffic(
-            stats.cache_hits,
-            stats.cache_misses,
-            stats.cache_evictions,
-            stats.cache_occupied(),
-        );
-        telemetry::counter("sweep.scratch.reseed").add(stats.scratch_reseeds);
-        telemetry::gauge("sweep.workers").set(stats.workers as u64);
-        let jobs_hist = telemetry::histogram("sweep.worker.jobs");
-        for &n in &stats.jobs_per_worker {
-            jobs_hist.observe(n);
-        }
-    }
+    tag_cache_traffic(stats.cache_hits, stats.cache_misses);
     let results = results
         .into_iter()
         .map(|r| r.expect("every job index claimed exactly once"))
@@ -336,15 +323,11 @@ pub fn run_sweep_shared(
     (results, stats)
 }
 
-/// Publishes one call's kernel-cache traffic: the process-wide
-/// counters plus the requesting scope's `cache.hits` / `cache.misses`
-/// attributes. One helper, so a one-job request and a sweep report
-/// alike.
-fn publish_cache_traffic(hits: u64, misses: u64, evictions: u64, occupied: usize) {
-    telemetry::counter("sweep.kernel_cache.hit").add(hits);
-    telemetry::counter("sweep.kernel_cache.miss").add(misses);
-    telemetry::counter("sweep.kernel_cache.evict").add(evictions);
-    telemetry::gauge("sweep.kernel_cache.occupied").set(occupied as u64);
+/// Tags the requesting scope with one call's kernel-cache traffic
+/// (`cache.hits` / `cache.misses`). One helper, so a one-job request
+/// and a sweep report alike; the cache's lifetime totals are
+/// [`KernelCache::stats`].
+fn tag_cache_traffic(hits: u64, misses: u64) {
     telemetry::tag("cache.hits", hits);
     telemetry::tag("cache.misses", misses);
 }
@@ -382,14 +365,7 @@ pub fn run_job(job: &SweepJob, cache: &KernelCache) -> Result<JobRun, ExecError>
         &mut Scratch::default(),
         &mut tally,
     );
-    if telemetry::enabled() {
-        publish_cache_traffic(
-            tally.cache_hits,
-            tally.cache_misses,
-            tally.cache_evictions,
-            cache.stats().occupied(),
-        );
-    }
+    tag_cache_traffic(tally.cache_hits, tally.cache_misses);
     run
 }
 

@@ -29,8 +29,8 @@
 //!   would grow linearly with the seed count.
 //! * **Counters.** Hits, misses, evictions and per-shard occupancy are
 //!   exposed via [`KernelCache::stats`] and surfaced through
-//!   `SweepStats`, the sweep summary line and the server's `stats`
-//!   response.
+//!   `SweepStats`, the sweep summary line, and the server's `stats`
+//!   response and `/metrics` exposition.
 //!
 //! Bakes happen *outside* the shard lock: two workers missing the same
 //! key concurrently both bake and the second insert wins, trading a

@@ -343,17 +343,10 @@ pub(crate) fn optimize(s: Sections) -> Fused {
         ];
         dce(&mut segments, next as usize, &mut st, &mut ev);
     }
-    if telemetry::enabled() {
-        telemetry::counter("fuse.fused_loads").add(st.fused_loads as u64);
-        telemetry::counter("fuse.composed").add(st.composed as u64);
-        telemetry::counter("fuse.splat_ops").add(st.splat_ops as u64);
-        telemetry::counter("fuse.hoisted").add(st.hoisted as u64);
-        telemetry::counter("fuse.eliminated").add(st.eliminated as u64);
-        telemetry::tag(
-            "fusion.rewrites",
-            (st.fused_loads + st.composed + st.splat_ops + st.hoisted + st.eliminated) as u64,
-        );
-    }
+    telemetry::tag(
+        "fusion.rewrites",
+        (st.fused_loads + st.composed + st.splat_ops + st.hoisted + st.eliminated) as u64,
+    );
     Fused { pair_header, body_header, stats: st, events: ev, nregs: next as usize }
 }
 

@@ -36,8 +36,9 @@
 //! by the `dump` verb, logged to stderr when a request errors, and
 //! drained on SIGINT shutdown. An optional side listener
 //! (`--metrics-addr`) answers plain HTTP `GET /metrics` with the
-//! Prometheus text exposition of the server counters and the
-//! telemetry registry.
+//! Prometheus text exposition of the server counters, its latency
+//! summary and the kernel cache's counters — the numbers `stats`
+//! reports, read from the same places.
 
 use crate::gate::Gate;
 use crate::handlers;
@@ -174,29 +175,33 @@ impl Shared {
         });
     }
 
-    /// The Prometheus text exposition: server traffic counters and the
-    /// aggregate latency summary (always live — they come from the
-    /// server's own atomics), plus whatever the telemetry registry
-    /// currently holds.
+    /// The Prometheus text exposition, read from the same sources as
+    /// `stats`: the server's own atomics, its aggregate latency
+    /// [`Histogram`], the flight recorder and [`KernelCache::stats`].
     fn metrics_text(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
+        let cache = self.cache.stats();
         for (name, v) in [
             ("requests_total", self.requests.load(Ordering::Relaxed)),
             ("busy_total", self.busy.load(Ordering::Relaxed)),
             ("errors_total", self.errors.load(Ordering::Relaxed)),
             ("connections_total", self.connections.load(Ordering::Relaxed)),
             ("flight_recorded_total", self.flight.recorded()),
+            ("cache_hits_total", cache.hits),
+            ("cache_misses_total", cache.misses),
+            ("cache_evictions_total", cache.evictions),
         ] {
             let _ = writeln!(out, "# TYPE simdize_server_{name} counter");
             let _ = writeln!(out, "simdize_server_{name} {v}");
         }
-        let _ = writeln!(out, "# TYPE simdize_server_uptime_ms gauge");
-        let _ = writeln!(
-            out,
-            "simdize_server_uptime_ms {}",
-            self.started.elapsed().as_millis()
-        );
+        for (name, v) in [
+            ("uptime_ms", self.started.elapsed().as_millis() as u64),
+            ("cache_occupied", cache.occupied() as u64),
+        ] {
+            let _ = writeln!(out, "# TYPE simdize_server_{name} gauge");
+            let _ = writeln!(out, "simdize_server_{name} {v}");
+        }
         {
             let metrics = self.metrics.lock().expect("metrics poisoned");
             let h = &metrics.all_us;
@@ -214,7 +219,6 @@ impl Shared {
             let _ = writeln!(out, "simdize_server_latency_us_sum {}", h.sum());
             let _ = writeln!(out, "simdize_server_latency_us_count {}", h.count());
         }
-        out.push_str(&telemetry::render_prometheus(&telemetry::metrics_snapshot()));
         out
     }
 
@@ -409,7 +413,7 @@ impl Server {
         if self.shared.config.handle_sigint && signal::sigint_received() {
             eprintln!(
                 "simdize serve: SIGINT flight dump {}",
-                self.shared.flight.render_json(false)
+                self.shared.flight.render_json()
             );
         }
         Ok(ServeSummary {
@@ -547,7 +551,7 @@ fn handle_line(line: &str, shared: &Shared, conn_id: u64) -> String {
             let outcome = match &request.cmd {
                 Command::Ping => Ok(format!("{{\"pong\":true,\"schema\":\"{WIRE_SCHEMA}\"}}")),
                 Command::Stats => Ok(shared.stats_json()),
-                Command::Dump => Ok(shared.flight.render_json(false)),
+                Command::Dump => Ok(shared.flight.render_json()),
                 Command::Shutdown => {
                     shared.stop.store(true, Ordering::SeqCst);
                     Ok("{\"stopping\":true}".to_string())
@@ -569,7 +573,7 @@ fn handle_line(line: &str, shared: &Shared, conn_id: u64) -> String {
                     let finished = scope.finish(outcome.as_ref().err().cloned());
                     // The `trace` verb's result is this very scope.
                     let outcome = match cmd {
-                        Command::Trace(_) => outcome.map(|_| finished.render_json(false)),
+                        Command::Trace(_) => outcome.map(|_| finished.render_json()),
                         _ => outcome,
                     };
                     attrs = finished.attrs;
@@ -596,7 +600,7 @@ fn handle_line(line: &str, shared: &Shared, conn_id: u64) -> String {
         // goes to the server log.
         eprintln!(
             "simdize serve: request {trace} ({verb}) failed; flight dump {}",
-            shared.flight.render_json(false)
+            shared.flight.render_json()
         );
     }
     let us = elapsed.as_micros().min(u64::MAX as u128) as u64;

@@ -122,9 +122,7 @@ impl FlightRecorder {
     }
 
     /// The versioned JSON rendering ([`FLIGHT_SCHEMA`]) of the dump.
-    /// With `normalize_timings`, latencies are written as 0 so the
-    /// document is byte-stable across runs.
-    pub fn render_json(&self, normalize_timings: bool) -> String {
+    pub fn render_json(&self) -> String {
         let entries = self.dump();
         let mut out = String::new();
         let _ = write!(
@@ -144,7 +142,7 @@ impl FlightRecorder {
                 e.seq,
                 escape(&e.trace_id),
                 escape(&e.verb),
-                if normalize_timings { 0 } else { e.latency_us },
+                e.latency_us,
                 e.ok
             );
             out.push_str("\"attrs\":{");
@@ -236,7 +234,7 @@ mod tests {
         let mut e = entry("c7-9", "verify", false);
         e.attrs.insert("policy".to_string(), "lazy".to_string());
         rec.record(e);
-        let doc = json::parse(&rec.render_json(false)).unwrap();
+        let doc = json::parse(&rec.render_json()).unwrap();
         assert_eq!(doc.get("schema").unwrap().as_str(), Some(FLIGHT_SCHEMA));
         assert_eq!(doc.get("capacity").unwrap().as_f64(), Some(4.0));
         let entries = doc.get("entries").unwrap().as_arr().unwrap();
@@ -247,10 +245,6 @@ mod tests {
             entries[0].get("attrs").unwrap().get("policy").unwrap().as_str(),
             Some("lazy")
         );
-        // Normalized form zeroes the latency.
-        let doc = json::parse(&rec.render_json(true)).unwrap();
-        let entries = doc.get("entries").unwrap().as_arr().unwrap();
-        assert_eq!(entries[0].get("latency_us").unwrap().as_f64(), Some(0.0));
     }
 
     #[test]

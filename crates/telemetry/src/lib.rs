@@ -1,6 +1,6 @@
-//! Runtime telemetry for the simdize stack: a span profiler, a metrics
-//! registry, request-scoped tracing, a flight recorder, and the
-//! workspace's JSON reader and string escaper.
+//! Runtime telemetry for the simdize stack: a span profiler,
+//! request-scoped tracing, a flight recorder, a latency histogram, and
+//! the workspace's JSON reader and string escaper.
 //!
 //! The crate is built around one invariant: **when telemetry is off
 //! (the default), instrumentation costs a single relaxed atomic load
@@ -22,11 +22,11 @@
 //! let scope = telemetry::begin_request(telemetry::TraceId::next(0), "demo");
 //! {
 //!     let _phase = telemetry::span("parse");
-//!     telemetry::counter("demo.events").inc();
+//!     telemetry::tag("cache.hits", 15);
 //! }
 //! let trace = scope.finish(None);
 //! assert_eq!(trace.spans[0].name, "parse");
-//! assert_eq!(telemetry::metrics_snapshot().counters["demo.events"], 1);
+//! assert_eq!(trace.attrs["cache.hits"], "15");
 //! ```
 //!
 //! The scope is the only collector. Any number can be live at once —
@@ -35,21 +35,21 @@
 //! inert even then: there is no process-wide buffer for it to land in.
 //! [`RequestScope::finish`] yields a [`RequestTrace`], renderable as
 //! text, as `simdize-trace/v1` JSON or as a Chrome trace-event
-//! timeline. The metrics registry is not scoped: it is a monotonic
-//! process-lifetime feed that [`metrics_snapshot`] reads at any time.
+//! timeline. There is no process-wide counter registry: a count lives
+//! once, in the typed stats of whatever keeps it (the engine's
+//! `SweepStats` / `FusionStats`, the kernel cache, the server), and a
+//! request sees its share as attributes.
 //!
 //! # Layers
 //!
 //! - [`span`] / [`SpanNode`] — hierarchical wall-clock phase profiling
 //!   with per-path call counts and exact p50/p95/max.
-//! - [`counter`] / [`gauge`] / [`histogram`] — named metrics for hot
-//!   paths (cache hits, worker imbalance), snapshot-sorted, zeroes
-//!   omitted; exportable in Prometheus text format via
-//!   [`render_prometheus`].
 //! - [`trace`] — request-scoped span/attribute collection, trace ids,
 //!   and the `simdize-trace/v1` + Chrome trace-event encoders.
 //! - [`flight`] — a fixed-capacity lock-striped ring buffer of recent
 //!   request summaries for postmortem dumps.
+//! - [`hist`] — a log-linear latency [`Histogram`] (the server's
+//!   per-verb latency summaries).
 //! - [`json`] — the `simdize-wire/v1` request parser and the one JSON
 //!   string escaper every renderer in the workspace calls.
 
@@ -59,18 +59,11 @@
 pub mod flight;
 pub mod hist;
 pub mod json;
-mod metrics;
-mod prom;
 mod span;
 pub mod trace;
 
 pub use flight::{FlightEntry, FlightRecorder, FLIGHT_SCHEMA};
 pub use hist::Histogram;
-pub use metrics::{
-    counter, gauge, histogram, metrics_snapshot, Counter, Gauge, HistogramHandle, HistogramSummary,
-    MetricsSnapshot,
-};
-pub use prom::render_prometheus;
 pub use span::{build_tree, span, SpanGuard, SpanNode, SpanRecord};
 pub use trace::{
     adopt_context, begin_request, current_context, tag, ContextGuard, RequestScope, RequestTrace,

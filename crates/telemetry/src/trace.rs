@@ -269,26 +269,17 @@ pub struct RequestTrace {
 }
 
 impl RequestTrace {
-    /// The versioned JSON rendering ([`TRACE_SCHEMA`]). With
-    /// `normalize_timings`, every wall-clock field (and the run-order
-    /// dependent `trace_id` / thread tracks) is written as a fixed
-    /// value so the document is byte-stable across runs — golden tests
-    /// pin the normalized form; verbs, attributes, counts and tree
-    /// shape stay exact.
-    pub fn render_json(&self, normalize_timings: bool) -> String {
+    /// The versioned JSON rendering ([`TRACE_SCHEMA`]).
+    pub fn render_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\"schema\":\"");
         out.push_str(TRACE_SCHEMA);
         let _ = write!(
             out,
             "\",\"trace_id\":\"{}\",\"verb\":\"{}\",\"wall_us\":{},",
-            if normalize_timings {
-                "c0-0".to_string()
-            } else {
-                escape(&self.trace_id)
-            },
+            escape(&self.trace_id),
             escape(&self.verb),
-            if normalize_timings { 0 } else { self.wall_us },
+            self.wall_us,
         );
         match &self.error {
             Some(e) => {
@@ -308,21 +299,20 @@ impl RequestTrace {
             if i > 0 {
                 out.push(',');
             }
-            render_span_json(&mut out, node, normalize_timings);
+            render_span_json(&mut out, node);
         }
         out.push_str("],\"events\":[");
         for (i, ev) in self.events.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let z = |v: u64| if normalize_timings { 0 } else { v };
             let _ = write!(
                 out,
                 "{{\"path\":\"{}\",\"tid\":{},\"start_ns\":{},\"dur_ns\":{}}}",
                 escape(&ev.path),
-                z(ev.tid),
-                z(ev.start_ns),
-                z(ev.ns)
+                ev.tid,
+                ev.start_ns,
+                ev.ns
             );
         }
         out.push_str("]}");
@@ -435,23 +425,22 @@ fn render_span_text(out: &mut String, node: &SpanNode, depth: usize) {
     }
 }
 
-fn render_span_json(out: &mut String, node: &SpanNode, normalize: bool) {
-    let ns = |v: u64| if normalize { 0 } else { v };
+fn render_span_json(out: &mut String, node: &SpanNode) {
     let _ = write!(
         out,
         "{{\"name\":\"{}\",\"count\":{},\"total_ns\":{},\"p50_ns\":{},\"p95_ns\":{},\"max_ns\":{},\"children\":[",
         escape(&node.name),
         node.count,
-        ns(node.total_ns),
-        ns(node.p50_ns),
-        ns(node.p95_ns),
-        ns(node.max_ns)
+        node.total_ns,
+        node.p50_ns,
+        node.p95_ns,
+        node.max_ns
     );
     for (i, child) in node.children.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        render_span_json(out, child, normalize);
+        render_span_json(out, child);
     }
     out.push_str("]}");
 }
@@ -546,7 +535,7 @@ mod tests {
     }
 
     #[test]
-    fn rendered_json_is_versioned_and_normalizes() {
+    fn rendered_json_is_versioned_and_carries_attributes() {
         let _flags = crate::flag_guard();
         let scope = begin_request(TraceId::next(5), "trace");
         {
@@ -554,22 +543,13 @@ mod tests {
             tag("opd", "2.250");
         }
         let trace = scope.finish(None);
-        let doc = json::parse(&trace.render_json(false)).unwrap();
+        let doc = json::parse(&trace.render_json()).unwrap();
         assert_eq!(doc.get("schema").unwrap().as_str(), Some(TRACE_SCHEMA));
         assert_eq!(doc.get("verb").unwrap().as_str(), Some("trace"));
         assert_eq!(
             doc.get("attrs").unwrap().get("opd").unwrap().as_str(),
             Some("2.250")
         );
-        let norm = trace.render_json(true);
-        let doc = json::parse(&norm).unwrap();
-        assert_eq!(doc.get("trace_id").unwrap().as_str(), Some("c0-0"));
-        assert_eq!(doc.get("wall_us").unwrap().as_f64(), Some(0.0));
-        let ev = &doc.get("events").unwrap().as_arr().unwrap()[0];
-        assert_eq!(ev.get("start_ns").unwrap().as_f64(), Some(0.0));
-        assert_eq!(ev.get("dur_ns").unwrap().as_f64(), Some(0.0));
-        // Normalizing twice is stable.
-        assert_eq!(norm, trace.render_json(true));
     }
 
     #[test]

@@ -115,10 +115,14 @@ target/release/simdize sweep loops/figure1.loop --smoke --jobs 4 --telemetry
 echo "== trace smoke (request-scoped export + chrome trace events) =="
 # The byte-exact normalized form is pinned by the tier-1 golden
 # (tests/trace.rs, regenerate with UPDATE_GOLDEN=1); this smoke drives
-# the release binary: the text form ending in the metrics block,
-# schema-versioned JSON on stdout and a loadable chrome://tracing file
-# via --chrome-out.
-target/release/simdize trace loops/figure1.loop | grep -q '^== metrics ==$'
+# the release binary: the text form with the request scope's
+# attributes (its kernel-cache hits among them), a strided loop (whose
+# bound is the strided cost model's, not §5.3's), schema-versioned
+# JSON on stdout and a loadable chrome://tracing file via --chrome-out.
+target/release/simdize trace loops/figure1.loop > "$BENCH_TMP/trace.txt"
+grep -q '^== attributes ==$' "$BENCH_TMP/trace.txt"
+grep -q '^cache.hits ' "$BENCH_TMP/trace.txt"
+target/release/simdize trace loops/deinterleave.loop | grep -q 'verified=true'
 target/release/simdize trace loops/figure1.loop --json \
     | grep -q '"schema":"simdize-trace/v1"'
 target/release/simdize trace loops/figure1.loop \
@@ -212,8 +216,9 @@ done
 threads=$(awk '/^Threads:/ {print $2}' "/proc/$serve_pid/status")
 [ "$threads" = 3 ] \
     || { echo "server smoke: expected 3 threads, found $threads" >&2; exit 1; }
-# Prometheus scrape over /dev/tcp (no curl in the CI image): at least
-# one known counter must expose with a live value.
+# Prometheus scrape over /dev/tcp (no curl in the CI image): the
+# request counter and the kernel cache's (read from the cache itself,
+# as `stats` reads it) must expose with live values.
 exec 4<>"/dev/tcp/127.0.0.1/$mport"
 printf 'GET /metrics HTTP/1.0\r\n\r\n' >&4
 metrics=$(cat <&4)
@@ -222,6 +227,8 @@ echo "$metrics" | grep -q '# TYPE simdize_server_requests_total counter' \
     || { echo "server smoke: /metrics missing requests counter" >&2; exit 1; }
 echo "$metrics" | grep -Eq 'simdize_server_requests_total [1-9][0-9]*' \
     || { echo "server smoke: /metrics requests counter not live" >&2; exit 1; }
+echo "$metrics" | grep -Eq 'simdize_server_cache_hits_total [1-9][0-9]*' \
+    || { echo "server smoke: /metrics kernel-cache counter not live" >&2; exit 1; }
 printf '{"v":1,"id":7,"cmd":"shutdown"}\n' >&3
 IFS= read -r line <&3
 echo "$line" | grep -q '"stopping":true' \

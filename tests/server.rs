@@ -8,7 +8,7 @@
 //! (64 connections in tier-1, 1200 under `--ignored`).
 
 use simdize_server::{Server, ServerConfig};
-use simdize_suite::{assert_golden, sample};
+use simdize_suite::{assert_golden, normalize, sample};
 use simdize_telemetry::json::{self, Json};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -69,56 +69,6 @@ impl Harness {
 /// Escapes loop source for embedding in a request line.
 fn inline(source: &str) -> String {
     json::escape(source)
-}
-
-/// Replaces every `"<key>":<integer>` value with 0 (hand-rolled — the
-/// workspace carries no regex dependency).
-fn zero_int_field(line: &mut String, key: &str) {
-    let needle = format!("\"{key}\":");
-    let mut from = 0;
-    while let Some(pos) = line[from..].find(&needle) {
-        let start = from + pos + needle.len();
-        let end = line[start..]
-            .find(|c: char| !c.is_ascii_digit())
-            .map_or(line.len(), |n| start + n);
-        if end > start {
-            line.replace_range(start..end, "0");
-        }
-        from = start + 1;
-    }
-}
-
-/// Replaces every `"<key>":"<value>"` value with `fixed`.
-fn fix_str_field(line: &mut String, key: &str, fixed: &str) {
-    let needle = format!("\"{key}\":\"");
-    let mut from = 0;
-    while let Some(pos) = line[from..].find(&needle) {
-        let start = from + pos + needle.len();
-        let Some(len) = line[start..].find('"') else {
-            break;
-        };
-        line.replace_range(start..start + len, fixed);
-        from = start + fixed.len() + 1;
-    }
-}
-
-/// Normalizes the run-order- and clock-dependent fields of a response:
-/// trace ids (a process-scoped counter), thread tracks, flight sequence
-/// numbers, the dispatched ISA name, and every wall-clock field. Verbs,
-/// attributes, counts and payload shape stay exact — this is the form
-/// the golden transcript pins.
-fn normalize(line: &str) -> String {
-    let mut out = line.to_string();
-    for key in [
-        "wall_ms", "wall_us", "latency_us", "seq", "tid", "start_ns", "dur_ns", "total_ns",
-        "p50_ns", "p95_ns", "max_ns",
-    ] {
-        zero_int_field(&mut out, key);
-    }
-    for (key, fixed) in [("trace", "c0-0"), ("trace_id", "c0-0"), ("isa", "host")] {
-        fix_str_field(&mut out, key, fixed);
-    }
-    out
 }
 
 /// The golden round-trip corpus: deterministic request/response pairs
@@ -609,6 +559,37 @@ fn trace_verb_exports_the_request_scoped_timeline() {
     harness.shutdown();
 }
 
+/// One plain-HTTP GET against the `/metrics` side listener; the whole
+/// response, status line and headers included.
+fn scrape(metrics_addr: std::net::SocketAddr, path: &str) -> String {
+    use std::io::Read as _;
+    let mut conn = TcpStream::connect(metrics_addr).unwrap();
+    write!(conn, "GET {path} HTTP/1.0\r\nHost: x\r\n\r\n").unwrap();
+    let mut body = String::new();
+    conn.read_to_string(&mut body).unwrap();
+    body
+}
+
+/// The `trace` verb on a strided loop answers like any other: the
+/// traced pass reports the strided cost model's bound, the one
+/// `simdize run` prints, where the §5.3 bound does not apply.
+#[test]
+fn trace_verb_answers_for_a_strided_loop() {
+    let harness = Harness::start(ServerConfig::default());
+    let mut client = harness.client();
+    let request = format!(
+        r#"{{"v":1,"id":1,"cmd":"trace","source":"{}"}}"#,
+        inline(&sample("deinterleave"))
+    );
+    let response = client.roundtrip(&request);
+    let doc = json::parse(&response).unwrap_or_else(|e| panic!("{response}: {e}"));
+    assert_eq!(doc.get("ok"), Some(&Json::Bool(true)), "{response}");
+    let attrs = doc.get("result").unwrap().get("attrs").unwrap();
+    assert_eq!(attrs.get("opd.bound").and_then(Json::as_str), Some("4.000"), "{response}");
+    assert_eq!(attrs.get("verified").and_then(Json::as_str), Some("true"), "{response}");
+    harness.shutdown();
+}
+
 /// `--metrics-addr`: the side HTTP listener answers GET /metrics with
 /// Prometheus text exposition and 404s everything else.
 #[test]
@@ -623,27 +604,17 @@ fn metrics_endpoint_serves_prometheus_text() {
     let handle = std::thread::spawn(move || server.serve());
     let mut client = Client::connect(addr);
     client.roundtrip(r#"{"v":1,"id":1,"cmd":"ping"}"#);
-
-    let scrape = |path: &str| -> String {
-        use std::io::Read as _;
-        let mut conn = TcpStream::connect(metrics_addr).unwrap();
-        write!(conn, "GET {path} HTTP/1.0\r\nHost: x\r\n\r\n").unwrap();
-        let mut body = String::new();
-        conn.read_to_string(&mut body).unwrap();
-        body
-    };
-    let response = scrape("/metrics");
+    let response = scrape(metrics_addr, "/metrics");
     assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
     assert!(response.contains("text/plain; version=0.0.4"), "{response}");
     assert!(response.contains("# TYPE simdize_server_requests_total counter"), "{response}");
     assert!(response.contains("simdize_server_requests_total 1"), "{response}");
     assert!(response.contains("simdize_server_flight_recorded_total"), "{response}");
-    assert!(scrape("/nope").starts_with("HTTP/1.1 404"), "no 404 for unknown path");
+    assert!(scrape(metrics_addr, "/nope").starts_with("HTTP/1.1 404"), "no 404 for unknown path");
 
-    // Telemetry collects process-wide while any request scope is live,
-    // so requests that finish meanwhile must not leak a second copy of
-    // the server's own families into the registry half of the scrape.
-    // One connection sits inside a slow `verify`; this one keeps
+    // Requests that finish while another request scope is live must
+    // not add a second copy of any family to the scrape. One
+    // connection sits inside a slow `verify`; this one keeps
     // completing pings until that reply is in.
     let mut slow = Client::connect(addr);
     let verify = format!(
@@ -660,7 +631,7 @@ fn metrics_endpoint_serves_prometheus_text() {
         let reply = held.join().unwrap();
         assert!(reply.contains("\"proved\":true"), "{reply}");
     });
-    let response = scrape("/metrics");
+    let response = scrape(metrics_addr, "/metrics");
     let total = format!("simdize_server_requests_total {}", 2 + pings);
     assert!(response.contains(&total), "{total}: {response}");
     let mut families = std::collections::HashSet::new();
@@ -677,6 +648,62 @@ fn metrics_endpoint_serves_prometheus_text() {
     }
 
     let resp = client.roundtrip(r#"{"v":1,"id":2,"cmd":"shutdown"}"#);
+    assert!(resp.contains("\"stopping\":true"), "{resp}");
+    handle.join().unwrap().unwrap();
+}
+
+/// `stats` and `/metrics` read the kernel cache's counters from one
+/// source, so with no traffic between them they agree on every one.
+/// One shard of one entry makes two alternating sources evict each
+/// other, so all three counters move.
+#[test]
+fn stats_and_metrics_agree_on_kernel_cache_counters() {
+    let config = ServerConfig {
+        cache_shards: 1,
+        cache_capacity: 1,
+        metrics_addr: Some("127.0.0.1:0".parse().unwrap()),
+        ..ServerConfig::default()
+    };
+    let server = Server::bind("127.0.0.1:0", config).unwrap();
+    let addr = server.local_addr();
+    let metrics_addr = server.metrics_addr().expect("metrics listener bound");
+    let handle = std::thread::spawn(move || server.serve());
+    let mut client = Client::connect(addr);
+    for (id, name) in ["figure1", "figure1", "halfword", "figure1", "figure1"]
+        .into_iter()
+        .enumerate()
+    {
+        let run = format!(
+            r#"{{"v":1,"id":{id},"cmd":"run","source":"{}","seed":5}}"#,
+            inline(&sample(name))
+        );
+        let reply = client.roundtrip(&run);
+        assert!(reply.contains("\"verified\":true"), "{reply}");
+    }
+
+    let stats = client.roundtrip(r#"{"v":1,"id":9,"cmd":"stats"}"#);
+    let metrics = scrape(metrics_addr, "/metrics");
+    let doc = json::parse(&stats).unwrap();
+    let cache = doc.get("result").unwrap().get("cache").unwrap();
+    let scraped = |family: &str| -> f64 {
+        let prefix = format!("simdize_server_cache_{family} ");
+        let line = metrics.lines().find(|l| l.starts_with(&prefix));
+        line.unwrap_or_else(|| panic!("no {prefix}in {metrics}"))[prefix.len()..]
+            .parse()
+            .unwrap()
+    };
+    for (field, family, expected) in [
+        ("hits", "hits_total", 2.0),
+        ("misses", "misses_total", 3.0),
+        ("evictions", "evictions_total", 2.0),
+        ("occupied", "occupied", 1.0),
+    ] {
+        let reported = cache.get(field).and_then(Json::as_f64);
+        assert_eq!(reported, Some(expected), "stats {field}: {stats}");
+        assert_eq!(scraped(family), expected, "/metrics {family}: {metrics}");
+    }
+
+    let resp = client.roundtrip(r#"{"v":1,"id":10,"cmd":"shutdown"}"#);
     assert!(resp.contains("\"stopping\":true"), "{resp}");
     handle.join().unwrap().unwrap();
 }

@@ -1,36 +1,27 @@
-//! Golden-pinned `simdize trace` export: the normalized
-//! `simdize-trace/v1` document for the paper's Figure 1 loop must stay
-//! byte-stable (`tests/golden/trace-figure1.json`), and the Chrome
+//! Golden-pinned `simdize trace` export: the `simdize-trace/v1`
+//! document for the paper's Figure 1 loop, normalized by the suite's
+//! `normalize` (the one the wire golden uses), must stay byte-stable
+//! (`tests/golden/trace-figure1.json`), and the Chrome
 //! trace-event export must agree with the span timeline it was derived
 //! from. Regenerate after an intentional schema change with
 //! `UPDATE_GOLDEN=1 cargo test --test trace`.
 
-use simdize::trace_source;
-use simdize_suite::{assert_golden, sample};
-
-/// Pins the `isa` attribute host-independently: `IsaLevel::detect()`
-/// re-reads the override on every call, and `scalar` is a valid tier
-/// on every host. Both tests in this binary set the same value, so the
-/// parallel writes are idempotent.
-fn force_scalar_isa() {
-    std::env::set_var("SIMDIZE_ISA", "scalar");
-}
+use simdize::{parse_program, trace_source, Simdizer};
+use simdize_suite::{assert_golden, normalize, sample, sample_loops};
 
 #[test]
 fn normalized_trace_json_matches_golden() {
-    force_scalar_isa();
     let (trace, outcome) = trace_source(&sample("figure1")).unwrap();
     assert!(outcome.verified);
     assert_golden(
         "tests/golden/trace-figure1.json",
-        &trace.render_json(true),
+        &normalize(&trace.render_json()),
         "trace schema drift",
     );
 }
 
 #[test]
 fn chrome_export_agrees_with_the_span_timeline() {
-    force_scalar_isa();
     let (trace, _) = trace_source(&sample("figure1")).unwrap();
     let chrome = trace.render_chrome();
     // One complete event per recorded span, plus the request root.
@@ -53,4 +44,22 @@ fn chrome_export_agrees_with_the_span_timeline() {
     let doc = simdize_telemetry::json::parse(&chrome).unwrap();
     assert!(doc.get("traceEvents").is_some());
     assert!(chrome.contains(&format!("\"trace_id\":\"{}\"", trace.trace_id)));
+}
+
+/// Every bundled loop traces, strided ones included, and the traced
+/// pass tags the bound `simdize run` reports: §5.3's for stream loops,
+/// the strided generator's cost model for `deinterleave`.
+#[test]
+fn every_sample_loop_traces_with_the_bound_run_reports() {
+    for (name, src) in sample_loops() {
+        let (trace, outcome) = trace_source(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(outcome.verified, "{name}");
+        assert_eq!(outcome.sweep_verified, outcome.sweep_jobs, "{name}");
+        let report = Simdizer::new().evaluate(&parse_program(&src).unwrap(), 1).unwrap();
+        let bound = format!("{:.3}", report.lower_bound_opd);
+        assert_eq!(trace.attrs["opd.bound"], bound, "{name}");
+        if name == "deinterleave" {
+            assert_eq!(bound, "4.000");
+        }
+    }
 }
