@@ -21,7 +21,8 @@
 //!              (--quick, --json; exits non-zero on a violation)
 //!   explain    decision-trace report: every instruction back-linked to
 //!              the placement/codegen/fusion decision that produced it,
-//!              with OPD accounting (--json / --markdown)
+//!              with OPD accounting (--json / --markdown); explains the
+//!              program `compile` emits under every pipeline option
 //!   policies   compare all four shift-placement policies on the loop
 //!   sweep      run the loop over many memory seeds on worker threads
 //!   trace      instrumented end-to-end pass collected under a fresh
@@ -99,9 +100,9 @@
 #![warn(missing_docs)]
 
 use simdize::{
-    analyze_program, lower_altivec, run_job, run_sweep_collect, to_dot, AnalyzeOptions,
-    DiffConfig, IsaLevel, KernelCache, Level, Lint, MutationKind, Policy, ReorgGraph, ReuseMode,
-    Scheme, SimdizeError, Simdizer, SweepJob, SweepOptions, Target, VectorShape, VerifyOptions,
+    analyze_program, lower_altivec, run_job, run_sweep_collect, to_dot, DiffConfig, IsaLevel,
+    KernelCache, Level, Lint, MutationKind, Policy, ReuseMode, SimdizeError, Simdizer, SweepJob,
+    SweepOptions, Target, VectorShape, VerifyOptions,
 };
 use simdize_explain::{render_json, render_markdown, render_text, Explainer};
 use simdize_telemetry::{self as telemetry, TraceId};
@@ -423,6 +424,10 @@ pub fn run(opts: &Options) -> Result<String, Box<dyn Error>> {
     if let Some(p) = opts.policy {
         driver = driver.policy(p);
     }
+    // The memory image, trip count and parameters of every measured run.
+    let measured = DiffConfig::with_seed(opts.seed)
+        .runtime_ub(opts.ub)
+        .params(opts.params.clone());
 
     let mut out = String::new();
     match opts.command.as_str() {
@@ -444,8 +449,7 @@ pub fn run(opts: &Options) -> Result<String, Box<dyn Error>> {
             )?;
         }
         "graph" => {
-            let graph = ReorgGraph::build(&program, opts.shape)?;
-            let placed = graph.with_policy(driver.policy_for(&program))?;
+            let placed = driver.place(&program)?;
             if opts.dot {
                 out.push_str(&to_dot(&placed));
             } else {
@@ -463,15 +467,7 @@ pub fn run(opts: &Options) -> Result<String, Box<dyn Error>> {
         }
         "analyze" => {
             let compiled = driver.compile(&program)?;
-            // The exactly-once lint only applies to the standard stream
-            // generator; the strided and hardware-misaligned paths
-            // don't pipeline chunks.
-            let standard = opts.target == Target::Aligned
-                && program.all_refs().iter().all(|r| r.is_unit_stride());
-            let mut aopts = AnalyzeOptions::new().memnorm(opts.memnorm);
-            if standard {
-                aopts = aopts.reuse(opts.reuse);
-            }
+            let mut aopts = driver.analyze_options(&program);
             for (lint, level) in &opts.lints {
                 aopts = aopts.level(*lint, *level);
             }
@@ -524,12 +520,7 @@ pub fn run(opts: &Options) -> Result<String, Box<dyn Error>> {
             }
         }
         "run" => {
-            let report = driver.evaluate_with(
-                &program,
-                &DiffConfig::with_seed(opts.seed)
-                    .runtime_ub(opts.ub)
-                    .params(opts.params.clone()),
-            )?;
+            let report = driver.evaluate_with(&program, &measured)?;
             writeln!(out, "verified: {}", report.verified)?;
             writeln!(out, "{report}")?;
         }
@@ -570,16 +561,7 @@ pub fn run(opts: &Options) -> Result<String, Box<dyn Error>> {
             }
         }
         "explain" => {
-            let mut explainer = Explainer::new()
-                .shape(opts.shape)
-                .reuse(opts.reuse)
-                .seed(opts.seed)
-                .ub(opts.ub)
-                .params(opts.params.clone());
-            if let Some(p) = opts.policy {
-                explainer = explainer.policy(p);
-            }
-            let report = explainer.explain(&program)?;
+            let report = Explainer::new(driver, measured).explain(&program)?;
             out.push_str(&if opts.json {
                 render_json(&report)
             } else if opts.markdown {
@@ -691,28 +673,16 @@ pub fn run(opts: &Options) -> Result<String, Box<dyn Error>> {
                 "policy", "shifts", "opd", "bound", "speedup"
             )?;
             for policy in Policy::ALL {
-                let graph = ReorgGraph::build(&program, opts.shape)?;
-                let placed = match graph.with_policy(policy) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        writeln!(out, "{:<10} {e}", policy.name())?;
-                        continue;
-                    }
-                };
-                let report = driver
-                    .scheme(Scheme::new(policy, opts.reuse).reassoc(opts.reassoc))
-                    .evaluate_with(
-                        &program,
-                        &DiffConfig::with_seed(opts.seed)
-                            .runtime_ub(opts.ub)
-                            .params(opts.params.clone()),
-                    );
-                match report {
-                    Ok(r) => writeln!(
+                let driver = driver.policy(policy);
+                let row = driver.place(&program).and_then(|placed| {
+                    Ok((placed.shift_count(), driver.evaluate_with(&program, &measured)?))
+                });
+                match row {
+                    Ok((shifts, r)) => writeln!(
                         out,
                         "{:<10} {:>7} {:>9.3} {:>9.3} {:>8.2}x",
                         policy.name(),
-                        placed.shift_count(),
+                        shifts,
                         r.opd,
                         r.lower_bound_opd,
                         r.speedup
@@ -907,6 +877,32 @@ mod tests {
         assert!(out.contains("dominant"));
         assert!(out.contains("optimal"));
         assert_eq!(out.lines().count(), 6);
+    }
+
+    /// `graph` and the `policies` shift column count the placement
+    /// `compile` generates from, reassociated under `--reassoc`.
+    #[test]
+    fn shift_counts_follow_reassociation() {
+        const SUM4: &str = "arrays { a: i32[2048] @ 0; b: i32[2048] @ 0; c: i32[2048] @ 0;
+                                     d: i32[2048] @ 0; e: i32[2048] @ 0; }
+                            for i in 0..2000 { a[i] = b[i+1] + c[i+2] + d[i+1] + e[i+2]; }";
+        let run_on = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            run(&parse_args(&args, &|_| Ok(SUM4.to_string())).unwrap()).unwrap()
+        };
+        let program = simdize::parse_program(SUM4).unwrap();
+        let lazy = Simdizer::new().policy(Policy::Lazy);
+        let plain = lazy.place(&program).unwrap().shift_count();
+        let reassociated = lazy.reassociate(true).place(&program).unwrap().shift_count();
+        assert!(reassociated < plain, "{reassociated} vs {plain}");
+        for (flags, shifts) in [(&[][..], plain), (&["--reassoc"][..], reassociated)] {
+            let graph = run_on(&[&["graph", "x.loop", "--policy", "lazy"], flags].concat());
+            assert!(graph.ends_with(&format!("\n{shifts} stream shifts\n")), "{graph}");
+            let table = run_on(&[&["policies", "x.loop"], flags].concat());
+            let row = table.lines().find(|l| l.starts_with("lazy ")).unwrap();
+            let column: usize = row.split_whitespace().nth(1).unwrap().parse().unwrap();
+            assert_eq!(column, shifts, "{table}");
+        }
     }
 
     #[test]

@@ -109,7 +109,7 @@ pub use simdize_verify::{
     MutationKind, Probe, ProveError, TripStyle, VerifyOptions, VerifyReport, HARNESS_NAMES,
 };
 pub use simdize_vm::{
-    run_differential, run_scalar, run_simd, run_simd_traced, scalar_ideal_ops, DiffConfig,
+    run_differential, run_scalar, run_simd, scalar_ideal_ops, DiffConfig,
     DiffOutcome, ExecError, MemoryImage, RunInput, RunStats, VerifyError,
     UNALIGNED_MEM_COST,
 };

@@ -5,11 +5,11 @@ use crate::report::Report;
 use crate::scheme::Scheme;
 use simdize_analysis::{analyze_program, AnalysisFailed, AnalyzeOptions};
 use simdize_codegen::{
-    generate, generate_strided, generate_unaligned, strided_model_opd, CodegenOptions, ReuseMode,
-    SimdProgram,
+    generate, generate_strided, generate_traced, generate_unaligned, strided_model_opd,
+    CodegenOptions, CodegenTrace, ReuseMode, SimdProgram,
 };
 use simdize_ir::{LoopProgram, VectorShape};
-use simdize_reorg::{reassociate, Policy, ReorgGraph};
+use simdize_reorg::{reassociate, PlacementTrace, Policy, ReorgGraph};
 use simdize_telemetry as telemetry;
 use simdize_vm::UNALIGNED_MEM_COST;
 use simdize_vm::{run_differential, DiffConfig};
@@ -147,6 +147,50 @@ impl Simdizer {
         })
     }
 
+    /// The vector register shape.
+    pub fn vector_shape(&self) -> VectorShape {
+        self.shape
+    }
+
+    /// The forced shift-placement policy, or `None` when the driver
+    /// chooses per loop ([`Simdizer::policy_for`]).
+    pub fn forced_policy(&self) -> Option<Policy> {
+        self.policy
+    }
+
+    /// The machine model code is generated for.
+    pub fn machine(&self) -> Target {
+        self.target
+    }
+
+    /// The shift-placed reorganization graph of `program`:
+    /// common-offset reassociation when on, then the graph, then
+    /// placement under [`Simdizer::policy_for`]. The graph
+    /// [`Simdizer::compile`] generates code from on the aligned target.
+    ///
+    /// # Errors
+    ///
+    /// Graph construction or shift placement failures.
+    pub fn place(&self, program: &LoopProgram) -> Result<ReorgGraph, SimdizeError> {
+        self.place_with(program, None)
+    }
+
+    fn place_with(
+        &self,
+        program: &LoopProgram,
+        trace: Option<&mut PlacementTrace>,
+    ) -> Result<ReorgGraph, SimdizeError> {
+        let policy = self.policy_for(program);
+        telemetry::tag("policy", policy);
+        let _span = telemetry::span("reorg");
+        let reassociated = self.reassoc.then(|| reassociate(program, self.shape));
+        let graph = ReorgGraph::build(reassociated.as_ref().unwrap_or(program), self.shape)?;
+        Ok(match trace {
+            Some(trace) => graph.with_policy_traced(policy, trace)?,
+            None => graph.with_policy(policy)?,
+        })
+    }
+
     /// Compiles `program` to a simdized VIR program.
     ///
     /// # Errors
@@ -155,46 +199,78 @@ impl Simdizer {
     /// code generation — e.g. forcing a non-zero policy on a loop with
     /// runtime alignments.
     pub fn compile(&self, program: &LoopProgram) -> Result<SimdProgram, SimdizeError> {
-        let strided = is_strided(program);
-        let compiled = if strided {
+        self.compile_with(program, None).map(|(_, compiled)| compiled)
+    }
+
+    /// [`Simdizer::compile`], recording every placement decision into
+    /// `placement` and every code-generation decision into `codegen`.
+    /// Also returns the placed graph the program was generated from:
+    /// `None` for the strided and hardware-misaligned generators,
+    /// which place no shifts and record nothing.
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`Simdizer::compile`].
+    pub fn compile_traced(
+        &self,
+        program: &LoopProgram,
+        placement: &mut PlacementTrace,
+        codegen: &mut CodegenTrace,
+    ) -> Result<(Option<ReorgGraph>, SimdProgram), SimdizeError> {
+        self.compile_with(program, Some((placement, codegen)))
+    }
+
+    /// The one compile body: traced when `traces` is given, and then
+    /// only.
+    fn compile_with(
+        &self,
+        program: &LoopProgram,
+        traces: Option<(&mut PlacementTrace, &mut CodegenTrace)>,
+    ) -> Result<(Option<ReorgGraph>, SimdProgram), SimdizeError> {
+        let (placed, compiled) = if is_strided(program) {
             // §7 extension: loops with non-unit-stride references go
             // through the gather/scatter permute generator.
             let _span = telemetry::span("codegen");
-            generate_strided(program, self.shape)?
+            (None, generate_strided(program, self.shape)?)
         } else if self.target == Target::Unaligned {
             let graph = {
                 let _span = telemetry::span("reorg");
                 ReorgGraph::build(program, self.shape)?
             };
             let _span = telemetry::span("codegen");
-            generate_unaligned(&graph)?
+            (None, generate_unaligned(&graph)?)
         } else {
-            let policy = self.policy_for(program);
-            telemetry::tag("policy", policy);
-            let graph = {
-                let _span = telemetry::span("reorg");
-                let reassociated = self.reassoc.then(|| reassociate(program, self.shape));
-                ReorgGraph::build(reassociated.as_ref().unwrap_or(program), self.shape)?
-                    .with_policy(policy)?
-            };
+            let (placement, codegen) = traces.unzip();
+            let placed = self.place_with(program, placement)?;
             let _span = telemetry::span("codegen");
-            generate(&graph, &self.options)?
+            let compiled = match codegen {
+                Some(trace) => generate_traced(&placed, &self.options, trace)?,
+                None => generate(&placed, &self.options)?,
+            };
+            (Some(placed), compiled)
         };
         if self.options.analyze_enabled() {
             let _span = telemetry::span("analysis");
-            // The exactly-once reuse lint only applies to the standard
-            // stream generator — the strided and hardware-misaligned
-            // generators don't pipeline chunks.
-            let mut opts = AnalyzeOptions::new().memnorm(self.options.memnorm_enabled());
-            if !strided && self.target == Target::Aligned {
-                opts = opts.reuse(self.options.reuse_mode());
-            }
-            let report = analyze_program(&compiled, &opts);
+            let report = analyze_program(&compiled, &self.analyze_options(program));
             if report.deny_count() > 0 {
                 return Err(AnalysisFailed::new(report).into());
             }
         }
-        Ok(compiled)
+        Ok((placed, compiled))
+    }
+
+    /// What the static analyzer is told about the code this driver
+    /// generates for `program`: whether memory normalization ran, and
+    /// the reuse scheme — only on the stream generator, because the
+    /// exactly-once reuse lint does not apply to the strided and
+    /// hardware-misaligned generators, which don't pipeline chunks.
+    pub fn analyze_options(&self, program: &LoopProgram) -> AnalyzeOptions {
+        let opts = AnalyzeOptions::new().memnorm(self.options.memnorm_enabled());
+        if self.target == Target::Aligned && !is_strided(program) {
+            opts.reuse(self.options.reuse_mode())
+        } else {
+            opts
+        }
     }
 
     /// The operations-per-datum bound reported next to a measured OPD:

@@ -22,12 +22,11 @@
 use crate::error::SimdizeError;
 use crate::simdizer::Simdizer;
 use simdize_engine::{
-    run_sweep_collect, IsaLevel, KernelOptions, PredecodedKernel, SweepJob, SweepOptions,
-    SweepStats,
+    run_job, run_sweep_collect, IsaLevel, KernelCache, SweepJob, SweepOptions, SweepStats,
 };
-use simdize_ir::{parse_program, VectorShape};
+use simdize_ir::parse_program;
 use simdize_telemetry::{self as telemetry, RequestTrace, TraceId};
-use simdize_vm::{run_scalar, ExecError, MemoryImage, RunInput, VerifyError};
+use simdize_vm::{ExecError, VerifyError};
 
 /// How many seeds the traced sweep covers. Small enough to finish
 /// instantly, large enough that cache hits dominate misses on a
@@ -75,9 +74,8 @@ pub fn trace_source(src: &str) -> Result<(RequestTrace, TraceOutcome), SimdizeEr
 /// The traced pass under the caller's request scope: parse → compile
 /// with the analysis gate on → predecode → bake → run → scalar oracle
 /// → diff, then the one-worker seed sweep, with the headline numbers
-/// tagged onto the scope. The bake is deliberately uncached — this is
-/// the path whose every phase must show up as a span — so it does not
-/// go through `run_job`.
+/// tagged onto the scope. The run is `run_job` on a fresh cache, so it
+/// always bakes: every engine phase shows up as a span.
 ///
 /// # Errors
 ///
@@ -90,22 +88,11 @@ pub fn traced_pass(src: &str) -> Result<TraceOutcome, SimdizeError> {
     };
     let simdizer = Simdizer::new().analyze(true);
     let compiled = simdizer.compile(&program)?;
-    let ub = program.trip().known().unwrap_or(256);
-    let input = RunInput::with_ub(ub);
-
-    let pre = PredecodedKernel::new(&compiled).map_err(exec_err)?;
-    let mut engine_img = MemoryImage::with_seed(&program, VectorShape::V16, 1);
-    let mut oracle_img = engine_img.clone();
-    let kernel = pre
-        .bake(&engine_img, &input, &KernelOptions::default())
-        .map_err(exec_err)?;
-    let stats = kernel.run(&mut engine_img).map_err(exec_err)?;
-    let scalar_ideal =
-        run_scalar(&program, &mut oracle_img, ub, &input.params).map_err(exec_err)?;
-    let verified = engine_img.first_difference(&oracle_img).is_none();
+    let job = SweepJob::new(compiled, 1, 256);
+    let (run, ..) = run_job(&job, &KernelCache::new(1, 1)).map_err(exec_err)?;
 
     let jobs: Vec<SweepJob> = (0..TRACE_SWEEP_SEEDS)
-        .map(|seed| SweepJob::new(compiled.clone(), seed, ub))
+        .map(|seed| SweepJob::new(job.program.clone(), seed, job.input.ub))
         .collect();
     let (outcomes, sweep_stats) = run_sweep_collect(&jobs, SweepOptions::new(1));
     let sweep_jobs = outcomes.len();
@@ -117,17 +104,18 @@ pub fn traced_pass(src: &str) -> Result<TraceOutcome, SimdizeError> {
     }
 
     let outcome = TraceOutcome {
-        verified,
+        verified: run.verified,
         sweep_verified,
         sweep_jobs,
         sweep_stats,
-        speedup: scalar_ideal as f64 / stats.total() as f64,
-        opd: stats.opd(program.stmts().len() as u64 * ub),
+        speedup: run.speedup(),
+        opd: run.stats.opd(run.data_produced),
         opd_bound: simdizer.opd_bound(&program),
     };
     // Policy, fusion rewrites and cache hit/miss are tagged inside the
-    // pipeline; the headline numbers and the tier the sweep dispatched
-    // to are tagged here.
+    // pipeline (the sweep's cache traffic is the last written); the
+    // headline numbers and the tier both runs dispatched to are tagged
+    // here.
     telemetry::tag("isa", IsaLevel::detect());
     telemetry::tag("opd", format!("{:.3}", outcome.opd));
     telemetry::tag("opd.bound", format!("{:.3}", outcome.opd_bound));

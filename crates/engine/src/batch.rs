@@ -137,7 +137,6 @@ type WorkerPartial = (Vec<(usize, Result<SweepOutcome, ExecError>)>, WorkerTally
 /// finishes.
 #[derive(Debug, Clone, Copy, Default)]
 struct WorkerTally {
-    jobs: u64,
     cache_hits: u64,
     cache_misses: u64,
     cache_evictions: u64,
@@ -162,9 +161,6 @@ pub struct SweepStats {
     /// Jobs that re-seeded an existing scratch image instead of
     /// allocating a fresh one.
     pub scratch_reseeds: u64,
-    /// Jobs completed by each worker, one entry per worker — the spread
-    /// shows scheduling imbalance.
-    pub jobs_per_worker: Vec<u64>,
 }
 
 impl SweepStats {
@@ -191,7 +187,6 @@ impl SweepStats {
             cache_evictions: 0,
             cache_occupancy: Vec::new(),
             scratch_reseeds: 0,
-            jobs_per_worker: Vec::new(),
         }
     }
 }
@@ -207,8 +202,7 @@ pub fn run_sweep(jobs: &[SweepJob], threads: usize) -> Vec<Result<SweepOutcome, 
 
 /// Like [`run_sweep`], but also reports what the sweep's cache and
 /// workers did ([`SweepStats`]) — kernel-cache hits, misses and
-/// evictions, shard occupancy, scratch-image reseeds and the
-/// per-worker job distribution.
+/// evictions, shard occupancy and scratch-image reseeds.
 ///
 /// A fresh sweep-local [`KernelCache`] is built; use
 /// [`run_sweep_shared`] to reuse kernels across sweeps.
@@ -281,7 +275,6 @@ pub fn run_sweep_shared(
                             break;
                         }
                         let _span = telemetry::span("sweep.job");
-                        tally.jobs += 1;
                         let template = &templates[job_template[idx]];
                         let res = run_prepared(
                             &jobs[idx], template, cache, isa, &mut scratch, &mut tally,
@@ -301,7 +294,6 @@ pub fn run_sweep_shared(
         (0..jobs.len()).map(|_| None).collect();
     let mut stats = SweepStats {
         workers: threads,
-        jobs_per_worker: Vec::with_capacity(threads),
         cache_occupancy: cache.stats().occupancy,
         ..SweepStats::empty()
     };
@@ -313,7 +305,6 @@ pub fn run_sweep_shared(
         stats.cache_misses += tally.cache_misses;
         stats.cache_evictions += tally.cache_evictions;
         stats.scratch_reseeds += tally.scratch_reseeds;
-        stats.jobs_per_worker.push(tally.jobs);
     }
     tag_cache_traffic(stats.cache_hits, stats.cache_misses);
     let results = results
@@ -599,7 +590,6 @@ mod tests {
         assert_eq!(stats.cache_evictions, 0);
         assert_eq!(stats.cache_occupied(), 1);
         assert_eq!(stats.scratch_reseeds, 11);
-        assert_eq!(stats.jobs_per_worker, vec![12]);
         assert!((stats.cache_hit_rate() - 11.0 / 12.0).abs() < 1e-12);
     }
 }

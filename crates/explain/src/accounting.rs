@@ -8,10 +8,7 @@
 //! machine executed goes unaccounted.
 
 use crate::decision::{DecisionId, Decisions};
-use simdize_codegen::CodegenEvent;
-use simdize_reorg::{Constraint, PlacementEvent};
-use simdize_vm::{RunStats, UNALIGNED_MEM_COST};
-use simdize_workloads::LowerBound;
+use simdize::{CodegenEvent, Constraint, LowerBound, PlacementEvent, RunStats, UNALIGNED_MEM_COST};
 
 /// One operation class of the accounting table.
 #[derive(Debug, Clone, PartialEq)]

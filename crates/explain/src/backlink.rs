@@ -18,11 +18,11 @@
 //! the report carries at least one link.
 
 use crate::decision::{DecisionId, Decisions};
-use simdize_codegen::{CodegenEvent, SExpr, SimdProgram, VInst};
-use simdize_ir::{BinOp, UnOp};
-use simdize_reorg::{
-    shift_amount, Constraint, Offset, PlacementEvent, RNode, ReorgGraph, VOpKind,
+use simdize::{
+    BinOp, CodegenEvent, Constraint, Offset, PlacementEvent, ReorgGraph, SExpr, SimdProgram,
+    UnOp, VInst,
 };
+use simdize_reorg::{shift_amount, RNode, VOpKind};
 
 /// One instruction of the annotated program listing.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -229,7 +229,7 @@ impl<'a> Linker<'a> {
                 PlacementEvent::OffsetComputed { stmt, node, .. } => match graph.node(*node) {
                     RNode::Load { r } => push_to(&mut l.load_links, r.array.index(), id),
                     RNode::Splat { inv } => {
-                        use simdize_ir::Invariant;
+                        use simdize::Invariant;
                         match inv {
                             Invariant::Const(c) => push_to(&mut l.splat_const, *c, id),
                             Invariant::Param(p) => push_to(&mut l.splat_param, p.index(), id),

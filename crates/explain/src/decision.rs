@@ -8,9 +8,7 @@
 //! `F<n>` for engine trace-fusion rewrites, where `<n>` is the event's
 //! position in its phase's stream.
 
-use simdize_codegen::CodegenTrace;
-use simdize_engine::FusionEvent;
-use simdize_reorg::PlacementTrace;
+use simdize::{CodegenTrace, FusionEvent, PlacementTrace};
 use std::fmt;
 
 /// Which pipeline phase a decision belongs to.

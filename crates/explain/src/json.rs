@@ -16,7 +16,7 @@ use crate::report::{
     ExplainReport, InapplicableReport, LoopInfo, StreamReport, StridedReport,
 };
 use simdize_telemetry::json::escape;
-use simdize_vm::RunStats;
+use simdize::RunStats;
 
 /// The version tag emitted in every document's `"schema"` field.
 pub const SCHEMA: &str = "simdize-explain/v1";

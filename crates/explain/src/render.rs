@@ -143,11 +143,7 @@ fn stream_text(r: &StreamReport) -> String {
 
 fn inapplicable_text(r: &InapplicableReport) -> String {
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "simdize explain — policy {} does not apply",
-        r.info.policy.name()
-    );
+    let _ = writeln!(out, "simdize explain — not applicable");
     loop_header(&mut out, &r.info);
     let _ = writeln!(out, "\nerror: {}", r.error);
     let _ = writeln!(out, "\nwhy:");

@@ -1,18 +1,14 @@
-//! The explain driver: run the full pipeline with tracing enabled and
-//! assemble an [`ExplainReport`].
+//! The explain driver: compile through [`Simdizer`]'s traced compile,
+//! run the result once, and assemble an [`ExplainReport`].
 
 use crate::accounting::{account, Accounting};
 use crate::backlink::{annotate, AnnotatedSection};
 use crate::decision::Decisions;
-use simdize_codegen::{
-    generate_strided, generate_traced, strided_model_opd, CodegenOptions, CodegenTrace, ReuseMode,
-    SimdProgram,
+use simdize::{
+    lower_bound_parts, run_differential, run_job, strided_model_opd, DiffConfig, ExecError,
+    FusionEvent, JobRun, KernelCache, LoopProgram, LowerBound, Policy, PolicyError, RunStats,
+    SimdProgram, SimdizeError, Simdizer, SweepJob, Target, VectorShape,
 };
-use simdize_engine::{CompiledKernel, FusionEvent};
-use simdize_ir::{parse_program, LoopProgram, VectorShape};
-use simdize_reorg::{Policy, PolicyError, ReorgGraph};
-use simdize_vm::{run_differential, DiffConfig, MemoryImage, RunInput, RunStats};
-use simdize_workloads::{lower_bound_parts, LowerBound};
 use std::error::Error;
 
 /// Errors from the explain pipeline (parse, graph construction, code
@@ -23,28 +19,12 @@ use std::error::Error;
 /// docs generator can cover every loop × policy combination.
 pub type ExplainError = Box<dyn Error>;
 
-/// Configures and runs the explainable-simdization pipeline.
+/// Explains the program a [`Simdizer`] compiles: its traced compile,
+/// then one measured run.
 #[derive(Debug, Clone)]
 pub struct Explainer {
-    policy: Option<Policy>,
-    shape: VectorShape,
-    reuse: ReuseMode,
-    seed: u64,
-    ub: u64,
-    params: Vec<i64>,
-}
-
-impl Default for Explainer {
-    fn default() -> Explainer {
-        Explainer {
-            policy: None,
-            shape: VectorShape::V16,
-            reuse: ReuseMode::SoftwarePipeline,
-            seed: 2004,
-            ub: 1000,
-            params: Vec::new(),
-        }
-    }
+    driver: Simdizer,
+    run: DiffConfig,
 }
 
 /// What the explained loop was compiled as.
@@ -107,8 +87,8 @@ pub struct StreamReport {
     pub verified: bool,
     /// Speedup over the idealistic scalar loop.
     pub speedup: f64,
-    /// Whether the native engine reproduced the interpreter's stats
-    /// exactly.
+    /// Whether the engine's run reproduced the interpreter's stats
+    /// exactly and the scalar oracle's memory byte for byte.
     pub engine_matches: bool,
     /// Whether the native engine fell back to the scalar path.
     pub engine_fallback: bool,
@@ -151,75 +131,26 @@ pub struct StridedReport {
 }
 
 impl Explainer {
-    /// An explainer with the pipeline's defaults: 16-byte vectors,
-    /// automatic policy, software pipelining, seed 2004, runtime trip
-    /// count 1000.
-    pub fn new() -> Explainer {
-        Explainer::default()
+    /// An explainer for the program `driver` compiles, measured on the
+    /// memory image, trip count and parameters `run` names.
+    pub fn new(driver: Simdizer, run: DiffConfig) -> Explainer {
+        Explainer { driver, run }
     }
 
-    /// Forces a shift-placement policy (automatic choice otherwise).
-    pub fn policy(mut self, policy: Policy) -> Explainer {
-        self.policy = Some(policy);
-        self
-    }
-
-    /// Sets the vector register shape.
-    pub fn shape(mut self, shape: VectorShape) -> Explainer {
-        self.shape = shape;
-        self
-    }
-
-    /// Sets the register-reuse scheme.
-    pub fn reuse(mut self, reuse: ReuseMode) -> Explainer {
-        self.reuse = reuse;
-        self
-    }
-
-    /// Sets the memory-image seed of the measured run.
-    pub fn seed(mut self, seed: u64) -> Explainer {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the trip count used when the loop's is a runtime value.
-    pub fn ub(mut self, ub: u64) -> Explainer {
-        self.ub = ub;
-        self
-    }
-
-    /// Sets the loop's runtime parameter values.
-    pub fn params(mut self, params: Vec<i64>) -> Explainer {
-        self.params = params;
-        self
-    }
-
-    /// Parses `source` and explains it (see [`Explainer::explain`]).
-    ///
-    /// # Errors
-    ///
-    /// Parse errors, plus everything [`Explainer::explain`] returns.
-    pub fn explain_source(&self, source: &str) -> Result<ExplainReport, ExplainError> {
-        let program = parse_program(source)?;
-        self.explain(&program)
-    }
-
-    /// Runs the traced pipeline over `program` and assembles the
-    /// report: placement trace → codegen trace → differential run →
-    /// native-engine cross-check → back-linked listing → OPD
-    /// accounting.
+    /// Compiles `program` through the driver's traced compile and
+    /// assembles the report: placement and codegen traces →
+    /// differential run → engine cross-check → back-linked listing →
+    /// OPD accounting.
     ///
     /// # Errors
     ///
     /// Graph construction, code generation, execution or verification
     /// failures. A policy that merely *does not apply* returns
-    /// `Ok(ExplainReport::Inapplicable)` instead.
+    /// `Ok(ExplainReport::Inapplicable)` instead, and so does the
+    /// hardware-misaligned target.
     pub fn explain(&self, program: &LoopProgram) -> Result<ExplainReport, ExplainError> {
-        let policy = self.policy.unwrap_or(if program.all_alignments_known() {
-            Policy::Dominant
-        } else {
-            Policy::Zero
-        });
+        let policy = self.driver.policy_for(program);
+        let shape = self.driver.vector_shape();
         let info = LoopInfo {
             source: program.to_source(),
             array_names: program
@@ -228,72 +159,63 @@ impl Explainer {
                 .map(|a| a.name().to_string())
                 .collect(),
             policy,
-            policy_forced: self.policy.is_some(),
-            shape: self.shape,
-            block: self.shape.blocking_factor(program.elem()),
-            seed: self.seed,
-            ub: program.trip().known().unwrap_or(self.ub),
+            policy_forced: self.driver.forced_policy().is_some(),
+            shape,
+            block: shape.blocking_factor(program.elem()),
+            seed: self.run.seed,
+            ub: program.trip().known().unwrap_or(self.run.runtime_ub),
         };
-
-        if program.all_refs().iter().any(|r| !r.is_unit_stride()) {
-            return self.explain_strided(program, info);
+        if self.driver.machine() == Target::Unaligned {
+            return Ok(ExplainReport::Inapplicable(InapplicableReport {
+                info,
+                error: "the unaligned target has no data reorganization to explain".to_string(),
+                explanation: "Hardware-misaligned loads and stores replace every stream shift \
+                              and splice; drop `--target unaligned` to explain the aligned \
+                              program."
+                    .to_string(),
+            }));
         }
 
-        let graph = ReorgGraph::build(program, self.shape)?;
         let mut decisions = Decisions::default();
-        let placed = match graph.with_policy_traced(policy, &mut decisions.placement) {
-            Ok(p) => p,
-            Err(e @ PolicyError::NeedsCompileTimeAlignment { .. }) => {
-                return Ok(ExplainReport::Inapplicable(InapplicableReport {
-                    info,
-                    error: e.to_string(),
-                    explanation: format!(
-                        "The {}-shift policy reconciles stream offsets to compile-time \
-                         byte positions, but this loop has at least one array whose \
-                         alignment is only known at run time. Only the zero-shift \
-                         policy applies then (paper §4.4): it shifts every load \
-                         stream to offset 0 — an amount computable at run time as \
-                         `addr & (V-1)` — and shifts back up just before the store. \
-                         Re-run with `--policy zero`, or drop `--policy` to let the \
-                         driver choose automatically.",
-                        policy.name()
-                    ),
-                }));
+        let traced =
+            self.driver
+                .compile_traced(program, &mut decisions.placement, &mut decisions.codegen);
+        let (placed, compiled) = match traced {
+            Ok(traced) => traced,
+            Err(SimdizeError::Policy(e)) => {
+                return Ok(ExplainReport::Inapplicable(inapplicable(info, &e)))
             }
-            Err(e) => {
-                return Ok(ExplainReport::Inapplicable(InapplicableReport {
-                    info,
-                    error: e.to_string(),
-                    explanation:
-                        "The placement phase rejected this loop/policy combination; \
-                         see the error above for the violated precondition."
-                            .to_string(),
-                }));
-            }
+            Err(e) => return Err(e.into()),
+        };
+        let outcome = run_differential(&compiled, &self.run)?;
+        let engine = self.engine_run(&compiled);
+
+        let Some(placed) = placed else {
+            // The §7 strided generator: no placement, no codegen trace.
+            let fusion = match engine {
+                Ok((_, kernel, _)) => kernel.base().fusion_events().to_vec(),
+                Err(_) if shape != VectorShape::V16 => Vec::new(),
+                Err(e) => return Err(e.into()),
+            };
+            return Ok(ExplainReport::Strided(Box::new(StridedReport {
+                info,
+                opd: outcome.opd(),
+                model_opd: strided_model_opd(program, shape).unwrap_or(f64::NAN),
+                verified: outcome.verified,
+                speedup: outcome.speedup(),
+                data: outcome.data_produced,
+                stats: outcome.stats,
+                program: compiled,
+                fusion,
+            })));
         };
 
-        let options = CodegenOptions::default().reuse(self.reuse);
-        let mut ctrace = CodegenTrace::new();
-        let compiled = generate_traced(&placed, &options, &mut ctrace)?;
-        decisions.codegen = ctrace;
-
-        let outcome = run_differential(&compiled, &self.diff_config())?;
-
-        // Cross-check with the compiled native engine and pick up its
-        // trace-fusion decisions.
-        let input = RunInput {
-            ub: info.ub,
-            params: self.params.clone(),
-        };
-        let mut image = MemoryImage::with_seed(program, self.shape, self.seed);
-        let kernel = CompiledKernel::compile(&compiled, &image, &input)?;
-        let engine_stats = kernel.run(&mut image)?;
-        let engine_matches = engine_stats == outcome.stats;
-        let engine_fallback = kernel.is_fallback();
-        decisions.fusion = kernel.fusion_events().to_vec();
+        let (run, kernel, _) = engine?;
+        let engine_matches = run.verified && run.stats == outcome.stats;
+        decisions.fusion = kernel.base().fusion_events().to_vec();
 
         let sections = annotate(&compiled, &placed, &decisions);
-        let lower_bound = lower_bound_parts(program, self.shape, policy);
+        let lower_bound = lower_bound_parts(program, shape, policy);
         let accounting = account(
             &outcome.stats,
             outcome.data_produced,
@@ -314,43 +236,41 @@ impl Explainer {
             verified: outcome.verified,
             speedup: outcome.speedup(),
             engine_matches,
-            engine_fallback,
+            engine_fallback: kernel.is_fallback(),
         })))
     }
 
-    fn explain_strided(
-        &self,
-        program: &LoopProgram,
-        info: LoopInfo,
-    ) -> Result<ExplainReport, ExplainError> {
-        let compiled = generate_strided(program, self.shape)?;
-        let outcome = run_differential(&compiled, &self.diff_config())?;
-        let input = RunInput {
-            ub: info.ub,
-            params: self.params.clone(),
-        };
-        let image = MemoryImage::with_seed(program, self.shape, self.seed);
-        let fusion = match CompiledKernel::compile(&compiled, &image, &input) {
-            Ok(kernel) => kernel.fusion_events().to_vec(),
-            Err(_) if self.shape != VectorShape::V16 => Vec::new(),
-            Err(e) => return Err(e.into()),
-        };
-        Ok(ExplainReport::Strided(Box::new(StridedReport {
-            info,
-            opd: outcome.opd(),
-            model_opd: strided_model_opd(program, self.shape).unwrap_or(f64::NAN),
-            verified: outcome.verified,
-            speedup: outcome.speedup(),
-            data: outcome.data_produced,
-            stats: outcome.stats,
-            program: compiled,
-            fusion,
-        })))
+    /// The measured run on the engine, through the one-job entry point
+    /// on a private cache: its outcome is the cross-check, its kernel
+    /// carries the trace-fusion decisions.
+    fn engine_run(&self, compiled: &SimdProgram) -> Result<JobRun, ExecError> {
+        let mut job = SweepJob::new(compiled.clone(), self.run.seed, self.run.runtime_ub);
+        job.input.params.clone_from(&self.run.params);
+        run_job(&job, &KernelCache::new(1, 1))
     }
+}
 
-    fn diff_config(&self) -> DiffConfig {
-        DiffConfig::with_seed(self.seed)
-            .runtime_ub(self.ub)
-            .params(self.params.clone())
+/// The page for a (loop, policy) pair the placement phase rejects.
+fn inapplicable(info: LoopInfo, error: &PolicyError) -> InapplicableReport {
+    let explanation = match error {
+        PolicyError::NeedsCompileTimeAlignment { .. } => format!(
+            "The {}-shift policy reconciles stream offsets to compile-time \
+             byte positions, but this loop has at least one array whose \
+             alignment is only known at run time. Only the zero-shift \
+             policy applies then (paper §4.4): it shifts every load \
+             stream to offset 0 — an amount computable at run time as \
+             `addr & (V-1)` — and shifts back up just before the store. \
+             Re-run with `--policy zero`, or drop `--policy` to let the \
+             driver choose automatically.",
+            info.policy.name()
+        ),
+        _ => "The placement phase rejected this loop/policy combination; \
+              see the error above for the violated precondition."
+            .to_string(),
+    };
+    InapplicableReport {
+        info,
+        error: error.to_string(),
+        explanation,
     }
 }

@@ -13,8 +13,8 @@
 use crate::protocol::{Command, ExecRequest};
 use crate::server::ServerConfig;
 use simdize::{
-    analyze_program, parse_program, run_job, run_sweep_shared, traced_pass, AnalyzeOptions,
-    KernelCache, ReuseMode, RunInput, Simdizer, SweepJob, SweepOptions, Target, VectorShape,
+    analyze_program, parse_program, run_job, run_sweep_shared, traced_pass, DiffConfig,
+    KernelCache, Simdizer, SweepJob, SweepOptions,
 };
 use simdize_explain::{render_json, Explainer};
 use simdize_telemetry::json;
@@ -44,15 +44,11 @@ pub fn execute(
     }
 }
 
+/// The pipeline's defaults, with the request's policy when it forces
+/// one.
 fn driver(req: &ExecRequest) -> Simdizer {
-    let mut driver = Simdizer::new()
-        .shape(VectorShape::V16)
-        .reuse(ReuseMode::SoftwarePipeline)
-        .target(Target::Aligned);
-    if let Some(p) = req.policy {
-        driver = driver.policy(p);
-    }
-    driver
+    req.policy
+        .map_or_else(Simdizer::new, |p| Simdizer::new().policy(p))
 }
 
 fn err<E: std::fmt::Display>(e: E) -> String {
@@ -73,14 +69,9 @@ fn compile(req: &ExecRequest) -> Result<String, String> {
 
 fn analyze(req: &ExecRequest) -> Result<String, String> {
     let program = parse_program(&req.source).map_err(err)?;
-    let compiled = driver(req).compile(&program).map_err(err)?;
-    // The exactly-once lint only applies to the standard unit-stride
-    // stream generator (mirrors the CLI's `analyze`).
-    let mut aopts = AnalyzeOptions::new();
-    if program.all_refs().iter().all(|r| r.is_unit_stride()) {
-        aopts = aopts.reuse(ReuseMode::SoftwarePipeline);
-    }
-    let report = analyze_program(&compiled, &aopts);
+    let driver = driver(req);
+    let compiled = driver.compile(&program).map_err(err)?;
+    let report = analyze_program(&compiled, &driver.analyze_options(&program));
     Ok(format!(
         "{{\"deny\":{},\"warn\":{},\"report\":{}}}",
         report.deny_count(),
@@ -92,15 +83,8 @@ fn analyze(req: &ExecRequest) -> Result<String, String> {
 fn run(req: &ExecRequest, cache: &KernelCache) -> Result<String, String> {
     let program = parse_program(&req.source).map_err(err)?;
     let compiled = driver(req).compile(&program).map_err(err)?;
-    let ub = compiled.source().trip().known().unwrap_or(req.ub);
-    let job = SweepJob {
-        program: compiled,
-        seed: req.seed,
-        input: RunInput {
-            ub,
-            params: req.params.clone(),
-        },
-    };
+    let mut job = SweepJob::new(compiled, req.seed, req.ub);
+    job.input.params.clone_from(&req.params);
     let (outcome, ..) = run_job(&job, cache).map_err(err)?;
     Ok(format!(
         "{{\"verified\":{},\"seed\":{},\"engine_ops\":{},\"scalar_ideal\":{},\
@@ -118,15 +102,11 @@ fn sweep(req: &ExecRequest, cache: &KernelCache, config: &ServerConfig) -> Resul
     let program = parse_program(&req.source).map_err(err)?;
     let compiled = driver(req).compile(&program).map_err(err)?;
     let count = req.count.clamp(1, 4096);
-    let ub = compiled.source().trip().known().unwrap_or(req.ub);
     let jobs: Vec<SweepJob> = (0..count as u64)
-        .map(|k| SweepJob {
-            program: compiled.clone(),
-            seed: req.seed.wrapping_add(k),
-            input: RunInput {
-                ub,
-                params: req.params.clone(),
-            },
+        .map(|k| {
+            let mut job = SweepJob::new(compiled.clone(), req.seed.wrapping_add(k), req.ub);
+            job.input.params.clone_from(&req.params);
+            job
         })
         .collect();
     let threads = config.sweep_threads.max(1);
@@ -173,15 +153,11 @@ fn trace(req: &ExecRequest) -> Result<String, String> {
 
 fn explain(req: &ExecRequest) -> Result<String, String> {
     let program = parse_program(&req.source).map_err(err)?;
-    let mut explainer = Explainer::new()
-        .shape(VectorShape::V16)
-        .reuse(ReuseMode::SoftwarePipeline)
-        .seed(req.seed)
-        .ub(req.ub)
+    let measured = DiffConfig::with_seed(req.seed)
+        .runtime_ub(req.ub)
         .params(req.params.clone());
-    if let Some(p) = req.policy {
-        explainer = explainer.policy(p);
-    }
-    let report = explainer.explain(&program).map_err(err)?;
+    let report = Explainer::new(driver(req), measured)
+        .explain(&program)
+        .map_err(err)?;
     Ok(format!("{{\"report\":{}}}", render_json(&report)))
 }

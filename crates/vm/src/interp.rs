@@ -552,116 +552,3 @@ mod extension_tests {
         assert!(stats.to_string().contains("fallback"));
     }
 }
-
-/// Executes `program` like [`run_simd`] while recording a human-readable
-/// trace of the first `limit` executed instructions (after guard
-/// resolution), annotated with the current induction value — the
-/// debugging view of what the simulated machine actually did.
-///
-/// # Errors
-///
-/// Same as [`run_simd`].
-pub fn run_simd_traced(
-    program: &SimdProgram,
-    image: &mut MemoryImage,
-    input: &RunInput,
-    limit: usize,
-) -> Result<(RunStats, Vec<String>), ExecError> {
-    // Re-run sections manually, mirroring run_simd but logging.
-    let source = program.source();
-    let ub = source.trip().known().unwrap_or(input.ub);
-    let mut trace = Vec::new();
-    if ub <= program.guard_min_trip() {
-        trace.push(format!("guard: ub = {ub} <= {} -> scalar fallback", program.guard_min_trip()));
-        let stats = run_simd(program, image, input)?;
-        return Ok((stats, trace));
-    }
-
-    // Log statically; execution happens through the normal path so the
-    // two can never diverge.
-    fn log_section(trace: &mut Vec<String>, limit: usize, name: &str, insts: &[VInst], i: i64) {
-        for inst in insts {
-            if trace.len() >= limit {
-                return;
-            }
-            match inst {
-                VInst::Guarded { cond, .. } => {
-                    trace.push(format!("[i={i}] if {cond} {{ … }}"));
-                }
-                _ => trace.push(format!("[i={i}] {name}: {inst}")),
-            }
-        }
-    }
-    let b = program.block() as i64;
-    log_section(&mut trace, limit, "pro", program.prologue(), 0);
-    let env_upper = {
-        let env = Env {
-            ub: ub as i64,
-            image,
-        };
-        program.upper_bound().eval(&env)
-    };
-    let mut i = program.lower_bound() as i64;
-    while i < env_upper && trace.len() < limit {
-        log_section(&mut trace, limit, "body", program.body(), i);
-        i += b;
-    }
-    let mut i_epi = program.lower_bound() as i64;
-    while i_epi < env_upper {
-        i_epi += b;
-    }
-    log_section(&mut trace, limit, "epi", program.epilogue(), i_epi);
-    let stats = run_simd(program, image, input)?;
-    Ok((stats, trace))
-}
-
-#[cfg(test)]
-mod trace_tests {
-    use super::*;
-    use simdize_codegen::{generate, CodegenOptions};
-    use simdize_ir::parse_program;
-    use simdize_reorg::{Policy, ReorgGraph};
-
-    #[test]
-    fn trace_records_sections_in_order() {
-        let p = parse_program(
-            "arrays { a: i32[256] @ 0; b: i32[256] @ 0; }
-             for i in 0..100 { a[i+3] = b[i+1]; }",
-        )
-        .unwrap();
-        let g = ReorgGraph::build(&p, VectorShape::V16)
-            .unwrap()
-            .with_policy(Policy::Zero)
-            .unwrap();
-        let prog = generate(&g, &CodegenOptions::default()).unwrap();
-        let mut img = MemoryImage::with_seed(&p, VectorShape::V16, 1);
-        let (stats, trace) =
-            run_simd_traced(&prog, &mut img, &RunInput::with_ub(100), 40).unwrap();
-        assert!(!stats.used_fallback);
-        assert!(trace.len() <= 40);
-        assert!(trace[0].starts_with("[i=0] pro:"));
-        assert!(trace.iter().any(|l| l.contains("body:")));
-        // And the run still verifies.
-        let mut oracle = MemoryImage::with_seed(&p, VectorShape::V16, 1);
-        crate::scalar::run_scalar(&p, &mut oracle, 100, &[]).unwrap();
-        assert_eq!(img.first_difference(&oracle), None);
-    }
-
-    #[test]
-    fn trace_reports_fallback() {
-        let p = parse_program(
-            "arrays { a: i32[64] @ 4; b: i32[64] @ 8; }
-             for i in 0..ub { a[i] = b[i+1]; }",
-        )
-        .unwrap();
-        let g = ReorgGraph::build(&p, VectorShape::V16)
-            .unwrap()
-            .with_policy(Policy::Zero)
-            .unwrap();
-        let prog = generate(&g, &CodegenOptions::default()).unwrap();
-        let mut img = MemoryImage::with_seed(&p, VectorShape::V16, 1);
-        let (stats, trace) = run_simd_traced(&prog, &mut img, &RunInput::with_ub(4), 10).unwrap();
-        assert!(stats.used_fallback);
-        assert!(trace[0].contains("scalar fallback"));
-    }
-}

@@ -65,7 +65,7 @@ mod stats;
 
 pub use diff::{run_differential, DiffConfig, DiffOutcome};
 pub use error::{ExecError, VerifyError};
-pub use interp::{run_simd, run_simd_traced, runtime_expr_count, RunInput};
+pub use interp::{run_simd, runtime_expr_count, RunInput};
 pub use memory::MemoryImage;
 pub use scalar::{run_scalar, scalar_ideal_ops};
 pub use stats::{

@@ -20,7 +20,7 @@
 # eight seeds of Figure 1 baked, run on the detected ISA tier and
 # verified against the scalar oracle on four worker threads (with
 # telemetry collection on), a request-scoped `simdize trace` export
-# (text with the metrics block, JSON, Chrome trace events),
+# (text with the attributes and span tree, JSON, Chrome trace events),
 # the disabled-instrumentation overhead gate, checked 1 s runs of the
 # BENCHMARK.json package's kernel-steady, bake-cold and compile-cold
 # workloads, a server smoke that checks trace-id echoing,
@@ -254,6 +254,12 @@ echo "== explain smoke (decision traces render in all three formats) =="
 target/release/simdize explain loops/figure1.loop > /dev/null
 target/release/simdize explain loops/figure1.loop --policy zero --json > /dev/null
 target/release/simdize explain loops/runtime.loop --policy eager --markdown > /dev/null
+# explain honours every pipeline flag, and the unaligned target has no
+# reorganization to explain.
+target/release/simdize explain loops/figure1.loop --reassoc --no-unroll --json \
+    | grep -q '"mode":"stream"'
+target/release/simdize explain loops/figure1.loop --target unaligned --json \
+    | grep -q '"mode":"inapplicable"'
 
 echo "== bounded verification (quick proofs over every sample loop) =="
 # The --quick domain still crosses alignments x policies x trip

@@ -4,7 +4,7 @@
 //! stats, and the checked-in worked-example docs cannot rot out of
 //! sync with the compiler.
 
-use simdize::{parse_program, Policy};
+use simdize::{parse_program, DiffConfig, Policy, ReuseMode, Simdizer, Target};
 use simdize_explain::{render_json, render_markdown, ExplainReport, Explainer};
 use simdize_suite::{assert_golden, sample, sample_loops};
 
@@ -18,10 +18,15 @@ const POLICIES: [(Policy, &str); 5] = [
 
 const LOOPS: [&str; 4] = ["figure1", "runtime", "dot_product", "deinterleave"];
 
+/// The measured run of every report here: the CLI's default seed and
+/// runtime trip count.
+fn measured() -> DiffConfig {
+    DiffConfig::with_seed(2004)
+}
+
 fn explain(name: &str, policy: Policy) -> ExplainReport {
     let program = parse_program(&sample(name)).unwrap();
-    Explainer::new()
-        .policy(policy)
+    Explainer::new(Simdizer::new().policy(policy), measured())
         .explain(&program)
         .unwrap_or_else(|e| panic!("{name}/{}: {e}", policy.name()))
 }
@@ -132,6 +137,72 @@ fn inapplicable_is_a_page_not_an_error() {
         explain("runtime", Policy::Zero),
         ExplainReport::Stream(_)
     ));
+}
+
+/// A report explains the program `Simdizer::compile` emits under the
+/// same driver, across every option that changes that program — or
+/// both refuse it.
+#[test]
+fn explained_program_is_the_compiled_program() {
+    let reuses = [
+        ReuseMode::None,
+        ReuseMode::SoftwarePipeline,
+        ReuseMode::PredictiveCommoning,
+    ];
+    for (name, source) in sample_loops() {
+        let program = parse_program(&source).unwrap();
+        for (policy, pname) in POLICIES {
+            for reuse in reuses {
+                for bits in 0..8 {
+                    let (memnorm, unroll, reassoc) = (bits & 1 != 0, bits & 2 != 0, bits & 4 != 0);
+                    let driver = Simdizer::new()
+                        .policy(policy)
+                        .reuse(reuse)
+                        .memnorm(memnorm)
+                        .unroll(unroll)
+                        .reassociate(reassoc);
+                    let case = format!(
+                        "{name}/{pname}/{reuse:?} memnorm={memnorm} unroll={unroll} \
+                         reassoc={reassoc}"
+                    );
+                    let explained = Explainer::new(driver, measured()).explain(&program);
+                    match (driver.compile(&program), explained) {
+                        (Ok(compiled), Ok(ExplainReport::Stream(r))) => {
+                            assert_eq!(r.program, compiled, "{case}");
+                            assert!(r.verified && r.engine_matches, "{case}");
+                        }
+                        (Ok(compiled), Ok(ExplainReport::Strided(r))) => {
+                            assert_eq!(r.program, compiled, "{case}")
+                        }
+                        (Err(_), Ok(ExplainReport::Inapplicable(_)) | Err(_)) => {}
+                        (compiled, explained) => panic!(
+                            "{case}: compile {:?}, explain {:?}",
+                            compiled.map(|_| "a program"),
+                            explained.map(|r| match r {
+                                ExplainReport::Stream(_) => "stream",
+                                ExplainReport::Strided(_) => "strided",
+                                ExplainReport::Inapplicable(_) => "inapplicable",
+                            })
+                        ),
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The hardware-misaligned target has no reorganization to explain:
+/// an inapplicable page, not a report on the aligned program.
+#[test]
+fn unaligned_target_explains_as_inapplicable() {
+    let program = parse_program(&sample("figure1")).unwrap();
+    let driver = Simdizer::new().target(Target::Unaligned);
+    let report = Explainer::new(driver, measured()).explain(&program).unwrap();
+    let ExplainReport::Inapplicable(r) = report else {
+        panic!("the unaligned target should explain as inapplicable");
+    };
+    assert!(r.error.contains("unaligned target"), "{}", r.error);
+    assert!(!r.error.contains('\n'), "{}", r.error);
 }
 
 /// The head of `docs/worked-examples/README.md`; one table row per

@@ -37,22 +37,6 @@ fn samples_roundtrip_through_the_printer() {
 }
 
 #[test]
-fn traced_execution_matches_plain() {
-    use simdize::{run_simd, run_simd_traced, MemoryImage, RunInput, VectorShape};
-    let program = parse_program(&sample("figure1")).unwrap();
-    let compiled = Simdizer::new().compile(&program).unwrap();
-    let mut a = MemoryImage::with_seed(&program, VectorShape::V16, 3);
-    let mut b = a.clone();
-    let plain = run_simd(&compiled, &mut a, &RunInput::with_ub(1000)).unwrap();
-    let (traced, trace) =
-        run_simd_traced(&compiled, &mut b, &RunInput::with_ub(1000), 64).unwrap();
-    assert_eq!(plain, traced);
-    assert_eq!(a.first_difference(&b), None);
-    assert!(!trace.is_empty());
-    assert!(trace.iter().all(|l| l.starts_with("[i=")));
-}
-
-#[test]
 fn reduction_graph_metadata() {
     use simdize::{Offset, ReorgGraph, VectorShape};
     let program = parse_program(&sample("dot_product")).unwrap();
