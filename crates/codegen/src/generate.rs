@@ -3,8 +3,9 @@
 use crate::error::GenCodeError;
 use crate::options::{CodegenOptions, ReuseMode};
 use crate::passes;
+use crate::passes::lvn::Table;
 use crate::sexpr::{SCond, SExpr};
-use crate::trace::{BoundFormula, CodegenEvent, CodegenTrace, Recorder};
+use crate::trace::{BoundFormula, CodegenEvent, CodegenTrace, Recorder, SectionCounts};
 use crate::vir::{Addr, SimdProgram, VInst, VReg};
 use simdize_ir::{AlignKind, ArrayRef, BinOp, Invariant, ScalarType, TripCount};
 use simdize_reorg::{NodeId, Offset, RNode, ReorgGraph, ShiftDir, VOpKind};
@@ -18,9 +19,13 @@ use std::sync::Arc;
 /// stores), the multi-statement bound formulas (eqs. 12–14), the runtime
 /// alignment and unknown-bound handling of §4.4 (eqs. 15–16 and the
 /// `ub > 3B` guard), and — when [`ReuseMode::SoftwarePipeline`] is
-/// selected — the software-pipelined scheme of Figure 10. Post passes
-/// run according to `options` (memory normalization + CSE, predictive
-/// commoning, dead code elimination, copy-removing unroll-by-2).
+/// selected — the software-pipelined scheme of Figure 10. Every
+/// instruction is value-numbered as it is emitted (§5.5 CSE, with
+/// MemNorm's chunk keys when enabled), so no computed value is emitted
+/// twice within a section. Post passes then run according to `options`:
+/// under [`ReuseMode::PredictiveCommoning`] predictive commoning,
+/// value numbering of its initializers and dead code elimination; and
+/// copy-removing unroll-by-2.
 ///
 /// # Errors
 ///
@@ -54,8 +59,8 @@ fn run(
     rec: &mut Recorder<'_>,
 ) -> Result<SimdProgram, GenCodeError> {
     graph.validate()?;
-    let mut program = Generator::new(graph, options).run(rec)?;
-    passes::run_pipeline(&mut program, options, rec);
+    let (mut program, merged) = Generator::new(graph, options).run(rec)?;
+    passes::run_pipeline(&mut program, merged, options, rec);
     Ok(program)
 }
 
@@ -67,13 +72,67 @@ enum Mode {
     Sp,
 }
 
+/// A section under construction: its instructions, and the table they
+/// were value-numbered in as they were emitted.
+struct Section<'g> {
+    insts: Vec<VInst>,
+    table: Table<'g>,
+    /// Instructions the table merged into an earlier value, for the
+    /// trace's `lvn` counts.
+    merged: usize,
+    /// Inside a block that fails at compile time: emit nothing, number
+    /// nothing.
+    discarding: bool,
+}
+
+impl<'g> Section<'g> {
+    fn new(table: Table<'g>, capacity: usize) -> Section<'g> {
+        Section {
+            insts: Vec::with_capacity(capacity),
+            table,
+            merged: 0,
+            discarding: false,
+        }
+    }
+
+    /// Emits `inst` unless a register already holds its value; returns
+    /// the register holding the value it defines, if any.
+    fn emit(&mut self, inst: VInst) -> Option<VReg> {
+        if self.discarding {
+            return inst.def();
+        }
+        match self.table.number(&inst) {
+            Some(rep) => {
+                self.merged += 1;
+                Some(rep)
+            }
+            None => {
+                let def = inst.def();
+                self.insts.push(inst);
+                def
+            }
+        }
+    }
+
+    /// [`Section::emit`] for an instruction that defines a value.
+    fn value(&mut self, inst: VInst) -> VReg {
+        self.emit(inst).expect("value-defining instruction")
+    }
+
+    /// The finished instructions, holding no spare room (kernel caches
+    /// keep the program), the merge count and the table.
+    fn finish(self) -> (Vec<VInst>, usize, Table<'g>) {
+        (shrunk(self.insts), self.merged, self.table)
+    }
+}
+
 struct Generator<'g> {
     graph: &'g ReorgGraph,
     options: CodegenOptions,
     next_reg: u32,
-    prologue: Vec<VInst>,
-    body: Vec<VInst>,
-    epilogue: Vec<VInst>,
+    /// The prologue, open while the body is generated: software
+    /// pipelining appends its initializers to it.
+    prologue: Option<Section<'g>>,
     /// Loop-carried rotations `(old, second)` appended at the bottom of
     /// the steady body (Figure 10 line 19).
     carried: Vec<(VReg, VReg)>,
@@ -90,15 +149,18 @@ struct Generator<'g> {
 
 impl<'g> Generator<'g> {
     fn new(graph: &'g ReorgGraph, options: &CodegenOptions) -> Generator<'g> {
+        // Software pipelining carries one register per shift.
+        let carried = match options.reuse_mode() {
+            ReuseMode::SoftwarePipeline => graph.shift_count(),
+            _ => 0,
+        };
         Generator {
             graph,
             options: *options,
             next_reg: 0,
-            prologue: Vec::new(),
-            body: Vec::new(),
-            epilogue: Vec::new(),
-            carried: Vec::new(),
-            sp_memo: HashMap::new(),
+            prologue: None,
+            carried: Vec::with_capacity(carried),
+            sp_memo: HashMap::with_capacity(carried),
             b: graph.blocking_factor() as i64,
             v: graph.shape().bytes() as i64,
             d: graph.program().elem().size() as i64,
@@ -111,8 +173,29 @@ impl<'g> Generator<'g> {
         r
     }
 
-    /// Generates the program, passing each structural decision to `rec`.
-    fn run(&mut self, rec: &mut Recorder<'_>) -> Result<SimdProgram, GenCodeError> {
+    /// Room to reserve for a section's instructions and values.
+    fn section_capacity(&self) -> usize {
+        2 * self.graph.nodes().len()
+    }
+
+    /// An empty section with its own value-numbering table.
+    fn section(&self) -> Section<'g> {
+        let table = Table::new(
+            self.graph.program(),
+            self.graph.shape(),
+            self.options.memnorm_enabled(),
+            self.section_capacity(),
+        );
+        Section::new(table, self.section_capacity())
+    }
+
+    /// Generates the program, passing each structural decision to `rec`;
+    /// also returns how many instructions value numbering merged in
+    /// each section.
+    fn run(
+        &mut self,
+        rec: &mut Recorder<'_>,
+    ) -> Result<(SimdProgram, SectionCounts), GenCodeError> {
         let program = Arc::clone(self.graph.shared_program());
         let guard_min_trip = (3 * self.b) as u64;
 
@@ -193,6 +276,7 @@ impl<'g> Generator<'g> {
         // Prologue (Figure 9, GenSimdStmt-Prologue), executed at i = 0.
         // Reductions initialize their accumulator with the first block
         // E(0) here instead of a partial store.
+        let mut pro = self.section();
         for (idx, &(store, src, reduction)) in stmts.iter().enumerate() {
             rec.record(|| CodegenEvent::ProloguePeeled {
                 stmt: idx,
@@ -202,51 +286,48 @@ impl<'g> Generator<'g> {
                     .is_some_and(|ps| ps.as_const() != Some(0)),
             });
             if reduction.is_some() {
-                let mut insts = Vec::new();
-                let first = self.gen_expr(src, 0, &mut insts, Mode::Std);
+                let first = self.gen_expr(src, 0, &mut pro, Mode::Std);
                 let acc = self.fresh();
-                insts.push(VInst::Copy {
+                pro.emit(VInst::Copy {
                     dst: acc,
                     src: first,
                 });
                 accs[idx] = Some(acc);
-                self.prologue.extend(insts);
                 continue;
             }
             let addr = Addr::new(store.array, store.offset);
-            let mut insts = Vec::new();
-            let new = self.gen_expr(src, 0, &mut insts, Mode::Std);
+            let new = self.gen_expr(src, 0, &mut pro, Mode::Std);
             let ps = prosplices[idx].clone().expect("stores have splice points");
             if ps.as_const() == Some(0) {
-                insts.push(VInst::StoreA { addr, src: new });
+                pro.emit(VInst::StoreA { addr, src: new });
             } else {
                 let old = self.fresh();
-                insts.push(VInst::LoadA { dst: old, addr });
+                let old = pro.value(VInst::LoadA { dst: old, addr });
                 let spliced = self.fresh();
-                insts.push(VInst::Splice {
+                let spliced = pro.value(VInst::Splice {
                     dst: spliced,
                     a: old,
                     b: new,
                     point: ps,
                 });
-                insts.push(VInst::StoreA { addr, src: spliced });
+                pro.emit(VInst::StoreA { addr, src: spliced });
             }
-            self.prologue.extend(insts);
         }
+        self.prologue = Some(pro);
 
         // Steady-state body (GenSimdStmt-Steady), plus carried copies.
         let body_mode = match self.options.reuse_mode() {
             ReuseMode::SoftwarePipeline => Mode::Sp,
             _ => Mode::Std,
         };
-        let mut body = Vec::new();
+        let mut body = self.section();
         for (idx, &(store, src, reduction)) in stmts.iter().enumerate() {
             let new = self.gen_expr(src, 0, &mut body, body_mode);
             match reduction {
                 Some(op) => {
                     let acc = accs[idx].expect("initialized in prologue");
                     let newacc = self.fresh();
-                    body.push(VInst::Bin {
+                    let newacc = body.value(VInst::Bin {
                         dst: newacc,
                         op,
                         a: acc,
@@ -254,17 +335,25 @@ impl<'g> Generator<'g> {
                     });
                     self.carried.push((acc, newacc));
                 }
-                None => body.push(VInst::StoreA {
-                    addr: Addr::new(store.array, store.offset),
-                    src: new,
-                }),
+                None => {
+                    body.emit(VInst::StoreA {
+                        addr: Addr::new(store.array, store.offset),
+                        src: new,
+                    });
+                }
             }
         }
-        body.extend(self.carried.iter().map(|&(old, second)| VInst::Copy {
-            dst: old,
-            src: second,
-        }));
-        self.body = body;
+        for &(old, second) in &self.carried {
+            body.emit(VInst::Copy {
+                dst: old,
+                src: second,
+            });
+        }
+        let (prologue, pro_merged, _) = self.prologue.take().expect("opened above").finish();
+        // The epilogue numbers its values in the body's table, cleared.
+        let (body, body_merged, mut table) = body.finish();
+        table.reset(0);
+        let mut epi = Section::new(table, self.section_capacity());
         rec.record(|| CodegenEvent::ReuseApplied {
             mode: self.options.reuse_mode(),
             carried_chains: self.carried.len(),
@@ -282,7 +371,7 @@ impl<'g> Generator<'g> {
                     residue,
                     fold_steps: (self.b as u64).ilog2() as usize,
                 });
-                self.gen_reduction_epilogue(store, src, op, acc, residue, &program);
+                self.gen_reduction_epilogue(store, src, op, acc, residue, &mut epi);
                 continue;
             }
             let ps = prosplices[idx].clone().expect("stores have splice points");
@@ -307,53 +396,80 @@ impl<'g> Generator<'g> {
 
             // Full vector store when a whole chunk is left (ELO >= V),
             // followed by a partial store at i+B for the remainder.
-            let mut full_block = Vec::new();
-            {
-                let new = self.gen_expr(src, 0, &mut full_block, Mode::Std);
-                full_block.push(VInst::StoreA { addr, src: new });
-                let mut partial_hi = Vec::new();
-                self.gen_partial_store(src, addr, self.b, episplice.clone(), &mut partial_hi);
-                push_guarded(
-                    SCond::Gt(elo.clone(), SExpr::c(self.v)),
-                    partial_hi,
-                    &mut full_block,
-                );
-            }
-            push_guarded(
-                SCond::Ge(elo.clone(), SExpr::c(self.v)),
-                full_block,
-                &mut self.epilogue,
-            );
+            let (v, b) = (self.v, self.b);
+            self.guarded(SCond::Ge(elo.clone(), SExpr::c(v)), &mut epi, |g, sec| {
+                let new = g.gen_expr(src, 0, sec, Mode::Std);
+                sec.emit(VInst::StoreA { addr, src: new });
+                g.guarded(SCond::Gt(elo.clone(), SExpr::c(v)), sec, |g, sec| {
+                    g.gen_partial_store(src, addr, b, episplice.clone(), sec);
+                });
+            });
 
             // Otherwise a single partial store at i (when anything is
             // left at all).
-            let mut partial_lo = Vec::new();
-            self.gen_partial_store(src, addr, 0, episplice.clone(), &mut partial_lo);
-            let mut lo_block = Vec::new();
-            push_guarded(
-                SCond::Gt(elo.clone(), SExpr::c(0)),
-                partial_lo,
-                &mut lo_block,
-            );
-            push_guarded(
-                SCond::Lt(elo.clone(), SExpr::c(self.v)),
-                lo_block,
-                &mut self.epilogue,
-            );
+            self.guarded(SCond::Lt(elo.clone(), SExpr::c(v)), &mut epi, |g, sec| {
+                g.guarded(SCond::Gt(elo.clone(), SExpr::c(0)), sec, |g, sec| {
+                    g.gen_partial_store(src, addr, 0, episplice.clone(), sec);
+                });
+            });
         }
+        let (epilogue, epi_merged, _) = epi.finish();
 
-        Ok(SimdProgram {
+        let simd = SimdProgram {
             program,
             shape: self.graph.shape(),
             nvregs: self.next_reg,
-            prologue: std::mem::take(&mut self.prologue),
-            body: std::mem::take(&mut self.body),
+            prologue,
+            body,
             body_pair: None,
-            epilogue: std::mem::take(&mut self.epilogue),
+            epilogue,
             lower_bound: self.b as u64,
             upper_bound,
             guard_min_trip,
-        })
+        };
+        let merged = SectionCounts {
+            prologue: pro_merged,
+            body: body_merged,
+            epilogue: epi_merged,
+        };
+        Ok((simd, merged))
+    }
+
+    /// Emits into `sec` what `emit` emits, under `cond`: inline when
+    /// `cond` holds at compile time, as a `Guarded` block whose values
+    /// stay inside it when it is decided at run time, and not at all
+    /// when it fails at compile time. A discarded block still allocates
+    /// its registers, so register numbers do not depend on which blocks
+    /// survive.
+    fn guarded(
+        &mut self,
+        cond: SCond,
+        sec: &mut Section<'g>,
+        emit: impl FnOnce(&mut Self, &mut Section<'g>),
+    ) {
+        match cond.as_const() {
+            Some(true) => emit(self, sec),
+            Some(false) => {
+                let discarding = std::mem::replace(&mut sec.discarding, true);
+                emit(self, sec);
+                sec.discarding = discarding;
+            }
+            None => {
+                let mark = sec.table.open();
+                let outer =
+                    std::mem::replace(&mut sec.insts, Vec::with_capacity(self.graph.nodes().len()));
+                emit(self, sec);
+                let body = std::mem::replace(&mut sec.insts, outer);
+                sec.table.close(mark);
+                // Empty only inside a discarded block.
+                if !body.is_empty() {
+                    sec.insts.push(VInst::Guarded {
+                        cond,
+                        body: shrunk(body),
+                    });
+                }
+            }
+        }
     }
 
     /// Finishes a reduction: fold the residue block (masked to the
@@ -367,18 +483,18 @@ impl<'g> Generator<'g> {
         op: BinOp,
         acc: VReg,
         residue: usize,
-        program: &simdize_ir::LoopProgram,
+        epi: &mut Section<'g>,
     ) {
+        let program = self.graph.program();
         let d = self.d as usize;
         let v = self.v as usize;
         let ident_value = reduction_identity(op, program.elem());
 
-        let mut insts = Vec::new();
         let mut current = acc;
         if residue > 0 {
-            let value = self.gen_expr(src, 0, &mut insts, Mode::Std);
+            let value = self.gen_expr(src, 0, epi, Mode::Std);
             let ident = self.fresh();
-            insts.push(VInst::SplatConst {
+            let ident = epi.value(VInst::SplatConst {
                 dst: ident,
                 value: ident_value,
             });
@@ -392,40 +508,38 @@ impl<'g> Generator<'g> {
                 })
                 .collect();
             let masked = self.fresh();
-            insts.push(VInst::Perm {
+            let masked = epi.value(VInst::Perm {
                 dst: masked,
                 a: value,
                 b: ident,
                 pattern,
             });
             let folded = self.fresh();
-            insts.push(VInst::Bin {
+            current = epi.value(VInst::Bin {
                 dst: folded,
                 op,
                 a: current,
                 b: masked,
             });
-            current = folded;
         }
 
         // Horizontal fold: rotate by B/2, B/4, … lanes and combine.
         let mut step = (self.b / 2) as usize;
         while step >= 1 {
             let rotated = self.fresh();
-            insts.push(VInst::ShiftPair {
+            let rotated = epi.value(VInst::ShiftPair {
                 dst: rotated,
                 a: current,
                 b: current,
                 amt: SExpr::c((step * d) as i64),
             });
             let combined = self.fresh();
-            insts.push(VInst::Bin {
+            current = epi.value(VInst::Bin {
                 dst: combined,
                 op,
                 a: current,
                 b: rotated,
             });
-            current = combined;
             step /= 2;
         }
 
@@ -437,9 +551,9 @@ impl<'g> Generator<'g> {
         let pos = (beta + target.offset * self.d).rem_euclid(self.v) as usize;
         let addr = Addr::invariant(target.array, target.offset);
         let old = self.fresh();
-        insts.push(VInst::LoadA { dst: old, addr });
+        let old = epi.value(VInst::LoadA { dst: old, addr });
         let combined = self.fresh();
-        insts.push(VInst::Bin {
+        let combined = epi.value(VInst::Bin {
             dst: combined,
             op,
             a: current,
@@ -458,14 +572,13 @@ impl<'g> Generator<'g> {
             })
             .collect();
         let merged = self.fresh();
-        insts.push(VInst::Perm {
+        let merged = epi.value(VInst::Perm {
             dst: merged,
             a: combined,
             b: old,
             pattern,
         });
-        insts.push(VInst::StoreA { addr, src: merged });
-        self.epilogue.extend(insts);
+        epi.emit(VInst::StoreA { addr, src: merged });
     }
 
     /// Figure 9's epilogue partial store: load–splice–store at
@@ -476,22 +589,22 @@ impl<'g> Generator<'g> {
         addr: Addr,
         delta: i64,
         point: SExpr,
-        out: &mut Vec<VInst>,
+        out: &mut Section<'g>,
     ) {
         let new = self.gen_expr(src, delta, out, Mode::Std);
         let old = self.fresh();
-        out.push(VInst::LoadA {
+        let old = out.value(VInst::LoadA {
             dst: old,
             addr: addr.shifted(delta),
         });
         let spliced = self.fresh();
-        out.push(VInst::Splice {
+        let spliced = out.value(VInst::Splice {
             dst: spliced,
             a: new,
             b: old,
             point,
         });
-        out.push(VInst::StoreA {
+        out.emit(VInst::StoreA {
             addr: addr.shifted(delta),
             src: spliced,
         });
@@ -499,24 +612,22 @@ impl<'g> Generator<'g> {
 
     /// Figure 7 `GenSimdExpr` / Figure 10 `GenSimdExprSP`. `delta` is the
     /// accumulated `Substitute(n, i → i + delta)` in elements.
-    fn gen_expr(&mut self, node: NodeId, delta: i64, out: &mut Vec<VInst>, mode: Mode) -> VReg {
+    fn gen_expr(&mut self, node: NodeId, delta: i64, out: &mut Section<'g>, mode: Mode) -> VReg {
         let graph = self.graph;
         match *graph.node(node) {
             RNode::Load { r } => {
                 let dst = self.fresh();
-                out.push(VInst::LoadA {
+                out.value(VInst::LoadA {
                     dst,
                     addr: Addr::new(r.array, r.offset + delta),
-                });
-                dst
+                })
             }
             RNode::Splat { inv } => {
                 let dst = self.fresh();
-                out.push(match inv {
+                out.value(match inv {
                     Invariant::Const(value) => VInst::SplatConst { dst, value },
                     Invariant::Param(param) => VInst::SplatParam { dst, param },
-                });
-                dst
+                })
             }
             RNode::Op {
                 kind: VOpKind::Bin(op),
@@ -525,8 +636,7 @@ impl<'g> Generator<'g> {
                 let a = self.gen_expr(srcs[0], delta, out, mode);
                 let b = self.gen_expr(srcs[1], delta, out, mode);
                 let dst = self.fresh();
-                out.push(VInst::Bin { dst, op, a, b });
-                dst
+                out.value(VInst::Bin { dst, op, a, b })
             }
             RNode::Op {
                 kind: VOpKind::Un(op),
@@ -534,8 +644,7 @@ impl<'g> Generator<'g> {
             } => {
                 let a = self.gen_expr(srcs[0], delta, out, mode);
                 let dst = self.fresh();
-                out.push(VInst::Un { dst, op, a });
-                dst
+                out.value(VInst::Un { dst, op, a })
             }
             RNode::ShiftStream { src, to } => {
                 let from = self.graph.offset_of(src);
@@ -550,26 +659,24 @@ impl<'g> Generator<'g> {
                         let curr = self.gen_expr(src, delta, out, mode);
                         let next = self.gen_expr(src, delta + self.b, out, mode);
                         let dst = self.fresh();
-                        out.push(VInst::ShiftPair {
+                        out.value(VInst::ShiftPair {
                             dst,
                             a: curr,
                             b: next,
                             amt: self.amount_expr(from, to),
-                        });
-                        dst
+                        })
                     }
                     ShiftDir::Right => {
                         // Combine previous and current registers.
                         let prev = self.gen_expr(src, delta - self.b, out, mode);
                         let curr = self.gen_expr(src, delta, out, mode);
                         let dst = self.fresh();
-                        out.push(VInst::ShiftPair {
+                        out.value(VInst::ShiftPair {
                             dst,
                             a: prev,
                             b: curr,
                             amt: self.amount_expr(from, to),
-                        });
-                        dst
+                        })
                     }
                 }
             }
@@ -588,7 +695,7 @@ impl<'g> Generator<'g> {
         to: Offset,
         dir: ShiftDir,
         delta: i64,
-        out: &mut Vec<VInst>,
+        out: &mut Section<'g>,
     ) -> VReg {
         if let Some(&r) = self.sp_memo.get(&(node, delta)) {
             return r;
@@ -603,18 +710,21 @@ impl<'g> Generator<'g> {
         // evaluated at the first steady iteration (i = LB = B, while the
         // prologue itself runs at i = 0).
         let old = self.fresh();
-        let mut init = Vec::new();
-        let first = self.gen_expr(src, first_delta + self.b, &mut init, Mode::Std);
-        init.push(VInst::Copy {
+        let mut pro = self
+            .prologue
+            .take()
+            .expect("open while the body is generated");
+        let first = self.gen_expr(src, first_delta + self.b, &mut pro, Mode::Std);
+        pro.emit(VInst::Copy {
             dst: old,
             src: first,
         });
-        self.prologue.extend(init);
+        self.prologue = Some(pro);
 
         // Body: compute only second; combine with the carried old.
         let second = self.gen_expr(src, second_delta, out, Mode::Sp);
         let dst = self.fresh();
-        out.push(VInst::ShiftPair {
+        let dst = out.value(VInst::ShiftPair {
             dst,
             a: old,
             b: second,
@@ -664,16 +774,10 @@ impl<'g> Generator<'g> {
     }
 }
 
-/// Appends `body` under `cond`, folding compile-time conditions.
-fn push_guarded(cond: SCond, body: Vec<VInst>, out: &mut Vec<VInst>) {
-    if body.is_empty() {
-        return;
-    }
-    match cond.as_const() {
-        Some(true) => out.extend(body),
-        Some(false) => {}
-        None => out.push(VInst::Guarded { cond, body }),
-    }
+/// `insts` holding no spare room.
+fn shrunk(mut insts: Vec<VInst>) -> Vec<VInst> {
+    insts.shrink_to_fit();
+    insts
 }
 
 /// The identity element of a reduction operation for lanes of `elem`:

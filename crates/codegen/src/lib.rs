@@ -22,9 +22,11 @@
 //!   previous iteration's register in a loop-carried virtual register so
 //!   that no chunk of a static stream is ever loaded twice.
 //!
-//! Post passes ([`CodegenOptions`]) add the paper's §5.5 code-generation
+//! [`CodegenOptions`] select the paper's §5.5 code-generation
 //! optimizations: memory normalization with local CSE (`MemNorm`),
-//! predictive commoning (`PC`), and copy-removing unroll-by-2.
+//! which the generator applies as it emits each instruction; predictive
+//! commoning (`PC`), a post pass followed by value numbering and dead
+//! code elimination; and copy-removing unroll-by-2.
 //!
 //! # Example
 //!
@@ -66,6 +68,7 @@ pub use error::GenCodeError;
 pub use generate::{generate, generate_traced, reduction_identity};
 pub use lower::lower_altivec;
 pub use options::{CodegenOptions, ReuseMode};
+pub use passes::value_number;
 pub use sexpr::{SCond, SExpr, ScalarEnv};
 pub use strided::{generate_strided, strided_model_opd, GenStridedError, MAX_STRIDE};
 pub use trace::{BoundFormula, CodegenEvent, CodegenTrace, SectionCounts};

@@ -11,17 +11,19 @@
 use crate::vir::{SimdProgram, VInst, VReg};
 
 pub(crate) fn run(program: &mut SimdProgram) {
-    let copies: Vec<(VReg, VReg)> = program
+    let ncopies = program
         .body
         .iter()
-        .filter_map(|i| match i {
-            VInst::Copy { dst, src } => Some((*dst, *src)),
-            _ => None,
-        })
-        .collect();
-    if copies.is_empty() {
+        .filter(|i| matches!(i, VInst::Copy { .. }))
+        .count();
+    if ncopies == 0 {
         return; // nothing to win
     }
+    let mut copies: Vec<(VReg, VReg)> = Vec::with_capacity(ncopies);
+    copies.extend(program.body.iter().filter_map(|i| match i {
+        VInst::Copy { dst, src } => Some((*dst, *src)),
+        _ => None,
+    }));
 
     // Chains (a copy reading another carried register) need the
     // sequential-copy semantics preserved; keep the copies in that case.
@@ -29,12 +31,17 @@ pub(crate) fn run(program: &mut SimdProgram) {
         .iter()
         .any(|&(_, src)| copies.iter().any(|&(carried, _)| carried == src));
 
-    let core: Vec<VInst> = program
-        .body
-        .iter()
-        .filter(|i| !matches!(i, VInst::Copy { .. }))
-        .cloned()
-        .collect();
+    // The core becomes the pair's first half: room for all of it.
+    let ncore = program.body.len() - ncopies;
+    let mut core: Vec<VInst> =
+        Vec::with_capacity(2 * ncore + ncopies + if has_chain { ncopies } else { 0 });
+    core.extend(
+        program
+            .body
+            .iter()
+            .filter(|i| !matches!(i, VInst::Copy { .. }))
+            .cloned(),
+    );
 
     // Both maps are indexed by register: every register they are asked
     // about is one of the body's, below the count before unrolling.

@@ -60,6 +60,12 @@ echo "== test (release, workspace) =="
 # against the checked walk would notice).
 cargo test -q --release --offline --workspace
 
+echo "== emitted-program identity, wide corpus (release) =="
+# tests/identity.rs pins the fingerprint of every program the driver
+# emits; tier-1 covers the samples and a 60-loop grid, and this ignored
+# twin 4 seeds x 512 loops under all 60 driver configurations (~10 s).
+cargo test -q --release --offline --test identity -- --ignored
+
 echo "== engine tier matrix, forced to the SSE2 and scalar tiers =="
 # The host probably dispatches AVX2, so the plain test runs above cover
 # that tier; forcing SIMDIZE_ISA=sse2 re-runs the full policy x
