@@ -18,9 +18,12 @@
 //! bytes, a multiple of the chunk size; guarded blocks are resolved
 //! (the conditions are loop invariant) and flattened; every access
 //! stream is bounds-checked first-and-last against the image's guarded
-//! ranges; registers are checked defined-before-use; dynamic
-//! instruction counts are computed analytically, charging the same
-//! costs as `simdize_vm::run_simd` charges dynamically.
+//! ranges; registers are checked defined-before-use and numbered
+//! densely, in the order of their first definitions, so every table a
+//! later pass indexes by register is sized by the plan, not by the
+//! VIR's id space; dynamic instruction counts are computed analytically,
+//! charging the same costs as `simdize_vm::run_simd` charges
+//! dynamically.
 //!
 //! After baking, the [`trace`](crate::trace) pass (on by default)
 //! fuses superinstructions, hoists loop invariants into per-loop
@@ -57,8 +60,8 @@ pub(crate) const NO_REG: u32 = u32::MAX;
 /// with any chunk truncation already applied; all scalar operands are
 /// folded. `arr` identifies the accessed array so the trace pass can
 /// reason about aliasing (array guarded regions never overlap).
-/// Register operands are baked ids until renaming, offsets into the
-/// run's register block after it.
+/// Register operands are baked ids (dense, in first-definition order)
+/// until renaming, offsets into the run's register block after it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Op {
     Load { dst: u32, arr: u32, start: i64, step: i64 },
@@ -273,7 +276,12 @@ struct Baking<'a> {
     params: &'a [i64],
     ub: i64,
     elem: ScalarType,
-    defined: Vec<bool>,
+    /// By VIR register: its baked id, [`NO_REG`] until its first
+    /// definition. Ids are handed out in first-definition order, so
+    /// every table downstream is sized by the plan (`nregs`), not by
+    /// the VIR's id space.
+    ids: Vec<u32>,
+    nregs: u32,
 }
 
 impl Baking<'_> {
@@ -285,15 +293,18 @@ impl Baking<'_> {
     }
 
     fn use_reg(&self, r: VReg) -> Result<u32, ExecError> {
-        if !self.defined[r.index()] {
-            return Err(ExecError::UninitializedRegister { index: r.index() });
+        match self.ids[r.index()] {
+            NO_REG => Err(ExecError::UninitializedRegister { index: r.index() }),
+            id => Ok(id),
         }
-        Ok(r.index() as u32)
     }
 
     fn def_reg(&mut self, r: VReg) -> u32 {
-        self.defined[r.index()] = true;
-        r.index() as u32
+        let id = &mut self.ids[r.index()];
+        if *id == NO_REG {
+            (*id, self.nregs) = (self.nregs, self.nregs + 1);
+        }
+        *id
     }
 
     /// The baked `(array, first byte, bytes per iteration)` of `addr`
@@ -568,13 +579,15 @@ impl<'p> PredecodedKernel<'p> {
             params: &input.params,
             ub: ub as i64,
             elem,
-            defined: vec![false; self.nregs],
+            ids: vec![NO_REG; self.nregs],
+            nregs: 0,
         };
 
-        let mut prologue = Vec::new();
+        // Sized by the VIR; a guarded block that runs may still grow one.
+        let mut prologue = Vec::with_capacity(program.prologue().len());
         let mut pair = Vec::new();
         let mut body = Vec::new();
-        let mut epilogue = Vec::new();
+        let mut epilogue = Vec::with_capacity(program.epilogue().len());
         let mut pro_counts = RunStats::default();
         let mut pair_counts = RunStats::default();
         let mut body_counts = RunStats::default();
@@ -582,8 +595,10 @@ impl<'p> PredecodedKernel<'p> {
 
         bk.bake_insts(program.prologue(), 0, 0, 1, &mut pro_counts, &mut prologue)?;
         if pair_iters > 0 {
+            let insts = program.body_pair().expect("pair_iters > 0 implies pair");
+            pair.reserve(insts.len());
             bk.bake_insts(
-                program.body_pair().expect("pair_iters > 0 implies pair"),
+                insts,
                 lb,
                 2 * b,
                 pair_iters,
@@ -592,6 +607,7 @@ impl<'p> PredecodedKernel<'p> {
             )?;
         }
         if body_iters > 0 {
+            body.reserve(program.body().len());
             bk.bake_insts(program.body(), i_after, b, body_iters, &mut body_counts, &mut body)?;
         }
         bk.bake_insts(program.epilogue(), i_final, 0, 1, &mut epi_counts, &mut epilogue)?;
@@ -615,7 +631,7 @@ impl<'p> PredecodedKernel<'p> {
                 body: &mut body,
                 body_iters,
                 epilogue: &mut epilogue,
-                nregs: self.nregs,
+                nregs: bk.nregs as usize,
                 elem,
             })
         } else {
@@ -624,7 +640,7 @@ impl<'p> PredecodedKernel<'p> {
                 body_header: Vec::new(),
                 stats: FusionStats::default(),
                 events: Vec::new(),
-                nregs: self.nregs,
+                nregs: bk.nregs as usize,
             }
         };
 

@@ -3,6 +3,11 @@
 //! carry between iterations live in the lanes, which runs of a strip
 //! section's ops the driver runs as one superinstruction, and which
 //! column of the register block each baked register lives in.
+//!
+//! Each section's operands ([`Op::regs`]) are read once, by its scan;
+//! the tables indexed by register — what lowering tracks per register,
+//! and selection's parse and reader ranges — are built once per bake
+//! and sized by the bake's dense register ids.
 
 use super::strip::{perm_tables, Fold, Leaf, Program, Section, Shape, Sink, Super, Term, MAX_LEAVES, STRIP};
 use crate::lanes::Reg as Bytes;
@@ -57,9 +62,27 @@ struct Scan {
     independent: bool,
 }
 
-/// Whether two memory accesses `(start, step)` of one loop section,
-/// at least one of them a store, stay independent when the section's
-/// `iters` iterations run in strips.
+/// A memory access `(start, step)` of a loop section's `iters`
+/// iterations, and the bytes `[lo, hi)` it touches over the whole trip.
+#[derive(Clone, Copy)]
+struct Access {
+    start: i64,
+    step: i64,
+    lo: i64,
+    hi: i64,
+    store: bool,
+}
+
+impl Access {
+    fn new(start: i64, step: i64, iters: i64, store: bool) -> Access {
+        let span = (iters - 1).max(0) * step;
+        Access { start, step, lo: start + span.min(0), hi: start + span.max(0) + V, store }
+    }
+}
+
+/// Whether two memory accesses of one loop section, at least one of
+/// them a store, stay independent when the section's iterations run in
+/// strips.
 ///
 /// Either their whole-trip extents are disjoint — the only way
 /// accesses with different steps (the strided `deinterleave` body)
@@ -68,20 +91,15 @@ struct Scan {
 /// window: `x` in iteration `k + q` overlaps `y` in iteration `k`
 /// when `q·step` lands within a vector of `y.start − x.start`, and
 /// only the two multiples of `step` around that distance can.
-fn independent(x: (i64, i64), y: (i64, i64), iters: i64) -> bool {
-    let extent = |(start, step): (i64, i64)| {
-        let span = (iters - 1).max(0) * step;
-        (start + span.min(0), start + span.max(0) + V)
-    };
-    let ((x_lo, x_hi), (y_lo, y_hi)) = (extent(x), extent(y));
-    if x_hi <= y_lo || y_hi <= x_lo {
+fn independent(x: &Access, y: &Access) -> bool {
+    if x.hi <= y.lo || y.hi <= x.lo {
         return true;
     }
-    let step = x.1;
-    if step != y.1 || step.abs() < V {
+    let step = x.step;
+    if step != y.step || step.abs() < V {
         return false;
     }
-    let d = y.0 - x.0;
+    let d = y.start - x.start;
     let q = d.div_euclid(step);
     [q, q + step.signum()]
         .into_iter()
@@ -95,9 +113,8 @@ fn scan(ops: &[Op], iters: i64, s: usize, info: &mut [Reg]) -> Scan {
     let (bit, looped) = (1u8 << s, iters > 1);
     let capacity = if looped { ops.len() } else { 0 };
     let (mut live_in, mut carried) = (Vec::with_capacity(capacity), Vec::new());
-    let mut accesses = Vec::with_capacity(capacity);
     let regs: Vec<[u32; 3]> = ops.iter().map(Op::regs).collect();
-    for (op, &[dst, a, b]) in ops.iter().zip(&regs) {
+    for &[dst, a, b] in &regs {
         // Sources before the destination: `acc = acc + x` reads first.
         for r in [a, b] {
             if r != NONE && (info[r as usize].reads_first | info[r as usize].defs) & bit == 0 {
@@ -114,17 +131,16 @@ fn scan(ops: &[Op], iters: i64, s: usize, info: &mut [Reg]) -> Scan {
             }
             reg.defs |= bit;
         }
-        match *op {
-            Op::Load { start, step, .. } | Op::LoadFused { start, step, .. } if looped => {
-                accesses.push(((start, step), false));
-            }
-            Op::Store { start, step, .. } if looped => accesses.push(((start, step), true)),
-            _ => {}
-        }
     }
-    let independent = accesses.iter().filter(|(_, stores)| *stores).all(|&(store, _)| {
-        accesses.iter().all(|&(other, _)| independent(store, other, iters))
-    });
+    let independent = !looped || {
+        let mut accesses = Vec::with_capacity(ops.len());
+        accesses.extend(ops.iter().filter_map(|op| match *op {
+            Op::Load { start, step, .. } | Op::LoadFused { start, step, .. } => Some(Access::new(start, step, iters, false)),
+            Op::Store { start, step, .. } => Some(Access::new(start, step, iters, true)),
+            _ => None,
+        }));
+        accesses.iter().filter(|x| x.store).all(|store| accesses.iter().all(|other| independent(store, other)))
+    };
     Scan { regs, live_in, carried, independent }
 }
 
@@ -253,7 +269,7 @@ fn hoist(order: &mut [usize], ops: &[Op], regs: &[[u32; 3]], chain: &[u32], mark
 /// `r`'s column is `n`'s shifted down a lane — or a [`reduction`]
 /// accumulator. On success the rotation copies are gone, each chain's
 /// source [`hoist`]ed above its first read, and `ops` and `scan.regs`
-/// are in strip order.
+/// are in strip order; on failure both are as they were.
 fn decide(ops: &mut Vec<Op>, iters: i64, s: usize, scan: &mut Scan, info: &mut Vec<Reg>) -> Result<Carried, SequentialReason> {
     if iters < 2 {
         return Err(OneIteration);
@@ -261,17 +277,27 @@ fn decide(ops: &mut Vec<Op>, iters: i64, s: usize, scan: &mut Scan, info: &mut V
     if !scan.independent {
         return Err(MemoryDependence);
     }
-    let mut carried = Carried::default();
     if scan.carried.is_empty() {
-        return Ok(carried);
+        return Ok(Carried::default());
     }
-    let mut regs = scan.regs.clone();
-    let mut rotations = Vec::new();
+    let n = ops.len();
+    let decided = rotate(ops, s, scan, info);
+    if decided.is_err() {
+        scan.regs.truncate(n); // the twins [`rotate`] appended
+    }
+    decided
+}
+
+/// [`decide`] for a loop section that carries registers.
+fn rotate(ops: &mut Vec<Op>, s: usize, scan: &mut Scan, info: &mut Vec<Reg>) -> Result<Carried, SequentialReason> {
+    let mut carried = Carried::default();
+    let regs = &mut scan.regs;
+    let mut rotations = Vec::with_capacity(scan.carried.len());
     for &r in &scan.carried {
-        let u = uses(&regs, r);
+        let u = uses(regs, r);
         let (1, Op::Copy { src, .. }) = (u.defs, &ops[u.def]) else { return Err(CarriedRegister) };
         let (src, at, before) = (*src, u.def, u.last_read < u.def);
-        match reduction(ops, &regs, r, at, u, s, info) {
+        match reduction(ops, regs, r, at, u, s, info) {
             Some(op) => carried.partials.push((r, op)),
             None if before && src != r => rotations.push((r, src, at)),
             None => return Err(CarriedRegister),
@@ -281,7 +307,8 @@ fn decide(ops: &mut Vec<Op>, iters: i64, s: usize, scan: &mut Scan, info: &mut V
         return Ok(carried);
     }
     // The strip's op order, as indices: `ops`, then any twin copies.
-    let mut order: Vec<usize> = (0..ops.len()).filter(|&i| !rotations.iter().any(|&(.., at)| at == i)).collect();
+    let mut order = Vec::with_capacity(ops.len() + rotations.len());
+    order.extend((0..ops.len()).filter(|&i| !rotations.iter().any(|&(.., at)| at == i)));
     for i in 0..rotations.len() {
         let (_, n, at) = rotations[i];
         if rotations.iter().any(|&(x, ..)| x == n) {
@@ -289,7 +316,7 @@ fn decide(ops: &mut Vec<Op>, iters: i64, s: usize, scan: &mut Scan, info: &mut V
         }
         // A chain's source: written once, before the rotation copy
         // that reads it, and carrying nothing itself.
-        let Uses { defs, def, .. } = uses(&regs, n);
+        let Uses { defs, def, .. } = uses(regs, n);
         if defs != 1 || def > at || scan.carried.contains(&n) {
             return Err(CarriedRegister);
         }
@@ -306,12 +333,14 @@ fn decide(ops: &mut Vec<Op>, iters: i64, s: usize, scan: &mut Scan, info: &mut V
     }
     // Chains run from a register no rotation reads to their root; with
     // distinct sources they never merge, and a cycle is left uncovered.
-    let sources: Vec<u32> = rotations.iter().map(|&(_, n, _)| n).collect();
-    if (1..sources.len()).any(|i| sources[..i].contains(&sources[i])) {
+    let source = |r: u32| rotations.iter().any(|&(_, n, _)| n == r);
+    if (1..rotations.len()).any(|i| rotations[..i].iter().any(|&(_, n, _)| n == rotations[i].1)) {
         return Err(CarriedRegister);
     }
-    for &(r, ..) in rotations.iter().filter(|(r, ..)| !sources.contains(r)) {
-        let mut chain = vec![r];
+    carried.chains.reserve(rotations.len());
+    for &(r, ..) in rotations.iter().filter(|&&(r, ..)| !source(r)) {
+        let mut chain = Vec::with_capacity(rotations.len() + 1);
+        chain.push(r);
         while let Some(&(_, n, _)) = rotations.iter().find(|&&(x, ..)| Some(&x) == chain.last()) {
             chain.push(n);
         }
@@ -322,15 +351,15 @@ fn decide(ops: &mut Vec<Op>, iters: i64, s: usize, scan: &mut Scan, info: &mut V
     }
     let mut marks = vec![0; info.len()];
     for chain in &carried.chains {
-        hoist(&mut order, ops, &regs, chain, &mut marks)?;
+        hoist(&mut order, ops, regs, chain, &mut marks)?;
     }
     // A later hoist must not have lifted a read above an earlier source.
-    if carried.chains.len() > 1 && carried.chains.iter().map(|c| span(&order, &regs, c)).any(|(first, def)| first < def) {
+    if carried.chains.len() > 1 && carried.chains.iter().map(|c| span(&order, regs, c)).any(|(first, def)| first < def) {
         return Err(CarriedRegister);
     }
     let op = |i: usize| ops.get(i).cloned().unwrap_or(Op::Copy { dst: regs[i][0], src: regs[i][1] });
     *ops = order.iter().map(|&i| op(i)).collect();
-    scan.regs = order.into_iter().map(|i| regs[i]).collect();
+    *regs = order.into_iter().map(|i| regs[i]).collect();
     Ok(carried)
 }
 
@@ -909,17 +938,31 @@ fn pick(ops: &[Op], regs: &[[u32; 3]], reads: &[Range<u32>], i: usize, s: usize,
     })
 }
 
+/// [`select`]'s tables, built once per bake for every strip section.
+struct Selecting {
+    parse: Parse,
+    /// By register: the ops that read it, from its first reader to one
+    /// past its last.
+    reads: Vec<Range<u32>>,
+}
+
+impl Selecting {
+    /// Tables over registers `0..regs`.
+    fn new(regs: usize) -> Selecting {
+        Selecting { parse: Parse::new(regs), reads: vec![0..0; regs] }
+    }
+}
+
 /// Superinstruction selection for strip section `s`, its ops in strip
 /// order — one generic entry over a table of four families: folds of
 /// loaded streams by one operator into each of three sinks (a store, a
 /// rotation shift and store, a reduction partial), and mixed trees
 /// into a store or a partial. Any rule a run fails leaves its ops to
 /// the generic arms.
-fn select(ops: &[Op], regs: &[[u32; 3]], s: usize, scan: &Scan, carried: &Carried, info: &[Reg]) -> Vec<Super> {
-    let (mut supers, mut parse, mut i) = (Vec::new(), Parse::new(info.len()), 0);
-    // The ops that read each register: from its first reader to one
-    // past its last.
-    let mut reads = vec![0..0; info.len()];
+fn select(ops: &[Op], regs: &[[u32; 3]], s: usize, scan: &Scan, carried: &Carried, info: &[Reg], t: &mut Selecting) -> Vec<Super> {
+    let (mut supers, mut i) = (Vec::new(), 0);
+    let Selecting { parse, reads } = t;
+    reads.fill(0..0);
     for (i, x) in regs.iter().enumerate() {
         for &r in x[1..].iter().filter(|&&r| r != NONE) {
             let read = &mut reads[r as usize];
@@ -927,7 +970,7 @@ fn select(ops: &[Op], regs: &[[u32; 3]], s: usize, scan: &Scan, carried: &Carrie
         }
     }
     while i < ops.len() {
-        match pick(ops, regs, &reads, i, s, scan, carried, info, &mut parse) {
+        match pick(ops, regs, reads, i, s, scan, carried, info, parse) {
             Some(f) => {
                 i = f.ops.end;
                 supers.push(f);
@@ -1020,7 +1063,7 @@ impl Block {
 /// that names it and hands it on after the last one, unless a later
 /// section reads the value or — for a register live into a loop — the
 /// loop has not ended. The block is therefore sized by the values
-/// live at once, not by the baked plan's sparse id space (`nregs`).
+/// live at once, not by the number of baked registers (`nregs`).
 pub(crate) fn lower(
     prologue: Vec<Op>,
     loops: [(Vec<Op>, Vec<Op>, i64); 2],
@@ -1029,21 +1072,21 @@ pub(crate) fn lower(
     elem: ScalarType,
 ) -> (Program, Schedule) {
     let mut plan: Vec<(Vec<Op>, i64)> = Vec::with_capacity(6);
-    let mut roles = Vec::with_capacity(6);
+    let mut roles = ["prologue"; 6];
     plan.push((prologue, 1));
-    roles.push("prologue");
     let mut loop_at = [usize::MAX; 2];
     let loop_roles = [["pair.header", "pair"], ["body.header", "body"]];
     for (i, ((header, ops, iters), [header_role, role])) in loops.into_iter().zip(loop_roles).enumerate() {
         if iters > 0 {
+            roles[plan.len()] = header_role;
             plan.push((header, 1));
             loop_at[i] = plan.len();
+            roles[plan.len()] = role;
             plan.push((ops, iters));
-            roles.extend([header_role, role]);
         }
     }
+    roles[plan.len()] = "epilogue";
     plan.push((epilogue, 1));
-    roles.push("epilogue");
 
     let mut info = vec![Reg::UNNAMED; nregs];
     let mut scans: Vec<Scan> = plan.iter().enumerate().map(|(s, (ops, iters))| scan(ops, *iters, s, &mut info)).collect();
@@ -1076,6 +1119,7 @@ pub(crate) fn lower(
     }
 
     let mut sections = Vec::with_capacity(plan.len());
+    let mut selecting = None;
     let sections_in = plan.into_iter().zip(&scans).zip(decisions).zip(roles);
     for (s, ((((mut ops, iters), scan), decision), role)) in sections_in.enumerate() {
         let schedule = match &decision {
@@ -1084,14 +1128,22 @@ pub(crate) fn lower(
         };
         let strips = schedule == SectionSchedule::Strip;
         let carried = decision.unwrap_or_default();
-        let mut supers = if strips { select(&ops, &scan.regs, s, scan, &carried, &info) } else { Vec::new() };
+        let mut supers = if strips {
+            select(&ops, &scan.regs, s, scan, &carried, &info, selecting.get_or_insert_with(|| Selecting::new(info.len())))
+        } else {
+            Vec::new()
+        };
         let Carried { chains, partials } = carried;
         for (i, regs) in scan.regs.iter().enumerate() {
             for &r in regs.iter().filter(|&&r| r != NONE) {
                 info[r as usize].last = i as u32;
             }
         }
-        let (mut invariant, mut written) = (Vec::new(), Vec::new());
+        let (mut invariant, mut written) = if strips {
+            (Vec::with_capacity(scan.live_in.len()), Vec::with_capacity(ops.len()))
+        } else {
+            (Vec::new(), Vec::new())
+        };
         for &r in &scan.live_in {
             let reg = &mut info[r as usize];
             reg.pinned = true;
@@ -1343,7 +1395,7 @@ mod tests {
         scan(after, 1, 1, &mut info);
         let mut ops = ops.to_vec();
         let carried = decide(&mut ops, 1000, 0, &mut looped, &mut info).expect("the section strips");
-        let supers = select(&ops, &looped.regs, 0, &looped, &carried, &info);
+        let supers = select(&ops, &looped.regs, 0, &looped, &carried, &info, &mut Selecting::new(info.len()));
         supers.into_iter().map(|f| (f.ops.clone(), f.folds()[0].sink)).collect()
     }
 
@@ -1422,7 +1474,7 @@ mod tests {
         let mut looped = scan(ops, 1000, 0, &mut info);
         let mut ops = ops.to_vec();
         let carried = decide(&mut ops, 1000, 0, &mut looped, &mut info).expect("the section strips");
-        select(&ops, &looped.regs, 0, &looped, &carried, &info)
+        select(&ops, &looped.regs, 0, &looped, &carried, &info, &mut Selecting::new(info.len()))
     }
 
     fn perm(dst: u32, a: u32, b: u32) -> Op {

@@ -37,15 +37,20 @@
 //! back-edge fact (the end-of-iteration fact re-expressed one iteration
 //! later, `start -= step`) for iterations ≥ 1. This is what lets the
 //! software-pipelined rotation `prev = copy cur` feed the next
-//! iteration's shift with a provable window.
+//! iteration's shift with a provable window. Only the registers a loop
+//! reads before it writes them need an entry fact, and their end facts
+//! depend only on a slice of the loop, so each round flows that slice
+//! over those registers alone (debug builds check the result against
+//! the fixpoint over every register).
 //!
 //! After rewriting, iteration-invariant ops are hoisted into a per-loop
 //! header (executed once, only when the loop runs), and a global
 //! backward liveness pass over all sections deletes ops whose results
 //! are never observed — typically the raw loads and rotation copies
-//! that fusion just obsoleted. None of this changes a stored byte or a
-//! reported stat: `RunStats` are fixed before this pass runs, and the
-//! differential tests execute every kernel fused and unfused.
+//! that fusion just obsoleted. Every table these passes index by
+//! register is built once per bake. None of this changes a stored byte
+//! or a reported stat: `RunStats` are fixed before this pass runs, and
+//! the differential tests execute every kernel fused and unfused.
 
 use crate::kernel::{Op, NO_REG, V};
 use crate::lanes::{self, Reg};
@@ -225,17 +230,23 @@ impl Domain {
         self.gather(Gather { base: g.base + by * g.step, ..g })
     }
 
-    /// [`meet`] of every pair of gathers in `pre` and `end` (the back
-    /// edge, before translating it back an iteration) into `next`.
+    /// [`meet`](Domain::meet) of fall-in gather `pre` and the back edge's
+    /// gather `end`, before translating it back an iteration.
     #[cold]
     #[inline(never)]
+    fn meet_back(&mut self, pre: u32, end: u32) -> Fact {
+        match self.advance(end, -1) {
+            Fact::Gather { id, .. } => self.meet(pre, id),
+            _ => unreachable!("an advanced gather is a gather"),
+        }
+    }
+
+    /// [`meet_back`](Domain::meet_back) of every pair of gathers in `pre`
+    /// and `end` into `next`.
     fn meet_all(&mut self, next: &mut [Fact], pre: &[Fact], end: &[Fact]) {
         for ((n, p), b) in next.iter_mut().zip(pre).zip(end) {
             if let (&Fact::Gather { id: x, .. }, &Fact::Gather { id: y, .. }) = (p, b) {
-                *n = self.advance(y, -1);
-                if let Fact::Gather { id: y, .. } = *n {
-                    *n = self.meet(x, y);
-                }
+                *n = self.meet_back(x, y);
             }
         }
     }
@@ -292,39 +303,39 @@ pub(crate) struct Fused {
 /// and the per-rewrite event list.
 pub(crate) fn optimize(s: Sections) -> Fused {
     let mut st = FusionStats::default();
-    let mut ev = Vec::new();
+    // Most plans record a few dozen rewrites.
+    let mut ev = Vec::with_capacity(32);
     // Composition adds registers from `next` on, growing the facts.
     let mut next = s.nregs as u32;
-    let mut facts = vec![Fact::Bottom; s.nregs];
+    let mut facts = Facts { all: vec![Fact::Bottom; s.nregs], held: Vec::with_capacity(s.nregs) };
     let d = &mut Domain { elem: s.elem, gathers: Vec::new() };
     {
         let _span = telemetry::span("rewrite");
         rewrite(s.prologue, &mut facts, &mut next, d, &mut st, "prologue", &mut ev);
     }
 
+    let (mut fp, mut h) = (Fixpoint::default(), Hoister::default());
     let mut pair_header = Vec::new();
     if s.pair_iters > 0 {
-        let entry = loop_entry(&facts, s.pair, d);
-        let mut work = entry;
+        loop_entry(&mut facts, s.pair, d, &mut fp);
         {
             let _span = telemetry::span("rewrite");
-            rewrite(s.pair, &mut work, &mut next, d, &mut st, "pair", &mut ev);
+            rewrite(s.pair, &mut facts, &mut next, d, &mut st, "pair", &mut ev);
         }
         let _span = telemetry::span("hoist");
-        pair_header = hoist(s.pair, s.pair_iters, next as usize, &mut st, "pair", &mut ev);
-        facts = concretize(work, s.pair_iters, d);
+        pair_header = hoist(s.pair, s.pair_iters, next as usize, &mut h, &mut st, "pair", &mut ev);
+        concretize(&mut facts.all, s.pair_iters, d);
     }
     let mut body_header = Vec::new();
     if s.body_iters > 0 {
-        let entry = loop_entry(&facts, s.body, d);
-        let mut work = entry;
+        loop_entry(&mut facts, s.body, d, &mut fp);
         {
             let _span = telemetry::span("rewrite");
-            rewrite(s.body, &mut work, &mut next, d, &mut st, "body", &mut ev);
+            rewrite(s.body, &mut facts, &mut next, d, &mut st, "body", &mut ev);
         }
         let _span = telemetry::span("hoist");
-        body_header = hoist(s.body, s.body_iters, next as usize, &mut st, "body", &mut ev);
-        facts = concretize(work, s.body_iters, d);
+        body_header = hoist(s.body, s.body_iters, next as usize, &mut h, &mut st, "body", &mut ev);
+        concretize(&mut facts.all, s.body_iters, d);
     }
     {
         let _span = telemetry::span("rewrite");
@@ -348,6 +359,64 @@ pub(crate) fn optimize(s: Sections) -> Fused {
         (st.fused_loads + st.composed + st.splat_ops + st.hoisted + st.eliminated) as u64,
     );
     Fused { pair_header, body_header, stats: st, events: ev, nregs: next as usize }
+}
+
+/// What the rewrite knows about every register, threaded through the
+/// sections in execution order.
+struct Facts {
+    all: Vec<Fact>,
+    /// Registers that may hold a claim about memory — every one that
+    /// does is here — so a store kills by scanning these, not every
+    /// register.
+    held: Vec<u32>,
+}
+
+impl Facts {
+    /// [`flow`] across `op`; a store's kill is [`flow`]'s, over `held`.
+    fn flow(&mut self, op: &Op, d: &mut Domain) {
+        match *op {
+            Op::Store { arr, .. } => {
+                let all = &mut self.all;
+                self.held.retain(|&r| match all[r as usize] {
+                    Fact::Window { arr: a, .. } | Fact::Gather { arr: a, .. } if a == arr => {
+                        all[r as usize] = Fact::Bottom;
+                        false
+                    }
+                    fact => holds_memory(fact),
+                });
+            }
+            _ => {
+                flow(op, &mut self.all, d);
+                if let Some(r) = def(op) {
+                    self.track(r);
+                }
+            }
+        }
+    }
+
+    /// Sets register `r`'s fact.
+    fn set(&mut self, r: u32, fact: Fact) {
+        self.all[r as usize] = fact;
+        self.track(r);
+    }
+
+    fn track(&mut self, r: u32) {
+        if holds_memory(self.all[r as usize]) {
+            self.held.push(r);
+        }
+    }
+
+    /// Rebuilds `held` after the facts changed wholesale.
+    fn rescan(&mut self) {
+        let all = &self.all;
+        self.held.clear();
+        self.held.extend((0..all.len() as u32).filter(|&r| holds_memory(all[r as usize])));
+    }
+}
+
+/// Whether `fact` is a claim about memory, which a store may kill.
+fn holds_memory(fact: Fact) -> bool {
+    matches!(fact, Fact::Window { .. } | Fact::Gather { .. })
 }
 
 /// The defined register of `op`, if any (only `Store` has none).
@@ -540,58 +609,212 @@ fn meet(pre: &Fact, back: &Fact) -> Fact {
     }
 }
 
-/// Loop-entry facts: the greatest assignment satisfying
-/// `entry = meet(pre, translate(flow(entry)))`, where `translate`
-/// re-expresses an end-of-iteration-`k` fact at the start of iteration
-/// `k + 1` (`start -= step`). Any fixed point is sound by induction on
-/// the iteration number: valid at `k = 0` through the fall-in
-/// component, at `k ≥ 1` through the back-edge component. Bails to
-/// all-`Bottom` (no information, no rewrites) if 64 rounds don't
-/// converge.
-fn loop_entry(pre: &[Fact], ops: &[Op], d: &mut Domain) -> Vec<Fact> {
-    let mut entry = pre.to_vec();
-    for _ in 0..64 {
-        let mut end = entry.clone();
+/// The back edge's fact: an end-of-iteration-`k` fact re-expressed at
+/// the start of iteration `k + 1` (`start -= step`).
+fn translate(end: Fact) -> Fact {
+    match end {
+        Fact::Window { arr, start, step } => Fact::Window { arr, start: start - step, step },
+        other => other,
+    }
+}
+
+/// The loop-entry fixpoint's tables, built once per bake and reused by
+/// every round of both loops.
+#[derive(Default)]
+struct Fixpoint {
+    /// The slice of the loop the live-in registers' end facts depend on
+    /// — the ops their last values flow through, and every store — with
+    /// the registers it names renamed onto local ids.
+    slice: Vec<Op>,
+    /// By local id: the register. The loop's live-in registers — those
+    /// it reads before it writes them — come first, `live` of them, in
+    /// the order it first reads them.
+    global: Vec<u32>,
+    live: usize,
+    /// By register: its local id, [`NO_REG`] if it has none.
+    local: Vec<u32>,
+    /// By register: named so far by the scan for live-in registers, then
+    /// needed by the slice.
+    marks: Vec<bool>,
+    /// By local id, the fall-in facts and the facts flowed through the
+    /// slice once a round; by live-in register, this round's entry facts
+    /// and the next round's.
+    facts: Vec<Fact>,
+    /// The dense fixpoint's entry, end and next facts.
+    dense: [Vec<Fact>; 3],
+}
+
+impl Fixpoint {
+    /// Finds `ops`' live-in registers and the slice their end facts
+    /// depend on, and gives each register the slice names a local id.
+    fn slice(&mut self, ops: &[Op], nregs: usize) {
+        let Fixpoint { slice, global, live, local, marks, .. } = self;
+        marks.clear();
+        marks.resize(nregs, false);
+        global.clear();
+        global.reserve(3 * ops.len()); // an op names at most three
         for op in ops {
-            flow(op, &mut end, d);
-        }
-        for f in &mut end {
-            if let Fact::Window { start, step, .. } = f {
-                *start -= *step;
+            uses(op, |r| {
+                if !marks[r as usize] {
+                    marks[r as usize] = true;
+                    global.push(r);
+                }
+            });
+            if let Some(r) = def(op) {
+                marks[r as usize] = true;
             }
         }
-        let mut next: Vec<Fact> = pre.iter().zip(&end).map(|(p, b)| meet(p, b)).collect();
-        // Gathers, in a pass of their own: most plans have none.
+        *live = global.len();
+        // Backwards from the end of the loop: an op stays if it is the
+        // last def before the end (or before a staying op's read) of a
+        // register the slice needs. A store's kill needs no operand.
+        marks.fill(false);
+        for &r in global.iter() {
+            marks[r as usize] = true;
+        }
+        slice.clear();
+        slice.reserve(ops.len());
+        for op in ops.iter().rev() {
+            match def(op) {
+                Some(d) if marks[d as usize] => {
+                    marks[d as usize] = false;
+                    uses(op, |r| marks[r as usize] = true);
+                }
+                None => {}
+                Some(_) => continue,
+            }
+            slice.push(op.clone());
+        }
+        slice.reverse();
+        local.clear();
+        local.resize(nregs, NO_REG);
+        for (id, &r) in global.iter().enumerate() {
+            local[r as usize] = id as u32;
+        }
+        for op in slice.iter_mut() {
+            for r in op.regs() {
+                if r != NO_REG && local[r as usize] == NO_REG {
+                    local[r as usize] = global.len() as u32;
+                    global.push(r);
+                }
+            }
+            op.rename(|r| local[r as usize]);
+        }
+    }
+}
+
+/// Loop-entry facts, written over the fall-in facts in `facts`: the
+/// greatest assignment satisfying `entry = meet(pre,
+/// translate(flow(entry)))`, where [`translate`] re-expresses an
+/// end-of-iteration-`k` fact at the start of iteration `k + 1`. Any
+/// fixed point is sound by induction on the iteration number: valid at
+/// `k = 0` through the fall-in component, at `k ≥ 1` through the
+/// back-edge component. Bails to all-`Bottom` (no information, no
+/// rewrites) if 64 rounds don't converge.
+///
+/// Only the loop's live-in registers — those it reads before it writes
+/// them — take part; every other register enters with its fall-in fact.
+/// A register the loop writes before it reads never shows its entry
+/// fact, and one it neither reads nor writes leaves the loop with its
+/// fall-in fact less whatever the loop's stores kill — which the
+/// rewrite's own [`flow`] applies. Each round flows only the slice of
+/// the loop the live-in registers' end facts depend on
+/// ([`Fixpoint::slice`]), over those registers alone. The dense
+/// fixpoint over every register may take one round more, to settle the
+/// registers this one does not track: at the last round it decides
+/// whether the bail is taken.
+fn loop_entry(facts: &mut Facts, ops: &[Op], d: &mut Domain, fp: &mut Fixpoint) {
+    fp.slice(ops, facts.all.len());
+    let (n, live) = (fp.global.len(), fp.live);
+    fp.facts.clear();
+    fp.facts.reserve(2 * n + 2 * live);
+    fp.facts.extend(fp.global.iter().map(|&r| facts.all[r as usize]));
+    fp.facts.extend_from_within(..n);
+    fp.facts.extend_from_within(..live);
+    fp.facts.extend_from_within(..live);
+    let (pre, end) = fp.facts.split_at_mut(n);
+    let (end, entry) = end.split_at_mut(n);
+    let (mut entry, mut next) = entry.split_at_mut(live);
+    let converged = (0..64).find(|_| {
+        end.copy_from_slice(pre);
+        end[..live].copy_from_slice(entry);
+        for op in &fp.slice {
+            flow(op, end, d);
+        }
+        for ((next, &pre), &end) in next.iter_mut().zip(&pre[..live]).zip(&*end) {
+            *next = match (pre, end) {
+                // Gathers, out of line: most plans have none.
+                (Fact::Gather { id: x, .. }, Fact::Gather { id: y, .. }) => d.meet_back(x, y),
+                (pre, end) => meet(&pre, &translate(end)),
+            };
+        }
+        let done = next == entry;
+        std::mem::swap(&mut entry, &mut next);
+        done
+    });
+    // Checked before `facts` become the entry facts: the dense fixpoint
+    // starts from the fall-in facts too.
+    #[cfg(debug_assertions)]
+    let dense = dense_fixpoint(&facts.all, ops, d, &mut fp.dense);
+    let bails = match converged {
+        Some(63) => !dense_fixpoint(&facts.all, ops, d, &mut fp.dense),
+        Some(_) => false,
+        None => true,
+    };
+    if bails {
+        facts.all.fill(Fact::Bottom);
+    } else {
+        for (&r, &f) in fp.global.iter().zip(&*entry) {
+            facts.set(r, f);
+        }
+    }
+    #[cfg(debug_assertions)]
+    for &r in &fp.global[..live] {
+        let want = if dense { fp.dense[0][r as usize] } else { Fact::Bottom };
+        assert_eq!(facts.all[r as usize], want, "loop-entry fact of v{r} in {ops:?}");
+    }
+}
+
+/// The fixpoint [`loop_entry`] describes, computed densely — over
+/// every register, from fall-in facts `pre` — into `entry`: whether it
+/// converged in 64 rounds. The reference the sparse one is checked
+/// against in debug builds, and the judge of its last round.
+#[cold]
+#[inline(never)]
+fn dense_fixpoint(pre: &[Fact], ops: &[Op], d: &mut Domain, [entry, end, next]: &mut [Vec<Fact>; 3]) -> bool {
+    entry.clear();
+    entry.extend_from_slice(pre);
+    for _ in 0..64 {
+        end.clear();
+        end.extend_from_slice(entry);
+        for op in ops {
+            flow(op, end, d);
+        }
+        next.clear();
+        next.extend(pre.iter().zip(end.iter()).map(|(p, &b)| meet(p, &translate(b))));
         if !d.gathers.is_empty() {
-            d.meet_all(&mut next, pre, &end);
+            d.meet_all(next, pre, end);
         }
         if next == entry {
-            return entry;
+            return true;
         }
-        entry = next;
+        std::mem::swap(entry, next);
     }
-    vec![Fact::Bottom; pre.len()]
+    false
 }
 
 /// Re-expresses per-iteration facts as facts that hold after the loop
 /// completes `iters` iterations (windows pinned to the last iteration).
-fn concretize(facts: Vec<Fact>, iters: i64, d: &mut Domain) -> Vec<Fact> {
-    let mut facts: Vec<Fact> = facts
-        .into_iter()
-        .map(|f| match f {
-            Fact::Window { arr, start, step } => Fact::Window {
-                arr,
-                start: start + (iters - 1) * step,
-                step: 0,
-            },
-            other => other,
-        })
-        .collect();
+fn concretize(facts: &mut [Fact], iters: i64, d: &mut Domain) {
+    for f in facts.iter_mut() {
+        if let Fact::Window { start, step, .. } = f {
+            (*start, *step) = (*start + (iters - 1) * *step, 0);
+        }
+    }
     // Gathers, in a pass of their own: most plans have none.
     if !d.gathers.is_empty() {
-        d.concretize(&mut facts, iters);
+        d.concretize(facts, iters);
     }
-    facts
 }
 
 /// One forward pass over a section: rewrites shift chains over adjacent
@@ -601,7 +824,7 @@ fn concretize(facts: Vec<Fact>, iters: i64, d: &mut Domain) -> Vec<Fact> {
 /// come from `next`.
 fn rewrite(
     ops: &mut Vec<Op>,
-    facts: &mut Vec<Fact>,
+    facts: &mut Facts,
     next: &mut u32,
     d: &mut Domain,
     st: &mut FusionStats,
@@ -609,14 +832,16 @@ fn rewrite(
     ev: &mut Vec<FusionEvent>,
 ) {
     if ops.iter().any(|op| matches!(op, Op::Perm { .. })) {
-        return rewrite_gathers(ops, facts, next, d, st, section, ev);
+        rewrite_gathers(ops, &mut facts.all, next, d, st, section, ev);
+        facts.rescan();
+        return;
     }
     for op in ops.iter_mut() {
-        if let Some(new) = simplify(op, facts, d.elem) {
-            ev.push(FusionEvent { section, kind: record(&new, facts, st) });
+        if let Some(new) = simplify(op, &facts.all, d.elem) {
+            ev.push(FusionEvent { section, kind: record(&new, &facts.all, st) });
             *op = new;
         }
-        flow(op, facts, d);
+        facts.flow(op, d);
     }
 }
 
@@ -769,6 +994,28 @@ fn compose(
     ((x, y, &composed) != (a, b, pattern)).then_some(Op::Perm { dst, a: x, b: y, pattern: composed })
 }
 
+/// What [`hoist`] knows of one register of the loop it hoists from.
+#[derive(Clone, Copy, Default)]
+struct Hoisting {
+    /// The ops that define it.
+    defs: u32,
+    /// Read before (or without) being defined.
+    upward: bool,
+    /// Defined by an op seen so far.
+    defined: bool,
+    /// Defined by a hoisted op.
+    hoisted: bool,
+}
+
+/// [`hoist`]'s tables, built once per bake for both loops.
+#[derive(Default)]
+struct Hoister {
+    /// By register.
+    regs: Vec<Hoisting>,
+    /// The byte range each store covers across the whole loop.
+    stores: Vec<(u32, i64, i64)>,
+}
+
 /// Moves iteration-invariant ops out of a loop section into a header
 /// executed once (the caller guarantees the loop runs at least once).
 /// An op is hoistable when it defines a register exactly once, that
@@ -781,35 +1028,32 @@ fn hoist(
     ops: &mut Vec<Op>,
     iters: i64,
     nregs: usize,
+    h: &mut Hoister,
     st: &mut FusionStats,
     section: &'static str,
     ev: &mut Vec<FusionEvent>,
 ) -> Vec<Op> {
-    let mut def_count = vec![0u32; nregs];
-    let mut upward = vec![false; nregs];
-    let mut defined = vec![false; nregs];
+    let Hoister { regs, stores } = h;
+    regs.clear();
+    regs.resize(nregs, Hoisting::default());
     for op in ops.iter() {
         uses(op, |r| {
-            if !defined[r as usize] {
-                upward[r as usize] = true;
-            }
+            let reg = &mut regs[r as usize];
+            reg.upward |= !reg.defined;
         });
         if let Some(d) = def(op) {
-            def_count[d as usize] += 1;
-            defined[d as usize] = true;
+            let reg = &mut regs[d as usize];
+            (reg.defs, reg.defined) = (reg.defs + 1, true);
         }
     }
-    // Byte ranges each store covers across the whole loop.
-    let stores: Vec<(u32, i64, i64)> = ops
-        .iter()
-        .filter_map(|op| match *op {
-            Op::Store { arr, start, step, .. } => {
-                let last = start + (iters - 1) * step;
-                Some((arr, start.min(last), start.max(last) + 16))
-            }
-            _ => None,
-        })
-        .collect();
+    stores.clear();
+    stores.extend(ops.iter().filter_map(|op| match *op {
+        Op::Store { arr, start, step, .. } => {
+            let last = start + (iters - 1) * step;
+            Some((arr, start.min(last), start.max(last) + 16))
+        }
+        _ => None,
+    }));
     let load_invariant = |arr: u32, start: i64, step: i64| {
         step == 0
             && !stores
@@ -818,19 +1062,18 @@ fn hoist(
     };
 
     let mut header = Vec::new();
-    let mut hoisted = vec![false; nregs];
-    let mut kept = Vec::with_capacity(ops.len());
-    for op in ops.drain(..) {
-        let can = match def(&op) {
-            Some(d) if def_count[d as usize] == 1 && !upward[d as usize] => {
+    ops.retain(|op| {
+        let can = match def(op) {
+            Some(d) if regs[d as usize].defs == 1 && !regs[d as usize].upward => {
                 let mut invariant_uses = true;
-                uses(&op, |r| {
-                    if def_count[r as usize] != 0 && !hoisted[r as usize] {
+                uses(op, |r| {
+                    let reg = regs[r as usize];
+                    if reg.defs != 0 && !reg.hoisted {
                         invariant_uses = false;
                     }
                 });
                 invariant_uses
-                    && match op {
+                    && match *op {
                         Op::Load { arr, start, step, .. }
                         | Op::LoadFused { arr, start, step, .. } => load_invariant(arr, start, step),
                         _ => true,
@@ -839,14 +1082,12 @@ fn hoist(
             _ => false,
         };
         if can {
-            hoisted[def(&op).expect("hoisted ops define a register") as usize] = true;
+            regs[def(op).expect("hoisted ops define a register") as usize].hoisted = true;
             st.hoisted += 1;
-            header.push(op);
-        } else {
-            kept.push(op);
+            header.push(op.clone());
         }
-    }
-    *ops = kept;
+        !can
+    });
     if !header.is_empty() {
         ev.push(FusionEvent {
             section,
@@ -856,75 +1097,113 @@ fn hoist(
     header
 }
 
+/// What [`dce`] knows of one register.
+#[derive(Clone, Copy, Default)]
+struct Liveness {
+    /// Live at the point the sweep has reached.
+    live: bool,
+    /// Live after the looping segment being swept.
+    after: bool,
+    /// Read by that segment before it is defined, as of the last
+    /// [`upward_uses`]; `fresh` is the scan under way.
+    upward: bool,
+    fresh: bool,
+    /// Defined so far by the scan under way.
+    defined: bool,
+}
+
+/// Marks in `regs` the registers `ops` read before (re)defining them —
+/// the values a looping segment needs live on entry — and returns
+/// whether that set changed.
+fn upward_uses(ops: &[Op], regs: &mut [Liveness]) -> bool {
+    regs.iter_mut().for_each(|r| (r.fresh, r.defined) = (false, false));
+    for op in ops {
+        uses(op, |r| {
+            let reg = &mut regs[r as usize];
+            reg.fresh |= !reg.defined;
+        });
+        if let Some(d) = def(op) {
+            regs[d as usize].defined = true;
+        }
+    }
+    let mut changed = false;
+    for r in regs.iter_mut() {
+        changed |= r.fresh != r.upward;
+        r.upward = r.fresh;
+    }
+    changed
+}
+
 struct Segment<'a> {
     ops: &'a mut Vec<Op>,
     iters: i64,
     name: &'static str,
 }
 
-/// Registers a section reads before (re)defining them — the values it
-/// needs live on entry.
-fn upward_uses(ops: &[Op], nregs: usize) -> Vec<bool> {
-    let mut defined = vec![false; nregs];
-    let mut ue = vec![false; nregs];
-    for op in ops {
-        uses(op, |r| {
-            if !defined[r as usize] {
-                ue[r as usize] = true;
-            }
-        });
-        if let Some(d) = def(op) {
-            defined[d as usize] = true;
-        }
-    }
-    ue
-}
-
 /// Global dead-code elimination: one backward liveness sweep over the
 /// kernel's segments in execution order, each segment's live-in feeding
 /// the previous segment's live-out. A looping segment additionally
 /// keeps its own upward-exposed uses live (a value may feed the next
-/// iteration). This sequential propagation is sound because every
-/// non-empty segment executes at least once (empty loops bake to empty
-/// vectors), so a register a segment unconditionally redefines really
-/// does kill the incoming value. Every def-carrying op is pure, so any
-/// op whose result is dead can go; stores define nothing and are never
-/// removed. Iterates to a fixpoint so fused-away load/copy chains
-/// unravel fully.
-fn dce(segments: &mut [Segment<'_>], nregs: usize, st: &mut FusionStats, ev: &mut Vec<FusionEvent>) {
-    let mut per_segment = vec![0usize; segments.len()];
-    loop {
-        let mut removed = 0usize;
-        let mut live = vec![false; nregs]; // nothing is observed after the epilogue
-        for (seg_idx, seg) in segments.iter_mut().enumerate().rev() {
-            if seg.iters > 1 {
-                for (l, n) in live.iter_mut().zip(upward_uses(seg.ops, nregs)) {
-                    *l |= n;
-                }
+/// iteration), so it is swept again whenever a deleted op was what left
+/// a register upward-exposed: the op defining it may now be dead too.
+/// This sequential
+/// propagation is sound because every non-empty segment executes at
+/// least once (empty loops bake to empty vectors), so a register a
+/// segment unconditionally redefines really does kill the incoming
+/// value. Every def-carrying op is pure, so any op whose result is dead
+/// can go; stores define nothing and are never removed. A segment's
+/// live-out depends only on the segments after it, so once the sweep
+/// has passed a segment it is final: fused-away load/copy chains
+/// unravel fully in one pass.
+fn dce(segments: &mut [Segment<'_>; 6], nregs: usize, st: &mut FusionStats, ev: &mut Vec<FusionEvent>) {
+    let mut regs = vec![Liveness::default(); nregs];
+    // By op of the segment swept: whether it stays.
+    let mut keep = Vec::new();
+    let mut per_segment = [0; 6];
+    for (seg, count) in segments.iter_mut().zip(&mut per_segment).rev() {
+        let ops = &mut *seg.ops;
+        let looped = seg.iters > 1;
+        if looped {
+            regs.iter_mut().for_each(|r| r.after = r.live);
+            upward_uses(ops, &mut regs);
+        }
+        loop {
+            if looped {
+                regs.iter_mut().for_each(|r| r.live = r.after | r.upward);
             }
-            let ops = &mut *seg.ops;
-            let mut keep = vec![true; ops.len()];
+            keep.clear();
+            keep.resize(ops.len(), true);
+            // Whether a deleted op read a register upward-exposed.
+            let (mut removed, mut exposed) = (0, false);
             for (idx, op) in ops.iter().enumerate().rev() {
                 if let Some(d) = def(op) {
-                    if !live[d as usize] {
+                    if !regs[d as usize].live {
                         keep[idx] = false;
                         removed += 1;
-                        per_segment[seg_idx] += 1;
+                        uses(op, |r| exposed |= regs[r as usize].upward);
                         continue;
                     }
-                    live[d as usize] = false;
+                    regs[d as usize].live = false;
                 }
-                uses(op, |r| live[r as usize] = true);
+                uses(op, |r| regs[r as usize].live = true);
+            }
+            *count += removed;
+            if removed == 0 {
+                break;
             }
             let mut it = keep.iter();
             ops.retain(|_| *it.next().expect("keep mask matches ops len"));
+            // The sweep read only kept ops: it is final unless a deleted
+            // op was the one that made a register upward-exposed. (A
+            // deleted def never exposes a read: the read would have made
+            // it live.)
+            if !looped || !exposed || !upward_uses(ops, &mut regs) {
+                break;
+            }
         }
-        if removed == 0 {
-            break;
-        }
-        st.eliminated += removed;
     }
     for (seg, count) in segments.iter().zip(per_segment) {
+        st.eliminated += count;
         if count > 0 {
             ev.push(FusionEvent {
                 section: seg.name,

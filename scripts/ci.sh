@@ -6,7 +6,8 @@
 # build is followed at once by a build of the BENCHMARK.json package
 # (`benchmark/`, outside the workspace and frozen between benchmark
 # PRs), so an API break against it fails in the first minutes. The root
-# `cargo build`/`cargo test` pair is the tier-1 gate; the rest of the
+# `cargo build`/`cargo test` pair is the tier-1 gate; the engine
+# crate's own tests follow in debug, and the rest of the
 # script widens it to the full workspace in release (cli is not in the
 # root package's dependency graph, bench only as the dev-dependency of
 # tests/paper.rs, and the engine's speed floors only exist in release),
@@ -50,6 +51,14 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 echo "== test (tier-1: root package) =="
 cargo test -q --offline
 
+echo "== test (engine crate, debug) =="
+# Tier-1 tests the root package only, and the release run below has
+# debug assertions off: this is where the engine's own unit tests (trace
+# fusion, lowering, the strip driver) run with the debug-only reference
+# checks on, such as the dense loop-entry fixpoint every sparse one is
+# compared with.
+cargo test -q --offline -p simdize-engine
+
 echo "== test (release, workspace) =="
 # Also the second profile for two root tests the tier-1 run above just
 # ran in debug, and which can pass in one profile and fail in the other:
@@ -60,10 +69,12 @@ echo "== test (release, workspace) =="
 # against the checked walk would notice).
 cargo test -q --release --offline --workspace
 
-echo "== emitted-program identity, wide corpus (release) =="
+echo "== emitted-program and baked-plan identity, wide corpus (release) =="
 # tests/identity.rs pins the fingerprint of every program the driver
-# emits; tier-1 covers the samples and a 60-loop grid, and this ignored
-# twin 4 seeds x 512 loops under all 60 driver configurations (~10 s).
+# emits, and every plan the engine bakes from them; tier-1 covers the
+# samples and a 60-loop grid, and these ignored twins 4 seeds x 512
+# loops — under all 60 driver configurations (~10 s), and bake-cold's
+# corpus baked fused and unfused on two layouts (~2 s).
 cargo test -q --release --offline --test identity -- --ignored
 
 echo "== engine tier matrix, forced to the SSE2 and scalar tiers =="

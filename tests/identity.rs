@@ -14,10 +14,20 @@
 //! alignments, a runtime trip count, `i16` elements and reductions.
 //! The `#[ignore]`d twin covers 4 seeds × 512 loops of the same grid
 //! (`cargo test --release --test identity -- --ignored`).
+//!
+//! The back half is pinned the same way: every plan the engine bakes
+//! from those programs — its listing ([`CompiledKernel::trace`]), its
+//! fusion counts and events, its loop schedules and its run stats, or
+//! the error text of a bake that fails — folds into one constant per
+//! corpus. Each program is baked fused and unfused, on an image that
+//! puts every runtime-aligned array at offset 0 and on a seeded one
+//! that misaligns them. A change to baking, trace fusion or lowering
+//! that is meant to be a pure speed-up must leave that constant alone.
 
 use simdize::{
-    parse_program, program_fingerprint, synthesize, BinOp, LoopBuilder, LoopProgram, Policy,
-    ReuseMode, ScalarType, Simdizer, TripSpec, WorkloadSpec,
+    parse_program, program_fingerprint, synthesize, BinOp, KernelOptions, LoopBuilder, LoopProgram,
+    MemoryImage, Policy, PredecodedKernel, ReuseMode, RunInput, ScalarType, SimdProgram, Simdizer,
+    TripSpec, VectorShape, WorkloadSpec,
 };
 use simdize_prng::SplitMix64;
 use simdize_suite::sample_loops;
@@ -63,6 +73,81 @@ fn digest(programs: &[LoopProgram]) -> (u64, usize) {
         }
     }
     (acc, compiled)
+}
+
+/// Folds the bytes of `text` into the running digest.
+fn fold_text(acc: u64, text: &str) -> u64 {
+    text.bytes()
+        .fold(fold(acc, text.len() as u64), |h, b| fold(h, u64::from(b)))
+}
+
+/// Folds every plan the engine bakes from `program` into `acc`: fused
+/// and unfused, on an image with every runtime alignment at 0 and on
+/// the image `seed` misaligns. Returns the digest and how many bakes
+/// succeeded.
+fn fold_bakes(mut acc: u64, program: &SimdProgram, seed: u64) -> (u64, usize) {
+    let source = program.source();
+    let input = RunInput::with_ub(source.trip().known().unwrap_or(997));
+    let pre = match PredecodedKernel::new(program) {
+        Ok(pre) => pre,
+        Err(e) => return (fold_text(fold(acc, 0xBAD), &e.to_string()), 0),
+    };
+    let zeros = vec![0; source.arrays().len()];
+    let images = [
+        MemoryImage::with_offsets(source, VectorShape::V16, &zeros),
+        MemoryImage::with_seed(source, VectorShape::V16, seed),
+    ];
+    let mut baked = 0;
+    for image in &images {
+        for fuse in [true, false] {
+            match pre.bake(image, &input, &KernelOptions::new().fuse(fuse)) {
+                Ok(kernel) => {
+                    baked += 1;
+                    acc = fold_text(acc, &kernel.trace());
+                    acc = fold_text(acc, &format!("{:?}", kernel.fusion_stats()));
+                    for event in kernel.fusion_events() {
+                        acc = fold_text(acc, &event.to_string());
+                    }
+                    acc = fold_text(acc, &format!("{:?}", kernel.schedule()));
+                    acc = fold_text(acc, &format!("{:?}", kernel.stats()));
+                }
+                Err(e) => acc = fold_text(fold(acc, 0xE55), &e.to_string()),
+            }
+        }
+    }
+    (acc, baked)
+}
+
+/// The digest of every plan baked from `programs`, each compiled under
+/// every policy and reuse mode, with and without unrolling, and how
+/// many bakes succeeded.
+fn bake_digest(programs: &[LoopProgram]) -> (u64, usize) {
+    let (mut acc, mut baked) = (0xcbf2_9ce4_8422_2325u64, 0);
+    for (k, program) in programs.iter().enumerate() {
+        for policy in Policy::ALL {
+            for reuse in REUSE {
+                for unroll in [false, true] {
+                    let driver = Simdizer::new().policy(policy).reuse(reuse).unroll(unroll);
+                    let Ok(simd) = driver.compile(program) else {
+                        acc = fold(acc, 0xC0DE);
+                        continue;
+                    };
+                    let (next, n) = fold_bakes(acc, &simd, k as u64);
+                    (acc, baked) = (next, baked + n);
+                }
+            }
+        }
+    }
+    (acc, baked)
+}
+
+/// The `k`-th loop of `bake-cold`'s corpus for `rng`'s seed: shape
+/// `k mod 24` of the 4 × 6 grid, `i32`, trip in `[997, 1000]`.
+fn bake_cold_loop(k: usize, rng: &mut SplitMix64) -> LoopProgram {
+    let cell = k % 24;
+    let spec =
+        WorkloadSpec::new(1 + cell % 4, 1 + cell / 4).trip(TripSpec::KnownInRange(997, 1000));
+    synthesize(&spec, rng)
 }
 
 /// `program` with its first statement turned into a `+=` reduction
@@ -135,5 +220,51 @@ fn every_emitted_program_of_the_wide_corpus_is_pinned() {
             0x44c4_8a7e_1f11_9310,
         ],
         "emitted programs changed"
+    );
+}
+
+#[test]
+fn baked_plans_are_unchanged() {
+    let mut programs: Vec<LoopProgram> = sample_loops()
+        .into_iter()
+        .map(|(_, text)| parse_program(&text).unwrap())
+        .collect();
+    programs.extend(grid(34, 60));
+    let (digest, baked) = bake_digest(&programs);
+    assert_eq!(baked, 6552, "bakes that succeeded");
+    assert_eq!(
+        digest, 0x13d9_02e2_df35_8f78,
+        "baked plans changed ({baked} baked): {digest:#018x}"
+    );
+}
+
+#[test]
+#[ignore = "4 × 512 loops, each baked four ways; run in release"]
+fn baked_plans_of_the_bake_cold_corpus_are_unchanged() {
+    let digests: Vec<u64> = [1u64, 2, 3, 7]
+        .into_iter()
+        .map(|seed| {
+            let mut rng = SplitMix64::seed_from_u64(seed);
+            let driver = Simdizer::new();
+            let mut acc = 0xcbf2_9ce4_8422_2325u64;
+            for k in 0..512 {
+                let program = bake_cold_loop(k, &mut rng);
+                acc = match driver.compile(&program) {
+                    Ok(simd) => fold_bakes(acc, &simd, seed.wrapping_add(k as u64)).0,
+                    Err(e) => fold_text(fold(acc, 0xC0DE), &e.to_string()),
+                };
+            }
+            acc
+        })
+        .collect();
+    assert_eq!(
+        digests,
+        [
+            0x0e68_7a5d_51d8_e036,
+            0xa9c8_ec1d_05a6_1651,
+            0x8e31_0475_f3a2_9178,
+            0xea63_0665_46eb_e53e,
+        ],
+        "baked plans changed: {digests:#018x?}"
     );
 }
