@@ -163,9 +163,12 @@ struct Analyzer<'a> {
     /// Source statement storing each array, if any.
     store_stmt: Vec<Option<usize>>,
     stmts: Vec<StmtInfo>,
-    /// Total source load references per array (the §5 exactly-once
-    /// budget for steady-state `vload`s).
+    /// Total source load references per array, each weighted by its
+    /// stride (the §5 exactly-once budget for steady-state `vload`s).
+    /// A scatter's target has none: its loads are merges, outside the
+    /// budget.
     load_ref_count: Vec<usize>,
+    scatter_target: Vec<bool>,
     findings: BTreeMap<(Lint, Section, Vec<usize>, u32), Finding>,
     sites: Vec<SiteInfo>,
     site_ids: HashMap<(Section, Vec<usize>), u32>,
@@ -198,17 +201,20 @@ impl<'a> Analyzer<'a> {
 
         let mut store_stmt = vec![None; n];
         let mut load_ref_count = vec![0usize; n];
+        let mut scatter_target = vec![false; n];
         let mut stmts = Vec::new();
         for (si, stmt) in source.stmts().iter().enumerate() {
             store_stmt[stmt.target.array.index()] = Some(si);
+            scatter_target[stmt.target.array.index()] = !stmt.target.is_unit_stride();
             let loads: Vec<(u32, i64, i64)> = stmt
                 .rhs
                 .loads()
                 .iter()
                 .map(|r| (r.array.index() as u32, r.stride as i64, r.offset))
                 .collect();
-            for &(a, _, _) in &loads {
-                load_ref_count[a as usize] += 1;
+            // A stride-`s` stream advances `s` chunks an iteration.
+            for &(a, stride, _) in &loads {
+                load_ref_count[a as usize] += stride as usize;
             }
             stmts.push(StmtInfo {
                 reduction: stmt.reduction.is_some(),
@@ -228,6 +234,7 @@ impl<'a> Analyzer<'a> {
             store_stmt,
             stmts,
             load_ref_count,
+            scatter_target,
             findings: BTreeMap::new(),
             sites: Vec::new(),
             site_ids: HashMap::new(),
@@ -931,6 +938,9 @@ impl<'a> Analyzer<'a> {
                 }
             }
             for (&arr, &(count, first)) in &counts {
+                if self.scatter_target[arr] {
+                    continue;
+                }
                 let budget = factor * self.load_ref_count.get(arr).copied().unwrap_or(0);
                 if count > budget {
                     self.emit(

@@ -222,12 +222,12 @@ pub fn applicability() -> String {
     out
 }
 
-/// E11: the non-unit-stride extension — the gather/scatter permute
-/// generator against the scalar loop for strides 1, 2 and 4 (stride 1
-/// routes to the paper's stream framework).
+/// E11: the non-unit-stride extension — strided loads as packs in the
+/// reorganization graph, against the scalar loop for strides 1, 2 and
+/// 4 (stride 1 is a plain stream).
 pub fn stride() -> String {
     let mut out =
-        String::from("E11 — strided gather/scatter generator (i16, 8 lanes, 1000 iterations)\n");
+        String::from("E11 — strided loads as reorg-graph packs (i16, 8 lanes, 1000 iterations)\n");
     let _ = writeln!(
         out,
         "{:<10} {:>8} {:>10} {:>10}",

@@ -467,7 +467,7 @@ pub fn run(opts: &Options) -> Result<String, Box<dyn Error>> {
         }
         "analyze" => {
             let compiled = driver.compile(&program)?;
-            let mut aopts = driver.analyze_options(&program);
+            let mut aopts = driver.analyze_options();
             for (lint, level) in &opts.lints {
                 aopts = aopts.level(*lint, *level);
             }

@@ -1,6 +1,5 @@
 //! Code generation errors.
 
-use crate::strided::GenStridedError;
 use simdize_reorg::ValidateGraphError;
 use std::error::Error;
 use std::fmt;
@@ -12,14 +11,18 @@ pub enum GenCodeError {
     /// The input graph violates constraint (C.2) or (C.3); apply a
     /// shift-placement policy first.
     InvalidGraph(ValidateGraphError),
-    /// The strided extension generator could not handle the loop.
-    Strided(GenStridedError),
     /// Reduction statements need a compile-time trip count (the
     /// residue mask is a compile-time byte pattern).
     ReductionNeedsKnownTrip,
     /// A reduction's accumulator element must have a compile-time
     /// alignment (the scalar merge pattern is compile time).
     ReductionNeedsKnownAlignment,
+    /// A non-unit-stride reference needs a compile-time trip count (a
+    /// partial scatter deposits a compile-time number of lanes).
+    StrideNeedsKnownTrip,
+    /// A non-unit-stride reference needs a compile-time base alignment
+    /// (its pack and scatter patterns are compile-time byte selections).
+    StrideNeedsKnownAlignment,
 }
 
 impl fmt::Display for GenCodeError {
@@ -28,12 +31,17 @@ impl fmt::Display for GenCodeError {
             GenCodeError::InvalidGraph(e) => {
                 write!(f, "cannot generate code from an invalid graph: {e}")
             }
-            GenCodeError::Strided(e) => write!(f, "strided generation failed: {e}"),
             GenCodeError::ReductionNeedsKnownTrip => {
                 f.write_str("reductions need a compile-time trip count")
             }
             GenCodeError::ReductionNeedsKnownAlignment => {
                 f.write_str("a reduction target needs a compile-time alignment")
+            }
+            GenCodeError::StrideNeedsKnownTrip => {
+                f.write_str("non-unit-stride references need a compile-time trip count")
+            }
+            GenCodeError::StrideNeedsKnownAlignment => {
+                f.write_str("a non-unit-stride reference needs a compile-time alignment")
             }
         }
     }
@@ -43,7 +51,6 @@ impl Error for GenCodeError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             GenCodeError::InvalidGraph(e) => Some(e),
-            GenCodeError::Strided(e) => Some(e),
             _ => None,
         }
     }

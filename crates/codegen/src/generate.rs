@@ -2,6 +2,7 @@
 
 use crate::error::GenCodeError;
 use crate::options::{CodegenOptions, ReuseMode};
+use crate::pack::{self, Step, Window};
 use crate::passes;
 use crate::passes::lvn::Table;
 use crate::sexpr::{SCond, SExpr};
@@ -9,7 +10,8 @@ use crate::trace::{BoundFormula, CodegenEvent, CodegenTrace, Recorder, SectionCo
 use crate::vir::{Addr, SimdProgram, VInst, VReg};
 use simdize_ir::{AlignKind, ArrayRef, BinOp, Invariant, ScalarType, TripCount};
 use simdize_reorg::{NodeId, Offset, RNode, ReorgGraph, ShiftDir, VOpKind};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Generates a [`SimdProgram`] from a valid data reorganization graph.
@@ -19,7 +21,10 @@ use std::sync::Arc;
 /// stores), the multi-statement bound formulas (eqs. 12–14), the runtime
 /// alignment and unknown-bound handling of §4.4 (eqs. 15–16 and the
 /// `ub > 3B` guard), and — when [`ReuseMode::SoftwarePipeline`] is
-/// selected — the software-pipelined scheme of Figure 10. Every
+/// selected — the software-pipelined scheme of Figure 10. A
+/// non-unit-stride load is a pack and a non-unit-stride store a scatter
+/// (see the `pack` module); under software pipelining a pack's chunk
+/// that the next iteration loads again is carried instead. Every
 /// instruction is value-numbered as it is emitted (§5.5 CSE, with
 /// MemNorm's chunk keys when enabled), so no computed value is emitted
 /// twice within a section. Post passes then run according to `options`:
@@ -31,6 +36,8 @@ use std::sync::Arc;
 ///
 /// Returns [`GenCodeError::InvalidGraph`] when the graph violates
 /// constraint (C.2) or (C.3); apply a [`simdize_reorg::Policy`] first.
+/// Reductions and non-unit-stride references need the compile-time
+/// facts their patterns are built from.
 pub fn generate(graph: &ReorgGraph, options: &CodegenOptions) -> Result<SimdProgram, GenCodeError> {
     run(graph, options, &mut Recorder::off())
 }
@@ -59,6 +66,7 @@ fn run(
     rec: &mut Recorder<'_>,
 ) -> Result<SimdProgram, GenCodeError> {
     graph.validate()?;
+    pack::check(graph.program())?;
     let (mut program, merged) = Generator::new(graph, options).run(rec)?;
     passes::run_pipeline(&mut program, merged, options, rec);
     Ok(program)
@@ -139,6 +147,19 @@ struct Generator<'g> {
     /// Software-pipelining memo: result register per (shift node, i
     /// substitution), so one carried chain serves all uses.
     sp_memo: HashMap<(NodeId, i64), VReg>,
+    /// Under software pipelining, the chunks the steady body's packs
+    /// read, as `(array, stride, chunk on the array's grid)`: chunk `c`
+    /// is next iteration's chunk `c − stride`.
+    pack_chunks: HashSet<(u32, u32, i64)>,
+    /// The carried register per pack chunk, and its rotations
+    /// `(chunk, old, second)`.
+    chunk_memo: HashMap<(u32, u32, i64), VReg>,
+    chunk_carried: Vec<((u32, u32, i64), VReg, VReg)>,
+    /// The iteration the section being generated runs at, when known at
+    /// compile time (the prologue's 0, the epilogue's after a
+    /// compile-time steady state), and the trip count packs assume.
+    at: Option<i64>,
+    ub: i64,
     /// Blocking factor in elements.
     b: i64,
     /// Vector length in bytes.
@@ -154,6 +175,20 @@ impl<'g> Generator<'g> {
             ReuseMode::SoftwarePipeline => graph.shift_count(),
             _ => 0,
         };
+        let mut pack_chunks = HashSet::new();
+        if options.reuse_mode() == ReuseMode::SoftwarePipeline {
+            let lanes = graph.blocking_factor() as usize;
+            for node in graph.nodes() {
+                if let RNode::Load { r } = *node {
+                    if !r.is_unit_stride() {
+                        let chunks =
+                            simdize_reorg::pack_chunks(r, graph.program(), graph.shape(), 0..lanes);
+                        let key = |c| (r.array.index() as u32, r.stride, c);
+                        pack_chunks.extend(chunks.into_iter().map(key));
+                    }
+                }
+            }
+        }
         Generator {
             graph,
             options: *options,
@@ -161,6 +196,11 @@ impl<'g> Generator<'g> {
             prologue: None,
             carried: Vec::with_capacity(carried),
             sp_memo: HashMap::with_capacity(carried),
+            pack_chunks,
+            chunk_memo: HashMap::new(),
+            chunk_carried: Vec::new(),
+            at: None,
+            ub: graph.program().trip().known().map_or(0, |ub| ub as i64),
             b: graph.blocking_factor() as i64,
             v: graph.shape().bytes() as i64,
             d: graph.program().elem().size() as i64,
@@ -245,6 +285,13 @@ impl<'g> Generator<'g> {
         let use_eq15 = !compile_time || has_reduction;
         let upper_bound = if !use_eq15 {
             let ub = ub_sexpr.as_const().expect("checked");
+            // A pack reads whole blocks at offset 0, like a store there:
+            // the steady state stops before it would read past `ub`.
+            let packs = self
+                .graph
+                .nodes()
+                .iter()
+                .any(|n| matches!(n, RNode::Load { r } if !r.is_unit_stride()));
             let max_e = prosplices
                 .iter()
                 .flatten()
@@ -253,6 +300,7 @@ impl<'g> Generator<'g> {
                     let episplice = (ps + ub * self.d).rem_euclid(self.v);
                     episplice.div_euclid(self.d)
                 })
+                .chain(packs.then_some(ub % self.b))
                 .max()
                 .unwrap_or(0);
             SExpr::c(ub - max_e)
@@ -277,6 +325,7 @@ impl<'g> Generator<'g> {
         // Reductions initialize their accumulator with the first block
         // E(0) here instead of a partial store.
         let mut pro = self.section();
+        self.at = Some(0);
         for (idx, &(store, src, reduction)) in stmts.iter().enumerate() {
             rec.record(|| CodegenEvent::ProloguePeeled {
                 stmt: idx,
@@ -299,7 +348,7 @@ impl<'g> Generator<'g> {
             let new = self.gen_expr(src, 0, &mut pro, Mode::Std);
             let ps = prosplices[idx].clone().expect("stores have splice points");
             if ps.as_const() == Some(0) {
-                pro.emit(VInst::StoreA { addr, src: new });
+                self.store(store, new, 0, &mut pro);
             } else {
                 let old = self.fresh();
                 let old = pro.value(VInst::LoadA { dst: old, addr });
@@ -314,6 +363,7 @@ impl<'g> Generator<'g> {
             }
         }
         self.prologue = Some(pro);
+        self.at = None;
 
         // Steady-state body (GenSimdStmt-Steady), plus carried copies.
         let body_mode = match self.options.reuse_mode() {
@@ -335,14 +385,18 @@ impl<'g> Generator<'g> {
                     });
                     self.carried.push((acc, newacc));
                 }
-                None => {
-                    body.emit(VInst::StoreA {
-                        addr: Addr::new(store.array, store.offset),
-                        src: new,
-                    });
-                }
+                None => self.store(store, new, 0, &mut body),
             }
         }
+        // A pack chunk's rotation may read the carried register of the
+        // chunk `stride` further on: rotate in grid order.
+        self.chunk_carried
+            .sort_unstable_by_key(|&(chunk, _, _)| chunk);
+        let chunks = self
+            .chunk_carried
+            .iter()
+            .map(|&(_, old, second)| (old, second));
+        self.carried.extend(chunks);
         for &(old, second) in &self.carried {
             body.emit(VInst::Copy {
                 dst: old,
@@ -361,6 +415,9 @@ impl<'g> Generator<'g> {
 
         // Epilogue (Figure 9, GenSimdStmt-Epilogue; eqs. 14/16),
         // executed with i at the first un-executed steady value.
+        self.at = upper_bound
+            .as_const()
+            .map(|ubound| ceil_div(ubound, self.b).max(1) * self.b);
         for (idx, &(store, src, reduction)) in stmts.iter().enumerate() {
             if let Some(op) = reduction {
                 let acc = accs[idx].expect("initialized in prologue");
@@ -392,16 +449,15 @@ impl<'g> Generator<'g> {
                 episplice: episplice.clone(),
                 compile_time: elo.as_const().is_some(),
             });
-            let addr = Addr::new(store.array, store.offset);
 
             // Full vector store when a whole chunk is left (ELO >= V),
             // followed by a partial store at i+B for the remainder.
             let (v, b) = (self.v, self.b);
             self.guarded(SCond::Ge(elo.clone(), SExpr::c(v)), &mut epi, |g, sec| {
                 let new = g.gen_expr(src, 0, sec, Mode::Std);
-                sec.emit(VInst::StoreA { addr, src: new });
+                g.store(store, new, 0, sec);
                 g.guarded(SCond::Gt(elo.clone(), SExpr::c(v)), sec, |g, sec| {
-                    g.gen_partial_store(src, addr, b, episplice.clone(), sec);
+                    g.gen_partial_store(src, store, b, episplice.clone(), sec);
                 });
             });
 
@@ -409,7 +465,7 @@ impl<'g> Generator<'g> {
             // left at all).
             self.guarded(SCond::Lt(elo.clone(), SExpr::c(v)), &mut epi, |g, sec| {
                 g.guarded(SCond::Gt(elo.clone(), SExpr::c(0)), sec, |g, sec| {
-                    g.gen_partial_store(src, addr, 0, episplice.clone(), sec);
+                    g.gen_partial_store(src, store, 0, episplice.clone(), sec);
                 });
             });
         }
@@ -581,17 +637,135 @@ impl<'g> Generator<'g> {
         epi.emit(VInst::StoreA { addr, src: merged });
     }
 
+    /// Stores every lane of `src` through `r` at `i + delta`: one vector
+    /// store, or a scatter.
+    fn store(&mut self, r: ArrayRef, src: VReg, delta: i64, out: &mut Section<'g>) {
+        if r.is_unit_stride() {
+            let addr = Addr::new(r.array, r.offset).shifted(delta);
+            out.emit(VInst::StoreA { addr, src });
+        } else {
+            self.scatter(r, src, delta, 0..self.b as usize, out);
+        }
+    }
+
+    /// Scatters `lanes` of `value` through the non-unit-stride `r` at
+    /// `i + delta`: load–merge–store per covered chunk, so only those
+    /// lanes' bytes change.
+    fn scatter(
+        &mut self,
+        r: ArrayRef,
+        value: VReg,
+        delta: i64,
+        lanes: Range<usize>,
+        out: &mut Section<'g>,
+    ) {
+        let window = Window::of(r, self.graph.program(), self.graph.shape());
+        window.scatter(&lanes, delta, value, |step| self.step(step, out));
+    }
+
+    /// A pack of the non-unit-stride `r` at `i + delta`: its window's
+    /// chunks, each folded into lane order by one `vperm`. Where the
+    /// section's `i` is known, only lanes of iterations in `0..ub` are
+    /// gathered (no other lane reaches memory), so the window never
+    /// reads past the guard padding; a pack with no such lane is a
+    /// don't-care splat.
+    fn gen_pack(&mut self, r: ArrayRef, delta: i64, out: &mut Section<'g>, mode: Mode) -> VReg {
+        let window = Window::of(r, self.graph.program(), self.graph.shape());
+        let b = self.b;
+        let lanes = match self.at {
+            Some(i) => {
+                let (first, ub) = (i + delta, self.ub);
+                (-first).clamp(0, b) as usize..(ub - first).clamp(0, b) as usize
+            }
+            None => 0..b as usize,
+        };
+        if lanes.is_empty() {
+            let dst = self.fresh();
+            return out.value(VInst::SplatConst { dst, value: 0 });
+        }
+        let pipelined = mode == Mode::Sp && delta == 0;
+        window.pack(&lanes, delta, |step| match step {
+            Step::Load(c, addr) if pipelined => {
+                self.body_chunk((r.array.index() as u32, r.stride, c), addr, out)
+            }
+            step => self.step(step, out),
+        })
+    }
+
+    /// Emits a pack or scatter step; returns the register holding its
+    /// value (for a store, the stored one).
+    fn step(&mut self, step: Step, out: &mut Section<'g>) -> VReg {
+        match step {
+            Step::Store(_, src) => {
+                out.emit(step.inst(src));
+                src
+            }
+            step => {
+                let dst = self.fresh();
+                out.value(step.inst(dst))
+            }
+        }
+    }
+
+    /// The software-pipelined body's register for pack chunk `key` at
+    /// `addr`: the previous iteration's chunk `stride` further on,
+    /// carried, when the body reads that chunk too (Figure 10 applied
+    /// to a window's chunks); otherwise a load.
+    fn body_chunk(&mut self, key: (u32, u32, i64), addr: Addr, out: &mut Section<'g>) -> VReg {
+        if let Some(&old) = self.chunk_memo.get(&key) {
+            return old;
+        }
+        let (array, stride, chunk) = key;
+        let next = (array, stride, chunk + stride as i64);
+        if !self.pack_chunks.contains(&next) {
+            let dst = self.fresh();
+            return out.value(VInst::LoadA { dst, addr });
+        }
+        // Prologue: the chunk at the first steady iteration (i = B).
+        let old = self.fresh();
+        let mut pro = self
+            .prologue
+            .take()
+            .expect("open while the body is generated");
+        let first = self.fresh();
+        let first = pro.value(VInst::LoadA {
+            dst: first,
+            addr: addr.shifted(self.b),
+        });
+        pro.emit(VInst::Copy {
+            dst: old,
+            src: first,
+        });
+        self.prologue = Some(pro);
+        self.chunk_memo.insert(key, old);
+        let ahead = Addr {
+            elem: addr.elem + stride as i64 * self.b,
+            ..addr
+        };
+        let second = self.body_chunk(next, ahead, out);
+        self.chunk_carried.push((key, old, second));
+        old
+    }
+
     /// Figure 9's epilogue partial store: load–splice–store at
-    /// `i + delta`, keeping the first `point` bytes of the new value.
+    /// `i + delta`, keeping the first `point` bytes of the new value —
+    /// for a scatter, its first `point / D` lanes.
     fn gen_partial_store(
         &mut self,
         src: NodeId,
-        addr: Addr,
+        store: ArrayRef,
         delta: i64,
         point: SExpr,
         out: &mut Section<'g>,
     ) {
         let new = self.gen_expr(src, delta, out, Mode::Std);
+        if !store.is_unit_stride() {
+            let bytes = point
+                .as_const()
+                .expect("scatters have compile-time splice points");
+            return self.scatter(store, new, delta, 0..(bytes / self.d) as usize, out);
+        }
+        let addr = Addr::new(store.array, store.offset);
         let old = self.fresh();
         let old = out.value(VInst::LoadA {
             dst: old,
@@ -615,6 +789,7 @@ impl<'g> Generator<'g> {
     fn gen_expr(&mut self, node: NodeId, delta: i64, out: &mut Section<'g>, mode: Mode) -> VReg {
         let graph = self.graph;
         match *graph.node(node) {
+            RNode::Load { r } if !r.is_unit_stride() => self.gen_pack(r, delta, out, mode),
             RNode::Load { r } => {
                 let dst = self.fresh();
                 out.value(VInst::LoadA {

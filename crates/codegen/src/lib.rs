@@ -55,9 +55,9 @@ mod error;
 mod generate;
 mod lower;
 mod options;
+mod pack;
 mod passes;
 mod sexpr;
-mod strided;
 mod trace;
 mod unaligned;
 mod verify;
@@ -70,7 +70,6 @@ pub use lower::lower_altivec;
 pub use options::{CodegenOptions, ReuseMode};
 pub use passes::value_number;
 pub use sexpr::{SCond, SExpr, ScalarEnv};
-pub use strided::{generate_strided, strided_model_opd, GenStridedError, MAX_STRIDE};
 pub use trace::{BoundFormula, CodegenEvent, CodegenTrace, SectionCounts};
 pub use unaligned::generate_unaligned;
 pub use verify::{verify_program, VerifyProgramError};

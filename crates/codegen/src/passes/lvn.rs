@@ -21,8 +21,7 @@
 //! One [`Table`] does the numbering in two places. The generator looks
 //! every instruction up before it emits it, so its output is numbered
 //! as it is built; [`run`] walks an existing program through the table,
-//! for the initializers predictive commoning inserts and for the strided
-//! generator.
+//! for the initializers predictive commoning inserts.
 //!
 //! The table's cost per instruction is one keyed hash of a small `Copy`
 //! key, whatever the input: shift and splice amounts and permute
@@ -112,11 +111,13 @@ enum Key {
         elem: i64,
         scale: i64,
     },
-    /// The `V`-byte chunk a stride-one aligned load reads.
+    /// The `V`-byte chunk an aligned load of an `i`-scaled address
+    /// reads: chunk `chunk + scale · i / B` of the array's grid.
     Chunk {
         array: u32,
         epoch: u32,
         chunk: i64,
+        scale: i64,
     },
     SplatConst(i64),
     SplatParam(ParamId),
@@ -241,7 +242,9 @@ impl<'p> Table<'p> {
                 let array = addr.array.index() as u32;
                 let epoch = self.epochs[array as usize];
                 match self.source.array(addr.array).align() {
-                    AlignKind::Known(beta) if self.memnorm && addr.scale == 1 => {
+                    // Every section runs at `i` a multiple of `B`, where
+                    // `scale · i · D` is a multiple of `V`.
+                    AlignKind::Known(beta) if self.memnorm && addr.scale >= 1 => {
                         let v = self.shape.bytes();
                         let d = self.source.elem().size() as i64;
                         let chunk = ((beta % v) as i64 + addr.elem * d).div_euclid(v as i64);
@@ -249,6 +252,7 @@ impl<'p> Table<'p> {
                             array,
                             epoch,
                             chunk,
+                            scale: addr.scale,
                         }
                     }
                     _ => Key::Load {

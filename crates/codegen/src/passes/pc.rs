@@ -22,10 +22,22 @@ use std::collections::HashMap;
 pub(crate) fn run(program: &mut SimdProgram) {
     let b = program.block() as i64;
 
-    // Map each body-defined register to its defining instruction.
+    // Map each body-defined register to its defining instruction. A
+    // load of an array the body stores (a scatter's merge) reads what
+    // the previous iteration wrote, so it is never carried: left out,
+    // it is a live-in no signature covers.
+    let stored: Vec<_> = program
+        .body
+        .iter()
+        .filter_map(|i| match i {
+            VInst::StoreA { addr, .. } => Some(addr.array),
+            _ => None,
+        })
+        .collect();
     let defs: HashMap<VReg, VInst> = program
         .body
         .iter()
+        .filter(|i| !matches!(i, VInst::LoadA { addr, .. } if stored.contains(&addr.array)))
         .filter_map(|i| i.def().map(|d| (d, i.clone())))
         .collect();
 

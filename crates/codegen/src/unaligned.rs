@@ -8,12 +8,14 @@
 //! per-access cost (see `simdize-vm`'s `UNALIGNED_MEM_COST`). Comparing
 //! this generator against the alignment-handling pipeline quantifies
 //! when the paper's software scheme beats hardware support — the `E9`
-//! ablation bench.
+//! ablation bench. Non-unit-stride references are packed and scattered
+//! as on the aligned machine (see the `pack` module).
 
 use crate::error::GenCodeError;
+use crate::pack::{self, Step, Window};
 use crate::sexpr::{SCond, SExpr};
 use crate::vir::{Addr, SimdProgram, VInst, VReg};
-use simdize_ir::{Expr, Invariant, TripCount};
+use simdize_ir::{ArrayRef, Expr, Invariant, LoopProgram, TripCount, VectorShape};
 use simdize_reorg::ReorgGraph;
 use std::sync::Arc;
 
@@ -28,9 +30,10 @@ use std::sync::Arc;
 ///
 /// # Errors
 ///
-/// Currently infallible for validated loops; the `Result` mirrors
-/// [`crate::generate`] for uniform call sites.
+/// A non-unit-stride reference without the compile-time facts its
+/// patterns are built from.
 pub fn generate_unaligned(graph: &ReorgGraph) -> Result<SimdProgram, GenCodeError> {
+    pack::check(graph.program())?;
     let program = Arc::clone(graph.shared_program());
     let shape = graph.shape();
     let b = graph.blocking_factor() as i64;
@@ -53,29 +56,49 @@ pub fn generate_unaligned(graph: &ReorgGraph) -> Result<SimdProgram, GenCodeErro
 
     let mut body = Vec::new();
     let mut epilogue = Vec::new();
+    // Packs and scatters exist only with a compile-time trip count; with
+    // no residue the guard drops the partial block below.
+    let residue_lanes = (residue.as_const().unwrap_or(0) as usize).max(1);
+    let steady = Packing {
+        program: &program,
+        shape,
+        lanes: b as usize,
+    };
+    let partial = Packing {
+        lanes: residue_lanes,
+        ..steady
+    };
     for stmt in program.stmts() {
         let addr = Addr::new(stmt.target.array, stmt.target.offset);
         // Steady: full unaligned store of the computed vector.
-        let value = gen_expr(&stmt.rhs, &mut fresh, &mut body);
+        let value = gen_expr(&stmt.rhs, &steady, &mut fresh, &mut body);
+        if !stmt.target.is_unit_stride() {
+            steady.scatter(stmt.target, value, &mut fresh, &mut body);
+            if residue.as_const() != Some(0) {
+                let new = gen_expr(&stmt.rhs, &partial, &mut fresh, &mut epilogue);
+                partial.scatter(stmt.target, new, &mut fresh, &mut epilogue);
+            }
+            continue;
+        }
         body.push(VInst::StoreU { addr, src: value });
 
         // Epilogue: splice the first (ub mod B)·D bytes of the new
         // value over the old contents, at the exact residual address.
-        let mut partial = Vec::new();
-        let new = gen_expr(&stmt.rhs, &mut fresh, &mut partial);
+        let mut partial_store = Vec::new();
+        let new = gen_expr(&stmt.rhs, &partial, &mut fresh, &mut partial_store);
         let old = fresh();
-        partial.push(VInst::LoadU { dst: old, addr });
+        partial_store.push(VInst::LoadU { dst: old, addr });
         let spliced = fresh();
-        partial.push(VInst::Splice {
+        partial_store.push(VInst::Splice {
             dst: spliced,
             a: new,
             b: old,
             point: residue.clone().mul(SExpr::c(d)),
         });
-        partial.push(VInst::StoreU { addr, src: spliced });
+        partial_store.push(VInst::StoreU { addr, src: spliced });
         push_guarded(
             SCond::Gt(residue.clone(), SExpr::c(0)),
-            partial,
+            partial_store,
             &mut epilogue,
         );
     }
@@ -94,8 +117,50 @@ pub fn generate_unaligned(graph: &ReorgGraph) -> Result<SimdProgram, GenCodeErro
     })
 }
 
-fn gen_expr(e: &Expr, fresh: &mut impl FnMut() -> VReg, out: &mut Vec<VInst>) -> VReg {
+/// The lanes `0..lanes` of one section's non-unit-stride references.
+#[derive(Clone, Copy)]
+struct Packing<'p> {
+    program: &'p LoopProgram,
+    shape: VectorShape,
+    lanes: usize,
+}
+
+impl Packing<'_> {
+    /// Scatters the lanes of `value` through `r`.
+    fn scatter(
+        &self,
+        r: ArrayRef,
+        value: VReg,
+        fresh: &mut impl FnMut() -> VReg,
+        out: &mut Vec<VInst>,
+    ) {
+        let window = Window::of(r, self.program, self.shape);
+        window.scatter(&(0..self.lanes), 0, value, |step| push(step, fresh, out));
+    }
+}
+
+/// Appends a pack or scatter step; returns the register holding its
+/// value (for a store, the stored one).
+fn push(step: Step, fresh: &mut impl FnMut() -> VReg, out: &mut Vec<VInst>) -> VReg {
+    let value = match step {
+        Step::Store(_, src) => src,
+        _ => fresh(),
+    };
+    out.push(step.inst(value));
+    value
+}
+
+fn gen_expr(
+    e: &Expr,
+    packing: &Packing<'_>,
+    fresh: &mut impl FnMut() -> VReg,
+    out: &mut Vec<VInst>,
+) -> VReg {
     match e {
+        Expr::Load(r) if !r.is_unit_stride() => {
+            let window = Window::of(*r, packing.program, packing.shape);
+            window.pack(&(0..packing.lanes), 0, |step| push(step, fresh, out))
+        }
         Expr::Load(r) => {
             let dst = fresh();
             out.push(VInst::LoadU {
@@ -115,14 +180,14 @@ fn gen_expr(e: &Expr, fresh: &mut impl FnMut() -> VReg, out: &mut Vec<VInst>) ->
             dst
         }
         Expr::Binary(op, a, b) => {
-            let a = gen_expr(a, fresh, out);
-            let b = gen_expr(b, fresh, out);
+            let a = gen_expr(a, packing, fresh, out);
+            let b = gen_expr(b, packing, fresh, out);
             let dst = fresh();
             out.push(VInst::Bin { dst, op: *op, a, b });
             dst
         }
         Expr::Unary(op, a) => {
-            let a = gen_expr(a, fresh, out);
+            let a = gen_expr(a, packing, fresh, out);
             let dst = fresh();
             out.push(VInst::Un { dst, op: *op, a });
             dst

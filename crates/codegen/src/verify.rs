@@ -322,12 +322,14 @@ mod tests {
 
     #[test]
     fn strided_and_unaligned_programs_verify() {
-        let p = parse_program(
-            "arrays { out: i32[128] @ 0; inter: i32[300] @ 4; }
-             for i in 0..100 { out[i] = inter[2*i] + inter[2*i+1]; }",
-        )
-        .unwrap();
-        verify_program(&crate::strided::generate_strided(&p, VectorShape::V16).unwrap()).unwrap();
+        let strided = "arrays { out: i32[128] @ 0; inter: i32[300] @ 4; }
+                       for i in 0..100 { out[i] = inter[2*i] + inter[2*i+1]; }";
+        for reuse in [ReuseMode::None, ReuseMode::SoftwarePipeline, ReuseMode::PredictiveCommoning] {
+            verify_program(&compiled(strided, reuse, true)).unwrap();
+        }
+        let p = parse_program(strided).unwrap();
+        let g = ReorgGraph::build(&p, VectorShape::V16).unwrap();
+        verify_program(&crate::unaligned::generate_unaligned(&g).unwrap()).unwrap();
 
         let p2 = parse_program(SRC).unwrap();
         let g = ReorgGraph::build(&p2, VectorShape::V16).unwrap();

@@ -80,10 +80,10 @@ pub use simdize_analysis::{
     analyze_program, AnalysisFailed, AnalysisReport, AnalyzeOptions, Finding, Level, Lint, Section,
 };
 pub use simdize_codegen::{
-    generate, generate_strided, generate_traced, generate_unaligned, lower_altivec,
-    max_live_vregs, strided_model_opd, verify_program, Addr, BoundFormula, CodegenEvent,
-    CodegenOptions, CodegenTrace, GenCodeError, GenStridedError, ReuseMode, SCond, SExpr,
-    SectionCounts, SimdProgram, VInst, VReg, VerifyProgramError, MACHINE_VREGS, MAX_STRIDE,
+    generate, generate_traced, generate_unaligned, lower_altivec, max_live_vregs,
+    verify_program, Addr, BoundFormula, CodegenEvent, CodegenOptions, CodegenTrace, GenCodeError,
+    ReuseMode, SCond, SExpr, SectionCounts, SimdProgram, VInst, VReg, VerifyProgramError,
+    MACHINE_VREGS,
 };
 pub use simdize_ir::{
     parse_program, AlignKind, ArrayDecl, ArrayId, ArrayRef, BinOp, Expr, Invariant, Lane,
@@ -94,8 +94,19 @@ pub use simdize_reorg::{
     branch_and_bound_shift_counts, distinct_alignments, optimal_shift_counts, reassociate,
     simdizable_aligned_only, simdizable_by_peeling, to_dot, BuildGraphError, Constraint,
     GraphStats, Offset, OptimalStmt, PlacementEvent, PlacementTrace, Policy, PolicyError,
-    ReorgGraph, ValidateGraphError,
+    ReorgGraph, ValidateGraphError, MAX_STRIDE,
 };
+
+/// What [`Simdizer::compile`] makes of `program` on `shape`: strided
+/// loops compile through the one pipeline now. Kept for callers that
+/// still name the strided entry point.
+#[doc(hidden)]
+pub fn generate_strided(
+    program: &LoopProgram,
+    shape: VectorShape,
+) -> Result<SimdProgram, SimdizeError> {
+    Simdizer::new().shape(shape).compile(program)
+}
 pub use simdize_engine::{
     program_fingerprint, run_job, run_sweep, run_sweep_collect, run_sweep_shared, CacheStats,
     CompiledKernel, FusionEvent, FusionEventKind, FusionStats, IsaLevel, JobRun, KernelBackend,

@@ -5,8 +5,8 @@ use crate::report::Report;
 use crate::scheme::Scheme;
 use simdize_analysis::{analyze_program, AnalysisFailed, AnalyzeOptions};
 use simdize_codegen::{
-    generate, generate_strided, generate_traced, generate_unaligned, strided_model_opd,
-    CodegenOptions, CodegenTrace, ReuseMode, SimdProgram,
+    generate, generate_traced, generate_unaligned, CodegenOptions, CodegenTrace, ReuseMode,
+    SimdProgram,
 };
 use simdize_ir::{LoopProgram, VectorShape};
 use simdize_reorg::{reassociate, PlacementTrace, Policy, ReorgGraph};
@@ -205,8 +205,8 @@ impl Simdizer {
     /// [`Simdizer::compile`], recording every placement decision into
     /// `placement` and every code-generation decision into `codegen`.
     /// Also returns the placed graph the program was generated from:
-    /// `None` for the strided and hardware-misaligned generators,
-    /// which place no shifts and record nothing.
+    /// `None` for the hardware-misaligned generator, which places no
+    /// shifts and records nothing.
     ///
     /// # Errors
     ///
@@ -227,12 +227,7 @@ impl Simdizer {
         program: &LoopProgram,
         traces: Option<(&mut PlacementTrace, &mut CodegenTrace)>,
     ) -> Result<(Option<ReorgGraph>, SimdProgram), SimdizeError> {
-        let (placed, compiled) = if is_strided(program) {
-            // §7 extension: loops with non-unit-stride references go
-            // through the gather/scatter permute generator.
-            let _span = telemetry::span("codegen");
-            (None, generate_strided(program, self.shape)?)
-        } else if self.target == Target::Unaligned {
+        let (placed, compiled) = if self.target == Target::Unaligned {
             let graph = {
                 let _span = telemetry::span("reorg");
                 ReorgGraph::build(program, self.shape)?
@@ -251,7 +246,7 @@ impl Simdizer {
         };
         if self.options.analyze_enabled() {
             let _span = telemetry::span("analysis");
-            let report = analyze_program(&compiled, &self.analyze_options(program));
+            let report = analyze_program(&compiled, &self.analyze_options());
             if report.deny_count() > 0 {
                 return Err(AnalysisFailed::new(report).into());
             }
@@ -261,12 +256,12 @@ impl Simdizer {
 
     /// What the static analyzer is told about the code this driver
     /// generates for `program`: whether memory normalization ran, and
-    /// the reuse scheme — only on the stream generator, because the
-    /// exactly-once reuse lint does not apply to the strided and
-    /// hardware-misaligned generators, which don't pipeline chunks.
-    pub fn analyze_options(&self, program: &LoopProgram) -> AnalyzeOptions {
+    /// the reuse scheme — only on the aligned target, because the
+    /// exactly-once reuse lint does not apply to the hardware-misaligned
+    /// generator, which doesn't pipeline chunks.
+    pub fn analyze_options(&self) -> AnalyzeOptions {
         let opts = AnalyzeOptions::new().memnorm(self.options.memnorm_enabled());
-        if self.target == Target::Aligned && !is_strided(program) {
+        if self.target == Target::Aligned {
             opts.reuse(self.options.reuse_mode())
         } else {
             opts
@@ -275,14 +270,8 @@ impl Simdizer {
 
     /// The operations-per-datum bound reported next to a measured OPD:
     /// the §5.3 analytic bound under [`Simdizer::policy_for`] (its
-    /// hardware-misaligned form on [`Target::Unaligned`]). The §5.3
-    /// bound only covers the stream framework, so a loop with a
-    /// non-unit-stride reference gets the strided generator's static
-    /// cost model instead (`NaN` when the model has no figure for it).
+    /// hardware-misaligned form on [`Target::Unaligned`]).
     pub fn opd_bound(&self, program: &LoopProgram) -> f64 {
-        if is_strided(program) {
-            return strided_model_opd(program, self.shape).unwrap_or(f64::NAN);
-        }
         match self.target {
             Target::Aligned => lower_bound_opd(program, self.shape, self.policy_for(program)),
             Target::Unaligned => lower_bound_opd_unaligned(program, self.shape, UNALIGNED_MEM_COST),
@@ -327,12 +316,6 @@ impl Simdizer {
             speedup_bound: scalar_opd / bound,
         })
     }
-}
-
-/// Whether `program` has a non-unit-stride reference, which sends it
-/// through the §7 strided generator.
-fn is_strided(program: &LoopProgram) -> bool {
-    program.all_refs().iter().any(|r| !r.is_unit_stride())
 }
 
 #[cfg(test)]

@@ -51,8 +51,7 @@ pub struct TraceOutcome {
     /// Achieved operations per datum of the instrumented run (§5).
     pub opd: f64,
     /// The operations-per-datum bound `simdize run` reports for this
-    /// loop ([`Simdizer::opd_bound`]): §5.3's under the chosen policy,
-    /// or the strided cost model for a strided loop.
+    /// loop ([`Simdizer::opd_bound`]): §5.3's under the chosen policy.
     pub opd_bound: f64,
 }
 

@@ -508,10 +508,12 @@ pub(super) fn fold<L: Lanes, const PAIRS: bool>(l: L, f: &Super, k0: i64, len: u
     let mut run = Run { f, stride: strides.0, windows: &windows[..f.used.0], out, regs, carry };
     if let Some(shape) = &f.tree {
         let blocked = len - len % TREE_BLOCK;
-        // A gather's strides as constants, so the lane loop's block
-        // slices need no bounds check per lane.
+        // A gather's strides as constants (a stride-2 pack's, in a body
+        // and in its unrolled pair), so the lane loop's block slices
+        // need no bounds check per lane.
         match strides {
             (2, 1) if PAIRS => run.tree::<L, PAIRS, TREE_BLOCK>(l, shape, elem, (2, 1), 0..blocked),
+            (4, 2) if PAIRS => run.tree::<L, PAIRS, TREE_BLOCK>(l, shape, elem, (4, 2), 0..blocked),
             _ => run.tree::<L, PAIRS, TREE_BLOCK>(l, shape, elem, strides, 0..blocked),
         }
         run.tree::<L, false, 1>(l, shape, elem, strides, blocked..len);

@@ -86,7 +86,12 @@ pub fn account(
     let iterations = bound.map_or(0.0, |b| data as f64 / b.data_per_iteration());
     let scale = |per_iter: usize| iterations * per_iter as f64;
 
-    let shifts = placement_ids(decisions, |e| matches!(e, PlacementEvent::ShiftInserted { .. }));
+    // Packs and scatters reorganize with `vperm`s.
+    let shifts = placement_ids(decisions, |e| match e {
+        PlacementEvent::ShiftInserted { .. } => true,
+        PlacementEvent::OffsetComputed { desc, .. } => desc.contains("[pack") || desc.contains("[scatter"),
+        _ => false,
+    });
     let loads = placement_ids(decisions, |e| {
         matches!(e, PlacementEvent::OffsetComputed { desc, .. } if desc.starts_with("vload"))
     });

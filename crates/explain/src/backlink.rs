@@ -146,6 +146,9 @@ struct Linker<'a> {
     reuse_d: Vec<DecisionId>,
     epilogue_d: Vec<(usize, DecisionId)>,
     reduction_d: Vec<(usize, DecisionId)>,
+    /// The placement of every pack and scatter, which their `vperm`s
+    /// carry out.
+    pack_d: Vec<DecisionId>,
 }
 
 fn push_to<K: PartialEq>(map: &mut Vec<(K, Vec<DecisionId>)>, key: K, id: DecisionId) {
@@ -216,6 +219,7 @@ impl<'a> Linker<'a> {
             reuse_d: Vec::new(),
             epilogue_d: Vec::new(),
             reduction_d: Vec::new(),
+            pack_d: Vec::new(),
         };
         for (s, stmt) in program.source().stmts().iter().enumerate() {
             l.store_stmt.push((stmt.target.array.index(), s));
@@ -227,7 +231,12 @@ impl<'a> Linker<'a> {
             let id = DecisionId::placement(i);
             match e {
                 PlacementEvent::OffsetComputed { stmt, node, .. } => match graph.node(*node) {
-                    RNode::Load { r } => push_to(&mut l.load_links, r.array.index(), id),
+                    RNode::Load { r } => {
+                        if !r.is_unit_stride() {
+                            l.pack_d.push(id);
+                        }
+                        push_to(&mut l.load_links, r.array.index(), id)
+                    }
                     RNode::Splat { inv } => {
                         use simdize::Invariant;
                         match inv {
@@ -235,7 +244,12 @@ impl<'a> Linker<'a> {
                             Invariant::Param(p) => push_to(&mut l.splat_param, p.index(), id),
                         }
                     }
-                    RNode::Store { .. } => push_to(&mut l.store_links, *stmt, id),
+                    RNode::Store { r, .. } => {
+                        if !r.is_unit_stride() {
+                            l.pack_d.push(id);
+                        }
+                        push_to(&mut l.store_links, *stmt, id)
+                    }
                     _ => {}
                 },
                 PlacementEvent::DominantChosen { stmt, .. }
@@ -448,7 +462,11 @@ impl<'a> Linker<'a> {
                 }
                 _ => Vec::new(),
             },
-            VInst::Perm { .. } => self.reduction_ids(stmt),
+            VInst::Perm { .. } => {
+                let mut ls = self.reduction_ids(stmt);
+                ls.extend(self.pack_d.iter().copied());
+                ls
+            }
             VInst::SplatConst { value, .. } => {
                 let mut ls = get_from(&self.splat_const, value);
                 if ls.is_empty() {

@@ -4,17 +4,14 @@
 //! The schema is hand-rolled (the project carries zero external
 //! dependencies) and pinned by golden-file tests: every document has a
 //! `"schema"` field, a `"mode"` discriminant
-//! (`"stream"` / `"inapplicable"` / `"strided"`), and a `"loop"`
-//! object; stream reports add `"decisions"`, `"program"`,
-//! `"accounting"`, `"stats"` and `"engine"` sections, strided reports
-//! the engine's trace-fusion `"decisions"`.
+//! (`"stream"` / `"inapplicable"`), and a `"loop"` object; stream
+//! reports add `"decisions"`, `"program"`, `"accounting"`, `"stats"`
+//! and `"engine"` sections.
 
 use crate::accounting::Accounting;
 use crate::backlink::AnnotatedSection;
 use crate::decision::DecisionId;
-use crate::report::{
-    ExplainReport, InapplicableReport, LoopInfo, StreamReport, StridedReport,
-};
+use crate::report::{ExplainReport, InapplicableReport, LoopInfo, StreamReport};
 use simdize_telemetry::json::escape;
 use simdize::RunStats;
 
@@ -136,7 +133,6 @@ pub fn render_json(report: &ExplainReport) -> String {
     match report {
         ExplainReport::Stream(r) => stream_json(r),
         ExplainReport::Inapplicable(r) => inapplicable_json(r),
-        ExplainReport::Strided(r) => strided_json(r),
     }
 }
 
@@ -178,35 +174,5 @@ fn inapplicable_json(r: &InapplicableReport) -> String {
         loop_json(&r.info),
         escape(&r.error),
         escape(&r.explanation)
-    )
-}
-
-fn strided_json(r: &StridedReport) -> String {
-    let decisions: Vec<String> = r
-        .fusion
-        .iter()
-        .enumerate()
-        .map(|(i, e)| {
-            let id = DecisionId::fusion(i);
-            format!(
-                "{{\"id\":\"{id}\",\"phase\":\"{}\",\"text\":\"{}\"}}",
-                id.phase.name(),
-                escape(&e.to_string())
-            )
-        })
-        .collect();
-    format!(
-        "{{\"schema\":\"{SCHEMA}\",\"mode\":\"strided\",\"loop\":{},\
-         \"program\":\"{}\",\"stats\":{},\"data\":{},\"opd\":{},\"model_opd\":{},\
-         \"verified\":{},\"speedup\":{},\"decisions\":[{}]}}",
-        loop_json(&r.info),
-        escape(&r.program.to_string()),
-        stats_json(&r.stats),
-        r.data,
-        num(r.opd),
-        num(r.model_opd),
-        r.verified,
-        num(r.speedup),
-        decisions.join(",")
     )
 }

@@ -24,9 +24,7 @@
 //! runtime-only alignments, paper §4.4) is not an error here: it yields
 //! an [`ExplainReport::Inapplicable`] page explaining the violated
 //! precondition, so the docs generator covers every loop × policy
-//! combination. Non-unit-stride loops likewise yield an
-//! [`ExplainReport::Strided`] page for the §7 gather/scatter path,
-//! which bypasses stream placement entirely.
+//! combination.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,5 +43,4 @@ pub use json::{render_json, SCHEMA};
 pub use render::{render_markdown, render_text};
 pub use report::{
     ExplainError, ExplainReport, Explainer, InapplicableReport, LoopInfo, StreamReport,
-    StridedReport,
 };

@@ -2,9 +2,7 @@
 //! Markdown for the generated worked-example docs.
 
 use crate::decision::DecisionId;
-use crate::report::{
-    ExplainReport, InapplicableReport, LoopInfo, StreamReport, StridedReport,
-};
+use crate::report::{ExplainReport, InapplicableReport, LoopInfo, StreamReport};
 use std::fmt::Write as _;
 
 fn links_str(links: &[DecisionId]) -> String {
@@ -47,7 +45,6 @@ pub fn render_text(report: &ExplainReport) -> String {
     match report {
         ExplainReport::Stream(r) => stream_text(r),
         ExplainReport::Inapplicable(r) => inapplicable_text(r),
-        ExplainReport::Strided(r) => strided_text(r),
     }
 }
 
@@ -153,45 +150,11 @@ fn inapplicable_text(r: &InapplicableReport) -> String {
     out
 }
 
-fn strided_text(r: &StridedReport) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "simdize explain — strided loop (\u{a7}7 gather/scatter extension)"
-    );
-    loop_header(&mut out, &r.info);
-    let _ = writeln!(
-        out,
-        "\nThis loop has non-unit-stride references, so it compiles through the\n\
-         strided permute generator, which packs gathered lanes with general\n\
-         vperm networks. Stream-shift placement policies (and their decision\n\
-         traces) only apply to the stride-one stream framework of \u{a7}3\u{2013}\u{a7}4."
-    );
-    let _ = writeln!(out, "\n== generated program ==");
-    out.push_str(&r.program.to_string());
-    let _ = writeln!(out, "\n== measurement ==");
-    let _ = writeln!(out, "stats: {}", r.stats);
-    let _ = writeln!(
-        out,
-        "opd: {:.3} measured ({} data) vs {:.3} static model; speedup {:.2}x",
-        r.opd, r.data, r.model_opd, r.speedup
-    );
-    let _ = writeln!(out, "verified: {}", r.verified);
-    if !r.fusion.is_empty() {
-        let _ = writeln!(out, "\n== engine trace fusion ==");
-        for (i, e) in r.fusion.iter().enumerate() {
-            let _ = writeln!(out, "F{i}  {e}");
-        }
-    }
-    out
-}
-
 /// Renders a report as Markdown (the format of `docs/worked-examples/`).
 pub fn render_markdown(report: &ExplainReport) -> String {
     match report {
         ExplainReport::Stream(r) => stream_markdown(r),
         ExplainReport::Inapplicable(r) => inapplicable_markdown(r),
-        ExplainReport::Strided(r) => strided_markdown(r),
     }
 }
 
@@ -343,43 +306,6 @@ fn inapplicable_markdown(r: &InapplicableReport) -> String {
     let _ = writeln!(out, "\n## The policy is inapplicable\n");
     let _ = writeln!(out, "```text\n{}\n```", r.error);
     let _ = writeln!(out, "\n{}", r.explanation);
-    out
-}
-
-fn strided_markdown(r: &StridedReport) -> String {
-    let mut out = String::new();
-    md_loop_header(
-        &mut out,
-        &r.info,
-        "Worked example: strided loop (\u{a7}7 extension)",
-    );
-    let _ = writeln!(
-        out,
-        "\nThis loop has non-unit-stride references, so it compiles through the \
-         strided permute generator (gather/scatter `vperm` networks). \
-         Stream-shift placement policies — and their decision traces — only \
-         apply to the stride-one stream framework of \u{a7}3\u{2013}\u{a7}4; the page is \
-         identical under every policy."
-    );
-    let _ = writeln!(out, "\n## Generated program\n");
-    let _ = writeln!(out, "```text");
-    out.push_str(&r.program.to_string());
-    let _ = writeln!(out, "```");
-    let _ = writeln!(out, "\n## Measurement\n");
-    let _ = writeln!(out, "- stats: `{}`", r.stats);
-    let _ = writeln!(
-        out,
-        "- OPD: **{:.3}** measured ({} data) vs **{:.3}** static model",
-        r.opd, r.data, r.model_opd
-    );
-    let _ = writeln!(out, "- speedup: **{:.2}x** vs idealistic scalar", r.speedup);
-    let _ = writeln!(out, "- verified: **{}**", r.verified);
-    if !r.fusion.is_empty() {
-        let _ = writeln!(out, "\n## Engine trace fusion\n");
-        for (i, e) in r.fusion.iter().enumerate() {
-            let _ = writeln!(out, "- `F{i}` {e}");
-        }
-    }
     out
 }
 

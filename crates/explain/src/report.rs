@@ -5,8 +5,8 @@ use crate::accounting::{account, Accounting};
 use crate::backlink::{annotate, AnnotatedSection};
 use crate::decision::Decisions;
 use simdize::{
-    lower_bound_parts, run_differential, run_job, strided_model_opd, DiffConfig, ExecError,
-    FusionEvent, JobRun, KernelCache, LoopProgram, LowerBound, Policy, PolicyError, RunStats,
+    lower_bound_parts, run_differential, run_job, DiffConfig, ExecError,
+    JobRun, KernelCache, LoopProgram, LowerBound, Policy, PolicyError, RunStats,
     SimdProgram, SimdizeError, Simdizer, SweepJob, Target, VectorShape,
 };
 use std::error::Error;
@@ -35,9 +35,6 @@ pub enum ExplainReport {
     /// The requested policy cannot apply to this loop; the report
     /// explains why instead of failing.
     Inapplicable(InapplicableReport),
-    /// A non-unit-stride loop compiled by the §7 gather/scatter
-    /// extension, which bypasses the stream placement policies.
-    Strided(Box<StridedReport>),
 }
 
 /// Loop-level metadata shared by all report forms.
@@ -105,31 +102,6 @@ pub struct InapplicableReport {
     pub explanation: String,
 }
 
-/// Report for a strided loop (the §7 extension path).
-#[derive(Debug)]
-pub struct StridedReport {
-    /// Loop metadata (policy is recorded but unused by this path).
-    pub info: LoopInfo,
-    /// The generated program.
-    pub program: SimdProgram,
-    /// Measured dynamic counts.
-    pub stats: RunStats,
-    /// Data elements produced.
-    pub data: u64,
-    /// Measured operations per datum.
-    pub opd: f64,
-    /// The strided generator's static cost model OPD.
-    pub model_opd: f64,
-    /// Whether the run verified against the scalar oracle.
-    pub verified: bool,
-    /// Speedup over the idealistic scalar loop.
-    pub speedup: f64,
-    /// The engine's trace-fusion rewrites of the baked plan (`F<n>`):
-    /// the composed `vperm` gather chains, among others. Empty for
-    /// shapes the engine does not bake (it runs V16 only).
-    pub fusion: Vec<FusionEvent>,
-}
-
 impl Explainer {
     /// An explainer for the program `driver` compiles, measured on the
     /// memory image, trip count and parameters `run` names.
@@ -190,26 +162,7 @@ impl Explainer {
         let outcome = run_differential(&compiled, &self.run)?;
         let engine = self.engine_run(&compiled);
 
-        let Some(placed) = placed else {
-            // The §7 strided generator: no placement, no codegen trace.
-            let fusion = match engine {
-                Ok((_, kernel, _)) => kernel.base().fusion_events().to_vec(),
-                Err(_) if shape != VectorShape::V16 => Vec::new(),
-                Err(e) => return Err(e.into()),
-            };
-            return Ok(ExplainReport::Strided(Box::new(StridedReport {
-                info,
-                opd: outcome.opd(),
-                model_opd: strided_model_opd(program, shape).unwrap_or(f64::NAN),
-                verified: outcome.verified,
-                speedup: outcome.speedup(),
-                data: outcome.data_produced,
-                stats: outcome.stats,
-                program: compiled,
-                fusion,
-            })));
-        };
-
+        let placed = placed.expect("the aligned target places shifts");
         let (run, kernel, _) = engine?;
         let engine_matches = run.verified && run.stats == outcome.stats;
         decisions.fusion = kernel.base().fusion_events().to_vec();

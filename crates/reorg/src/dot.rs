@@ -31,8 +31,9 @@ pub fn to_dot(graph: &ReorgGraph) -> String {
         let (label, shape) = match node {
             RNode::Load { r } => (
                 format!(
-                    "vload {}[i{:+}]\\n@{}",
+                    "vload {}[{}i{:+}]\\n@{}",
                     graph.program().array(r.array).name(),
+                    if r.stride == 1 { String::new() } else { format!("{}*", r.stride) },
                     r.offset,
                     graph.offset_of(id)
                 ),

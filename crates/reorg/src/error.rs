@@ -18,10 +18,9 @@ pub enum BuildGraphError {
         /// The target shape.
         shape: VectorShape,
     },
-    /// The loop contains a reference with stride greater than one; the
-    /// paper's stream framework requires stride-one references (§4.1).
-    /// Use the `simdize-stride` extension generator for such loops.
-    NonUnitStride {
+    /// A reference's stride exceeds [`crate::MAX_STRIDE`]: its pack or
+    /// scatter window would read past the memory image's guard padding.
+    UnsupportedStride {
         /// The offending stride.
         stride: u32,
     },
@@ -43,10 +42,10 @@ impl fmt::Display for BuildGraphError {
                 "element type {elem} ({} bytes) is wider than a {shape} register",
                 elem.size()
             ),
-            BuildGraphError::NonUnitStride { stride } => write!(
+            BuildGraphError::UnsupportedStride { stride } => write!(
                 f,
-                "stride-{stride} references are outside the paper's stream framework; \
-                 use the strided extension generator"
+                "stride {stride} exceeds the supported maximum {}",
+                crate::MAX_STRIDE
             ),
             BuildGraphError::NoParallelism { elem, shape } => write!(
                 f,

@@ -8,6 +8,12 @@ use simdize_ir::{ArrayRef, BinOp, Expr, Invariant, LoopProgram, UnOp, VectorShap
 use std::fmt;
 use std::sync::Arc;
 
+/// The largest stride a reference may have. A pack reads, and a
+/// scatter rewrites, about `stride` chunks per simdized iteration; the
+/// memory image's guard padding covers a window this wide past either
+/// end of a stream and no wider.
+pub const MAX_STRIDE: u32 = 4;
+
 /// Identifier of a node within a [`ReorgGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub(crate) u32);
@@ -51,10 +57,11 @@ impl fmt::Display for VOpKind {
 /// the graph's single source of truth in the array declarations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RNode {
-    /// `vload(addr(i))` for the stride-one reference `r`; produces a
-    /// register stream whose offset is `addr(0) mod V` (eq. 1).
+    /// `vload(addr(i))` for the reference `r`; produces a register
+    /// stream whose offset is `addr(0) mod V` (eq. 1). A non-unit
+    /// stride makes it a *pack* at offset 0 (see [`Offset::of_ref`]).
     Load {
-        /// The loaded stride-one reference.
+        /// The loaded reference.
         r: ArrayRef,
     },
     /// `vsplat(x)` of a loop invariant; stream offset ⊥.
@@ -79,9 +86,10 @@ pub enum RNode {
         to: Offset,
     },
     /// `vstore(addr(i), src)`: consumes a stream; constraint (C.2)
-    /// requires `offset_of(src) == addr(0) mod V`.
+    /// requires `offset_of(src) == addr(0) mod V` — 0 for a
+    /// non-unit-stride *scatter*.
     Store {
-        /// The stored stride-one reference.
+        /// The stored reference.
         r: ArrayRef,
         /// The value stream being stored.
         src: NodeId,
@@ -116,8 +124,9 @@ impl ReorgGraph {
     /// # Errors
     ///
     /// Returns [`BuildGraphError::ElementTooWide`] when one element does
-    /// not fit a register, or [`BuildGraphError::NoParallelism`] when the
-    /// blocking factor `B = V / D` is 1 and simdization is pointless.
+    /// not fit a register, [`BuildGraphError::NoParallelism`] when the
+    /// blocking factor `B = V / D` is 1 and simdization is pointless, or
+    /// [`BuildGraphError::UnsupportedStride`] past [`MAX_STRIDE`].
     pub fn build(program: &LoopProgram, shape: VectorShape) -> Result<ReorgGraph, BuildGraphError> {
         let d = program.elem().size() as u32;
         if d > shape.bytes() {
@@ -133,8 +142,8 @@ impl ReorgGraph {
             });
         }
         for r in program.all_refs() {
-            if !r.is_unit_stride() {
-                return Err(BuildGraphError::NonUnitStride { stride: r.stride });
+            if r.stride > MAX_STRIDE {
+                return Err(BuildGraphError::UnsupportedStride { stride: r.stride });
             }
         }
         let mut g = ReorgGraph {
@@ -422,12 +431,38 @@ impl ReorgGraph {
         }
     }
 
+    /// How a placement event names the load of `r`.
+    pub(crate) fn load_desc(&self, r: ArrayRef) -> String {
+        match r.stride {
+            1 => format!("vload({})", self.ref_str(r)),
+            s => format!(
+                "vload({}) [pack: stride {s} gathered to offset 0]",
+                self.ref_str(r)
+            ),
+        }
+    }
+
+    /// How a placement event names the store of `r`.
+    pub(crate) fn store_desc(&self, r: ArrayRef) -> String {
+        match r.stride {
+            1 => format!("vstore({})", self.ref_str(r)),
+            s => format!(
+                "vstore({}) [scatter: stride {s} from offset 0]",
+                self.ref_str(r)
+            ),
+        }
+    }
+
     pub(crate) fn ref_str(&self, r: ArrayRef) -> String {
         let name = self.program.array(r.array).name();
+        let i = match r.stride {
+            1 => "i".to_string(),
+            s => format!("{s}*i"),
+        };
         match r.offset {
-            0 => format!("{name}[i]"),
-            k if k > 0 => format!("{name}[i+{k}]"),
-            k => format!("{name}[i{k}]"),
+            0 => format!("{name}[{i}]"),
+            k if k > 0 => format!("{name}[{i}+{k}]"),
+            k => format!("{name}[{i}{k}]"),
         }
     }
 }

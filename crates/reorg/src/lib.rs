@@ -66,8 +66,8 @@ mod trace;
 pub use applicability::{simdizable_aligned_only, simdizable_by_peeling};
 pub use dot::to_dot;
 pub use error::{BuildGraphError, PolicyError, ValidateGraphError};
-pub use graph::{NodeId, RNode, ReorgGraph, VOpKind};
-pub use offset::{shift_amount, Offset, ShiftDir};
+pub use graph::{NodeId, RNode, ReorgGraph, VOpKind, MAX_STRIDE};
+pub use offset::{pack_chunks, shift_amount, Offset, ShiftDir};
 pub use optimal::{branch_and_bound_shift_counts, optimal_shift_counts, OptimalStmt};
 pub use policy::Policy;
 pub use reassoc::reassociate;

@@ -2,6 +2,35 @@
 
 use simdize_ir::{ArrayId, ArrayRef, LoopProgram, VectorShape};
 use std::fmt;
+use std::ops::Range;
+
+/// The `V`-byte chunks the pack or scatter of the non-unit-stride `r`
+/// covers with lanes `lanes` at `i = 0`, in ascending order, numbered
+/// from the aligned chunk that holds its array's base. At a simdized
+/// iteration `i` (a multiple of `B`) every index moves by
+/// `stride · i / B`, so the set is the same for every iteration.
+///
+/// # Panics
+///
+/// Panics if `r`'s array has no compile-time alignment: code
+/// generation packs and scatters nothing else.
+pub fn pack_chunks(r: ArrayRef, program: &LoopProgram, shape: VectorShape, lanes: Range<usize>) -> Vec<i64> {
+    let (d, v) = (program.elem().size() as i64, shape.bytes() as i64);
+    let beta = program
+        .array(r.array)
+        .align()
+        .known_offset(shape)
+        .expect("a pack's array has a compile-time alignment") as i64;
+    let start = beta + r.offset * d;
+    let mut out: Vec<i64> = lanes
+        .flat_map(|t| {
+            let first = start + t as i64 * r.stride as i64 * d;
+            [first.div_euclid(v), (first + d - 1).div_euclid(v)]
+        })
+        .collect();
+    out.dedup();
+    out
+}
 
 /// The stream offset of a register stream: the byte offset, within a
 /// vector register, of the first *desired* value of the stream (the value
@@ -35,13 +64,19 @@ pub enum Offset {
 }
 
 impl Offset {
-    /// The stream offset of the stride-one reference `r` at `i = 0`,
-    /// given its array's declared alignment.
+    /// The stream offset of the reference `r` at `i = 0`, given its
+    /// array's declared alignment.
     ///
-    /// For a known base alignment `base`, this is
-    /// `(base + r.offset * D) mod V` (paper eq. 1); otherwise it is the
-    /// symbolic runtime offset of the same address.
+    /// For a stride-one reference with a known base alignment `base`,
+    /// this is `(base + r.offset * D) mod V` (paper eq. 1); otherwise it
+    /// is the symbolic runtime offset of the same address. A
+    /// non-unit-stride reference is not byte-contiguous: its load is a
+    /// *pack* (the window's chunks gathered into lane order) and its
+    /// store a *scatter* (load–merge–store per chunk), both at offset 0.
     pub fn of_ref(r: ArrayRef, program: &LoopProgram, shape: VectorShape) -> Offset {
+        if !r.is_unit_stride() {
+            return Offset::Byte(0);
+        }
         let d = program.elem().size() as i64;
         let disp = (r.offset * d).rem_euclid(shape.bytes() as i64) as u32;
         match program.array(r.array).align().known_offset(shape) {

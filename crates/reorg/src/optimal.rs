@@ -376,7 +376,7 @@ impl<'a> Search<'a> {
                 rec.record(|| PlacementEvent::OffsetComputed {
                     stmt: self.stmt,
                     node: loaded,
-                    desc: format!("vload({})", self.old.ref_str(r)),
+                    desc: self.old.load_desc(r),
                     offset: off,
                 });
                 (loaded, off)

@@ -210,7 +210,7 @@ impl ReorgGraph {
                         self.ref_str(r)
                     )
                 } else {
-                    format!("vstore({})", self.ref_str(r))
+                    self.store_desc(r)
                 },
                 offset: store_off,
             });
@@ -305,7 +305,7 @@ impl Placer<'_> {
                 rec.record(|| PlacementEvent::OffsetComputed {
                     stmt,
                     node: loaded,
-                    desc: format!("vload({})", self.old.ref_str(r)),
+                    desc: self.old.load_desc(r),
                     offset: off,
                 });
                 match strategy {

@@ -11,10 +11,10 @@
 //! handlers zeroing them at the source.
 
 use crate::protocol::{Command, ExecRequest};
-use crate::server::ServerConfig;
+use crate::server::{ServerConfig, MAX_SOURCE_BYTES};
 use simdize::{
     analyze_program, parse_program, run_job, run_sweep_shared, traced_pass, DiffConfig,
-    KernelCache, Simdizer, SweepJob, SweepOptions,
+    KernelCache, LoopProgram, Simdizer, SweepJob, SweepOptions,
 };
 use simdize_explain::{render_json, Explainer};
 use simdize_telemetry::json;
@@ -29,19 +29,44 @@ pub fn execute(
     cache: &KernelCache,
     config: &ServerConfig,
 ) -> Result<String, String> {
-    match cmd {
-        Command::Compile(req) => compile(req),
-        Command::Analyze(req) => analyze(req),
-        Command::Run(req) => run(req, cache),
-        Command::Sweep(req) => sweep(req, cache, config),
-        Command::Explain(req) => explain(req),
-        Command::Verify(req) => verify(req, config),
-        Command::Trace(req) => trace(req),
+    let (Command::Compile(req)
+    | Command::Analyze(req)
+    | Command::Run(req)
+    | Command::Sweep(req)
+    | Command::Explain(req)
+    | Command::Verify(req)
+    | Command::Trace(req)) = cmd
+    else {
         // Control-plane verbs are answered before the gate.
-        Command::Ping | Command::Stats | Command::Dump | Command::Shutdown => {
-            Err("internal: control command reached the pipeline".to_string())
-        }
+        return Err("internal: control command reached the pipeline".to_string());
+    };
+    let program = parse(&req.source)?;
+    match cmd {
+        Command::Compile(_) => compile(req, &program),
+        Command::Analyze(_) => analyze(req, &program),
+        Command::Run(_) => run(req, &program, cache),
+        Command::Sweep(_) => sweep(req, &program, cache, config),
+        Command::Explain(_) => explain(req, &program),
+        Command::Verify(_) => verify(req, &program, config),
+        _ => trace(req),
     }
+}
+
+/// Parses a request's source, refusing one whose arrays declare more
+/// than [`MAX_SOURCE_BYTES`]: every verb but `compile` and `analyze`
+/// allocates a memory image of that size, several for a sweep.
+fn parse(source: &str) -> Result<LoopProgram, String> {
+    let program = parse_program(source).map_err(err)?;
+    let declared = program.arrays().iter().fold(0u64, |sum, a| {
+        sum.saturating_add(a.len().saturating_mul(a.elem().size() as u64))
+    });
+    if declared > MAX_SOURCE_BYTES {
+        return Err(format!(
+            "the source declares {declared} bytes of arrays, over this server's cap of \
+             {MAX_SOURCE_BYTES} bytes"
+        ));
+    }
+    Ok(program)
 }
 
 /// The pipeline's defaults, with the request's policy when it forces
@@ -55,9 +80,8 @@ fn err<E: std::fmt::Display>(e: E) -> String {
     e.to_string()
 }
 
-fn compile(req: &ExecRequest) -> Result<String, String> {
-    let program = parse_program(&req.source).map_err(err)?;
-    let compiled = driver(req).compile(&program).map_err(err)?;
+fn compile(req: &ExecRequest, program: &LoopProgram) -> Result<String, String> {
+    let compiled = driver(req).compile(program).map_err(err)?;
     Ok(format!(
         "{{\"code\":\"{}\",\"sections\":{{\"prologue\":{},\"body\":{},\"epilogue\":{}}}}}",
         json::escape(&compiled.to_string()),
@@ -67,11 +91,10 @@ fn compile(req: &ExecRequest) -> Result<String, String> {
     ))
 }
 
-fn analyze(req: &ExecRequest) -> Result<String, String> {
-    let program = parse_program(&req.source).map_err(err)?;
+fn analyze(req: &ExecRequest, program: &LoopProgram) -> Result<String, String> {
     let driver = driver(req);
-    let compiled = driver.compile(&program).map_err(err)?;
-    let report = analyze_program(&compiled, &driver.analyze_options(&program));
+    let compiled = driver.compile(program).map_err(err)?;
+    let report = analyze_program(&compiled, &driver.analyze_options());
     Ok(format!(
         "{{\"deny\":{},\"warn\":{},\"report\":{}}}",
         report.deny_count(),
@@ -80,9 +103,8 @@ fn analyze(req: &ExecRequest) -> Result<String, String> {
     ))
 }
 
-fn run(req: &ExecRequest, cache: &KernelCache) -> Result<String, String> {
-    let program = parse_program(&req.source).map_err(err)?;
-    let compiled = driver(req).compile(&program).map_err(err)?;
+fn run(req: &ExecRequest, program: &LoopProgram, cache: &KernelCache) -> Result<String, String> {
+    let compiled = driver(req).compile(program).map_err(err)?;
     let mut job = SweepJob::new(compiled, req.seed, req.ub);
     job.input.params.clone_from(&req.params);
     let (outcome, ..) = run_job(&job, cache).map_err(err)?;
@@ -98,9 +120,13 @@ fn run(req: &ExecRequest, cache: &KernelCache) -> Result<String, String> {
     ))
 }
 
-fn sweep(req: &ExecRequest, cache: &KernelCache, config: &ServerConfig) -> Result<String, String> {
-    let program = parse_program(&req.source).map_err(err)?;
-    let compiled = driver(req).compile(&program).map_err(err)?;
+fn sweep(
+    req: &ExecRequest,
+    program: &LoopProgram,
+    cache: &KernelCache,
+    config: &ServerConfig,
+) -> Result<String, String> {
+    let compiled = driver(req).compile(program).map_err(err)?;
     let count = req.count.clamp(1, 4096);
     let jobs: Vec<SweepJob> = (0..count as u64)
         .map(|k| {
@@ -129,14 +155,17 @@ fn sweep(req: &ExecRequest, cache: &KernelCache, config: &ServerConfig) -> Resul
     ))
 }
 
-fn verify(req: &ExecRequest, config: &ServerConfig) -> Result<String, String> {
-    let program = parse_program(&req.source).map_err(err)?;
+fn verify(
+    req: &ExecRequest,
+    program: &LoopProgram,
+    config: &ServerConfig,
+) -> Result<String, String> {
     let mut vopts = simdize::VerifyOptions::quick();
     vopts.threads = config.sweep_threads.max(1);
     if let Some(p) = req.policy {
         vopts.policies = vec![p];
     }
-    let report = simdize::prove_loop("wire", &program, &vopts);
+    let report = simdize::prove_loop("wire", program, &vopts);
     // wall_ms stays real (every verb reports true wall time); the
     // golden transcript normalizes it instead.
     Ok(format!("{{\"verify\":{}}}", report.render_json()))
@@ -151,13 +180,12 @@ fn trace(req: &ExecRequest) -> Result<String, String> {
     Ok(String::new())
 }
 
-fn explain(req: &ExecRequest) -> Result<String, String> {
-    let program = parse_program(&req.source).map_err(err)?;
+fn explain(req: &ExecRequest, program: &LoopProgram) -> Result<String, String> {
     let measured = DiffConfig::with_seed(req.seed)
         .runtime_ub(req.ub)
         .params(req.params.clone());
     let report = Explainer::new(driver(req), measured)
-        .explain(&program)
+        .explain(program)
         .map_err(err)?;
     Ok(format!("{{\"report\":{}}}", render_json(&report)))
 }

@@ -166,8 +166,25 @@ impl WireError {
     }
 }
 
-fn get_u64(obj: &Json, key: &str) -> Option<u64> {
-    obj.get(key).and_then(Json::as_f64).map(|v| v as u64)
+/// The largest magnitude a JSON number (a double) holds exactly.
+const MAX_EXACT: f64 = 9_007_199_254_740_992.0;
+
+/// `value` as an integer: a whole number within `min..=2^53`.
+fn whole(value: &Json, min: f64) -> Option<i64> {
+    let x = value.as_f64()?;
+    (x.fract() == 0.0 && (min..=MAX_EXACT).contains(&x)).then_some(x as i64)
+}
+
+/// The unsigned integer field `key`, if present; an error naming it when
+/// it is fractional, negative, out of range or not a number.
+fn get_u64(obj: &Json, key: &str, id: Option<u64>) -> Result<Option<u64>, WireError> {
+    obj.get(key)
+        .map(|v| {
+            whole(v, 0.0).map(|x| x as u64).ok_or_else(|| {
+                WireError::new(id, format!("`{key}` must be an integer in 0..=2^53"))
+            })
+        })
+        .transpose()
 }
 
 /// Parses one request line.
@@ -179,8 +196,9 @@ fn get_u64(obj: &Json, key: &str) -> Option<u64> {
 /// malformed payload.
 pub fn parse_request(line: &str) -> Result<Request, WireError> {
     let doc = json::parse(line).map_err(|e| WireError::new(None, format!("bad JSON: {e}")))?;
-    let id = get_u64(&doc, "id");
-    let v = get_u64(&doc, "v").ok_or_else(|| WireError::new(id, "missing protocol version `v`"))?;
+    let id = get_u64(&doc, "id", None)?;
+    let v = get_u64(&doc, "v", id)?
+        .ok_or_else(|| WireError::new(id, "missing protocol version `v`"))?;
     if v != WIRE_VERSION {
         return Err(WireError::new(
             id,
@@ -242,10 +260,10 @@ fn parse_exec(doc: &Json, id: u64) -> Result<ExecRequest, WireError> {
             .as_arr()
             .ok_or_else(|| WireError::new(Some(id), "`params` must be an array of integers"))?;
         for p in arr {
-            let v = p
-                .as_f64()
-                .ok_or_else(|| WireError::new(Some(id), "`params` must be an array of integers"))?;
-            params.push(v as i64);
+            let v = whole(p, -MAX_EXACT).ok_or_else(|| {
+                WireError::new(Some(id), "`params` must be an array of integers in ±2^53")
+            })?;
+            params.push(v);
         }
     }
     // `engine` no longer selects anything, but a value outside the
@@ -261,10 +279,10 @@ fn parse_exec(doc: &Json, id: u64) -> Result<ExecRequest, WireError> {
     Ok(ExecRequest {
         source,
         policy,
-        seed: get_u64(doc, "seed").unwrap_or(DEFAULT_SEED),
-        ub: get_u64(doc, "ub").unwrap_or(DEFAULT_UB),
+        seed: get_u64(doc, "seed", Some(id))?.unwrap_or(DEFAULT_SEED),
+        ub: get_u64(doc, "ub", Some(id))?.unwrap_or(DEFAULT_UB),
         params,
-        count: get_u64(doc, "count").map_or(DEFAULT_COUNT, |c| c as usize),
+        count: get_u64(doc, "count", Some(id))?.map_or(DEFAULT_COUNT, |c| c as usize),
     })
 }
 

@@ -61,6 +61,11 @@ use std::time::{Duration, Instant};
 /// `/metrics` connection reads (request line plus header block).
 const MAX_LINE: usize = 1 << 20;
 
+/// The most array bytes a request's source may declare. A `run` builds
+/// a memory image of that size (a sweep one per job), so a source past
+/// it is refused before anything is allocated.
+pub const MAX_SOURCE_BYTES: u64 = 1 << 26;
+
 /// How long one write to a client may block before the server gives up
 /// on it and closes the connection. A client that stops reading would
 /// otherwise pin its thread in `write_all` for good, and with it

@@ -130,16 +130,17 @@ mod tests {
 
     #[test]
     fn strided_and_reduction_loops_prove_via_known_trips() {
-        // Neither compiles with a runtime trip count: strided loops
-        // take the §7 generator (one canonical configuration) and
-        // reductions need the trip baked in. Both must still prove —
-        // including the cache harness, which moves to the known-trip
-        // pass when no runtime-`ub` compilation exists.
+        // Neither compiles with a runtime trip count: a pack's partial
+        // scatter and a reduction's residue mask are compile-time
+        // patterns. Both must still prove — including the cache
+        // harness, which moves to the known-trip pass when no
+        // runtime-`ub` compilation exists — and a strided loop under
+        // every configuration a unit-stride one gets.
         let strided = "arrays { out: i32[64] @ 0; inter: i32[160] @ 0; }
                        for i in 0..60 { out[i] = inter[2*i] + inter[2*i+1]; }";
         let report = prove_source("strided", strided, &VerifyOptions::quick()).unwrap();
         assert!(report.proved, "{}", report.render_text());
-        assert_eq!(report.configs_enumerated, 1);
+        assert_eq!(report.configs_enumerated, 6);
         assert!(report.harnesses.iter().all(|h| h.runs > 0));
 
         let reduction = "arrays { acc: i32[4] @ 0; x: i32[64] @ 4; }

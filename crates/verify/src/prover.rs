@@ -10,18 +10,18 @@
 
 use crate::domain::{
     alignment_vectors, configs, known_trips, params_for, probes, realizable_offsets, rebuild,
-    trip_cap, trips, Config, Mode, Probe, TripStyle, VerifyOptions,
+    trip_cap, trips, Config, Probe, TripStyle, VerifyOptions,
 };
 use crate::mutate::{self, MutationKind};
 use crate::report::{HarnessSummary, VerifyReport};
 use crate::shrink;
 use simdize_analysis::{analyze_program, AnalyzeOptions};
-use simdize_codegen::{generate, generate_strided, CodegenOptions, ReuseMode, SimdProgram};
+use simdize_codegen::{generate, CodegenOptions, SimdProgram};
 use simdize_engine::{
     program_fingerprint, IsaLevel, KernelCache, KernelOptions, PredecodedKernel, SimdKernel,
 };
 use simdize_ir::{LoopProgram, TripCount, VectorShape};
-use simdize_reorg::{Policy, ReorgGraph};
+use simdize_reorg::ReorgGraph;
 use simdize_vm::{run_scalar, run_simd, MemoryImage, RunInput, RunStats};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::thread;
@@ -95,9 +95,7 @@ pub(crate) struct Point<'a> {
 /// the given trip form, the unit's reuse/unroll options, plus the
 /// requested mutation. `None` means the configuration does not apply
 /// (e.g. a compile-time-shift policy over runtime alignments, §4.4, or
-/// a runtime trip count on a reduction or strided loop). Loops with a
-/// non-unit-stride reference take the §7 pack/scatter generator, which
-/// has no policy/reuse/unroll knobs.
+/// a runtime trip count on a reduction or strided loop).
 pub(crate) fn compile_variant(
     base: &LoopProgram,
     cfg: Config,
@@ -107,23 +105,14 @@ pub(crate) fn compile_variant(
     shape: VectorShape,
 ) -> Option<(SimdProgram, bool)> {
     let src = rebuild(base, aligns, cfg.mode, trip);
-    let mut prog = if is_strided(&src) {
-        generate_strided(&src, shape).ok()?
-    } else {
-        let graph = ReorgGraph::build(&src, shape).ok()?.with_policy(cfg.policy).ok()?;
-        let opts = CodegenOptions::default().reuse(cfg.reuse).unroll(cfg.unroll);
-        generate(&graph, &opts).ok()?
-    };
+    let graph = ReorgGraph::build(&src, shape).ok()?.with_policy(cfg.policy).ok()?;
+    let opts = CodegenOptions::default().reuse(cfg.reuse).unroll(cfg.unroll);
+    let mut prog = generate(&graph, &opts).ok()?;
     let mutated = match mutation {
         Some(kind) => mutate::apply(&mut prog, kind),
         None => false,
     };
     Some((prog, mutated))
-}
-
-/// Whether any reference steps by more than one element (§7 extension).
-pub(crate) fn is_strided(p: &LoopProgram) -> bool {
-    p.all_refs().iter().any(|r| !r.is_unit_stride())
 }
 
 /// `harness_codegen_equiv`: the generated program, run by the VIR
@@ -363,19 +352,15 @@ fn run_unit(
         out: UnitOutcome::default(),
     };
     let mut lint_done = false;
-    // The reuse-discipline lint only applies to the stream generator;
-    // the §7 strided generator does not pipeline chunks.
     let lint_deny_count = |prog: &SimdProgram| {
-        let mut lopts = AnalyzeOptions::new().memnorm(true);
-        if !is_strided(base) {
-            lopts = lopts.reuse(cfg.reuse);
-        }
+        let lopts = AnalyzeOptions::new().memnorm(true).reuse(cfg.reuse);
         analyze_program(prog, &lopts).deny_count()
     };
 
     // Runtime-`ub` pass (eqs 13/15). Reductions and strided loops have
-    // no runtime-trip compilation; `trips_ub` arrives empty for them
-    // and the known-trip pass below carries the whole proof.
+    // no runtime-trip compilation (`trips_ub` arrives empty for a
+    // reduction, a strided loop does not compile), and the known-trip
+    // pass below carries the whole proof.
     let mut cache_proved_here = false;
     let runtime_variant = if trips_ub.is_empty() {
         None
@@ -434,25 +419,11 @@ pub fn prove_loop(name: &str, base: &LoopProgram, opts: &VerifyOptions) -> Verif
     let cands = realizable_offsets(shape, d);
     let narrays = base.arrays().len();
     let (vectors, capped) = alignment_vectors(narrays, &cands, opts.quick);
-    let strided = is_strided(base);
     let reduction = base.stmts().iter().any(|s| s.is_reduction());
-    // Strided loops take the §7 pack/scatter generator, which has no
-    // policy/reuse/unroll or runtime-alignment knobs — one canonical
-    // configuration covers them.
-    let cfgs = if strided {
-        vec![Config {
-            policy: Policy::Zero,
-            reuse: ReuseMode::None,
-            unroll: false,
-            mode: Mode::Declared,
-        }]
-    } else {
-        configs(opts)
-    };
-    // Reductions and strided loops only compile with a known trip
-    // count; the runtime-`ub` pass is empty and the known-trip pass
-    // carries the whole proof.
-    let trips_ub = if strided || reduction {
+    let cfgs = configs(opts);
+    // Reductions only compile with a known trip count; the runtime-`ub`
+    // pass is empty and the known-trip pass carries the whole proof.
+    let trips_ub = if reduction {
         Vec::new()
     } else {
         trips(base, opts.trip_bound, block, opts.quick)

@@ -480,9 +480,9 @@ mod tests {
 mod extension_tests {
     use super::*;
     use crate::stats::UNALIGNED_MEM_COST;
-    use simdize_codegen::{generate_strided, generate_unaligned, CodegenOptions};
+    use simdize_codegen::{generate, generate_unaligned, CodegenOptions};
     use simdize_ir::{parse_program, LoopBuilder, ScalarType};
-    use simdize_reorg::ReorgGraph;
+    use simdize_reorg::{Policy, ReorgGraph};
 
     #[test]
     fn unaligned_accesses_cost_double() {
@@ -516,7 +516,8 @@ mod extension_tests {
         let inter = b.array("inter", 200, 4);
         b.stmt(out.at(0), inter.load_strided(2, 1));
         let p = b.finish(64).unwrap();
-        let prog = generate_strided(&p, VectorShape::V16).unwrap();
+        let g = ReorgGraph::build(&p, VectorShape::V16).unwrap();
+        let prog = generate(&g.with_policy(Policy::Zero).unwrap(), &CodegenOptions::default()).unwrap();
         let mut img = MemoryImage::with_seed(&p, VectorShape::V16, 9);
         let expected: Vec<i64> = (0..64u64)
             .map(|i| {

@@ -1,7 +1,7 @@
 //! The analytic operations-per-datum lower bound of paper §5.3.
 
 use simdize_ir::{AlignKind, LoopProgram, VectorShape};
-use simdize_reorg::{distinct_alignments, Offset, Policy, ReorgGraph};
+use simdize_reorg::{distinct_alignments, pack_chunks, Offset, Policy, ReorgGraph};
 use std::collections::HashSet;
 
 /// The lower bound on operations per datum for simdizing `program`
@@ -16,6 +16,11 @@ use std::collections::HashSet;
 ///   `n − 1` per statement for `n` distinct alignments among the
 ///   statement's loads and store;
 /// * the loop's data computations (one vector op per scalar op);
+/// * for a non-unit-stride load (a *pack*), the chunks its window
+///   covers, each loaded once — a stride-`s` window advances `s` chunks
+///   an iteration, so a chunk the previous window also covered counts
+///   once — and one `vperm` per chunk; for a non-unit-stride store (a
+///   *scatter*), a load, a `vperm` and a store per covered chunk;
 ///
 /// and excludes all architecture- and compiler-dependent overhead
 /// (address computation, constant generation, loop control).
@@ -76,15 +81,29 @@ pub fn lower_bound_parts(program: &LoopProgram, shape: VectorShape, policy: Poli
     let d = program.elem().size() as i64;
     let v = shape.bytes() as i64;
 
+    let b = shape.blocking_factor(program.elem()) as usize;
     // Distinct chunk loads across the whole loop (cross-statement reuse
     // included — the generator's CSE achieves exactly this).
     let mut chunks: HashSet<(usize, i64)> = HashSet::new();
+    // Pack chunks by (array, stride, chunk), and the distinct packs.
+    let mut covered: HashSet<(usize, u32, i64)> = HashSet::new();
+    let mut packs: HashSet<(usize, u32, i64)> = HashSet::new();
+    let mut perms = 0;
     // Distinct misaligned (array, offset) load streams, for the
     // zero-shift count.
     let mut misaligned_streams: HashSet<(usize, i64)> = HashSet::new();
 
     for stmt in program.stmts() {
         stmt.rhs.visit_loads(&mut |r| {
+            if !r.is_unit_stride() {
+                let window = pack_chunks(r, program, shape, 0..b);
+                if packs.insert((r.array.index(), r.stride, r.offset)) {
+                    perms += window.len();
+                }
+                let key = |c| (r.array.index(), r.stride, c);
+                covered.extend(window.into_iter().map(key));
+                return;
+            }
             let key = match program.array(r.array).align() {
                 AlignKind::Known(beta) => {
                     let beta = (beta % shape.bytes()) as i64;
@@ -100,7 +119,22 @@ pub fn lower_bound_parts(program: &LoopProgram, shape: VectorShape, policy: Poli
         });
     }
 
-    let stores = program.stmts().len();
+    // A pack chunk the previous iteration's windows covered, `stride`
+    // chunks back, is not loaded again.
+    let pack_loads = covered
+        .iter()
+        .filter(|&&(a, s, c)| !covered.contains(&(a, s, c - s as i64)))
+        .count();
+    // A scatter loads, merges and stores every chunk it covers.
+    let scatter_chunks: usize = program
+        .stmts()
+        .iter()
+        .filter(|s| !s.target.is_unit_stride())
+        .map(|s| pack_chunks(s.target, program, shape, 0..b).len())
+        .sum();
+
+    let scatters = program.stmts().iter().filter(|s| !s.target.is_unit_stride()).count();
+    let stores = program.stmts().len() - scatters + scatter_chunks;
     let ops: usize = program.stmts().iter().map(|s| s.rhs.op_count()).sum();
 
     let shifts: usize = match policy {
@@ -118,9 +152,9 @@ pub fn lower_bound_parts(program: &LoopProgram, shape: VectorShape, policy: Poli
     };
 
     LowerBound {
-        loads: chunks.len(),
+        loads: chunks.len() + pack_loads + scatter_chunks,
         stores,
-        shifts,
+        shifts: shifts + perms + scatter_chunks,
         ops,
         block: shape.blocking_factor(program.elem()),
         statements: program.stmts().len(),

@@ -1,6 +1,9 @@
 //! Non-unit-stride simdization (§7 future work, implemented): channel
-//! de-interleaving and interleaving through the gather/scatter permute
-//! generator.
+//! de-interleaving and interleaving. A strided load is a *pack* (its
+//! window's chunks gathered into lane order by `vperm`) and a strided
+//! store a *scatter* (load–merge–store per chunk), both at stream offset
+//! 0 in the reorganization graph, so the pipeline's policies, reuse and
+//! bound apply to them as to any stream.
 //!
 //! Run with: `cargo run --example deinterleave`
 
@@ -25,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .evaluate_with(&split, &simdize::DiffConfig::with_seed(7).params(vec![3]))?;
     assert!(report.verified);
     println!(
-        "verified; opd {:.3} (static model {:.3}), speedup {:.2}x vs scalar\n",
+        "verified; opd {:.3} (bound {:.3}), speedup {:.2}x vs scalar\n",
         report.opd, report.lower_bound_opd, report.speedup
     );
 

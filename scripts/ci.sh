@@ -51,13 +51,15 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 echo "== test (tier-1: root package) =="
 cargo test -q --offline
 
-echo "== test (engine crate, debug) =="
+echo "== test (engine, reorg, codegen, verify and explain crates, debug) =="
 # Tier-1 tests the root package only, and the release run below has
-# debug assertions off: this is where the engine's own unit tests (trace
-# fusion, lowering, the strip driver) run with the debug-only reference
-# checks on, such as the dense loop-entry fixpoint every sparse one is
-# compared with.
-cargo test -q --offline -p simdize-engine
+# debug assertions off: this is where these crates' own unit tests run
+# with the debug-only reference checks on — the engine's (trace fusion,
+# lowering, the strip driver; the dense loop-entry fixpoint every
+# sparse one is compared with) and the generator's (every emitted
+# program already numbered, every pass's output well formed).
+cargo test -q --offline -p simdize-engine -p simdize-reorg -p simdize-codegen \
+    -p simdize-verify -p simdize-explain
 
 echo "== test (release, workspace) =="
 # Also the second profile for two root tests the tier-1 run above just
@@ -291,6 +293,10 @@ for loop in loops/*.loop; do
     echo "$report" | grep -q 'harness_native_equiv: [1-9][0-9]* runs' \
         || { echo "verify: $loop proof skipped the intrinsics backend" >&2; exit 1; }
 done
+# A strided loop is proved under every configuration a stride-one loop
+# is (its packs and scatters are graph nodes, not a second generator).
+target/release/simdize verify loops/deinterleave.loop --quick | grep -q ', 6 configs$' \
+    || { echo "verify: deinterleave was not proved under 6 configs" >&2; exit 1; }
 target/release/simdize verify loops/figure1.loop --quick --json \
     | grep -q '"schema":"simdize-verify/v1"'
 

@@ -32,6 +32,76 @@ pub fn sample_loops() -> Vec<(String, String)> {
         .collect()
 }
 
+/// The non-unit-stride loops `tests/strided.rs` checks, as `(name,
+/// source text)`: de-interleaving loads, interleaving stores, stride 4
+/// at every residue of the trip count, mixed strides across statements,
+/// byte-odd alignments, `u8` lanes and a dot product of pairs at four
+/// widths.
+pub fn strided_loops() -> Vec<(String, String)> {
+    let mut out = vec![
+        (
+            "deinterleave_stride_two",
+            "arrays { out: i32[512] @ 0; inter: i32[1040] @ 8; }
+             for i in 0..500 { out[i] = inter[2*i] * inter[2*i] + inter[2*i+1] * inter[2*i+1]; }",
+        ),
+        (
+            "interleave_stride_two_store",
+            "arrays { inter: i16[2100] @ 2; x: i16[1040] @ 0; y: i16[1040] @ 6; }
+             for i in 0..1000 { inter[2*i+1] = x[i] + y[i+3]; }",
+        ),
+        (
+            "mixed_strides_and_statements",
+            "arrays { gains: i16[600] @ 4; packed: i16[1200] @ 0; left: i16[600] @ 2;
+                      stereo: i16[1220] @ 6; }
+             for i in 0..512 { left[i] = packed[2*i] * gains[i+1];
+                               stereo[2*i+1] = packed[2*i+1] + gains[i]; }",
+        ),
+        (
+            "strided_with_non_natural_alignment",
+            "arrays { out: i32[300] @ 3; src: i32[700] @ 5; }
+             for i in 0..256 { out[i] = src[2*i+1] + 7; }",
+        ),
+        (
+            "u8_stride_two_pixels",
+            "arrays { gray: u8[1024] @ 0; ga: u8[2080] @ 1; }
+             for i in 0..1000 { gray[i] = ga[2*i]; }",
+        ),
+    ]
+    .into_iter()
+    .map(|(name, text)| (name.to_string(), text.to_string()))
+    .collect::<Vec<_>>();
+    for ub in 96..=100 {
+        out.push((
+            format!("stride_four_ub{ub}"),
+            format!(
+                "arrays {{ out: i32[128] @ 4; src: i32[512] @ 12; }}
+                 for i in 0..{ub} {{ out[i+1] = src[4*i+2] * 3; }}"
+            ),
+        ));
+    }
+    for (ty, size) in [("i8", 1), ("i16", 2), ("i32", 4), ("i64", 8)] {
+        out.push((
+            format!("pair_dot_{ty}"),
+            format!(
+                "arrays {{ acc: {ty}[16] @ {}; x: {ty}[1100] @ {}; }}
+                 for i in 0..500 {{ acc[i] += x[2*i] * x[2*i+1]; }}",
+                4 * size % 16,
+                2 * size % 16
+            ),
+        ));
+    }
+    out
+}
+
+/// The source text of the loop [`strided_loops`] names `name`.
+pub fn strided_loop(name: &str) -> String {
+    strided_loops()
+        .into_iter()
+        .find(|(n, _)| n == name)
+        .unwrap_or_else(|| panic!("no strided loop named `{name}`"))
+        .1
+}
+
 /// Compares `actual` with the golden file at `rel_path` (which ends in
 /// one newline whether or not `actual` does), or rewrites the file when
 /// `UPDATE_GOLDEN` is set. `what` names the drift in the failure.

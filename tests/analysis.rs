@@ -80,7 +80,6 @@ fn corpus() -> Vec<(&'static str, LoopProgram)> {
 #[test]
 fn corpus_is_deny_free_under_all_configs() {
     for (name, program) in corpus() {
-        let strided = program.all_refs().iter().any(|r| !r.is_unit_stride());
         for policy in Policy::ALL {
             for reuse in REUSES {
                 for unroll in [false, true] {
@@ -92,10 +91,7 @@ fn corpus_is_deny_free_under_all_configs() {
                         Err(SimdizeError::Policy(_)) => continue,
                         Err(e) => panic!("{name}/{policy:?}/{reuse:?}: {e}"),
                     };
-                    let mut opts = AnalyzeOptions::new().memnorm(true);
-                    if !strided {
-                        opts = opts.reuse(reuse);
-                    }
+                    let opts = AnalyzeOptions::new().memnorm(true).reuse(reuse);
                     let report = analyze_program(&compiled, &opts);
                     // Generated code must be deny-free; in practice it
                     // is warning-free too, which pins the lints against
@@ -108,19 +104,17 @@ fn corpus_is_deny_free_under_all_configs() {
                 }
             }
         }
-        if !strided {
-            // SSE2-style hardware-misaligned target.
-            let compiled = Simdizer::new()
-                .target(Target::Unaligned)
-                .compile(&program)
-                .unwrap();
-            let report = analyze_program(&compiled, &AnalyzeOptions::new().memnorm(true));
-            assert!(
-                report.is_clean(),
-                "{name} unaligned target:\n{}",
-                report.render_text()
-            );
-        }
+        // SSE2-style hardware-misaligned target.
+        let compiled = Simdizer::new()
+            .target(Target::Unaligned)
+            .compile(&program)
+            .unwrap();
+        let report = analyze_program(&compiled, &AnalyzeOptions::new().memnorm(true));
+        assert!(
+            report.is_clean(),
+            "{name} unaligned target:\n{}",
+            report.render_text()
+        );
     }
 }
 

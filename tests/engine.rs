@@ -194,11 +194,13 @@ epilogue:
 }
 
 /// Pins the fused plan of `loops/deinterleave.loop` (`out[i] =
-/// inter[2i]² + inter[2i+1]²`): trace fusion composes each half's chain
+/// inter[2i]² + inter[2i+1]²`): trace fusion composes each pack's chain
 /// of three `vperm`s over three chunk loads into one `vperm` of the two
-/// vectors at `base+0` / `base+16`, which both halves share, and the
-/// strip driver runs the body as one mixed-tree superinstruction — one
-/// dispatch per strip.
+/// vectors at `base+0` / `base+16`, which both packs share, so the
+/// chunk software pipelining carries across the back edge dies; and the
+/// strip driver runs the unrolled pair as one mixed-tree
+/// superinstruction — one dispatch per strip, 2 loads and 2 perms an
+/// iteration.
 #[test]
 fn golden_plan_for_the_composed_deinterleave_body() {
     let path = format!("{}/loops/deinterleave.loop", env!("CARGO_MANIFEST_DIR"));
@@ -207,22 +209,40 @@ fn golden_plan_for_the_composed_deinterleave_body() {
     let img = MemoryImage::with_seed(&program, VectorShape::V16, 1);
     let kernel = CompiledKernel::compile(&compiled, &img, &RunInput::with_ub(500)).unwrap();
     let expected = "\
-; plan: V=16 lanes=128 fused-loads=0 splat-ops=0 hoisted=0 eliminated=10
-body x125, strip:
-  fold add(mul(g0, g0), mul(g1, g1)) over 2 streams -> vstore
-    v0 = vload.fused arr1[base+0; +32/iter]
-    v32 = vload.fused arr1[base+16; +32/iter]
-    v64 = vperm(v0, v32, [0,1,2,3,8,9,10,11,16,17,18,19,24,25,26,27])
-    v96 = mul(v64, v64)
-    v64 = vperm(v0, v32, [4,5,6,7,12,13,14,15,20,21,22,23,28,29,30,31])
-    v32 = mul(v64, v64)
-    v64 = add(v96, v32)
-    vstore arr0[base+0; +16/iter], v64
+; plan: V=16 lanes=160 fused-loads=0 splat-ops=0 hoisted=0 eliminated=23
+prologue:
+  v0 = vload.fused arr1[base+0]
+  v1 = vload.fused arr1[base+16]
+  v2 = vperm(v0, v1, [0,1,2,3,8,9,10,11,16,17,18,19,24,25,26,27])
+  v3 = mul(v2, v2)
+  v2 = vperm(v0, v1, [4,5,6,7,12,13,14,15,20,21,22,23,28,29,30,31])
+  v1 = mul(v2, v2)
+  v2 = add(v3, v1)
+  vstore arr0[base+0], v2
+pair x62, strip:
+  fold add(mul(g0, g0), mul(g1, g1)); add(mul(g2, g2), mul(g3, g3)) over 4 streams -> vstore
+    v32 = vload.fused arr1[base+32; +64/iter]
+    v64 = vload.fused arr1[base+48; +64/iter]
+    v96 = vperm(v32, v64, [0,1,2,3,8,9,10,11,16,17,18,19,24,25,26,27])
+    v128 = mul(v96, v96)
+    v96 = vperm(v32, v64, [4,5,6,7,12,13,14,15,20,21,22,23,28,29,30,31])
+    v64 = mul(v96, v96)
+    v96 = add(v128, v64)
+    vstore arr0[base+16; +32/iter], v96
+    v96 = vload.fused arr1[base+64; +64/iter]
+    v64 = vload.fused arr1[base+80; +64/iter]
+    v128 = vperm(v96, v64, [0,1,2,3,8,9,10,11,16,17,18,19,24,25,26,27])
+    v32 = mul(v128, v128)
+    v128 = vperm(v96, v64, [4,5,6,7,12,13,14,15,20,21,22,23,28,29,30,31])
+    v64 = mul(v128, v128)
+    v128 = add(v32, v64)
+    vstore arr0[base+32; +32/iter], v128
 ";
     assert_eq!(kernel.trace(), expected);
-    // Each half's last two perms composed (the middle one first onto
-    // the chunks already loaded, then dead).
-    assert_eq!(kernel.fusion_stats().composed, 4);
+    // Each pack's last two perms composed (the middle one first onto
+    // the chunks already loaded, then dead): the prologue's two packs
+    // and the pair's four.
+    assert_eq!(kernel.fusion_stats().composed, 12);
 }
 
 /// The listing is a view of the plan, not something a bake builds:

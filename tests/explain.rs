@@ -62,9 +62,10 @@ fn json_schema_fields() {
     let inapp = render_json(&explain("runtime", Policy::Eager));
     assert!(inapp.contains("\"mode\":\"inapplicable\""));
     assert!(inapp.contains("\"explanation\":"));
+    // A strided loop is a stream report like any other.
     let strided = render_json(&explain("deinterleave", Policy::Zero));
-    assert!(strided.contains("\"mode\":\"strided\""));
-    assert!(strided.contains("\"model_opd\":"));
+    assert!(strided.contains("\"mode\":\"stream\""));
+    assert!(strided.contains("\"accounting\":"));
 }
 
 /// Every instruction of every stream report is back-linked to at least
@@ -171,16 +172,12 @@ fn explained_program_is_the_compiled_program() {
                             assert_eq!(r.program, compiled, "{case}");
                             assert!(r.verified && r.engine_matches, "{case}");
                         }
-                        (Ok(compiled), Ok(ExplainReport::Strided(r))) => {
-                            assert_eq!(r.program, compiled, "{case}")
-                        }
                         (Err(_), Ok(ExplainReport::Inapplicable(_)) | Err(_)) => {}
                         (compiled, explained) => panic!(
                             "{case}: compile {:?}, explain {:?}",
                             compiled.map(|_| "a program"),
                             explained.map(|r| match r {
                                 ExplainReport::Stream(_) => "stream",
-                                ExplainReport::Strided(_) => "strided",
                                 ExplainReport::Inapplicable(_) => "inapplicable",
                             })
                         ),

@@ -9,9 +9,12 @@
 //! must leave the constant alone; a change that means to alter the code
 //! re-pins it and says why.
 //!
-//! The tier-1 set is every `loops/*.loop` sample plus a seeded corpus
-//! of the §5.3 4 × 6 shape grid with compile-time and runtime
-//! alignments, a runtime trip count, `i16` elements and reductions.
+//! The tier-1 set is every stride-one `loops/*.loop` sample plus a
+//! seeded corpus of the §5.3 4 × 6 shape grid with compile-time and
+//! runtime alignments, a runtime trip count, `i16` elements and
+//! reductions. The non-unit-stride loops — `loops/deinterleave.loop` and
+//! the loops of `tests/strided.rs` — are pinned apart, so a change to
+//! packs and scatters shows as a change to their constants alone.
 //! The `#[ignore]`d twin covers 4 seeds × 512 loops of the same grid
 //! (`cargo test --release --test identity -- --ignored`).
 //!
@@ -30,7 +33,7 @@ use simdize::{
     TripSpec, VectorShape, WorkloadSpec,
 };
 use simdize_prng::SplitMix64;
-use simdize_suite::sample_loops;
+use simdize_suite::{sample_loops, strided_loops};
 
 const REUSE: [ReuseMode; 3] = [
     ReuseMode::None,
@@ -189,17 +192,38 @@ fn grid(seed: u64, n: usize) -> Vec<LoopProgram> {
     (0..n).map(|k| grid_loop(k, &mut rng)).collect()
 }
 
-#[test]
-fn every_emitted_program_is_pinned() {
+/// Whether every reference of `program` has stride one.
+fn unit_stride(program: &LoopProgram) -> bool {
+    program.all_refs().iter().all(|r| r.is_unit_stride())
+}
+
+/// The stride-one sample loops and the tier-1 grid.
+fn unit_stride_set() -> Vec<LoopProgram> {
     let mut programs: Vec<LoopProgram> = sample_loops()
         .into_iter()
         .map(|(_, text)| parse_program(&text).unwrap())
+        .filter(unit_stride)
         .collect();
     programs.extend(grid(34, 60));
-    let (digest, compiled) = digest(&programs);
-    assert_eq!(compiled, 3276, "compiles that succeeded");
+    programs
+}
+
+/// The non-unit-stride sample loops and the loops of `tests/strided.rs`.
+fn strided_set() -> Vec<LoopProgram> {
+    sample_loops()
+        .into_iter()
+        .chain(strided_loops())
+        .map(|(_, text)| parse_program(&text).unwrap())
+        .filter(|p| !unit_stride(p))
+        .collect()
+}
+
+#[test]
+fn every_emitted_program_is_pinned() {
+    let (digest, compiled) = digest(&unit_stride_set());
+    assert_eq!(compiled, 3216, "compiles that succeeded");
     assert_eq!(
-        digest, 0xf063_244d_5d73_180e,
+        digest, 0xb577_3730_882f_6465,
         "emitted programs changed ({compiled} compiled): {digest:#018x}"
     );
 }
@@ -224,16 +248,41 @@ fn every_emitted_program_of_the_wide_corpus_is_pinned() {
 }
 
 #[test]
-fn baked_plans_are_unchanged() {
-    let mut programs: Vec<LoopProgram> = sample_loops()
-        .into_iter()
-        .map(|(_, text)| parse_program(&text).unwrap())
-        .collect();
-    programs.extend(grid(34, 60));
-    let (digest, baked) = bake_digest(&programs);
-    assert_eq!(baked, 6552, "bakes that succeeded");
+fn every_emitted_strided_program_is_pinned() {
+    let (digest, compiled) = digest(&strided_set());
+    assert_eq!(compiled, 900, "compiles that succeeded");
     assert_eq!(
-        digest, 0x13d9_02e2_df35_8f78,
+        digest, 0x44e4_5a43_dcc0_d75c,
+        "emitted programs changed ({compiled} compiled): {digest:#018x}"
+    );
+}
+
+/// The strided entry point `benchmark/` still calls is the pipeline.
+#[test]
+fn generate_strided_is_the_pipeline() {
+    for program in strided_set() {
+        let shim = simdize::generate_strided(&program, VectorShape::V16).unwrap();
+        let compiled = Simdizer::new().compile(&program).unwrap();
+        assert_eq!(program_fingerprint(&shim), program_fingerprint(&compiled), "{program}");
+    }
+}
+
+#[test]
+fn baked_plans_are_unchanged() {
+    let (digest, baked) = bake_digest(&unit_stride_set());
+    assert_eq!(baked, 6432, "bakes that succeeded");
+    assert_eq!(
+        digest, 0xe086_f6df_c6ac_36d7,
+        "baked plans changed ({baked} baked): {digest:#018x}"
+    );
+}
+
+#[test]
+fn baked_strided_plans_are_pinned() {
+    let (digest, baked) = bake_digest(&strided_set());
+    assert_eq!(baked, 1800, "bakes that succeeded");
+    assert_eq!(
+        digest, 0x219c_9502_3b3c_6647,
         "baked plans changed ({baked} baked): {digest:#018x}"
     );
 }

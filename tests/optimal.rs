@@ -26,8 +26,6 @@ fn static_sample_loops() -> Vec<(String, LoopProgram)> {
 fn dp_and_branch_and_bound_agree_on_every_sample_loop() {
     let mut covered = 0usize;
     for (name, program) in static_sample_loops() {
-        // Strided loops (deinterleave) go through the gather/scatter
-        // generator, not the stream reorg graph — nothing to place.
         let Ok(graph) = ReorgGraph::build(&program, VectorShape::V16) else {
             continue;
         };

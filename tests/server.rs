@@ -159,6 +159,17 @@ fn malformed_requests_answer_errors_and_keep_the_connection() {
             r#"{"v":1,"id":1,"cmd":"run","source":"x","params":5}"#,
             "`params` must be an array",
         ),
+        // Integer fields must be integers: fractional, negative where
+        // unsigned, or out of range is an error, not a cast.
+        (r#"{"v":1.5,"id":1,"cmd":"ping"}"#, "`v` must be an integer"),
+        (r#"{"v":1,"id":-1,"cmd":"ping"}"#, "`id` must be an integer"),
+        (r#"{"v":1,"id":1,"cmd":"run","source":"x","seed":-1}"#, "`seed` must be an integer"),
+        (r#"{"v":1,"id":1,"cmd":"run","source":"x","ub":2.5}"#, "`ub` must be an integer"),
+        (r#"{"v":1,"id":1,"cmd":"sweep","source":"x","count":1e300}"#, "`count` must be an integer"),
+        (
+            r#"{"v":1,"id":1,"cmd":"run","source":"x","params":[1.5]}"#,
+            "`params` must be an array of integers",
+        ),
     ] {
         let response = client.roundtrip(request);
         let doc = json::parse(&response).unwrap_or_else(|e| panic!("{response}: {e}"));
@@ -168,6 +179,28 @@ fn malformed_requests_answer_errors_and_keep_the_connection() {
     }
     // The connection survived all of it.
     let pong = client.roundtrip(r#"{"v":1,"id":42,"cmd":"ping"}"#);
+    assert!(pong.contains("\"pong\":true"), "{pong}");
+    harness.shutdown();
+}
+
+/// A source whose arrays would not fit the server's cap is refused
+/// before any image is allocated, and the connection keeps serving.
+#[test]
+fn an_oversized_source_is_refused_and_the_server_keeps_serving() {
+    let harness = Harness::start(ServerConfig::default());
+    let mut client = harness.client();
+    let source = "arrays { a: i32[100000000000] @ 0; b: i32[100000000000] @ 0; } \
+                  for i in 0..100 { a[i] = b[i+1]; }";
+    for cmd in ["run", "sweep", "explain", "verify", "trace"] {
+        let request = format!(r#"{{"v":1,"id":1,"cmd":"{cmd}","source":"{source}"}}"#);
+        let response = client.roundtrip(&request);
+        let doc = json::parse(&response).unwrap_or_else(|e| panic!("{response}: {e}"));
+        assert_eq!(doc.get("ok"), Some(&Json::Bool(false)), "{response}");
+        let error = doc.get("error").and_then(Json::as_str).unwrap();
+        let cap = simdize_server::MAX_SOURCE_BYTES.to_string();
+        assert!(error.contains(&cap), "{cmd}: {response} does not name the cap");
+    }
+    let pong = client.roundtrip(r#"{"v":1,"id":2,"cmd":"ping"}"#);
     assert!(pong.contains("\"pong\":true"), "{pong}");
     harness.shutdown();
 }
@@ -579,8 +612,8 @@ fn scrape(metrics_addr: std::net::SocketAddr, path: &str) -> String {
 }
 
 /// The `trace` verb on a strided loop answers like any other: the
-/// traced pass reports the strided cost model's bound, the one
-/// `simdize run` prints, where the §5.3 bound does not apply.
+/// traced pass reports the §5.3 bound `simdize run` prints, which
+/// charges a pack its chunk loads and `vperm`s.
 #[test]
 fn trace_verb_answers_for_a_strided_loop() {
     let harness = Harness::start(ServerConfig::default());
@@ -593,7 +626,7 @@ fn trace_verb_answers_for_a_strided_loop() {
     let doc = json::parse(&response).unwrap_or_else(|e| panic!("{response}: {e}"));
     assert_eq!(doc.get("ok"), Some(&Json::Bool(true)), "{response}");
     let attrs = doc.get("result").unwrap().get("attrs").unwrap();
-    assert_eq!(attrs.get("opd.bound").and_then(Json::as_str), Some("4.000"), "{response}");
+    assert_eq!(attrs.get("opd.bound").and_then(Json::as_str), Some("3.000"), "{response}");
     assert_eq!(attrs.get("verified").and_then(Json::as_str), Some("true"), "{response}");
     harness.shutdown();
 }

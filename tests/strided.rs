@@ -1,28 +1,40 @@
-//! End-to-end tests of the non-unit-stride extension (§7 future work):
-//! the gather/scatter permute generator against the scalar oracle.
+//! End-to-end tests of non-unit strides (§7 future work): packs and
+//! scatters in the reorganization graph, against the scalar oracle.
 
-use simdize::{BinOp, Expr, LoopBuilder, LoopProgram, ScalarType, Simdizer, VectorShape};
+use simdize::{
+    parse_program, LoopBuilder, LoopProgram, Policy, ReuseMode, ScalarType, Simdizer, VectorShape,
+};
+use simdize_suite::strided_loop;
 
+/// Checks `p` under every policy × reuse × unroll configuration and
+/// returns the default driver's report.
 fn verify(p: &LoopProgram, seed: u64) -> simdize::Report {
-    let r = Simdizer::new().evaluate(p, seed).unwrap_or_else(|e| {
-        panic!("strided loop failed: {e}\n{p}");
-    });
+    for policy in Policy::ALL {
+        for reuse in [ReuseMode::None, ReuseMode::SoftwarePipeline, ReuseMode::PredictiveCommoning] {
+            for unroll in [false, true] {
+                let driver = Simdizer::new().policy(policy).reuse(reuse).unroll(unroll);
+                let r = driver.evaluate(p, seed).unwrap_or_else(|e| {
+                    panic!("{policy}/{reuse:?}/unroll={unroll} failed: {e}\n{p}");
+                });
+                assert!(r.verified, "{policy}/{reuse:?}/unroll={unroll} diverged:\n{p}");
+                assert!(r.opd + 1e-9 >= r.lower_bound_opd, "{policy}/{reuse:?}: under the bound");
+            }
+        }
+    }
+    let r = Simdizer::new().evaluate(p, seed).unwrap();
     assert!(r.verified, "loop diverged:\n{p}");
     r
+}
+
+fn parsed(name: &str) -> LoopProgram {
+    parse_program(&strided_loop(name)).unwrap()
 }
 
 #[test]
 fn deinterleave_stride_two() {
     // out[i] = inter[2i] * inter[2i] + inter[2i+1] * inter[2i+1]
     // (the squared magnitude of interleaved complex data).
-    let mut b = LoopBuilder::new(ScalarType::I32);
-    let out = b.array("out", 512, 0);
-    let inter = b.array("inter", 1040, 8);
-    let re = inter.load_strided(2, 0);
-    let im = inter.load_strided(2, 1);
-    b.stmt(out.at(0), re.clone() * re + im.clone() * im);
-    let p = b.finish(500).unwrap();
-    let r = verify(&p, 1);
+    let r = verify(&parsed("deinterleave_stride_two"), 1);
     assert!(r.speedup > 1.0, "speedup {}", r.speedup);
 }
 
@@ -30,25 +42,14 @@ fn deinterleave_stride_two() {
 fn interleave_stride_two_store() {
     // inter[2i+1] = x[i] + y[i+3]: a strided *store* merging into
     // existing interleaved data, with a misaligned stride-one input.
-    let mut b = LoopBuilder::new(ScalarType::I16);
-    let inter = b.array("inter", 2100, 2);
-    let x = b.array("x", 1040, 0);
-    let y = b.array("y", 1040, 6);
-    b.stmt(inter.at_strided(2, 1), x.load(0) + y.load(3));
-    let p = b.finish(1000).unwrap();
-    verify(&p, 2);
+    verify(&parsed("interleave_stride_two_store"), 2);
 }
 
 #[test]
 fn stride_four_and_residues() {
     // Every fourth element, with trip counts exercising all residues.
-    for ub in [96u64, 97, 98, 99, 100] {
-        let mut b = LoopBuilder::new(ScalarType::I32);
-        let out = b.array("out", 128, 4);
-        let src = b.array("src", 512, 12);
-        b.stmt(out.at(1), src.load_strided(4, 2) * Expr::constant(3));
-        let p = b.finish(ub).unwrap();
-        verify(&p, ub);
+    for ub in 96u64..=100 {
+        verify(&parsed(&format!("stride_four_ub{ub}")), ub);
     }
 }
 
@@ -56,41 +57,38 @@ fn stride_four_and_residues() {
 fn mixed_strides_and_statements() {
     // Statement 1 de-interleaves, statement 2 interleaves, sharing an
     // input array at stride 1.
-    let mut b = LoopBuilder::new(ScalarType::I16);
-    let gains = b.array("gains", 600, 4);
-    let packed = b.array("packed", 1200, 0);
-    let left = b.array("left", 600, 2);
-    let stereo = b.array("stereo", 1220, 6);
-    b.stmt(left.at(0), packed.load_strided(2, 0) * gains.load(1));
-    b.stmt(
-        stereo.at_strided(2, 1),
-        packed.load_strided(2, 1) + gains.load(0),
-    );
-    let p = b.finish(512).unwrap();
-    verify(&p, 9);
+    verify(&parsed("mixed_strides_and_statements"), 9);
 }
 
 #[test]
 fn strided_with_non_natural_alignment() {
     // Byte-odd base offsets fold into the permute patterns.
-    let mut b = LoopBuilder::new(ScalarType::I32);
-    let out = b.array("out", 300, 3);
-    let src = b.array("src", 700, 5);
-    b.stmt(out.at(0), src.load_strided(2, 1) + Expr::constant(7));
-    let p = b.finish(256).unwrap();
-    verify(&p, 4);
+    verify(&parsed("strided_with_non_natural_alignment"), 4);
 }
 
 #[test]
 fn u8_stride_two_pixels() {
     // Extracting one channel of interleaved two-channel bytes: 16 lanes.
-    let mut b = LoopBuilder::new(ScalarType::U8);
-    let gray = b.array("gray", 1024, 0);
-    let ga = b.array("ga", 2080, 1);
-    b.stmt(gray.at(0), ga.load_strided(2, 0));
-    let p = b.finish(1000).unwrap();
-    let r = verify(&p, 5);
+    let r = verify(&parsed("u8_stride_two_pixels"), 5);
     assert!(r.stats.shifts > 0); // permutes are doing the packing
+}
+
+#[test]
+fn runtime_aligned_streams_beside_a_pack() {
+    // Only the strided array needs a compile-time alignment: the
+    // zero-shift policy shifts the runtime-aligned streams around a
+    // pack at offset 0, under the eq. 15 bound.
+    let p = parse_program(
+        "arrays { out: i32[600] @ ?; src: i32[1300] @ 4; y: i32[600] @ ?; }
+         for i in 0..501 { out[i+1] = src[2*i+1] + y[i+2]; }",
+    )
+    .unwrap();
+    for reuse in [ReuseMode::None, ReuseMode::SoftwarePipeline, ReuseMode::PredictiveCommoning] {
+        for seed in 1..4 {
+            let r = Simdizer::new().reuse(reuse).evaluate(&p, seed).unwrap();
+            assert!(r.verified, "{reuse:?} seed {seed} diverged");
+        }
+    }
 }
 
 #[test]
@@ -103,31 +101,31 @@ fn strided_rejections_are_clean_errors() {
     let err = Simdizer::new().compile(&p).unwrap_err();
     assert!(err.to_string().contains("trip count"), "{err}");
 
-    // The paper's core pipeline refuses strided graphs explicitly.
-    let p2 = {
-        let mut b = LoopBuilder::new(ScalarType::I32);
-        let out = b.array("out", 64, 0);
-        let src = b.array("src", 200, 0);
-        b.stmt(out.at(0), src.load_strided(2, 0));
-        b.finish(64).unwrap()
-    };
-    let err = simdize::ReorgGraph::build(&p2, VectorShape::V16).unwrap_err();
+    // Pack patterns are compile-time byte selections.
+    let mut b = LoopBuilder::new(ScalarType::I32);
+    let out = b.array("out", 64, 0);
+    let src = b.array_runtime_align("src", 200);
+    b.stmt(out.at(0), src.load_strided(2, 0));
+    let err = Simdizer::new().compile(&b.finish(64).unwrap()).unwrap_err();
+    assert!(err.to_string().contains("compile-time alignment"), "{err}");
+
+    // A window wider than the memory image's guard padding.
+    let mut b = LoopBuilder::new(ScalarType::I32);
+    let out = b.array("out", 64, 0);
+    let src = b.array("src", 600, 0);
+    b.stmt(out.at(0), src.load_strided(8, 0));
+    let p = b.finish(64).unwrap();
     assert!(matches!(
-        err,
-        simdize::BuildGraphError::NonUnitStride { stride: 2 }
+        simdize::ReorgGraph::build(&p, VectorShape::V16),
+        Err(simdize::BuildGraphError::UnsupportedStride { stride: 8 })
     ));
 }
 
 #[test]
-fn strided_reductions_are_refused() {
-    // `acc[0] += x[2i] * x[2i+1]`: the gather/scatter generator has no
-    // reduction form, and storing the value element-wise would be wrong.
-    let mut b = LoopBuilder::new(ScalarType::I32);
-    let acc = b.array("acc", 16, 4);
-    let x = b.array("x", 1100, 0);
-    let product = Expr::binary(BinOp::Mul, x.load_strided(2, 0), x.load_strided(2, 1));
-    b.reduce(acc.at(0), BinOp::Add, product);
-    let p = b.finish(500).unwrap();
-    let err = Simdizer::new().compile(&p).unwrap_err();
-    assert!(err.to_string().contains("does not support reductions"), "{err}");
+fn strided_reductions_match_the_scalar_loop() {
+    // `acc[0] += x[2i] * x[2i+1]`: a dot product of pairs, whose packs
+    // feed the reduction's accumulator like any other stream.
+    for ty in ["i8", "i16", "i32", "i64"] {
+        verify(&parsed(&format!("pair_dot_{ty}")), 3);
+    }
 }

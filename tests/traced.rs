@@ -84,7 +84,7 @@ fn traced_and_untraced_runs_agree() {
 
     let (mut placed_graphs, mut programs, mut runtime, mut reductions) = (0, 0, 0, 0);
     for (name, program) in &inputs {
-        // Strided loops take the gather/scatter generator: no graph.
+        // A loop the graph cannot hold is not compared.
         let Ok(graph) = ReorgGraph::build(program, VectorShape::V16) else {
             continue;
         };
