@@ -3,97 +3,11 @@
 //! graphs, generated code, lowerings and evaluation reports.
 //!
 //! The binary is a thin wrapper around [`run`], which is exposed (and
-//! unit-tested) here. Usage:
+//! unit-tested) here. Usage — what `simdize` with no arguments,
+//! `simdize --help` and `simdize -h` print:
 //!
 //! ```text
-//! simdize <command> <file.loop|-> [options]
-//!
-//! commands:
-//!   check      parse and validate the loop, print the normalized form
-//!   graph      print the data reorganization graph (--dot for Graphviz)
-//!   compile    print the generated vector code (--asm for AltiVec form)
-//!   analyze    statically check the generated code (lints; --json)
-//!   run        compile, execute, verify against the scalar loop, report
-//!   verify     bounded-equivalence prover: exhaustively prove the
-//!              generated, fused and cached kernels byte-equivalent to
-//!              the scalar oracle over every realizable alignment x
-//!              trip count x policy/reuse/unroll configuration
-//!              (--quick, --json; exits non-zero on a violation)
-//!   explain    decision-trace report: every instruction back-linked to
-//!              the placement/codegen/fusion decision that produced it,
-//!              with OPD accounting (--json / --markdown); explains the
-//!              program `compile` emits under every pipeline option
-//!   policies   compare all four shift-placement policies on the loop
-//!   sweep      run the loop over many memory seeds on worker threads
-//!   trace      instrumented end-to-end pass collected under a fresh
-//!              request scope: pipeline attributes (opd, kernel-cache
-//!              hits and misses, fusion rewrites) and the span tree over
-//!              every pipeline phase (--json
-//!              for the versioned simdize-trace/v1 document,
-//!              --chrome-out FILE for a chrome://tracing / Perfetto
-//!              trace-event file)
-//!   serve <addr>   long-running simdization server speaking the
-//!              simdize-wire/v1 JSONL-over-TCP protocol; prints
-//!              `listening on ADDR` (with the resolved port) before
-//!              accepting, shuts down on SIGINT or a shutdown request
-//!
-//! Every command that takes `<file.loop>` also accepts a bare loop
-//! name: `simdize run figure1` resolves to `loops/figure1.loop`,
-//! searched upward from the current directory.
-//!
-//! options:
-//!   --policy zero|eager|lazy|dominant|optimal   force a placement policy
-//!   --reuse none|sp|pc                  reuse scheme (default sp)
-//!   --reassoc                           enable common-offset reassociation
-//!   --no-memnorm / --no-unroll          disable those passes
-//!   --target unaligned                  SSE2-style misaligned-memory machine
-//!   --shape 8|16|32                     vector register bytes (default 16)
-//!   --seed N                            memory image seed (default 2004)
-//!   --ub N                              trip count for runtime-`ub` loops
-//!   --param N (repeatable)              loop parameter values, in order
-//!   --engine interp|simd                executor for `run` (default
-//!                                       interp, the reference VIR
-//!                                       interpreter); `simd` bakes the
-//!                                       plan and runs it on the host's
-//!                                       std::arch tier, as `sweep` always
-//!                                       does (SIMDIZE_ISA=sse2|scalar
-//!                                       forces a lower tier)
-//!   --lint NAME=allow|warn|deny         override a lint level (repeatable)
-//!   --json                              JSON output for `analyze`/`explain`
-//!   --markdown                          Markdown output for `explain`
-//!   --threads N                         sweep worker threads (default:
-//!                                       available parallelism; --jobs is
-//!                                       an alias)
-//!   --count N                           sweep seeds to cover (default 32)
-//!   --smoke                             quick 8-seed sweep preset
-//!   --telemetry                         run the command under a request
-//!                                       scope and append its
-//!                                       attributes and spans
-//!   --workers N                         serve: requests executing at once
-//!                                       (default 2)
-//!   --queue N                           serve: requests waiting for a slot
-//!                                       (default 64; one more => busy)
-//!   --shards N / --cache-cap N          serve: kernel-cache shard count
-//!                                       (default 8) and per-shard LRU
-//!                                       capacity (default 32)
-//!   --flight-cap N                      serve: flight-recorder ring
-//!                                       capacity in requests (default 128)
-//!   --metrics-addr ADDR                 serve: also bind a plain-HTTP
-//!                                       GET /metrics endpoint with
-//!                                       Prometheus text exposition;
-//!                                       prints `metrics on ADDR`
-//!   --chrome-out FILE                   trace: also write the Chrome
-//!                                       trace-event JSON to FILE
-//!   --quick                             verify: smoke-sized domain preset
-//!                                       (sampled alignments, boundary trips)
-//!   --trip-bound N                      verify: prove trip counts 1..=N
-//!                                       (default 64, quick 16)
-//!   --budget N                          verify: max harness executions
-//!                                       before reporting INCOMPLETE
-//!   --mutate splice|shift               verify: inject a known-bad
-//!                                       mutation — the prover must fail
-//!                                       (the mutate-and-catch meta-test)
-//!   --dot / --asm                       alternative output formats
+#![doc = include_str!("usage.txt")]
 //! ```
 
 #![forbid(unsafe_code)]
@@ -165,10 +79,14 @@ pub fn parse_args(
     read_file: &ReadSource,
 ) -> Result<Options, Box<dyn Error>> {
     let mut it = args.iter();
-    let command = it.next().ok_or(USAGE)?.clone();
+    let command = match it.next().map(String::as_str) {
+        None | Some("--help" | "-h") => "help".to_string(),
+        Some(command) => command.to_string(),
+    };
     if !matches!(
         command.as_str(),
-        "check"
+        "help"
+            | "check"
             | "graph"
             | "compile"
             | "analyze"
@@ -182,32 +100,10 @@ pub fn parse_args(
     ) {
         return Err(format!("unknown command `{command}`\n{USAGE}").into());
     }
-    // `serve` takes a listen address and reads no loop file.
-    let mut addr = String::new();
-    let mut loop_name = String::new();
-    let source = if command == "serve" {
-        addr = it
-            .next()
-            .ok_or("serve needs a listen address, e.g. `serve 127.0.0.1:4910` (port 0 = ephemeral)")?
-            .clone();
-        String::new()
-    } else {
-        let path = it.next().ok_or("missing <file.loop> argument")?;
-        loop_name = if path == "-" {
-            "stdin".to_string()
-        } else {
-            std::path::Path::new(path)
-                .file_stem()
-                .map(|s| s.to_string_lossy().into_owned())
-                .unwrap_or_else(|| path.clone())
-        };
-        read_file(path)?
-    };
-
     let mut opts = Options {
         command,
-        source,
-        loop_name,
+        source: String::new(),
+        loop_name: String::new(),
         policy: None,
         reuse: ReuseMode::SoftwarePipeline,
         reassoc: false,
@@ -228,7 +124,7 @@ pub fn parse_args(
         telemetry: false,
         dot: false,
         asm: false,
-        addr,
+        addr: String::new(),
         workers: 2,
         queue: 64,
         shards: 8,
@@ -241,7 +137,16 @@ pub fn parse_args(
         flight_cap: 128,
         metrics_addr: None,
     };
+    // The first argument that is no option (nor an option's value) is
+    // the loop, or `serve`'s listen address.
+    let mut positional = None;
     while let Some(arg) = it.next() {
+        if arg == "-" || !arg.starts_with("--") {
+            if positional.replace(arg).is_some() || opts.command == "help" {
+                return Err(format!("unexpected argument `{arg}`\n{USAGE}").into());
+            }
+            continue;
+        }
         let mut value = |name: &str| -> Result<String, Box<dyn Error>> {
             it.next()
                 .cloned()
@@ -364,13 +269,38 @@ pub fn parse_args(
             other => return Err(format!("unknown option `{other}`\n{USAGE}").into()),
         }
     }
+    match (opts.command.as_str(), positional) {
+        ("help", _) => {}
+        // `serve` takes a listen address and reads no loop file.
+        ("serve", addr) => {
+            opts.addr = addr
+                .ok_or("serve needs a listen address, e.g. `serve 127.0.0.1:4910` (port 0 = ephemeral)")?
+                .clone();
+        }
+        (_, path) => {
+            let path = path.ok_or_else(|| format!("missing <file.loop> argument\n{USAGE}"))?;
+            opts.loop_name = if path == "-" {
+                "stdin".to_string()
+            } else {
+                std::path::Path::new(path)
+                    .file_stem()
+                    .map(|s| s.to_string_lossy().into_owned())
+                    .unwrap_or_else(|| path.clone())
+            };
+            opts.source = read_file(path).map_err(|e| format!("{path}: {e}"))?;
+        }
+    }
     Ok(opts)
 }
 
 const USAGE: &str =
     "usage: simdize <check|graph|compile|analyze|run|verify|explain|policies|sweep|trace> <file.loop|-> [options]
        simdize serve <addr> [--workers N] [--queue N] [--shards N] [--cache-cap N] [--flight-cap N] [--metrics-addr ADDR]
-run `simdize` with no arguments for the full option list";
+run `simdize` with no arguments (or `simdize --help`) for the full option list";
+
+/// The full option list: what `simdize` with no arguments, `--help` and
+/// `-h` print, and the crate docs show.
+const HELP: &str = include_str!("usage.txt");
 
 /// Resolves a `<file.loop>` argument: an existing path (or anything
 /// path-like, containing `/` or `.`) is used as-is; a bare loop name
@@ -405,8 +335,10 @@ pub fn resolve_loop_path(path: &str) -> std::path::PathBuf {
 /// Propagates parse, pipeline and verification errors with readable
 /// messages.
 pub fn run(opts: &Options) -> Result<String, Box<dyn Error>> {
-    if opts.command == "serve" {
-        return run_serve(opts);
+    match opts.command.as_str() {
+        "help" => return Ok(format!("usage: {HELP}")),
+        "serve" => return run_serve(opts),
+        _ => {}
     }
     // --telemetry wraps the whole command in a request scope; what it
     // collected is appended to the normal output.
@@ -849,6 +781,64 @@ mod tests {
         assert!(parse_args(&args(&["verify", "x", "--mutate", "bogus"]), &read).is_err());
         assert!(parse_args(&args(&["verify", "x", "--trip-bound", "0"]), &read).is_err());
         assert!(parse_args(&args(&["verify", "x", "--budget", "0"]), &read).is_err());
+    }
+
+    #[test]
+    fn the_loop_is_the_first_argument_that_is_not_an_option() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let read = |path: &str| -> Result<String, Box<dyn Error>> {
+            assert_eq!(path, "loops/x.loop", "read the option as the loop");
+            Ok(LOOP.into())
+        };
+        let parsed = parse_args(&args(&["verify", "--quick", "loops/x.loop"]), &read).unwrap();
+        assert!(parsed.quick && parsed.loop_name == "x", "{parsed:?}");
+        let parsed = parse_args(&args(&["run", "--policy", "zero", "loops/x.loop", "--ub", "9"]), &read).unwrap();
+        assert_eq!((parsed.policy, parsed.ub, parsed.source.as_str()), (Some(Policy::Zero), 9, LOOP));
+        let parsed = parse_args(&args(&["serve", "--workers", "3", "127.0.0.1:0"]), &read).unwrap();
+        assert_eq!((parsed.addr.as_str(), parsed.workers), ("127.0.0.1:0", 3));
+        let err = parse_args(&args(&["run", "loops/x.loop", "loops/x.loop"]), &read).unwrap_err();
+        assert!(err.to_string().contains("unexpected argument"), "{err}");
+        assert!(parse_args(&args(&["verify", "--quick"]), &read).is_err());
+    }
+
+    #[test]
+    fn no_arguments_and_help_print_the_option_list() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let read = |path: &str| -> Result<String, Box<dyn Error>> { panic!("read `{path}`") };
+        for help in [&[][..], &["--help"], &["-h"]] {
+            let out = run(&parse_args(&args(help), &read).unwrap()).unwrap();
+            assert!(out.starts_with("usage: simdize <command>"), "{help:?}: {out}");
+            for option in ["commands:", "--policy", "--quick", "--metrics-addr"] {
+                assert!(out.contains(option), "{help:?}: no `{option}`\n{out}");
+            }
+        }
+        let err = parse_args(&args(&["frobnicate"]), &read).unwrap_err().to_string();
+        assert!(err.contains("run `simdize` with no arguments"), "{err}");
+    }
+
+    #[test]
+    fn verify_counts_a_strided_loops_refusals_apart_from_policy_skips() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let read = |path: &str| -> Result<String, Box<dyn Error>> {
+            Ok(std::fs::read_to_string(format!("{}/../../{path}", env!("CARGO_MANIFEST_DIR")))?)
+        };
+        let opts = parse_args(&args(&["verify", "--quick", "loops/deinterleave.loop", "--threads", "2"]), &read).unwrap();
+        let out = run(&opts).unwrap();
+        assert!(out.starts_with("PROVED: deinterleave"), "{out}");
+        // Its runtime-alignment configs: the zero policy applies, the
+        // pack patterns need the alignment at compile time.
+        let refused = "0 skipped (inapplicable policy), 5 refused by codegen (a non-unit-stride reference needs a compile-time alignment)";
+        assert!(out.contains(refused), "{out}");
+    }
+
+    #[test]
+    fn a_read_error_names_the_path() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let read = |_: &str| -> Result<String, Box<dyn Error>> {
+            Err(std::io::Error::from(std::io::ErrorKind::NotFound).into())
+        };
+        let err = parse_args(&args(&["verify", "--quick", "loops/missing.loop"]), &read).unwrap_err();
+        assert!(err.to_string().starts_with("loops/missing.loop: "), "{err}");
     }
 
     #[test]

@@ -767,6 +767,16 @@ impl CompiledKernel {
         self.plan.schedule
     }
 
+    /// Each section that runs superinstructions, in execution order, as
+    /// `(role, paired, all)`: how many of its superinstructions split
+    /// into an unrolled pair's two matching halves — the ones the AVX2
+    /// tier runs with both halves in one 256-bit register — out of how
+    /// many it runs. The same on every tier.
+    pub fn superinstructions(&self) -> Vec<(&'static str, usize, usize)> {
+        let sections = self.plan.program.sections.iter().filter(|s| !s.supers.is_empty());
+        sections.map(|s| (s.role, s.supers.iter().filter(|f| f.halves != 0).count(), s.supers.len())).collect()
+    }
+
     /// What the trace fusion pass did to this kernel (all zero when
     /// baked with fusion disabled).
     pub fn fusion_stats(&self) -> FusionStats {

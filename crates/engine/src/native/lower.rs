@@ -790,14 +790,16 @@ impl Parse {
             shifts,
             column: if rotates { self.rotated } else { self.acc },
             tree: None,
+            halves: 0,
         };
         if let Some(op) = self.plain(&mut f.stream, &mut fold[..folds], streams) {
             (f.fold, f.op) = (fold, op);
-            return Some(f);
+        } else {
+            require!(!rotates);
+            f.stream[..streams].copy_from_slice(&self.loads[..streams]);
+            f.tree = Some(self.shape(folds, leaves, terms, tables));
         }
-        require!(!rotates);
-        f.stream[..streams].copy_from_slice(&self.loads[..streams]);
-        f.tree = Some(self.shape(folds, leaves, terms, tables));
+        f.halves = halves(&f);
         Some(f)
     }
 
@@ -852,6 +854,54 @@ impl Parse {
         }
         Some(op.unwrap_or(BinOp::Or))
     }
+}
+
+/// [`Super::halves`]: the streams the first half of `f`'s folds reads,
+/// if the folds split into an unrolled pair's two matching halves — as
+/// many folds in each, every fold of the second half the matching one of
+/// the first a source iteration on: the same leaves and operators, every
+/// stream half the stream step on, its store 16 bytes on (the stores
+/// stepping 32), the same shift or partial. Decided once, here, so no
+/// strip tests it again.
+fn halves(f: &Super) -> u16 {
+    let (folds, loads) = (f.folds(), f.loads());
+    let (n, half) = (folds.len() / 2, f.step / 2);
+    let (first, second) = folds.split_at(n);
+    let sinks = first.iter().zip(second).all(|(x, y)| {
+        x.leaves == y.leaves
+            && match (x.sink, y.sink) {
+                (Sink::Store { at }, Sink::Store { at: next }) => next == at + V as usize,
+                (Sink::Shift { at, amt }, Sink::Shift { at: next, amt: same }) => next == at + V as usize && same == amt,
+                (Sink::Reduce { op }, Sink::Reduce { op: same }) => same == op,
+                _ => false,
+            }
+    });
+    let stores = f.store.is_none_or(|(.., step)| step == 2 * V);
+    if n == 0 || folds.len() % 2 != 0 || f.step % (2 * V) != 0 || !sinks || !stores {
+        return 0;
+    }
+    let mut read = 0u16;
+    let mut next = |s: u8, t: u8| {
+        read |= 1 << s;
+        loads[t as usize] == loads[s as usize] + half
+    };
+    let Some(shape) = &f.tree else {
+        // Streams come fold by fold, a vector a lane.
+        let streams = loads.len() / 2;
+        let matched = f.step == 2 * V && loads.len() % 2 == 0 && (0..streams as u8).all(|s| next(s, s + streams as u8));
+        return if matched { read } else { 0 };
+    };
+    let table = |t: u8| shape.tables[t as usize].0;
+    let mut leaf = |x: u8, y: u8| match (shape.leaves[x as usize], shape.leaves[y as usize]) {
+        (Leaf::Stream(s), Leaf::Stream(t)) => next(s, t),
+        (Leaf::Gather { a, b, table: t }, Leaf::Gather { a: c, b: d, table: u }) => next(a, c) && next(b, d) && table(t) == table(u),
+        (Leaf::Splat(t), Leaf::Splat(u)) => table(t) == table(u),
+        _ => false,
+    };
+    let terms: usize = first.iter().map(|g| g.leaves).sum();
+    let (ops, (x, y)) = (shape.ops.split_at(n), shape.terms.split_at(terms));
+    let matched = ops.0 == ops.1 && x.len() == y.len() && x.iter().zip(y).all(|(x, y)| x.op == y.op && leaf(x.a, y.a) && leaf(x.b, y.b));
+    if matched { read } else { 0 }
 }
 
 /// The folds of a superinstruction, with their store offsets made

@@ -14,28 +14,42 @@
 //! callable from the AVX2 tier, and the closures in a bundle inherit
 //! the features of the function that builds it.
 //!
-//! The AVX2 tier works on 128-bit registers — the engine's vector
-//! shape is V16 — but the runtime `avx2` probe is what guarantees the
-//! SSSE3/SSE4.1 forms it leans on: `palignr` for `vshiftpair`,
-//! `pblendvb` for `vsplice`, dual `pshufb` for `vperm`, `pmulld` and
-//! the full min/max family for arithmetic. The SSE2 tier synthesizes
-//! the same results from the guaranteed baseline: shift as
-//! `psrldq`/`pslldq`/`por`, splice as `pand`/`pandn`/`por`, and a
+//! The engine's vector shape is V16, so the AVX2 tier's generic ops
+//! work on 128-bit registers; the runtime `avx2` probe is what
+//! guarantees the SSSE3/SSE4.1 forms they lean on: `palignr` for
+//! `vshiftpair`, `pblendvb` for `vsplice`, dual `pshufb` for `vperm`,
+//! `pmulld` and the full min/max family for arithmetic. A
+//! superinstruction whose folds split into the unrolled pair's two
+//! halves (`lower` decides it once per bake) runs 256 bits wide instead
+//! ([`avx2_wide`]): both halves of each lane in one `ymm`, since the
+//! second half is the first one source iteration — 16 bytes — on.
+//! A stream's halves load as one `vmovdqu ymm` (a stride-2 pack's,
+//! 32 bytes apart, as a `vmovdqu` and a `vinserti128`), the two stores
+//! are one 32-byte store, and `vpshufb` shuffles — gathers and rotation
+//! shifts, their tables broadcast — work half by half. A rotation
+//! builds each half's previous vector, `[prev_hi | cur_lo]`, with one
+//! `vperm2i128`; a lane partial folds the `ymm` to 128 bits by its
+//! operator before it joins the lane's partial. The SSE2 tier
+//! synthesizes the 128-bit results from the guaranteed baseline: shift
+//! as `psrldq`/`pslldq`/`por`, splice as `pand`/`pandn`/`por`, and a
 //! scalar byte gather for the (rare, strided-only) `vperm`.
 //!
 //! Operation/width pairs with no instruction in a tier fall back to
 //! the [`lanes`] reference loops on register copies — bit-identical by
 //! definition, and only ever hit for combinations the paper's kernels
 //! do not emit in hot loops (64-bit multiply, cross-signedness
-//! min/max on SSE2, …).
+//! min/max on SSE2, …); the wide form runs those half by half.
 //!
 //! This module is the only place in the crate allowed to use
 //! `unsafe`; every block is a load/store intrinsic on an
 //! exactly-16-byte array or a feature-checked tier entry. The strip
 //! driver hands those arrays out of bounds-checked slices of the
-//! image, so no access here can leave it.
+//! image, so no access here can leave it. The wide form needs no
+//! block of its own: LLVM merges its two 16-byte loads of adjacent
+//! vectors, and its two stores into one 32-byte array, into single
+//! `vmovdqu ymm`s.
 
-use super::strip::{self, Lanes, Program, Super, Tier};
+use super::strip::{self, FoldLanes, Lanes, Program, Super, Tier, Wide};
 use super::IsaLevel;
 use crate::lanes::{self, Reg};
 use core::arch::x86_64::*;
@@ -72,10 +86,16 @@ fn fold_sse2(f: &Super, k0: i64, len: usize, elem: ScalarType, regs: &[Cell<__m1
     strip::fold::<_, false>(sse2(), f, k0, len, elem, regs, mem)
 }
 
+/// A paired superinstruction runs both halves of each lane in one
+/// `ymm` ([`avx2_wide`]); any other keeps one `xmm` per lane.
 #[inline(never)]
 #[target_feature(enable = "ssse3,sse4.1,avx2")]
 fn fold_avx2(f: &Super, k0: i64, len: usize, elem: ScalarType, regs: &[Cell<__m128i>], mem: &mut [u8]) {
-    strip::fold::<_, true>(avx2(), f, k0, len, elem, regs, mem)
+    if f.halves != 0 {
+        strip::fold::<_, true>(avx2_wide(), f, k0, len, elem, regs, mem)
+    } else {
+        strip::fold::<_, true>(avx2(), f, k0, len, elem, regs, mem)
+    }
 }
 
 /// The SSE2 tier's operations.
@@ -107,6 +127,33 @@ fn avx2() -> impl Lanes<V = __m128i> {
         bin: |op, elem, a, b| bin_avx2(op, elem, a, b),
         un: |op, elem, a| un_avx2(op, elem, a),
         fold: |f: &Super, k0, len, elem, regs: &[Cell<__m128i>], mem: &mut [u8]| fold_avx2(f, k0, len, elem, regs, mem),
+    }
+}
+
+/// The AVX2 tier's wide form: an unrolled pair's two halves in one
+/// `ymm`, the first half in the lower 128 bits. Two 16-byte loads 16
+/// bytes apart become one `vmovdqu ymm`, the two stores into one
+/// 32-byte array likewise; `vpshufb` already works half by half.
+#[inline]
+#[target_feature(enable = "ssse3,sse4.1,avx2")]
+fn avx2_wide() -> impl FoldLanes<W = __m256i, V = __m128i> {
+    Wide {
+        read: |lo: &Reg, hi: &Reg| _mm256_set_m128i(from_bytes(hi), from_bytes(lo)),
+        splat: |src: &Reg| _mm256_broadcastsi128_si256(from_bytes(src)),
+        write: |v, out: &mut [u8; 32]| {
+            let (lo, hi) = out.split_at_mut(16);
+            lo.copy_from_slice(&to_bytes(_mm256_castsi256_si128(v)));
+            hi.copy_from_slice(&to_bytes(_mm256_extracti128_si256::<1>(v)));
+        },
+        gather: |a, b, lo: &Reg, hi: &Reg| {
+            let table = |t: &Reg| _mm256_broadcastsi128_si256(from_bytes(t));
+            _mm256_or_si256(_mm256_shuffle_epi8(a, table(lo)), _mm256_shuffle_epi8(b, table(hi)))
+        },
+        combine: |op, elem, a, b| bin_wide(op, elem, a, b),
+        prev: |prev, cur| _mm256_permute2x128_si256::<0x21>(prev, cur),
+        lift: |r| _mm256_broadcastsi128_si256(r),
+        halves: |v| (_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v)),
+        bin: |op, elem, a, b| bin_avx2(op, elem, a, b),
     }
 }
 
@@ -254,6 +301,46 @@ fn bin_avx2(op: BinOp, elem: ScalarType, a: __m128i, b: __m128i) -> __m128i {
     }
 }
 
+/// [`bin_avx2`] on both halves at once; what has no 256-bit instruction
+/// (64-bit multiply and min/max, 8-bit multiply) runs half by half.
+#[inline]
+#[target_feature(enable = "ssse3,sse4.1,avx2")]
+fn bin_wide(op: BinOp, elem: ScalarType, a: __m256i, b: __m256i) -> __m256i {
+    let signed = elem.is_signed();
+    match (op, elem.size()) {
+        (BinOp::Add, 1) => _mm256_add_epi8(a, b),
+        (BinOp::Add, 2) => _mm256_add_epi16(a, b),
+        (BinOp::Add, 4) => _mm256_add_epi32(a, b),
+        (BinOp::Add, _) => _mm256_add_epi64(a, b),
+        (BinOp::Sub, 1) => _mm256_sub_epi8(a, b),
+        (BinOp::Sub, 2) => _mm256_sub_epi16(a, b),
+        (BinOp::Sub, 4) => _mm256_sub_epi32(a, b),
+        (BinOp::Sub, _) => _mm256_sub_epi64(a, b),
+        (BinOp::Mul, 2) => _mm256_mullo_epi16(a, b),
+        (BinOp::Mul, 4) => _mm256_mullo_epi32(a, b),
+        (BinOp::And, _) => _mm256_and_si256(a, b),
+        (BinOp::Or, _) => _mm256_or_si256(a, b),
+        (BinOp::Xor, _) => _mm256_xor_si256(a, b),
+        (BinOp::Min, 1) if signed => _mm256_min_epi8(a, b),
+        (BinOp::Min, 1) => _mm256_min_epu8(a, b),
+        (BinOp::Min, 2) if signed => _mm256_min_epi16(a, b),
+        (BinOp::Min, 2) => _mm256_min_epu16(a, b),
+        (BinOp::Min, 4) if signed => _mm256_min_epi32(a, b),
+        (BinOp::Min, 4) => _mm256_min_epu32(a, b),
+        (BinOp::Max, 1) if signed => _mm256_max_epi8(a, b),
+        (BinOp::Max, 1) => _mm256_max_epu8(a, b),
+        (BinOp::Max, 2) if signed => _mm256_max_epi16(a, b),
+        (BinOp::Max, 2) => _mm256_max_epu16(a, b),
+        (BinOp::Max, 4) if signed => _mm256_max_epi32(a, b),
+        (BinOp::Max, 4) => _mm256_max_epu32(a, b),
+        _ => {
+            let half = |v: __m256i| (_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
+            let ((a_lo, a_hi), (b_lo, b_hi)) = (half(a), half(b));
+            _mm256_set_m128i(bin_avx2(op, elem, a_hi, b_hi), bin_avx2(op, elem, a_lo, b_lo))
+        }
+    }
+}
+
 #[inline]
 #[target_feature(enable = "sse2")]
 fn un_sse2(op: UnOp, elem: ScalarType, a: __m128i) -> __m128i {
@@ -350,13 +437,54 @@ mod tests {
         }
     }
 
+    /// Every operation of a tier's wide form against the tier's own
+    /// operation applied to each half.
+    fn check_wide<L: Lanes<V = __m128i>, W: FoldLanes<W = __m256i, V = __m128i>>(l: L, w: W) {
+        let mut rng = SplitMix64::seed_from_u64(0x256);
+        let bytes = |v| {
+            let mut out = [0u8; 16];
+            l.store(v, &mut out);
+            out
+        };
+        let halves = |v| {
+            let mut out = [[0u8; 16]; 2];
+            w.write(v, &mut out);
+            out
+        };
+        for _ in 0..64 {
+            let [a, a2, b, b2, p] = std::array::from_fn(|_| random_reg(&mut rng));
+            assert_eq!(halves(w.read(&[a, a2], 1)), [a, a2], "read");
+            assert_eq!(halves(w.read(&[a, b, a2], 2)), [a, a2], "read 32 bytes apart");
+            assert_eq!(halves(w.splat(&p)), [p, p], "splat");
+            let (x, y) = (w.read(&[a, a2], 1), w.read(&[b, b2], 1));
+            let both = |f: &dyn Fn(Reg, Reg) -> __m128i| [bytes(f(a, b)), bytes(f(a2, b2))];
+            let pattern: [u8; 16] = std::array::from_fn(|_| (rng.next_u64() % 32) as u8);
+            let (lo, hi) = strip::perm_tables(&pattern);
+            let perm = |a, b| l.perm(l.load(&a), l.load(&b), &pattern, &lo, &hi);
+            assert_eq!(halves(w.gather(x, y, &pattern, &lo, &hi)), both(&perm), "gather");
+            assert_eq!(halves(w.prev(x, y)), [a2, b], "prev");
+            assert_eq!(bytes(w.last(x)), a2, "last");
+            assert_eq!(bytes(w.last(w.lift(l.load(&p)))), p, "lift");
+            for ty in simdize_ir::ScalarType::ALL {
+                for op in [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Min, BinOp::Max, BinOp::And, BinOp::Or, BinOp::Xor] {
+                    let bin = |a, b| l.bin(op, ty, l.load(&a), l.load(&b));
+                    assert_eq!(halves(w.combine(op, ty, x, y)), both(&bin), "{op:?} {ty}");
+                    let want = l.bin(op, ty, l.load(&p), l.bin(op, ty, l.load(&a), l.load(&a2)));
+                    assert_eq!(bytes(w.reduce(op, ty, l.load(&p), x)), bytes(want), "reduce {op:?} {ty}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn tier_operations_match_scalar_reference() {
         // SAFETY: SSE2 is architecturally guaranteed on x86_64.
         check(unsafe { sse2() }, "sse2");
         if IsaLevel::Avx2.available() {
             // SAFETY: `available` just confirmed ssse3, sse4.1 and avx2.
-            check(unsafe { avx2() }, "avx2");
+            let (narrow, wide) = unsafe { (avx2(), avx2_wide()) };
+            check(narrow, "avx2");
+            check_wide(narrow, wide);
         }
     }
 }

@@ -91,11 +91,21 @@ pub(crate) struct Point<'a> {
     pub cached: Option<(u64, &'a PredecodedKernel<'a>, &'a KernelCache)>,
 }
 
+/// Why [`compile_variant`] compiled nothing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Skip {
+    /// The configuration does not apply: a compile-time-shift policy
+    /// over runtime alignments (§4.4).
+    Policy,
+    /// The front end refused the variant, for the reason given — a
+    /// strided reference or a reduction target needs a compile-time
+    /// alignment, or a compile-time trip count.
+    Refused(String),
+}
+
 /// Compiles the loop variant a unit proves: alignments per `cfg.mode`,
 /// the given trip form, the unit's reuse/unroll options, plus the
-/// requested mutation. `None` means the configuration does not apply
-/// (e.g. a compile-time-shift policy over runtime alignments, §4.4, or
-/// a runtime trip count on a reduction or strided loop).
+/// requested mutation.
 pub(crate) fn compile_variant(
     base: &LoopProgram,
     cfg: Config,
@@ -103,16 +113,18 @@ pub(crate) fn compile_variant(
     trip: TripCount,
     mutation: Option<MutationKind>,
     shape: VectorShape,
-) -> Option<(SimdProgram, bool)> {
+) -> Result<(SimdProgram, bool), Skip> {
     let src = rebuild(base, aligns, cfg.mode, trip);
-    let graph = ReorgGraph::build(&src, shape).ok()?.with_policy(cfg.policy).ok()?;
+    let refused = |e: &dyn std::fmt::Display| Skip::Refused(e.to_string());
+    let graph = ReorgGraph::build(&src, shape).map_err(|e| refused(&e))?;
+    let graph = graph.with_policy(cfg.policy).map_err(|_| Skip::Policy)?;
     let opts = CodegenOptions::default().reuse(cfg.reuse).unroll(cfg.unroll);
-    let mut prog = generate(&graph, &opts).ok()?;
+    let mut prog = generate(&graph, &opts).map_err(|e| refused(&e))?;
     let mutated = match mutation {
         Some(kind) => mutate::apply(&mut prog, kind),
         None => false,
     };
-    Some((prog, mutated))
+    Ok((prog, mutated))
 }
 
 /// `harness_codegen_equiv`: the generated program, run by the VIR
@@ -233,6 +245,8 @@ fn harness_cache_coherence(p: &mut Point) -> Verdict {
 #[derive(Default)]
 struct UnitOutcome {
     compiled: bool,
+    /// Why the front end refused a variant of the unit, if it did.
+    refused: Option<String>,
     mutated: bool,
     points: u64,
     points_skipped: u64,
@@ -362,11 +376,15 @@ fn run_unit(
     // reduction, a strided loop does not compile), and the known-trip
     // pass below carries the whole proof.
     let mut cache_proved_here = false;
-    let runtime_variant = if trips_ub.is_empty() {
-        None
-    } else {
-        compile_variant(base, cfg, aligns, TripCount::Runtime, opts.mutation, shape)
+    let compile = |unit: &mut Unit, trip| match compile_variant(base, cfg, aligns, trip, opts.mutation, shape) {
+        Ok(variant) => Some(variant),
+        Err(Skip::Refused(why)) => {
+            unit.out.refused.get_or_insert(why);
+            None
+        }
+        Err(Skip::Policy) => None,
     };
+    let runtime_variant = if trips_ub.is_empty() { None } else { compile(&mut unit, TripCount::Runtime) };
     if let Some((prog, mutated)) = runtime_variant {
         unit.out.compiled = true;
         unit.out.mutated = mutated;
@@ -393,8 +411,7 @@ fn run_unit(
             break;
         }
         let known = TripCount::Known(trip);
-        let Some((kprog, kmutated)) = compile_variant(base, cfg, aligns, known, opts.mutation, shape)
-        else {
+        let Some((kprog, kmutated)) = compile(&mut unit, known) else {
             continue;
         };
         unit.out.compiled = true;
@@ -484,6 +501,8 @@ pub fn prove_loop(name: &str, base: &LoopProgram, opts: &VerifyOptions) -> Verif
         configs_enumerated: cfgs.len() as u64,
         units_compiled: 0,
         units_skipped: 0,
+        units_refused: 0,
+        refusals: Vec::new(),
         units_mutated: 0,
         points: 0,
         points_skipped: 0,
@@ -507,10 +526,16 @@ pub fn prove_loop(name: &str, base: &LoopProgram, opts: &VerifyOptions) -> Verif
 
     let mut raw_ces: Vec<RawCe> = Vec::new();
     for (_, u) in &outcomes {
-        if u.compiled {
-            report.units_compiled += 1;
-        } else {
-            report.units_skipped += 1;
+        match (u.compiled, &u.refused) {
+            (true, _) => report.units_compiled += 1,
+            (false, None) => report.units_skipped += 1,
+            (false, Some(why)) => {
+                report.units_refused += 1;
+                match report.refusals.iter_mut().find(|(reason, _)| reason == why) {
+                    Some((_, units)) => *units += 1,
+                    None => report.refusals.push((why.clone(), 1)),
+                }
+            }
         }
         if u.mutated {
             report.units_mutated += 1;

@@ -80,6 +80,12 @@ pub struct VerifyReport {
     pub units_compiled: u64,
     /// Units skipped because the policy does not apply (§4.4).
     pub units_skipped: u64,
+    /// Units no variant of which the front end would compile: a
+    /// strided reference or a reduction target needs a compile-time
+    /// alignment or trip count.
+    pub units_refused: u64,
+    /// Each reason the front end gave, with the units it refused for it.
+    pub refusals: Vec<(String, u64)>,
     /// Units whose generated program received the requested mutation.
     pub units_mutated: u64,
     /// Distinct `(config, aligns, trip, probe)` points evaluated.
@@ -134,11 +140,14 @@ impl VerifyReport {
             self.trip_cap,
             self.configs_enumerated,
         );
+        let reasons: Vec<&str> = self.refusals.iter().map(|(why, _)| why.as_str()).collect();
         let _ = writeln!(
             out,
-            "  units: {} compiled, {} skipped (inapplicable policy), {} mutated; {} alignment vectors{}",
+            "  units: {} compiled, {} skipped (inapplicable policy), {} refused by codegen{}, {} mutated; {} alignment vectors{}",
             self.units_compiled,
             self.units_skipped,
+            self.units_refused,
+            if reasons.is_empty() { String::new() } else { format!(" ({})", reasons.join("; ")) },
             self.units_mutated,
             self.align_vectors,
             if self.align_capped { " (sampled)" } else { "" },
@@ -218,7 +227,7 @@ impl VerifyReport {
             "{{\"schema\":\"{}\",\"loop\":\"{}\",\"proved\":{},\"quick\":{},\
              \"trip_bound\":{},\"trip_cap\":{},\
              \"alignments\":{{\"candidates\":{},\"realizable\":{},\"streams\":{},\"vectors\":{},\"capped\":{}}},\
-             \"units\":{{\"configs\":{},\"compiled\":{},\"skipped\":{},\"mutated\":{}}},\
+             \"units\":{{\"configs\":{},\"compiled\":{},\"skipped\":{},\"refused\":{},\"mutated\":{}}},\
              \"runs\":{{\"points\":{},\"points_skipped\":{},\"executed\":{},\"budget\":{},\"budget_exhausted\":{}}},\
              \"harnesses\":[",
             Self::SCHEMA,
@@ -235,6 +244,7 @@ impl VerifyReport {
             self.configs_enumerated,
             self.units_compiled,
             self.units_skipped,
+            self.units_refused,
             self.units_mutated,
             self.points,
             self.points_skipped,
@@ -314,6 +324,8 @@ mod tests {
             configs_enumerated: 30,
             units_compiled: 1920,
             units_skipped: 0,
+            units_refused: 0,
+            refusals: Vec::new(),
             units_mutated: 0,
             points: 100,
             points_skipped: 0,

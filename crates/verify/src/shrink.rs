@@ -38,7 +38,7 @@ fn fails(
         TripStyle::RuntimeUb => TripCount::Runtime,
         TripStyle::KnownTrip => TripCount::Known(trip),
     };
-    let Some((prog, _)) = compile_variant(base, cfg, aligns, tripc, opts.mutation, shape) else {
+    let Ok((prog, _)) = compile_variant(base, cfg, aligns, tripc, opts.mutation, shape) else {
         return false;
     };
     let src = prog.source().clone();

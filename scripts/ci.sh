@@ -88,12 +88,17 @@ echo "== engine tier matrix, forced to the SSE2 and scalar tiers =="
 # generic strip driver, so each forced run is that driver at another
 # instantiation. The carried-register strip-boundary matrix (rotations'
 # seed lanes, reductions' partial-accumulator fill and fold) lives in
-# simd_native too, so both runs pick it up unchanged. (The override
-# can only lower the tier, so this is safe on any host.)
+# simd_native too, so both runs pick it up unchanged. On an AVX2 host
+# the AVX2 tier runs every paired superinstruction (an unrolled pair's
+# two halves) 256 bits wide, so these two forced runs are the only ones
+# that dispatch the 128-bit lane loops on paired superinstructions.
+# (The override can only lower the tier, so this is safe on any host.)
 SIMDIZE_ISA=sse2 cargo test -q --release --offline --test simd_native
 SIMDIZE_ISA=scalar cargo test -q --release --offline --test simd_native
 
 echo "== unsafe sites in the engine (x86: 4 + 2 in tests) =="
+# The AVX2 tier's 256-bit form adds none: LLVM merges its 16-byte loads
+# and stores of adjacent vectors into single vmovdqu ymm.
 [ "$(grep -rc 'unsafe {' crates/engine/src | grep -v ':0$' | sort | tr '\n' ' ')" = "crates/engine/src/native/x86.rs:6 " ] \
     || { echo "the engine's unsafe sites changed" >&2; exit 1; }
 
