@@ -60,4 +60,4 @@ mod server;
 #[allow(unsafe_code)]
 pub mod signal;
 
-pub use server::{ServeSummary, Server, ServerConfig, MAX_SOURCE_BYTES, WRITE_TIMEOUT};
+pub use server::{ServeSummary, Server, ServerConfig, MAX_LINE, MAX_SOURCE_BYTES, WRITE_TIMEOUT};

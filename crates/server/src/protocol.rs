@@ -195,7 +195,7 @@ fn get_u64(obj: &Json, key: &str, id: Option<u64>) -> Result<Option<u64>, WireEr
 /// JSON, a missing/unsupported version, an unknown command, or a
 /// malformed payload.
 pub fn parse_request(line: &str) -> Result<Request, WireError> {
-    let doc = json::parse(line).map_err(|e| WireError::new(None, format!("bad JSON: {e}")))?;
+    let mut doc = json::parse(line).map_err(|e| WireError::new(None, format!("bad JSON: {e}")))?;
     let id = get_u64(&doc, "id", None)?;
     let v = get_u64(&doc, "v", id)?
         .ok_or_else(|| WireError::new(id, "missing protocol version `v`"))?;
@@ -215,13 +215,13 @@ pub fn parse_request(line: &str) -> Result<Request, WireError> {
         "stats" => Command::Stats,
         "dump" => Command::Dump,
         "shutdown" => Command::Shutdown,
-        "compile" => Command::Compile(parse_exec(&doc, id)?),
-        "analyze" => Command::Analyze(parse_exec(&doc, id)?),
-        "run" => Command::Run(parse_exec(&doc, id)?),
-        "sweep" => Command::Sweep(parse_exec(&doc, id)?),
-        "explain" => Command::Explain(parse_exec(&doc, id)?),
-        "verify" => Command::Verify(parse_exec(&doc, id)?),
-        "trace" => Command::Trace(parse_exec(&doc, id)?),
+        "compile" => Command::Compile(parse_exec(&mut doc, id)?),
+        "analyze" => Command::Analyze(parse_exec(&mut doc, id)?),
+        "run" => Command::Run(parse_exec(&mut doc, id)?),
+        "sweep" => Command::Sweep(parse_exec(&mut doc, id)?),
+        "explain" => Command::Explain(parse_exec(&mut doc, id)?),
+        "verify" => Command::Verify(parse_exec(&mut doc, id)?),
+        "trace" => Command::Trace(parse_exec(&mut doc, id)?),
         other => {
             return Err(WireError::new(
                 Some(id),
@@ -234,12 +234,21 @@ pub fn parse_request(line: &str) -> Result<Request, WireError> {
     Ok(Request { id, cmd })
 }
 
-fn parse_exec(doc: &Json, id: u64) -> Result<ExecRequest, WireError> {
-    let source = doc
-        .get("source")
-        .and_then(Json::as_str)
-        .ok_or_else(|| WireError::new(Some(id), "missing `source` (inline loop text)"))?
-        .to_string();
+/// Moves the string member `key` out of `obj` (leaving it empty), so a
+/// large one is not copied.
+fn take_str(obj: &mut Json, key: &str) -> Option<String> {
+    let Json::Obj(members) = obj else {
+        return None;
+    };
+    match &mut members.iter_mut().find(|(k, _)| k == key)?.1 {
+        Json::Str(s) => Some(std::mem::take(s)),
+        _ => None,
+    }
+}
+
+fn parse_exec(doc: &mut Json, id: u64) -> Result<ExecRequest, WireError> {
+    let source = take_str(doc, "source")
+        .ok_or_else(|| WireError::new(Some(id), "missing `source` (inline loop text)"))?;
     let policy = match doc.get("policy").and_then(Json::as_str) {
         None => None,
         Some("zero") => Some(Policy::Zero),

@@ -59,7 +59,7 @@ use std::time::{Duration, Instant};
 
 /// The longest request line a connection buffers, and the most a
 /// `/metrics` connection reads (request line plus header block).
-const MAX_LINE: usize = 1 << 20;
+pub const MAX_LINE: usize = 1 << 20;
 
 /// The most array bytes a request's source may declare. A `run` builds
 /// a memory image of that size (a sweep one per job), so a source past
@@ -520,12 +520,11 @@ fn connection_loop(stream: TcpStream, shared: &Shared, conn_id: u64) {
         if line.trim().is_empty() {
             continue;
         }
-        let response = handle_line(&line, shared, conn_id);
-        if writer
-            .write_all(response.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .is_err()
-        {
+        // One write per reply: under `TCP_NODELAY` the body and its
+        // newline written apart go out as two segments.
+        let mut response = handle_line(&line, shared, conn_id);
+        response.push('\n');
+        if writer.write_all(response.as_bytes()).is_err() {
             return;
         }
         if line.len() > MAX_LINE || shared.stopping() {

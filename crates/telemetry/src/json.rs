@@ -82,7 +82,7 @@ impl std::error::Error for JsonError {}
 /// Parses one complete JSON document; trailing content is an error.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let bytes = text.as_bytes();
-    let mut p = Parser { bytes, at: 0 };
+    let mut p = Parser { text, bytes, at: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -93,6 +93,7 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     at: usize,
 }
@@ -201,53 +202,52 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.at += 1;
-                    return Ok(out);
+            // Copy the run up to the next quote or backslash in one
+            // piece. Both delimiters are ASCII, so the run starts and
+            // ends on character boundaries of the (valid UTF-8) text:
+            // one scan per byte, however long the string.
+            let Some(run) = self.bytes[self.at..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+            else {
+                self.at = self.bytes.len();
+                return Err(self.err("unterminated string"));
+            };
+            out.push_str(&self.text[self.at..self.at + run]);
+            self.at += run;
+            if self.bytes[self.at] == b'"' {
+                self.at += 1;
+                return Ok(out);
+            }
+            self.at += 1;
+            let esc = self.peek().ok_or_else(|| self.err("bad escape"))?;
+            self.at += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let hex = self
+                        .bytes
+                        .get(self.at..self.at + 4)
+                        .and_then(|h| std::str::from_utf8(h).ok())
+                        .ok_or_else(|| self.err("bad \\u escape"))?;
+                    let code =
+                        u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
+                    self.at += 4;
+                    // Surrogates would need pairing; the bench
+                    // schemas never emit them, so reject.
+                    out.push(
+                        char::from_u32(code)
+                            .ok_or_else(|| self.err("unsupported \\u surrogate"))?,
+                    );
                 }
-                Some(b'\\') => {
-                    self.at += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("bad escape"))?;
-                    self.at += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.at..self.at + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.at += 4;
-                            // Surrogates would need pairing; the bench
-                            // schemas never emit them, so reject.
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("unsupported \\u surrogate"))?,
-                            );
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar, not one byte.
-                    let rest = &self.bytes[self.at..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let ch = s.chars().next().expect("peeked nonempty");
-                    out.push(ch);
-                    self.at += ch.len_utf8();
-                }
+                _ => return Err(self.err("unknown escape")),
             }
         }
     }
@@ -361,5 +361,37 @@ mod tests {
     #[test]
     fn escape_covers_controls() {
         assert_eq!(escape("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
+    }
+
+    #[test]
+    fn a_long_string_round_trips_through_escape_and_parse() {
+        // Runs of plain text of every length up to 300 between every
+        // control character (each becomes `\n`, `\r`, `\t` or `\u00XX`),
+        // quotes, backslashes and 2-, 3- and 4-byte UTF-8.
+        let specials: Vec<char> = (0..0x20u8)
+            .map(char::from)
+            .chain(['"', '\\', '/', 'µ', '€', '𝄞', '\u{7f}'])
+            .collect();
+        let mut s = String::new();
+        for k in 0..3000 {
+            s.extend(std::iter::repeat_n('a', k % 301));
+            s.push(specials[k % specials.len()]);
+            s.push_str("é—");
+        }
+        assert!(s.len() > 400_000);
+        let doc = format!("{{\"s\":\"{}\"}}", escape(&s));
+        assert_eq!(
+            parse(&doc).unwrap().get("s").and_then(Json::as_str),
+            Some(s.as_str())
+        );
+        // The escapes `escape` never writes, and an escaped non-ASCII
+        // character next to a literal one.
+        assert_eq!(
+            parse(r#""\b\f\/\u00e9é\u20AC€\"""#).unwrap(),
+            Json::Str("\u{8}\u{c}/éé€€\"".to_string())
+        );
+        for bad in [r#""\u12""#, r#""\x""#, r#""\ud800""#, "\"abc\\", "\"abc"] {
+            assert!(parse(bad).is_err(), "accepted {bad:?}");
+        }
     }
 }

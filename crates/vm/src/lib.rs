@@ -67,7 +67,7 @@ pub use diff::{run_differential, DiffConfig, DiffOutcome};
 pub use error::{ExecError, VerifyError};
 pub use interp::{run_simd, runtime_expr_count, RunInput};
 pub use memory::MemoryImage;
-pub use scalar::{run_scalar, scalar_ideal_ops};
+pub use scalar::{run_scalar, scalar_ideal_ops, ORACLE_COLUMN};
 pub use stats::{
     RunStats, CALL_OVERHEAD, LOOP_OVERHEAD_PER_ITERATION, RUNTIME_SETUP_PER_EXPR,
     UNALIGNED_MEM_COST,

@@ -96,14 +96,20 @@ impl MemoryImage {
     /// the element is the draw's low `D` bytes, little-endian — what
     /// `Value::from_i64(elem, draw)` holds. Each array's elements are
     /// contiguous, so the fill is one pass over its byte range with no
-    /// per-element address arithmetic, bounds check or allocation.
+    /// per-element address arithmetic, bounds check or allocation, and
+    /// the element width is matched once per array: the pass writes
+    /// fixed `D`-byte chunks.
     pub fn fill_random(&mut self, seed: u64) {
         let mut rng = SplitMix64::seed_from_u64(seed | 1);
         let d = self.elem.size();
         for (&base, &len) in self.bases.iter().zip(&self.lens) {
             let at = base as usize;
-            for elem in self.bytes[at..at + len as usize * d].chunks_exact_mut(d) {
-                elem.copy_from_slice(&rng.next_u64().to_le_bytes()[..d]);
+            let array = &mut self.bytes[at..at + len as usize * d];
+            match d {
+                1 => fill::<1>(array, &mut rng),
+                2 => fill::<2>(array, &mut rng),
+                4 => fill::<4>(array, &mut rng),
+                _ => fill::<8>(array, &mut rng),
             }
         }
     }
@@ -296,6 +302,14 @@ impl MemoryImage {
                     None
                 }
             })
+    }
+}
+
+/// Writes the low `D` bytes of one draw into each `D`-byte element of
+/// `bytes`, in order.
+fn fill<const D: usize>(bytes: &mut [u8], rng: &mut SplitMix64) {
+    for elem in bytes.as_chunks_mut::<D>().0 {
+        elem.copy_from_slice(&rng.next_u64().to_le_bytes()[..D]);
     }
 }
 

@@ -6,19 +6,26 @@
 //! the vector interpreter or `simdize-engine`: the only things it
 //! trusts are the loop's own statements and the lane semantics that
 //! live next to [`Value`] in `simdize-ir`. It has two walks over the
-//! same iteration space, both strictly element by element in iteration
-//! and statement order:
+//! same iteration space:
 //!
 //! * the **typed loop** — every reference is affine in `i` with a
 //!   positive stride, so its first and last index decide whether *any*
 //!   iteration leaves its array. When none does, the loop runs
-//!   monomorphised on the element's native integer type ([`Lane`]):
-//!   each statement is flattened once to postfix steps whose loads
-//!   carry a precomputed byte base and byte stride, and an element
-//!   costs a handful of wrapping machine operations with no `Result`,
-//!   no width dispatch and no allocation;
+//!   monomorphised on the element's native integer type ([`Lane`]),
+//!   one statement at a time and [`ORACLE_COLUMN`] iterations at a
+//!   time: each statement is flattened once to postfix steps whose
+//!   loads carry a precomputed byte base and byte stride, each step is
+//!   one lane loop over a column of iterations with its operator
+//!   matched once per column, and a reduction folds its column in
+//!   iteration order — no `Result`, no width dispatch and no
+//!   allocation per element. Running statement by statement writes the
+//!   bytes the source order does because every program is validated:
+//!   no two statements store to one array and no statement loads an
+//!   array that any statement stores, so no statement sees another's
+//!   writes;
 //! * the **checked walk** — the tree walk over [`Value`] that checks
-//!   every access. It runs whenever the up-front check fails, from the
+//!   every access, element by element in iteration and statement
+//!   order. It runs whenever the up-front check fails, from the
 //!   untouched image, so the error, the faulting iteration and the
 //!   partial writes before it are exactly what they always were — and
 //!   it is the in-tree reference the typed loop is tested against.
@@ -29,8 +36,9 @@ use simdize_ir::{
     ArrayRef, BinOp, Expr, Invariant, Lane, LoopProgram, ScalarType, Stmt, UnOp, Value,
 };
 
-/// Executes `program` element by element, exactly as the original
-/// scalar loop would, for `ub` iterations.
+/// Executes `program` for `ub` iterations with scalar lane
+/// operations, writing exactly the bytes the original scalar loop
+/// would (and, on a fault, exactly the writes before it).
 ///
 /// Returns the number of *ideal* scalar instructions executed: one per
 /// load, lane operation and store — the paper's "idealistic scalar
@@ -122,13 +130,75 @@ struct Flat<T> {
     reduction: Option<BinOp>,
 }
 
-/// The typed loop. [`never_faults`] has shown that no access of the
-/// `ub` iterations leaves its array, so the slice indexing below
-/// cannot fail. It is still bounds-checked against the image: a wrong
-/// pre-check could at worst reach a neighbouring array's bytes — which
-/// the comparison against the checked walk would show — never memory
-/// outside the image.
+/// Evaluates `$body` with `$op` bound to the constant `BinOp` that
+/// `$value` holds, so `$value` is matched once and `$body` is compiled
+/// once per operator.
+macro_rules! each_binop {
+    ($value:expr, $op:ident => $body:expr) => {
+        match $value {
+            BinOp::Add => {
+                const $op: BinOp = BinOp::Add;
+                $body
+            }
+            BinOp::Sub => {
+                const $op: BinOp = BinOp::Sub;
+                $body
+            }
+            BinOp::Mul => {
+                const $op: BinOp = BinOp::Mul;
+                $body
+            }
+            BinOp::Min => {
+                const $op: BinOp = BinOp::Min;
+                $body
+            }
+            BinOp::Max => {
+                const $op: BinOp = BinOp::Max;
+                $body
+            }
+            BinOp::And => {
+                const $op: BinOp = BinOp::And;
+                $body
+            }
+            BinOp::Or => {
+                const $op: BinOp = BinOp::Or;
+                $body
+            }
+            BinOp::Xor => {
+                const $op: BinOp = BinOp::Xor;
+                $body
+            }
+        }
+    };
+}
+
+/// Iterations per column of the typed loop: each postfix step runs
+/// over this many consecutive iterations at once.
+pub const ORACLE_COLUMN: usize = 64;
+
+/// The typed loop, one statement at a time, [`ORACLE_COLUMN`]
+/// iterations at a time: each postfix step is one lane loop over a
+/// column of the value stack, its operator matched once per column; a
+/// store writes its column in iteration order and a reduction folds it
+/// in iteration order. Statement-major order writes the bytes
+/// iteration order does because [`LoopProgram::validate`] holds for
+/// every program: no two statements store to one array
+/// (`DuplicateStore`) and no statement loads an array any statement
+/// stores (`StoreLoadOverlap`), so a statement's loads read bytes no
+/// statement writes, and its stores (or its reduction's
+/// read-modify-writes) touch bytes no other statement touches.
+///
+/// [`never_faults`] has shown that no access of the `ub` iterations
+/// leaves its array, so the slice indexing below cannot fail. It is
+/// still bounds-checked against the image: a wrong pre-check could at
+/// worst reach a neighbouring array's bytes — which the comparison
+/// against the checked walk would show — never memory outside the
+/// image.
 fn run_typed<T: Lane>(program: &LoopProgram, image: &mut MemoryImage, ub: u64, params: &[i64]) {
+    debug_assert!(
+        program.validate().is_ok(),
+        "the oracle runs validated programs"
+    );
     let d = T::TYPE.size();
     let byte_at = |r: ArrayRef| image.base_of(r.array) as usize + r.offset as usize * d;
     let mut depth = 0;
@@ -146,35 +216,69 @@ fn run_typed<T: Lane>(program: &LoopProgram, image: &mut MemoryImage, ub: u64, p
             }
         })
         .collect();
-    let mut stack = vec![T::from_i64(0); depth];
+    let mut stack = vec![[T::from_i64(0); ORACLE_COLUMN]; depth];
     let bytes = image.bytes_mut();
-    for i in 0..ub as usize {
-        for stmt in &stmts {
+    let ub = ub as usize;
+    for stmt in &stmts {
+        for first in (0..ub).step_by(ORACLE_COLUMN) {
+            let n = ORACLE_COLUMN.min(ub - first);
             let mut sp = 0;
             for step in &stmt.steps {
                 match *step {
                     Step::Load { at, stride } => {
-                        stack[sp] = T::read_le(&bytes[at + i * stride..]);
+                        let at = at + first * stride;
+                        for (k, lane) in stack[sp][..n].iter_mut().enumerate() {
+                            *lane = T::read_le(&bytes[at + k * stride..]);
+                        }
                         sp += 1;
                     }
                     Step::Splat(v) => {
-                        stack[sp] = v;
+                        stack[sp][..n].fill(v);
                         sp += 1;
                     }
                     Step::Bin(op) => {
                         sp -= 1;
-                        stack[sp - 1] = stack[sp - 1].binary(op, stack[sp]);
+                        let (lhs, rhs) = stack.split_at_mut(sp);
+                        binary_column(op, &mut lhs[sp - 1][..n], &rhs[0][..n]);
                     }
-                    Step::Un(op) => stack[sp - 1] = stack[sp - 1].unary(op),
+                    Step::Un(op) => unary_column(op, &mut stack[sp - 1][..n]),
                 }
             }
-            let at = stmt.at + i * stmt.stride;
-            let value = match stmt.reduction {
-                Some(op) => T::read_le(&bytes[at..]).binary(op, stack[0]),
-                None => stack[0],
-            };
-            value.write_le(&mut bytes[at..]);
+            let column = &stack[0][..n];
+            match stmt.reduction {
+                Some(op) => {
+                    let acc = T::read_le(&bytes[stmt.at..]);
+                    each_binop!(op, OP => column
+                        .iter()
+                        .fold(acc, |acc, &v| acc.binary(OP, v))
+                        .write_le(&mut bytes[stmt.at..]));
+                }
+                None => {
+                    let at = stmt.at + first * stmt.stride;
+                    for (k, v) in column.iter().enumerate() {
+                        v.write_le(&mut bytes[at + k * stmt.stride..]);
+                    }
+                }
+            }
         }
+    }
+}
+
+/// `lhs[k] = op(lhs[k], rhs[k])` for every lane of a column.
+fn binary_column<T: Lane>(op: BinOp, lhs: &mut [T], rhs: &[T]) {
+    each_binop!(op, OP => {
+        for (a, &b) in lhs.iter_mut().zip(rhs) {
+            *a = a.binary(OP, b);
+        }
+    });
+}
+
+/// `lanes[k] = op(lanes[k])` for every lane of a column.
+fn unary_column<T: Lane>(op: UnOp, lanes: &mut [T]) {
+    match op {
+        UnOp::Neg => lanes.iter_mut().for_each(|a| *a = a.unary(UnOp::Neg)),
+        UnOp::Not => lanes.iter_mut().for_each(|a| *a = a.unary(UnOp::Not)),
+        UnOp::Abs => lanes.iter_mut().for_each(|a| *a = a.unary(UnOp::Abs)),
     }
 }
 
@@ -355,8 +459,9 @@ mod tests {
 
     /// The loops of `loops/` plus one per feature the typed loop
     /// flattens: strides 2 and 4, a reduction, parameters, constants,
-    /// every unary operator, several statements, 1- and 8-byte lanes.
-    const CORPUS: [&str; 9] = [
+    /// every unary operator, several statements, 1- and 8-byte lanes;
+    /// and a strided reduction long enough for several columns.
+    const CORPUS: [&str; 10] = [
         include_str!("../../../loops/figure1.loop"),
         include_str!("../../../loops/runtime.loop"),
         include_str!("../../../loops/dot_product.loop"),
@@ -372,6 +477,9 @@ mod tests {
          for i in 0..ub { p[i+3] = max(q[4*i+1], r[i]) | a; s[i] = (r[i+2] & b) + 65535; }",
         "arrays { t: i8[50] @ 5; u: i8[50] @ 9; }
          for i in 0..ub { t[i] = abs(-u[i]) - 128; }",
+        "arrays { s: i16[4] @ 0; w: i16[700] @ 6; v: i16[1000] @ ?; }
+         params { a; }
+         for i in 0..ub { s[i+1] += w[2*i+3] * a; v[i+5] = max(-w[3*i], a) ^ 7; }",
     ];
 
     #[test]
@@ -379,9 +487,19 @@ mod tests {
         for (k, src) in CORPUS.iter().enumerate() {
             let p = parse_program(src).unwrap();
             let params = [-3, 0x1_2345_6789];
+            let image = MemoryImage::with_seed(&p, VectorShape::V16, 0);
+            let safe = (1..).take_while(|&ub| never_faults(&p, &image, ub)).last();
+            let column = ORACLE_COLUMN as u64;
+            let columns = [column - 1, column, column + 1, 2 * column + 1]
+                .map(|ub| ub.min(safe.unwrap_or(0)));
             // Past every array of the corpus, so each loop faults
-            // somewhere in the sweep and completes before it.
-            for ub in (0..=70).chain([257, 4000, u64::MAX / 2, u64::MAX]) {
+            // somewhere in the sweep and completes before it; and
+            // either side of the column boundaries it completes at.
+            assert!(k < 9 || safe > Some(2 * column), "loop {k} is short");
+            for ub in (0..=70)
+                .chain([257, 4000, u64::MAX / 2, u64::MAX])
+                .chain(columns)
+            {
                 let pristine = MemoryImage::with_seed(&p, VectorShape::V16, ub ^ 5);
                 let (mut fast, mut slow) = (pristine.clone(), pristine);
                 let got = run_scalar(&p, &mut fast, ub, &params);

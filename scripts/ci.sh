@@ -51,15 +51,19 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 echo "== test (tier-1: root package) =="
 cargo test -q --offline
 
-echo "== test (engine, reorg, codegen, verify and explain crates, debug) =="
+echo "== test (engine, reorg, codegen, verify, explain, vm, telemetry and server crates, debug) =="
 # Tier-1 tests the root package only, and the release run below has
 # debug assertions off: this is where these crates' own unit tests run
 # with the debug-only reference checks on — the engine's (trace fusion,
 # lowering, the strip driver; the dense loop-entry fixpoint every
-# sparse one is compared with) and the generator's (every emitted
-# program already numbered, every pass's output well formed).
+# sparse one is compared with), the generator's (every emitted
+# program already numbered, every pass's output well formed) and the
+# vm's (the column oracle's statement-independence assertion) — and
+# the only place the vm's typed-loop-versus-checked-walk comparisons,
+# the JSON parser's tests and the wire protocol's tests run at all.
 cargo test -q --offline -p simdize-engine -p simdize-reorg -p simdize-codegen \
-    -p simdize-verify -p simdize-explain
+    -p simdize-verify -p simdize-explain -p simdize-vm -p simdize-telemetry \
+    -p simdize-server
 
 echo "== test (release, workspace) =="
 # Also the second profile for two root tests the tier-1 run above just

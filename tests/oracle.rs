@@ -1,13 +1,16 @@
 //! The data path every `verified` rests on, pinned from outside the
 //! crates: the seeded memory image and the scalar oracle.
 //!
-//! `MemoryImage::with_seed` fills arrays in bulk and `run_scalar` runs
-//! a typed loop whenever an up-front bounds check shows no access can
-//! fault. Neither may change a byte: image contents are pinned by
-//! digests recorded before the bulk fill existed, and the oracle is
-//! compared — result, error and image bytes after a fault — against a
-//! reference walk written here over `Value`, one checked access at a
-//! time. (`crates/vm` runs the same comparisons against its own
+//! `MemoryImage::with_seed` fills arrays in bulk, one fixed-width pass
+//! per array, and `run_scalar` runs a typed loop — statement by
+//! statement, `ORACLE_COLUMN` iterations at a time — whenever an
+//! up-front bounds check shows no access can fault. Neither may change
+//! a byte: image contents are pinned by digests recorded before the
+//! bulk fill existed, and the oracle is compared — result, error and
+//! image bytes after a fault — against a reference walk written here
+//! over `Value`, one checked access at a time in iteration order, at
+//! trip counts either side of every bound and of the column
+//! boundaries. (`crates/vm` runs the same comparisons against its own
 //! checked walk.)
 
 use simdize::{
@@ -17,6 +20,7 @@ use simdize::{
 };
 use simdize_prng::SplitMix64;
 use simdize_suite::sample_loops;
+use simdize_vm::ORACLE_COLUMN;
 
 const SHAPE: VectorShape = VectorShape::V16;
 
@@ -189,10 +193,11 @@ fn corpus() -> Vec<(String, LoopProgram)> {
         // constant and every unary operator in the expressions.
         let elem = ScalarType::ALL[k];
         let mut b = LoopBuilder::new(elem);
+        // Long enough for several oracle columns.
         let acc = b.array("acc", 8, 0);
-        let x = b.array("x", 70, elem.size() as u32);
-        let y = b.array_runtime_align("y", 150);
-        let out_arr = b.array("o", 300, 0);
+        let x = b.array("x", 300, elem.size() as u32);
+        let y = b.array_runtime_align("y", 600);
+        let out_arr = b.array("o", 1200, 0);
         let gain = b.param("gain");
         b.reduce(
             acc.at(3),
@@ -231,12 +236,19 @@ fn last_safe_trip(program: &LoopProgram) -> u64 {
 #[test]
 fn typed_oracle_matches_the_checked_walk_at_every_trip_count() {
     let (mut completed, mut faulted) = (0, 0);
+    // Element types, reductions and strided statements run past two
+    // whole columns.
+    let (mut long_types, mut long_reductions, mut long_strided) = (Vec::new(), 0, 0);
     for (name, program) in corpus() {
         let safe = last_safe_trip(&program);
         let shortest = program.arrays().iter().map(|a| a.len()).min().unwrap();
         let params: Vec<i64> = (0..program.params().len() as i64)
             .map(|k| 3 - 5 * k)
             .collect();
+        // Either side of the oracle's column boundaries, where the
+        // loop still completes.
+        let column = ORACLE_COLUMN as u64;
+        let columns = [column - 1, column, column + 1, 2 * column + 1].map(|ub| ub.min(safe));
         for ub in [
             0,
             1,
@@ -246,7 +258,10 @@ fn typed_oracle_matches_the_checked_walk_at_every_trip_count() {
             shortest,
             1000 * safe + 7,
             u64::MAX,
-        ] {
+        ]
+        .into_iter()
+        .chain(columns)
+        {
             for seed in [1, 6] {
                 let pristine = MemoryImage::with_seed(&program, SHAPE, seed);
                 let (mut fast, mut slow) = (pristine.clone(), pristine.clone());
@@ -259,7 +274,18 @@ fn typed_oracle_matches_the_checked_walk_at_every_trip_count() {
                     "{name} ub {ub} seed {seed}: image bytes differ after {got:?}"
                 );
                 match got {
-                    Ok(_) => completed += 1,
+                    Ok(_) => {
+                        completed += 1;
+                        if ub > 2 * column {
+                            long_types.push(program.elem());
+                            let stmts = program.stmts();
+                            long_reductions += stmts.iter().filter(|s| s.is_reduction()).count();
+                            long_strided += stmts
+                                .iter()
+                                .filter(|s| s.refs().iter().any(|r| r.stride > 1))
+                                .count();
+                        }
+                    }
                     // Count the faults that left partial writes behind:
                     // those are the bytes the comparison above is for.
                     Err(_) => faulted += usize::from(fast != pristine),
@@ -268,6 +294,13 @@ fn typed_oracle_matches_the_checked_walk_at_every_trip_count() {
         }
     }
     assert!(completed > 100 && faulted > 100, "{completed} / {faulted}");
+    for ty in ScalarType::ALL {
+        assert!(
+            long_types.contains(&ty),
+            "no {ty} loop ran past two columns"
+        );
+    }
+    assert!(long_reductions > 0 && long_strided > 0);
 }
 
 #[test]

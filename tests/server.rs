@@ -205,6 +205,38 @@ fn an_oversized_source_is_refused_and_the_server_keeps_serving() {
     harness.shutdown();
 }
 
+/// Reading a request costs time linear in its length: a `compile` line
+/// just under `MAX_LINE`, its source mixing plain runs, escapes and
+/// multi-byte UTF-8, is answered well inside a bound a debug build
+/// meets. (A string scan that re-validated the rest of the line per
+/// character took seconds for this in release.)
+#[test]
+fn a_line_just_under_the_cap_is_parsed_in_linear_time() {
+    let harness = Harness::start(ServerConfig::default());
+    let mut client = harness.client();
+    let head = r#"{"v":1,"id":7,"cmd":"compile","source":"#;
+    let unit = inline("? a[i] = b[i]; \"µs\" → 𝄞\t\n");
+    let room = simdize_server::MAX_LINE - head.len() - 4;
+    let mut source = unit.repeat(room / unit.len());
+    source.push_str(&"x".repeat(room - source.len()));
+    let request = format!("{head}\"{source}\"}}");
+    assert_eq!(request.len() + 1, simdize_server::MAX_LINE);
+    let started = std::time::Instant::now();
+    let response = client.roundtrip(&request);
+    let elapsed = started.elapsed();
+    let doc = json::parse(&response).unwrap_or_else(|e| panic!("{response}: {e}"));
+    assert_eq!(
+        doc.get("id").and_then(Json::as_f64),
+        Some(7.0),
+        "{response}"
+    );
+    assert_eq!(doc.get("ok"), Some(&Json::Bool(false)), "{response}");
+    assert!(elapsed < Duration::from_secs(3), "answered in {elapsed:?}");
+    let pong = client.roundtrip(r#"{"v":1,"id":8,"cmd":"ping"}"#);
+    assert!(pong.contains("\"pong\":true"), "{pong}");
+    harness.shutdown();
+}
+
 /// `stats` reports latency percentiles from the telemetry histograms
 /// plus the shared cache's counters, and repeated identical `run`
 /// requests hit the cache.
