@@ -65,7 +65,6 @@ pub struct CodegenOptions {
     reuse: ReuseMode,
     memnorm: bool,
     unroll: bool,
-    analyze: bool,
 }
 
 impl Default for CodegenOptions {
@@ -74,7 +73,6 @@ impl Default for CodegenOptions {
             reuse: ReuseMode::None,
             memnorm: true,
             unroll: true,
-            analyze: false,
         }
     }
 }
@@ -106,17 +104,6 @@ impl CodegenOptions {
         self
     }
 
-    /// Enables or disables the post-codegen static analysis gate: when
-    /// on, the pipeline driver runs `simdize-analysis` over the final
-    /// program and rejects it on any deny-level finding. (The flag
-    /// lives here so it travels with the other generation options; the
-    /// gate itself is enforced by the `simdize` facade, which owns the
-    /// dependency on the analysis crate.)
-    pub fn analyze(mut self, on: bool) -> CodegenOptions {
-        self.analyze = on;
-        self
-    }
-
     /// The configured reuse scheme.
     pub fn reuse_mode(&self) -> ReuseMode {
         self.reuse
@@ -131,19 +118,14 @@ impl CodegenOptions {
     pub fn unroll_enabled(&self) -> bool {
         self.unroll
     }
-
-    /// Whether the post-codegen analysis gate is enabled.
-    pub fn analyze_enabled(&self) -> bool {
-        self.analyze
-    }
 }
 
 impl fmt::Display for CodegenOptions {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "reuse={} memnorm={} unroll={} analyze={}",
-            self.reuse, self.memnorm, self.unroll, self.analyze
+            "reuse={} memnorm={} unroll={}",
+            self.reuse, self.memnorm, self.unroll
         )
     }
 }
@@ -157,16 +139,13 @@ mod tests {
         let o = CodegenOptions::new()
             .reuse(ReuseMode::SoftwarePipeline)
             .memnorm(false)
-            .unroll(false)
-            .analyze(true);
+            .unroll(false);
         assert_eq!(o.reuse_mode(), ReuseMode::SoftwarePipeline);
         assert!(!o.memnorm_enabled());
         assert!(!o.unroll_enabled());
-        assert!(o.analyze_enabled());
-        assert!(!CodegenOptions::default().analyze_enabled());
         assert_eq!(
             o.to_string(),
-            "reuse=sp memnorm=false unroll=false analyze=true"
+            "reuse=sp memnorm=false unroll=false"
         );
     }
 

@@ -31,7 +31,7 @@
 //!    driver, on a portable tier or pinned to the host's `std::arch`
 //!    tier ([`SimdKernel`]) — byte- and stat-identical to the
 //!    interpreter, orders of magnitude faster — plus parallel batch
-//!    sweeps ([`run_sweep`]) over many memory seeds.
+//!    sweeps ([`run_sweep_collect`]) over many memory seeds.
 //! 5. **Bounded verification** ([`simdize_verify`], re-exported here):
 //!    a model-checking tier ([`prove_loop`]) that proves
 //!    byte-equivalence to the scalar oracle by exhaustive enumeration
@@ -108,7 +108,7 @@ pub fn generate_strided(
     Simdizer::new().shape(shape).compile(program)
 }
 pub use simdize_engine::{
-    program_fingerprint, run_job, run_sweep, run_sweep_collect, run_sweep_shared, CacheStats,
+    program_fingerprint, run_job, run_sweep_collect, run_sweep_shared, CacheStats,
     CompiledKernel, FusionEvent, FusionEventKind, FusionStats, IsaLevel, JobRun, KernelBackend,
     KernelCache, KernelOptions, PredecodedKernel, Schedule, SectionSchedule, SequentialReason,
     SimdKernel,

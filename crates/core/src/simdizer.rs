@@ -3,7 +3,7 @@
 use crate::error::SimdizeError;
 use crate::report::Report;
 use crate::scheme::Scheme;
-use simdize_analysis::{analyze_program, AnalysisFailed, AnalyzeOptions};
+use simdize_analysis::AnalyzeOptions;
 use simdize_codegen::{
     generate, generate_traced, generate_unaligned, CodegenOptions, CodegenTrace, ReuseMode,
     SimdProgram,
@@ -109,15 +109,6 @@ impl Simdizer {
     /// Enables or disables common-offset reassociation.
     pub fn reassociate(mut self, on: bool) -> Simdizer {
         self.reassoc = on;
-        self
-    }
-
-    /// Enables or disables the post-codegen static analysis gate: when
-    /// on, [`Simdizer::compile`] runs the `simdize-analysis` abstract
-    /// interpreter over the generated program and rejects it with
-    /// [`SimdizeError::Analysis`] on any deny-level finding.
-    pub fn analyze(mut self, on: bool) -> Simdizer {
-        self.options = self.options.analyze(on);
         self
     }
 
@@ -244,13 +235,6 @@ impl Simdizer {
             };
             (Some(placed), compiled)
         };
-        if self.options.analyze_enabled() {
-            let _span = telemetry::span("analysis");
-            let report = analyze_program(&compiled, &self.analyze_options());
-            if report.deny_count() > 0 {
-                return Err(AnalysisFailed::new(report).into());
-            }
-        }
         Ok((placed, compiled))
     }
 
@@ -321,6 +305,7 @@ impl Simdizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simdize_analysis::analyze_program;
     use simdize_ir::parse_program;
 
     const FIG1: &str = "arrays { a: i32[128] @ 0; b: i32[128] @ 0; c: i32[128] @ 0; }
@@ -379,27 +364,27 @@ mod tests {
     }
 
     #[test]
-    fn analysis_gate_accepts_generated_programs() {
+    fn generated_programs_are_deny_free() {
+        let deny_free = |simdizer: Simdizer, p: &LoopProgram| {
+            let compiled = simdizer.compile(p).unwrap();
+            analyze_program(&compiled, &simdizer.analyze_options()).deny_count() == 0
+        };
         let p = parse_program(FIG1).unwrap();
         for scheme in Scheme::all() {
-            Simdizer::new()
-                .scheme(scheme)
-                .analyze(true)
-                .compile(&p)
-                .unwrap_or_else(|e| panic!("{scheme}: {e}"));
+            assert!(deny_free(Simdizer::new().scheme(scheme), &p), "{scheme}");
         }
         let runtime = parse_program(
             "arrays { a: i32[256] @ ?; b: i32[256] @ ?; }
              for i in 0..ub { a[i] = b[i+1]; }",
         )
         .unwrap();
-        Simdizer::new().analyze(true).compile(&runtime).unwrap();
+        assert!(deny_free(Simdizer::new(), &runtime));
         let strided = parse_program(
             "arrays { out: i32[128] @ 0; inter: i32[300] @ 4; }
              for i in 0..100 { out[i] = inter[2*i] + inter[2*i+1]; }",
         )
         .unwrap();
-        Simdizer::new().analyze(true).compile(&strided).unwrap();
+        assert!(deny_free(Simdizer::new(), &strided));
     }
 
     #[test]

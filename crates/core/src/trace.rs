@@ -21,6 +21,7 @@
 
 use crate::error::SimdizeError;
 use crate::simdizer::Simdizer;
+use simdize_analysis::{analyze_program, AnalysisFailed};
 use simdize_engine::{
     run_job, run_sweep_collect, IsaLevel, KernelCache, SweepJob, SweepOptions, SweepStats,
 };
@@ -70,11 +71,12 @@ pub fn trace_source(src: &str) -> Result<(RequestTrace, TraceOutcome), SimdizeEr
     Ok((scope.finish(None), outcome))
 }
 
-/// The traced pass under the caller's request scope: parse → compile
-/// with the analysis gate on → predecode → bake → run → scalar oracle
-/// → diff, then the one-worker seed sweep, with the headline numbers
-/// tagged onto the scope. The run is `run_job` on a fresh cache, so it
-/// always bakes: every engine phase shows up as a span.
+/// The traced pass under the caller's request scope: parse → compile →
+/// the static-analysis gate (a deny-level finding fails the pass) →
+/// predecode → bake → run → scalar oracle → diff, then the one-worker
+/// seed sweep, with the headline numbers tagged onto the scope. The run
+/// is `run_job` on a fresh cache, so it always bakes: every engine
+/// phase shows up as a span.
 ///
 /// # Errors
 ///
@@ -85,8 +87,15 @@ pub fn traced_pass(src: &str) -> Result<TraceOutcome, SimdizeError> {
         let _span = telemetry::span("parse");
         parse_program(src)?
     };
-    let simdizer = Simdizer::new().analyze(true);
+    let simdizer = Simdizer::new();
     let compiled = simdizer.compile(&program)?;
+    {
+        let _span = telemetry::span("analysis");
+        let report = analyze_program(&compiled, &simdizer.analyze_options());
+        if report.deny_count() > 0 {
+            return Err(AnalysisFailed::new(report).into());
+        }
+    }
     let job = SweepJob::new(compiled, 1, 256);
     let (run, ..) = run_job(&job, &KernelCache::new(1, 1)).map_err(exec_err)?;
 

@@ -191,18 +191,13 @@ impl SweepStats {
     }
 }
 
-/// Runs every job, distributing them over `threads` scoped worker
-/// threads, and returns per-job outcomes in job order. Each job
-/// executes its program on the image seeded by its seed and
+/// Runs every job, distributing them over `opts.threads` scoped worker
+/// threads, and returns per-job outcomes in job order, with what the
+/// sweep's cache and workers did ([`SweepStats`]) — kernel-cache hits,
+/// misses and evictions, shard occupancy and scratch-image reseeds.
+/// Each job executes its program on the image seeded by its seed and
 /// differentially verifies the result against [`run_scalar`] on an
 /// identical image.
-pub fn run_sweep(jobs: &[SweepJob], threads: usize) -> Vec<Result<SweepOutcome, ExecError>> {
-    run_sweep_collect(jobs, SweepOptions::new(threads)).0
-}
-
-/// Like [`run_sweep`], but also reports what the sweep's cache and
-/// workers did ([`SweepStats`]) — kernel-cache hits, misses and
-/// evictions, shard occupancy and scratch-image reseeds.
 ///
 /// A fresh sweep-local [`KernelCache`] is built; use
 /// [`run_sweep_shared`] to reuse kernels across sweeps.
@@ -450,7 +445,7 @@ mod tests {
         let jobs: Vec<SweepJob> = (0..24)
             .map(|seed| SweepJob::new(prog.clone(), seed, 500))
             .collect();
-        let outcomes = run_sweep(&jobs, 4);
+        let outcomes = run_sweep_collect(&jobs, SweepOptions::new(4)).0;
         assert_eq!(outcomes.len(), 24);
         for (seed, outcome) in outcomes.into_iter().enumerate() {
             let o = outcome.unwrap();
@@ -467,9 +462,9 @@ mod tests {
         let jobs: Vec<SweepJob> = (0..9)
             .map(|seed| SweepJob::new(prog.clone(), seed * 7, 200))
             .collect();
-        let serial = run_sweep(&jobs, 1);
+        let serial = run_sweep_collect(&jobs, SweepOptions::new(1)).0;
         for threads in [2, 3, 8, 64] {
-            assert_eq!(run_sweep(&jobs, threads), serial, "{threads} threads");
+            assert_eq!(run_sweep_collect(&jobs, SweepOptions::new(threads)).0, serial, "{threads} threads");
         }
     }
 
@@ -485,7 +480,7 @@ mod tests {
             let jobs: Vec<SweepJob> = (0..16)
                 .map(|seed| SweepJob::new(prog.clone(), seed * 3 + 1, 300))
                 .collect();
-            for (job, outcome) in jobs.iter().zip(run_sweep(&jobs, 3)) {
+            for (job, outcome) in jobs.iter().zip(run_sweep_collect(&jobs, SweepOptions::new(3)).0) {
                 let outcome = outcome.unwrap();
                 assert!(outcome.verified);
                 let mut image = MemoryImage::with_seed(prog.source(), VectorShape::V16, job.seed);
@@ -565,7 +560,6 @@ mod tests {
 
     #[test]
     fn empty_sweep_is_empty() {
-        assert!(run_sweep(&[], 4).is_empty());
         let (outcomes, stats) = run_sweep_collect(&[], SweepOptions::new(4));
         assert!(outcomes.is_empty());
         assert_eq!(stats.workers, 0);

@@ -25,14 +25,20 @@
 //! charging the same costs as `simdize_vm::run_simd` charges
 //! dynamically.
 //!
-//! After baking, the [`trace`](crate::trace) pass (on by default)
-//! fuses superinstructions, hoists loop invariants into per-loop
-//! headers and strips dead ops — without changing a single stored byte
-//! or stat, since [`RunStats`] are fixed before fusion runs. The last
-//! step of a bake renames the plan's registers onto one dense block
-//! and decides which loop sections may run in strips
-//! (`native::lower`); what comes out is what every tier executes and
-//! what [`CompiledKernel::trace`] lists.
+//! A bake emits §4's loop as one list of six sections, each with its
+//! iteration count: prologue, pair header, pair, body header, body and
+//! epilogue (`Section::plan`; a header stays empty until fusion hoists
+//! into it). That one list runs to the end. The [`trace`](crate::trace)
+//! pass (on by default) rewrites it in place: it fuses
+//! superinstructions, hoists loop invariants into the header slots and
+//! strips dead ops, without changing a single stored byte or stat,
+//! since [`RunStats`] are fixed before fusion runs. The last step of a
+//! bake (`native::lower`) finishes the same sections: it renames the
+//! plan's registers onto one dense block and decides which loop
+//! sections may run in strips. What comes out is what every tier
+//! executes and what [`CompiledKernel::trace`] lists. One function,
+//! [`live_in`], computes the registers a section reads before it writes
+//! them, for fusion and lowering alike.
 
 use crate::lanes::Reg;
 use crate::native::{self, IsaLevel, Leaf, Program, Schedule, Section, SectionSchedule, SequentialReason, Sink, Super, Term};
@@ -117,6 +123,29 @@ impl Op {
     }
 }
 
+/// The registers `ops` read before (or without) writing them — what a
+/// section needs live on entry — in the order it first reads them, into
+/// `live`. The one live-in rule of the back half: fusion's loop-entry
+/// fixpoint, its hoist and its liveness sweep, and lowering all call it.
+/// `seen` is scratch, sized here to the `nregs` register ids.
+pub(crate) fn live_in(ops: &[Op], nregs: usize, seen: &mut Vec<bool>, live: &mut Vec<u32>) {
+    seen.clear();
+    seen.resize(nregs, false);
+    live.clear();
+    for op in ops {
+        let [dst, a, b] = op.regs();
+        // Sources before the destination: `acc = acc + x` reads first.
+        for r in [a, b] {
+            if r != NO_REG && !std::mem::replace(&mut seen[r as usize], true) {
+                live.push(r);
+            }
+        }
+        if dst != NO_REG {
+            seen[dst as usize] = true;
+        }
+    }
+}
+
 /// The `ub ≤ 3B` guard resolved to the scalar path at compile time.
 #[derive(Debug, Clone)]
 struct FallbackPlan {
@@ -168,8 +197,8 @@ impl KernelOptions {
 /// [`PredecodedKernel::new`] checks a `SimdProgram` once and borrows
 /// it; [`bake`](PredecodedKernel::bake) then compiles a
 /// [`CompiledKernel`] per (image, input) pair straight from its VIR.
-/// `engine::run_sweep` builds one per distinct program, so a 64-seed
-/// sweep checks the program once, not 64 times.
+/// A sweep (`run_sweep_collect`) builds one per distinct program, so a
+/// 64-seed sweep checks the program once, not 64 times.
 #[derive(Debug, Clone, Copy)]
 pub struct PredecodedKernel<'p> {
     program: &'p SimdProgram,
@@ -583,78 +612,46 @@ impl<'p> PredecodedKernel<'p> {
             nregs: 0,
         };
 
-        // Sized by the VIR; a guarded block that runs may still grow one.
-        let mut prologue = Vec::with_capacity(program.prologue().len());
-        let mut pair = Vec::new();
-        let mut body = Vec::new();
-        let mut epilogue = Vec::with_capacity(program.epilogue().len());
-        let mut pro_counts = RunStats::default();
-        let mut pair_counts = RunStats::default();
-        let mut body_counts = RunStats::default();
-        let mut epi_counts = RunStats::default();
-
-        bk.bake_insts(program.prologue(), 0, 0, 1, &mut pro_counts, &mut prologue)?;
-        if pair_iters > 0 {
-            let insts = program.body_pair().expect("pair_iters > 0 implies pair");
-            pair.reserve(insts.len());
-            bk.bake_insts(
-                insts,
-                lb,
-                2 * b,
-                pair_iters,
-                &mut pair_counts,
-                &mut pair,
-            )?;
+        // Baked in execution order, so register ids are handed out in
+        // first-definition order; the headers stay empty until fusion
+        // hoists into them.
+        let mut sections = Section::plan(pair_iters, body_iters);
+        let pair = program.body_pair().unwrap_or_default();
+        let vir = [
+            (program.prologue(), 0, 0),
+            (&[][..], 0, 0),
+            (pair, lb, 2 * b),
+            (&[], 0, 0),
+            (program.body(), i_after, b),
+            (program.epilogue(), i_final, 0),
+        ];
+        for (section, (insts, i0, step_i)) in sections.iter_mut().zip(vir).filter(|(s, _)| s.iters > 0) {
+            // Class counts of one iteration, scaled below.
+            let mut counts = RunStats::default();
+            // Sized by the VIR; a guarded block that runs may still grow it.
+            section.ops.reserve(insts.len());
+            bk.bake_insts(insts, i0, step_i, section.iters, &mut counts, &mut section.ops)?;
+            stats += scaled(counts, section.iters as u64);
         }
-        if body_iters > 0 {
-            body.reserve(program.body().len());
-            bk.bake_insts(program.body(), i_after, b, body_iters, &mut body_counts, &mut body)?;
-        }
-        bk.bake_insts(program.epilogue(), i_final, 0, 1, &mut epi_counts, &mut epilogue)?;
-
-        stats += pro_counts;
-        stats += scaled(pair_counts, pair_iters as u64);
-        stats += scaled(body_counts, body_iters as u64);
-        stats += epi_counts;
         stats.steady_iterations = 2 * pair_iters as u64 + body_iters as u64;
         stats.loop_overhead =
             (pair_iters as u64 + body_iters as u64) * LOOP_OVERHEAD_PER_ITERATION;
 
         // Stats are final: fusion below only changes how the host
         // executes the trace, never what the machine model charges.
-        let fused = if opts.fuse {
+        let mut nregs = bk.nregs as usize;
+        let (fusion, fusion_events) = if opts.fuse {
             let _span = telemetry::span("fuse");
-            trace::optimize(trace::Sections {
-                prologue: &mut prologue,
-                pair: &mut pair,
-                pair_iters,
-                body: &mut body,
-                body_iters,
-                epilogue: &mut epilogue,
-                nregs: bk.nregs as usize,
-                elem,
-            })
+            trace::optimize(&mut sections, &mut nregs, elem)
         } else {
-            trace::Fused {
-                pair_header: Vec::new(),
-                body_header: Vec::new(),
-                stats: FusionStats::default(),
-                events: Vec::new(),
-                nregs: bk.nregs as usize,
-            }
+            Default::default()
         };
 
         // Nothing reads the baked register ids past this point: rename
         // them onto one dense block and settle each loop's schedule.
         let (program, schedule) = {
             let _span = telemetry::span("lower");
-            native::lower(
-                prologue,
-                [(fused.pair_header, pair, pair_iters), (fused.body_header, body, body_iters)],
-                epilogue,
-                fused.nregs,
-                elem,
-            )
+            native::lower(sections, nregs, elem)
         };
 
         Ok(CompiledKernel::new(Plan {
@@ -665,8 +662,8 @@ impl<'p> PredecodedKernel<'p> {
             bases,
             image_len: image.bytes().len(),
             fallback: None,
-            fusion: fused.stats,
-            fusion_events: fused.events,
+            fusion,
+            fusion_events,
         }))
     }
 }

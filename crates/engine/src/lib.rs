@@ -97,7 +97,7 @@ pub mod native;
 mod trace;
 
 pub use batch::{
-    run_job, run_sweep, run_sweep_collect, run_sweep_shared, JobRun, SweepBackend, SweepJob,
+    run_job, run_sweep_collect, run_sweep_shared, JobRun, SweepBackend, SweepJob,
     SweepOptions, SweepOutcome, SweepStats,
 };
 pub use cache::{

@@ -4,15 +4,22 @@
 //! section's ops the driver runs as one superinstruction, and which
 //! column of the register block each baked register lives in.
 //!
-//! Each section's operands ([`Op::regs`]) are read once, by its scan;
-//! the tables indexed by register — what lowering tracks per register,
-//! and selection's parse and reader ranges — are built once per bake
-//! and sized by the bake's dense register ids.
+//! It finishes, in place, the six sections bake emitted and fusion
+//! rewrote ([`Section::plan`]). Each section's operands ([`Op::regs`])
+//! are read once, by its scan, which takes the registers the section
+//! reads before it writes them from the engine's one live-in rule
+//! ([`live_in`]). Everything else lowering asks about one register of
+//! one section — how often and where first it is written, how often
+//! and where first and last it is read, the last op naming it — is one
+//! lookup in that section's use table ([`tabulate`]), built once per
+//! section and once more when [`rotate`] puts a loop in strip order.
+//! The tables indexed by register are sized by the bake's dense
+//! register ids.
 
 use super::strip::{perm_tables, Fold, Leaf, Program, Section, Shape, Sink, Super, Term, MAX_LEAVES, STRIP};
 use crate::lanes::Reg as Bytes;
 use super::{Schedule, SectionSchedule, SequentialReason};
-use crate::kernel::{splat_bytes, Op, NO_REG as NONE, V};
+use crate::kernel::{live_in, splat_bytes, Op, NO_REG as NONE, V};
 use simdize_codegen::reduction_identity;
 use simdize_ir::{BinOp, ScalarType};
 use std::ops::Range;
@@ -23,8 +30,6 @@ use SequentialReason::{CarriedRegister, MemoryDependence, OneIteration};
 struct Reg {
     /// Its offset in the register block while it holds one.
     slot: u32,
-    /// The last op that names it in the section being assigned.
-    last: u32,
     /// Bit `s`: section `s` reads it before (or without) writing it.
     reads_first: u8,
     /// Bit `s`: section `s` writes it.
@@ -41,7 +46,7 @@ struct Reg {
 
 impl Reg {
     const UNNAMED: Reg =
-        Reg { slot: NONE, last: 0, reads_first: 0, defs: 0, wide: false, pinned: false, group: NONE, offset: 0 };
+        Reg { slot: NONE, reads_first: 0, defs: 0, wide: false, pinned: false, group: NONE, offset: 0 };
 
     /// Whether a section after `s` reads the value section `s` leaves.
     fn live_after(&self, s: usize) -> bool {
@@ -107,30 +112,24 @@ fn independent(x: &Access, y: &Access) -> bool {
 }
 
 /// Scans section `s`: records in `info` which registers it reads first
-/// and which it writes and, for a loop, what it carries and whether
-/// its memory accesses allow strips.
-fn scan(ops: &[Op], iters: i64, s: usize, info: &mut [Reg]) -> Scan {
+/// ([`live_in`], `(seen, live)` its scratch) and which it writes and,
+/// for a loop, what it carries and whether its memory accesses allow
+/// strips.
+fn scan(ops: &[Op], iters: i64, s: usize, info: &mut [Reg], (seen, live): &mut (Vec<bool>, Vec<u32>)) -> Scan {
     let (bit, looped) = (1u8 << s, iters > 1);
-    let capacity = if looped { ops.len() } else { 0 };
-    let (mut live_in, mut carried) = (Vec::with_capacity(capacity), Vec::new());
+    live_in(ops, info.len(), seen, live);
+    for &r in live.iter() {
+        info[r as usize].reads_first |= bit;
+    }
     let regs: Vec<[u32; 3]> = ops.iter().map(Op::regs).collect();
-    for &[dst, a, b] in &regs {
-        // Sources before the destination: `acc = acc + x` reads first.
-        for r in [a, b] {
-            if r != NONE && (info[r as usize].reads_first | info[r as usize].defs) & bit == 0 {
-                info[r as usize].reads_first |= bit;
-                if looped {
-                    live_in.push(r);
-                }
-            }
+    let mut carried = Vec::new();
+    for &[dst, ..] in regs.iter().filter(|x| x[0] != NONE) {
+        let reg = &mut info[dst as usize];
+        // Read here before its first write: carried between iterations.
+        if looped && reg.reads_first & !reg.defs & bit != 0 {
+            carried.push(dst);
         }
-        if dst != NONE {
-            let reg = &mut info[dst as usize];
-            if looped && reg.reads_first & !reg.defs & bit != 0 {
-                carried.push(dst);
-            }
-            reg.defs |= bit;
-        }
+        reg.defs |= bit;
     }
     let independent = !looped || {
         let mut accesses = Vec::with_capacity(ops.len());
@@ -141,6 +140,7 @@ fn scan(ops: &[Op], iters: i64, s: usize, info: &mut [Reg]) -> Scan {
         }));
         accesses.iter().filter(|x| x.store).all(|store| accesses.iter().all(|other| independent(store, other)))
     };
+    let live_in = if looped { live.clone() } else { Vec::new() };
     Scan { regs, live_in, carried, independent }
 }
 
@@ -154,8 +154,9 @@ struct Carried {
     partials: Vec<(u32, BinOp)>,
 }
 
-/// How often, and where first, `regs` write and read one register, and
-/// where they read it last (a read per operand).
+/// How a section's ops name one register: how often, and where first,
+/// they write it, how often they read it (a read per operand) and where
+/// first and last, and the last op that names it at all.
 #[derive(Clone, Copy)]
 struct Uses {
     defs: usize,
@@ -163,37 +164,43 @@ struct Uses {
     reads: usize,
     read: usize,
     last_read: usize,
+    last: usize,
 }
 
-fn uses(regs: &[[u32; 3]], r: u32) -> Uses {
-    let mut u = Uses { defs: 0, def: usize::MAX, reads: 0, read: usize::MAX, last_read: 0 };
+/// The use table of a section's operands `regs`: its [`Uses`] of every
+/// register below `nregs`, into `table`. Built once per section, and
+/// once more when [`rotate`] puts a loop in strip order.
+fn tabulate(regs: &[[u32; 3]], nregs: usize, table: &mut Vec<Uses>) {
+    table.clear();
+    table.resize(nregs, Uses { defs: 0, def: usize::MAX, reads: 0, read: usize::MAX, last_read: 0, last: 0 });
     for (i, &[dst, a, b]) in regs.iter().enumerate() {
-        if dst == r {
-            (u.defs, u.def) = (u.defs + 1, u.def.min(i));
+        for r in [a, b].into_iter().filter(|&r| r != NONE) {
+            let u = &mut table[r as usize];
+            (u.reads, u.read, u.last_read, u.last) = (u.reads + 1, u.read.min(i), i, i);
         }
-        for _ in [a, b].into_iter().filter(|&x| x == r) {
-            (u.reads, u.read, u.last_read) = (u.reads + 1, u.read.min(i), i);
+        if dst != NONE {
+            let u = &mut table[dst as usize];
+            (u.defs, u.def, u.last) = (u.defs + 1, u.def.min(i), i);
         }
     }
-    u
 }
 
 /// The operator of the reduction carried register `acc` closes, if it
-/// closes one: `acc`'s only def (at `close`, `reads` its reads) is a
-/// `Copy` from the end of a chain `acc → t_1 → … → t_m` of one
-/// reassociable operator, in which every link is read once, by the
-/// next, and no `t_i` is live after section `s`.
-fn reduction(ops: &[Op], regs: &[[u32; 3]], acc: u32, close: usize, mut reads: Uses, s: usize, info: &[Reg]) -> Option<BinOp> {
+/// closes one: `acc`'s only def (at `close`) is a `Copy` from the end of
+/// a chain `acc → t_1 → … → t_m` of one reassociable operator, in which
+/// every link is read once, by the next, and no `t_i` is live after
+/// section `s`.
+fn reduction(ops: &[Op], uses: &[Uses], acc: u32, close: usize, s: usize, info: &[Reg]) -> Option<BinOp> {
     let Op::Copy { src: end, .. } = ops[close] else { return None };
     // `from` only grows, so the walk ends.
-    let (mut link, mut from, mut kind) = (acc, 0, None);
+    let (mut link, mut from, mut kind, mut reads) = (acc, 0, None, uses[acc as usize]);
     while link != end {
         let next = reads.read;
         let (Op::Bin { dst, op, .. } | Op::BinSplat { dst, op, .. }) = ops.get(next)? else { return None };
         if reads.reads != 1 || next < from || !op.is_reassociable() || *kind.get_or_insert(*op) != *op {
             return None;
         }
-        reads = uses(regs, *dst);
+        reads = uses[*dst as usize];
         if reads.defs != 1 || info[*dst as usize].live_after(s) {
             return None;
         }
@@ -215,7 +222,7 @@ fn span(order: &[usize], regs: &[[u32; 3]], chain: &[u32]) -> (usize, usize) {
 /// read, as one block; every other op keeps its relative order. A
 /// lifted op may not pass an op naming a register it writes, nor a
 /// lifted load a store to its array. `marks` comes and goes all zero.
-fn hoist(order: &mut [usize], ops: &[Op], regs: &[[u32; 3]], chain: &[u32], marks: &mut [u8]) -> Result<(), SequentialReason> {
+fn lift(order: &mut [usize], ops: &[Op], regs: &[[u32; 3]], chain: &[u32], marks: &mut [u8]) -> Result<(), SequentialReason> {
     const NEEDED: u8 = 1;
     const WRITTEN: u8 = 2;
     let (first, def) = span(order, regs, chain);
@@ -268,9 +275,10 @@ fn hoist(order: &mut [usize], ops: &[Op], regs: &[[u32; 3]], chain: &[u32], mark
 /// rotation — only def a `Copy { r, n }` after every read of `r`, so
 /// `r`'s column is `n`'s shifted down a lane — or a [`reduction`]
 /// accumulator. On success the rotation copies are gone, each chain's
-/// source [`hoist`]ed above its first read, and `ops` and `scan.regs`
-/// are in strip order; on failure both are as they were.
-fn decide(ops: &mut Vec<Op>, iters: i64, s: usize, scan: &mut Scan, info: &mut Vec<Reg>) -> Result<Carried, SequentialReason> {
+/// source [`lift`]ed above its first read, and `ops` and `scan.regs`
+/// are in strip order; on failure both are as they were. A loop that
+/// carries registers fills `uses`, [`rotate`]'s use table.
+fn decide(ops: &mut Vec<Op>, iters: i64, s: usize, scan: &mut Scan, info: &mut Vec<Reg>, uses: &mut Vec<Uses>) -> Result<Carried, SequentialReason> {
     if iters < 2 {
         return Err(OneIteration);
     }
@@ -280,24 +288,26 @@ fn decide(ops: &mut Vec<Op>, iters: i64, s: usize, scan: &mut Scan, info: &mut V
     if scan.carried.is_empty() {
         return Ok(Carried::default());
     }
+    tabulate(&scan.regs, info.len(), uses);
     let n = ops.len();
-    let decided = rotate(ops, s, scan, info);
+    let decided = rotate(ops, s, scan, info, uses);
     if decided.is_err() {
         scan.regs.truncate(n); // the twins [`rotate`] appended
     }
     decided
 }
 
-/// [`decide`] for a loop section that carries registers.
-fn rotate(ops: &mut Vec<Op>, s: usize, scan: &mut Scan, info: &mut Vec<Reg>) -> Result<Carried, SequentialReason> {
+/// [`decide`] for a loop section that carries registers, with the use
+/// table of its ops in program order.
+fn rotate(ops: &mut Vec<Op>, s: usize, scan: &mut Scan, info: &mut Vec<Reg>, uses: &[Uses]) -> Result<Carried, SequentialReason> {
     let mut carried = Carried::default();
     let regs = &mut scan.regs;
     let mut rotations = Vec::with_capacity(scan.carried.len());
     for &r in &scan.carried {
-        let u = uses(regs, r);
+        let u = uses[r as usize];
         let (1, Op::Copy { src, .. }) = (u.defs, &ops[u.def]) else { return Err(CarriedRegister) };
         let (src, at, before) = (*src, u.def, u.last_read < u.def);
-        match reduction(ops, regs, r, at, u, s, info) {
+        match reduction(ops, uses, r, at, s, info) {
             Some(op) => carried.partials.push((r, op)),
             None if before && src != r => rotations.push((r, src, at)),
             None => return Err(CarriedRegister),
@@ -316,7 +326,7 @@ fn rotate(ops: &mut Vec<Op>, s: usize, scan: &mut Scan, info: &mut Vec<Reg>) -> 
         }
         // A chain's source: written once, before the rotation copy
         // that reads it, and carrying nothing itself.
-        let Uses { defs, def, .. } = uses(regs, n);
+        let Uses { defs, def, .. } = uses[n as usize];
         if defs != 1 || def > at || scan.carried.contains(&n) {
             return Err(CarriedRegister);
         }
@@ -351,9 +361,9 @@ fn rotate(ops: &mut Vec<Op>, s: usize, scan: &mut Scan, info: &mut Vec<Reg>) -> 
     }
     let mut marks = vec![0; info.len()];
     for chain in &carried.chains {
-        hoist(&mut order, ops, regs, chain, &mut marks)?;
+        lift(&mut order, ops, regs, chain, &mut marks)?;
     }
-    // A later hoist must not have lifted a read above an earlier source.
+    // A later lift must not have lifted a read above an earlier source.
     if carried.chains.len() > 1 && carried.chains.iter().map(|c| span(&order, regs, c)).any(|(first, def)| first < def) {
         return Err(CarriedRegister);
     }
@@ -938,15 +948,14 @@ fn whole_vectors(shared: &mut Option<i64>, step: i64) -> bool {
 /// That a value is read once (a stream or a mixed tree's leaf may be
 /// read again) is the parse's to enforce.
 #[allow(clippy::too_many_arguments)]
-fn legal(ops: &[Op], regs: &[[u32; 3]], reads: &[Range<u32>], run: Range<usize>, s: usize, scan: &Scan, info: &[Reg], stored: u32, keep: [u32; 3]) -> bool {
+fn legal(ops: &[Op], regs: &[[u32; 3]], uses: &[Uses], run: Range<usize>, s: usize, scan: &Scan, info: &[Reg], stored: u32, keep: [u32; 3]) -> bool {
     if ops[run.clone()].iter().any(|op| matches!(*op, Op::Load { arr, .. } | Op::LoadFused { arr, .. } if arr == stored)) {
         return false;
     }
-    let within = run.start as u32..run.end as u32;
-    regs[run].iter().flatten().filter(|&&r| r != NONE).all(|&r| {
-        let read = &reads[r as usize];
+    regs[run.clone()].iter().flatten().filter(|&&r| r != NONE).all(|&r| {
+        let u = &uses[r as usize];
         let escapes = scan.carried.contains(&r) || info[r as usize].live_after(s);
-        (read.end == 0 || within.contains(&read.start) && within.contains(&(read.end - 1))) && (keep.contains(&r) || !escapes)
+        (u.reads == 0 || run.contains(&u.read) && run.contains(&u.last_read)) && (keep.contains(&r) || !escapes)
     })
 }
 
@@ -969,7 +978,7 @@ fn rotation_source(p: &Parse, carried: &Carried, folds: usize) -> Option<u32> {
 /// reads as folds each into the same kind of sink ([`Parse`]), builds,
 /// and is [`legal`].
 #[allow(clippy::too_many_arguments)]
-fn pick(ops: &[Op], regs: &[[u32; 3]], reads: &[Range<u32>], i: usize, s: usize, scan: &Scan, carried: &Carried, info: &[Reg], p: &mut Parse) -> Option<Super> {
+fn pick(ops: &[Op], regs: &[[u32; 3]], uses: &[Uses], i: usize, s: usize, scan: &Scan, carried: &Carried, info: &[Reg], p: &mut Parse) -> Option<Super> {
     require!(matches!(ops[i], Op::Load { .. } | Op::LoadFused { .. }));
     p.clear();
     for (j, op) in ops.iter().enumerate().skip(i) {
@@ -983,44 +992,22 @@ fn pick(ops: &[Op], regs: &[[u32; 3]], reads: &[Range<u32>], i: usize, s: usize,
     }
     p.whole.iter().rev().find_map(|&whole| {
         let source = rotation_source(p, carried, whole[1])?;
-        require!(legal(ops, regs, reads, i..whole[0], s, scan, info, p.stored, [p.rotated, source, p.acc]));
+        require!(legal(ops, regs, uses, i..whole[0], s, scan, info, p.stored, [p.rotated, source, p.acc]));
         p.build(i..whole[0], whole)
     })
 }
 
-/// [`select`]'s tables, built once per bake for every strip section.
-struct Selecting {
-    parse: Parse,
-    /// By register: the ops that read it, from its first reader to one
-    /// past its last.
-    reads: Vec<Range<u32>>,
-}
-
-impl Selecting {
-    /// Tables over registers `0..regs`.
-    fn new(regs: usize) -> Selecting {
-        Selecting { parse: Parse::new(regs), reads: vec![0..0; regs] }
-    }
-}
-
 /// Superinstruction selection for strip section `s`, its ops in strip
-/// order — one generic entry over a table of four families: folds of
-/// loaded streams by one operator into each of three sinks (a store, a
-/// rotation shift and store, a reduction partial), and mixed trees
-/// into a store or a partial. Any rule a run fails leaves its ops to
-/// the generic arms.
-fn select(ops: &[Op], regs: &[[u32; 3]], s: usize, scan: &Scan, carried: &Carried, info: &[Reg], t: &mut Selecting) -> Vec<Super> {
+/// order and `uses` their use table — one generic entry over a table of
+/// four families: folds of loaded streams by one operator into each of
+/// three sinks (a store, a rotation shift and store, a reduction
+/// partial), and mixed trees into a store or a partial. Any rule a run
+/// fails leaves its ops to the generic arms.
+#[allow(clippy::too_many_arguments)]
+fn select(ops: &[Op], regs: &[[u32; 3]], uses: &[Uses], s: usize, scan: &Scan, carried: &Carried, info: &[Reg], parse: &mut Parse) -> Vec<Super> {
     let (mut supers, mut i) = (Vec::new(), 0);
-    let Selecting { parse, reads } = t;
-    reads.fill(0..0);
-    for (i, x) in regs.iter().enumerate() {
-        for &r in x[1..].iter().filter(|&&r| r != NONE) {
-            let read = &mut reads[r as usize];
-            *read = if read.end == 0 { i as u32 } else { read.start }..i as u32 + 1;
-        }
-    }
     while i < ops.len() {
-        match pick(ops, regs, reads, i, s, scan, carried, info, parse) {
+        match pick(ops, regs, uses, i, s, scan, carried, info, parse) {
             Some(f) => {
                 i = f.ops.end;
                 supers.push(f);
@@ -1104,55 +1091,59 @@ impl Block {
     }
 }
 
-/// Lowers a baked plan — its prologue, its two loops as `(header,
-/// ops, iterations)` and its epilogue — onto one register block.
-///
-/// Sections come out in execution order; a loop that never runs drops
-/// out with its header. Registers are renamed onto the block by one
-/// linear scan per section: a register takes a slot at the first op
-/// that names it and hands it on after the last one, unless a later
-/// section reads the value or — for a register live into a loop — the
-/// loop has not ended. The block is therefore sized by the values
-/// live at once, not by the number of baked registers (`nregs`).
-pub(crate) fn lower(
-    prologue: Vec<Op>,
-    loops: [(Vec<Op>, Vec<Op>, i64); 2],
-    epilogue: Vec<Op>,
-    nregs: usize,
-    elem: ScalarType,
-) -> (Program, Schedule) {
-    let mut plan: Vec<(Vec<Op>, i64)> = Vec::with_capacity(6);
-    let mut roles = ["prologue"; 6];
-    plan.push((prologue, 1));
-    let mut loop_at = [usize::MAX; 2];
-    let loop_roles = [["pair.header", "pair"], ["body.header", "body"]];
-    for (i, ((header, ops, iters), [header_role, role])) in loops.into_iter().zip(loop_roles).enumerate() {
-        if iters > 0 {
-            roles[plan.len()] = header_role;
-            plan.push((header, 1));
-            loop_at[i] = plan.len();
-            roles[plan.len()] = role;
-            plan.push((ops, iters));
-        }
+impl Section {
+    /// A baked plan's six sections, in execution order and empty: the
+    /// prologue, each loop behind its header — which runs once, when its
+    /// loop runs at all, and holds what fusion hoists — and the
+    /// epilogue. Bake fills them, fusion rewrites them in place and
+    /// [`lower`] finishes them.
+    pub(crate) fn plan(pair_iters: i64, body_iters: i64) -> [Section; 6] {
+        let roles = [
+            ("prologue", 1),
+            ("pair.header", pair_iters.min(1)),
+            ("pair", pair_iters),
+            ("body.header", body_iters.min(1)),
+            ("body", body_iters),
+            ("epilogue", 1),
+        ];
+        roles.map(|(role, iters)| Section {
+            role,
+            ops: Vec::new(),
+            supers: Vec::new(),
+            iters,
+            schedule: SectionSchedule::Sequential(SequentialReason::NoLoop),
+            width: 1,
+            invariant: Vec::new(),
+            written: Vec::new(),
+            seeds: Vec::new(),
+            partials: Vec::new(),
+        })
     }
-    roles[plan.len()] = "epilogue";
-    plan.push((epilogue, 1));
+}
 
+/// Lowers a baked plan's six sections ([`Section::plan`]) onto one
+/// register block.
+///
+/// A section that never runs — a loop that does not, and its header —
+/// drops out. Registers are renamed onto the block by one linear scan
+/// per section: a register takes a slot at the first op that names it
+/// and hands it on after the last one, unless a later section reads the
+/// value or — for a register live into a loop — the loop has not ended.
+/// The block is therefore sized by the values live at once, not by the
+/// number of baked registers (`nregs`).
+pub(crate) fn lower(sections: [Section; 6], nregs: usize, elem: ScalarType) -> (Program, Schedule) {
+    let mut sections: Vec<Section> = sections.into_iter().filter(|s| s.iters > 0).collect();
     let mut info = vec![Reg::UNNAMED; nregs];
-    let mut scans: Vec<Scan> = plan.iter().enumerate().map(|(s, (ops, iters))| scan(ops, *iters, s, &mut info)).collect();
+    let mut scratch = (Vec::new(), Vec::new());
+    let mut scans: Vec<Scan> = sections.iter().enumerate().map(|(s, x)| scan(&x.ops, x.iters, s, &mut info, &mut scratch)).collect();
     // Legality needs every section's liveness, so it comes second.
-    let decisions: Vec<_> = plan
+    let mut uses = Vec::new();
+    let decisions: Vec<_> = sections
         .iter_mut()
         .zip(&mut scans)
         .enumerate()
-        .map(|(s, ((ops, iters), scan))| decide(ops, *iters, s, scan, &mut info))
+        .map(|(s, (x, scan))| decide(&mut x.ops, x.iters, s, scan, &mut info, &mut uses))
         .collect();
-    let schedule = |i: usize| match decisions.get(loop_at[i]) {
-        Some(Ok(_)) => SectionSchedule::Strip,
-        Some(&Err(why)) => SectionSchedule::Sequential(why),
-        None => SectionSchedule::Sequential(SequentialReason::NoLoop),
-    };
-    let schedule = Schedule { pair: schedule(0), body: schedule(1) };
 
     let mut block = Block::default();
     for (scan, carried) in scans.iter().zip(&decisions) {
@@ -1168,32 +1159,32 @@ pub(crate) fn lower(
         }
     }
 
-    let mut sections = Vec::with_capacity(plan.len());
-    let mut selecting = None;
-    let sections_in = plan.into_iter().zip(&scans).zip(decisions).zip(roles);
-    for (s, ((((mut ops, iters), scan), decision), role)) in sections_in.enumerate() {
-        let schedule = match &decision {
+    let no_loop = SectionSchedule::Sequential(SequentialReason::NoLoop);
+    let mut schedule = Schedule { pair: no_loop, body: no_loop };
+    let mut parse = None;
+    for (s, ((section, scan), decision)) in sections.iter_mut().zip(&scans).zip(decisions).enumerate() {
+        section.schedule = match &decision {
             Ok(_) => SectionSchedule::Strip,
             Err(why) => SectionSchedule::Sequential(*why),
         };
-        let strips = schedule == SectionSchedule::Strip;
-        let carried = decision.unwrap_or_default();
-        let mut supers = if strips {
-            select(&ops, &scan.regs, s, scan, &carried, &info, selecting.get_or_insert_with(|| Selecting::new(info.len())))
-        } else {
-            Vec::new()
-        };
-        let Carried { chains, partials } = carried;
-        for (i, regs) in scan.regs.iter().enumerate() {
-            for &r in regs.iter().filter(|&&r| r != NONE) {
-                info[r as usize].last = i as u32;
-            }
+        match section.role {
+            "pair" => schedule.pair = section.schedule,
+            "body" => schedule.body = section.schedule,
+            _ => {}
         }
-        let (mut invariant, mut written) = if strips {
-            (Vec::with_capacity(scan.live_in.len()), Vec::with_capacity(ops.len()))
-        } else {
-            (Vec::new(), Vec::new())
-        };
+        let strips = section.schedule == SectionSchedule::Strip;
+        let carried = decision.unwrap_or_default();
+        tabulate(&scan.regs, info.len(), &mut uses);
+        if strips {
+            let parse = parse.get_or_insert_with(|| Parse::new(info.len()));
+            section.supers = select(&section.ops, &scan.regs, &uses, s, scan, &carried, &info, parse);
+        }
+        let Carried { chains, partials } = carried;
+        let (invariant, written) = (&mut section.invariant, &mut section.written);
+        if strips {
+            invariant.reserve(scan.live_in.len());
+            written.reserve(section.ops.len());
+        }
         for &r in &scan.live_in {
             let reg = &mut info[r as usize];
             reg.pinned = true;
@@ -1204,7 +1195,7 @@ pub(crate) fn lower(
                 invariant.push(reg.slot);
             }
         }
-        for (i, (op, regs)) in ops.iter_mut().zip(&scan.regs).enumerate() {
+        for (i, (op, regs)) in section.ops.iter_mut().zip(&scan.regs).enumerate() {
             for &r in regs.iter().filter(|&&r| r != NONE) {
                 if info[r as usize].slot == NONE {
                     block.claim(&mut info[r as usize]);
@@ -1218,20 +1209,20 @@ pub(crate) fn lower(
             for &r in regs.iter().filter(|&&r| r != NONE) {
                 let reg = &mut info[r as usize];
                 // An op may name a register twice: release it once.
-                let done = reg.last == i as u32 && reg.slot != NONE;
+                let done = uses[r as usize].last == i && reg.slot != NONE;
                 if done && !reg.pinned && !reg.live_after(s) {
                     block.release(reg);
                 }
             }
         }
-        for f in &mut supers {
+        for f in &mut section.supers {
             if f.column != NONE {
                 f.column = info[f.column as usize].slot;
             }
         }
-        let seeds = chains.iter().map(|chain| (info[chain[0] as usize].slot, chain.len() as u32 - 1)).collect();
+        section.seeds = chains.iter().map(|chain| (info[chain[0] as usize].slot, chain.len() as u32 - 1)).collect();
         let identity = |op| splat_bytes(elem, reduction_identity(op, elem));
-        let partials = partials.into_iter().map(|(r, op)| (info[r as usize].slot, op, identity(op))).collect();
+        section.partials = partials.into_iter().map(|(r, op)| (info[r as usize].slot, op, identity(op))).collect();
         for &r in &scan.live_in {
             let reg = &mut info[r as usize];
             reg.pinned = false;
@@ -1239,12 +1230,10 @@ pub(crate) fn lower(
                 block.release(reg);
             }
         }
-        let width = if strips { STRIP } else { 1 };
-        sections.push(Section { role, ops, supers, iters, schedule, width, invariant, written, seeds, partials });
+        section.width = if strips { STRIP } else { 1 };
     }
 
-    let program = Program { sections, nregs: block.lanes as usize, elem };
-    (program, schedule)
+    (Program { sections, nregs: block.lanes as usize, elem }, schedule)
 }
 
 #[cfg(test)]
@@ -1258,11 +1247,29 @@ mod tests {
     /// [`decide`] on one loop section, followed by `after` (what a
     /// later section reads decides liveness).
     fn decision_after(ops: &[Op], iters: i64, after: &[Op]) -> (Result<Carried, SequentialReason>, Vec<Op>) {
-        let mut info = vec![Reg::UNNAMED; 16];
-        let mut looped = scan(ops, iters, 0, &mut info);
-        scan(after, 1, 1, &mut info);
+        let (decision, ops, ..) = decided(ops, iters, after);
+        (decision, ops)
+    }
+
+    /// [`decision_after`], with the section's scan and register table
+    /// after it.
+    fn decided(ops: &[Op], iters: i64, after: &[Op]) -> (Result<Carried, SequentialReason>, Vec<Op>, Scan, Vec<Reg>) {
+        let (mut info, mut scratch) = (vec![Reg::UNNAMED; 16], (Vec::new(), Vec::new()));
+        let mut looped = scan(ops, iters, 0, &mut info, &mut scratch);
+        scan(after, 1, 1, &mut info, &mut scratch);
         let mut ops = ops.to_vec();
-        (decide(&mut ops, iters, 0, &mut looped, &mut info), ops)
+        let decision = decide(&mut ops, iters, 0, &mut looped, &mut info, &mut Vec::new());
+        (decision, ops, looped, info)
+    }
+
+    /// [`select`] on one loop section of 1000 iterations, in the order
+    /// [`decide`] leaves it, followed by `after`.
+    fn select_after(ops: &[Op], after: &[Op]) -> Vec<Super> {
+        let (carried, ops, looped, info) = decided(ops, 1000, after);
+        let mut uses = Vec::new();
+        tabulate(&looped.regs, info.len(), &mut uses);
+        let carried = carried.expect("the section strips");
+        select(&ops, &looped.regs, &uses, 0, &looped, &carried, &info, &mut Parse::new(info.len()))
     }
 
     fn strips(ops: &[Op], iters: i64) -> bool {
@@ -1440,13 +1447,7 @@ mod tests {
     /// followed by `after`: each superinstruction's ops and the kind of
     /// its first sink.
     fn selected_after(ops: &[Op], after: &[Op]) -> Vec<(Range<usize>, Sink)> {
-        let mut info = vec![Reg::UNNAMED; 16];
-        let mut looped = scan(ops, 1000, 0, &mut info);
-        scan(after, 1, 1, &mut info);
-        let mut ops = ops.to_vec();
-        let carried = decide(&mut ops, 1000, 0, &mut looped, &mut info).expect("the section strips");
-        let supers = select(&ops, &looped.regs, 0, &looped, &carried, &info, &mut Selecting::new(info.len()));
-        supers.into_iter().map(|f| (f.ops.clone(), f.folds()[0].sink)).collect()
+        select_after(ops, after).into_iter().map(|f| (f.ops.clone(), f.folds()[0].sink)).collect()
     }
 
     /// Each superinstruction's first and one-past-last op.
@@ -1520,11 +1521,7 @@ mod tests {
     }
 
     fn supers(ops: &[Op]) -> Vec<Super> {
-        let mut info = vec![Reg::UNNAMED; 16];
-        let mut looped = scan(ops, 1000, 0, &mut info);
-        let mut ops = ops.to_vec();
-        let carried = decide(&mut ops, 1000, 0, &mut looped, &mut info).expect("the section strips");
-        select(&ops, &looped.regs, 0, &looped, &carried, &info, &mut Selecting::new(info.len()))
+        select_after(ops, &[])
     }
 
     fn perm(dst: u32, a: u32, b: u32) -> Op {

@@ -1,13 +1,16 @@
 //! Execution: the strip driver, the pass that prepares a baked plan
 //! for it, and the instruction tiers it runs on.
 //!
-//! The last step of a bake (`lower`) renames the (trace-fused)
-//! plan's registers onto one dense block, settles which loop sections
-//! run in strips and, in those, which runs of ops form superinstructions
-//! — folds of loaded streams into a store, a rotation shift or a
-//! reduction partial, run as one lane loop with their values in
-//! registers. The one strip-mined driver (`strip`) then replays that
-//! plan on one of three instruction tiers picked by [`IsaLevel`] — the
+//! The section type here (`Section`) is the one a bake emits, six of
+//! them from prologue to epilogue (`Section::plan`), and trace fusion
+//! rewrites in place. The last step of a bake (`lower`) finishes those
+//! same sections: it renames the (trace-fused) plan's registers onto one
+//! dense block, settles which loop sections run in strips and, in
+//! those, which runs of ops form superinstructions — folds of loaded
+//! streams into a store, a rotation shift or a reduction partial, run
+//! as one lane loop with their values in registers. The one strip-mined
+//! driver (`strip`) then replays that plan on one of three instruction
+//! tiers picked by [`IsaLevel`] — the
 //! portable tier behind [`CompiledKernel::run`] (and the detected one on
 //! hosts other than x86_64), the detected one behind [`SimdKernel`]:
 //!

@@ -1,6 +1,10 @@
 //! Trace fusion: post-bake optimization of the engine's straight-line
 //! sections into fused superinstructions.
 //!
+//! The pass rewrites, in place, the one section list a bake emits and
+//! lowering finishes ([`Section::plan`]): prologue, pair header, pair,
+//! body header, body and epilogue, each with its iteration count.
+//!
 //! Baking leaves the kernel as a literal transcription of the
 //! `SimdProgram` — every misaligned stream costs a `vload` + a
 //! `vshiftpair` (plus a rotation `copy` under software pipelining) per
@@ -43,16 +47,21 @@
 //! over those registers alone (debug builds check the result against
 //! the fixpoint over every register).
 //!
-//! After rewriting, iteration-invariant ops are hoisted into a per-loop
-//! header (executed once, only when the loop runs), and a global
-//! backward liveness pass over all sections deletes ops whose results
-//! are never observed — typically the raw loads and rotation copies
-//! that fusion just obsoleted. Every table these passes index by
-//! register is built once per bake. None of this changes a stored byte
-//! or a reported stat: `RunStats` are fixed before this pass runs, and
-//! the differential tests execute every kernel fused and unfused.
+//! After rewriting, iteration-invariant ops are hoisted into the loop's
+//! header slot (executed once, only when the loop runs), and a global
+//! backward liveness pass over all six sections deletes ops whose
+//! results are never observed — typically the raw loads and rotation
+//! copies that fusion just obsoleted. The registers a loop reads before
+//! it writes them — the fixpoint's live-in set, the hoist's
+//! upward-exposed uses and the liveness sweep's — all come from the
+//! engine's one live-in rule ([`live_in`]). Every table these passes
+//! index by register is built once per bake. None of this changes a
+//! stored byte or a reported stat: `RunStats` are fixed before this pass
+//! runs, and the differential tests execute every kernel fused and
+//! unfused.
 
-use crate::kernel::{Op, NO_REG, V};
+use crate::kernel::{live_in, Op, NO_REG, V};
+use crate::native::Section;
 use crate::lanes::{self, Reg};
 use simdize_ir::ScalarType;
 use simdize_telemetry as telemetry;
@@ -149,18 +158,6 @@ impl std::fmt::Display for FusionEvent {
             }
         }
     }
-}
-
-/// The baked sections of one kernel, handed over for optimization.
-pub(crate) struct Sections<'a> {
-    pub(crate) prologue: &'a mut Vec<Op>,
-    pub(crate) pair: &'a mut Vec<Op>,
-    pub(crate) pair_iters: i64,
-    pub(crate) body: &'a mut Vec<Op>,
-    pub(crate) body_iters: i64,
-    pub(crate) epilogue: &'a mut Vec<Op>,
-    pub(crate) nregs: usize,
-    pub(crate) elem: ScalarType,
 }
 
 /// What is known about one register at one program point.
@@ -286,79 +283,51 @@ impl Domain {
     }
 }
 
-/// What [`optimize`] hands back beside the rewritten sections.
-pub(crate) struct Fused {
-    /// The hoisted pair and body headers.
-    pub(crate) pair_header: Vec<Op>,
-    pub(crate) body_header: Vec<Op>,
-    pub(crate) stats: FusionStats,
-    pub(crate) events: Vec<FusionEvent>,
-    /// The register ids in use: the bake's and the loads composition
-    /// added.
-    pub(crate) nregs: usize,
-}
-
-/// Runs the full pass over a kernel's sections. Returns the hoisted
-/// pair and body headers plus the fusion telemetry: aggregate counts
-/// and the per-rewrite event list.
-pub(crate) fn optimize(s: Sections) -> Fused {
+/// Runs the full pass over a kernel's six sections ([`Section::plan`]),
+/// in place: rewrites each, hoists each loop's invariants into its
+/// header slot and sweeps all six for dead ops. Composition adds
+/// registers from `nregs` on and leaves it past the last one. Returns
+/// the fusion telemetry: aggregate counts and the per-rewrite event
+/// list.
+pub(crate) fn optimize(sections: &mut [Section; 6], nregs: &mut usize, elem: ScalarType) -> (FusionStats, Vec<FusionEvent>) {
     let mut st = FusionStats::default();
     // Most plans record a few dozen rewrites.
     let mut ev = Vec::with_capacity(32);
-    // Composition adds registers from `next` on, growing the facts.
-    let mut next = s.nregs as u32;
-    let mut facts = Facts { all: vec![Fact::Bottom; s.nregs], held: Vec::with_capacity(s.nregs) };
-    let d = &mut Domain { elem: s.elem, gathers: Vec::new() };
+    let mut next = *nregs as u32;
+    let mut facts = Facts { all: vec![Fact::Bottom; *nregs], held: Vec::with_capacity(*nregs) };
+    let d = &mut Domain { elem, gathers: Vec::new() };
+    let [prologue, pair_header, pair, body_header, body, epilogue] = &mut *sections;
     {
         let _span = telemetry::span("rewrite");
-        rewrite(s.prologue, &mut facts, &mut next, d, &mut st, "prologue", &mut ev);
+        rewrite(&mut prologue.ops, &mut facts, &mut next, d, &mut st, prologue.role, &mut ev);
     }
-
     let (mut fp, mut h) = (Fixpoint::default(), Hoister::default());
-    let mut pair_header = Vec::new();
-    if s.pair_iters > 0 {
-        loop_entry(&mut facts, s.pair, d, &mut fp);
-        {
-            let _span = telemetry::span("rewrite");
-            rewrite(s.pair, &mut facts, &mut next, d, &mut st, "pair", &mut ev);
+    for (header, s) in [(pair_header, pair), (body_header, body)] {
+        if s.iters > 0 {
+            loop_entry(&mut facts, &s.ops, d, &mut fp);
+            {
+                let _span = telemetry::span("rewrite");
+                rewrite(&mut s.ops, &mut facts, &mut next, d, &mut st, s.role, &mut ev);
+            }
+            let _span = telemetry::span("hoist");
+            header.ops = hoist(&mut s.ops, s.iters, next as usize, &mut h, &mut st, s.role, &mut ev);
+            concretize(&mut facts.all, s.iters, d);
         }
-        let _span = telemetry::span("hoist");
-        pair_header = hoist(s.pair, s.pair_iters, next as usize, &mut h, &mut st, "pair", &mut ev);
-        concretize(&mut facts.all, s.pair_iters, d);
-    }
-    let mut body_header = Vec::new();
-    if s.body_iters > 0 {
-        loop_entry(&mut facts, s.body, d, &mut fp);
-        {
-            let _span = telemetry::span("rewrite");
-            rewrite(s.body, &mut facts, &mut next, d, &mut st, "body", &mut ev);
-        }
-        let _span = telemetry::span("hoist");
-        body_header = hoist(s.body, s.body_iters, next as usize, &mut h, &mut st, "body", &mut ev);
-        concretize(&mut facts.all, s.body_iters, d);
     }
     {
         let _span = telemetry::span("rewrite");
-        rewrite(s.epilogue, &mut facts, &mut next, d, &mut st, "epilogue", &mut ev);
+        rewrite(&mut epilogue.ops, &mut facts, &mut next, d, &mut st, epilogue.role, &mut ev);
     }
-
     {
         let _span = telemetry::span("dce");
-        let mut segments = [
-            Segment { ops: s.prologue, iters: 1, name: "prologue" },
-            Segment { ops: &mut pair_header, iters: 1, name: "pair header" },
-            Segment { ops: s.pair, iters: s.pair_iters, name: "pair" },
-            Segment { ops: &mut body_header, iters: 1, name: "body header" },
-            Segment { ops: s.body, iters: s.body_iters, name: "body" },
-            Segment { ops: s.epilogue, iters: 1, name: "epilogue" },
-        ];
-        dce(&mut segments, next as usize, &mut st, &mut ev);
+        dce(sections, next as usize, &mut st, &mut ev);
     }
     telemetry::tag(
         "fusion.rewrites",
         (st.fused_loads + st.composed + st.splat_ops + st.hoisted + st.eliminated) as u64,
     );
-    Fused { pair_header, body_header, stats: st, events: ev, nregs: next as usize }
+    *nregs = next as usize;
+    (st, ev)
 }
 
 /// What the rewrite knows about every register, threaded through the
@@ -633,8 +602,7 @@ struct Fixpoint {
     live: usize,
     /// By register: its local id, [`NO_REG`] if it has none.
     local: Vec<u32>,
-    /// By register: named so far by the scan for live-in registers, then
-    /// needed by the slice.
+    /// By register: [`live_in`]'s scratch, then needed by the slice.
     marks: Vec<bool>,
     /// By local id, the fall-in facts and the facts flowed through the
     /// slice once a round; by live-in register, this round's entry facts
@@ -649,21 +617,8 @@ impl Fixpoint {
     /// depend on, and gives each register the slice names a local id.
     fn slice(&mut self, ops: &[Op], nregs: usize) {
         let Fixpoint { slice, global, live, local, marks, .. } = self;
-        marks.clear();
-        marks.resize(nregs, false);
-        global.clear();
         global.reserve(3 * ops.len()); // an op names at most three
-        for op in ops {
-            uses(op, |r| {
-                if !marks[r as usize] {
-                    marks[r as usize] = true;
-                    global.push(r);
-                }
-            });
-            if let Some(r) = def(op) {
-                marks[r as usize] = true;
-            }
-        }
+        live_in(ops, nregs, marks, global);
         *live = global.len();
         // Backwards from the end of the loop: an op stays if it is the
         // last def before the end (or before a staying op's read) of a
@@ -999,10 +954,8 @@ fn compose(
 struct Hoisting {
     /// The ops that define it.
     defs: u32,
-    /// Read before (or without) being defined.
+    /// Read before (or without) being defined: live into the loop.
     upward: bool,
-    /// Defined by an op seen so far.
-    defined: bool,
     /// Defined by a hoisted op.
     hoisted: bool,
 }
@@ -1014,6 +967,9 @@ struct Hoister {
     regs: Vec<Hoisting>,
     /// The byte range each store covers across the whole loop.
     stores: Vec<(u32, i64, i64)>,
+    /// [`live_in`]'s scratch and result.
+    seen: Vec<bool>,
+    live: Vec<u32>,
 }
 
 /// Moves iteration-invariant ops out of a loop section into a header
@@ -1033,18 +989,15 @@ fn hoist(
     section: &'static str,
     ev: &mut Vec<FusionEvent>,
 ) -> Vec<Op> {
-    let Hoister { regs, stores } = h;
+    let Hoister { regs, stores, seen, live } = h;
     regs.clear();
     regs.resize(nregs, Hoisting::default());
-    for op in ops.iter() {
-        uses(op, |r| {
-            let reg = &mut regs[r as usize];
-            reg.upward |= !reg.defined;
-        });
-        if let Some(d) = def(op) {
-            let reg = &mut regs[d as usize];
-            (reg.defs, reg.defined) = (reg.defs + 1, true);
-        }
+    live_in(ops, nregs, seen, live);
+    for &r in live.iter() {
+        regs[r as usize].upward = true;
+    }
+    for d in ops.iter().filter_map(def) {
+        regs[d as usize].defs += 1;
     }
     stores.clear();
     stores.extend(ops.iter().filter_map(|op| match *op {
@@ -1102,70 +1055,55 @@ fn hoist(
 struct Liveness {
     /// Live at the point the sweep has reached.
     live: bool,
-    /// Live after the looping segment being swept.
+    /// Live after the looping section being swept.
     after: bool,
-    /// Read by that segment before it is defined, as of the last
-    /// [`upward_uses`]; `fresh` is the scan under way.
+    /// Read by that section before it is defined, as of the last
+    /// [`upward_uses`].
     upward: bool,
-    fresh: bool,
-    /// Defined so far by the scan under way.
-    defined: bool,
 }
 
 /// Marks in `regs` the registers `ops` read before (re)defining them —
-/// the values a looping segment needs live on entry — and returns
-/// whether that set changed.
-fn upward_uses(ops: &[Op], regs: &mut [Liveness]) -> bool {
-    regs.iter_mut().for_each(|r| (r.fresh, r.defined) = (false, false));
-    for op in ops {
-        uses(op, |r| {
-            let reg = &mut regs[r as usize];
-            reg.fresh |= !reg.defined;
-        });
-        if let Some(d) = def(op) {
-            regs[d as usize].defined = true;
-        }
-    }
-    let mut changed = false;
-    for r in regs.iter_mut() {
-        changed |= r.fresh != r.upward;
-        r.upward = r.fresh;
+/// the values a looping section needs live on entry, [`live_in`] — and
+/// returns whether that set changed. `(seen, live)` is [`live_in`]'s
+/// scratch.
+fn upward_uses(ops: &[Op], regs: &mut [Liveness], (seen, live): &mut (Vec<bool>, Vec<u32>)) -> bool {
+    live_in(ops, regs.len(), seen, live);
+    let was = regs.iter().filter(|r| r.upward).count();
+    let changed = live.len() != was || live.iter().any(|&r| !regs[r as usize].upward);
+    regs.iter_mut().for_each(|r| r.upward = false);
+    for &r in live.iter() {
+        regs[r as usize].upward = true;
     }
     changed
 }
 
-struct Segment<'a> {
-    ops: &'a mut Vec<Op>,
-    iters: i64,
-    name: &'static str,
-}
-
 /// Global dead-code elimination: one backward liveness sweep over the
-/// kernel's segments in execution order, each segment's live-in feeding
-/// the previous segment's live-out. A looping segment additionally
-/// keeps its own upward-exposed uses live (a value may feed the next
-/// iteration), so it is swept again whenever a deleted op was what left
-/// a register upward-exposed: the op defining it may now be dead too.
-/// This sequential
-/// propagation is sound because every non-empty segment executes at
-/// least once (empty loops bake to empty vectors), so a register a
-/// segment unconditionally redefines really does kill the incoming
-/// value. Every def-carrying op is pure, so any op whose result is dead
-/// can go; stores define nothing and are never removed. A segment's
-/// live-out depends only on the segments after it, so once the sweep
-/// has passed a segment it is final: fused-away load/copy chains
-/// unravel fully in one pass.
-fn dce(segments: &mut [Segment<'_>; 6], nregs: usize, st: &mut FusionStats, ev: &mut Vec<FusionEvent>) {
+/// kernel's six sections in execution order, each section's live-in
+/// feeding the previous section's live-out. A looping section
+/// additionally keeps its own upward-exposed uses live (a value may feed
+/// the next iteration), so it is swept again whenever a deleted op was
+/// what left a register upward-exposed: the op defining it may now be
+/// dead too. This sequential propagation is sound because every
+/// non-empty section executes at least once (a loop that never runs
+/// bakes empty, and so does its header), so a register a section
+/// unconditionally redefines really does kill the incoming value. Every
+/// def-carrying op is pure, so any op whose result is dead can go;
+/// stores define nothing and are never removed. A section's live-out
+/// depends only on the sections after it, so once the sweep has passed
+/// a section it is final: fused-away load/copy chains unravel fully in
+/// one pass.
+fn dce(sections: &mut [Section; 6], nregs: usize, st: &mut FusionStats, ev: &mut Vec<FusionEvent>) {
     let mut regs = vec![Liveness::default(); nregs];
-    // By op of the segment swept: whether it stays.
+    let mut scratch = (Vec::new(), Vec::new());
+    // By op of the section swept: whether it stays.
     let mut keep = Vec::new();
-    let mut per_segment = [0; 6];
-    for (seg, count) in segments.iter_mut().zip(&mut per_segment).rev() {
-        let ops = &mut *seg.ops;
-        let looped = seg.iters > 1;
+    let mut per_section = [0; 6];
+    for (section, count) in sections.iter_mut().zip(&mut per_section).rev() {
+        let ops = &mut section.ops;
+        let looped = section.iters > 1;
         if looped {
             regs.iter_mut().for_each(|r| r.after = r.live);
-            upward_uses(ops, &mut regs);
+            upward_uses(ops, &mut regs, &mut scratch);
         }
         loop {
             if looped {
@@ -1197,18 +1135,21 @@ fn dce(segments: &mut [Segment<'_>; 6], nregs: usize, st: &mut FusionStats, ev: 
             // op was the one that made a register upward-exposed. (A
             // deleted def never exposes a read: the read would have made
             // it live.)
-            if !looped || !exposed || !upward_uses(ops, &mut regs) {
+            if !looped || !exposed || !upward_uses(ops, &mut regs, &mut scratch) {
                 break;
             }
         }
     }
-    for (seg, count) in segments.iter().zip(per_segment) {
+    for (section, count) in sections.iter().zip(per_section) {
         st.eliminated += count;
         if count > 0 {
-            ev.push(FusionEvent {
-                section: seg.name,
-                kind: FusionEventKind::Eliminated { count },
-            });
+            // Events name a header `pair header`, the listing `pair.header`.
+            let name = match section.role {
+                "pair.header" => "pair header",
+                "body.header" => "body header",
+                role => role,
+            };
+            ev.push(FusionEvent { section: name, kind: FusionEventKind::Eliminated { count } });
         }
     }
 }
@@ -1233,17 +1174,17 @@ mod tests {
         epilogue: &mut Vec<Op>,
         nregs: usize,
     ) -> (Vec<Op>, Vec<Op>, FusionStats) {
-        let fused = optimize(Sections {
-            prologue,
-            pair,
-            pair_iters,
-            body,
-            body_iters,
-            epilogue,
-            nregs,
-            elem: elem(),
-        });
-        (fused.pair_header, fused.body_header, fused.stats)
+        let mut sections = Section::plan(pair_iters, body_iters);
+        let mut baked = [(0, prologue), (2, pair), (4, body), (5, epilogue)];
+        for (s, ops) in &mut baked {
+            sections[*s].ops = std::mem::take(*ops);
+        }
+        let (stats, _) = optimize(&mut sections, &mut { nregs }, elem());
+        for (s, ops) in baked {
+            *ops = std::mem::take(&mut sections[s].ops);
+        }
+        let [_, pair_header, _, body_header, ..] = sections;
+        (pair_header.ops, body_header.ops, stats)
     }
 
     /// `body` as a loop of 8 iterations with nothing around it.

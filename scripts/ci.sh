@@ -22,9 +22,9 @@
 # verified against the scalar oracle on four worker threads (with
 # telemetry collection on), a request-scoped `simdize trace` export
 # (text with the attributes and span tree, JSON, Chrome trace events),
-# the disabled-instrumentation overhead gate, checked 1 s runs of the
-# BENCHMARK.json package's kernel-steady, bake-cold and compile-cold
-# workloads, a server smoke that checks trace-id echoing,
+# the disabled-instrumentation overhead gate, checked 1 s runs of all
+# four BENCHMARK.json workloads (kernel-steady, bake-cold, compile-cold
+# and serve-hot), a server smoke that checks trace-id echoing,
 # the flight recorder's dump verb, the server's thread count (no pool)
 # and the Prometheus /metrics endpoint, the 1200-connection stress
 # test, and the bounded-equivalence prover: a quick proof of every
@@ -169,7 +169,7 @@ echo "== telemetry disabled-overhead gate (<2% of a kernel run) =="
 TELEMETRY_OVERHEAD=1 cargo test -q --release --offline --test telemetry \
     -- --exact disabled_instrumentation_overhead_under_two_percent
 
-echo "== regression benchmark checks out (kernel-steady, bake-cold and compile-cold, 1 s each) =="
+echo "== regression benchmark checks out (kernel-steady, bake-cold, compile-cold and serve-hot, 1 s each) =="
 # One short untraced run of the workload that lives in the strip
 # driver: the last line is the contract's JSON, and it must say every
 # op matched the scalar oracle — set-up builds each reference image
@@ -196,6 +196,13 @@ benchmark/target/release/simdize-benchmark --workload bake-cold --seed 1 --secon
 benchmark/target/release/simdize-benchmark --workload compile-cold --seed 1 --seconds 1 --trace 1 \
     | tail -n 1 | grep -q '"correct":true' \
     || { echo "benchmark: compile-cold did not check out" >&2; exit 1; }
+# And the end-to-end one: `run` requests on two closed-loop connections
+# to an in-process `simdize serve`, every reply compared byte for byte
+# with the one set-up recorded (the server's own diff against the
+# scalar oracle says `verified` in each).
+benchmark/target/release/simdize-benchmark --workload serve-hot --seed 1 --seconds 1 --trace 0 \
+    | tail -n 1 | grep -q '"correct":true' \
+    || { echo "benchmark: serve-hot did not check out" >&2; exit 1; }
 
 echo "== server smoke (serve round-trip, trace ids, dump, /metrics) =="
 # Boots `simdize serve` on port 0 with the metrics endpoint on a second

@@ -11,6 +11,7 @@ use simdize::{
     ScalarType, Scheme, Simdizer, TripSpec, UnOp, Value, VectorShape, WorkloadSpec,
 };
 use simdize_prng::SplitMix64;
+use simdize_server::protocol::parse_request;
 
 /// Case-count multiplier: 1 normally, 8 under `--features fuzz`.
 const SCALE: usize = if cfg!(feature = "fuzz") { 8 } else { 1 };
@@ -412,6 +413,34 @@ fn parser_survives_mutations() {
         }
         let mutated = format!("{}{}{}", &base[..at], insert, &base[at..]);
         let _ = parse_program(&mutated);
+    }
+}
+
+/// The wire parser's counterpart: every request line of the server's
+/// wire golden, with bytes inserted, deleted and bit-flipped, never
+/// panics `parse_request`, and one input always gets one answer — the
+/// same error, id and message, both times it is parsed.
+#[test]
+fn wire_parser_survives_mutations() {
+    let golden = include_str!("golden/server-wire.txt");
+    let requests: Vec<&[u8]> = golden.lines().filter(|l| l.contains("\"cmd\"")).map(str::as_bytes).collect();
+    assert!(requests.len() >= 8, "{} request lines", requests.len());
+    const BYTES: &[u8] = b"{}[]\":,\\0123456789aeflnrstuv \x7f\xc3";
+    let parse = |line: &str| parse_request(line).map(drop).map_err(|e| (e.id, e.message));
+    let mut rng = SplitMix64::seed_from_u64(0x51DE_3A7E);
+    for case in 0..512 * SCALE {
+        let mut line = requests[rng.index(requests.len())].to_vec();
+        for _ in 0..1 + rng.index(4) {
+            let at = rng.index(line.len() + 1);
+            match rng.index(3) {
+                0 => line.insert(at, BYTES[rng.index(BYTES.len())]),
+                1 if at < line.len() => drop(line.remove(at)),
+                _ if at < line.len() => line[at] ^= 1 << rng.index(8),
+                _ => {}
+            }
+        }
+        let line = String::from_utf8_lossy(&line);
+        assert_eq!(parse(&line), parse(&line), "case {case}: {line}");
     }
 }
 
