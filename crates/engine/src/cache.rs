@@ -14,7 +14,7 @@
 //!   embeds the placement policy and codegen scheme — see
 //!   [`program_fingerprint`]), the [`RunInput`], a [`LayoutSig`]
 //!   (shape, element type, image length, every array base), and the
-//!   dispatched [`IsaLevel`], so an AVX2 kernel and an SSE2 kernel of
+//!   dispatched [`IsaLevel`], so an AVX2 kernel and a v2 kernel of
 //!   the same program never collide, within a sweep or across server
 //!   requests. The input, layout and tier are compared in full; the
 //!   program is compared by fingerprint only, so a 64-bit collision
@@ -367,7 +367,7 @@ impl KernelCache {
     /// The cached kernel for *(program, input, layout, ISA)*, baking,
     /// pinning to `isa` and inserting on a miss; the bake runs outside
     /// the shard lock. Distinct ISA tiers occupy distinct entries — a
-    /// request dispatched at AVX2 never reuses an SSE2 kernel or vice
+    /// request dispatched at AVX2 never reuses a v2 kernel or vice
     /// versa.
     ///
     /// # Errors

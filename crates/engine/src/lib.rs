@@ -37,7 +37,7 @@
 //! One strip-mined driver executes the plan, instantiated per
 //! instruction tier ([`native`]): a portable tier every host has —
 //! what [`CompiledKernel::run`] uses — and real `std::arch`
-//! intrinsics — SSE2 always on x86_64, AVX2 by runtime feature
+//! intrinsics — x86-64-v2 and AVX2 on x86_64, each by runtime feature
 //! detection — which [`SimdKernel`] pins a kernel to,
 //! by [`IsaLevel::detect`] unless told otherwise. Every tier is
 //! byte-for-byte and stat-for-stat identical to

@@ -2,11 +2,11 @@
 //!
 //! [`IsaLevel`] names the instruction tiers the lowering pass can
 //! target. Detection picks the best tier the host supports —
-//! `is_x86_feature_detected!` at runtime for AVX2, `cfg(target_arch)`
-//! for the SSE2 baseline, the portable tier on every other
-//! architecture — and the `SIMDIZE_ISA` environment
-//! variable can *lower* (never raise) the choice, which is how CI
-//! exercises the SSE2 path on AVX2 hosts.
+//! `is_x86_feature_detected!` at runtime for the two x86_64 tiers, the
+//! portable tier on every other architecture and on x86_64 hosts below
+//! x86-64-v2 — and the `SIMDIZE_ISA` environment variable can *lower*
+//! (never raise) the choice, which is how CI exercises the v2 tier on
+//! AVX2 hosts.
 
 use std::fmt;
 
@@ -20,23 +20,25 @@ use std::fmt;
 pub enum IsaLevel {
     /// Portable scalar emulation on `[u8; 16]` registers. Always valid.
     Scalar,
-    /// x86_64 baseline: SSE2 is architecturally guaranteed.
-    Sse2,
-    /// x86_64 with runtime-detected SSSE3 + SSE4.1 + AVX2 (`palignr`,
-    /// `pshufb`, `pblendvb`, `pmulld`, the full min/max family).
+    /// x86_64 at the x86-64-v2 level: runtime-detected SSSE3 + SSE4.1
+    /// (`palignr`, `pshufb`, `pblendvb`, `pmulld`, the full min/max
+    /// family), 128 bits wide.
+    V2,
+    /// x86_64 with runtime-detected AVX2 as well: the v2 tier's
+    /// operations, with paired superinstructions run 256 bits wide.
     Avx2,
 }
 
 impl IsaLevel {
     /// Every tier, for enumeration in tests and docs.
-    pub const ALL: [IsaLevel; 3] = [IsaLevel::Scalar, IsaLevel::Sse2, IsaLevel::Avx2];
+    pub const ALL: [IsaLevel; 3] = [IsaLevel::Scalar, IsaLevel::V2, IsaLevel::Avx2];
 
     /// The lowercase name used in summaries (`backend: simd/avx2`),
     /// cache-key telemetry and the `SIMDIZE_ISA` override.
     pub fn name(self) -> &'static str {
         match self {
             IsaLevel::Scalar => "scalar",
-            IsaLevel::Sse2 => "sse2",
+            IsaLevel::V2 => "v2",
             IsaLevel::Avx2 => "avx2",
         }
     }
@@ -46,20 +48,17 @@ impl IsaLevel {
         Self::ALL.into_iter().find(|l| l.name() == s)
     }
 
-    /// Whether this tier can execute on the current host. `Scalar` is
-    /// always available; `Avx2` additionally requires the runtime
-    /// feature probe (SSSE3/SSE4.1/AVX2 together).
+    /// Whether this tier can execute on the current host: `Scalar`
+    /// always; `V2` when the runtime probe finds exactly the features
+    /// its operations use (SSSE3 and SSE4.1); `Avx2` when it finds AVX2
+    /// as well.
     pub fn available(self) -> bool {
         match self {
             IsaLevel::Scalar => true,
             #[cfg(target_arch = "x86_64")]
-            IsaLevel::Sse2 => true,
+            IsaLevel::V2 => is_x86_feature_detected!("ssse3") && is_x86_feature_detected!("sse4.1"),
             #[cfg(target_arch = "x86_64")]
-            IsaLevel::Avx2 => {
-                is_x86_feature_detected!("ssse3")
-                    && is_x86_feature_detected!("sse4.1")
-                    && is_x86_feature_detected!("avx2")
-            }
+            IsaLevel::Avx2 => IsaLevel::V2.available() && is_x86_feature_detected!("avx2"),
             #[allow(unreachable_patterns)]
             _ => false,
         }
@@ -67,26 +66,18 @@ impl IsaLevel {
 
     /// The best tier the host hardware supports, ignoring overrides.
     pub fn host_best() -> IsaLevel {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if IsaLevel::Avx2.available() {
-                IsaLevel::Avx2
-            } else {
-                IsaLevel::Sse2
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            IsaLevel::Scalar
-        }
+        Self::ALL
+            .into_iter()
+            .rfind(|l| l.available())
+            .unwrap_or(IsaLevel::Scalar)
     }
 
     /// The tier the backend dispatches to: [`host_best`](Self::host_best),
     /// optionally lowered by the `SIMDIZE_ISA` environment variable
-    /// (`scalar`, `sse2`, `avx2`). The override can only select
+    /// (`scalar`, `v2`, `avx2`). The override can only select
     /// a tier the host supports at or below the detected rank —
-    /// `SIMDIZE_ISA=avx2` on an SSE2-only machine, or any unknown
-    /// value, is ignored. This is what lets CI force the SSE2 path on
+    /// `SIMDIZE_ISA=avx2` on a v2-only machine, or any unknown
+    /// value, is ignored. This is what lets CI force the v2 tier on
     /// AVX2 hosts without losing safety.
     pub fn detect() -> IsaLevel {
         Self::with_override(std::env::var("SIMDIZE_ISA").ok().as_deref())
@@ -121,6 +112,9 @@ mod tests {
             assert_eq!(IsaLevel::parse(level.name()), Some(level));
         }
         assert_eq!(IsaLevel::parse("sse9"), None);
+        // The retired SSE2 tier's name: `SIMDIZE_ISA=sse2` falls back
+        // to the detected tier.
+        assert_eq!(IsaLevel::parse("sse2"), None);
     }
 
     #[test]
@@ -139,11 +133,18 @@ mod tests {
         assert_eq!(IsaLevel::with_override(None), best);
         // Asking for the detected tier is a no-op.
         assert_eq!(IsaLevel::with_override(Some(best.name())), best);
-        // On x86_64 the SSE2 baseline is always grantable.
+        assert_eq!(IsaLevel::with_override(Some("sse2")), best);
+        // On x86_64 the v2 tier is granted exactly when its probe
+        // (SSSE3 and SSE4.1) passes.
         #[cfg(target_arch = "x86_64")]
-        assert_eq!(IsaLevel::with_override(Some("sse2")), IsaLevel::Sse2);
+        assert_eq!(
+            IsaLevel::with_override(Some("v2")) == IsaLevel::V2,
+            is_x86_feature_detected!("ssse3") && is_x86_feature_detected!("sse4.1")
+        );
         // A foreign-architecture tier is never granted.
         #[cfg(not(target_arch = "x86_64"))]
-        assert_eq!(IsaLevel::with_override(Some("avx2")), best);
+        for tier in ["v2", "avx2"] {
+            assert_eq!(IsaLevel::with_override(Some(tier)), best);
+        }
     }
 }

@@ -780,12 +780,10 @@ impl Parse {
     fn build(&self, ops: Range<usize>, [_, folds, streams, leaves, terms, tables]: Whole) -> Option<Super> {
         let (mut fold, store) = frame(&self.folds[..folds]);
         let rotates = matches!(fold[0].sink, Sink::Shift { .. });
-        let mut shifts = [([0; 16], [0; 16], [0; 16]); 2];
+        let mut shifts = [([0; 16], [0; 16]); 2];
         for (f, shift) in fold[..folds].iter().zip(&mut shifts) {
             if let Sink::Shift { amt, .. } = f.sink {
-                let pattern = std::array::from_fn(|i| amt + i as u8);
-                let (lo, hi) = perm_tables(&pattern);
-                *shift = (pattern, lo, hi);
+                *shift = perm_tables(&std::array::from_fn(|i| amt + i as u8));
             }
         }
         let step = self.step.unwrap_or(0);
@@ -819,10 +817,7 @@ impl Parse {
     #[cold]
     #[inline(never)]
     fn shape(&self, folds: usize, leaves: usize, terms: usize, tables: usize) -> Shape {
-        let tables = self.tables[..tables].iter().map(|&(bytes, gather)| {
-            let (lo, hi) = if gather { perm_tables(&bytes) } else { ([0; 16], [0; 16]) };
-            (bytes, lo, hi)
-        });
+        let tables = self.tables[..tables].iter().map(|&(bytes, gather)| if gather { perm_tables(&bytes) } else { (bytes, [0; 16]) });
         Shape { ops: self.fold_ops[..folds].to_vec(), leaves: self.leaves[..leaves].to_vec(), terms: self.terms[..terms].to_vec(), tables: tables.collect() }
     }
 
@@ -901,7 +896,7 @@ fn halves(f: &Super) -> u16 {
         let matched = f.step == 2 * V && loads.len() % 2 == 0 && (0..streams as u8).all(|s| next(s, s + streams as u8));
         return if matched { read } else { 0 };
     };
-    let table = |t: u8| shape.tables[t as usize].0;
+    let table = |t: u8| shape.tables[t as usize];
     let mut leaf = |x: u8, y: u8| match (shape.leaves[x as usize], shape.leaves[y as usize]) {
         (Leaf::Stream(s), Leaf::Stream(t)) => next(s, t),
         (Leaf::Gather { a, b, table: t }, Leaf::Gather { a: c, b: d, table: u }) => next(a, c) && next(b, d) && table(t) == table(u),

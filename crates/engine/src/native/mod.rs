@@ -14,22 +14,22 @@
 //! portable tier behind [`CompiledKernel::run`] (and the detected one on
 //! hosts other than x86_64), the detected one behind [`SimdKernel`]:
 //!
-//! | VIR form        | SSE2                               | AVX2 tier                | AVX2, paired superinstruction      |
-//! |-----------------|------------------------------------|--------------------------|------------------------------------|
-//! | `vload`/`.fused`| `movdqu` (chunk-aligned address)   | same                     | one `vmovdqu ymm` for both halves  |
-//! | `vstore`        | `movdqu`                           | same                     | one `vmovdqu ymm`                  |
-//! | `vshiftpair`    | `psrldq`+`pslldq`+`por`            | `palignr`                | `vperm2i128` + 2×`vpshufb`+`vpor`  |
-//! | `vsplice`       | `pand`/`pandn`/`por` mask select   | `pblendvb`               | (generic op: 128-bit)              |
-//! | `vperm`         | scalar byte gather                 | 2×`pshufb`+`por`         | 2×`vpshufb`+`vpor`, tables in both halves |
-//! | `vsplat`        | immediate register image           | same                     | `vbroadcasti128`                   |
-//! | arithmetic      | `padd*`/`psub*`/`pmullw`/…         | + `pmulld`, full min/max | the same at 256 bits               |
+//! | VIR form         | v2 and AVX2 tiers (128-bit)                        | AVX2, paired superinstruction             |
+//! |------------------|----------------------------------------------------|-------------------------------------------|
+//! | `vload`/`.fused` | `movdqu` (chunk-aligned address)                   | one `vmovdqu ymm` for both halves         |
+//! | `vstore`         | `movdqu`                                           | one `vmovdqu ymm`                         |
+//! | `vshiftpair`     | `palignr`                                          | `vperm2i128` + 2×`vpshufb`+`vpor`         |
+//! | `vsplice`        | `pblendvb`                                         | (generic op: 128-bit)                     |
+//! | `vperm`          | 2×`pshufb`+`por`                                   | 2×`vpshufb`+`vpor`, tables in both halves |
+//! | `vsplat`         | immediate register image                           | `vbroadcasti128`                          |
+//! | arithmetic       | `padd*`/`psub*`/`pmull*`, `pmin*`/`pmax*`, `pabs*` | the same at 256 bits                      |
 //!
 //! A *paired* superinstruction is one whose folds split into the
 //! unrolled pair's two matching halves, the second one source
 //! iteration (16 bytes) after the first: `lower` decides it once per
 //! bake, and the AVX2 tier then holds both halves in one `ymm`. Every
 //! other superinstruction, every generic column op and the other tiers
-//! stay 128-bit.
+//! stay 128-bit, on the one set of 128-bit arms both x86 tiers share.
 //!
 //! The fused `vload.fused` forms from the trace pass are already
 //! single loads, so they lower to one `movdqu` — the paper's whole
@@ -89,7 +89,7 @@ pub(crate) use strip::{Leaf, Program, Section, Sink, Super, Term};
 pub(crate) fn exec(isa: IsaLevel, program: &Program, mem: &mut [u8]) {
     match isa {
         #[cfg(target_arch = "x86_64")]
-        IsaLevel::Sse2 => x86::exec(program, mem, false),
+        IsaLevel::V2 => x86::exec(program, mem, false),
         #[cfg(target_arch = "x86_64")]
         IsaLevel::Avx2 => x86::exec(program, mem, true),
         _ => strip::run(portable::portable(), program, mem),

@@ -4,10 +4,10 @@
 //! `CompiledKernel::run` executes on — and the clamp target for
 //! unavailable ISAs.
 //!
-//! It consumes the same operands — splice byte masks, renamed columns
-//! — through the same strip driver as the intrinsic tiers, so the
-//! renaming pass and the strip schedule are under test even on hosts
-//! without SIMD.
+//! It consumes the same operands — splice byte masks, `vperm`'s two
+//! `pshufb` half-tables, renamed columns — through the same strip
+//! driver as the intrinsic tiers, so those operands, the renaming pass
+//! and the strip schedule are under test even on hosts without SIMD.
 
 use super::strip::{self, Lanes, Super, Tier};
 use crate::lanes::{self, Reg};
@@ -29,8 +29,11 @@ pub(super) fn portable() -> impl Lanes<V = Reg> {
         splice: |a: Reg, b: Reg, mask: Reg| {
             std::array::from_fn(|i| (a[i] & mask[i]) | (b[i] & !mask[i]))
         },
-        perm: |a: Reg, b: Reg, pattern: &[u8; 16], _: &Reg, _: &Reg| {
-            pattern.map(|sel| if sel < 16 { a[sel as usize] } else { b[sel as usize - 16] })
+        // `pshufb` semantics off the two tables, so the tables
+        // themselves are differentially tested.
+        perm: |a: Reg, b: Reg, lo: &Reg, hi: &Reg| {
+            let pshufb = |v: &Reg, t: u8| if t & 0x80 == 0 { v[(t & 15) as usize] } else { 0 };
+            std::array::from_fn(|i| pshufb(&a, lo[i]) | pshufb(&b, hi[i]))
         },
         bin: |op, elem, a: Reg, b: Reg| lanes::bin(op, elem, &a, &b),
         un: |op, elem, a: Reg| lanes::un(op, elem, &a),

@@ -80,11 +80,10 @@ pub(super) trait Lanes: Copy {
     /// `vsplice`: `a` where the mask byte is `0xFF` (index below the
     /// splice point), `b` where `0x00`.
     fn splice(self, a: Self::V, b: Self::V, mask: Self::V) -> Self::V;
-    /// `vperm`: byte gather from `a ++ b`, by whichever the tier wants
-    /// of the raw 0..32 selector or its two `pshufb` half-tables
-    /// (selector over `a` / selector − 16 over `b`, `0x80` — shuffle to
-    /// zero — where the byte comes from the other register).
-    fn perm(self, a: Self::V, b: Self::V, pattern: &[u8; 16], lo: &Reg, hi: &Reg) -> Self::V;
+    /// `vperm`: byte gather from `a ++ b` by its two `pshufb` half-tables
+    /// ([`perm_tables`]): `pshufb(a, lo) | pshufb(b, hi)`, where a table
+    /// byte with its high bit set shuffles to zero.
+    fn perm(self, a: Self::V, b: Self::V, lo: &Reg, hi: &Reg) -> Self::V;
     fn bin(self, op: BinOp, elem: ScalarType, a: Self::V, b: Self::V) -> Self::V;
     fn un(self, op: UnOp, elem: ScalarType, a: Self::V) -> Self::V;
     /// Runs a superinstruction for iterations `k0..k0 + len` ([`fold`]),
@@ -117,7 +116,7 @@ where
     St: Fn(V, &mut Reg) + Copy,
     Sh: Fn(V, V, u8) -> V + Copy,
     Sp: Fn(V, V, V) -> V + Copy,
-    Pe: Fn(V, V, &[u8; 16], &Reg, &Reg) -> V + Copy,
+    Pe: Fn(V, V, &Reg, &Reg) -> V + Copy,
     Bi: Fn(BinOp, ScalarType, V, V) -> V + Copy,
     Un: Fn(UnOp, ScalarType, V) -> V + Copy,
     Fo: Fn(&Super, i64, usize, ScalarType, &[Cell<V>], &mut [u8]) + Copy,
@@ -140,8 +139,8 @@ where
         (self.splice)(a, b, mask)
     }
     #[inline(always)]
-    fn perm(self, a: V, b: V, pattern: &[u8; 16], lo: &Reg, hi: &Reg) -> V {
-        (self.perm)(a, b, pattern, lo, hi)
+    fn perm(self, a: V, b: V, lo: &Reg, hi: &Reg) -> V {
+        (self.perm)(a, b, lo, hi)
     }
     #[inline(always)]
     fn bin(self, op: BinOp, elem: ScalarType, a: V, b: V) -> V {
@@ -180,7 +179,7 @@ pub(super) trait FoldLanes: Copy {
     /// Stores `v` at `out[0]` — wide, its upper half at `out[1]`.
     fn write(self, v: Self::W, out: &mut [Reg]);
     /// [`Lanes::perm`], half by half.
-    fn gather(self, a: Self::W, b: Self::W, pattern: &[u8; 16], lo: &Reg, hi: &Reg) -> Self::W;
+    fn gather(self, a: Self::W, b: Self::W, lo: &Reg, hi: &Reg) -> Self::W;
     /// [`Lanes::bin`], half by half.
     fn combine(self, op: BinOp, elem: ScalarType, a: Self::W, b: Self::W) -> Self::W;
     /// What a rotation shift reads beside `cur` when the previous lane
@@ -216,8 +215,8 @@ impl<L: Lanes> FoldLanes for L {
         self.store(v, &mut out[0])
     }
     #[inline(always)]
-    fn gather(self, a: Self::W, b: Self::W, pattern: &[u8; 16], lo: &Reg, hi: &Reg) -> Self::W {
-        self.perm(a, b, pattern, lo, hi)
+    fn gather(self, a: Self::W, b: Self::W, lo: &Reg, hi: &Reg) -> Self::W {
+        self.perm(a, b, lo, hi)
     }
     #[inline(always)]
     fn combine(self, op: BinOp, elem: ScalarType, a: Self::W, b: Self::W) -> Self::W {
@@ -291,7 +290,7 @@ where
         (self.write)(v, out[..2].as_flattened_mut().try_into().expect("two vectors"))
     }
     #[inline(always)]
-    fn gather(self, a: W, b: W, _: &[u8; 16], lo: &Reg, hi: &Reg) -> W {
+    fn gather(self, a: W, b: W, lo: &Reg, hi: &Reg) -> W {
         (self.gather)(a, b, lo, hi)
     }
     #[inline(always)]
@@ -381,9 +380,9 @@ pub(crate) struct Shape {
     pub(crate) leaves: Vec<Leaf>,
     /// Fold by fold.
     pub(crate) terms: Vec<Term>,
-    /// Each gather's pattern and tables ([`perm_tables`]), each splat's
-    /// register image.
-    pub(crate) tables: Vec<(Reg, Reg, Reg)>,
+    /// Each gather's two tables ([`perm_tables`]), each splat's register
+    /// image (and zeros).
+    pub(crate) tables: Vec<(Reg, Reg)>,
 }
 
 /// A superinstruction: a contiguous run of a strip section's ops —
@@ -411,11 +410,11 @@ pub(crate) struct Super {
     /// per iteration — the streams' step but in a mixed tree, whose
     /// gathers read two vectors a lane.
     pub(crate) store: Option<(i64, usize, i64)>,
-    /// Rotation shifts only: each fold's shift as the `vperm` pattern of
-    /// its amount and that pattern's two tables ([`perm_tables`]) — one
+    /// Rotation shifts only: each fold's shift as the two tables
+    /// ([`perm_tables`]) of its amount's `vperm` pattern — one
     /// instruction sequence for every amount, so the lane loop holds no
     /// jump table.
-    pub(crate) shifts: [(Reg, Reg, Reg); 2],
+    pub(crate) shifts: [(Reg, Reg); 2],
     /// The register the sinks keep across lanes: a rotation's seed lane
     /// (the carry; its source's column follows it) or a reduction's
     /// accumulator column. `NO_REG` for stores.
@@ -552,7 +551,10 @@ pub(super) fn splice_mask(point: u8) -> Reg {
     std::array::from_fn(|i| if i < point as usize { 0xFF } else { 0x00 })
 }
 
-/// The two half-tables [`Lanes::perm`] takes beside `pattern`.
+/// The two `pshufb` half-tables [`Lanes::perm`] takes for the 0..32
+/// selector `pattern`: the selector where it picks from `a`, and the
+/// selector − 16 where it picks from `b`, `0x80` (shuffle to zero) in
+/// the other table.
 pub(super) fn perm_tables(pattern: &[u8; 16]) -> (Reg, Reg) {
     (
         pattern.map(|sel| if sel < 16 { sel } else { 0x80 }),
@@ -632,7 +634,7 @@ fn one<L: Lanes>(l: L, op: &Op, k0: i64, len: usize, elem: ScalarType, regs: &[C
         }
         Op::Perm { dst, a, b, ref pattern } => {
             let (lo, hi) = perm_tables(pattern);
-            map2(col(dst), col(a), col(b), |x, y| l.perm(x, y, pattern, &lo, &hi));
+            map2(col(dst), col(a), col(b), |x, y| l.perm(x, y, &lo, &hi));
         }
         Op::Splat { dst, ref bytes } => {
             let v = l.load(bytes);
@@ -807,7 +809,7 @@ impl<L: FoldLanes> Run<'_, L> {
         let offsets = |u: usize| -> [usize; B] { std::array::from_fn(|i| (u + i) * stride) };
         if let [Fold { leaves, sink: Sink::Shift { at, .. }, .. }, ref rest @ ..] = self.folds[..] {
             let (at, span) = (at / 16, stride * (B - 1) + 1 + L::WIDE as usize);
-            let (pattern, lo, hi) = &f.shifts[0];
+            let (lo, hi) = &f.shifts[0];
             for u in lanes.step_by(B) {
                 let off = offsets(u);
                 let x = self.values(l, op, ty, 0, leaves, &off);
@@ -816,17 +818,17 @@ impl<L: FoldLanes> Run<'_, L> {
                     let out = &mut self.out[at + off[0]..][..span];
                     for i in 0..B {
                         let prev = if i == 0 { self.carry } else { x[i - 1] };
-                        l.write(l.gather(l.prev(prev, x[i]), x[i], pattern, lo, hi), &mut out[stride * i..]);
+                        l.write(l.gather(l.prev(prev, x[i]), x[i], lo, hi), &mut out[stride * i..]);
                     }
                     self.carry = x[B - 1];
                     continue;
                 };
                 let (y, at_y) = (self.values(l, op, ty, leaves, y_leaves, &off), at_y / 16);
-                let (pattern_y, lo_y, hi_y) = &f.shifts[1];
+                let (lo_y, hi_y) = &f.shifts[1];
                 for i in 0..B {
                     let prev = if i == 0 { self.carry } else { y[i - 1] };
-                    l.write(l.gather(prev, x[i], pattern, lo, hi), &mut self.out[at + off[i]..]);
-                    l.write(l.gather(x[i], y[i], pattern_y, lo_y, hi_y), &mut self.out[at_y + off[i]..]);
+                    l.write(l.gather(prev, x[i], lo, hi), &mut self.out[at + off[i]..]);
+                    l.write(l.gather(x[i], y[i], lo_y, hi_y), &mut self.out[at_y + off[i]..]);
                 }
                 self.carry = y[B - 1];
             }
@@ -950,10 +952,10 @@ impl<L: FoldLanes> Run<'_, L> {
                 }
             }
             Leaf::Gather { a, b, table } => {
-                let (pattern, lo, hi) = &shape.tables[table as usize];
+                let (lo, hi) = &shape.tables[table as usize];
                 let (a, b) = (block(a), block(b));
                 for i in 0..B {
-                    v[i] = l.gather(l.read(&a[stride * i..], half), l.read(&b[stride * i..], half), pattern, lo, hi);
+                    v[i] = l.gather(l.read(&a[stride * i..], half), l.read(&b[stride * i..], half), lo, hi);
                 }
             }
             Leaf::Splat(table) => v = [l.splat(&shape.tables[table as usize].0); B],

@@ -1,44 +1,43 @@
-//! x86_64 intrinsic tiers: SSE2 baseline and the AVX2 tier.
+//! x86_64 intrinsic tiers: x86-64-v2 and AVX2.
 //!
-//! A tier is a set of per-operation helpers carrying its feature set,
-//! bundled into a [`Lanes`] value ([`sse2`], [`avx2`]), and two
+//! The paper lowers its reorganization ops onto a byte permute and a
+//! byte select (§2.2). On x86 those are SSSE3's `palignr` and `pshufb`
+//! and SSE4.1's `pblendvb`, which with `pmulld` and the full min/max
+//! family make the x86-64-v2 level. So there is one set of 128-bit
+//! arms, one per operation family — [`shift`] (`palignr`), [`splice`]
+//! (`pblendvb`), [`perm`] (two `pshufb` and a `por`), [`bin`] and
+//! [`un`] — compiled at `ssse3,sse4.1`, and one bundle of them
+//! ([`narrow`]) that both tiers build, each with its own `fold`: the
+//! v2 tier ([`v2`]) and the AVX2 tier ([`avx2`]). Each tier has two
 //! `#[target_feature]` entries that instantiate the generic driver: the
 //! strip loop, and — out of line, so its lane loops stay out of the
 //! strip loop — the superinstruction runner the bundle's `fold` calls.
-//! Only the AVX2 runner const-matches each operation on its canonical
-//! `(BinOp, ScalarType)` pair (31 of them); the SSE2 baseline, a
-//! fallback on current hosts, runs one loop with the pair a runtime
-//! value and keeps the binary small.
-//! Every call between them is a safe same-context call:
-//! rustc's implied-feature rules make the SSE2-attributed helpers
+//! Both runners const-match each operation on its canonical `(BinOp,
+//! ScalarType)` pair (31 of them). Every call between them is a safe
+//! same-context call: rustc's implied-feature rules make the v2 arms
 //! callable from the AVX2 tier, and the closures in a bundle inherit
 //! the features of the function that builds it.
 //!
-//! The engine's vector shape is V16, so the AVX2 tier's generic ops
-//! work on 128-bit registers; the runtime `avx2` probe is what
-//! guarantees the SSSE3/SSE4.1 forms they lean on: `palignr` for
-//! `vshiftpair`, `pblendvb` for `vsplice`, dual `pshufb` for `vperm`,
-//! `pmulld` and the full min/max family for arithmetic. A
-//! superinstruction whose folds split into the unrolled pair's two
-//! halves (`lower` decides it once per bake) runs 256 bits wide instead
-//! ([`avx2_wide`]): both halves of each lane in one `ymm`, since the
-//! second half is the first one source iteration — 16 bytes — on.
-//! A stream's halves load as one `vmovdqu ymm` (a stride-2 pack's,
-//! 32 bytes apart, as a `vmovdqu` and a `vinserti128`), the two stores
-//! are one 32-byte store, and `vpshufb` shuffles — gathers and rotation
-//! shifts, their tables broadcast — work half by half. A rotation
-//! builds each half's previous vector, `[prev_hi | cur_lo]`, with one
-//! `vperm2i128`; a lane partial folds the `ymm` to 128 bits by its
-//! operator before it joins the lane's partial. The SSE2 tier
-//! synthesizes the 128-bit results from the guaranteed baseline: shift
-//! as `psrldq`/`pslldq`/`por`, splice as `pand`/`pandn`/`por`, and a
-//! scalar byte gather for the (rare, strided-only) `vperm`.
+//! The engine's vector shape is V16, so both tiers' generic ops work
+//! on 128-bit registers. A superinstruction whose folds split into the
+//! unrolled pair's two halves (`lower` decides it once per bake) runs
+//! 256 bits wide on the AVX2 tier instead ([`avx2_wide`]): both halves
+//! of each lane in one `ymm`, since the second half is the first one
+//! source iteration — 16 bytes — on. A stream's halves load as one
+//! `vmovdqu ymm` (a stride-2 pack's, 32 bytes apart, as a `vmovdqu`
+//! and a `vinserti128`), the two stores are one 32-byte store, and
+//! `vpshufb` shuffles — gathers and rotation shifts, their tables
+//! broadcast — work half by half. A rotation builds each half's
+//! previous vector, `[prev_hi | cur_lo]`, with one `vperm2i128`; a lane
+//! partial folds the `ymm` to 128 bits by its operator before it joins
+//! the lane's partial.
 //!
-//! Operation/width pairs with no instruction in a tier fall back to
-//! the [`lanes`] reference loops on register copies — bit-identical by
+//! Operation/width pairs with no instruction at v2 fall back to the
+//! [`lanes`] reference loops on register copies — bit-identical by
 //! definition, and only ever hit for combinations the paper's kernels
-//! do not emit in hot loops (64-bit multiply, cross-signedness
-//! min/max on SSE2, …); the wide form runs those half by half.
+//! do not emit in hot loops: 8- and 64-bit multiply, 64-bit min/max and
+//! 64-bit abs; the wide form runs those half by half. A host below v2
+//! runs the portable tier.
 //!
 //! This module is the only place in the crate allowed to use
 //! `unsafe`; every block is a load/store intrinsic on an
@@ -49,6 +48,7 @@
 //! vectors, and its two stores into one 32-byte array, into single
 //! `vmovdqu ymm`s.
 
+use super::portable::portable;
 use super::strip::{self, FoldLanes, Lanes, Program, Super, Tier, Wide};
 use super::IsaLevel;
 use crate::lanes::{self, Reg};
@@ -57,22 +57,26 @@ use simdize_ir::{BinOp, ScalarType, UnOp};
 use std::cell::Cell;
 
 /// Safe dispatch into the x86 tiers. `wide` asks for the AVX2 tier;
-/// the runtime probe is re-checked here so this safe function cannot
-/// reach unsupported instructions even if called with a stale flag.
+/// each tier's runtime probe is re-checked here, so this safe function
+/// cannot reach unsupported instructions even if called with a stale
+/// flag: a host below v2 runs the portable tier.
 pub(super) fn exec(program: &Program, mem: &mut [u8], wide: bool) {
     if wide && IsaLevel::Avx2.available() {
         // SAFETY: the `avx2` branch of `available` just confirmed
         // ssse3, sse4.1 and avx2 via `is_x86_feature_detected!`.
         unsafe { run_avx2(program, mem) }
+    } else if IsaLevel::V2.available() {
+        // SAFETY: the `v2` branch of `available` just confirmed ssse3
+        // and sse4.1 via `is_x86_feature_detected!`.
+        unsafe { run_v2(program, mem) }
     } else {
-        // SAFETY: SSE2 is architecturally guaranteed on x86_64.
-        unsafe { run_sse2(program, mem) }
+        strip::run(portable(), program, mem)
     }
 }
 
-#[target_feature(enable = "sse2")]
-fn run_sse2(program: &Program, mem: &mut [u8]) {
-    strip::run(sse2(), program, mem)
+#[target_feature(enable = "ssse3,sse4.1")]
+fn run_v2(program: &Program, mem: &mut [u8]) {
+    strip::run(v2(), program, mem)
 }
 
 #[target_feature(enable = "ssse3,sse4.1,avx2")]
@@ -81,9 +85,9 @@ fn run_avx2(program: &Program, mem: &mut [u8]) {
 }
 
 #[inline(never)]
-#[target_feature(enable = "sse2")]
-fn fold_sse2(f: &Super, k0: i64, len: usize, elem: ScalarType, regs: &[Cell<__m128i>], mem: &mut [u8]) {
-    strip::fold::<_, false>(sse2(), f, k0, len, elem, regs, mem)
+#[target_feature(enable = "ssse3,sse4.1")]
+fn fold_v2(f: &Super, k0: i64, len: usize, elem: ScalarType, regs: &[Cell<__m128i>], mem: &mut [u8]) {
+    strip::fold::<_, true>(v2(), f, k0, len, elem, regs, mem)
 }
 
 /// A paired superinstruction runs both halves of each lane in one
@@ -98,36 +102,39 @@ fn fold_avx2(f: &Super, k0: i64, len: usize, elem: ScalarType, regs: &[Cell<__m1
     }
 }
 
-/// The SSE2 tier's operations.
+/// The 128-bit arms as one tier's operations, its superinstructions
+/// run by `fold`.
 #[inline]
-#[target_feature(enable = "sse2")]
-fn sse2() -> impl Lanes<V = __m128i> {
+#[target_feature(enable = "ssse3,sse4.1")]
+fn narrow<Fo>(fold: Fo) -> impl Lanes<V = __m128i>
+where
+    Fo: Fn(&Super, i64, usize, ScalarType, &[Cell<__m128i>], &mut [u8]) + Copy,
+{
     Tier {
         load: from_bytes,
         store: |v, out: &mut Reg| *out = to_bytes(v),
-        shift: |a, b, amt| shift_sse2(a, b, amt),
-        splice: |a, b, mask| splice_sse2(a, b, mask),
-        perm: |a, b, pattern: &[u8; 16], _: &Reg, _: &Reg| perm_sse2(a, b, pattern),
-        bin: |op, elem, a, b| bin_sse2(op, elem, a, b),
-        un: |op, elem, a| un_sse2(op, elem, a),
-        fold: |f: &Super, k0, len, elem, regs: &[Cell<__m128i>], mem: &mut [u8]| fold_sse2(f, k0, len, elem, regs, mem),
+        shift: |a, b, amt| shift(a, b, amt),
+        splice: |a, b, mask| splice(a, b, mask),
+        perm: |a, b, lo: &Reg, hi: &Reg| perm(a, b, lo, hi),
+        bin: |op, elem, a, b| bin(op, elem, a, b),
+        un: |op, elem, a| un(op, elem, a),
+        fold,
     }
 }
 
-/// The AVX2 tier's operations.
+/// The v2 tier's operations.
+#[inline]
+#[target_feature(enable = "ssse3,sse4.1")]
+fn v2() -> impl Lanes<V = __m128i> {
+    narrow(|f: &Super, k0, len, elem, regs: &[Cell<__m128i>], mem: &mut [u8]| fold_v2(f, k0, len, elem, regs, mem))
+}
+
+/// The AVX2 tier's 128-bit operations: the v2 tier's, with its own
+/// superinstruction runner.
 #[inline]
 #[target_feature(enable = "ssse3,sse4.1,avx2")]
 fn avx2() -> impl Lanes<V = __m128i> {
-    Tier {
-        load: from_bytes,
-        store: |v, out: &mut Reg| *out = to_bytes(v),
-        shift: |a, b, amt| shift_avx2(a, b, amt),
-        splice: |a, b, mask| splice_avx2(a, b, mask),
-        perm: |a, b, _: &[u8; 16], lo: &Reg, hi: &Reg| perm_avx2(a, b, lo, hi),
-        bin: |op, elem, a, b| bin_avx2(op, elem, a, b),
-        un: |op, elem, a| un_avx2(op, elem, a),
-        fold: |f: &Super, k0, len, elem, regs: &[Cell<__m128i>], mem: &mut [u8]| fold_avx2(f, k0, len, elem, regs, mem),
-    }
+    narrow(|f: &Super, k0, len, elem, regs: &[Cell<__m128i>], mem: &mut [u8]| fold_avx2(f, k0, len, elem, regs, mem))
 }
 
 /// The AVX2 tier's wide form: an unrolled pair's two halves in one
@@ -153,7 +160,7 @@ fn avx2_wide() -> impl FoldLanes<W = __m256i, V = __m128i> {
         prev: |prev, cur| _mm256_permute2x128_si256::<0x21>(prev, cur),
         lift: |r| _mm256_broadcastsi128_si256(r),
         halves: |v| (_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v)),
-        bin: |op, elem, a, b| bin_avx2(op, elem, a, b),
+        bin: |op, elem, a, b| bin(op, elem, a, b),
     }
 }
 
@@ -175,41 +182,13 @@ fn from_bytes(r: &Reg) -> __m128i {
     unsafe { _mm_loadu_si128(r.as_ptr().cast()) }
 }
 
-/// Reference-loop fallback for operation/width pairs the tier has no
-/// instruction for: round-trip through byte registers.
+/// `vshiftpair` as the paper lowers it: one `palignr` per amount, the
+/// amount a const immediate, hence the match table over all 17 legal
+/// amounts. `palignr(b, a, n)` reads the concatenation `b:a` shifted
+/// right `n` bytes — exactly `out[i] = (a ++ b)[i + n]`.
 #[inline]
-#[target_feature(enable = "sse2")]
-fn emul_bin(op: BinOp, elem: ScalarType, a: __m128i, b: __m128i) -> __m128i {
-    from_bytes(&lanes::bin(op, elem, &to_bytes(a), &to_bytes(b)))
-}
-
-#[inline]
-#[target_feature(enable = "sse2")]
-fn emul_un(op: UnOp, elem: ScalarType, a: __m128i) -> __m128i {
-    from_bytes(&lanes::un(op, elem, &to_bytes(a)))
-}
-
-/// `vshiftpair` on the SSE2 baseline: no `palignr`, so synthesize the
-/// byte rotate from the two whole-register byte shifts. The shift
-/// amount is a const immediate on both instructions, hence the match
-/// table over all 17 legal amounts.
-#[inline]
-#[target_feature(enable = "sse2")]
-fn shift_sse2(a: __m128i, b: __m128i, amt: u8) -> __m128i {
-    macro_rules! arm {
-        ($n:literal) => {
-            _mm_or_si128(_mm_srli_si128::<$n>(a), _mm_slli_si128::<{ 16 - $n }>(b))
-        };
-    }
-    by_amount!(amt, a, b, arm)
-}
-
-/// `vshiftpair` as the paper lowers it: one `palignr` per amount.
-/// `palignr(b, a, n)` reads the concatenation `b:a` shifted right `n`
-/// bytes — exactly `out[i] = (a ++ b)[i + n]`.
-#[inline]
-#[target_feature(enable = "ssse3,sse4.1,avx2")]
-fn shift_avx2(a: __m128i, b: __m128i, amt: u8) -> __m128i {
+#[target_feature(enable = "ssse3,sse4.1")]
+fn shift(a: __m128i, b: __m128i, amt: u8) -> __m128i {
     macro_rules! arm {
         ($n:literal) => {
             _mm_alignr_epi8::<$n>(b, a)
@@ -220,47 +199,24 @@ fn shift_avx2(a: __m128i, b: __m128i, amt: u8) -> __m128i {
 
 /// `vsplice` select: mask byte `0xFF` takes `a`, `0x00` takes `b`.
 #[inline]
-#[target_feature(enable = "sse2")]
-fn splice_sse2(a: __m128i, b: __m128i, mask: __m128i) -> __m128i {
-    _mm_or_si128(_mm_and_si128(mask, a), _mm_andnot_si128(mask, b))
-}
-
-#[inline]
-#[target_feature(enable = "ssse3,sse4.1,avx2")]
-fn splice_avx2(a: __m128i, b: __m128i, mask: __m128i) -> __m128i {
+#[target_feature(enable = "ssse3,sse4.1")]
+fn splice(a: __m128i, b: __m128i, mask: __m128i) -> __m128i {
     // blendv picks its *second* source where the mask byte's high bit
     // is set; our mask is 0xFF-on-`a`.
     _mm_blendv_epi8(b, a, mask)
 }
 
-/// `vperm` without `pshufb`: scalar byte gather over the 32-byte pair.
-#[inline]
-#[target_feature(enable = "sse2")]
-fn perm_sse2(a: __m128i, b: __m128i, pattern: &[u8; 16]) -> __m128i {
-    let mut pair = [0u8; 32];
-    pair[..16].copy_from_slice(&to_bytes(a));
-    pair[16..].copy_from_slice(&to_bytes(b));
-    let mut out = [0u8; 16];
-    for (t, &sel) in pattern.iter().enumerate() {
-        out[t] = pair[sel as usize];
-    }
-    from_bytes(&out)
-}
-
 /// `vperm` as dual `pshufb`: each half-table selects from one source
 /// register (0x80 lanes shuffle to zero), OR merges the halves.
 #[inline]
-#[target_feature(enable = "ssse3,sse4.1,avx2")]
-fn perm_avx2(a: __m128i, b: __m128i, lo: &Reg, hi: &Reg) -> __m128i {
-    _mm_or_si128(
-        _mm_shuffle_epi8(a, from_bytes(lo)),
-        _mm_shuffle_epi8(b, from_bytes(hi)),
-    )
+#[target_feature(enable = "ssse3,sse4.1")]
+fn perm(a: __m128i, b: __m128i, lo: &Reg, hi: &Reg) -> __m128i {
+    _mm_or_si128(_mm_shuffle_epi8(a, from_bytes(lo)), _mm_shuffle_epi8(b, from_bytes(hi)))
 }
 
 #[inline]
-#[target_feature(enable = "sse2")]
-fn bin_sse2(op: BinOp, elem: ScalarType, a: __m128i, b: __m128i) -> __m128i {
+#[target_feature(enable = "ssse3,sse4.1")]
+fn bin(op: BinOp, elem: ScalarType, a: __m128i, b: __m128i) -> __m128i {
     let signed = elem.is_signed();
     match (op, elem.size()) {
         (BinOp::Add, 1) => _mm_add_epi8(a, b),
@@ -272,36 +228,28 @@ fn bin_sse2(op: BinOp, elem: ScalarType, a: __m128i, b: __m128i) -> __m128i {
         (BinOp::Sub, 4) => _mm_sub_epi32(a, b),
         (BinOp::Sub, _) => _mm_sub_epi64(a, b),
         (BinOp::Mul, 2) => _mm_mullo_epi16(a, b),
+        (BinOp::Mul, 4) => _mm_mullo_epi32(a, b),
         (BinOp::And, _) => _mm_and_si128(a, b),
         (BinOp::Or, _) => _mm_or_si128(a, b),
         (BinOp::Xor, _) => _mm_xor_si128(a, b),
-        (BinOp::Min, 1) if !signed => _mm_min_epu8(a, b),
-        (BinOp::Min, 2) if signed => _mm_min_epi16(a, b),
-        (BinOp::Max, 1) if !signed => _mm_max_epu8(a, b),
-        (BinOp::Max, 2) if signed => _mm_max_epi16(a, b),
-        _ => emul_bin(op, elem, a, b),
-    }
-}
-
-#[inline]
-#[target_feature(enable = "ssse3,sse4.1,avx2")]
-fn bin_avx2(op: BinOp, elem: ScalarType, a: __m128i, b: __m128i) -> __m128i {
-    let signed = elem.is_signed();
-    match (op, elem.size()) {
-        (BinOp::Mul, 4) => _mm_mullo_epi32(a, b),
         (BinOp::Min, 1) if signed => _mm_min_epi8(a, b),
-        (BinOp::Min, 2) if !signed => _mm_min_epu16(a, b),
+        (BinOp::Min, 1) => _mm_min_epu8(a, b),
+        (BinOp::Min, 2) if signed => _mm_min_epi16(a, b),
+        (BinOp::Min, 2) => _mm_min_epu16(a, b),
         (BinOp::Min, 4) if signed => _mm_min_epi32(a, b),
         (BinOp::Min, 4) => _mm_min_epu32(a, b),
         (BinOp::Max, 1) if signed => _mm_max_epi8(a, b),
-        (BinOp::Max, 2) if !signed => _mm_max_epu16(a, b),
+        (BinOp::Max, 1) => _mm_max_epu8(a, b),
+        (BinOp::Max, 2) if signed => _mm_max_epi16(a, b),
+        (BinOp::Max, 2) => _mm_max_epu16(a, b),
         (BinOp::Max, 4) if signed => _mm_max_epi32(a, b),
         (BinOp::Max, 4) => _mm_max_epu32(a, b),
-        _ => bin_sse2(op, elem, a, b),
+        // 8- and 64-bit multiply, 64-bit min/max.
+        _ => from_bytes(&lanes::bin(op, elem, &to_bytes(a), &to_bytes(b))),
     }
 }
 
-/// [`bin_avx2`] on both halves at once; what has no 256-bit instruction
+/// [`bin`] on both halves at once; what has no 256-bit instruction
 /// (64-bit multiply and min/max, 8-bit multiply) runs half by half.
 #[inline]
 #[target_feature(enable = "ssse3,sse4.1,avx2")]
@@ -336,14 +284,14 @@ fn bin_wide(op: BinOp, elem: ScalarType, a: __m256i, b: __m256i) -> __m256i {
         _ => {
             let half = |v: __m256i| (_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
             let ((a_lo, a_hi), (b_lo, b_hi)) = (half(a), half(b));
-            _mm256_set_m128i(bin_avx2(op, elem, a_hi, b_hi), bin_avx2(op, elem, a_lo, b_lo))
+            _mm256_set_m128i(bin(op, elem, a_hi, b_hi), bin(op, elem, a_lo, b_lo))
         }
     }
 }
 
 #[inline]
-#[target_feature(enable = "sse2")]
-fn un_sse2(op: UnOp, elem: ScalarType, a: __m128i) -> __m128i {
+#[target_feature(enable = "ssse3,sse4.1")]
+fn un(op: UnOp, elem: ScalarType, a: __m128i) -> __m128i {
     let signed = elem.is_signed();
     let zero = _mm_setzero_si128();
     match (op, elem.size()) {
@@ -354,21 +302,12 @@ fn un_sse2(op: UnOp, elem: ScalarType, a: __m128i) -> __m128i {
         (UnOp::Not, _) => _mm_xor_si128(a, _mm_cmpeq_epi32(zero, zero)),
         // abs on an unsigned type is the identity (lanes semantics).
         (UnOp::Abs, _) if !signed => a,
-        // pabsw is SSSE3; max(a, -a) matches wrapping_abs (MIN → MIN).
-        (UnOp::Abs, 2) => _mm_max_epi16(a, _mm_sub_epi16(zero, a)),
-        _ => emul_un(op, elem, a),
-    }
-}
-
-#[inline]
-#[target_feature(enable = "ssse3,sse4.1,avx2")]
-fn un_avx2(op: UnOp, elem: ScalarType, a: __m128i) -> __m128i {
-    match (op, elem.size()) {
         // pabs* keeps MIN as MIN — exactly `wrapping_abs`.
-        (UnOp::Abs, 1) if elem.is_signed() => _mm_abs_epi8(a),
-        (UnOp::Abs, 2) if elem.is_signed() => _mm_abs_epi16(a),
-        (UnOp::Abs, 4) if elem.is_signed() => _mm_abs_epi32(a),
-        _ => un_sse2(op, elem, a),
+        (UnOp::Abs, 1) => _mm_abs_epi8(a),
+        (UnOp::Abs, 2) => _mm_abs_epi16(a),
+        (UnOp::Abs, 4) => _mm_abs_epi32(a),
+        // 64-bit abs.
+        _ => from_bytes(&lanes::un(op, elem, &to_bytes(a))),
     }
 }
 
@@ -385,9 +324,9 @@ mod tests {
         r
     }
 
-    /// Every operation of one tier against its scalar reference,
-    /// across all shift amounts, splice points, ops and element types.
-    fn check<L: Lanes<V = __m128i>>(l: L, tier: &str) {
+    /// Every 128-bit arm against its scalar reference, across all shift
+    /// amounts, splice points, ops and element types.
+    fn check<L: Lanes<V = __m128i>>(l: L) {
         let mut rng = SplitMix64::seed_from_u64(0x51D);
         for _ in 0..64 {
             let ar = random_reg(&mut rng);
@@ -403,18 +342,18 @@ mod tests {
             pair[16..].copy_from_slice(&br);
             for amt in 0..=16usize {
                 let want = &pair[amt..amt + 16];
-                assert_eq!(bytes(l.shift(a, b, amt as u8)), want, "{tier} shift {amt}");
+                assert_eq!(bytes(l.shift(a, b, amt as u8)), want, "shift {amt}");
             }
             for point in 0..=16usize {
                 let mask = strip::splice_mask(point as u8);
                 let mut want = br;
                 want[..point].copy_from_slice(&ar[..point]);
-                assert_eq!(bytes(l.splice(a, b, l.load(&mask))), want, "{tier} splice");
+                assert_eq!(bytes(l.splice(a, b, l.load(&mask))), want, "splice");
             }
             let pattern: [u8; 16] = std::array::from_fn(|_| (rng.next_u64() % 32) as u8);
             let (lo, hi) = strip::perm_tables(&pattern);
             let want = pattern.map(|sel| pair[sel as usize]);
-            assert_eq!(bytes(l.perm(a, b, &pattern, &lo, &hi)), want, "{tier} perm");
+            assert_eq!(bytes(l.perm(a, b, &lo, &hi)), want, "perm");
             for ty in simdize_ir::ScalarType::ALL {
                 for op in [
                     BinOp::Add,
@@ -427,18 +366,18 @@ mod tests {
                     BinOp::Xor,
                 ] {
                     let want = lanes::bin(op, ty, &ar, &br);
-                    assert_eq!(bytes(l.bin(op, ty, a, b)), want, "{tier} {op:?} {ty}");
+                    assert_eq!(bytes(l.bin(op, ty, a, b)), want, "{op:?} {ty}");
                 }
                 for op in [UnOp::Neg, UnOp::Not, UnOp::Abs] {
                     let want = lanes::un(op, ty, &ar);
-                    assert_eq!(bytes(l.un(op, ty, a)), want, "{tier} {op:?} {ty}");
+                    assert_eq!(bytes(l.un(op, ty, a)), want, "{op:?} {ty}");
                 }
             }
         }
     }
 
-    /// Every operation of a tier's wide form against the tier's own
-    /// operation applied to each half.
+    /// Every operation of the AVX2 tier's wide form against the 128-bit
+    /// arm applied to each half.
     fn check_wide<L: Lanes<V = __m128i>, W: FoldLanes<W = __m256i, V = __m128i>>(l: L, w: W) {
         let mut rng = SplitMix64::seed_from_u64(0x256);
         let bytes = |v| {
@@ -460,8 +399,8 @@ mod tests {
             let both = |f: &dyn Fn(Reg, Reg) -> __m128i| [bytes(f(a, b)), bytes(f(a2, b2))];
             let pattern: [u8; 16] = std::array::from_fn(|_| (rng.next_u64() % 32) as u8);
             let (lo, hi) = strip::perm_tables(&pattern);
-            let perm = |a, b| l.perm(l.load(&a), l.load(&b), &pattern, &lo, &hi);
-            assert_eq!(halves(w.gather(x, y, &pattern, &lo, &hi)), both(&perm), "gather");
+            let perm = |a, b| l.perm(l.load(&a), l.load(&b), &lo, &hi);
+            assert_eq!(halves(w.gather(x, y, &lo, &hi)), both(&perm), "gather");
             assert_eq!(halves(w.prev(x, y)), [a2, b], "prev");
             assert_eq!(bytes(w.last(x)), a2, "last");
             assert_eq!(bytes(w.last(w.lift(l.load(&p)))), p, "lift");
@@ -478,12 +417,14 @@ mod tests {
 
     #[test]
     fn tier_operations_match_scalar_reference() {
-        // SAFETY: SSE2 is architecturally guaranteed on x86_64.
-        check(unsafe { sse2() }, "sse2");
+        if IsaLevel::V2.available() {
+            // SAFETY: `available` just confirmed ssse3 and sse4.1.
+            check(unsafe { v2() });
+        }
         if IsaLevel::Avx2.available() {
             // SAFETY: `available` just confirmed ssse3, sse4.1 and avx2.
             let (narrow, wide) = unsafe { (avx2(), avx2_wide()) };
-            check(narrow, "avx2");
+            check(narrow);
             check_wide(narrow, wide);
         }
     }

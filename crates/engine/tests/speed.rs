@@ -2,7 +2,8 @@
 //! beat the interpreter by at least 5×, trace fusion must pay for
 //! itself where the steady state is load/shift chains (≥ 1.3×), the
 //! detected `std::arch` tier must beat the portable tier on the same
-//! plan (≥ 1.5×), and software-pipelined reuse must cost no more than
+//! plan (≥ 1.5×), the v2 tier must stay within 2.5× of the AVX2 tier's
+//! time, and software-pipelined reuse must cost no more than
 //! recomputing (≤ 1.1× the time without reuse). Timing assertions are
 //! only meaningful on optimized builds, so the whole test compiles away
 //! in debug mode
@@ -27,6 +28,10 @@ const COPY3: &str = "arrays { a: i32[1000016] @ 0; b: i32[1000016] @ 12; }
 /// software-pipelined rotation through fusion.
 const RUNTIME: &str = "arrays { a: i32[1000016] @ ?; b: i32[1000016] @ ?; c: i32[1000016] @ ?; }
                        for i in 0..ub { a[i+3] = b[i+1] + c[i+2]; }";
+/// An `i32` multiply-accumulate: the misaligned dot product of
+/// `loops/dot_product.loop`.
+const DOT: &str = "arrays { acc: i32[4] @ 4; x: i32[1000016] @ 4; y: i32[1000016] @ 8; }
+                   for i in 0..1000000 { acc[i] += x[i+1] * y[i+2]; }";
 
 fn compile(source: &str, policy: Policy) -> (SimdProgram, MemoryImage, RunInput) {
     compile_reusing(source, policy, ReuseMode::SoftwarePipeline)
@@ -107,6 +112,26 @@ fn detected_vs_portable_tier() {
     );
 }
 
+/// The v2 tier runs the AVX2 tier's 128-bit operations, every
+/// superinstruction 128 bits wide: on the same plan, at most 2.5× the
+/// AVX2 tier's time.
+fn v2_vs_avx2_tier(name: &str, source: &str) {
+    if !IsaLevel::Avx2.available() {
+        return; // no AVX2 tier to hold the v2 tier to
+    }
+    let (prog, mut img, input) = compile(source, Policy::Dominant);
+    let kernel = CompiledKernel::compile(&prog, &img, &input).unwrap();
+    let (v2, avx2) = (SimdKernel::lower(&kernel, IsaLevel::V2), SimdKernel::lower(&kernel, IsaLevel::Avx2));
+    let v2_t = best_of_three(|| v2.run(&mut img).unwrap());
+    let avx2_t = best_of_three(|| avx2.run(&mut img).unwrap());
+    let ratio = v2_t / avx2_t;
+    assert!(
+        ratio <= 2.5,
+        "{name}: v2 tier takes {ratio:.2}x the AVX2 tier's time \
+         (v2 {v2_t:.4} s, avx2 {avx2_t:.4} s; need <= 2.5x)"
+    );
+}
+
 /// The software pipeline loads each chunk once and carries it into the
 /// next iteration, which only pays while the carried register runs in
 /// strips like everything else.
@@ -134,5 +159,7 @@ fn engine_speed_floors() {
     fused_vs_unfused("fig1", FIG1);
     fused_vs_unfused("copy3", COPY3);
     detected_vs_portable_tier();
+    v2_vs_avx2_tier("fig1", FIG1);
+    v2_vs_avx2_tier("dot_product", DOT);
     reuse_vs_recompute();
 }

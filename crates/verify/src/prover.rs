@@ -53,7 +53,7 @@ pub(crate) const HARNESSES: [fn(&mut Point) -> Verdict; NH] = [
     |p| harness_engine_equiv(p, IsaLevel::Scalar),
     harness_cache_coherence,
     // `harness_native_equiv`: the same plan on the host's detected
-    // tier (SSE2/AVX2; `SIMDIZE_ISA` can force a lower one).
+    // tier (v2/AVX2; `SIMDIZE_ISA` can force a lower one).
     |p| harness_engine_equiv(p, IsaLevel::detect()),
 ];
 

@@ -6,15 +6,16 @@
 # build is followed at once by a build of the BENCHMARK.json package
 # (`benchmark/`, outside the workspace and frozen between benchmark
 # PRs), so an API break against it fails in the first minutes. The root
-# `cargo build`/`cargo test` pair is the tier-1 gate; the engine
-# crate's own tests follow in debug, and the rest of the
+# `cargo build`/`cargo test` pair is the tier-1 gate (the root package
+# and, as a default member, the engine crate); the other crates' own
+# tests follow in debug, and the rest of the
 # script widens it to the full workspace in release (cli is not in the
 # root package's dependency graph, bench only as the dev-dependency of
 # tests/paper.rs, and the engine's speed floors only exist in release),
 # lints with clippy at -D warnings,
 # builds rustdoc with warnings denied (every crate warns on
 # missing_docs), re-runs the engine's differential tier matrix forced
-# to the SSE2 and scalar tiers, runs the doctests, builds the examples,
+# to the v2 and scalar tiers, runs the doctests, builds the examples,
 # checks that the paper reproduction's generated tables are current
 # (the worked-example docs are checked by tier-1's tests/explain.rs),
 # and finishes with an end-to-end smoke sweep through the CLI binary:
@@ -48,20 +49,21 @@ echo "== build (release, BENCHMARK.json package) =="
 # engine's public API by name and may not be edited to follow a rename.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
-echo "== test (tier-1: root package) =="
+echo "== test (tier-1: root package and engine crate) =="
 cargo test -q --offline
 
-echo "== test (engine, reorg, codegen, verify, explain, vm, telemetry and server crates, debug) =="
-# Tier-1 tests the root package only, and the release run below has
-# debug assertions off: this is where these crates' own unit tests run
-# with the debug-only reference checks on — the engine's (trace fusion,
-# lowering, the strip driver; the dense loop-entry fixpoint every
-# sparse one is compared with), the generator's (every emitted
-# program already numbered, every pass's output well formed) and the
-# vm's (the column oracle's statement-independence assertion) — and
-# the only place the vm's typed-loop-versus-checked-walk comparisons,
-# the JSON parser's tests and the wire protocol's tests run at all.
-cargo test -q --offline -p simdize-engine -p simdize-reorg -p simdize-codegen \
+echo "== test (reorg, codegen, verify, explain, vm, telemetry and server crates, debug) =="
+# Tier-1 tests the root package and the engine crate (its tier check,
+# trace fusion, lowering and the strip driver, with the dense
+# loop-entry fixpoint every sparse one is compared with), and the
+# release run below has debug assertions off: this is where the other
+# crates' own unit tests run with the debug-only reference checks on —
+# the generator's (every emitted program already numbered, every
+# pass's output well formed) and the vm's (the column oracle's
+# statement-independence assertion) — and the only place the vm's
+# typed-loop-versus-checked-walk comparisons, the JSON parser's tests
+# and the wire protocol's tests run at all.
+cargo test -q --offline -p simdize-reorg -p simdize-codegen \
     -p simdize-verify -p simdize-explain -p simdize-vm -p simdize-telemetry \
     -p simdize-server
 
@@ -83,11 +85,12 @@ echo "== emitted-program and baked-plan identity, wide corpus (release) =="
 # corpus baked fused and unfused on two layouts (~2 s).
 cargo test -q --release --offline --test identity -- --ignored
 
-echo "== engine tier matrix, forced to the SSE2 and scalar tiers =="
+echo "== engine tier matrix, forced to the v2 and scalar tiers =="
 # The host probably dispatches AVX2, so the plain test runs above cover
-# that tier; forcing SIMDIZE_ISA=sse2 re-runs the full policy x
-# alignment x trip matrix through the baseline tier's synthesized
-# shift/splice/perm sequences, and SIMDIZE_ISA=scalar re-runs it with
+# that tier; forcing SIMDIZE_ISA=v2 re-runs the full policy x
+# alignment x trip matrix on the x86-64-v2 tier (the same 128-bit
+# operations the AVX2 tier uses, with every superinstruction 128 bits
+# wide), and SIMDIZE_ISA=scalar re-runs it with
 # the portable tier as the *dispatched* one — every tier shares the one
 # generic strip driver, so each forced run is that driver at another
 # instantiation. The carried-register strip-boundary matrix (rotations'
@@ -97,7 +100,7 @@ echo "== engine tier matrix, forced to the SSE2 and scalar tiers =="
 # two halves) 256 bits wide, so these two forced runs are the only ones
 # that dispatch the 128-bit lane loops on paired superinstructions.
 # (The override can only lower the tier, so this is safe on any host.)
-SIMDIZE_ISA=sse2 cargo test -q --release --offline --test simd_native
+SIMDIZE_ISA=v2 cargo test -q --release --offline --test simd_native
 SIMDIZE_ISA=scalar cargo test -q --release --offline --test simd_native
 
 echo "== unsafe sites in the engine (x86: 4 + 2 in tests) =="

@@ -13,14 +13,20 @@ use simdize::{
 };
 use std::collections::BTreeSet;
 
-/// Every ISA tier the host can actually execute. On x86_64 this always
-/// contains at least `Scalar` and `Sse2` (the baseline is unconditional),
-/// plus `Avx2` when the CPU has it; elsewhere it degrades gracefully.
+/// Every ISA tier the host can actually execute: always `Scalar`; on
+/// x86_64 `V2` exactly when the CPU has SSSE3 and SSE4.1, plus `Avx2`
+/// when it has AVX2 too; elsewhere only `Scalar`.
 fn host_tiers() -> Vec<IsaLevel> {
     let tiers: Vec<IsaLevel> = IsaLevel::ALL.into_iter().filter(|t| t.available()).collect();
     assert!(tiers.contains(&IsaLevel::Scalar));
     #[cfg(target_arch = "x86_64")]
-    assert!(tiers.contains(&IsaLevel::Sse2), "SSE2 is baseline on x86_64");
+    assert_eq!(
+        tiers.contains(&IsaLevel::V2),
+        is_x86_feature_detected!("ssse3") && is_x86_feature_detected!("sse4.1"),
+        "v2 is there exactly when its probe passes"
+    );
+    #[cfg(not(target_arch = "x86_64"))]
+    assert_eq!(tiers, [IsaLevel::Scalar]);
     tiers
 }
 
