@@ -112,7 +112,7 @@ pub use simdize_engine::{
     CompiledKernel, FusionEvent, FusionEventKind, FusionStats, IsaLevel, JobRun, KernelBackend,
     KernelCache, KernelOptions, PredecodedKernel, Schedule, SectionSchedule, SequentialReason,
     SimdKernel,
-    SweepBackend, SweepJob, SweepOptions, SweepOutcome, SweepStats,
+    SweepBackend, SweepJob, SweepOptions, SweepOutcome, SweepStats, Template,
 };
 pub use simdize_telemetry::{RequestTrace, TraceId, TRACE_SCHEMA};
 pub use simdize_verify::{

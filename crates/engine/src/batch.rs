@@ -11,8 +11,8 @@
 //! compilation work is shared:
 //!
 //! * each *distinct* program (by structural equality) is fingerprinted
-//!   and checked exactly once into a [`PredecodedKernel`] before the
-//!   workers start;
+//!   and checked exactly once into a [`Template`] before the workers
+//!   start;
 //! * each worker keeps one scratch engine image and one scratch oracle
 //!   image, re-seeded in place per job ([`MemoryImage::reseed`])
 //!   instead of allocating fresh images;
@@ -25,15 +25,19 @@
 //!
 //! Every job runs on the tier [`IsaLevel::detect`] reports when the
 //! sweep starts. A caller with exactly one job ([`run_job`]) runs the
-//! same job body on its own thread.
+//! same job body on its own thread, and a caller that keeps a
+//! [`Template`] across requests (the server's template memo) runs it
+//! again with [`Template::run`] or [`Template::sweep`]: one job body
+//! serves all of them.
 
 use crate::cache::{program_fingerprint, KernelCache, Lookup};
-use crate::kernel::{KernelOptions, PredecodedKernel};
+use crate::kernel::{Checked, KernelOptions, PredecodedKernel};
 use crate::native::{IsaLevel, SimdKernel};
 use simdize_codegen::SimdProgram;
 use simdize_ir::VectorShape;
 use simdize_telemetry as telemetry;
 use simdize_vm::{run_scalar, ExecError, MemoryImage, RunInput, RunStats};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -56,12 +60,114 @@ impl SweepJob {
     /// count taken from the loop when compile-time known and from `ub`
     /// otherwise.
     pub fn new(program: SimdProgram, seed: u64, ub: u64) -> SweepJob {
-        let ub = program.source().trip().known().unwrap_or(ub);
         SweepJob {
+            input: input_for(&program, ub),
             program,
             seed,
-            input: RunInput::with_ub(ub),
         }
+    }
+}
+
+/// The runtime input of a job of `program`: the loop's trip count when
+/// it is known at compile time, `ub` otherwise.
+fn input_for(program: &SimdProgram, ub: u64) -> RunInput {
+    RunInput::with_ub(program.source().trip().known().unwrap_or(ub))
+}
+
+/// One distinct program, prepared once for every job that runs it: the
+/// program, its fingerprint (the kernel cache's program key) and its
+/// [`PredecodedKernel`] check. A sweep borrows each distinct program
+/// from its jobs; a caller that keeps a template across requests owns
+/// it (`Template<'static>`), so a later request runs the program again
+/// without compiling, fingerprinting or cloning it.
+#[derive(Debug)]
+pub struct Template<'p> {
+    program: Cow<'p, SimdProgram>,
+    fingerprint: u64,
+    checked: Result<Checked, ExecError>,
+}
+
+impl<'p> Template<'p> {
+    /// Fingerprints and checks `program` (neither allocates).
+    pub fn new(program: Cow<'p, SimdProgram>) -> Template<'p> {
+        let fingerprint = program_fingerprint(&program);
+        let checked = Checked::of(&program);
+        Template {
+            program,
+            fingerprint,
+            checked,
+        }
+    }
+
+    /// The program.
+    pub fn program(&self) -> &SimdProgram {
+        &self.program
+    }
+
+    /// The program's fingerprint ([`program_fingerprint`]).
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    /// The runtime input of a job: the loop's trip count when it is
+    /// known at compile time, `ub` otherwise (as [`SweepJob::new`]).
+    pub fn input(&self, ub: u64) -> RunInput {
+        input_for(&self.program, ub)
+    }
+
+    /// Runs and verifies one job of this program on the caller's
+    /// thread: the job body every sweep worker runs, with no worker
+    /// thread. A request that is one job (the server's `run`, the
+    /// CLI's `run --engine simd`) calls this, or [`run_job`], instead
+    /// of a sweep of length one: same [`SweepOutcome`], same cache
+    /// traffic.
+    ///
+    /// # Errors
+    ///
+    /// Program-check, bake or execution faults, as a sweep reports per
+    /// job.
+    pub fn run(
+        &self,
+        seed: u64,
+        input: &RunInput,
+        cache: &KernelCache,
+    ) -> Result<JobRun, ExecError> {
+        let mut tally = WorkerTally::default();
+        let run = run_prepared(
+            self,
+            seed,
+            input,
+            cache,
+            IsaLevel::detect(),
+            &mut Scratch::default(),
+            &mut tally,
+        );
+        tag_cache_traffic(tally.cache_hits, tally.cache_misses);
+        run
+    }
+
+    /// [`run_sweep_shared`] over one job of this program per seed, all
+    /// on `input`, without a [`SweepJob`] (and so a program clone) per
+    /// seed.
+    pub fn sweep(
+        &self,
+        seeds: impl IntoIterator<Item = u64>,
+        input: &RunInput,
+        opts: SweepOptions,
+        cache: &KernelCache,
+    ) -> (Vec<Result<SweepOutcome, ExecError>>, SweepStats) {
+        let slots: Vec<Slot> = seeds.into_iter().map(|seed| (0, seed, input)).collect();
+        if slots.is_empty() {
+            return (Vec::new(), SweepStats::empty());
+        }
+        let _span = telemetry::span("sweep");
+        sweep_slots(std::slice::from_ref(self), &slots, opts, cache)
+    }
+
+    fn predecoded(&self) -> Result<PredecodedKernel<'_>, ExecError> {
+        self.checked
+            .clone()
+            .map(|checked| checked.lend(&self.program))
     }
 }
 
@@ -223,28 +329,37 @@ pub fn run_sweep_shared(
         return (Vec::new(), SweepStats::empty());
     }
     let _span = telemetry::span("sweep");
-    let threads = opts.threads.clamp(1, jobs.len());
-
     // One check (and one fingerprint) per distinct program, shared
     // by every worker.
     let mut templates: Vec<Template> = Vec::new();
-    let mut job_template: Vec<usize> = Vec::with_capacity(jobs.len());
+    let mut slots: Vec<Slot> = Vec::with_capacity(jobs.len());
     for job in jobs {
-        let idx = match templates.iter().position(|(p, _, _)| *p == &job.program) {
+        let idx = match templates.iter().position(|t| t.program() == &job.program) {
             Some(idx) => idx,
             None => {
-                templates.push((
-                    &job.program,
-                    program_fingerprint(&job.program),
-                    PredecodedKernel::new(&job.program),
-                ));
+                templates.push(Template::new(Cow::Borrowed(&job.program)));
                 templates.len() - 1
             }
         };
-        job_template.push(idx);
+        slots.push((idx, job.seed, &job.input));
     }
-    let templates = &templates;
-    let job_template = &job_template;
+    sweep_slots(&templates, &slots, opts, cache)
+}
+
+/// One job of a sweep: the index of its template, its seed and its
+/// runtime input.
+type Slot<'j> = (usize, u64, &'j RunInput);
+
+/// The sweep runner behind [`run_sweep_shared`] and [`Template::sweep`]:
+/// `slots` (nonempty) over `opts.threads` scoped workers, each running
+/// the one job body.
+fn sweep_slots(
+    templates: &[Template<'_>],
+    slots: &[Slot<'_>],
+    opts: SweepOptions,
+    cache: &KernelCache,
+) -> (Vec<Result<SweepOutcome, ExecError>>, SweepStats) {
+    let threads = opts.threads.clamp(1, slots.len());
     // One ISA detection per sweep, not per job: the env override and
     // feature probes are stable for the process lifetime.
     let isa = IsaLevel::detect();
@@ -266,13 +381,18 @@ pub fn run_sweep_shared(
                     let mut mine = Vec::new();
                     loop {
                         let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                        if idx >= jobs.len() {
+                        let Some(&(template, seed, input)) = slots.get(idx) else {
                             break;
-                        }
+                        };
                         let _span = telemetry::span("sweep.job");
-                        let template = &templates[job_template[idx]];
                         let res = run_prepared(
-                            &jobs[idx], template, cache, isa, &mut scratch, &mut tally,
+                            &templates[template],
+                            seed,
+                            input,
+                            cache,
+                            isa,
+                            &mut scratch,
+                            &mut tally,
                         );
                         mine.push((idx, res.map(|(outcome, ..)| outcome)));
                     }
@@ -286,7 +406,7 @@ pub fn run_sweep_shared(
             .collect()
     });
     let mut results: Vec<Option<Result<SweepOutcome, ExecError>>> =
-        (0..jobs.len()).map(|_| None).collect();
+        (0..slots.len()).map(|_| None).collect();
     let mut stats = SweepStats {
         workers: threads,
         cache_occupancy: cache.stats().occupancy,
@@ -318,41 +438,18 @@ fn tag_cache_traffic(hits: u64, misses: u64) {
     telemetry::tag("cache.misses", misses);
 }
 
-/// One distinct program of a sweep: the program, its fingerprint and
-/// its checked form.
-type Template<'a> = (&'a SimdProgram, u64, Result<PredecodedKernel<'a>, ExecError>);
-
 /// What one job produced: its outcome, the kernel it ran (the cache's
 /// own handle) and what the cache lookup did.
 pub type JobRun = (SweepOutcome, Arc<SimdKernel>, Lookup);
 
-/// Runs and verifies one job on the caller's thread: fingerprint and
-/// check the program (neither allocates), then the job body every
-/// sweep worker runs. A request that is one job (the server's `run`,
-/// the CLI's `run --engine simd`) calls this instead of a sweep of
-/// length one: same [`SweepOutcome`], same cache traffic, no worker
-/// thread.
+/// Runs and verifies one job on the caller's thread:
+/// [`Template::run`] on the job's program, borrowed.
 ///
 /// # Errors
 ///
 /// Program-check, bake or execution faults, as a sweep reports per job.
 pub fn run_job(job: &SweepJob, cache: &KernelCache) -> Result<JobRun, ExecError> {
-    let template = (
-        &job.program,
-        program_fingerprint(&job.program),
-        PredecodedKernel::new(&job.program),
-    );
-    let mut tally = WorkerTally::default();
-    let run = run_prepared(
-        job,
-        &template,
-        cache,
-        IsaLevel::detect(),
-        &mut Scratch::default(),
-        &mut tally,
-    );
-    tag_cache_traffic(tally.cache_hits, tally.cache_misses);
-    run
+    Template::new(Cow::Borrowed(&job.program)).run(job.seed, &job.input, cache)
 }
 
 /// The job body: scratch images re-seeded in place
@@ -361,24 +458,25 @@ pub fn run_job(job: &SweepJob, cache: &KernelCache) -> Result<JobRun, ExecError>
 /// the runtime input, the memory layout and the tier all match — and
 /// the result diffed against the scalar oracle.
 fn run_prepared(
-    job: &SweepJob,
-    (_, fingerprint, pre): &Template,
+    template: &Template,
+    seed: u64,
+    input: &RunInput,
     cache: &KernelCache,
     isa: IsaLevel,
     scratch: &mut Scratch,
     tally: &mut WorkerTally,
 ) -> Result<JobRun, ExecError> {
-    let pre = pre.as_ref().map_err(|e| e.clone())?;
-    let source = job.program.source();
+    let pre = template.predecoded()?;
+    let source = template.program().source();
     let shape = VectorShape::V16;
 
     let engine_img = match &mut scratch.engine {
         Some(img) => {
-            img.reseed(source, shape, job.seed);
+            img.reseed(source, shape, seed);
             tally.scratch_reseeds += 1;
             img
         }
-        slot => slot.insert(MemoryImage::with_seed(source, shape, job.seed)),
+        slot => slot.insert(MemoryImage::with_seed(source, shape, seed)),
     };
     let oracle_img = match &mut scratch.oracle {
         Some(img) => {
@@ -391,8 +489,14 @@ fn run_prepared(
         slot => slot.insert(engine_img.clone()),
     };
 
-    let (kernel, lookup) =
-        cache.get_or_bake_simd(*fingerprint, pre, engine_img, &job.input, &KernelOptions::new(), isa)?;
+    let (kernel, lookup) = cache.get_or_bake_simd(
+        template.fingerprint(),
+        &pre,
+        engine_img,
+        input,
+        &KernelOptions::new(),
+        isa,
+    )?;
     if lookup.hit {
         tally.cache_hits += 1;
     } else {
@@ -401,10 +505,10 @@ fn run_prepared(
     tally.cache_evictions += u64::from(lookup.evicted);
     let stats = kernel.run(engine_img)?;
 
-    let ub = source.trip().known().unwrap_or(job.input.ub);
-    let scalar_ideal = run_scalar(source, oracle_img, ub, &job.input.params)?;
+    let ub = source.trip().known().unwrap_or(input.ub);
+    let scalar_ideal = run_scalar(source, oracle_img, ub, &input.params)?;
     let outcome = SweepOutcome {
-        seed: job.seed,
+        seed,
         stats,
         verified: engine_img.first_difference(oracle_img).is_none(),
         data_produced: source.stmts().len() as u64 * ub,
@@ -555,6 +659,28 @@ mod tests {
             assert!(Arc::ptr_eq(&kernels[0], &kernels[1]));
             assert!(run_job(&job, &swept_cache).unwrap().2.hit);
             assert_eq!(run_sweep_shared(jobs, one, &direct_cache).1.cache_hits, 1);
+        }
+    }
+
+    #[test]
+    fn a_kept_template_runs_and_sweeps_as_its_jobs_do() {
+        for src in [KNOWN, RUNTIME] {
+            let prog = program(src);
+            let template = Template::new(Cow::Owned(prog.clone()));
+            let input = template.input(300);
+            let jobs: Vec<SweepJob> = (0..5)
+                .map(|seed| SweepJob::new(prog.clone(), seed, 300))
+                .collect();
+            assert_eq!(jobs[0].input, input);
+            let cache = KernelCache::new(4, 16);
+            let (swept, _) = run_sweep_shared(&jobs, SweepOptions::new(2), &cache);
+            let (kept, stats) = template.sweep(0..5, &input, SweepOptions::new(2), &cache);
+            assert_eq!(kept, swept);
+            // The kept template keys the cache as its borrowed twin did.
+            assert_eq!(stats.cache_misses, 0, "{stats:?}");
+            let (outcome, _, lookup) = template.run(3, &input, &cache).unwrap();
+            assert_eq!(Ok(&outcome), swept[3].as_ref());
+            assert!(lookup.hit);
         }
     }
 

@@ -202,8 +202,42 @@ impl KernelOptions {
 #[derive(Debug, Clone, Copy)]
 pub struct PredecodedKernel<'p> {
     program: &'p SimdProgram,
+    checked: Checked,
+}
+
+/// What [`PredecodedKernel::new`] learns about a program, without the
+/// borrow: a [`Template`](crate::Template) that owns its program keeps
+/// this and lends a [`PredecodedKernel`] out per use.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Checked {
     nregs: usize,
     runtime_exprs: u64,
+}
+
+impl Checked {
+    /// The check behind [`PredecodedKernel::new`].
+    pub(crate) fn of(program: &SimdProgram) -> Result<Checked, ExecError> {
+        let _span = telemetry::span("predecode");
+        if program.shape().bytes() as i64 != V {
+            return Err(ExecError::Unsupported {
+                what: "vector shapes other than V16",
+            });
+        }
+        let mut max_reg = 0;
+        let pair = program.body_pair().unwrap_or_default();
+        for insts in [program.prologue(), program.body(), pair, program.epilogue()] {
+            check(insts, &mut max_reg)?;
+        }
+        Ok(Checked {
+            nregs: max_reg + 1,
+            runtime_exprs: runtime_expr_count(program) as u64,
+        })
+    }
+
+    /// `program`'s predecoded form; `self` must be its check.
+    pub(crate) fn lend(self, program: &SimdProgram) -> PredecodedKernel<'_> {
+        PredecodedKernel { program, checked: self }
+    }
 }
 
 /// A `SimdProgram` compiled for one memory layout and one set of
@@ -476,22 +510,7 @@ impl<'p> PredecodedKernel<'p> {
     /// 16 bytes and [`ExecError::BadShiftAmount`] for malformed
     /// permutation patterns.
     pub fn new(program: &'p SimdProgram) -> Result<PredecodedKernel<'p>, ExecError> {
-        let _span = telemetry::span("predecode");
-        if program.shape().bytes() as i64 != V {
-            return Err(ExecError::Unsupported {
-                what: "vector shapes other than V16",
-            });
-        }
-        let mut max_reg = 0;
-        let pair = program.body_pair().unwrap_or_default();
-        for insts in [program.prologue(), program.body(), pair, program.epilogue()] {
-            check(insts, &mut max_reg)?;
-        }
-        Ok(PredecodedKernel {
-            program,
-            nregs: max_reg + 1,
-            runtime_exprs: runtime_expr_count(program) as u64,
-        })
+        Checked::of(program).map(|checked| checked.lend(program))
     }
 
     /// Number of arrays in the source loop (the cache keys a layout by
@@ -578,7 +597,7 @@ impl<'p> PredecodedKernel<'p> {
             }));
         }
 
-        stats.invocation_overhead += RUNTIME_SETUP_PER_EXPR * self.runtime_exprs;
+        stats.invocation_overhead += RUNTIME_SETUP_PER_EXPR * self.checked.runtime_exprs;
 
         let b = program.block() as i64;
         let lb = program.lower_bound() as i64;
@@ -608,7 +627,7 @@ impl<'p> PredecodedKernel<'p> {
             params: &input.params,
             ub: ub as i64,
             elem,
-            ids: vec![NO_REG; self.nregs],
+            ids: vec![NO_REG; self.checked.nregs],
             nregs: 0,
         };
 

@@ -50,7 +50,9 @@
 //! The [`batch`] module scales this to sweeps: many (program, seed)
 //! jobs distributed over scoped worker threads, each job compiled,
 //! executed on the detected tier and differentially verified, with
-//! per-job [`RunStats`]. Sweeps check each distinct program once
+//! per-job [`RunStats`]. Sweeps check each distinct program once into
+//! a [`Template`] (program, fingerprint, check), which a caller may
+//! also keep and run again ([`Template::run`], [`Template::sweep`]),
 //! and reuse per-worker scratch images across jobs. Baked kernels live
 //! in a sharded, LRU-bounded [`cache::KernelCache`] keyed by *(program
 //! fingerprint, runtime input, memory layout, ISA tier)* — shared
@@ -98,7 +100,7 @@ mod trace;
 
 pub use batch::{
     run_job, run_sweep_collect, run_sweep_shared, JobRun, SweepBackend, SweepJob,
-    SweepOptions, SweepOutcome, SweepStats,
+    SweepOptions, SweepOutcome, SweepStats, Template,
 };
 pub use cache::{
     program_fingerprint, CacheKey, CacheStats, KernelBackend, KernelCache, LayoutSig, Lookup,

@@ -1,55 +1,80 @@
 //! Executes pipeline requests against the simdize toolchain.
 //!
+//! `run`, `sweep`, `compile` and `analyze` share one front half,
+//! [`template`]: the server's [`TemplateMemo`] beside its
+//! [`KernelCache`], keyed by the request's source bytes and forced
+//! policy (all that [`driver`] reads), compiles each distinct source
+//! once and hands every later request the same `Arc`'d template —
+//! program, fingerprint, check — so a repeated source skips parse,
+//! placement, codegen and fingerprinting as a repeated kernel skips
+//! the bake.
+//!
 //! Every handler's `result` body is deterministic for a given request
 //! on a fixed host: pipeline results carry no timestamps or cache-hit
-//! markers, so a reply served from the kernel cache is byte-identical
-//! to one that baked from scratch (the stress tests assert exactly
-//! this, after normalizing the envelope's trace id). Wall-clock
-//! observability lives in the `stats` verb, the trace export and the
-//! flight recorder; the golden transcript test normalizes the timing
-//! fields (`wall_ms`, `wall_us`, span durations) rather than the
-//! handlers zeroing them at the source.
+//! markers, so a reply served from the memo and the kernel cache is
+//! byte-identical to one compiled and baked from scratch (the stress
+//! tests assert exactly this, after normalizing the envelope's trace
+//! id), and so are its flight entry's attributes: a memo hit re-tags
+//! the `policy` the compile would have. Wall-clock observability lives
+//! in the `stats` verb, the trace export and the flight recorder; the
+//! golden transcript test normalizes the timing fields (`wall_ms`,
+//! `wall_us`, span durations) rather than the handlers zeroing them at
+//! the source.
 
+use crate::memo::TemplateMemo;
 use crate::protocol::{Command, ExecRequest};
 use crate::server::{ServerConfig, MAX_SOURCE_BYTES};
 use simdize::{
-    analyze_program, parse_program, run_job, run_sweep_shared, traced_pass, DiffConfig,
-    KernelCache, LoopProgram, Simdizer, SweepJob, SweepOptions,
+    analyze_program, parse_program, traced_pass, DiffConfig, KernelCache, LoopProgram, Simdizer,
+    SweepOptions, Template,
 };
 use simdize_explain::{render_json, Explainer};
-use simdize_telemetry::json;
+use simdize_telemetry::{self as telemetry, json};
+use std::borrow::Cow;
+use std::sync::Arc;
 
 /// Runs one pipeline command to completion under the caller's request
-/// scope, using `cache` for baked kernels. Returns the rendered
-/// `result` JSON on success, a readable message on failure — except
-/// for `trace`, whose result is the caller's finished scope, so its
-/// `Ok` body is empty.
+/// scope, using `memo` for compiled sources and `cache` for baked
+/// kernels. Returns the rendered `result` JSON on success, a readable
+/// message on failure — except for `trace`, whose result is the
+/// caller's finished scope, so its `Ok` body is empty.
 pub fn execute(
     cmd: &Command,
+    memo: &TemplateMemo,
     cache: &KernelCache,
     config: &ServerConfig,
 ) -> Result<String, String> {
-    let (Command::Compile(req)
-    | Command::Analyze(req)
-    | Command::Run(req)
-    | Command::Sweep(req)
-    | Command::Explain(req)
-    | Command::Verify(req)
-    | Command::Trace(req)) = cmd
-    else {
-        // Control-plane verbs are answered before the gate.
-        return Err("internal: control command reached the pipeline".to_string());
-    };
-    let program = parse(&req.source)?;
     match cmd {
-        Command::Compile(_) => compile(req, &program),
-        Command::Analyze(_) => analyze(req, &program),
-        Command::Run(_) => run(req, &program, cache),
-        Command::Sweep(_) => sweep(req, &program, cache, config),
-        Command::Explain(_) => explain(req, &program),
-        Command::Verify(_) => verify(req, &program, config),
-        _ => trace(req),
+        Command::Compile(req) => compile(&*template(req, memo)?),
+        Command::Analyze(req) => analyze(req, &*template(req, memo)?),
+        Command::Run(req) => run(req, &*template(req, memo)?, cache),
+        Command::Sweep(req) => sweep(req, &*template(req, memo)?, cache, config),
+        Command::Explain(req) => explain(req, &parse(&req.source)?),
+        Command::Verify(req) => verify(req, &parse(&req.source)?, config),
+        Command::Trace(req) => parse(&req.source).and_then(|_| trace(req)),
+        // Control-plane verbs are answered before the gate.
+        _ => Err("internal: control command reached the pipeline".to_string()),
     }
+}
+
+/// The front half of `run`, `sweep`, `compile` and `analyze`: the
+/// request's source compiled under its policy, from `memo` when an
+/// earlier request compiled it. Only a successful compile is stored, so
+/// a hit implies the [`MAX_SOURCE_BYTES`] check passed, and a failing
+/// source answers its error every time.
+fn template(req: &ExecRequest, memo: &TemplateMemo) -> Result<Arc<Template<'static>>, String> {
+    let (template, policy) = memo.get_or_compile(&req.source, req.policy, || {
+        let program = parse(&req.source)?;
+        let driver = driver(req);
+        let compiled = driver.compile(&program).map_err(err)?;
+        Ok((
+            Template::new(Cow::Owned(compiled)),
+            driver.policy_for(&program),
+        ))
+    })?;
+    // The attribute the compile tags, so a hit's flight entry matches.
+    telemetry::tag("policy", policy);
+    Ok(template)
 }
 
 /// Parses a request's source, refusing one whose arrays declare more
@@ -80,8 +105,8 @@ fn err<E: std::fmt::Display>(e: E) -> String {
     e.to_string()
 }
 
-fn compile(req: &ExecRequest, program: &LoopProgram) -> Result<String, String> {
-    let compiled = driver(req).compile(program).map_err(err)?;
+fn compile(template: &Template) -> Result<String, String> {
+    let compiled = template.program();
     Ok(format!(
         "{{\"code\":\"{}\",\"sections\":{{\"prologue\":{},\"body\":{},\"epilogue\":{}}}}}",
         json::escape(&compiled.to_string()),
@@ -91,10 +116,8 @@ fn compile(req: &ExecRequest, program: &LoopProgram) -> Result<String, String> {
     ))
 }
 
-fn analyze(req: &ExecRequest, program: &LoopProgram) -> Result<String, String> {
-    let driver = driver(req);
-    let compiled = driver.compile(program).map_err(err)?;
-    let report = analyze_program(&compiled, &driver.analyze_options());
+fn analyze(req: &ExecRequest, template: &Template) -> Result<String, String> {
+    let report = analyze_program(template.program(), &driver(req).analyze_options());
     Ok(format!(
         "{{\"deny\":{},\"warn\":{},\"report\":{}}}",
         report.deny_count(),
@@ -103,11 +126,10 @@ fn analyze(req: &ExecRequest, program: &LoopProgram) -> Result<String, String> {
     ))
 }
 
-fn run(req: &ExecRequest, program: &LoopProgram, cache: &KernelCache) -> Result<String, String> {
-    let compiled = driver(req).compile(program).map_err(err)?;
-    let mut job = SweepJob::new(compiled, req.seed, req.ub);
-    job.input.params.clone_from(&req.params);
-    let (outcome, ..) = run_job(&job, cache).map_err(err)?;
+fn run(req: &ExecRequest, template: &Template, cache: &KernelCache) -> Result<String, String> {
+    let mut input = template.input(req.ub);
+    input.params.clone_from(&req.params);
+    let (outcome, ..) = template.run(req.seed, &input, cache).map_err(err)?;
     Ok(format!(
         "{{\"verified\":{},\"seed\":{},\"engine_ops\":{},\"scalar_ideal\":{},\
          \"opd\":{:.3},\"speedup\":{:.3}}}",
@@ -122,21 +144,16 @@ fn run(req: &ExecRequest, program: &LoopProgram, cache: &KernelCache) -> Result<
 
 fn sweep(
     req: &ExecRequest,
-    program: &LoopProgram,
+    template: &Template,
     cache: &KernelCache,
     config: &ServerConfig,
 ) -> Result<String, String> {
-    let compiled = driver(req).compile(program).map_err(err)?;
     let count = req.count.clamp(1, 4096);
-    let jobs: Vec<SweepJob> = (0..count as u64)
-        .map(|k| {
-            let mut job = SweepJob::new(compiled.clone(), req.seed.wrapping_add(k), req.ub);
-            job.input.params.clone_from(&req.params);
-            job
-        })
-        .collect();
+    let mut input = template.input(req.ub);
+    input.params.clone_from(&req.params);
+    let seeds = (0..count as u64).map(|k| req.seed.wrapping_add(k));
     let threads = config.sweep_threads.max(1);
-    let (outcomes, _) = run_sweep_shared(&jobs, SweepOptions::new(threads), cache);
+    let (outcomes, _) = template.sweep(seeds, &input, SweepOptions::new(threads), cache);
     let mut verified = 0usize;
     let mut speedup_sum = 0.0;
     let mut min_speedup = f64::INFINITY;

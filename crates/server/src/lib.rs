@@ -9,9 +9,11 @@
 //! * [`Server`] — `bind` an address, then [`Server::serve`] answers
 //!   the versioned JSONL-over-TCP protocol in [`protocol`]
 //!   (`simdize-wire/v1`), each connection's thread executing the
-//!   requests it reads. All `run`/`sweep` requests bake through one
+//!   requests it reads. Each distinct source of a `run`, `sweep`,
+//!   `compile` or `analyze` is compiled once into a bounded template
+//!   memo, and all `run`/`sweep` requests bake through one
 //!   process-wide sharded [`simdize::KernelCache`], so repeated
-//!   requests skip compilation entirely.
+//!   requests skip compilation and baking entirely.
 //! * explicit backpressure — one admission gate lets
 //!   [`ServerConfig::workers`] pipeline requests execute and
 //!   [`ServerConfig::queue_depth`] more wait in arrival order; the
@@ -20,7 +22,8 @@
 //!   (when [`ServerConfig::handle_sigint`] is set) Ctrl-C.
 //! * latency observability — per-request latency lands in
 //!   [`simdize_telemetry::Histogram`]s and the `stats` verb reports
-//!   p50/p95, requests/sec and the cache's hit/miss/evict counters.
+//!   p50/p95, requests/sec and the kernel cache's and template memo's
+//!   hit/miss/evict counters.
 //!
 //! Everything is `std`: no async runtime, no HTTP stack, no serde —
 //! the wire format is parsed with `simdize-telemetry`'s hand-rolled
@@ -55,9 +58,13 @@
 
 mod gate;
 mod handlers;
+mod memo;
 pub mod protocol;
 mod server;
 #[allow(unsafe_code)]
 pub mod signal;
 
-pub use server::{ServeSummary, Server, ServerConfig, MAX_LINE, MAX_SOURCE_BYTES, WRITE_TIMEOUT};
+pub use server::{
+    ServeSummary, Server, ServerConfig, MAX_LINE, MAX_SOURCE_BYTES, MAX_TEMPLATE_BYTES,
+    WRITE_TIMEOUT,
+};

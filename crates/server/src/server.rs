@@ -17,7 +17,14 @@
 //!   backpressure instead of unbounded buffering;
 //! * one process-wide sharded [`KernelCache`]: a kernel baked for one
 //!   `run` or `sweep` is a hit for every later request, on any
-//!   connection, with the same (program, input, layout).
+//!   connection, with the same (program, input, layout);
+//! * beside it, one template memo (`crate::memo`): each distinct
+//!   (source bytes, forced policy) pair of a `run`, `sweep`, `compile`
+//!   or `analyze` is parsed, placed, generated, fingerprinted and
+//!   checked once, and every later request with the same pair runs the
+//!   stored template. It holds at most `cache_shards × cache_capacity`
+//!   entries and [`MAX_TEMPLATE_BYTES`], evicting the least recently
+//!   used.
 //!
 //! Shutdown sets the stop flag and joins the connection threads: the
 //! thread being joined is the one answering, so no reply is orphaned.
@@ -37,11 +44,12 @@
 //! drained on SIGINT shutdown. An optional side listener
 //! (`--metrics-addr`) answers plain HTTP `GET /metrics` with the
 //! Prometheus text exposition of the server counters, its latency
-//! summary and the kernel cache's counters — the numbers `stats`
-//! reports, read from the same places.
+//! summary and the kernel cache's and template memo's counters — the
+//! numbers `stats` reports, read from the same places.
 
 use crate::gate::Gate;
 use crate::handlers;
+use crate::memo::TemplateMemo;
 use crate::protocol::{
     busy_response, error_response, ok_response, parse_request, Command, WireError, WIRE_SCHEMA,
 };
@@ -66,6 +74,12 @@ pub const MAX_LINE: usize = 1 << 20;
 /// it is refused before anything is allocated.
 pub const MAX_SOURCE_BYTES: u64 = 1 << 26;
 
+/// The most bytes the template memo keeps: each entry is charged its
+/// source text and its program's instructions. A request line may be
+/// [`MAX_LINE`] long, so the memo's entry cap alone would let a few
+/// hundred distinct large sources pin hundreds of MiB.
+pub const MAX_TEMPLATE_BYTES: usize = 1 << 22;
+
 /// How long one write to a client may block before the server gives up
 /// on it and closes the connection. A client that stops reading would
 /// otherwise pin its thread in `write_all` for good, and with it
@@ -81,7 +95,8 @@ pub struct ServerConfig {
     pub queue_depth: usize,
     /// Lock-striped shards in the kernel cache.
     pub cache_shards: usize,
-    /// LRU capacity per cache shard.
+    /// LRU capacity per cache shard. The template memo holds
+    /// `cache_shards × cache_capacity` entries.
     pub cache_capacity: usize,
     /// Worker threads used *inside* one `sweep` request.
     pub sweep_threads: usize,
@@ -144,6 +159,7 @@ impl Metrics {
 struct Shared {
     config: ServerConfig,
     cache: KernelCache,
+    templates: TemplateMemo,
     gate: Gate,
     metrics: Mutex<Metrics>,
     flight: FlightRecorder,
@@ -182,11 +198,13 @@ impl Shared {
 
     /// The Prometheus text exposition, read from the same sources as
     /// `stats`: the server's own atomics, its aggregate latency
-    /// [`Histogram`], the flight recorder and [`KernelCache::stats`].
+    /// [`Histogram`], the flight recorder, [`KernelCache::stats`] and
+    /// the template memo's one snapshot.
     fn metrics_text(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         let cache = self.cache.stats();
+        let templates = self.templates.stats();
         for (name, v) in [
             ("requests_total", self.requests.load(Ordering::Relaxed)),
             ("busy_total", self.busy.load(Ordering::Relaxed)),
@@ -196,6 +214,9 @@ impl Shared {
             ("cache_hits_total", cache.hits),
             ("cache_misses_total", cache.misses),
             ("cache_evictions_total", cache.evictions),
+            ("template_hits_total", templates.hits),
+            ("template_misses_total", templates.misses),
+            ("template_evictions_total", templates.evictions),
         ] {
             let _ = writeln!(out, "# TYPE simdize_server_{name} counter");
             let _ = writeln!(out, "simdize_server_{name} {v}");
@@ -203,6 +224,9 @@ impl Shared {
         for (name, v) in [
             ("uptime_ms", self.started.elapsed().as_millis() as u64),
             ("cache_occupied", cache.occupied() as u64),
+            ("template_occupied", templates.occupied as u64),
+            ("template_bytes", templates.bytes as u64),
+            ("template_capacity", templates.capacity as u64),
         ] {
             let _ = writeln!(out, "# TYPE simdize_server_{name} gauge");
             let _ = writeln!(out, "simdize_server_{name} {v}");
@@ -245,6 +269,7 @@ impl Shared {
             ));
         }
         let cache = self.cache.stats();
+        let templates = self.templates.stats();
         let occupancy: Vec<String> = cache.occupancy.iter().map(usize::to_string).collect();
         format!(
             "{{\"schema\":\"{WIRE_SCHEMA}\",\"isa\":\"{}\",\
@@ -255,6 +280,8 @@ impl Shared {
              \"commands\":[{per_cmd}],\
              \"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"hit_rate\":{:.4},\
              \"occupied\":{},\"capacity_per_shard\":{},\"occupancy\":[{}]}},\
+             \"templates\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"occupied\":{},\
+             \"bytes\":{},\"capacity\":{}}},\
              \"queue\":{{\"depth\":{},\"capacity\":{}}},\"workers\":{},\
              \"flight\":{{\"recorded\":{},\"capacity\":{}}}}}",
             IsaLevel::detect(),
@@ -275,6 +302,12 @@ impl Shared {
             cache.occupied(),
             cache.capacity_per_shard,
             occupancy.join(","),
+            templates.hits,
+            templates.misses,
+            templates.evictions,
+            templates.occupied,
+            templates.bytes,
+            templates.capacity,
             self.gate.waiting(),
             self.config.queue_depth,
             self.config.workers,
@@ -325,6 +358,10 @@ impl Server {
         };
         let shared = Arc::new(Shared {
             cache: KernelCache::new(config.cache_shards, config.cache_capacity),
+            templates: TemplateMemo::new(
+                config.cache_shards.saturating_mul(config.cache_capacity),
+                MAX_TEMPLATE_BYTES,
+            ),
             gate: Gate::new(config.workers, config.queue_depth),
             metrics: Mutex::new(Metrics::new()),
             flight: FlightRecorder::new(config.flight_capacity, 8),
@@ -573,7 +610,8 @@ fn handle_line(line: &str, shared: &Shared, conn_id: u64) -> String {
                     // hit/miss, …) — per request, however many
                     // connections execute concurrently.
                     let scope = telemetry::begin_request(trace, verb);
-                    let outcome = handlers::execute(cmd, &shared.cache, &shared.config);
+                    let outcome =
+                        handlers::execute(cmd, &shared.templates, &shared.cache, &shared.config);
                     let finished = scope.finish(outcome.as_ref().err().cloned());
                     // The `trace` verb's result is this very scope.
                     let outcome = match cmd {

@@ -7,7 +7,7 @@
 # (`benchmark/`, outside the workspace and frozen between benchmark
 # PRs), so an API break against it fails in the first minutes. The root
 # `cargo build`/`cargo test` pair is the tier-1 gate (the root package
-# and, as a default member, the engine crate); the other crates' own
+# and, as default members, the engine and server crates); the other crates' own
 # tests follow in debug, and the rest of the
 # script widens it to the full workspace in release (cli is not in the
 # root package's dependency graph, bench only as the dev-dependency of
@@ -49,23 +49,23 @@ echo "== build (release, BENCHMARK.json package) =="
 # engine's public API by name and may not be edited to follow a rename.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
-echo "== test (tier-1: root package and engine crate) =="
+echo "== test (tier-1: root package, engine and server crates) =="
 cargo test -q --offline
 
-echo "== test (reorg, codegen, verify, explain, vm, telemetry and server crates, debug) =="
-# Tier-1 tests the root package and the engine crate (its tier check,
+echo "== test (reorg, codegen, verify, explain, vm and telemetry crates, debug) =="
+# Tier-1 tests the root package, the engine crate (its tier check,
 # trace fusion, lowering and the strip driver, with the dense
-# loop-entry fixpoint every sparse one is compared with), and the
+# loop-entry fixpoint every sparse one is compared with) and the server
+# crate (the gate, the wire protocol, the template memo), and the
 # release run below has debug assertions off: this is where the other
 # crates' own unit tests run with the debug-only reference checks on —
 # the generator's (every emitted program already numbered, every
 # pass's output well formed) and the vm's (the column oracle's
 # statement-independence assertion) — and the only place the vm's
-# typed-loop-versus-checked-walk comparisons, the JSON parser's tests
-# and the wire protocol's tests run at all.
+# typed-loop-versus-checked-walk comparisons and the JSON parser's
+# tests run at all.
 cargo test -q --offline -p simdize-reorg -p simdize-codegen \
-    -p simdize-verify -p simdize-explain -p simdize-vm -p simdize-telemetry \
-    -p simdize-server
+    -p simdize-verify -p simdize-explain -p simdize-vm -p simdize-telemetry
 
 echo "== test (release, workspace) =="
 # Also the second profile for two root tests the tier-1 run above just
@@ -209,8 +209,9 @@ benchmark/target/release/simdize-benchmark --workload serve-hot --seed 1 --secon
 
 echo "== server smoke (serve round-trip, trace ids, dump, /metrics) =="
 # Boots `simdize serve` on port 0 with the metrics endpoint on a second
-# ephemeral port, drives a compile/run/sweep/stats/trace/dump round-trip
-# over /dev/tcp (every response must echo a trace id), counts the
+# ephemeral port, drives a compile/run/run/sweep/stats/trace/dump
+# round-trip over /dev/tcp (every response must echo a trace id; the
+# repeated `run` line is a template-memo hit), counts the
 # server's threads, scrapes the Prometheus exposition, then requests
 # shutdown and insists on a clean exit. The loop source is quote-free so it embeds in the JSON request
 # lines without escaping.
@@ -230,12 +231,13 @@ exec 3<>"/dev/tcp/127.0.0.1/$port"
 {
     printf '{"v":1,"id":1,"cmd":"compile","source":"%s"}\n' "$src"
     printf '{"v":1,"id":2,"cmd":"run","source":"%s","seed":7}\n' "$src"
+    printf '{"v":1,"id":2,"cmd":"run","source":"%s","seed":7}\n' "$src"
     printf '{"v":1,"id":3,"cmd":"sweep","source":"%s","count":4}\n' "$src"
     printf '{"v":1,"id":4,"cmd":"trace","source":"%s"}\n' "$src"
     printf '{"v":1,"id":5,"cmd":"stats"}\n'
     printf '{"v":1,"id":6,"cmd":"dump"}\n'
 } >&3
-for id in 1 2 3 4 5 6; do
+for id in 1 2 2 3 4 5 6; do
     IFS= read -r line <&3
     echo "$line" | grep -q "\"id\":$id,\"trace\":\"c" \
         || { echo "server smoke: request $id carries no trace id: $line" >&2; exit 1; }
@@ -255,8 +257,9 @@ threads=$(awk '/^Threads:/ {print $2}' "/proc/$serve_pid/status")
 [ "$threads" = 3 ] \
     || { echo "server smoke: expected 3 threads, found $threads" >&2; exit 1; }
 # Prometheus scrape over /dev/tcp (no curl in the CI image): the
-# request counter and the kernel cache's (read from the cache itself,
-# as `stats` reads it) must expose with live values.
+# request counter, the kernel cache's (read from the cache itself, as
+# `stats` reads it) and the template memo's (the repeated `run` line
+# hit it) must expose with live values.
 exec 4<>"/dev/tcp/127.0.0.1/$mport"
 printf 'GET /metrics HTTP/1.0\r\n\r\n' >&4
 metrics=$(cat <&4)
@@ -267,6 +270,8 @@ echo "$metrics" | grep -Eq 'simdize_server_requests_total [1-9][0-9]*' \
     || { echo "server smoke: /metrics requests counter not live" >&2; exit 1; }
 echo "$metrics" | grep -Eq 'simdize_server_cache_hits_total [1-9][0-9]*' \
     || { echo "server smoke: /metrics kernel-cache counter not live" >&2; exit 1; }
+echo "$metrics" | grep -Eq 'simdize_server_template_hits_total [1-9][0-9]*' \
+    || { echo "server smoke: /metrics template-memo counter not live" >&2; exit 1; }
 printf '{"v":1,"id":7,"cmd":"shutdown"}\n' >&3
 IFS= read -r line <&3
 echo "$line" | grep -q '"stopping":true' \

@@ -726,9 +726,10 @@ fn metrics_endpoint_serves_prometheus_text() {
 }
 
 /// `stats` and `/metrics` read the kernel cache's counters from one
-/// source, so with no traffic between them they agree on every one.
-/// One shard of one entry makes two alternating sources evict each
-/// other, so all three counters move.
+/// source, and the template memo's from one snapshot, so with no
+/// traffic between them they agree on every one. One shard of one
+/// entry (and so a one-entry memo) makes two alternating sources evict
+/// each other, so all three counters of each move.
 #[test]
 fn stats_and_metrics_agree_on_kernel_cache_counters() {
     let config = ServerConfig {
@@ -757,28 +758,123 @@ fn stats_and_metrics_agree_on_kernel_cache_counters() {
     let stats = client.roundtrip(r#"{"v":1,"id":9,"cmd":"stats"}"#);
     let metrics = scrape(metrics_addr, "/metrics");
     let doc = json::parse(&stats).unwrap();
-    let cache = doc.get("result").unwrap().get("cache").unwrap();
     let scraped = |family: &str| -> f64 {
-        let prefix = format!("simdize_server_cache_{family} ");
+        let prefix = format!("simdize_server_{family} ");
         let line = metrics.lines().find(|l| l.starts_with(&prefix));
         line.unwrap_or_else(|| panic!("no {prefix}in {metrics}"))[prefix.len()..]
             .parse()
             .unwrap()
     };
-    for (field, family, expected) in [
-        ("hits", "hits_total", 2.0),
-        ("misses", "misses_total", 3.0),
-        ("evictions", "evictions_total", 2.0),
-        ("occupied", "occupied", 1.0),
-    ] {
-        let reported = cache.get(field).and_then(Json::as_f64);
-        assert_eq!(reported, Some(expected), "stats {field}: {stats}");
-        assert_eq!(scraped(family), expected, "/metrics {family}: {metrics}");
+    // The memo keys on the source, the kernel cache on the program and
+    // the image; with one seed per source both see the same traffic.
+    for (object, prefix) in [("cache", "cache"), ("templates", "template")] {
+        let counters = doc.get("result").unwrap().get(object).unwrap();
+        for (field, family, expected) in [
+            ("hits", "hits_total", 2.0),
+            ("misses", "misses_total", 3.0),
+            ("evictions", "evictions_total", 2.0),
+            ("occupied", "occupied", 1.0),
+        ] {
+            let family = format!("{prefix}_{family}");
+            let reported = counters.get(field).and_then(Json::as_f64);
+            assert_eq!(reported, Some(expected), "stats {object}.{field}: {stats}");
+            assert_eq!(scraped(&family), expected, "/metrics {family}: {metrics}");
+        }
     }
+    let templates = doc.get("result").unwrap().get("templates").unwrap();
+    assert_eq!(templates.get("capacity").and_then(Json::as_f64), Some(1.0), "{stats}");
+    assert_eq!(scraped("template_capacity"), 1.0, "{metrics}");
+    let bytes = templates.get("bytes").and_then(Json::as_f64).unwrap();
+    assert!(bytes >= sample("figure1").len() as f64, "{stats}");
+    assert_eq!(scraped("template_bytes"), bytes, "{metrics}");
 
     let resp = client.roundtrip(r#"{"v":1,"id":10,"cmd":"shutdown"}"#);
     assert!(resp.contains("\"stopping\":true"), "{resp}");
     handle.join().unwrap().unwrap();
+}
+
+/// The template memo's key is the source bytes *and* the forced policy:
+/// a repeated source with `"policy":"zero"` and with no policy (Figure
+/// 1's default is `dominant`) each reply byte-identically to a cold
+/// server answering that request alone, the two never serve each
+/// other's program, a failing source answers its error every time, and
+/// the flight entries of a repeated `run` carry the same `policy`.
+#[test]
+fn the_template_memo_keys_on_source_and_policy() {
+    let fig1 = inline(&sample("figure1"));
+    let zero = format!(r#"{{"v":1,"id":1,"cmd":"run","source":"{fig1}","seed":5,"policy":"zero"}}"#);
+    let auto = format!(r#"{{"v":1,"id":1,"cmd":"run","source":"{fig1}","seed":5}}"#);
+    let broken = r#"{"v":1,"id":1,"cmd":"run","source":"arrays { broken"}"#;
+    let cold = |request: &str| {
+        let harness = Harness::start(ServerConfig::default());
+        let reply = normalize(&harness.client().roundtrip(request));
+        harness.shutdown();
+        reply
+    };
+    let expected = [cold(&zero), cold(&auto), cold(broken)];
+    assert_ne!(expected[0], expected[1], "zero and dominant must differ on Figure 1");
+    assert!(expected[2].contains("\"ok\":false"), "{}", expected[2]);
+
+    let harness = Harness::start(ServerConfig::default());
+    let mut client = harness.client();
+    for (request, want) in [(&zero, 0), (&zero, 0), (&auto, 1), (&auto, 1)] {
+        assert_eq!(normalize(&client.roundtrip(request)), expected[want]);
+    }
+    for _ in 0..3 {
+        assert_eq!(normalize(&client.roundtrip(broken)), expected[2]);
+    }
+    let stats = json::parse(&client.roundtrip(r#"{"v":1,"id":2,"cmd":"stats"}"#)).unwrap();
+    let templates = stats.get("result").unwrap().get("templates").unwrap();
+    let count = |field: &str| templates.get(field).and_then(Json::as_f64).unwrap();
+    // Two sources stored; the failing one is looked up and compiled
+    // three times and never kept.
+    assert_eq!((count("hits"), count("misses"), count("occupied")), (2.0, 5.0, 2.0));
+
+    let dump = json::parse(&client.roundtrip(r#"{"v":1,"id":3,"cmd":"dump"}"#)).unwrap();
+    let entries = dump.get("result").unwrap().get("entries").unwrap().as_arr().unwrap();
+    let policies: Vec<Option<&str>> = entries
+        .iter()
+        .filter(|e| e.get("verb").and_then(Json::as_str) == Some("run"))
+        .filter(|e| e.get("ok") == Some(&Json::Bool(true)))
+        .map(|e| e.get("attrs").unwrap().get("policy").and_then(Json::as_str))
+        .collect();
+    assert_eq!(policies, [Some("zero"), Some("zero"), Some("dominant"), Some("dominant")]);
+    harness.shutdown();
+}
+
+/// Hostile input is bounded: distinct valid sources, each padded with a
+/// long `//` comment, whose total passes the template memo's byte
+/// budget. Every reply is still correct, the memo never holds more than
+/// its budget, and the server keeps serving.
+#[test]
+fn large_distinct_sources_stay_inside_the_template_budget() {
+    let budget = simdize_server::MAX_TEMPLATE_BYTES;
+    let harness = Harness::start(ServerConfig::default());
+    let mut client = harness.client();
+    let pad = "x".repeat(simdize_server::MAX_LINE / 2);
+    let count = budget / pad.len() + 2;
+    for k in 0..count {
+        let source = format!(
+            "arrays {{ a: i32[64] @ 0; b: i32[64] @ 0; }} for i in 0..40 {{ a[i] = b[i+{}]; }}\n// {k} {pad}\n",
+            k % 4
+        );
+        let request = format!(
+            r#"{{"v":1,"id":{k},"cmd":"run","source":"{}","seed":1}}"#,
+            inline(&source)
+        );
+        let reply = client.roundtrip(&request);
+        assert!(reply.contains("\"verified\":true"), "{k}: {reply}");
+        let stats = json::parse(&client.roundtrip(r#"{"v":1,"id":0,"cmd":"stats"}"#)).unwrap();
+        let templates = stats.get("result").unwrap().get("templates").unwrap();
+        let bytes = templates.get("bytes").and_then(Json::as_f64).unwrap();
+        assert!(bytes <= budget as f64, "{k}: the memo holds {bytes} bytes");
+    }
+    let stats = json::parse(&client.roundtrip(r#"{"v":1,"id":0,"cmd":"stats"}"#)).unwrap();
+    let templates = stats.get("result").unwrap().get("templates").unwrap();
+    assert!(templates.get("evictions").and_then(Json::as_f64).unwrap() > 0.0);
+    let pong = client.roundtrip(r#"{"v":1,"id":1,"cmd":"ping"}"#);
+    assert!(pong.contains("\"pong\":true"), "{pong}");
+    harness.shutdown();
 }
 
 /// ROADMAP robustness: a request line is capped. A client that sends
