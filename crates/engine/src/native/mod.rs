@@ -85,15 +85,16 @@ pub(crate) use lower::lower;
 pub(crate) use strip::{Leaf, Program, Section, Sink, Super, Term};
 
 /// Runs a lowered plan over `mem` on the tier `isa` names, or on the
-/// portable tier when this host cannot execute that one.
+/// portable tier when this host cannot execute that one, lending it the
+/// thread's mixed-tree scratch columns.
 pub(crate) fn exec(isa: IsaLevel, program: &Program, mem: &mut [u8]) {
-    match isa {
+    strip::COLUMNS.with_borrow_mut(|columns| match isa {
         #[cfg(target_arch = "x86_64")]
-        IsaLevel::V2 => x86::exec(program, mem, false),
+        IsaLevel::V2 => x86::exec(program, mem, false, columns),
         #[cfg(target_arch = "x86_64")]
-        IsaLevel::Avx2 => x86::exec(program, mem, true),
-        _ => strip::run(portable::portable(), program, mem),
-    }
+        IsaLevel::Avx2 => x86::exec(program, mem, true, columns),
+        _ => strip::run(portable::portable(), program, mem, columns),
+    })
 }
 
 /// How [`SimdKernel::run`] executes one loop section.

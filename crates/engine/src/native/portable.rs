@@ -9,7 +9,7 @@
 //! driver as the intrinsic tiers, so those operands, the renaming pass
 //! and the strip schedule are under test even on hosts without SIMD.
 
-use super::strip::{self, Lanes, Super, Tier};
+use super::strip::{self, Columns, Lanes, Super, Tier};
 use crate::lanes::{self, Reg};
 use simdize_ir::ScalarType;
 use std::cell::Cell;
@@ -42,6 +42,10 @@ pub(super) fn portable() -> impl Lanes<V = Reg> {
 }
 
 #[inline(never)]
-fn fold(f: &Super, k0: i64, len: usize, elem: ScalarType, regs: &[Cell<Reg>], mem: &mut [u8]) {
-    strip::fold::<_, false>(portable(), f, k0, len, elem, regs, mem)
+fn fold(f: &Super, k0: i64, len: usize, elem: ScalarType, regs: &[Cell<Reg>], mem: &mut [u8], columns: &mut Columns) {
+    if f.tree.is_some() {
+        strip::tree::<_, false>(portable(), f, k0, len, elem, regs, mem, columns)
+    } else {
+        strip::fold::<_, false>(portable(), f, k0, len, elem, regs, mem)
+    }
 }

@@ -4,13 +4,17 @@
 //! A lowered plan is a list of [`Section`]s over one block of vector
 //! registers. A section scheduled in strips runs [`STRIP`] iterations
 //! per dispatch of each op or superinstruction. A *superinstruction*
-//! ([`Super`], chosen by `lower`) is one lane loop over its streams,
-//! [`BLOCK`] lanes at a time: it loads each fold's leaves, combines
-//! them by one `BinOp` — or, in a mixed tree, evaluates terms over
-//! streams, two-stream gathers and splats and combines those — and
-//! hands the value to the fold's sink — a store, a rotation shift and
-//! store, or a lane-private partial — without the value ever leaving a
-//! CPU register. Every other op runs as a tight loop down a register
+//! ([`Super`], chosen by `lower`) is a fold of loaded streams or a
+//! mixed tree. A fold of loaded streams is one lane loop over its
+//! streams, [`BLOCK`] lanes at a time: it loads each fold's leaves,
+//! combines them by one `BinOp` and hands the value to the fold's sink
+//! — a store, a rotation shift and store, or a lane-private partial —
+//! without the value ever leaving a CPU register. A mixed tree, of
+//! terms over streams, two-stream gathers and splats, runs column by
+//! column ([`tree`]): each term down the strip's whole column of lanes
+//! into an L1-resident scratch column, each column combined into the
+//! fold's by its operator, then the sink down the finished column.
+//! Every other op runs as a tight loop down a register
 //! *column* — lane `u` of column `c` is `regs[c + u]` and holds the
 //! register's value in iteration `k0 + u`. Either way the op kind and
 //! element type are matched outside the lane loop (a superinstruction
@@ -29,8 +33,9 @@
 //! The driver is generic over [`Lanes`] and `#[inline(always)]`: each
 //! tier instantiates it inside its `#[target_feature]` entry, where
 //! the tier's per-op helpers inline into the lane loops, and [`fold`]
-//! inside a second, out-of-line entry ([`Lanes::fold`]), so the
-//! superinstructions' lane loops stay out of the strip loop. A lane
+//! and [`tree`] inside out-of-line entries of their own ([`Lanes::fold`]
+//! dispatches), so the superinstructions' lane loops stay out of the
+//! strip loop. A lane
 //! loop runs on a [`FoldLanes`]: a tier's own 128-bit registers, one
 //! V16 vector each, or — the AVX2 tier, for a superinstruction `lower`
 //! found paired ([`Super::halves`]) — its [`Wide`] form, where one
@@ -41,7 +46,7 @@ use super::SectionSchedule;
 use crate::kernel::Op;
 use crate::lanes::Reg;
 use simdize_ir::{BinOp, ScalarType, UnOp};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::ops::Range;
 
 /// Iterations per op dispatch in a strip-scheduled section. 32 lanes
@@ -58,11 +63,6 @@ pub(super) const MAX_LEAVES: usize = 16;
 /// for all of them stay in registers, and the loop's per-stream work is
 /// paid once for all of them.
 const BLOCK: usize = 4;
-
-/// [`BLOCK`] for a mixed tree, whose lane loop reads its shape once per
-/// block: twice the lanes, a tree's value and the term it takes in the
-/// sixteen vector registers x86-64 has.
-const TREE_BLOCK: usize = 8;
 
 /// Register blocks up to this size — eight columns, more than any
 /// sample loop or benchmark kernel needs — live on the stack.
@@ -86,10 +86,11 @@ pub(super) trait Lanes: Copy {
     fn perm(self, a: Self::V, b: Self::V, lo: &Reg, hi: &Reg) -> Self::V;
     fn bin(self, op: BinOp, elem: ScalarType, a: Self::V, b: Self::V) -> Self::V;
     fn un(self, op: UnOp, elem: ScalarType, a: Self::V) -> Self::V;
-    /// Runs a superinstruction for iterations `k0..k0 + len` ([`fold`]),
-    /// out of line: its lane loops stay out of the strip loop every
-    /// kernel shares.
-    fn fold(self, f: &Super, k0: i64, len: usize, elem: ScalarType, regs: &[Cell<Self::V>], mem: &mut [u8]);
+    /// Runs a superinstruction for iterations `k0..k0 + len` ([`fold`],
+    /// or [`tree`] on the thread's scratch `columns`), out of line: its
+    /// lane loops stay out of the strip loop every kernel shares.
+    #[allow(clippy::too_many_arguments)]
+    fn fold(self, f: &Super, k0: i64, len: usize, elem: ScalarType, regs: &[Cell<Self::V>], mem: &mut [u8], columns: &mut Columns);
 }
 
 /// A tier: its operations as a bundle of closures, the one form that
@@ -119,7 +120,7 @@ where
     Pe: Fn(V, V, &Reg, &Reg) -> V + Copy,
     Bi: Fn(BinOp, ScalarType, V, V) -> V + Copy,
     Un: Fn(UnOp, ScalarType, V) -> V + Copy,
-    Fo: Fn(&Super, i64, usize, ScalarType, &[Cell<V>], &mut [u8]) + Copy,
+    Fo: Fn(&Super, i64, usize, ScalarType, &[Cell<V>], &mut [u8], &mut Columns) + Copy,
 {
     type V = V;
     #[inline(always)]
@@ -151,8 +152,8 @@ where
         (self.un)(op, elem, a)
     }
     #[inline(always)]
-    fn fold(self, f: &Super, k0: i64, len: usize, elem: ScalarType, regs: &[Cell<V>], mem: &mut [u8]) {
-        (self.fold)(f, k0, len, elem, regs, mem)
+    fn fold(self, f: &Super, k0: i64, len: usize, elem: ScalarType, regs: &[Cell<V>], mem: &mut [u8], columns: &mut Columns) {
+        (self.fold)(f, k0, len, elem, regs, mem, columns)
     }
 }
 
@@ -389,7 +390,8 @@ pub(crate) struct Shape {
 /// folds, each into a [`Sink`], of loaded streams by one `BinOp` or, in
 /// a *mixed tree*, of terms over streams, two-stream gathers and splats
 /// — that the strip driver runs as one lane loop, every intermediate
-/// value in a CPU register (DESIGN §11.4).
+/// value in a CPU register, or a mixed tree as a few loops down its
+/// strip's columns (DESIGN §11.4).
 #[derive(Debug)]
 pub(crate) struct Super {
     /// The member ops in [`Section::ops`], for the listing.
@@ -659,66 +661,25 @@ fn one<L: Lanes>(l: L, op: &Op, k0: i64, len: usize, elem: ScalarType, regs: &[C
 }
 
 /// Runs superinstruction `f` for iterations `k0..k0 + len`: what each
-/// tier's [`Lanes::fold`] instantiates in a function of its own. The
-/// store window is split off the image first, so every load window is
-/// a shared slice beside it (`lower` keeps loads off the stored array);
-/// then the lane loop, [`BLOCK`] lanes at a time. `PAIRS` tiers — the
-/// ones a host dispatches for speed — const-match every `(BinOp,
-/// ScalarType)` operation, as its [`canonical`] pair: a fold of loaded
-/// streams gets one lane loop per pair, a mixed tree one instance of
-/// the operation per pair at each place its lane loop combines two
-/// values. The others, like the lanes left over (only a section's last
-/// strip has any), run one loop with the pair a runtime value, which
-/// keeps the binary, and with it the resident set, small. Run wide
-/// ([`FoldLanes::WIDE`]), the lane loop runs the first half of a paired
-/// superinstruction's folds over the streams they read ([`Super::halves`]),
-/// each stream window reaching on to the second half's last vector.
+/// tier's [`Lanes::fold`] instantiates in a function of its own for
+/// every superinstruction but a mixed tree ([`tree`]). The lane loop
+/// runs [`BLOCK`] lanes at a time. `PAIRS` tiers — the ones a host
+/// dispatches for speed — const-match every `(BinOp, ScalarType)`
+/// operation, as its [`canonical`] pair: a fold of loaded streams gets
+/// one lane loop per pair. The others, like the lanes left over (only a
+/// section's last strip has any), run one loop with the pair a runtime
+/// value, which keeps the binary, and with it the resident set, small.
+/// Run wide ([`FoldLanes::WIDE`]), the lane loop runs the first half of
+/// a paired superinstruction's folds over the streams they read
+/// ([`Super::halves`]), each stream window reaching on to the second
+/// half's last vector.
 #[inline(always)]
 pub(super) fn fold<L: FoldLanes, const PAIRS: bool>(l: L, f: &Super, k0: i64, len: usize, elem: ScalarType, regs: &[Cell<L::V>], mem: &mut [u8]) {
-    let (folds, reach) = if L::WIDE { (&f.folds()[..f.used.1 / 2], f.step as usize / 2) } else { (f.folds(), 0) };
-    let span = |step: i64| (len - 1) * step as usize + 16;
-    let at = |start: i64, step: i64| (start + k0 * step) as usize;
-    let (lo, hi, out_step) = match f.store {
-        Some((start, reach, step)) => (at(start, step), at(start, step) + reach + span(step), step),
-        None => (mem.len(), mem.len(), f.step),
-    };
-    let (head, rest) = mem.split_at_mut(lo);
-    let (out, tail) = rest.split_at_mut(hi - lo);
+    let folds = if L::WIDE { &f.folds()[..f.used.1 / 2] } else { f.folds() };
     let mut windows: [&[Reg]; MAX_LEAVES] = [&[]; MAX_LEAVES];
-    for (s, (w, &start)) in windows.iter_mut().zip(f.loads()).enumerate() {
-        if L::WIDE && f.halves & 1 << s == 0 {
-            continue;
-        }
-        let first = at(start, f.step);
-        let span = span(f.step) + reach;
-        *w = if first < lo { &head[first..][..span] } else { &tail[first - hi..][..span] }.as_chunks().0;
-    }
+    let (out, _) = split::<L>(f, k0, len, mem, &mut windows);
     let carry = regs.get(f.column as usize).map_or_else(|| l.splat(&[0; 16]), |seed| l.lift(seed.get()));
-    let out = out.as_chunks_mut().0;
-    let strides = (f.step as usize / 16, out_step as usize / 16);
-    let mut run = Run { f, folds, stride: strides.0, windows: &windows[..f.used.0], out, regs, carry };
-    if let Some(shape) = &f.tree {
-        let blocked = len - len % TREE_BLOCK;
-        // A gather's strides as constants (a stride-2 pack's, in a body
-        // and in its unrolled pair), so the lane loop's block slices
-        // need no bounds check per lane.
-        macro_rules! tree {
-            ($strides:expr) => {
-                if L::WIDE {
-                    run.tree::<PAIRS, { TREE_BLOCK / 2 }>(l, shape, elem, $strides, 0..blocked)
-                } else {
-                    run.tree::<PAIRS, TREE_BLOCK>(l, shape, elem, $strides, 0..blocked)
-                }
-            };
-        }
-        match strides {
-            (2, 1) if PAIRS && !L::WIDE => tree!((2, 1)),
-            (4, 2) if PAIRS => tree!((4, 2)),
-            _ => tree!(strides),
-        }
-        run.tree::<false, 1>(l, shape, elem, strides, blocked..len);
-        return;
-    }
+    let mut run = Run { f, folds, stride: f.step as usize / 16, windows: &windows[..f.used.0], out, regs, carry };
     if L::WIDE {
         // Paired folds of loaded streams step 32 bytes (`lower`): as a
         // constant, each wide read is 32 contiguous bytes.
@@ -738,21 +699,200 @@ pub(super) fn fold<L: FoldLanes, const PAIRS: bool>(l: L, f: &Super, k0: i64, le
     }
 }
 
-/// `op` on `B` lanes at once: const-matched on its [`canonical`] pair
-/// when `PAIRS`, the pair a runtime value otherwise.
+/// Runs mixed tree `f` for iterations `k0..k0 + len` ([`Run::tree`]) on
+/// the thread's scratch `columns`: [`fold`] for the tiers' other entry,
+/// kept apart so each has a frame and registers of its own.
 #[inline(always)]
-fn bin_block<L: FoldLanes, const PAIRS: bool, const B: usize>(l: L, op: BinOp, elem: ScalarType, a: [L::W; B], b: [L::W; B]) -> [L::W; B] {
-    let mut v = a;
-    if PAIRS {
-        with_canonical!(op, elem, |op, ty| for i in 0..B {
-            v[i] = l.combine(op, ty, a[i], b[i]);
-        });
-    } else {
-        for i in 0..B {
-            v[i] = l.combine(op, elem, a[i], b[i]);
+#[allow(clippy::too_many_arguments)]
+pub(super) fn tree<L: FoldLanes, const PAIRS: bool>(l: L, f: &Super, k0: i64, len: usize, elem: ScalarType, regs: &[Cell<L::V>], mem: &mut [u8], columns: &mut Columns) {
+    let folds = if L::WIDE { &f.folds()[..f.used.1 / 2] } else { f.folds() };
+    let mut windows: [&[Reg]; MAX_LEAVES] = [&[]; MAX_LEAVES];
+    let (out, out_stride) = split::<L>(f, k0, len, mem, &mut windows);
+    let carry = l.splat(&[0; 16]);
+    let mut run = Run { f, folds, stride: f.step as usize / 16, windows: &windows[..f.used.0], out, regs, carry };
+    let shape = f.tree.as_ref().expect("a mixed tree's shape");
+    run.tree::<PAIRS>(l, shape, elem, (run.stride, out_stride), len, columns);
+}
+
+/// The windows superinstruction `f` reads and writes in iterations
+/// `k0..k0 + len`: the store window — returned with its vectors per
+/// iteration — split off the image first, so every load window, set in
+/// `windows`, is a shared slice beside it (`lower` keeps loads off the
+/// stored array).
+#[inline(always)]
+fn split<'a, L: FoldLanes>(f: &Super, k0: i64, len: usize, mem: &'a mut [u8], windows: &mut [&'a [Reg]; MAX_LEAVES]) -> (&'a mut [Reg], usize) {
+    let reach = if L::WIDE { f.step as usize / 2 } else { 0 };
+    let span = |step: i64| (len - 1) * step as usize + 16;
+    let at = |start: i64, step: i64| (start + k0 * step) as usize;
+    let (lo, hi, out_step) = match f.store {
+        Some((start, reach, step)) => (at(start, step), at(start, step) + reach + span(step), step),
+        None => (mem.len(), mem.len(), f.step),
+    };
+    let (head, rest) = mem.split_at_mut(lo);
+    let (out, tail) = rest.split_at_mut(hi - lo);
+    for (s, (w, &start)) in windows.iter_mut().zip(f.loads()).enumerate() {
+        if L::WIDE && f.halves & 1 << s == 0 {
+            continue;
         }
+        let first = at(start, f.step);
+        let span = span(f.step) + reach;
+        *w = if first < lo { &head[first..][..span] } else { &tail[first - hi..][..span] }.as_chunks().0;
     }
-    v
+    (out.as_chunks_mut().0, out_step as usize / 16)
+}
+
+/// A mixed tree's scratch: three adjacent columns of [`STRIP`] lanes,
+/// one vector a lane — two when run wide ([`FoldLanes::WIDE`]) — that
+/// may start at any cache line of the first page ([`Run::tree`] picks
+/// it). Cache-line aligned, so no 32-byte lane straddles two lines.
+#[repr(align(64))]
+pub(super) struct Columns([Reg; PAGE / 16 + 3 * COLUMN]);
+
+/// Vectors in one scratch column.
+const COLUMN: usize = 2 * STRIP;
+
+/// The span of address bits a load is matched against older stores by
+/// before its full address is known: a load whose bytes sit a multiple
+/// of it from a store in flight waits for that store (4K aliasing).
+const PAGE: usize = 4096;
+
+thread_local! {
+    /// The calling thread's [`Columns`], lent to each run whole: kept
+    /// beside the thread rather than in a run's frame, so no run zeroes
+    /// 7 KB that only a mixed tree reads, and no strip zeroes what it is
+    /// about to overwrite.
+    pub(super) static COLUMNS: RefCell<Columns> = const { RefCell::new(Columns([[0; 16]; PAGE / 16 + 3 * COLUMN])) };
+}
+
+/// One step of a mixed tree ([`Run::tree`]), on its columns by index.
+#[derive(Clone, Copy)]
+enum Step {
+    /// A term of streams and gathers down column `.1`.
+    Term(Term, usize),
+    /// A leaf down column `.1`.
+    Leaf(Leaf, usize),
+    /// `d = op(a, b)` down columns `(d, a, b)`.
+    Bin(BinOp, [usize; 3]),
+}
+
+/// `vperm` tables that pass a vector through: what a stream leaf reads
+/// as, so a lane loop reads every stream and gather leaf one way.
+const IDENTITY: (Reg, Reg) = ([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15], [0x80; 16]);
+
+/// A stream or gather leaf of a mixed tree ([`Source::new`]): lane `u`
+/// is `vperm` of its two windows' vectors `u · stride` on, by `lo` and
+/// `hi`.
+#[derive(Clone, Copy)]
+struct Source<'w> {
+    a: &'w [Reg],
+    b: &'w [Reg],
+    lo: Reg,
+    hi: Reg,
+}
+
+impl<'w> Source<'w> {
+    /// Stream or gather leaf `j` as a lane loop reads it: its two
+    /// windows and its tables — a stream's the identity.
+    #[inline(always)]
+    fn new(windows: &[&'w [Reg]], shape: &Shape, j: u8) -> Self {
+        let (a, b, (lo, hi)) = match shape.leaves[j as usize] {
+            Leaf::Stream(s) => (windows[s as usize], windows[s as usize], IDENTITY),
+            Leaf::Gather { a, b, table } => (windows[a as usize], windows[b as usize], shape.tables[table as usize]),
+            Leaf::Splat(_) => unreachable!("a splat term runs a leaf at a time"),
+        };
+        Source { a, b, lo, hi }
+    }
+
+    /// The windows cut to the first `len` lanes at `stride` vectors a
+    /// lane, each lane reading a vector and the one `half` on.
+    #[inline(always)]
+    fn cut(self, len: usize, stride: usize, half: usize) -> Self {
+        let span = stride * (len - 1) + 1 + half;
+        Source { a: &self.a[..span], b: &self.b[..span], ..self }
+    }
+}
+
+/// A term of streams and gathers down column `d` as one lane loop: `op`
+/// of leaves `x` and `y` — `op(x, x)` without `y`, `x` without `op` —
+/// const-matched on the [`canonical`] pair when `PAIRS`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn term_column<L: FoldLanes, const PAIRS: bool>(l: L, op: Option<BinOp>, elem: ScalarType, x: Source, y: Option<Source>, stride: usize, d: &mut [Reg]) {
+    let n = 1 + L::WIDE as usize;
+    let (d, half) = (d.chunks_exact_mut(n), half::<L>(stride));
+    let len = d.len();
+    let (x, y) = (x.cut(len, stride, half), y.map(|y| y.cut(len, stride, half)));
+    // A macro, not a closure: a closure defined here would not carry
+    // the tier's target features, and each `gather` in it would be a call.
+    macro_rules! leaf {
+        ($s:expr, $u:expr) => {
+            l.gather(l.read(&$s.a[stride * $u..], half), l.read(&$s.b[stride * $u..], half), &$s.lo, &$s.hi)
+        };
+    }
+    let Some(op) = op else {
+        for (u, d) in d.enumerate() {
+            l.write(leaf!(x, u), d);
+        }
+        return;
+    };
+    macro_rules! column {
+        ($op:expr, $ty:expr) => {
+            match y {
+                Some(y) => {
+                    for (u, d) in d.enumerate() {
+                        l.write(l.combine($op, $ty, leaf!(x, u), leaf!(y, u)), d);
+                    }
+                }
+                None => {
+                    for (u, d) in d.enumerate() {
+                        let v = leaf!(x, u);
+                        l.write(l.combine($op, $ty, v, v), d);
+                    }
+                }
+            }
+        };
+    }
+    if PAIRS {
+        with_canonical!(op, elem, |op, ty| column!(op, ty));
+    } else {
+        column!(op, elem);
+    }
+}
+
+/// `cols[d] = op(cols[a], cols[b])` down a mixed tree's columns — in
+/// place when `d` is `a` — as one lane loop, const-matched on the
+/// [`canonical`] pair when `PAIRS`, the pair a runtime value otherwise.
+#[inline(always)]
+fn bin_column<L: FoldLanes, const PAIRS: bool>(l: L, op: BinOp, elem: ScalarType, cols: &mut [&mut [Reg]; 4], [d, a, b]: [usize; 3]) {
+    let n = 1 + L::WIDE as usize;
+    let (d, a, b) = match cols.get_disjoint_mut([d, a, b]) {
+        Ok([d, a, b]) => (d.chunks_exact_mut(n), Some(a.chunks_exact(n)), b.chunks_exact(n)),
+        Err(_) => {
+            let [d, b] = cols.get_disjoint_mut([d, b]).expect("an in-place step reads another column");
+            (d.chunks_exact_mut(n), None, b.chunks_exact(n))
+        }
+    };
+    macro_rules! column {
+        ($op:expr, $ty:expr) => {
+            match a {
+                Some(a) => {
+                    for ((d, a), b) in d.zip(a).zip(b) {
+                        l.write(l.combine($op, $ty, l.read(a, 1), l.read(b, 1)), d);
+                    }
+                }
+                None => {
+                    for (d, b) in d.zip(b) {
+                        l.write(l.combine($op, $ty, l.read(d, 1), l.read(b, 1)), d);
+                    }
+                }
+            }
+        };
+    }
+    if PAIRS {
+        with_canonical!(op, elem, |op, ty| column!(op, ty));
+    } else {
+        column!(op, elem);
+    }
 }
 
 /// What [`fold`]'s lane loop reads and writes.
@@ -773,7 +913,7 @@ struct Run<'a, L: FoldLanes> {
     carry: L::W,
 }
 
-impl<L: FoldLanes> Run<'_, L> {
+impl<'a, L: FoldLanes> Run<'a, L> {
     /// The values of the fold whose leaves are the windows from `k` on,
     /// for the lanes whose vectors are `off` vectors into them: its
     /// streams, each window sliced once for the block, loaded and
@@ -855,13 +995,13 @@ impl<L: FoldLanes> Run<'_, L> {
                 Sink::Reduce { op: by } if canonical(by, ty) == canonical(by, elem) => {
                     for u in lanes {
                         let v = self.values(l, op, ty, k, leaves, &offsets(u));
-                        self.reduce::<false, B>(l, by, ty, u, v);
+                        self.reduce::<B>(l, by, ty, u, v);
                     }
                 }
                 Sink::Reduce { op: by } => {
                     for u in lanes {
                         let v = self.values(l, op, ty, k, leaves, &offsets(u));
-                        self.reduce::<false, B>(l, by, elem, u, v);
+                        self.reduce::<B>(l, by, elem, u, v);
                     }
                 }
                 Sink::Shift { .. } => unreachable!("a rotation's folds all shift"),
@@ -871,103 +1011,145 @@ impl<L: FoldLanes> Run<'_, L> {
     }
 
     /// Combines the values of lanes `u..u + B` into their partials by
-    /// `op` at `ty`, const-matched as [`bin_block`] does.
+    /// `op` at `ty`.
     #[inline(always)]
-    fn reduce<const PAIRS: bool, const B: usize>(&self, l: L, op: BinOp, ty: ScalarType, u: usize, v: [L::W; B]) {
+    fn reduce<const B: usize>(&self, l: L, op: BinOp, ty: ScalarType, u: usize, v: [L::W; B]) {
         let partials = &self.regs[self.f.column as usize + u..][..B];
         let mut p = [partials[0].get(); B];
         for i in 0..B {
             p[i] = partials[i].get();
         }
-        if PAIRS {
-            with_canonical!(op, ty, |op, ty| for i in 0..B {
-                p[i] = l.reduce(op, ty, p[i], v[i]);
-            });
-        } else {
-            for i in 0..B {
-                p[i] = l.reduce(op, ty, p[i], v[i]);
-            }
+        for i in 0..B {
+            p[i] = l.reduce(op, ty, p[i], v[i]);
         }
         for i in 0..B {
             partials[i].set(p[i]);
         }
     }
 
-    /// A mixed tree's lane loop over `lanes`, `B` lanes at a time, with
+    /// A mixed tree over the strip's `len` lanes, column by column, with
     /// `(stride, out_stride)` vectors per iteration in the stream and
-    /// store windows: each fold, down all the lanes, evaluates its terms
-    /// one after another and combines each into the value by its
-    /// operator. Only the operations are const-matched ([`bin_block`]),
-    /// never the tree's shape. Every window is sliced once per block.
+    /// store windows. Each fold builds its value in scratch column 0:
+    /// its first term there, each later one in column 1 and then
+    /// combined into 0 by the fold's operator (a splat term's second
+    /// leaf goes to column 2). A store laid out as a column is takes the
+    /// fold's last step straight into its window, column 3. Each
+    /// [`Step`] runs down the whole column, so its operation is
+    /// const-matched once per column, and the tree's shape stays data.
+    /// Then the sink, if any is left, runs down the finished column.
     #[inline(always)]
-    fn tree<const PAIRS: bool, const B: usize>(&mut self, l: L, shape: &Shape, elem: ScalarType, (stride, out_stride): (usize, usize), lanes: Range<usize>) {
+    #[allow(clippy::too_many_arguments)]
+    fn tree<const PAIRS: bool>(&mut self, l: L, shape: &Shape, elem: ScalarType, (stride, out_stride): (usize, usize), len: usize, columns: &mut Columns) {
+        let (n, windows) = (1 + L::WIDE as usize, self.windows);
         let mut k = 0;
         for (g, &op) in self.folds.iter().zip(&shape.ops) {
             let terms = &shape.terms[k..k + g.leaves];
-            for u in lanes.clone().step_by(B) {
-                let at = u * stride;
-                let mut v = self.term::<PAIRS, B>(l, shape, elem, terms[0], at, stride);
-                for &t in &terms[1..] {
-                    let x = self.term::<PAIRS, B>(l, shape, elem, t, at, stride);
-                    v = bin_block::<L, PAIRS, B>(l, op, elem, v, x);
+            let (direct, out) = match g.sink {
+                Sink::Store { at } if out_stride == n => (true, &mut self.out[at / 16..][..n * len]),
+                _ => (false, &mut [][..]),
+            };
+            // The last pass reads columns 0 and 1 at the pace it stores
+            // the window: half a page from it, no load of theirs waits
+            // on a store still in flight.
+            let half_page = (out.as_ptr() as usize + PAGE / 2).wrapping_sub(columns.0.as_ptr() as usize);
+            let at = half_page % PAGE / 64 * 4;
+            let (v, rest) = columns.0[at..][..3 * COLUMN].split_at_mut(COLUMN);
+            let (x, y) = rest.split_at_mut(COLUMN);
+            let [v, x, y] = [v, x, y].map(|c| &mut c[..n * len]);
+            let mut cols = [v, x, y, out];
+            for (i, t) in terms.iter().enumerate() {
+                let last = if direct && i + 1 == terms.len() { 3 } else { 0 };
+                let c = if i == 0 { last } else { 1 };
+                // A term over streams and gathers runs as one lane loop;
+                // one with a splat, a leaf at a time.
+                let splat = matches!(shape.leaves[t.a as usize], Leaf::Splat(_)) || t.op.is_some() && matches!(shape.leaves[t.b as usize], Leaf::Splat(_));
+                let steps = [
+                    (!splat).then_some(Step::Term(*t, c)),
+                    splat.then_some(Step::Leaf(shape.leaves[t.a as usize], c)),
+                    t.op.filter(|_| splat).map(|_| Step::Leaf(shape.leaves[t.b as usize], 2)),
+                    t.op.filter(|_| splat).map(|by| Step::Bin(by, [c, c, 2])),
+                    (i > 0).then_some(Step::Bin(op, [last, 0, 1])),
+                ];
+                for step in steps.into_iter().flatten() {
+                    match step {
+                        Step::Term(t, c) => {
+                            let (x, y) = (Source::new(windows, shape, t.a), (t.b != t.a).then(|| Source::new(windows, shape, t.b)));
+                            let d = &mut *cols[c];
+                            // A gather's strides as constants (a stride-2
+                            // pack's, in a body and in its unrolled pair):
+                            // the lane loop then keeps its windows in
+                            // registers.
+                            match stride {
+                                2 if PAIRS && !L::WIDE => term_column::<L, PAIRS>(l, t.op, elem, x, y, 2, d),
+                                4 if PAIRS => term_column::<L, PAIRS>(l, t.op, elem, x, y, 4, d),
+                                _ => term_column::<L, PAIRS>(l, t.op, elem, x, y, stride, d),
+                            }
+                        }
+                        Step::Leaf(leaf, c) => leaf_column(l, windows, shape, leaf, stride, cols[c]),
+                        Step::Bin(op, at) => bin_column::<L, PAIRS>(l, op, elem, &mut cols, at),
+                    }
                 }
-                match g.sink {
-                    Sink::Store { at } => {
-                        let out = &mut self.out[at / 16 + u * out_stride..][..out_stride * (B - 1) + 1 + L::WIDE as usize];
-                        for i in 0..B {
-                            l.write(v[i], &mut out[out_stride * i..]);
+            }
+            let v = columns.0[at..][..n * len].chunks_exact(n);
+            match g.sink {
+                Sink::Store { .. } if direct => {}
+                Sink::Store { at } => {
+                    let out = &mut self.out[at / 16..][..out_stride * (len - 1) + n];
+                    for (out, v) in out.chunks_mut(out_stride).zip(v) {
+                        l.write(l.read(v, 1), out);
+                    }
+                }
+                Sink::Reduce { op } => {
+                    let partials = &self.regs[self.f.column as usize..][..len];
+                    if PAIRS {
+                        with_canonical!(op, elem, |op, ty| for (p, v) in partials.iter().zip(v) {
+                            p.set(l.reduce(op, ty, p.get(), l.read(v, 1)));
+                        });
+                    } else {
+                        for (p, v) in partials.iter().zip(v) {
+                            p.set(l.reduce(op, elem, p.get(), l.read(v, 1)));
                         }
                     }
-                    Sink::Reduce { op } => self.reduce::<PAIRS, B>(l, op, elem, u, v),
-                    Sink::Shift { .. } => unreachable!("a mixed tree stores or reduces"),
                 }
+                Sink::Shift { .. } => unreachable!("a mixed tree stores or reduces"),
             }
             k += g.leaves;
         }
     }
+}
 
-    /// One term of a mixed tree for the lanes whose vectors start `at`
-    /// into the stream windows.
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn term<const PAIRS: bool, const B: usize>(&self, l: L, shape: &Shape, elem: ScalarType, t: Term, at: usize, stride: usize) -> [L::W; B] {
-        let a = self.leaf(l, shape, shape.leaves[t.a as usize], at, stride);
-        let Some(op) = t.op else { return a };
-        let b = if t.b == t.a { a } else { self.leaf(l, shape, shape.leaves[t.b as usize], at, stride) };
-        bin_block::<L, PAIRS, B>(l, op, elem, a, b)
-    }
-
-    /// One leaf of a mixed tree for the lanes whose vectors start `at`
-    /// into the stream windows.
-    #[inline(always)]
-    fn leaf<const B: usize>(&self, l: L, shape: &Shape, leaf: Leaf, at: usize, stride: usize) -> [L::W; B] {
-        let half = half::<L>(stride);
-        let block = |s: u8| &self.windows[s as usize][at..][..stride * (B - 1) + 1 + half];
-        let mut v = [l.splat(&[0; 16]); B];
-        match leaf {
-            Leaf::Stream(s) => {
-                let w = block(s);
-                for i in 0..B {
-                    v[i] = l.read(&w[stride * i..], half);
-                }
+/// One leaf of a mixed tree down column `d`, each window sliced once
+/// for the column: the path of a term with a splat.
+#[inline(always)]
+fn leaf_column<L: FoldLanes>(l: L, windows: &[&[Reg]], shape: &Shape, leaf: Leaf, stride: usize, d: &mut [Reg]) {
+    let (n, half) = (1 + L::WIDE as usize, half::<L>(stride));
+    let d = d.chunks_exact_mut(n);
+    let span = stride * (d.len() - 1) + 1 + half;
+    let lanes = |s: u8| windows[s as usize][..span].windows(1 + half).step_by(stride);
+    match leaf {
+        Leaf::Stream(s) => {
+            for (d, w) in d.zip(lanes(s)) {
+                l.write(l.read(w, half), d);
             }
-            Leaf::Gather { a, b, table } => {
-                let (lo, hi) = &shape.tables[table as usize];
-                let (a, b) = (block(a), block(b));
-                for i in 0..B {
-                    v[i] = l.gather(l.read(&a[stride * i..], half), l.read(&b[stride * i..], half), lo, hi);
-                }
-            }
-            Leaf::Splat(table) => v = [l.splat(&shape.tables[table as usize].0); B],
         }
-        v
+        Leaf::Gather { a, b, table } => {
+            let (lo, hi) = &shape.tables[table as usize];
+            for ((d, a), b) in d.zip(lanes(a)).zip(lanes(b)) {
+                l.write(l.gather(l.read(a, half), l.read(b, half), lo, hi), d);
+            }
+        }
+        Leaf::Splat(table) => {
+            let v = l.splat(&shape.tables[table as usize].0);
+            d.for_each(|d| l.write(v, d));
+        }
     }
 }
 
 /// Runs `s` for iterations `k0..k0 + len`: the ops before each
 /// superinstruction one by one, then the superinstruction.
 #[inline(always)]
-fn strip<L: Lanes>(l: L, s: &Section, k0: i64, len: usize, elem: ScalarType, regs: &[Cell<L::V>], mem: &mut [u8]) {
+#[allow(clippy::too_many_arguments)]
+fn strip<L: Lanes>(l: L, s: &Section, k0: i64, len: usize, elem: ScalarType, regs: &[Cell<L::V>], mem: &mut [u8], columns: &mut Columns) {
     let mut at = 0;
     for i in 0..=s.supers.len() {
         let f = s.supers.get(i);
@@ -975,7 +1157,7 @@ fn strip<L: Lanes>(l: L, s: &Section, k0: i64, len: usize, elem: ScalarType, reg
             one(l, op, k0, len, elem, regs, mem);
         }
         if let Some(f) = f {
-            l.fold(f, k0, len, elem, regs, mem);
+            l.fold(f, k0, len, elem, regs, mem, columns);
             at = f.ops.end;
         }
     }
@@ -996,7 +1178,7 @@ fn reseed<V: Copy>(regs: &[Cell<V>], seeds: &[(u32, u32)], len: usize) {
 /// Runs a lowered plan: one zeroed register block, then every
 /// section in order.
 #[inline(always)]
-pub(super) fn run<L: Lanes>(l: L, program: &Program, mem: &mut [u8]) {
+pub(super) fn run<L: Lanes>(l: L, program: &Program, mem: &mut [u8], columns: &mut Columns) {
     let zero = l.load(&[0; 16]);
     let mut stack = [zero; STACK_REGS];
     let mut heap = Vec::new();
@@ -1023,9 +1205,9 @@ pub(super) fn run<L: Lanes>(l: L, program: &Program, mem: &mut [u8]) {
             // constant the lane loops fold away, so the sequential
             // schedule pays for no strip machinery.
             if len == 1 {
-                strip(l, s, k, 1, program.elem, regs, mem);
+                strip(l, s, k, 1, program.elem, regs, mem, columns);
             } else {
-                strip(l, s, k, len, program.elem, regs, mem);
+                strip(l, s, k, len, program.elem, regs, mem, columns);
             }
             if !s.seeds.is_empty() {
                 reseed(regs, &s.seeds, len);

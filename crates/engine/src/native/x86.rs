@@ -8,11 +8,12 @@
 //! (`pblendvb`), [`perm`] (two `pshufb` and a `por`), [`bin`] and
 //! [`un`] — compiled at `ssse3,sse4.1`, and one bundle of them
 //! ([`narrow`]) that both tiers build, each with its own `fold`: the
-//! v2 tier ([`v2`]) and the AVX2 tier ([`avx2`]). Each tier has two
+//! v2 tier ([`v2`]) and the AVX2 tier ([`avx2`]). Each tier has three
 //! `#[target_feature]` entries that instantiate the generic driver: the
-//! strip loop, and — out of line, so its lane loops stay out of the
-//! strip loop — the superinstruction runner the bundle's `fold` calls.
-//! Both runners const-match each operation on its canonical `(BinOp,
+//! strip loop, and — out of line, so their lane loops stay out of the
+//! strip loop — the two superinstruction runners the bundle's `fold`
+//! picks between, one for mixed trees and one for the rest. The
+//! runners const-match each operation on its canonical `(BinOp,
 //! ScalarType)` pair (31 of them). Every call between them is a safe
 //! same-context call: rustc's implied-feature rules make the v2 arms
 //! callable from the AVX2 tier, and the closures in a bundle inherit
@@ -49,7 +50,7 @@
 //! `vmovdqu ymm`s.
 
 use super::portable::portable;
-use super::strip::{self, FoldLanes, Lanes, Program, Super, Tier, Wide};
+use super::strip::{self, Columns, FoldLanes, Lanes, Program, Super, Tier, Wide};
 use super::IsaLevel;
 use crate::lanes::{self, Reg};
 use core::arch::x86_64::*;
@@ -60,34 +61,44 @@ use std::cell::Cell;
 /// each tier's runtime probe is re-checked here, so this safe function
 /// cannot reach unsupported instructions even if called with a stale
 /// flag: a host below v2 runs the portable tier.
-pub(super) fn exec(program: &Program, mem: &mut [u8], wide: bool) {
+pub(super) fn exec(program: &Program, mem: &mut [u8], wide: bool, columns: &mut Columns) {
     if wide && IsaLevel::Avx2.available() {
         // SAFETY: the `avx2` branch of `available` just confirmed
         // ssse3, sse4.1 and avx2 via `is_x86_feature_detected!`.
-        unsafe { run_avx2(program, mem) }
+        unsafe { run_avx2(program, mem, columns) }
     } else if IsaLevel::V2.available() {
         // SAFETY: the `v2` branch of `available` just confirmed ssse3
         // and sse4.1 via `is_x86_feature_detected!`.
-        unsafe { run_v2(program, mem) }
+        unsafe { run_v2(program, mem, columns) }
     } else {
-        strip::run(portable(), program, mem)
+        strip::run(portable(), program, mem, columns)
     }
 }
 
 #[target_feature(enable = "ssse3,sse4.1")]
-fn run_v2(program: &Program, mem: &mut [u8]) {
-    strip::run(v2(), program, mem)
+fn run_v2(program: &Program, mem: &mut [u8], columns: &mut Columns) {
+    strip::run(v2(), program, mem, columns)
 }
 
 #[target_feature(enable = "ssse3,sse4.1,avx2")]
-fn run_avx2(program: &Program, mem: &mut [u8]) {
-    strip::run(avx2(), program, mem)
+fn run_avx2(program: &Program, mem: &mut [u8], columns: &mut Columns) {
+    strip::run(avx2(), program, mem, columns)
 }
 
 #[inline(never)]
 #[target_feature(enable = "ssse3,sse4.1")]
 fn fold_v2(f: &Super, k0: i64, len: usize, elem: ScalarType, regs: &[Cell<__m128i>], mem: &mut [u8]) {
     strip::fold::<_, true>(v2(), f, k0, len, elem, regs, mem)
+}
+
+/// A mixed tree's column loops, in a function of their own: inside the
+/// runner of every other superinstruction, they kept their lane
+/// counters on the stack.
+#[inline(never)]
+#[target_feature(enable = "ssse3,sse4.1")]
+#[allow(clippy::too_many_arguments)]
+fn tree_v2(f: &Super, k0: i64, len: usize, elem: ScalarType, regs: &[Cell<__m128i>], mem: &mut [u8], columns: &mut Columns) {
+    strip::tree::<_, true>(v2(), f, k0, len, elem, regs, mem, columns)
 }
 
 /// A paired superinstruction runs both halves of each lane in one
@@ -102,13 +113,25 @@ fn fold_avx2(f: &Super, k0: i64, len: usize, elem: ScalarType, regs: &[Cell<__m1
     }
 }
 
+/// [`tree_v2`] on the AVX2 tier, wide when paired.
+#[inline(never)]
+#[target_feature(enable = "ssse3,sse4.1,avx2")]
+#[allow(clippy::too_many_arguments)]
+fn tree_avx2(f: &Super, k0: i64, len: usize, elem: ScalarType, regs: &[Cell<__m128i>], mem: &mut [u8], columns: &mut Columns) {
+    if f.halves != 0 {
+        strip::tree::<_, true>(avx2_wide(), f, k0, len, elem, regs, mem, columns)
+    } else {
+        strip::tree::<_, true>(avx2(), f, k0, len, elem, regs, mem, columns)
+    }
+}
+
 /// The 128-bit arms as one tier's operations, its superinstructions
 /// run by `fold`.
 #[inline]
 #[target_feature(enable = "ssse3,sse4.1")]
 fn narrow<Fo>(fold: Fo) -> impl Lanes<V = __m128i>
 where
-    Fo: Fn(&Super, i64, usize, ScalarType, &[Cell<__m128i>], &mut [u8]) + Copy,
+    Fo: Fn(&Super, i64, usize, ScalarType, &[Cell<__m128i>], &mut [u8], &mut Columns) + Copy,
 {
     Tier {
         load: from_bytes,
@@ -126,7 +149,13 @@ where
 #[inline]
 #[target_feature(enable = "ssse3,sse4.1")]
 fn v2() -> impl Lanes<V = __m128i> {
-    narrow(|f: &Super, k0, len, elem, regs: &[Cell<__m128i>], mem: &mut [u8]| fold_v2(f, k0, len, elem, regs, mem))
+    narrow(|f: &Super, k0, len, elem, regs: &[Cell<__m128i>], mem: &mut [u8], columns: &mut Columns| {
+        if f.tree.is_some() {
+            tree_v2(f, k0, len, elem, regs, mem, columns)
+        } else {
+            fold_v2(f, k0, len, elem, regs, mem)
+        }
+    })
 }
 
 /// The AVX2 tier's 128-bit operations: the v2 tier's, with its own
@@ -134,7 +163,13 @@ fn v2() -> impl Lanes<V = __m128i> {
 #[inline]
 #[target_feature(enable = "ssse3,sse4.1,avx2")]
 fn avx2() -> impl Lanes<V = __m128i> {
-    narrow(|f: &Super, k0, len, elem, regs: &[Cell<__m128i>], mem: &mut [u8]| fold_avx2(f, k0, len, elem, regs, mem))
+    narrow(|f: &Super, k0, len, elem, regs: &[Cell<__m128i>], mem: &mut [u8], columns: &mut Columns| {
+        if f.tree.is_some() {
+            tree_avx2(f, k0, len, elem, regs, mem, columns)
+        } else {
+            fold_avx2(f, k0, len, elem, regs, mem)
+        }
+    })
 }
 
 /// The AVX2 tier's wide form: an unrolled pair's two halves in one

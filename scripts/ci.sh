@@ -37,9 +37,13 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Scratch space for smoke artifacts (serve log, chrome trace, mutate
-# log and its replay lines).
+# log and its replay lines). A failing server-smoke check exits with
+# the server still running, and it holds the script's stderr open, so
+# a caller reading that through a pipe would wait forever: the exit
+# trap stops it.
 BENCH_TMP=$(mktemp -d)
-trap 'rm -rf "$BENCH_TMP"' EXIT
+serve_pid=
+trap 'if [ -n "$serve_pid" ]; then kill "$serve_pid" 2>/dev/null || true; fi; rm -rf "$BENCH_TMP"' EXIT
 
 echo "== build (release, workspace) =="
 cargo build --release --offline --workspace
@@ -278,6 +282,7 @@ echo "$line" | grep -q '"stopping":true' \
     || { echo "server smoke: shutdown failed: $line" >&2; exit 1; }
 exec 3<&- 3>&-
 wait "$serve_pid"
+serve_pid=
 grep -Eq 'served [0-9]+ request' "$BENCH_TMP/serve.log" \
     || { echo "server smoke: missing serve summary" >&2; exit 1; }
 

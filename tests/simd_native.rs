@@ -821,6 +821,45 @@ fn mixed_trees_match_interpreter_at_strip_boundaries() {
     }
 }
 
+/// A mixed tree runs each step down every lane of its strip, so the
+/// last strip's length is the one remainder its column loops have:
+/// `deinterleave` and a tree into a lane partial, with main loops of
+/// `STRIP + r` pair iterations for every `r` in `1..=STRIP`, fused and
+/// unfused, on every host tier, against the interpreter. Every fused
+/// bake runs a mixed tree.
+#[test]
+fn mixed_trees_match_interpreter_at_every_last_strip_length() {
+    let deinterleave = |ub: u64| {
+        format!(
+            "arrays {{ out: i32[{}] @ 0; x: i32[{}] @ 8; }} for i in 0..{ub} {{ out[i] = x[2*i] * x[2*i] + x[2*i+1] * x[2*i+1]; }}",
+            ub + 16,
+            2 * ub + 32
+        )
+    };
+    let partial = |ub: u64| {
+        let arrays: Vec<String> = ["b", "c", "d"].iter().map(|a| format!("{a}: i32[{}] @ 0;", ub + 16)).collect();
+        format!("arrays {{ acc: i32[4] @ 0; {} }} for i in 0..{ub} {{ acc[i] += b[i] * 3 - c[i] * d[i]; }}", arrays.join(" "))
+    };
+    let cases: [(&str, &dyn Fn(u64) -> String); 2] = [("deinterleave", &deinterleave), ("tree into a lane partial", &partial)];
+    for (label, source) in cases {
+        let mut last = BTreeSet::new();
+        // Eight elements a pair iteration, half a pair apart.
+        for ub in (8 * (STRIP + 1)..8 * (2 * STRIP + 2)).step_by(4) {
+            let program = simdize::parse_program(&source(ub)).unwrap();
+            let compiled = Simdizer::new().compile(&program).unwrap();
+            let bakes = check_bakes(&program, &compiled, ub, ub, &format!("{label} ub={ub}"));
+            assert!(runs_a_tree(&bakes[0].2), "{label} ub={ub}: no mixed tree\n{}", bakes[0].2);
+            for (schedule, pairs, _) in bakes {
+                assert_eq!(schedule, SectionSchedule::Strip, "{label} ub={ub}");
+                if pairs > STRIP {
+                    last.insert((pairs - 1) % STRIP + 1);
+                }
+            }
+        }
+        assert_eq!(last, (1..=STRIP).collect::<BTreeSet<_>>(), "{label}: last strip lengths");
+    }
+}
+
 /// Shapes no family covers run on the generic arms — in strips, and
 /// matching the interpreter on every tier, fused and unfused: a tree
 /// three operators deep, a value stored twice, a value the epilogue
