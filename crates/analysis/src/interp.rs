@@ -319,11 +319,7 @@ impl<'a> Analyzer<'a> {
                 .cmp(&(b.section, b.index, b.lint))
                 .then_with(|| a.message.cmp(&b.message))
         });
-        AnalysisReport {
-            findings,
-            insts_total,
-            insts_reached,
-        }
+        AnalysisReport::new(findings, insts_total, insts_reached)
     }
 
     // ---- scenario construction -------------------------------------

@@ -2,7 +2,7 @@
 //! findings and their text/JSON renderings.
 
 use simdize_codegen::VReg;
-use simdize_telemetry::json::escape;
+use simdize_telemetry::json::{Text, Writer};
 use std::fmt;
 use std::str::FromStr;
 
@@ -203,6 +203,12 @@ pub struct AnalysisReport {
 }
 
 impl AnalysisReport {
+    /// A report of `findings` over a program of `insts_total`
+    /// instructions, `insts_reached` of which some scenario evaluated.
+    pub fn new(findings: Vec<Finding>, insts_total: usize, insts_reached: usize) -> AnalysisReport {
+        AnalysisReport { findings, insts_total, insts_reached }
+    }
+
     /// All findings, ordered.
     pub fn findings(&self) -> &[Finding] {
         &self.findings
@@ -283,34 +289,20 @@ impl AnalysisReport {
     /// Machine-readable JSON rendering (a single object with `deny`,
     /// `warn`, a `coverage` object and a `findings` array).
     pub fn render_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"deny\":{},\"warn\":{},\"coverage\":{{\"insts\":{},\"reached\":{},\"chunk_never_verified\":{}}},\"findings\":[",
-            self.deny_count(),
-            self.warn_count(),
-            self.insts_total,
-            self.insts_reached,
-            self.chunk_never_verified()
-        ));
-        for (k, f) in self.findings.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"lint\":\"{}\",\"level\":\"{}\",\"section\":\"{}\",\"index\":{},\"register\":{},\"message\":\"{}\"}}",
-                f.lint,
-                f.level,
-                f.section,
-                f.index,
-                match f.register {
-                    Some(r) => format!("\"{r}\""),
-                    None => "null".to_string(),
-                },
-                escape(&f.message)
-            ));
+        let mut w = Writer::default();
+        w.obj().field("deny", self.deny_count()).field("warn", self.warn_count());
+        w.key("coverage").obj().field("insts", self.insts_total);
+        w.field("reached", self.insts_reached);
+        w.field("chunk_never_verified", self.chunk_never_verified()).end_obj();
+        w.key("findings").arr();
+        for f in &self.findings {
+            w.obj().field("lint", f.lint.name()).field("level", Text(f.level));
+            w.field("section", f.section.name()).field("index", f.index);
+            w.field("register", f.register.map(Text)).field("message", &f.message);
+            w.end_obj();
         }
-        out.push_str("]}");
-        out
+        w.end_arr().end_obj();
+        w.finish()
     }
 }
 

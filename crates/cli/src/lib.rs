@@ -154,14 +154,10 @@ pub fn parse_args(
         };
         match arg.as_str() {
             "--policy" => {
-                opts.policy = Some(match value("--policy")?.as_str() {
-                    "zero" => Policy::Zero,
-                    "eager" => Policy::Eager,
-                    "lazy" => Policy::Lazy,
-                    "dominant" => Policy::Dominant,
-                    "optimal" => Policy::Optimal,
-                    other => return Err(format!("unknown policy `{other}`").into()),
-                })
+                let name = value("--policy")?;
+                let policy = Policy::from_name(&name)
+                    .ok_or_else(|| format!("unknown policy `{name}`"))?;
+                opts.policy = Some(policy);
             }
             "--reuse" => {
                 opts.reuse = match value("--reuse")?.as_str() {
@@ -187,7 +183,12 @@ pub fn parse_args(
                     VectorShape::new(bytes).ok_or_else(|| format!("unsupported shape {bytes}"))?;
             }
             "--seed" => opts.seed = value("--seed")?.parse()?,
-            "--ub" => opts.ub = value("--ub")?.parse()?,
+            "--ub" => {
+                opts.ub = value("--ub")?.parse()?;
+                if opts.ub == 0 {
+                    return Err("--ub must be at least 1".into());
+                }
+            }
             "--param" => opts.params.push(value("--param")?.parse()?),
             "--engine" => {
                 let name = value("--engine")?;
@@ -781,6 +782,17 @@ mod tests {
         assert!(parse_args(&args(&["verify", "x", "--mutate", "bogus"]), &read).is_err());
         assert!(parse_args(&args(&["verify", "x", "--trip-bound", "0"]), &read).is_err());
         assert!(parse_args(&args(&["verify", "x", "--budget", "0"]), &read).is_err());
+    }
+
+    #[test]
+    fn a_zero_ub_is_refused() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let read = |_: &str| -> Result<String, Box<dyn Error>> { Ok(LOOP.into()) };
+        for cmd in ["run", "policies", "sweep"] {
+            let err = parse_args(&args(&[cmd, "x", "--ub", "0"]), &read).unwrap_err();
+            assert_eq!(err.to_string(), "--ub must be at least 1");
+        }
+        assert_eq!(parse_args(&args(&["run", "x", "--ub", "1"]), &read).unwrap().ub, 1);
     }
 
     #[test]

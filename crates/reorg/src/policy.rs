@@ -76,6 +76,11 @@ impl Policy {
         }
     }
 
+    /// The policy [`name`](Policy::name) names, if any.
+    pub fn from_name(name: &str) -> Option<Policy> {
+        Self::ALL.into_iter().find(|p| p.name() == name)
+    }
+
     /// Whether the policy supports runtime alignments (only zero-shift
     /// does, §4.4).
     pub fn supports_runtime_alignment(self) -> bool {

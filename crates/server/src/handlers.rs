@@ -29,28 +29,30 @@ use simdize::{
     SweepOptions, Template,
 };
 use simdize_explain::{render_json, Explainer};
-use simdize_telemetry::{self as telemetry, json};
+use simdize_telemetry as telemetry;
+use simdize_telemetry::json::{Fixed, Text, Writer};
 use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Runs one pipeline command to completion under the caller's request
 /// scope, using `memo` for compiled sources and `cache` for baked
-/// kernels. Returns the rendered `result` JSON on success, a readable
-/// message on failure — except for `trace`, whose result is the
-/// caller's finished scope, so its `Ok` body is empty.
+/// kernels. On success the `result` value has been written to `out` —
+/// except for `trace`, whose result is the caller's finished scope, so
+/// it writes nothing. On failure, returns a readable message.
 pub fn execute(
     cmd: &Command,
     memo: &TemplateMemo,
     cache: &KernelCache,
     config: &ServerConfig,
-) -> Result<String, String> {
+    out: &mut Writer,
+) -> Result<(), String> {
     match cmd {
-        Command::Compile(req) => compile(&*template(req, memo)?),
-        Command::Analyze(req) => analyze(req, &*template(req, memo)?),
-        Command::Run(req) => run(req, &*template(req, memo)?, cache),
-        Command::Sweep(req) => sweep(req, &*template(req, memo)?, cache, config),
-        Command::Explain(req) => explain(req, &parse(&req.source)?),
-        Command::Verify(req) => verify(req, &parse(&req.source)?, config),
+        Command::Compile(req) => compile(&*template(req, memo)?, out),
+        Command::Analyze(req) => analyze(req, &*template(req, memo)?, out),
+        Command::Run(req) => run(req, &*template(req, memo)?, cache, out),
+        Command::Sweep(req) => sweep(req, &*template(req, memo)?, cache, config, out),
+        Command::Explain(req) => explain(req, &parse(&req.source)?, out),
+        Command::Verify(req) => verify(req, &parse(&req.source)?, config, out),
         Command::Trace(req) => parse(&req.source).and_then(|_| trace(req)),
         // Control-plane verbs are answered before the gate.
         _ => Err("internal: control command reached the pipeline".to_string()),
@@ -105,41 +107,49 @@ fn err<E: std::fmt::Display>(e: E) -> String {
     e.to_string()
 }
 
-fn compile(template: &Template) -> Result<String, String> {
+fn compile(template: &Template, out: &mut Writer) -> Result<(), String> {
     let compiled = template.program();
-    Ok(format!(
-        "{{\"code\":\"{}\",\"sections\":{{\"prologue\":{},\"body\":{},\"epilogue\":{}}}}}",
-        json::escape(&compiled.to_string()),
-        compiled.prologue().len(),
-        compiled.body().len(),
-        compiled.epilogue().len()
-    ))
+    out.obj()
+        .field("code", Text(compiled))
+        .key("sections")
+        .obj()
+        .field("prologue", compiled.prologue().len())
+        .field("body", compiled.body().len())
+        .field("epilogue", compiled.epilogue().len())
+        .end_obj()
+        .end_obj();
+    Ok(())
 }
 
-fn analyze(req: &ExecRequest, template: &Template) -> Result<String, String> {
+fn analyze(req: &ExecRequest, template: &Template, out: &mut Writer) -> Result<(), String> {
     let report = analyze_program(template.program(), &driver(req).analyze_options());
-    Ok(format!(
-        "{{\"deny\":{},\"warn\":{},\"report\":{}}}",
-        report.deny_count(),
-        report.warn_count(),
-        report.render_json()
-    ))
+    out.obj()
+        .field("deny", report.deny_count())
+        .field("warn", report.warn_count())
+        .key("report")
+        .raw(&report.render_json())
+        .end_obj();
+    Ok(())
 }
 
-fn run(req: &ExecRequest, template: &Template, cache: &KernelCache) -> Result<String, String> {
+fn run(
+    req: &ExecRequest,
+    template: &Template,
+    cache: &KernelCache,
+    out: &mut Writer,
+) -> Result<(), String> {
     let mut input = template.input(req.ub);
     input.params.clone_from(&req.params);
     let (outcome, ..) = template.run(req.seed, &input, cache).map_err(err)?;
-    Ok(format!(
-        "{{\"verified\":{},\"seed\":{},\"engine_ops\":{},\"scalar_ideal\":{},\
-         \"opd\":{:.3},\"speedup\":{:.3}}}",
-        outcome.verified,
-        outcome.seed,
-        outcome.stats.total(),
-        outcome.scalar_ideal,
-        outcome.stats.opd(outcome.data_produced),
-        outcome.speedup()
-    ))
+    out.obj()
+        .field("verified", outcome.verified)
+        .field("seed", outcome.seed)
+        .field("engine_ops", outcome.stats.total())
+        .field("scalar_ideal", outcome.scalar_ideal)
+        .field("opd", Fixed(outcome.stats.opd(outcome.data_produced), 3))
+        .field("speedup", Fixed(outcome.speedup(), 3))
+        .end_obj();
+    Ok(())
 }
 
 fn sweep(
@@ -147,7 +157,8 @@ fn sweep(
     template: &Template,
     cache: &KernelCache,
     config: &ServerConfig,
-) -> Result<String, String> {
+    out: &mut Writer,
+) -> Result<(), String> {
     let count = req.count.clamp(1, 4096);
     let mut input = template.input(req.ub);
     input.params.clone_from(&req.params);
@@ -164,19 +175,18 @@ fn sweep(
         speedup_sum += s;
         min_speedup = min_speedup.min(s);
     }
-    Ok(format!(
-        "{{\"count\":{count},\"verified\":{verified},\
-         \"mean_speedup\":{:.3},\"min_speedup\":{:.3}}}",
-        speedup_sum / count as f64,
-        min_speedup
-    ))
+    out.obj().field("count", count).field("verified", verified);
+    out.field("mean_speedup", Fixed(speedup_sum / count as f64, 3));
+    out.field("min_speedup", Fixed(min_speedup, 3)).end_obj();
+    Ok(())
 }
 
 fn verify(
     req: &ExecRequest,
     program: &LoopProgram,
     config: &ServerConfig,
-) -> Result<String, String> {
+    out: &mut Writer,
+) -> Result<(), String> {
     let mut vopts = simdize::VerifyOptions::quick();
     vopts.threads = config.sweep_threads.max(1);
     if let Some(p) = req.policy {
@@ -185,24 +195,26 @@ fn verify(
     let report = simdize::prove_loop("wire", program, &vopts);
     // wall_ms stays real (every verb reports true wall time); the
     // golden transcript normalizes it instead.
-    Ok(format!("{{\"verify\":{}}}", report.render_json()))
+    out.obj().key("verify").raw(&report.render_json()).end_obj();
+    Ok(())
 }
 
-fn trace(req: &ExecRequest) -> Result<String, String> {
+fn trace(req: &ExecRequest) -> Result<(), String> {
     // The traced pipeline chooses its own (deterministic) driver
     // configuration; the request's policy/seed knobs do not apply.
     // It collects into the request's own scope, so the document the
     // server renders from it carries the envelope's trace id.
     traced_pass(&req.source).map_err(err)?;
-    Ok(String::new())
+    Ok(())
 }
 
-fn explain(req: &ExecRequest, program: &LoopProgram) -> Result<String, String> {
+fn explain(req: &ExecRequest, program: &LoopProgram, out: &mut Writer) -> Result<(), String> {
     let measured = DiffConfig::with_seed(req.seed)
         .runtime_ub(req.ub)
         .params(req.params.clone());
     let report = Explainer::new(driver(req), measured)
         .explain(program)
         .map_err(err)?;
-    Ok(format!("{{\"report\":{}}}", render_json(&report)))
+    out.obj().key("report").raw(&render_json(&report)).end_obj();
+    Ok(())
 }

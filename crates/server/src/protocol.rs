@@ -52,7 +52,8 @@
 //! the source.
 
 use simdize::Policy;
-use simdize_telemetry::json::{self, Json};
+use simdize_telemetry::json::{self, Json, Text, Writer};
+use std::fmt;
 
 /// Schema tag reported by `ping` and `stats` responses.
 pub const WIRE_SCHEMA: &str = "simdize-wire/v1";
@@ -249,20 +250,18 @@ fn take_str(obj: &mut Json, key: &str) -> Option<String> {
 fn parse_exec(doc: &mut Json, id: u64) -> Result<ExecRequest, WireError> {
     let source = take_str(doc, "source")
         .ok_or_else(|| WireError::new(Some(id), "missing `source` (inline loop text)"))?;
-    let policy = match doc.get("policy").and_then(Json::as_str) {
-        None => None,
-        Some("zero") => Some(Policy::Zero),
-        Some("eager") => Some(Policy::Eager),
-        Some("lazy") => Some(Policy::Lazy),
-        Some("dominant") => Some(Policy::Dominant),
-        Some("optimal") => Some(Policy::Optimal),
-        Some(other) => {
-            return Err(WireError::new(
-                Some(id),
-                format!("unknown policy `{other}` (expected zero|eager|lazy|dominant|optimal)"),
-            ))
-        }
-    };
+    let policy = doc
+        .get("policy")
+        .and_then(Json::as_str)
+        .map(|name| {
+            Policy::from_name(name).ok_or_else(|| {
+                WireError::new(
+                    Some(id),
+                    format!("unknown policy `{name}` (expected zero|eager|lazy|dominant|optimal)"),
+                )
+            })
+        })
+        .transpose()?;
     let mut params = Vec::new();
     if let Some(arr) = doc.get("params") {
         let arr = arr
@@ -285,43 +284,73 @@ fn parse_exec(doc: &mut Json, id: u64) -> Result<ExecRequest, WireError> {
             ));
         }
     }
+    // A zero-trip run has no data to measure (and nothing to verify).
+    let ub = get_u64(doc, "ub", Some(id))?.unwrap_or(DEFAULT_UB);
+    if ub == 0 {
+        return Err(WireError::new(Some(id), "`ub` must be at least 1"));
+    }
     Ok(ExecRequest {
         source,
         policy,
         seed: get_u64(doc, "seed", Some(id))?.unwrap_or(DEFAULT_SEED),
-        ub: get_u64(doc, "ub", Some(id))?.unwrap_or(DEFAULT_UB),
+        ub,
         params,
         count: get_u64(doc, "count", Some(id))?.map_or(DEFAULT_COUNT, |c| c as usize),
     })
 }
 
-/// A success envelope carrying the server-assigned trace id. `result`
-/// must already be rendered JSON — it is embedded verbatim.
-pub fn ok_response(id: u64, trace: &str, result: &str) -> String {
-    format!(
-        "{{\"v\":{WIRE_VERSION},\"id\":{id},\"trace\":\"{}\",\"ok\":true,\"result\":{result}}}",
-        json::escape(trace)
-    )
+/// One response line under construction, in one buffer: the envelope
+/// opens with `v`, `id` and the server-assigned `trace`, and closes as
+/// a success carrying the result written through
+/// [`result`](Reply::result), or as an error or `busy` envelope.
+pub struct Reply {
+    w: Writer,
+    head: usize,
 }
 
-/// A failure envelope with a readable message.
-pub fn error_response(id: u64, trace: &str, message: &str) -> String {
-    format!(
-        "{{\"v\":{WIRE_VERSION},\"id\":{id},\"trace\":\"{}\",\"ok\":false,\"error\":\"{}\"}}",
-        json::escape(trace),
-        json::escape(message)
-    )
-}
+impl Reply {
+    /// Opens the envelope of the reply to request `id`.
+    pub fn new(id: u64, trace: impl fmt::Display) -> Reply {
+        // Room for a `run` reply, so it is allocated once.
+        let mut w = Writer::with_capacity(256);
+        w.obj().field("v", WIRE_VERSION).field("id", id).field("trace", Text(trace));
+        Reply { head: w.mark(), w }
+    }
 
-/// The backpressure envelope: every execution slot and every waiting
-/// place is taken, try again later. Distinguished from other failures
-/// by `"busy":true`.
-pub fn busy_response(id: u64, trace: &str) -> String {
-    format!(
-        "{{\"v\":{WIRE_VERSION},\"id\":{id},\"trace\":\"{}\",\"ok\":false,\"busy\":true,\
-         \"error\":\"busy: job queue full, retry later\"}}",
-        json::escape(trace)
-    )
+    /// Marks the reply a success; the next value written to the
+    /// returned writer is its `result`.
+    pub fn result(&mut self) -> &mut Writer {
+        self.w.field("ok", true).key("result")
+    }
+
+    /// The success line.
+    pub fn ok(mut self) -> String {
+        self.w.end_obj();
+        self.w.finish()
+    }
+
+    /// The failure line with a readable message, discarding any result
+    /// written.
+    pub fn error(self, message: &str) -> String {
+        self.fail(false, message)
+    }
+
+    /// The backpressure line: every execution slot and every waiting
+    /// place is taken, try again later. Distinguished from other
+    /// failures by `"busy":true`.
+    pub fn busy(self) -> String {
+        self.fail(true, "busy: job queue full, retry later")
+    }
+
+    fn fail(mut self, busy: bool, message: &str) -> String {
+        self.w.rewind(self.head);
+        self.w.field("ok", false);
+        if busy {
+            self.w.field("busy", true);
+        }
+        self.w.field("error", message).end_obj();
+        self.w.finish()
+    }
 }
 
 #[cfg(test)]
@@ -406,18 +435,29 @@ mod tests {
 
     #[test]
     fn envelopes_are_single_line_json_and_echo_the_trace_id() {
+        let ok = |result: &str| {
+            let mut reply = Reply::new(5, "c1-7");
+            reply.result().raw(result);
+            reply
+        };
         for line in [
-            ok_response(5, "c1-7", r#"{"pong":true}"#),
-            error_response(5, "c1-7", "oh \"no\"\nbad"),
-            busy_response(5, "c1-7"),
+            ok(r#"{"pong":true}"#).ok(),
+            Reply::new(5, "c1-7").error("oh \"no\"\nbad"),
+            Reply::new(5, "c1-7").busy(),
+            // A failure after a result was written discards the result.
+            ok(r#"{"half":"#).error("late"),
         ] {
             assert!(!line.contains('\n'));
             let doc = json::parse(&line).unwrap();
             assert_eq!(doc.get("v").and_then(Json::as_f64), Some(1.0));
             assert_eq!(doc.get("id").and_then(Json::as_f64), Some(5.0));
             assert_eq!(doc.get("trace").and_then(Json::as_str), Some("c1-7"));
+            assert_eq!(
+                doc.get("result").is_some(),
+                doc.get("ok") == Some(&Json::Bool(true))
+            );
         }
-        let busy = json::parse(&busy_response(1, "c2-9")).unwrap();
+        let busy = json::parse(&Reply::new(1, "c2-9").busy()).unwrap();
         assert_eq!(busy.get("busy"), Some(&Json::Bool(true)));
         assert_eq!(busy.get("ok"), Some(&Json::Bool(false)));
     }

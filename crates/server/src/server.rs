@@ -50,12 +50,11 @@
 use crate::gate::Gate;
 use crate::handlers;
 use crate::memo::TemplateMemo;
-use crate::protocol::{
-    busy_response, error_response, ok_response, parse_request, Command, WireError, WIRE_SCHEMA,
-};
+use crate::protocol::{parse_request, Command, Reply, WireError, WIRE_SCHEMA};
 use crate::signal;
 use simdize::{IsaLevel, KernelCache};
 use simdize_telemetry as telemetry;
+use simdize_telemetry::json::{Fixed, Text, Writer};
 use simdize_telemetry::{FlightEntry, FlightRecorder, Histogram, TraceId};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
@@ -251,69 +250,44 @@ impl Shared {
         out
     }
 
-    /// The `stats` response body.
-    fn stats_json(&self) -> String {
+    /// Writes the `stats` response body.
+    fn write_stats(&self, w: &mut Writer) {
         let uptime = self.started.elapsed();
         let requests = self.requests.load(Ordering::Relaxed);
+        let rate = requests as f64 / uptime.as_secs_f64().max(1e-9);
         let metrics = self.metrics.lock().expect("metrics poisoned");
-        let mut per_cmd = String::new();
-        for (k, (name, h)) in metrics.per_cmd.iter().enumerate() {
-            if k > 0 {
-                per_cmd.push(',');
-            }
-            per_cmd.push_str(&format!(
-                "{{\"cmd\":\"{name}\",\"count\":{},\"p50_us\":{},\"p95_us\":{}}}",
-                h.count(),
-                h.quantile(0.5),
-                h.quantile(0.95)
-            ));
+        let all = &metrics.all_us;
+        w.obj().field("schema", WIRE_SCHEMA).field("isa", Text(IsaLevel::detect()));
+        w.field("uptime_ms", uptime.as_millis() as u64).field("requests", requests);
+        w.field("busy", self.busy.load(Ordering::Relaxed));
+        w.field("errors", self.errors.load(Ordering::Relaxed));
+        w.field("connections", self.connections.load(Ordering::Relaxed));
+        w.field("requests_per_sec", Fixed(rate, 2)).key("latency").obj();
+        w.field("count", all.count()).field("mean_us", Fixed(all.mean(), 1));
+        w.field("p50_us", all.quantile(0.5)).field("p95_us", all.quantile(0.95));
+        w.field("max_us", all.max()).end_obj().key("commands").arr();
+        for &(name, ref h) in &metrics.per_cmd {
+            w.obj().field("cmd", name).field("count", h.count());
+            w.field("p50_us", h.quantile(0.5)).field("p95_us", h.quantile(0.95)).end_obj();
         }
         let cache = self.cache.stats();
-        let templates = self.templates.stats();
-        let occupancy: Vec<String> = cache.occupancy.iter().map(usize::to_string).collect();
-        format!(
-            "{{\"schema\":\"{WIRE_SCHEMA}\",\"isa\":\"{}\",\
-             \"uptime_ms\":{},\"requests\":{requests},\
-             \"busy\":{},\"errors\":{},\"connections\":{},\
-             \"requests_per_sec\":{:.2},\
-             \"latency\":{{\"count\":{},\"mean_us\":{:.1},\"p50_us\":{},\"p95_us\":{},\"max_us\":{}}},\
-             \"commands\":[{per_cmd}],\
-             \"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"hit_rate\":{:.4},\
-             \"occupied\":{},\"capacity_per_shard\":{},\"occupancy\":[{}]}},\
-             \"templates\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"occupied\":{},\
-             \"bytes\":{},\"capacity\":{}}},\
-             \"queue\":{{\"depth\":{},\"capacity\":{}}},\"workers\":{},\
-             \"flight\":{{\"recorded\":{},\"capacity\":{}}}}}",
-            IsaLevel::detect(),
-            uptime.as_millis(),
-            self.busy.load(Ordering::Relaxed),
-            self.errors.load(Ordering::Relaxed),
-            self.connections.load(Ordering::Relaxed),
-            requests as f64 / uptime.as_secs_f64().max(1e-9),
-            metrics.all_us.count(),
-            metrics.all_us.mean(),
-            metrics.all_us.quantile(0.5),
-            metrics.all_us.quantile(0.95),
-            metrics.all_us.max(),
-            cache.hits,
-            cache.misses,
-            cache.evictions,
-            cache.hit_rate(),
-            cache.occupied(),
-            cache.capacity_per_shard,
-            occupancy.join(","),
-            templates.hits,
-            templates.misses,
-            templates.evictions,
-            templates.occupied,
-            templates.bytes,
-            templates.capacity,
-            self.gate.waiting(),
-            self.config.queue_depth,
-            self.config.workers,
-            self.flight.recorded(),
-            self.flight.capacity(),
-        )
+        w.end_arr().key("cache").obj().field("hits", cache.hits);
+        w.field("misses", cache.misses).field("evictions", cache.evictions);
+        w.field("hit_rate", Fixed(cache.hit_rate(), 4)).field("occupied", cache.occupied());
+        w.field("capacity_per_shard", cache.capacity_per_shard).key("occupancy").arr();
+        for &n in &cache.occupancy {
+            w.val(n);
+        }
+        let t = self.templates.stats();
+        w.end_arr().end_obj().key("templates").obj().field("hits", t.hits);
+        w.field("misses", t.misses).field("evictions", t.evictions);
+        w.field("occupied", t.occupied).field("bytes", t.bytes);
+        w.field("capacity", t.capacity).end_obj();
+        w.key("queue").obj().field("depth", self.gate.waiting());
+        w.field("capacity", self.config.queue_depth).end_obj();
+        w.field("workers", self.config.workers).key("flight").obj();
+        w.field("recorded", self.flight.recorded());
+        w.field("capacity", self.flight.capacity()).end_obj().end_obj();
     }
 }
 
@@ -577,25 +551,42 @@ fn connection_loop(stream: TcpStream, shared: &Shared, conn_id: u64) {
 fn handle_line(line: &str, shared: &Shared, conn_id: u64) -> String {
     let started = Instant::now();
     let trace = TraceId::next(conn_id);
-    let trace_str = trace.to_string();
     let parsed = if line.len() > MAX_LINE {
         let message = format!("request line exceeds {MAX_LINE} bytes; closing the connection");
         Err(WireError::new(None, message))
     } else {
         parse_request(line.trim())
     };
+    let id = match &parsed {
+        Ok(request) => request.id,
+        Err(e) => e.id.unwrap_or(0),
+    };
+    // The reply is written once, into one buffer: the envelope, then
+    // the result straight after it, or an error in its place.
+    let mut reply = Reply::new(id, trace);
     let mut attrs = BTreeMap::new();
-    let (id, verb, outcome) = match parsed {
-        Err(WireError { id, message }) => (id.unwrap_or(0), "error", Err(message)),
+    let (verb, outcome) = match parsed {
+        Err(WireError { message, .. }) => ("error", Err(message)),
         Ok(request) => {
             let verb = request.cmd.name();
+            let out = reply.result();
             let outcome = match &request.cmd {
-                Command::Ping => Ok(format!("{{\"pong\":true,\"schema\":\"{WIRE_SCHEMA}\"}}")),
-                Command::Stats => Ok(shared.stats_json()),
-                Command::Dump => Ok(shared.flight.render_json()),
+                Command::Ping => {
+                    out.obj().field("pong", true).field("schema", WIRE_SCHEMA).end_obj();
+                    Ok(())
+                }
+                Command::Stats => {
+                    shared.write_stats(out);
+                    Ok(())
+                }
+                Command::Dump => {
+                    out.raw(&shared.flight.render_json());
+                    Ok(())
+                }
                 Command::Shutdown => {
                     shared.stop.store(true, Ordering::SeqCst);
-                    Ok("{\"stopping\":true}".to_string())
+                    out.obj().field("stopping", true).end_obj();
+                    Ok(())
                 }
                 cmd => {
                     let Some(_permit) = shared.gate.enter() else {
@@ -603,36 +594,40 @@ fn handle_line(line: &str, shared: &Shared, conn_id: u64) -> String {
                         shared.requests.fetch_add(1, Ordering::Relaxed);
                         let error = Some("busy: job queue full".to_string());
                         shared.note_flight(trace, "busy", started.elapsed(), attrs, error);
-                        return busy_response(request.id, &trace_str);
+                        return reply.busy();
                     };
                     // The request scope collects this request's spans
                     // and pipeline attributes (policy, isa, cache
                     // hit/miss, …) — per request, however many
                     // connections execute concurrently.
                     let scope = telemetry::begin_request(trace, verb);
-                    let outcome =
-                        handlers::execute(cmd, &shared.templates, &shared.cache, &shared.config);
+                    let outcome = handlers::execute(
+                        cmd,
+                        &shared.templates,
+                        &shared.cache,
+                        &shared.config,
+                        out,
+                    );
                     let finished = scope.finish(outcome.as_ref().err().cloned());
                     // The `trace` verb's result is this very scope.
-                    let outcome = match cmd {
-                        Command::Trace(_) => outcome.map(|_| finished.render_json()),
-                        _ => outcome,
-                    };
+                    if let (Command::Trace(_), Ok(())) = (cmd, &outcome) {
+                        out.raw(&finished.render_json());
+                    }
                     attrs = finished.attrs;
                     outcome
                 }
             };
-            (request.id, verb, outcome)
+            (verb, outcome)
         }
     };
     // One tail for every verb. Latency runs from the moment the line
     // was read, so a wait at the gate shows in `stats`.
     let elapsed = started.elapsed();
     let response = match &outcome {
-        Ok(result) => ok_response(id, &trace_str, result),
+        Ok(()) => reply.ok(),
         Err(message) => {
             shared.errors.fetch_add(1, Ordering::Relaxed);
-            error_response(id, &trace_str, message)
+            reply.error(message)
         }
     };
     let failed = outcome.is_err();

@@ -14,9 +14,9 @@
 //! ([`FLIGHT_SCHEMA`]) on server error responses, on SIGINT drain, and
 //! for the `dump` wire verb.
 
-use crate::json::escape;
+use crate::json::Writer;
+use crate::trace::write_attrs;
 use std::collections::{BTreeMap, VecDeque};
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -123,45 +123,17 @@ impl FlightRecorder {
 
     /// The versioned JSON rendering ([`FLIGHT_SCHEMA`]) of the dump.
     pub fn render_json(&self) -> String {
-        let entries = self.dump();
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"schema\":\"{}\",\"capacity\":{},\"recorded\":{},\"entries\":[",
-            FLIGHT_SCHEMA,
-            self.capacity,
-            self.recorded()
-        );
-        for (i, e) in entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"seq\":{},\"trace_id\":\"{}\",\"verb\":\"{}\",\"latency_us\":{},\"ok\":{},",
-                e.seq,
-                escape(&e.trace_id),
-                escape(&e.verb),
-                e.latency_us,
-                e.ok
-            );
-            out.push_str("\"attrs\":{");
-            for (k, (key, value)) in e.attrs.iter().enumerate() {
-                if k > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{}\":\"{}\"", escape(key), escape(value));
-            }
-            out.push_str("},");
-            match &e.error {
-                Some(err) => {
-                    let _ = write!(out, "\"error\":\"{}\"}}", escape(err));
-                }
-                None => out.push_str("\"error\":null}"),
-            }
+        let mut w = Writer::default();
+        w.obj().field("schema", FLIGHT_SCHEMA).field("capacity", self.capacity);
+        w.field("recorded", self.recorded()).key("entries").arr();
+        for e in self.dump() {
+            w.obj().field("seq", e.seq).field("trace_id", &e.trace_id).field("verb", &e.verb);
+            w.field("latency_us", e.latency_us).field("ok", e.ok).key("attrs");
+            write_attrs(&mut w, &e.attrs);
+            w.field("error", e.error.as_ref()).end_obj();
         }
-        out.push_str("]}");
-        out
+        w.end_arr().end_obj();
+        w.finish()
     }
 }
 

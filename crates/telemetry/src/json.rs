@@ -1,4 +1,4 @@
-//! The workspace's JSON reader and its one string escaper.
+//! The workspace's JSON reader and its one writer.
 //!
 //! The workspace is offline by policy (no serde), but the server has
 //! to read `simdize-wire/v1` request lines and the tests read back the
@@ -6,10 +6,12 @@
 //! recursive-descent parser over the JSON grammar — objects, arrays,
 //! strings (with the standard escapes), numbers (including scientific
 //! notation), booleans and null — that keeps object keys in document
-//! order; [`escape`] is what every hand-written JSON renderer in the
-//! workspace calls for string contents.
+//! order. [`Writer`] is the other direction, and every document the
+//! workspace emits goes through it: it places the commas, escapes
+//! strings straight into its buffer and prints every float with a
+//! fixed number of digits ([`Fixed`]), a non-finite one as `null`.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// One parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -286,18 +288,196 @@ impl Parser<'_> {
 /// Escapes `s` for embedding in a JSON string literal.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    escape_into(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out` escaped. Every byte that needs an escape is
+/// ASCII, so the runs between them, copied in one piece, start and end
+/// on character boundaries.
+fn escape_into(out: &mut String, s: &str) {
+    let mut plain = 0;
+    for (at, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[plain..at]);
+        plain = at + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
         }
     }
-    out
+    out.push_str(&s[plain..]);
+}
+
+/// A streaming JSON writer over one `String`.
+///
+/// Containers open with [`obj`](Writer::obj) / [`arr`](Writer::arr)
+/// and close with [`end_obj`](Writer::end_obj) /
+/// [`end_arr`](Writer::end_arr); members are a [`key`](Writer::key)
+/// followed by a value, or [`field`](Writer::field) for both. The
+/// buffer is the writer's only state: a value or key needs a
+/// separating comma unless it is the document's first byte or follows
+/// `{`, `[` or a key's `:`.
+#[derive(Debug, Default)]
+pub struct Writer {
+    out: String,
+}
+
+impl Writer {
+    /// An empty document with room for `bytes` before it reallocates.
+    pub fn with_capacity(bytes: usize) -> Writer {
+        Writer { out: String::with_capacity(bytes) }
+    }
+
+    fn sep(&mut self) -> &mut String {
+        if !matches!(self.out.as_bytes().last(), None | Some(b'{' | b'[' | b':')) {
+            self.out.push(',');
+        }
+        &mut self.out
+    }
+
+    /// Opens an object.
+    pub fn obj(&mut self) -> &mut Writer {
+        self.sep().push('{');
+        self
+    }
+
+    /// Closes the innermost object.
+    pub fn end_obj(&mut self) -> &mut Writer {
+        self.out.push('}');
+        self
+    }
+
+    /// Opens an array.
+    pub fn arr(&mut self) -> &mut Writer {
+        self.sep().push('[');
+        self
+    }
+
+    /// Closes the innermost array.
+    pub fn end_arr(&mut self) -> &mut Writer {
+        self.out.push(']');
+        self
+    }
+
+    /// Writes an object member's key; the next value is its value.
+    pub fn key(&mut self, key: &str) -> &mut Writer {
+        self.val(key).out.push(':');
+        self
+    }
+
+    /// Writes one value: an array element, or the value of the key
+    /// just written.
+    pub fn val(&mut self, value: impl Value) -> &mut Writer {
+        value.write(self.sep());
+        self
+    }
+
+    /// Writes the object member `key: value`.
+    pub fn field(&mut self, key: &str, value: impl Value) -> &mut Writer {
+        self.key(key).val(value)
+    }
+
+    /// Embeds `json`, a complete document another writer rendered, as
+    /// one value.
+    pub fn raw(&mut self, json: &str) -> &mut Writer {
+        self.sep().push_str(json);
+        self
+    }
+
+    /// A position to [`rewind`](Writer::rewind) to.
+    pub fn mark(&self) -> usize {
+        self.out.len()
+    }
+
+    /// Drops everything written since `mark`.
+    pub fn rewind(&mut self, mark: usize) {
+        self.out.truncate(mark);
+    }
+
+    /// The document written.
+    pub fn finish(self) -> String {
+        self.out
+    }
+}
+
+/// A scalar the [`Writer`] prints: an integer, a `bool`, a string,
+/// a [`Fixed`] float, [`Text`], or an `Option` of one (`None` is
+/// `null`).
+pub trait Value {
+    /// Appends the value's JSON text to `out`.
+    fn write(self, out: &mut String);
+}
+
+macro_rules! plain_values {
+    ($($t:ty),*) => {$(
+        impl Value for $t {
+            fn write(self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        }
+    )*};
+}
+
+plain_values!(u32, u64, usize, bool);
+
+impl<S: AsRef<str> + ?Sized> Value for &S {
+    fn write(self, out: &mut String) {
+        out.push('"');
+        escape_into(out, self.as_ref());
+        out.push('"');
+    }
+}
+
+impl<T: Value> Value for Option<T> {
+    fn write(self, out: &mut String) {
+        match self {
+            Some(v) => v.write(out),
+            None => out.push_str("null"),
+        }
+    }
+}
+
+/// A float printed with a fixed number of fractional digits
+/// (`Fixed(x, 3)` is `{x:.3}`), so documents are deterministic. JSON
+/// has no NaN or infinity: a non-finite value prints as `null`.
+#[derive(Debug, Clone, Copy)]
+pub struct Fixed(pub f64, pub usize);
+
+impl Value for Fixed {
+    fn write(self, out: &mut String) {
+        if self.0.is_finite() {
+            let _ = write!(out, "{:.*}", self.1, self.0);
+        } else {
+            out.push_str("null");
+        }
+    }
+}
+
+/// Any `Display` value, as a JSON string. It is printed straight into
+/// the buffer and escaped there only if it needs it.
+#[derive(Debug, Clone, Copy)]
+pub struct Text<T>(pub T);
+
+impl<T: fmt::Display> Value for Text<T> {
+    fn write(self, out: &mut String) {
+        out.push('"');
+        let start = out.len();
+        let _ = write!(out, "{}", self.0);
+        if out.as_bytes()[start..].iter().any(|&b| b < 0x20 || b == b'"' || b == b'\\') {
+            let text = out.split_off(start);
+            escape_into(out, &text);
+        }
+        out.push('"');
+    }
 }
 
 #[cfg(test)]
@@ -355,6 +535,23 @@ mod tests {
         assert_eq!(
             spans[0].get("total_ns").unwrap().as_f64(),
             Some(346_600_000.0)
+        );
+    }
+
+    #[test]
+    fn the_writer_places_commas_and_prints_every_value_kind() {
+        let mut w = Writer::default();
+        w.obj().field("a\"b", 1u64).key("xs").arr().val(true).val("q\n");
+        w.obj().end_obj().arr().end_arr().end_arr();
+        w.field("none", None::<u64>).field("t", Text('\u{1}'));
+        let mark = w.mark();
+        w.field("dropped", 0u64);
+        w.rewind(mark);
+        w.field("f", Fixed(1.23456, 3)).field("nan", Fixed(f64::NAN, 3));
+        w.field("inf", Fixed(f64::INFINITY, 1)).key("doc").raw("[1]").end_obj();
+        assert_eq!(
+            w.finish(),
+            r#"{"a\"b":1,"xs":[true,"q\n",{},[]],"none":null,"t":"\u0001","f":1.235,"nan":null,"inf":null,"doc":[1]}"#
         );
     }
 

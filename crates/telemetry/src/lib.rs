@@ -1,6 +1,6 @@
 //! Runtime telemetry for the simdize stack: a span profiler,
 //! request-scoped tracing, a flight recorder, a latency histogram, and
-//! the workspace's JSON reader and string escaper.
+//! the workspace's JSON reader and its one writer.
 //!
 //! The crate is built around one invariant: **when telemetry is off
 //! (the default), instrumentation costs a single relaxed atomic load
@@ -51,7 +51,7 @@
 //! - [`hist`] — a log-linear latency [`Histogram`] (the server's
 //!   per-verb latency summaries).
 //! - [`json`] — the `simdize-wire/v1` request parser and the one JSON
-//!   string escaper every renderer in the workspace calls.
+//!   writer every document in the workspace is rendered through.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

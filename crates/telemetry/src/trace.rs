@@ -20,7 +20,7 @@
 //! as versioned JSON ([`TRACE_SCHEMA`]) or as the Chrome trace-event
 //! format that `chrome://tracing` and Perfetto load directly.
 
-use crate::json::escape;
+use crate::json::{Fixed, Text, Writer};
 use crate::span::{build_tree, SpanNode, SpanRecord};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -271,52 +271,22 @@ pub struct RequestTrace {
 impl RequestTrace {
     /// The versioned JSON rendering ([`TRACE_SCHEMA`]).
     pub fn render_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\"schema\":\"");
-        out.push_str(TRACE_SCHEMA);
-        let _ = write!(
-            out,
-            "\",\"trace_id\":\"{}\",\"verb\":\"{}\",\"wall_us\":{},",
-            escape(&self.trace_id),
-            escape(&self.verb),
-            self.wall_us,
-        );
-        match &self.error {
-            Some(e) => {
-                let _ = write!(out, "\"error\":\"{}\",", escape(e));
-            }
-            None => out.push_str("\"error\":null,"),
+        let mut w = Writer::default();
+        w.obj().field("schema", TRACE_SCHEMA).field("trace_id", &self.trace_id);
+        w.field("verb", &self.verb).field("wall_us", self.wall_us);
+        w.field("error", self.error.as_ref()).key("attrs");
+        write_attrs(&mut w, &self.attrs);
+        w.key("spans").arr();
+        for node in &self.spans {
+            write_span(&mut w, node);
         }
-        out.push_str("\"attrs\":{");
-        for (i, (k, v)) in self.attrs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":\"{}\"", escape(k), escape(v));
+        w.end_arr().key("events").arr();
+        for ev in &self.events {
+            w.obj().field("path", &ev.path).field("tid", ev.tid);
+            w.field("start_ns", ev.start_ns).field("dur_ns", ev.ns).end_obj();
         }
-        out.push_str("},\"spans\":[");
-        for (i, node) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            render_span_json(&mut out, node);
-        }
-        out.push_str("],\"events\":[");
-        for (i, ev) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"path\":\"{}\",\"tid\":{},\"start_ns\":{},\"dur_ns\":{}}}",
-                escape(&ev.path),
-                ev.tid,
-                ev.start_ns,
-                ev.ns
-            );
-        }
-        out.push_str("]}");
-        out
+        w.end_arr().end_obj();
+        w.finish()
     }
 
     /// The Chrome trace-event rendering: one complete (`"ph":"X"`)
@@ -325,40 +295,27 @@ impl RequestTrace {
     /// event spanning the whole request that carries the trace id and
     /// attributes. Load the output in `chrome://tracing` or Perfetto.
     pub fn render_chrome(&self) -> String {
-        let us = |ns: u64| format!("{:.3}", ns as f64 / 1000.0);
-        let mut out = String::new();
-        out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        out.push_str(
-            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\
-             \"args\":{\"name\":\"simdize\"}}",
-        );
-        let _ = write!(
-            out,
-            ",{{\"name\":\"request:{}\",\"cat\":\"request\",\"ph\":\"X\",\
-             \"ts\":0,\"dur\":{},\"pid\":1,\"tid\":0,\"args\":{{\"trace_id\":\"{}\"",
-            escape(&self.verb),
-            self.wall_us,
-            escape(&self.trace_id),
-        );
+        let us = |ns: u64| Fixed(ns as f64 / 1000.0, 3);
+        let mut w = Writer::default();
+        w.obj().field("displayTimeUnit", "ms").key("traceEvents").arr();
+        w.obj().field("name", "process_name").field("ph", "M").field("pid", 1u64);
+        w.key("args").obj().field("name", "simdize").end_obj().end_obj();
+        w.obj().field("name", Text(format_args!("request:{}", self.verb)));
+        w.field("cat", "request").field("ph", "X").field("ts", 0u64);
+        w.field("dur", self.wall_us).field("pid", 1u64).field("tid", 0u64);
+        w.key("args").obj().field("trace_id", &self.trace_id);
         for (k, v) in &self.attrs {
-            let _ = write!(out, ",\"{}\":\"{}\"", escape(k), escape(v));
+            w.field(k, v);
         }
-        out.push_str("}}");
+        w.end_obj().end_obj();
         for ev in &self.events {
             let name = ev.path.rsplit('/').next().unwrap_or(&ev.path);
-            let _ = write!(
-                out,
-                ",{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\
-                 \"dur\":{},\"pid\":1,\"tid\":{}}}",
-                escape(name),
-                escape(&ev.path),
-                us(ev.start_ns),
-                us(ev.ns),
-                ev.tid
-            );
+            w.obj().field("name", name).field("cat", &ev.path).field("ph", "X");
+            w.field("ts", us(ev.start_ns)).field("dur", us(ev.ns));
+            w.field("pid", 1u64).field("tid", ev.tid).end_obj();
         }
-        out.push_str("]}");
-        out
+        w.end_arr().end_obj();
+        w.finish()
     }
 
     /// A human-readable rendering: the id/verb/latency header, the
@@ -425,24 +382,24 @@ fn render_span_text(out: &mut String, node: &SpanNode, depth: usize) {
     }
 }
 
-fn render_span_json(out: &mut String, node: &SpanNode) {
-    let _ = write!(
-        out,
-        "{{\"name\":\"{}\",\"count\":{},\"total_ns\":{},\"p50_ns\":{},\"p95_ns\":{},\"max_ns\":{},\"children\":[",
-        escape(&node.name),
-        node.count,
-        node.total_ns,
-        node.p50_ns,
-        node.p95_ns,
-        node.max_ns
-    );
-    for (i, child) in node.children.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        render_span_json(out, child);
+fn write_span(w: &mut Writer, node: &SpanNode) {
+    w.obj().field("name", &node.name).field("count", node.count);
+    w.field("total_ns", node.total_ns).field("p50_ns", node.p50_ns);
+    w.field("p95_ns", node.p95_ns).field("max_ns", node.max_ns);
+    w.key("children").arr();
+    for child in &node.children {
+        write_span(w, child);
     }
-    out.push_str("]}");
+    w.end_arr().end_obj();
+}
+
+/// Writes a string map as one JSON object, keys in map order.
+pub(crate) fn write_attrs(w: &mut Writer, attrs: &BTreeMap<String, String>) {
+    w.obj();
+    for (k, v) in attrs {
+        w.field(k, v);
+    }
+    w.end_obj();
 }
 
 #[cfg(test)]

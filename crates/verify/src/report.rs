@@ -2,7 +2,7 @@
 //! shrunk counterexamples, and the text / `simdize-verify/v1` JSON
 //! renderings.
 
-use simdize_telemetry::json::escape;
+use simdize_telemetry::json::Writer;
 use std::fmt::Write as _;
 
 /// What one named harness did across the whole enumeration.
@@ -221,86 +221,45 @@ impl VerifyReport {
     /// The `simdize-verify/v1` JSON rendering: one object, stable key
     /// order, no whitespace.
     pub fn render_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"schema\":\"{}\",\"loop\":\"{}\",\"proved\":{},\"quick\":{},\
-             \"trip_bound\":{},\"trip_cap\":{},\
-             \"alignments\":{{\"candidates\":{},\"realizable\":{},\"streams\":{},\"vectors\":{},\"capped\":{}}},\
-             \"units\":{{\"configs\":{},\"compiled\":{},\"skipped\":{},\"refused\":{},\"mutated\":{}}},\
-             \"runs\":{{\"points\":{},\"points_skipped\":{},\"executed\":{},\"budget\":{},\"budget_exhausted\":{}}},\
-             \"harnesses\":[",
-            Self::SCHEMA,
-            escape(&self.loop_name),
-            self.proved,
-            self.quick,
-            self.trip_bound,
-            self.trip_cap,
-            self.align_candidates,
-            self.align_realizable,
-            self.streams,
-            self.align_vectors,
-            self.align_capped,
-            self.configs_enumerated,
-            self.units_compiled,
-            self.units_skipped,
-            self.units_refused,
-            self.units_mutated,
-            self.points,
-            self.points_skipped,
-            self.runs,
-            self.budget,
-            self.budget_exhausted,
-        );
-        for (k, h) in self.harnesses.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"runs\":{},\"violations\":{}}}",
-                h.name, h.runs, h.violations
-            );
+        let mut w = Writer::default();
+        w.obj().field("schema", Self::SCHEMA).field("loop", &self.loop_name);
+        w.field("proved", self.proved).field("quick", self.quick);
+        w.field("trip_bound", self.trip_bound).field("trip_cap", self.trip_cap);
+        w.key("alignments").obj().field("candidates", self.align_candidates);
+        w.field("realizable", self.align_realizable).field("streams", self.streams);
+        w.field("vectors", self.align_vectors).field("capped", self.align_capped).end_obj();
+        w.key("units").obj().field("configs", self.configs_enumerated);
+        w.field("compiled", self.units_compiled).field("skipped", self.units_skipped);
+        w.field("refused", self.units_refused).field("mutated", self.units_mutated).end_obj();
+        w.key("runs").obj().field("points", self.points);
+        w.field("points_skipped", self.points_skipped).field("executed", self.runs);
+        w.field("budget", self.budget).field("budget_exhausted", self.budget_exhausted);
+        w.end_obj().key("harnesses").arr();
+        for h in &self.harnesses {
+            w.obj().field("name", h.name).field("runs", h.runs);
+            w.field("violations", h.violations).end_obj();
         }
-        let _ = write!(out, "],\"violations_total\":{},\"violations\":[", self.violations_total);
-        for (k, ce) in self.violations.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
+        w.end_arr().field("violations_total", self.violations_total);
+        w.key("violations").arr();
+        for ce in &self.violations {
+            w.obj().field("harness", ce.harness).field("policy", &ce.policy);
+            w.field("reuse", &ce.reuse).field("unroll", ce.unroll).field("mode", &ce.mode);
+            w.key("aligns").arr();
+            for &a in &ce.aligns {
+                w.val(a);
             }
-            let aligns: Vec<String> = ce.aligns.iter().map(|a| a.to_string()).collect();
-            let _ = write!(
-                out,
-                "{{\"harness\":\"{}\",\"policy\":\"{}\",\"reuse\":\"{}\",\"unroll\":{},\"mode\":\"{}\",\
-                 \"aligns\":[{}],\"trip\":{},\"trip_style\":\"{}\",\"probe\":\"{}\",\
-                 \"detail\":\"{}\",\"shrunk\":{},\"shrink_steps\":{},\"replay\":\"{}\"}}",
-                ce.harness,
-                escape(&ce.policy),
-                escape(&ce.reuse),
-                ce.unroll,
-                escape(&ce.mode),
-                aligns.join(","),
-                ce.trip,
-                escape(&ce.trip_style),
-                escape(&ce.probe),
-                escape(&ce.detail),
-                ce.shrunk,
-                ce.shrink_steps,
-                escape(&ce.replay),
-            );
+            w.end_arr().field("trip", ce.trip).field("trip_style", &ce.trip_style);
+            w.field("probe", &ce.probe).field("detail", &ce.detail);
+            w.field("shrunk", ce.shrunk).field("shrink_steps", ce.shrink_steps);
+            w.field("replay", &ce.replay).end_obj();
         }
-        let _ = write!(
-            out,
-            "],\"inconsistencies_total\":{},\"inconsistencies\":[",
-            self.inconsistencies_total
-        );
-        for (k, inc) in self.inconsistencies.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\"", escape(inc));
+        w.end_arr().field("inconsistencies_total", self.inconsistencies_total);
+        w.key("inconsistencies").arr();
+        for inc in &self.inconsistencies {
+            w.val(inc);
         }
-        let _ = write!(out, "],\"wall_ms\":{}}}", self.wall_ms);
-        out
+        w.end_arr().field("wall_ms", self.wall_ms).end_obj();
+        w.finish()
     }
 }
 

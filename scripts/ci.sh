@@ -169,6 +169,10 @@ echo "== one collector (the session collector and its schema stay gone) =="
 # Bracketed so the patterns do not match this line.
 if grep -rnE 'simdize-telemetry/v[1]|drain_span[s]|telemetry::sessio[n]' crates/ src/ tests/ scripts/ README.md docs/; then exit 1; fi
 
+echo "== one writer (every JSON document goes through telemetry::json::Writer) =="
+# Bracketed so the pattern does not match this line.
+if grep -rn 'escap[e](' crates/*/src | grep -v '^crates/telemetry/src/json\.rs:'; then exit 1; fi
+
 echo "== telemetry disabled-overhead gate (<2% of a kernel run) =="
 # Run the timing-sensitive gate alone (--exact): the concurrent
 # request-scope stress test in the same binary would otherwise enable

@@ -10,8 +10,13 @@ use simdize::{
     parse_program, reassociate, synthesize, BinOp, DiffConfig, Lane, Policy, ReorgGraph, ReuseMode,
     ScalarType, Scheme, Simdizer, TripSpec, UnOp, Value, VectorShape, WorkloadSpec,
 };
+use simdize_analysis::{AnalysisReport, Finding, Level, Lint, Section};
+use simdize_explain::{render_json, ExplainReport, InapplicableReport, LoopInfo};
 use simdize_prng::SplitMix64;
-use simdize_server::protocol::parse_request;
+use simdize_server::protocol::{parse_request, Reply};
+use simdize_telemetry::json::{self, Json};
+use simdize_telemetry::{FlightEntry, FlightRecorder, RequestTrace, SpanRecord};
+use std::collections::BTreeMap;
 
 /// Case-count multiplier: 1 normally, 8 under `--features fuzz`.
 const SCALE: usize = if cfg!(feature = "fuzz") { 8 } else { 1 };
@@ -461,5 +466,155 @@ fn generated_programs_pass_the_verifier() {
         let compiled = Simdizer::new().scheme(scheme).compile(&program).unwrap();
         simdize::verify_program(&compiled)
             .unwrap_or_else(|e| panic!("case {case} ({scheme}): {e}"));
+    }
+}
+
+/// Up to 24 characters a JSON writer must escape or carry through
+/// untouched: quotes, backslashes, every C0 control, U+2028 and
+/// multi-byte UTF-8.
+fn hostile(rng: &mut SplitMix64) -> String {
+    let pool: Vec<char> = (0..0x20u8)
+        .map(char::from)
+        .chain(['"', '\\', '/', '\u{2028}', '\u{7f}', 'é', '€', '𝄞', 'a', ' '])
+        .collect();
+    (0..rng.index(25)).map(|_| pool[rng.index(pool.len())]).collect()
+}
+
+/// The string members of an object, in document order.
+fn members(doc: Option<&Json>) -> Vec<(String, String)> {
+    let Some(Json::Obj(members)) = doc else {
+        panic!("expected an object, got {doc:?}");
+    };
+    members
+        .iter()
+        .map(|(k, v)| (k.clone(), v.as_str().expect("a string member").to_string()))
+        .collect()
+}
+
+fn text<'a>(doc: &'a Json, key: &str) -> &'a str {
+    doc.get(key).and_then(Json::as_str).unwrap_or_else(|| panic!("no string `{key}` in {doc:?}"))
+}
+
+/// Every kind of document the system writes parses, and gives back the
+/// exact strings that went into its string-bearing fields.
+#[test]
+fn hostile_strings_round_trip_through_every_document() {
+    let figure1 = parse_program(&simdize_suite::sample("figure1")).unwrap();
+    let mut vopts = simdize::VerifyOptions::quick();
+    (vopts.budget, vopts.threads, vopts.policies) = (1, 1, vec![Policy::Lazy]);
+    for case in 0..16 * SCALE {
+        let mut rng = SplitMix64::seed_from_u64(0x150_0000 + case as u64);
+        let mut h = || hostile(&mut rng);
+        let attrs: BTreeMap<String, String> = (0..3).map(|_| (h(), h())).collect();
+        let attr_list: Vec<(String, String)> = attrs.clone().into_iter().collect();
+
+        // Flight entries: ids, verb, attributes and the error.
+        let rec = FlightRecorder::new(1, 1);
+        let entry = FlightEntry {
+            seq: 0,
+            trace_id: h(),
+            verb: h(),
+            latency_us: 1,
+            ok: false,
+            attrs: attrs.clone(),
+            error: Some(h()),
+        };
+        rec.record(entry.clone());
+        let doc = json::parse(&rec.render_json()).unwrap();
+        let got = &doc.get("entries").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(text(got, "trace_id"), entry.trace_id, "case {case}");
+        assert_eq!(text(got, "verb"), entry.verb, "case {case}");
+        assert_eq!(Some(text(got, "error")), entry.error.as_deref(), "case {case}");
+        assert_eq!(members(got.get("attrs")), attr_list, "case {case}");
+
+        // Request traces: ids, attributes, span names and paths, error.
+        let events = vec![SpanRecord {
+            path: format!("{}/{}", h(), h()),
+            ns: 5,
+            start_ns: 1,
+            tid: 0,
+        }];
+        let trace = RequestTrace {
+            trace_id: h(),
+            verb: h(),
+            wall_us: 7,
+            attrs: attrs.clone(),
+            spans: simdize_telemetry::build_tree(&events),
+            events,
+            error: Some(h()),
+        };
+        let doc = json::parse(&trace.render_json()).unwrap();
+        assert_eq!(text(&doc, "trace_id"), trace.trace_id, "case {case}");
+        assert_eq!(text(&doc, "verb"), trace.verb, "case {case}");
+        assert_eq!(Some(text(&doc, "error")), trace.error.as_deref(), "case {case}");
+        assert_eq!(members(doc.get("attrs")), attr_list, "case {case}");
+        let span = &doc.get("spans").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(text(span, "name"), trace.spans[0].name, "case {case}");
+        let event = &doc.get("events").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(text(event, "path"), trace.events[0].path, "case {case}");
+
+        // The Chrome export of the same trace.
+        let doc = json::parse(&trace.render_chrome()).unwrap();
+        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+        assert_eq!(text(&events[1], "name"), format!("request:{}", trace.verb), "case {case}");
+        let mut args = vec![("trace_id".to_string(), trace.trace_id.clone())];
+        args.extend(attr_list.iter().cloned());
+        assert_eq!(members(events[1].get("args")), args, "case {case}");
+        let path = &trace.events[0].path;
+        assert_eq!(text(&events[2], "cat"), path, "case {case}");
+        assert_eq!(Some(text(&events[2], "name")), path.rsplit('/').next(), "case {case}");
+
+        // The prover's report names its loop.
+        let name = h();
+        let report = simdize::prove_loop(&name, &figure1, &vopts);
+        let doc = json::parse(&report.render_json()).unwrap();
+        assert_eq!(text(&doc, "loop"), name, "case {case}");
+
+        // Lint messages.
+        let message = h();
+        let finding = Finding {
+            lint: Lint::ALL[case % Lint::ALL.len()],
+            level: Level::Warn,
+            section: Section::Body,
+            index: 0,
+            register: None,
+            message: message.clone(),
+        };
+        let doc = json::parse(&AnalysisReport::new(vec![finding], 1, 1).render_json()).unwrap();
+        let got = &doc.get("findings").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(text(got, "message"), message, "case {case}");
+
+        // Explain reports: the loop's source and array names, the
+        // error and its explanation.
+        let info = LoopInfo {
+            source: h(),
+            array_names: vec![h(), h()],
+            policy: Policy::Eager,
+            policy_forced: true,
+            shape: VectorShape::V16,
+            block: 4,
+            seed: 1,
+            ub: 1,
+        };
+        let (report_error, explanation) = (h(), h());
+        let report = InapplicableReport {
+            info: info.clone(),
+            error: report_error.clone(),
+            explanation: explanation.clone(),
+        };
+        let doc = json::parse(&render_json(&ExplainReport::Inapplicable(report))).unwrap();
+        let got = doc.get("loop").unwrap();
+        assert_eq!(text(got, "source"), info.source, "case {case}");
+        let arrays = got.get("arrays").and_then(Json::as_arr).unwrap();
+        let arrays: Vec<&str> = arrays.iter().filter_map(Json::as_str).collect();
+        assert_eq!(arrays, info.array_names, "case {case}");
+        assert_eq!(text(&doc, "error"), report_error, "case {case}");
+        assert_eq!(text(&doc, "explanation"), explanation, "case {case}");
+
+        // Wire error envelopes.
+        let (trace_id, message) = (h(), h());
+        let doc = json::parse(&Reply::new(3, &trace_id).error(&message)).unwrap();
+        assert_eq!(text(&doc, "trace"), trace_id, "case {case}");
+        assert_eq!(text(&doc, "error"), message, "case {case}");
     }
 }

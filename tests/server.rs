@@ -147,6 +147,10 @@ fn wire_round_trips_golden() {
 fn malformed_requests_answer_errors_and_keep_the_connection() {
     let harness = Harness::start(ServerConfig::default());
     let mut client = harness.client();
+    let zero_trip = format!(
+        r#"{{"v":1,"id":1,"cmd":"run","source":"{}","ub":0}}"#,
+        inline(&sample("runtime"))
+    );
     for (request, expect) in [
         ("this is not json", "bad JSON"),
         (r#"{"v":1,"cmd":"ping"}"#, "missing request `id`"),
@@ -170,6 +174,8 @@ fn malformed_requests_answer_errors_and_keep_the_connection() {
             r#"{"v":1,"id":1,"cmd":"run","source":"x","params":[1.5]}"#,
             "`params` must be an array of integers",
         ),
+        // A zero-trip run of a runtime-trip loop has no data to measure.
+        (zero_trip.as_str(), "`ub` must be at least 1"),
     ] {
         let response = client.roundtrip(request);
         let doc = json::parse(&response).unwrap_or_else(|e| panic!("{response}: {e}"));
