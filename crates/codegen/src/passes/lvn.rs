@@ -63,7 +63,9 @@ fn walk(insts: &mut Vec<VInst>, table: &mut Table<'_>, rename: &mut [VReg]) {
             table.close(mark);
             return true;
         }
-        rewrite_uses(inst, rename);
+        // A guarded block was walked above, in its own scope: here only
+        // the instruction's own operands are renamed.
+        inst.visit_uses_mut(&mut |r| *r = rename[r.index()]);
         match table.number(inst) {
             Some(rep) => {
                 rename[inst.def().expect("merged instructions define").index()] = rep;
@@ -75,28 +77,6 @@ fn walk(insts: &mut Vec<VInst>, table: &mut Table<'_>, rename: &mut [VReg]) {
     // The program outlives the pass (kernel caches hold it): keep no
     // room for the dropped duplicates.
     insts.shrink_to_fit();
-}
-
-fn rewrite_uses(inst: &mut VInst, rename: &[VReg]) {
-    let resolve = |r: &mut VReg| *r = rename[r.index()];
-    match inst {
-        VInst::LoadA { .. }
-        | VInst::LoadU { .. }
-        | VInst::SplatConst { .. }
-        | VInst::SplatParam { .. }
-        | VInst::Guarded { .. } => {}
-        VInst::StoreA { src, .. } | VInst::StoreU { src, .. } | VInst::Copy { src, .. } => {
-            resolve(src)
-        }
-        VInst::ShiftPair { a, b, .. }
-        | VInst::Splice { a, b, .. }
-        | VInst::Perm { a, b, .. }
-        | VInst::Bin { a, b, .. } => {
-            resolve(a);
-            resolve(b);
-        }
-        VInst::Un { a, .. } => resolve(a),
-    }
 }
 
 /// A value key. Loads carry their array's store epoch, so a store

@@ -101,7 +101,7 @@ pub(crate) fn run(program: &mut SimdProgram) {
     // Rewrite uses in the body (defs of e1 trees become dead; DCE
     // removes them next).
     for inst in &mut program.body {
-        rewrite_uses(inst, &rename);
+        inst.visit_uses_mut(&mut |r| *r = rename.get(r).copied().unwrap_or(*r));
     }
 
     // Bottom-of-loop rotations. A copy source may itself be a carried
@@ -275,36 +275,6 @@ fn emit_shifted_tree(
         | VInst::StoreU { .. }
         | VInst::Guarded { .. } => {
             unreachable!("filtered by signature")
-        }
-    }
-}
-
-fn rewrite_uses(inst: &mut VInst, rename: &HashMap<VReg, VReg>) {
-    let res = |r: &mut VReg| {
-        if let Some(&n) = rename.get(r) {
-            *r = n;
-        }
-    };
-    match inst {
-        VInst::LoadA { .. }
-        | VInst::LoadU { .. }
-        | VInst::SplatConst { .. }
-        | VInst::SplatParam { .. } => {}
-        VInst::StoreA { src, .. } | VInst::StoreU { src, .. } => res(src),
-        VInst::ShiftPair { a, b, .. } | VInst::Splice { a, b, .. } | VInst::Perm { a, b, .. } => {
-            res(a);
-            res(b);
-        }
-        VInst::Bin { a, b, .. } => {
-            res(a);
-            res(b);
-        }
-        VInst::Un { a, .. } => res(a),
-        VInst::Copy { src, .. } => res(src),
-        VInst::Guarded { body, .. } => {
-            for i in body {
-                rewrite_uses(i, rename);
-            }
         }
     }
 }

@@ -61,21 +61,19 @@ pub(crate) fn run(program: &mut SimdProgram) {
     for inst in &core {
         let mut inst = inst.clone();
         // Rewrite uses first (pre-rename state).
-        remap_uses(&mut inst, |r| {
+        inst.visit_uses_mut(&mut |r| {
             if let Some(n) = rename[r.index()] {
-                n
+                *r = n;
             } else if !has_chain {
-                end_value[r.index()].unwrap_or(r)
-            } else {
-                r
+                *r = end_value[r.index()].unwrap_or(*r);
             }
         });
         shift_addrs(&mut inst, b);
-        if let Some(dst) = inst.def() {
+        if let Some(dst) = inst.def_mut() {
             let fresh = VReg(program.nvregs);
             program.nvregs += 1;
             rename[dst.index()] = Some(fresh);
-            set_def(&mut inst, fresh);
+            *dst = fresh;
         }
         half2.push(inst);
     }
@@ -96,31 +94,6 @@ pub(crate) fn run(program: &mut SimdProgram) {
     program.body_pair = Some(pair);
 }
 
-fn remap_uses(inst: &mut VInst, f: impl Fn(VReg) -> VReg + Copy) {
-    match inst {
-        VInst::LoadA { .. }
-        | VInst::LoadU { .. }
-        | VInst::SplatConst { .. }
-        | VInst::SplatParam { .. } => {}
-        VInst::StoreA { src, .. } | VInst::StoreU { src, .. } => *src = f(*src),
-        VInst::ShiftPair { a, b, .. } | VInst::Splice { a, b, .. } | VInst::Perm { a, b, .. } => {
-            *a = f(*a);
-            *b = f(*b);
-        }
-        VInst::Bin { a, b, .. } => {
-            *a = f(*a);
-            *b = f(*b);
-        }
-        VInst::Un { a, .. } => *a = f(*a),
-        VInst::Copy { src, .. } => *src = f(*src),
-        VInst::Guarded { body, .. } => {
-            for i in body {
-                remap_uses(i, f);
-            }
-        }
-    }
-}
-
 fn shift_addrs(inst: &mut VInst, delta: i64) {
     match inst {
         VInst::LoadA { addr, .. }
@@ -133,22 +106,6 @@ fn shift_addrs(inst: &mut VInst, delta: i64) {
             }
         }
         _ => {}
-    }
-}
-
-fn set_def(inst: &mut VInst, new: VReg) {
-    match inst {
-        VInst::LoadA { dst, .. }
-        | VInst::LoadU { dst, .. }
-        | VInst::ShiftPair { dst, .. }
-        | VInst::Perm { dst, .. }
-        | VInst::Splice { dst, .. }
-        | VInst::SplatConst { dst, .. }
-        | VInst::SplatParam { dst, .. }
-        | VInst::Bin { dst, .. }
-        | VInst::Un { dst, .. }
-        | VInst::Copy { dst, .. } => *dst = new,
-        VInst::StoreA { .. } | VInst::StoreU { .. } | VInst::Guarded { .. } => {}
     }
 }
 

@@ -255,6 +255,50 @@ impl VInst {
         }
     }
 
+    /// [`VInst::def`], for a pass that renames it.
+    pub(crate) fn def_mut(&mut self) -> Option<&mut VReg> {
+        match self {
+            VInst::LoadA { dst, .. }
+            | VInst::LoadU { dst, .. }
+            | VInst::ShiftPair { dst, .. }
+            | VInst::Perm { dst, .. }
+            | VInst::Splice { dst, .. }
+            | VInst::SplatConst { dst, .. }
+            | VInst::SplatParam { dst, .. }
+            | VInst::Bin { dst, .. }
+            | VInst::Un { dst, .. }
+            | VInst::Copy { dst, .. } => Some(dst),
+            VInst::StoreA { .. } | VInst::StoreU { .. } | VInst::Guarded { .. } => None,
+        }
+    }
+
+    /// [`VInst::visit_uses`], for a pass that rewrites what the
+    /// instruction reads (recursing into guarded blocks too).
+    pub(crate) fn visit_uses_mut(&mut self, f: &mut impl FnMut(&mut VReg)) {
+        match self {
+            VInst::LoadA { .. }
+            | VInst::LoadU { .. }
+            | VInst::SplatConst { .. }
+            | VInst::SplatParam { .. } => {}
+            VInst::StoreA { src, .. } | VInst::StoreU { src, .. } | VInst::Copy { src, .. } => {
+                f(src)
+            }
+            VInst::ShiftPair { a, b, .. }
+            | VInst::Splice { a, b, .. }
+            | VInst::Perm { a, b, .. }
+            | VInst::Bin { a, b, .. } => {
+                f(a);
+                f(b);
+            }
+            VInst::Un { a, .. } => f(a),
+            VInst::Guarded { body, .. } => {
+                for inst in body {
+                    inst.visit_uses_mut(f);
+                }
+            }
+        }
+    }
+
     /// Calls `f` on every register this instruction reads (recursing
     /// into guarded blocks).
     pub fn visit_uses(&self, f: &mut impl FnMut(VReg)) {

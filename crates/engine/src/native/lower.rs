@@ -5,14 +5,17 @@
 //! column of the register block each baked register lives in.
 //!
 //! It finishes, in place, the six sections bake emitted and fusion
-//! rewrote ([`Section::plan`]). Each section's operands ([`Op::regs`])
-//! are read once, by its scan, which takes the registers the section
-//! reads before it writes them from the engine's one live-in rule
-//! ([`live_in`]). Everything else lowering asks about one register of
-//! one section — how often and where first it is written, how often
-//! and where first and last it is read, the last op naming it — is one
-//! lookup in that section's use table ([`tabulate`]), built once per
-//! section and once more when [`rotate`] puts a loop in strip order.
+//! rewrote ([`Section::plan`]) in two walks over each. The analysis
+//! walk ([`scan`]) takes the registers a section reads before it writes
+//! them from the engine's one live-in rule ([`live_in`]) and reads each
+//! op's operands ([`Op::regs`]) once: the registers it names and
+//! writes, what a loop carries, its memory accesses and its use table
+//! ([`Uses`]). Once every section's schedule is decided ([`decide`]),
+//! the emission walk ([`lower`]) picks a superinstruction where one
+//! starts ([`pick`], looking ahead over the run) and renames its ops,
+//! or renames the lone op, onto the register block. Only [`rotate`],
+//! for a loop that carries a rotation, walks a section again: it puts
+//! the loop in strip order and tabulates that order's uses as it goes.
 //! The tables indexed by register are sized by the bake's dense
 //! register ids.
 
@@ -30,12 +33,13 @@ use SequentialReason::{CarriedRegister, MemoryDependence, OneIteration};
 struct Reg {
     /// Its offset in the register block while it holds one.
     slot: u32,
+    /// Bit `s`: section `s` names it. Named by a strip section, it
+    /// needs a whole column.
+    named: u8,
     /// Bit `s`: section `s` reads it before (or without) writing it.
     reads_first: u8,
     /// Bit `s`: section `s` writes it.
     defs: u8,
-    /// Named by a strip section, so it needs a whole column.
-    wide: bool,
     /// Live into the loop being assigned: kept until the loop ends.
     pinned: bool,
     /// Its rotation chain ([`Block::groups`], `NONE` if none) and its
@@ -45,8 +49,7 @@ struct Reg {
 }
 
 impl Reg {
-    const UNNAMED: Reg =
-        Reg { slot: NONE, reads_first: 0, defs: 0, wide: false, pinned: false, group: NONE, offset: 0 };
+    const UNNAMED: Reg = Reg { slot: NONE, named: 0, reads_first: 0, defs: 0, pinned: false, group: NONE, offset: 0 };
 
     /// Whether a section after `s` reads the value section `s` leaves.
     fn live_after(&self, s: usize) -> bool {
@@ -55,16 +58,17 @@ impl Reg {
     }
 }
 
-/// One section's analysis. The lists but `regs` stay empty outside loops.
+/// One section's analysis. The lists stay empty outside loops.
 struct Scan {
-    /// Each op's operands, [`Op::regs`].
-    regs: Vec<[u32; 3]>,
     /// Registers live into the loop: read before, or without, being written.
     live_in: Vec<u32>,
     /// Those of them it also writes: values carried between iterations.
     carried: Vec<u32>,
     /// Every store is [`independent`] of every access, itself included.
     independent: bool,
+    /// The use table of its ops (none without ops), in strip order once
+    /// [`rotate`]d.
+    uses: Vec<Uses>,
 }
 
 /// A memory access `(start, step)` of a loop section's `iters`
@@ -111,37 +115,42 @@ fn independent(x: &Access, y: &Access) -> bool {
         .all(|q| q == 0 || q.abs() >= STRIP as i64 || (q * step - d).abs() >= V)
 }
 
-/// Scans section `s`: records in `info` which registers it reads first
-/// ([`live_in`], `(seen, live)` its scratch) and which it writes and,
-/// for a loop, what it carries and whether its memory accesses allow
-/// strips.
-fn scan(ops: &[Op], iters: i64, s: usize, info: &mut [Reg], (seen, live): &mut (Vec<bool>, Vec<u32>)) -> Scan {
+/// Scans section `s` in one walk over its ops: records in `info` which
+/// registers it names, reads first ([`live_in`], `(seen, live)` its
+/// scratch) and writes and, for a loop, what it carries and whether its
+/// memory accesses allow strips, and tabulates its uses.
+fn scan(ops: &[Op], iters: i64, s: usize, info: &mut [Reg], (seen, live, accesses): &mut (Vec<bool>, Vec<u32>, Vec<Access>)) -> Scan {
     let (bit, looped) = (1u8 << s, iters > 1);
     live_in(ops, info.len(), seen, live);
     for &r in live.iter() {
         info[r as usize].reads_first |= bit;
     }
-    let regs: Vec<[u32; 3]> = ops.iter().map(Op::regs).collect();
-    let mut carried = Vec::new();
-    for &[dst, ..] in regs.iter().filter(|x| x[0] != NONE) {
-        let reg = &mut info[dst as usize];
-        // Read here before its first write: carried between iterations.
-        if looped && reg.reads_first & !reg.defs & bit != 0 {
-            carried.push(dst);
+    let (mut uses, mut carried) = (if ops.is_empty() { Vec::new() } else { vec![Uses::NONE; info.len()] }, Vec::new());
+    accesses.clear();
+    for (i, op) in ops.iter().enumerate() {
+        let regs = op.regs();
+        note(&mut uses, i, regs);
+        for r in regs.into_iter().filter(|&r| r != NONE) {
+            info[r as usize].named |= bit;
         }
-        reg.defs |= bit;
+        let dst = regs[0];
+        if dst != NONE {
+            let reg = &mut info[dst as usize];
+            // Read here before its first write: carried between iterations.
+            if looped && reg.reads_first & !reg.defs & bit != 0 {
+                carried.push(dst);
+            }
+            reg.defs |= bit;
+        }
+        match *op {
+            Op::Load { start, step, .. } | Op::LoadFused { start, step, .. } if looped => accesses.push(Access::new(start, step, iters, false)),
+            Op::Store { start, step, .. } if looped => accesses.push(Access::new(start, step, iters, true)),
+            _ => {}
+        }
     }
-    let independent = !looped || {
-        let mut accesses = Vec::with_capacity(ops.len());
-        accesses.extend(ops.iter().filter_map(|op| match *op {
-            Op::Load { start, step, .. } | Op::LoadFused { start, step, .. } => Some(Access::new(start, step, iters, false)),
-            Op::Store { start, step, .. } => Some(Access::new(start, step, iters, true)),
-            _ => None,
-        }));
-        accesses.iter().filter(|x| x.store).all(|store| accesses.iter().all(|other| independent(store, other)))
-    };
+    let independent = accesses.iter().filter(|x| x.store).all(|store| accesses.iter().all(|other| independent(store, other)));
     let live_in = if looped { live.clone() } else { Vec::new() };
-    Scan { regs, live_in, carried, independent }
+    Scan { live_in, carried, independent, uses }
 }
 
 /// What a strip section does with the registers it carries.
@@ -156,32 +165,33 @@ struct Carried {
 
 /// How a section's ops name one register: how often, and where first,
 /// they write it, how often they read it (a read per operand) and where
-/// first and last, and the last op that names it at all.
+/// first and last, and the last op that names it at all. Op indices fit
+/// in 32 bits, which halves the tables lowering fills.
 #[derive(Clone, Copy)]
 struct Uses {
-    defs: usize,
-    def: usize,
-    reads: usize,
-    read: usize,
-    last_read: usize,
-    last: usize,
+    defs: u32,
+    def: u32,
+    reads: u32,
+    read: u32,
+    last_read: u32,
+    last: u32,
 }
 
-/// The use table of a section's operands `regs`: its [`Uses`] of every
-/// register below `nregs`, into `table`. Built once per section, and
-/// once more when [`rotate`] puts a loop in strip order.
-fn tabulate(regs: &[[u32; 3]], nregs: usize, table: &mut Vec<Uses>) {
-    table.clear();
-    table.resize(nregs, Uses { defs: 0, def: usize::MAX, reads: 0, read: usize::MAX, last_read: 0, last: 0 });
-    for (i, &[dst, a, b]) in regs.iter().enumerate() {
-        for r in [a, b].into_iter().filter(|&r| r != NONE) {
-            let u = &mut table[r as usize];
-            (u.reads, u.read, u.last_read, u.last) = (u.reads + 1, u.read.min(i), i, i);
-        }
-        if dst != NONE {
-            let u = &mut table[dst as usize];
-            (u.defs, u.def, u.last) = (u.defs + 1, u.def.min(i), i);
-        }
+impl Uses {
+    const NONE: Uses = Uses { defs: 0, def: u32::MAX, reads: 0, read: u32::MAX, last_read: 0, last: 0 };
+}
+
+/// Enters op `i`'s operands `[dst, a, b]` ([`Op::regs`]) in the use
+/// table `uses`.
+fn note(uses: &mut [Uses], i: usize, [dst, a, b]: [u32; 3]) {
+    let i = i as u32;
+    for r in [a, b].into_iter().filter(|&r| r != NONE) {
+        let u = &mut uses[r as usize];
+        (u.reads, u.read, u.last_read, u.last) = (u.reads + 1, u.read.min(i), i, i);
+    }
+    if dst != NONE {
+        let u = &mut uses[dst as usize];
+        (u.defs, u.def, u.last) = (u.defs + 1, u.def.min(i), i);
     }
 }
 
@@ -195,7 +205,7 @@ fn reduction(ops: &[Op], uses: &[Uses], acc: u32, close: usize, s: usize, info: 
     // `from` only grows, so the walk ends.
     let (mut link, mut from, mut kind, mut reads) = (acc, 0, None, uses[acc as usize]);
     while link != end {
-        let next = reads.read;
+        let next = reads.read as usize;
         let (Op::Bin { dst, op, .. } | Op::BinSplat { dst, op, .. }) = ops.get(next)? else { return None };
         if reads.reads != 1 || next < from || !op.is_reassociable() || *kind.get_or_insert(*op) != *op {
             return None;
@@ -206,15 +216,15 @@ fn reduction(ops: &[Op], uses: &[Uses], acc: u32, close: usize, s: usize, info: 
         }
         (link, from) = (*dst, next + 1);
     }
-    (reads.reads == 1 && reads.read == close && close >= from).then_some(kind?)
+    (reads.reads == 1 && reads.read as usize == close && close >= from).then_some(kind?)
 }
 
 /// Where, in `order`, the first op reading a rotated register of
-/// `chain` is, and where its source is written.
-fn span(order: &[usize], regs: &[[u32; 3]], chain: &[u32]) -> (usize, usize) {
+/// `chain` is, and where its source is written; `op(i)` is op `i`.
+fn span<'a>(order: &[usize], op: impl Fn(usize) -> &'a Op, chain: &[u32]) -> (usize, usize) {
     let (rotated, n) = chain.split_at(chain.len() - 1);
-    let first = order.iter().position(|&i| regs[i][1..].iter().any(|r| rotated.contains(r)));
-    let def = order.iter().position(|&i| regs[i][0] == n[0]).expect("a chain's source is written");
+    let first = order.iter().position(|&i| op(i).regs()[1..].iter().any(|r| rotated.contains(r)));
+    let def = order.iter().position(|&i| op(i).regs()[0] == n[0]).expect("a chain's source is written");
     (first.unwrap_or(order.len()), def)
 }
 
@@ -222,10 +232,10 @@ fn span(order: &[usize], regs: &[[u32; 3]], chain: &[u32]) -> (usize, usize) {
 /// read, as one block; every other op keeps its relative order. A
 /// lifted op may not pass an op naming a register it writes, nor a
 /// lifted load a store to its array. `marks` comes and goes all zero.
-fn lift(order: &mut [usize], ops: &[Op], regs: &[[u32; 3]], chain: &[u32], marks: &mut [u8]) -> Result<(), SequentialReason> {
+fn lift<'a>(order: &mut [usize], op: impl Fn(usize) -> &'a Op, chain: &[u32], marks: &mut [u8]) -> Result<(), SequentialReason> {
     const NEEDED: u8 = 1;
     const WRITTEN: u8 = 2;
-    let (first, def) = span(order, regs, chain);
+    let (first, def) = span(order, &op, chain);
     if def < first {
         return Ok(());
     }
@@ -233,7 +243,8 @@ fn lift(order: &mut [usize], ops: &[Op], regs: &[[u32; 3]], chain: &[u32], marks
     marks[n[0] as usize] = NEEDED;
     let (mut lift, mut loaded, mut verdict) = (vec![false; def + 1 - first], Vec::new(), Ok(()));
     for p in (first..=def).rev() {
-        let [dst, a, b] = regs[order[p]];
+        let at = op(order[p]);
+        let [dst, a, b] = at.regs();
         let marked = |r: u32, mark: u8| r != NONE && marks[r as usize] & mark != 0;
         if marked(dst, NEEDED) {
             // The source depends on the rotation: a true recurrence.
@@ -245,20 +256,20 @@ fn lift(order: &mut [usize], ops: &[Op], regs: &[[u32; 3]], chain: &[u32], marks
             for r in [a, b].into_iter().filter(|&r| r != NONE) {
                 marks[r as usize] |= NEEDED;
             }
-            if let Some(Op::Load { arr, .. } | Op::LoadFused { arr, .. }) = ops.get(order[p]) {
+            if let Op::Load { arr, .. } | Op::LoadFused { arr, .. } = at {
                 loaded.push(*arr);
             }
             lift[p - first] = true;
         } else if [dst, a, b].into_iter().any(|r| marked(r, WRITTEN)) {
             verdict = Err(CarriedRegister);
             break;
-        } else if matches!(ops.get(order[p]), Some(Op::Store { arr, .. }) if loaded.contains(arr)) {
+        } else if matches!(at, Op::Store { arr, .. } if loaded.contains(arr)) {
             verdict = Err(MemoryDependence);
             break;
         }
     }
     // Every register marked is named in the window.
-    for r in order[first..=def].iter().flat_map(|&i| regs[i]).filter(|&r| r != NONE) {
+    for r in order[first..=def].iter().flat_map(|&i| op(i).regs()).filter(|&r| r != NONE) {
         marks[r as usize] = 0;
     }
     verdict?;
@@ -274,39 +285,28 @@ fn lift(order: &mut [usize], ops: &[Op], regs: &[[u32; 3]], chain: &[u32], marks
 /// [`independent`] of every access and every carried register is a
 /// rotation — only def a `Copy { r, n }` after every read of `r`, so
 /// `r`'s column is `n`'s shifted down a lane — or a [`reduction`]
-/// accumulator. On success the rotation copies are gone, each chain's
-/// source [`lift`]ed above its first read, and `ops` and `scan.regs`
-/// are in strip order; on failure both are as they were. A loop that
-/// carries registers fills `uses`, [`rotate`]'s use table.
-fn decide(ops: &mut Vec<Op>, iters: i64, s: usize, scan: &mut Scan, info: &mut Vec<Reg>, uses: &mut Vec<Uses>) -> Result<Carried, SequentialReason> {
+/// accumulator, which [`rotate`] checks.
+fn decide(ops: &mut Vec<Op>, iters: i64, s: usize, scan: &mut Scan, info: &mut Vec<Reg>) -> Result<Carried, SequentialReason> {
     if iters < 2 {
         return Err(OneIteration);
     }
     if !scan.independent {
         return Err(MemoryDependence);
     }
-    if scan.carried.is_empty() {
-        return Ok(Carried::default());
-    }
-    tabulate(&scan.regs, info.len(), uses);
-    let n = ops.len();
-    let decided = rotate(ops, s, scan, info, uses);
-    if decided.is_err() {
-        scan.regs.truncate(n); // the twins [`rotate`] appended
-    }
-    decided
+    rotate(ops, s, scan, info)
 }
 
-/// [`decide`] for a loop section that carries registers, with the use
-/// table of its ops in program order.
-fn rotate(ops: &mut Vec<Op>, s: usize, scan: &mut Scan, info: &mut Vec<Reg>, uses: &[Uses]) -> Result<Carried, SequentialReason> {
-    let mut carried = Carried::default();
-    let regs = &mut scan.regs;
+/// [`decide`]'s check of the registers a loop section carries. On
+/// success the rotation copies are gone, each chain's source [`lift`]ed
+/// above its first read, and `ops` and `scan.uses` are in strip order;
+/// on failure both are as they were.
+fn rotate(ops: &mut Vec<Op>, s: usize, scan: &mut Scan, info: &mut Vec<Reg>) -> Result<Carried, SequentialReason> {
+    let (mut carried, uses) = (Carried::default(), &scan.uses);
     let mut rotations = Vec::with_capacity(scan.carried.len());
     for &r in &scan.carried {
         let u = uses[r as usize];
-        let (1, Op::Copy { src, .. }) = (u.defs, &ops[u.def]) else { return Err(CarriedRegister) };
-        let (src, at, before) = (*src, u.def, u.last_read < u.def);
+        let (1, Op::Copy { src, .. }) = (u.defs, &ops[u.def as usize]) else { return Err(CarriedRegister) };
+        let (src, at, before) = (*src, u.def as usize, u.last_read < u.def);
         match reduction(ops, uses, r, at, s, info) {
             Some(op) => carried.partials.push((r, op)),
             None if before && src != r => rotations.push((r, src, at)),
@@ -317,8 +317,9 @@ fn rotate(ops: &mut Vec<Op>, s: usize, scan: &mut Scan, info: &mut Vec<Reg>, use
         return Ok(carried);
     }
     // The strip's op order, as indices: `ops`, then any twin copies.
-    let mut order = Vec::with_capacity(ops.len() + rotations.len());
-    order.extend((0..ops.len()).filter(|&i| !rotations.iter().any(|&(.., at)| at == i)));
+    let (baked, mut twins) = (&ops[..], Vec::new());
+    let mut order = Vec::with_capacity(baked.len() + rotations.len());
+    order.extend((0..baked.len()).filter(|&i| !rotations.iter().any(|&(.., at)| at == i)));
     for i in 0..rotations.len() {
         let (_, n, at) = rotations[i];
         if rotations.iter().any(|&(x, ..)| x == n) {
@@ -327,17 +328,17 @@ fn rotate(ops: &mut Vec<Op>, s: usize, scan: &mut Scan, info: &mut Vec<Reg>, use
         // A chain's source: written once, before the rotation copy
         // that reads it, and carrying nothing itself.
         let Uses { defs, def, .. } = uses[n as usize];
-        if defs != 1 || def > at || scan.carried.contains(&n) {
+        if defs != 1 || def as usize > at || scan.carried.contains(&n) {
             return Err(CarriedRegister);
         }
         // One seed lane fits in front of a column: a second rotation
         // of the same source rotates a lane-aligned copy of it.
         if rotations[..i].iter().any(|&(_, m, _)| m == n) {
             let twin = info.len() as u32;
-            info.push(Reg::UNNAMED);
-            let after = order.iter().position(|&k| k == def).expect("the source is kept") + 1;
-            order.insert(after, regs.len());
-            regs.push([twin, n, NONE]);
+            info.push(Reg { named: 1 << s, ..Reg::UNNAMED });
+            let after = order.iter().position(|&k| k == def as usize).expect("the source is kept") + 1;
+            order.insert(after, baked.len() + twins.len());
+            twins.push(Op::Copy { dst: twin, src: n });
             rotations[i].1 = twin;
         }
     }
@@ -359,17 +360,22 @@ fn rotate(ops: &mut Vec<Op>, s: usize, scan: &mut Scan, info: &mut Vec<Reg>, use
     if carried.chains.iter().map(|c| c.len() - 1).sum::<usize>() != rotations.len() {
         return Err(CarriedRegister);
     }
+    let op = |i: usize| baked.get(i).unwrap_or_else(|| &twins[i - baked.len()]);
     let mut marks = vec![0; info.len()];
     for chain in &carried.chains {
-        lift(&mut order, ops, regs, chain, &mut marks)?;
+        lift(&mut order, op, chain, &mut marks)?;
     }
     // A later lift must not have lifted a read above an earlier source.
-    if carried.chains.len() > 1 && carried.chains.iter().map(|c| span(&order, regs, c)).any(|(first, def)| first < def) {
+    if carried.chains.len() > 1 && carried.chains.iter().map(|c| span(&order, op, c)).any(|(first, def)| first < def) {
         return Err(CarriedRegister);
     }
-    let op = |i: usize| ops.get(i).cloned().unwrap_or(Op::Copy { dst: regs[i][0], src: regs[i][1] });
-    *ops = order.iter().map(|&i| op(i)).collect();
-    *regs = order.into_iter().map(|i| regs[i]).collect();
+    let mut uses = vec![Uses::NONE; info.len()];
+    let strip = order.iter().enumerate().map(|(i, &k)| {
+        note(&mut uses, i, op(k).regs());
+        op(k).clone()
+    });
+    *ops = strip.collect::<Vec<_>>();
+    scan.uses = uses;
     Ok(carried)
 }
 
@@ -942,15 +948,14 @@ fn whole_vectors(shared: &mut Option<i64>, step: i64) -> bool {
 /// and its source, an accumulator — leave through their lanes instead.
 /// That a value is read once (a stream or a mixed tree's leaf may be
 /// read again) is the parse's to enforce.
-#[allow(clippy::too_many_arguments)]
-fn legal(ops: &[Op], regs: &[[u32; 3]], uses: &[Uses], run: Range<usize>, s: usize, scan: &Scan, info: &[Reg], stored: u32, keep: [u32; 3]) -> bool {
-    if ops[run.clone()].iter().any(|op| matches!(*op, Op::Load { arr, .. } | Op::LoadFused { arr, .. } if arr == stored)) {
-        return false;
-    }
-    regs[run.clone()].iter().flatten().filter(|&&r| r != NONE).all(|&r| {
-        let u = &uses[r as usize];
-        let escapes = scan.carried.contains(&r) || info[r as usize].live_after(s);
-        (u.reads == 0 || run.contains(&u.read) && run.contains(&u.last_read)) && (keep.contains(&r) || !escapes)
+fn legal(ops: &[Op], run: Range<usize>, s: usize, scan: &Scan, info: &[Reg], stored: u32, keep: [u32; 3]) -> bool {
+    ops[run.clone()].iter().all(|op| {
+        let read = |r: u32| {
+            let u = &scan.uses[r as usize];
+            let escapes = scan.carried.contains(&r) || info[r as usize].live_after(s);
+            (u.reads == 0 || run.contains(&(u.read as usize)) && run.contains(&(u.last_read as usize))) && (keep.contains(&r) || !escapes)
+        };
+        !matches!(*op, Op::Load { arr, .. } | Op::LoadFused { arr, .. } if arr == stored) && op.regs().into_iter().filter(|&r| r != NONE).all(read)
     })
 }
 
@@ -971,9 +976,12 @@ fn rotation_source(p: &Parse, carried: &Carried, folds: usize) -> Option<u32> {
 /// The superinstruction that starts at op `i` of strip section `s` (in
 /// strip order), if one does: the longest run of ops from `i` that
 /// reads as folds each into the same kind of sink ([`Parse`]), builds,
-/// and is [`legal`].
-#[allow(clippy::too_many_arguments)]
-fn pick(ops: &[Op], regs: &[[u32; 3]], uses: &[Uses], i: usize, s: usize, scan: &Scan, carried: &Carried, info: &[Reg], p: &mut Parse) -> Option<Super> {
+/// and is [`legal`]. One generic entry over a table of four families:
+/// folds of loaded streams by one operator into each of three sinks (a
+/// store, a rotation shift and store, a reduction partial), and mixed
+/// trees into a store or a partial. Any rule a run fails leaves its ops
+/// to the generic arms.
+fn pick(ops: &[Op], i: usize, s: usize, scan: &Scan, carried: &Carried, info: &[Reg], p: &mut Parse) -> Option<Super> {
     require!(matches!(ops[i], Op::Load { .. } | Op::LoadFused { .. }));
     p.clear();
     for (j, op) in ops.iter().enumerate().skip(i) {
@@ -987,30 +995,9 @@ fn pick(ops: &[Op], regs: &[[u32; 3]], uses: &[Uses], i: usize, s: usize, scan: 
     }
     p.whole.iter().rev().find_map(|&whole| {
         let source = rotation_source(p, carried, whole[1])?;
-        require!(legal(ops, regs, uses, i..whole[0], s, scan, info, p.stored, [p.rotated, source, p.acc]));
+        require!(legal(ops, i..whole[0], s, scan, info, p.stored, [p.rotated, source, p.acc]));
         p.build(i..whole[0], whole)
     })
-}
-
-/// Superinstruction selection for strip section `s`, its ops in strip
-/// order and `uses` their use table — one generic entry over a table of
-/// four families: folds of loaded streams by one operator into each of
-/// three sinks (a store, a rotation shift and store, a reduction
-/// partial), and mixed trees into a store or a partial. Any rule a run
-/// fails leaves its ops to the generic arms.
-#[allow(clippy::too_many_arguments)]
-fn select(ops: &[Op], regs: &[[u32; 3]], uses: &[Uses], s: usize, scan: &Scan, carried: &Carried, info: &[Reg], parse: &mut Parse) -> Vec<Super> {
-    let (mut supers, mut i) = (Vec::new(), 0);
-    while i < ops.len() {
-        match pick(ops, regs, uses, i, s, scan, carried, info, parse) {
-            Some(f) => {
-                i = f.ops.end;
-                supers.push(f);
-            }
-            None => i += 1,
-        }
-    }
-    supers
 }
 
 /// A rotation chain's `STRIP + d` lanes, claimed by the first of its
@@ -1032,6 +1019,8 @@ struct Block {
     free_lanes: Vec<u32>,
     free: Vec<(u32, u32)>,
     groups: Vec<Group>,
+    /// Bit `s`: section `s` runs in strips.
+    strips: u8,
 }
 
 impl Block {
@@ -1060,7 +1049,7 @@ impl Block {
 
     fn claim(&mut self, reg: &mut Reg) {
         let Some(&Group { held, lanes, .. }) = self.groups.get(reg.group as usize) else {
-            reg.slot = self.span(if reg.wide { STRIP as u32 } else { 1 });
+            reg.slot = self.span(if reg.named & self.strips != 0 { STRIP as u32 } else { 1 });
             return;
         };
         if held == 0 {
@@ -1080,7 +1069,7 @@ impl Block {
                     self.free(lanes, base);
                 }
             }
-            None => self.free(if reg.wide { STRIP as u32 } else { 1 }, reg.slot),
+            None => self.free(if reg.named & self.strips != 0 { STRIP as u32 } else { 1 }, reg.slot),
         }
         reg.slot = NONE;
     }
@@ -1120,32 +1109,31 @@ impl Section {
 /// register block.
 ///
 /// A section that never runs — a loop that does not, and its header —
-/// drops out. Registers are renamed onto the block by one linear scan
-/// per section: a register takes a slot at the first op that names it
-/// and hands it on after the last one, unless a later section reads the
-/// value or — for a register live into a loop — the loop has not ended.
-/// The block is therefore sized by the values live at once, not by the
-/// number of baked registers (`nregs`).
+/// drops out. Every section is [`scan`]ned, then every loop's schedule
+/// [`decide`]d (legality needs every section's liveness), and then one
+/// walk per section emits it: a strip section's superinstructions are
+/// [`pick`]ed where they start, and registers are renamed onto the
+/// block as the walk reaches them. A register takes a slot at the first
+/// op that names it and hands it on after the last one, unless a later
+/// section reads the value or — for a register live into a loop — the
+/// loop has not ended. The block is therefore sized by the values live
+/// at once, not by the number of baked registers (`nregs`).
 pub(crate) fn lower(sections: [Section; 6], nregs: usize, elem: ScalarType) -> (Program, Schedule) {
     let mut sections: Vec<Section> = sections.into_iter().filter(|s| s.iters > 0).collect();
     let mut info = vec![Reg::UNNAMED; nregs];
-    let mut scratch = (Vec::new(), Vec::new());
+    let mut scratch = (Vec::new(), Vec::new(), Vec::new());
     let mut scans: Vec<Scan> = sections.iter().enumerate().map(|(s, x)| scan(&x.ops, x.iters, s, &mut info, &mut scratch)).collect();
-    // Legality needs every section's liveness, so it comes second.
-    let mut uses = Vec::new();
     let decisions: Vec<_> = sections
         .iter_mut()
         .zip(&mut scans)
         .enumerate()
-        .map(|(s, (x, scan))| decide(&mut x.ops, x.iters, s, scan, &mut info, &mut uses))
+        .map(|(s, (x, scan))| decide(&mut x.ops, x.iters, s, scan, &mut info))
         .collect();
 
     let mut block = Block::default();
-    for (scan, carried) in scans.iter().zip(&decisions) {
+    for (s, carried) in decisions.iter().enumerate() {
         let Ok(carried) = carried else { continue };
-        for r in scan.regs.iter().flatten().copied().filter(|&r| r != NONE) {
-            info[r as usize].wide = true;
-        }
+        block.strips |= 1 << s;
         for chain in &carried.chains {
             for (offset, &r) in chain.iter().enumerate() {
                 (info[r as usize].group, info[r as usize].offset) = (block.groups.len() as u32, offset as u32);
@@ -1169,16 +1157,10 @@ pub(crate) fn lower(sections: [Section; 6], nregs: usize, elem: ScalarType) -> (
         }
         let strips = section.schedule == SectionSchedule::Strip;
         let carried = decision.unwrap_or_default();
-        tabulate(&scan.regs, info.len(), &mut uses);
-        if strips {
-            let parse = parse.get_or_insert_with(|| Parse::new(info.len()));
-            section.supers = select(&section.ops, &scan.regs, &uses, s, scan, &carried, &info, parse);
-        }
-        let Carried { chains, partials } = carried;
-        let (invariant, written) = (&mut section.invariant, &mut section.written);
+        let (ops, invariant, written) = (&mut section.ops, &mut section.invariant, &mut section.written);
         if strips {
             invariant.reserve(scan.live_in.len());
-            written.reserve(section.ops.len());
+            written.reserve(ops.len());
         }
         for &r in &scan.live_in {
             let reg = &mut info[r as usize];
@@ -1190,34 +1172,48 @@ pub(crate) fn lower(sections: [Section; 6], nregs: usize, elem: ScalarType) -> (
                 invariant.push(reg.slot);
             }
         }
-        for (i, (op, regs)) in section.ops.iter_mut().zip(&scan.regs).enumerate() {
-            for &r in regs.iter().filter(|&&r| r != NONE) {
-                if info[r as usize].slot == NONE {
-                    block.claim(&mut info[r as usize]);
+        // Emission: a superinstruction where one starts, else the lone op.
+        let mut i = 0;
+        while i < ops.len() {
+            let mut end = i + 1;
+            if strips {
+                let parse = parse.get_or_insert_with(|| Parse::new(info.len()));
+                if let Some(mut f) = pick(ops, i, s, scan, &carried, &info, parse) {
+                    // A rotated register or an accumulator: live in, so
+                    // it has its slot already.
+                    if f.column != NONE {
+                        f.column = info[f.column as usize].slot;
+                    }
+                    end = f.ops.end;
+                    section.supers.push(f);
                 }
             }
-            op.rename(|r| info[r as usize].slot);
-            let d = regs[0];
-            if strips && d != NONE && !partials.iter().any(|&(acc, _)| acc == d) {
-                written.push(info[d as usize].slot);
-            }
-            for &r in regs.iter().filter(|&&r| r != NONE) {
-                let reg = &mut info[r as usize];
-                // An op may name a register twice: release it once.
-                let done = uses[r as usize].last == i && reg.slot != NONE;
-                if done && !reg.pinned && !reg.live_after(s) {
-                    block.release(reg);
+            for (k, op) in (i..end).zip(&mut ops[i..end]) {
+                let regs = op.regs();
+                for &r in regs.iter().filter(|&&r| r != NONE) {
+                    if info[r as usize].slot == NONE {
+                        block.claim(&mut info[r as usize]);
+                    }
+                }
+                op.rename(|r| info[r as usize].slot);
+                let d = regs[0];
+                if strips && d != NONE && !carried.partials.iter().any(|&(acc, _)| acc == d) {
+                    written.push(info[d as usize].slot);
+                }
+                for &r in regs.iter().filter(|&&r| r != NONE) {
+                    let reg = &mut info[r as usize];
+                    // An op may name a register twice: release it once.
+                    let done = scan.uses[r as usize].last as usize == k && reg.slot != NONE;
+                    if done && !reg.pinned && !reg.live_after(s) {
+                        block.release(reg);
+                    }
                 }
             }
+            i = end;
         }
-        for f in &mut section.supers {
-            if f.column != NONE {
-                f.column = info[f.column as usize].slot;
-            }
-        }
-        section.seeds = chains.iter().map(|chain| (info[chain[0] as usize].slot, chain.len() as u32 - 1)).collect();
+        section.seeds = carried.chains.iter().map(|chain| (info[chain[0] as usize].slot, chain.len() as u32 - 1)).collect();
         let identity = |op| splat_bytes(elem, reduction_identity(op, elem));
-        section.partials = partials.into_iter().map(|(r, op)| (info[r as usize].slot, op, identity(op))).collect();
+        section.partials = carried.partials.into_iter().map(|(r, op)| (info[r as usize].slot, op, identity(op))).collect();
         for &r in &scan.live_in {
             let reg = &mut info[r as usize];
             reg.pinned = false;
@@ -1235,44 +1231,74 @@ pub(crate) fn lower(sections: [Section; 6], nregs: usize, elem: ScalarType) -> (
 mod tests {
     use super::*;
 
-    fn decision(ops: &[Op], iters: i64) -> (Result<Carried, SequentialReason>, Vec<Op>) {
-        decision_after(ops, iters, &[])
+    /// The body section [`lower`] makes of `ops`, a loop of `iters`
+    /// iterations over the baked registers `0..16`, followed by `after`
+    /// as the epilogue (what a later section reads decides liveness).
+    fn lowered(ops: &[Op], iters: i64, after: &[Op]) -> Section {
+        let mut plan = Section::plan(0, iters);
+        (plan[4].ops, plan[5].ops) = (ops.to_vec(), after.to_vec());
+        let (program, schedule) = lower(plan, 16, ScalarType::I32);
+        let body = program.sections.into_iter().find(|x| x.role == "body").expect("the body runs");
+        assert_eq!(schedule.body, body.schedule);
+        body
     }
 
-    /// [`decide`] on one loop section, followed by `after` (what a
-    /// later section reads decides liveness).
-    fn decision_after(ops: &[Op], iters: i64, after: &[Op]) -> (Result<Carried, SequentialReason>, Vec<Op>) {
-        let (decision, ops, ..) = decided(ops, iters, after);
-        (decision, ops)
-    }
-
-    /// [`decision_after`], with the section's scan and register table
-    /// after it.
-    fn decided(ops: &[Op], iters: i64, after: &[Op]) -> (Result<Carried, SequentialReason>, Vec<Op>, Scan, Vec<Reg>) {
-        let (mut info, mut scratch) = (vec![Reg::UNNAMED; 16], (Vec::new(), Vec::new()));
-        let mut looped = scan(ops, iters, 0, &mut info, &mut scratch);
-        scan(after, 1, 1, &mut info, &mut scratch);
-        let mut ops = ops.to_vec();
-        let decision = decide(&mut ops, iters, 0, &mut looped, &mut info, &mut Vec::new());
-        (decision, ops, looped, info)
-    }
-
-    /// [`select`] on one loop section of 1000 iterations, in the order
-    /// [`decide`] leaves it, followed by `after`.
-    fn select_after(ops: &[Op], after: &[Op]) -> Vec<Super> {
-        let (carried, ops, looped, info) = decided(ops, 1000, after);
-        let mut uses = Vec::new();
-        tabulate(&looped.regs, info.len(), &mut uses);
-        let carried = carried.expect("the section strips");
-        select(&ops, &looped.regs, &uses, 0, &looped, &carried, &info, &mut Parse::new(info.len()))
-    }
-
-    fn strips(ops: &[Op], iters: i64) -> bool {
-        decision(ops, iters).0.is_ok()
+    fn why_after(ops: &[Op], iters: i64, after: &[Op]) -> Option<SequentialReason> {
+        match lowered(ops, iters, after).schedule {
+            SectionSchedule::Sequential(why) => Some(why),
+            SectionSchedule::Strip => None,
+        }
     }
 
     fn why(ops: &[Op], iters: i64) -> Option<SequentialReason> {
-        decision(ops, iters).0.err()
+        why_after(ops, iters, &[])
+    }
+
+    fn strips(ops: &[Op], iters: i64) -> bool {
+        why(ops, iters).is_none()
+    }
+
+    /// Checks that `lowered` is `baked`, op for op, under one renaming of
+    /// the baked registers onto slots, and returns each register's slot.
+    fn renaming(baked: &[Op], lowered: &[Op]) -> Vec<u32> {
+        assert_eq!(baked.len(), lowered.len(), "{lowered:?}");
+        let mut slots = vec![NONE; 32];
+        for (b, l) in baked.iter().zip(lowered) {
+            for (r, slot) in b.regs().into_iter().zip(l.regs()).filter(|&(r, _)| r != NONE) {
+                assert!(slots[r as usize] == NONE || slots[r as usize] == slot, "r{r} in two slots: {lowered:?}");
+                slots[r as usize] = slot;
+            }
+            let mut b = b.clone();
+            b.rename(|r| slots[r as usize]);
+            assert_eq!(b, *l);
+        }
+        slots
+    }
+
+    /// The one baked register `slots` puts in `slot`.
+    fn held(slots: &[u32], slot: u32) -> u32 {
+        let regs: Vec<u32> = (0..slots.len() as u32).filter(|&r| slots[r as usize] == slot).collect();
+        let [r] = regs[..] else { panic!("slot {slot} holds {regs:?}") };
+        r
+    }
+
+    /// `body`'s rotation chains, by baked register: a chain of depth `d`
+    /// is `d` seed lanes in front of its source's column.
+    fn chains(body: &Section, slots: &[u32]) -> Vec<Vec<u32>> {
+        body.seeds.iter().map(|&(at, d)| (at..=at + d).map(|slot| held(slots, slot)).collect()).collect()
+    }
+
+    /// `body`'s reduction accumulators, by baked register.
+    fn partials(body: &Section, slots: &[u32]) -> Vec<(u32, BinOp)> {
+        body.partials.iter().map(|&(slot, op, _)| (held(slots, slot), op)).collect()
+    }
+
+    /// The superinstructions [`lower`] picks in one loop section of 1000
+    /// iterations, in strip order, followed by `after`.
+    fn select_after(ops: &[Op], after: &[Op]) -> Vec<Super> {
+        let body = lowered(ops, 1000, after);
+        assert_eq!(body.schedule, SectionSchedule::Strip, "the section strips");
+        body.supers
     }
 
     const FAR: i64 = 1 << 20;
@@ -1328,9 +1354,10 @@ mod tests {
             store(2, FAR, 16),
             Op::Copy { dst: 1, src: 0 },
         ];
-        let (carried, ops) = decision(&pipelined, 1000);
-        assert_eq!(carried.unwrap().chains, [vec![1, 0]]);
-        assert_eq!(ops, pipelined[..3], "the rotation copy goes");
+        let body = lowered(&pipelined, 1000, &[]);
+        // The rotation copy goes.
+        let slots = renaming(&pipelined[..3], &body.ops);
+        assert_eq!(chains(&body, &slots), [vec![1, 0]]);
     }
 
     #[test]
@@ -1347,10 +1374,11 @@ mod tests {
             store(5, FAR + 16, 32),
             Op::Copy { dst: 1, src: 4 },
         ];
-        let (carried, ops) = decision(&pair, 1000);
-        assert_eq!(carried.unwrap().chains, [vec![1, 4]]);
+        let body = lowered(&pair, 1000, &[]);
+        // The source's slice moves above the read, all else in order.
         let order = [0, 3, 4, 1, 2, 5, 6].map(|i| pair[i].clone());
-        assert_eq!(ops, order, "the source's slice moves above the read, all else in order");
+        let slots = renaming(&order, &body.ops);
+        assert_eq!(chains(&body, &slots), [vec![1, 4]]);
     }
 
     #[test]
@@ -1380,9 +1408,10 @@ mod tests {
             Op::Bin { dst: 3, op: BinOp::Add, a: 1, b: 2 },
             Op::Copy { dst: 7, src: 3 },
         ];
-        let (carried, ops) = decision(&dot, 1000);
-        assert_eq!(carried.unwrap().partials, [(7, BinOp::Add)]);
-        assert_eq!(ops, dot, "the reduction's ops stay as they are");
+        let body = lowered(&dot, 1000, &[]);
+        // The reduction's ops stay as they are.
+        let slots = renaming(&dot, &body.ops);
+        assert_eq!(partials(&body, &slots), [(7, BinOp::Add)]);
     }
 
     #[test]
@@ -1422,7 +1451,7 @@ mod tests {
         // The epilogue reads the intermediate: it must hold the last
         // iteration's value, which no lane has.
         let epilogue = [store(1, FAR, 0)];
-        assert_eq!(decision_after(&chained, 1000, &epilogue).0.err(), Some(CarriedRegister));
+        assert_eq!(why_after(&chained, 1000, &epilogue), Some(CarriedRegister));
     }
 
     #[test]
@@ -1438,9 +1467,8 @@ mod tests {
         assert_eq!(why(&both, 1000), Some(CarriedRegister));
     }
 
-    /// [`select`] on one loop section, in the order [`decide`] leaves it,
-    /// followed by `after`: each superinstruction's ops and the kind of
-    /// its first sink.
+    /// [`select_after`]: each superinstruction's ops and the kind of its
+    /// first sink.
     fn selected_after(ops: &[Op], after: &[Op]) -> Vec<(Range<usize>, Sink)> {
         select_after(ops, after).into_iter().map(|f| (f.ops.clone(), f.folds()[0].sink)).collect()
     }
@@ -1626,9 +1654,9 @@ mod tests {
             Op::Copy { dst: 2, src: 1 },
             Op::Copy { dst: 1, src: 0 },
         ];
-        let (carried, ops) = decision(&chain, 1000);
-        assert_eq!(carried.unwrap().chains, [vec![2, 1, 0]]);
-        assert_eq!(ops, chain[..4]);
+        let body = lowered(&chain, 1000, &[]);
+        let slots = renaming(&chain[..4], &body.ops);
+        assert_eq!(chains(&body, &slots), [vec![2, 1, 0]]);
         // Copied the other way round, r2 is r1's plain copy of n.
         let mut flat = chain.clone();
         flat.swap(4, 5);
@@ -1642,8 +1670,27 @@ mod tests {
             Op::Copy { dst: 2, src: 0 },
             Op::Copy { dst: 1, src: 0 },
         ];
-        let (carried, ops) = decision(&twice, 1000);
-        assert_eq!(carried.unwrap().chains, [vec![2, 0], vec![1, 16]]);
-        assert_eq!(ops[..2], [twice[0].clone(), Op::Copy { dst: 16, src: 0 }]);
+        let body = lowered(&twice, 1000, &[]);
+        let order = [twice[0].clone(), Op::Copy { dst: 16, src: 0 }, twice[1].clone(), twice[2].clone()];
+        let slots = renaming(&order, &body.ops);
+        assert_eq!(chains(&body, &slots), [vec![2, 0], vec![1, 16]]);
+    }
+
+    #[test]
+    fn a_rotation_that_fails_after_making_a_twin_keeps_its_ops() {
+        // Two rotations of r0, the second of a twin copy, whose load
+        // would have to pass a store to its array to come above the
+        // rotated registers' read.
+        let baked = [
+            bin(3, BinOp::Add, 2, 1),
+            Op::Store { src: 3, arr: 0, start: FAR, step: 16 },
+            load(0, 1024, 16),
+            Op::Copy { dst: 2, src: 0 },
+            Op::Copy { dst: 1, src: 0 },
+        ];
+        let body = lowered(&baked, 1000, &[]);
+        assert_eq!(body.schedule, SectionSchedule::Sequential(MemoryDependence));
+        renaming(&baked, &body.ops);
+        assert!(body.seeds.is_empty() && body.supers.is_empty() && body.written.is_empty());
     }
 }

@@ -188,6 +188,17 @@ fn get_u64(obj: &Json, key: &str, id: Option<u64>) -> Result<Option<u64>, WireEr
         .transpose()
 }
 
+/// The string member `key`, if present; any other value is a
+/// malformed request naming the member.
+fn get_str<'a>(obj: &'a Json, key: &str, id: u64) -> Result<Option<&'a str>, WireError> {
+    obj.get(key)
+        .map(|v| {
+            v.as_str()
+                .ok_or_else(|| WireError::new(Some(id), format!("`{key}` must be a string")))
+        })
+        .transpose()
+}
+
 /// Parses one request line.
 ///
 /// # Errors
@@ -250,9 +261,7 @@ fn take_str(obj: &mut Json, key: &str) -> Option<String> {
 fn parse_exec(doc: &mut Json, id: u64) -> Result<ExecRequest, WireError> {
     let source = take_str(doc, "source")
         .ok_or_else(|| WireError::new(Some(id), "missing `source` (inline loop text)"))?;
-    let policy = doc
-        .get("policy")
-        .and_then(Json::as_str)
+    let policy = get_str(doc, "policy", id)?
         .map(|name| {
             Policy::from_name(name).ok_or_else(|| {
                 WireError::new(
@@ -276,7 +285,7 @@ fn parse_exec(doc: &mut Json, id: u64) -> Result<ExecRequest, WireError> {
     }
     // `engine` no longer selects anything, but a value outside the
     // protocol's vocabulary is still a malformed request.
-    if let Some(other) = doc.get("engine").and_then(Json::as_str) {
+    if let Some(other) = get_str(doc, "engine", id)? {
         if !matches!(other, "native" | "simd") {
             return Err(WireError::new(
                 Some(id),
@@ -431,6 +440,23 @@ mod tests {
         let e = parse_request(r#"{"v":1,"id":7,"cmd":"run","source":"s","engine":"jit"}"#)
             .unwrap_err();
         assert!(e.message.contains("unknown engine"));
+    }
+
+    #[test]
+    fn a_policy_or_engine_that_is_not_a_string_is_refused() {
+        // Present with a value of another type: refused, not read as
+        // absent (which would run under the default policy).
+        for (member, value) in [
+            ("policy", "5"),
+            ("engine", "7"),
+            ("policy", "null"),
+            ("engine", r#"["simd"]"#),
+        ] {
+            let line = format!(r#"{{"v":1,"id":7,"cmd":"run","source":"s","{member}":{value}}}"#);
+            let e = parse_request(&line).unwrap_err();
+            let want = format!("`{member}` must be a string");
+            assert_eq!((e.id, e.message), (Some(7), want), "{line}");
+        }
     }
 
     #[test]

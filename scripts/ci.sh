@@ -7,10 +7,10 @@
 # (`benchmark/`, outside the workspace and frozen between benchmark
 # PRs), so an API break against it fails in the first minutes. The root
 # `cargo build`/`cargo test` pair is the tier-1 gate (the root package
-# and, as default members, the engine and server crates); the other crates' own
-# tests follow in debug, and the rest of the
-# script widens it to the full workspace in release (cli is not in the
-# root package's dependency graph, bench only as the dev-dependency of
+# and, as default members, the cli, engine, reorg and server crates);
+# the other crates' own tests follow in debug, and the rest of the
+# script widens it to the full workspace in release (bench is in the
+# root package's dependency graph only as the dev-dependency of
 # tests/paper.rs, and the engine's speed floors only exist in release),
 # lints with clippy at -D warnings,
 # builds rustdoc with warnings denied (every crate warns on
@@ -53,14 +53,15 @@ echo "== build (release, BENCHMARK.json package) =="
 # engine's public API by name and may not be edited to follow a rename.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
-echo "== test (tier-1: root package, engine and server crates) =="
+echo "== test (tier-1: root package, cli, engine, reorg and server crates) =="
 cargo test -q --offline
 
 echo "== test (reorg, codegen, verify, explain, vm and telemetry crates, debug) =="
-# Tier-1 tests the root package, the engine crate (its tier check,
-# trace fusion, lowering and the strip driver, with the dense
-# loop-entry fixpoint every sparse one is compared with) and the server
-# crate (the gate, the wire protocol, the template memo), and the
+# Tier-1 tests the root package, the cli crate, the engine crate (its
+# tier check, trace fusion, lowering and the strip driver, with the
+# dense loop-entry fixpoint every sparse one is compared with), the
+# reorg crate and the server crate (the gate, the wire protocol, the
+# template memo), and the
 # release run below has debug assertions off: this is where the other
 # crates' own unit tests run with the debug-only reference checks on —
 # the generator's (every emitted program already numbered, every
