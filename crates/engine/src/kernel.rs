@@ -20,10 +20,13 @@
 //! stream is bounds-checked first-and-last against the image's guarded
 //! ranges; registers are checked defined-before-use and numbered
 //! densely, in the order of their first definitions, so every table a
-//! later pass indexes by register is sized by the plan, not by the
-//! VIR's id space; dynamic instruction counts are computed analytically,
-//! charging the same costs as `simdize_vm::run_simd` charges
-//! dynamically.
+//! later pass indexes by register is sized by the bake's registers, not
+//! by the VIR's id space; dynamic instruction counts are computed
+//! analytically, charging the same costs as `simdize_vm::run_simd`
+//! charges dynamically. Those tables — the baked ids, fusion's and
+//! lowering's — are the thread's bake workspace ([`Workspace`]), lent
+//! once per bake and cleared and re-sized by it, so a bake allocates
+//! only what its plan keeps.
 //!
 //! A bake emits §4's loop as one list of six sections, each with its
 //! iteration count: prologue, pair header, pair, body header, body and
@@ -50,6 +53,7 @@ use simdize_vm::{
     RunStats, CALL_OVERHEAD, LOOP_OVERHEAD_PER_ITERATION, RUNTIME_SETUP_PER_EXPR,
 };
 use simdize_telemetry as telemetry;
+use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -223,14 +227,15 @@ impl Checked {
                 what: "vector shapes other than V16",
             });
         }
-        let mut max_reg = 0;
+        let (mut max_reg, mut runtime) = (0, program.upper_bound().is_runtime());
         let pair = program.body_pair().unwrap_or_default();
         for insts in [program.prologue(), program.body(), pair, program.epilogue()] {
-            check(insts, &mut max_reg)?;
+            check(insts, &mut max_reg, &mut runtime)?;
         }
         Ok(Checked {
             nregs: max_reg + 1,
-            runtime_exprs: runtime_expr_count(program) as u64,
+            // A program with no runtime expression has none to count.
+            runtime_exprs: if runtime { runtime_expr_count(program) as u64 } else { 0 },
         })
     }
 
@@ -296,9 +301,10 @@ impl ScalarEnv for Env<'_> {
     }
 }
 
-/// Checks the `vperm` patterns of `insts` (recursing into guards) and
-/// raises `max` to the highest register they name.
-fn check(insts: &[VInst], max: &mut usize) -> Result<(), ExecError> {
+/// Checks the `vperm` patterns of `insts` (recursing into guards),
+/// raises `max` to the highest register they name and sets `runtime`
+/// if a shift amount or splice point is a runtime expression.
+fn check(insts: &[VInst], max: &mut usize, runtime: &mut bool) -> Result<(), ExecError> {
     for inst in insts {
         match inst {
             VInst::Perm { pattern, .. } if pattern.len() != V as usize => {
@@ -311,7 +317,8 @@ fn check(insts: &[VInst], max: &mut usize) -> Result<(), ExecError> {
                     return Err(ExecError::BadShiftAmount { amount: sel as i64 });
                 }
             }
-            VInst::Guarded { body, .. } => check(body, max)?,
+            VInst::Guarded { body, .. } => check(body, max, runtime)?,
+            VInst::ShiftPair { amt: e, .. } | VInst::Splice { point: e, .. } => *runtime |= e.is_runtime(),
             _ => {}
         }
         if let Some(d) = inst.def() {
@@ -333,6 +340,26 @@ pub(crate) fn splat_bytes(elem: ScalarType, value: i64) -> Reg {
     out
 }
 
+/// Every table a bake fills and throws away: the baked ids and the
+/// tables of trace fusion and lowering. Each thread keeps one
+/// ([`WORKSPACE`]), which [`PredecodedKernel::bake`] borrows once and
+/// every pass clears and re-sizes what it uses, so a bake allocates only
+/// what its plan keeps and a thread holds at most what its largest bake
+/// needed at once.
+#[derive(Default)]
+struct Workspace {
+    /// By VIR register ([`Baking::ids`]).
+    ids: Vec<u32>,
+    fuse: trace::Tables,
+    lower: native::Tables,
+}
+
+thread_local! {
+    /// The thread's bake workspace, the way `strip::COLUMNS` holds its
+    /// run scratch.
+    static WORKSPACE: RefCell<Workspace> = RefCell::default();
+}
+
 /// Per-bake lowering state.
 struct Baking<'a> {
     image: &'a MemoryImage,
@@ -341,9 +368,9 @@ struct Baking<'a> {
     elem: ScalarType,
     /// By VIR register: its baked id, [`NO_REG`] until its first
     /// definition. Ids are handed out in first-definition order, so
-    /// every table downstream is sized by the plan (`nregs`), not by
-    /// the VIR's id space.
-    ids: Vec<u32>,
+    /// every table downstream is sized by the bake's registers
+    /// (`nregs`), not by the VIR's id space.
+    ids: &'a mut Vec<u32>,
     nregs: u32,
 }
 
@@ -598,7 +625,23 @@ impl<'p> PredecodedKernel<'p> {
         }
 
         stats.invocation_overhead += RUNTIME_SETUP_PER_EXPR * self.checked.runtime_exprs;
+        WORKSPACE.with_borrow_mut(|ws| self.bake_plan(image, input, opts, stats, bases, ws)).map(CompiledKernel::new)
+    }
 
+    /// [`bake`](PredecodedKernel::bake) past the scalar-fallback guard,
+    /// from its stats so far and the image's array bases, on the tables
+    /// of `ws`.
+    fn bake_plan(
+        &self,
+        image: &MemoryImage,
+        input: &RunInput,
+        opts: &KernelOptions,
+        mut stats: RunStats,
+        bases: Vec<u64>,
+        ws: &mut Workspace,
+    ) -> Result<Plan, ExecError> {
+        let program = self.program;
+        let (ub, elem) = (input.ub, program.source().elem());
         let b = program.block() as i64;
         let lb = program.lower_bound() as i64;
         let upper = program.upper_bound().eval(&Env {
@@ -622,12 +665,14 @@ impl<'p> PredecodedKernel<'p> {
         };
         let i_final = i_after + b * body_iters;
 
+        ws.ids.clear();
+        ws.ids.resize(self.checked.nregs, NO_REG);
         let mut bk = Baking {
             image,
             params: &input.params,
             ub: ub as i64,
             elem,
-            ids: vec![NO_REG; self.checked.nregs],
+            ids: &mut ws.ids,
             nregs: 0,
         };
 
@@ -661,7 +706,7 @@ impl<'p> PredecodedKernel<'p> {
         let mut nregs = bk.nregs as usize;
         let (fusion, fusion_events) = if opts.fuse {
             let _span = telemetry::span("fuse");
-            trace::optimize(&mut sections, &mut nregs, elem)
+            trace::optimize(&mut sections, &mut nregs, elem, &mut ws.fuse)
         } else {
             Default::default()
         };
@@ -670,10 +715,10 @@ impl<'p> PredecodedKernel<'p> {
         // them onto one dense block and settle each loop's schedule.
         let (program, schedule) = {
             let _span = telemetry::span("lower");
-            native::lower(sections, nregs, elem)
+            native::lower(sections, nregs, elem, &mut ws.lower)
         };
 
-        Ok(CompiledKernel::new(Plan {
+        Ok(Plan {
             program,
             schedule,
             shape: image.shape(),
@@ -683,7 +728,7 @@ impl<'p> PredecodedKernel<'p> {
             fallback: None,
             fusion,
             fusion_events,
-        }))
+        })
     }
 }
 

@@ -16,8 +16,9 @@
 //! or renames the lone op, onto the register block. Only [`rotate`],
 //! for a loop that carries a rotation, walks a section again: it puts
 //! the loop in strip order and tabulates that order's uses as it goes.
-//! The tables indexed by register are sized by the bake's dense
-//! register ids.
+//! Every table it fills and throws away is the thread's ([`Tables`], in
+//! the bake's workspace), cleared and re-sized per bake; the tables
+//! indexed by register are sized by the bake's dense register ids.
 
 use super::strip::{perm_tables, Fold, Leaf, Program, Section, Shape, Sink, Super, Term, MAX_LEAVES, STRIP};
 use crate::lanes::Reg as Bytes;
@@ -59,6 +60,7 @@ impl Reg {
 }
 
 /// One section's analysis. The lists stay empty outside loops.
+#[derive(Default)]
 struct Scan {
     /// Registers live into the loop: read before, or without, being written.
     live_in: Vec<u32>,
@@ -115,21 +117,26 @@ fn independent(x: &Access, y: &Access) -> bool {
         .all(|q| q == 0 || q.abs() >= STRIP as i64 || (q * step - d).abs() >= V)
 }
 
-/// Scans section `s` in one walk over its ops: records in `info` which
-/// registers it names, reads first ([`live_in`], `(seen, live)` its
-/// scratch) and writes and, for a loop, what it carries and whether its
-/// memory accesses allow strips, and tabulates its uses.
-fn scan(ops: &[Op], iters: i64, s: usize, info: &mut [Reg], (seen, live, accesses): &mut (Vec<bool>, Vec<u32>, Vec<Access>)) -> Scan {
+/// Scans section `s` into `out` in one walk over its ops: records in
+/// `info` which registers it names, reads first ([`live_in`], `(seen,
+/// live)` its scratch) and writes and, for a loop, what it carries and
+/// whether its memory accesses allow strips, and tabulates its uses.
+fn scan(ops: &[Op], iters: i64, s: usize, info: &mut [Reg], (seen, live, accesses): &mut (Vec<bool>, Vec<u32>, Vec<Access>), out: &mut Scan) {
     let (bit, looped) = (1u8 << s, iters > 1);
     live_in(ops, info.len(), seen, live);
     for &r in live.iter() {
         info[r as usize].reads_first |= bit;
     }
-    let (mut uses, mut carried) = (if ops.is_empty() { Vec::new() } else { vec![Uses::NONE; info.len()] }, Vec::new());
+    let Scan { live_in, carried, independent, uses } = out;
+    uses.clear();
+    if !ops.is_empty() {
+        uses.resize(info.len(), Uses::NONE);
+    }
+    carried.clear();
     accesses.clear();
     for (i, op) in ops.iter().enumerate() {
         let regs = op.regs();
-        note(&mut uses, i, regs);
+        note(uses, i, regs);
         for r in regs.into_iter().filter(|&r| r != NONE) {
             info[r as usize].named |= bit;
         }
@@ -148,19 +155,37 @@ fn scan(ops: &[Op], iters: i64, s: usize, info: &mut [Reg], (seen, live, accesse
             _ => {}
         }
     }
-    let independent = accesses.iter().filter(|x| x.store).all(|store| accesses.iter().all(|other| independent(store, other)));
-    let live_in = if looped { live.clone() } else { Vec::new() };
-    Scan { live_in, carried, independent, uses }
+    *independent = accesses.iter().filter(|x| x.store).all(|store| accesses.iter().all(|other| self::independent(store, other)));
+    live_in.clear();
+    if looped {
+        live_in.extend_from_slice(live);
+    }
 }
 
 /// What a strip section does with the registers it carries.
 #[derive(Default)]
 struct Carried {
-    /// Rotation chains `[r_d, …, r_1, n]`: `r_k` holds what `n` held
-    /// `k` iterations back — `n`'s column shifted down `k` lanes.
-    chains: Vec<Vec<u32>>,
+    /// Rotation chains `[r_d, …, r_1, n]`, back to back, each ending
+    /// where `ends` says: `r_k` holds what `n` held `k` iterations back
+    /// — `n`'s column shifted down `k` lanes.
+    links: Vec<u32>,
+    ends: Vec<usize>,
     /// Reduction accumulators and their operator, one partial per lane.
     partials: Vec<(u32, BinOp)>,
+}
+
+impl Carried {
+    /// The rotation chains, in order.
+    fn chains(&self) -> impl Iterator<Item = &[u32]> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts.zip(&self.ends).map(|(start, &end)| &self.links[start..end])
+    }
+
+    fn clear(&mut self) {
+        self.links.clear();
+        self.ends.clear();
+        self.partials.clear();
+    }
 }
 
 /// How a section's ops name one register: how often, and where first,
@@ -228,11 +253,22 @@ fn span<'a>(order: &[usize], op: impl Fn(usize) -> &'a Op, chain: &[u32]) -> (us
     (first.unwrap_or(order.len()), def)
 }
 
+/// [`lift`]'s buffers: the marks by register, which come and go all
+/// zero, which ops of the window it lifts, the arrays they load and the
+/// window's new order.
+#[derive(Default)]
+struct Lift {
+    marks: Vec<u8>,
+    lifted: Vec<bool>,
+    loaded: Vec<u32>,
+    moved: Vec<usize>,
+}
+
 /// Lifts the backward slice of `chain`'s source above the chain's first
 /// read, as one block; every other op keeps its relative order. A
 /// lifted op may not pass an op naming a register it writes, nor a
-/// lifted load a store to its array. `marks` comes and goes all zero.
-fn lift<'a>(order: &mut [usize], op: impl Fn(usize) -> &'a Op, chain: &[u32], marks: &mut [u8]) -> Result<(), SequentialReason> {
+/// lifted load a store to its array.
+fn lift<'a>(order: &mut [usize], op: impl Fn(usize) -> &'a Op, chain: &[u32], t: &mut Lift) -> Result<(), SequentialReason> {
     const NEEDED: u8 = 1;
     const WRITTEN: u8 = 2;
     let (first, def) = span(order, &op, chain);
@@ -240,8 +276,12 @@ fn lift<'a>(order: &mut [usize], op: impl Fn(usize) -> &'a Op, chain: &[u32], ma
         return Ok(());
     }
     let (rotated, n) = chain.split_at(chain.len() - 1);
+    let Lift { marks, lifted: lift, loaded, moved } = t;
     marks[n[0] as usize] = NEEDED;
-    let (mut lift, mut loaded, mut verdict) = (vec![false; def + 1 - first], Vec::new(), Ok(()));
+    lift.clear();
+    lift.resize(def + 1 - first, false);
+    loaded.clear();
+    let mut verdict = Ok(());
     for p in (first..=def).rev() {
         let at = op(order[p]);
         let [dst, a, b] = at.regs();
@@ -273,36 +313,59 @@ fn lift<'a>(order: &mut [usize], op: impl Fn(usize) -> &'a Op, chain: &[u32], ma
         marks[r as usize] = 0;
     }
     verdict?;
-    let mut moved: Vec<usize> = (first..=def).filter(|&p| lift[p - first]).map(|p| order[p]).collect();
+    moved.clear();
+    moved.extend((first..=def).filter(|&p| lift[p - first]).map(|p| order[p]));
     moved.extend((first..=def).filter(|&p| !lift[p - first]).map(|p| order[p]));
-    order[first..=def].copy_from_slice(&moved);
+    order[first..=def].copy_from_slice(moved);
     Ok(())
 }
 
-/// Decides how section `s` runs (DESIGN §11.3). A strip runs op `i`
-/// for iterations `k..k + STRIP` before op `i + 1` runs for any of
-/// them: equivalent to program order when every store is
+/// Decides how section `s` runs (DESIGN §11.3), into `carried`. A strip
+/// runs op `i` for iterations `k..k + STRIP` before op `i + 1` runs for
+/// any of them: equivalent to program order when every store is
 /// [`independent`] of every access and every carried register is a
 /// rotation — only def a `Copy { r, n }` after every read of `r`, so
 /// `r`'s column is `n`'s shifted down a lane — or a [`reduction`]
-/// accumulator, which [`rotate`] checks.
-fn decide(ops: &mut Vec<Op>, iters: i64, s: usize, scan: &mut Scan, info: &mut Vec<Reg>) -> Result<Carried, SequentialReason> {
+/// accumulator, which [`rotate`] checks. `carried` is empty unless the
+/// section strips.
+fn decide(ops: &mut Vec<Op>, iters: i64, s: usize, scan: &mut Scan, info: &mut Vec<Reg>, carried: &mut Carried, t: &mut Rotation) -> Result<(), SequentialReason> {
+    carried.clear();
     if iters < 2 {
         return Err(OneIteration);
     }
     if !scan.independent {
         return Err(MemoryDependence);
     }
-    rotate(ops, s, scan, info)
+    let verdict = rotate(ops, s, scan, info, carried, t);
+    if verdict.is_err() {
+        carried.clear();
+    }
+    verdict
 }
 
-/// [`decide`]'s check of the registers a loop section carries. On
-/// success the rotation copies are gone, each chain's source [`lift`]ed
-/// above its first read, and `ops` and `scan.uses` are in strip order;
-/// on failure both are as they were.
-fn rotate(ops: &mut Vec<Op>, s: usize, scan: &mut Scan, info: &mut Vec<Reg>) -> Result<Carried, SequentialReason> {
-    let (mut carried, uses) = (Carried::default(), &scan.uses);
-    let mut rotations = Vec::with_capacity(scan.carried.len());
+/// [`rotate`]'s buffers.
+#[derive(Default)]
+struct Rotation {
+    /// `(r, n, at)`: op `at` is the rotation copy `r = n`.
+    rotations: Vec<(u32, u32, usize)>,
+    /// The section's ops as baked, then the twin copies rotation adds.
+    baked: Vec<Op>,
+    twins: Vec<Op>,
+    /// The strip's op order, as indices into `baked` and then `twins`.
+    order: Vec<usize>,
+    lift: Lift,
+    /// The use table of the strip order.
+    uses: Vec<Uses>,
+}
+
+/// [`decide`]'s check of the registers a loop section carries, on the
+/// buffers `t` lends. On success the rotation copies are gone, each
+/// chain's source [`lift`]ed above its first read, and `ops` and
+/// `scan.uses` are in strip order; on failure both are as they were.
+fn rotate(ops: &mut Vec<Op>, s: usize, scan: &mut Scan, info: &mut Vec<Reg>, carried: &mut Carried, t: &mut Rotation) -> Result<(), SequentialReason> {
+    let Rotation { rotations, baked, twins, order, lift: lifting, uses: strip_uses } = t;
+    let uses = &scan.uses;
+    rotations.clear();
     for &r in &scan.carried {
         let u = uses[r as usize];
         let (1, Op::Copy { src, .. }) = (u.defs, &ops[u.def as usize]) else { return Err(CarriedRegister) };
@@ -314,11 +377,12 @@ fn rotate(ops: &mut Vec<Op>, s: usize, scan: &mut Scan, info: &mut Vec<Reg>) -> 
         }
     }
     if rotations.is_empty() {
-        return Ok(carried);
+        return Ok(());
     }
-    // The strip's op order, as indices: `ops`, then any twin copies.
-    let (baked, mut twins) = (&ops[..], Vec::new());
-    let mut order = Vec::with_capacity(baked.len() + rotations.len());
+    baked.clear();
+    baked.extend_from_slice(ops);
+    twins.clear();
+    order.clear();
     order.extend((0..baked.len()).filter(|&i| !rotations.iter().any(|&(.., at)| at == i)));
     for i in 0..rotations.len() {
         let (_, n, at) = rotations[i];
@@ -348,35 +412,38 @@ fn rotate(ops: &mut Vec<Op>, s: usize, scan: &mut Scan, info: &mut Vec<Reg>) -> 
     if (1..rotations.len()).any(|i| rotations[..i].iter().any(|&(_, n, _)| n == rotations[i].1)) {
         return Err(CarriedRegister);
     }
-    carried.chains.reserve(rotations.len());
     for &(r, ..) in rotations.iter().filter(|&&(r, ..)| !source(r)) {
-        let mut chain = Vec::with_capacity(rotations.len() + 1);
-        chain.push(r);
-        while let Some(&(_, n, _)) = rotations.iter().find(|&&(x, ..)| Some(&x) == chain.last()) {
-            chain.push(n);
+        carried.links.push(r);
+        let mut last = r;
+        while let Some(&(_, n, _)) = rotations.iter().find(|&&(x, ..)| x == last) {
+            carried.links.push(n);
+            last = n;
         }
-        carried.chains.push(chain);
+        carried.ends.push(carried.links.len());
     }
-    if carried.chains.iter().map(|c| c.len() - 1).sum::<usize>() != rotations.len() {
+    if carried.links.len() - carried.ends.len() != rotations.len() {
         return Err(CarriedRegister);
     }
+    let (baked, twins) = (&baked[..], &twins[..]);
     let op = |i: usize| baked.get(i).unwrap_or_else(|| &twins[i - baked.len()]);
-    let mut marks = vec![0; info.len()];
-    for chain in &carried.chains {
-        lift(&mut order, op, chain, &mut marks)?;
+    lifting.marks.clear();
+    lifting.marks.resize(info.len(), 0);
+    for chain in carried.chains() {
+        lift(order, op, chain, lifting)?;
     }
     // A later lift must not have lifted a read above an earlier source.
-    if carried.chains.len() > 1 && carried.chains.iter().map(|c| span(&order, op, c)).any(|(first, def)| first < def) {
+    if carried.ends.len() > 1 && carried.chains().map(|c| span(order, op, c)).any(|(first, def)| first < def) {
         return Err(CarriedRegister);
     }
-    let mut uses = vec![Uses::NONE; info.len()];
-    let strip = order.iter().enumerate().map(|(i, &k)| {
-        note(&mut uses, i, op(k).regs());
-        op(k).clone()
-    });
-    *ops = strip.collect::<Vec<_>>();
-    scan.uses = uses;
-    Ok(carried)
+    strip_uses.clear();
+    strip_uses.resize(info.len(), Uses::NONE);
+    ops.clear();
+    for (i, &k) in order.iter().enumerate() {
+        note(strip_uses, i, op(k).regs());
+        ops.push(op(k).clone());
+    }
+    std::mem::swap(&mut scan.uses, strip_uses);
+    Ok(())
 }
 
 /// Returns `None` from the enclosing selection rule unless `$cond`
@@ -506,13 +573,13 @@ struct Parse {
     closed: bool,
 }
 
-impl Parse {
-    /// A parse over registers `0..regs`.
-    fn new(regs: usize) -> Parse {
+impl Default for Parse {
+    /// A parse over no registers.
+    fn default() -> Parse {
         let term = Term { op: None, a: 0, b: 0 };
         let fold = Fold { leaves: 0, sink: Sink::Store { at: 0 } };
         Parse {
-            defs: vec![(0, Value::Tree); regs],
+            defs: Vec::new(),
             run: 0,
             step: None,
             out_step: None,
@@ -533,6 +600,15 @@ impl Parse {
             link: NONE,
             closed: false,
         }
+    }
+}
+
+impl Parse {
+    /// Makes this a parse over registers `0..regs`, with no run begun.
+    fn reset(&mut self, regs: usize) {
+        self.defs.clear();
+        self.defs.resize(regs, (0, Value::Tree));
+        self.run = 0;
     }
 
     /// Starts over.
@@ -712,7 +788,7 @@ impl Parse {
             Op::Shift { dst, a, b, amt } => {
                 require!(self.shifted.is_none());
                 if self.rotated == NONE {
-                    require!(carried.chains.iter().any(|c| c[0] == a));
+                    require!(carried.chains().any(|c| c[0] == a));
                     (self.rotated, self.carry) = (a, a);
                 }
                 require!(a == self.carry);
@@ -965,8 +1041,8 @@ fn legal(ops: &[Op], run: Range<usize>, s: usize, scan: &Scan, info: &[Reg], sto
 fn rotation_source(p: &Parse, carried: &Carried, folds: usize) -> Option<u32> {
     let (last, value, _) = p.folds[folds - 1];
     match last.sink {
-        Sink::Shift { .. } => match carried.chains.iter().find(|c| c[0] == p.rotated) {
-            Some(chain) if chain[..] == [p.rotated, value] => Some(value),
+        Sink::Shift { .. } => match carried.chains().find(|c| c[0] == p.rotated) {
+            Some(chain) if *chain == [p.rotated, value] => Some(value),
             _ => None,
         },
         _ => Some(NONE),
@@ -1024,6 +1100,15 @@ struct Block {
 }
 
 impl Block {
+    /// Empties the block.
+    fn reset(&mut self) {
+        self.lanes = 0;
+        self.free_lanes.clear();
+        self.free.clear();
+        self.groups.clear();
+        self.strips = 0;
+    }
+
     fn span(&mut self, lanes: u32) -> u32 {
         if lanes == 1 {
             if let Some(lane) = self.free_lanes.pop() {
@@ -1105,8 +1190,27 @@ impl Section {
     }
 }
 
+/// Every table lowering fills and throws away: the registers' [`Reg`]
+/// records, each section's [`Scan`] and [`Carried`] registers,
+/// [`rotate`]'s buffers, the block's free lists and the [`Parse`]. A
+/// thread keeps one in its bake workspace (`kernel::Workspace`);
+/// [`lower`] clears and re-sizes each table it uses, so nothing one bake
+/// leaves behind reaches the next.
+#[derive(Default)]
+pub(crate) struct Tables {
+    info: Vec<Reg>,
+    /// [`scan`]'s scratch.
+    scratch: (Vec<bool>, Vec<u32>, Vec<Access>),
+    /// By section that runs, in order.
+    scans: [Scan; 6],
+    carried: [Carried; 6],
+    rotation: Rotation,
+    block: Block,
+    parse: Parse,
+}
+
 /// Lowers a baked plan's six sections ([`Section::plan`]) onto one
-/// register block.
+/// register block, on the tables `t` lends.
 ///
 /// A section that never runs — a loop that does not, and its header —
 /// drops out. Every section is [`scan`]ned, then every loop's schedule
@@ -1118,37 +1222,42 @@ impl Section {
 /// section reads the value or — for a register live into a loop — the
 /// loop has not ended. The block is therefore sized by the values live
 /// at once, not by the number of baked registers (`nregs`).
-pub(crate) fn lower(sections: [Section; 6], nregs: usize, elem: ScalarType) -> (Program, Schedule) {
+pub(crate) fn lower(sections: [Section; 6], nregs: usize, elem: ScalarType, t: &mut Tables) -> (Program, Schedule) {
     let mut sections: Vec<Section> = sections.into_iter().filter(|s| s.iters > 0).collect();
-    let mut info = vec![Reg::UNNAMED; nregs];
-    let mut scratch = (Vec::new(), Vec::new(), Vec::new());
-    let mut scans: Vec<Scan> = sections.iter().enumerate().map(|(s, x)| scan(&x.ops, x.iters, s, &mut info, &mut scratch)).collect();
-    let decisions: Vec<_> = sections
-        .iter_mut()
-        .zip(&mut scans)
-        .enumerate()
-        .map(|(s, (x, scan))| decide(&mut x.ops, x.iters, s, scan, &mut info))
-        .collect();
+    let Tables { info, scratch, scans, carried, rotation, block, parse } = t;
+    info.clear();
+    info.resize(nregs, Reg::UNNAMED);
+    for (s, x) in sections.iter().enumerate() {
+        scan(&x.ops, x.iters, s, info, scratch, &mut scans[s]);
+    }
+    let mut decisions = [Err(SequentialReason::NoLoop); 6];
+    for (s, x) in sections.iter_mut().enumerate() {
+        decisions[s] = decide(&mut x.ops, x.iters, s, &mut scans[s], info, &mut carried[s], rotation);
+    }
 
-    let mut block = Block::default();
-    for (s, carried) in decisions.iter().enumerate() {
-        let Ok(carried) = carried else { continue };
+    block.reset();
+    for (s, carried) in carried.iter().enumerate().take(sections.len()) {
+        if decisions[s].is_err() {
+            continue;
+        }
         block.strips |= 1 << s;
-        for chain in &carried.chains {
+        for chain in carried.chains() {
             for (offset, &r) in chain.iter().enumerate() {
                 (info[r as usize].group, info[r as usize].offset) = (block.groups.len() as u32, offset as u32);
             }
             block.groups.push(Group { base: NONE, held: 0, lanes: (STRIP + chain.len() - 1) as u32 });
         }
     }
+    if block.strips != 0 {
+        parse.reset(info.len());
+    }
 
     let no_loop = SectionSchedule::Sequential(SequentialReason::NoLoop);
     let mut schedule = Schedule { pair: no_loop, body: no_loop };
-    let mut parse = None;
-    for (s, ((section, scan), decision)) in sections.iter_mut().zip(&scans).zip(decisions).enumerate() {
-        section.schedule = match &decision {
-            Ok(_) => SectionSchedule::Strip,
-            Err(why) => SectionSchedule::Sequential(*why),
+    for (s, ((section, scan), carried)) in sections.iter_mut().zip(&*scans).zip(&*carried).enumerate() {
+        section.schedule = match decisions[s] {
+            Ok(()) => SectionSchedule::Strip,
+            Err(why) => SectionSchedule::Sequential(why),
         };
         match section.role {
             "pair" => schedule.pair = section.schedule,
@@ -1156,7 +1265,6 @@ pub(crate) fn lower(sections: [Section; 6], nregs: usize, elem: ScalarType) -> (
             _ => {}
         }
         let strips = section.schedule == SectionSchedule::Strip;
-        let carried = decision.unwrap_or_default();
         let (ops, invariant, written) = (&mut section.ops, &mut section.invariant, &mut section.written);
         if strips {
             invariant.reserve(scan.live_in.len());
@@ -1177,8 +1285,7 @@ pub(crate) fn lower(sections: [Section; 6], nregs: usize, elem: ScalarType) -> (
         while i < ops.len() {
             let mut end = i + 1;
             if strips {
-                let parse = parse.get_or_insert_with(|| Parse::new(info.len()));
-                if let Some(mut f) = pick(ops, i, s, scan, &carried, &info, parse) {
+                if let Some(mut f) = pick(ops, i, s, scan, carried, info, parse) {
                     // A rotated register or an accumulator: live in, so
                     // it has its slot already.
                     if f.column != NONE {
@@ -1211,9 +1318,9 @@ pub(crate) fn lower(sections: [Section; 6], nregs: usize, elem: ScalarType) -> (
             }
             i = end;
         }
-        section.seeds = carried.chains.iter().map(|chain| (info[chain[0] as usize].slot, chain.len() as u32 - 1)).collect();
+        section.seeds = carried.chains().map(|chain| (info[chain[0] as usize].slot, chain.len() as u32 - 1)).collect();
         let identity = |op| splat_bytes(elem, reduction_identity(op, elem));
-        section.partials = carried.partials.into_iter().map(|(r, op)| (info[r as usize].slot, op, identity(op))).collect();
+        section.partials = carried.partials.iter().map(|&(r, op)| (info[r as usize].slot, op, identity(op))).collect();
         for &r in &scan.live_in {
             let reg = &mut info[r as usize];
             reg.pinned = false;
@@ -1237,7 +1344,7 @@ mod tests {
     fn lowered(ops: &[Op], iters: i64, after: &[Op]) -> Section {
         let mut plan = Section::plan(0, iters);
         (plan[4].ops, plan[5].ops) = (ops.to_vec(), after.to_vec());
-        let (program, schedule) = lower(plan, 16, ScalarType::I32);
+        let (program, schedule) = lower(plan, 16, ScalarType::I32, &mut Tables::default());
         let body = program.sections.into_iter().find(|x| x.role == "body").expect("the body runs");
         assert_eq!(schedule.body, body.schedule);
         body

@@ -81,7 +81,7 @@ mod strip;
 mod x86;
 
 pub use isa::IsaLevel;
-pub(crate) use lower::lower;
+pub(crate) use lower::{lower, Tables};
 pub(crate) use strip::{Leaf, Program, Section, Sink, Super, Term};
 
 /// Runs a lowered plan over `mem` on the tier `isa` names, or on the

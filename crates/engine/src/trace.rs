@@ -55,10 +55,11 @@
 //! it writes them — the fixpoint's live-in set, the hoist's
 //! upward-exposed uses and the liveness sweep's — all come from the
 //! engine's one live-in rule ([`live_in`]). Every table these passes
-//! index by register is built once per bake. None of this changes a
-//! stored byte or a reported stat: `RunStats` are fixed before this pass
-//! runs, and the differential tests execute every kernel fused and
-//! unfused.
+//! fill and throw away is the thread's ([`Tables`], in the bake's
+//! workspace), cleared and re-sized per bake, so the pass allocates
+//! only what the plan keeps. None of this changes a stored byte or a
+//! reported stat: `RunStats` are fixed before this pass runs, and the
+//! differential tests execute every kernel fused and unfused.
 
 use crate::kernel::{live_in, Op, NO_REG, V};
 use crate::native::Section;
@@ -259,16 +260,12 @@ impl Domain {
         }
     }
 
-    /// [`concretize`] for the gathers among `facts`.
+    /// [`concretize`] for gather `id`.
     #[cold]
     #[inline(never)]
-    fn concretize(&mut self, facts: &mut [Fact], iters: i64) {
-        for f in facts {
-            if let Fact::Gather { id, .. } = *f {
-                let g = self.gathers[id as usize];
-                *f = self.gather(Gather { base: g.base + (iters - 1) * g.step, step: 0, ..g });
-            }
-        }
+    fn concretize(&mut self, id: u32, iters: i64) -> Fact {
+        let g = self.gathers[id as usize];
+        self.gather(Gather { base: g.base + (iters - 1) * g.step, step: 0, ..g })
     }
 
     /// [`meet`] of two gathers: one iff both agree on array and
@@ -283,55 +280,76 @@ impl Domain {
     }
 }
 
+/// Every table the pass fills and throws away: the facts, the gathers
+/// seen, the loop-entry fixpoint's, the hoist's and the liveness
+/// sweep's tables, and the event list before the plan takes its copy.
+/// A thread keeps one in its bake workspace (`kernel::Workspace`);
+/// [`optimize`] clears and re-sizes each table it uses, so nothing one
+/// bake leaves behind reaches the next.
+#[derive(Default)]
+pub(crate) struct Tables {
+    facts: Facts,
+    gathers: Vec<Gather>,
+    fp: Fixpoint,
+    h: Hoister,
+    sweep: Sweep,
+    events: Vec<FusionEvent>,
+}
+
 /// Runs the full pass over a kernel's six sections ([`Section::plan`]),
-/// in place: rewrites each, hoists each loop's invariants into its
-/// header slot and sweeps all six for dead ops. Composition adds
-/// registers from `nregs` on and leaves it past the last one. Returns
-/// the fusion telemetry: aggregate counts and the per-rewrite event
-/// list.
-pub(crate) fn optimize(sections: &mut [Section; 6], nregs: &mut usize, elem: ScalarType) -> (FusionStats, Vec<FusionEvent>) {
+/// in place, on the tables `t` lends: rewrites each, hoists each loop's
+/// invariants into its header slot and sweeps all six for dead ops.
+/// Composition adds registers from `nregs` on and leaves it past the
+/// last one. Returns the fusion telemetry: aggregate counts and the
+/// per-rewrite event list.
+pub(crate) fn optimize(sections: &mut [Section; 6], nregs: &mut usize, elem: ScalarType, t: &mut Tables) -> (FusionStats, Vec<FusionEvent>) {
     let mut st = FusionStats::default();
-    // Most plans record a few dozen rewrites.
-    let mut ev = Vec::with_capacity(32);
+    let Tables { facts, gathers, fp, h, sweep, events: ev } = t;
+    ev.clear();
     let mut next = *nregs as u32;
-    let mut facts = Facts { all: vec![Fact::Bottom; *nregs], held: Vec::with_capacity(*nregs) };
-    let d = &mut Domain { elem, gathers: Vec::new() };
+    facts.all.clear();
+    facts.all.resize(*nregs, Fact::Bottom);
+    facts.held.clear();
+    gathers.clear();
+    let d = &mut Domain { elem, gathers: std::mem::take(gathers) };
     let [prologue, pair_header, pair, body_header, body, epilogue] = &mut *sections;
     {
         let _span = telemetry::span("rewrite");
-        rewrite(&mut prologue.ops, &mut facts, &mut next, d, &mut st, prologue.role, &mut ev);
+        rewrite(&mut prologue.ops, facts, &mut next, d, &mut st, prologue.role, ev);
     }
-    let (mut fp, mut h) = (Fixpoint::default(), Hoister::default());
     for (header, s) in [(pair_header, pair), (body_header, body)] {
         if s.iters > 0 {
-            loop_entry(&mut facts, &s.ops, d, &mut fp);
+            loop_entry(facts, &s.ops, d, fp);
             {
                 let _span = telemetry::span("rewrite");
-                rewrite(&mut s.ops, &mut facts, &mut next, d, &mut st, s.role, &mut ev);
+                rewrite(&mut s.ops, facts, &mut next, d, &mut st, s.role, ev);
             }
             let _span = telemetry::span("hoist");
-            header.ops = hoist(&mut s.ops, s.iters, next as usize, &mut h, &mut st, s.role, &mut ev);
-            concretize(&mut facts.all, s.iters, d);
+            hoist(&mut s.ops, s.iters, next as usize, h, &mut st, s.role, ev);
+            header.ops = h.header.to_vec();
+            concretize(facts, s.iters, d);
         }
     }
     {
         let _span = telemetry::span("rewrite");
-        rewrite(&mut epilogue.ops, &mut facts, &mut next, d, &mut st, epilogue.role, &mut ev);
+        rewrite(&mut epilogue.ops, facts, &mut next, d, &mut st, epilogue.role, ev);
     }
     {
         let _span = telemetry::span("dce");
-        dce(sections, next as usize, &mut st, &mut ev);
+        dce(sections, next as usize, sweep, &mut st, ev);
     }
     telemetry::tag(
         "fusion.rewrites",
         (st.fused_loads + st.composed + st.splat_ops + st.hoisted + st.eliminated) as u64,
     );
     *nregs = next as usize;
-    (st, ev)
+    *gathers = std::mem::take(&mut d.gathers);
+    (st, ev.to_vec())
 }
 
 /// What the rewrite knows about every register, threaded through the
 /// sections in execution order.
+#[derive(Default)]
 struct Facts {
     all: Vec<Fact>,
     /// Registers that may hold a claim about memory — every one that
@@ -587,8 +605,8 @@ fn translate(end: Fact) -> Fact {
     }
 }
 
-/// The loop-entry fixpoint's tables, built once per bake and reused by
-/// every round of both loops.
+/// The loop-entry fixpoint's tables, reused by every round of both
+/// loops and by every bake on the thread.
 #[derive(Default)]
 struct Fixpoint {
     /// The slice of the loop the live-in registers' end facts depend on
@@ -760,15 +778,19 @@ fn dense_fixpoint(pre: &[Fact], ops: &[Op], d: &mut Domain, [entry, end, next]: 
 
 /// Re-expresses per-iteration facts as facts that hold after the loop
 /// completes `iters` iterations (windows pinned to the last iteration).
-fn concretize(facts: &mut [Fact], iters: i64, d: &mut Domain) {
-    for f in facts.iter_mut() {
-        if let Fact::Window { start, step, .. } = f {
-            (*start, *step) = (*start + (iters - 1) * *step, 0);
+/// Only claims about memory change, so only the registers `held` names
+/// are visited; one named twice is pinned once, as pinning is
+/// idempotent.
+fn concretize(facts: &mut Facts, iters: i64, d: &mut Domain) {
+    let Facts { all, held } = facts;
+    for &r in held.iter() {
+        let f = &mut all[r as usize];
+        match *f {
+            Fact::Window { arr, start, step } => *f = Fact::Window { arr, start: start + (iters - 1) * step, step: 0 },
+            // Gathers, out of line: most plans have none.
+            Fact::Gather { id, .. } => *f = d.concretize(id, iters),
+            _ => {}
         }
-    }
-    // Gathers, in a pass of their own: most plans have none.
-    if !d.gathers.is_empty() {
-        d.concretize(facts, iters);
     }
 }
 
@@ -826,9 +848,7 @@ fn rewrite_gathers(
         }
         flow(&ops[at], facts, d);
     }
-    if !loads.is_empty() {
-        insert(ops, loads);
-    }
+    insert(ops, loads);
 }
 
 /// The rewrite of a shift chain over adjacent windows into a fused
@@ -880,17 +900,11 @@ fn record(new: &Op, facts: &[Fact], st: &mut FusionStats) -> FusionEventKind {
     }
 }
 
-/// Inserts each of `loads` before the op its index names.
-#[cold]
-#[inline(never)]
+/// Inserts each of `loads` before the op its index names, in place:
+/// from the last, so the indices still to come stay valid.
 fn insert(ops: &mut Vec<Op>, loads: Vec<(usize, Op)>) {
-    let mut loads = loads.into_iter().peekable();
-    let old = std::mem::take(ops);
-    for (at, op) in old.into_iter().enumerate() {
-        while let Some((_, load)) = loads.next_if(|&(i, _)| i == at) {
-            ops.push(load);
-        }
-        ops.push(op);
+    for (at, load) in loads.into_iter().rev() {
+        ops.insert(at, load);
     }
 }
 
@@ -960,7 +974,7 @@ struct Hoisting {
     hoisted: bool,
 }
 
-/// [`hoist`]'s tables, built once per bake for both loops.
+/// [`hoist`]'s tables, for both loops of every bake on the thread.
 #[derive(Default)]
 struct Hoister {
     /// By register.
@@ -970,10 +984,13 @@ struct Hoister {
     /// [`live_in`]'s scratch and result.
     seen: Vec<bool>,
     live: Vec<u32>,
+    /// The ops hoisted, in order, until the header takes its copy.
+    header: Vec<Op>,
 }
 
 /// Moves iteration-invariant ops out of a loop section into a header
-/// executed once (the caller guarantees the loop runs at least once).
+/// executed once (the caller guarantees the loop runs at least once),
+/// collected in `h.header`.
 /// An op is hoistable when it defines a register exactly once, that
 /// register is not read before its definition (so iteration 0 sees the
 /// same value either way), every operand is loop-invariant (never
@@ -988,8 +1005,8 @@ fn hoist(
     st: &mut FusionStats,
     section: &'static str,
     ev: &mut Vec<FusionEvent>,
-) -> Vec<Op> {
-    let Hoister { regs, stores, seen, live } = h;
+) {
+    let Hoister { regs, stores, seen, live, header } = h;
     regs.clear();
     regs.resize(nregs, Hoisting::default());
     live_in(ops, nregs, seen, live);
@@ -1014,7 +1031,7 @@ fn hoist(
                 .any(|&(sa, lo, hi)| sa == arr && start < hi && lo < start + 16)
     };
 
-    let mut header = Vec::new();
+    header.clear();
     ops.retain(|op| {
         let can = match def(op) {
             Some(d) if regs[d as usize].defs == 1 && !regs[d as usize].upward => {
@@ -1047,7 +1064,6 @@ fn hoist(
             kind: FusionEventKind::Hoisted { count: header.len() },
         });
     }
-    header
 }
 
 /// What [`dce`] knows of one register.
@@ -1060,6 +1076,17 @@ struct Liveness {
     /// Read by that section before it is defined, as of the last
     /// [`upward_uses`].
     upward: bool,
+}
+
+/// [`dce`]'s tables, for every bake on the thread.
+#[derive(Default)]
+struct Sweep {
+    /// By register.
+    regs: Vec<Liveness>,
+    /// [`live_in`]'s scratch and result.
+    scratch: (Vec<bool>, Vec<u32>),
+    /// By op of the section swept: whether it stays.
+    keep: Vec<bool>,
 }
 
 /// Marks in `regs` the registers `ops` read before (re)defining them —
@@ -1092,18 +1119,17 @@ fn upward_uses(ops: &[Op], regs: &mut [Liveness], (seen, live): &mut (Vec<bool>,
 /// depends only on the sections after it, so once the sweep has passed
 /// a section it is final: fused-away load/copy chains unravel fully in
 /// one pass.
-fn dce(sections: &mut [Section; 6], nregs: usize, st: &mut FusionStats, ev: &mut Vec<FusionEvent>) {
-    let mut regs = vec![Liveness::default(); nregs];
-    let mut scratch = (Vec::new(), Vec::new());
-    // By op of the section swept: whether it stays.
-    let mut keep = Vec::new();
+fn dce(sections: &mut [Section; 6], nregs: usize, sweep: &mut Sweep, st: &mut FusionStats, ev: &mut Vec<FusionEvent>) {
+    let Sweep { regs, scratch, keep } = sweep;
+    regs.clear();
+    regs.resize(nregs, Liveness::default());
     let mut per_section = [0; 6];
     for (section, count) in sections.iter_mut().zip(&mut per_section).rev() {
         let ops = &mut section.ops;
         let looped = section.iters > 1;
         if looped {
             regs.iter_mut().for_each(|r| r.after = r.live);
-            upward_uses(ops, &mut regs, &mut scratch);
+            upward_uses(ops, regs, scratch);
         }
         loop {
             if looped {
@@ -1135,7 +1161,7 @@ fn dce(sections: &mut [Section; 6], nregs: usize, st: &mut FusionStats, ev: &mut
             // op was the one that made a register upward-exposed. (A
             // deleted def never exposes a read: the read would have made
             // it live.)
-            if !looped || !exposed || !upward_uses(ops, &mut regs, &mut scratch) {
+            if !looped || !exposed || !upward_uses(ops, regs, scratch) {
                 break;
             }
         }
@@ -1179,7 +1205,7 @@ mod tests {
         for (s, ops) in &mut baked {
             sections[*s].ops = std::mem::take(*ops);
         }
-        let (stats, _) = optimize(&mut sections, &mut { nregs }, elem());
+        let (stats, _) = optimize(&mut sections, &mut { nregs }, elem(), &mut Tables::default());
         for (s, ops) in baked {
             *ops = std::mem::take(&mut sections[s].ops);
         }

@@ -143,9 +143,38 @@ pub fn run_simd(
 ///
 /// Public so alternative executors (the compiled engine) charge exactly
 /// the same [`RUNTIME_SETUP_PER_EXPR`] invocation overhead as the
-/// interpreter. Allocates nothing: an occurrence counts when no earlier
-/// one equals it, a quadratic walk over the handful a program holds.
+/// interpreter. Allocates nothing: one walk keeps the distinct
+/// expressions it has met in a stack buffer of 32, and a program with
+/// more than that is counted by a quadratic walk, an occurrence
+/// counting when no earlier one equals it.
 pub fn runtime_expr_count(program: &SimdProgram) -> usize {
+    distinct_count::<32>(program)
+}
+
+/// [`runtime_expr_count`] with room for `N` distinct expressions.
+fn distinct_count<const N: usize>(program: &SimdProgram) -> usize {
+    let mut distinct = [program.upper_bound(); N];
+    let (mut n, mut full) = (0, false);
+    visit_runtime(program, &mut |e| {
+        if full || distinct[..n].contains(&e) {
+            return;
+        }
+        match distinct.get_mut(n) {
+            Some(slot) => (*slot, n) = (e, n + 1),
+            None => full = true,
+        }
+    });
+    if full {
+        repeat_count(program)
+    } else {
+        n
+    }
+}
+
+/// The definition [`runtime_expr_count`] counts by: an occurrence
+/// counts when no earlier one equals it — a walk of the whole program
+/// per occurrence.
+fn repeat_count(program: &SimdProgram) -> usize {
     let (mut distinct, mut seen) = (0, 0);
     visit_runtime(program, &mut |e| {
         let (mut earlier, mut repeat) = (0, false);
@@ -372,6 +401,38 @@ mod tests {
 
     const FIG1: &str = "arrays { a: i32[128] @ 0; b: i32[128] @ 0; c: i32[128] @ 0; }
                         for i in 0..100 { a[i+3] = b[i+1] + c[i+2]; }";
+
+    /// The one-walk count is the quadratic definition, with room for
+    /// every distinct expression and with too little, on programs whose
+    /// shift amounts and splice points repeat (`loops/runtime.loop`'s
+    /// three runtime-aligned streams) and differ (three statements over
+    /// seven arrays), with a runtime trip count and a known one.
+    #[test]
+    fn runtime_expressions_are_counted_in_one_walk() {
+        let runtime = "arrays { dst: i32[4096] @ ?; src1: i32[4096] @ ?; src2: i32[4096] @ ?; }
+                       for i in 0..ub { dst[i+3] = src1[i+1] + src2[i+2]; }";
+        let distinct = "arrays { a: i32[512] @ ?; b: i32[512] @ ?; c: i32[512] @ ?; d: i32[512] @ ?;
+                                 e: i32[512] @ 4; f: i32[512] @ ?; g: i32[512] @ ?; }
+                        for i in 0..400 { a[i+3] = b[i+1] + c[i+2]; d[i+1] = b[i+2] * c[i+3] - f[i];
+                                          e[i] = f[i+5] + g[i+1]; }";
+        let mut counts = Vec::new();
+        for src in [runtime, distinct, FIG1] {
+            for reuse in [ReuseMode::None, ReuseMode::SoftwarePipeline, ReuseMode::PredictiveCommoning] {
+                let program = compile(src, Policy::Zero, reuse);
+                let want = repeat_count(&program);
+                assert_eq!(runtime_expr_count(&program), want, "{src}");
+                assert_eq!(distinct_count::<1>(&program), want, "{src}");
+                assert_eq!(distinct_count::<2>(&program), want, "{src}");
+                let mut occurrences = 0;
+                visit_runtime(&program, &mut |_| occurrences += 1);
+                counts.push((want, occurrences));
+            }
+        }
+        // Repeats and distinct expressions past the small buffers, and
+        // none at all where everything is known.
+        assert!(counts.iter().any(|&(want, seen)| want > 2 && seen > want), "{counts:?}");
+        assert!(counts[counts.len() - 1] == (0, 0), "{counts:?}");
+    }
 
     #[test]
     fn simd_matches_scalar_on_paper_example() {

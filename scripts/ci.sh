@@ -56,20 +56,21 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 echo "== test (tier-1: root package, cli, engine, reorg and server crates) =="
 cargo test -q --offline
 
-echo "== test (reorg, codegen, verify, explain, vm and telemetry crates, debug) =="
-# Tier-1 tests the root package, the cli crate, the engine crate (its
-# tier check, trace fusion, lowering and the strip driver, with the
-# dense loop-entry fixpoint every sparse one is compared with), the
-# reorg crate and the server crate (the gate, the wire protocol, the
-# template memo), and the
-# release run below has debug assertions off: this is where the other
-# crates' own unit tests run with the debug-only reference checks on —
-# the generator's (every emitted program already numbered, every
-# pass's output well formed) and the vm's (the column oracle's
+echo "== test (codegen, verify, explain, vm and telemetry crates, debug) =="
+# Tier-1 tests the root package and, as default members, the cli
+# crate, the engine crate (its tier check, trace fusion, lowering and
+# the strip driver, with the dense loop-entry fixpoint every sparse one
+# is compared with), the reorg crate (the graph, placement,
+# reassociation) and the server crate (the gate, the wire protocol, the
+# template memo), so none of those is listed again here. The release
+# run below has debug assertions off: this is where the other crates'
+# own unit tests run with the debug-only reference checks on — the
+# generator's (every emitted program already numbered, every pass's
+# output well formed) and the vm's (the column oracle's
 # statement-independence assertion) — and the only place the vm's
 # typed-loop-versus-checked-walk comparisons and the JSON parser's
 # tests run at all.
-cargo test -q --offline -p simdize-reorg -p simdize-codegen \
+cargo test -q --offline -p simdize-codegen \
     -p simdize-verify -p simdize-explain -p simdize-vm -p simdize-telemetry
 
 echo "== test (release, workspace) =="

@@ -10,7 +10,8 @@
 //! engine's once-per-program check (`PredecodedKernel::new`) and a run
 //! of a lowered kernel are pinned at zero. Parsing, untraced
 //! placement, generation and baking are pinned per source term: what an
-//! added `+ b[i+k]` costs — a bake in bytes as well as in calls.
+//! added `+ b[i+k]` costs — a bake in bytes as well as in calls. A
+//! second bake on a thread is pinned to what its plan keeps.
 
 use simdize::{
     generate, parse_program, program_fingerprint, run_scalar, CodegenOptions, IsaLevel,
@@ -26,6 +27,8 @@ thread_local! {
     static CALLS: Cell<u64> = const { Cell::new(0) };
     /// Bytes those calls asked for (a `realloc` its new size).
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Blocks this thread handed back (`dealloc` calls).
+    static FREES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -60,6 +63,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = FREES.try_with(|c| c.set(c.get() + 1));
         // SAFETY: as above.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -343,15 +347,16 @@ fn untraced_generation_allocates_under_one_call_per_term() {
     }
 }
 
-/// A bake sizes every table it builds by the plan it bakes: registers
+/// A bake sizes every table it fills by the plan it bakes: registers
 /// are numbered densely as they are first defined, the loop-entry
 /// fixpoint runs over the registers a loop reads before it writes them,
-/// and hoisting, dead-code elimination and lowering build their tables
-/// once per bake or per section rather than per pass or round. So a
-/// `+ b[i+k]` term costs a bake — trace fusion and lowering included —
-/// at most one allocator call and 4 KiB. Sizing them by the VIR's
-/// register id space, and cloning the loop-entry facts every round,
-/// cost 8.2 KiB (and 0.57 calls) per term.
+/// and the tables fusion and lowering fill are the thread's, cleared
+/// and re-sized per bake, not built per pass, round or section. So a
+/// `+ b[i+k]` term costs a bake — trace fusion and lowering included,
+/// and the first bake on a thread growing those tables — at most one
+/// allocator call and 4 KiB. Sizing them by the VIR's register id
+/// space, and cloning the loop-entry facts every round, cost 8.2 KiB
+/// (and 0.57 calls) per term.
 #[test]
 fn baking_allocates_in_proportion_to_the_plan() {
     let traffic: Vec<(u64, u64)> = TERMS
@@ -382,4 +387,37 @@ fn baking_allocates_in_proportion_to_the_plan() {
     let (per_call, per_byte) = (per_term(&calls), per_term(&bytes));
     assert!(per_call <= 1.0, "{per_call} calls per term: {calls:?}");
     assert!(per_byte <= 4096.0, "{per_byte} bytes per term: {bytes:?}");
+}
+
+/// The allocator calls and the blocks handed back of the first and the
+/// second bake of `sum_of_terms(terms)` on this thread. Both plans stay
+/// alive, so no plan's drop counts.
+fn bake_twice(terms: usize) -> [(u64, u64); 2] {
+    let simd = Simdizer::new().compile(&parse_program(&sum_of_terms(terms)).unwrap()).unwrap();
+    let image = MemoryImage::with_seed(simd.source(), VectorShape::V16, 1);
+    let pre = PredecodedKernel::new(&simd).unwrap();
+    let mut kept = Vec::new();
+    [(); 2].map(|()| {
+        let frees = FREES.with(Cell::get);
+        let calls = allocations(|| kept.push(pre.bake(&image, &RunInput::with_ub(1000), &KernelOptions::new()).unwrap()));
+        (calls, FREES.with(Cell::get) - frees)
+    })
+}
+
+/// Every table a bake fills and throws away is the thread's, kept
+/// between bakes: a second bake of a program on the same thread hands
+/// no block back — each call it makes is for the plan it keeps (its
+/// sections' ops, superinstructions and strip lists, its events, its
+/// array bases) — and makes no more calls for a sum of 32 terms than
+/// for one of 4. Building the tables per bake cost a second bake 42–50
+/// calls, rising with the terms, and 26–29 blocks handed back.
+#[test]
+fn a_second_bake_on_a_thread_allocates_only_its_plan() {
+    let bakes: Vec<[(u64, u64); 2]> = TERMS.iter().map(|&n| bake_twice(n)).collect();
+    let first = bakes[0][1].0;
+    assert!(first <= 16, "{bakes:?}");
+    for (n, [_, (calls, frees)]) in TERMS.iter().zip(&bakes) {
+        assert_eq!(*frees, 0, "{n} terms: {bakes:?}");
+        assert!(*calls <= first, "{n} terms: {bakes:?}");
+    }
 }

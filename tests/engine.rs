@@ -702,3 +702,84 @@ fn cache_keys_isa_tiers_separately_in_one_lru_arena() {
     assert_eq!(stats.occupied(), 2);
     assert_eq!(stats.misses - stats.evictions, stats.occupied() as u64);
 }
+
+/// Everything a bake produces that a caller can see: its listing,
+/// stats, schedule and fusion telemetry, and the image after a run on
+/// the portable tier and on the detected one — or the fault it raised.
+type Outcome = Result<(String, simdize::RunStats, simdize::Schedule, simdize::FusionStats, Vec<simdize::FusionEvent>, MemoryImage, MemoryImage), ExecError>;
+
+fn bake_outcome(compiled: &SimdProgram, img: &MemoryImage, input: &RunInput, opts: &KernelOptions) -> Outcome {
+    let kernel = PredecodedKernel::new(compiled)?.bake(img, input, opts)?;
+    let (mut portable, mut detected) = (img.clone(), img.clone());
+    kernel.run(&mut portable)?;
+    simdize::SimdKernel::lower(&kernel, IsaLevel::detect()).run(&mut detected)?;
+    let events = kernel.fusion_events().to_vec();
+    Ok((kernel.trace(), kernel.stats(), kernel.schedule(), kernel.fusion_stats(), events, portable, detected))
+}
+
+/// Whether a strip section of `listing` rotates a twin: a column behind
+/// seed lanes that a plain copy of another register fills.
+fn rotates_a_twin(listing: &str) -> bool {
+    let mut columns = listing.lines().filter_map(|l| l.split_once("seed lane(s) of column ").map(|(_, c)| c));
+    columns.any(|c| {
+        listing.lines().any(|l| {
+            l.trim().split_once(" = ").is_some_and(|(d, src)| d == c && src.starts_with('v') && src[1..].bytes().all(|b| b.is_ascii_digit()))
+        })
+    })
+}
+
+/// A bake does not depend on the bakes its thread made before: every
+/// table a bake fills is the thread's, kept from one bake to the next,
+/// so each bake here — a large program, then small ones, then the large
+/// one again, each fused and unfused — must give what the same bake
+/// gives on a fresh thread. Among the small ones: a rotation whose
+/// source rotates twice (the unfused reduction beside a rotated store
+/// makes a twin copy), `deinterleave`'s gather composition, a
+/// reduction, and a bake that fails partway, at an out-of-bounds stream
+/// of its pair loop.
+#[test]
+fn a_bake_does_not_depend_on_the_bakes_its_thread_made_before() {
+    let mut rng = SplitMix64::seed_from_u64(46);
+    let large = synthesize(&WorkloadSpec::new(4, 6).trip(TripSpec::KnownInRange(997, 1000)), &mut rng);
+    let sample = |name: &str| {
+        let path = format!("{}/loops/{name}.loop", env!("CARGO_MANIFEST_DIR"));
+        simdize::parse_program(&std::fs::read_to_string(path).unwrap()).unwrap()
+    };
+    let mixed = simdize::parse_program(
+        "arrays { out: i32[216] @ ?; sum: i32[4] @ 0; x: i32[216] @ ?; y: i32[216] @ ?; }
+         for i in 0..200 { out[i+3] = x[i+1] + y[i+2]; sum[i] += x[i+1] * y[i+2]; }",
+    )
+    .unwrap();
+    let runtime = simdize::parse_program(RUNTIME).unwrap();
+    let cases = [
+        (&large, large.trip().known().unwrap(), 1),
+        (&mixed, 200, 3),
+        (&sample("deinterleave"), 500, 1),
+        (&sample("dot_product"), 1000, 2),
+        (&runtime, 197, 5),
+        // Past the arrays' end: the pair loop's last stream is out of bounds.
+        (&runtime, 1000, 5),
+        (&sample("figure1"), 1000, 1),
+        (&large, large.trip().known().unwrap(), 1),
+    ];
+    let (mut twins, mut composed, mut faults) = (0, 0, 0);
+    for (program, ub, seed) in cases {
+        let compiled = Simdizer::new().compile(program).unwrap();
+        let img = MemoryImage::with_seed(program, VectorShape::V16, seed);
+        let input = RunInput::with_ub(ub);
+        for opts in [KernelOptions::new(), KernelOptions::new().fuse(false)] {
+            let here = bake_outcome(&compiled, &img, &input, &opts);
+            let fresh = std::thread::scope(|s| s.spawn(|| bake_outcome(&compiled, &img, &input, &opts)).join().unwrap());
+            assert_eq!(here, fresh, "{program} ub={ub}");
+            match here {
+                Ok((listing, ..)) => {
+                    twins += usize::from(rotates_a_twin(&listing));
+                    composed += usize::from(listing.contains("vperm(") && listing.contains("vload.fused"));
+                }
+                Err(ExecError::ChunkOutOfBounds { .. }) => faults += 1,
+                Err(e) => panic!("{program} ub={ub}: {e}"),
+            }
+        }
+    }
+    assert!(twins > 0 && composed > 0 && faults == 2, "{twins} {composed} {faults}");
+}
