@@ -348,7 +348,9 @@ impl<'a> Analyzer<'a> {
             for m in 0..choices {
                 combos.insert(vec![m as i64 * d; runtime.len()]);
             }
-            let total = choices.checked_pow(runtime.len() as u32).unwrap_or(usize::MAX);
+            let total = choices
+                .checked_pow(runtime.len() as u32)
+                .unwrap_or(usize::MAX);
             for c in 0..total.min(self.opts.max_align_combos) {
                 let mut digits = Vec::with_capacity(runtime.len());
                 let mut rest = c;
@@ -413,7 +415,15 @@ impl<'a> Analyzer<'a> {
         }
         let mut path = Vec::new();
         let mut state = AbsState::new(self.nvregs, self.v as usize);
-        self.eval_insts(&mut state, prog.prologue(), Section::Prologue, env, true, Some(0), &mut path);
+        self.eval_insts(
+            &mut state,
+            prog.prologue(),
+            Section::Prologue,
+            env,
+            true,
+            Some(0),
+            &mut path,
+        );
 
         let lb = prog.lower_bound() as i64;
         state.rebase(lb, &self.sigma, self.d);
@@ -438,12 +448,28 @@ impl<'a> Analyzer<'a> {
 
         let converged = self.fixpoint(&state, prog.body(), b, Section::Body, env);
         let mut check_state = converged.clone();
-        self.eval_insts(&mut check_state, prog.body(), Section::Body, env, true, None, &mut path);
+        self.eval_insts(
+            &mut check_state,
+            prog.body(),
+            Section::Body,
+            env,
+            true,
+            None,
+            &mut path,
+        );
 
         if let Some(pair) = prog.body_pair() {
             let conv_pair = self.fixpoint(&state, pair, 2 * b, Section::BodyPair, env);
             let mut pair_state = conv_pair;
-            self.eval_insts(&mut pair_state, pair, Section::BodyPair, env, true, None, &mut path);
+            self.eval_insts(
+                &mut pair_state,
+                pair,
+                Section::BodyPair,
+                env,
+                true,
+                None,
+                &mut path,
+            );
             // Values the pair computes can first reach memory in the
             // epilogue (reduction accumulators are stored only there):
             // replay the epilogue from the pair's state with checks off
@@ -707,7 +733,10 @@ impl<'a> Analyzer<'a> {
                 path,
                 Some(src),
                 arr as u32,
-                format!("store to {rendered}, but `{}` is not the target of any source statement", self.array_name(arr)),
+                format!(
+                    "store to {rendered}, but `{}` is not the target of any source statement",
+                    self.array_name(arr)
+                ),
             );
             return;
         };
@@ -747,7 +776,9 @@ impl<'a> Analyzer<'a> {
                 (Some(k), Section::Prologue, _) if k < 0 => ByteClass::Old,
                 (Some(k), Section::Prologue, _) if k < new_hi => ByteClass::New,
                 (Some(_), Section::Prologue, _) => ByteClass::Lenient,
-                (Some(k), Section::Epilogue, Some(i)) if k >= 0 && i + k >= env.ub => ByteClass::Old,
+                (Some(k), Section::Epilogue, Some(i)) if k >= 0 && i + k >= env.ub => {
+                    ByteClass::Old
+                }
                 (Some(k), Section::Epilogue, Some(_)) if k >= 0 => ByteClass::New,
                 (Some(_), Section::Epilogue, _) => ByteClass::Lenient,
                 (Some(k), _, _) if (0..new_hi).contains(&k) => ByteClass::New,
@@ -768,9 +799,9 @@ impl<'a> Analyzer<'a> {
 
             let violation = match (class, lane) {
                 (_, Lane::Top) => None,
-                (ByteClass::New, Lane::Undef) | (ByteClass::Old, Lane::Undef) | (ByteClass::Lenient, Lane::Undef) => {
-                    Some("holds undefined data".to_string())
-                }
+                (ByteClass::New, Lane::Undef)
+                | (ByteClass::Old, Lane::Undef)
+                | (ByteClass::Lenient, Lane::Undef) => Some("holds undefined data".to_string()),
                 (ByteClass::New, Lane::Known(s)) => {
                     let ok = (expected.is_empty() || !s.is_empty())
                         && s.iter().all(|p| expected.contains(&p));
@@ -974,7 +1005,8 @@ impl<'a> Analyzer<'a> {
                             .arrays()
                             .get(arr)
                             .and_then(|a| a.align().known_offset(shape));
-                        let (Some(beta), Some(sg)) = (known, self.sigma.get(arr).copied().flatten())
+                        let (Some(beta), Some(sg)) =
+                            (known, self.sigma.get(arr).copied().flatten())
                         else {
                             continue;
                         };
@@ -1020,7 +1052,9 @@ impl<'a> Analyzer<'a> {
                 &path,
                 Some(reg),
                 array as u32,
-                format!("vload of `{name}` into {reg} never reaches any store in any analyzed scenario"),
+                format!(
+                    "vload of `{name}` into {reg} never reaches any store in any analyzed scenario"
+                ),
             );
         }
     }

@@ -180,7 +180,11 @@ pub struct Finding {
 
 impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}[{}] {}[{}]", self.level, self.lint, self.section, self.index)?;
+        write!(
+            f,
+            "{}[{}] {}[{}]",
+            self.level, self.lint, self.section, self.index
+        )?;
         if let Some(r) = self.register {
             write!(f, " {r}")?;
         }
@@ -206,7 +210,11 @@ impl AnalysisReport {
     /// A report of `findings` over a program of `insts_total`
     /// instructions, `insts_reached` of which some scenario evaluated.
     pub fn new(findings: Vec<Finding>, insts_total: usize, insts_reached: usize) -> AnalysisReport {
-        AnalysisReport { findings, insts_total, insts_reached }
+        AnalysisReport {
+            findings,
+            insts_total,
+            insts_reached,
+        }
     }
 
     /// All findings, ordered.
@@ -290,15 +298,21 @@ impl AnalysisReport {
     /// `warn`, a `coverage` object and a `findings` array).
     pub fn render_json(&self) -> String {
         let mut w = Writer::default();
-        w.obj().field("deny", self.deny_count()).field("warn", self.warn_count());
+        w.obj()
+            .field("deny", self.deny_count())
+            .field("warn", self.warn_count());
         w.key("coverage").obj().field("insts", self.insts_total);
         w.field("reached", self.insts_reached);
-        w.field("chunk_never_verified", self.chunk_never_verified()).end_obj();
+        w.field("chunk_never_verified", self.chunk_never_verified())
+            .end_obj();
         w.key("findings").arr();
         for f in &self.findings {
-            w.obj().field("lint", f.lint.name()).field("level", Text(f.level));
+            w.obj()
+                .field("lint", f.lint.name())
+                .field("level", Text(f.level));
             w.field("section", f.section.name()).field("index", f.index);
-            w.field("register", f.register.map(Text)).field("message", &f.message);
+            w.field("register", f.register.map(Text))
+                .field("message", &f.message);
             w.end_obj();
         }
         w.end_arr().end_obj();
@@ -349,7 +363,9 @@ mod tests {
         assert_eq!(report.chunk_never_verified(), 2);
         let json = report.render_json();
         assert!(json.contains("\"deny\":0"));
-        assert!(json.contains("\"coverage\":{\"insts\":10,\"reached\":8,\"chunk_never_verified\":2}"));
+        assert!(
+            json.contains("\"coverage\":{\"insts\":10,\"reached\":8,\"chunk_never_verified\":2}")
+        );
         assert!(json.contains("\\\"no-op\\\""));
         assert!(json.contains("\"register\":null"));
         assert!(report.is_clean());

@@ -64,11 +64,18 @@ fn skewed_shift_amount_breaks_store_bytes() {
 
     let report = analyze_program(&prog, &opts);
     let hits = findings_of(&report, Lint::StoreByteMismatch);
-    assert!(!hits.is_empty(), "expected a finding:\n{}", report.render_text());
+    assert!(
+        !hits.is_empty(),
+        "expected a finding:\n{}",
+        report.render_text()
+    );
     let f = &hits[0];
     assert_eq!(f.level, Level::Deny);
     assert_eq!(f.section, Section::Body);
-    assert!(f.register.is_some(), "store findings name the stored register");
+    assert!(
+        f.register.is_some(),
+        "store findings name the stored register"
+    );
     assert!(
         f.message.contains("must come from the source stream bytes")
             || f.message.contains("neither the element's stream bytes"),
@@ -101,11 +108,18 @@ fn skewed_prologue_splice_clobbers_preceding_bytes() {
         }
         _ => None,
     });
-    assert!(skewed.is_some(), "prologue should contain a constant splice");
+    assert!(
+        skewed.is_some(),
+        "prologue should contain a constant splice"
+    );
 
     let report = analyze_program(&prog, &opts);
     let hits = findings_of(&report, Lint::SpliceClobber);
-    assert!(!hits.is_empty(), "expected a finding:\n{}", report.render_text());
+    assert!(
+        !hits.is_empty(),
+        "expected a finding:\n{}",
+        report.render_text()
+    );
     let f = &hits[0];
     assert_eq!(f.level, Level::Deny);
     assert_eq!(f.section, Section::Prologue);
@@ -139,7 +153,11 @@ fn duplicated_load_breaks_exactly_once() {
 
     let report = analyze_program(&prog, &opts);
     let hits = findings_of(&report, Lint::ChunkLoadedTwice);
-    assert!(!hits.is_empty(), "expected a finding:\n{}", report.render_text());
+    assert!(
+        !hits.is_empty(),
+        "expected a finding:\n{}",
+        report.render_text()
+    );
     let f = &hits[0];
     assert_eq!(f.level, Level::Deny);
     assert_eq!(f.section, Section::Body);
@@ -189,7 +207,11 @@ fn useless_and_chained_shifts_are_flagged() {
 
     let report = analyze_program(&prog, &opts);
     let hits = findings_of(&report, Lint::RedundantShift);
-    assert!(hits.len() >= 2, "expected two findings:\n{}", report.render_text());
+    assert!(
+        hits.len() >= 2,
+        "expected two findings:\n{}",
+        report.render_text()
+    );
     assert!(hits.iter().all(|f| f.level == Level::Warn));
     assert!(
         hits.iter().any(|f| f.message.contains("no-op")),
@@ -197,7 +219,8 @@ fn useless_and_chained_shifts_are_flagged() {
         report.render_text()
     );
     assert!(
-        hits.iter().any(|f| f.message.contains("fold into one vshiftpair")),
+        hits.iter()
+            .any(|f| f.message.contains("fold into one vshiftpair")),
         "{}",
         report.render_text()
     );
@@ -233,7 +256,11 @@ fn unconsumed_load_is_dead() {
 
     let report = analyze_program(&prog, &opts);
     let hits = findings_of(&report, Lint::DeadLoad);
-    assert!(!hits.is_empty(), "expected a finding:\n{}", report.render_text());
+    assert!(
+        !hits.is_empty(),
+        "expected a finding:\n{}",
+        report.render_text()
+    );
     let f = &hits[0];
     assert_eq!(f.level, Level::Warn);
     assert_eq!(f.section, Section::Body);

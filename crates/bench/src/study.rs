@@ -78,7 +78,10 @@ fn analytic_bound(graph: &ReorgGraph) -> u64 {
 /// like every policy but zero-shift, needs compile-time offsets) or if
 /// any generated loop fails to place under a greedy policy.
 pub fn study_cell(spec: &WorkloadSpec, count: usize, base_seed: u64) -> StudyCell {
-    assert!(!spec.runtime_align, "the optimality study needs compile-time alignments");
+    assert!(
+        !spec.runtime_align,
+        "the optimality study needs compile-time alignments"
+    );
     let mut optimal_total = 0u64;
     let mut bound_total = 0u64;
     let mut tight = 0usize;
@@ -229,12 +232,7 @@ pub fn render_study_markdown(cells: &[StudyCell]) -> String {
         );
         for policy in GREEDY_POLICIES {
             let gap = cell.gap(policy);
-            let _ = write!(
-                row,
-                " {} (+{}) |",
-                pct(gap.matched, cell.loops),
-                gap.excess
-            );
+            let _ = write!(row, " {} (+{}) |", pct(gap.matched, cell.loops), gap.excess);
         }
         let _ = writeln!(out, "{row}");
     }

@@ -74,10 +74,7 @@ pub struct Options {
 /// # Errors
 ///
 /// Returns a usage message on malformed arguments.
-pub fn parse_args(
-    args: &[String],
-    read_file: &ReadSource,
-) -> Result<Options, Box<dyn Error>> {
+pub fn parse_args(args: &[String], read_file: &ReadSource) -> Result<Options, Box<dyn Error>> {
     let mut it = args.iter();
     let command = match it.next().map(String::as_str) {
         None | Some("--help" | "-h") => "help".to_string(),
@@ -155,8 +152,8 @@ pub fn parse_args(
         match arg.as_str() {
             "--policy" => {
                 let name = value("--policy")?;
-                let policy = Policy::from_name(&name)
-                    .ok_or_else(|| format!("unknown policy `{name}`"))?;
+                let policy =
+                    Policy::from_name(&name).ok_or_else(|| format!("unknown policy `{name}`"))?;
                 opts.policy = Some(policy);
             }
             "--reuse" => {
@@ -204,11 +201,8 @@ pub fn parse_args(
                 let (name, level) = spec
                     .split_once('=')
                     .ok_or_else(|| format!("--lint expects `name=level`, got `{spec}`"))?;
-                let lint = Lint::from_name(name)
-                    .ok_or_else(|| format!("unknown lint `{name}`"))?;
-                let level: Level = level
-                    .parse()
-                    .map_err(|e| format!("--lint {name}: {e}"))?;
+                let lint = Lint::from_name(name).ok_or_else(|| format!("unknown lint `{name}`"))?;
+                let level: Level = level.parse().map_err(|e| format!("--lint {name}: {e}"))?;
                 opts.lints.push((lint, level));
             }
             "--json" => opts.json = true,
@@ -488,7 +482,11 @@ pub fn run(opts: &Options) -> Result<String, Box<dyn Error>> {
                 return Err(format!(
                     "verification found {} violated propert{}\n{rendered}",
                     report.violations_total,
-                    if report.violations_total == 1 { "y" } else { "ies" }
+                    if report.violations_total == 1 {
+                        "y"
+                    } else {
+                        "ies"
+                    }
                 )
                 .into());
             }
@@ -509,7 +507,11 @@ pub fn run(opts: &Options) -> Result<String, Box<dyn Error>> {
             // useful context; JSON/Markdown feed goldens and generated
             // docs, which must stay byte-identical across hosts.
             if !opts.json && !opts.markdown {
-                writeln!(out, "backend: simd/{} (std::arch dispatch)", IsaLevel::detect())?;
+                writeln!(
+                    out,
+                    "backend: simd/{} (std::arch dispatch)",
+                    IsaLevel::detect()
+                )?;
             }
         }
         "trace" => {
@@ -608,7 +610,10 @@ pub fn run(opts: &Options) -> Result<String, Box<dyn Error>> {
             for policy in Policy::ALL {
                 let driver = driver.policy(policy);
                 let row = driver.place(&program).and_then(|placed| {
-                    Ok((placed.shift_count(), driver.evaluate_with(&program, &measured)?))
+                    Ok((
+                        placed.shift_count(),
+                        driver.evaluate_with(&program, &measured)?,
+                    ))
                 });
                 match row {
                     Ok((shifts, r)) => writeln!(
@@ -644,10 +649,7 @@ fn run_serve(opts: &Options) -> Result<String, Box<dyn Error>> {
     let metrics_addr = opts
         .metrics_addr
         .as_deref()
-        .map(|a| {
-            a.parse()
-                .map_err(|e| format!("--metrics-addr {a}: {e}"))
-        })
+        .map(|a| a.parse().map_err(|e| format!("--metrics-addr {a}: {e}")))
         .transpose()?;
     let config = ServerConfig {
         workers: opts.workers,
@@ -754,7 +756,12 @@ mod tests {
         assert!(out.starts_with("PROVED: x"), "{out}");
         assert!(out.contains("harness_codegen_equiv"), "{out}");
         let json = run(&opts(&[
-            "verify", "x.loop", "--quick", "--json", "--threads", "2",
+            "verify",
+            "x.loop",
+            "--quick",
+            "--json",
+            "--threads",
+            "2",
         ]))
         .unwrap();
         assert!(
@@ -767,7 +774,13 @@ mod tests {
     #[test]
     fn verify_mutate_and_catch_exits_nonzero() {
         let err = run(&opts(&[
-            "verify", "x.loop", "--quick", "--mutate", "splice", "--threads", "2",
+            "verify",
+            "x.loop",
+            "--quick",
+            "--mutate",
+            "splice",
+            "--threads",
+            "2",
         ]))
         .unwrap_err()
         .to_string();
@@ -792,7 +805,12 @@ mod tests {
             let err = parse_args(&args(&[cmd, "x", "--ub", "0"]), &read).unwrap_err();
             assert_eq!(err.to_string(), "--ub must be at least 1");
         }
-        assert_eq!(parse_args(&args(&["run", "x", "--ub", "1"]), &read).unwrap().ub, 1);
+        assert_eq!(
+            parse_args(&args(&["run", "x", "--ub", "1"]), &read)
+                .unwrap()
+                .ub,
+            1
+        );
     }
 
     #[test]
@@ -804,8 +822,15 @@ mod tests {
         };
         let parsed = parse_args(&args(&["verify", "--quick", "loops/x.loop"]), &read).unwrap();
         assert!(parsed.quick && parsed.loop_name == "x", "{parsed:?}");
-        let parsed = parse_args(&args(&["run", "--policy", "zero", "loops/x.loop", "--ub", "9"]), &read).unwrap();
-        assert_eq!((parsed.policy, parsed.ub, parsed.source.as_str()), (Some(Policy::Zero), 9, LOOP));
+        let parsed = parse_args(
+            &args(&["run", "--policy", "zero", "loops/x.loop", "--ub", "9"]),
+            &read,
+        )
+        .unwrap();
+        assert_eq!(
+            (parsed.policy, parsed.ub, parsed.source.as_str()),
+            (Some(Policy::Zero), 9, LOOP)
+        );
         let parsed = parse_args(&args(&["serve", "--workers", "3", "127.0.0.1:0"]), &read).unwrap();
         assert_eq!((parsed.addr.as_str(), parsed.workers), ("127.0.0.1:0", 3));
         let err = parse_args(&args(&["run", "loops/x.loop", "loops/x.loop"]), &read).unwrap_err();
@@ -819,12 +844,17 @@ mod tests {
         let read = |path: &str| -> Result<String, Box<dyn Error>> { panic!("read `{path}`") };
         for help in [&[][..], &["--help"], &["-h"]] {
             let out = run(&parse_args(&args(help), &read).unwrap()).unwrap();
-            assert!(out.starts_with("usage: simdize <command>"), "{help:?}: {out}");
+            assert!(
+                out.starts_with("usage: simdize <command>"),
+                "{help:?}: {out}"
+            );
             for option in ["commands:", "--policy", "--quick", "--metrics-addr"] {
                 assert!(out.contains(option), "{help:?}: no `{option}`\n{out}");
             }
         }
-        let err = parse_args(&args(&["frobnicate"]), &read).unwrap_err().to_string();
+        let err = parse_args(&args(&["frobnicate"]), &read)
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("run `simdize` with no arguments"), "{err}");
     }
 
@@ -832,9 +862,22 @@ mod tests {
     fn verify_counts_a_strided_loops_refusals_apart_from_policy_skips() {
         let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         let read = |path: &str| -> Result<String, Box<dyn Error>> {
-            Ok(std::fs::read_to_string(format!("{}/../../{path}", env!("CARGO_MANIFEST_DIR")))?)
+            Ok(std::fs::read_to_string(format!(
+                "{}/../../{path}",
+                env!("CARGO_MANIFEST_DIR")
+            ))?)
         };
-        let opts = parse_args(&args(&["verify", "--quick", "loops/deinterleave.loop", "--threads", "2"]), &read).unwrap();
+        let opts = parse_args(
+            &args(&[
+                "verify",
+                "--quick",
+                "loops/deinterleave.loop",
+                "--threads",
+                "2",
+            ]),
+            &read,
+        )
+        .unwrap();
         let out = run(&opts).unwrap();
         assert!(out.starts_with("PROVED: deinterleave"), "{out}");
         // Its runtime-alignment configs: the zero policy applies, the
@@ -849,7 +892,8 @@ mod tests {
         let read = |_: &str| -> Result<String, Box<dyn Error>> {
             Err(std::io::Error::from(std::io::ErrorKind::NotFound).into())
         };
-        let err = parse_args(&args(&["verify", "--quick", "loops/missing.loop"]), &read).unwrap_err();
+        let err =
+            parse_args(&args(&["verify", "--quick", "loops/missing.loop"]), &read).unwrap_err();
         assert!(err.to_string().starts_with("loops/missing.loop: "), "{err}");
     }
 
@@ -865,9 +909,19 @@ mod tests {
             "{out}"
         );
         let json = run(&opts(&["explain", "x.loop", "--json"])).unwrap();
-        assert!(json.starts_with("{\"schema\":\"simdize-explain/v1\""), "{json}");
+        assert!(
+            json.starts_with("{\"schema\":\"simdize-explain/v1\""),
+            "{json}"
+        );
         assert!(!json.contains("backend: simd/"), "{json}");
-        let md = run(&opts(&["explain", "x.loop", "--policy", "zero", "--markdown"])).unwrap();
+        let md = run(&opts(&[
+            "explain",
+            "x.loop",
+            "--policy",
+            "zero",
+            "--markdown",
+        ]))
+        .unwrap();
         assert!(md.starts_with("# Worked example"), "{md}");
         assert!(!md.contains("backend: simd/"), "{md}");
     }
@@ -895,11 +949,18 @@ mod tests {
         let program = simdize::parse_program(SUM4).unwrap();
         let lazy = Simdizer::new().policy(Policy::Lazy);
         let plain = lazy.place(&program).unwrap().shift_count();
-        let reassociated = lazy.reassociate(true).place(&program).unwrap().shift_count();
+        let reassociated = lazy
+            .reassociate(true)
+            .place(&program)
+            .unwrap()
+            .shift_count();
         assert!(reassociated < plain, "{reassociated} vs {plain}");
         for (flags, shifts) in [(&[][..], plain), (&["--reassoc"][..], reassociated)] {
             let graph = run_on(&[&["graph", "x.loop", "--policy", "lazy"], flags].concat());
-            assert!(graph.ends_with(&format!("\n{shifts} stream shifts\n")), "{graph}");
+            assert!(
+                graph.ends_with(&format!("\n{shifts} stream shifts\n")),
+                "{graph}"
+            );
             let table = run_on(&[&["policies", "x.loop"], flags].concat());
             let row = table.lines().find(|l| l.starts_with("lazy ")).unwrap();
             let column: usize = row.split_whitespace().nth(1).unwrap().parse().unwrap();
@@ -977,12 +1038,20 @@ mod tests {
         assert!(report.violations.len() >= 2, "{}", report.render_text());
         for ce in &report.violations {
             let (echo, command) = ce.replay.split_once(" | ").expect("a pipeline");
-            let piped = echo.strip_prefix("echo '").and_then(|s| s.strip_suffix('\''));
+            let piped = echo
+                .strip_prefix("echo '")
+                .and_then(|s| s.strip_suffix('\''));
             let piped = piped.expect("the loop source, quoted").to_string();
             let command = command.split("  #").next().unwrap();
             let words: Vec<&str> = command.split_whitespace().collect();
-            let at = words.iter().position(|w| *w == "simdize").expect("the binary");
-            assert!(words[..at].iter().all(|w| *w == "SIMDIZE_ISA=scalar"), "{command}");
+            let at = words
+                .iter()
+                .position(|w| *w == "simdize")
+                .expect("the binary");
+            assert!(
+                words[..at].iter().all(|w| *w == "SIMDIZE_ISA=scalar"),
+                "{command}"
+            );
             let args: Vec<String> = words[at + 1..].iter().map(|w| w.to_string()).collect();
             let read = move |path: &str| -> Result<String, Box<dyn Error>> {
                 assert_eq!(path, "-");
@@ -990,7 +1059,11 @@ mod tests {
             };
             let opts = parse_args(&args, &read).unwrap_or_else(|e| panic!("{command}: {e}"));
             assert_eq!(opts.command, "run", "{command}");
-            let engine = if ce.harness == "harness_codegen_equiv" { "interp" } else { "simd" };
+            let engine = if ce.harness == "harness_codegen_equiv" {
+                "interp"
+            } else {
+                "simd"
+            };
             assert_eq!(opts.engine, engine, "{command}");
         }
     }
@@ -1015,15 +1088,16 @@ mod tests {
         assert!(!out.contains("== metrics =="), "{out}");
         assert!(cache_hits_attr(&out) > 0, "{out}");
         let json = run(&opts(&["trace", "x.loop", "--json"])).unwrap();
-        assert!(json.starts_with("{\"schema\":\"simdize-trace/v1\""), "{json}");
+        assert!(
+            json.starts_with("{\"schema\":\"simdize-trace/v1\""),
+            "{json}"
+        );
         assert!(json.contains("\"verb\":\"trace\""), "{json}");
         assert!(json.contains("\"policy\":\"dominant\""), "{json}");
         assert!(json.contains("\"name\":\"parse\""), "{json}");
         // --chrome-out writes a loadable trace-event file alongside.
-        let path = std::env::temp_dir().join(format!(
-            "simdize-cli-chrome-{}.json",
-            std::process::id()
-        ));
+        let path =
+            std::env::temp_dir().join(format!("simdize-cli-chrome-{}.json", std::process::id()));
         let out = run(&opts(&[
             "trace",
             "x.loop",
@@ -1044,7 +1118,12 @@ mod tests {
     #[test]
     fn telemetry_flag_appends_report() {
         let out = run(&opts(&[
-            "sweep", "x.loop", "--smoke", "--threads", "1", "--telemetry",
+            "sweep",
+            "x.loop",
+            "--smoke",
+            "--threads",
+            "1",
+            "--telemetry",
         ]))
         .unwrap();
         assert!(out.contains("8/8 verified"), "{out}");
@@ -1070,7 +1149,8 @@ mod tests {
     #[test]
     fn serve_argument_parsing() {
         let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let read = |_: &str| -> Result<String, Box<dyn Error>> { unreachable!("serve reads no loop") };
+        let read =
+            |_: &str| -> Result<String, Box<dyn Error>> { unreachable!("serve reads no loop") };
         let parsed = parse_args(
             &args(&[
                 "serve",
@@ -1096,8 +1176,11 @@ mod tests {
         assert!(parse_args(&args(&["serve", "a:1", "--queue", "0"]), &read).is_err());
         assert!(parse_args(&args(&["serve", "a:1", "--flight-cap", "0"]), &read).is_err());
         // A malformed metrics address fails at run time with context.
-        let bad = parse_args(&args(&["serve", "127.0.0.1:0", "--metrics-addr", "bogus"]), &read)
-            .unwrap();
+        let bad = parse_args(
+            &args(&["serve", "127.0.0.1:0", "--metrics-addr", "bogus"]),
+            &read,
+        )
+        .unwrap();
         let err = run(&bad).unwrap_err().to_string();
         assert!(err.contains("--metrics-addr bogus"), "{err}");
     }
@@ -1132,10 +1215,7 @@ mod tests {
             resolve_loop_path("loops/figure1.loop"),
             std::path::PathBuf::from("loops/figure1.loop")
         );
-        assert_eq!(
-            resolve_loop_path("./x"),
-            std::path::PathBuf::from("./x")
-        );
+        assert_eq!(resolve_loop_path("./x"), std::path::PathBuf::from("./x"));
         // A bare name resolves against loops/ in an ancestor of the
         // current directory (tests run somewhere inside the checkout).
         let resolved = resolve_loop_path("figure1");

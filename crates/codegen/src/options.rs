@@ -143,10 +143,7 @@ mod tests {
         assert_eq!(o.reuse_mode(), ReuseMode::SoftwarePipeline);
         assert!(!o.memnorm_enabled());
         assert!(!o.unroll_enabled());
-        assert_eq!(
-            o.to_string(),
-            "reuse=sp memnorm=false unroll=false"
-        );
+        assert_eq!(o.to_string(), "reuse=sp memnorm=false unroll=false");
     }
 
     #[test]

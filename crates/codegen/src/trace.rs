@@ -74,11 +74,7 @@ impl SectionCounts {
 
 impl fmt::Display for SectionCounts {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}p+{}b+{}e",
-            self.prologue, self.body, self.epilogue
-        )
+        write!(f, "{}p+{}b+{}e", self.prologue, self.body, self.epilogue)
     }
 }
 
@@ -176,7 +172,10 @@ impl fmt::Display for CodegenEvent {
                     f,
                     "stmt {stmt}: prologue stores a full first vector (ProSplice = 0)"
                 ),
-                None => write!(f, "stmt {stmt}: prologue initializes the reduction accumulator"),
+                None => write!(
+                    f,
+                    "stmt {stmt}: prologue initializes the reduction accumulator"
+                ),
             },
             CodegenEvent::ReuseApplied {
                 mode,

@@ -182,7 +182,13 @@ pub fn verify_program(program: &SimdProgram) -> Result<(), VerifyProgramError> {
     }
 
     let mut epi_defs = body_defs.clone();
-    check_section("epilogue", program.epilogue(), &body_defs, &mut epi_defs, &ctx)?;
+    check_section(
+        "epilogue",
+        program.epilogue(),
+        &body_defs,
+        &mut epi_defs,
+        &ctx,
+    )?;
     Ok(())
 }
 
@@ -324,7 +330,11 @@ mod tests {
     fn strided_and_unaligned_programs_verify() {
         let strided = "arrays { out: i32[128] @ 0; inter: i32[300] @ 4; }
                        for i in 0..100 { out[i] = inter[2*i] + inter[2*i+1]; }";
-        for reuse in [ReuseMode::None, ReuseMode::SoftwarePipeline, ReuseMode::PredictiveCommoning] {
+        for reuse in [
+            ReuseMode::None,
+            ReuseMode::SoftwarePipeline,
+            ReuseMode::PredictiveCommoning,
+        ] {
             verify_program(&compiled(strided, reuse, true)).unwrap();
         }
         let p = parse_program(strided).unwrap();

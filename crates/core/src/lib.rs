@@ -80,10 +80,9 @@ pub use simdize_analysis::{
     analyze_program, AnalysisFailed, AnalysisReport, AnalyzeOptions, Finding, Level, Lint, Section,
 };
 pub use simdize_codegen::{
-    generate, generate_traced, generate_unaligned, lower_altivec, max_live_vregs,
-    verify_program, Addr, BoundFormula, CodegenEvent, CodegenOptions, CodegenTrace, GenCodeError,
-    ReuseMode, SCond, SExpr, SectionCounts, SimdProgram, VInst, VReg, VerifyProgramError,
-    MACHINE_VREGS,
+    generate, generate_traced, generate_unaligned, lower_altivec, max_live_vregs, verify_program,
+    Addr, BoundFormula, CodegenEvent, CodegenOptions, CodegenTrace, GenCodeError, ReuseMode, SCond,
+    SExpr, SectionCounts, SimdProgram, VInst, VReg, VerifyProgramError, MACHINE_VREGS,
 };
 pub use simdize_ir::{
     parse_program, AlignKind, ArrayDecl, ArrayId, ArrayRef, BinOp, Expr, Invariant, Lane,
@@ -108,10 +107,9 @@ pub fn generate_strided(
     Simdizer::new().shape(shape).compile(program)
 }
 pub use simdize_engine::{
-    program_fingerprint, run_job, run_sweep_collect, run_sweep_shared, CacheStats,
-    CompiledKernel, FusionEvent, FusionEventKind, FusionStats, IsaLevel, JobRun, KernelBackend,
-    KernelCache, KernelOptions, PredecodedKernel, Schedule, SectionSchedule, SequentialReason,
-    SimdKernel,
+    program_fingerprint, run_job, run_sweep_collect, run_sweep_shared, CacheStats, CompiledKernel,
+    FusionEvent, FusionEventKind, FusionStats, IsaLevel, JobRun, KernelBackend, KernelCache,
+    KernelOptions, PredecodedKernel, Schedule, SectionSchedule, SequentialReason, SimdKernel,
     SweepBackend, SweepJob, SweepOptions, SweepOutcome, SweepStats, Template,
 };
 pub use simdize_telemetry::{RequestTrace, TraceId, TRACE_SCHEMA};
@@ -120,9 +118,8 @@ pub use simdize_verify::{
     MutationKind, Probe, ProveError, TripStyle, VerifyOptions, VerifyReport, HARNESS_NAMES,
 };
 pub use simdize_vm::{
-    run_differential, run_scalar, run_simd, scalar_ideal_ops, DiffConfig,
-    DiffOutcome, ExecError, MemoryImage, RunInput, RunStats, VerifyError,
-    UNALIGNED_MEM_COST,
+    run_differential, run_scalar, run_simd, scalar_ideal_ops, DiffConfig, DiffOutcome, ExecError,
+    MemoryImage, RunInput, RunStats, VerifyError, UNALIGNED_MEM_COST,
 };
 pub use simdize_workloads::{
     alpha_blend, dot_product, fir_filter, harmonic_mean, lower_bound_opd, lower_bound_opd_cse,

@@ -190,7 +190,8 @@ impl Simdizer {
     /// code generation — e.g. forcing a non-zero policy on a loop with
     /// runtime alignments.
     pub fn compile(&self, program: &LoopProgram) -> Result<SimdProgram, SimdizeError> {
-        self.compile_with(program, None).map(|(_, compiled)| compiled)
+        self.compile_with(program, None)
+            .map(|(_, compiled)| compiled)
     }
 
     /// [`Simdizer::compile`], recording every placement decision into

@@ -568,7 +568,11 @@ mod tests {
             .collect();
         let serial = run_sweep_collect(&jobs, SweepOptions::new(1)).0;
         for threads in [2, 3, 8, 64] {
-            assert_eq!(run_sweep_collect(&jobs, SweepOptions::new(threads)).0, serial, "{threads} threads");
+            assert_eq!(
+                run_sweep_collect(&jobs, SweepOptions::new(threads)).0,
+                serial,
+                "{threads} threads"
+            );
         }
     }
 
@@ -584,12 +588,20 @@ mod tests {
             let jobs: Vec<SweepJob> = (0..16)
                 .map(|seed| SweepJob::new(prog.clone(), seed * 3 + 1, 300))
                 .collect();
-            for (job, outcome) in jobs.iter().zip(run_sweep_collect(&jobs, SweepOptions::new(3)).0) {
+            for (job, outcome) in jobs
+                .iter()
+                .zip(run_sweep_collect(&jobs, SweepOptions::new(3)).0)
+            {
                 let outcome = outcome.unwrap();
                 assert!(outcome.verified);
                 let mut image = MemoryImage::with_seed(prog.source(), VectorShape::V16, job.seed);
                 let kernel = crate::SimdKernel::compile(&prog, &image, &job.input).unwrap();
-                assert_eq!(kernel.run(&mut image).unwrap(), outcome.stats, "seed {}", job.seed);
+                assert_eq!(
+                    kernel.run(&mut image).unwrap(),
+                    outcome.stats,
+                    "seed {}",
+                    job.seed
+                );
             }
         }
     }
@@ -600,8 +612,10 @@ mod tests {
         // to be re-laid-out between jobs; the cache holds one kernel
         // per (program, layout) throughout.
         let a = program(KNOWN);
-        let b = program("arrays { a: i32[512] @ 0; c: i32[512] @ 8; }
-                         for i in 0..ub { a[i] = c[i+2]; }");
+        let b = program(
+            "arrays { a: i32[512] @ 0; c: i32[512] @ 8; }
+                         for i in 0..ub { a[i] = c[i+2]; }",
+        );
         let jobs: Vec<SweepJob> = (0..12)
             .map(|k| {
                 let prog = if k % 2 == 0 { a.clone() } else { b.clone() };

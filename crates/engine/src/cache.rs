@@ -401,7 +401,13 @@ impl KernelCache {
         }
         let kernel = Arc::new(SimdKernel::lower(&pre.bake(image, input, opts)?, isa));
         let evicted = self.insert_simd(key, Arc::clone(&kernel));
-        Ok((kernel, Lookup { hit: false, evicted }))
+        Ok((
+            kernel,
+            Lookup {
+                hit: false,
+                evicted,
+            },
+        ))
     }
 
     /// Current counters and per-shard occupancy.

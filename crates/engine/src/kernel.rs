@@ -44,15 +44,18 @@
 //! them, for fusion and lowering alike.
 
 use crate::lanes::Reg;
-use crate::native::{self, IsaLevel, Leaf, Program, Schedule, Section, SectionSchedule, SequentialReason, Sink, Super, Term};
+use crate::native::{
+    self, IsaLevel, Leaf, Program, Schedule, Section, SectionSchedule, SequentialReason, Sink,
+    Super, Term,
+};
 use crate::trace::{self, FusionEvent, FusionStats};
 use simdize_codegen::{Addr, ScalarEnv, SimdProgram, VInst, VReg};
 use simdize_ir::{ArrayId, BinOp, LoopProgram, ScalarType, UnOp, Value, VectorShape};
-use simdize_vm::{
-    run_scalar, runtime_expr_count, scalar_ideal_ops, ExecError, MemoryImage, RunInput,
-    RunStats, CALL_OVERHEAD, LOOP_OVERHEAD_PER_ITERATION, RUNTIME_SETUP_PER_EXPR,
-};
 use simdize_telemetry as telemetry;
+use simdize_vm::{
+    run_scalar, runtime_expr_count, scalar_ideal_ops, ExecError, MemoryImage, RunInput, RunStats,
+    CALL_OVERHEAD, LOOP_OVERHEAD_PER_ITERATION, RUNTIME_SETUP_PER_EXPR,
+};
 use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -74,22 +77,73 @@ pub(crate) const NO_REG: u32 = u32::MAX;
 /// until renaming, offsets into the run's register block after it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Op {
-    Load { dst: u32, arr: u32, start: i64, step: i64 },
+    Load {
+        dst: u32,
+        arr: u32,
+        start: i64,
+        step: i64,
+    },
     /// A `vload` + `vshiftpair` pair fused by the trace pass into one
     /// shifted load. Executes exactly like `Load`; kept distinct so the
     /// plan listing and fusion telemetry can tell them apart.
-    LoadFused { dst: u32, arr: u32, start: i64, step: i64 },
-    Store { src: u32, arr: u32, start: i64, step: i64 },
-    Shift { dst: u32, a: u32, b: u32, amt: u8 },
-    Splice { dst: u32, a: u32, b: u32, point: u8 },
-    Perm { dst: u32, a: u32, b: u32, pattern: [u8; 16] },
-    Splat { dst: u32, bytes: Reg },
-    Bin { dst: u32, op: BinOp, a: u32, b: u32 },
+    LoadFused {
+        dst: u32,
+        arr: u32,
+        start: i64,
+        step: i64,
+    },
+    Store {
+        src: u32,
+        arr: u32,
+        start: i64,
+        step: i64,
+    },
+    Shift {
+        dst: u32,
+        a: u32,
+        b: u32,
+        amt: u8,
+    },
+    Splice {
+        dst: u32,
+        a: u32,
+        b: u32,
+        point: u8,
+    },
+    Perm {
+        dst: u32,
+        a: u32,
+        b: u32,
+        pattern: [u8; 16],
+    },
+    Splat {
+        dst: u32,
+        bytes: Reg,
+    },
+    Bin {
+        dst: u32,
+        op: BinOp,
+        a: u32,
+        b: u32,
+    },
     /// A binop whose other operand the trace pass proved constant at
     /// bake time; the immediate rides in the instruction.
-    BinSplat { dst: u32, op: BinOp, a: u32, imm: Reg, imm_left: bool },
-    Un { dst: u32, op: UnOp, a: u32 },
-    Copy { dst: u32, src: u32 },
+    BinSplat {
+        dst: u32,
+        op: BinOp,
+        a: u32,
+        imm: Reg,
+        imm_left: bool,
+    },
+    Un {
+        dst: u32,
+        op: UnOp,
+        a: u32,
+    },
+    Copy {
+        dst: u32,
+        src: u32,
+    },
 }
 
 impl Op {
@@ -235,13 +289,20 @@ impl Checked {
         Ok(Checked {
             nregs: max_reg + 1,
             // A program with no runtime expression has none to count.
-            runtime_exprs: if runtime { runtime_expr_count(program) as u64 } else { 0 },
+            runtime_exprs: if runtime {
+                runtime_expr_count(program) as u64
+            } else {
+                0
+            },
         })
     }
 
     /// `program`'s predecoded form; `self` must be its check.
     pub(crate) fn lend(self, program: &SimdProgram) -> PredecodedKernel<'_> {
-        PredecodedKernel { program, checked: self }
+        PredecodedKernel {
+            program,
+            checked: self,
+        }
     }
 }
 
@@ -318,7 +379,9 @@ fn check(insts: &[VInst], max: &mut usize, runtime: &mut bool) -> Result<(), Exe
                 }
             }
             VInst::Guarded { body, .. } => check(body, max, runtime)?,
-            VInst::ShiftPair { amt: e, .. } | VInst::Splice { point: e, .. } => *runtime |= e.is_runtime(),
+            VInst::ShiftPair { amt: e, .. } | VInst::Splice { point: e, .. } => {
+                *runtime |= e.is_runtime()
+            }
             _ => {}
         }
         if let Some(d) = inst.def() {
@@ -446,7 +509,12 @@ impl Baking<'_> {
                 VInst::LoadA { dst, addr } | VInst::LoadU { dst, addr } => {
                     let aligned = matches!(inst, VInst::LoadA { .. });
                     let (arr, start, step) = self.stream(addr, aligned, i0, step_i, iters)?;
-                    out.push(Op::Load { dst: self.def_reg(*dst), arr, start, step });
+                    out.push(Op::Load {
+                        dst: self.def_reg(*dst),
+                        arr,
+                        start,
+                        step,
+                    });
                     if aligned {
                         counts.loads += 1;
                     } else {
@@ -456,7 +524,12 @@ impl Baking<'_> {
                 VInst::StoreA { addr, src } | VInst::StoreU { addr, src } => {
                     let aligned = matches!(inst, VInst::StoreA { .. });
                     let (arr, start, step) = self.stream(addr, aligned, i0, step_i, iters)?;
-                    out.push(Op::Store { src: self.use_reg(*src)?, arr, start, step });
+                    out.push(Op::Store {
+                        src: self.use_reg(*src)?,
+                        arr,
+                        start,
+                        step,
+                    });
                     if aligned {
                         counts.stores += 1;
                     } else {
@@ -469,7 +542,12 @@ impl Baking<'_> {
                         return Err(ExecError::BadShiftAmount { amount });
                     }
                     let (a, b) = (self.use_reg(*a)?, self.use_reg(*b)?);
-                    out.push(Op::Shift { dst: self.def_reg(*dst), a, b, amt: amount as u8 });
+                    out.push(Op::Shift {
+                        dst: self.def_reg(*dst),
+                        a,
+                        b,
+                        amt: amount as u8,
+                    });
                     counts.shifts += 1;
                 }
                 VInst::Splice { dst, a, b, point } => {
@@ -478,40 +556,73 @@ impl Baking<'_> {
                         return Err(ExecError::BadSplicePoint { point: p });
                     }
                     let (a, b) = (self.use_reg(*a)?, self.use_reg(*b)?);
-                    out.push(Op::Splice { dst: self.def_reg(*dst), a, b, point: p as u8 });
+                    out.push(Op::Splice {
+                        dst: self.def_reg(*dst),
+                        a,
+                        b,
+                        point: p as u8,
+                    });
                     counts.splices += 1;
                 }
                 VInst::Perm { dst, a, b, pattern } => {
                     let (a, b) = (self.use_reg(*a)?, self.use_reg(*b)?);
-                    let pattern = pattern[..].try_into().expect("`PredecodedKernel::new` checked it");
-                    out.push(Op::Perm { dst: self.def_reg(*dst), a, b, pattern });
+                    let pattern = pattern[..]
+                        .try_into()
+                        .expect("`PredecodedKernel::new` checked it");
+                    out.push(Op::Perm {
+                        dst: self.def_reg(*dst),
+                        a,
+                        b,
+                        pattern,
+                    });
                     counts.shifts += 1; // permutes count as reorganization ops
                 }
                 VInst::SplatConst { dst, value } => {
                     let bytes = splat_bytes(self.elem, *value);
-                    out.push(Op::Splat { dst: self.def_reg(*dst), bytes });
+                    out.push(Op::Splat {
+                        dst: self.def_reg(*dst),
+                        bytes,
+                    });
                     counts.splats += 1;
                 }
                 VInst::SplatParam { dst, param } => {
                     let index = param.index();
-                    let value = *self.params.get(index).ok_or(ExecError::MissingParam { index })?;
+                    let value = *self
+                        .params
+                        .get(index)
+                        .ok_or(ExecError::MissingParam { index })?;
                     let bytes = splat_bytes(self.elem, value);
-                    out.push(Op::Splat { dst: self.def_reg(*dst), bytes });
+                    out.push(Op::Splat {
+                        dst: self.def_reg(*dst),
+                        bytes,
+                    });
                     counts.splats += 1;
                 }
                 VInst::Bin { dst, op, a, b } => {
                     let (a, b) = (self.use_reg(*a)?, self.use_reg(*b)?);
-                    out.push(Op::Bin { dst: self.def_reg(*dst), op: *op, a, b });
+                    out.push(Op::Bin {
+                        dst: self.def_reg(*dst),
+                        op: *op,
+                        a,
+                        b,
+                    });
                     counts.ops += 1;
                 }
                 VInst::Un { dst, op, a } => {
                     let a = self.use_reg(*a)?;
-                    out.push(Op::Un { dst: self.def_reg(*dst), op: *op, a });
+                    out.push(Op::Un {
+                        dst: self.def_reg(*dst),
+                        op: *op,
+                        a,
+                    });
                     counts.ops += 1;
                 }
                 VInst::Copy { dst, src } => {
                     let src = self.use_reg(*src)?;
-                    out.push(Op::Copy { dst: self.def_reg(*dst), src });
+                    out.push(Op::Copy {
+                        dst: self.def_reg(*dst),
+                        src,
+                    });
                     counts.copies += 1;
                 }
                 VInst::Guarded { cond, body } => {
@@ -601,10 +712,13 @@ impl<'p> PredecodedKernel<'p> {
         if ub <= guard {
             // §4.4 guard: the kernel is the original scalar loop.
             stats.used_fallback = true;
-            stats.scalar_fallback =
-                scalar_ideal_ops(source, ub) + ub * LOOP_OVERHEAD_PER_ITERATION;
+            stats.scalar_fallback = scalar_ideal_ops(source, ub) + ub * LOOP_OVERHEAD_PER_ITERATION;
             return Ok(CompiledKernel::new(Plan {
-                program: Program { sections: Vec::new(), nregs: 0, elem },
+                program: Program {
+                    sections: Vec::new(),
+                    nregs: 0,
+                    elem,
+                },
                 schedule: Schedule {
                     pair: SectionSchedule::Sequential(SequentialReason::NoLoop),
                     body: SectionSchedule::Sequential(SequentialReason::NoLoop),
@@ -625,7 +739,9 @@ impl<'p> PredecodedKernel<'p> {
         }
 
         stats.invocation_overhead += RUNTIME_SETUP_PER_EXPR * self.checked.runtime_exprs;
-        WORKSPACE.with_borrow_mut(|ws| self.bake_plan(image, input, opts, stats, bases, ws)).map(CompiledKernel::new)
+        WORKSPACE
+            .with_borrow_mut(|ws| self.bake_plan(image, input, opts, stats, bases, ws))
+            .map(CompiledKernel::new)
     }
 
     /// [`bake`](PredecodedKernel::bake) past the scalar-fallback guard,
@@ -689,17 +805,25 @@ impl<'p> PredecodedKernel<'p> {
             (program.body(), i_after, b),
             (program.epilogue(), i_final, 0),
         ];
-        for (section, (insts, i0, step_i)) in sections.iter_mut().zip(vir).filter(|(s, _)| s.iters > 0) {
+        for (section, (insts, i0, step_i)) in
+            sections.iter_mut().zip(vir).filter(|(s, _)| s.iters > 0)
+        {
             // Class counts of one iteration, scaled below.
             let mut counts = RunStats::default();
             // Sized by the VIR; a guarded block that runs may still grow it.
             section.ops.reserve(insts.len());
-            bk.bake_insts(insts, i0, step_i, section.iters, &mut counts, &mut section.ops)?;
+            bk.bake_insts(
+                insts,
+                i0,
+                step_i,
+                section.iters,
+                &mut counts,
+                &mut section.ops,
+            )?;
             stats += scaled(counts, section.iters as u64);
         }
         stats.steady_iterations = 2 * pair_iters as u64 + body_iters as u64;
-        stats.loop_overhead =
-            (pair_iters as u64 + body_iters as u64) * LOOP_OVERHEAD_PER_ITERATION;
+        stats.loop_overhead = (pair_iters as u64 + body_iters as u64) * LOOP_OVERHEAD_PER_ITERATION;
 
         // Stats are final: fusion below only changes how the host
         // executes the trace, never what the machine model charges.
@@ -757,7 +881,9 @@ impl CompiledKernel {
     }
 
     fn new(plan: Plan) -> CompiledKernel {
-        CompiledKernel { plan: Arc::new(plan) }
+        CompiledKernel {
+            plan: Arc::new(plan),
+        }
     }
 
     /// Whether `image` has the exact layout this kernel was baked for
@@ -767,8 +893,7 @@ impl CompiledKernel {
         image.shape() == plan.shape
             && image.elem() == plan.program.elem
             && image.bytes().len() == plan.image_len
-            && (0..plan.bases.len())
-                .all(|k| image.base_of(ArrayId::from_index(k)) == plan.bases[k])
+            && (0..plan.bases.len()).all(|k| image.base_of(ArrayId::from_index(k)) == plan.bases[k])
     }
 
     /// Executes the kernel against `image`, which must have the layout
@@ -834,8 +959,21 @@ impl CompiledKernel {
     /// tier runs with both halves in one 256-bit register — out of how
     /// many it runs. The same on every tier.
     pub fn superinstructions(&self) -> Vec<(&'static str, usize, usize)> {
-        let sections = self.plan.program.sections.iter().filter(|s| !s.supers.is_empty());
-        sections.map(|s| (s.role, s.supers.iter().filter(|f| f.halves != 0).count(), s.supers.len())).collect()
+        let sections = self
+            .plan
+            .program
+            .sections
+            .iter()
+            .filter(|s| !s.supers.is_empty());
+        sections
+            .map(|s| {
+                (
+                    s.role,
+                    s.supers.iter().filter(|f| f.halves != 0).count(),
+                    s.supers.len(),
+                )
+            })
+            .collect()
     }
 
     /// What the trace fusion pass did to this kernel (all zero when
@@ -872,7 +1010,10 @@ impl CompiledKernel {
             "; plan: V={V} lanes={} fused-loads={} splat-ops={} hoisted={} eliminated={}\n",
             plan.program.nregs, f.fused_loads, f.splat_ops, f.hoisted, f.eliminated
         );
-        let listing = Listing { bases: &plan.bases, elem: plan.program.elem };
+        let listing = Listing {
+            bases: &plan.bases,
+            elem: plan.program.elem,
+        };
         for section in plan.program.sections.iter().filter(|s| !s.ops.is_empty()) {
             listing.section(&mut out, section);
         }
@@ -941,24 +1082,50 @@ impl Listing<'_> {
             s
         };
         match *op {
-            Op::Load { dst, arr, start, step } => {
+            Op::Load {
+                dst,
+                arr,
+                start,
+                step,
+            } => {
                 format!("  v{dst} = vload {}", addr(arr, start, step))
             }
-            Op::LoadFused { dst, arr, start, step } => {
+            Op::LoadFused {
+                dst,
+                arr,
+                start,
+                step,
+            } => {
                 format!("  v{dst} = vload.fused {}", addr(arr, start, step))
             }
-            Op::Store { src, arr, start, step } => {
+            Op::Store {
+                src,
+                arr,
+                start,
+                step,
+            } => {
                 format!("  vstore {}, v{src}", addr(arr, start, step))
             }
             Op::Shift { dst, a, b, amt } => format!("  v{dst} = vshiftpair(v{a}, v{b}, {amt})"),
             Op::Splice { dst, a, b, point } => format!("  v{dst} = vsplice(v{a}, v{b}, {point})"),
-            Op::Perm { dst, a, b, ref pattern } => {
+            Op::Perm {
+                dst,
+                a,
+                b,
+                ref pattern,
+            } => {
                 let pat: Vec<String> = pattern.iter().map(|x| x.to_string()).collect();
                 format!("  v{dst} = vperm(v{a}, v{b}, [{}])", pat.join(","))
             }
             Op::Splat { dst, ref bytes } => format!("  v{dst} = vsplat(0x{})", imm_hex(bytes)),
             Op::Bin { dst, op, a, b } => format!("  v{dst} = {}(v{a}, v{b})", name(&op)),
-            Op::BinSplat { dst, op, a, ref imm, imm_left } => {
+            Op::BinSplat {
+                dst,
+                op,
+                a,
+                ref imm,
+                imm_left,
+            } => {
                 let o = name(&op);
                 if imm_left {
                     format!("  v{dst} = {o}(0x{}, v{a})", imm_hex(imm))
@@ -984,7 +1151,11 @@ fn fold(f: &Super) -> String {
         Sink::Reduce { op } => format!("v{} lane partials by {}", f.column, name(&op)),
     };
     let Some(shape) = &f.tree else {
-        let op = if f.folds().iter().all(|g| g.leaves == 1) { "copy".to_string() } else { name(&f.op) };
+        let op = if f.folds().iter().all(|g| g.leaves == 1) {
+            "copy".to_string()
+        } else {
+            name(&f.op)
+        };
         let leaves: Vec<String> = f.folds().iter().map(|g| g.leaves.to_string()).collect();
         return format!("  fold {op}, {} streams -> {sink}", leaves.join("+"));
     };
@@ -1000,10 +1171,18 @@ fn fold(f: &Super) -> String {
     let (mut at, mut folds) = (0, Vec::new());
     for (g, op) in f.folds().iter().zip(&shape.ops) {
         let terms: Vec<String> = shape.terms[at..at + g.leaves].iter().map(term).collect();
-        folds.push(if g.leaves == 1 { terms.join("") } else { format!("{}({})", name(op), terms.join(", ")) });
+        folds.push(if g.leaves == 1 {
+            terms.join("")
+        } else {
+            format!("{}({})", name(op), terms.join(", "))
+        });
         at += g.leaves;
     }
-    format!("  fold {} over {} streams -> {sink}", folds.join("; "), f.loads().len())
+    format!(
+        "  fold {} over {} streams -> {sink}",
+        folds.join("; "),
+        f.loads().len()
+    )
 }
 
 /// An operator's listing name: its variant, lower-cased.
@@ -1106,7 +1285,9 @@ mod tests {
         let want = run_simd(&prog, &mut interp_img, &input).unwrap();
         let kernel = CompiledKernel::compile(&prog, &engine_img, &input).unwrap();
         assert!(kernel.is_fallback());
-        assert!(kernel.trace().starts_with("; scalar fallback: ub = 7 <= guard"));
+        assert!(kernel
+            .trace()
+            .starts_with("; scalar fallback: ub = 7 <= guard"));
         let got = kernel.run(&mut engine_img).unwrap();
         assert!(got.used_fallback);
         assert_eq!(got, want);
@@ -1126,7 +1307,11 @@ mod tests {
             let mut interp_img = engine_img.clone();
             kernel.run(&mut engine_img).unwrap();
             run_simd(&prog, &mut interp_img, &input).unwrap();
-            assert_eq!(engine_img.first_difference(&interp_img), None, "fill {fill}");
+            assert_eq!(
+                engine_img.first_difference(&interp_img),
+                None,
+                "fill {fill}"
+            );
         }
     }
 

@@ -191,7 +191,11 @@ mod tests {
                 let a = random_reg(&mut rng);
                 let b = random_reg(&mut rng);
                 for op in BINS {
-                    assert_eq!(bin(op, ty, &a, &b), value_bin(op, ty, &a, &b), "{op:?} {ty}");
+                    assert_eq!(
+                        bin(op, ty, &a, &b),
+                        value_bin(op, ty, &a, &b),
+                        "{op:?} {ty}"
+                    );
                 }
                 for op in UNS {
                     assert_eq!(un(op, ty, &a), value_un(op, ty, &a), "{op:?} {ty}");

@@ -99,8 +99,8 @@ pub mod native;
 mod trace;
 
 pub use batch::{
-    run_job, run_sweep_collect, run_sweep_shared, JobRun, SweepBackend, SweepJob,
-    SweepOptions, SweepOutcome, SweepStats, Template,
+    run_job, run_sweep_collect, run_sweep_shared, JobRun, SweepBackend, SweepJob, SweepOptions,
+    SweepOutcome, SweepStats, Template,
 };
 pub use cache::{
     program_fingerprint, CacheKey, CacheStats, KernelBackend, KernelCache, LayoutSig, Lookup,

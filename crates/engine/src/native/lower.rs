@@ -20,10 +20,12 @@
 //! the bake's workspace), cleared and re-sized per bake; the tables
 //! indexed by register are sized by the bake's dense register ids.
 
-use super::strip::{perm_tables, Fold, Leaf, Program, Section, Shape, Sink, Super, Term, MAX_LEAVES, STRIP};
-use crate::lanes::Reg as Bytes;
+use super::strip::{
+    perm_tables, Fold, Leaf, Program, Section, Shape, Sink, Super, Term, MAX_LEAVES, STRIP,
+};
 use super::{Schedule, SectionSchedule, SequentialReason};
 use crate::kernel::{live_in, splat_bytes, Op, NO_REG as NONE, V};
+use crate::lanes::Reg as Bytes;
 use simdize_codegen::reduction_identity;
 use simdize_ir::{BinOp, ScalarType};
 use std::ops::Range;
@@ -50,7 +52,15 @@ struct Reg {
 }
 
 impl Reg {
-    const UNNAMED: Reg = Reg { slot: NONE, named: 0, reads_first: 0, defs: 0, pinned: false, group: NONE, offset: 0 };
+    const UNNAMED: Reg = Reg {
+        slot: NONE,
+        named: 0,
+        reads_first: 0,
+        defs: 0,
+        pinned: false,
+        group: NONE,
+        offset: 0,
+    };
 
     /// Whether a section after `s` reads the value section `s` leaves.
     fn live_after(&self, s: usize) -> bool {
@@ -87,7 +97,13 @@ struct Access {
 impl Access {
     fn new(start: i64, step: i64, iters: i64, store: bool) -> Access {
         let span = (iters - 1).max(0) * step;
-        Access { start, step, lo: start + span.min(0), hi: start + span.max(0) + V, store }
+        Access {
+            start,
+            step,
+            lo: start + span.min(0),
+            hi: start + span.max(0) + V,
+            store,
+        }
     }
 }
 
@@ -121,13 +137,25 @@ fn independent(x: &Access, y: &Access) -> bool {
 /// `info` which registers it names, reads first ([`live_in`], `(seen,
 /// live)` its scratch) and writes and, for a loop, what it carries and
 /// whether its memory accesses allow strips, and tabulates its uses.
-fn scan(ops: &[Op], iters: i64, s: usize, info: &mut [Reg], (seen, live, accesses): &mut (Vec<bool>, Vec<u32>, Vec<Access>), out: &mut Scan) {
+fn scan(
+    ops: &[Op],
+    iters: i64,
+    s: usize,
+    info: &mut [Reg],
+    (seen, live, accesses): &mut (Vec<bool>, Vec<u32>, Vec<Access>),
+    out: &mut Scan,
+) {
     let (bit, looped) = (1u8 << s, iters > 1);
     live_in(ops, info.len(), seen, live);
     for &r in live.iter() {
         info[r as usize].reads_first |= bit;
     }
-    let Scan { live_in, carried, independent, uses } = out;
+    let Scan {
+        live_in,
+        carried,
+        independent,
+        uses,
+    } = out;
     uses.clear();
     if !ops.is_empty() {
         uses.resize(info.len(), Uses::NONE);
@@ -150,12 +178,19 @@ fn scan(ops: &[Op], iters: i64, s: usize, info: &mut [Reg], (seen, live, accesse
             reg.defs |= bit;
         }
         match *op {
-            Op::Load { start, step, .. } | Op::LoadFused { start, step, .. } if looped => accesses.push(Access::new(start, step, iters, false)),
-            Op::Store { start, step, .. } if looped => accesses.push(Access::new(start, step, iters, true)),
+            Op::Load { start, step, .. } | Op::LoadFused { start, step, .. } if looped => {
+                accesses.push(Access::new(start, step, iters, false))
+            }
+            Op::Store { start, step, .. } if looped => {
+                accesses.push(Access::new(start, step, iters, true))
+            }
             _ => {}
         }
     }
-    *independent = accesses.iter().filter(|x| x.store).all(|store| accesses.iter().all(|other| self::independent(store, other)));
+    *independent = accesses
+        .iter()
+        .filter(|x| x.store)
+        .all(|store| accesses.iter().all(|other| self::independent(store, other)));
     live_in.clear();
     if looped {
         live_in.extend_from_slice(live);
@@ -178,7 +213,9 @@ impl Carried {
     /// The rotation chains, in order.
     fn chains(&self) -> impl Iterator<Item = &[u32]> {
         let starts = std::iter::once(0).chain(self.ends.iter().copied());
-        starts.zip(&self.ends).map(|(start, &end)| &self.links[start..end])
+        starts
+            .zip(&self.ends)
+            .map(|(start, &end)| &self.links[start..end])
     }
 
     fn clear(&mut self) {
@@ -203,7 +240,14 @@ struct Uses {
 }
 
 impl Uses {
-    const NONE: Uses = Uses { defs: 0, def: u32::MAX, reads: 0, read: u32::MAX, last_read: 0, last: 0 };
+    const NONE: Uses = Uses {
+        defs: 0,
+        def: u32::MAX,
+        reads: 0,
+        read: u32::MAX,
+        last_read: 0,
+        last: 0,
+    };
 }
 
 /// Enters op `i`'s operands `[dst, a, b]` ([`Op::regs`]) in the use
@@ -225,14 +269,29 @@ fn note(uses: &mut [Uses], i: usize, [dst, a, b]: [u32; 3]) {
 /// a chain `acc → t_1 → … → t_m` of one reassociable operator, in which
 /// every link is read once, by the next, and no `t_i` is live after
 /// section `s`.
-fn reduction(ops: &[Op], uses: &[Uses], acc: u32, close: usize, s: usize, info: &[Reg]) -> Option<BinOp> {
-    let Op::Copy { src: end, .. } = ops[close] else { return None };
+fn reduction(
+    ops: &[Op],
+    uses: &[Uses],
+    acc: u32,
+    close: usize,
+    s: usize,
+    info: &[Reg],
+) -> Option<BinOp> {
+    let Op::Copy { src: end, .. } = ops[close] else {
+        return None;
+    };
     // `from` only grows, so the walk ends.
     let (mut link, mut from, mut kind, mut reads) = (acc, 0, None, uses[acc as usize]);
     while link != end {
         let next = reads.read as usize;
-        let (Op::Bin { dst, op, .. } | Op::BinSplat { dst, op, .. }) = ops.get(next)? else { return None };
-        if reads.reads != 1 || next < from || !op.is_reassociable() || *kind.get_or_insert(*op) != *op {
+        let (Op::Bin { dst, op, .. } | Op::BinSplat { dst, op, .. }) = ops.get(next)? else {
+            return None;
+        };
+        if reads.reads != 1
+            || next < from
+            || !op.is_reassociable()
+            || *kind.get_or_insert(*op) != *op
+        {
             return None;
         }
         reads = uses[*dst as usize];
@@ -248,8 +307,13 @@ fn reduction(ops: &[Op], uses: &[Uses], acc: u32, close: usize, s: usize, info: 
 /// `chain` is, and where its source is written; `op(i)` is op `i`.
 fn span<'a>(order: &[usize], op: impl Fn(usize) -> &'a Op, chain: &[u32]) -> (usize, usize) {
     let (rotated, n) = chain.split_at(chain.len() - 1);
-    let first = order.iter().position(|&i| op(i).regs()[1..].iter().any(|r| rotated.contains(r)));
-    let def = order.iter().position(|&i| op(i).regs()[0] == n[0]).expect("a chain's source is written");
+    let first = order
+        .iter()
+        .position(|&i| op(i).regs()[1..].iter().any(|r| rotated.contains(r)));
+    let def = order
+        .iter()
+        .position(|&i| op(i).regs()[0] == n[0])
+        .expect("a chain's source is written");
     (first.unwrap_or(order.len()), def)
 }
 
@@ -268,7 +332,12 @@ struct Lift {
 /// read, as one block; every other op keeps its relative order. A
 /// lifted op may not pass an op naming a register it writes, nor a
 /// lifted load a store to its array.
-fn lift<'a>(order: &mut [usize], op: impl Fn(usize) -> &'a Op, chain: &[u32], t: &mut Lift) -> Result<(), SequentialReason> {
+fn lift<'a>(
+    order: &mut [usize],
+    op: impl Fn(usize) -> &'a Op,
+    chain: &[u32],
+    t: &mut Lift,
+) -> Result<(), SequentialReason> {
     const NEEDED: u8 = 1;
     const WRITTEN: u8 = 2;
     let (first, def) = span(order, &op, chain);
@@ -276,7 +345,12 @@ fn lift<'a>(order: &mut [usize], op: impl Fn(usize) -> &'a Op, chain: &[u32], t:
         return Ok(());
     }
     let (rotated, n) = chain.split_at(chain.len() - 1);
-    let Lift { marks, lifted: lift, loaded, moved } = t;
+    let Lift {
+        marks,
+        lifted: lift,
+        loaded,
+        moved,
+    } = t;
     marks[n[0] as usize] = NEEDED;
     lift.clear();
     lift.resize(def + 1 - first, false);
@@ -309,13 +383,21 @@ fn lift<'a>(order: &mut [usize], op: impl Fn(usize) -> &'a Op, chain: &[u32], t:
         }
     }
     // Every register marked is named in the window.
-    for r in order[first..=def].iter().flat_map(|&i| op(i).regs()).filter(|&r| r != NONE) {
+    for r in order[first..=def]
+        .iter()
+        .flat_map(|&i| op(i).regs())
+        .filter(|&r| r != NONE)
+    {
         marks[r as usize] = 0;
     }
     verdict?;
     moved.clear();
     moved.extend((first..=def).filter(|&p| lift[p - first]).map(|p| order[p]));
-    moved.extend((first..=def).filter(|&p| !lift[p - first]).map(|p| order[p]));
+    moved.extend(
+        (first..=def)
+            .filter(|&p| !lift[p - first])
+            .map(|p| order[p]),
+    );
     order[first..=def].copy_from_slice(moved);
     Ok(())
 }
@@ -328,7 +410,15 @@ fn lift<'a>(order: &mut [usize], op: impl Fn(usize) -> &'a Op, chain: &[u32], t:
 /// `r`'s column is `n`'s shifted down a lane — or a [`reduction`]
 /// accumulator, which [`rotate`] checks. `carried` is empty unless the
 /// section strips.
-fn decide(ops: &mut Vec<Op>, iters: i64, s: usize, scan: &mut Scan, info: &mut Vec<Reg>, carried: &mut Carried, t: &mut Rotation) -> Result<(), SequentialReason> {
+fn decide(
+    ops: &mut Vec<Op>,
+    iters: i64,
+    s: usize,
+    scan: &mut Scan,
+    info: &mut Vec<Reg>,
+    carried: &mut Carried,
+    t: &mut Rotation,
+) -> Result<(), SequentialReason> {
     carried.clear();
     if iters < 2 {
         return Err(OneIteration);
@@ -362,13 +452,29 @@ struct Rotation {
 /// buffers `t` lends. On success the rotation copies are gone, each
 /// chain's source [`lift`]ed above its first read, and `ops` and
 /// `scan.uses` are in strip order; on failure both are as they were.
-fn rotate(ops: &mut Vec<Op>, s: usize, scan: &mut Scan, info: &mut Vec<Reg>, carried: &mut Carried, t: &mut Rotation) -> Result<(), SequentialReason> {
-    let Rotation { rotations, baked, twins, order, lift: lifting, uses: strip_uses } = t;
+fn rotate(
+    ops: &mut Vec<Op>,
+    s: usize,
+    scan: &mut Scan,
+    info: &mut Vec<Reg>,
+    carried: &mut Carried,
+    t: &mut Rotation,
+) -> Result<(), SequentialReason> {
+    let Rotation {
+        rotations,
+        baked,
+        twins,
+        order,
+        lift: lifting,
+        uses: strip_uses,
+    } = t;
     let uses = &scan.uses;
     rotations.clear();
     for &r in &scan.carried {
         let u = uses[r as usize];
-        let (1, Op::Copy { src, .. }) = (u.defs, &ops[u.def as usize]) else { return Err(CarriedRegister) };
+        let (1, Op::Copy { src, .. }) = (u.defs, &ops[u.def as usize]) else {
+            return Err(CarriedRegister);
+        };
         let (src, at, before) = (*src, u.def as usize, u.last_read < u.def);
         match reduction(ops, uses, r, at, s, info) {
             Some(op) => carried.partials.push((r, op)),
@@ -399,8 +505,15 @@ fn rotate(ops: &mut Vec<Op>, s: usize, scan: &mut Scan, info: &mut Vec<Reg>, car
         // of the same source rotates a lane-aligned copy of it.
         if rotations[..i].iter().any(|&(_, m, _)| m == n) {
             let twin = info.len() as u32;
-            info.push(Reg { named: 1 << s, ..Reg::UNNAMED });
-            let after = order.iter().position(|&k| k == def as usize).expect("the source is kept") + 1;
+            info.push(Reg {
+                named: 1 << s,
+                ..Reg::UNNAMED
+            });
+            let after = order
+                .iter()
+                .position(|&k| k == def as usize)
+                .expect("the source is kept")
+                + 1;
             order.insert(after, baked.len() + twins.len());
             twins.push(Op::Copy { dst: twin, src: n });
             rotations[i].1 = twin;
@@ -432,7 +545,12 @@ fn rotate(ops: &mut Vec<Op>, s: usize, scan: &mut Scan, info: &mut Vec<Reg>, car
         lift(order, op, chain, lifting)?;
     }
     // A later lift must not have lifted a read above an earlier source.
-    if carried.ends.len() > 1 && carried.chains().map(|c| span(order, op, c)).any(|(first, def)| first < def) {
+    if carried.ends.len() > 1
+        && carried
+            .chains()
+            .map(|c| span(order, op, c))
+            .any(|(first, def)| first < def)
+    {
         return Err(CarriedRegister);
     }
     strip_uses.clear();
@@ -468,7 +586,10 @@ struct Stack<T, const N: usize> {
 
 impl<T: Copy, const N: usize> Stack<T, N> {
     fn new(fill: T) -> Self {
-        Stack { len: 0, items: [fill; N] }
+        Stack {
+            len: 0,
+            items: [fill; N],
+        }
     }
 
     /// Appends `x`; `None` when full.
@@ -576,8 +697,15 @@ struct Parse {
 impl Default for Parse {
     /// A parse over no registers.
     fn default() -> Parse {
-        let term = Term { op: None, a: 0, b: 0 };
-        let fold = Fold { leaves: 0, sink: Sink::Store { at: 0 } };
+        let term = Term {
+            op: None,
+            a: 0,
+            b: 0,
+        };
+        let fold = Fold {
+            leaves: 0,
+            sink: Sink::Store { at: 0 },
+        };
         Parse {
             defs: Vec::new(),
             run: 0,
@@ -615,7 +743,14 @@ impl Parse {
     fn clear(&mut self) {
         self.run += 1;
         (self.step, self.out_step, self.shifted) = (None, None, None);
-        (self.stored, self.rotated, self.carry, self.acc, self.link, self.closed) = (NONE, NONE, NONE, NONE, NONE, false);
+        (
+            self.stored,
+            self.rotated,
+            self.carry,
+            self.acc,
+            self.link,
+            self.closed,
+        ) = (NONE, NONE, NONE, NONE, NONE, false);
         self.loads.clear();
         self.leaves.clear();
         self.tables.clear();
@@ -627,7 +762,10 @@ impl Parse {
     }
 
     fn is_whole(&self) -> bool {
-        !self.folds.is_empty() && self.nodes.is_empty() && self.shifted.is_none() && (self.acc == NONE || self.closed)
+        !self.folds.is_empty()
+            && self.nodes.is_empty()
+            && self.shifted.is_none()
+            && (self.acc == NONE || self.closed)
     }
 
     fn value(&self, r: u32) -> Option<Value> {
@@ -641,7 +779,9 @@ impl Parse {
     fn leaf(&mut self, r: u32) -> Option<u8> {
         match self.value(r)? {
             Value::Leaf(j) => Some(j),
-            Value::Stream(s) if self.stream_leaf[s as usize] != u8::MAX => Some(self.stream_leaf[s as usize]),
+            Value::Stream(s) if self.stream_leaf[s as usize] != u8::MAX => {
+                Some(self.stream_leaf[s as usize])
+            }
             Value::Stream(s) => {
                 let j = self.new_leaf(Leaf::Stream(s))?;
                 self.stream_leaf[s as usize] = j;
@@ -705,7 +845,8 @@ impl Parse {
         }
         let n = self.nodes.len();
         require!(n >= 2);
-        let ((x_tree, x_op, first, x), (y_tree, y_op, _, y)) = (self.nodes[n - 2], self.nodes[n - 1]);
+        let ((x_tree, x_op, first, x), (y_tree, y_op, _, y)) =
+            (self.nodes[n - 2], self.nodes[n - 1]);
         let folds = |o: Option<BinOp>, terms| terms == 1 || o == Some(op);
         require!(x + y <= MAX_FOLD && folds(x_op, x) && folds(y_op, y));
         if !op.is_reassociable() {
@@ -744,23 +885,40 @@ impl Parse {
             }
         };
         if let Some(&(first, _, first_start)) = self.folds.first() {
-            require!(std::mem::discriminant(&first.sink) == std::mem::discriminant(&sink) && (start - first_start) % V == 0);
+            require!(
+                std::mem::discriminant(&first.sink) == std::mem::discriminant(&sink)
+                    && (start - first_start) % V == 0
+            );
         }
         self.fold_ops.push(op.unwrap_or(BinOp::Or))?;
-        self.folds.push((Fold { leaves: terms, sink }, value, start))
+        self.folds.push((
+            Fold {
+                leaves: terms,
+                sink,
+            },
+            value,
+            start,
+        ))
     }
 
     /// Reads one more op: `None` where it cannot continue the run.
     fn push(&mut self, op: &Op, carried: &Carried) -> Option<()> {
         require!(!self.closed);
         match *op {
-            Op::Load { dst, start, step, .. } | Op::LoadFused { dst, start, step, .. } => {
+            Op::Load {
+                dst, start, step, ..
+            }
+            | Op::LoadFused {
+                dst, start, step, ..
+            } => {
                 require!(self.loads.len() < MAX_LEAVES && whole_vectors(&mut self.step, step));
                 self.define(dst, Value::Stream(self.loads.len() as u8))?;
                 self.stream_leaf[self.loads.len()] = u8::MAX;
                 self.loads.push(start)?;
             }
-            Op::Perm { .. } | Op::Splat { .. } | Op::BinSplat { .. } => return self.gather_or_splat(op),
+            Op::Perm { .. } | Op::Splat { .. } | Op::BinSplat { .. } => {
+                return self.gather_or_splat(op)
+            }
             Op::Bin { dst, op, a, b } => {
                 if let Some(link) = self.reduction_link(op, a, b, carried) {
                     let value = if a == link { b } else { a };
@@ -774,12 +932,28 @@ impl Parse {
                 }
                 let newest = self.nodes.last().map_or(NONE, |n| n.0);
                 match (self.leaf(a), self.leaf(b)) {
-                    (Some(x), Some(y)) => self.term(dst, Term { op: Some(op), a: x, b: y })?,
+                    (Some(x), Some(y)) => self.term(
+                        dst,
+                        Term {
+                            op: Some(op),
+                            a: x,
+                            b: y,
+                        },
+                    )?,
                     (Some(x), None) if b == newest => self.join(dst, op, Some((x, true)), false)?,
-                    (None, Some(y)) if a == newest => self.join(dst, op, Some((y, false)), false)?,
+                    (None, Some(y)) if a == newest => {
+                        self.join(dst, op, Some((y, false)), false)?
+                    }
                     (None, None) => {
-                        let older = self.nodes.len().checked_sub(2).map_or(NONE, |n| self.nodes[n].0);
-                        require!(older != NONE && ((a, b) == (older, newest) || (a, b) == (newest, older)));
+                        let older = self
+                            .nodes
+                            .len()
+                            .checked_sub(2)
+                            .map_or(NONE, |n| self.nodes[n].0);
+                        require!(
+                            older != NONE
+                                && ((a, b) == (older, newest) || (a, b) == (newest, older))
+                        );
                         self.join(dst, op, None, a == newest)?;
                     }
                     _ => return None,
@@ -795,8 +969,16 @@ impl Parse {
                 self.shifted = Some((dst, amt));
                 self.carry = b;
             }
-            Op::Store { src, arr, start, step } => {
-                require!(whole_vectors(&mut self.out_step, step) && (self.stored == NONE || self.stored == arr));
+            Op::Store {
+                src,
+                arr,
+                start,
+                step,
+            } => {
+                require!(
+                    whole_vectors(&mut self.out_step, step)
+                        && (self.stored == NONE || self.stored == arr)
+                );
                 self.stored = arr;
                 match self.shifted.take() {
                     Some((shifted, amt)) => {
@@ -806,7 +988,9 @@ impl Parse {
                     None => self.sink(src, Sink::Store { at: 0 }, start)?,
                 }
             }
-            Op::Copy { dst, src } if self.acc != NONE && (dst, src) == (self.acc, self.link) => self.closed = true,
+            Op::Copy { dst, src } if self.acc != NONE && (dst, src) == (self.acc, self.link) => {
+                self.closed = true
+            }
             _ => return None,
         }
         Some(())
@@ -819,7 +1003,11 @@ impl Parse {
     fn gather_or_splat(&mut self, op: &Op) -> Option<()> {
         match *op {
             Op::Perm { dst, a, b, pattern } => {
-                let (Some(Value::Stream(a)), Some(Value::Stream(b))) = (self.value(a), self.value(b)) else { return None };
+                let (Some(Value::Stream(a)), Some(Value::Stream(b))) =
+                    (self.value(a), self.value(b))
+                else {
+                    return None;
+                };
                 let table = self.table(pattern, true)?;
                 let j = self.new_leaf(Leaf::Gather { a, b, table })?;
                 self.define(dst, Value::Leaf(j))
@@ -829,7 +1017,13 @@ impl Parse {
                 let j = self.new_leaf(Leaf::Splat(table))?;
                 self.define(dst, Value::Leaf(j))
             }
-            Op::BinSplat { dst, op, a, imm, imm_left } => {
+            Op::BinSplat {
+                dst,
+                op,
+                a,
+                imm,
+                imm_left,
+            } => {
                 let table = self.table(imm, false)?;
                 let k = self.new_leaf(Leaf::Splat(table))?;
                 match self.leaf(a) {
@@ -851,15 +1045,22 @@ impl Parse {
     /// partial or the chain's last link — if it is one.
     fn reduction_link(&self, op: BinOp, a: u32, b: u32, carried: &Carried) -> Option<u32> {
         match self.acc {
-            NONE => [a, b].into_iter().find(|&r| carried.partials.contains(&(r, op))),
-            acc => (carried.partials.contains(&(acc, op)) && (a == self.link || b == self.link)).then_some(self.link),
+            NONE => [a, b]
+                .into_iter()
+                .find(|&r| carried.partials.contains(&(r, op))),
+            acc => (carried.partials.contains(&(acc, op)) && (a == self.link || b == self.link))
+                .then_some(self.link),
         }
     }
 
     /// The run up to `whole` as the superinstruction over `ops`: folds
     /// of loaded streams where it is [`Parse::plain`], else a mixed tree
     /// — which has no rotation shift.
-    fn build(&self, ops: Range<usize>, [_, folds, streams, leaves, terms, tables]: Whole) -> Option<Super> {
+    fn build(
+        &self,
+        ops: Range<usize>,
+        [_, folds, streams, leaves, terms, tables]: Whole,
+    ) -> Option<Super> {
         let (mut fold, store) = frame(&self.folds[..folds]);
         let rotates = matches!(fold[0].sink, Sink::Shift { .. });
         let mut shifts = [([0; 16], [0; 16]); 2];
@@ -899,8 +1100,19 @@ impl Parse {
     #[cold]
     #[inline(never)]
     fn shape(&self, folds: usize, leaves: usize, terms: usize, tables: usize) -> Shape {
-        let tables = self.tables[..tables].iter().map(|&(bytes, gather)| if gather { perm_tables(&bytes) } else { (bytes, [0; 16]) });
-        Shape { ops: self.fold_ops[..folds].to_vec(), leaves: self.leaves[..leaves].to_vec(), terms: self.terms[..terms].to_vec(), tables: tables.collect() }
+        let tables = self.tables[..tables].iter().map(|&(bytes, gather)| {
+            if gather {
+                perm_tables(&bytes)
+            } else {
+                (bytes, [0; 16])
+            }
+        });
+        Shape {
+            ops: self.fold_ops[..folds].to_vec(),
+            leaves: self.leaves[..leaves].to_vec(),
+            terms: self.terms[..terms].to_vec(),
+            tables: tables.collect(),
+        }
     }
 
     /// Whether `folds`, over the first `streams` streams, are folds of
@@ -911,7 +1123,12 @@ impl Parse {
     /// reassociable operator. If so, returns the operator, with each
     /// fold's stream count in `folds` and the streams' first bytes, fold
     /// by fold, in `stream` — a reassociable fold's in load order.
-    fn plain(&self, stream: &mut [i64; MAX_LEAVES], folds: &mut [Fold], streams: usize) -> Option<BinOp> {
+    fn plain(
+        &self,
+        stream: &mut [i64; MAX_LEAVES],
+        folds: &mut [Fold],
+        streams: usize,
+    ) -> Option<BinOp> {
         require!(self.out_step.is_none() || self.out_step == self.step);
         let (mut op, mut order, mut n, mut seen, mut k) = (None, [0u8; MAX_LEAVES], 0, 0u32, 0);
         for (g, &fold_op) in folds.iter_mut().zip(&*self.fold_ops) {
@@ -922,12 +1139,16 @@ impl Parse {
                     require!(Some(o) == by && (j == 0 || o.is_reassociable()));
                 }
                 for leaf in [t.a, t.b].into_iter().take(1 + t.op.is_some() as usize) {
-                    let Leaf::Stream(s) = self.leaves[leaf as usize] else { return None };
+                    let Leaf::Stream(s) = self.leaves[leaf as usize] else {
+                        return None;
+                    };
                     require!(seen & 1 << s == 0);
                     (seen, order[n], n) = (seen | 1 << s, s, n + 1);
                 }
                 if let Some(by) = by.filter(|_| n - first > 1) {
-                    require!(*op.get_or_insert(by) == by && (n - first == 2 || by.is_reassociable()));
+                    require!(
+                        *op.get_or_insert(by) == by && (n - first == 2 || by.is_reassociable())
+                    );
                 }
             }
             if op.is_some_and(BinOp::is_reassociable) {
@@ -958,7 +1179,13 @@ fn halves(f: &Super) -> u16 {
         x.leaves == y.leaves
             && match (x.sink, y.sink) {
                 (Sink::Store { at }, Sink::Store { at: next }) => next == at + V as usize,
-                (Sink::Shift { at, amt }, Sink::Shift { at: next, amt: same }) => next == at + V as usize && same == amt,
+                (
+                    Sink::Shift { at, amt },
+                    Sink::Shift {
+                        at: next,
+                        amt: same,
+                    },
+                ) => next == at + V as usize && same == amt,
                 (Sink::Reduce { op }, Sink::Reduce { op: same }) => same == op,
                 _ => false,
             }
@@ -975,29 +1202,51 @@ fn halves(f: &Super) -> u16 {
     let Some(shape) = &f.tree else {
         // Streams come fold by fold, a vector a lane.
         let streams = loads.len() / 2;
-        let matched = f.step == 2 * V && loads.len() % 2 == 0 && (0..streams as u8).all(|s| next(s, s + streams as u8));
+        let matched = f.step == 2 * V
+            && loads.len() % 2 == 0
+            && (0..streams as u8).all(|s| next(s, s + streams as u8));
         return if matched { read } else { 0 };
     };
     let table = |t: u8| shape.tables[t as usize];
     let mut leaf = |x: u8, y: u8| match (shape.leaves[x as usize], shape.leaves[y as usize]) {
         (Leaf::Stream(s), Leaf::Stream(t)) => next(s, t),
-        (Leaf::Gather { a, b, table: t }, Leaf::Gather { a: c, b: d, table: u }) => next(a, c) && next(b, d) && table(t) == table(u),
+        (
+            Leaf::Gather { a, b, table: t },
+            Leaf::Gather {
+                a: c,
+                b: d,
+                table: u,
+            },
+        ) => next(a, c) && next(b, d) && table(t) == table(u),
         (Leaf::Splat(t), Leaf::Splat(u)) => table(t) == table(u),
         _ => false,
     };
     let terms: usize = first.iter().map(|g| g.leaves).sum();
     let (ops, (x, y)) = (shape.ops.split_at(n), shape.terms.split_at(terms));
-    let matched = ops.0 == ops.1 && x.len() == y.len() && x.iter().zip(y).all(|(x, y)| x.op == y.op && leaf(x.a, y.a) && leaf(x.b, y.b));
-    if matched { read } else { 0 }
+    let matched = ops.0 == ops.1
+        && x.len() == y.len()
+        && x.iter()
+            .zip(y)
+            .all(|(x, y)| x.op == y.op && leaf(x.a, y.a) && leaf(x.b, y.b));
+    if matched {
+        read
+    } else {
+        0
+    }
 }
 
 /// The folds of a superinstruction, with their store offsets made
 /// relative to the lowest store, and that store's first byte with the
 /// farthest offset from it (stores only).
 fn frame(folds: &[(Fold, u32, i64)]) -> ([Fold; MAX_LEAVES], Option<(i64, usize)>) {
-    let stores = folds.iter().filter(|(f, ..)| !matches!(f.sink, Sink::Reduce { .. }));
+    let stores = folds
+        .iter()
+        .filter(|(f, ..)| !matches!(f.sink, Sink::Reduce { .. }));
     let base = stores.map(|&(.., start)| start).min();
-    let mut fold = [Fold { leaves: 0, sink: Sink::Store { at: 0 } }; MAX_LEAVES];
+    let mut fold = [Fold {
+        leaves: 0,
+        sink: Sink::Store { at: 0 },
+    }; MAX_LEAVES];
     for (to, &(mut f, _, start)) in fold.iter_mut().zip(folds) {
         if let Sink::Store { at } | Sink::Shift { at, .. } = &mut f.sink {
             *at = (start - base.unwrap_or(0)) as usize;
@@ -1024,14 +1273,25 @@ fn whole_vectors(shared: &mut Option<i64>, step: i64) -> bool {
 /// and its source, an accumulator — leave through their lanes instead.
 /// That a value is read once (a stream or a mixed tree's leaf may be
 /// read again) is the parse's to enforce.
-fn legal(ops: &[Op], run: Range<usize>, s: usize, scan: &Scan, info: &[Reg], stored: u32, keep: [u32; 3]) -> bool {
+fn legal(
+    ops: &[Op],
+    run: Range<usize>,
+    s: usize,
+    scan: &Scan,
+    info: &[Reg],
+    stored: u32,
+    keep: [u32; 3],
+) -> bool {
     ops[run.clone()].iter().all(|op| {
         let read = |r: u32| {
             let u = &scan.uses[r as usize];
             let escapes = scan.carried.contains(&r) || info[r as usize].live_after(s);
-            (u.reads == 0 || run.contains(&(u.read as usize)) && run.contains(&(u.last_read as usize))) && (keep.contains(&r) || !escapes)
+            (u.reads == 0
+                || run.contains(&(u.read as usize)) && run.contains(&(u.last_read as usize)))
+                && (keep.contains(&r) || !escapes)
         };
-        !matches!(*op, Op::Load { arr, .. } | Op::LoadFused { arr, .. } if arr == stored) && op.regs().into_iter().filter(|&r| r != NONE).all(read)
+        !matches!(*op, Op::Load { arr, .. } | Op::LoadFused { arr, .. } if arr == stored)
+            && op.regs().into_iter().filter(|&r| r != NONE).all(read)
     })
 }
 
@@ -1057,7 +1317,15 @@ fn rotation_source(p: &Parse, carried: &Carried, folds: usize) -> Option<u32> {
 /// store, a rotation shift and store, a reduction partial), and mixed
 /// trees into a store or a partial. Any rule a run fails leaves its ops
 /// to the generic arms.
-fn pick(ops: &[Op], i: usize, s: usize, scan: &Scan, carried: &Carried, info: &[Reg], p: &mut Parse) -> Option<Super> {
+fn pick(
+    ops: &[Op],
+    i: usize,
+    s: usize,
+    scan: &Scan,
+    carried: &Carried,
+    info: &[Reg],
+    p: &mut Parse,
+) -> Option<Super> {
     require!(matches!(ops[i], Op::Load { .. } | Op::LoadFused { .. }));
     p.clear();
     for (j, op) in ops.iter().enumerate().skip(i) {
@@ -1066,12 +1334,27 @@ fn pick(ops: &[Op], i: usize, s: usize, scan: &Scan, carried: &Carried, info: &[
         }
         // A run ends at a sink: past it, a stream or leaf would be unread.
         if p.is_whole() && matches!(op, Op::Store { .. } | Op::Copy { .. }) {
-            p.whole.push([j + 1, p.folds.len(), p.loads.len(), p.leaves.len(), p.terms.len(), p.tables.len()])?;
+            p.whole.push([
+                j + 1,
+                p.folds.len(),
+                p.loads.len(),
+                p.leaves.len(),
+                p.terms.len(),
+                p.tables.len(),
+            ])?;
         }
     }
     p.whole.iter().rev().find_map(|&whole| {
         let source = rotation_source(p, carried, whole[1])?;
-        require!(legal(ops, i..whole[0], s, scan, info, p.stored, [p.rotated, source, p.acc]));
+        require!(legal(
+            ops,
+            i..whole[0],
+            s,
+            scan,
+            info,
+            p.stored,
+            [p.rotated, source, p.acc]
+        ));
         p.build(i..whole[0], whole)
     })
 }
@@ -1115,7 +1398,8 @@ impl Block {
                 return lane;
             }
             let column = self.span(STRIP as u32);
-            self.free_lanes.extend((column + 1..column + STRIP as u32).rev());
+            self.free_lanes
+                .extend((column + 1..column + STRIP as u32).rev());
             return column;
         }
         if let Some(i) = self.free.iter().rposition(|&(n, _)| n == lanes) {
@@ -1134,7 +1418,11 @@ impl Block {
 
     fn claim(&mut self, reg: &mut Reg) {
         let Some(&Group { held, lanes, .. }) = self.groups.get(reg.group as usize) else {
-            reg.slot = self.span(if reg.named & self.strips != 0 { STRIP as u32 } else { 1 });
+            reg.slot = self.span(if reg.named & self.strips != 0 {
+                STRIP as u32
+            } else {
+                1
+            });
             return;
         };
         if held == 0 {
@@ -1154,7 +1442,14 @@ impl Block {
                     self.free(lanes, base);
                 }
             }
-            None => self.free(if reg.named & self.strips != 0 { STRIP as u32 } else { 1 }, reg.slot),
+            None => self.free(
+                if reg.named & self.strips != 0 {
+                    STRIP as u32
+                } else {
+                    1
+                },
+                reg.slot,
+            ),
         }
         reg.slot = NONE;
     }
@@ -1222,9 +1517,22 @@ pub(crate) struct Tables {
 /// section reads the value or — for a register live into a loop — the
 /// loop has not ended. The block is therefore sized by the values live
 /// at once, not by the number of baked registers (`nregs`).
-pub(crate) fn lower(sections: [Section; 6], nregs: usize, elem: ScalarType, t: &mut Tables) -> (Program, Schedule) {
+pub(crate) fn lower(
+    sections: [Section; 6],
+    nregs: usize,
+    elem: ScalarType,
+    t: &mut Tables,
+) -> (Program, Schedule) {
     let mut sections: Vec<Section> = sections.into_iter().filter(|s| s.iters > 0).collect();
-    let Tables { info, scratch, scans, carried, rotation, block, parse } = t;
+    let Tables {
+        info,
+        scratch,
+        scans,
+        carried,
+        rotation,
+        block,
+        parse,
+    } = t;
     info.clear();
     info.resize(nregs, Reg::UNNAMED);
     for (s, x) in sections.iter().enumerate() {
@@ -1232,7 +1540,15 @@ pub(crate) fn lower(sections: [Section; 6], nregs: usize, elem: ScalarType, t: &
     }
     let mut decisions = [Err(SequentialReason::NoLoop); 6];
     for (s, x) in sections.iter_mut().enumerate() {
-        decisions[s] = decide(&mut x.ops, x.iters, s, &mut scans[s], info, &mut carried[s], rotation);
+        decisions[s] = decide(
+            &mut x.ops,
+            x.iters,
+            s,
+            &mut scans[s],
+            info,
+            &mut carried[s],
+            rotation,
+        );
     }
 
     block.reset();
@@ -1243,9 +1559,14 @@ pub(crate) fn lower(sections: [Section; 6], nregs: usize, elem: ScalarType, t: &
         block.strips |= 1 << s;
         for chain in carried.chains() {
             for (offset, &r) in chain.iter().enumerate() {
-                (info[r as usize].group, info[r as usize].offset) = (block.groups.len() as u32, offset as u32);
+                (info[r as usize].group, info[r as usize].offset) =
+                    (block.groups.len() as u32, offset as u32);
             }
-            block.groups.push(Group { base: NONE, held: 0, lanes: (STRIP + chain.len() - 1) as u32 });
+            block.groups.push(Group {
+                base: NONE,
+                held: 0,
+                lanes: (STRIP + chain.len() - 1) as u32,
+            });
         }
     }
     if block.strips != 0 {
@@ -1253,8 +1574,13 @@ pub(crate) fn lower(sections: [Section; 6], nregs: usize, elem: ScalarType, t: &
     }
 
     let no_loop = SectionSchedule::Sequential(SequentialReason::NoLoop);
-    let mut schedule = Schedule { pair: no_loop, body: no_loop };
-    for (s, ((section, scan), carried)) in sections.iter_mut().zip(&*scans).zip(&*carried).enumerate() {
+    let mut schedule = Schedule {
+        pair: no_loop,
+        body: no_loop,
+    };
+    for (s, ((section, scan), carried)) in
+        sections.iter_mut().zip(&*scans).zip(&*carried).enumerate()
+    {
         section.schedule = match decisions[s] {
             Ok(()) => SectionSchedule::Strip,
             Err(why) => SectionSchedule::Sequential(why),
@@ -1265,7 +1591,11 @@ pub(crate) fn lower(sections: [Section; 6], nregs: usize, elem: ScalarType, t: &
             _ => {}
         }
         let strips = section.schedule == SectionSchedule::Strip;
-        let (ops, invariant, written) = (&mut section.ops, &mut section.invariant, &mut section.written);
+        let (ops, invariant, written) = (
+            &mut section.ops,
+            &mut section.invariant,
+            &mut section.written,
+        );
         if strips {
             invariant.reserve(scan.live_in.len());
             written.reserve(ops.len());
@@ -1318,9 +1648,16 @@ pub(crate) fn lower(sections: [Section; 6], nregs: usize, elem: ScalarType, t: &
             }
             i = end;
         }
-        section.seeds = carried.chains().map(|chain| (info[chain[0] as usize].slot, chain.len() as u32 - 1)).collect();
+        section.seeds = carried
+            .chains()
+            .map(|chain| (info[chain[0] as usize].slot, chain.len() as u32 - 1))
+            .collect();
         let identity = |op| splat_bytes(elem, reduction_identity(op, elem));
-        section.partials = carried.partials.iter().map(|&(r, op)| (info[r as usize].slot, op, identity(op))).collect();
+        section.partials = carried
+            .partials
+            .iter()
+            .map(|&(r, op)| (info[r as usize].slot, op, identity(op)))
+            .collect();
         for &r in &scan.live_in {
             let reg = &mut info[r as usize];
             reg.pinned = false;
@@ -1331,7 +1668,14 @@ pub(crate) fn lower(sections: [Section; 6], nregs: usize, elem: ScalarType, t: &
         section.width = if strips { STRIP } else { 1 };
     }
 
-    (Program { sections, nregs: block.lanes as usize, elem }, schedule)
+    (
+        Program {
+            sections,
+            nregs: block.lanes as usize,
+            elem,
+        },
+        schedule,
+    )
 }
 
 #[cfg(test)]
@@ -1345,7 +1689,11 @@ mod tests {
         let mut plan = Section::plan(0, iters);
         (plan[4].ops, plan[5].ops) = (ops.to_vec(), after.to_vec());
         let (program, schedule) = lower(plan, 16, ScalarType::I32, &mut Tables::default());
-        let body = program.sections.into_iter().find(|x| x.role == "body").expect("the body runs");
+        let body = program
+            .sections
+            .into_iter()
+            .find(|x| x.role == "body")
+            .expect("the body runs");
         assert_eq!(schedule.body, body.schedule);
         body
     }
@@ -1371,8 +1719,16 @@ mod tests {
         assert_eq!(baked.len(), lowered.len(), "{lowered:?}");
         let mut slots = vec![NONE; 32];
         for (b, l) in baked.iter().zip(lowered) {
-            for (r, slot) in b.regs().into_iter().zip(l.regs()).filter(|&(r, _)| r != NONE) {
-                assert!(slots[r as usize] == NONE || slots[r as usize] == slot, "r{r} in two slots: {lowered:?}");
+            for (r, slot) in b
+                .regs()
+                .into_iter()
+                .zip(l.regs())
+                .filter(|&(r, _)| r != NONE)
+            {
+                assert!(
+                    slots[r as usize] == NONE || slots[r as usize] == slot,
+                    "r{r} in two slots: {lowered:?}"
+                );
                 slots[r as usize] = slot;
             }
             let mut b = b.clone();
@@ -1384,20 +1740,30 @@ mod tests {
 
     /// The one baked register `slots` puts in `slot`.
     fn held(slots: &[u32], slot: u32) -> u32 {
-        let regs: Vec<u32> = (0..slots.len() as u32).filter(|&r| slots[r as usize] == slot).collect();
-        let [r] = regs[..] else { panic!("slot {slot} holds {regs:?}") };
+        let regs: Vec<u32> = (0..slots.len() as u32)
+            .filter(|&r| slots[r as usize] == slot)
+            .collect();
+        let [r] = regs[..] else {
+            panic!("slot {slot} holds {regs:?}")
+        };
         r
     }
 
     /// `body`'s rotation chains, by baked register: a chain of depth `d`
     /// is `d` seed lanes in front of its source's column.
     fn chains(body: &Section, slots: &[u32]) -> Vec<Vec<u32>> {
-        body.seeds.iter().map(|&(at, d)| (at..=at + d).map(|slot| held(slots, slot)).collect()).collect()
+        body.seeds
+            .iter()
+            .map(|&(at, d)| (at..=at + d).map(|slot| held(slots, slot)).collect())
+            .collect()
     }
 
     /// `body`'s reduction accumulators, by baked register.
     fn partials(body: &Section, slots: &[u32]) -> Vec<(u32, BinOp)> {
-        body.partials.iter().map(|&(slot, op, _)| (held(slots, slot), op)).collect()
+        body.partials
+            .iter()
+            .map(|&(slot, op, _)| (held(slots, slot), op))
+            .collect()
     }
 
     /// The superinstructions [`lower`] picks in one loop section of 1000
@@ -1411,11 +1777,21 @@ mod tests {
     const FAR: i64 = 1 << 20;
 
     fn load(dst: u32, start: i64, step: i64) -> Op {
-        Op::Load { dst, arr: 0, start, step }
+        Op::Load {
+            dst,
+            arr: 0,
+            start,
+            step,
+        }
     }
 
     fn store(src: u32, start: i64, step: i64) -> Op {
-        Op::Store { src, arr: 1, start, step }
+        Op::Store {
+            src,
+            arr: 1,
+            start,
+            step,
+        }
     }
 
     #[test]
@@ -1423,11 +1799,19 @@ mod tests {
         // A misaligned copy between disjoint streams.
         assert!(strips(&[load(0, 1024, 16), store(0, FAR, 16)], 1000));
         // One iteration has nothing to amortize.
-        assert_eq!(why(&[load(0, 1024, 16), store(0, FAR, 16)], 1), Some(OneIteration));
+        assert_eq!(
+            why(&[load(0, 1024, 16), store(0, FAR, 16)], 1),
+            Some(OneIteration)
+        );
         // A loop-invariant register (only read here) does not block strips.
         let invariant = [
             load(0, 1024, 16),
-            Op::Bin { dst: 2, op: BinOp::Add, a: 0, b: 7 },
+            Op::Bin {
+                dst: 2,
+                op: BinOp::Add,
+                a: 0,
+                b: 7,
+            },
             store(2, FAR, 16),
         ];
         assert!(strips(&invariant, 1000));
@@ -1436,17 +1820,34 @@ mod tests {
         // dependence inside the strip window until `q` reaches STRIP,
         // in either direction and at unaligned distances too.
         let s = STRIP as i64;
-        for (distance, legal) in [(16, false), (16 * (s - 1), false), (16 * s - 1, false), (16 * s, true)] {
-            assert_eq!(strips(&[load(0, 4096 + distance, 16), store(0, 4096, 16)], 1000), legal);
-            assert_eq!(strips(&[load(0, 4096, 16), store(0, 4096 + distance, 16)], 1000), legal);
+        for (distance, legal) in [
+            (16, false),
+            (16 * (s - 1), false),
+            (16 * s - 1, false),
+            (16 * s, true),
+        ] {
+            assert_eq!(
+                strips(&[load(0, 4096 + distance, 16), store(0, 4096, 16)], 1000),
+                legal
+            );
+            assert_eq!(
+                strips(&[load(0, 4096, 16), store(0, 4096 + distance, 16)], 1000),
+                legal
+            );
         }
-        assert_eq!(why(&[load(0, 4096 + 16, 16), store(0, 4096, 16)], 1000), Some(MemoryDependence));
+        assert_eq!(
+            why(&[load(0, 4096 + 16, 16), store(0, 4096, 16)], 1000),
+            Some(MemoryDependence)
+        );
         // ... unless the trip is too short for the extents to meet.
         assert!(strips(&[load(0, 4096 + 64, 16), store(0, 4096, 16)], 4));
 
         // Mixed steps: legal on disjoint whole-trip extents only.
         assert!(strips(&[load(0, 1024, 32), store(0, FAR, 16)], 1000));
-        assert!(!strips(&[load(0, 1024, 32), store(0, 1024 + 32 * 500, 16)], 1000));
+        assert!(!strips(
+            &[load(0, 1024, 32), store(0, 1024 + 32 * 500, 16)],
+            1000
+        ));
         // A store that does not advance overwrites itself.
         assert!(!strips(&[load(0, 1024, 16), store(0, FAR, 0)], 1000));
     }
@@ -1457,7 +1858,12 @@ mod tests {
         // shifted down one lane.
         let pipelined = [
             load(0, 1024, 16),
-            Op::Shift { dst: 2, a: 1, b: 0, amt: 4 },
+            Op::Shift {
+                dst: 2,
+                a: 1,
+                b: 0,
+                amt: 4,
+            },
             store(2, FAR, 16),
             Op::Copy { dst: 1, src: 0 },
         ];
@@ -1473,11 +1879,26 @@ mod tests {
         // half computes what the rotation hands to the next iteration.
         let pair = [
             load(0, 1024, 32),
-            Op::Shift { dst: 2, a: 1, b: 0, amt: 4 },
+            Op::Shift {
+                dst: 2,
+                a: 1,
+                b: 0,
+                amt: 4,
+            },
             store(2, FAR, 32),
             load(3, 1040, 32),
-            Op::Bin { dst: 4, op: BinOp::Add, a: 3, b: 0 },
-            Op::Shift { dst: 5, a: 0, b: 4, amt: 4 },
+            Op::Bin {
+                dst: 4,
+                op: BinOp::Add,
+                a: 3,
+                b: 0,
+            },
+            Op::Shift {
+                dst: 5,
+                a: 0,
+                b: 4,
+                amt: 4,
+            },
             store(5, FAR + 16, 32),
             Op::Copy { dst: 1, src: 4 },
         ];
@@ -1493,8 +1914,18 @@ mod tests {
         // The source's load would have to pass a store to its array.
         let pair = [
             load(0, 1024, 32),
-            Op::Shift { dst: 2, a: 1, b: 0, amt: 4 },
-            Op::Store { src: 2, arr: 0, start: FAR, step: 32 },
+            Op::Shift {
+                dst: 2,
+                a: 1,
+                b: 0,
+                amt: 4,
+            },
+            Op::Store {
+                src: 2,
+                arr: 0,
+                start: FAR,
+                step: 32,
+            },
             load(3, 1040, 32),
             Op::Copy { dst: 1, src: 3 },
         ];
@@ -1510,9 +1941,19 @@ mod tests {
         // The unrolled dot product: acc → t → u → acc through `add`.
         let dot = [
             load(0, 1024, 32),
-            Op::Bin { dst: 1, op: BinOp::Add, a: 7, b: 0 },
+            Op::Bin {
+                dst: 1,
+                op: BinOp::Add,
+                a: 7,
+                b: 0,
+            },
             load(2, 1040, 32),
-            Op::Bin { dst: 3, op: BinOp::Add, a: 1, b: 2 },
+            Op::Bin {
+                dst: 3,
+                op: BinOp::Add,
+                a: 1,
+                b: 2,
+            },
             Op::Copy { dst: 7, src: 3 },
         ];
         let body = lowered(&dot, 1000, &[]);
@@ -1525,15 +1966,30 @@ mod tests {
     fn a_sub_recurrence_stays_sequential() {
         let sub = [
             load(0, 1024, 16),
-            Op::Bin { dst: 1, op: BinOp::Sub, a: 7, b: 0 },
+            Op::Bin {
+                dst: 1,
+                op: BinOp::Sub,
+                a: 7,
+                b: 0,
+            },
             Op::Copy { dst: 7, src: 1 },
         ];
         assert_eq!(why(&sub, 1000), Some(CarriedRegister));
         // Two operators in one chain do not reassociate either.
         let mixed = [
             load(0, 1024, 16),
-            Op::Bin { dst: 1, op: BinOp::Add, a: 7, b: 0 },
-            Op::Bin { dst: 2, op: BinOp::Mul, a: 1, b: 0 },
+            Op::Bin {
+                dst: 1,
+                op: BinOp::Add,
+                a: 7,
+                b: 0,
+            },
+            Op::Bin {
+                dst: 2,
+                op: BinOp::Mul,
+                a: 1,
+                b: 0,
+            },
             Op::Copy { dst: 7, src: 2 },
         ];
         assert_eq!(why(&mixed, 1000), Some(CarriedRegister));
@@ -1543,15 +1999,30 @@ mod tests {
     fn a_reduction_whose_intermediate_escapes_stays_sequential() {
         let stored = [
             load(0, 1024, 16),
-            Op::Bin { dst: 1, op: BinOp::Add, a: 7, b: 0 },
+            Op::Bin {
+                dst: 1,
+                op: BinOp::Add,
+                a: 7,
+                b: 0,
+            },
             store(1, FAR, 16),
             Op::Copy { dst: 7, src: 1 },
         ];
         assert_eq!(why(&stored, 1000), Some(CarriedRegister));
         let chained = [
             load(0, 1024, 16),
-            Op::Bin { dst: 1, op: BinOp::Add, a: 7, b: 0 },
-            Op::Bin { dst: 2, op: BinOp::Add, a: 1, b: 0 },
+            Op::Bin {
+                dst: 1,
+                op: BinOp::Add,
+                a: 7,
+                b: 0,
+            },
+            Op::Bin {
+                dst: 2,
+                op: BinOp::Add,
+                a: 1,
+                b: 0,
+            },
             Op::Copy { dst: 7, src: 2 },
         ];
         assert!(strips(&chained, 1000));
@@ -1565,9 +2036,19 @@ mod tests {
     fn a_register_read_on_both_sides_of_its_rotation_stays_sequential() {
         let both = [
             load(0, 1024, 16),
-            Op::Shift { dst: 2, a: 1, b: 0, amt: 4 },
+            Op::Shift {
+                dst: 2,
+                a: 1,
+                b: 0,
+                amt: 4,
+            },
             Op::Copy { dst: 1, src: 0 },
-            Op::Shift { dst: 3, a: 1, b: 0, amt: 8 },
+            Op::Shift {
+                dst: 3,
+                a: 1,
+                b: 0,
+                amt: 8,
+            },
             store(2, FAR, 16),
             store(3, 2 * FAR, 16),
         ];
@@ -1577,12 +2058,18 @@ mod tests {
     /// [`select_after`]: each superinstruction's ops and the kind of its
     /// first sink.
     fn selected_after(ops: &[Op], after: &[Op]) -> Vec<(Range<usize>, Sink)> {
-        select_after(ops, after).into_iter().map(|f| (f.ops.clone(), f.folds()[0].sink)).collect()
+        select_after(ops, after)
+            .into_iter()
+            .map(|f| (f.ops.clone(), f.folds()[0].sink))
+            .collect()
     }
 
     /// Each superinstruction's first and one-past-last op.
     fn selected(ops: &[Op]) -> Vec<(usize, usize)> {
-        selected_after(ops, &[]).into_iter().map(|(run, _)| (run.start, run.end)).collect()
+        selected_after(ops, &[])
+            .into_iter()
+            .map(|(run, _)| (run.start, run.end))
+            .collect()
     }
 
     fn bin(dst: u32, op: BinOp, a: u32, b: u32) -> Op {
@@ -1591,7 +2078,12 @@ mod tests {
 
     /// `r2 = r0 op r1` over two streams, stored.
     fn fold2(op: BinOp) -> Vec<Op> {
-        vec![load(0, 1024, 16), load(1, 4096, 16), bin(2, op, 0, 1), store(2, FAR, 16)]
+        vec![
+            load(0, 1024, 16),
+            load(1, 4096, 16),
+            bin(2, op, 0, 1),
+            store(2, FAR, 16),
+        ]
     }
 
     #[test]
@@ -1610,7 +2102,12 @@ mod tests {
     fn a_run_is_contiguous() {
         // The two halves of a pair loop form one run.
         let half = |d: u32, at: i64| {
-            [load(d, 1024 + at, 32), load(d + 1, 4096 + at, 32), bin(d + 2, BinOp::Add, d, d + 1), store(d + 2, FAR + at, 32)]
+            [
+                load(d, 1024 + at, 32),
+                load(d + 1, 4096 + at, 32),
+                bin(d + 2, BinOp::Add, d, d + 1),
+                store(d + 2, FAR + at, 32),
+            ]
         };
         let pair: Vec<Op> = half(0, 0).into_iter().chain(half(3, 16)).collect();
         assert_eq!(selected(&pair), [(0, 8)]);
@@ -1626,7 +2123,10 @@ mod tests {
         let half = |d: u32, at: i64, to: i64| [load(d, 1024 + at, 32), store(d, FAR + to, 32)];
         let pair: Vec<Op> = half(0, 0, 0).into_iter().chain(half(1, 16, 16)).collect();
         assert_eq!(selected(&pair), [(0, 4)]);
-        let skewed: Vec<Op> = half(0, 0, 0).into_iter().chain(half(1, 16, 1 << 16 | 4)).collect();
+        let skewed: Vec<Op> = half(0, 0, 0)
+            .into_iter()
+            .chain(half(1, 16, 1 << 16 | 4))
+            .collect();
         assert_eq!(selected(&skewed), [(0, 2), (2, 4)]);
         assert_eq!(selected(&[load(0, 1024, 24), store(0, FAR, 24)]), []);
     }
@@ -1640,14 +2140,21 @@ mod tests {
             ops
         };
         assert_eq!(trees(&three(BinOp::Add)), [(0..6, false)]);
-        assert_eq!(trees(&fold2(BinOp::Sub)), [(0..4, false)], "two streams: any operator");
+        assert_eq!(
+            trees(&fold2(BinOp::Sub)),
+            [(0..4, false)],
+            "two streams: any operator"
+        );
         // `(b - c) - d` is a mixed tree: a term and a leaf, left-deep.
         assert_eq!(trees(&three(BinOp::Sub)), [(0..6, true)]);
     }
 
     /// Each superinstruction's ops and whether it is a mixed tree.
     fn trees(ops: &[Op]) -> Vec<(Range<usize>, bool)> {
-        supers(ops).into_iter().map(|f| (f.ops.clone(), f.tree.is_some())).collect()
+        supers(ops)
+            .into_iter()
+            .map(|f| (f.ops.clone(), f.tree.is_some()))
+            .collect()
     }
 
     fn supers(ops: &[Op]) -> Vec<Super> {
@@ -1655,7 +2162,12 @@ mod tests {
     }
 
     fn perm(dst: u32, a: u32, b: u32) -> Op {
-        Op::Perm { dst, a, b, pattern: std::array::from_fn(|i| 2 * i as u8) }
+        Op::Perm {
+            dst,
+            a,
+            b,
+            pattern: std::array::from_fn(|i| 2 * i as u8),
+        }
     }
 
     #[test]
@@ -1673,11 +2185,34 @@ mod tests {
             store(6, FAR, 16),
         ];
         let selected = supers(&body);
-        let [f] = &selected[..] else { panic!("{selected:?}") };
-        assert_eq!((f.ops.clone(), f.loads().len(), f.step, f.store.map(|s| s.2)), (0..8, 2, 32, Some(16)));
+        let [f] = &selected[..] else {
+            panic!("{selected:?}")
+        };
+        assert_eq!(
+            (f.ops.clone(), f.loads().len(), f.step, f.store.map(|s| s.2)),
+            (0..8, 2, 32, Some(16))
+        );
         let shape = f.tree.as_ref().expect("a mixed tree");
-        assert!(matches!(shape.leaves[..], [Leaf::Gather { a: 0, b: 1, table: 0 }, Leaf::Gather { a: 0, b: 1, table: 1 }]));
-        let square = |leaf| Term { op: Some(BinOp::Mul), a: leaf, b: leaf };
+        assert!(matches!(
+            shape.leaves[..],
+            [
+                Leaf::Gather {
+                    a: 0,
+                    b: 1,
+                    table: 0
+                },
+                Leaf::Gather {
+                    a: 0,
+                    b: 1,
+                    table: 1
+                }
+            ]
+        ));
+        let square = |leaf| Term {
+            op: Some(BinOp::Mul),
+            a: leaf,
+            b: leaf,
+        };
         assert_eq!(shape.terms, [square(0), square(1)]);
         assert_eq!((f.folds()[0].leaves, shape.ops[0]), (2, BinOp::Add));
         // A perm of a value the run computed is no leaf.
@@ -1690,19 +2225,55 @@ mod tests {
     fn mixed_trees_are_two_levels_deep_and_left_deep_unless_reassociable() {
         let (b, c, d) = (load(0, 1024, 16), load(1, 2048, 16), load(2, 4096, 16));
         // `(b + c) * d - b`: three levels.
-        let deep = [b.clone(), c.clone(), bin(3, BinOp::Add, 0, 1), d.clone(), bin(4, BinOp::Mul, 3, 2), bin(5, BinOp::Sub, 4, 0), store(5, FAR, 16)];
+        let deep = [
+            b.clone(),
+            c.clone(),
+            bin(3, BinOp::Add, 0, 1),
+            d.clone(),
+            bin(4, BinOp::Mul, 3, 2),
+            bin(5, BinOp::Sub, 4, 0),
+            store(5, FAR, 16),
+        ];
         assert_eq!(trees(&deep), []);
         // `d - (b - c)` keeps its order; `(b - c) - (d - b)` cannot.
-        let right = [d.clone(), b.clone(), c.clone(), bin(3, BinOp::Sub, 0, 1), bin(4, BinOp::Sub, 2, 3), store(4, FAR, 16)];
+        let right = [
+            d.clone(),
+            b.clone(),
+            c.clone(),
+            bin(3, BinOp::Sub, 0, 1),
+            bin(4, BinOp::Sub, 2, 3),
+            store(4, FAR, 16),
+        ];
         let kept = supers(&right)[0].tree.take().expect("a mixed tree");
-        let streams: Vec<_> = kept.terms.iter().map(|t| (t.op, kept.leaves[t.a as usize], kept.leaves[t.b as usize])).collect();
-        assert_eq!(streams, [(None, Leaf::Stream(0), Leaf::Stream(0)), (Some(BinOp::Sub), Leaf::Stream(1), Leaf::Stream(2))]);
-        let both = [b, c, bin(3, BinOp::Sub, 0, 1), d, bin(4, BinOp::Sub, 2, 0), bin(5, BinOp::Sub, 3, 4), store(5, FAR, 16)];
+        let streams: Vec<_> = kept
+            .terms
+            .iter()
+            .map(|t| (t.op, kept.leaves[t.a as usize], kept.leaves[t.b as usize]))
+            .collect();
+        assert_eq!(
+            streams,
+            [
+                (None, Leaf::Stream(0), Leaf::Stream(0)),
+                (Some(BinOp::Sub), Leaf::Stream(1), Leaf::Stream(2))
+            ]
+        );
+        let both = [
+            b,
+            c,
+            bin(3, BinOp::Sub, 0, 1),
+            d,
+            bin(4, BinOp::Sub, 2, 0),
+            bin(5, BinOp::Sub, 3, 4),
+            store(5, FAR, 16),
+        ];
         assert_eq!(trees(&both), [(0..7, true)]);
         let mut reversed = both.to_vec();
         reversed[5] = bin(5, BinOp::Sub, 4, 3);
         assert_eq!(trees(&reversed), [(0..7, true)], "two single terms swap");
-        assert_eq!(supers(&reversed)[0].tree.as_ref().map(|t| t.terms[0].op), Some(Some(BinOp::Sub)));
+        assert_eq!(
+            supers(&reversed)[0].tree.as_ref().map(|t| t.terms[0].op),
+            Some(Some(BinOp::Sub))
+        );
     }
 
     #[test]
@@ -1712,15 +2283,29 @@ mod tests {
             load(0, 1024, 32),
             load(1, 1040, 32),
             perm(2, 0, 1),
-            Op::BinSplat { dst: 3, op: BinOp::Mul, a: 2, imm: [3; 16], imm_left: false },
+            Op::BinSplat {
+                dst: 3,
+                op: BinOp::Mul,
+                a: 2,
+                imm: [3; 16],
+                imm_left: false,
+            },
             bin(4, BinOp::Mul, 3, 1),
             bin(5, BinOp::Add, 7, 4),
             Op::Copy { dst: 7, src: 5 },
         ];
         let selected = supers(&dot);
-        let [f] = &selected[..] else { panic!("{selected:?}") };
-        assert_eq!((f.ops.clone(), f.folds()[0].sink), (0..7, Sink::Reduce { op: BinOp::Add }));
-        assert!(matches!(f.tree.as_ref().map(|t| &t.leaves[..]), Some([Leaf::Gather { .. }, Leaf::Splat(1), Leaf::Stream(1)])));
+        let [f] = &selected[..] else {
+            panic!("{selected:?}")
+        };
+        assert_eq!(
+            (f.ops.clone(), f.folds()[0].sink),
+            (0..7, Sink::Reduce { op: BinOp::Add })
+        );
+        assert!(matches!(
+            f.tree.as_ref().map(|t| &t.leaves[..]),
+            Some([Leaf::Gather { .. }, Leaf::Splat(1), Leaf::Stream(1)])
+        ));
     }
 
     #[test]
@@ -1728,12 +2313,29 @@ mod tests {
         // The pipelined store: r9 is the fold's value a lane back.
         let mut pipelined = fold2(BinOp::Add);
         pipelined.truncate(3);
-        pipelined.extend([Op::Shift { dst: 3, a: 9, b: 2, amt: 4 }, store(3, FAR, 16), Op::Copy { dst: 9, src: 2 }]);
+        pipelined.extend([
+            Op::Shift {
+                dst: 3,
+                a: 9,
+                b: 2,
+                amt: 4,
+            },
+            store(3, FAR, 16),
+            Op::Copy { dst: 9, src: 2 },
+        ]);
         let runs = selected_after(&pipelined, &[]);
-        assert!(matches!(runs[..], [(ref run, Sink::Shift { amt: 4, .. })] if *run == (0..5)), "{runs:?}");
+        assert!(
+            matches!(runs[..], [(ref run, Sink::Shift { amt: 4, .. })] if *run == (0..5)),
+            "{runs:?}"
+        );
         // Two iterations back: r8 = r9, r9 = r2.
         let mut deep = pipelined.clone();
-        deep[3] = Op::Shift { dst: 3, a: 8, b: 2, amt: 4 };
+        deep[3] = Op::Shift {
+            dst: 3,
+            a: 8,
+            b: 2,
+            amt: 4,
+        };
         deep.extend([Op::Copy { dst: 8, src: 9 }]);
         deep.swap(5, 6);
         assert_eq!(selected(&deep), []);
@@ -1742,11 +2344,26 @@ mod tests {
     #[test]
     fn a_reduction_link_must_read_the_lane_partial() {
         // acc r7 += r0 * r1: a lane partial.
-        let dot = [load(0, 1024, 16), load(1, 4096, 16), bin(2, BinOp::Mul, 0, 1), bin(3, BinOp::Add, 7, 2), Op::Copy { dst: 7, src: 3 }];
+        let dot = [
+            load(0, 1024, 16),
+            load(1, 4096, 16),
+            bin(2, BinOp::Mul, 0, 1),
+            bin(3, BinOp::Add, 7, 2),
+            Op::Copy { dst: 7, src: 3 },
+        ];
         let runs = selected_after(&dot, &[]);
-        assert!(matches!(runs[..], [(ref run, Sink::Reduce { op: BinOp::Add })] if *run == (0..5)), "{runs:?}");
+        assert!(
+            matches!(runs[..], [(ref run, Sink::Reduce { op: BinOp::Add })] if *run == (0..5)),
+            "{runs:?}"
+        );
         // r7 only read, never written: a loop invariant, not a partial.
-        let invariant = [load(0, 1024, 16), load(1, 4096, 16), bin(2, BinOp::Mul, 0, 1), bin(3, BinOp::Add, 7, 2), store(3, FAR, 16)];
+        let invariant = [
+            load(0, 1024, 16),
+            load(1, 4096, 16),
+            bin(2, BinOp::Mul, 0, 1),
+            bin(3, BinOp::Add, 7, 2),
+            store(3, FAR, 16),
+        ];
         assert_eq!(selected(&invariant), []);
     }
 
@@ -1755,8 +2372,18 @@ mod tests {
         // r2 = r1; r1 = n: r2 is n two iterations back.
         let chain = [
             load(0, 1024, 16),
-            Op::Bin { dst: 3, op: BinOp::Add, a: 2, b: 1 },
-            Op::Bin { dst: 4, op: BinOp::Add, a: 3, b: 0 },
+            Op::Bin {
+                dst: 3,
+                op: BinOp::Add,
+                a: 2,
+                b: 1,
+            },
+            Op::Bin {
+                dst: 4,
+                op: BinOp::Add,
+                a: 3,
+                b: 0,
+            },
             store(4, FAR, 16),
             Op::Copy { dst: 2, src: 1 },
             Op::Copy { dst: 1, src: 0 },
@@ -1767,18 +2394,32 @@ mod tests {
         // Copied the other way round, r2 is r1's plain copy of n.
         let mut flat = chain.clone();
         flat.swap(4, 5);
-        assert_eq!(why(&flat, 1000), Some(CarriedRegister), "r1 is read after its rotation");
+        assert_eq!(
+            why(&flat, 1000),
+            Some(CarriedRegister),
+            "r1 is read after its rotation"
+        );
         // Two rotations of one source would need one seed lane each:
         // the second rotates a copy of it (the first free id, 16).
         let twice = [
             load(0, 1024, 16),
-            Op::Bin { dst: 3, op: BinOp::Add, a: 2, b: 1 },
+            Op::Bin {
+                dst: 3,
+                op: BinOp::Add,
+                a: 2,
+                b: 1,
+            },
             store(3, FAR, 16),
             Op::Copy { dst: 2, src: 0 },
             Op::Copy { dst: 1, src: 0 },
         ];
         let body = lowered(&twice, 1000, &[]);
-        let order = [twice[0].clone(), Op::Copy { dst: 16, src: 0 }, twice[1].clone(), twice[2].clone()];
+        let order = [
+            twice[0].clone(),
+            Op::Copy { dst: 16, src: 0 },
+            twice[1].clone(),
+            twice[2].clone(),
+        ];
         let slots = renaming(&order, &body.ops);
         assert_eq!(chains(&body, &slots), [vec![2, 0], vec![1, 16]]);
     }
@@ -1790,7 +2431,12 @@ mod tests {
         // rotated registers' read.
         let baked = [
             bin(3, BinOp::Add, 2, 1),
-            Op::Store { src: 3, arr: 0, start: FAR, step: 16 },
+            Op::Store {
+                src: 3,
+                arr: 0,
+                start: FAR,
+                step: 16,
+            },
             load(0, 1024, 16),
             Op::Copy { dst: 2, src: 0 },
             Op::Copy { dst: 1, src: 0 },

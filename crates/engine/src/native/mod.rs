@@ -152,8 +152,15 @@ impl SimdKernel {
     /// portable scalar tier, so `run` can never dispatch into
     /// unsupported instructions.
     pub fn lower(kernel: &CompiledKernel, isa: IsaLevel) -> SimdKernel {
-        let isa = if isa.available() { isa } else { IsaLevel::Scalar };
-        SimdKernel { base: kernel.clone(), isa }
+        let isa = if isa.available() {
+            isa
+        } else {
+            IsaLevel::Scalar
+        };
+        SimdKernel {
+            base: kernel.clone(),
+            isa,
+        }
     }
 
     /// [`lower`](SimdKernel::lower) at the host's detected tier
@@ -230,7 +237,11 @@ mod tests {
     const FIG1: &str = "arrays { a: i32[128] @ 0; b: i32[128] @ 4; c: i32[128] @ 8; }
                         for i in 0..100 { a[i+3] = b[i+1] + c[i+2]; }";
 
-    fn compile_at(src: &str, policy: Policy, ub: u64) -> (SimdProgram, CompiledKernel, MemoryImage) {
+    fn compile_at(
+        src: &str,
+        policy: Policy,
+        ub: u64,
+    ) -> (SimdProgram, CompiledKernel, MemoryImage) {
         compile_reusing(src, policy, ReuseMode::SoftwarePipeline, ub)
     }
 
@@ -326,13 +337,21 @@ mod tests {
             let block = |reuse| {
                 let (_, kernel, _) = compile_reusing(&src, Policy::Zero, reuse, ub);
                 let program = kernel.program();
-                let seeds: usize = program.sections.iter().flat_map(|s| &s.seeds).map(|&(_, d)| d as usize).sum();
+                let seeds: usize = program
+                    .sections
+                    .iter()
+                    .flat_map(|s| &s.seeds)
+                    .map(|&(_, d)| d as usize)
+                    .sum();
                 (program.nregs, seeds)
             };
             let (plain, _) = block(ReuseMode::None);
             for reuse in [ReuseMode::SoftwarePipeline, ReuseMode::PredictiveCommoning] {
                 let (nregs, seeds) = block(reuse);
-                assert!(nregs <= plain + seeds, "{name} {reuse:?}: {nregs} lanes, {plain} without reuse");
+                assert!(
+                    nregs <= plain + seeds,
+                    "{name} {reuse:?}: {nregs} lanes, {plain} without reuse"
+                );
                 assert!(nregs <= 8 * strip::STRIP, "{name} {reuse:?}: {nregs} lanes");
             }
         }

@@ -32,7 +32,13 @@ pub(super) fn portable() -> impl Lanes<V = Reg> {
         // `pshufb` semantics off the two tables, so the tables
         // themselves are differentially tested.
         perm: |a: Reg, b: Reg, lo: &Reg, hi: &Reg| {
-            let pshufb = |v: &Reg, t: u8| if t & 0x80 == 0 { v[(t & 15) as usize] } else { 0 };
+            let pshufb = |v: &Reg, t: u8| {
+                if t & 0x80 == 0 {
+                    v[(t & 15) as usize]
+                } else {
+                    0
+                }
+            };
             std::array::from_fn(|i| pshufb(&a, lo[i]) | pshufb(&b, hi[i]))
         },
         bin: |op, elem, a: Reg, b: Reg| lanes::bin(op, elem, &a, &b),
@@ -42,7 +48,15 @@ pub(super) fn portable() -> impl Lanes<V = Reg> {
 }
 
 #[inline(never)]
-fn fold(f: &Super, k0: i64, len: usize, elem: ScalarType, regs: &[Cell<Reg>], mem: &mut [u8], columns: &mut Columns) {
+fn fold(
+    f: &Super,
+    k0: i64,
+    len: usize,
+    elem: ScalarType,
+    regs: &[Cell<Reg>],
+    mem: &mut [u8],
+    columns: &mut Columns,
+) {
     if f.tree.is_some() {
         strip::tree::<_, false>(portable(), f, k0, len, elem, regs, mem, columns)
     } else {

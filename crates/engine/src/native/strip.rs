@@ -90,7 +90,16 @@ pub(super) trait Lanes: Copy {
     /// or [`tree`] on the thread's scratch `columns`), out of line: its
     /// lane loops stay out of the strip loop every kernel shares.
     #[allow(clippy::too_many_arguments)]
-    fn fold(self, f: &Super, k0: i64, len: usize, elem: ScalarType, regs: &[Cell<Self::V>], mem: &mut [u8], columns: &mut Columns);
+    fn fold(
+        self,
+        f: &Super,
+        k0: i64,
+        len: usize,
+        elem: ScalarType,
+        regs: &[Cell<Self::V>],
+        mem: &mut [u8],
+        columns: &mut Columns,
+    );
 }
 
 /// A tier: its operations as a bundle of closures, the one form that
@@ -152,7 +161,16 @@ where
         (self.un)(op, elem, a)
     }
     #[inline(always)]
-    fn fold(self, f: &Super, k0: i64, len: usize, elem: ScalarType, regs: &[Cell<V>], mem: &mut [u8], columns: &mut Columns) {
+    fn fold(
+        self,
+        f: &Super,
+        k0: i64,
+        len: usize,
+        elem: ScalarType,
+        regs: &[Cell<V>],
+        mem: &mut [u8],
+        columns: &mut Columns,
+    ) {
         (self.fold)(f, k0, len, elem, regs, mem, columns)
     }
 }
@@ -261,7 +279,8 @@ pub(super) struct Wide<Rd, Sp, Wr, Ga, Co, Pr, Li, Ha, Bi> {
     pub(super) bin: Bi,
 }
 
-impl<W, V, Rd, Sp, Wr, Ga, Co, Pr, Li, Ha, Bi> FoldLanes for Wide<Rd, Sp, Wr, Ga, Co, Pr, Li, Ha, Bi>
+impl<W, V, Rd, Sp, Wr, Ga, Co, Pr, Li, Ha, Bi> FoldLanes
+    for Wide<Rd, Sp, Wr, Ga, Co, Pr, Li, Ha, Bi>
 where
     W: Copy,
     V: Copy,
@@ -288,7 +307,10 @@ where
     }
     #[inline(always)]
     fn write(self, v: W, out: &mut [Reg]) {
-        (self.write)(v, out[..2].as_flattened_mut().try_into().expect("two vectors"))
+        (self.write)(
+            v,
+            out[..2].as_flattened_mut().try_into().expect("two vectors"),
+        )
     }
     #[inline(always)]
     fn gather(self, a: W, b: W, lo: &Reg, hi: &Reg) -> W {
@@ -500,8 +522,14 @@ macro_rules! with_elem {
         with_const!(
             $elem,
             [
-                ScalarType::I8, ScalarType::U8, ScalarType::I16, ScalarType::U16,
-                ScalarType::I32, ScalarType::U32, ScalarType::I64, ScalarType::U64
+                ScalarType::I8,
+                ScalarType::U8,
+                ScalarType::I16,
+                ScalarType::U16,
+                ScalarType::I32,
+                ScalarType::U32,
+                ScalarType::I64,
+                ScalarType::U64
             ],
             |$name| $body
         )
@@ -603,18 +631,33 @@ fn chunk_mut(w: &mut [u8], at: usize) -> &mut Reg {
 /// an op may name one column as both source and destination; lanes
 /// never alias across columns.
 #[inline(always)]
-fn one<L: Lanes>(l: L, op: &Op, k0: i64, len: usize, elem: ScalarType, regs: &[Cell<L::V>], mem: &mut [u8]) {
+fn one<L: Lanes>(
+    l: L,
+    op: &Op,
+    k0: i64,
+    len: usize,
+    elem: ScalarType,
+    regs: &[Cell<L::V>],
+    mem: &mut [u8],
+) {
     let col = |c: u32| &regs[c as usize..][..len];
     let lane = |first: i64, step: i64, u: usize| (first + u as i64 * step) as usize;
     match *op {
-        Op::Load { dst, start, step, .. } | Op::LoadFused { dst, start, step, .. } => {
+        Op::Load {
+            dst, start, step, ..
+        }
+        | Op::LoadFused {
+            dst, start, step, ..
+        } => {
             let (w, first) = window(start, step, k0, len);
             let w = &mem[w];
             for (u, d) in col(dst).iter().enumerate() {
                 d.set(l.load(chunk(w, lane(first, step, u))));
             }
         }
-        Op::Store { src, start, step, .. } => {
+        Op::Store {
+            src, start, step, ..
+        } => {
             let (w, first) = window(start, step, k0, len);
             let w = &mut mem[w];
             for (u, s) in col(src).iter().enumerate() {
@@ -634,7 +677,12 @@ fn one<L: Lanes>(l: L, op: &Op, k0: i64, len: usize, elem: ScalarType, regs: &[C
             let m = l.load(&splice_mask(point));
             map2(col(dst), col(a), col(b), |x, y| l.splice(x, y, m));
         }
-        Op::Perm { dst, a, b, ref pattern } => {
+        Op::Perm {
+            dst,
+            a,
+            b,
+            ref pattern,
+        } => {
             let (lo, hi) = perm_tables(pattern);
             map2(col(dst), col(a), col(b), |x, y| l.perm(x, y, &lo, &hi));
         }
@@ -645,7 +693,13 @@ fn one<L: Lanes>(l: L, op: &Op, k0: i64, len: usize, elem: ScalarType, regs: &[C
         Op::Bin { dst, op, a, b } => with_canonical!(op, elem, |op, ty| {
             map2(col(dst), col(a), col(b), |x, y| l.bin(op, ty, x, y))
         }),
-        Op::BinSplat { dst, op, a, ref imm, imm_left } => {
+        Op::BinSplat {
+            dst,
+            op,
+            a,
+            ref imm,
+            imm_left,
+        } => {
             let iv = l.load(imm);
             with_canonical!(op, elem, |op, ty| if imm_left {
                 map1(col(dst), col(a), |x| l.bin(op, ty, iv, x))
@@ -674,27 +728,62 @@ fn one<L: Lanes>(l: L, op: &Op, k0: i64, len: usize, elem: ScalarType, regs: &[C
 /// ([`Super::halves`]), each stream window reaching on to the second
 /// half's last vector.
 #[inline(always)]
-pub(super) fn fold<L: FoldLanes, const PAIRS: bool>(l: L, f: &Super, k0: i64, len: usize, elem: ScalarType, regs: &[Cell<L::V>], mem: &mut [u8]) {
-    let folds = if L::WIDE { &f.folds()[..f.used.1 / 2] } else { f.folds() };
+pub(super) fn fold<L: FoldLanes, const PAIRS: bool>(
+    l: L,
+    f: &Super,
+    k0: i64,
+    len: usize,
+    elem: ScalarType,
+    regs: &[Cell<L::V>],
+    mem: &mut [u8],
+) {
+    let folds = if L::WIDE {
+        &f.folds()[..f.used.1 / 2]
+    } else {
+        f.folds()
+    };
     let mut windows: [&[Reg]; MAX_LEAVES] = [&[]; MAX_LEAVES];
     let (out, _) = split::<L>(f, k0, len, mem, &mut windows);
-    let carry = regs.get(f.column as usize).map_or_else(|| l.splat(&[0; 16]), |seed| l.lift(seed.get()));
-    let mut run = Run { f, folds, stride: f.step as usize / 16, windows: &windows[..f.used.0], out, regs, carry };
+    let carry = regs
+        .get(f.column as usize)
+        .map_or_else(|| l.splat(&[0; 16]), |seed| l.lift(seed.get()));
+    let mut run = Run {
+        f,
+        folds,
+        stride: f.step as usize / 16,
+        windows: &windows[..f.used.0],
+        out,
+        regs,
+        carry,
+    };
     if L::WIDE {
         // Paired folds of loaded streams step 32 bytes (`lower`): as a
         // constant, each wide read is 32 contiguous bytes.
-        debug_assert_eq!(run.stride, 2, "a paired fold of loaded streams steps two vectors");
+        debug_assert_eq!(
+            run.stride, 2,
+            "a paired fold of loaded streams steps two vectors"
+        );
         run.stride = 2;
     }
     let blocked = len - len % BLOCK;
     let op = f.op;
     if PAIRS {
-        with_canonical!(op, elem, |op, ty| run.lanes::<BLOCK>(l, op, ty, elem, 0..blocked));
+        with_canonical!(op, elem, |op, ty| run.lanes::<BLOCK>(
+            l,
+            op,
+            ty,
+            elem,
+            0..blocked
+        ));
     } else {
         run.lanes::<BLOCK>(l, op, elem, elem, 0..blocked);
     }
     run.lanes::<1>(l, op, elem, elem, blocked..len);
-    if let Some(Fold { sink: Sink::Shift { .. }, .. }) = folds.last() {
+    if let Some(Fold {
+        sink: Sink::Shift { .. },
+        ..
+    }) = folds.last()
+    {
         regs[f.column as usize + len].set(l.last(run.carry));
     }
 }
@@ -704,12 +793,33 @@ pub(super) fn fold<L: FoldLanes, const PAIRS: bool>(l: L, f: &Super, k0: i64, le
 /// kept apart so each has a frame and registers of its own.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub(super) fn tree<L: FoldLanes, const PAIRS: bool>(l: L, f: &Super, k0: i64, len: usize, elem: ScalarType, regs: &[Cell<L::V>], mem: &mut [u8], columns: &mut Columns) {
-    let folds = if L::WIDE { &f.folds()[..f.used.1 / 2] } else { f.folds() };
+pub(super) fn tree<L: FoldLanes, const PAIRS: bool>(
+    l: L,
+    f: &Super,
+    k0: i64,
+    len: usize,
+    elem: ScalarType,
+    regs: &[Cell<L::V>],
+    mem: &mut [u8],
+    columns: &mut Columns,
+) {
+    let folds = if L::WIDE {
+        &f.folds()[..f.used.1 / 2]
+    } else {
+        f.folds()
+    };
     let mut windows: [&[Reg]; MAX_LEAVES] = [&[]; MAX_LEAVES];
     let (out, out_stride) = split::<L>(f, k0, len, mem, &mut windows);
     let carry = l.splat(&[0; 16]);
-    let mut run = Run { f, folds, stride: f.step as usize / 16, windows: &windows[..f.used.0], out, regs, carry };
+    let mut run = Run {
+        f,
+        folds,
+        stride: f.step as usize / 16,
+        windows: &windows[..f.used.0],
+        out,
+        regs,
+        carry,
+    };
     let shape = f.tree.as_ref().expect("a mixed tree's shape");
     run.tree::<PAIRS>(l, shape, elem, (run.stride, out_stride), len, columns);
 }
@@ -720,7 +830,13 @@ pub(super) fn tree<L: FoldLanes, const PAIRS: bool>(l: L, f: &Super, k0: i64, le
 /// `windows`, is a shared slice beside it (`lower` keeps loads off the
 /// stored array).
 #[inline(always)]
-fn split<'a, L: FoldLanes>(f: &Super, k0: i64, len: usize, mem: &'a mut [u8], windows: &mut [&'a [Reg]; MAX_LEAVES]) -> (&'a mut [Reg], usize) {
+fn split<'a, L: FoldLanes>(
+    f: &Super,
+    k0: i64,
+    len: usize,
+    mem: &'a mut [u8],
+    windows: &mut [&'a [Reg]; MAX_LEAVES],
+) -> (&'a mut [Reg], usize) {
     let reach = if L::WIDE { f.step as usize / 2 } else { 0 };
     let span = |step: i64| (len - 1) * step as usize + 16;
     let at = |start: i64, step: i64| (start + k0 * step) as usize;
@@ -736,7 +852,13 @@ fn split<'a, L: FoldLanes>(f: &Super, k0: i64, len: usize, mem: &'a mut [u8], wi
         }
         let first = at(start, f.step);
         let span = span(f.step) + reach;
-        *w = if first < lo { &head[first..][..span] } else { &tail[first - hi..][..span] }.as_chunks().0;
+        *w = if first < lo {
+            &head[first..][..span]
+        } else {
+            &tail[first - hi..][..span]
+        }
+        .as_chunks()
+        .0;
     }
     (out.as_chunks_mut().0, out_step as usize / 16)
 }
@@ -777,7 +899,10 @@ enum Step {
 
 /// `vperm` tables that pass a vector through: what a stream leaf reads
 /// as, so a lane loop reads every stream and gather leaf one way.
-const IDENTITY: (Reg, Reg) = ([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15], [0x80; 16]);
+const IDENTITY: (Reg, Reg) = (
+    [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15],
+    [0x80; 16],
+);
 
 /// A stream or gather leaf of a mixed tree ([`Source::new`]): lane `u`
 /// is `vperm` of its two windows' vectors `u · stride` on, by `lo` and
@@ -797,7 +922,11 @@ impl<'w> Source<'w> {
     fn new(windows: &[&'w [Reg]], shape: &Shape, j: u8) -> Self {
         let (a, b, (lo, hi)) = match shape.leaves[j as usize] {
             Leaf::Stream(s) => (windows[s as usize], windows[s as usize], IDENTITY),
-            Leaf::Gather { a, b, table } => (windows[a as usize], windows[b as usize], shape.tables[table as usize]),
+            Leaf::Gather { a, b, table } => (
+                windows[a as usize],
+                windows[b as usize],
+                shape.tables[table as usize],
+            ),
             Leaf::Splat(_) => unreachable!("a splat term runs a leaf at a time"),
         };
         Source { a, b, lo, hi }
@@ -808,7 +937,11 @@ impl<'w> Source<'w> {
     #[inline(always)]
     fn cut(self, len: usize, stride: usize, half: usize) -> Self {
         let span = stride * (len - 1) + 1 + half;
-        Source { a: &self.a[..span], b: &self.b[..span], ..self }
+        Source {
+            a: &self.a[..span],
+            b: &self.b[..span],
+            ..self
+        }
     }
 }
 
@@ -817,16 +950,32 @@ impl<'w> Source<'w> {
 /// const-matched on the [`canonical`] pair when `PAIRS`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn term_column<L: FoldLanes, const PAIRS: bool>(l: L, op: Option<BinOp>, elem: ScalarType, x: Source, y: Option<Source>, stride: usize, d: &mut [Reg]) {
+fn term_column<L: FoldLanes, const PAIRS: bool>(
+    l: L,
+    op: Option<BinOp>,
+    elem: ScalarType,
+    x: Source,
+    y: Option<Source>,
+    stride: usize,
+    d: &mut [Reg],
+) {
     let n = 1 + L::WIDE as usize;
     let (d, half) = (d.chunks_exact_mut(n), half::<L>(stride));
     let len = d.len();
-    let (x, y) = (x.cut(len, stride, half), y.map(|y| y.cut(len, stride, half)));
+    let (x, y) = (
+        x.cut(len, stride, half),
+        y.map(|y| y.cut(len, stride, half)),
+    );
     // A macro, not a closure: a closure defined here would not carry
     // the tier's target features, and each `gather` in it would be a call.
     macro_rules! leaf {
         ($s:expr, $u:expr) => {
-            l.gather(l.read(&$s.a[stride * $u..], half), l.read(&$s.b[stride * $u..], half), &$s.lo, &$s.hi)
+            l.gather(
+                l.read(&$s.a[stride * $u..], half),
+                l.read(&$s.b[stride * $u..], half),
+                &$s.lo,
+                &$s.hi,
+            )
         };
     }
     let Some(op) = op else {
@@ -863,12 +1012,24 @@ fn term_column<L: FoldLanes, const PAIRS: bool>(l: L, op: Option<BinOp>, elem: S
 /// place when `d` is `a` — as one lane loop, const-matched on the
 /// [`canonical`] pair when `PAIRS`, the pair a runtime value otherwise.
 #[inline(always)]
-fn bin_column<L: FoldLanes, const PAIRS: bool>(l: L, op: BinOp, elem: ScalarType, cols: &mut [&mut [Reg]; 4], [d, a, b]: [usize; 3]) {
+fn bin_column<L: FoldLanes, const PAIRS: bool>(
+    l: L,
+    op: BinOp,
+    elem: ScalarType,
+    cols: &mut [&mut [Reg]; 4],
+    [d, a, b]: [usize; 3],
+) {
     let n = 1 + L::WIDE as usize;
     let (d, a, b) = match cols.get_disjoint_mut([d, a, b]) {
-        Ok([d, a, b]) => (d.chunks_exact_mut(n), Some(a.chunks_exact(n)), b.chunks_exact(n)),
+        Ok([d, a, b]) => (
+            d.chunks_exact_mut(n),
+            Some(a.chunks_exact(n)),
+            b.chunks_exact(n),
+        ),
         Err(_) => {
-            let [d, b] = cols.get_disjoint_mut([d, b]).expect("an in-place step reads another column");
+            let [d, b] = cols
+                .get_disjoint_mut([d, b])
+                .expect("an in-place step reads another column");
             (d.chunks_exact_mut(n), None, b.chunks_exact(n))
         }
     };
@@ -920,7 +1081,15 @@ impl<'a, L: FoldLanes> Run<'a, L> {
     /// combined one after another, every lane's value in a register.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    fn values<const B: usize>(&self, l: L, op: BinOp, ty: ScalarType, k: usize, leaves: usize, off: &[usize; B]) -> [L::W; B] {
+    fn values<const B: usize>(
+        &self,
+        l: L,
+        op: BinOp,
+        ty: ScalarType,
+        k: usize,
+        leaves: usize,
+        off: &[usize; B],
+    ) -> [L::W; B] {
         let (stride, half) = (self.stride, half::<L>(self.stride));
         let span = stride * (B - 1) + 1 + half;
         let mut v = [l.splat(&[0; 16]); B];
@@ -944,21 +1113,41 @@ impl<'a, L: FoldLanes> Run<'a, L> {
     /// block by lane block: the second fold's shift reads the first's
     /// value, the first's the last fold's a lane back.
     #[inline(always)]
-    fn lanes<const B: usize>(&mut self, l: L, op: BinOp, ty: ScalarType, elem: ScalarType, lanes: Range<usize>) {
+    fn lanes<const B: usize>(
+        &mut self,
+        l: L,
+        op: BinOp,
+        ty: ScalarType,
+        elem: ScalarType,
+        lanes: Range<usize>,
+    ) {
         let (f, stride) = (self.f, self.stride);
         let offsets = |u: usize| -> [usize; B] { std::array::from_fn(|i| (u + i) * stride) };
-        if let [Fold { leaves, sink: Sink::Shift { at, .. }, .. }, ref rest @ ..] = self.folds[..] {
+        if let [Fold {
+            leaves,
+            sink: Sink::Shift { at, .. },
+            ..
+        }, ref rest @ ..] = self.folds[..]
+        {
             let (at, span) = (at / 16, stride * (B - 1) + 1 + L::WIDE as usize);
             let (lo, hi) = &f.shifts[0];
             for u in lanes.step_by(B) {
                 let off = offsets(u);
                 let x = self.values(l, op, ty, 0, leaves, &off);
                 // Wide, a rotation's second fold is the upper half.
-                let Some(&Fold { leaves: y_leaves, sink: Sink::Shift { at: at_y, .. }, .. }) = rest.first().filter(|_| !L::WIDE) else {
+                let Some(&Fold {
+                    leaves: y_leaves,
+                    sink: Sink::Shift { at: at_y, .. },
+                    ..
+                }) = rest.first().filter(|_| !L::WIDE)
+                else {
                     let out = &mut self.out[at + off[0]..][..span];
                     for i in 0..B {
                         let prev = if i == 0 { self.carry } else { x[i - 1] };
-                        l.write(l.gather(l.prev(prev, x[i]), x[i], lo, hi), &mut out[stride * i..]);
+                        l.write(
+                            l.gather(l.prev(prev, x[i]), x[i], lo, hi),
+                            &mut out[stride * i..],
+                        );
                     }
                     self.carry = x[B - 1];
                     continue;
@@ -968,7 +1157,10 @@ impl<'a, L: FoldLanes> Run<'a, L> {
                 for i in 0..B {
                     let prev = if i == 0 { self.carry } else { y[i - 1] };
                     l.write(l.gather(prev, x[i], lo, hi), &mut self.out[at + off[i]..]);
-                    l.write(l.gather(x[i], y[i], lo_y, hi_y), &mut self.out[at_y + off[i]..]);
+                    l.write(
+                        l.gather(x[i], y[i], lo_y, hi_y),
+                        &mut self.out[at_y + off[i]..],
+                    );
                 }
                 self.carry = y[B - 1];
             }
@@ -985,7 +1177,8 @@ impl<'a, L: FoldLanes> Run<'a, L> {
                     for u in lanes {
                         let off = offsets(u);
                         let v = self.values(l, op, ty, k, leaves, &off);
-                        let out = &mut self.out[at / 16 + off[0]..][..stride * (B - 1) + 1 + L::WIDE as usize];
+                        let out = &mut self.out[at / 16 + off[0]..]
+                            [..stride * (B - 1) + 1 + L::WIDE as usize];
                         for i in 0..B {
                             l.write(v[i], &mut out[stride * i..]);
                         }
@@ -1039,19 +1232,30 @@ impl<'a, L: FoldLanes> Run<'a, L> {
     /// Then the sink, if any is left, runs down the finished column.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    fn tree<const PAIRS: bool>(&mut self, l: L, shape: &Shape, elem: ScalarType, (stride, out_stride): (usize, usize), len: usize, columns: &mut Columns) {
+    fn tree<const PAIRS: bool>(
+        &mut self,
+        l: L,
+        shape: &Shape,
+        elem: ScalarType,
+        (stride, out_stride): (usize, usize),
+        len: usize,
+        columns: &mut Columns,
+    ) {
         let (n, windows) = (1 + L::WIDE as usize, self.windows);
         let mut k = 0;
         for (g, &op) in self.folds.iter().zip(&shape.ops) {
             let terms = &shape.terms[k..k + g.leaves];
             let (direct, out) = match g.sink {
-                Sink::Store { at } if out_stride == n => (true, &mut self.out[at / 16..][..n * len]),
+                Sink::Store { at } if out_stride == n => {
+                    (true, &mut self.out[at / 16..][..n * len])
+                }
                 _ => (false, &mut [][..]),
             };
             // The last pass reads columns 0 and 1 at the pace it stores
             // the window: half a page from it, no load of theirs waits
             // on a store still in flight.
-            let half_page = (out.as_ptr() as usize + PAGE / 2).wrapping_sub(columns.0.as_ptr() as usize);
+            let half_page =
+                (out.as_ptr() as usize + PAGE / 2).wrapping_sub(columns.0.as_ptr() as usize);
             let at = half_page % PAGE / 64 * 4;
             let (v, rest) = columns.0[at..][..3 * COLUMN].split_at_mut(COLUMN);
             let (x, y) = rest.split_at_mut(COLUMN);
@@ -1062,30 +1266,39 @@ impl<'a, L: FoldLanes> Run<'a, L> {
                 let c = if i == 0 { last } else { 1 };
                 // A term over streams and gathers runs as one lane loop;
                 // one with a splat, a leaf at a time.
-                let splat = matches!(shape.leaves[t.a as usize], Leaf::Splat(_)) || t.op.is_some() && matches!(shape.leaves[t.b as usize], Leaf::Splat(_));
+                let splat = matches!(shape.leaves[t.a as usize], Leaf::Splat(_))
+                    || t.op.is_some() && matches!(shape.leaves[t.b as usize], Leaf::Splat(_));
                 let steps = [
                     (!splat).then_some(Step::Term(*t, c)),
                     splat.then_some(Step::Leaf(shape.leaves[t.a as usize], c)),
-                    t.op.filter(|_| splat).map(|_| Step::Leaf(shape.leaves[t.b as usize], 2)),
+                    t.op.filter(|_| splat)
+                        .map(|_| Step::Leaf(shape.leaves[t.b as usize], 2)),
                     t.op.filter(|_| splat).map(|by| Step::Bin(by, [c, c, 2])),
                     (i > 0).then_some(Step::Bin(op, [last, 0, 1])),
                 ];
                 for step in steps.into_iter().flatten() {
                     match step {
                         Step::Term(t, c) => {
-                            let (x, y) = (Source::new(windows, shape, t.a), (t.b != t.a).then(|| Source::new(windows, shape, t.b)));
+                            let (x, y) = (
+                                Source::new(windows, shape, t.a),
+                                (t.b != t.a).then(|| Source::new(windows, shape, t.b)),
+                            );
                             let d = &mut *cols[c];
                             // A gather's strides as constants (a stride-2
                             // pack's, in a body and in its unrolled pair):
                             // the lane loop then keeps its windows in
                             // registers.
                             match stride {
-                                2 if PAIRS && !L::WIDE => term_column::<L, PAIRS>(l, t.op, elem, x, y, 2, d),
+                                2 if PAIRS && !L::WIDE => {
+                                    term_column::<L, PAIRS>(l, t.op, elem, x, y, 2, d)
+                                }
                                 4 if PAIRS => term_column::<L, PAIRS>(l, t.op, elem, x, y, 4, d),
                                 _ => term_column::<L, PAIRS>(l, t.op, elem, x, y, stride, d),
                             }
                         }
-                        Step::Leaf(leaf, c) => leaf_column(l, windows, shape, leaf, stride, cols[c]),
+                        Step::Leaf(leaf, c) => {
+                            leaf_column(l, windows, shape, leaf, stride, cols[c])
+                        }
                         Step::Bin(op, at) => bin_column::<L, PAIRS>(l, op, elem, &mut cols, at),
                     }
                 }
@@ -1121,11 +1334,22 @@ impl<'a, L: FoldLanes> Run<'a, L> {
 /// One leaf of a mixed tree down column `d`, each window sliced once
 /// for the column: the path of a term with a splat.
 #[inline(always)]
-fn leaf_column<L: FoldLanes>(l: L, windows: &[&[Reg]], shape: &Shape, leaf: Leaf, stride: usize, d: &mut [Reg]) {
+fn leaf_column<L: FoldLanes>(
+    l: L,
+    windows: &[&[Reg]],
+    shape: &Shape,
+    leaf: Leaf,
+    stride: usize,
+    d: &mut [Reg],
+) {
     let (n, half) = (1 + L::WIDE as usize, half::<L>(stride));
     let d = d.chunks_exact_mut(n);
     let span = stride * (d.len() - 1) + 1 + half;
-    let lanes = |s: u8| windows[s as usize][..span].windows(1 + half).step_by(stride);
+    let lanes = |s: u8| {
+        windows[s as usize][..span]
+            .windows(1 + half)
+            .step_by(stride)
+    };
     match leaf {
         Leaf::Stream(s) => {
             for (d, w) in d.zip(lanes(s)) {
@@ -1149,7 +1373,16 @@ fn leaf_column<L: FoldLanes>(l: L, windows: &[&[Reg]], shape: &Shape, leaf: Leaf
 /// superinstruction one by one, then the superinstruction.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn strip<L: Lanes>(l: L, s: &Section, k0: i64, len: usize, elem: ScalarType, regs: &[Cell<L::V>], mem: &mut [u8], columns: &mut Columns) {
+fn strip<L: Lanes>(
+    l: L,
+    s: &Section,
+    k0: i64,
+    len: usize,
+    elem: ScalarType,
+    regs: &[Cell<L::V>],
+    mem: &mut [u8],
+    columns: &mut Columns,
+) {
     let mut at = 0;
     for i in 0..=s.supers.len() {
         let f = s.supers.get(i);
@@ -1196,7 +1429,9 @@ pub(super) fn run<L: Lanes>(l: L, program: &Program, mem: &mut [u8], columns: &m
         }
         for (c, _, identity) in &s.partials {
             let identity = l.load(identity);
-            regs[*c as usize + 1..][..STRIP - 1].iter().for_each(|lane| lane.set(identity));
+            regs[*c as usize + 1..][..STRIP - 1]
+                .iter()
+                .for_each(|lane| lane.set(identity));
         }
         let mut k = 0;
         while k < s.iters {
@@ -1220,7 +1455,9 @@ pub(super) fn run<L: Lanes>(l: L, program: &Program, mem: &mut [u8], columns: &m
         }
         for &(c, op, _) in &s.partials {
             let column = &regs[c as usize..][..STRIP];
-            let total = column[1..].iter().fold(column[0].get(), |acc, lane| l.bin(op, program.elem, acc, lane.get()));
+            let total = column[1..].iter().fold(column[0].get(), |acc, lane| {
+                l.bin(op, program.elem, acc, lane.get())
+            });
             column[0].set(total);
         }
     }

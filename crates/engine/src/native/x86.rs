@@ -87,7 +87,14 @@ fn run_avx2(program: &Program, mem: &mut [u8], columns: &mut Columns) {
 
 #[inline(never)]
 #[target_feature(enable = "ssse3,sse4.1")]
-fn fold_v2(f: &Super, k0: i64, len: usize, elem: ScalarType, regs: &[Cell<__m128i>], mem: &mut [u8]) {
+fn fold_v2(
+    f: &Super,
+    k0: i64,
+    len: usize,
+    elem: ScalarType,
+    regs: &[Cell<__m128i>],
+    mem: &mut [u8],
+) {
     strip::fold::<_, true>(v2(), f, k0, len, elem, regs, mem)
 }
 
@@ -97,7 +104,15 @@ fn fold_v2(f: &Super, k0: i64, len: usize, elem: ScalarType, regs: &[Cell<__m128
 #[inline(never)]
 #[target_feature(enable = "ssse3,sse4.1")]
 #[allow(clippy::too_many_arguments)]
-fn tree_v2(f: &Super, k0: i64, len: usize, elem: ScalarType, regs: &[Cell<__m128i>], mem: &mut [u8], columns: &mut Columns) {
+fn tree_v2(
+    f: &Super,
+    k0: i64,
+    len: usize,
+    elem: ScalarType,
+    regs: &[Cell<__m128i>],
+    mem: &mut [u8],
+    columns: &mut Columns,
+) {
     strip::tree::<_, true>(v2(), f, k0, len, elem, regs, mem, columns)
 }
 
@@ -105,7 +120,14 @@ fn tree_v2(f: &Super, k0: i64, len: usize, elem: ScalarType, regs: &[Cell<__m128
 /// `ymm` ([`avx2_wide`]); any other keeps one `xmm` per lane.
 #[inline(never)]
 #[target_feature(enable = "ssse3,sse4.1,avx2")]
-fn fold_avx2(f: &Super, k0: i64, len: usize, elem: ScalarType, regs: &[Cell<__m128i>], mem: &mut [u8]) {
+fn fold_avx2(
+    f: &Super,
+    k0: i64,
+    len: usize,
+    elem: ScalarType,
+    regs: &[Cell<__m128i>],
+    mem: &mut [u8],
+) {
     if f.halves != 0 {
         strip::fold::<_, true>(avx2_wide(), f, k0, len, elem, regs, mem)
     } else {
@@ -117,7 +139,15 @@ fn fold_avx2(f: &Super, k0: i64, len: usize, elem: ScalarType, regs: &[Cell<__m1
 #[inline(never)]
 #[target_feature(enable = "ssse3,sse4.1,avx2")]
 #[allow(clippy::too_many_arguments)]
-fn tree_avx2(f: &Super, k0: i64, len: usize, elem: ScalarType, regs: &[Cell<__m128i>], mem: &mut [u8], columns: &mut Columns) {
+fn tree_avx2(
+    f: &Super,
+    k0: i64,
+    len: usize,
+    elem: ScalarType,
+    regs: &[Cell<__m128i>],
+    mem: &mut [u8],
+    columns: &mut Columns,
+) {
     if f.halves != 0 {
         strip::tree::<_, true>(avx2_wide(), f, k0, len, elem, regs, mem, columns)
     } else {
@@ -149,13 +179,21 @@ where
 #[inline]
 #[target_feature(enable = "ssse3,sse4.1")]
 fn v2() -> impl Lanes<V = __m128i> {
-    narrow(|f: &Super, k0, len, elem, regs: &[Cell<__m128i>], mem: &mut [u8], columns: &mut Columns| {
-        if f.tree.is_some() {
-            tree_v2(f, k0, len, elem, regs, mem, columns)
-        } else {
-            fold_v2(f, k0, len, elem, regs, mem)
-        }
-    })
+    narrow(
+        |f: &Super,
+         k0,
+         len,
+         elem,
+         regs: &[Cell<__m128i>],
+         mem: &mut [u8],
+         columns: &mut Columns| {
+            if f.tree.is_some() {
+                tree_v2(f, k0, len, elem, regs, mem, columns)
+            } else {
+                fold_v2(f, k0, len, elem, regs, mem)
+            }
+        },
+    )
 }
 
 /// The AVX2 tier's 128-bit operations: the v2 tier's, with its own
@@ -163,13 +201,21 @@ fn v2() -> impl Lanes<V = __m128i> {
 #[inline]
 #[target_feature(enable = "ssse3,sse4.1,avx2")]
 fn avx2() -> impl Lanes<V = __m128i> {
-    narrow(|f: &Super, k0, len, elem, regs: &[Cell<__m128i>], mem: &mut [u8], columns: &mut Columns| {
-        if f.tree.is_some() {
-            tree_avx2(f, k0, len, elem, regs, mem, columns)
-        } else {
-            fold_avx2(f, k0, len, elem, regs, mem)
-        }
-    })
+    narrow(
+        |f: &Super,
+         k0,
+         len,
+         elem,
+         regs: &[Cell<__m128i>],
+         mem: &mut [u8],
+         columns: &mut Columns| {
+            if f.tree.is_some() {
+                tree_avx2(f, k0, len, elem, regs, mem, columns)
+            } else {
+                fold_avx2(f, k0, len, elem, regs, mem)
+            }
+        },
+    )
 }
 
 /// The AVX2 tier's wide form: an unrolled pair's two halves in one
@@ -189,7 +235,10 @@ fn avx2_wide() -> impl FoldLanes<W = __m256i, V = __m128i> {
         },
         gather: |a, b, lo: &Reg, hi: &Reg| {
             let table = |t: &Reg| _mm256_broadcastsi128_si256(from_bytes(t));
-            _mm256_or_si256(_mm256_shuffle_epi8(a, table(lo)), _mm256_shuffle_epi8(b, table(hi)))
+            _mm256_or_si256(
+                _mm256_shuffle_epi8(a, table(lo)),
+                _mm256_shuffle_epi8(b, table(hi)),
+            )
         },
         combine: |op, elem, a, b| bin_wide(op, elem, a, b),
         prev: |prev, cur| _mm256_permute2x128_si256::<0x21>(prev, cur),
@@ -246,7 +295,10 @@ fn splice(a: __m128i, b: __m128i, mask: __m128i) -> __m128i {
 #[inline]
 #[target_feature(enable = "ssse3,sse4.1")]
 fn perm(a: __m128i, b: __m128i, lo: &Reg, hi: &Reg) -> __m128i {
-    _mm_or_si128(_mm_shuffle_epi8(a, from_bytes(lo)), _mm_shuffle_epi8(b, from_bytes(hi)))
+    _mm_or_si128(
+        _mm_shuffle_epi8(a, from_bytes(lo)),
+        _mm_shuffle_epi8(b, from_bytes(hi)),
+    )
 }
 
 #[inline]
@@ -428,7 +480,11 @@ mod tests {
         for _ in 0..64 {
             let [a, a2, b, b2, p] = std::array::from_fn(|_| random_reg(&mut rng));
             assert_eq!(halves(w.read(&[a, a2], 1)), [a, a2], "read");
-            assert_eq!(halves(w.read(&[a, b, a2], 2)), [a, a2], "read 32 bytes apart");
+            assert_eq!(
+                halves(w.read(&[a, b, a2], 2)),
+                [a, a2],
+                "read 32 bytes apart"
+            );
             assert_eq!(halves(w.splat(&p)), [p, p], "splat");
             let (x, y) = (w.read(&[a, a2], 1), w.read(&[b, b2], 1));
             let both = |f: &dyn Fn(Reg, Reg) -> __m128i| [bytes(f(a, b)), bytes(f(a2, b2))];
@@ -440,11 +496,24 @@ mod tests {
             assert_eq!(bytes(w.last(x)), a2, "last");
             assert_eq!(bytes(w.last(w.lift(l.load(&p)))), p, "lift");
             for ty in simdize_ir::ScalarType::ALL {
-                for op in [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Min, BinOp::Max, BinOp::And, BinOp::Or, BinOp::Xor] {
+                for op in [
+                    BinOp::Add,
+                    BinOp::Sub,
+                    BinOp::Mul,
+                    BinOp::Min,
+                    BinOp::Max,
+                    BinOp::And,
+                    BinOp::Or,
+                    BinOp::Xor,
+                ] {
                     let bin = |a, b| l.bin(op, ty, l.load(&a), l.load(&b));
                     assert_eq!(halves(w.combine(op, ty, x, y)), both(&bin), "{op:?} {ty}");
                     let want = l.bin(op, ty, l.load(&p), l.bin(op, ty, l.load(&a), l.load(&a2)));
-                    assert_eq!(bytes(w.reduce(op, ty, l.load(&p), x)), bytes(want), "reduce {op:?} {ty}");
+                    assert_eq!(
+                        bytes(w.reduce(op, ty, l.load(&p), x)),
+                        bytes(want),
+                        "reduce {op:?} {ty}"
+                    );
                 }
             }
         }

@@ -37,7 +37,11 @@ fn compile(source: &str, policy: Policy) -> (SimdProgram, MemoryImage, RunInput)
     compile_reusing(source, policy, ReuseMode::SoftwarePipeline)
 }
 
-fn compile_reusing(source: &str, policy: Policy, reuse: ReuseMode) -> (SimdProgram, MemoryImage, RunInput) {
+fn compile_reusing(
+    source: &str,
+    policy: Policy,
+    reuse: ReuseMode,
+) -> (SimdProgram, MemoryImage, RunInput) {
     let p = parse_program(source).unwrap();
     let g = ReorgGraph::build(&p, VectorShape::V16)
         .unwrap()
@@ -121,7 +125,10 @@ fn v2_vs_avx2_tier(name: &str, source: &str) {
     }
     let (prog, mut img, input) = compile(source, Policy::Dominant);
     let kernel = CompiledKernel::compile(&prog, &img, &input).unwrap();
-    let (v2, avx2) = (SimdKernel::lower(&kernel, IsaLevel::V2), SimdKernel::lower(&kernel, IsaLevel::Avx2));
+    let (v2, avx2) = (
+        SimdKernel::lower(&kernel, IsaLevel::V2),
+        SimdKernel::lower(&kernel, IsaLevel::Avx2),
+    );
     let v2_t = best_of_three(|| v2.run(&mut img).unwrap());
     let avx2_t = best_of_three(|| avx2.run(&mut img).unwrap());
     let ratio = v2_t / avx2_t;

@@ -89,15 +89,19 @@ pub fn account(
     // Packs and scatters reorganize with `vperm`s.
     let shifts = placement_ids(decisions, |e| match e {
         PlacementEvent::ShiftInserted { .. } => true,
-        PlacementEvent::OffsetComputed { desc, .. } => desc.contains("[pack") || desc.contains("[scatter"),
+        PlacementEvent::OffsetComputed { desc, .. } => {
+            desc.contains("[pack") || desc.contains("[scatter")
+        }
         _ => false,
     });
-    let loads = placement_ids(decisions, |e| {
-        matches!(e, PlacementEvent::OffsetComputed { desc, .. } if desc.starts_with("vload"))
-    });
-    let splats = placement_ids(decisions, |e| {
-        matches!(e, PlacementEvent::OffsetComputed { desc, .. } if desc.starts_with("vsplat"))
-    });
+    let loads = placement_ids(
+        decisions,
+        |e| matches!(e, PlacementEvent::OffsetComputed { desc, .. } if desc.starts_with("vload")),
+    );
+    let splats = placement_ids(
+        decisions,
+        |e| matches!(e, PlacementEvent::OffsetComputed { desc, .. } if desc.starts_with("vsplat")),
+    );
     let c2 = placement_ids(decisions, |e| {
         matches!(
             e,
@@ -116,7 +120,9 @@ pub fn account(
             }
         )
     });
-    let bounds_d = codegen_ids(decisions, |e| matches!(e, CodegenEvent::BoundsChosen { .. }));
+    let bounds_d = codegen_ids(decisions, |e| {
+        matches!(e, CodegenEvent::BoundsChosen { .. })
+    });
     let prologue_d = codegen_ids(decisions, |e| {
         matches!(e, CodegenEvent::ProloguePeeled { .. })
     });
@@ -126,7 +132,9 @@ pub fn account(
             CodegenEvent::EpilogueForm { .. } | CodegenEvent::ReductionEpilogue { .. }
         )
     });
-    let reuse_d = codegen_ids(decisions, |e| matches!(e, CodegenEvent::ReuseApplied { .. }));
+    let reuse_d = codegen_ids(decisions, |e| {
+        matches!(e, CodegenEvent::ReuseApplied { .. })
+    });
     let reduction_d = codegen_ids(decisions, |e| {
         matches!(e, CodegenEvent::ReductionEpilogue { .. })
     });

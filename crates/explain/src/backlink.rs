@@ -19,8 +19,8 @@
 
 use crate::decision::{DecisionId, Decisions};
 use simdize::{
-    BinOp, CodegenEvent, Constraint, Offset, PlacementEvent, ReorgGraph, SExpr, SimdProgram,
-    UnOp, VInst,
+    BinOp, CodegenEvent, Constraint, Offset, PlacementEvent, ReorgGraph, SExpr, SimdProgram, UnOp,
+    VInst,
 };
 use simdize_reorg::{shift_amount, RNode, VOpKind};
 
@@ -356,12 +356,11 @@ impl<'a> Linker<'a> {
     fn stmt_context(&self, flat: &[(usize, &VInst)], idx: usize) -> Option<usize> {
         let stmt_of = |inst: &VInst| -> Option<usize> {
             match inst {
-                VInst::StoreA { addr, .. } | VInst::StoreU { addr, .. } => {
-                    self.store_stmt
-                        .iter()
-                        .find(|(a, _)| *a == addr.array.index())
-                        .map(|(_, s)| *s)
-                }
+                VInst::StoreA { addr, .. } | VInst::StoreU { addr, .. } => self
+                    .store_stmt
+                    .iter()
+                    .find(|(a, _)| *a == addr.array.index())
+                    .map(|(_, s)| *s),
                 _ => None,
             }
         };

@@ -244,7 +244,10 @@ fn stream_markdown(r: &StreamReport) -> String {
         out,
         "| class | count | weight | ops | bound | excess | decisions |"
     );
-    let _ = writeln!(out, "|-------|------:|-------:|----:|------:|-------:|-----------|");
+    let _ = writeln!(
+        out,
+        "|-------|------:|-------:|----:|------:|-------:|-----------|"
+    );
     for row in &r.accounting.rows {
         if row.count == 0 {
             continue;
@@ -261,11 +264,7 @@ fn stream_markdown(r: &StreamReport) -> String {
             links_str(&row.links)
         );
     }
-    let _ = writeln!(
-        out,
-        "| **total** | | | **{}** | | | |",
-        r.accounting.total
-    );
+    let _ = writeln!(out, "| **total** | | | **{}** | | | |", r.accounting.total);
     let _ = writeln!(
         out,
         "\nMeasured OPD **{:.3}** ({} ops over {} data) against the \u{a7}5.3 \

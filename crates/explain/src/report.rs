@@ -5,9 +5,9 @@ use crate::accounting::{account, Accounting};
 use crate::backlink::{annotate, AnnotatedSection};
 use crate::decision::Decisions;
 use simdize::{
-    lower_bound_parts, run_differential, run_job, DiffConfig, ExecError,
-    JobRun, KernelCache, LoopProgram, LowerBound, Policy, PolicyError, RunStats,
-    SimdProgram, SimdizeError, Simdizer, SweepJob, Target, VectorShape,
+    lower_bound_parts, run_differential, run_job, DiffConfig, ExecError, JobRun, KernelCache,
+    LoopProgram, LowerBound, Policy, PolicyError, RunStats, SimdProgram, SimdizeError, Simdizer,
+    SweepJob, Target, VectorShape,
 };
 use std::error::Error;
 

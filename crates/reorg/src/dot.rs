@@ -33,7 +33,11 @@ pub fn to_dot(graph: &ReorgGraph) -> String {
                 format!(
                     "vload {}[{}i{:+}]\\n@{}",
                     graph.program().array(r.array).name(),
-                    if r.stride == 1 { String::new() } else { format!("{}*", r.stride) },
+                    if r.stride == 1 {
+                        String::new()
+                    } else {
+                        format!("{}*", r.stride)
+                    },
                     r.offset,
                     graph.offset_of(id)
                 ),

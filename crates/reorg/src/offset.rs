@@ -14,7 +14,12 @@ use std::ops::Range;
 ///
 /// Panics if `r`'s array has no compile-time alignment: code
 /// generation packs and scatters nothing else.
-pub fn pack_chunks(r: ArrayRef, program: &LoopProgram, shape: VectorShape, lanes: Range<usize>) -> Vec<i64> {
+pub fn pack_chunks(
+    r: ArrayRef,
+    program: &LoopProgram,
+    shape: VectorShape,
+    lanes: Range<usize>,
+) -> Vec<i64> {
     let (d, v) = (program.elem().size() as i64, shape.bytes() as i64);
     let beta = program
         .array(r.array)

@@ -107,7 +107,10 @@ pub fn branch_and_bound_shift_counts(graph: &ReorgGraph, incumbents: &[usize]) -
     (0..graph.roots().len())
         .map(|stmt| {
             let search = Search::for_stmt(graph, stmt);
-            search.branch_and_bound(incumbents[stmt], distinct_alignments(graph, stmt).saturating_sub(1))
+            search.branch_and_bound(
+                incumbents[stmt],
+                distinct_alignments(graph, stmt).saturating_sub(1),
+            )
         })
         .collect()
 }
@@ -355,7 +358,13 @@ impl<'a> Search<'a> {
                 // without a final shift, then the smallest offset —
                 // deterministic output for the docs generator.
                 let k = (0..self.candidates.len())
-                    .min_by_key(|&k| (dp.raw[k] + self.store_penalty(k), self.store_penalty(k), self.candidates[k]))
+                    .min_by_key(|&k| {
+                        (
+                            dp.raw[k] + self.store_penalty(k),
+                            self.store_penalty(k),
+                            self.candidates[k],
+                        )
+                    })
                     .expect("op-rooted statement has candidates");
                 let node = self.rebuild_op_at(out, self.expr, k, &memo, rec);
                 (node, Offset::Byte(self.candidates[k]))
@@ -475,9 +484,7 @@ impl<'a> Search<'a> {
                         stmt: self.stmt,
                         node: n,
                         offset: o,
-                        rule: format!(
-                            "operand already at the optimal computing offset {target}"
-                        ),
+                        rule: format!("operand already at the optimal computing offset {target}"),
                     });
                     n
                 } else {

@@ -180,8 +180,7 @@ impl ReorgGraph {
                 }
                 Policy::Lazy => placer.rebuild(&mut out, src_old, ReconcileTo(natural_store), rec),
                 Policy::Dominant => {
-                    let (d, histogram) =
-                        dominant_offset(self, src_old, natural_store, elem_size);
+                    let (d, histogram) = dominant_offset(self, src_old, natural_store, elem_size);
                     rec.record(|| PlacementEvent::DominantChosen {
                         stmt: idx,
                         target: d,
@@ -435,8 +434,7 @@ impl Placer<'_> {
                                     });
                                     n
                                 } else {
-                                    let s =
-                                        out.add(RNode::ShiftStream { src: n, to: target });
+                                    let s = out.add(RNode::ShiftStream { src: n, to: target });
                                     rec.record(|| PlacementEvent::ShiftInserted {
                                         stmt,
                                         node: s,
@@ -628,7 +626,12 @@ mod tests {
         let z = g.with_policy(Policy::Zero).unwrap();
         z.validate().unwrap();
         assert_eq!(z.shift_count(), 2); // load shift (b misaligned) + runtime store shift
-        for policy in [Policy::Eager, Policy::Lazy, Policy::Dominant, Policy::Optimal] {
+        for policy in [
+            Policy::Eager,
+            Policy::Lazy,
+            Policy::Dominant,
+            Policy::Optimal,
+        ] {
             assert!(matches!(
                 g.with_policy(policy),
                 Err(PolicyError::NeedsCompileTimeAlignment { .. })
@@ -799,9 +802,10 @@ mod tests {
             })
             .collect();
         assert_eq!(chosen, vec![(2, 2, vec![4, 8, 12])]);
-        assert!(trace.events.iter().any(|e| e
-            .to_string()
-            .contains("optimal placement proved minimal")));
+        assert!(trace
+            .events
+            .iter()
+            .any(|e| e.to_string().contains("optimal placement proved minimal")));
     }
 }
 

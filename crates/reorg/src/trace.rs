@@ -219,7 +219,10 @@ impl fmt::Display for PlacementEvent {
                 node,
                 offset,
                 rule,
-            } => write!(f, "stmt {stmt}: no shift at {node} (offset {offset}): {rule}"),
+            } => write!(
+                f,
+                "stmt {stmt}: no shift at {node} (offset {offset}): {rule}"
+            ),
         }
     }
 }

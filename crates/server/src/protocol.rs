@@ -322,7 +322,10 @@ impl Reply {
     pub fn new(id: u64, trace: impl fmt::Display) -> Reply {
         // Room for a `run` reply, so it is allocated once.
         let mut w = Writer::with_capacity(256);
-        w.obj().field("v", WIRE_VERSION).field("id", id).field("trace", Text(trace));
+        w.obj()
+            .field("v", WIRE_VERSION)
+            .field("id", id)
+            .field("trace", Text(trace));
         Reply { head: w.mark(), w }
     }
 
@@ -429,16 +432,16 @@ mod tests {
         let e = parse_request(r#"{"v":1,"id":7,"cmd":"run"}"#).unwrap_err();
         assert!(e.message.contains("missing `source`"));
 
-        let e = parse_request(r#"{"v":1,"id":7,"cmd":"run","source":"s","policy":"x"}"#)
-            .unwrap_err();
+        let e =
+            parse_request(r#"{"v":1,"id":7,"cmd":"run","source":"s","policy":"x"}"#).unwrap_err();
         assert!(e.message.contains("unknown policy"));
 
-        let e = parse_request(r#"{"v":1,"id":7,"cmd":"run","source":"s","params":"no"}"#)
-            .unwrap_err();
+        let e =
+            parse_request(r#"{"v":1,"id":7,"cmd":"run","source":"s","params":"no"}"#).unwrap_err();
         assert!(e.message.contains("`params` must be an array"));
 
-        let e = parse_request(r#"{"v":1,"id":7,"cmd":"run","source":"s","engine":"jit"}"#)
-            .unwrap_err();
+        let e =
+            parse_request(r#"{"v":1,"id":7,"cmd":"run","source":"s","engine":"jit"}"#).unwrap_err();
         assert!(e.message.contains("unknown engine"));
     }
 

@@ -208,7 +208,10 @@ impl Shared {
             ("requests_total", self.requests.load(Ordering::Relaxed)),
             ("busy_total", self.busy.load(Ordering::Relaxed)),
             ("errors_total", self.errors.load(Ordering::Relaxed)),
-            ("connections_total", self.connections.load(Ordering::Relaxed)),
+            (
+                "connections_total",
+                self.connections.load(Ordering::Relaxed),
+            ),
             ("flight_recorded_total", self.flight.recorded()),
             ("cache_hits_total", cache.hits),
             ("cache_misses_total", cache.misses),
@@ -257,29 +260,46 @@ impl Shared {
         let rate = requests as f64 / uptime.as_secs_f64().max(1e-9);
         let metrics = self.metrics.lock().expect("metrics poisoned");
         let all = &metrics.all_us;
-        w.obj().field("schema", WIRE_SCHEMA).field("isa", Text(IsaLevel::detect()));
-        w.field("uptime_ms", uptime.as_millis() as u64).field("requests", requests);
+        w.obj()
+            .field("schema", WIRE_SCHEMA)
+            .field("isa", Text(IsaLevel::detect()));
+        w.field("uptime_ms", uptime.as_millis() as u64)
+            .field("requests", requests);
         w.field("busy", self.busy.load(Ordering::Relaxed));
         w.field("errors", self.errors.load(Ordering::Relaxed));
         w.field("connections", self.connections.load(Ordering::Relaxed));
-        w.field("requests_per_sec", Fixed(rate, 2)).key("latency").obj();
-        w.field("count", all.count()).field("mean_us", Fixed(all.mean(), 1));
-        w.field("p50_us", all.quantile(0.5)).field("p95_us", all.quantile(0.95));
+        w.field("requests_per_sec", Fixed(rate, 2))
+            .key("latency")
+            .obj();
+        w.field("count", all.count())
+            .field("mean_us", Fixed(all.mean(), 1));
+        w.field("p50_us", all.quantile(0.5))
+            .field("p95_us", all.quantile(0.95));
         w.field("max_us", all.max()).end_obj().key("commands").arr();
         for &(name, ref h) in &metrics.per_cmd {
             w.obj().field("cmd", name).field("count", h.count());
-            w.field("p50_us", h.quantile(0.5)).field("p95_us", h.quantile(0.95)).end_obj();
+            w.field("p50_us", h.quantile(0.5))
+                .field("p95_us", h.quantile(0.95))
+                .end_obj();
         }
         let cache = self.cache.stats();
         w.end_arr().key("cache").obj().field("hits", cache.hits);
-        w.field("misses", cache.misses).field("evictions", cache.evictions);
-        w.field("hit_rate", Fixed(cache.hit_rate(), 4)).field("occupied", cache.occupied());
-        w.field("capacity_per_shard", cache.capacity_per_shard).key("occupancy").arr();
+        w.field("misses", cache.misses)
+            .field("evictions", cache.evictions);
+        w.field("hit_rate", Fixed(cache.hit_rate(), 4))
+            .field("occupied", cache.occupied());
+        w.field("capacity_per_shard", cache.capacity_per_shard)
+            .key("occupancy")
+            .arr();
         for &n in &cache.occupancy {
             w.val(n);
         }
         let t = self.templates.stats();
-        w.end_arr().end_obj().key("templates").obj().field("hits", t.hits);
+        w.end_arr()
+            .end_obj()
+            .key("templates")
+            .obj()
+            .field("hits", t.hits);
         w.field("misses", t.misses).field("evictions", t.evictions);
         w.field("occupied", t.occupied).field("bytes", t.bytes);
         w.field("capacity", t.capacity).end_obj();
@@ -287,7 +307,9 @@ impl Shared {
         w.field("capacity", self.config.queue_depth).end_obj();
         w.field("workers", self.config.workers).key("flight").obj();
         w.field("recorded", self.flight.recorded());
-        w.field("capacity", self.flight.capacity()).end_obj().end_obj();
+        w.field("capacity", self.flight.capacity())
+            .end_obj()
+            .end_obj();
     }
 }
 
@@ -572,7 +594,10 @@ fn handle_line(line: &str, shared: &Shared, conn_id: u64) -> String {
             let out = reply.result();
             let outcome = match &request.cmd {
                 Command::Ping => {
-                    out.obj().field("pong", true).field("schema", WIRE_SCHEMA).end_obj();
+                    out.obj()
+                        .field("pong", true)
+                        .field("schema", WIRE_SCHEMA)
+                        .end_obj();
                     Ok(())
                 }
                 Command::Stats => {
@@ -641,7 +666,11 @@ fn handle_line(line: &str, shared: &Shared, conn_id: u64) -> String {
         );
     }
     let us = elapsed.as_micros().min(u64::MAX as u128) as u64;
-    shared.metrics.lock().expect("metrics poisoned").record(verb, us);
+    shared
+        .metrics
+        .lock()
+        .expect("metrics poisoned")
+        .record(verb, us);
     shared.requests.fetch_add(1, Ordering::Relaxed);
     response
 }

@@ -124,11 +124,18 @@ impl FlightRecorder {
     /// The versioned JSON rendering ([`FLIGHT_SCHEMA`]) of the dump.
     pub fn render_json(&self) -> String {
         let mut w = Writer::default();
-        w.obj().field("schema", FLIGHT_SCHEMA).field("capacity", self.capacity);
+        w.obj()
+            .field("schema", FLIGHT_SCHEMA)
+            .field("capacity", self.capacity);
         w.field("recorded", self.recorded()).key("entries").arr();
         for e in self.dump() {
-            w.obj().field("seq", e.seq).field("trace_id", &e.trace_id).field("verb", &e.verb);
-            w.field("latency_us", e.latency_us).field("ok", e.ok).key("attrs");
+            w.obj()
+                .field("seq", e.seq)
+                .field("trace_id", &e.trace_id)
+                .field("verb", &e.verb);
+            w.field("latency_us", e.latency_us)
+                .field("ok", e.ok)
+                .key("attrs");
             write_attrs(&mut w, &e.attrs);
             w.field("error", e.error.as_ref()).end_obj();
         }
@@ -214,7 +221,12 @@ mod tests {
         assert_eq!(entries[0].get("trace_id").unwrap().as_str(), Some("c7-9"));
         assert_eq!(entries[0].get("error").unwrap().as_str(), Some("bad"));
         assert_eq!(
-            entries[0].get("attrs").unwrap().get("policy").unwrap().as_str(),
+            entries[0]
+                .get("attrs")
+                .unwrap()
+                .get("policy")
+                .unwrap()
+                .as_str(),
             Some("lazy")
         );
     }
@@ -226,7 +238,11 @@ mod tests {
         e.error = Some("x".repeat(10_000));
         rec.record(e);
         let got = rec.dump()[0].error.clone().unwrap();
-        assert!(got.chars().count() <= 257, "error not truncated: {}", got.len());
+        assert!(
+            got.chars().count() <= 257,
+            "error not truncated: {}",
+            got.len()
+        );
         assert!(got.ends_with('…'));
     }
 }

@@ -277,8 +277,8 @@ impl Parser<'_> {
                 self.at += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.at])
-            .expect("number bytes are ASCII");
+        let text =
+            std::str::from_utf8(&self.bytes[start..self.at]).expect("number bytes are ASCII");
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("malformed number"))
@@ -334,7 +334,9 @@ pub struct Writer {
 impl Writer {
     /// An empty document with room for `bytes` before it reallocates.
     pub fn with_capacity(bytes: usize) -> Writer {
-        Writer { out: String::with_capacity(bytes) }
+        Writer {
+            out: String::with_capacity(bytes),
+        }
     }
 
     fn sep(&mut self) -> &mut String {
@@ -472,7 +474,10 @@ impl<T: fmt::Display> Value for Text<T> {
         out.push('"');
         let start = out.len();
         let _ = write!(out, "{}", self.0);
-        if out.as_bytes()[start..].iter().any(|&b| b < 0x20 || b == b'"' || b == b'\\') {
+        if out.as_bytes()[start..]
+            .iter()
+            .any(|&b| b < 0x20 || b == b'"' || b == b'\\')
+        {
             let text = out.split_off(start);
             escape_into(out, &text);
         }
@@ -541,14 +546,23 @@ mod tests {
     #[test]
     fn the_writer_places_commas_and_prints_every_value_kind() {
         let mut w = Writer::default();
-        w.obj().field("a\"b", 1u64).key("xs").arr().val(true).val("q\n");
+        w.obj()
+            .field("a\"b", 1u64)
+            .key("xs")
+            .arr()
+            .val(true)
+            .val("q\n");
         w.obj().end_obj().arr().end_arr().end_arr();
         w.field("none", None::<u64>).field("t", Text('\u{1}'));
         let mark = w.mark();
         w.field("dropped", 0u64);
         w.rewind(mark);
-        w.field("f", Fixed(1.23456, 3)).field("nan", Fixed(f64::NAN, 3));
-        w.field("inf", Fixed(f64::INFINITY, 1)).key("doc").raw("[1]").end_obj();
+        w.field("f", Fixed(1.23456, 3))
+            .field("nan", Fixed(f64::NAN, 3));
+        w.field("inf", Fixed(f64::INFINITY, 1))
+            .key("doc")
+            .raw("[1]")
+            .end_obj();
         assert_eq!(
             w.finish(),
             r#"{"a\"b":1,"xs":[true,"q\n",{},[]],"none":null,"t":"\u0001","f":1.235,"nan":null,"inf":null,"doc":[1]}"#

@@ -272,7 +272,9 @@ impl RequestTrace {
     /// The versioned JSON rendering ([`TRACE_SCHEMA`]).
     pub fn render_json(&self) -> String {
         let mut w = Writer::default();
-        w.obj().field("schema", TRACE_SCHEMA).field("trace_id", &self.trace_id);
+        w.obj()
+            .field("schema", TRACE_SCHEMA)
+            .field("trace_id", &self.trace_id);
         w.field("verb", &self.verb).field("wall_us", self.wall_us);
         w.field("error", self.error.as_ref()).key("attrs");
         write_attrs(&mut w, &self.attrs);
@@ -283,7 +285,9 @@ impl RequestTrace {
         w.end_arr().key("events").arr();
         for ev in &self.events {
             w.obj().field("path", &ev.path).field("tid", ev.tid);
-            w.field("start_ns", ev.start_ns).field("dur_ns", ev.ns).end_obj();
+            w.field("start_ns", ev.start_ns)
+                .field("dur_ns", ev.ns)
+                .end_obj();
         }
         w.end_arr().end_obj();
         w.finish()
@@ -297,12 +301,25 @@ impl RequestTrace {
     pub fn render_chrome(&self) -> String {
         let us = |ns: u64| Fixed(ns as f64 / 1000.0, 3);
         let mut w = Writer::default();
-        w.obj().field("displayTimeUnit", "ms").key("traceEvents").arr();
-        w.obj().field("name", "process_name").field("ph", "M").field("pid", 1u64);
-        w.key("args").obj().field("name", "simdize").end_obj().end_obj();
-        w.obj().field("name", Text(format_args!("request:{}", self.verb)));
+        w.obj()
+            .field("displayTimeUnit", "ms")
+            .key("traceEvents")
+            .arr();
+        w.obj()
+            .field("name", "process_name")
+            .field("ph", "M")
+            .field("pid", 1u64);
+        w.key("args")
+            .obj()
+            .field("name", "simdize")
+            .end_obj()
+            .end_obj();
+        w.obj()
+            .field("name", Text(format_args!("request:{}", self.verb)));
         w.field("cat", "request").field("ph", "X").field("ts", 0u64);
-        w.field("dur", self.wall_us).field("pid", 1u64).field("tid", 0u64);
+        w.field("dur", self.wall_us)
+            .field("pid", 1u64)
+            .field("tid", 0u64);
         w.key("args").obj().field("trace_id", &self.trace_id);
         for (k, v) in &self.attrs {
             w.field(k, v);
@@ -310,7 +327,10 @@ impl RequestTrace {
         w.end_obj().end_obj();
         for ev in &self.events {
             let name = ev.path.rsplit('/').next().unwrap_or(&ev.path);
-            w.obj().field("name", name).field("cat", &ev.path).field("ph", "X");
+            w.obj()
+                .field("name", name)
+                .field("cat", &ev.path)
+                .field("ph", "X");
             w.field("ts", us(ev.start_ns)).field("dur", us(ev.ns));
             w.field("pid", 1u64).field("tid", ev.tid).end_obj();
         }
@@ -384,7 +404,8 @@ fn render_span_text(out: &mut String, node: &SpanNode, depth: usize) {
 
 fn write_span(w: &mut Writer, node: &SpanNode) {
     w.obj().field("name", &node.name).field("count", node.count);
-    w.field("total_ns", node.total_ns).field("p50_ns", node.p50_ns);
+    w.field("total_ns", node.total_ns)
+        .field("p50_ns", node.p50_ns);
     w.field("p95_ns", node.p95_ns).field("max_ns", node.max_ns);
     w.key("children").arr();
     for child in &node.children {
@@ -463,8 +484,7 @@ mod tests {
         assert_eq!(job.count, 3);
         assert_eq!(trace.attrs["worker"], "yes");
         // Three distinct worker tracks.
-        let tids: std::collections::BTreeSet<u64> =
-            trace.events.iter().map(|e| e.tid).collect();
+        let tids: std::collections::BTreeSet<u64> = trace.events.iter().map(|e| e.tid).collect();
         assert_eq!(tids.len(), 3);
     }
 

@@ -9,9 +9,7 @@
 
 use crate::mutate::MutationKind;
 use simdize_codegen::ReuseMode;
-use simdize_ir::{
-    AlignKind, ArrayDecl, ArrayId, LoopProgram, TripCount, Value, VectorShape,
-};
+use simdize_ir::{AlignKind, ArrayDecl, ArrayId, LoopProgram, TripCount, Value, VectorShape};
 use simdize_reorg::Policy;
 use simdize_vm::MemoryImage;
 
@@ -234,7 +232,10 @@ pub(crate) fn alignment_vectors(
         }
         return (out, true);
     }
-    let total = cands.len().checked_pow(narrays as u32).unwrap_or(usize::MAX);
+    let total = cands
+        .len()
+        .checked_pow(narrays as u32)
+        .unwrap_or(usize::MAX);
     if total <= 4096 {
         let mut out = Vec::with_capacity(total);
         for mut c in 0..total {
@@ -323,7 +324,11 @@ pub(crate) fn known_trips(base: &LoopProgram, bound: u64, block: u64, quick: boo
     } else {
         &[1, b - 1, b, b + 1, 2 * b + 1, 3 * b, 3 * b + 2, bound]
     };
-    let mut out: Vec<u64> = all.iter().copied().filter(|&t| t >= 1 && t <= cap).collect();
+    let mut out: Vec<u64> = all
+        .iter()
+        .copied()
+        .filter(|&t| t >= 1 && t <= cap)
+        .collect();
     out.sort_unstable();
     out.dedup();
     out
@@ -441,7 +446,11 @@ impl Probe {
                 };
                 for (ai, a) in src.arrays().iter().enumerate() {
                     for idx in 0..a.len() {
-                        let v = if (idx + ai as u64).is_multiple_of(2) { hi } else { lo };
+                        let v = if (idx + ai as u64).is_multiple_of(2) {
+                            hi
+                        } else {
+                            lo
+                        };
                         img.set(ArrayId::from_index(ai), idx, Value::from_i64(elem, v))
                             .expect("sentinel fill stays in bounds");
                     }

@@ -104,7 +104,11 @@ mod tests {
     #[test]
     fn quick_prove_passes_on_figure1() {
         let report = prove_source("figure1", FIGURE1, &VerifyOptions::quick()).unwrap();
-        assert!(report.proved, "expected a proof, got:\n{}", report.render_text());
+        assert!(
+            report.proved,
+            "expected a proof, got:\n{}",
+            report.render_text()
+        );
         assert_eq!(report.violations_total, 0);
         assert!(report.units_compiled > 0);
         assert!(report.runs > 0);

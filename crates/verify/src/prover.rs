@@ -118,7 +118,9 @@ pub(crate) fn compile_variant(
     let refused = |e: &dyn std::fmt::Display| Skip::Refused(e.to_string());
     let graph = ReorgGraph::build(&src, shape).map_err(|e| refused(&e))?;
     let graph = graph.with_policy(cfg.policy).map_err(|_| Skip::Policy)?;
-    let opts = CodegenOptions::default().reuse(cfg.reuse).unroll(cfg.unroll);
+    let opts = CodegenOptions::default()
+        .reuse(cfg.reuse)
+        .unroll(cfg.unroll);
     let mut prog = generate(&graph, &opts).map_err(|e| refused(&e))?;
     let mutated = match mutation {
         Some(kind) => mutate::apply(&mut prog, kind),
@@ -224,9 +226,7 @@ fn harness_cache_coherence(p: &mut Point) -> Verdict {
         Err(e) => return Verdict::Violation(format!("fresh kernel fault: {e}")),
     };
     if let Some(off) = m2.first_difference(&m3) {
-        return Verdict::Violation(format!(
-            "cache hit differs from a fresh bake at byte {off}"
-        ));
+        return Verdict::Violation(format!("cache hit differs from a fresh bake at byte {off}"));
     }
     if m1.first_difference(&m2).is_some() || s1 != s2 || s2 != s3 {
         return Verdict::Violation(
@@ -268,8 +268,14 @@ struct Variant<'a> {
 
 impl<'a> Variant<'a> {
     fn new(prog: &'a SimdProgram, style: TripStyle, proves_cache: bool) -> Variant<'a> {
-        let pre = proves_cache.then(|| PredecodedKernel::new(prog).ok()).flatten();
-        Variant { prog, style, pre: pre.map(|pre| (program_fingerprint(prog), pre)) }
+        let pre = proves_cache
+            .then(|| PredecodedKernel::new(prog).ok())
+            .flatten();
+        Variant {
+            prog,
+            style,
+            pre: pre.map(|pre| (program_fingerprint(prog), pre)),
+        }
     }
 }
 
@@ -294,7 +300,10 @@ impl Unit<'_> {
     /// one variant. `false` once the budget is spent.
     fn sweep(&mut self, v: &Variant, trip: u64, probes: Vec<Probe>) -> bool {
         let src = v.prog.source();
-        let input = RunInput { ub: trip, params: self.params.clone() };
+        let input = RunInput {
+            ub: trip,
+            params: self.params.clone(),
+        };
         for (pi, probe) in probes.into_iter().enumerate() {
             let img = probe.build_image(src, self.shape, self.aligns);
             let mut oracle = img.clone();
@@ -376,7 +385,14 @@ fn run_unit(
     // reduction, a strided loop does not compile), and the known-trip
     // pass below carries the whole proof.
     let mut cache_proved_here = false;
-    let compile = |unit: &mut Unit, trip| match compile_variant(base, cfg, aligns, trip, opts.mutation, shape) {
+    let compile = |unit: &mut Unit, trip| match compile_variant(
+        base,
+        cfg,
+        aligns,
+        trip,
+        opts.mutation,
+        shape,
+    ) {
         Ok(variant) => Some(variant),
         Err(Skip::Refused(why)) => {
             unit.out.refused.get_or_insert(why);
@@ -384,7 +400,11 @@ fn run_unit(
         }
         Err(Skip::Policy) => None,
     };
-    let runtime_variant = if trips_ub.is_empty() { None } else { compile(&mut unit, TripCount::Runtime) };
+    let runtime_variant = if trips_ub.is_empty() {
+        None
+    } else {
+        compile(&mut unit, TripCount::Runtime)
+    };
     if let Some((prog, mutated)) = runtime_variant {
         unit.out.compiled = true;
         unit.out.mutated = mutated;
@@ -406,7 +426,8 @@ fn run_unit(
     // also takes over the cache-coherence harness.
     for &trip in trips_known {
         let f = &unit.found;
-        let all_found = f[H_CODEGEN] && f[H_FUSION] && f[H_NATIVE] && (cache_proved_here || f[H_CACHE]);
+        let all_found =
+            f[H_CODEGEN] && f[H_FUSION] && f[H_NATIVE] && (cache_proved_here || f[H_CACHE]);
         if unit.out.exhausted || all_found {
             break;
         }
@@ -475,7 +496,15 @@ pub fn prove_loop(name: &str, base: &LoopProgram, opts: &VerifyOptions) -> Verif
                     mine.push((
                         idx,
                         run_unit(
-                            base, cfg, aligns, opts, shape, block, trips_ub, trips_known, spent,
+                            base,
+                            cfg,
+                            aligns,
+                            opts,
+                            shape,
+                            block,
+                            trips_ub,
+                            trips_known,
+                            spent,
                         ),
                     ));
                 }
@@ -590,9 +619,8 @@ pub fn prove_loop(name: &str, base: &LoopProgram, opts: &VerifyOptions) -> Verif
         }
     }
 
-    report.proved = report.violations_total == 0
-        && !report.budget_exhausted
-        && report.units_compiled > 0;
+    report.proved =
+        report.violations_total == 0 && !report.budget_exhausted && report.units_compiled > 0;
     report.wall_ms = start.elapsed().as_millis() as u64;
     report
 }

@@ -191,7 +191,11 @@ impl VerifyReport {
             let _ = writeln!(
                 out,
                 "    {}via: {}",
-                if ce.shrunk { "shrunk; replay " } else { "replay " },
+                if ce.shrunk {
+                    "shrunk; replay "
+                } else {
+                    "replay "
+                },
                 ce.replay
             );
         }
@@ -222,18 +226,33 @@ impl VerifyReport {
     /// order, no whitespace.
     pub fn render_json(&self) -> String {
         let mut w = Writer::default();
-        w.obj().field("schema", Self::SCHEMA).field("loop", &self.loop_name);
+        w.obj()
+            .field("schema", Self::SCHEMA)
+            .field("loop", &self.loop_name);
         w.field("proved", self.proved).field("quick", self.quick);
-        w.field("trip_bound", self.trip_bound).field("trip_cap", self.trip_cap);
-        w.key("alignments").obj().field("candidates", self.align_candidates);
-        w.field("realizable", self.align_realizable).field("streams", self.streams);
-        w.field("vectors", self.align_vectors).field("capped", self.align_capped).end_obj();
-        w.key("units").obj().field("configs", self.configs_enumerated);
-        w.field("compiled", self.units_compiled).field("skipped", self.units_skipped);
-        w.field("refused", self.units_refused).field("mutated", self.units_mutated).end_obj();
+        w.field("trip_bound", self.trip_bound)
+            .field("trip_cap", self.trip_cap);
+        w.key("alignments")
+            .obj()
+            .field("candidates", self.align_candidates);
+        w.field("realizable", self.align_realizable)
+            .field("streams", self.streams);
+        w.field("vectors", self.align_vectors)
+            .field("capped", self.align_capped)
+            .end_obj();
+        w.key("units")
+            .obj()
+            .field("configs", self.configs_enumerated);
+        w.field("compiled", self.units_compiled)
+            .field("skipped", self.units_skipped);
+        w.field("refused", self.units_refused)
+            .field("mutated", self.units_mutated)
+            .end_obj();
         w.key("runs").obj().field("points", self.points);
-        w.field("points_skipped", self.points_skipped).field("executed", self.runs);
-        w.field("budget", self.budget).field("budget_exhausted", self.budget_exhausted);
+        w.field("points_skipped", self.points_skipped)
+            .field("executed", self.runs);
+        w.field("budget", self.budget)
+            .field("budget_exhausted", self.budget_exhausted);
         w.end_obj().key("harnesses").arr();
         for h in &self.harnesses {
             w.obj().field("name", h.name).field("runs", h.runs);
@@ -242,18 +261,26 @@ impl VerifyReport {
         w.end_arr().field("violations_total", self.violations_total);
         w.key("violations").arr();
         for ce in &self.violations {
-            w.obj().field("harness", ce.harness).field("policy", &ce.policy);
-            w.field("reuse", &ce.reuse).field("unroll", ce.unroll).field("mode", &ce.mode);
+            w.obj()
+                .field("harness", ce.harness)
+                .field("policy", &ce.policy);
+            w.field("reuse", &ce.reuse)
+                .field("unroll", ce.unroll)
+                .field("mode", &ce.mode);
             w.key("aligns").arr();
             for &a in &ce.aligns {
                 w.val(a);
             }
-            w.end_arr().field("trip", ce.trip).field("trip_style", &ce.trip_style);
+            w.end_arr()
+                .field("trip", ce.trip)
+                .field("trip_style", &ce.trip_style);
             w.field("probe", &ce.probe).field("detail", &ce.detail);
-            w.field("shrunk", ce.shrunk).field("shrink_steps", ce.shrink_steps);
+            w.field("shrunk", ce.shrunk)
+                .field("shrink_steps", ce.shrink_steps);
             w.field("replay", &ce.replay).end_obj();
         }
-        w.end_arr().field("inconsistencies_total", self.inconsistencies_total);
+        w.end_arr()
+            .field("inconsistencies_total", self.inconsistencies_total);
         w.key("inconsistencies").arr();
         for inc in &self.inconsistencies {
             w.val(inc);

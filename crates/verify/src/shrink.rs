@@ -7,10 +7,12 @@
 //! so every intermediate it keeps is itself a true counterexample, and
 //! the final triple is guaranteed to still violate the property.
 
-use crate::domain::{params_for, rebuild, reuse_name, Config, Mode, Probe, TripStyle, VerifyOptions};
+use crate::domain::{
+    params_for, rebuild, reuse_name, Config, Mode, Probe, TripStyle, VerifyOptions,
+};
 use crate::prover::{
-    compile_variant, Point, RawCe, Verdict, HARNESSES, HARNESS_NAMES, H_CACHE, H_CODEGEN,
-    H_NATIVE, NH,
+    compile_variant, Point, RawCe, Verdict, HARNESSES, HARNESS_NAMES, H_CACHE, H_CODEGEN, H_NATIVE,
+    NH,
 };
 use crate::report::Counterexample;
 use simdize_engine::{program_fingerprint, KernelCache, PredecodedKernel};
@@ -93,7 +95,16 @@ pub(crate) fn shrink_and_replay(
             break;
         }
         if fails(
-            base, opts, shape, cfg, &aligns, t, raw.style, probe, raw.harness, &mut steps,
+            base,
+            opts,
+            shape,
+            cfg,
+            &aligns,
+            t,
+            raw.style,
+            probe,
+            raw.harness,
+            &mut steps,
         ) {
             trip = t;
             break;
@@ -108,7 +119,16 @@ pub(crate) fn shrink_and_replay(
         let mut cand = aligns.clone();
         cand[s] = 0;
         if fails(
-            base, opts, shape, cfg, &cand, trip, raw.style, probe, raw.harness, &mut steps,
+            base,
+            opts,
+            shape,
+            cfg,
+            &cand,
+            trip,
+            raw.style,
+            probe,
+            raw.harness,
+            &mut steps,
         ) {
             aligns = cand;
         }
@@ -138,7 +158,16 @@ pub(crate) fn shrink_and_replay(
     // the violation (also guarantees every counterexample was
     // re-executed at least once after minimization).
     let shrunk = fails(
-        base, opts, shape, cfg, &aligns, trip, raw.style, probe, raw.harness, &mut steps,
+        base,
+        opts,
+        shape,
+        cfg,
+        &aligns,
+        trip,
+        raw.style,
+        probe,
+        raw.harness,
+        &mut steps,
     );
 
     // The replay declares the shrunk alignments, so a runtime-mode

@@ -194,7 +194,11 @@ fn visit_runtime<'p>(program: &'p SimdProgram, f: &mut impl FnMut(&'p SExpr)) {
     fn walk<'p>(insts: &'p [VInst], f: &mut impl FnMut(&'p SExpr)) {
         for inst in insts {
             match inst {
-                VInst::ShiftPair { amt: e, .. } | VInst::Splice { point: e, .. } if e.is_runtime() => f(e),
+                VInst::ShiftPair { amt: e, .. } | VInst::Splice { point: e, .. }
+                    if e.is_runtime() =>
+                {
+                    f(e)
+                }
                 VInst::Guarded { body, .. } => walk(body, f),
                 _ => {}
             }
@@ -411,13 +415,18 @@ mod tests {
     fn runtime_expressions_are_counted_in_one_walk() {
         let runtime = "arrays { dst: i32[4096] @ ?; src1: i32[4096] @ ?; src2: i32[4096] @ ?; }
                        for i in 0..ub { dst[i+3] = src1[i+1] + src2[i+2]; }";
-        let distinct = "arrays { a: i32[512] @ ?; b: i32[512] @ ?; c: i32[512] @ ?; d: i32[512] @ ?;
+        let distinct =
+            "arrays { a: i32[512] @ ?; b: i32[512] @ ?; c: i32[512] @ ?; d: i32[512] @ ?;
                                  e: i32[512] @ 4; f: i32[512] @ ?; g: i32[512] @ ?; }
                         for i in 0..400 { a[i+3] = b[i+1] + c[i+2]; d[i+1] = b[i+2] * c[i+3] - f[i];
                                           e[i] = f[i+5] + g[i+1]; }";
         let mut counts = Vec::new();
         for src in [runtime, distinct, FIG1] {
-            for reuse in [ReuseMode::None, ReuseMode::SoftwarePipeline, ReuseMode::PredictiveCommoning] {
+            for reuse in [
+                ReuseMode::None,
+                ReuseMode::SoftwarePipeline,
+                ReuseMode::PredictiveCommoning,
+            ] {
                 let program = compile(src, Policy::Zero, reuse);
                 let want = repeat_count(&program);
                 assert_eq!(runtime_expr_count(&program), want, "{src}");
@@ -430,7 +439,10 @@ mod tests {
         }
         // Repeats and distinct expressions past the small buffers, and
         // none at all where everything is known.
-        assert!(counts.iter().any(|&(want, seen)| want > 2 && seen > want), "{counts:?}");
+        assert!(
+            counts.iter().any(|&(want, seen)| want > 2 && seen > want),
+            "{counts:?}"
+        );
         assert!(counts[counts.len() - 1] == (0, 0), "{counts:?}");
     }
 
@@ -578,7 +590,11 @@ mod extension_tests {
         b.stmt(out.at(0), inter.load_strided(2, 1));
         let p = b.finish(64).unwrap();
         let g = ReorgGraph::build(&p, VectorShape::V16).unwrap();
-        let prog = generate(&g.with_policy(Policy::Zero).unwrap(), &CodegenOptions::default()).unwrap();
+        let prog = generate(
+            &g.with_policy(Policy::Zero).unwrap(),
+            &CodegenOptions::default(),
+        )
+        .unwrap();
         let mut img = MemoryImage::with_seed(&p, VectorShape::V16, 9);
         let expected: Vec<i64> = (0..64u64)
             .map(|i| {

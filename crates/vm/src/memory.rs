@@ -331,7 +331,11 @@ fn seeded_offsets(program: &LoopProgram, shape: VectorShape, seed: u64) -> Vec<u
 }
 
 /// Array placement for one set of misalignments: `(bases, lens, total bytes)`.
-fn layout(program: &LoopProgram, shape: VectorShape, offsets: &[u32]) -> (Vec<u64>, Vec<u64>, usize) {
+fn layout(
+    program: &LoopProgram,
+    shape: VectorShape,
+    offsets: &[u32],
+) -> (Vec<u64>, Vec<u64>, usize) {
     let v = shape.bytes() as u64;
     let guard = GUARD_CHUNKS * v;
     let d = program.elem().size() as u64;

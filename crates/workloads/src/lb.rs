@@ -133,7 +133,11 @@ pub fn lower_bound_parts(program: &LoopProgram, shape: VectorShape, policy: Poli
         .map(|s| pack_chunks(s.target, program, shape, 0..b).len())
         .sum();
 
-    let scatters = program.stmts().iter().filter(|s| !s.target.is_unit_stride()).count();
+    let scatters = program
+        .stmts()
+        .iter()
+        .filter(|s| !s.target.is_unit_stride())
+        .count();
     let stores = program.stmts().len() - scatters + scatter_chunks;
     let ops: usize = program.stmts().iter().map(|s| s.rhs.op_count()).sum();
 

@@ -23,7 +23,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let graph = ReorgGraph::build(&program, VectorShape::V16)?;
 
     // Eager/lazy/dominant/optimal refuse: they need compile-time alignments.
-    for policy in [Policy::Eager, Policy::Lazy, Policy::Dominant, Policy::Optimal] {
+    for policy in [
+        Policy::Eager,
+        Policy::Lazy,
+        Policy::Dominant,
+        Policy::Optimal,
+    ] {
         let err = graph.with_policy(policy).unwrap_err();
         println!("{policy:>9}: {err}");
     }

@@ -160,8 +160,17 @@ fn fix_str_field(line: &mut String, key: &str, fixed: &str) {
 pub fn normalize(line: &str) -> String {
     let mut out = line.to_string();
     for key in [
-        "wall_ms", "wall_us", "latency_us", "seq", "tid", "start_ns", "dur_ns", "total_ns",
-        "p50_ns", "p95_ns", "max_ns",
+        "wall_ms",
+        "wall_us",
+        "latency_us",
+        "seq",
+        "tid",
+        "start_ns",
+        "dur_ns",
+        "total_ns",
+        "p50_ns",
+        "p95_ns",
+        "max_ns",
     ] {
         zero_int_field(&mut out, key);
     }

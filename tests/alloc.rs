@@ -393,13 +393,20 @@ fn baking_allocates_in_proportion_to_the_plan() {
 /// second bake of `sum_of_terms(terms)` on this thread. Both plans stay
 /// alive, so no plan's drop counts.
 fn bake_twice(terms: usize) -> [(u64, u64); 2] {
-    let simd = Simdizer::new().compile(&parse_program(&sum_of_terms(terms)).unwrap()).unwrap();
+    let simd = Simdizer::new()
+        .compile(&parse_program(&sum_of_terms(terms)).unwrap())
+        .unwrap();
     let image = MemoryImage::with_seed(simd.source(), VectorShape::V16, 1);
     let pre = PredecodedKernel::new(&simd).unwrap();
     let mut kept = Vec::new();
     [(); 2].map(|()| {
         let frees = FREES.with(Cell::get);
-        let calls = allocations(|| kept.push(pre.bake(&image, &RunInput::with_ub(1000), &KernelOptions::new()).unwrap()));
+        let calls = allocations(|| {
+            kept.push(
+                pre.bake(&image, &RunInput::with_ub(1000), &KernelOptions::new())
+                    .unwrap(),
+            )
+        });
         (calls, FREES.with(Cell::get) - frees)
     })
 }

@@ -150,9 +150,11 @@ fn mutate(prog: &mut SimdProgram, pick: u64) -> &'static str {
         }
         // A permute selecting past both sources.
         "bad-perm" => {
-            let src = prog.body().iter().find_map(|i| i.def()).unwrap_or_else(|| {
-                prog.prologue().iter().find_map(|i| i.def()).expect("defs")
-            });
+            let src = prog
+                .body()
+                .iter()
+                .find_map(|i| i.def())
+                .unwrap_or_else(|| prog.prologue().iter().find_map(|i| i.def()).expect("defs"));
             let dst = prog.alloc_vreg();
             prog.body_mut().push(VInst::Perm {
                 dst,

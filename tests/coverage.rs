@@ -12,8 +12,8 @@
 //! paper's trip counts is `simdize_bench::coverage`, experiment E2 of
 //! `cargo run -p simdize-bench --bin repro --release`.
 
-use simdize_prng::SplitMix64;
 use simdize::{synthesize, DiffConfig, Scheme, Simdizer, TripSpec, WorkloadSpec};
+use simdize_prng::SplitMix64;
 
 fn verify_spec(spec: &WorkloadSpec, seed: u64) {
     let mut rng = SplitMix64::seed_from_u64(seed);

@@ -48,17 +48,12 @@ fn engine_matches_interpreter_across_policy_reuse_alignment_matrix() {
                 };
                 for seed in [2, 11, 2004] {
                     let input = RunInput::with_ub(ub);
-                    let mut interp_img =
-                        MemoryImage::with_seed(&program, VectorShape::V16, seed);
+                    let mut interp_img = MemoryImage::with_seed(&program, VectorShape::V16, seed);
                     let mut engine_img = interp_img.clone();
                     let want = run_simd(&compiled, &mut interp_img, &input).unwrap();
-                    let kernel =
-                        CompiledKernel::compile(&compiled, &engine_img, &input).unwrap();
+                    let kernel = CompiledKernel::compile(&compiled, &engine_img, &input).unwrap();
                     let got = kernel.run(&mut engine_img).unwrap();
-                    assert_eq!(
-                        got, want,
-                        "{policy}/{reuse:?} seed {seed}: stats diverged"
-                    );
+                    assert_eq!(got, want, "{policy}/{reuse:?} seed {seed}: stats diverged");
                     assert_eq!(
                         engine_img.first_difference(&interp_img),
                         None,
@@ -74,7 +69,10 @@ fn engine_matches_interpreter_across_policy_reuse_alignment_matrix() {
             }
         }
     }
-    assert!(combos >= 36, "matrix too sparse: only {combos} combinations ran");
+    assert!(
+        combos >= 36,
+        "matrix too sparse: only {combos} combinations ran"
+    );
 }
 
 #[test]
@@ -130,7 +128,11 @@ fn golden_disassembly_for_figure1_zero_sp() {
     let img = MemoryImage::with_seed(&program, VectorShape::V16, 1);
     let kernel = PredecodedKernel::new(&compiled)
         .unwrap()
-        .bake(&img, &RunInput::with_ub(100), &KernelOptions::new().fuse(false))
+        .bake(
+            &img,
+            &RunInput::with_ub(100),
+            &KernelOptions::new().fuse(false),
+        )
         .unwrap();
     let expected = "\
 ; plan: V=16 lanes=291 fused-loads=0 splat-ops=0 hoisted=0 eliminated=0
@@ -278,7 +280,10 @@ fn bake_rejects_inputs_the_loop_does_not_fit() {
     let opts = KernelOptions::new();
     assert_eq!(
         pre.bake(&img, &RunInput::with_ub(99), &opts).unwrap_err(),
-        ExecError::TripMismatch { declared: 100, supplied: 99 }
+        ExecError::TripMismatch {
+            declared: 100,
+            supplied: 99
+        }
     );
     let img8 = MemoryImage::with_seed(&program, VectorShape::V8, 1);
     assert!(matches!(
@@ -296,10 +301,15 @@ fn bake_rejects_inputs_the_loop_does_not_fit() {
     let scaled_img = MemoryImage::with_seed(&scaled, VectorShape::V16, 1);
     let scaled_pre = PredecodedKernel::new(&scaled_compiled).unwrap();
     assert_eq!(
-        scaled_pre.bake(&scaled_img, &RunInput::with_ub(100), &opts).unwrap_err(),
+        scaled_pre
+            .bake(&scaled_img, &RunInput::with_ub(100), &opts)
+            .unwrap_err(),
         ExecError::MissingParam { index: 0 }
     );
-    let given = RunInput { ub: 100, params: vec![3] };
+    let given = RunInput {
+        ub: 100,
+        params: vec![3],
+    };
     assert!(scaled_pre.bake(&scaled_img, &given, &opts).is_ok());
 
     // Same layout, refilled contents: accepted. Another program's
@@ -311,7 +321,10 @@ fn bake_rejects_inputs_the_loop_does_not_fit() {
     kernel.run(&mut refill).unwrap();
     let mut foreign = scaled_img.clone();
     assert!(!kernel.layout_matches(&foreign));
-    assert!(matches!(kernel.run(&mut foreign), Err(ExecError::Unsupported { .. })));
+    assert!(matches!(
+        kernel.run(&mut foreign),
+        Err(ExecError::Unsupported { .. })
+    ));
     assert_eq!(foreign.first_difference(&scaled_img), None);
 }
 
@@ -328,9 +341,17 @@ fn bake_rejects_malformed_programs() {
         .compile(&program)
         .unwrap();
     let r = compiled.body().iter().find_map(VInst::def).unwrap();
-    for (pattern, amount) in [(vec![0u8; 15], 15), ((0..16).map(|k| 2 * k + 2).collect(), 32)] {
+    for (pattern, amount) in [
+        (vec![0u8; 15], 15),
+        ((0..16).map(|k| 2 * k + 2).collect(), 32),
+    ] {
         let mut bad = compiled.clone();
-        bad.body_mut().push(VInst::Perm { dst: r, a: r, b: r, pattern });
+        bad.body_mut().push(VInst::Perm {
+            dst: r,
+            a: r,
+            b: r,
+            pattern,
+        });
         assert_eq!(
             PredecodedKernel::new(&bad).unwrap_err(),
             ExecError::BadShiftAmount { amount }
@@ -346,9 +367,17 @@ fn bake_rejects_malformed_programs() {
     let img = MemoryImage::with_seed(&program, VectorShape::V16, 1);
     let input = RunInput::with_ub(200);
     let want = run_simd(&bad, &mut img.clone(), &input).unwrap_err();
-    assert_eq!(want, ExecError::UninitializedRegister { index: late.index() });
+    assert_eq!(
+        want,
+        ExecError::UninitializedRegister {
+            index: late.index()
+        }
+    );
     let pre = PredecodedKernel::new(&bad).unwrap();
-    assert_eq!(pre.bake(&img, &input, &KernelOptions::new()).unwrap_err(), want);
+    assert_eq!(
+        pre.bake(&img, &input, &KernelOptions::new()).unwrap_err(),
+        want
+    );
 }
 
 /// One program and a seeded image: what a cache lookup takes.
@@ -389,7 +418,14 @@ impl Cached {
         let fingerprint = program_fingerprint(&self.program);
         let input = RunInput::with_ub(ub);
         let (kernel, lookup) = cache
-            .get_or_bake_simd(fingerprint, &pre, &self.image, &input, &KernelOptions::new(), isa)
+            .get_or_bake_simd(
+                fingerprint,
+                &pre,
+                &self.image,
+                &input,
+                &KernelOptions::new(),
+                isa,
+            )
             .unwrap();
         (kernel, lookup.hit, lookup.evicted)
     }
@@ -412,8 +448,14 @@ fn cache_fingerprints_distinguish_policies_not_clones() {
     .unwrap();
     let compile = |policy| Simdizer::new().policy(policy).compile(&parsed).unwrap();
     let zero = compile(Policy::Zero);
-    assert_eq!(program_fingerprint(&zero), program_fingerprint(&zero.clone()));
-    assert_ne!(program_fingerprint(&zero), program_fingerprint(&compile(Policy::Eager)));
+    assert_eq!(
+        program_fingerprint(&zero),
+        program_fingerprint(&zero.clone())
+    );
+    assert_ne!(
+        program_fingerprint(&zero),
+        program_fingerprint(&compile(Policy::Eager))
+    );
 
     // The fingerprint hashes the program's structure, so it must agree
     // with `==` in both directions: two independent compiles of one
@@ -531,7 +573,10 @@ fn cache_hit_shares_the_kernel_and_keys_on_input_and_layout() {
     let (k1, hit, _) = c.kernel(&cache, 100, IsaLevel::Scalar);
     assert!(!hit);
     let (k2, hit, _) = c.kernel(&cache, 100, IsaLevel::Scalar);
-    assert!(hit && Arc::ptr_eq(&k1, &k2), "a hit must share the baked kernel");
+    assert!(
+        hit && Arc::ptr_eq(&k1, &k2),
+        "a hit must share the baked kernel"
+    );
     let stats = cache.stats();
     assert_eq!((stats.hits, stats.misses, stats.evictions), (1, 1, 0));
     assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
@@ -553,8 +598,16 @@ fn cache_lru_evicts_the_oldest_entry_of_a_shard() {
     c.lookup(&cache, 51);
     assert_eq!(c.lookup(&cache, 50), (true, false), "touch 50 so 51 is LRU");
     assert_eq!(c.lookup(&cache, 52), (false, true));
-    assert_eq!(c.lookup(&cache, 50), (true, false), "recently used entry survives");
-    assert_eq!(c.lookup(&cache, 51), (false, true), "the LRU entry was the victim");
+    assert_eq!(
+        c.lookup(&cache, 50),
+        (true, false),
+        "recently used entry survives"
+    );
+    assert_eq!(
+        c.lookup(&cache, 51),
+        (false, true),
+        "the LRU entry was the victim"
+    );
     let stats = cache.stats();
     assert_eq!((stats.evictions, stats.capacity_per_shard), (2, 2));
     assert_eq!(stats.occupancy, vec![2]);
@@ -567,13 +620,25 @@ fn cache_of_capacity_one_evicts_in_strict_alternation() {
     // insert after the first.
     let c = Cached::runtime_trip(1);
     let cache = KernelCache::new(1, 1);
-    assert_eq!(c.lookup(&cache, 50), (false, false), "first insert fills the empty slot");
+    assert_eq!(
+        c.lookup(&cache, 50),
+        (false, false),
+        "first insert fills the empty slot"
+    );
     for round in 0..3 {
         for ub in [60, 50] {
-            assert_eq!(c.lookup(&cache, ub), (false, true), "round {round}: thrashing never hits");
+            assert_eq!(
+                c.lookup(&cache, ub),
+                (false, true),
+                "round {round}: thrashing never hits"
+            );
         }
     }
-    assert_eq!(c.lookup(&cache, 50), (true, false), "the resident key does hit");
+    assert_eq!(
+        c.lookup(&cache, 50),
+        (true, false),
+        "the resident key does hit"
+    );
     let stats = cache.stats();
     assert_eq!((stats.hits, stats.misses, stats.evictions), (1, 7, 6));
     assert_eq!(stats.occupied(), 1);
@@ -586,14 +651,25 @@ fn cache_eviction_counter_matches_the_occupancy_delta() {
     let c = Cached::runtime_trip(1);
     let cache = KernelCache::new(1, 3);
     for k in 0..10u64 {
-        assert_eq!(c.lookup(&cache, 40 + k), (false, k >= 3), "evictions start at capacity");
+        assert_eq!(
+            c.lookup(&cache, 40 + k),
+            (false, k >= 3),
+            "evictions start at capacity"
+        );
         let stats = cache.stats();
-        assert_eq!(stats.misses - stats.evictions, stats.occupied() as u64, "{stats:?}");
+        assert_eq!(
+            stats.misses - stats.evictions,
+            stats.occupied() as u64,
+            "{stats:?}"
+        );
     }
     assert_eq!((cache.stats().occupied(), cache.stats().evictions), (3, 7));
     cache.clear();
     let cleared = cache.stats();
-    assert_eq!(cleared.occupied() as u64 + cleared.hits + cleared.misses + cleared.evictions, 0);
+    assert_eq!(
+        cleared.occupied() as u64 + cleared.hits + cleared.misses + cleared.evictions,
+        0
+    );
 }
 
 #[test]
@@ -626,7 +702,11 @@ fn cache_same_key_race_converges_to_one_entry_with_identical_bytes() {
     assert_eq!(stats.occupied(), 1, "one key, one resident entry");
     assert_eq!(stats.hits + stats.misses, 4);
     assert_eq!(stats.evictions, 0, "a same-key refresh is not an eviction");
-    assert_eq!(c.lookup(&cache, 100), (true, false), "the survivor serves later lookups");
+    assert_eq!(
+        c.lookup(&cache, 100),
+        (true, false),
+        "the survivor serves later lookups"
+    );
 }
 
 #[test]
@@ -670,7 +750,11 @@ fn cache_bake_errors_do_not_populate() {
     );
     assert!(mismatch.is_err());
     assert_eq!(cache.stats().occupied(), 0);
-    assert_eq!(fixed.lookup(&cache, 100), (false, false), "the good path still works");
+    assert_eq!(
+        fixed.lookup(&cache, 100),
+        (false, false),
+        "the good path still works"
+    );
     assert_eq!(cache.stats().occupied(), 1);
 }
 
@@ -695,9 +779,19 @@ fn cache_keys_isa_tiers_separately_in_one_lru_arena() {
     if best == IsaLevel::Scalar {
         return; // no second tier on this host
     }
-    assert_eq!(c.lookup(&cache, 60), (false, true), "a third key evicts the LRU scalar entry");
-    assert!(c.kernel(&cache, 100, best).1, "the host-tier entry survived");
-    assert!(!c.kernel(&cache, 100, IsaLevel::Scalar).1, "the scalar entry was the victim");
+    assert_eq!(
+        c.lookup(&cache, 60),
+        (false, true),
+        "a third key evicts the LRU scalar entry"
+    );
+    assert!(
+        c.kernel(&cache, 100, best).1,
+        "the host-tier entry survived"
+    );
+    assert!(
+        !c.kernel(&cache, 100, IsaLevel::Scalar).1,
+        "the scalar entry was the victim"
+    );
     let stats = cache.stats();
     assert_eq!(stats.occupied(), 2);
     assert_eq!(stats.misses - stats.evictions, stats.occupied() as u64);
@@ -706,24 +800,52 @@ fn cache_keys_isa_tiers_separately_in_one_lru_arena() {
 /// Everything a bake produces that a caller can see: its listing,
 /// stats, schedule and fusion telemetry, and the image after a run on
 /// the portable tier and on the detected one — or the fault it raised.
-type Outcome = Result<(String, simdize::RunStats, simdize::Schedule, simdize::FusionStats, Vec<simdize::FusionEvent>, MemoryImage, MemoryImage), ExecError>;
+type Outcome = Result<
+    (
+        String,
+        simdize::RunStats,
+        simdize::Schedule,
+        simdize::FusionStats,
+        Vec<simdize::FusionEvent>,
+        MemoryImage,
+        MemoryImage,
+    ),
+    ExecError,
+>;
 
-fn bake_outcome(compiled: &SimdProgram, img: &MemoryImage, input: &RunInput, opts: &KernelOptions) -> Outcome {
+fn bake_outcome(
+    compiled: &SimdProgram,
+    img: &MemoryImage,
+    input: &RunInput,
+    opts: &KernelOptions,
+) -> Outcome {
     let kernel = PredecodedKernel::new(compiled)?.bake(img, input, opts)?;
     let (mut portable, mut detected) = (img.clone(), img.clone());
     kernel.run(&mut portable)?;
     simdize::SimdKernel::lower(&kernel, IsaLevel::detect()).run(&mut detected)?;
     let events = kernel.fusion_events().to_vec();
-    Ok((kernel.trace(), kernel.stats(), kernel.schedule(), kernel.fusion_stats(), events, portable, detected))
+    Ok((
+        kernel.trace(),
+        kernel.stats(),
+        kernel.schedule(),
+        kernel.fusion_stats(),
+        events,
+        portable,
+        detected,
+    ))
 }
 
 /// Whether a strip section of `listing` rotates a twin: a column behind
 /// seed lanes that a plain copy of another register fills.
 fn rotates_a_twin(listing: &str) -> bool {
-    let mut columns = listing.lines().filter_map(|l| l.split_once("seed lane(s) of column ").map(|(_, c)| c));
+    let mut columns = listing
+        .lines()
+        .filter_map(|l| l.split_once("seed lane(s) of column ").map(|(_, c)| c));
     columns.any(|c| {
         listing.lines().any(|l| {
-            l.trim().split_once(" = ").is_some_and(|(d, src)| d == c && src.starts_with('v') && src[1..].bytes().all(|b| b.is_ascii_digit()))
+            l.trim().split_once(" = ").is_some_and(|(d, src)| {
+                d == c && src.starts_with('v') && src[1..].bytes().all(|b| b.is_ascii_digit())
+            })
         })
     })
 }
@@ -740,7 +862,10 @@ fn rotates_a_twin(listing: &str) -> bool {
 #[test]
 fn a_bake_does_not_depend_on_the_bakes_its_thread_made_before() {
     let mut rng = SplitMix64::seed_from_u64(46);
-    let large = synthesize(&WorkloadSpec::new(4, 6).trip(TripSpec::KnownInRange(997, 1000)), &mut rng);
+    let large = synthesize(
+        &WorkloadSpec::new(4, 6).trip(TripSpec::KnownInRange(997, 1000)),
+        &mut rng,
+    );
     let sample = |name: &str| {
         let path = format!("{}/loops/{name}.loop", env!("CARGO_MANIFEST_DIR"));
         simdize::parse_program(&std::fs::read_to_string(path).unwrap()).unwrap()
@@ -769,17 +894,25 @@ fn a_bake_does_not_depend_on_the_bakes_its_thread_made_before() {
         let input = RunInput::with_ub(ub);
         for opts in [KernelOptions::new(), KernelOptions::new().fuse(false)] {
             let here = bake_outcome(&compiled, &img, &input, &opts);
-            let fresh = std::thread::scope(|s| s.spawn(|| bake_outcome(&compiled, &img, &input, &opts)).join().unwrap());
+            let fresh = std::thread::scope(|s| {
+                s.spawn(|| bake_outcome(&compiled, &img, &input, &opts))
+                    .join()
+                    .unwrap()
+            });
             assert_eq!(here, fresh, "{program} ub={ub}");
             match here {
                 Ok((listing, ..)) => {
                     twins += usize::from(rotates_a_twin(&listing));
-                    composed += usize::from(listing.contains("vperm(") && listing.contains("vload.fused"));
+                    composed +=
+                        usize::from(listing.contains("vperm(") && listing.contains("vload.fused"));
                 }
                 Err(ExecError::ChunkOutOfBounds { .. }) => faults += 1,
                 Err(e) => panic!("{program} ub={ub}: {e}"),
             }
         }
     }
-    assert!(twins > 0 && composed > 0 && faults == 2, "{twins} {composed} {faults}");
+    assert!(
+        twins > 0 && composed > 0 && faults == 2,
+        "{twins} {composed} {faults}"
+    );
 }

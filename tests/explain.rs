@@ -54,8 +54,13 @@ fn json_schema_fields() {
     let json = render_json(&explain("figure1", Policy::Dominant));
     assert!(json.starts_with("{\"schema\":\"simdize-explain/v1\",\"mode\":\"stream\""));
     for key in [
-        "\"loop\":", "\"decisions\":", "\"program\":", "\"accounting\":", "\"stats\":",
-        "\"verified\":", "\"engine\":",
+        "\"loop\":",
+        "\"decisions\":",
+        "\"program\":",
+        "\"accounting\":",
+        "\"stats\":",
+        "\"verified\":",
+        "\"engine\":",
     ] {
         assert!(json.contains(key), "missing {key}");
     }
@@ -194,7 +199,9 @@ fn explained_program_is_the_compiled_program() {
 fn unaligned_target_explains_as_inapplicable() {
     let program = parse_program(&sample("figure1")).unwrap();
     let driver = Simdizer::new().target(Target::Unaligned);
-    let report = Explainer::new(driver, measured()).explain(&program).unwrap();
+    let report = Explainer::new(driver, measured())
+        .explain(&program)
+        .unwrap();
     let ExplainReport::Inapplicable(r) = report else {
         panic!("the unaligned target should explain as inapplicable");
     };

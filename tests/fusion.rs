@@ -65,7 +65,9 @@ fn fused_matches_unfused_across_policy_reuse_alignment_matrix() {
                     for tier in [IsaLevel::Scalar, IsaLevel::detect()] {
                         let (mut fused_img, mut unfused_img) = (image.clone(), image.clone());
                         let got = SimdKernel::lower(&fused, tier).run(&mut fused_img).unwrap();
-                        let want = SimdKernel::lower(&unfused, tier).run(&mut unfused_img).unwrap();
+                        let want = SimdKernel::lower(&unfused, tier)
+                            .run(&mut unfused_img)
+                            .unwrap();
                         let label = format!("{policy}/{reuse:?} seed {seed} at {tier}");
                         assert_eq!(got, want, "{label}: run stats diverged");
                         assert_eq!(
@@ -79,7 +81,10 @@ fn fused_matches_unfused_across_policy_reuse_alignment_matrix() {
             }
         }
     }
-    assert!(combos >= 36, "matrix too sparse: only {combos} combinations ran");
+    assert!(
+        combos >= 36,
+        "matrix too sparse: only {combos} combinations ran"
+    );
 }
 
 #[test]

@@ -263,7 +263,11 @@ fn generate_strided_is_the_pipeline() {
     for program in strided_set() {
         let shim = simdize::generate_strided(&program, VectorShape::V16).unwrap();
         let compiled = Simdizer::new().compile(&program).unwrap();
-        assert_eq!(program_fingerprint(&shim), program_fingerprint(&compiled), "{program}");
+        assert_eq!(
+            program_fingerprint(&shim),
+            program_fingerprint(&compiled),
+            "{program}"
+        );
     }
 }
 

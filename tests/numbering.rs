@@ -41,9 +41,10 @@ fn count(insts: &[VInst], pred: &impl Fn(&VInst) -> bool) -> usize {
 
 /// Loads of the array declared `array`-th in the source.
 fn loads_of(insts: &[VInst], array: usize) -> usize {
-    count(insts, &|inst| {
-        matches!(inst, VInst::LoadA { addr, .. } if addr.array.index() == array)
-    })
+    count(
+        insts,
+        &|inst| matches!(inst, VInst::LoadA { addr, .. } if addr.array.index() == array),
+    )
 }
 
 fn body_loads(src: &str, memnorm: bool) -> usize {

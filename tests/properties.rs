@@ -96,7 +96,8 @@ fn policies_valid_and_ordered() {
         let mut expected_zero = 0usize;
         for stmt in program.stmts() {
             stmt.rhs.visit_loads(&mut |r| {
-                if simdize::Offset::of_ref(r, &program, VectorShape::V16) != simdize::Offset::Byte(0)
+                if simdize::Offset::of_ref(r, &program, VectorShape::V16)
+                    != simdize::Offset::Byte(0)
                 {
                     expected_zero += 1;
                 }
@@ -228,7 +229,11 @@ fn value_algebra() {
         assert_eq!(a.wrapping_sub(b).wrapping_add(b), a, "case {case}");
         assert_eq!(a.not().not(), a, "case {case}");
         assert_eq!(a.wrapping_neg().wrapping_neg(), a, "case {case}");
-        assert_eq!(Value::from_le_bytes(elem, &a.to_le_bytes()), a, "case {case}");
+        assert_eq!(
+            Value::from_le_bytes(elem, &a.to_le_bytes()),
+            a,
+            "case {case}"
+        );
         // min/max bracket both operands.
         let lo = a.min_lane(b).as_i64();
         let hi = a.max_lane(b).as_i64();
@@ -428,7 +433,11 @@ fn parser_survives_mutations() {
 #[test]
 fn wire_parser_survives_mutations() {
     let golden = include_str!("golden/server-wire.txt");
-    let requests: Vec<&[u8]> = golden.lines().filter(|l| l.contains("\"cmd\"")).map(str::as_bytes).collect();
+    let requests: Vec<&[u8]> = golden
+        .lines()
+        .filter(|l| l.contains("\"cmd\""))
+        .map(str::as_bytes)
+        .collect();
     assert!(requests.len() >= 8, "{} request lines", requests.len());
     const BYTES: &[u8] = b"{}[]\":,\\0123456789aeflnrstuv \x7f\xc3";
     let parse = |line: &str| parse_request(line).map(drop).map_err(|e| (e.id, e.message));
@@ -475,9 +484,13 @@ fn generated_programs_pass_the_verifier() {
 fn hostile(rng: &mut SplitMix64) -> String {
     let pool: Vec<char> = (0..0x20u8)
         .map(char::from)
-        .chain(['"', '\\', '/', '\u{2028}', '\u{7f}', 'é', '€', '𝄞', 'a', ' '])
+        .chain([
+            '"', '\\', '/', '\u{2028}', '\u{7f}', 'é', '€', '𝄞', 'a', ' ',
+        ])
         .collect();
-    (0..rng.index(25)).map(|_| pool[rng.index(pool.len())]).collect()
+    (0..rng.index(25))
+        .map(|_| pool[rng.index(pool.len())])
+        .collect()
 }
 
 /// The string members of an object, in document order.
@@ -492,7 +505,9 @@ fn members(doc: Option<&Json>) -> Vec<(String, String)> {
 }
 
 fn text<'a>(doc: &'a Json, key: &str) -> &'a str {
-    doc.get(key).and_then(Json::as_str).unwrap_or_else(|| panic!("no string `{key}` in {doc:?}"))
+    doc.get(key)
+        .and_then(Json::as_str)
+        .unwrap_or_else(|| panic!("no string `{key}` in {doc:?}"))
 }
 
 /// Every kind of document the system writes parses, and gives back the
@@ -524,7 +539,11 @@ fn hostile_strings_round_trip_through_every_document() {
         let got = &doc.get("entries").and_then(Json::as_arr).unwrap()[0];
         assert_eq!(text(got, "trace_id"), entry.trace_id, "case {case}");
         assert_eq!(text(got, "verb"), entry.verb, "case {case}");
-        assert_eq!(Some(text(got, "error")), entry.error.as_deref(), "case {case}");
+        assert_eq!(
+            Some(text(got, "error")),
+            entry.error.as_deref(),
+            "case {case}"
+        );
         assert_eq!(members(got.get("attrs")), attr_list, "case {case}");
 
         // Request traces: ids, attributes, span names and paths, error.
@@ -546,7 +565,11 @@ fn hostile_strings_round_trip_through_every_document() {
         let doc = json::parse(&trace.render_json()).unwrap();
         assert_eq!(text(&doc, "trace_id"), trace.trace_id, "case {case}");
         assert_eq!(text(&doc, "verb"), trace.verb, "case {case}");
-        assert_eq!(Some(text(&doc, "error")), trace.error.as_deref(), "case {case}");
+        assert_eq!(
+            Some(text(&doc, "error")),
+            trace.error.as_deref(),
+            "case {case}"
+        );
         assert_eq!(members(doc.get("attrs")), attr_list, "case {case}");
         let span = &doc.get("spans").and_then(Json::as_arr).unwrap()[0];
         assert_eq!(text(span, "name"), trace.spans[0].name, "case {case}");
@@ -556,13 +579,21 @@ fn hostile_strings_round_trip_through_every_document() {
         // The Chrome export of the same trace.
         let doc = json::parse(&trace.render_chrome()).unwrap();
         let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
-        assert_eq!(text(&events[1], "name"), format!("request:{}", trace.verb), "case {case}");
+        assert_eq!(
+            text(&events[1], "name"),
+            format!("request:{}", trace.verb),
+            "case {case}"
+        );
         let mut args = vec![("trace_id".to_string(), trace.trace_id.clone())];
         args.extend(attr_list.iter().cloned());
         assert_eq!(members(events[1].get("args")), args, "case {case}");
         let path = &trace.events[0].path;
         assert_eq!(text(&events[2], "cat"), path, "case {case}");
-        assert_eq!(Some(text(&events[2], "name")), path.rsplit('/').next(), "case {case}");
+        assert_eq!(
+            Some(text(&events[2], "name")),
+            path.rsplit('/').next(),
+            "case {case}"
+        );
 
         // The prover's report names its loop.
         let name = h();

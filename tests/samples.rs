@@ -24,12 +24,7 @@ fn all_samples_verify() {
 
 #[test]
 fn samples_roundtrip_through_the_printer() {
-    for name in [
-        "figure1",
-        "dot_product",
-        "deinterleave",
-        "halfword",
-    ] {
+    for name in ["figure1", "dot_product", "deinterleave", "halfword"] {
         let program = parse_program(&sample(name)).unwrap();
         let reparsed = parse_program(&program.to_source()).unwrap();
         assert_eq!(program, reparsed, "{name}");
@@ -43,9 +38,7 @@ fn reduction_graph_metadata() {
     let graph = ReorgGraph::build(&program, VectorShape::V16).unwrap();
     // Reductions require stream offset 0 of their expression.
     assert_eq!(graph.store_offset(0), Offset::Byte(0));
-    let placed = graph
-        .with_policy(simdize::Policy::Dominant)
-        .unwrap();
+    let placed = graph.with_policy(simdize::Policy::Dominant).unwrap();
     placed.validate().unwrap();
     let stats = placed.stats();
     assert_eq!(stats.stores, 1);

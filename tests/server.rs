@@ -83,7 +83,9 @@ fn golden_corpus() -> Vec<String> {
         format!(r#"{{"v":1,"id":3,"cmd":"analyze","source":"{fig1}"}}"#),
         format!(r#"{{"v":1,"id":4,"cmd":"run","source":"{fig1}","seed":7}}"#),
         format!(r#"{{"v":1,"id":5,"cmd":"run","source":"{runtime}","seed":3,"ub":500}}"#),
-        format!(r#"{{"v":1,"id":6,"cmd":"sweep","source":"{runtime}","seed":1,"ub":300,"count":6}}"#),
+        format!(
+            r#"{{"v":1,"id":6,"cmd":"sweep","source":"{runtime}","seed":1,"ub":300,"count":6}}"#
+        ),
         format!(r#"{{"v":1,"id":7,"cmd":"explain","source":"{fig1}","policy":"zero"}}"#),
         format!(r#"{{"v":1,"id":8,"cmd":"compile","source":"{runtime}","policy":"eager"}}"#),
         // The request-scoped trace export and the flight recorder's
@@ -138,7 +140,11 @@ fn wire_round_trips_golden() {
     }
     harness.shutdown();
 
-    assert_golden("tests/golden/server-wire.txt", &transcript, "wire-protocol drift");
+    assert_golden(
+        "tests/golden/server-wire.txt",
+        &transcript,
+        "wire-protocol drift",
+    );
 }
 
 /// Malformed requests get error envelopes (with the id echoed whenever
@@ -155,7 +161,10 @@ fn malformed_requests_answer_errors_and_keep_the_connection() {
         ("this is not json", "bad JSON"),
         (r#"{"v":1,"cmd":"ping"}"#, "missing request `id`"),
         (r#"{"id":1,"cmd":"ping"}"#, "missing protocol version"),
-        (r#"{"v":9,"id":1,"cmd":"ping"}"#, "unsupported protocol version"),
+        (
+            r#"{"v":9,"id":1,"cmd":"ping"}"#,
+            "unsupported protocol version",
+        ),
         (r#"{"v":1,"id":1}"#, "missing `cmd`"),
         (r#"{"v":1,"id":1,"cmd":"nope"}"#, "unknown cmd"),
         (r#"{"v":1,"id":1,"cmd":"run"}"#, "missing `source`"),
@@ -167,9 +176,18 @@ fn malformed_requests_answer_errors_and_keep_the_connection() {
         // unsigned, or out of range is an error, not a cast.
         (r#"{"v":1.5,"id":1,"cmd":"ping"}"#, "`v` must be an integer"),
         (r#"{"v":1,"id":-1,"cmd":"ping"}"#, "`id` must be an integer"),
-        (r#"{"v":1,"id":1,"cmd":"run","source":"x","seed":-1}"#, "`seed` must be an integer"),
-        (r#"{"v":1,"id":1,"cmd":"run","source":"x","ub":2.5}"#, "`ub` must be an integer"),
-        (r#"{"v":1,"id":1,"cmd":"sweep","source":"x","count":1e300}"#, "`count` must be an integer"),
+        (
+            r#"{"v":1,"id":1,"cmd":"run","source":"x","seed":-1}"#,
+            "`seed` must be an integer",
+        ),
+        (
+            r#"{"v":1,"id":1,"cmd":"run","source":"x","ub":2.5}"#,
+            "`ub` must be an integer",
+        ),
+        (
+            r#"{"v":1,"id":1,"cmd":"sweep","source":"x","count":1e300}"#,
+            "`count` must be an integer",
+        ),
         (
             r#"{"v":1,"id":1,"cmd":"run","source":"x","params":[1.5]}"#,
             "`params` must be an array of integers",
@@ -204,7 +222,10 @@ fn an_oversized_source_is_refused_and_the_server_keeps_serving() {
         assert_eq!(doc.get("ok"), Some(&Json::Bool(false)), "{response}");
         let error = doc.get("error").and_then(Json::as_str).unwrap();
         let cap = simdize_server::MAX_SOURCE_BYTES.to_string();
-        assert!(error.contains(&cap), "{cmd}: {response} does not name the cap");
+        assert!(
+            error.contains(&cap),
+            "{cmd}: {response} does not name the cap"
+        );
     }
     let pong = client.roundtrip(r#"{"v":1,"id":2,"cmd":"ping"}"#);
     assert!(pong.contains("\"pong\":true"), "{pong}");
@@ -317,13 +338,28 @@ fn engine_field_shares_one_cache_entry_and_isa_tiers_key_separately() {
     };
     let first = client.roundtrip(&request(1, "native"));
     assert!(first.contains("\"verified\":true"), "{first}");
-    assert_eq!(normalize(&client.roundtrip(&request(1, "simd"))), normalize(&first));
+    assert_eq!(
+        normalize(&client.roundtrip(&request(1, "simd"))),
+        normalize(&first)
+    );
     let stats = client.roundtrip(r#"{"v":1,"id":2,"cmd":"stats"}"#);
     let doc = json::parse(&stats).unwrap();
     let cache = doc.get("result").unwrap().get("cache").unwrap();
-    assert_eq!(cache.get("misses").and_then(Json::as_f64), Some(1.0), "{stats}");
-    assert_eq!(cache.get("hits").and_then(Json::as_f64), Some(1.0), "{stats}");
-    assert_eq!(cache.get("occupied").and_then(Json::as_f64), Some(1.0), "{stats}");
+    assert_eq!(
+        cache.get("misses").and_then(Json::as_f64),
+        Some(1.0),
+        "{stats}"
+    );
+    assert_eq!(
+        cache.get("hits").and_then(Json::as_f64),
+        Some(1.0),
+        "{stats}"
+    );
+    assert_eq!(
+        cache.get("occupied").and_then(Json::as_f64),
+        Some(1.0),
+        "{stats}"
+    );
     harness.shutdown();
 
     use simdize::{IsaLevel, KernelCache, KernelOptions, MemoryImage, PredecodedKernel, RunInput};
@@ -337,7 +373,14 @@ fn engine_field_shares_one_cache_entry_and_isa_tiers_key_separately() {
     for (nth, isa) in tiers.into_iter().enumerate() {
         let fingerprint = simdize::program_fingerprint(&compiled);
         let (kernel, lookup) = cache
-            .get_or_bake_simd(fingerprint, &pre, &image, &input, &KernelOptions::new(), isa)
+            .get_or_bake_simd(
+                fingerprint,
+                &pre,
+                &image,
+                &input,
+                &KernelOptions::new(),
+                isa,
+            )
             .unwrap();
         assert_eq!(kernel.isa(), isa);
         assert_eq!(lookup.hit, nth == 1 && tiers[0] == tiers[1], "{isa}");
@@ -532,7 +575,10 @@ fn flight_dump_captures_forced_errors() {
     let failed_id = trace_id_of(&bad);
     let dump = client.roundtrip(r#"{"v":1,"id":2,"cmd":"dump"}"#);
     assert!(dump.contains("\"schema\":\"simdize-flight/v1\""), "{dump}");
-    assert!(dump.contains(&format!("\"trace_id\":\"{failed_id}\"")), "{dump}");
+    assert!(
+        dump.contains(&format!("\"trace_id\":\"{failed_id}\"")),
+        "{dump}"
+    );
     assert!(dump.contains("\"ok\":false"), "{dump}");
     assert!(dump.contains("expected"), "error text retained: {dump}");
     // The stats verb reports the recorder's fill level.
@@ -603,7 +649,10 @@ fn verify_reports_real_wall_time() {
     let stats = client.roundtrip(r#"{"v":1,"id":2,"cmd":"stats"}"#);
     let doc = json::parse(&stats).unwrap();
     let latency = doc.get("result").unwrap().get("latency").unwrap();
-    assert!(latency.get("p50_us").and_then(Json::as_f64).unwrap() > 0.0, "{stats}");
+    assert!(
+        latency.get("p50_us").and_then(Json::as_f64).unwrap() > 0.0,
+        "{stats}"
+    );
     harness.shutdown();
 }
 
@@ -664,8 +713,16 @@ fn trace_verb_answers_for_a_strided_loop() {
     let doc = json::parse(&response).unwrap_or_else(|e| panic!("{response}: {e}"));
     assert_eq!(doc.get("ok"), Some(&Json::Bool(true)), "{response}");
     let attrs = doc.get("result").unwrap().get("attrs").unwrap();
-    assert_eq!(attrs.get("opd.bound").and_then(Json::as_str), Some("3.000"), "{response}");
-    assert_eq!(attrs.get("verified").and_then(Json::as_str), Some("true"), "{response}");
+    assert_eq!(
+        attrs.get("opd.bound").and_then(Json::as_str),
+        Some("3.000"),
+        "{response}"
+    );
+    assert_eq!(
+        attrs.get("verified").and_then(Json::as_str),
+        Some("true"),
+        "{response}"
+    );
     harness.shutdown();
 }
 
@@ -686,10 +743,22 @@ fn metrics_endpoint_serves_prometheus_text() {
     let response = scrape(metrics_addr, "/metrics");
     assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
     assert!(response.contains("text/plain; version=0.0.4"), "{response}");
-    assert!(response.contains("# TYPE simdize_server_requests_total counter"), "{response}");
-    assert!(response.contains("simdize_server_requests_total 1"), "{response}");
-    assert!(response.contains("simdize_server_flight_recorded_total"), "{response}");
-    assert!(scrape(metrics_addr, "/nope").starts_with("HTTP/1.1 404"), "no 404 for unknown path");
+    assert!(
+        response.contains("# TYPE simdize_server_requests_total counter"),
+        "{response}"
+    );
+    assert!(
+        response.contains("simdize_server_requests_total 1"),
+        "{response}"
+    );
+    assert!(
+        response.contains("simdize_server_flight_recorded_total"),
+        "{response}"
+    );
+    assert!(
+        scrape(metrics_addr, "/nope").starts_with("HTTP/1.1 404"),
+        "no 404 for unknown path"
+    );
 
     // Requests that finish while another request scope is live must
     // not add a second copy of any family to the scrape. One
@@ -717,7 +786,10 @@ fn metrics_endpoint_serves_prometheus_text() {
     for line in response.lines() {
         let family = line.strip_prefix("# TYPE ").and_then(|l| l.split_once(' '));
         if let Some((family, _kind)) = family {
-            assert!(families.insert(family), "duplicate family `{family}`: {response}");
+            assert!(
+                families.insert(family),
+                "duplicate family `{family}`: {response}"
+            );
         }
         assert!(
             !line.starts_with("simdize_server_request ")
@@ -788,7 +860,11 @@ fn stats_and_metrics_agree_on_kernel_cache_counters() {
         }
     }
     let templates = doc.get("result").unwrap().get("templates").unwrap();
-    assert_eq!(templates.get("capacity").and_then(Json::as_f64), Some(1.0), "{stats}");
+    assert_eq!(
+        templates.get("capacity").and_then(Json::as_f64),
+        Some(1.0),
+        "{stats}"
+    );
     assert_eq!(scraped("template_capacity"), 1.0, "{metrics}");
     let bytes = templates.get("bytes").and_then(Json::as_f64).unwrap();
     assert!(bytes >= sample("figure1").len() as f64, "{stats}");
@@ -808,7 +884,8 @@ fn stats_and_metrics_agree_on_kernel_cache_counters() {
 #[test]
 fn the_template_memo_keys_on_source_and_policy() {
     let fig1 = inline(&sample("figure1"));
-    let zero = format!(r#"{{"v":1,"id":1,"cmd":"run","source":"{fig1}","seed":5,"policy":"zero"}}"#);
+    let zero =
+        format!(r#"{{"v":1,"id":1,"cmd":"run","source":"{fig1}","seed":5,"policy":"zero"}}"#);
     let auto = format!(r#"{{"v":1,"id":1,"cmd":"run","source":"{fig1}","seed":5}}"#);
     let broken = r#"{"v":1,"id":1,"cmd":"run","source":"arrays { broken"}"#;
     let cold = |request: &str| {
@@ -818,7 +895,10 @@ fn the_template_memo_keys_on_source_and_policy() {
         reply
     };
     let expected = [cold(&zero), cold(&auto), cold(broken)];
-    assert_ne!(expected[0], expected[1], "zero and dominant must differ on Figure 1");
+    assert_ne!(
+        expected[0], expected[1],
+        "zero and dominant must differ on Figure 1"
+    );
     assert!(expected[2].contains("\"ok\":false"), "{}", expected[2]);
 
     let harness = Harness::start(ServerConfig::default());
@@ -834,17 +914,34 @@ fn the_template_memo_keys_on_source_and_policy() {
     let count = |field: &str| templates.get(field).and_then(Json::as_f64).unwrap();
     // Two sources stored; the failing one is looked up and compiled
     // three times and never kept.
-    assert_eq!((count("hits"), count("misses"), count("occupied")), (2.0, 5.0, 2.0));
+    assert_eq!(
+        (count("hits"), count("misses"), count("occupied")),
+        (2.0, 5.0, 2.0)
+    );
 
     let dump = json::parse(&client.roundtrip(r#"{"v":1,"id":3,"cmd":"dump"}"#)).unwrap();
-    let entries = dump.get("result").unwrap().get("entries").unwrap().as_arr().unwrap();
+    let entries = dump
+        .get("result")
+        .unwrap()
+        .get("entries")
+        .unwrap()
+        .as_arr()
+        .unwrap();
     let policies: Vec<Option<&str>> = entries
         .iter()
         .filter(|e| e.get("verb").and_then(Json::as_str) == Some("run"))
         .filter(|e| e.get("ok") == Some(&Json::Bool(true)))
         .map(|e| e.get("attrs").unwrap().get("policy").and_then(Json::as_str))
         .collect();
-    assert_eq!(policies, [Some("zero"), Some("zero"), Some("dominant"), Some("dominant")]);
+    assert_eq!(
+        policies,
+        [
+            Some("zero"),
+            Some("zero"),
+            Some("dominant"),
+            Some("dominant")
+        ]
+    );
     harness.shutdown();
 }
 
@@ -911,14 +1008,24 @@ fn oversized_request_line_is_refused_and_the_connection_closed() {
     let failed_id = trace_id_of(&reply);
     let mut rest = Vec::new();
     let _ = hostile.reader.read_to_end(&mut rest);
-    assert!(rest.is_empty(), "connection must close after the error envelope");
+    assert!(
+        rest.is_empty(),
+        "connection must close after the error envelope"
+    );
 
     assert_eq!(normalize(&healthy.roundtrip(&run)), before);
     let dump = healthy.roundtrip(r#"{"v":1,"id":2,"cmd":"dump"}"#);
-    assert!(dump.contains(&format!("\"trace_id\":\"{failed_id}\"")), "{dump}");
+    assert!(
+        dump.contains(&format!("\"trace_id\":\"{failed_id}\"")),
+        "{dump}"
+    );
     let stats = healthy.roundtrip(r#"{"v":1,"id":3,"cmd":"stats"}"#);
     let doc = json::parse(&stats).unwrap();
-    let errors = doc.get("result").unwrap().get("errors").and_then(Json::as_f64);
+    let errors = doc
+        .get("result")
+        .unwrap()
+        .get("errors")
+        .and_then(Json::as_f64);
     assert_eq!(errors, Some(1.0), "{stats}");
     let summary = harness.shutdown();
     assert_eq!(summary.errors, 1);
@@ -960,7 +1067,12 @@ fn shutdown_under_load_answers_every_admitted_request() {
         polls += 1;
         let doc = json::parse(&stats).unwrap();
         let result = doc.get("result").unwrap();
-        let waiting = result.get("queue").unwrap().get("depth").and_then(Json::as_f64).unwrap();
+        let waiting = result
+            .get("queue")
+            .unwrap()
+            .get("depth")
+            .and_then(Json::as_f64)
+            .unwrap();
         let finished = match result.get("commands").unwrap() {
             Json::Arr(commands) => commands
                 .iter()
@@ -983,14 +1095,24 @@ fn shutdown_under_load_answers_every_admitted_request() {
     for (k, client) in clients.iter_mut().enumerate() {
         let mut reply = String::new();
         client.reader.read_line(&mut reply).unwrap();
-        assert!(reply.ends_with('\n'), "client {k}: truncated reply {reply:?}");
-        assert!(reply.contains(&format!("\"id\":{k},")), "client {k}: {reply}");
+        assert!(
+            reply.ends_with('\n'),
+            "client {k}: truncated reply {reply:?}"
+        );
+        assert!(
+            reply.contains(&format!("\"id\":{k},")),
+            "client {k}: {reply}"
+        );
         assert!(reply.contains("\"ok\":true"), "client {k}: {reply}");
         assert!(reply.contains("\"verified\":512"), "client {k}: {reply}");
     }
     assert_eq!(summary.busy, 0);
     assert_eq!(summary.errors, 0);
-    assert_eq!(summary.requests, 6 + polls + 1, "six sweeps, the polls, the shutdown");
+    assert_eq!(
+        summary.requests,
+        6 + polls + 1,
+        "six sweeps, the polls, the shutdown"
+    );
 }
 
 /// ROADMAP robustness: a client that sends requests and never reads
@@ -1011,7 +1133,9 @@ fn a_client_that_stops_reading_cannot_hang_shutdown() {
     // Flood until the server stops taking bytes (its reply write is
     // blocked) or drops the connection.
     let mut flooder = TcpStream::connect(addr).unwrap();
-    flooder.set_write_timeout(Some(Duration::from_millis(500))).unwrap();
+    flooder
+        .set_write_timeout(Some(Duration::from_millis(500)))
+        .unwrap();
     let burst = r#"{"v":1,"id":1,"cmd":"stats"}"#.to_string() + "\n";
     let burst = burst.repeat(1024);
     let mut sent = 0;
@@ -1025,7 +1149,11 @@ fn a_client_that_stops_reading_cannot_hang_shutdown() {
     assert!(reply.contains("\"stopping\":true"), "{reply}");
     let margin = Duration::from_secs(5);
     let stopped = served.recv_timeout(simdize_server::WRITE_TIMEOUT + margin);
-    assert_eq!(stopped, Ok(true), "serve() did not return after {sent} bytes of unread requests");
+    assert_eq!(
+        stopped,
+        Ok(true),
+        "serve() did not return after {sent} bytes of unread requests"
+    );
     serving.join().unwrap().unwrap();
 }
 
@@ -1039,7 +1167,10 @@ fn establish(addr: std::net::SocketAddr) -> Client {
     for _ in 0..30 {
         if let Ok(conn) = TcpStream::connect(addr) {
             if let Ok(clone) = conn.try_clone() {
-                let mut client = Client { conn, reader: BufReader::new(clone) };
+                let mut client = Client {
+                    conn,
+                    reader: BufReader::new(clone),
+                };
                 let mut line = String::new();
                 let alive = writeln!(client.conn, r#"{{"v":1,"id":0,"cmd":"ping"}}"#).is_ok()
                     && matches!(client.reader.read_line(&mut line), Ok(n) if n > 0)
@@ -1074,7 +1205,9 @@ fn connection_count_stress(n: usize) {
         format!(r#"{{"v":1,"id":2,"cmd":"run","source":"{RUNTIME}","seed":2,"ub":200}}"#),
         format!(r#"{{"v":1,"id":3,"cmd":"run","source":"{FIR}","policy":"zero","seed":3}}"#),
         format!(r#"{{"v":1,"id":4,"cmd":"compile","source":"{FIG1}","policy":"eager"}}"#),
-        format!(r#"{{"v":1,"id":5,"cmd":"sweep","source":"{RUNTIME}","seed":0,"ub":150,"count":4}}"#),
+        format!(
+            r#"{{"v":1,"id":5,"cmd":"sweep","source":"{RUNTIME}","seed":0,"ub":150,"count":4}}"#
+        ),
         format!(r#"{{"v":1,"id":6,"cmd":"run","source":"{FIG1}","seed":4}}"#),
         r#"{"v":1,"id":7,"cmd":"ping"}"#.to_string(),
         format!(r#"{{"v":1,"id":8,"cmd":"run","source":"{RUNTIME}","seed":5,"ub":200}}"#),
@@ -1125,7 +1258,11 @@ fn connection_count_stress(n: usize) {
     }
     let summary = harness.shutdown();
     assert_eq!(summary.errors, 0);
-    assert!(summary.connections >= n as u64, "{} < {n}", summary.connections);
+    assert!(
+        summary.connections >= n as u64,
+        "{} < {n}",
+        summary.connections
+    );
 }
 
 #[test]

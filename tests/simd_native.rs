@@ -17,7 +17,10 @@ use std::collections::BTreeSet;
 /// x86_64 `V2` exactly when the CPU has SSSE3 and SSE4.1, plus `Avx2`
 /// when it has AVX2 too; elsewhere only `Scalar`.
 fn host_tiers() -> Vec<IsaLevel> {
-    let tiers: Vec<IsaLevel> = IsaLevel::ALL.into_iter().filter(|t| t.available()).collect();
+    let tiers: Vec<IsaLevel> = IsaLevel::ALL
+        .into_iter()
+        .filter(|t| t.available())
+        .collect();
     assert!(tiers.contains(&IsaLevel::Scalar));
     #[cfg(target_arch = "x86_64")]
     assert_eq!(
@@ -60,7 +63,11 @@ fn check_all_tiers(
     let mut scalar_img = interp_img.clone();
     run_simd(compiled, &mut interp_img, &input).unwrap();
     if run_scalar(program, &mut scalar_img, ub, &input.params).is_ok() {
-        assert_eq!(interp_img.first_difference(&scalar_img), None, "{label}: interpreter vs oracle");
+        assert_eq!(
+            interp_img.first_difference(&scalar_img),
+            None,
+            "{label}: interpreter vs oracle"
+        );
     }
     check_tiers(program, compiled, ub, seed, label)
 }
@@ -102,13 +109,20 @@ fn check_input(
     opts: KernelOptions,
 ) -> (Schedule, RunStats, String) {
     let mut interp_img = MemoryImage::with_seed(program, VectorShape::V16, seed);
-    let kernel = PredecodedKernel::new(compiled).unwrap().bake(&interp_img, input, &opts).unwrap();
+    let kernel = PredecodedKernel::new(compiled)
+        .unwrap()
+        .bake(&interp_img, input, &opts)
+        .unwrap();
     let want = run_simd(compiled, &mut interp_img, input).unwrap();
     let schedule = kernel.schedule();
     for tier in host_tiers() {
         let lowered = SimdKernel::lower(&kernel, tier);
         assert_eq!(lowered.isa(), tier);
-        assert_eq!(lowered.schedule(), schedule, "{label}/{tier}: schedule depends on the tier");
+        assert_eq!(
+            lowered.schedule(),
+            schedule,
+            "{label}/{tier}: schedule depends on the tier"
+        );
         let mut simd_img = MemoryImage::with_seed(program, VectorShape::V16, seed);
         let got = lowered.run(&mut simd_img).unwrap();
         assert_eq!(got, want, "{label}/{tier}: stats diverged");
@@ -153,7 +167,10 @@ fn simd_backend_matches_interpreter_across_policy_reuse_alignment_matrix() {
             }
         }
     }
-    assert!(combos >= 20, "matrix too sparse: only {combos} combinations ran");
+    assert!(
+        combos >= 20,
+        "matrix too sparse: only {combos} combinations ran"
+    );
 }
 
 #[test]
@@ -234,7 +251,11 @@ fn strip_boundaries_match_interpreter_across_policy_reuse_tier_matrix() {
     let mut stripped = BTreeSet::new();
     for policy in Policy::ALL {
         for reuse in REUSES {
-            let compiled = match Simdizer::new().policy(policy).reuse(reuse).compile(&program) {
+            let compiled = match Simdizer::new()
+                .policy(policy)
+                .reuse(reuse)
+                .compile(&program)
+            {
                 Ok(c) => c,
                 Err(SimdizeError::Policy(_)) => continue,
                 Err(e) => panic!("{policy}/{reuse:?}: {e}"),
@@ -254,7 +275,10 @@ fn strip_boundaries_match_interpreter_across_policy_reuse_tier_matrix() {
         }
     }
     for n in targets {
-        assert!(stripped.contains(&n), "no strip-scheduled loop ran {n} iterations");
+        assert!(
+            stripped.contains(&n),
+            "no strip-scheduled loop ran {n} iterations"
+        );
     }
 }
 
@@ -283,7 +307,10 @@ fn aliased_schedule(src: &str, (from, to): (usize, usize), label: &str) -> Sched
         }
     }
     let program = simdize::parse_program(src).unwrap();
-    let mut compiled = Simdizer::new().reuse(ReuseMode::None).compile(&program).unwrap();
+    let mut compiled = Simdizer::new()
+        .reuse(ReuseMode::None)
+        .compile(&program)
+        .unwrap();
     let (from, to) = (ArrayId::from_index(from), ArrayId::from_index(to));
     retarget(compiled.prologue_mut(), from, to);
     retarget(compiled.body_mut(), from, to);
@@ -336,7 +363,10 @@ fn mixed_step_loops_strip_only_on_disjoint_extents() {
     let src = "arrays { out: i32[1040] @ 0; inter: i32[1040] @ 8; }
                for i in 0..500 { out[i] = inter[2*i] * inter[2*i] + inter[2*i+1] * inter[2*i+1]; }";
     assert!(strips(aliased_schedule(src, (0, 0), "deinterleave")));
-    assert_eq!(aliased_schedule(src, (0, 1), "deinterleave, folded"), SEQUENTIAL);
+    assert_eq!(
+        aliased_schedule(src, (0, 1), "deinterleave, folded"),
+        SEQUENTIAL
+    );
 }
 
 /// The schedule of the loop that runs the most iterations: the pair
@@ -404,7 +434,12 @@ fn carried_registers_strip_the_main_loop_of_every_sample_and_kernel() {
         .unwrap()
         .map(|e| e.unwrap().path())
         .filter(|p| p.extension().is_some_and(|x| x == "loop"))
-        .map(|p| (p.display().to_string(), std::fs::read_to_string(&p).unwrap()))
+        .map(|p| {
+            (
+                p.display().to_string(),
+                std::fs::read_to_string(&p).unwrap(),
+            )
+        })
         .collect();
     assert!(sources.len() >= 5, "{} samples in {dir}", sources.len());
     for name in ["fig1", "chain6", "fir4", "copy3"] {
@@ -417,7 +452,11 @@ fn carried_registers_strip_the_main_loop_of_every_sample_and_kernel() {
         for seed in 1..=8 {
             let label = format!("{name} seed {seed}");
             let (schedule, _) = check_tiers(&program, &compiled, ub, seed, &label);
-            assert_eq!(main_loop(schedule), SectionSchedule::Strip, "{label}: {schedule:?}\n{program}");
+            assert_eq!(
+                main_loop(schedule),
+                SectionSchedule::Strip,
+                "{label}: {schedule:?}\n{program}"
+            );
         }
     }
 }
@@ -426,16 +465,35 @@ fn carried_registers_strip_the_main_loop_of_every_sample_and_kernel() {
 type Bake = (SectionSchedule, u64, String);
 
 /// [`check_tiers`] for a fused and an unfused bake of `compiled`.
-fn check_bakes(program: &simdize::LoopProgram, compiled: &simdize::SimdProgram, ub: u64, seed: u64, label: &str) -> Vec<Bake> {
+fn check_bakes(
+    program: &simdize::LoopProgram,
+    compiled: &simdize::SimdProgram,
+    ub: u64,
+    seed: u64,
+    label: &str,
+) -> Vec<Bake> {
     check_bakes_with(program, compiled, &RunInput::with_ub(ub), seed, label)
 }
 
 /// [`check_bakes`] for a loop with runtime parameters.
-fn check_bakes_with(program: &simdize::LoopProgram, compiled: &simdize::SimdProgram, input: &RunInput, seed: u64, label: &str) -> Vec<Bake> {
+fn check_bakes_with(
+    program: &simdize::LoopProgram,
+    compiled: &simdize::SimdProgram,
+    input: &RunInput,
+    seed: u64,
+    label: &str,
+) -> Vec<Bake> {
     [true, false]
         .map(|fuse| {
             let label = format!("{label}/fuse={fuse}");
-            let (schedule, stats, listing) = check_input(program, compiled, input, seed, &label, KernelOptions::new().fuse(fuse));
+            let (schedule, stats, listing) = check_input(
+                program,
+                compiled,
+                input,
+                seed,
+                &label,
+                KernelOptions::new().fuse(fuse),
+            );
             (main_loop(schedule), stats.steady_iterations / 2, listing)
         })
         .to_vec()
@@ -456,7 +514,10 @@ fn check_strip_boundaries(label: &str, runs: &mut dyn FnMut(u64) -> Vec<Bake>, p
         }
     }
     for n in targets {
-        assert!(stripped.contains(&n), "{label}: no strip of {n} pair iterations ran");
+        assert!(
+            stripped.contains(&n),
+            "{label}: no strip of {n} pair iterations ran"
+        );
     }
 }
 
@@ -478,7 +539,11 @@ fn carried_register_strip_boundaries_match_interpreter() {
     for reuse in [ReuseMode::SoftwarePipeline, ReuseMode::PredictiveCommoning] {
         let compiled = Simdizer::new().reuse(reuse).compile(&fig1).unwrap();
         let label = format!("runtime fig1 {reuse:?}");
-        check_strip_boundaries(&label, &mut |ub| check_bakes(&fig1, &compiled, ub, ub % 8, &format!("{label} ub={ub}")), 8);
+        check_strip_boundaries(
+            &label,
+            &mut |ub| check_bakes(&fig1, &compiled, ub, ub % 8, &format!("{label} ub={ub}")),
+            8,
+        );
     }
 
     let ops = ["+=", "*=", "&=", "|=", "^=", "min=", "max="];
@@ -538,7 +603,11 @@ fn synthesized_multi_statement_loops_match_interpreter() {
             let compiled = Simdizer::new().reuse(reuse).compile(&program).unwrap();
             let label = format!("synth {statements}x{loads} #{k} {reuse:?}");
             let (schedule, _) = check_all_tiers(&program, &compiled, ub, k as u64, &label);
-            assert_eq!(main_loop(schedule), SectionSchedule::Strip, "{label}: {schedule:?}");
+            assert_eq!(
+                main_loop(schedule),
+                SectionSchedule::Strip,
+                "{label}: {schedule:?}"
+            );
         }
     }
 }
@@ -565,22 +634,46 @@ fn strip_dispatches(listing: &str) -> Vec<&str> {
 /// pairing.
 #[test]
 fn kernel_steady_main_loops_dispatch_once_per_strip() {
-    for name in ["fig1", "chain6", "fir4", "copy3", "halfword", "runtime", "dot_product", "deinterleave"] {
+    for name in [
+        "fig1",
+        "chain6",
+        "fir4",
+        "copy3",
+        "halfword",
+        "runtime",
+        "dot_product",
+        "deinterleave",
+    ] {
         let program = simdize::parse_program(&kernel_source(name, 4096)).unwrap();
         let compiled = Simdizer::new().compile(&program).unwrap();
         let image = MemoryImage::with_seed(&program, VectorShape::V16, 1);
         let kernel = CompiledKernel::compile(&compiled, &image, &RunInput::with_ub(4096)).unwrap();
         let listing = kernel.trace();
         let dispatches = strip_dispatches(&listing);
-        assert!(matches!(dispatches[..], [line] if line.starts_with("  fold")), "{name}\n{listing}");
-        assert_eq!(kernel.superinstructions(), [("pair", 1, 1)], "{name}\n{listing}");
+        assert!(
+            matches!(dispatches[..], [line] if line.starts_with("  fold")),
+            "{name}\n{listing}"
+        );
+        assert_eq!(
+            kernel.superinstructions(),
+            [("pair", 1, 1)],
+            "{name}\n{listing}"
+        );
     }
 }
 
 /// The superinstructions of a fused bake, as `(role, paired, all)`.
-fn supers(program: &simdize::LoopProgram, compiled: &simdize::SimdProgram, ub: u64, seed: u64) -> Vec<(&'static str, usize, usize)> {
+fn supers(
+    program: &simdize::LoopProgram,
+    compiled: &simdize::SimdProgram,
+    ub: u64,
+    seed: u64,
+) -> Vec<(&'static str, usize, usize)> {
     let image = MemoryImage::with_seed(program, VectorShape::V16, seed);
-    let kernel = PredecodedKernel::new(compiled).unwrap().bake(&image, &RunInput::with_ub(ub), &KernelOptions::new()).unwrap();
+    let kernel = PredecodedKernel::new(compiled)
+        .unwrap()
+        .bake(&image, &RunInput::with_ub(ub), &KernelOptions::new())
+        .unwrap();
     kernel.superinstructions()
 }
 
@@ -604,38 +697,63 @@ fn paired_halves_match_the_portable_tier_at_strip_boundaries() {
             let program = simdize::parse_program(&source(ub)).unwrap();
             let compiled = Simdizer::new().compile(&program).unwrap();
             let (seed, label) = (seed.unwrap_or(ub), format!("{label} ub={ub}"));
-            assert_eq!(supers(&program, &compiled, ub, seed), [("pair", 1, 1)], "{label}");
+            assert_eq!(
+                supers(&program, &compiled, ub, seed),
+                [("pair", 1, 1)],
+                "{label}"
+            );
             check_bakes(&program, &compiled, ub, seed, &label)
         };
         check_strip_boundaries(label, &mut runs, per_pair);
     };
     for ty in WIDTHS {
         let lanes: u64 = 128 / ty[1..].parse::<u64>().unwrap();
-        let arrays = |names: &[&str], len: u64| names.iter().map(|a| format!("{a}: {ty}[{len}] @ 0;")).collect::<Vec<_>>().join(" ");
+        let arrays = |names: &[&str], len: u64| {
+            names
+                .iter()
+                .map(|a| format!("{a}: {ty}[{len}] @ 0;"))
+                .collect::<Vec<_>>()
+                .join(" ")
+        };
         for symbol in BINOPS {
             let bin = |x: &str, y: &str| match symbol {
                 f @ ("min" | "max") => format!("{f}({x}, {y})"),
                 o => format!("{x} {o} {y}"),
             };
-            let rhs = if symbol == "-" { bin("b[i+1]", "c[i+2]") } else { bin(&bin("b[i+1]", "c[i+2]"), "d[i+3]") };
-            let source = |ub| format!("arrays {{ {} }} for i in 0..{ub} {{ a[i+3] = {rhs}; }}", arrays(&["a", "b", "c", "d"], ub + 64));
+            let rhs = if symbol == "-" {
+                bin("b[i+1]", "c[i+2]")
+            } else {
+                bin(&bin("b[i+1]", "c[i+2]"), "d[i+3]")
+            };
+            let source = |ub| {
+                format!(
+                    "arrays {{ {} }} for i in 0..{ub} {{ a[i+3] = {rhs}; }}",
+                    arrays(&["a", "b", "c", "d"], ub + 64)
+                )
+            };
             case(&format!("stores {symbol} {ty}"), 2 * lanes, &source, None);
         }
         for op in ["+=", "*=", "&=", "|=", "^=", "min=", "max="] {
-            let source = |ub| format!("arrays {{ acc: {ty}[16] @ 0; {} }} for i in 0..{ub} {{ acc[i] {op} x[i+1] + y[i+2]; }}", arrays(&["x", "y"], ub + 64));
+            let source = |ub| {
+                format!("arrays {{ acc: {ty}[16] @ 0; {} }} for i in 0..{ub} {{ acc[i] {op} x[i+1] + y[i+2]; }}", arrays(&["x", "y"], ub + 64))
+            };
             case(&format!("partials {op} {ty}"), 2 * lanes, &source, None);
         }
     }
     for ty in ["i8", "i16", "i32", "i64"] {
         let lanes = 128 / ty[1..].parse::<u64>().unwrap();
-        let source = |ub| format!("arrays {{ out: {ty}[{}] @ 0; x: {ty}[{}] @ 4; }} for i in 0..{ub} {{ out[i] = x[2*i] * x[2*i] + x[2*i+1] * x[2*i+1]; }}", ub + 16, 2 * ub + 32);
+        let source = |ub| {
+            format!("arrays {{ out: {ty}[{}] @ 0; x: {ty}[{}] @ 4; }} for i in 0..{ub} {{ out[i] = x[2*i] * x[2*i] + x[2*i+1] * x[2*i+1]; }}", ub + 16, 2 * ub + 32)
+        };
         case(&format!("deinterleave {ty}"), 2 * lanes, &source, None);
     }
 
     // i8 stores `s` lanes past their sum shift it by 16 - s.
     let mut amounts = BTreeSet::new();
     for s in 1..16u64 {
-        let source = |ub| format!("arrays {{ a: i8[2300] @ 0; b: i8[2300] @ 0; c: i8[2300] @ 0; }} for i in 0..{ub} {{ a[i+{s}] = b[i] + c[i]; }}");
+        let source = |ub| {
+            format!("arrays {{ a: i8[2300] @ 0; b: i8[2300] @ 0; c: i8[2300] @ 0; }} for i in 0..{ub} {{ a[i+{s}] = b[i] + c[i]; }}")
+        };
         case(&format!("rotation by {}", 16 - s), 32, &source, None);
         amounts.insert(16 - s);
     }
@@ -644,8 +762,18 @@ fn paired_halves_match_the_portable_tier_at_strip_boundaries() {
     let program = simdize::parse_program(runtime).unwrap();
     let compiled = Simdizer::new().compile(&program).unwrap();
     let whole = (0..64).find(|&seed| {
-        let (.., listing) = check_bake(&program, &compiled, 1000, seed, "runtime", KernelOptions::new());
-        listing.lines().skip_while(|l| !l.starts_with("pair x")).any(|l| l.contains("vshiftpair(") && l.ends_with(", 16)"))
+        let (.., listing) = check_bake(
+            &program,
+            &compiled,
+            1000,
+            seed,
+            "runtime",
+            KernelOptions::new(),
+        );
+        listing
+            .lines()
+            .skip_while(|l| !l.starts_with("pair x"))
+            .any(|l| l.contains("vshiftpair(") && l.ends_with(", 16)"))
     });
     let seed = whole.expect("a layout that shifts by 16");
     amounts.insert(16);
@@ -666,14 +794,19 @@ fn paired_halves_match_the_portable_tier_at_strip_boundaries() {
             if let Some(pair) = compiled.body_pair_mut().filter(|_| mismatch) {
                 let (c, d) = (ArrayId::from_index(2), ArrayId::from_index(3));
                 let last_c = pair.iter_mut().rev().find_map(|inst| match inst {
-                    VInst::LoadA { addr, .. } | VInst::LoadU { addr, .. } if addr.array == c => Some(addr),
+                    VInst::LoadA { addr, .. } | VInst::LoadU { addr, .. } if addr.array == c => {
+                        Some(addr)
+                    }
                     _ => None,
                 });
                 last_c.expect("the second half loads c").array = d;
             }
             let label = format!("{label} ub={ub}");
             let supers = supers(&program, &compiled, ub, ub);
-            assert!(!supers.is_empty() && supers.iter().all(|&(_, paired, _)| paired == 0), "{label}: {supers:?}");
+            assert!(
+                !supers.is_empty() && supers.iter().all(|&(_, paired, _)| paired == 0),
+                "{label}: {supers:?}"
+            );
             check_bakes(&program, &compiled, ub, ub, &label)
         };
         check_strip_boundaries(label, &mut runs, 8);
@@ -704,12 +837,25 @@ fn family_source(family: usize, op: usize, ty: &str, n: u64) -> String {
         f @ ("min" | "max") => format!("{f}({x}, {y})"),
         o => format!("{x} {o} {y}"),
     };
-    let arrays = |names: &[&str]| names.iter().map(|a| format!("{a}: {ty}[{len}] @ 0;")).collect::<Vec<_>>().join(" ");
+    let arrays = |names: &[&str]| {
+        names
+            .iter()
+            .map(|a| format!("{a}: {ty}[{len}] @ 0;"))
+            .collect::<Vec<_>>()
+            .join(" ")
+    };
     match family {
         // Three streams where the operator reassociates, two for `-`.
         0 => {
-            let rhs = if BINOPS[op] == "-" { bin("b[i]", "c[i]") } else { bin(&bin("b[i]", "c[i]"), "d[i]") };
-            format!("arrays {{ {} }} for i in 0..{n} {{ a[i] = {rhs}; }}", arrays(&["a", "b", "c", "d"]))
+            let rhs = if BINOPS[op] == "-" {
+                bin("b[i]", "c[i]")
+            } else {
+                bin(&bin("b[i]", "c[i]"), "d[i]")
+            };
+            format!(
+                "arrays {{ {} }} for i in 0..{n} {{ a[i] = {rhs}; }}",
+                arrays(&["a", "b", "c", "d"])
+            )
         }
         // The store a lane off the streams: a rotation shift feeds it.
         1 => format!(
@@ -739,9 +885,11 @@ fn superinstruction_families_match_interpreter_at_strip_boundaries() {
             for (op, symbol) in BINOPS.into_iter().enumerate() {
                 let label = format!("{name} {symbol} {ty}");
                 let mut runs = |ub| {
-                    let program = simdize::parse_program(&family_source(family, op, ty, ub)).unwrap();
+                    let program =
+                        simdize::parse_program(&family_source(family, op, ty, ub)).unwrap();
                     let compiled = Simdizer::new().compile(&program).unwrap();
-                    let bakes = check_bakes(&program, &compiled, ub, ub, &format!("{label} ub={ub}"));
+                    let bakes =
+                        check_bakes(&program, &compiled, ub, ub, &format!("{label} ub={ub}"));
                     for (_, _, listing) in &bakes {
                         let selected = strip_dispatches(listing).iter().any(|l| l.contains(mark));
                         assert!(selected, "{label} ub={ub}: not selected\n{listing}");
@@ -756,7 +904,9 @@ fn superinstruction_families_match_interpreter_at_strip_boundaries() {
 
 /// Whether a listing's first strip section runs a mixed tree.
 fn runs_a_tree(listing: &str) -> bool {
-    strip_dispatches(listing).iter().any(|l| l.starts_with("  fold") && l.contains(" over "))
+    strip_dispatches(listing)
+        .iter()
+        .any(|l| l.starts_with("  fold") && l.contains(" over "))
 }
 
 /// The mixed-tree family and the gathers trace fusion composes for it,
@@ -772,36 +922,80 @@ fn runs_a_tree(listing: &str) -> bool {
 #[test]
 fn mixed_trees_match_interpreter_at_strip_boundaries() {
     fn squares(ty: &'static str, at: u64, rhs: &'static str) -> impl Fn(u64) -> String {
-        move |ub| format!("arrays {{ out: {ty}[{}] @ 0; x: {ty}[{}] @ {at}; }} for i in 0..{ub} {{ out[i] = {rhs}; }}", ub + 16, 2 * ub + 32)
+        move |ub| {
+            format!("arrays {{ out: {ty}[{}] @ 0; x: {ty}[{}] @ {at}; }} for i in 0..{ub} {{ out[i] = {rhs}; }}", ub + 16, 2 * ub + 32)
+        }
     }
     let sum = "x[2*i] * x[2*i] + x[2*i+1] * x[2*i+1]";
     type Case = (String, u64, Box<dyn Fn(u64) -> String>);
     let mut cases: Vec<Case> = Vec::new();
     for ty in ["i8", "i16", "i32", "i64"] {
         let lanes = 128 / ty[1..].parse::<u64>().unwrap();
-        cases.push((format!("stride 2 {ty}"), lanes, Box::new(squares(ty, 0, sum))));
+        cases.push((
+            format!("stride 2 {ty}"),
+            lanes,
+            Box::new(squares(ty, 0, sum)),
+        ));
     }
     for at in [0, 4, 8, 12] {
-        cases.push((format!("deinterleave @ {at}"), 4, Box::new(squares("i32", at, sum))));
+        cases.push((
+            format!("deinterleave @ {at}"),
+            4,
+            Box::new(squares("i32", at, sum)),
+        ));
     }
-    cases.push(("non-reassociable root".into(), 4, Box::new(squares("i32", 0, "x[2*i] * x[2*i] - x[2*i+1] * x[2*i+1]"))));
-    cases.push(("stride-2 copy".into(), 4, Box::new(squares("i32", 8, "x[2*i+1]"))));
-    cases.push(("splat leaf".into(), 4, Box::new(squares("i32", 4, "x[2*i] * 3 + x[2*i+1]"))));
+    cases.push((
+        "non-reassociable root".into(),
+        4,
+        Box::new(squares("i32", 0, "x[2*i] * x[2*i] - x[2*i+1] * x[2*i+1]")),
+    ));
+    cases.push((
+        "stride-2 copy".into(),
+        4,
+        Box::new(squares("i32", 8, "x[2*i+1]")),
+    ));
+    cases.push((
+        "splat leaf".into(),
+        4,
+        Box::new(squares("i32", 4, "x[2*i] * 3 + x[2*i+1]")),
+    ));
     let streams = |rhs: &'static str| {
         move |ub: u64| {
-            let arrays: Vec<String> = ["a", "b", "c", "d"].iter().map(|a| format!("{a}: i32[{}] @ 0;", ub + 16)).collect();
-            format!("arrays {{ acc: i32[4] @ 0; {} }} for i in 0..{ub} {{ {rhs} }}", arrays.join(" "))
+            let arrays: Vec<String> = ["a", "b", "c", "d"]
+                .iter()
+                .map(|a| format!("{a}: i32[{}] @ 0;", ub + 16))
+                .collect();
+            format!(
+                "arrays {{ acc: i32[4] @ 0; {} }} for i in 0..{ub} {{ {rhs} }}",
+                arrays.join(" ")
+            )
         }
     };
-    cases.push(("tree into a lane partial".into(), 4, Box::new(streams("acc[i] += b[i] * 3 - c[i] * d[i];"))));
-    cases.push(("sub tree".into(), 4, Box::new(streams("a[i] = b[i] - c[i] - d[i];"))));
-    cases.push(("immediate operand".into(), 4, Box::new(streams("a[i] = b[i] * 3 + c[i];"))));
+    cases.push((
+        "tree into a lane partial".into(),
+        4,
+        Box::new(streams("acc[i] += b[i] * 3 - c[i] * d[i];")),
+    ));
+    cases.push((
+        "sub tree".into(),
+        4,
+        Box::new(streams("a[i] = b[i] - c[i] - d[i];")),
+    ));
+    cases.push((
+        "immediate operand".into(),
+        4,
+        Box::new(streams("a[i] = b[i] * 3 + c[i];")),
+    ));
     for (label, lanes, source) in &cases {
         let mut runs = |ub| {
             let program = simdize::parse_program(&source(ub)).unwrap();
             let compiled = Simdizer::new().compile(&program).unwrap();
             let bakes = check_bakes(&program, &compiled, ub, ub, &format!("{label} ub={ub}"));
-            assert!(runs_a_tree(&bakes[0].2), "{label} ub={ub}: no mixed tree\n{}", bakes[0].2);
+            assert!(
+                runs_a_tree(&bakes[0].2),
+                "{label} ub={ub}: no mixed tree\n{}",
+                bakes[0].2
+            );
             bakes
         };
         check_strip_boundaries(label, &mut runs, 2 * lanes);
@@ -810,11 +1004,24 @@ fn mixed_trees_match_interpreter_at_strip_boundaries() {
         let label = format!("alpha_blend zero={zero}");
         let mut runs = |ub| {
             let (program, _) = simdize_workloads::alpha_blend(ub);
-            let driver = if zero { Simdizer::new().policy(Policy::Zero) } else { Simdizer::new() };
+            let driver = if zero {
+                Simdizer::new().policy(Policy::Zero)
+            } else {
+                Simdizer::new()
+            };
             let compiled = driver.compile(&program).unwrap();
-            let input = RunInput { params: vec![77, 179], ..RunInput::with_ub(ub) };
-            let bakes = check_bakes_with(&program, &compiled, &input, ub, &format!("{label} ub={ub}"));
-            assert_eq!(runs_a_tree(&bakes[0].2), zero, "{label} ub={ub}\n{}", bakes[0].2);
+            let input = RunInput {
+                params: vec![77, 179],
+                ..RunInput::with_ub(ub)
+            };
+            let bakes =
+                check_bakes_with(&program, &compiled, &input, ub, &format!("{label} ub={ub}"));
+            assert_eq!(
+                runs_a_tree(&bakes[0].2),
+                zero,
+                "{label} ub={ub}\n{}",
+                bakes[0].2
+            );
             bakes
         };
         check_strip_boundaries(&label, &mut runs, 32);
@@ -837,10 +1044,16 @@ fn mixed_trees_match_interpreter_at_every_last_strip_length() {
         )
     };
     let partial = |ub: u64| {
-        let arrays: Vec<String> = ["b", "c", "d"].iter().map(|a| format!("{a}: i32[{}] @ 0;", ub + 16)).collect();
+        let arrays: Vec<String> = ["b", "c", "d"]
+            .iter()
+            .map(|a| format!("{a}: i32[{}] @ 0;", ub + 16))
+            .collect();
         format!("arrays {{ acc: i32[4] @ 0; {} }} for i in 0..{ub} {{ acc[i] += b[i] * 3 - c[i] * d[i]; }}", arrays.join(" "))
     };
-    let cases: [(&str, &dyn Fn(u64) -> String); 2] = [("deinterleave", &deinterleave), ("tree into a lane partial", &partial)];
+    let cases: [(&str, &dyn Fn(u64) -> String); 2] = [
+        ("deinterleave", &deinterleave),
+        ("tree into a lane partial", &partial),
+    ];
     for (label, source) in cases {
         let mut last = BTreeSet::new();
         // Eight elements a pair iteration, half a pair apart.
@@ -848,7 +1061,11 @@ fn mixed_trees_match_interpreter_at_every_last_strip_length() {
             let program = simdize::parse_program(&source(ub)).unwrap();
             let compiled = Simdizer::new().compile(&program).unwrap();
             let bakes = check_bakes(&program, &compiled, ub, ub, &format!("{label} ub={ub}"));
-            assert!(runs_a_tree(&bakes[0].2), "{label} ub={ub}: no mixed tree\n{}", bakes[0].2);
+            assert!(
+                runs_a_tree(&bakes[0].2),
+                "{label} ub={ub}: no mixed tree\n{}",
+                bakes[0].2
+            );
             for (schedule, pairs, _) in bakes {
                 assert_eq!(schedule, SectionSchedule::Strip, "{label} ub={ub}");
                 if pairs > STRIP {
@@ -856,7 +1073,11 @@ fn mixed_trees_match_interpreter_at_every_last_strip_length() {
                 }
             }
         }
-        assert_eq!(last, (1..=STRIP).collect::<BTreeSet<_>>(), "{label}: last strip lengths");
+        assert_eq!(
+            last,
+            (1..=STRIP).collect::<BTreeSet<_>>(),
+            "{label}: last strip lengths"
+        );
     }
 }
 
@@ -868,13 +1089,17 @@ fn mixed_trees_match_interpreter_at_every_last_strip_length() {
 fn shapes_outside_the_families_fall_back_to_the_generic_driver() {
     let arrays = "arrays { a: i32[520] @ 0; b: i32[520] @ 0; c: i32[520] @ 0; d: i32[520] @ 0; }";
     let compile = |body: &str, driver: Simdizer| {
-        let program = simdize::parse_program(&format!("{arrays} for i in 0..500 {{ {body} }}")).unwrap();
+        let program =
+            simdize::parse_program(&format!("{arrays} for i in 0..500 {{ {body} }}")).unwrap();
         let compiled = driver.compile(&program).unwrap();
         (program, compiled)
     };
     let d = ArrayId::from_index(3);
     let mut cases = Vec::new();
-    cases.push(("three levels", compile("a[i] = (b[i] + c[i]) * d[i] - b[i];", Simdizer::new())));
+    cases.push((
+        "three levels",
+        compile("a[i] = (b[i] + c[i]) * d[i] - b[i];", Simdizer::new()),
+    ));
 
     // Every loop store of the sum again, to `d`.
     let (program, mut stored_twice) = compile("a[i] = b[i] + c[i];", Simdizer::new());
@@ -882,7 +1107,10 @@ fn shapes_outside_the_families_fall_back_to_the_generic_driver() {
         let copies: Vec<VInst> = insts
             .iter()
             .filter_map(|inst| match *inst {
-                VInst::StoreA { addr, src } => Some(VInst::StoreA { addr: Addr { array: d, ..addr }, src }),
+                VInst::StoreA { addr, src } => Some(VInst::StoreA {
+                    addr: Addr { array: d, ..addr },
+                    src,
+                }),
                 _ => None,
             })
             .collect();
@@ -901,19 +1129,41 @@ fn shapes_outside_the_families_fall_back_to_the_generic_driver() {
         _ => None,
     });
     let src = sum.expect("the body adds");
-    read_after.epilogue_mut().push(VInst::StoreA { addr: Addr::new(d, 0), src });
+    read_after.epilogue_mut().push(VInst::StoreA {
+        addr: Addr::new(d, 0),
+        src,
+    });
     cases.push(("read by the epilogue", (program, read_after)));
 
-    let chain = Simdizer::new().reuse(ReuseMode::PredictiveCommoning).unroll(false);
-    cases.push(("chain of depth 2", compile("a[i] = b[i] + b[i+4] + b[i+8];", chain)));
+    let chain = Simdizer::new()
+        .reuse(ReuseMode::PredictiveCommoning)
+        .unroll(false);
+    cases.push((
+        "chain of depth 2",
+        compile("a[i] = b[i] + b[i+4] + b[i+8];", chain),
+    ));
 
     for (name, (program, compiled)) in cases {
         for fuse in [true, false] {
             let label = format!("{name} fuse={fuse}");
-            let (schedule, _, listing) = check_bake(&program, &compiled, 500, 3, &label, KernelOptions::new().fuse(fuse));
-            assert_eq!(main_loop(schedule), SectionSchedule::Strip, "{label}\n{listing}");
+            let (schedule, _, listing) = check_bake(
+                &program,
+                &compiled,
+                500,
+                3,
+                &label,
+                KernelOptions::new().fuse(fuse),
+            );
+            assert_eq!(
+                main_loop(schedule),
+                SectionSchedule::Strip,
+                "{label}\n{listing}"
+            );
             let dispatches = strip_dispatches(&listing);
-            assert!(!dispatches.is_empty() && dispatches.iter().all(|l| !l.starts_with("  fold")), "{label}\n{listing}");
+            assert!(
+                !dispatches.is_empty() && dispatches.iter().all(|l| !l.starts_with("  fold")),
+                "{label}\n{listing}"
+            );
             if name == "chain of depth 2" {
                 assert!(listing.contains(": 2 seed lane(s)"), "{label}\n{listing}");
             }

@@ -10,14 +10,24 @@ use simdize_suite::strided_loop;
 /// returns the default driver's report.
 fn verify(p: &LoopProgram, seed: u64) -> simdize::Report {
     for policy in Policy::ALL {
-        for reuse in [ReuseMode::None, ReuseMode::SoftwarePipeline, ReuseMode::PredictiveCommoning] {
+        for reuse in [
+            ReuseMode::None,
+            ReuseMode::SoftwarePipeline,
+            ReuseMode::PredictiveCommoning,
+        ] {
             for unroll in [false, true] {
                 let driver = Simdizer::new().policy(policy).reuse(reuse).unroll(unroll);
                 let r = driver.evaluate(p, seed).unwrap_or_else(|e| {
                     panic!("{policy}/{reuse:?}/unroll={unroll} failed: {e}\n{p}");
                 });
-                assert!(r.verified, "{policy}/{reuse:?}/unroll={unroll} diverged:\n{p}");
-                assert!(r.opd + 1e-9 >= r.lower_bound_opd, "{policy}/{reuse:?}: under the bound");
+                assert!(
+                    r.verified,
+                    "{policy}/{reuse:?}/unroll={unroll} diverged:\n{p}"
+                );
+                assert!(
+                    r.opd + 1e-9 >= r.lower_bound_opd,
+                    "{policy}/{reuse:?}: under the bound"
+                );
             }
         }
     }
@@ -83,7 +93,11 @@ fn runtime_aligned_streams_beside_a_pack() {
          for i in 0..501 { out[i+1] = src[2*i+1] + y[i+2]; }",
     )
     .unwrap();
-    for reuse in [ReuseMode::None, ReuseMode::SoftwarePipeline, ReuseMode::PredictiveCommoning] {
+    for reuse in [
+        ReuseMode::None,
+        ReuseMode::SoftwarePipeline,
+        ReuseMode::PredictiveCommoning,
+    ] {
         for seed in 1..4 {
             let r = Simdizer::new().reuse(reuse).evaluate(&p, seed).unwrap();
             assert!(r.verified, "{reuse:?} seed {seed} diverged");

@@ -52,10 +52,16 @@ fn concurrent_request_scopes_collect_exact_counts() {
         assert_eq!(trace.events.len(), ITERS * 2, "{:?}", trace.events);
         assert_eq!(trace.spans.len(), 1);
         let outer = &trace.spans[0];
-        assert_eq!((outer.name.as_str(), outer.count), ("stress.outer", ITERS as u64));
+        assert_eq!(
+            (outer.name.as_str(), outer.count),
+            ("stress.outer", ITERS as u64)
+        );
         assert_eq!(outer.children.len(), 1);
         let inner = &outer.children[0];
-        assert_eq!((inner.name.as_str(), inner.count), ("stress.inner", ITERS as u64));
+        assert_eq!(
+            (inner.name.as_str(), inner.count),
+            ("stress.inner", ITERS as u64)
+        );
         // The same-key tag kept the last write.
         assert_eq!(trace.attrs["iter"], (ITERS - 1).to_string());
         merged.merge(&hist);
@@ -64,10 +70,7 @@ fn concurrent_request_scopes_collect_exact_counts() {
     // every thread is accounted for, with exact extremes and sum.
     assert_eq!(merged.count(), (THREADS * ITERS) as u64);
     assert_eq!(merged.max(), ITERS as u64);
-    assert_eq!(
-        merged.sum(),
-        (THREADS * ITERS * (ITERS + 1) / 2) as u64
-    );
+    assert_eq!(merged.sum(), (THREADS * ITERS * (ITERS + 1) / 2) as u64);
     // This thread never held a scope, so its context is clear.
     assert!(telemetry::current_context().is_none());
 }

@@ -38,7 +38,10 @@ fn chrome_export_agrees_with_the_span_timeline() {
     );
     for ev in &trace.events {
         let name = ev.path.rsplit('/').next().unwrap();
-        assert!(chrome.contains(&format!("\"name\":\"{name}\"")), "{name} missing");
+        assert!(
+            chrome.contains(&format!("\"name\":\"{name}\"")),
+            "{name} missing"
+        );
     }
     // The document is parseable JSON with the trace id in the root args.
     let doc = simdize_telemetry::json::parse(&chrome).unwrap();
@@ -55,7 +58,9 @@ fn every_sample_loop_traces_with_the_bound_run_reports() {
         let (trace, outcome) = trace_source(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(outcome.verified, "{name}");
         assert_eq!(outcome.sweep_verified, outcome.sweep_jobs, "{name}");
-        let report = Simdizer::new().evaluate(&parse_program(&src).unwrap(), 1).unwrap();
+        let report = Simdizer::new()
+            .evaluate(&parse_program(&src).unwrap(), 1)
+            .unwrap();
         let bound = format!("{:.3}", report.lower_bound_opd);
         assert_eq!(trace.attrs["opd.bound"], bound, "{name}");
         if name == "deinterleave" {

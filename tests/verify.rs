@@ -29,7 +29,10 @@ fn figure1_quick_proof_holds() {
         assert_eq!(h.violations, 0);
     }
     assert!(
-        report.harnesses.iter().any(|h| h.name == "harness_native_equiv"),
+        report
+            .harnesses
+            .iter()
+            .any(|h| h.name == "harness_native_equiv"),
         "the intrinsics backend must be part of the quick proof"
     );
 }
@@ -64,9 +67,18 @@ fn mutate_and_catch_shrinks_to_a_replayable_counterexample() {
             let replays = command.contains("| simdize run -")
                 || command.contains("| SIMDIZE_ISA=scalar simdize run -");
             assert!(replays, "{kind:?} replay not a command line: {}", ce.replay);
-            assert!(!command.contains("--engine native"), "{kind:?}: {}", ce.replay);
+            assert!(
+                !command.contains("--engine native"),
+                "{kind:?}: {}",
+                ce.replay
+            );
             let engine = ce.harness != "harness_codegen_equiv";
-            assert_eq!(command.ends_with(" --engine simd"), engine, "{kind:?}: {}", ce.replay);
+            assert_eq!(
+                command.ends_with(" --engine simd"),
+                engine,
+                "{kind:?}: {}",
+                ce.replay
+            );
         }
         assert!(
             ce.replay.contains("--policy") && ce.replay.contains("--reuse"),
