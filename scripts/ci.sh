@@ -3,7 +3,9 @@
 #
 # Everything runs with `--offline`: the repo has no external
 # dependencies, and CI must never reach for the network. The workspace
-# build is followed at once by a build of the BENCHMARK.json package
+# build is followed at once by a format check (`cargo fmt` with
+# rustfmt's defaults over the workspace; `cargo fmt` takes no
+# `--offline` and needs none) and a build of the BENCHMARK.json package
 # (`benchmark/`, outside the workspace and frozen between benchmark
 # PRs), so an API break against it fails in the first minutes. The root
 # `cargo build`/`cargo test` pair is the tier-1 gate (the root package
@@ -47,6 +49,9 @@ trap 'if [ -n "$serve_pid" ]; then kill "$serve_pid" 2>/dev/null || true; fi; rm
 
 echo "== build (release, workspace) =="
 cargo build --release --offline --workspace
+
+echo "== format (rustfmt's defaults, workspace) =="
+cargo fmt --all -- --check
 
 echo "== build (release, BENCHMARK.json package) =="
 # Outside the workspace, so nothing else compiles it; it spells the
