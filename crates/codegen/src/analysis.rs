@@ -8,7 +8,7 @@
 //! exceeds that spill. [`max_live_vregs`] measures it.
 
 use crate::vir::{SimdProgram, VInst, VReg};
-use std::collections::HashSet;
+use simdize_ir::hash::HashSet;
 
 /// The maximum number of simultaneously live virtual vector registers
 /// in the steady-state body (the unrolled pair when present, since
@@ -21,8 +21,8 @@ pub fn max_live_vregs(program: &SimdProgram) -> usize {
     let body: &[VInst] = program.body_pair().unwrap_or(program.body());
     // Live-in of the body equals its own live-out (steady loop): the
     // registers read before being defined within the body.
-    let mut defined: HashSet<VReg> = HashSet::new();
-    let mut live_in: HashSet<VReg> = HashSet::new();
+    let mut defined: HashSet<VReg> = HashSet::default();
+    let mut live_in: HashSet<VReg> = HashSet::default();
     for inst in body {
         inst.visit_uses(&mut |r| {
             if !defined.contains(&r) {

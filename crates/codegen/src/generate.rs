@@ -8,9 +8,9 @@ use crate::passes::lvn::Table;
 use crate::sexpr::{SCond, SExpr};
 use crate::trace::{BoundFormula, CodegenEvent, CodegenTrace, Recorder, SectionCounts};
 use crate::vir::{Addr, SimdProgram, VInst, VReg};
+use simdize_ir::hash::{HashMap, HashSet};
 use simdize_ir::{AlignKind, ArrayRef, BinOp, Invariant, ScalarType, TripCount};
 use simdize_reorg::{NodeId, Offset, RNode, ReorgGraph, ShiftDir, VOpKind};
-use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -175,7 +175,7 @@ impl<'g> Generator<'g> {
             ReuseMode::SoftwarePipeline => graph.shift_count(),
             _ => 0,
         };
-        let mut pack_chunks = HashSet::new();
+        let mut pack_chunks = HashSet::default();
         if options.reuse_mode() == ReuseMode::SoftwarePipeline {
             let lanes = graph.blocking_factor() as usize;
             for node in graph.nodes() {
@@ -195,9 +195,9 @@ impl<'g> Generator<'g> {
             next_reg: 0,
             prologue: None,
             carried: Vec::with_capacity(carried),
-            sp_memo: HashMap::with_capacity(carried),
+            sp_memo: HashMap::with_capacity_and_hasher(carried, Default::default()),
             pack_chunks,
-            chunk_memo: HashMap::new(),
+            chunk_memo: HashMap::default(),
             chunk_carried: Vec::new(),
             at: None,
             ub: graph.program().trip().known().map_or(0, |ub| ub as i64),

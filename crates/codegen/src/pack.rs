@@ -23,19 +23,23 @@ use std::ops::Range;
 /// compile-time byte selections) and the trip count (a partial scatter
 /// deposits a compile-time number of lanes).
 pub(crate) fn check(program: &LoopProgram) -> Result<(), GenCodeError> {
-    for r in program
-        .all_refs()
-        .into_iter()
-        .filter(|r| !r.is_unit_stride())
-    {
-        if !program.array(r.array).align().is_known() {
-            return Err(GenCodeError::StrideNeedsKnownAlignment);
+    // The first non-unit-stride reference decides, in `all_refs` order:
+    // each statement's loads, then its target.
+    let mut verdict = Ok(());
+    let mut check = |r: ArrayRef| {
+        if verdict.is_ok() && !r.is_unit_stride() {
+            if !program.array(r.array).align().is_known() {
+                verdict = Err(GenCodeError::StrideNeedsKnownAlignment);
+            } else if program.trip().known().is_none() {
+                verdict = Err(GenCodeError::StrideNeedsKnownTrip);
+            }
         }
-        if program.trip().known().is_none() {
-            return Err(GenCodeError::StrideNeedsKnownTrip);
-        }
+    };
+    for s in program.stmts() {
+        s.rhs.visit_loads(&mut check);
+        check(s.target);
     }
-    Ok(())
+    verdict
 }
 
 /// Where the elements of one non-unit-stride reference sit at a

@@ -31,9 +31,9 @@
 
 use crate::sexpr::SExpr;
 use crate::vir::{SimdProgram, VInst, VReg};
+use simdize_ir::hash::HashMap;
 use simdize_ir::{AlignKind, BinOp, LoopProgram, ParamId, UnOp, VectorShape};
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 /// Numbers every section of `program` in place.
 pub(crate) fn run(program: &mut SimdProgram, memnorm: bool) {
@@ -157,10 +157,10 @@ impl<'p> Table<'p> {
             source,
             shape,
             memnorm,
-            values: HashMap::with_capacity(capacity),
+            values: HashMap::with_capacity_and_hasher(capacity, Default::default()),
             epochs: vec![0; source.arrays().len()],
-            exprs: HashMap::new(),
-            patterns: HashMap::new(),
+            exprs: HashMap::default(),
+            patterns: HashMap::default(),
             undo: Vec::new(),
             depth: 0,
         }

@@ -17,7 +17,7 @@
 //! paper's evaluation can compare the two as alternatives.
 
 use crate::vir::{SimdProgram, VInst, VReg};
-use std::collections::HashMap;
+use simdize_ir::hash::HashMap;
 
 pub(crate) fn run(program: &mut SimdProgram) {
     let b = program.block() as i64;
@@ -42,7 +42,7 @@ pub(crate) fn run(program: &mut SimdProgram) {
         .collect();
 
     // Signatures at substitution 0 and +B for every defined register.
-    let mut sig0: HashMap<String, VReg> = HashMap::new();
+    let mut sig0: HashMap<String, VReg> = HashMap::default();
     let mut candidates: Vec<(VReg, String, usize)> = Vec::new();
     for &reg in defs.keys() {
         if let Some((s0, size, has_load)) = signature(reg, 0, &defs) {
@@ -78,7 +78,7 @@ pub(crate) fn run(program: &mut SimdProgram) {
     }
 
     // Apply: carried register per pair; uses of e1 → carried.
-    let mut rename: HashMap<VReg, VReg> = HashMap::new();
+    let mut rename: HashMap<VReg, VReg> = HashMap::default();
     let mut inits: Vec<VInst> = Vec::new();
     let mut copies: Vec<(VReg, VReg)> = Vec::new();
     for &(e1, e2) in &chosen {

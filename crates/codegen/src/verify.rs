@@ -22,7 +22,7 @@
 //!   epilogue would read stale chunks.
 
 use crate::vir::{SimdProgram, VInst, VReg};
-use std::collections::HashSet;
+use simdize_ir::hash::HashSet;
 use std::error::Error;
 use std::fmt;
 
@@ -145,11 +145,11 @@ pub fn verify_program(program: &SimdProgram) -> Result<(), VerifyProgramError> {
     };
 
     // Definitions available at the top of each section.
-    let mut prologue_defs: HashSet<VReg> = HashSet::new();
+    let mut prologue_defs: HashSet<VReg> = HashSet::default();
     check_section(
         "prologue",
         program.prologue(),
-        &HashSet::new(),
+        &HashSet::default(),
         &mut prologue_defs,
         &ctx,
     )?;

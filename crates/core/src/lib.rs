@@ -87,7 +87,7 @@ pub use simdize_codegen::{
 pub use simdize_ir::{
     parse_program, AlignKind, ArrayDecl, ArrayId, ArrayRef, BinOp, Expr, Invariant, Lane,
     LoopBuilder, LoopProgram, ParamId, ParseProgramError, ScalarType, Stmt, TripCount, UnOp,
-    ValidateLoopError, Value, VectorShape,
+    ValidateLoopError, Value, VectorShape, MAX_EXPR_DEPTH,
 };
 pub use simdize_reorg::{
     branch_and_bound_shift_counts, distinct_alignments, optimal_shift_counts, reassociate,

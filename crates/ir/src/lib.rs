@@ -54,6 +54,7 @@ mod array;
 mod builder;
 mod error;
 mod expr;
+pub mod hash;
 mod parser;
 mod program;
 mod stmt;
@@ -64,7 +65,7 @@ pub use array::{AlignKind, ArrayDecl, ArrayId, ArrayRef};
 pub use builder::{ArrayHandle, LoopBuilder};
 pub use error::ValidateLoopError;
 pub use expr::{BinOp, Expr, Invariant, UnOp};
-pub use parser::{parse_program, ParseProgramError};
+pub use parser::{parse_program, ParseProgramError, MAX_EXPR_DEPTH};
 pub use program::{LoopProgram, ParamDecl, ParamId, TripCount};
 pub use stmt::Stmt;
 pub use types::{ScalarType, VectorShape};

@@ -18,9 +18,9 @@ use crate::array::{AlignKind, ArrayRef};
 use crate::builder::{ArrayHandle, LoopBuilder};
 use crate::error::ValidateLoopError;
 use crate::expr::{BinOp, Expr, UnOp};
+use crate::hash::HashMap;
 use crate::program::{LoopProgram, TripCount};
 use crate::types::ScalarType;
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -55,12 +55,27 @@ impl From<ValidateLoopError> for ParseProgramError {
     }
 }
 
+/// The deepest expression the parser accepts: the height of its tree,
+/// where every operator, call and pair of parentheses is one level and
+/// a load, constant or parameter the last.
+///
+/// The stages after the parser walk an expression by recursion
+/// (reassociation, graph building, placement, code generation, the
+/// scalar oracle, `Drop`), so without a bound a source as deep as it is
+/// long — 5 000 nested parentheses, or a 5 000-term sum — overflows
+/// the stack of the thread that compiles it. A debug build compiles and
+/// evaluates loops of 1 600 levels on a 2 MiB thread and overflows
+/// before 3 200; this bound keeps three times that margin, and
+/// `tests/pipeline.rs` compiles a loop of exactly this depth there.
+pub const MAX_EXPR_DEPTH: usize = 512;
+
 /// Parses a [`LoopProgram`] from the textual syntax.
 ///
 /// # Errors
 ///
-/// Returns a [`ParseProgramError`] on malformed syntax or when the parsed
-/// loop fails [`LoopProgram::validate`].
+/// Returns a [`ParseProgramError`] on malformed syntax, on an
+/// expression deeper than [`MAX_EXPR_DEPTH`], or when the parsed loop
+/// fails [`LoopProgram::validate`].
 ///
 /// # Example
 ///
@@ -73,11 +88,16 @@ impl From<ValidateLoopError> for ParseProgramError {
 /// # Ok::<(), simdize_ir::ParseProgramError>(())
 /// ```
 pub fn parse_program(src: &str) -> Result<LoopProgram, ParseProgramError> {
-    Parser::new(src).parse()
+    let mut parser = Parser::new(src);
+    let parsed = parser.parse();
+    // A character the lexer rejects is the error wherever it stands,
+    // even past a token the grammar rejected first.
+    parser.lex_to_end()?;
+    parsed
 }
 
 /// A token. Identifiers borrow the source text, so tokens are `Copy`
-/// and tokenizing allocates nothing per identifier.
+/// and lexing allocates nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Tok<'a> {
     Ident(&'a str),
@@ -87,88 +107,133 @@ enum Tok<'a> {
     Eof,
 }
 
+/// A token and the byte position it starts at.
+type Spanned<'a> = (Tok<'a>, usize);
+
+/// An expression and its depth, as [`MAX_EXPR_DEPTH`] counts it.
+type Deep = (Expr, usize);
+
+/// A recursive-descent parser over a two-token window: the source is
+/// lexed one token ahead of the token being parsed.
 struct Parser<'a> {
     src: &'a str,
-    toks: Vec<(Tok<'a>, usize)>,
-    pos: usize,
+    /// Where lexing resumes: just past `next`.
+    cursor: usize,
+    cur: Spanned<'a>,
+    next: Spanned<'a>,
+    /// The lexing error that ended the token stream, if any.
+    lex_error: Option<ParseProgramError>,
+    /// Operators, calls and parentheses open around the token being
+    /// parsed.
+    nesting: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(src: &'a str) -> Parser<'a> {
-        Parser {
+        let mut p = Parser {
             src,
-            toks: Vec::new(),
-            pos: 0,
-        }
+            cursor: 0,
+            cur: (Tok::Eof, src.len()),
+            next: (Tok::Eof, src.len()),
+            lex_error: None,
+            nesting: 0,
+        };
+        p.cur = p.lex();
+        p.next = p.lex();
+        p
     }
 
     fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseProgramError> {
-        let position = self
-            .toks
-            .get(self.pos)
-            .map(|&(_, p)| p)
-            .unwrap_or(self.src.len());
         Err(ParseProgramError {
             message: message.into(),
-            position,
+            position: self.cur.1,
         })
     }
 
-    fn tokenize(&mut self) -> Result<(), ParseProgramError> {
+    /// The token at the cursor. After a lexing error, and at the end,
+    /// the end of input.
+    fn lex(&mut self) -> Spanned<'a> {
+        let end = (Tok::Eof, self.src.len());
+        if self.lex_error.is_some() {
+            return end;
+        }
         let bytes = self.src.as_bytes();
-        let mut i = 0;
-        while i < bytes.len() {
-            let c = bytes[i] as char;
-            if c.is_whitespace() {
-                i += 1;
-            } else if c == '/' && bytes.get(i + 1) == Some(&b'/') {
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
+        let mut i = self.cursor;
+        // Whitespace and `//` comments.
+        loop {
+            match bytes.get(i) {
+                Some(&b) if (b as char).is_whitespace() => i += 1,
+                Some(b'/') if bytes.get(i + 1) == Some(&b'/') => {
+                    while i < bytes.len() && bytes[i] != b'\n' {
+                        i += 1;
+                    }
                 }
-            } else if c.is_ascii_alphabetic() || c == '_' {
-                let start = i;
-                while i < bytes.len()
-                    && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] == b'_')
-                {
-                    i += 1;
-                }
-                self.toks.push((Tok::Ident(&self.src[start..i]), start));
-            } else if c.is_ascii_digit() {
-                let start = i;
-                while i < bytes.len() && (bytes[i] as char).is_ascii_digit() {
-                    i += 1;
-                }
-                let n: i64 = self.src[start..i].parse().map_err(|_| ParseProgramError {
-                    message: "integer literal out of range".into(),
-                    position: start,
-                })?;
-                self.toks.push((Tok::Int(n), start));
-            } else if c == '.' && bytes.get(i + 1) == Some(&b'.') {
-                self.toks.push((Tok::DotDot, i));
-                i += 2;
-            } else if "{}[]()@;:=+-*&|^~,?".contains(c) {
-                self.toks.push((Tok::Punct(c), i));
-                i += 1;
-            } else {
-                return Err(ParseProgramError {
-                    message: format!("unexpected character `{c}`"),
-                    position: i,
-                });
+                _ => break,
             }
         }
-        self.toks.push((Tok::Eof, self.src.len()));
-        Ok(())
+        let Some(&c) = bytes.get(i) else {
+            self.cursor = i;
+            return end;
+        };
+        let start = i;
+        let tok = match c {
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
+                    i += 1;
+                }
+                Tok::Ident(&self.src[start..i])
+            }
+            b'0'..=b'9' => {
+                while i < bytes.len() && bytes[i].is_ascii_digit() {
+                    i += 1;
+                }
+                match self.src[start..i].parse() {
+                    Ok(n) => Tok::Int(n),
+                    Err(_) => return self.lex_failed("integer literal out of range".into(), start),
+                }
+            }
+            b'.' if bytes.get(i + 1) == Some(&b'.') => {
+                i += 2;
+                Tok::DotDot
+            }
+            b'{' | b'}' | b'[' | b']' | b'(' | b')' | b'@' | b';' | b':' | b'=' | b'+' | b'-'
+            | b'*' | b'&' | b'|' | b'^' | b'~' | b',' | b'?' => {
+                i += 1;
+                Tok::Punct(c as char)
+            }
+            _ => {
+                let c = c as char;
+                return self.lex_failed(format!("unexpected character `{c}`"), start);
+            }
+        };
+        self.cursor = i;
+        (tok, start)
+    }
+
+    /// Ends the token stream at a lexing error.
+    fn lex_failed(&mut self, message: String, position: usize) -> Spanned<'a> {
+        self.lex_error = Some(ParseProgramError { message, position });
+        self.cursor = self.src.len();
+        (Tok::Eof, self.src.len())
+    }
+
+    /// Lexes what the parse left unread; the first lexing error in the
+    /// source, if there is one.
+    fn lex_to_end(&mut self) -> Result<(), ParseProgramError> {
+        while self.next.0 != Tok::Eof {
+            self.next = self.lex();
+        }
+        self.lex_error.take().map_or(Ok(()), Err)
     }
 
     fn peek(&self) -> Tok<'a> {
-        self.toks[self.pos].0
+        self.cur.0
     }
 
     fn bump(&mut self) -> Tok<'a> {
-        let t = self.toks[self.pos].0;
-        if self.pos + 1 < self.toks.len() {
-            self.pos += 1;
-        }
+        let t = self.cur.0;
+        self.cur = self.next;
+        self.next = self.lex();
         t
     }
 
@@ -212,13 +277,13 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse(mut self) -> Result<LoopProgram, ParseProgramError> {
-        self.tokenize()?;
-
+    fn parse(&mut self) -> Result<LoopProgram, ParseProgramError> {
         // arrays { ... }
         self.expect_ident("arrays")?;
         self.expect_punct('{')?;
-        let mut decls: Vec<(&str, ScalarType, u64, AlignKind)> = Vec::new();
+        // The first array's element type is the loop's.
+        let mut builder: Option<LoopBuilder> = None;
+        let mut arrays: HashMap<&str, ArrayHandle> = HashMap::default();
         while self.peek() != Tok::Punct('}') {
             let name = self.ident()?;
             self.expect_punct(':')?;
@@ -245,23 +310,20 @@ impl<'a> Parser<'a> {
                 AlignKind::Known(off as u32)
             };
             self.expect_punct(';')?;
-            decls.push((name, ty, len as u64, align));
+            let decl = crate::ArrayDecl::new(name, ty, len as u64, align);
+            let h = builder
+                .get_or_insert_with(|| LoopBuilder::new(ty))
+                .declare(decl);
+            arrays.insert(name, h);
         }
         self.bump(); // }
 
-        let elem = match decls.first() {
-            Some(&(_, t, _, _)) => t,
-            None => return self.err("at least one array must be declared"),
+        let Some(mut builder) = builder else {
+            return self.err("at least one array must be declared");
         };
-        let mut builder = LoopBuilder::new(elem);
-        let mut arrays: HashMap<&str, ArrayHandle> = HashMap::new();
-        for (name, ty, len, align) in decls {
-            let h = builder.declare(crate::ArrayDecl::new(name, ty, len, align));
-            arrays.insert(name, h);
-        }
 
         // params { ... } (optional)
-        let mut params: HashMap<&str, crate::ParamId> = HashMap::new();
+        let mut params: HashMap<&str, crate::ParamId> = HashMap::default();
         if self.peek() == Tok::Ident("params") {
             self.bump();
             self.expect_punct('{')?;
@@ -294,7 +356,7 @@ impl<'a> Parser<'a> {
         self.bump();
         self.expect_punct('{')?;
         while self.peek() != Tok::Punct('}') {
-            let target = self.array_ref(&arrays)?;
+            let target = self.target(&arrays)?;
             // `target op= expr;` is a reduction (`+=`, `*=`, `&=`,
             // `|=`, `^=`, `min=`, `max=`); `target = expr;` a store.
             let reduction = match self.peek() {
@@ -311,7 +373,7 @@ impl<'a> Parser<'a> {
                 self.bump();
             }
             self.expect_punct('=')?;
-            let rhs = self.expr(&arrays, &params)?;
+            let (rhs, _) = self.expr(&arrays, &params)?;
             self.expect_punct(';')?;
             match reduction {
                 Some(op) => builder.reduce(target, op, rhs),
@@ -323,15 +385,20 @@ impl<'a> Parser<'a> {
         Ok(builder.finish_trip(trip)?)
     }
 
-    fn array_ref(
+    /// A store target: a declared array's name and its subscript.
+    fn target(
         &mut self,
         arrays: &HashMap<&str, ArrayHandle>,
     ) -> Result<ArrayRef, ParseProgramError> {
         let name = self.ident()?;
-        let h = match arrays.get(name) {
-            Some(h) => *h,
-            None => return self.err(format!("undeclared array `{name}`")),
-        };
+        match arrays.get(name) {
+            Some(&h) => self.subscript(h),
+            None => self.err(format!("undeclared array `{name}`")),
+        }
+    }
+
+    /// The subscript `[stride*i + offset]` after the name of `h`.
+    fn subscript(&mut self, h: ArrayHandle) -> Result<ArrayRef, ParseProgramError> {
         self.expect_punct('[')?;
         // Optional stride multiplier: `name[2*i+3]`.
         let stride = if let Tok::Int(s) = self.peek() {
@@ -364,8 +431,35 @@ impl<'a> Parser<'a> {
         &mut self,
         arrays: &HashMap<&str, ArrayHandle>,
         params: &HashMap<&str, crate::ParamId>,
-    ) -> Result<Expr, ParseProgramError> {
+    ) -> Result<Deep, ParseProgramError> {
         self.bin_expr(arrays, params, 0)
+    }
+
+    /// `depth`, or the error for an expression deeper than
+    /// [`MAX_EXPR_DEPTH`] ending just before the current token.
+    fn check_depth(&self, depth: usize) -> Result<usize, ParseProgramError> {
+        if depth > MAX_EXPR_DEPTH {
+            self.err(format!(
+                "expression nests deeper than {MAX_EXPR_DEPTH} levels"
+            ))
+        } else {
+            Ok(depth)
+        }
+    }
+
+    /// Opens the operator, call or parenthesis at the current token.
+    /// What it encloses is one level deeper still, so the parser
+    /// refuses before it recurses past [`MAX_EXPR_DEPTH`].
+    fn open(&mut self) -> Result<(), ParseProgramError> {
+        self.nesting += 1;
+        self.check_depth(self.nesting + 1).map(|_| ())
+    }
+
+    /// Closes what [`Parser::open`] opened around an expression of
+    /// `depth`; the depth with this level.
+    fn close(&mut self, depth: usize) -> Result<usize, ParseProgramError> {
+        self.nesting -= 1;
+        self.check_depth(depth + 1)
     }
 
     fn bin_expr(
@@ -373,8 +467,8 @@ impl<'a> Parser<'a> {
         arrays: &HashMap<&str, ArrayHandle>,
         params: &HashMap<&str, crate::ParamId>,
         min_prec: u8,
-    ) -> Result<Expr, ParseProgramError> {
-        let mut lhs = self.unary_expr(arrays, params)?;
+    ) -> Result<Deep, ParseProgramError> {
+        let (mut lhs, mut depth) = self.unary_expr(arrays, params)?;
         loop {
             let (op, prec) = match self.peek() {
                 Tok::Punct('|') => (BinOp::Or, 1),
@@ -389,75 +483,87 @@ impl<'a> Parser<'a> {
                 break;
             }
             self.bump();
-            let rhs = self.bin_expr(arrays, params, prec + 1)?;
+            let (rhs, rhs_depth) = self.bin_expr(arrays, params, prec + 1)?;
+            // A chain of operators deepens the tree without nesting.
+            depth = self.check_depth(depth.max(rhs_depth) + 1)?;
             lhs = Expr::binary(op, lhs, rhs);
         }
-        Ok(lhs)
+        Ok((lhs, depth))
+    }
+
+    /// `op` applied to the unary expression after the operator token.
+    fn unary(
+        &mut self,
+        arrays: &HashMap<&str, ArrayHandle>,
+        params: &HashMap<&str, crate::ParamId>,
+        op: UnOp,
+    ) -> Result<Deep, ParseProgramError> {
+        self.open()?;
+        self.bump();
+        let (inner, depth) = self.unary_expr(arrays, params)?;
+        Ok((Expr::unary(op, inner), self.close(depth)?))
     }
 
     fn unary_expr(
         &mut self,
         arrays: &HashMap<&str, ArrayHandle>,
         params: &HashMap<&str, crate::ParamId>,
-    ) -> Result<Expr, ParseProgramError> {
+    ) -> Result<Deep, ParseProgramError> {
         match self.peek() {
-            Tok::Punct('-') => {
-                self.bump();
-                // Negative literal vs. unary negation of a subexpression.
-                if let Tok::Int(n) = self.peek() {
+            // Negative literal vs. unary negation of a subexpression.
+            Tok::Punct('-') => match self.next.0 {
+                Tok::Int(n) => {
                     self.bump();
-                    Ok(Expr::constant(-n))
-                } else {
-                    let inner = self.unary_expr(arrays, params)?;
-                    Ok(Expr::unary(UnOp::Neg, inner))
+                    self.bump();
+                    Ok((Expr::constant(-n), 1))
                 }
-            }
-            Tok::Punct('~') => {
-                self.bump();
-                let inner = self.unary_expr(arrays, params)?;
-                Ok(Expr::unary(UnOp::Not, inner))
-            }
+                _ => self.unary(arrays, params, UnOp::Neg),
+            },
+            Tok::Punct('~') => self.unary(arrays, params, UnOp::Not),
             Tok::Punct('(') => {
+                self.open()?;
                 self.bump();
-                let inner = self.expr(arrays, params)?;
+                let (inner, depth) = self.expr(arrays, params)?;
                 self.expect_punct(')')?;
-                Ok(inner)
+                Ok((inner, self.close(depth)?))
             }
             Tok::Int(n) => {
                 self.bump();
-                Ok(Expr::constant(n))
+                Ok((Expr::constant(n), 1))
             }
             Tok::Ident(name) => {
                 // min/max/abs calls, array loads, or parameter splats.
                 match name {
-                    "min" | "max" if self.toks[self.pos + 1].0 == Tok::Punct('(') => {
+                    "min" | "max" if self.next.0 == Tok::Punct('(') => {
+                        self.open()?;
                         self.bump();
                         self.bump();
-                        let a = self.expr(arrays, params)?;
+                        let (a, a_depth) = self.expr(arrays, params)?;
                         self.expect_punct(',')?;
-                        let b = self.expr(arrays, params)?;
+                        let (b, b_depth) = self.expr(arrays, params)?;
                         self.expect_punct(')')?;
                         let op = if name == "min" {
                             BinOp::Min
                         } else {
                             BinOp::Max
                         };
-                        Ok(Expr::binary(op, a, b))
+                        Ok((Expr::binary(op, a, b), self.close(a_depth.max(b_depth))?))
                     }
-                    "abs" if self.toks[self.pos + 1].0 == Tok::Punct('(') => {
+                    "abs" if self.next.0 == Tok::Punct('(') => {
+                        self.open()?;
                         self.bump();
                         self.bump();
-                        let a = self.expr(arrays, params)?;
+                        let (a, depth) = self.expr(arrays, params)?;
                         self.expect_punct(')')?;
-                        Ok(Expr::unary(UnOp::Abs, a))
+                        Ok((Expr::unary(UnOp::Abs, a), self.close(depth)?))
                     }
                     _ => {
-                        if arrays.contains_key(name) {
-                            let r = self.array_ref(arrays)?;
-                            Ok(Expr::load(r))
+                        if let Some(&h) = arrays.get(name) {
+                            self.bump();
+                            Ok((Expr::load(self.subscript(h)?), 1))
                         } else if let Some(&p) = params.get(name) {
                             self.bump();
-                            Ok(Expr::param(p))
+                            Ok((Expr::param(p), 1))
                         } else {
                             self.err(format!("undeclared name `{name}`"))
                         }
@@ -585,6 +691,74 @@ mod tests {
         let src = "arrays { a: i32[4] @ 0; } for i in 0..; {}";
         let e = parse_program(src).unwrap_err();
         assert_eq!(e.position(), src.rfind(';').unwrap(), "{e}");
+    }
+
+    /// A loop storing `rhs` into `a`.
+    fn with_rhs(rhs: &str) -> String {
+        format!("arrays {{ a: i32[64] @ 0; b: i32[64] @ 4; }} for i in 0..10 {{ a[i] = {rhs}; }}")
+    }
+
+    fn height(e: &Expr) -> usize {
+        match e {
+            Expr::Binary(_, a, b) => 1 + height(a).max(height(b)),
+            Expr::Unary(_, a) => 1 + height(a),
+            _ => 1,
+        }
+    }
+
+    /// Expressions of exactly [`MAX_EXPR_DEPTH`] levels parse, and one
+    /// level more is refused, whether the depth comes from nesting
+    /// (parentheses, unary operators, calls) or from a chain of binary
+    /// operators, which the parser reads in a loop.
+    #[test]
+    fn expressions_deeper_than_the_limit_are_refused() {
+        let max = MAX_EXPR_DEPTH;
+        let parens = |n: usize| format!("{}b[i]{}", "(".repeat(n), ")".repeat(n));
+        let negations = |n: usize| format!("{}b[i]", "-".repeat(n));
+        let sum = |n: usize| vec!["b[i+1]"; n].join(" + ");
+        let calls = |n: usize| format!("{}b[i]{}", "min(3, ".repeat(n), ")".repeat(n));
+        let mixed = |n: usize| format!("{}b[i]{}", "(b[i] * ".repeat(n / 2), ")".repeat(n / 2));
+        for (what, rhs, depth) in [
+            ("parentheses", parens(max - 1), max),
+            ("negations", negations(max - 1), max),
+            ("a sum", sum(max), max),
+            ("calls", calls(max - 1), max),
+            ("parenthesized products", mixed(max - 1), max - 1),
+        ] {
+            let p = parse_program(&with_rhs(&rhs)).unwrap_or_else(|e| panic!("{what}: {e}"));
+            // Parentheses are levels of the source, not of the tree.
+            assert!(height(&p.stmts()[0].rhs) <= depth, "{what}");
+        }
+        for (what, rhs) in [
+            ("parentheses", parens(max)),
+            ("negations", negations(max)),
+            ("a sum", sum(max + 1)),
+            ("calls", calls(max)),
+            ("parenthesized products", mixed(max + 1)),
+            ("5 000 parentheses", parens(5000)),
+            ("a 5 000-term sum", sum(5000)),
+        ] {
+            let e = parse_program(&with_rhs(&rhs)).unwrap_err();
+            assert_eq!(
+                e.to_string().split(" (at").next().unwrap(),
+                format!("expression nests deeper than {max} levels"),
+                "{what}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_lexing_error_anywhere_comes_before_a_parse_error() {
+        let src = "arrays { a: i32[x] @ 0; } for i in 0..1 { a[i] = a[i]; } $";
+        let e = parse_program(src).unwrap_err();
+        assert_eq!(e.position(), src.len() - 1, "{e}");
+        assert!(e.to_string().starts_with("unexpected character `$`"), "{e}");
+        let src = "arrays { a: i32[4] @ 0; } for i in 0..1 { a[i] = a[i]; } 99999999999999999999";
+        let e = parse_program(src).unwrap_err();
+        assert!(
+            e.to_string().starts_with("integer literal out of range"),
+            "{e}"
+        );
     }
 
     #[test]

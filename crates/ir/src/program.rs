@@ -3,10 +3,11 @@
 use crate::array::{ArrayDecl, ArrayId, ArrayRef};
 use crate::error::ValidateLoopError;
 use crate::expr::{Expr, Invariant};
+use crate::hash::HashSet;
 use crate::stmt::Stmt;
 use crate::types::ScalarType;
-use std::collections::HashSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a loop-invariant scalar parameter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -88,13 +89,17 @@ impl fmt::Display for TripCount {
 /// Construct via [`crate::LoopBuilder`] or [`crate::parse_program`]; both
 /// run [`LoopProgram::validate`], so a `LoopProgram` in hand always
 /// satisfies the paper's §4.1 preconditions.
+///
+/// A program is immutable once built, so its tables are shared: a
+/// clone bumps three reference counts and allocates nothing. A shared
+/// slice hashes, compares and prints as the `Vec` it was built from.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LoopProgram {
     elem: ScalarType,
-    arrays: Vec<ArrayDecl>,
-    params: Vec<ParamDecl>,
+    arrays: Arc<[ArrayDecl]>,
+    params: Arc<[ParamDecl]>,
     trip: TripCount,
-    stmts: Vec<Stmt>,
+    stmts: Arc<[Stmt]>,
 }
 
 impl LoopProgram {
@@ -113,10 +118,10 @@ impl LoopProgram {
     ) -> Result<LoopProgram, ValidateLoopError> {
         let p = LoopProgram {
             elem,
-            arrays,
-            params,
+            arrays: arrays.into(),
+            params: params.into(),
             trip,
-            stmts,
+            stmts: stmts.into(),
         };
         p.validate()?;
         Ok(p)
@@ -209,15 +214,15 @@ impl LoopProgram {
             let _ = idx;
         }
 
-        let mut stored: HashSet<ArrayId> = HashSet::new();
-        for s in &self.stmts {
+        let mut stored: HashSet<ArrayId> = HashSet::default();
+        for s in self.stmts.iter() {
             if !stored.insert(s.target.array) {
                 return Err(ValidateLoopError::DuplicateStore {
                     array: self.name_of(s.target.array),
                 });
             }
         }
-        for s in &self.stmts {
+        for s in self.stmts.iter() {
             let mut err = None;
             s.rhs.visit_loads(&mut |r| {
                 if err.is_none() && stored.contains(&r.array) {
@@ -231,14 +236,14 @@ impl LoopProgram {
             }
         }
 
-        for s in &self.stmts {
+        for s in self.stmts.iter() {
             if let Some(op) = s.reduction {
                 if !op.is_reassociable() {
                     return Err(ValidateLoopError::NonReassociableReduction { op });
                 }
             }
         }
-        for s in &self.stmts {
+        for s in self.stmts.iter() {
             // A reduction target is a single fixed element; only it
             // escapes the per-iteration bounds rule below.
             if s.reduction.is_some() {
@@ -266,7 +271,7 @@ impl LoopProgram {
             }
         }
 
-        for s in &self.stmts {
+        for s in self.stmts.iter() {
             self.check_params(&s.rhs)?;
         }
         Ok(())
@@ -323,19 +328,19 @@ impl LoopProgram {
     /// [`crate::parse_program`].
     pub fn to_source(&self) -> String {
         let mut out = String::from("arrays { ");
-        for a in &self.arrays {
+        for a in self.arrays.iter() {
             out.push_str(&format!("{a}; "));
         }
         out.push_str("}\n");
         if !self.params.is_empty() {
             out.push_str("params { ");
-            for p in &self.params {
+            for p in self.params.iter() {
                 out.push_str(&format!("{}; ", p.name()));
             }
             out.push_str("}\n");
         }
         out.push_str(&format!("for i in 0..{} {{\n", self.trip));
-        for s in &self.stmts {
+        for s in self.stmts.iter() {
             out.push_str(&format!("    {}\n", self.render_stmt(s)));
         }
         out.push_str("}\n");

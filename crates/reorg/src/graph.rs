@@ -53,8 +53,9 @@ impl fmt::Display for VOpKind {
 ///
 /// The node kinds mirror the paper's §3.3 exactly: `vload`, `vsplat`,
 /// `vop`, `vshiftstream` and `vstore`. Stream offsets are not stored in
-/// the nodes; they are derived by [`ReorgGraph::offset_of`], which keeps
-/// the graph's single source of truth in the array declarations.
+/// the nodes: the graph derives each node's once, from the array
+/// declarations and its operands', as the node is added (see
+/// [`ReorgGraph::offset_of`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RNode {
     /// `vload(addr(i))` for the reference `r`; produces a register
@@ -113,6 +114,9 @@ pub struct ReorgGraph {
     pub(crate) program: Arc<LoopProgram>,
     pub(crate) shape: VectorShape,
     pub(crate) nodes: Vec<RNode>,
+    /// `offsets[n]`: the stream offset of node `n`, computed by `add`
+    /// from its operands', which are always added first.
+    offsets: Vec<Offset>,
     pub(crate) roots: Vec<NodeId>,
     pub(crate) policy: Option<Policy>,
 }
@@ -141,18 +145,24 @@ impl ReorgGraph {
                 shape,
             });
         }
-        for r in program.all_refs() {
-            if r.stride > MAX_STRIDE {
-                return Err(BuildGraphError::UnsupportedStride { stride: r.stride });
+        // The first reference too wide, in `all_refs` order; and one
+        // node per expression node and per store.
+        let mut wide = None;
+        let mut check = |r: ArrayRef| {
+            if wide.is_none() && r.stride > MAX_STRIDE {
+                wide = Some(r.stride);
             }
-        }
-        let mut g = ReorgGraph {
-            program: Arc::new(program.clone()),
-            shape,
-            nodes: Vec::new(),
-            roots: Vec::new(),
-            policy: None,
         };
+        let mut nodes = 0;
+        for stmt in program.stmts() {
+            stmt.rhs.visit_loads(&mut check);
+            check(stmt.target);
+            nodes += stmt.rhs.node_count() + 1;
+        }
+        if let Some(stride) = wide {
+            return Err(BuildGraphError::UnsupportedStride { stride });
+        }
+        let mut g = ReorgGraph::empty(Arc::new(program.clone()), shape, None, nodes);
         for stmt in program.stmts() {
             let src = g.add_expr(&stmt.rhs);
             let root = g.add(RNode::Store {
@@ -186,9 +196,46 @@ impl ReorgGraph {
         }
     }
 
+    /// A graph of `program` with no nodes yet and room for `capacity`.
+    pub(crate) fn empty(
+        program: Arc<LoopProgram>,
+        shape: VectorShape,
+        policy: Option<Policy>,
+        capacity: usize,
+    ) -> ReorgGraph {
+        ReorgGraph {
+            nodes: Vec::with_capacity(capacity),
+            offsets: Vec::with_capacity(capacity),
+            roots: Vec::with_capacity(program.stmts().len()),
+            program,
+            shape,
+            policy,
+        }
+    }
+
+    /// Appends `node`, whose operands must already be in the graph,
+    /// and records its stream offset.
     pub(crate) fn add(&mut self, node: RNode) -> NodeId {
+        let offset = match &node {
+            RNode::Load { r } | RNode::Store { r, .. } => {
+                Offset::of_ref(*r, &self.program, self.shape)
+            }
+            RNode::Splat { .. } => Offset::Any,
+            RNode::ShiftStream { to, .. } => *to,
+            RNode::Op { srcs, .. } => {
+                let mut acc = Offset::Any;
+                for &s in srcs {
+                    match acc.meet(self.offsets[s.index()]) {
+                        Some(m) => acc = m,
+                        None => break, // invalid graph; keep leftmost
+                    }
+                }
+                acc
+            }
+        };
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(node);
+        self.offsets.push(offset);
         id
     }
 
@@ -248,23 +295,15 @@ impl ReorgGraph {
     ///   answer; on an *invalid* graph, the leftmost operand's offset);
     /// * store → the offset the store *requires* of its source, i.e.
     ///   `addr(0) mod V`.
+    ///
+    /// Each node's offset is computed once, bottom-up, when the node is
+    /// added, so this is a lookup.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` does not belong to this graph.
     pub fn offset_of(&self, id: NodeId) -> Offset {
-        match self.node(id) {
-            RNode::Load { r } => Offset::of_ref(*r, &self.program, self.shape),
-            RNode::Splat { .. } => Offset::Any,
-            RNode::ShiftStream { to, .. } => *to,
-            RNode::Op { srcs, .. } => {
-                let mut acc = Offset::Any;
-                for &s in srcs {
-                    match acc.meet(self.offset_of(s)) {
-                        Some(m) => acc = m,
-                        None => return acc, // invalid graph; keep leftmost
-                    }
-                }
-                acc
-            }
-            RNode::Store { r, .. } => Offset::of_ref(*r, &self.program, self.shape),
-        }
+        self.offsets[id.index()]
     }
 
     /// The required store offset of statement `stmt` — the right-hand
@@ -559,6 +598,131 @@ mod tests {
         ));
         let g = ReorgGraph::build(&p, VectorShape::V16).unwrap();
         assert_eq!(g.blocking_factor(), 2);
+    }
+
+    /// The stream offset of `id` as `offset_of` once computed it on
+    /// every call: by walking the node's whole subtree.
+    fn walked_offset(g: &ReorgGraph, id: NodeId) -> Offset {
+        match g.node(id) {
+            RNode::Load { r } | RNode::Store { r, .. } => {
+                Offset::of_ref(*r, g.program(), g.shape())
+            }
+            RNode::Splat { .. } => Offset::Any,
+            RNode::ShiftStream { to, .. } => *to,
+            RNode::Op { srcs, .. } => {
+                let mut acc = Offset::Any;
+                for &s in srcs {
+                    match acc.meet(walked_offset(g, s)) {
+                        Some(m) => acc = m,
+                        None => return acc,
+                    }
+                }
+                acc
+            }
+        }
+    }
+
+    fn assert_offsets_are_walked_offsets(g: &ReorgGraph, what: &str) {
+        for idx in 0..g.nodes().len() {
+            let id = NodeId(idx as u32);
+            assert_eq!(g.offset_of(id), walked_offset(g, id), "{what}: {id}\n{g}");
+        }
+    }
+
+    /// The `loops/` samples, and a 4 × 6 grid (statements × loads per
+    /// statement) of seeded loops in five variants: compile-time and
+    /// runtime alignments, a runtime trip count, `i16` elements and a
+    /// reduction.
+    fn offset_corpus() -> Vec<String> {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../loops");
+        let mut sources: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "loop"))
+            .map(|p| std::fs::read_to_string(p).unwrap())
+            .collect();
+        assert!(sources.len() >= 5, "{} samples in {dir}", sources.len());
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        for cell in 0..24 {
+            let (stmts, loads) = (1 + cell % 4, 1 + cell / 4);
+            for variant in 0..5 {
+                let (ty, d) = if variant == 3 { ("i16", 2) } else { ("i32", 4) };
+                let mut arrays = String::new();
+                let mut body = String::new();
+                for s in 0..stmts {
+                    let align = if variant == 1 {
+                        "?".to_string()
+                    } else {
+                        (d * next(16 / d)).to_string()
+                    };
+                    arrays += &format!("s{s}: {ty}[1100] @ {align}; ");
+                    let terms: Vec<String> = (0..loads)
+                        .map(|l| match next(8) {
+                            0 => "3".to_string(),
+                            1 => format!("min(l{l}[i+{}], 7)", next(8)),
+                            _ => format!("l{l}[i+{}]", next(8)),
+                        })
+                        .collect();
+                    let op = ["+", "*", "-", "^"][next(4) as usize];
+                    let assign = if variant == 4 && s == 0 { "+=" } else { "=" };
+                    body += &format!("s{s}[i+{}] {assign} {};\n", next(8), terms.join(op));
+                }
+                for l in 0..loads {
+                    let align = if variant == 1 {
+                        "?".to_string()
+                    } else {
+                        (d * next(16 / d)).to_string()
+                    };
+                    arrays += &format!("l{l}: {ty}[1100] @ {align}; ");
+                }
+                let trip = if variant == 2 { "ub" } else { "1000" };
+                sources.push(format!(
+                    "arrays {{ {arrays}}}\nfor i in 0..{trip} {{\n{body}}}"
+                ));
+            }
+        }
+        sources
+    }
+
+    #[test]
+    fn cached_offsets_are_the_walked_offsets() {
+        let mut placed = 0;
+        for src in offset_corpus() {
+            let p = parse_program(&src).unwrap();
+            let g = ReorgGraph::build(&p, VectorShape::V16).unwrap();
+            assert_offsets_are_walked_offsets(&g, &src);
+            for policy in Policy::ALL {
+                if let Ok(placed_graph) = g.with_policy(policy) {
+                    assert_offsets_are_walked_offsets(&placed_graph, &format!("{policy}: {src}"));
+                    placed += 1;
+                }
+            }
+        }
+        assert!(placed > 300, "{placed} placed graphs");
+    }
+
+    #[test]
+    fn an_invalid_graph_caches_the_leftmost_offset() {
+        // b @ 4 and c @ 8 disagree: the add keeps b's offset, 4.
+        let p = parse_program(
+            "arrays { a: i32[128] @ 0; b: i32[128] @ 4; c: i32[128] @ 8; }
+             for i in 0..100 { a[i] = b[i] + c[i] + 3; }",
+        )
+        .unwrap();
+        let g = ReorgGraph::build(&p, VectorShape::V16).unwrap();
+        assert!(g.validate().is_err());
+        assert_offsets_are_walked_offsets(&g, "invalid");
+        let ops: Vec<Offset> = (0..g.nodes().len())
+            .filter(|&i| matches!(g.nodes()[i], RNode::Op { .. }))
+            .map(|i| g.offset_of(NodeId(i as u32)))
+            .collect();
+        assert_eq!(ops, vec![Offset::Byte(4), Offset::Byte(4)]);
     }
 
     #[test]

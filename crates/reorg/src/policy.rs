@@ -138,13 +138,13 @@ impl ReorgGraph {
             return Err(PolicyError::NeedsCompileTimeAlignment { policy });
         }
 
-        let mut out = ReorgGraph {
-            program: Arc::clone(&self.program),
-            shape: self.shape,
-            nodes: Vec::with_capacity(self.nodes.len()),
-            roots: Vec::with_capacity(self.roots.len()),
-            policy: Some(policy),
-        };
+        // Placement adds at most one shift above each node.
+        let mut out = ReorgGraph::empty(
+            Arc::clone(&self.program),
+            self.shape,
+            Some(policy),
+            2 * self.nodes.len(),
+        );
 
         let elem_size = self.program.elem().size() as u32;
         for (idx, &root) in self.roots.iter().enumerate() {

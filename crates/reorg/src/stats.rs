@@ -3,7 +3,7 @@
 
 use crate::graph::{NodeId, RNode, ReorgGraph};
 use crate::offset::Offset;
-use std::collections::HashSet;
+use simdize_ir::hash::HashSet;
 use std::fmt;
 
 /// Node-kind counts for a [`ReorgGraph`].
@@ -82,7 +82,7 @@ fn count_shifts(graph: &ReorgGraph, node: NodeId) -> usize {
 /// Panics if `stmt` is out of range.
 pub fn distinct_alignments(graph: &ReorgGraph, stmt: usize) -> usize {
     let root = graph.roots()[stmt];
-    let mut seen: HashSet<Offset> = HashSet::new();
+    let mut seen: HashSet<Offset> = HashSet::default();
     collect(graph, root, &mut seen);
     seen.len()
 }

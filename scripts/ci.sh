@@ -227,8 +227,9 @@ echo "== server smoke (serve round-trip, trace ids, dump, /metrics) =="
 # ephemeral port, drives a compile/run/run/sweep/stats/trace/dump
 # round-trip over /dev/tcp (every response must echo a trace id; the
 # repeated `run` line is a template-memo hit), counts the
-# server's threads, scrapes the Prometheus exposition, then requests
-# shutdown and insists on a clean exit. The loop source is quote-free so it embeds in the JSON request
+# server's threads, scrapes the Prometheus exposition, sends a source
+# nested too deep and a ping after it, then requests shutdown and
+# insists on a clean exit. The loop source is quote-free so it embeds in the JSON request
 # lines without escaping.
 target/release/simdize serve 127.0.0.1:0 --metrics-addr 127.0.0.1:0 \
     > "$BENCH_TMP/serve.log" &
@@ -287,6 +288,19 @@ echo "$metrics" | grep -Eq 'simdize_server_cache_hits_total [1-9][0-9]*' \
     || { echo "server smoke: /metrics kernel-cache counter not live" >&2; exit 1; }
 echo "$metrics" | grep -Eq 'simdize_server_template_hits_total [1-9][0-9]*' \
     || { echo "server smoke: /metrics template-memo counter not live" >&2; exit 1; }
+# A source nested past the parser's depth limit (5 000 parentheses)
+# is refused with an error reply, and the connection still answers a
+# ping: before the limit such a `run` overflowed the connection
+# thread's stack and aborted the server.
+deep="$(printf '(%.0s' $(seq 5000))b[i]$(printf ')%.0s' $(seq 5000))"
+printf '{"v":1,"id":8,"cmd":"run","source":"arrays { a: i32[64] @ 0; b: i32[64] @ 4; } for i in 0..40 { a[i] = %s; }"}\n' "$deep" >&3
+IFS= read -r line <&3
+echo "$line" | grep -q '"ok":false' && echo "$line" | grep -q 'nests deeper than' \
+    || { echo "server smoke: a too-deep source was not refused: ${line:0:300}" >&2; exit 1; }
+printf '{"v":1,"id":9,"cmd":"ping"}\n' >&3
+IFS= read -r line <&3
+echo "$line" | grep -q '"pong":true' \
+    || { echo "server smoke: no ping answer after a too-deep source: $line" >&2; exit 1; }
 printf '{"v":1,"id":7,"cmd":"shutdown"}\n' >&3
 IFS= read -r line <&3
 echo "$line" | grep -q '"stopping":true' \

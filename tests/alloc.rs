@@ -277,9 +277,11 @@ fn growth_per_term(terms: &[usize], f: impl Fn(&str) -> u64) -> (Vec<u64>, f64) 
 
 const TERMS: [usize; 4] = [4, 8, 16, 32];
 
-/// Tokens borrow the source and identifiers are looked up by `&str`,
-/// so a `+ b[i+k]` term costs the parser only its expression node's two
-/// boxes — not a `String` per identifier and per token copy.
+/// Tokens borrow the source, identifiers are looked up by `&str`, and
+/// the source is lexed one token ahead of the parser rather than into
+/// a token vector, so a `+ b[i+k]` term costs the parser only its
+/// expression node's two boxes — not a `String` per identifier, a
+/// token copy, or a share of the vector's doublings.
 #[test]
 fn parsing_allocates_two_calls_per_term() {
     let (counts, worst) = growth_per_term(&TERMS, |src| {
@@ -288,8 +290,20 @@ fn parsing_allocates_two_calls_per_term() {
         assert!(parsed);
         n
     });
-    // The token vector's doublings round it up.
-    assert!(worst <= 2.25, "{worst} calls per term: {counts:?}");
+    assert!(worst <= 2.0, "{worst} calls per term: {counts:?}");
+}
+
+/// A program's tables are shared, so a clone — what graph building
+/// and the driver take of the loop they compile — allocates nothing,
+/// however many statements and terms the loop has.
+#[test]
+fn cloning_a_program_never_allocates() {
+    for program in [program(256), parse_program(&sum_of_terms(32)).unwrap()] {
+        let mut copy = None;
+        assert_eq!(allocations(|| copy = Some(program.clone())), 0);
+        assert_eq!(copy.as_ref(), Some(&program));
+        assert_eq!(allocations(|| drop(copy)), 0);
+    }
 }
 
 /// Untraced placement builds no decision records — no `format!`ed

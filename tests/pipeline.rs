@@ -4,7 +4,7 @@
 use simdize::{
     alpha_blend, fir_filter, generate, offset_saxpy, parse_program, run_differential,
     CodegenOptions, DiffConfig, Policy, ReorgGraph, ReuseMode, Scheme, Simdizer, VInst,
-    VectorShape,
+    VectorShape, MAX_EXPR_DEPTH,
 };
 
 const FIG1: &str = "arrays { a: i32[1024] @ 0; b: i32[1024] @ 0; c: i32[1024] @ 0; }
@@ -302,4 +302,50 @@ fn non_naturally_aligned_arrays_verify() {
         .evaluate(&p, 79)
         .unwrap();
     assert!(r.verified);
+}
+
+/// A loop whose expression is exactly [`MAX_EXPR_DEPTH`] levels deep —
+/// a left-deep sum, right-nested parenthesized sums, nested calls —
+/// compiles and runs verified on a 2 MiB thread (the default stack of
+/// a spawned thread, and so of a server connection) in a debug build,
+/// under the automatic policy and under zero- and lazy-shift, whose
+/// shifts deepen the graph below each operator.
+#[test]
+fn a_loop_at_the_depth_limit_compiles_on_a_two_mib_thread() {
+    let max = MAX_EXPR_DEPTH;
+    let array = |k: usize| ["b", "c"][k % 2];
+    let sum: Vec<String> = (0..max)
+        .map(|k| format!("{}[i+{}]", array(k), k % 7))
+        .collect();
+    // A negation, then each level a sum and a pair of parentheses.
+    let mut nested = String::from("-b[i]");
+    for k in 0..(max - 2) / 2 {
+        nested = format!("{}[i+{}] + ({nested})", array(k + 1), k % 5);
+    }
+    let mut calls = String::from("b[i]");
+    for k in 0..max - 1 {
+        calls = format!("{}(c[i+{}], {calls})", ["min", "max"][k % 2], k % 5);
+    }
+    for rhs in [sum.join(" + "), nested, calls] {
+        let src = format!(
+            "arrays {{ a: i32[1100] @ 0; b: i32[1100] @ 4; c: i32[1100] @ 8; }}
+             for i in 0..1000 {{ a[i+1] = {rhs}; }}"
+        );
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let p = parse_program(&src).unwrap();
+                for driver in [
+                    Simdizer::new(),
+                    Simdizer::new().policy(Policy::Zero),
+                    Simdizer::new().policy(Policy::Lazy),
+                ] {
+                    driver.compile(&p).unwrap();
+                    assert!(driver.evaluate(&p, 5).unwrap().verified);
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+    }
 }

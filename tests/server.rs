@@ -207,6 +207,35 @@ fn malformed_requests_answer_errors_and_keep_the_connection() {
     harness.shutdown();
 }
 
+/// A source nested deeper than `simdize::MAX_EXPR_DEPTH` — 5 000
+/// parentheses in 10 KB, or a 5 000-term sum — is refused with an
+/// error reply, and the server keeps serving: such a `run` used to
+/// overflow the connection thread's stack and abort the process.
+#[test]
+fn a_source_nested_too_deep_is_refused_and_the_server_keeps_serving() {
+    let harness = Harness::start(ServerConfig::default());
+    let mut client = harness.client();
+    let parens = format!("{}b[i]{}", "(".repeat(5000), ")".repeat(5000));
+    let sum = vec!["b[i+1]"; 5000].join(" + ");
+    for (id, rhs) in [(1, parens), (2, sum)] {
+        let source = format!(
+            "arrays {{ a: i32[64] @ 0; b: i32[64] @ 4; }} for i in 0..10 {{ a[i] = {rhs}; }}"
+        );
+        let request = format!(
+            r#"{{"v":1,"id":{id},"cmd":"run","source":"{}"}}"#,
+            inline(&source)
+        );
+        let response = client.roundtrip(&request);
+        let doc = json::parse(&response).unwrap_or_else(|e| panic!("{response}: {e}"));
+        assert_eq!(doc.get("ok"), Some(&Json::Bool(false)), "{response}");
+        let error = doc.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("nests deeper than"), "{response}");
+    }
+    let pong = client.roundtrip(r#"{"v":1,"id":3,"cmd":"ping"}"#);
+    assert!(pong.contains("\"pong\":true"), "{pong}");
+    harness.shutdown();
+}
+
 /// A source whose arrays would not fit the server's cap is refused
 /// before any image is allocated, and the connection keeps serving.
 #[test]
