@@ -23,6 +23,13 @@ pub enum GenCodeError {
     /// A non-unit-stride reference needs a compile-time base alignment
     /// (its pack and scatter patterns are compile-time byte selections).
     StrideNeedsKnownAlignment,
+    /// The program would take more than [`MAX_REGS`] vector registers.
+    /// A shift generates its source once per register it combines, so
+    /// shifts nested along one path take registers exponentially in
+    /// their depth; generation stops at the cap instead.
+    ///
+    /// [`MAX_REGS`]: crate::MAX_REGS
+    TooManyRegisters,
 }
 
 impl fmt::Display for GenCodeError {
@@ -43,6 +50,11 @@ impl fmt::Display for GenCodeError {
             GenCodeError::StrideNeedsKnownAlignment => {
                 f.write_str("a non-unit-stride reference needs a compile-time alignment")
             }
+            GenCodeError::TooManyRegisters => write!(
+                f,
+                "the vector code would take more than {} registers (shifts nest too deep)",
+                crate::MAX_REGS
+            ),
         }
     }
 }

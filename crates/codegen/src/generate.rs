@@ -14,6 +14,16 @@ use simdize_reorg::{NodeId, Offset, RNode, ReorgGraph, ShiftDir, VOpKind};
 use std::ops::Range;
 use std::sync::Arc;
 
+/// Most vector registers one generated program may take: past it,
+/// generation stops with [`GenCodeError::TooManyRegisters`]. A shift
+/// generates its source once for each register it combines (software
+/// pipelining's steady body memoizes them; prologues and epilogues never
+/// do), so registers grow exponentially with the shifts nested along one
+/// path. The largest program of `loops/` and of the benchmark's
+/// `compile-cold` corpus, under every policy and reuse mode, takes about
+/// 1 500.
+pub const MAX_REGS: u32 = 1 << 20;
+
 /// Generates a [`SimdProgram`] from a valid data reorganization graph.
 ///
 /// The generator implements the paper's Figure 7 (expressions and stream
@@ -37,7 +47,8 @@ use std::sync::Arc;
 /// Returns [`GenCodeError::InvalidGraph`] when the graph violates
 /// constraint (C.2) or (C.3); apply a [`simdize_reorg::Policy`] first.
 /// Reductions and non-unit-stride references need the compile-time
-/// facts their patterns are built from.
+/// facts their patterns are built from, and a program may take at most
+/// [`MAX_REGS`] registers.
 pub fn generate(graph: &ReorgGraph, options: &CodegenOptions) -> Result<SimdProgram, GenCodeError> {
     run(graph, options, &mut Recorder::off())
 }
@@ -470,6 +481,9 @@ impl<'g> Generator<'g> {
             });
         }
         let (epilogue, epi_merged, _) = epi.finish();
+        if self.next_reg > MAX_REGS {
+            return Err(GenCodeError::TooManyRegisters);
+        }
 
         let simd = SimdProgram {
             program,
@@ -787,6 +801,11 @@ impl<'g> Generator<'g> {
     /// Figure 7 `GenSimdExpr` / Figure 10 `GenSimdExprSP`. `delta` is the
     /// accumulated `Substitute(n, i → i + delta)` in elements.
     fn gen_expr(&mut self, node: NodeId, delta: i64, out: &mut Section<'g>, mode: Mode) -> VReg {
+        // Past the cap, generation only unwinds: `run` refuses the
+        // program, so what the frames still on the stack emit is moot.
+        if self.next_reg > MAX_REGS {
+            return VReg(0);
+        }
         let graph = self.graph;
         match *graph.node(node) {
             RNode::Load { r } if !r.is_unit_stride() => self.gen_pack(r, delta, out, mode),
@@ -1011,6 +1030,38 @@ mod tests {
 
     const FIG1: &str = "arrays { a: i32[128] @ 0; b: i32[128] @ 0; c: i32[128] @ 0; }
                         for i in 0..100 { a[i+3] = b[i+1] + c[i+2]; }";
+
+    /// A generator whose register counter crosses [`MAX_REGS`] stops
+    /// expanding expressions and refuses the program; one that ends at
+    /// the cap exactly still generates it.
+    #[test]
+    fn a_program_past_the_register_cap_is_refused() {
+        let p = parse_program(FIG1).unwrap();
+        let g = ReorgGraph::build(&p, VectorShape::V16)
+            .unwrap()
+            .with_policy(Policy::Lazy)
+            .unwrap();
+        let options = CodegenOptions::default().reuse(ReuseMode::None);
+        let run = |start: u32| {
+            let mut generator = Generator::new(&g, &options);
+            generator.next_reg = start;
+            generator
+                .run(&mut Recorder::off())
+                .map(|(program, _)| program)
+        };
+        let regs = run(0).unwrap().nvregs;
+        assert!(run(MAX_REGS - regs).is_ok());
+        assert!(matches!(
+            run(MAX_REGS - regs + 1),
+            Err(GenCodeError::TooManyRegisters)
+        ));
+        // Past the cap, what is left of generation only unwinds: far
+        // fewer registers than the program takes.
+        let mut generator = Generator::new(&g, &options);
+        generator.next_reg = MAX_REGS;
+        assert!(generator.run(&mut Recorder::off()).is_err());
+        assert!(generator.next_reg - MAX_REGS < regs / 2);
+    }
 
     #[test]
     fn bounds_match_paper_example() {

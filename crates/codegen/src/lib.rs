@@ -65,7 +65,7 @@ mod vir;
 
 pub use analysis::{max_live_vregs, MACHINE_VREGS};
 pub use error::GenCodeError;
-pub use generate::{generate, generate_traced, reduction_identity};
+pub use generate::{generate, generate_traced, reduction_identity, MAX_REGS};
 pub use lower::lower_altivec;
 pub use options::{CodegenOptions, ReuseMode};
 pub use passes::value_number;

@@ -82,7 +82,7 @@ pub use simdize_analysis::{
 pub use simdize_codegen::{
     generate, generate_traced, generate_unaligned, lower_altivec, max_live_vregs, verify_program,
     Addr, BoundFormula, CodegenEvent, CodegenOptions, CodegenTrace, GenCodeError, ReuseMode, SCond,
-    SExpr, SectionCounts, SimdProgram, VInst, VReg, VerifyProgramError, MACHINE_VREGS,
+    SExpr, SectionCounts, SimdProgram, VInst, VReg, VerifyProgramError, MACHINE_VREGS, MAX_REGS,
 };
 pub use simdize_ir::{
     parse_program, AlignKind, ArrayDecl, ArrayId, ArrayRef, BinOp, Expr, Invariant, Lane,

@@ -76,8 +76,11 @@ struct Scan {
     live_in: Vec<u32>,
     /// Those of them it also writes: values carried between iterations.
     carried: Vec<u32>,
-    /// Every store is [`independent`] of every access, itself included.
-    independent: bool,
+    /// The fewest iterations apart at which a store and an access of the
+    /// section, itself included, touch the same bytes ([`apart`];
+    /// `i64::MAX` when none do): the section may run that many
+    /// iterations per dispatch.
+    apart: i64,
     /// The use table of its ops (none without ops), in strip order once
     /// [`rotate`]d.
     uses: Vec<Uses>,
@@ -107,30 +110,34 @@ impl Access {
     }
 }
 
-/// Whether two memory accesses of one loop section, at least one of
-/// them a store, stay independent when the section's iterations run in
-/// strips.
+/// The fewest iterations apart at which two memory accesses of one loop
+/// section, at least one of them a store, touch the same bytes: the
+/// section's iterations may run in strips of up to that many, each op
+/// down the whole strip before the next, and stay in program order.
 ///
-/// Either their whole-trip extents are disjoint — the only way
-/// accesses with different steps (the strided `deinterleave` body)
-/// qualify — or they share a step of at least a vector and never
-/// touch overlapping bytes from two different iterations of one strip
-/// window: `x` in iteration `k + q` overlaps `y` in iteration `k`
-/// when `q·step` lands within a vector of `y.start − x.start`, and
-/// only the two multiples of `step` around that distance can.
-fn independent(x: &Access, y: &Access) -> bool {
+/// Accesses whose whole-trip extents are disjoint never meet — the only
+/// way accesses with different steps (the strided `deinterleave` body)
+/// qualify — and others meet one iteration apart unless they share a
+/// step of at least a vector. Then `x` in iteration `k + q` overlaps `y`
+/// in iteration `k` when `q·step` lands within a vector of `y.start −
+/// x.start`, and only the two multiples of `step` around that distance
+/// can; `q = 0` is one iteration, which runs its ops in order.
+fn apart(x: &Access, y: &Access) -> i64 {
     if x.hi <= y.lo || y.hi <= x.lo {
-        return true;
+        return i64::MAX;
     }
     let step = x.step;
     if step != y.step || step.abs() < V {
-        return false;
+        return 1;
     }
     let d = y.start - x.start;
     let q = d.div_euclid(step);
     [q, q + step.signum()]
         .into_iter()
-        .all(|q| q == 0 || q.abs() >= STRIP as i64 || (q * step - d).abs() >= V)
+        .filter(|&q| q != 0 && (q * step - d).abs() < V)
+        .map(i64::abs)
+        .min()
+        .unwrap_or(i64::MAX)
 }
 
 /// Scans section `s` into `out` in one walk over its ops: records in
@@ -153,7 +160,7 @@ fn scan(
     let Scan {
         live_in,
         carried,
-        independent,
+        apart,
         uses,
     } = out;
     uses.clear();
@@ -187,10 +194,12 @@ fn scan(
             _ => {}
         }
     }
-    *independent = accesses
+    *apart = accesses
         .iter()
         .filter(|x| x.store)
-        .all(|store| accesses.iter().all(|other| self::independent(store, other)));
+        .flat_map(|store| accesses.iter().map(|other| self::apart(store, other)))
+        .min()
+        .unwrap_or(i64::MAX);
     live_in.clear();
     if looped {
         live_in.extend_from_slice(live);
@@ -404,12 +413,12 @@ fn lift<'a>(
 
 /// Decides how section `s` runs (DESIGN §11.3), into `carried`. A strip
 /// runs op `i` for iterations `k..k + STRIP` before op `i + 1` runs for
-/// any of them: equivalent to program order when every store is
-/// [`independent`] of every access and every carried register is a
-/// rotation — only def a `Copy { r, n }` after every read of `r`, so
-/// `r`'s column is `n`'s shifted down a lane — or a [`reduction`]
-/// accumulator, which [`rotate`] checks. `carried` is empty unless the
-/// section strips.
+/// any of them: equivalent to program order when no store meets an
+/// access fewer than [`STRIP`] iterations [`apart`] and every carried
+/// register is a rotation — only def a `Copy { r, n }` after every read
+/// of `r`, so `r`'s column is `n`'s shifted down a lane — or a
+/// [`reduction`] accumulator, which [`rotate`] checks. `carried` is
+/// empty unless the section strips.
 fn decide(
     ops: &mut Vec<Op>,
     iters: i64,
@@ -423,7 +432,7 @@ fn decide(
     if iters < 2 {
         return Err(OneIteration);
     }
-    if !scan.independent {
+    if scan.apart < STRIP as i64 {
         return Err(MemoryDependence);
     }
     let verdict = rotate(ops, s, scan, info, carried, t);
@@ -1455,6 +1464,21 @@ impl Block {
     }
 }
 
+/// Whether strip section `x`, whose stores meet no access fewer than
+/// `apart` iterations apart, runs its whole trip as one strip (DESIGN
+/// §11.4): every op lies in a fold of loaded streams, whose values never
+/// leave CPU registers, so no column bounds the strip; no value waits in
+/// a lane for the code after the loop ([`Section::written`]); and the
+/// trip keeps its accesses apart. A fold's lane state — a rotation's
+/// carry, a partial's lane — never indexes past its column.
+fn whole(x: &Section, apart: i64) -> bool {
+    let fused: usize = x.supers.iter().map(|f| f.ops.len()).sum();
+    fused == x.ops.len()
+        && x.supers.iter().all(|f| f.tree.is_none())
+        && x.written.is_empty()
+        && apart >= x.iters
+}
+
 impl Section {
     /// A baked plan's six sections, in execution order and empty: the
     /// prologue, each loop behind its header — which runs once, when its
@@ -1613,7 +1637,7 @@ pub(crate) fn lower(
         // Emission: a superinstruction where one starts, else the lone op.
         let mut i = 0;
         while i < ops.len() {
-            let mut end = i + 1;
+            let (mut end, mut fused) = (i + 1, false);
             if strips {
                 if let Some(mut f) = pick(ops, i, s, scan, carried, info, parse) {
                     // A rotated register or an accumulator: live in, so
@@ -1621,7 +1645,7 @@ pub(crate) fn lower(
                     if f.column != NONE {
                         f.column = info[f.column as usize].slot;
                     }
-                    end = f.ops.end;
+                    (end, fused) = (f.ops.end, true);
                     section.supers.push(f);
                 }
             }
@@ -1633,8 +1657,13 @@ pub(crate) fn lower(
                     }
                 }
                 op.rename(|r| info[r as usize].slot);
+                // A superinstruction's values stay in CPU registers or
+                // scratch columns: only one a later section reads — a
+                // rotation's source — leaves its last lane behind.
                 let d = regs[0];
-                if strips && d != NONE && !carried.partials.iter().any(|&(acc, _)| acc == d) {
+                let kept = !fused || d != NONE && info[d as usize].live_after(s);
+                if strips && kept && d != NONE && !carried.partials.iter().any(|&(acc, _)| acc == d)
+                {
                     written.push(info[d as usize].slot);
                 }
                 for &r in regs.iter().filter(|&&r| r != NONE) {
@@ -1665,7 +1694,11 @@ pub(crate) fn lower(
                 block.release(reg);
             }
         }
-        section.width = if strips { STRIP } else { 1 };
+        section.width = match section.schedule {
+            SectionSchedule::Strip if whole(section, scan.apart) => section.iters as usize,
+            SectionSchedule::Strip => STRIP,
+            SectionSchedule::Sequential(_) => 1,
+        };
     }
 
     (
@@ -2084,6 +2117,76 @@ mod tests {
             bin(2, op, 0, 1),
             store(2, FAR, 16),
         ]
+    }
+
+    /// A strip section runs its whole trip as one strip when every op
+    /// lies in a fold of loaded streams, no value waits in a lane for
+    /// the code after it and no store meets an access within the trip;
+    /// any other strip section keeps [`STRIP`].
+    #[test]
+    fn only_folds_of_loaded_streams_run_their_whole_trip_as_one_strip() {
+        let width = |ops: &[Op], iters: i64, after: &[Op]| {
+            let body = lowered(ops, iters, after);
+            (body.width, body.supers.len())
+        };
+        let s = STRIP;
+        // A fold into a store.
+        assert_eq!(width(&fold2(BinOp::Add), 1000, &[]), (1000, 1));
+        // Into a rotation shift: its carry goes straight to the seed.
+        let mut pipelined = fold2(BinOp::Add);
+        pipelined.truncate(3);
+        pipelined.extend([
+            Op::Shift {
+                dst: 3,
+                a: 9,
+                b: 2,
+                amt: 4,
+            },
+            store(3, FAR, 16),
+            Op::Copy { dst: 9, src: 2 },
+        ]);
+        assert_eq!(width(&pipelined, 1000, &[]), (1000, 1));
+        // ... unless the code after the loop reads the rotation's source
+        // from its last lane.
+        assert_eq!(width(&pipelined, 1000, &[store(2, FAR, 0)]), (s, 1));
+        // Into a lane partial.
+        let dot = [
+            load(0, 1024, 16),
+            load(1, 4096, 16),
+            bin(2, BinOp::Mul, 0, 1),
+            bin(3, BinOp::Add, 7, 2),
+            Op::Copy { dst: 7, src: 3 },
+        ];
+        assert_eq!(width(&dot, 1000, &[]), (1000, 1));
+        // Two folds whose second reads what the first stored 40
+        // iterations on: one superinstruction, which runs each fold down
+        // all its lanes before the next. It strips, but of STRIP, unless
+        // the trip is too short for the two to meet.
+        let mut two = fold2(BinOp::Add);
+        two.extend([
+            load(4, FAR + 16 * 40, 16),
+            load(5, 8192, 16),
+            bin(6, BinOp::Add, 4, 5),
+            store(6, 2 * FAR, 16),
+        ]);
+        assert_eq!(width(&two, 1000, &[]), (s, 1));
+        assert_eq!(width(&two, 40, &[]), (40, 1));
+        two[4] = load(4, 2 * FAR + 16 * 1000, 16);
+        assert_eq!(width(&two, 1000, &[]), (1000, 1));
+        // A mixed tree keeps STRIP: its scratch columns hold a strip.
+        two[6] = bin(6, BinOp::Sub, 4, 5);
+        assert_eq!(width(&two, 1000, &[]), (s, 1));
+        // An op outside any superinstruction keeps STRIP.
+        let mut lone = fold2(BinOp::Add);
+        lone.extend([
+            load(4, 8192, 16),
+            bin(5, BinOp::Add, 4, 12),
+            store(5, 2 * FAR, 16),
+        ]);
+        assert_eq!(width(&lone, 1000, &[]), (s, 1));
+        // A sequential section runs one iteration per dispatch.
+        let in_place = [load(0, 4096 + 16, 16), store(0, 4096, 16)];
+        assert_eq!(width(&in_place, 1000, &[]).0, 1);
     }
 
     #[test]

@@ -101,7 +101,8 @@ pub(crate) fn exec(isa: IsaLevel, program: &Program, mem: &mut [u8]) {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SectionSchedule {
     /// Strip-mined: each op is dispatched once per strip of
-    /// iterations and runs down a register column.
+    /// iterations and runs down a register column — once for the whole
+    /// loop when every op lies in a fold of loaded streams.
     Strip,
     /// One iteration per dispatch, in program order, for the reason
     /// given.
@@ -354,6 +355,125 @@ mod tests {
                 );
                 assert!(nregs <= 8 * strip::STRIP, "{name} {reuse:?}: {nregs} lanes");
             }
+        }
+    }
+
+    /// The loop text of a `kernel-steady` kernel at trip `n`, as the
+    /// benchmark (and `tests/simd_native.rs`) writes it.
+    fn kernel_source(name: &str, n: u64) -> String {
+        let len = n + 16;
+        match name {
+            "fig1" => format!(
+                "arrays {{ a: i32[{len}] @ 0; b: i32[{len}] @ 4; c: i32[{len}] @ 8; }}
+                 for i in 0..{n} {{ a[i+3] = b[i+1] + c[i+2]; }}"
+            ),
+            "chain6" => format!(
+                "arrays {{ a: i32[{len}] @ 0; b: i32[{len}] @ 4; c: i32[{len}] @ 8;
+                           d: i32[{len}] @ 12; e: i32[{len}] @ 4; f: i32[{len}] @ 8;
+                           g: i32[{len}] @ 12; }}
+                 for i in 0..{n} {{ a[i] = b[i+1] + c[i+2] + d[i+3] + e[i+3] + f[i+1] + g[i+2]; }}"
+            ),
+            "fir4" => format!(
+                "arrays {{ a: i32[{len}] @ 0; b: i32[{len}] @ 0; }}
+                 for i in 0..{n} {{ a[i] = b[i] + b[i+1] + b[i+2] + b[i+3]; }}"
+            ),
+            "copy3" => format!(
+                "arrays {{ a: i32[{len}] @ 0; b: i32[{len}] @ 12; }}
+                 for i in 0..{n} {{ a[i] = b[i+3]; }}"
+            ),
+            "halfword" => format!(
+                "arrays {{ out: i16[{len}] @ 2; u: i16[{len}] @ 6; v: i16[{len}] @ 10; }}
+                 for i in 0..{n} {{ out[i+2] = u[i+1] * v[i+3]; }}"
+            ),
+            "runtime" => format!(
+                "arrays {{ dst: i32[{len}] @ ?; src1: i32[{len}] @ ?; src2: i32[{len}] @ ?; }}
+                 for i in 0..ub {{ dst[i+3] = src1[i+1] + src2[i+2]; }}"
+            ),
+            "deinterleave" => format!(
+                "arrays {{ out: i32[{len}] @ 0; inter: i32[{}] @ 8; }}
+                 for i in 0..{n} {{ out[i] = inter[2*i] * inter[2*i] + inter[2*i+1] * inter[2*i+1]; }}",
+                2 * n + 16
+            ),
+            "dot_product" => format!(
+                "arrays {{ acc: i32[4] @ 4; x: i32[{len}] @ 4; y: i32[{len}] @ 8; }}
+                 for i in 0..{n} {{ acc[i] += x[i+1] * y[i+2]; }}"
+            ),
+            other => panic!("no kernel named `{other}`"),
+        }
+    }
+
+    /// Each `kernel-steady` main loop, compiled as `Simdizer::new()`
+    /// does (the automatic policy, software pipelining, unroll-by-2),
+    /// is one superinstruction — `deinterleave`'s composed gathers a
+    /// mixed tree — whose folds split into the unrolled pair's two
+    /// halves, so the AVX2 tier runs it with both halves in one 256-bit
+    /// register. The seven folds of loaded streams run their whole trip
+    /// as one strip, one dispatch per loop; `deinterleave`'s tree keeps
+    /// [`strip::STRIP`] lanes, what its scratch columns hold. A kernel
+    /// that fell back to the 128-bit body or to strips would still match
+    /// the interpreter: this pins the plan.
+    #[test]
+    fn kernel_steady_main_loops_are_one_paired_superinstruction() {
+        for (name, whole) in [
+            ("fig1", true),
+            ("chain6", true),
+            ("fir4", true),
+            ("copy3", true),
+            ("halfword", true),
+            ("runtime", true),
+            ("dot_product", true),
+            ("deinterleave", false),
+        ] {
+            let p = parse_program(&kernel_source(name, 4096)).unwrap();
+            let policy = if p.all_alignments_known() {
+                Policy::Dominant
+            } else {
+                Policy::Zero
+            };
+            let g = ReorgGraph::build(&p, VectorShape::V16)
+                .unwrap()
+                .with_policy(policy)
+                .unwrap();
+            let prog = generate(
+                &g,
+                &CodegenOptions::default().reuse(ReuseMode::SoftwarePipeline),
+            )
+            .unwrap();
+            let image = MemoryImage::with_seed(&p, VectorShape::V16, 1);
+            let kernel = CompiledKernel::compile(&prog, &image, &RunInput::with_ub(4096)).unwrap();
+            let pair = kernel
+                .program()
+                .sections
+                .iter()
+                .find(|s| s.role == "pair")
+                .expect("a pair loop");
+            let width = if whole {
+                pair.iters as usize
+            } else {
+                strip::STRIP
+            };
+            let listing = kernel.trace();
+            assert!(pair.iters > 2 * strip::STRIP as i64, "{name}");
+            assert_eq!(
+                (
+                    pair.schedule,
+                    pair.width,
+                    pair.ops.len(),
+                    pair.supers[0].tree.is_none()
+                ),
+                (
+                    SectionSchedule::Strip,
+                    width,
+                    pair.supers[0].ops.len(),
+                    whole
+                ),
+                "{name}\n{listing}"
+            );
+            assert_eq!(
+                kernel.superinstructions(),
+                [("pair", 1, 1)],
+                "{name}\n{listing}"
+            );
         }
     }
 }

@@ -2,8 +2,10 @@
 //! superinstruction or an op at a time.
 //!
 //! A lowered plan is a list of [`Section`]s over one block of vector
-//! registers. A section scheduled in strips runs [`STRIP`] iterations
-//! per dispatch of each op or superinstruction. A *superinstruction*
+//! registers. A section scheduled in strips runs [`Section::width`]
+//! iterations per dispatch of each op or superinstruction: [`STRIP`],
+//! or — a section whose every op lies in a fold of loaded streams —
+//! its whole trip, one dispatch per fold for the loop. A *superinstruction*
 //! ([`Super`], chosen by `lower`) is a fold of loaded streams or a
 //! mixed tree. A fold of loaded streams is one lane loop over its
 //! streams, [`BLOCK`] lanes at a time: it loads each fold's leaves,
@@ -49,11 +51,18 @@ use simdize_ir::{BinOp, ScalarType, UnOp};
 use std::cell::{Cell, RefCell};
 use std::ops::Range;
 
-/// Iterations per op dispatch in a strip-scheduled section. 32 lanes
-/// of 16 bytes make a column 512 bytes, so the handful of columns live
-/// at once stay in L1 beside the streams, while the per-op dispatch (a
-/// few dozen cycles with its slice checks) is amortized to about a
-/// cycle per lane.
+/// Iterations per op dispatch in a strip-scheduled section whose ops
+/// keep values in register columns: generic column ops and mixed trees.
+/// 32 lanes of 16 bytes make a column 512 bytes, so the handful of
+/// columns live at once — a tree's scratch columns among them — stay in
+/// L1 beside the streams, while the per-op dispatch (a few dozen cycles
+/// with its slice checks) is amortized to about a cycle per lane. A
+/// section of folds of loaded streams keeps its values in CPU registers
+/// and runs its whole trip per dispatch instead (`lower`'s width rule);
+/// what of a fold's state lives in the block — a rotation's seed lane,
+/// the lane partials — still fits one column: the carry goes straight
+/// to the seed ([`fold`]) and iteration `u` folds into partial lane
+/// `u % STRIP` ([`Run::reduce`]).
 pub(super) const STRIP: usize = 32;
 
 /// Most streams one superinstruction folds, over all its folds.
@@ -63,6 +72,9 @@ pub(super) const MAX_LEAVES: usize = 16;
 /// for all of them stay in registers, and the loop's per-stream work is
 /// paid once for all of them.
 const BLOCK: usize = 4;
+
+// A block of lane partials never straddles the end of their column.
+const _: () = assert!(STRIP.is_multiple_of(BLOCK));
 
 /// Register blocks up to this size — eight columns, more than any
 /// sample loop or benchmark kernel needs — live on the stack.
@@ -477,18 +489,22 @@ pub(crate) struct Section {
     pub(crate) iters: i64,
     pub(crate) schedule: SectionSchedule,
     /// Iterations per op dispatch, as the strip driver reads `schedule`:
-    /// [`STRIP`], or 1 for the sequential schedule.
+    /// [`STRIP`], the section's trip for one whose every op lies in a
+    /// fold of loaded streams (one strip for the loop), or 1 for the
+    /// sequential schedule.
     pub(super) width: usize,
     /// Strip sections only: columns the section reads but never
     /// writes. Their lane 0 is broadcast down the column on entry.
     pub(super) invariant: Vec<u32>,
-    /// Strip sections only: columns the section writes. The last
-    /// iteration's lane is copied to lane 0 on exit, where sequential
-    /// code looks for it.
+    /// Strip sections only: columns the section's lone ops write, and
+    /// of a superinstruction's values only one a later section reads (a
+    /// rotation's source). The last iteration's lane is copied to lane 0
+    /// on exit, where sequential code looks for it.
     pub(super) written: Vec<u32>,
     /// Strip sections only: rotation chains as `(c, d)`, a column at
     /// `c + d` behind `d` seed lanes. After each strip its last `d`
-    /// lanes move onto the seeds.
+    /// lanes move onto the seeds — but in a section run whole, where
+    /// each chain's fold puts its carry on the seed itself.
     pub(crate) seeds: Vec<(u32, u32)>,
     /// Strip sections only: reduction accumulators `(column, op,
     /// identity)`, lanes 1.. filled on entry and folded into 0 on exit.
@@ -784,7 +800,11 @@ pub(super) fn fold<L: FoldLanes, const PAIRS: bool>(
         ..
     }) = folds.last()
     {
-        regs[f.column as usize + len].set(l.last(run.carry));
+        // A strip's carry goes to its source's last lane, where `reseed`
+        // and the written copy find it. A section run whole has no such
+        // lane inside the column: its carry goes straight to the seed.
+        let lane = if len > STRIP { 0 } else { len };
+        regs[f.column as usize + lane].set(l.last(run.carry));
     }
 }
 
@@ -1204,10 +1224,12 @@ impl<'a, L: FoldLanes> Run<'a, L> {
     }
 
     /// Combines the values of lanes `u..u + B` into their partials by
-    /// `op` at `ty`.
+    /// `op` at `ty`: lane `u`'s is lane `u % STRIP` of the accumulator's
+    /// column, the lane iteration `u` of a strip takes, so a section run
+    /// whole folds each iteration into the partial it would in strips.
     #[inline(always)]
     fn reduce<const B: usize>(&self, l: L, op: BinOp, ty: ScalarType, u: usize, v: [L::W; B]) {
-        let partials = &self.regs[self.f.column as usize + u..][..B];
+        let partials = &self.regs[self.f.column as usize + u % STRIP..][..B];
         let mut p = [partials[0].get(); B];
         for i in 0..B {
             p[i] = partials[i].get();
@@ -1433,6 +1455,9 @@ pub(super) fn run<L: Lanes>(l: L, program: &Program, mem: &mut [u8], columns: &m
                 .iter()
                 .for_each(|lane| lane.set(identity));
         }
+        // A section run whole keeps its rotations' carries in their
+        // seed lanes ([`fold`]).
+        let seeds = if s.width > STRIP { &[][..] } else { &s.seeds };
         let mut k = 0;
         while k < s.iters {
             let len = (s.iters - k).min(s.width as i64) as usize;
@@ -1444,8 +1469,8 @@ pub(super) fn run<L: Lanes>(l: L, program: &Program, mem: &mut [u8], columns: &m
             } else {
                 strip(l, s, k, len, program.elem, regs, mem, columns);
             }
-            if !s.seeds.is_empty() {
-                reseed(regs, &s.seeds, len);
+            if !seeds.is_empty() {
+                reseed(regs, seeds, len);
             }
             k += len as i64;
         }

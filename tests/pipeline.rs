@@ -349,3 +349,41 @@ fn a_loop_at_the_depth_limit_compiles_on_a_two_mib_thread() {
             .unwrap();
     }
 }
+
+/// A 200-term sum whose terms alternate between two offsets every three
+/// terms. Under the optimal policy, shifting the running sum once costs
+/// less than shifting the next three terms, so its shifts nest one
+/// deeper per run of three and the generator, which expands a shift's
+/// source once per register it combines, would take 2^66 registers: it
+/// stops past `simdize::MAX_REGS` and refuses the program, in about a
+/// second in a debug build. Lazy placement without reuse reconciles
+/// every operator to the store's offset, so no shift's source holds
+/// another shift and the same sum takes registers linear in its terms.
+#[test]
+fn nested_shifts_past_the_register_cap_are_refused() {
+    let terms = 200;
+    let rhs = (0..terms)
+        .map(|k| format!("b[i+{}]", k / 3 % 2))
+        .collect::<Vec<_>>()
+        .join(" + ");
+    let src = format!(
+        "arrays {{ a: i32[1100] @ 0; b: i32[1100] @ 4; }}
+         for i in 0..1000 {{ a[i] = {rhs}; }}"
+    );
+    let p = parse_program(&src).unwrap();
+    let start = std::time::Instant::now();
+    let refused = Simdizer::new().policy(Policy::Optimal).compile(&p);
+    assert!(
+        matches!(
+            refused,
+            Err(simdize::SimdizeError::Gen(
+                simdize::GenCodeError::TooManyRegisters
+            ))
+        ),
+        "{refused:?}"
+    );
+    assert!(start.elapsed().as_secs() < 30, "{:?}", start.elapsed());
+    let lazy = Simdizer::new().policy(Policy::Lazy).reuse(ReuseMode::None);
+    let regs = lazy.compile(&p).unwrap().vreg_count();
+    assert!(regs <= 40 * terms, "{regs} registers for {terms} terms");
+}

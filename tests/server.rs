@@ -236,6 +236,36 @@ fn a_source_nested_too_deep_is_refused_and_the_server_keeps_serving() {
     harness.shutdown();
 }
 
+/// A 200-term sum whose terms alternate offsets every three terms,
+/// under `"policy":"optimal"`, nests its shifts 66 deep: code generation
+/// stops past `simdize::MAX_REGS` and the request gets an error reply
+/// at once, where the generator used to run for minutes and wrap its
+/// register counter. The connection keeps serving.
+#[test]
+fn nested_shifts_past_the_register_cap_are_refused_and_the_server_keeps_serving() {
+    let harness = Harness::start(ServerConfig::default());
+    let mut client = harness.client();
+    let rhs = (0..200)
+        .map(|k| format!("b[i+{}]", k / 3 % 2))
+        .collect::<Vec<_>>()
+        .join(" + ");
+    let source =
+        format!("arrays {{ a: i32[64] @ 0; b: i32[64] @ 4; }} for i in 0..40 {{ a[i] = {rhs}; }}");
+    let request = format!(
+        r#"{{"v":1,"id":1,"cmd":"run","policy":"optimal","source":"{}"}}"#,
+        inline(&source)
+    );
+    let response = client.roundtrip(&request);
+    let doc = json::parse(&response).unwrap_or_else(|e| panic!("{response}: {e}"));
+    assert_eq!(doc.get("ok"), Some(&Json::Bool(false)), "{response}");
+    let error = doc.get("error").and_then(Json::as_str).unwrap();
+    let cap = simdize::MAX_REGS.to_string();
+    assert!(error.contains(&cap), "{response}");
+    let pong = client.roundtrip(r#"{"v":1,"id":2,"cmd":"ping"}"#);
+    assert!(pong.contains("\"pong\":true"), "{pong}");
+    harness.shutdown();
+}
+
 /// A source whose arrays would not fit the server's cap is refused
 /// before any image is allocated, and the connection keeps serving.
 #[test]

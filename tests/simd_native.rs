@@ -7,9 +7,9 @@
 //! including the 16-bit `halfword.loop`.
 
 use simdize::{
-    run_scalar, run_simd, Addr, ArrayId, CompiledKernel, IsaLevel, KernelOptions, MemoryImage,
-    Policy, PredecodedKernel, ReuseMode, RunInput, RunStats, Schedule, SectionSchedule,
-    SequentialReason, SimdKernel, SimdizeError, Simdizer, VInst, VectorShape,
+    run_scalar, run_simd, Addr, ArrayId, IsaLevel, KernelOptions, MemoryImage, Policy,
+    PredecodedKernel, ReuseMode, RunInput, RunStats, Schedule, SectionSchedule, SequentialReason,
+    SimdKernel, SimdizeError, Simdizer, VInst, VectorShape,
 };
 use std::collections::BTreeSet;
 
@@ -290,6 +290,17 @@ fn strip_boundaries_match_interpreter_across_policy_reuse_tier_matrix() {
 /// are built by retargeting a legal loop's VIR; the interpreter
 /// running the same VIR stays the reference.
 fn aliased_schedule(src: &str, (from, to): (usize, usize), label: &str) -> Schedule {
+    let (program, compiled) = aliased(src, (from, to));
+    let ub = program.trip().known().unwrap();
+    check_tiers(&program, &compiled, ub, 5, label).0
+}
+
+/// A source loop and the program compiled from it.
+type Compiled = (simdize::LoopProgram, simdize::SimdProgram);
+
+/// `src` compiled without reuse, every access on array `from` then
+/// redirected to array `to` ([`aliased_schedule`]).
+fn aliased(src: &str, (from, to): (usize, usize)) -> Compiled {
     fn retarget(insts: &mut [VInst], from: ArrayId, to: ArrayId) {
         for inst in insts {
             match inst {
@@ -318,8 +329,7 @@ fn aliased_schedule(src: &str, (from, to): (usize, usize), label: &str) -> Sched
         retarget(pair, from, to);
     }
     retarget(compiled.epilogue_mut(), from, to);
-    let ub = program.trip().known().unwrap();
-    check_tiers(&program, &compiled, ub, 5, label).0
+    (program, compiled)
 }
 
 fn strips(schedule: Schedule) -> bool {
@@ -378,7 +388,8 @@ fn main_loop(schedule: Schedule) -> SectionSchedule {
     }
 }
 
-/// The loop text of a `kernel-steady` kernel at trip `n`.
+/// The loop text of a `kernel-steady` kernel at trip `n`: the four
+/// that no sample under `loops/` has the shape of.
 fn kernel_source(name: &str, n: u64) -> String {
     let len = n + 16;
     match name {
@@ -399,23 +410,6 @@ fn kernel_source(name: &str, n: u64) -> String {
         "copy3" => format!(
             "arrays {{ a: i32[{len}] @ 0; b: i32[{len}] @ 12; }}
              for i in 0..{n} {{ a[i] = b[i+3]; }}"
-        ),
-        "halfword" => format!(
-            "arrays {{ out: i16[{len}] @ 2; u: i16[{len}] @ 6; v: i16[{len}] @ 10; }}
-             for i in 0..{n} {{ out[i+2] = u[i+1] * v[i+3]; }}"
-        ),
-        "runtime" => format!(
-            "arrays {{ dst: i32[{len}] @ ?; src1: i32[{len}] @ ?; src2: i32[{len}] @ ?; }}
-             for i in 0..ub {{ dst[i+3] = src1[i+1] + src2[i+2]; }}"
-        ),
-        "deinterleave" => format!(
-            "arrays {{ out: i32[{len}] @ 0; inter: i32[{}] @ 8; }}
-             for i in 0..{n} {{ out[i] = inter[2*i] * inter[2*i] + inter[2*i+1] * inter[2*i+1]; }}",
-            2 * n + 16
-        ),
-        "dot_product" => format!(
-            "arrays {{ acc: i32[4] @ 4; x: i32[{len}] @ 4; y: i32[{len}] @ 8; }}
-             for i in 0..{n} {{ acc[i] += x[i+1] * y[i+2]; }}"
         ),
         other => panic!("no kernel named `{other}`"),
     }
@@ -503,9 +497,25 @@ fn check_bakes_with(
 /// `STRIP+1` and `2·STRIP+1` pair iterations, `per_pair` elements
 /// each: every bake must strip, and every target must have run.
 fn check_strip_boundaries(label: &str, runs: &mut dyn FnMut(u64) -> Vec<Bake>, per_pair: u64) {
-    let targets = [STRIP - 1, STRIP, STRIP + 1, 2 * STRIP + 1];
+    check_pair_trips(
+        label,
+        runs,
+        per_pair,
+        &[STRIP - 1, STRIP, STRIP + 1, 2 * STRIP + 1],
+    );
+}
+
+/// Runs `runs` over trips around main loops of each of `targets` pair
+/// iterations, `per_pair` elements each: every bake must strip, and
+/// every target must have run.
+fn check_pair_trips(
+    label: &str,
+    runs: &mut dyn FnMut(u64) -> Vec<Bake>,
+    per_pair: u64,
+    targets: &[u64],
+) {
     let mut stripped = BTreeSet::new();
-    for n in targets {
+    for &n in targets {
         for ub in (per_pair * n..per_pair * (n + 2)).step_by(per_pair as usize / 2) {
             for (schedule, pairs, _) in runs(ub) {
                 assert_eq!(schedule, SectionSchedule::Strip, "{label} ub={ub}");
@@ -513,7 +523,7 @@ fn check_strip_boundaries(label: &str, runs: &mut dyn FnMut(u64) -> Vec<Bake>, p
             }
         }
     }
-    for n in targets {
+    for &n in targets {
         assert!(
             stripped.contains(&n),
             "{label}: no strip of {n} pair iterations ran"
@@ -623,43 +633,6 @@ fn strip_dispatches(listing: &str) -> Vec<&str> {
         .take_while(|l| l.starts_with(' '))
         .filter(|l| !l.starts_with("    ") && !l.starts_with("  ;"))
         .collect()
-}
-
-/// Superinstructions shorten the strip to one dispatch: the main loop
-/// of every `kernel-steady` kernel runs as a single superinstruction —
-/// `deinterleave`'s composed gathers as a mixed tree — whose folds split
-/// into the unrolled pair's two halves, so the AVX2 tier runs it with
-/// both halves in one 256-bit register. A kernel that fell back to the
-/// 128-bit body would still match the interpreter: this pins the
-/// pairing.
-#[test]
-fn kernel_steady_main_loops_dispatch_once_per_strip() {
-    for name in [
-        "fig1",
-        "chain6",
-        "fir4",
-        "copy3",
-        "halfword",
-        "runtime",
-        "dot_product",
-        "deinterleave",
-    ] {
-        let program = simdize::parse_program(&kernel_source(name, 4096)).unwrap();
-        let compiled = Simdizer::new().compile(&program).unwrap();
-        let image = MemoryImage::with_seed(&program, VectorShape::V16, 1);
-        let kernel = CompiledKernel::compile(&compiled, &image, &RunInput::with_ub(4096)).unwrap();
-        let listing = kernel.trace();
-        let dispatches = strip_dispatches(&listing);
-        assert!(
-            matches!(dispatches[..], [line] if line.starts_with("  fold")),
-            "{name}\n{listing}"
-        );
-        assert_eq!(
-            kernel.superinstructions(),
-            [("pair", 1, 1)],
-            "{name}\n{listing}"
-        );
-    }
 }
 
 /// The superinstructions of a fused bake, as `(role, paired, all)`.
@@ -899,6 +872,92 @@ fn superinstruction_families_match_interpreter_at_strip_boundaries() {
                 check_strip_boundaries(&label, &mut runs, 2 * lanes);
             }
         }
+    }
+}
+
+/// The main loops a section of folds of loaded streams runs as one
+/// strip, its whole trip a dispatch: around `STRIP` (one strip either
+/// way), past it, and long — 511 and 4096 pair iterations.
+const WHOLE_TRIPS: [u64; 6] = [STRIP - 1, STRIP, STRIP + 1, 2 * STRIP + 1, 511, 4096];
+
+/// Every superinstruction family — a fold into a store, into a rotation
+/// shift (whose carry goes straight to its seed lane) and into lane
+/// partials (lane `u % STRIP`) — at two operators and two widths,
+/// through [`WHOLE_TRIPS`], fused and unfused, on every host tier,
+/// against the interpreter.
+#[test]
+fn folds_run_whole_match_interpreter_on_long_trips() {
+    for (family, (name, mark)) in FAMILIES.into_iter().enumerate() {
+        for ty in ["i16", "i32"] {
+            let lanes: u64 = 128 / ty[1..].parse::<u64>().unwrap();
+            for op in [0, 6] {
+                let label = format!("{name} {} {ty}", BINOPS[op]);
+                let mut runs = |ub| {
+                    let program =
+                        simdize::parse_program(&family_source(family, op, ty, ub)).unwrap();
+                    let compiled = Simdizer::new().compile(&program).unwrap();
+                    let bakes =
+                        check_bakes(&program, &compiled, ub, ub, &format!("{label} ub={ub}"));
+                    for (_, _, listing) in &bakes {
+                        let selected = strip_dispatches(listing).iter().any(|l| l.contains(mark));
+                        assert!(selected, "{label} ub={ub}: not selected\n{listing}");
+                    }
+                    bakes
+                };
+                check_pair_trips(&label, &mut runs, 2 * lanes, &WHOLE_TRIPS);
+            }
+        }
+    }
+}
+
+/// Two statements, each a fold of aligned loaded streams (so the unfused
+/// bake selects them too): both folds run whole. Then two whose second reads, 40 pair iterations (320 elements) ahead,
+/// what the first stores — `g` stands in for `a` until the VIR is
+/// retargeted ([`aliased`]): the dependence keeps the main loop at
+/// `STRIP` iterations a strip (`lower`'s width rule, pinned in its unit
+/// tests). Both match the interpreter through [`WHOLE_TRIPS`], fused
+/// and unfused, on every host tier.
+#[test]
+fn two_statement_folds_match_interpreter_on_long_trips() {
+    let two = |n: u64| {
+        let len = n + 64;
+        let program = simdize::parse_program(&format!(
+            "arrays {{ a: i32[{len}] @ 0; b: i32[{len}] @ 0; c: i32[{len}] @ 0;
+                       d: i32[{len}] @ 0; e: i32[{len}] @ 0; f: i32[{len}] @ 0; }}
+             for i in 0..{n} {{ a[i] = b[i] + c[i]; d[i] = e[i] - f[i]; }}"
+        ))
+        .unwrap();
+        let compiled = Simdizer::new().compile(&program).unwrap();
+        (program, compiled)
+    };
+    let apart = |n: u64| {
+        let len = n + 384;
+        aliased(
+            &format!(
+                "arrays {{ a: i32[{len}] @ 0; b: i32[{len}] @ 0; c: i32[{len}] @ 0;
+                           d: i32[{len}] @ 0; e: i32[{len}] @ 0; g: i32[{len}] @ 0; }}
+                 for i in 0..{n} {{ a[i] = b[i] + c[i]; d[i] = g[i+320] + e[i]; }}"
+            ),
+            (5, 0),
+        )
+    };
+    let cases: [(&str, &dyn Fn(u64) -> Compiled); 2] =
+        [("two folds", &two), ("a dependence 40 pairs apart", &apart)];
+    for (label, build) in cases {
+        let mut runs = |ub| {
+            let (program, compiled) = build(ub);
+            let bakes = check_bakes(&program, &compiled, ub, ub, &format!("{label} ub={ub}"));
+            // Each statement a fold of its own, unrolled or not.
+            for (_, _, listing) in &bakes {
+                let dispatches = strip_dispatches(listing);
+                assert!(
+                    dispatches.len() >= 2 && dispatches.iter().all(|l| l.starts_with("  fold")),
+                    "{label} ub={ub}\n{listing}"
+                );
+            }
+            bakes
+        };
+        check_pair_trips(label, &mut runs, 8, &WHOLE_TRIPS);
     }
 }
 
