@@ -88,12 +88,17 @@ pub(crate) use strip::{Leaf, Program, Section, Sink, Super, Term};
 /// portable tier when this host cannot execute that one, lending it the
 /// thread's mixed-tree scratch columns.
 pub(crate) fn exec(isa: IsaLevel, program: &Program, mem: &mut [u8]) {
-    strip::COLUMNS.with_borrow_mut(|columns| match isa {
-        #[cfg(target_arch = "x86_64")]
-        IsaLevel::V2 => x86::exec(program, mem, false, columns),
-        #[cfg(target_arch = "x86_64")]
-        IsaLevel::Avx2 => x86::exec(program, mem, true, columns),
-        _ => strip::run(portable::portable(), program, mem, columns),
+    strip::COLUMNS.with_borrow_mut(|columns| {
+        let ran = match isa {
+            #[cfg(target_arch = "x86_64")]
+            IsaLevel::V2 => x86::exec(program, mem, false, columns),
+            #[cfg(target_arch = "x86_64")]
+            IsaLevel::Avx2 => x86::exec(program, mem, true, columns),
+            _ => false,
+        };
+        if !ran {
+            portable::run(program, mem, columns)
+        }
     })
 }
 

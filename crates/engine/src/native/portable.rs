@@ -9,12 +9,19 @@
 //! driver as the intrinsic tiers, so those operands, the renaming pass
 //! and the strip schedule are under test even on hosts without SIMD.
 
-use super::strip::{self, Columns, Lanes, Super, Tier};
+use super::strip::{self, Columns, Lanes, Program, Super, Tier};
 use crate::lanes::{self, Reg};
 use simdize_ir::ScalarType;
 use std::cell::Cell;
 
-pub(super) fn portable() -> impl Lanes<V = Reg> {
+/// The strip driver on this tier, its one instance: out of line, so no
+/// frame of it sits under the x86 tiers' runners.
+#[inline(never)]
+pub(super) fn run(program: &Program, mem: &mut [u8], columns: &mut Columns) {
+    strip::run(portable(), program, mem, columns)
+}
+
+fn portable() -> impl Lanes<V = Reg> {
     Tier {
         load: |src: &Reg| *src,
         store: |v, out: &mut Reg| *out = v,

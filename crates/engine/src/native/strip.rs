@@ -20,10 +20,10 @@
 //! *column* — lane `u` of column `c` is `regs[c + u]` and holds the
 //! register's value in iteration `k0 + u`. Either way the op kind and
 //! element type are matched outside the lane loop (a superinstruction
-//! const-matches its operations, as their [`canonical`] `(BinOp,
-//! ScalarType)` pairs, on the tiers that run for speed; its shift
-//! amounts and partial operator stay runtime values), as is an op's
-//! shift amount, and each memory stream
+//! const-matches its operations x86 has an instruction for, as their
+//! [`canonical`] `(BinOp, ScalarType)` pairs, on the tiers that run for
+//! speed; its shift amounts and partial operator stay runtime values),
+//! as is an op's shift amount, and each memory stream
 //! is sliced once per strip into the window the strip touches, so the
 //! lane loop indexes that slice — a superinstruction's as an array of
 //! whole vectors, since its streams step by whole vectors. Everything
@@ -569,16 +569,16 @@ pub(super) fn canonical(op: BinOp, elem: ScalarType) -> ScalarType {
     }
 }
 
-/// Expands `$body` once per distinct [`canonical`] `(BinOp,
-/// ScalarType)` pair — 31, not 64 — with `$o` and `$t` bound to the
-/// pair `($op, $elem)` computes as.
+/// Expands `$body` once per [`canonical`] `(BinOp, ScalarType)` pair x86
+/// has an instruction for — 25 of 31 — with `$o` and `$t` bound to the
+/// pair `($op, $elem)` computes as, and once for the rest at runtime.
 macro_rules! with_canonical {
     ($op:expr, $elem:expr, |$o:ident, $t:ident| $body:expr) => {
         with_canonical!(@ $op, $elem, |$o, $t| $body,
             (Add I8) (Add I16) (Add I32) (Add I64) (Sub I8) (Sub I16) (Sub I32) (Sub I64)
-            (Mul I8) (Mul I16) (Mul I32) (Mul I64) (And U8) (Or U8) (Xor U8)
-            (Min I8) (Min U8) (Min I16) (Min U16) (Min I32) (Min U32) (Min I64) (Min U64)
-            (Max I8) (Max U8) (Max I16) (Max U16) (Max I32) (Max U32) (Max I64) (Max U64))
+            (Mul I16) (Mul I32) (And U8) (Or U8) (Xor U8)
+            (Min I8) (Min U8) (Min I16) (Min U16) (Min I32) (Min U32)
+            (Max I8) (Max U8) (Max I16) (Max U16) (Max I32) (Max U32))
     };
     (@ $op:expr, $elem:expr, |$o:ident, $t:ident| $body:expr, $(($c:ident $ty:ident))+) => {{
         let op: BinOp = $op;
@@ -587,7 +587,7 @@ macro_rules! with_canonical {
                 let ($o, $t) = (BinOp::$c, ScalarType::$ty);
                 $body
             })+
-            _ => unreachable!("every canonical pair is listed"),
+            ($o, $t) => $body,
         }
     }};
 }
@@ -730,15 +730,15 @@ fn one<L: Lanes>(
     }
 }
 
-/// Runs superinstruction `f` for iterations `k0..k0 + len`: what each
-/// tier's [`Lanes::fold`] instantiates in a function of its own for
-/// every superinstruction but a mixed tree ([`tree`]). The lane loop
-/// runs [`BLOCK`] lanes at a time. `PAIRS` tiers — the ones a host
-/// dispatches for speed — const-match every `(BinOp, ScalarType)`
-/// operation, as its [`canonical`] pair: a fold of loaded streams gets
-/// one lane loop per pair. The others, like the lanes left over (only a
-/// section's last strip has any), run one loop with the pair a runtime
-/// value, which keeps the binary, and with it the resident set, small.
+/// Runs superinstruction `f` for iterations `k0..k0 + len`: what a
+/// tier's [`Lanes::fold`] runs in a function of its own, one per
+/// register form, for every superinstruction but a mixed tree ([`tree`]).
+/// The lane loop runs [`BLOCK`] lanes at a time. `PAIRS` tiers — the
+/// ones a host dispatches for speed — const-match each operation x86
+/// has an instruction for, as its [`canonical`] pair: a lane loop each.
+/// The others, like the lanes left over (only a section's last strip
+/// has any), run one loop with the pair a runtime value, which keeps
+/// the binary, and with it the resident set, small.
 /// Run wide ([`FoldLanes::WIDE`]), the lane loop runs the first half of
 /// a paired superinstruction's folds over the streams they read
 /// ([`Super::halves`]), each stream window reaching on to the second

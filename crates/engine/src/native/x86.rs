@@ -12,12 +12,13 @@
 //! `#[target_feature]` entries that instantiate the generic driver: the
 //! strip loop, and — out of line, so their lane loops stay out of the
 //! strip loop — the two superinstruction runners the bundle's `fold`
-//! picks between, one for mixed trees and one for the rest. The
-//! runners const-match each operation on its canonical `(BinOp,
-//! ScalarType)` pair (31 of them). Every call between them is a safe
-//! same-context call: rustc's implied-feature rules make the v2 arms
-//! callable from the AVX2 tier, and the closures in a bundle inherit
-//! the features of the function that builds it.
+//! picks between, one for mixed trees and one for the rest: the AVX2
+//! tier's for paired superinstructions, wide (below), its `fold` sending
+//! any other to the v2 tier's. They const-match the 25 canonical
+//! `(BinOp, ScalarType)` pairs x86 has an instruction for. Every call
+//! between them is a safe same-context call: rustc's implied-feature
+//! rules make the v2 arms and runners callable from the AVX2 tier, and
+//! a bundle's closures inherit the features of the function building it.
 //!
 //! The engine's vector shape is V16, so both tiers' generic ops work
 //! on 128-bit registers. A superinstruction whose folds split into the
@@ -49,7 +50,6 @@
 //! vectors, and its two stores into one 32-byte array, into single
 //! `vmovdqu ymm`s.
 
-use super::portable::portable;
 use super::strip::{self, Columns, FoldLanes, Lanes, Program, Super, Tier, Wide};
 use super::IsaLevel;
 use crate::lanes::{self, Reg};
@@ -60,8 +60,8 @@ use std::cell::Cell;
 /// Safe dispatch into the x86 tiers. `wide` asks for the AVX2 tier;
 /// each tier's runtime probe is re-checked here, so this safe function
 /// cannot reach unsupported instructions even if called with a stale
-/// flag: a host below v2 runs the portable tier.
-pub(super) fn exec(program: &Program, mem: &mut [u8], wide: bool, columns: &mut Columns) {
+/// flag. Returns whether it ran: a host below v2 runs the portable tier.
+pub(super) fn exec(program: &Program, mem: &mut [u8], wide: bool, columns: &mut Columns) -> bool {
     if wide && IsaLevel::Avx2.available() {
         // SAFETY: the `avx2` branch of `available` just confirmed
         // ssse3, sse4.1 and avx2 via `is_x86_feature_detected!`.
@@ -71,8 +71,9 @@ pub(super) fn exec(program: &Program, mem: &mut [u8], wide: bool, columns: &mut 
         // and sse4.1 via `is_x86_feature_detected!`.
         unsafe { run_v2(program, mem, columns) }
     } else {
-        strip::run(portable(), program, mem, columns)
+        return false;
     }
+    true
 }
 
 #[target_feature(enable = "ssse3,sse4.1")]
@@ -116,8 +117,8 @@ fn tree_v2(
     strip::tree::<_, true>(v2(), f, k0, len, elem, regs, mem, columns)
 }
 
-/// A paired superinstruction runs both halves of each lane in one
-/// `ymm` ([`avx2_wide`]); any other keeps one `xmm` per lane.
+/// A paired superinstruction, both halves of each lane in one `ymm`
+/// ([`avx2_wide`]); the AVX2 tier runs any other on [`fold_v2`].
 #[inline(never)]
 #[target_feature(enable = "ssse3,sse4.1,avx2")]
 fn fold_avx2(
@@ -128,14 +129,10 @@ fn fold_avx2(
     regs: &[Cell<__m128i>],
     mem: &mut [u8],
 ) {
-    if f.halves != 0 {
-        strip::fold::<_, true>(avx2_wide(), f, k0, len, elem, regs, mem)
-    } else {
-        strip::fold::<_, true>(avx2(), f, k0, len, elem, regs, mem)
-    }
+    strip::fold::<_, true>(avx2_wide(), f, k0, len, elem, regs, mem)
 }
 
-/// [`tree_v2`] on the AVX2 tier, wide when paired.
+/// [`tree_v2`] for a paired mixed tree, wide.
 #[inline(never)]
 #[target_feature(enable = "ssse3,sse4.1,avx2")]
 #[allow(clippy::too_many_arguments)]
@@ -148,11 +145,7 @@ fn tree_avx2(
     mem: &mut [u8],
     columns: &mut Columns,
 ) {
-    if f.halves != 0 {
-        strip::tree::<_, true>(avx2_wide(), f, k0, len, elem, regs, mem, columns)
-    } else {
-        strip::tree::<_, true>(avx2(), f, k0, len, elem, regs, mem, columns)
-    }
+    strip::tree::<_, true>(avx2_wide(), f, k0, len, elem, regs, mem, columns)
 }
 
 /// The 128-bit arms as one tier's operations, its superinstructions
@@ -179,41 +172,22 @@ where
 #[inline]
 #[target_feature(enable = "ssse3,sse4.1")]
 fn v2() -> impl Lanes<V = __m128i> {
-    narrow(
-        |f: &Super,
-         k0,
-         len,
-         elem,
-         regs: &[Cell<__m128i>],
-         mem: &mut [u8],
-         columns: &mut Columns| {
-            if f.tree.is_some() {
-                tree_v2(f, k0, len, elem, regs, mem, columns)
-            } else {
-                fold_v2(f, k0, len, elem, regs, mem)
-            }
-        },
-    )
+    narrow(|f, k0, len, elem, regs, mem, columns| match f.tree {
+        Some(_) => tree_v2(f, k0, len, elem, regs, mem, columns),
+        None => fold_v2(f, k0, len, elem, regs, mem),
+    })
 }
 
-/// The AVX2 tier's 128-bit operations: the v2 tier's, with its own
-/// superinstruction runner.
+/// The AVX2 tier's 128-bit operations: the v2 tier's, whose runners
+/// its `fold` calls for every superinstruction but a paired one.
 #[inline]
 #[target_feature(enable = "ssse3,sse4.1,avx2")]
 fn avx2() -> impl Lanes<V = __m128i> {
     narrow(
-        |f: &Super,
-         k0,
-         len,
-         elem,
-         regs: &[Cell<__m128i>],
-         mem: &mut [u8],
-         columns: &mut Columns| {
-            if f.tree.is_some() {
-                tree_avx2(f, k0, len, elem, regs, mem, columns)
-            } else {
-                fold_avx2(f, k0, len, elem, regs, mem)
-            }
+        |f, k0, len, elem, regs, mem, columns| match (f.halves, &f.tree) {
+            (0, _) => v2().fold(f, k0, len, elem, regs, mem, columns),
+            (_, Some(_)) => tree_avx2(f, k0, len, elem, regs, mem, columns),
+            (_, None) => fold_avx2(f, k0, len, elem, regs, mem),
         },
     )
 }

@@ -120,15 +120,17 @@ echo "== unsafe sites in the engine (x86: 4 + 2 in tests) =="
 [ "$(grep -rc 'unsafe {' crates/engine/src | grep -v ':0$' | sort | tr '\n' ' ')" = "crates/engine/src/native/x86.rs:6 " ] \
     || { echo "the engine's unsafe sites changed" >&2; exit 1; }
 
-echo "== .text budget (release simdize binary, 2.5 MB) =="
+echo "== .text budget (release simdize binary, 2.05 MB) =="
 # peak_rss_mb follows .text almost page for page (the binary's pages sit
 # in the page cache and fault in 64 KB at a time), so code growth is an
 # end-to-end cost: the tier runners below are where it has come from.
+# The budget is the 1.86 MB .text of one compiled 128-bit runner set
+# and one portable driver, plus about 10 %.
 text=$(size -A target/release/simdize | awk '$1 == ".text" { print $2 }')
 echo ".text: $text bytes"
-nm -S --size-sort -C target/release/simdize | grep -E 'simdize_engine::native::(x86|portable)::' | tail -n 10
-[ "$text" -le 2500000 ] \
-    || { echo ".text of target/release/simdize is $text bytes, over the 2.5 MB budget" >&2; exit 1; }
+nm -S --size-sort -C target/release/simdize | grep -E 'simdize_engine::native::(x86|portable|exec)' | tail -n 10
+[ "$text" -le 2050000 ] \
+    || { echo ".text of target/release/simdize is $text bytes, over the 2.05 MB budget" >&2; exit 1; }
 
 echo "== clippy (-D warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings

@@ -974,10 +974,12 @@ fn runs_a_tree(listing: &str) -> bool {
 /// width, `deinterleave` at every input alignment, a non-reassociable
 /// root, a gather stored as it is, a splat leaf, a mixed tree into a
 /// lane partial, the `b - c - d` and immediate-operand shapes the
-/// one-operator folds refuse, and `alpha_blend` (its two products of a
+/// one-operator folds refuse, `min` and `max` at 64 bits (pairs x86
+/// has no instruction for), an unpaired `deinterleave` (on the AVX2
+/// tier, the v2 tier's runner) and `alpha_blend` (its two products of a
 /// stream and a parameter) under the default and the zero-shift
-/// policy. Every fused bake but the default-policy `alpha_blend`
-/// (whose products feed rotation shifts) runs a mixed tree.
+/// policy. Every fused bake but the default-policy `alpha_blend` (whose
+/// products feed rotation shifts) runs a mixed tree.
 #[test]
 fn mixed_trees_match_interpreter_at_strip_boundaries() {
     fn squares(ty: &'static str, at: u64, rhs: &'static str) -> impl Fn(u64) -> String {
@@ -994,6 +996,18 @@ fn mixed_trees_match_interpreter_at_strip_boundaries() {
             format!("stride 2 {ty}"),
             lanes,
             Box::new(squares(ty, 0, sum)),
+        ));
+    }
+    // Pairs x86 has no instruction for, in a term and between terms.
+    for ty in ["i64", "u64"] {
+        cases.push((
+            format!("min and max {ty}"),
+            2,
+            Box::new(squares(
+                ty,
+                8,
+                "max(min(x[2*i], x[2*i+1]), x[2*i] - x[2*i+1])",
+            )),
         ));
     }
     for at in [0, 4, 8, 12] {
@@ -1045,10 +1059,15 @@ fn mixed_trees_match_interpreter_at_strip_boundaries() {
         4,
         Box::new(streams("a[i] = b[i] * 3 + c[i];")),
     ));
+    // Not unrolled, so not paired: the AVX2 tier runs it on the v2
+    // tier's runner.
+    let unpaired = "unpaired deinterleave".to_string();
+    cases.push((unpaired.clone(), 4, Box::new(squares("i32", 8, sum))));
     for (label, lanes, source) in &cases {
         let mut runs = |ub| {
             let program = simdize::parse_program(&source(ub)).unwrap();
-            let compiled = Simdizer::new().compile(&program).unwrap();
+            let driver = Simdizer::new().unroll(*label != unpaired);
+            let compiled = driver.compile(&program).unwrap();
             let bakes = check_bakes(&program, &compiled, ub, ub, &format!("{label} ub={ub}"));
             assert!(
                 runs_a_tree(&bakes[0].2),
@@ -1137,6 +1156,81 @@ fn mixed_trees_match_interpreter_at_every_last_strip_length() {
             (1..=STRIP).collect::<BTreeSet<_>>(),
             "{label}: last strip lengths"
         );
+    }
+}
+
+/// The stack a kernel's run may take. In a debug build no runner frame
+/// merges into its caller's, and each const-matched lane loop keeps
+/// stack slots of its own: the deepest chain, the AVX2 strip driver and
+/// its wide fold runner, takes about 570 KiB.
+const RUN_STACK: usize = 768 * 1024;
+
+/// A paired and an unpaired fold of loaded streams and a paired and an
+/// unpaired mixed tree, run on every host tier on a thread with a
+/// [`RUN_STACK`] stack — one that outgrows it aborts this test binary
+/// with a stack overflow — and matched against the interpreter.
+#[test]
+fn superinstructions_run_within_a_fixed_stack() {
+    let fig1 = |ub: u64| {
+        format!(
+            "arrays {{ a: i32[{len}] @ 0; b: i32[{len}] @ 4; c: i32[{len}] @ 8; }}
+             for i in 0..{ub} {{ a[i+3] = b[i+1] + c[i+2]; }}",
+            len = ub + 16
+        )
+    };
+    let deinterleave = |ub: u64| {
+        format!(
+            "arrays {{ out: i32[{}] @ 0; x: i32[{}] @ 8; }} for i in 0..{ub} {{ out[i] = x[2*i] * x[2*i] + x[2*i+1] * x[2*i+1]; }}",
+            ub + 16,
+            2 * ub + 32
+        )
+    };
+    let ub = 200;
+    let mut runs = Vec::new();
+    for (source, tree) in [(fig1(ub), false), (deinterleave(ub), true)] {
+        for paired in [true, false] {
+            let program = simdize::parse_program(&source).unwrap();
+            let compiled = Simdizer::new().unroll(paired).compile(&program).unwrap();
+            let label = format!("tree={tree} paired={paired}");
+            let mut want = MemoryImage::with_seed(&program, VectorShape::V16, 7);
+            let image = want.clone();
+            let input = RunInput::with_ub(ub);
+            run_simd(&compiled, &mut want, &input).unwrap();
+            let kernel = PredecodedKernel::new(&compiled)
+                .unwrap()
+                .bake(&image, &input, &KernelOptions::new())
+                .unwrap();
+            let supers = kernel.superinstructions();
+            assert!(
+                !supers.is_empty() && supers.iter().all(|&(_, p, _)| (p > 0) == paired),
+                "{label}: {supers:?}"
+            );
+            assert_eq!(runs_a_tree(&kernel.trace()), tree, "{label}");
+            for tier in host_tiers() {
+                let label = format!("{label}/{tier}");
+                runs.push((
+                    label,
+                    SimdKernel::lower(&kernel, tier),
+                    image.clone(),
+                    want.clone(),
+                ));
+            }
+        }
+    }
+    std::thread::scope(|scope| {
+        std::thread::Builder::new()
+            .stack_size(RUN_STACK)
+            .spawn_scoped(scope, || {
+                for (_, kernel, image, _) in &mut runs {
+                    kernel.run(image).unwrap();
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap()
+    });
+    for (label, _, got, want) in &runs {
+        assert_eq!(got.first_difference(want), None, "{label}");
     }
 }
 
