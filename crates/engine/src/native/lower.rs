@@ -411,7 +411,7 @@ fn lift<'a>(
     Ok(())
 }
 
-/// Decides how section `s` runs (DESIGN §11.3), into `carried`. A strip
+/// Decides how section `s` runs (DESIGN §8.3), into `carried`. A strip
 /// runs op `i` for iterations `k..k + STRIP` before op `i + 1` runs for
 /// any of them: equivalent to program order when no store meets an
 /// access fewer than [`STRIP`] iterations [`apart`] and every carried
@@ -1466,7 +1466,7 @@ impl Block {
 
 /// Whether strip section `x`, whose stores meet no access fewer than
 /// `apart` iterations apart, runs its whole trip as one strip (DESIGN
-/// §11.4): every op lies in a fold of loaded streams, whose values never
+/// §9.4): every op lies in a fold of loaded streams, whose values never
 /// leave CPU registers, so no column bounds the strip; no value waits in
 /// a lane for the code after the loop ([`Section::written`]); and the
 /// trip keeps its accesses apart. A fold's lane state — a rotation's

@@ -425,7 +425,7 @@ pub(crate) struct Shape {
 /// a *mixed tree*, of terms over streams, two-stream gathers and splats
 /// — that the strip driver runs as one lane loop, every intermediate
 /// value in a CPU register, or a mixed tree as a few loops down its
-/// strip's columns (DESIGN §11.4).
+/// strip's columns (DESIGN §9.2).
 #[derive(Debug)]
 pub(crate) struct Super {
     /// The member ops in [`Section::ops`], for the listing.

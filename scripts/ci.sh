@@ -17,7 +17,10 @@
 # lints with clippy at -D warnings,
 # builds rustdoc with warnings denied (every crate warns on
 # missing_docs), re-runs the engine's differential tier matrix forced
-# to the v2 and scalar tiers, runs the doctests, builds the examples,
+# to the v2 and scalar tiers, holds the release binary's .text and the
+# design docs to their budgets (the docs budget: DESIGN.md at most 1000
+# lines, the verify skill at most 200), runs the doctests, builds the
+# examples,
 # checks that the paper reproduction's generated tables are current
 # (the worked-example docs are checked by tier-1's tests/explain.rs),
 # and finishes with an end-to-end smoke sweep through the CLI binary:
@@ -131,6 +134,19 @@ echo ".text: $text bytes"
 nm -S --size-sort -C target/release/simdize | grep -E 'simdize_engine::native::(x86|portable|exec)' | tail -n 10
 [ "$text" -le 2050000 ] \
     || { echo ".text of target/release/simdize is $text bytes, over the 2.05 MB budget" >&2; exit 1; }
+
+echo "== docs budget (DESIGN.md 1000 lines, verify skill 200) =="
+# DESIGN.md describes the system as it is, one section per pipeline
+# stage with its invariants and their tests (tests/docs.rs checks the
+# names); history and measurements belong in CHANGES.md and
+# EXPERIMENTS.md. The verify skill holds only what a builder types.
+design=$(wc -l < DESIGN.md)
+skill=$(wc -l < .claude/skills/verify/SKILL.md)
+echo "DESIGN.md: $design lines, verify skill: $skill lines"
+[ "$design" -le 1000 ] \
+    || { echo "DESIGN.md is $design lines, over the 1000-line budget" >&2; exit 1; }
+[ "$skill" -le 200 ] \
+    || { echo "the verify skill is $skill lines, over the 200-line budget" >&2; exit 1; }
 
 echo "== clippy (-D warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
