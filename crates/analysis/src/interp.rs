@@ -16,24 +16,16 @@ use simdize_ir::{AlignKind, ArrayId, TripCount, VectorShape};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Configuration for [`analyze_program`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AnalyzeOptions {
     overrides: Vec<(Lint, Level)>,
     reuse_hint: Option<ReuseMode>,
     memnorm_hint: bool,
-    max_align_combos: usize,
 }
 
-impl Default for AnalyzeOptions {
-    fn default() -> Self {
-        AnalyzeOptions {
-            overrides: Vec::new(),
-            reuse_hint: None,
-            memnorm_hint: false,
-            max_align_combos: 12,
-        }
-    }
-}
+/// The most mixed runtime-alignment combinations one analysis
+/// evaluates, beyond the diagonals.
+const MAX_ALIGN_COMBOS: usize = 12;
 
 impl AnalyzeOptions {
     /// Starts from the defaults (no hints, default lint levels).
@@ -60,12 +52,6 @@ impl AnalyzeOptions {
     /// chunk-identical loads were merged).
     pub fn memnorm(mut self, on: bool) -> AnalyzeOptions {
         self.memnorm_hint = on;
-        self
-    }
-
-    /// Caps the number of runtime-alignment combinations evaluated.
-    pub fn align_combos(mut self, n: usize) -> AnalyzeOptions {
-        self.max_align_combos = n.max(1);
         self
     }
 
@@ -351,7 +337,7 @@ impl<'a> Analyzer<'a> {
             let total = choices
                 .checked_pow(runtime.len() as u32)
                 .unwrap_or(usize::MAX);
-            for c in 0..total.min(self.opts.max_align_combos) {
+            for c in 0..total.min(MAX_ALIGN_COMBOS) {
                 let mut digits = Vec::with_capacity(runtime.len());
                 let mut rest = c;
                 for _ in 0..runtime.len() {

@@ -14,12 +14,13 @@
 #![warn(missing_docs)]
 
 use simdize::{
-    analyze_program, lower_altivec, run_job, run_sweep_collect, to_dot, DiffConfig, IsaLevel,
-    KernelCache, Level, Lint, MutationKind, Policy, ReuseMode, SimdizeError, Simdizer, SweepJob,
-    SweepOptions, Target, VectorShape, VerifyOptions,
+    analyze_program, lower_altivec, run_job, to_dot, DiffConfig, IsaLevel, KernelCache, Level,
+    Lint, MutationKind, Policy, ReuseMode, SimdizeError, Simdizer, SweepJob, SweepOptions, Target,
+    Template, VectorShape, VerifyOptions,
 };
 use simdize_explain::{render_json, render_markdown, render_text, Explainer};
 use simdize_telemetry::{self as telemetry, TraceId};
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt::Write as _;
 
@@ -547,13 +548,16 @@ pub fn run(opts: &Options) -> Result<String, Box<dyn Error>> {
             }
         }
         "sweep" => {
-            let compiled = driver.compile(&program)?;
+            let template = Template::new(Cow::Owned(driver.compile(&program)?));
             let count = if opts.smoke { 8 } else { opts.count };
-            let jobs: Vec<SweepJob> = (0..count as u64)
-                .map(|k| SweepJob::new(compiled.clone(), opts.seed.wrapping_add(k), opts.ub))
-                .collect();
+            let seeds = (0..count as u64).map(|k| opts.seed.wrapping_add(k));
             let started = std::time::Instant::now();
-            let (outcomes, stats) = run_sweep_collect(&jobs, SweepOptions::new(opts.threads));
+            let (outcomes, stats) = template.sweep(
+                seeds,
+                &template.input(opts.ub),
+                SweepOptions::new(opts.threads),
+                &KernelCache::new(opts.threads.clamp(1, 16), 32),
+            );
             let elapsed = started.elapsed();
             writeln!(out, "backend: simd/{}", IsaLevel::detect())?;
             writeln!(

@@ -26,8 +26,8 @@ impl fmt::Display for VReg {
 /// A strided address, affine in the steady-state induction variable
 /// `i`: the byte address is `base(array) + (scale · i + elem) · D`.
 ///
-/// The paper's pipeline only emits `scale == 1` addresses; the strided
-/// extension (`simdize-stride`) uses larger scales. Aligned vector
+/// The paper's pipeline only emits `scale == 1` addresses; packs and
+/// scatters (`codegen::pack`) use larger scales. Aligned vector
 /// memory instructions *truncate* this address to the enclosing
 /// `V`-byte boundary when executing, exactly like AltiVec loads/stores
 /// (paper §1); the truncation is what makes the uniform `LB = B` lower

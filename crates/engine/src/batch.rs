@@ -31,7 +31,7 @@
 //! serves all of them.
 
 use crate::cache::{program_fingerprint, KernelCache, Lookup};
-use crate::kernel::{Checked, KernelOptions, PredecodedKernel};
+use crate::kernel::{KernelOptions, PredecodedKernel};
 use crate::native::{IsaLevel, SimdKernel};
 use simdize_codegen::SimdProgram;
 use simdize_ir::VectorShape;
@@ -75,27 +75,27 @@ fn input_for(program: &SimdProgram, ub: u64) -> RunInput {
 }
 
 /// One distinct program, prepared once for every job that runs it: the
-/// program, its fingerprint (the kernel cache's program key) and its
-/// [`PredecodedKernel`] check. A sweep borrows each distinct program
-/// from its jobs; a caller that keeps a template across requests owns
+/// program, its fingerprint (the kernel cache's program key) and the
+/// verdict of its [`PredecodedKernel`] shape check. A sweep borrows
+/// each distinct program from its jobs; a caller that keeps a template across requests owns
 /// it (`Template<'static>`), so a later request runs the program again
 /// without compiling, fingerprinting or cloning it.
 #[derive(Debug)]
 pub struct Template<'p> {
     program: Cow<'p, SimdProgram>,
     fingerprint: u64,
-    checked: Result<Checked, ExecError>,
+    shape: Result<(), ExecError>,
 }
 
 impl<'p> Template<'p> {
     /// Fingerprints and checks `program` (neither allocates).
     pub fn new(program: Cow<'p, SimdProgram>) -> Template<'p> {
         let fingerprint = program_fingerprint(&program);
-        let checked = Checked::of(&program);
+        let shape = PredecodedKernel::new(&program).map(drop);
         Template {
             program,
             fingerprint,
-            checked,
+            shape,
         }
     }
 
@@ -165,9 +165,8 @@ impl<'p> Template<'p> {
     }
 
     fn predecoded(&self) -> Result<PredecodedKernel<'_>, ExecError> {
-        self.checked
-            .clone()
-            .map(|checked| checked.lend(&self.program))
+        let program = &*self.program;
+        self.shape.clone().map(|()| PredecodedKernel { program })
     }
 }
 

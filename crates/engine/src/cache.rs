@@ -133,8 +133,8 @@ pub fn program_fingerprint(program: &SimdProgram) -> u64 {
     h.finish()
 }
 
-/// The layout half of a cache key: everything
-/// [`SimdKernel::layout_matches`] checks, captured by value.
+/// The layout half of a cache key, and the layout a baked plan keeps:
+/// everything [`SimdKernel::layout_matches`] checks, captured by value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayoutSig {
     shape_bytes: u32,
@@ -154,6 +154,20 @@ impl LayoutSig {
                 .map(|k| image.base_of(ArrayId::from_index(k)))
                 .collect(),
         }
+    }
+
+    /// Whether `image` has this layout, without capturing its own.
+    pub(crate) fn matches(&self, image: &MemoryImage) -> bool {
+        image.shape().bytes() == self.shape_bytes
+            && image.elem() == self.elem
+            && image.bytes().len() == self.image_len
+            && (self.bases.iter().enumerate())
+                .all(|(k, &base)| image.base_of(ArrayId::from_index(k)) == base)
+    }
+
+    /// The captured array bases, in declaration order.
+    pub(crate) fn bases(&self) -> &[u64] {
+        &self.bases
     }
 }
 

@@ -3,25 +3,26 @@
 //! that a tight dispatch loop can execute with no per-iteration
 //! decisions left.
 //!
-//! [`PredecodedKernel::new`] checks, once per program, what no layout
-//! can change — the V16 shape and every `vperm` pattern — and counts
-//! the register file and the runtime scalar expressions. It borrows the
-//! program and allocates nothing, so a sweep shares one across every
-//! seed and a one-job request pays nothing for it.
+//! [`PredecodedKernel::new`] checks, once per program, the one thing no
+//! layout can change — the V16 shape — and borrows the program. It
+//! walks no instruction and allocates nothing, so a sweep shares one
+//! across every seed and a one-job request pays nothing for it.
 //!
 //! [`PredecodedKernel::bake`] walks the VIR itself, per (layout,
 //! input): every scalar expression (alignment masks, shift amounts,
 //! splice points, the runtime upper bound) is evaluated against the
-//! image; every address becomes a baked `(start, step)` byte pair —
-//! truncation to the enclosing chunk happens here, which is sound
-//! because a steady iteration advances every address by `scale · V`
-//! bytes, a multiple of the chunk size; guarded blocks are resolved
-//! (the conditions are loop invariant) and flattened; every access
-//! stream is bounds-checked first-and-last against the image's guarded
-//! ranges; registers are checked defined-before-use and numbered
-//! densely, in the order of their first definitions, so every table a
-//! later pass indexes by register is sized by the bake's registers, not
-//! by the VIR's id space; dynamic instruction counts are computed
+//! image; every `vperm` pattern is checked as it is baked; every
+//! address becomes a baked `(start, step)` byte pair — truncation to
+//! the enclosing chunk happens here, which is sound because a steady
+//! iteration advances every address by `scale · V` bytes, a multiple
+//! of the chunk size; guarded blocks are resolved (the conditions are
+//! loop invariant) and flattened, and only what runs is checked, as the
+//! interpreter checks only what it executes; every access stream is
+//! bounds-checked first-and-last against the image's guarded ranges;
+//! registers are checked defined-before-use and numbered densely, in
+//! the order of their first definitions, so every table a later pass
+//! indexes by register is sized by the bake's registers, not by the
+//! VIR's id space; dynamic instruction counts are computed
 //! analytically, charging the same costs as `simdize_vm::run_simd`
 //! charges dynamically. Those tables — the baked ids, fusion's and
 //! lowering's — are the thread's bake workspace ([`Workspace`]), lent
@@ -43,6 +44,7 @@
 //! [`live_in`], computes the registers a section reads before it writes
 //! them, for fusion and lowering alike.
 
+use crate::cache::LayoutSig;
 use crate::lanes::Reg;
 use crate::native::{
     self, IsaLevel, Leaf, Program, Schedule, Section, SectionSchedule, SequentialReason, Sink,
@@ -77,20 +79,15 @@ pub(crate) const NO_REG: u32 = u32::MAX;
 /// until renaming, offsets into the run's register block after it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Op {
+    /// `fused` marks a `vload` + `vshiftpair` pair the trace pass fused
+    /// into one shifted load, for the plan listing alone: every tier
+    /// executes it like any other load.
     Load {
         dst: u32,
         arr: u32,
         start: i64,
         step: i64,
-    },
-    /// A `vload` + `vshiftpair` pair fused by the trace pass into one
-    /// shifted load. Executes exactly like `Load`; kept distinct so the
-    /// plan listing and fusion telemetry can tell them apart.
-    LoadFused {
-        dst: u32,
-        arr: u32,
-        start: i64,
-        step: i64,
+        fused: bool,
     },
     Store {
         src: u32,
@@ -151,9 +148,7 @@ impl Op {
     /// [`NO_REG`] where it has no such operand.
     pub(crate) fn regs(&self) -> [u32; 3] {
         match *self {
-            Op::Load { dst, .. } | Op::LoadFused { dst, .. } | Op::Splat { dst, .. } => {
-                [dst, NO_REG, NO_REG]
-            }
+            Op::Load { dst, .. } | Op::Splat { dst, .. } => [dst, NO_REG, NO_REG],
             Op::Store { src, .. } => [NO_REG, src, NO_REG],
             Op::Copy { dst, src } => [dst, src, NO_REG],
             Op::Shift { dst, a, b, .. }
@@ -167,9 +162,7 @@ impl Op {
     /// Renames every register the op names through `f`.
     pub(crate) fn rename(&mut self, f: impl Fn(u32) -> u32) {
         match self {
-            Op::Load { dst, .. } | Op::LoadFused { dst, .. } | Op::Splat { dst, .. } => {
-                *dst = f(*dst)
-            }
+            Op::Load { dst, .. } | Op::Splat { dst, .. } => *dst = f(*dst),
             Op::Store { src, .. } => *src = f(*src),
             Op::Copy { dst, src } => (*dst, *src) = (f(*dst), f(*src)),
             Op::Shift { dst, a, b, .. }
@@ -252,58 +245,12 @@ impl KernelOptions {
 /// The program-dependent half of kernel compilation, shared across
 /// every memory layout and runtime input.
 ///
-/// [`PredecodedKernel::new`] checks a `SimdProgram` once and borrows
-/// it; [`bake`](PredecodedKernel::bake) then compiles a
+/// [`PredecodedKernel::new`] checks a `SimdProgram`'s shape once and
+/// borrows it; [`bake`](PredecodedKernel::bake) then compiles a
 /// [`CompiledKernel`] per (image, input) pair straight from its VIR.
-/// A sweep (`run_sweep_collect`) builds one per distinct program, so a
-/// 64-seed sweep checks the program once, not 64 times.
 #[derive(Debug, Clone, Copy)]
 pub struct PredecodedKernel<'p> {
-    program: &'p SimdProgram,
-    checked: Checked,
-}
-
-/// What [`PredecodedKernel::new`] learns about a program, without the
-/// borrow: a [`Template`](crate::Template) that owns its program keeps
-/// this and lends a [`PredecodedKernel`] out per use.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Checked {
-    nregs: usize,
-    runtime_exprs: u64,
-}
-
-impl Checked {
-    /// The check behind [`PredecodedKernel::new`].
-    pub(crate) fn of(program: &SimdProgram) -> Result<Checked, ExecError> {
-        let _span = telemetry::span("predecode");
-        if program.shape().bytes() as i64 != V {
-            return Err(ExecError::Unsupported {
-                what: "vector shapes other than V16",
-            });
-        }
-        let (mut max_reg, mut runtime) = (0, program.upper_bound().is_runtime());
-        let pair = program.body_pair().unwrap_or_default();
-        for insts in [program.prologue(), program.body(), pair, program.epilogue()] {
-            check(insts, &mut max_reg, &mut runtime)?;
-        }
-        Ok(Checked {
-            nregs: max_reg + 1,
-            // A program with no runtime expression has none to count.
-            runtime_exprs: if runtime {
-                runtime_expr_count(program) as u64
-            } else {
-                0
-            },
-        })
-    }
-
-    /// `program`'s predecoded form; `self` must be its check.
-    pub(crate) fn lend(self, program: &SimdProgram) -> PredecodedKernel<'_> {
-        PredecodedKernel {
-            program,
-            checked: self,
-        }
-    }
+    pub(crate) program: &'p SimdProgram,
 }
 
 /// A `SimdProgram` compiled for one memory layout and one set of
@@ -335,13 +282,9 @@ struct Plan {
     /// The lowered sections, in execution order, over one register
     /// block; empty for a scalar-fallback kernel.
     program: Program,
-    schedule: Schedule,
-    shape: VectorShape,
     stats: RunStats,
-    bases: Vec<u64>,
-    image_len: usize,
+    layout: LayoutSig,
     fallback: Option<FallbackPlan>,
-    fusion: FusionStats,
     fusion_events: Vec<FusionEvent>,
 }
 
@@ -362,32 +305,12 @@ impl ScalarEnv for Env<'_> {
     }
 }
 
-/// Checks the `vperm` patterns of `insts` (recursing into guards),
-/// raises `max` to the highest register they name and sets `runtime`
-/// if a shift amount or splice point is a runtime expression.
-fn check(insts: &[VInst], max: &mut usize, runtime: &mut bool) -> Result<(), ExecError> {
-    for inst in insts {
-        match inst {
-            VInst::Perm { pattern, .. } if pattern.len() != V as usize => {
-                return Err(ExecError::BadShiftAmount {
-                    amount: pattern.len() as i64,
-                });
-            }
-            VInst::Perm { pattern, .. } => {
-                if let Some(&sel) = pattern.iter().find(|&&sel| sel as i64 >= 2 * V) {
-                    return Err(ExecError::BadShiftAmount { amount: sel as i64 });
-                }
-            }
-            VInst::Guarded { body, .. } => check(body, max, runtime)?,
-            VInst::ShiftPair { amt: e, .. } | VInst::Splice { point: e, .. } => {
-                *runtime |= e.is_runtime()
-            }
-            _ => {}
-        }
-        if let Some(d) = inst.def() {
-            *max = (*max).max(d.index());
-        }
-        inst.visit_uses(&mut |r| *max = (*max).max(r.index()));
+/// [`ExecError::Unsupported`] unless `shape` is the engine's one width.
+fn v16(shape: VectorShape) -> Result<(), ExecError> {
+    if shape.bytes() as i64 != V {
+        return Err(ExecError::Unsupported {
+            what: "vector shapes other than V16",
+        });
     }
     Ok(())
 }
@@ -429,10 +352,10 @@ struct Baking<'a> {
     params: &'a [i64],
     ub: i64,
     elem: ScalarType,
-    /// By VIR register: its baked id, [`NO_REG`] until its first
-    /// definition. Ids are handed out in first-definition order, so
-    /// every table downstream is sized by the bake's registers
-    /// (`nregs`), not by the VIR's id space.
+    /// By VIR register below the program's `vreg_count`: its baked id,
+    /// [`NO_REG`] until its first definition. Ids are handed out in
+    /// first-definition order, so every table downstream is sized by
+    /// the bake's registers (`nregs`), not by the VIR's id space.
     ids: &'a mut Vec<u32>,
     nregs: u32,
 }
@@ -446,18 +369,20 @@ impl Baking<'_> {
     }
 
     fn use_reg(&self, r: VReg) -> Result<u32, ExecError> {
-        match self.ids[r.index()] {
-            NO_REG => Err(ExecError::UninitializedRegister { index: r.index() }),
-            id => Ok(id),
+        match self.ids.get(r.index()) {
+            Some(&id) if id != NO_REG => Ok(id),
+            _ => Err(ExecError::UninitializedRegister { index: r.index() }),
         }
     }
 
-    fn def_reg(&mut self, r: VReg) -> u32 {
-        let id = &mut self.ids[r.index()];
+    fn def_reg(&mut self, r: VReg) -> Result<u32, ExecError> {
+        let id = self.ids.get_mut(r.index()).ok_or(ExecError::Unsupported {
+            what: "registers past the program's register count",
+        })?;
         if *id == NO_REG {
             (*id, self.nregs) = (self.nregs, self.nregs + 1);
         }
-        *id
+        Ok(*id)
     }
 
     /// The baked `(array, first byte, bytes per iteration)` of `addr`
@@ -510,10 +435,11 @@ impl Baking<'_> {
                     let aligned = matches!(inst, VInst::LoadA { .. });
                     let (arr, start, step) = self.stream(addr, aligned, i0, step_i, iters)?;
                     out.push(Op::Load {
-                        dst: self.def_reg(*dst),
+                        dst: self.def_reg(*dst)?,
                         arr,
                         start,
                         step,
+                        fused: false,
                     });
                     if aligned {
                         counts.loads += 1;
@@ -543,7 +469,7 @@ impl Baking<'_> {
                     }
                     let (a, b) = (self.use_reg(*a)?, self.use_reg(*b)?);
                     out.push(Op::Shift {
-                        dst: self.def_reg(*dst),
+                        dst: self.def_reg(*dst)?,
                         a,
                         b,
                         amt: amount as u8,
@@ -557,7 +483,7 @@ impl Baking<'_> {
                     }
                     let (a, b) = (self.use_reg(*a)?, self.use_reg(*b)?);
                     out.push(Op::Splice {
-                        dst: self.def_reg(*dst),
+                        dst: self.def_reg(*dst)?,
                         a,
                         b,
                         point: p as u8,
@@ -565,12 +491,15 @@ impl Baking<'_> {
                     counts.splices += 1;
                 }
                 VInst::Perm { dst, a, b, pattern } => {
+                    let bad = |amount| ExecError::BadShiftAmount { amount };
+                    let pattern: [u8; 16] =
+                        (pattern[..].try_into()).map_err(|_| bad(pattern.len() as i64))?;
+                    if let Some(&sel) = pattern.iter().find(|&&sel| sel as i64 >= 2 * V) {
+                        return Err(bad(sel as i64));
+                    }
                     let (a, b) = (self.use_reg(*a)?, self.use_reg(*b)?);
-                    let pattern = pattern[..]
-                        .try_into()
-                        .expect("`PredecodedKernel::new` checked it");
                     out.push(Op::Perm {
-                        dst: self.def_reg(*dst),
+                        dst: self.def_reg(*dst)?,
                         a,
                         b,
                         pattern,
@@ -580,7 +509,7 @@ impl Baking<'_> {
                 VInst::SplatConst { dst, value } => {
                     let bytes = splat_bytes(self.elem, *value);
                     out.push(Op::Splat {
-                        dst: self.def_reg(*dst),
+                        dst: self.def_reg(*dst)?,
                         bytes,
                     });
                     counts.splats += 1;
@@ -593,7 +522,7 @@ impl Baking<'_> {
                         .ok_or(ExecError::MissingParam { index })?;
                     let bytes = splat_bytes(self.elem, value);
                     out.push(Op::Splat {
-                        dst: self.def_reg(*dst),
+                        dst: self.def_reg(*dst)?,
                         bytes,
                     });
                     counts.splats += 1;
@@ -601,7 +530,7 @@ impl Baking<'_> {
                 VInst::Bin { dst, op, a, b } => {
                     let (a, b) = (self.use_reg(*a)?, self.use_reg(*b)?);
                     out.push(Op::Bin {
-                        dst: self.def_reg(*dst),
+                        dst: self.def_reg(*dst)?,
                         op: *op,
                         a,
                         b,
@@ -611,7 +540,7 @@ impl Baking<'_> {
                 VInst::Un { dst, op, a } => {
                     let a = self.use_reg(*a)?;
                     out.push(Op::Un {
-                        dst: self.def_reg(*dst),
+                        dst: self.def_reg(*dst)?,
                         op: *op,
                         a,
                     });
@@ -620,7 +549,7 @@ impl Baking<'_> {
                 VInst::Copy { dst, src } => {
                     let src = self.use_reg(*src)?;
                     out.push(Op::Copy {
-                        dst: self.def_reg(*dst),
+                        dst: self.def_reg(*dst)?,
                         src,
                     });
                     counts.copies += 1;
@@ -637,18 +566,16 @@ impl Baking<'_> {
 }
 
 impl<'p> PredecodedKernel<'p> {
-    /// Checks `program` for every layout and input at once — its
-    /// vector shape and its permutation patterns — and counts its
-    /// registers and runtime scalar expressions. Borrows the program;
-    /// allocates nothing.
+    /// Checks `program`'s vector shape, for every layout and input at
+    /// once, and borrows it. Walks no instruction; allocates nothing.
     ///
     /// # Errors
     ///
     /// Returns [`ExecError::Unsupported`] for vector shapes other than
-    /// 16 bytes and [`ExecError::BadShiftAmount`] for malformed
-    /// permutation patterns.
+    /// 16 bytes.
     pub fn new(program: &'p SimdProgram) -> Result<PredecodedKernel<'p>, ExecError> {
-        Checked::of(program).map(|checked| checked.lend(program))
+        let _span = telemetry::span("predecode");
+        v16(program.shape()).map(|()| PredecodedKernel { program })
     }
 
     /// Number of arrays in the source loop (the cache keys a layout by
@@ -668,8 +595,9 @@ impl<'p> PredecodedKernel<'p> {
     /// [`ExecError::TripMismatch`]/[`ExecError::MissingParam`] on
     /// inconsistent inputs, and any machine fault the interpreter would
     /// raise at runtime (out-of-bounds streams, bad shift amounts,
-    /// reads of undefined registers) — those are detected here, before
-    /// any memory is touched.
+    /// malformed permutation patterns, reads of undefined registers) —
+    /// those are detected here, in what the kernel executes, before any
+    /// memory is touched.
     pub fn bake(
         &self,
         image: &MemoryImage,
@@ -679,11 +607,7 @@ impl<'p> PredecodedKernel<'p> {
         let _span = telemetry::span("bake");
         let program = self.program;
         let source = program.source();
-        if image.shape().bytes() as i64 != V {
-            return Err(ExecError::Unsupported {
-                what: "vector shapes other than V16",
-            });
-        }
+        v16(image.shape())?;
         if input.params.len() < source.params().len() {
             return Err(ExecError::MissingParam {
                 index: input.params.len(),
@@ -699,9 +623,7 @@ impl<'p> PredecodedKernel<'p> {
         }
         let ub = input.ub;
         let elem = source.elem();
-        let bases: Vec<u64> = (0..self.narrays())
-            .map(|k| image.base_of(ArrayId::from_index(k)))
-            .collect();
+        let layout = LayoutSig::of(image, self.narrays());
 
         let mut stats = RunStats {
             invocation_overhead: CALL_OVERHEAD,
@@ -719,41 +641,36 @@ impl<'p> PredecodedKernel<'p> {
                     nregs: 0,
                     elem,
                 },
-                schedule: Schedule {
-                    pair: SectionSchedule::Sequential(SequentialReason::NoLoop),
-                    body: SectionSchedule::Sequential(SequentialReason::NoLoop),
-                },
-                shape: image.shape(),
                 stats,
-                bases,
-                image_len: image.bytes().len(),
+                layout,
                 fallback: Some(FallbackPlan {
                     source: source.clone(),
                     ub,
                     guard,
                     params: input.params.clone(),
                 }),
-                fusion: FusionStats::default(),
                 fusion_events: Vec::new(),
             }));
         }
 
-        stats.invocation_overhead += RUNTIME_SETUP_PER_EXPR * self.checked.runtime_exprs;
+        // Counts the runtime expressions of every section, guarded
+        // blocks that do not run included, as the interpreter charges.
+        stats.invocation_overhead += RUNTIME_SETUP_PER_EXPR * runtime_expr_count(program) as u64;
         WORKSPACE
-            .with_borrow_mut(|ws| self.bake_plan(image, input, opts, stats, bases, ws))
+            .with_borrow_mut(|ws| self.bake_plan(image, input, opts, stats, layout, ws))
             .map(CompiledKernel::new)
     }
 
     /// [`bake`](PredecodedKernel::bake) past the scalar-fallback guard,
-    /// from its stats so far and the image's array bases, on the tables
-    /// of `ws`.
+    /// from its stats so far and the image's layout, on the tables of
+    /// `ws`.
     fn bake_plan(
         &self,
         image: &MemoryImage,
         input: &RunInput,
         opts: &KernelOptions,
         mut stats: RunStats,
-        bases: Vec<u64>,
+        layout: LayoutSig,
         ws: &mut Workspace,
     ) -> Result<Plan, ExecError> {
         let program = self.program;
@@ -782,7 +699,7 @@ impl<'p> PredecodedKernel<'p> {
         let i_final = i_after + b * body_iters;
 
         ws.ids.clear();
-        ws.ids.resize(self.checked.nregs, NO_REG);
+        ws.ids.resize(program.vreg_count() as usize, NO_REG);
         let mut bk = Baking {
             image,
             params: &input.params,
@@ -828,29 +745,25 @@ impl<'p> PredecodedKernel<'p> {
         // Stats are final: fusion below only changes how the host
         // executes the trace, never what the machine model charges.
         let mut nregs = bk.nregs as usize;
-        let (fusion, fusion_events) = if opts.fuse {
+        let fusion_events = if opts.fuse {
             let _span = telemetry::span("fuse");
             trace::optimize(&mut sections, &mut nregs, elem, &mut ws.fuse)
         } else {
-            Default::default()
+            Vec::new()
         };
 
         // Nothing reads the baked register ids past this point: rename
         // them onto one dense block and settle each loop's schedule.
-        let (program, schedule) = {
+        let program = {
             let _span = telemetry::span("lower");
             native::lower(sections, nregs, elem, &mut ws.lower)
         };
 
         Ok(Plan {
             program,
-            schedule,
-            shape: image.shape(),
             stats,
-            bases,
-            image_len: image.bytes().len(),
+            layout,
             fallback: None,
-            fusion,
             fusion_events,
         })
     }
@@ -889,11 +802,7 @@ impl CompiledKernel {
     /// Whether `image` has the exact layout this kernel was baked for
     /// (shape, element type, total length, every array base).
     pub fn layout_matches(&self, image: &MemoryImage) -> bool {
-        let plan = &*self.plan;
-        image.shape() == plan.shape
-            && image.elem() == plan.program.elem
-            && image.bytes().len() == plan.image_len
-            && (0..plan.bases.len()).all(|k| image.base_of(ArrayId::from_index(k)) == plan.bases[k])
+        self.plan.layout.matches(image)
     }
 
     /// Executes the kernel against `image`, which must have the layout
@@ -950,7 +859,14 @@ impl CompiledKernel {
     /// in strips where lowering proved that equivalent to program
     /// order, else sequentially. The same on every tier.
     pub fn schedule(&self) -> Schedule {
-        self.plan.schedule
+        let of = |role| match self.plan.program.sections.iter().find(|s| s.role == role) {
+            Some(section) => section.schedule,
+            None => SectionSchedule::Sequential(SequentialReason::NoLoop),
+        };
+        Schedule {
+            pair: of("pair"),
+            body: of("body"),
+        }
     }
 
     /// Each section that runs superinstructions, in execution order, as
@@ -976,10 +892,11 @@ impl CompiledKernel {
             .collect()
     }
 
-    /// What the trace fusion pass did to this kernel (all zero when
+    /// What the trace fusion pass did to this kernel, summed from
+    /// [`fusion_events`](CompiledKernel::fusion_events) (all zero when
     /// baked with fusion disabled).
     pub fn fusion_stats(&self) -> FusionStats {
-        self.plan.fusion
+        FusionStats::of(&self.plan.fusion_events)
     }
 
     /// The individual rewrites the trace fusion pass applied, in order
@@ -1005,13 +922,13 @@ impl CompiledKernel {
         if let Some(fb) = &plan.fallback {
             return format!("; scalar fallback: ub = {} <= guard {}\n", fb.ub, fb.guard);
         }
-        let f = plan.fusion;
+        let f = self.fusion_stats();
         let mut out = format!(
             "; plan: V={V} lanes={} fused-loads={} splat-ops={} hoisted={} eliminated={}\n",
             plan.program.nregs, f.fused_loads, f.splat_ops, f.hoisted, f.eliminated
         );
         let listing = Listing {
-            bases: &plan.bases,
+            bases: plan.layout.bases(),
             elem: plan.program.elem,
         };
         for section in plan.program.sections.iter().filter(|s| !s.ops.is_empty()) {
@@ -1087,16 +1004,10 @@ impl Listing<'_> {
                 arr,
                 start,
                 step,
+                fused,
             } => {
-                format!("  v{dst} = vload {}", addr(arr, start, step))
-            }
-            Op::LoadFused {
-                dst,
-                arr,
-                start,
-                step,
-            } => {
-                format!("  v{dst} = vload.fused {}", addr(arr, start, step))
+                let fused = if fused { ".fused" } else { "" };
+                format!("  v{dst} = vload{fused} {}", addr(arr, start, step))
             }
             Op::Store {
                 src,

@@ -10,18 +10,17 @@
 //! → rename and schedule → strip driver → tier**, over one lowered
 //! instruction form below the VIR. [`PredecodedKernel`] checks, once
 //! per program and without allocating, what no layout can change (the
-//! vector shape, permutation patterns) and borrows the program;
-//! [`PredecodedKernel::bake`] (or the one-shot
-//! [`CompiledKernel::compile`]) walks the VIR per (memory layout,
-//! runtime input) pair —
+//! vector shape) and borrows the program; [`PredecodedKernel::bake`]
+//! (or the one-shot [`CompiledKernel::compile`]) walks the VIR per
+//! (memory layout, runtime input) pair —
 //!
 //! * every scalar expression (alignment masks, shift amounts, splice
 //!   points, runtime trip bounds) evaluated exactly once,
 //! * every address folded to a baked `(start, step)` byte-offset pair
 //!   with chunk truncation pre-applied,
 //! * guarded blocks resolved and flattened,
-//! * all memory streams bounds-checked and registers checked
-//!   defined-before-use up front,
+//! * all memory streams bounds-checked, permutation patterns checked
+//!   and registers checked defined-before-use up front,
 //! * dynamic instruction counts computed analytically —
 //!
 //! into prologue, steady-state and epilogue sections of that form. On

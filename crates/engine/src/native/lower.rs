@@ -23,7 +23,7 @@
 use super::strip::{
     perm_tables, Fold, Leaf, Program, Section, Shape, Sink, Super, Term, MAX_LEAVES, STRIP,
 };
-use super::{Schedule, SectionSchedule, SequentialReason};
+use super::{SectionSchedule, SequentialReason};
 use crate::kernel::{live_in, splat_bytes, Op, NO_REG as NONE, V};
 use crate::lanes::Reg as Bytes;
 use simdize_codegen::reduction_identity;
@@ -185,7 +185,7 @@ fn scan(
             reg.defs |= bit;
         }
         match *op {
-            Op::Load { start, step, .. } | Op::LoadFused { start, step, .. } if looped => {
+            Op::Load { start, step, .. } if looped => {
                 accesses.push(Access::new(start, step, iters, false))
             }
             Op::Store { start, step, .. } if looped => {
@@ -379,7 +379,7 @@ fn lift<'a>(
             for r in [a, b].into_iter().filter(|&r| r != NONE) {
                 marks[r as usize] |= NEEDED;
             }
-            if let Op::Load { arr, .. } | Op::LoadFused { arr, .. } = at {
+            if let Op::Load { arr, .. } = at {
                 loaded.push(*arr);
             }
             lift[p - first] = true;
@@ -916,9 +916,6 @@ impl Parse {
         match *op {
             Op::Load {
                 dst, start, step, ..
-            }
-            | Op::LoadFused {
-                dst, start, step, ..
             } => {
                 require!(self.loads.len() < MAX_LEAVES && whole_vectors(&mut self.step, step));
                 self.define(dst, Value::Stream(self.loads.len() as u8))?;
@@ -1299,7 +1296,7 @@ fn legal(
                 || run.contains(&(u.read as usize)) && run.contains(&(u.last_read as usize)))
                 && (keep.contains(&r) || !escapes)
         };
-        !matches!(*op, Op::Load { arr, .. } | Op::LoadFused { arr, .. } if arr == stored)
+        !matches!(*op, Op::Load { arr, .. } if arr == stored)
             && op.regs().into_iter().filter(|&r| r != NONE).all(read)
     })
 }
@@ -1335,7 +1332,7 @@ fn pick(
     info: &[Reg],
     p: &mut Parse,
 ) -> Option<Super> {
-    require!(matches!(ops[i], Op::Load { .. } | Op::LoadFused { .. }));
+    require!(matches!(ops[i], Op::Load { .. }));
     p.clear();
     for (j, op) in ops.iter().enumerate().skip(i) {
         if p.push(op, carried).is_none() {
@@ -1546,7 +1543,7 @@ pub(crate) fn lower(
     nregs: usize,
     elem: ScalarType,
     t: &mut Tables,
-) -> (Program, Schedule) {
+) -> Program {
     let mut sections: Vec<Section> = sections.into_iter().filter(|s| s.iters > 0).collect();
     let Tables {
         info,
@@ -1597,11 +1594,6 @@ pub(crate) fn lower(
         parse.reset(info.len());
     }
 
-    let no_loop = SectionSchedule::Sequential(SequentialReason::NoLoop);
-    let mut schedule = Schedule {
-        pair: no_loop,
-        body: no_loop,
-    };
     for (s, ((section, scan), carried)) in
         sections.iter_mut().zip(&*scans).zip(&*carried).enumerate()
     {
@@ -1609,11 +1601,6 @@ pub(crate) fn lower(
             Ok(()) => SectionSchedule::Strip,
             Err(why) => SectionSchedule::Sequential(why),
         };
-        match section.role {
-            "pair" => schedule.pair = section.schedule,
-            "body" => schedule.body = section.schedule,
-            _ => {}
-        }
         let strips = section.schedule == SectionSchedule::Strip;
         let (ops, invariant, written) = (
             &mut section.ops,
@@ -1701,14 +1688,11 @@ pub(crate) fn lower(
         };
     }
 
-    (
-        Program {
-            sections,
-            nregs: block.lanes as usize,
-            elem,
-        },
-        schedule,
-    )
+    Program {
+        sections,
+        nregs: block.lanes as usize,
+        elem,
+    }
 }
 
 #[cfg(test)]
@@ -1721,14 +1705,12 @@ mod tests {
     fn lowered(ops: &[Op], iters: i64, after: &[Op]) -> Section {
         let mut plan = Section::plan(0, iters);
         (plan[4].ops, plan[5].ops) = (ops.to_vec(), after.to_vec());
-        let (program, schedule) = lower(plan, 16, ScalarType::I32, &mut Tables::default());
-        let body = program
+        let program = lower(plan, 16, ScalarType::I32, &mut Tables::default());
+        program
             .sections
             .into_iter()
             .find(|x| x.role == "body")
-            .expect("the body runs");
-        assert_eq!(schedule.body, body.schedule);
-        body
+            .expect("the body runs")
     }
 
     fn why_after(ops: &[Op], iters: i64, after: &[Op]) -> Option<SequentialReason> {
@@ -1815,6 +1797,7 @@ mod tests {
             arr: 0,
             start,
             step,
+            fused: false,
         }
     }
 

@@ -661,9 +661,6 @@ fn one<L: Lanes>(
     match *op {
         Op::Load {
             dst, start, step, ..
-        }
-        | Op::LoadFused {
-            dst, start, step, ..
         } => {
             let (w, first) = window(start, step, k0, len);
             let w = &mem[w];

@@ -72,7 +72,8 @@ use crate::native::Section;
 use simdize_ir::ScalarType;
 use simdize_telemetry as telemetry;
 
-/// What the trace fusion pass did to one kernel.
+/// What the trace fusion pass did to one kernel: its [`FusionEvent`]s,
+/// counted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FusionStats {
     /// `vload`+`vshiftpair` chains rewritten into single fused loads.
@@ -88,9 +89,28 @@ pub struct FusionStats {
     pub eliminated: usize,
 }
 
+impl FusionStats {
+    /// The counts of `events`.
+    pub(crate) fn of(events: &[FusionEvent]) -> FusionStats {
+        let mut st = FusionStats::default();
+        for event in events {
+            match event.kind {
+                FusionEventKind::LoadFused { .. } => st.fused_loads += 1,
+                FusionEventKind::GatherComposed { .. } => st.composed += 1,
+                FusionEventKind::FoldedToSplat | FusionEventKind::ImmediateForm => {
+                    st.splat_ops += 1
+                }
+                FusionEventKind::Hoisted { count } => st.hoisted += count,
+                FusionEventKind::Eliminated { count } => st.eliminated += count,
+            }
+        }
+        st
+    }
+}
+
 /// One rewrite applied by the trace-fusion pass, for the decision
-/// trace (`simdize-explain`). Unlike [`FusionStats`], which only
-/// counts, events name the section and — for fused loads — the array.
+/// trace (`simdize-explain`); [`FusionStats`] counts them. Events name
+/// the section and — for fused loads — the array.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FusionEvent {
     /// The kernel section the rewrite happened in (`"prologue"`,
@@ -337,15 +357,13 @@ pub(crate) struct Tables {
 /// in place, on the tables `t` lends: rewrites each, hoists each loop's
 /// invariants into its header slot and sweeps all six for dead ops.
 /// Composition adds registers from `nregs` on and leaves it past the
-/// last one. Returns the fusion telemetry: aggregate counts and the
-/// per-rewrite event list.
+/// last one. Returns the per-rewrite event list.
 pub(crate) fn optimize(
     sections: &mut [Section; 6],
     nregs: &mut usize,
     elem: ScalarType,
     t: &mut Tables,
-) -> (FusionStats, Vec<FusionEvent>) {
-    let mut st = FusionStats::default();
+) -> Vec<FusionEvent> {
     let Tables {
         facts,
         shapes,
@@ -371,52 +389,37 @@ pub(crate) fn optimize(
     let [prologue, pair_header, pair, body_header, body, epilogue] = &mut *sections;
     {
         let _span = telemetry::span("rewrite");
-        rewrite(
-            &mut prologue.ops,
-            facts,
-            &mut next,
-            d,
-            &mut st,
-            prologue.role,
-            ev,
-        );
+        rewrite(&mut prologue.ops, facts, &mut next, d, prologue.role, ev);
     }
     for (header, s) in [(pair_header, pair), (body_header, body)] {
         if s.iters > 0 {
             loop_entry(facts, &s.ops, d, fp);
             {
                 let _span = telemetry::span("rewrite");
-                rewrite(&mut s.ops, facts, &mut next, d, &mut st, s.role, ev);
+                rewrite(&mut s.ops, facts, &mut next, d, s.role, ev);
             }
             let _span = telemetry::span("hoist");
-            hoist(&mut s.ops, s.iters, next as usize, h, &mut st, s.role, ev);
+            hoist(&mut s.ops, s.iters, next as usize, h, s.role, ev);
             header.ops = h.header.to_vec();
             concretize(facts, s.iters);
         }
     }
     {
         let _span = telemetry::span("rewrite");
-        rewrite(
-            &mut epilogue.ops,
-            facts,
-            &mut next,
-            d,
-            &mut st,
-            epilogue.role,
-            ev,
-        );
+        rewrite(&mut epilogue.ops, facts, &mut next, d, epilogue.role, ev);
     }
     {
         let _span = telemetry::span("dce");
-        dce(sections, next as usize, sweep, &mut st, ev);
+        dce(sections, next as usize, sweep, ev);
     }
+    let st = FusionStats::of(ev);
     telemetry::tag(
         "fusion.rewrites",
         (st.fused_loads + st.composed + st.splat_ops + st.hoisted + st.eliminated) as u64,
     );
     *nregs = next as usize;
     *shapes = std::mem::take(&mut d.shapes);
-    (st, ev.to_vec())
+    ev.to_vec()
 }
 
 /// What the rewrite knows about every register, threaded through the
@@ -590,12 +593,7 @@ fn flow(op: &Op, facts: &mut [Fact], d: &mut Domain) {
             arr,
             start,
             step,
-        }
-        | Op::LoadFused {
-            dst,
-            arr,
-            start,
-            step,
+            ..
         } => {
             facts[dst as usize] = Fact::Mem {
                 arr,
@@ -876,12 +874,11 @@ fn rewrite(
     facts: &mut Facts,
     next: &mut u32,
     d: &mut Domain,
-    st: &mut FusionStats,
     section: &'static str,
     ev: &mut Vec<FusionEvent>,
 ) {
     if ops.iter().any(|op| matches!(op, Op::Perm { .. })) {
-        rewrite_gathers(ops, &mut facts.all, next, d, st, section, ev);
+        rewrite_gathers(ops, &mut facts.all, next, d, section, ev);
         facts.rescan();
         return;
     }
@@ -889,7 +886,7 @@ fn rewrite(
         if let Some(new) = simplify(op, &facts.all, d) {
             ev.push(FusionEvent {
                 section,
-                kind: record(&new, &facts.all, st),
+                kind: record(&new, &facts.all),
             });
             *op = new;
         }
@@ -906,7 +903,6 @@ fn rewrite_gathers(
     facts: &mut Vec<Fact>,
     next: &mut u32,
     d: &mut Domain,
-    st: &mut FusionStats,
     section: &'static str,
     ev: &mut Vec<FusionEvent>,
 ) {
@@ -933,7 +929,7 @@ fn rewrite_gathers(
         if let Some(new) = new {
             ev.push(FusionEvent {
                 section,
-                kind: record(&new, facts, st),
+                kind: record(&new, facts),
             });
             ops[at] = new;
         }
@@ -953,11 +949,12 @@ fn simplify(op: &Op, facts: &[Fact], d: &mut Domain) -> Option<Op> {
                 shape: WINDOW,
                 base,
                 step,
-            } => Some(Op::LoadFused {
+            } => Some(Op::Load {
                 dst,
                 arr,
                 start: base,
                 step,
+                fused: true,
             }),
             Fact::Known(bytes) => Some(Op::Splat { dst, bytes }),
             _ => None,
@@ -991,28 +988,16 @@ fn simplify(op: &Op, facts: &[Fact], d: &mut Domain) -> Option<Op> {
     }
 }
 
-/// Counts the rewrite to `new` in `st` and names it for the event list.
-fn record(new: &Op, facts: &[Fact], st: &mut FusionStats) -> FusionEventKind {
+/// Names the rewrite to `new` for the event list.
+fn record(new: &Op, facts: &[Fact]) -> FusionEventKind {
     match *new {
-        Op::LoadFused { arr, .. } => {
-            st.fused_loads += 1;
-            FusionEventKind::LoadFused { arr }
-        }
-        Op::Perm { a, .. } => {
-            st.composed += 1;
-            match facts[a as usize] {
-                Fact::Mem { arr, .. } => FusionEventKind::GatherComposed { arr },
-                _ => unreachable!("a composed perm reads two loads"),
-            }
-        }
-        Op::BinSplat { .. } => {
-            st.splat_ops += 1;
-            FusionEventKind::ImmediateForm
-        }
-        _ => {
-            st.splat_ops += 1;
-            FusionEventKind::FoldedToSplat
-        }
+        Op::Load { arr, .. } => FusionEventKind::LoadFused { arr },
+        Op::Perm { a, .. } => match facts[a as usize] {
+            Fact::Mem { arr, .. } => FusionEventKind::GatherComposed { arr },
+            _ => unreachable!("a composed perm reads two loads"),
+        },
+        Op::BinSplat { .. } => FusionEventKind::ImmediateForm,
+        _ => FusionEventKind::FoldedToSplat,
     }
 }
 
@@ -1073,12 +1058,7 @@ fn compose(
                     arr: x,
                     start: s,
                     step: t,
-                }
-                | Op::LoadFused {
-                    dst,
-                    arr: x,
-                    start: s,
-                    step: t,
+                    ..
                 } if (x, s, t) == (arr, start, step) && facts[dst as usize] == window => Some(dst),
                 _ => None,
             })
@@ -1093,11 +1073,12 @@ fn compose(
             *next += 2;
             facts.resize(*next as usize, Fact::Bottom);
             for (r, start) in [(x, high), (y, high + V)] {
-                let load = Op::LoadFused {
+                let load = Op::Load {
                     dst: r,
                     arr,
                     start,
                     step,
+                    fused: true,
                 };
                 flow(&load, facts, d);
                 loads.push((at, load));
@@ -1154,7 +1135,6 @@ fn hoist(
     iters: i64,
     nregs: usize,
     h: &mut Hoister,
-    st: &mut FusionStats,
     section: &'static str,
     ev: &mut Vec<FusionEvent>,
 ) {
@@ -1206,9 +1186,6 @@ fn hoist(
                     && match *op {
                         Op::Load {
                             arr, start, step, ..
-                        }
-                        | Op::LoadFused {
-                            arr, start, step, ..
                         } => load_invariant(arr, start, step),
                         _ => true,
                     }
@@ -1217,7 +1194,6 @@ fn hoist(
         };
         if can {
             regs[def(op).expect("hoisted ops define a register") as usize].hoisted = true;
-            st.hoisted += 1;
             header.push(op.clone());
         }
         !can
@@ -1289,13 +1265,7 @@ fn upward_uses(
 /// depends only on the sections after it, so once the sweep has passed
 /// a section it is final: fused-away load/copy chains unravel fully in
 /// one pass.
-fn dce(
-    sections: &mut [Section; 6],
-    nregs: usize,
-    sweep: &mut Sweep,
-    st: &mut FusionStats,
-    ev: &mut Vec<FusionEvent>,
-) {
+fn dce(sections: &mut [Section; 6], nregs: usize, sweep: &mut Sweep, ev: &mut Vec<FusionEvent>) {
     let Sweep {
         regs,
         scratch,
@@ -1347,7 +1317,6 @@ fn dce(
         }
     }
     for (section, count) in sections.iter().zip(per_section) {
-        st.eliminated += count;
         if count > 0 {
             // Events name a header `pair header`, the listing `pair.header`.
             let name = match section.role {
@@ -1388,12 +1357,13 @@ mod tests {
         for (s, ops) in &mut baked {
             sections[*s].ops = std::mem::take(*ops);
         }
-        let (stats, _) = optimize(
+        let events = optimize(
             &mut sections,
             &mut { nregs },
             elem(),
             &mut Tables::default(),
         );
+        let stats = FusionStats::of(&events);
         for (s, ops) in baked {
             *ops = std::mem::take(&mut sections[s].ops);
         }
@@ -1427,6 +1397,7 @@ mod tests {
             arr: 0,
             start,
             step: 32,
+            fused: false,
         }
     }
 
@@ -1476,17 +1447,19 @@ mod tests {
         assert_eq!(
             body,
             vec![
-                Op::LoadFused {
+                Op::Load {
                     dst: 6,
                     arr: 0,
                     start: B,
-                    step: 32
+                    step: 32,
+                    fused: true,
                 },
-                Op::LoadFused {
+                Op::Load {
                     dst: 7,
                     arr: 0,
                     start: B + 16,
-                    step: 32
+                    step: 32,
+                    fused: true,
                 },
                 perm(5, 6, 7, even),
                 Op::Store {
@@ -1519,22 +1492,24 @@ mod tests {
         assert_eq!(st.composed, 4);
         let loads: Vec<&Op> = body
             .iter()
-            .filter(|op| matches!(op, Op::Load { .. } | Op::LoadFused { .. }))
+            .filter(|op| matches!(op, Op::Load { .. }))
             .collect();
         assert_eq!(
             loads,
             [
-                &Op::LoadFused {
+                &Op::Load {
                     dst: 13,
                     arr: 0,
                     start: B,
-                    step: 32
+                    step: 32,
+                    fused: true,
                 },
-                &Op::LoadFused {
+                &Op::Load {
                     dst: 14,
                     arr: 0,
                     start: B + 16,
-                    step: 32
+                    step: 32,
+                    fused: true,
                 }
             ]
         );
@@ -1690,7 +1665,7 @@ mod tests {
         let st = fuse_body(&mut body, 4);
         assert_eq!(st.composed, 1);
         for op in &body {
-            if let Op::Load { start, .. } | Op::LoadFused { start, .. } = *op {
+            if let Op::Load { start, .. } = *op {
                 assert!(
                     (B - 8..=B + 8).contains(&start),
                     "{op:?} leaves [B - 8, B + 24)"
@@ -1732,6 +1707,7 @@ mod tests {
             arr: 0,
             start: 100,
             step: 0,
+            fused: false,
         }];
         let mut body = vec![
             Op::Load {
@@ -1739,6 +1715,7 @@ mod tests {
                 arr: 0,
                 start: 116,
                 step: 16,
+                fused: false,
             },
             Op::Shift {
                 dst: 2,
@@ -1770,11 +1747,12 @@ mod tests {
         assert_eq!(
             body,
             vec![
-                Op::LoadFused {
+                Op::Load {
                     dst: 2,
                     arr: 0,
                     start: 104,
-                    step: 16
+                    step: 16,
+                    fused: true,
                 },
                 Op::Store {
                     src: 2,
@@ -1796,6 +1774,7 @@ mod tests {
             arr: 0,
             start: 100,
             step: 0,
+            fused: false,
         }];
         let mut body = vec![
             Op::Load {
@@ -1803,6 +1782,7 @@ mod tests {
                 arr: 0,
                 start: 116,
                 step: 16,
+                fused: false,
             },
             Op::Shift {
                 dst: 2,
@@ -1851,6 +1831,7 @@ mod tests {
                 arr: 0,
                 start: 96,
                 step: 16,
+                fused: false,
             },
             Op::Bin {
                 dst: 2,
@@ -1883,7 +1864,8 @@ mod tests {
                     dst: 1,
                     arr: 0,
                     start: 96,
-                    step: 16
+                    step: 16,
+                    fused: false,
                 },
                 Op::BinSplat {
                     dst: 2,
@@ -1914,12 +1896,14 @@ mod tests {
                 arr: 0,
                 start: 100,
                 step: 0,
+                fused: false,
             },
             Op::Load {
                 dst: 1,
                 arr: 1,
                 start: 200,
                 step: 16,
+                fused: false,
             },
             Op::Bin {
                 dst: 2,
@@ -1950,7 +1934,8 @@ mod tests {
                 dst: 0,
                 arr: 0,
                 start: 100,
-                step: 0
+                step: 0,
+                fused: false,
             }]
         );
         assert_eq!(body.len(), 3);
@@ -1966,12 +1951,14 @@ mod tests {
                 arr: 0,
                 start: 100,
                 step: 0,
+                fused: false,
             },
             Op::Load {
                 dst: 1,
                 arr: 1,
                 start: 200,
                 step: 16,
+                fused: false,
             },
             Op::Bin {
                 dst: 2,
@@ -2010,6 +1997,7 @@ mod tests {
             arr: 0,
             start: 100,
             step: 0,
+            fused: false,
         }];
         let mut body = vec![
             Op::Load {
@@ -2017,6 +2005,7 @@ mod tests {
                 arr: 0,
                 start: 116,
                 step: 16,
+                fused: false,
             },
             Op::Shift {
                 dst: 2,

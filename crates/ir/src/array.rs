@@ -150,8 +150,8 @@ impl fmt::Display for ArrayDecl {
 /// The element address at original iteration `i` is
 /// `base(array) + (stride·i + offset) · D`. The paper's core pipeline
 /// handles `stride == 1` (its §4.1 precondition); larger power-of-two
-/// strides are accepted by the IR and compiled by the `simdize-stride`
-/// extension crate (§7 future work).
+/// strides (§7 future work) are accepted by the IR and compiled as
+/// packs and scatters by `codegen::pack`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ArrayRef {
     /// The referenced array.

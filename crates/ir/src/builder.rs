@@ -32,8 +32,8 @@ impl ArrayHandle {
         Expr::load(self.at(offset))
     }
 
-    /// The strided reference `array[stride·i + offset]` (see the
-    /// `simdize-stride` extension).
+    /// The strided reference `array[stride·i + offset]` (compiled as a
+    /// pack or scatter by `codegen::pack`).
     ///
     /// # Panics
     ///

@@ -5,8 +5,10 @@
 //! front half (parse → reorg → codegen → fingerprint → check) of a
 //! repeated source is a pure function worth remembering, as the
 //! [`KernelCache`](simdize::KernelCache) remembers the bake. An entry
-//! is keyed by the source bytes and the forced policy, looked up by a
-//! hash and then compared in full, so two sources never share one; its
+//! is keyed by the forced policy and the source bytes, compared in full
+//! with no hash, so two sources never share one: slice equality checks
+//! the lengths first, and every stored source is charged to the byte
+//! budget below, so one lookup compares at most that many bytes; its
 //! value is an `Arc` to the [`Template`] (program, fingerprint, check)
 //! and the policy the driver chose. Only successful compiles are
 //! stored, so a failing source answers its error on every request.
@@ -18,8 +20,6 @@
 //! Either bound evicts least recently used entries first.
 
 use simdize::{Policy, Template, VInst};
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
 /// A compiled source: its template and the policy the driver chose.
@@ -43,7 +43,6 @@ struct Inner {
 }
 
 struct Entry {
-    hash: u64,
     forced: Option<Policy>,
     source: Box<str>,
     compiled: Compiled,
@@ -60,12 +59,6 @@ pub(crate) struct MemoStats {
     pub occupied: usize,
     pub bytes: usize,
     pub capacity: usize,
-}
-
-fn key_hash(source: &str, forced: Option<Policy>) -> u64 {
-    let mut h = DefaultHasher::new();
-    (source, forced).hash(&mut h);
-    h.finish()
 }
 
 /// What an entry is charged against the byte budget: its source text
@@ -108,8 +101,7 @@ impl TemplateMemo {
         forced: Option<Policy>,
         compile: impl FnOnce() -> Result<(Template<'static>, Policy), String>,
     ) -> Result<Compiled, String> {
-        let hash = key_hash(source, forced);
-        let same = |e: &Entry| e.hash == hash && e.forced == forced && *e.source == *source;
+        let same = |e: &Entry| e.forced == forced && *e.source == *source;
         {
             let mut inner = self.lock();
             inner.tick += 1;
@@ -149,7 +141,6 @@ impl TemplateMemo {
         }
         inner.bytes += bytes;
         inner.entries.push(Entry {
-            hash,
             forced,
             source: source.into(),
             compiled: compiled.clone(),

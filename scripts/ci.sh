@@ -17,9 +17,10 @@
 # lints with clippy at -D warnings,
 # builds rustdoc with warnings denied (every crate warns on
 # missing_docs), re-runs the engine's differential tier matrix forced
-# to the v2 and scalar tiers, holds the release binary's .text and the
-# design docs to their budgets (the docs budget: DESIGN.md at most 1000
-# lines, the verify skill at most 200), runs the doctests, builds the
+# to the v2 and scalar tiers, holds the release binary's .text, the
+# engine's source (lines above its test modules) and the design docs
+# to their budgets (the docs budget: DESIGN.md at most 1000 lines, the
+# verify skill at most 200), runs the doctests, builds the
 # examples,
 # checks that the paper reproduction's generated tables are current
 # (the worked-example docs are checked by tier-1's tests/explain.rs),
@@ -134,6 +135,18 @@ echo ".text: $text bytes"
 nm -S --size-sort -C target/release/simdize | grep -E 'simdize_engine::native::(x86|portable|exec)' | tail -n 10
 [ "$text" -le 2050000 ] \
     || { echo ".text of target/release/simdize is $text bytes, over the 2.05 MB budget" >&2; exit 1; }
+
+echo "== engine code budget (crates/engine/src, 7638 lines above the test modules) =="
+# Every second record of one fact in the engine is one more place that
+# later engine work must keep in step, so its code may shrink but not
+# grow: each file counts its lines above its `#[cfg(test)]` module.
+engine=0
+for f in $(find crates/engine/src -name '*.rs'); do
+    engine=$((engine + $(awk '/^#\[cfg\(test\)\]/{exit} {n++} END{print n+0}' "$f")))
+done
+echo "crates/engine/src: $engine lines"
+[ "$engine" -le 7638 ] \
+    || { echo "crates/engine/src is $engine lines, over the 7638-line budget" >&2; exit 1; }
 
 echo "== docs budget (DESIGN.md 1000 lines, verify skill 200) =="
 # DESIGN.md describes the system as it is, one section per pipeline

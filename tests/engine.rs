@@ -7,8 +7,8 @@
 
 use simdize::{
     program_fingerprint, run_simd, synthesize, CompiledKernel, ExecError, IsaLevel, KernelCache,
-    KernelOptions, MemoryImage, Policy, PredecodedKernel, ReuseMode, RunInput, SimdProgram,
-    SimdizeError, Simdizer, TripSpec, VInst, VectorShape, WorkloadSpec,
+    KernelOptions, MemoryImage, Policy, PredecodedKernel, ReuseMode, RunInput, SCond, SExpr,
+    SimdProgram, SimdizeError, Simdizer, TripSpec, VInst, VectorShape, WorkloadSpec,
 };
 use simdize_prng::SplitMix64;
 use std::collections::{HashMap, HashSet};
@@ -328,10 +328,12 @@ fn bake_rejects_inputs_the_loop_does_not_fit() {
     assert_eq!(foreign.first_difference(&scaled_img), None);
 }
 
-/// What the program check and the bake refuse in a malformed program,
-/// built by patching generated VIR: a `vperm` whose pattern is not 16
-/// selectors below 32, and a read of a register nothing wrote yet —
-/// refused exactly as the interpreter faults on it.
+/// What the bake refuses in a malformed program, built by patching
+/// generated VIR: a `vperm` whose pattern is not 16 selectors below 32,
+/// and a read of a register nothing wrote yet — refused exactly as the
+/// interpreter faults on it. Like the interpreter, the bake checks only
+/// what runs: a malformed `vperm` in a guarded block whose condition is
+/// false at bake time is never executed, so it is no fault.
 #[test]
 fn bake_rejects_malformed_programs() {
     let program = simdize::parse_program(MISALIGNED).unwrap();
@@ -340,22 +342,37 @@ fn bake_rejects_malformed_programs() {
         .reuse(ReuseMode::None)
         .compile(&program)
         .unwrap();
+    let img = MemoryImage::with_seed(&program, VectorShape::V16, 1);
+    let input = RunInput::with_ub(200);
     let r = compiled.body().iter().find_map(VInst::def).unwrap();
     for (pattern, amount) in [
         (vec![0u8; 15], 15),
         ((0..16).map(|k| 2 * k + 2).collect(), 32),
     ] {
-        let mut bad = compiled.clone();
-        bad.body_mut().push(VInst::Perm {
+        let perm = VInst::Perm {
             dst: r,
             a: r,
             b: r,
             pattern,
-        });
+        };
+        let mut bad = compiled.clone();
+        bad.body_mut().push(perm.clone());
+        let pre = PredecodedKernel::new(&bad).unwrap();
         assert_eq!(
-            PredecodedKernel::new(&bad).unwrap_err(),
+            pre.bake(&img, &input, &KernelOptions::new()).unwrap_err(),
             ExecError::BadShiftAmount { amount }
         );
+
+        let mut skipped = compiled.clone();
+        skipped.body_mut().push(VInst::Guarded {
+            cond: SCond::Lt(SExpr::c(1), SExpr::c(0)),
+            body: vec![perm],
+        });
+        let (mut want, mut got) = (img.clone(), img.clone());
+        let stats = run_simd(&skipped, &mut want, &input).unwrap();
+        let kernel = CompiledKernel::compile(&skipped, &img, &input).unwrap();
+        assert_eq!(kernel.run(&mut got).unwrap(), stats);
+        assert_eq!(got.first_difference(&want), None);
     }
 
     // The body's last result, read at its top: the first iteration
@@ -364,8 +381,6 @@ fn bake_rejects_malformed_programs() {
     let late = compiled.body().iter().rev().find_map(VInst::def).unwrap();
     let mut bad = compiled.clone();
     bad.body_mut().insert(0, VInst::Copy { dst: r, src: late });
-    let img = MemoryImage::with_seed(&program, VectorShape::V16, 1);
-    let input = RunInput::with_ub(200);
     let want = run_simd(&bad, &mut img.clone(), &input).unwrap_err();
     assert_eq!(
         want,
